@@ -6,10 +6,9 @@
 //
 // With -traffic, it also runs one write -> encode -> delete -> repair
 // lifecycle per placement policy on the scaled testbed — with the gather
-// encode/repair paths and again with the pipelined encode plus two-level
-// rack-aware repair — and prints the cross-rack vs intra-rack byte
-// breakdown of each phase, cross-checked against the fabric's own payload
-// counters.
+// encode and again with the pipelined encode, repair always along the
+// chain — and prints the cross-rack vs intra-rack byte breakdown of each
+// phase, cross-checked against the fabric's own payload counters.
 //
 // With -tenants, it runs a tenant-tagged transition under both policies
 // and cross-checks that the per-tenant byte attribution sums to the
@@ -93,8 +92,7 @@ func run() error {
 	if *traffic {
 		for _, pipelined := range []bool{false, true} {
 			for _, policy := range []string{"rr", "ear"} {
-				opts := experiments.TestbedOptions{Seed: *seed, PipelinedEncode: pipelined,
-					RackAwareRepair: pipelined}
+				opts := experiments.TestbedOptions{Seed: *seed, PipelinedEncode: pipelined}
 				res, err := experiments.RunTraffic(opts, policy, 9, 6)
 				if err != nil {
 					return err

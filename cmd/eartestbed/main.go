@@ -23,7 +23,7 @@
 //
 // The "nodefail" experiment is the node-failure recovery smoke: it encodes
 // stripes on a multi-node-rack EAR cluster, kills the node holding the most
-// stripe members, and runs the parallel two-level recovery driver with the
+// stripe members, and runs the parallel recovery driver with the
 // invariant auditor and the transition progress tracker attached — the run
 // fails unless every lost member is repaired, no metadata references the
 // dead node, the auditor ends with no ongoing violations, and the
@@ -252,9 +252,7 @@ func run() error {
 		}
 		fmt.Println(t)
 	case "nodefail":
-		nf := base
-		nf.RackAwareRepair = true
-		res, err := experiments.RunNodeFail(nf)
+		res, err := experiments.RunNodeFail(base)
 		if err != nil {
 			return err
 		}

@@ -468,7 +468,7 @@ func (c *Coder) ReconstructBlockInto(present map[int][]byte, idx int, out []byte
 // indices in ascending order (the order pickSurvivors produces). The matrix
 // behind the coefficients comes from the inversion cache, so repeated
 // repairs of one erasure pattern skip the O(k^3) solve. This is the
-// two-level repair path's planning primitive: each repair-pipeline hop
+// chain repair's planning primitive: each hop of the repair chain
 // multiplies its locally held survivors by their coefficients and folds
 // them into one partial sum — distributing the exact dot product
 // ReconstructBlockInto would compute centrally.

@@ -21,6 +21,7 @@ type BufferPool struct {
 
 	gets atomic.Int64
 	hits atomic.Int64
+	puts atomic.Int64
 }
 
 // NewBufferPool returns an empty pool.
@@ -61,6 +62,7 @@ func (p *BufferPool) Put(buf []byte) {
 	if len(buf) == 0 {
 		return
 	}
+	p.puts.Add(1)
 	p.sizeClass(len(buf)).Put(&buf)
 }
 
@@ -69,6 +71,13 @@ func (p *BufferPool) Put(buf []byte) {
 // exports.
 func (p *BufferPool) Stats() (gets, hits int64) {
 	return p.gets.Load(), p.hits.Load()
+}
+
+// Outstanding returns Gets minus Puts: the buffers currently checked out. A
+// value that does not return to its earlier level once an operation has
+// ended, failed or canceled, is a leak.
+func (p *BufferPool) Outstanding() int64 {
+	return p.gets.Load() - p.puts.Load()
 }
 
 // HitRate returns hits/gets, or 0 before the first Get.

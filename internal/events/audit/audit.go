@@ -120,6 +120,10 @@ type Auditor struct {
 	events  uint64
 	blocks  map[topology.BlockID]*blockState
 	stripes map[topology.StripeID]*stripeState
+	// dead is the NameNode's current dead set. A copy on a dead node is
+	// unreachable, so it does not count toward a rack's stripe population:
+	// repairing a lost member into the rack of its dead holder is legal.
+	dead map[topology.NodeID]bool
 	// open maps a violation key to its index in all; closed violations keep
 	// their slot (they become the transient list).
 	open map[string]int
@@ -136,6 +140,7 @@ func New(top *topology.Topology, cfg Config) *Auditor {
 		cfg:     cfg,
 		blocks:  make(map[topology.BlockID]*blockState),
 		stripes: make(map[topology.StripeID]*stripeState),
+		dead:    make(map[topology.NodeID]bool),
 		open:    make(map[string]int),
 	}
 }
@@ -218,9 +223,13 @@ func (a *Auditor) Observe(e events.Event) {
 		if e.Block != events.NoneBlock {
 			a.block(e.Block).replicas[e.Node] = true
 		}
+	case events.NodeDead:
+		a.dead[e.Node] = true
+	case events.NodeAlive:
+		delete(a.dead, e.Node)
 	default:
-		// Transfers, task placements, liveness, verification: no placement
-		// state to fold, but the window of any open violation still extends.
+		// Transfers, task placements, verification: no placement state to
+		// fold, but the window of any open violation still extends.
 	}
 
 	a.checkLocked(e)
@@ -357,7 +366,7 @@ func (a *Auditor) checkCoreRackLocked(sid topology.StripeID, s *stripeState, seq
 }
 
 // checkRackSpreadLocked: post-encode, every rack holds <= c blocks of the
-// stripe (data replicas and parity together).
+// stripe on live nodes (data replicas and parity together).
 func (a *Auditor) checkRackSpreadLocked(sid topology.StripeID, s *stripeState, seq uint64) {
 	key := fmt.Sprintf("%s/s%d", InvRackSpread, sid)
 	if !s.encoded {
@@ -368,14 +377,14 @@ func (a *Auditor) checkRackSpreadLocked(sid topology.StripeID, s *stripeState, s
 	for _, id := range s.blocks {
 		if b, ok := a.blocks[id]; ok {
 			for n := range b.replicas {
-				if r, err := a.top.RackOf(n); err == nil {
+				if r, err := a.top.RackOf(n); err == nil && !a.dead[n] {
 					counts[r]++
 				}
 			}
 		}
 	}
 	for _, n := range s.parity {
-		if r, err := a.top.RackOf(n); err == nil {
+		if r, err := a.top.RackOf(n); err == nil && !a.dead[n] {
 			counts[r]++
 		}
 	}

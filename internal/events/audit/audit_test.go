@@ -236,6 +236,35 @@ func TestRackSpreadCountsParity(t *testing.T) {
 	}
 }
 
+// TestRackSpreadIgnoresDeadHolders: a member repaired into the rack of its
+// dead holder is announced (RepairFinished) before the dead copy is retired
+// (ReplicaDeleted). The unreachable copy must not count toward the rack, or
+// every such repair reads as a transient violation.
+func TestRackSpreadIgnoresDeadHolders(t *testing.T) {
+	a := testAuditor(t, Config{Replicas: 2, C: 1})
+	j := feed(a)
+	for _, e := range commit(1, 2, 0) {
+		j.Publish(e)
+	}
+	j.Publish(group(10, events.NoneRack, 1))
+	encodeStripe(j, 10, 1, 0, 6) // block 1 stays on node 2 (rack 1), parity in rack 3
+	j.Publish(ev(events.NodeDead, func(e *events.Event) { e.Node = 2 }))
+	j.Publish(ev(events.RepairFinished, func(e *events.Event) { e.Block = 1; e.Stripe = 10; e.Node = 3 }))
+	j.Publish(ev(events.ReplicaDeleted, func(e *events.Event) { e.Block = 1; e.Stripe = 10; e.Node = 2 }))
+	if r := a.Report(); r.Total() != 0 {
+		t.Fatalf("repair into the dead holder's rack flagged: %+v", r)
+	}
+	// A revived node's copy counts again.
+	j.Publish(ev(events.NodeAlive, func(e *events.Event) { e.Node = 2 }))
+	j.Publish(ev(events.NodeDead, func(e *events.Event) { e.Node = 3 }))
+	j.Publish(ev(events.RepairFinished, func(e *events.Event) { e.Block = 1; e.Stripe = 10; e.Node = 2 }))
+	j.Publish(ev(events.NodeAlive, func(e *events.Event) { e.Node = 3 }))
+	j.Publish(ev(events.StripeVerified, func(e *events.Event) { e.Stripe = 10 }))
+	if r := a.Report(); len(r.Ongoing) != 1 || r.Ongoing[0].Invariant != InvRackSpread {
+		t.Fatalf("two live copies in one rack not flagged: %+v", r)
+	}
+}
+
 func TestPartialDeleteViolation(t *testing.T) {
 	a := testAuditor(t, Config{Replicas: 2})
 	j := feed(a)

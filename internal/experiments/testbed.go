@@ -41,9 +41,6 @@ type TestbedOptions struct {
 	// PipelineChunkBytes overrides the pipelined encode's chunk size
 	// (0 = fabric default).
 	PipelineChunkBytes int
-	// RackAwareRepair runs block repair and node recovery through the
-	// two-level rack-aware path instead of the naive gather.
-	RackAwareRepair bool
 	// C bounds blocks of one stripe per rack after encoding (default 1,
 	// the paper's setting; multi-node-rack geometries need more so a
 	// stripe fits in the cluster).
@@ -125,7 +122,6 @@ func (o TestbedOptions) clusterConfig(policy string, n, k int) hdfs.Config {
 		Seed:                     o.Seed,
 		PipelinedEncode:          o.PipelinedEncode,
 		PipelineChunkBytes:       o.PipelineChunkBytes,
-		RackAwareRepair:          o.RackAwareRepair,
 	}
 }
 

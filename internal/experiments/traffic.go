@@ -159,7 +159,7 @@ func RunTraffic(opts TestbedOptions, policy string, n, k int) (*TrafficResult, e
 	// Repair phase: kill the node holding the most encoded data blocks,
 	// recover every lost member, revive the node. Repair streams are
 	// journaled like any other transfer, so the journal-vs-fabric
-	// cross-check extends to the repair path (gather or two-level).
+	// cross-check extends to the repair chain.
 	if err := measure("repair", func() error {
 		dead := busiestEncodedNode(c)
 		if dead < 0 {
@@ -181,13 +181,9 @@ func RunTraffic(opts TestbedOptions, policy string, n, k int) (*TrafficResult, e
 	if cfg.PipelinedEncode {
 		mode = "pipelined"
 	}
-	repairMode := "gather"
-	if cfg.RackAwareRepair {
-		repairMode = "two-level"
-	}
 	t := &Table{
 		ID:      "traffic",
-		Caption: fmt.Sprintf("Per-phase cross-rack vs intra-rack traffic, policy %s (%d,%d), %s encode, %s repair", policy, n, k, mode, repairMode),
+		Caption: fmt.Sprintf("Per-phase cross-rack vs intra-rack traffic, policy %s (%d,%d), %s encode, chain repair", policy, n, k, mode),
 		Headers: []string{"phase", "transfers", "xrack MB", "intra MB", "fabric xrack MB", "fabric intra MB"},
 		Notes: []string{
 			fmt.Sprintf("journal vs fabric max discrepancy: %.3f%%", res.MaxDiscrepancy*100),

@@ -64,7 +64,6 @@ func TestRunTrafficConsistency(t *testing.T) {
 func TestRunTrafficPipelined(t *testing.T) {
 	opts := fastTestbed()
 	opts.PipelinedEncode = true
-	opts.RackAwareRepair = true
 	for _, policy := range []string{"rr", "ear"} {
 		res, err := RunTraffic(opts, policy, 6, 4)
 		if err != nil {
@@ -81,11 +80,10 @@ func TestRunTrafficPipelined(t *testing.T) {
 			t.Errorf("%s pipelined: encode phase moved nothing: %+v", policy, e)
 		}
 		if r := byName["repair"]; r.Transfers == 0 || r.CrossRackBytes+r.IntraRackBytes == 0 {
-			t.Errorf("%s two-level: repair phase moved nothing: %+v", policy, r)
+			t.Errorf("%s: repair phase moved nothing: %+v", policy, r)
 		}
-		if res.Summary == nil || !strings.Contains(res.Summary.Caption, "pipelined") ||
-			!strings.Contains(res.Summary.Caption, "two-level") {
-			t.Errorf("%s: summary caption does not name the pipelined/two-level modes", policy)
+		if res.Summary == nil || !strings.Contains(res.Summary.Caption, "pipelined") {
+			t.Errorf("%s: summary caption does not name the pipelined encode", policy)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // benchConfig shapes the fabric hard enough that data-path structure (not
 // Go overhead) dominates: one block transfer costs ~8ms, and local reads
 // are disk-shaped so a gather can overlap disk and network fetches.
-func benchConfig(sequential bool) Config {
+func benchConfig() Config {
 	return Config{
 		Racks:                    6,
 		NodesPerRack:             3,
@@ -27,32 +27,24 @@ func benchConfig(sequential bool) Config {
 		DiskBandwidthBytesPerSec: 64 << 20,
 		MapTasks:                 4,
 		Seed:                     1,
-		SequentialDataPath:       sequential,
 	}
 }
 
-func benchModes(b *testing.B, run func(b *testing.B, sequential bool)) {
-	b.Run("pipelined", func(b *testing.B) { run(b, false) })
-	b.Run("sequential", func(b *testing.B) { run(b, true) })
-}
-
 func BenchmarkWriteBlock(b *testing.B) {
-	benchModes(b, func(b *testing.B, sequential bool) {
-		c, err := NewCluster(benchConfig(sequential))
-		if err != nil {
+	c, err := NewCluster(benchConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	data := make([]byte, c.Config().BlockSizeBytes)
+	rand.New(rand.NewSource(1)).Read(data)
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.WriteBlock(0, data); err != nil {
 			b.Fatal(err)
 		}
-		defer c.Close()
-		data := make([]byte, c.Config().BlockSizeBytes)
-		rand.New(rand.NewSource(1)).Read(data)
-		b.SetBytes(int64(len(data)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.WriteBlock(0, data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkWriteBlockObserved is BenchmarkWriteBlock with the full
@@ -62,38 +54,36 @@ func BenchmarkWriteBlock(b *testing.B) {
 // under 3% of the pipelined write). The tracer is drained periodically the
 // way a polling /trace?reset=1 consumer would.
 func BenchmarkWriteBlockObserved(b *testing.B) {
-	benchModes(b, func(b *testing.B, sequential bool) {
-		cfg := benchConfig(sequential)
-		c, err := NewCluster(cfg)
-		if err != nil {
+	cfg := benchConfig()
+	c, err := NewCluster(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	c.SetTelemetry(telemetry.NewRegistry())
+	tr := telemetry.NewTracer()
+	tr.SetLimit(1 << 16)
+	c.SetTracer(tr)
+	jrn := events.NewJournal(8192)
+	c.SetJournal(jrn)
+	prog := progress.New(progress.Config{Replicas: cfg.Replicas, Policy: cfg.Policy})
+	prog.Attach(jrn)
+	data := make([]byte, c.Config().BlockSizeBytes)
+	rand.New(rand.NewSource(1)).Read(data)
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 0 {
+			tr.Reset()
+		}
+		if _, err := c.WriteBlock(0, data); err != nil {
 			b.Fatal(err)
 		}
-		defer c.Close()
-		c.SetTelemetry(telemetry.NewRegistry())
-		tr := telemetry.NewTracer()
-		tr.SetLimit(1 << 16)
-		c.SetTracer(tr)
-		jrn := events.NewJournal(8192)
-		c.SetJournal(jrn)
-		prog := progress.New(progress.Config{Replicas: cfg.Replicas, Policy: cfg.Policy})
-		prog.Attach(jrn)
-		data := make([]byte, c.Config().BlockSizeBytes)
-		rand.New(rand.NewSource(1)).Read(data)
-		b.SetBytes(int64(len(data)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%1024 == 0 {
-				tr.Reset()
-			}
-			if _, err := c.WriteBlock(0, data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkReadBlock(b *testing.B) {
-	c, err := NewCluster(benchConfig(false))
+	c, err := NewCluster(benchConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -114,29 +104,27 @@ func BenchmarkReadBlock(b *testing.B) {
 }
 
 func BenchmarkEncodeAll(b *testing.B) {
-	benchModes(b, func(b *testing.B, sequential bool) {
-		c, err := NewCluster(benchConfig(sequential))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		rng := rand.New(rand.NewSource(3))
-		data := make([]byte, c.Config().BlockSizeBytes)
-		b.SetBytes(int64(c.Config().K * c.Config().BlockSizeBytes))
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			for j := 0; j < c.Config().K; j++ {
-				rng.Read(data)
-				client := topology.NodeID(rng.Intn(c.Topology().Nodes()))
-				if _, err := c.WriteBlock(client, data); err != nil {
-					b.Fatal(err)
-				}
-			}
-			c.NameNode().FlushOpenStripes()
-			b.StartTimer()
-			if _, err := c.RaidNode().EncodeAll(); err != nil {
+	c, err := NewCluster(benchConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	rng := rand.New(rand.NewSource(3))
+	data := make([]byte, c.Config().BlockSizeBytes)
+	b.SetBytes(int64(c.Config().K * c.Config().BlockSizeBytes))
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < c.Config().K; j++ {
+			rng.Read(data)
+			client := topology.NodeID(rng.Intn(c.Topology().Nodes()))
+			if _, err := c.WriteBlock(client, data); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
+		c.NameNode().FlushOpenStripes()
+		b.StartTimer()
+		if _, err := c.RaidNode().EncodeAll(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

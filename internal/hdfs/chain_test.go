@@ -1,0 +1,625 @@
+package hdfs
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"ear/internal/blockstore"
+	"ear/internal/events"
+	"ear/internal/events/audit"
+	"ear/internal/placement"
+	"ear/internal/topology"
+)
+
+// busiestDataNode returns the live node holding the most data blocks of
+// encoded stripes — the node whose death costs the most repairs.
+func busiestDataNode(t *testing.T, c *Cluster) topology.NodeID {
+	t.Helper()
+	nn := c.NameNode()
+	count := make(map[topology.NodeID]int)
+	for _, sid := range nn.EncodedStripes() {
+		sm, err := nn.Stripe(sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range sm.Info.Blocks {
+			meta, err := nn.Block(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meta.Aborted {
+				continue
+			}
+			for _, n := range meta.Nodes {
+				if !nn.IsDead(n) {
+					count[n]++
+				}
+			}
+		}
+	}
+	best, bestN := topology.NodeID(-1), -1
+	for n := 0; n < c.Topology().Nodes(); n++ {
+		if count[topology.NodeID(n)] > bestN {
+			best, bestN = topology.NodeID(n), count[topology.NodeID(n)]
+		}
+	}
+	if bestN <= 0 {
+		t.Fatal("no node holds any encoded data block")
+	}
+	return best
+}
+
+// verifyBlockContents reads every written block through the client path and
+// compares against ground truth.
+func verifyBlockContents(t *testing.T, c *Cluster, contents map[topology.BlockID][]byte) {
+	t.Helper()
+	for id, want := range contents {
+		got, err := c.ReadBlock(0, id)
+		if err != nil {
+			t.Fatalf("ReadBlock(%d): %v", id, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("block %d content diverged after repair", id)
+		}
+	}
+}
+
+// TestChainRepairMatchesPayload is the repair property test: across a spread
+// of (k, m, rack layout, block/chunk size) geometries — with short stripes
+// and aborted members in the population — killing a full DataNode and
+// recovering it must restore block and parity content byte-identical to
+// what was written, and no repair may ship more than one partial sum per
+// rack boundary of the cluster. A second kill targets a parity holder so
+// parity-row reconstruction with a dead parity node is covered in every
+// geometry.
+func TestChainRepairMatchesPayload(t *testing.T) {
+	geoms := []struct {
+		name  string
+		cfg   Config
+		chunk int
+	}{
+		{
+			name: "ear-6x3-k4n6",
+			cfg: Config{Racks: 6, NodesPerRack: 3, Policy: "ear", Replicas: 3,
+				K: 4, N: 6, C: 1, BlockSizeBytes: 8 << 10,
+				BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 1},
+			chunk: 2 << 10,
+		},
+		{
+			name: "rr-3x4-k6n9-disk",
+			cfg: Config{Racks: 3, NodesPerRack: 4, Policy: "rr", Replicas: 2,
+				K: 6, N: 9, C: 3, BlockSizeBytes: 16 << 10,
+				BandwidthBytesPerSec: 64 << 20, DiskBandwidthBytesPerSec: 256 << 20,
+				MapTasks: 2, Seed: 2},
+			chunk: 4 << 10,
+		},
+		{
+			// Odd block size not divisible by the chunk: exercises the
+			// partial final chunk of every repair hop.
+			name: "rr-5x3-k8n10-oddblock",
+			cfg: Config{Racks: 5, NodesPerRack: 3, Policy: "rr", Replicas: 2,
+				K: 8, N: 10, C: 2, BlockSizeBytes: 10000,
+				BandwidthBytesPerSec: 64 << 20, MapTasks: 3, Seed: 3},
+			chunk: 4096,
+		},
+		{
+			name: "ear-4x3-k8n12-smallchunk",
+			cfg: Config{Racks: 4, NodesPerRack: 3, Policy: "ear", Replicas: 2,
+				K: 8, N: 12, C: 3, BlockSizeBytes: 12 << 10,
+				BandwidthBytesPerSec: 64 << 20, MapTasks: 2, Seed: 4},
+			chunk: 1 << 10,
+		},
+	}
+	for _, g := range geoms {
+		t.Run(g.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := g.cfg
+			cfg.PipelineChunkBytes = g.chunk
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			contents := populatePipeTest(t, c, cfg.Seed+200)
+			if _, err := c.RaidNode().EncodeAll(); err != nil {
+				t.Fatal(err)
+			}
+
+			recover := func(n topology.NodeID) RecoveryStats {
+				c.NameNode().MarkDead(n)
+				stats, err := c.RecoverNode(context.Background(), n)
+				if err != nil {
+					t.Fatalf("RecoverNode(%d): %v", n, err)
+				}
+				// The chain visits every rack at most once, so a repair
+				// crosses the core at most Racks-1 times, one partial each.
+				members := int64(stats.BlocksRepaired + stats.ParityRepaired)
+				if limit := members * int64(cfg.Racks-1) * int64(cfg.BlockSizeBytes); stats.CrossRackBytes > limit {
+					t.Errorf("%d repairs moved %d cross-rack bytes, more than one partial per rack boundary (%d)",
+						members, stats.CrossRackBytes, limit)
+				}
+				return stats
+			}
+			dead := busiestDataNode(t, c)
+			if stats := recover(dead); stats.BlocksRepaired == 0 {
+				t.Fatal("node death cost no data repairs")
+			}
+			verifyBlockContents(t, c, contents)
+			if n := verifyParities(t, c, contents); n == 0 {
+				t.Fatal("no parity verified after recovery")
+			}
+
+			// Second failure: a parity holder of the first encoded stripe,
+			// so the sweep reconstructs a parity row (decode-row fold for a
+			// parity target) with the holder dead.
+			c.NameNode().MarkAlive(dead)
+			sm, err := c.NameNode().Stripe(c.NameNode().EncodedStripes()[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats := recover(sm.Plan.Parity[0]); stats.ParityRepaired == 0 {
+				t.Fatalf("killing parity holder %d repaired no parity", sm.Plan.Parity[0])
+			}
+			verifyBlockContents(t, c, contents)
+			if verifyParities(t, c, contents) == 0 {
+				t.Fatal("no parity verified after parity-holder recovery")
+			}
+		})
+	}
+}
+
+// loseOneBlock encodes a freshly written population on c and kills the
+// holder of one data block of a full stripe, returning the block, its
+// stripe and its stripe position.
+func loseOneBlock(t *testing.T, c *Cluster, ids []topology.BlockID) (topology.BlockID, *StripeMeta, int) {
+	t.Helper()
+	nn := c.NameNode()
+	if _, err := nn.FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RaidNode().EncodeAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, victim := range ids {
+		vm, err := nn.Block(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm, err := nn.Stripe(vm.Stripe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sm.Info.Blocks) == c.Config().K && len(vm.Nodes) == 1 {
+			nn.MarkDead(vm.Nodes[0])
+			return victim, sm, slices.Index(sm.Info.Blocks, victim)
+		}
+	}
+	t.Fatal("no full encoded stripe among the written blocks")
+	return 0, nil, 0
+}
+
+// TestDegradedReadCrossRackBytes pins ROADMAP item 2's "one partial per
+// survivor rack": a degraded read of a dead member moves exactly one block
+// across the core per rack boundary of the chain planned over the k lowest
+// surviving positions — measured at the fabric, not at the engine's ledger.
+func TestDegradedReadCrossRackBytes(t *testing.T) {
+	cfg := Config{Racks: 4, NodesPerRack: 4, Policy: "ear", Replicas: 2,
+		K: 6, N: 9, C: 3, BlockSizeBytes: 8 << 10,
+		BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 5}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ids, contents := writeBlocks(t, c, 4*cfg.K, rand.New(rand.NewSource(53)))
+	victim, sm, pos := loseOneBlock(t, c, ids)
+
+	// The survivors, resolved from the NameNode alone: the k lowest stripe
+	// positions other than the victim that still have a live holder.
+	holders := make([][]topology.NodeID, cfg.N)
+	survivors := 0
+	for i := 0; i < cfg.N && survivors < cfg.K; i++ {
+		switch {
+		case i == pos:
+			continue
+		case i < len(sm.Info.Blocks):
+			live, err := c.NameNode().LiveReplicas(sm.Info.Blocks[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			holders[i] = live
+		case i >= cfg.K && !c.NameNode().IsDead(sm.Plan.Parity[i-cfg.K]):
+			holders[i] = []topology.NodeID{sm.Plan.Parity[i-cfg.K]}
+		}
+		if len(holders[i]) > 0 {
+			survivors++
+		}
+	}
+	if survivors != cfg.K {
+		t.Fatalf("stripe %d offers %d survivors, want %d", sm.Info.ID, survivors, cfg.K)
+	}
+	for client := topology.NodeID(0); int(client) < c.Topology().Nodes(); client++ {
+		if c.NameNode().IsDead(client) {
+			continue
+		}
+		hops, err := placement.PlanPipeline(c.Topology(), holders, client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clientRack, _ := c.Topology().RackOf(client)
+		boundaries := placement.PipelineRackBoundaries(hops, clientRack)
+		if boundaries >= cfg.K {
+			t.Fatalf("client %d: chain crosses %d boundaries, no better than gathering k=%d blocks", client, boundaries, cfg.K)
+		}
+		before := c.Fabric().Snapshot()
+		got, err := c.DegradedRead(client, victim)
+		if err != nil {
+			t.Fatalf("DegradedRead from node %d: %v", client, err)
+		}
+		if !bytes.Equal(got, contents[victim]) {
+			t.Fatalf("degraded read from node %d differs from payload", client)
+		}
+		moved := c.Fabric().Snapshot().Sub(before).CrossRackBytes
+		if want := int64(boundaries) * int64(cfg.BlockSizeBytes); moved != want {
+			t.Errorf("client %d: degraded read moved %d cross-rack bytes, want %d boundaries x block = %d",
+				client, moved, boundaries, want)
+		}
+	}
+}
+
+// TestChainFoldCancelAtEveryStage runs the engine directly, as a 1-row and
+// as an m-row fold over a sealed stripe, and cancels it the moment each
+// stage in turn opens its first stream. Whatever stage the cancellation
+// lands in, every pooled buffer must be back in the pool (Gets == Puts)
+// and no store may have changed.
+func TestChainFoldCancelAtEveryStage(t *testing.T) {
+	cfg := testConfig("rr")
+	cfg.BlockSizeBytes = 64 << 10
+	cfg.BandwidthBytesPerSec = 64 << 10 // 1 s per block: no fold finishes first
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Fabric().SetAllRates(64 << 30); err != nil {
+		t.Fatal(err)
+	}
+	ids, _ := writeBlocks(t, c, cfg.K, rand.New(rand.NewSource(59)))
+	if err := c.Fabric().SetAllRates(cfg.BandwidthBytesPerSec); err != nil {
+		t.Fatal(err)
+	}
+	jrn := events.NewJournal(1 << 12)
+	c.SetJournal(jrn)
+
+	holders := make([][]topology.NodeID, cfg.K)
+	for i, id := range ids {
+		if holders[i], err = c.NameNode().LiveReplicas(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := func(pos int) blockstore.Key { return DataKey(ids[pos]) }
+	parityRows := make([][]byte, c.Coder().M())
+	for j := range parityRows {
+		if parityRows[j], err = c.Coder().ParityRowView(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A sink holding no member, so the chain ends in a receive-only stage.
+	sink := topology.NodeID(-1)
+	for n := topology.NodeID(0); int(n) < c.Topology().Nodes() && sink < 0; n++ {
+		if !slices.ContainsFunc(holders, func(h []topology.NodeID) bool { return slices.Contains(h, n) }) {
+			sink = n
+		}
+	}
+	hops, err := placement.PlanPipeline(c.Topology(), holders, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stageNodes := make([]topology.NodeID, 0, len(hops)+1)
+	for _, h := range hops {
+		stageNodes = append(stageNodes, h.Node)
+	}
+	stageNodes = append(stageNodes, sink)
+
+	storeKeys := func() int {
+		total := 0
+		for n := 0; n < c.Topology().Nodes(); n++ {
+			dn, _ := c.DataNodeOf(topology.NodeID(n))
+			total += dn.Store.Len()
+		}
+		return total
+	}
+	for _, rows := range [][][]byte{parityRows[:1], parityRows} {
+		for s, node := range stageNodes {
+			// Stage 0 has no inbound stream; its first stream is its disk.
+			src := node
+			if s > 0 {
+				src = stageNodes[s-1]
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			unsub := jrn.Subscribe(func(e events.Event) {
+				if e.Type == events.TransferStarted && e.Node == src && e.Peer == node {
+					cancel()
+				}
+			})
+			keysBefore, outstanding := storeKeys(), c.BufferPool().Outstanding()
+			out := make([][]byte, len(rows))
+			for j := range out {
+				out[j] = c.BufferPool().Get(cfg.BlockSizeBytes)
+			}
+			_, err := c.chainFold(ctx, 0, rows, holders, key, sink, out)
+			for _, o := range out {
+				c.BufferPool().Put(o)
+			}
+			unsub()
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%d-row fold canceled at stage %d = %v, want context.Canceled", len(rows), s, err)
+			}
+			if got := c.BufferPool().Outstanding(); got != outstanding {
+				t.Errorf("%d-row fold canceled at stage %d leaked %d pooled buffers", len(rows), s, got-outstanding)
+			}
+			if got := storeKeys(); got != keysBefore {
+				t.Errorf("%d-row fold canceled at stage %d changed the stores: %d -> %d keys", len(rows), s, keysBefore, got)
+			}
+		}
+	}
+}
+
+// TestRepairReplansAroundCorruptSurvivor corrupts a survivor the first plan
+// folds: the hop's checksum-verified read fails, the holder is excluded,
+// the survivors are re-selected, and the repaired and degraded-read bytes
+// still equal the payload. One erasure more than the code absorbs surfaces
+// as ErrNoReplica rather than wrong bytes.
+func TestRepairReplansAroundCorruptSurvivor(t *testing.T) {
+	c := newTestCluster(t, "ear") // (6,4): dead member + corrupt survivor = n-k
+	cfg := c.Config()
+	ids, contents := writeBlocks(t, c, 4*cfg.K, rand.New(rand.NewSource(61)))
+	victim, sm, pos := loseOneBlock(t, c, ids)
+
+	corrupt := func(i int) {
+		t.Helper()
+		meta, err := c.NameNode().Block(sm.Info.Blocks[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		dn, _ := c.DataNodeOf(meta.Nodes[0])
+		if err := dn.Store.Corrupt(DataKey(sm.Info.Blocks[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The lowest surviving data position is in every first plan.
+	first := 0
+	if pos == 0 {
+		first = 1
+	}
+	corrupt(first)
+	got, err := c.DegradedRead(1, victim)
+	if err != nil {
+		t.Fatalf("DegradedRead with a corrupt survivor: %v", err)
+	}
+	if !bytes.Equal(got, contents[victim]) {
+		t.Fatal("degraded read around a corrupt survivor differs from payload")
+	}
+	target, err := c.RepairBlock(victim)
+	if err != nil {
+		t.Fatalf("RepairBlock with a corrupt survivor: %v", err)
+	}
+	dn, _ := c.DataNodeOf(target)
+	if got, err = dn.Store.Get(DataKey(victim)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, contents[victim]) {
+		t.Fatal("repair around a corrupt survivor differs from payload")
+	}
+
+	// A third erasure in a (6,4) stripe: kill the repaired copy again and
+	// corrupt a second survivor.
+	c.NameNode().MarkDead(target)
+	for i := range sm.Info.Blocks {
+		if i != pos && i != first {
+			corrupt(i)
+			break
+		}
+	}
+	if _, err := c.DegradedRead(1, victim); !errors.Is(err, ErrNoReplica) {
+		t.Fatalf("DegradedRead past n-k erasures = %v, want ErrNoReplica", err)
+	}
+}
+
+// TestRepairCancelCommitsNothing kills the context mid-repair on a slow
+// fabric and verifies the staged-commit contract of a chain repair: no
+// block lands in any store, no location changes, the auditor stays clean,
+// and rerunning the repair at full speed restores the block.
+func TestRepairCancelCommitsNothing(t *testing.T) {
+	cfg := testConfig("ear")
+	cfg.BlockSizeBytes = 256 << 10
+	cfg.BandwidthBytesPerSec = 64 << 10 // ~4s per block: cancel lands mid-chunk
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	jrn := events.NewJournal(4096)
+	c.SetJournal(jrn)
+	aud := audit.New(c.Topology(), audit.Config{Replicas: cfg.Replicas, C: cfg.C, CheckCoreRack: true})
+	aud.Attach(jrn)
+
+	// Populate and encode at full speed, then throttle for the repair.
+	if err := c.Fabric().SetAllRates(64 << 30); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	ids, contents := writeBlocks(t, c, cfg.K, rng)
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RaidNode().EncodeAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Fabric().SetAllRates(cfg.BandwidthBytesPerSec); err != nil {
+		t.Fatal(err)
+	}
+
+	victim := ids[0]
+	vm, err := c.NameNode().Block(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.NameNode().MarkDead(vm.Nodes[0])
+
+	snapshot := func() map[topology.NodeID]int {
+		keys := make(map[topology.NodeID]int)
+		for n := 0; n < c.Topology().Nodes(); n++ {
+			dn, err := c.DataNodeOf(topology.NodeID(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys[topology.NodeID(n)] = len(dn.Store.Keys())
+		}
+		return keys
+	}
+	before := snapshot()
+	goroutines := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if _, err := c.RepairBlockCtx(ctx, victim); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RepairBlockCtx under timeout = %v, want DeadlineExceeded", err)
+	}
+	// The canceled pipeline must wind down without leaking hop goroutines.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	after := snapshot()
+	for n, count := range after {
+		if count != before[n] {
+			t.Fatalf("node %d store changed across canceled repair: %d -> %d keys", n, before[n], count)
+		}
+	}
+	if meta, err := c.NameNode().Block(victim); err != nil || len(meta.Nodes) != 1 || meta.Nodes[0] != vm.Nodes[0] {
+		t.Fatalf("block location changed across canceled repair: %v, %v", meta, err)
+	}
+	if rep := aud.Report(); rep.Total() != 0 {
+		t.Fatalf("auditor dirty after canceled repair: %+v", rep)
+	}
+
+	// Requeue: the same repair at full speed succeeds and restores content.
+	if err := c.Fabric().SetAllRates(64 << 30); err != nil {
+		t.Fatal(err)
+	}
+	target, err := c.RepairBlock(victim)
+	if err != nil {
+		t.Fatalf("repair after cancel: %v", err)
+	}
+	dn, err := c.DataNodeOf(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dn.Store.Get(DataKey(victim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, contents[victim]) {
+		t.Fatal("repaired content differs from ground truth")
+	}
+	if rep := aud.Report(); rep.Total() != 0 {
+		t.Fatalf("auditor dirty after re-repair: %+v", rep)
+	}
+}
+
+// TestConcurrentRepairSameStripe loses two data blocks of one stripe and
+// repairs them concurrently — the -race run proves the shared decode cache
+// and pooled buffers tolerate concurrent RepairBlock on the same stripe.
+func TestConcurrentRepairSameStripe(t *testing.T) {
+	cfg := testConfig("ear") // (6,4): two erasures stay decodable
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rng := rand.New(rand.NewSource(31))
+	_, contents := writeBlocks(t, c, 4*cfg.K, rng)
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RaidNode().EncodeAll(); err != nil {
+		t.Fatal(err)
+	}
+	nn := c.NameNode()
+	// Find a stripe with two single-replica members on distinct nodes and
+	// kill both holders (a (6,4) code decodes through two erasures).
+	var victims []topology.BlockID
+	for _, sid := range nn.EncodedStripes() {
+		sm, err := nn.Stripe(sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var picks []topology.BlockID
+		seen := make(map[topology.NodeID]bool)
+		for _, b := range sm.Info.Blocks {
+			meta, err := nn.Block(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meta.Aborted || len(meta.Nodes) != 1 || seen[meta.Nodes[0]] {
+				continue
+			}
+			seen[meta.Nodes[0]] = true
+			picks = append(picks, b)
+			if len(picks) == 2 {
+				break
+			}
+		}
+		if len(picks) == 2 {
+			victims = picks
+			for _, b := range victims {
+				meta, err := nn.Block(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nn.MarkDead(meta.Nodes[0])
+			}
+			break
+		}
+	}
+	if len(victims) != 2 {
+		t.Fatal("no stripe offered two single-replica victims on distinct nodes")
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(victims))
+	targets := make([]topology.NodeID, len(victims))
+	for i, b := range victims {
+		i, b := i, b
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			targets[i], errs[i] = c.RepairBlock(b)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent repair of block %d: %v", victims[i], err)
+		}
+		dn, err := c.DataNodeOf(targets[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dn.Store.Get(DataKey(victims[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, contents[victims[i]]) {
+			t.Fatalf("block %d repaired with wrong content", victims[i])
+		}
+	}
+}

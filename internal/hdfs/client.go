@@ -3,8 +3,8 @@ package hdfs
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"ear/internal/blockstore"
@@ -85,8 +85,7 @@ func (c *Cluster) WriteBlock(client topology.NodeID, data []byte) (topology.Bloc
 // fabric chunks, every hop shaped by the fabric. Hops run concurrently —
 // while replica 1 forwards chunk i to replica 2 the client is already
 // sending chunk i+1 — so an r-way write costs roughly one block transfer
-// plus the pipeline fill, not r transfers (Config.SequentialDataPath
-// restores the whole-block store-and-forward chain for comparison).
+// plus the pipeline fill, not r transfers.
 //
 // Cancelling ctx aborts the write within one chunk reservation per hop; the
 // allocation is then abandoned via NameNode.AbortBlock and no replica is
@@ -107,12 +106,7 @@ func (c *Cluster) WriteBlockCtx(ctx context.Context, client topology.NodeID, dat
 		return 0, err
 	}
 	span.Arg("block", strconv.FormatInt(int64(meta.ID), 10))
-	if c.cfg.SequentialDataPath {
-		err = c.writeStoreAndForward(ctx, client, meta, data)
-	} else {
-		err = c.writePipelined(ctx, client, meta, data)
-	}
-	if err != nil {
+	if err := c.writePipelined(ctx, client, meta, data); err != nil {
 		c.abortWrite(meta)
 		return 0, err
 	}
@@ -133,31 +127,6 @@ func (c *Cluster) abortWrite(meta *BlockMeta) {
 			dn.Store.Delete(DataKey(meta.ID))
 		}
 	}
-}
-
-// writeStoreAndForward is the legacy data path: each hop receives the whole
-// block, stores it, then forwards it to the next replica. An r-way write
-// costs r sequential block transfers.
-func (c *Cluster) writeStoreAndForward(ctx context.Context, client topology.NodeID, meta *BlockMeta, data []byte) error {
-	payload := data
-	prev := client
-	for _, n := range meta.Nodes {
-		var err error
-		payload, err = c.fab.TransferCtx(ctx, prev, n, payload)
-		if err != nil {
-			return err
-		}
-		dn, err := c.DataNodeOf(n)
-		if err != nil {
-			return err
-		}
-		if err := dn.Store.Put(DataKey(meta.ID), payload); err != nil {
-			return fmt.Errorf("replica on node %d: %w", n, err)
-		}
-		c.publishReplicaWritten(ctx, meta.ID, n, len(payload))
-		prev = n
-	}
-	return nil
 }
 
 // publishReplicaWritten journals the durable landing of one replica,
@@ -315,9 +284,11 @@ func (c *Cluster) ReadBlock(client topology.NodeID, id topology.BlockID) ([]byte
 }
 
 // ReadBlockCtx reads a block to the client node from its nearest live
-// replica. If every replica is lost but the block's stripe is encoded, the
-// read degrades to erasure-coded reconstruction. Cancelling ctx aborts the
-// transfer within one chunk reservation.
+// replica. A replica whose local read fails (missing or corrupt copy) is
+// skipped for the next live one, and when none is left — every holder dead
+// or unreadable — the read degrades to erasure-coded reconstruction if the
+// block's stripe is encoded. Cancelling ctx aborts the transfer within one
+// chunk reservation.
 func (c *Cluster) ReadBlockCtx(ctx context.Context, client topology.NodeID, id topology.BlockID) ([]byte, error) {
 	if m := c.metrics(); m != nil {
 		defer func(t0 time.Time) { m.readLat.Observe(time.Since(t0).Seconds()) }(time.Now())
@@ -329,258 +300,33 @@ func (c *Cluster) ReadBlockCtx(ctx context.Context, client topology.NodeID, id t
 	if err != nil {
 		return nil, err
 	}
-	if len(live) == 0 {
-		return c.DegradedReadCtx(ctx, client, id)
+	var readErr error
+	for len(live) > 0 {
+		src, err := c.chooseReplica(live, client)
+		if err != nil {
+			return nil, err
+		}
+		dn, err := c.DataNodeOf(src)
+		if err != nil {
+			return nil, err
+		}
+		data, err := dn.Store.Get(DataKey(id))
+		if err != nil {
+			readErr = fmt.Errorf("block %d on node %d: %w", id, src, err)
+			live = slices.DeleteFunc(live, func(n topology.NodeID) bool { return n == src })
+			continue
+		}
+		out, err := c.fab.TransferCtx(ctx, src, client, data)
+		if err == nil {
+			c.acct.Charge(tenant.FromContext(ctx), "read", 1, int64(len(out)))
+		}
+		return out, err
 	}
-	src, err := c.chooseReplica(live, client)
-	if err != nil {
-		return nil, err
-	}
-	dn, err := c.DataNodeOf(src)
-	if err != nil {
-		return nil, err
-	}
-	data, err := dn.Store.Get(DataKey(id))
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.fab.TransferCtx(ctx, src, client, data)
-	if err == nil {
-		c.acct.Charge(tenant.FromContext(ctx), "read", 1, int64(len(out)))
+	out, err := c.DegradedReadCtx(ctx, client, id)
+	if err != nil && readErr != nil {
+		return nil, fmt.Errorf("%w (degraded read: %v)", readErr, err)
 	}
 	return out, err
-}
-
-// repairTraffic accumulates the network bytes one reconstruction moved,
-// split by rack locality. Both repair paths fill it from the streams they
-// themselves open (local disk streams excluded), so the count is exact even
-// with concurrent repairs in flight — unlike a fabric snapshot delta. A nil
-// receiver discards.
-type repairTraffic struct {
-	mu    sync.Mutex
-	cross int64
-	total int64
-}
-
-// addStream books n bytes delivered over st.
-func (t *repairTraffic) addStream(st *fabric.Stream, n int64) {
-	if t == nil || st.Local() {
-		return
-	}
-	t.mu.Lock()
-	if st.Cross() {
-		t.cross += n
-	}
-	t.total += n
-	t.mu.Unlock()
-}
-
-// addCross books n bytes that crossed the rack core without a stream
-// handle (the pipeline path accounts its chained hops after the join).
-func (t *repairTraffic) addCross(n int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.cross += n
-	t.total += n
-	t.mu.Unlock()
-}
-
-// addIntra books n rack-local network bytes.
-func (t *repairTraffic) addIntra(n int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.total += n
-	t.mu.Unlock()
-}
-
-// bytes returns the accumulated (crossRack, total) network bytes.
-func (t *repairTraffic) bytes() (int64, int64) {
-	if t == nil {
-		return 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.cross, t.total
-}
-
-// nearestReplica picks the live replica a gatherer should fetch from: the
-// gatherer itself if it holds one, else the first replica in the gatherer's
-// rack, else the first live replica. Deterministic, unlike chooseReplica's
-// randomized read balancing: repair work must pick the same sources on
-// every run of a recovery plan.
-func (c *Cluster) nearestReplica(live []topology.NodeID, gatherer topology.NodeID, gatherRack topology.RackID) (topology.NodeID, error) {
-	pick, local := live[0], false
-	for _, n := range live {
-		if n == gatherer {
-			return n, nil
-		}
-		if local {
-			continue
-		}
-		r, err := c.top.RackOf(n)
-		if err != nil {
-			return 0, err
-		}
-		if r == gatherRack {
-			pick, local = n, true
-		}
-	}
-	return pick, nil
-}
-
-// stripeSurvivors gathers up to k live blocks of a stripe (data and
-// parity), transferring each to the gatherer node. Fetches run concurrently
-// in batches of the outstanding need (bounded by gatherFanIn) unless
-// Config.SequentialDataPath forces one-at-a-time gathering; in both modes
-// survivors in the gatherer's rack are preferred. It returns the blocks
-// indexed by stripe position, booking network bytes into tr (nil discards).
-func (c *Cluster) stripeSurvivors(ctx context.Context, gatherer topology.NodeID, sm *StripeMeta, tr *repairTraffic) (map[int][]byte, error) {
-	if sm.Plan == nil {
-		return nil, fmt.Errorf("%w: stripe %d not encoded", ErrUnknownStripe, sm.Info.ID)
-	}
-	// Parity occupies stripe positions k..n-1 of the code geometry even for
-	// short stripes (positions len(Blocks)..k-1 are zero padding).
-	k := c.cfg.K
-	// Order candidate blocks so survivors in the gatherer's rack come
-	// first: each local fetch replaces one cross-rack download (the
-	// Section III-D recovery-traffic saving of c > 1).
-	gatherRack, err := c.top.RackOf(gatherer)
-	if err != nil {
-		return nil, err
-	}
-	type candidate struct {
-		node topology.NodeID
-		key  blockstore.Key
-		pos  int
-	}
-	var local, remote []candidate
-	add := func(cand candidate) error {
-		r, err := c.top.RackOf(cand.node)
-		if err != nil {
-			return err
-		}
-		if r == gatherRack {
-			local = append(local, cand)
-		} else {
-			remote = append(remote, cand)
-		}
-		return nil
-	}
-	for i, b := range sm.Info.Blocks {
-		live, err := c.nn.LiveReplicas(b)
-		if err != nil {
-			return nil, err
-		}
-		if len(live) == 0 {
-			continue
-		}
-		// Fetch from the live replica closest to the gatherer: taking an
-		// arbitrary replica would ignore a rack-local copy whenever it is
-		// not listed first, turning an intra-rack fetch into a cross-rack
-		// download.
-		node, err := c.nearestReplica(live, gatherer, gatherRack)
-		if err != nil {
-			return nil, err
-		}
-		if err := add(candidate{node: node, key: DataKey(b), pos: i}); err != nil {
-			return nil, err
-		}
-	}
-	for j, node := range sm.Plan.Parity {
-		if err := add(candidate{node: node, key: ParityKey(sm.Info.ID, j), pos: k + j}); err != nil {
-			return nil, err
-		}
-	}
-	candidates := append(local, remote...)
-
-	present := make(map[int][]byte, k)
-	var mu sync.Mutex
-	fetch := func(ctx context.Context, cand candidate) error {
-		if c.nn.IsDead(cand.node) {
-			return nil
-		}
-		dn, err := c.DataNodeOf(cand.node)
-		if err != nil {
-			return err
-		}
-		buf := c.bufPool.Get(c.cfg.BlockSizeBytes)
-		if err := dn.Store.GetInto(cand.key, buf); err != nil {
-			c.bufPool.Put(buf)
-			return nil // missing or corrupt: treat as erased
-		}
-		st, err := c.fab.OpenStream(ctx, cand.node, gatherer)
-		if err != nil {
-			c.bufPool.Put(buf)
-			return err
-		}
-		err = st.Send(ctx, len(buf))
-		st.Close()
-		if err != nil {
-			c.bufPool.Put(buf)
-			return err
-		}
-		tr.addStream(st, int64(len(buf)))
-		mu.Lock()
-		present[cand.pos] = buf
-		mu.Unlock()
-		return nil
-	}
-	// Fetch exactly as many candidates as positions are still missing; a
-	// candidate that turns out erased (store miss) shrinks the batch's
-	// yield and the loop tops up from the remaining candidates.
-	for next := 0; len(present) < k && next < len(candidates); {
-		batch := candidates[next:min(next+k-len(present), len(candidates))]
-		next += len(batch)
-		if c.cfg.SequentialDataPath {
-			for _, cand := range batch {
-				if err := fetch(ctx, cand); err != nil {
-					c.releaseSurvivors(present, sm)
-					return nil, err
-				}
-			}
-			continue
-		}
-		if m := c.metrics(); m != nil {
-			m.gatherPar.Observe(float64(len(batch)))
-		}
-		g, gctx := workgroup.WithContext(ctx)
-		g.SetLimit(gatherFanIn)
-		for _, cand := range batch {
-			cand := cand
-			g.Go(func() error { return fetch(gctx, cand) })
-		}
-		if err := g.Wait(); err != nil {
-			c.releaseSurvivors(present, sm)
-			return nil, err
-		}
-	}
-	return present, nil
-}
-
-// padStripe extends the survivor map for the positions of a short stripe
-// (fewer than k data blocks, zero-padded at encode time). All padding
-// positions share the cluster's immutable zero block; the decode kernels
-// only read their inputs.
-func (c *Cluster) padStripe(present map[int][]byte, sm *StripeMeta) {
-	for i := len(sm.Info.Blocks); i < c.cfg.K; i++ {
-		present[i] = c.zeroBlock
-	}
-}
-
-// releaseSurvivors returns the gathered survivor buffers to the pool.
-// Padding positions added by padStripe hold the shared zero block and are
-// skipped.
-func (c *Cluster) releaseSurvivors(present map[int][]byte, sm *StripeMeta) {
-	for pos, buf := range present {
-		if pos >= len(sm.Info.Blocks) && pos < c.cfg.K {
-			continue
-		}
-		c.bufPool.Put(buf)
-	}
 }
 
 // DegradedRead reconstructs a lost block with a background context. See
@@ -589,58 +335,30 @@ func (c *Cluster) DegradedRead(client topology.NodeID, id topology.BlockID) ([]b
 	return c.DegradedReadCtx(context.Background(), client, id)
 }
 
-// DegradedReadCtx reconstructs a lost block from its stripe: the client
-// gathers any k surviving blocks concurrently and decodes (Section VI's
-// degraded read).
+// DegradedReadCtx reconstructs a lost block from its stripe at the client
+// (Section VI's degraded read): the survivors fold the decode row along the
+// chain, so one partial sum per survivor rack crosses the core.
 func (c *Cluster) DegradedReadCtx(ctx context.Context, client topology.NodeID, id topology.BlockID) ([]byte, error) {
-	out := make([]byte, c.cfg.BlockSizeBytes)
-	if err := c.degradedReadInto(ctx, client, id, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// degradedReadInto reconstructs a lost block into the caller's buffer. The
-// gathered survivors live in pooled buffers and the decode runs through the
-// coder's cached inversion matrices as one fused dot product, so
-// steady-state repairs allocate only metadata.
-func (c *Cluster) degradedReadInto(ctx context.Context, client topology.NodeID, id topology.BlockID, out []byte) error {
 	meta, err := c.nn.Block(id)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if meta.Stripe < 0 {
-		return fmt.Errorf("%w: block %d lost before encoding", ErrNoReplica, id)
+		return nil, fmt.Errorf("%w: block %d lost before encoding", ErrNoReplica, id)
 	}
 	sm, err := c.nn.Stripe(meta.Stripe)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	pos := -1
-	for i, b := range sm.Info.Blocks {
-		if b == id {
-			pos = i
-			break
-		}
-	}
+	pos := slices.Index(sm.Info.Blocks, id)
 	if pos < 0 {
-		return fmt.Errorf("%w: block %d missing from stripe %d", ErrUnknownStripe, id, meta.Stripe)
+		return nil, fmt.Errorf("%w: block %d missing from stripe %d", ErrUnknownStripe, id, meta.Stripe)
 	}
-	return c.gatherRepairInto(ctx, sm, pos, client, out, nil)
-}
-
-// gatherRepairInto reconstructs stripe position pos (data or parity) into
-// out on the naive gather path: download any k whole survivor blocks to the
-// gatherer, then decode centrally. This is the ablation baseline the
-// two-level pipeline (pipelineRepairInto) is measured against.
-func (c *Cluster) gatherRepairInto(ctx context.Context, sm *StripeMeta, pos int, gatherer topology.NodeID, out []byte, tr *repairTraffic) error {
-	present, err := c.stripeSurvivors(ctx, gatherer, sm, tr)
-	if err != nil {
-		return err
+	out := make([]byte, c.cfg.BlockSizeBytes)
+	if _, err := c.reconstructInto(ctx, sm, pos, client, out); err != nil {
+		return nil, err
 	}
-	defer c.releaseSurvivors(present, sm)
-	c.padStripe(present, sm)
-	return c.coder.ReconstructBlockInto(present, pos, out)
+	return out, nil
 }
 
 // RepairBlock rebuilds a lost block with a background context. See
@@ -651,8 +369,6 @@ func (c *Cluster) RepairBlock(id topology.BlockID) (topology.NodeID, error) {
 
 // RepairBlockCtx rebuilds a lost block onto a fresh live node and updates
 // the NameNode, the RaidNode recovery path. It returns the chosen node.
-// Config.RackAwareRepair selects the two-level pipelined reconstruction;
-// the default remains the naive gather path (the ablation baseline).
 func (c *Cluster) RepairBlockCtx(ctx context.Context, id topology.BlockID) (topology.NodeID, error) {
 	meta, err := c.nn.Block(id)
 	if err != nil {
@@ -676,11 +392,11 @@ func (c *Cluster) RepairBlockCtx(ctx context.Context, id topology.BlockID) (topo
 }
 
 // repairBlockOnto rebuilds lost data block id of stripe sm onto target:
-// reconstruction over the configured path, a staged Put (nothing is stored
-// or published until the rebuild fully succeeded, so a canceled repair
-// commits nothing), the metadata update, lifecycle events, telemetry, and
-// per-tenant charging. It returns the repair's network traffic.
-func (c *Cluster) repairBlockOnto(ctx context.Context, id topology.BlockID, sm *StripeMeta, target topology.NodeID) (*repairTraffic, error) {
+// reconstruction along the chain, a staged Put (nothing is stored or
+// published until the rebuild fully succeeded, so a canceled repair commits
+// nothing), the metadata update, lifecycle events, telemetry, and
+// per-tenant charging. It returns the repair's network transfers.
+func (c *Cluster) repairBlockOnto(ctx context.Context, id topology.BlockID, sm *StripeMeta, target topology.NodeID) (chainLedger, error) {
 	t0 := time.Now()
 	if m := c.metrics(); m != nil {
 		defer func() { m.repairLat.Observe(time.Since(t0).Seconds()) }()
@@ -695,17 +411,11 @@ func (c *Cluster) repairBlockOnto(ctx context.Context, id topology.BlockID, sm *
 	ctx = tenant.NewContext(ctx, c.acct.Owner(id))
 	meta, err := c.nn.Block(id)
 	if err != nil {
-		return nil, err
+		return chainLedger{}, err
 	}
-	pos := -1
-	for i, b := range sm.Info.Blocks {
-		if b == id {
-			pos = i
-			break
-		}
-	}
+	pos := slices.Index(sm.Info.Blocks, id)
 	if pos < 0 {
-		return nil, fmt.Errorf("%w: block %d missing from stripe %d", ErrUnknownStripe, id, sm.Info.ID)
+		return chainLedger{}, fmt.Errorf("%w: block %d missing from stripe %d", ErrUnknownStripe, id, sm.Info.ID)
 	}
 	if j := c.Journal(); j != nil {
 		ev := events.New(events.RepairStarted, "raidnode")
@@ -717,23 +427,23 @@ func (c *Cluster) repairBlockOnto(ctx context.Context, id topology.BlockID, sm *
 	// copy on Put, so the buffer is recycled on return.
 	buf := c.bufPool.Get(c.cfg.BlockSizeBytes)
 	defer c.bufPool.Put(buf)
-	tr := &repairTraffic{}
-	if err := c.repairStripePos(ctx, sm, pos, target, buf, tr, span); err != nil {
-		return nil, err
+	ledger, err := c.reconstructInto(ctx, sm, pos, target, buf)
+	if err != nil {
+		return chainLedger{}, err
 	}
 	dn, err := c.DataNodeOf(target)
 	if err != nil {
-		return nil, err
+		return chainLedger{}, err
 	}
 	// The target holds no live member of the stripe, so anything stored
 	// under the key is a stale copy from before the node last died; the
 	// repair supersedes it.
 	_ = dn.Store.Delete(DataKey(id))
 	if err := dn.Store.Put(DataKey(id), buf); err != nil {
-		return nil, err
+		return chainLedger{}, err
 	}
 	if err := c.nn.UpdateBlockLocation(id, []topology.NodeID{target}); err != nil {
-		return nil, err
+		return chainLedger{}, err
 	}
 	if j := c.Journal(); j != nil {
 		ev := events.New(events.RepairFinished, "raidnode")
@@ -756,22 +466,20 @@ func (c *Cluster) repairBlockOnto(ctx context.Context, id topology.BlockID, sm *
 			j.Publish(del)
 		}
 	}
-	c.observeRepair(tr, int64(len(buf)), time.Since(t0))
+	c.observeRepair(ledger, time.Since(t0))
 	c.acct.Charge(tenant.FromContext(ctx), "repair", 1, int64(len(buf)))
-	return tr, nil
+	return ledger, nil
 }
 
-// observeRepair folds one finished repair into the repair telemetry.
-func (c *Cluster) observeRepair(tr *repairTraffic, repaired int64, d time.Duration) {
+// observeRepair folds one finished single-row repair into the repair
+// telemetry.
+func (c *Cluster) observeRepair(ledger chainLedger, d time.Duration) {
 	m := c.metrics()
 	if m == nil {
 		return
 	}
-	cross, _ := tr.bytes()
-	m.repairCross.Add(float64(cross))
-	if s := d.Seconds(); s > 0 {
-		m.repairMBps.Observe(float64(repaired) / (1 << 20) / s)
-	}
+	m.repairCross.Add(float64(ledger.crossHops * c.cfg.BlockSizeBytes))
+	m.repairMBps.Observe(recoveryThroughputMBps(int64(c.cfg.BlockSizeBytes), d))
 }
 
 // pickRepairNode selects a live node holding no block of the stripe, in a

@@ -12,66 +12,59 @@ import (
 	"ear/internal/topology"
 )
 
-// TestPipelinedWriteMatchesSequential writes the same workload through the
-// chunked pipeline and through the legacy store-and-forward path and checks
-// they are indistinguishable at rest: identical replica placement, byte-
-// identical stored replicas, and identical fabric locality accounting.
-func TestPipelinedWriteMatchesSequential(t *testing.T) {
+// TestPipelinedWriteMatchesPayload writes a workload through the chunked
+// pipeline and checks the state at rest against the written bytes and the
+// planned placement: every replica is byte-identical to its payload, and
+// the fabric's locality accounting equals the bytes the client -> replica 1
+// -> replica 2 -> ... hops must move.
+func TestPipelinedWriteMatchesPayload(t *testing.T) {
 	for _, policy := range []string{"rr", "ear"} {
 		t.Run(policy, func(t *testing.T) {
-			seqCfg := testConfig(policy)
-			seqCfg.SequentialDataPath = true
-			seq, err := NewCluster(seqCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(seq.Close)
-			pipe := newTestCluster(t, policy)
-
+			c := newTestCluster(t, policy)
+			cfg := c.Config()
+			top := c.Topology()
 			rng := rand.New(rand.NewSource(9))
+			var wantCross, wantIntra int64
 			for i := 0; i < 12; i++ {
-				data := make([]byte, seqCfg.BlockSizeBytes)
+				data := make([]byte, cfg.BlockSizeBytes)
 				rng.Read(data)
-				client := topology.NodeID(rng.Intn(seq.Topology().Nodes()))
-				idSeq, err := seq.WriteBlock(client, data)
+				client := topology.NodeID(rng.Intn(top.Nodes()))
+				id, err := c.WriteBlock(client, data)
 				if err != nil {
-					t.Fatalf("sequential WriteBlock %d: %v", i, err)
+					t.Fatalf("WriteBlock %d: %v", i, err)
 				}
-				idPipe, err := pipe.WriteBlock(client, data)
+				meta, err := c.NameNode().Block(id)
 				if err != nil {
-					t.Fatalf("pipelined WriteBlock %d: %v", i, err)
+					t.Fatal(err)
 				}
-				if idSeq != idPipe {
-					t.Fatalf("block IDs diverged: %d vs %d", idSeq, idPipe)
+				if len(meta.Nodes) != cfg.Replicas {
+					t.Fatalf("block %d placed on %v, want %d replicas", id, meta.Nodes, cfg.Replicas)
 				}
-				ms, _ := seq.NameNode().Block(idSeq)
-				mp, _ := pipe.NameNode().Block(idPipe)
-				if len(ms.Nodes) != len(mp.Nodes) {
-					t.Fatalf("replica counts diverged: %v vs %v", ms.Nodes, mp.Nodes)
-				}
-				for j := range ms.Nodes {
-					if ms.Nodes[j] != mp.Nodes[j] {
-						t.Fatalf("placement diverged: %v vs %v", ms.Nodes, mp.Nodes)
-					}
-					dnS, _ := seq.DataNodeOf(ms.Nodes[j])
-					dnP, _ := pipe.DataNodeOf(mp.Nodes[j])
-					gotS, err := dnS.Store.Get(DataKey(idSeq))
+				prev := client
+				for j, n := range meta.Nodes {
+					dn, _ := c.DataNodeOf(n)
+					got, err := dn.Store.Get(DataKey(id))
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotP, err := dnP.Store.Get(DataKey(idPipe))
-					if err != nil {
-						t.Fatal(err)
+					if !bytes.Equal(got, data) {
+						t.Fatalf("replica %d of block %d not byte-identical to payload", j, id)
 					}
-					if !bytes.Equal(gotS, data) || !bytes.Equal(gotP, data) {
-						t.Fatalf("replica %d of block %d not byte-identical to payload", j, idSeq)
+					if prev != n {
+						pr, _ := top.RackOf(prev)
+						nr, _ := top.RackOf(n)
+						if pr != nr {
+							wantCross += int64(len(data))
+						} else {
+							wantIntra += int64(len(data))
+						}
 					}
+					prev = n
 				}
 			}
-			fs, fp := seq.Fabric().Snapshot(), pipe.Fabric().Snapshot()
-			if fs.CrossRackBytes != fp.CrossRackBytes || fs.IntraRackBytes != fp.IntraRackBytes {
-				t.Errorf("locality accounting diverged: seq cross=%d intra=%d, pipe cross=%d intra=%d",
-					fs.CrossRackBytes, fs.IntraRackBytes, fp.CrossRackBytes, fp.IntraRackBytes)
+			if f := c.Fabric().Snapshot(); f.CrossRackBytes != wantCross || f.IntraRackBytes != wantIntra {
+				t.Errorf("locality accounting: fabric cross=%d intra=%d, replication chains moved cross=%d intra=%d",
+					f.CrossRackBytes, f.IntraRackBytes, wantCross, wantIntra)
 			}
 		})
 	}
@@ -79,7 +72,8 @@ func TestPipelinedWriteMatchesSequential(t *testing.T) {
 
 // TestPipelinedWriteLatency checks the headline property of the chunk
 // pipeline: a 3-replica write completes in about one block-transfer time
-// plus the pipeline fill, not three sequential block transfers.
+// plus the pipeline fill, not the r sequential block transfers (r x block /
+// rate) a store-and-forward chain costs.
 func TestPipelinedWriteLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -88,37 +82,27 @@ func TestPipelinedWriteLatency(t *testing.T) {
 	cfg.BlockSizeBytes = 1 << 20
 	cfg.BandwidthBytesPerSec = 8 << 20 // one block transfer = 125ms
 	single := time.Duration(float64(cfg.BlockSizeBytes) / cfg.BandwidthBytesPerSec * float64(time.Second))
+	storeAndForward := time.Duration(cfg.Replicas) * single
 
-	pipe, err := NewCluster(cfg)
+	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(pipe.Close)
-	cfg.SequentialDataPath = true
-	seq, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(seq.Close)
+	t.Cleanup(c.Close)
 
 	data := make([]byte, cfg.BlockSizeBytes)
 	rand.New(rand.NewSource(3)).Read(data)
 	t0 := time.Now()
-	if _, err := pipe.WriteBlock(0, data); err != nil {
+	if _, err := c.WriteBlock(0, data); err != nil {
 		t.Fatal(err)
 	}
-	pipeD := time.Since(t0)
-	t0 = time.Now()
-	if _, err := seq.WriteBlock(0, data); err != nil {
-		t.Fatal(err)
-	}
-	seqD := time.Since(t0)
+	d := time.Since(t0)
 
-	if pipeD >= seqD*6/10 {
-		t.Errorf("pipelined write %v not clearly faster than store-and-forward %v", pipeD, seqD)
+	if d >= storeAndForward*6/10 {
+		t.Errorf("pipelined write %v not clearly faster than %d store-and-forward transfers (%v)", d, cfg.Replicas, storeAndForward)
 	}
-	if limit := single * 3 / 2; pipeD >= limit {
-		t.Errorf("pipelined 3-replica write took %v, want < 1.5x single transfer (%v)", pipeD, limit)
+	if limit := single * 3 / 2; d >= limit {
+		t.Errorf("pipelined 3-replica write took %v, want < 1.5x single transfer (%v)", d, limit)
 	}
 }
 
@@ -175,44 +159,34 @@ func TestWriteCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestParallelGatherMatchesSequential reconstructs the same lost block with
-// concurrent and with one-at-a-time survivor fetches and checks both decode
-// to the original payload.
-func TestParallelGatherMatchesSequential(t *testing.T) {
-	run := func(t *testing.T, sequential bool) {
-		cfg := testConfig("ear")
-		cfg.SequentialDataPath = sequential
-		c, err := NewCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Close)
-		rng := rand.New(rand.NewSource(11))
-		ids, contents := writeBlocks(t, c, cfg.K, rng)
-		// EAR keeps one open stripe per rack; seal them all so every block
-		// (short stripes included) encodes.
-		c.NameNode().FlushOpenStripes()
-		if _, err := c.RaidNode().EncodeAll(); err != nil {
-			t.Fatal(err)
-		}
-		meta, err := c.NameNode().Block(ids[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(meta.Nodes) != 1 {
-			t.Fatalf("post-encode replicas = %v", meta.Nodes)
-		}
-		c.NameNode().MarkDead(meta.Nodes[0])
-		got, err := c.ReadBlock(0, ids[0])
-		if err != nil {
-			t.Fatalf("degraded read: %v", err)
-		}
-		if !bytes.Equal(got, contents[ids[0]]) {
-			t.Fatal("degraded read content mismatch")
-		}
+// TestDegradedReadMatchesPayload loses the only replica of an encoded block
+// and checks the degraded read through the client path decodes to the
+// written payload.
+func TestDegradedReadMatchesPayload(t *testing.T) {
+	c := newTestCluster(t, "ear")
+	rng := rand.New(rand.NewSource(11))
+	ids, contents := writeBlocks(t, c, c.Config().K, rng)
+	// EAR keeps one open stripe per rack; seal them all so every block
+	// (short stripes included) encodes.
+	c.NameNode().FlushOpenStripes()
+	if _, err := c.RaidNode().EncodeAll(); err != nil {
+		t.Fatal(err)
 	}
-	t.Run("parallel", func(t *testing.T) { run(t, false) })
-	t.Run("sequential", func(t *testing.T) { run(t, true) })
+	meta, err := c.NameNode().Block(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(meta.Nodes) != 1 {
+		t.Fatalf("post-encode replicas = %v", meta.Nodes)
+	}
+	c.NameNode().MarkDead(meta.Nodes[0])
+	got, err := c.ReadBlock(0, ids[0])
+	if err != nil {
+		t.Fatalf("degraded read: %v", err)
+	}
+	if !bytes.Equal(got, contents[ids[0]]) {
+		t.Fatal("degraded read content mismatch")
+	}
 }
 
 // TestAbortedBlockInStripeEncodes covers the interaction between write

@@ -121,8 +121,8 @@ func TestSharedZeroBlockNeverWritten(t *testing.T) {
 	if _, err := c.RaidNode().EncodeAll(); err != nil {
 		t.Fatal(err)
 	}
-	// Degraded-read a live member so padStripe feeds the zero block through
-	// the decode kernels too.
+	// Degraded-read a lost member so the chain's zero-initialized head hop
+	// reads the zero block on the decode side too.
 	victim := ids[0]
 	vm, err := c.NameNode().Block(victim)
 	if err != nil {

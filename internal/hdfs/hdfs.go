@@ -67,37 +67,23 @@ type Config struct {
 	// the paper's setting).
 	MapTasks int
 	Seed     int64
-	// SequentialDataPath reverts the client data path to whole-block
-	// store-and-forward writes and one-at-a-time stripe gathers. It exists
-	// for benchmarking and equivalence testing against the pipelined path;
-	// production configurations leave it false.
-	SequentialDataPath bool
 	// EncodeParallelism bounds how many stripes one encode map task works
 	// on concurrently, so the gather, compute, and upload phases of
-	// different stripes overlap (default 4). SequentialDataPath forces 1.
+	// different stripes overlap (default 4).
 	EncodeParallelism int
 	// PipelinedEncode switches stripe encoding from gather-everything-then-
-	// encode to the RapidRAID-style distributed pipeline: the replica
-	// holders chain chunk-by-chunk partial parity sums toward the encoder,
-	// aggregating intra-rack before each core crossing, so transfer and
-	// GF(256) arithmetic overlap and only partial sums cross the core. The
-	// gather path remains the ablation baseline; SequentialDataPath forces
-	// it. Parity content is bit-identical either way.
+	// encode (the paper's HDFS-RAID encode, the default) to the chain
+	// engine: the replica holders chain chunk-by-chunk partial parity sums
+	// toward the encoder, aggregating intra-rack before each core crossing,
+	// so transfer and GF(256) arithmetic overlap and only partial sums
+	// cross the core. Parity content is bit-identical either way. Repair,
+	// node recovery and degraded reads always run through the chain.
 	PipelinedEncode bool
-	// PipelineChunkBytes is the granularity at which pipelined encoding
+	// PipelineChunkBytes is the granularity at which the chain engine
 	// streams and folds partial sums (default fabric.ChunkBytes). Smaller
-	// chunks fill the pipeline faster; larger ones amortize per-chunk
-	// shaping overhead.
+	// chunks fill the chain faster; larger ones amortize per-chunk shaping
+	// overhead.
 	PipelineChunkBytes int
-	// RackAwareRepair switches block repair from the naive gather path
-	// (download k whole survivor blocks to the repairer, decode centrally)
-	// to the two-level rack-aware path: every survivor rack folds its local
-	// survivors into one GF(256) partial sum with decode-row coefficients
-	// and ships exactly one partial across the core, chunk-pipelined along
-	// the planned chain toward the repairer. The gather path remains the
-	// ablation baseline; SequentialDataPath forces it. Repaired content is
-	// bit-identical either way.
-	RackAwareRepair bool
 	// RecoverParallelism bounds how many block repairs Cluster.RecoverNode
 	// runs concurrently when rebuilding a dead DataNode (default 8).
 	RecoverParallelism int
@@ -245,16 +231,17 @@ type clusterMetrics struct {
 	encStripe  *telemetry.Metric // raidnode_stripe_encode_seconds
 	repairLat  *telemetry.Metric // hdfs_repair_seconds
 
-	// Pipelined-encode instrumentation: per-hop fill/drain latency, the
-	// measured overlap (busy-hop-seconds per wall-second), and the partial-
-	// sum traffic the pipeline ships in place of whole-block gathers.
+	// Chain-engine instrumentation: per-hop fill/drain latency and the
+	// measured overlap (busy-hop-seconds per wall-second) of every fold, and
+	// the partial-sum traffic pipelined encodes ship in place of whole-block
+	// gathers.
 	pipeHopFill  *telemetry.Metric // raidnode_pipe_hop_fill_seconds
 	pipeHopDrain *telemetry.Metric // raidnode_pipe_hop_drain_seconds
 	pipeDepth    *telemetry.Metric // raidnode_pipe_depth
 	partialBytes *telemetry.Metric // raidnode_partial_sum_bytes_total
 	pipeStripes  *telemetry.Metric // raidnode_pipelined_stripes_total
 
-	// Repair-traffic instrumentation: the cross-rack bytes repairs pull
+	// Repair-traffic instrumentation: the partial-sum bytes repairs ship
 	// over the core and the per-repair reconstruction throughput.
 	repairCross *telemetry.Metric // hdfs_repair_cross_rack_bytes_total
 	repairMBps  *telemetry.Metric // hdfs_repair_mbps
@@ -286,7 +273,7 @@ func (c *Cluster) SetTelemetry(reg *telemetry.Registry) {
 		pipeFill: reg.Histogram("hdfs_pipeline_fill_seconds",
 			"Time for the first chunk of a pipelined block write to reach the last replica.", nil).With(),
 		gatherPar: reg.Histogram("hdfs_gather_parallelism",
-			"Concurrent source fetches per stripe gather (reconstruction and encoding).",
+			"Concurrent source fetches per encode stripe gather.",
 			[]float64{1, 2, 4, 8, 16}).With(),
 		encMBps: reg.Histogram("raidnode_encode_mbps",
 			"Erasure-coding compute throughput per stripe (MB/s, excluding gather and upload).",
@@ -296,20 +283,20 @@ func (c *Cluster) SetTelemetry(reg *telemetry.Registry) {
 		encStripe: reg.Histogram("raidnode_stripe_encode_seconds",
 			"Wall time to encode one stripe end to end (gather, compute, parity upload, replica delete).", nil).With(),
 		repairLat: reg.Histogram("hdfs_repair_seconds",
-			"Block repair latency (degraded gather, decode, store, metadata update).", nil).With(),
+			"Block repair latency (chain reconstruction, store, metadata update).", nil).With(),
 		pipeHopFill: reg.Histogram("raidnode_pipe_hop_fill_seconds",
 			"Time from pipeline start until a hop folds its first chunk.", nil).With(),
 		pipeHopDrain: reg.Histogram("raidnode_pipe_hop_drain_seconds",
 			"Time from a hop's last chunk until the whole pipeline finishes.", nil).With(),
 		pipeDepth: reg.Histogram("raidnode_pipe_depth",
-			"Measured encode-pipeline overlap: busy hop-seconds per wall-second (1 = no overlap, = hop count means a full pipeline).",
+			"Measured chain overlap: busy hop-seconds per wall-second (1 = no overlap, = hop count means a full pipeline).",
 			[]float64{1, 1.5, 2, 3, 4, 6, 8, 12, 16}).With(),
 		partialBytes: reg.Counter("raidnode_partial_sum_bytes_total",
 			"Partial parity-sum bytes shipped between pipelined-encode hops.").With(),
 		pipeStripes: reg.Counter("raidnode_pipelined_stripes_total",
 			"Stripes encoded through the distributed pipeline.").With(),
 		repairCross: reg.Counter("hdfs_repair_cross_rack_bytes_total",
-			"Bytes repairs pulled across the rack core (survivor downloads or partial-sum hops).").With(),
+			"Partial-sum bytes repairs shipped across the rack core.").With(),
 		repairMBps: reg.Histogram("hdfs_repair_mbps",
 			"Per-repair reconstruction throughput (repaired bytes over repair wall time, MB/s).",
 			telemetry.ExponentialBuckets(0.25, 2, 14)).With(),

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ear/internal/blockstore"
 	"ear/internal/topology"
 )
 
@@ -461,5 +462,84 @@ func TestCorruptReplicaFallsBackInDegradedRead(t *testing.T) {
 	}
 	if !bytes.Equal(got, contents[ids[2]]) {
 		t.Fatal("reconstruction produced wrong data")
+	}
+}
+
+// TestReadFailsOverToAnotherReplica corrupts the replica the reader prefers
+// (its own) before encoding: the read moves on to the next live replica,
+// and only with every copy unreadable does it fail, naming the corruption.
+func TestReadFailsOverToAnotherReplica(t *testing.T) {
+	c := newTestCluster(t, "rr")
+	ids, contents := writeBlocks(t, c, 1, rand.New(rand.NewSource(17)))
+	meta, err := c.NameNode().Block(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range meta.Nodes {
+		dn, err := c.DataNodeOf(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dn.Store.Corrupt(DataKey(ids[0])); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.ReadBlock(meta.Nodes[0], ids[0])
+		if i < len(meta.Nodes)-1 {
+			if err != nil {
+				t.Fatalf("read with %d of %d replicas corrupt: %v", i+1, len(meta.Nodes), err)
+			}
+			if !bytes.Equal(got, contents[ids[0]]) {
+				t.Fatalf("read with %d replicas corrupt returned wrong bytes", i+1)
+			}
+		} else if !errors.Is(err, blockstore.ErrCorrupt) {
+			t.Fatalf("read with every replica corrupt = %v, want ErrCorrupt", err)
+		}
+	}
+}
+
+// TestReadDegradesPastCorruptCopyBesideDeadNode: on an encoded stripe the
+// block's only copy is corrupt and another member's holder is dead. The
+// read finds no usable replica and reconstructs from the remaining k.
+func TestReadDegradesPastCorruptCopyBesideDeadNode(t *testing.T) {
+	c := newTestCluster(t, "ear") // (6,4) absorbs the two erasures
+	ids, contents := writeBlocks(t, c, 4*c.Config().K, rand.New(rand.NewSource(19)))
+	c.NameNode().FlushOpenStripes()
+	if _, err := c.RaidNode().EncodeAll(); err != nil {
+		t.Fatal(err)
+	}
+	// Two members of one stripe on distinct nodes.
+	byStripe := make(map[topology.StripeID][]topology.BlockID)
+	var pair []topology.BlockID
+	for _, id := range ids {
+		meta, err := c.NameNode().Block(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byStripe[meta.Stripe] = append(byStripe[meta.Stripe], id)
+		if pair = byStripe[meta.Stripe]; len(pair) == 2 {
+			break
+		}
+	}
+	if len(pair) != 2 {
+		t.Fatal("no stripe holds two of the written blocks")
+	}
+	corruptMeta, _ := c.NameNode().Block(pair[0])
+	deadMeta, _ := c.NameNode().Block(pair[1])
+	dn, err := c.DataNodeOf(corruptMeta.Nodes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dn.Store.Corrupt(DataKey(pair[0])); err != nil {
+		t.Fatal(err)
+	}
+	c.NameNode().MarkDead(deadMeta.Nodes[0])
+	for _, id := range pair {
+		got, err := c.ReadBlock(1, id)
+		if err != nil {
+			t.Fatalf("ReadBlock(%d): %v", id, err)
+		}
+		if !bytes.Equal(got, contents[id]) {
+			t.Fatalf("block %d read back wrong bytes", id)
+		}
 	}
 }

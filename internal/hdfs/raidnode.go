@@ -263,12 +263,8 @@ func (r *RaidNode) EncodeAllCtx(ctx context.Context) (EncodeStats, error) {
 				// Stripes are independent, so the task keeps up to
 				// EncodeParallelism of them in flight: one stripe's parity
 				// uploads overlap the next stripe's gather and compute.
-				par := r.c.cfg.EncodeParallelism
-				if r.c.cfg.SequentialDataPath || par < 1 {
-					par = 1
-				}
 				sg, sctx := workgroup.WithContext(taskCtx)
-				sg.SetLimit(par)
+				sg.SetLimit(r.c.cfg.EncodeParallelism)
 				for _, s := range t.stripes {
 					s := s
 					sg.Go(func() error {
@@ -362,7 +358,7 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 			m.encStripe.Observe(time.Since(stripeStart).Seconds())
 		}
 	}()
-	res.pipelined = c.cfg.PipelinedEncode && !c.cfg.SequentialDataPath
+	res.pipelined = c.cfg.PipelinedEncode
 	trace := telemetry.TraceFromContext(ctx)
 	if j := c.Journal(); j != nil {
 		ev := events.New(events.StripeEncodeStarted, "raidnode")
@@ -383,7 +379,7 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 		aborted []bool
 	)
 	if res.pipelined {
-		parity, aborted, err = c.pipelineParity(ctx, info, encoder, encRack, parent, &res)
+		parity, aborted, err = c.pipelineParity(ctx, info, encoder, &res)
 	} else {
 		parity, aborted, err = c.gatherParity(ctx, info, encoder, encRack, parent, &res)
 	}
@@ -404,13 +400,9 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 	// pipeline — so a cancellation mid-upload commits nothing: no store
 	// gains a parity key, no replica is deleted, and the requeued stripe
 	// re-encodes from its intact replicas.
-	fanIn := gatherFanIn
-	if c.cfg.SequentialDataPath {
-		fanIn = 1
-	}
 	pw := parent.Child("parity-write")
 	ug, uctx := workgroup.WithContext(ctx)
-	ug.SetLimit(fanIn)
+	ug.SetLimit(gatherFanIn)
 	for j, node := range plan.Parity {
 		j, node := j, node
 		ug.Go(func() error {
@@ -480,16 +472,11 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 }
 
 // gatherParity is the baseline encode data path: download one replica of
-// each data block to the encoder with bounded fan-in (sequential when
-// Config.SequentialDataPath is set), then run the coding kernels over the
-// gathered blocks. It returns pooled parity buffers the caller must
-// release, the aborted-member mask, and fills res.cross with the count of
-// cross-rack block downloads.
+// each data block to the encoder with bounded fan-in, then run the coding
+// kernels over the gathered blocks. It returns pooled parity buffers the
+// caller must release, the aborted-member mask, and fills res.cross with
+// the count of cross-rack block downloads.
 func (c *Cluster) gatherParity(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, encRack topology.RackID, parent *telemetry.Span, res *stripeResult) ([][]byte, []bool, error) {
-	fanIn := gatherFanIn
-	if c.cfg.SequentialDataPath {
-		fanIn = 1
-	}
 	dl := parent.Child("download").Arg("stripe", strconv.FormatInt(int64(info.ID), 10))
 	// Gather and parity buffers come from the cluster pool; zero-valued
 	// members (aborted blocks, short-stripe padding) share the one immutable
@@ -541,14 +528,14 @@ func (c *Cluster) gatherParity(ctx context.Context, info *placement.StripeInfo, 
 		jobs = append(jobs, fetchJob{i: i, b: b, src: src, cross: srcRack != encRack})
 	}
 	if m := c.metrics(); m != nil && len(jobs) > 0 {
-		m.gatherPar.Observe(float64(min(len(jobs), fanIn)))
+		m.gatherPar.Observe(float64(min(len(jobs), gatherFanIn)))
 	}
 	// Cross-rack downloads are counted when a fetch completes, not when its
 	// source is resolved, so a failed gather never reports traffic that was
 	// only planned.
 	var cross atomic.Int64
 	g, gctx := workgroup.WithContext(ctx)
-	g.SetLimit(fanIn)
+	g.SetLimit(gatherFanIn)
 	for _, j := range jobs {
 		j := j
 		g.Go(func() error {
@@ -670,18 +657,14 @@ func (r *RaidNode) BlockMover() (moved int, movedBytes int64, err error) {
 // at most c blocks of the stripe, returning the number of blocks moved and
 // the bytes of relocation traffic generated (the overhead EAR avoids).
 // Stripes are independent, so up to moverFanIn of them are fixed
-// concurrently (one at a time under Config.SequentialDataPath).
+// concurrently.
 func (r *RaidNode) BlockMoverCtx(ctx context.Context) (moved int, movedBytes int64, err error) {
 	bad, err := r.PlacementMonitor()
 	if err != nil {
 		return 0, 0, err
 	}
 	g, gctx := workgroup.WithContext(ctx)
-	if r.c.cfg.SequentialDataPath {
-		g.SetLimit(1)
-	} else {
-		g.SetLimit(moverFanIn)
-	}
+	g.SetLimit(moverFanIn)
 	var mu sync.Mutex
 	for _, id := range bad {
 		id := id

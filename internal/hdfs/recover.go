@@ -8,9 +8,9 @@ package hdfs
 // balanced parallel job), RecoverNode enumerates the lost members up
 // front, assigns every repair a target with a deterministic
 // least-loaded-first rule balanced across surviving racks and nodes, and
-// fans the repairs out through a bounded workgroup. Each repair runs the
-// configured path (two-level rack-aware pipeline or naive gather) and
-// publishes the usual RepairStarted/RepairFinished lifecycle, so the
+// fans the repairs out through a bounded workgroup. Each repair folds its
+// decode row along the chain (reconstructInto) and publishes the usual
+// RepairStarted/RepairFinished lifecycle, so the
 // progress tracker folds the sweep into the durability-exposure ledger;
 // NodeRecoveryStarted/Finished bracket the whole sweep.
 
@@ -51,6 +51,15 @@ type RecoveryStats struct {
 // time.
 func (s RecoveryStats) ThroughputMBps() float64 {
 	return recoveryThroughputMBps(s.BytesRepaired, s.Duration)
+}
+
+// recoveryThroughputMBps converts repaired bytes over a wall-clock span to
+// MB/s (0 for a degenerate span).
+func recoveryThroughputMBps(bytes int64, d time.Duration) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(bytes) / (1 << 20) / d.Seconds()
 }
 
 // recoverTask is one planned reconstruction: a lost data block (parity ==
@@ -225,7 +234,7 @@ func (c *Cluster) planNodeRecovery(dead topology.NodeID) ([]recoverTask, error) 
 // RecoverNode reconstructs every stripe member lost with the dead node,
 // fanning the repairs out with Config.RecoverParallelism workers. The node
 // must already be marked dead (MarkDead). Repairs share one deterministic
-// plan; each runs the configured repair path, commits with staged Puts,
+// plan; each reconstructs along the chain, commits with staged Puts,
 // and publishes its own lifecycle events, so a failed or canceled sweep
 // leaves every completed repair durable and every unfinished one
 // uncommitted — rerunning RecoverNode picks up exactly the remainder.
@@ -258,17 +267,16 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 	for _, t := range tasks {
 		t := t
 		g.Go(func() error {
-			var tr *repairTraffic
+			var ledger chainLedger
 			var err error
 			if t.parity < 0 {
-				tr, err = c.repairBlockOnto(gctx, t.block, t.sm, t.target)
+				ledger, err = c.repairBlockOnto(gctx, t.block, t.sm, t.target)
 			} else {
-				tr, err = c.repairParityOnto(gctx, t.sm, t.parity, t.target)
+				ledger, err = c.repairParityOnto(gctx, t.sm, t.parity, t.target)
 			}
 			if err != nil {
 				return err
 			}
-			cross, total := tr.bytes()
 			mu.Lock()
 			if t.parity < 0 {
 				stats.BlocksRepaired++
@@ -276,8 +284,8 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 				stats.ParityRepaired++
 			}
 			stats.BytesRepaired += int64(c.cfg.BlockSizeBytes)
-			stats.CrossRackBytes += cross
-			stats.TotalBytes += total
+			stats.CrossRackBytes += int64(ledger.crossHops * c.cfg.BlockSizeBytes)
+			stats.TotalBytes += int64(ledger.hops * c.cfg.BlockSizeBytes)
 			mu.Unlock()
 			return nil
 		})
@@ -301,9 +309,9 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 // then committed with UpdateParityLocation. Lifecycle events carry
 // Detail "parity" with Block unset, and a ReplicaRelocated event moves
 // the parity holder in stream-tracking models.
-func (c *Cluster) repairParityOnto(ctx context.Context, sm *StripeMeta, j int, target topology.NodeID) (*repairTraffic, error) {
+func (c *Cluster) repairParityOnto(ctx context.Context, sm *StripeMeta, j int, target topology.NodeID) (chainLedger, error) {
 	if sm.Plan == nil || j < 0 || j >= len(sm.Plan.Parity) {
-		return nil, fmt.Errorf("%w: stripe %d has no parity row %d", ErrUnknownStripe, sm.Info.ID, j)
+		return chainLedger{}, fmt.Errorf("%w: stripe %d has no parity row %d", ErrUnknownStripe, sm.Info.ID, j)
 	}
 	t0 := time.Now()
 	if m := c.metrics(); m != nil {
@@ -329,21 +337,21 @@ func (c *Cluster) repairParityOnto(ctx context.Context, sm *StripeMeta, j int, t
 	}
 	buf := c.bufPool.Get(c.cfg.BlockSizeBytes)
 	defer c.bufPool.Put(buf)
-	tr := &repairTraffic{}
-	if err := c.repairStripePos(ctx, sm, c.cfg.K+j, target, buf, tr, span); err != nil {
-		return nil, err
+	ledger, err := c.reconstructInto(ctx, sm, c.cfg.K+j, target, buf)
+	if err != nil {
+		return chainLedger{}, err
 	}
 	dn, err := c.DataNodeOf(target)
 	if err != nil {
-		return nil, err
+		return chainLedger{}, err
 	}
 	// Supersede any stale copy left from before the target last died.
 	_ = dn.Store.Delete(ParityKey(sm.Info.ID, j))
 	if err := dn.Store.Put(ParityKey(sm.Info.ID, j), buf); err != nil {
-		return nil, err
+		return chainLedger{}, err
 	}
 	if err := c.nn.UpdateParityLocation(sm.Info.ID, j, target); err != nil {
-		return nil, err
+		return chainLedger{}, err
 	}
 	if jr := c.Journal(); jr != nil {
 		ev := events.New(events.RepairFinished, "raidnode")
@@ -361,7 +369,7 @@ func (c *Cluster) repairParityOnto(ctx context.Context, sm *StripeMeta, j int, t
 		rel.Trace = telemetry.TraceFromContext(ctx)
 		jr.Publish(rel)
 	}
-	c.observeRepair(tr, int64(len(buf)), time.Since(t0))
+	c.observeRepair(ledger, time.Since(t0))
 	c.acct.Charge(tenant.FromContext(ctx), "repair", 1, int64(len(buf)))
-	return tr, nil
+	return ledger, nil
 }

@@ -20,8 +20,7 @@ import (
 func TestRecoverNode(t *testing.T) {
 	cfg := Config{Racks: 4, NodesPerRack: 4, Policy: "ear", Replicas: 2,
 		K: 6, N: 9, C: 3, BlockSizeBytes: 8 << 10,
-		BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 7,
-		RackAwareRepair: true}
+		BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 7}
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -178,49 +177,46 @@ func TestRecoverNode(t *testing.T) {
 // TestRepairTelemetry checks the repair traffic metrics: cross-rack repair
 // bytes accumulate and the per-repair throughput histogram populates.
 func TestRepairTelemetry(t *testing.T) {
-	for _, rackAware := range []bool{false, true} {
-		cfg := testConfig("ear")
-		cfg.RackAwareRepair = rackAware
-		c, err := NewCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := telemetry.NewRegistry()
-		c.SetTelemetry(reg)
-		rng := rand.New(rand.NewSource(43))
-		ids, _ := writeBlocks(t, c, cfg.K, rng)
-		if _, err := c.NameNode().FlushOpenStripes(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.RaidNode().EncodeAll(); err != nil {
-			t.Fatal(err)
-		}
-		vm, err := c.NameNode().Block(ids[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.NameNode().MarkDead(vm.Nodes[0])
-		if _, err := c.RepairBlock(ids[0]); err != nil {
-			t.Fatal(err)
-		}
-		var cross, mbpsCount float64
-		for _, fam := range reg.Snapshot() {
-			for _, s := range fam.Series {
-				switch fam.Name {
-				case "hdfs_repair_cross_rack_bytes_total":
-					cross += s.Value
-				case "hdfs_repair_mbps":
-					mbpsCount += float64(s.Count)
-				}
+	cfg := testConfig("ear")
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	reg := telemetry.NewRegistry()
+	c.SetTelemetry(reg)
+	rng := rand.New(rand.NewSource(43))
+	ids, _ := writeBlocks(t, c, cfg.K, rng)
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RaidNode().EncodeAll(); err != nil {
+		t.Fatal(err)
+	}
+	vm, err := c.NameNode().Block(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.NameNode().MarkDead(vm.Nodes[0])
+	if _, err := c.RepairBlock(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	var cross, mbpsCount float64
+	for _, fam := range reg.Snapshot() {
+		for _, s := range fam.Series {
+			switch fam.Name {
+			case "hdfs_repair_cross_rack_bytes_total":
+				cross += s.Value
+			case "hdfs_repair_mbps":
+				mbpsCount += float64(s.Count)
 			}
 		}
-		if cross <= 0 {
-			t.Errorf("rackAware=%v: hdfs_repair_cross_rack_bytes_total = %v, want > 0", rackAware, cross)
-		}
-		if mbpsCount == 0 {
-			t.Errorf("rackAware=%v: hdfs_repair_mbps histogram empty", rackAware)
-		}
-		c.Close()
+	}
+	if cross <= 0 {
+		t.Errorf("hdfs_repair_cross_rack_bytes_total = %v, want > 0", cross)
+	}
+	if mbpsCount == 0 {
+		t.Error("hdfs_repair_mbps histogram empty")
 	}
 }
 
@@ -228,7 +224,6 @@ func TestRepairTelemetry(t *testing.T) {
 // RecoverNode surfaces the error instead of silently skipping the stripe.
 func TestRecoverNodeUnrecoverable(t *testing.T) {
 	cfg := testConfig("ear")
-	cfg.RackAwareRepair = true
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

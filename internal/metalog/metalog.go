@@ -587,11 +587,29 @@ func (l *Log) Sync() error {
 	}
 	f := l.f
 	l.mu.Unlock()
+	return l.syncFile(f, target)
+}
+
+// syncFile fsyncs the segment file a Sync captured under mu (nil: nothing
+// open) and advances the durable LSN to target. It runs outside mu, so a
+// rotation can seal f first.
+func (l *Log) syncFile(f *os.File, target uint64) error {
 	if f != nil {
 		if err := l.fsyncFile(f); err != nil {
+			// A rotation that won the race for f sealed it under mu — flush,
+			// fsync, durable LSN advanced, then close — so the records this
+			// call set out to cover are already durable and the closed
+			// handle is no failure of the log. (Close also syncs before it
+			// closes the file.)
 			l.mu.Lock()
-			l.err = err
+			sealed := errors.Is(err, os.ErrClosed) && l.f != f
+			if !sealed {
+				l.err = err
+			}
 			l.mu.Unlock()
+			if sealed {
+				return nil
+			}
 			return err
 		}
 	}

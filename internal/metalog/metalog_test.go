@@ -142,6 +142,91 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
+// TestSyncLosesRaceToRotation replays the interleaving step by step: a Sync
+// captures the active segment and drops the lock, an Append rotates —
+// sealing and closing that file — and only then does the Sync reach its
+// fsync. The rotation already made the segment durable, so the closed
+// handle must not become the log's sticky error.
+func TestSyncLosesRaceToRotation(t *testing.T) {
+	l := openForTest(t, t.TempDir(), Options{Sync: SyncNone, SegmentBytes: 64})
+	defer l.Close()
+	if _, err := l.Append([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	f, target := l.f, l.lastLSN
+	l.mu.Unlock()
+	if _, err := l.Append(bytes.Repeat([]byte{1}, 64)); err != nil { // fills the segment
+		t.Fatal(err)
+	}
+	if err := l.syncFile(f, target); err != nil {
+		t.Fatalf("Sync of a segment a rotation already sealed: %v", err)
+	}
+	if _, err := l.Append([]byte("b")); err != nil {
+		t.Fatalf("Append after the lost race: %v", err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := l.DurableLSN(), l.LastLSN(); got != want || want != 3 {
+		t.Fatalf("durable = %d, last = %d, want both 3", got, want)
+	}
+}
+
+// TestSyncRacesRotation runs Sync loops against appenders that rotate the
+// segment every record or two (run under -race): no call may fail and the
+// final Sync must leave everything durable.
+func TestSyncRacesRotation(t *testing.T) {
+	l := openForTest(t, t.TempDir(), Options{Sync: SyncNone, SegmentBytes: 64})
+	defer l.Close()
+	const appenders, perAppender, syncers = 2, 300, 2
+	var appending, syncing sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, appenders+syncers)
+	for s := 0; s < syncers; s++ {
+		syncing.Add(1)
+		go func() {
+			defer syncing.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := l.Sync(); err != nil {
+					errs <- fmt.Errorf("Sync: %w", err)
+					return
+				}
+			}
+		}()
+	}
+	for a := 0; a < appenders; a++ {
+		appending.Add(1)
+		go func() {
+			defer appending.Done()
+			for i := 0; i < perAppender; i++ {
+				if _, err := l.Append(bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
+					errs <- fmt.Errorf("Append: %w", err)
+					return
+				}
+			}
+		}()
+	}
+	appending.Wait()
+	close(stop)
+	syncing.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("final Sync: %v", err)
+	}
+	if got, want := l.DurableLSN(), l.LastLSN(); got != want || want != appenders*perAppender {
+		t.Fatalf("durable = %d, last = %d, want both %d", got, want, appenders*perAppender)
+	}
+}
+
 func TestSnapshotAndTruncate(t *testing.T) {
 	dir := t.TempDir()
 	l := openForTest(t, dir, Options{Sync: SyncAlways, SegmentBytes: 64})
