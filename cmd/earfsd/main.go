@@ -156,7 +156,6 @@ func run() error {
 		metaDir  = flag.String("meta-dir", "", "durable metadata-plane directory: every NameNode mutation is write-ahead logged there and recovered on restart (empty = in-memory metadata)")
 		metaSync = flag.String("meta-sync", "interval", `metadata log fsync policy: "interval", "always" or "none"`)
 		metaSnap = flag.Int64("meta-snapshot-every", 100000, "checkpoint the metadata plane every N log appends, truncating the covered log (0 = never)")
-		pipeEnc  = flag.Bool("pipelined-encode", false, "encode stripes through the RapidRAID-style distributed pipeline across replica holders instead of gathering blocks at one encoder")
 	)
 	flag.Parse()
 
@@ -179,7 +178,6 @@ func run() error {
 		MetaDir:              *metaDir,
 		MetaSync:             *metaSync,
 		MetaSnapshotEvery:    *metaSnap,
-		PipelinedEncode:      *pipeEnc,
 	})
 	if err != nil {
 		return err

@@ -35,8 +35,10 @@ type TestbedOptions struct {
 	DiskBytesPerSec float64
 	MapTasks        int
 	Seed            int64
-	// PipelinedEncode runs every encode through the RapidRAID-style
-	// distributed pipeline instead of the gather path.
+	// PipelinedEncode runs every encode through the chain engine (the
+	// cluster's default) instead of the paper's gather path, which the
+	// experiments reproduce and therefore select unless this is set (it
+	// maps to hdfs.Config.GatherEncode = !PipelinedEncode).
 	PipelinedEncode bool
 	// PipelineChunkBytes overrides the pipelined encode's chunk size
 	// (0 = fabric default).
@@ -120,7 +122,7 @@ func (o TestbedOptions) clusterConfig(policy string, n, k int) hdfs.Config {
 		DiskBandwidthBytesPerSec: o.DiskBytesPerSec,
 		MapTasks:                 o.MapTasks,
 		Seed:                     o.Seed,
-		PipelinedEncode:          o.PipelinedEncode,
+		GatherEncode:             !o.PipelinedEncode,
 		PipelineChunkBytes:       o.PipelineChunkBytes,
 	}
 }

@@ -177,9 +177,9 @@ func RunTraffic(opts TestbedOptions, policy string, n, k int) (*TrafficResult, e
 	sampler.Stop()
 	res.Timeline = sampler.Timeline()
 
-	mode := "gather"
-	if cfg.PipelinedEncode {
-		mode = "pipelined"
+	mode := "pipelined"
+	if cfg.GatherEncode {
+		mode = "gather"
 	}
 	t := &Table{
 		ID:      "traffic",

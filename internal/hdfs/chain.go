@@ -3,18 +3,21 @@ package hdfs
 // The chain engine. Encoding a stripe, repairing a lost member and reading
 // a lost block degraded are one operation: fold coefficient rows over stripe
 // members along a planned chain. The holders of the members form a chain
-// (placement.PlanPipeline: rack-contiguous, the sink's rack last) and walk
+// (placement.PlanPipeline: rack-contiguous, the anchor's rack last) and walk
 // the block chunk by chunk: each hop receives the upstream partial sums over
 // a fabric stream, folds its locally stored members into them with
-// gf256.MulAddSlice, and forwards the result downstream. Transfer and
+// gf256.MulAddSlice, and forwards the result downstream; the last holder
+// streams each finished row to the node that will store it. Transfer and
 // arithmetic for chunk i+1 overlap the forwarding of chunk i, and a rack
 // holding several members aggregates them before crossing the core, so one
 // set of partial sums crosses per rack boundary instead of one block per
-// remote member. With the m parity rows the sums are the stripe's parity
-// (RapidRAID); with one decode row they are the lost member (rack-aware
-// regenerating repair). The engine stores nothing: the sums land in the
-// caller's buffers and the caller commits them only after the whole chain
-// succeeded, so a canceled fold leaves no trace in any store.
+// remote member, and no link carries more than one block per row. With the
+// m parity rows the sums are the stripe's parity (RapidRAID), delivered to
+// the m parity holders; with one decode row they are the lost member
+// (rack-aware regenerating repair), delivered to the repair target or the
+// reading client. The engine stores nothing: the sums land in the caller's
+// buffers and the caller commits them only after the whole fold succeeded,
+// so a canceled fold leaves no trace in any store.
 
 import (
 	"context"
@@ -33,25 +36,41 @@ import (
 	"ear/internal/workgroup"
 )
 
-// chainStage is one hop of a fold at runtime: the planned hop plus one
-// accumulator per row and timing stamps. The last stage accumulates into
-// the caller's output buffers.
+// chainStage is one stage of a fold at runtime: a planned hop, which
+// carries every row and folds its local members into them, or a delivery
+// stage, which receives one finished row at that row's sink.
 type chainStage struct {
 	node      topology.NodeID
 	positions []int
-	acc       [][]byte
-	// crossIn records whether the inbound partial-sum stream crossed the
-	// rack core (set by the stage goroutine, read after the join).
+	// up is the stage whose accumulators this one receives (nil at the head
+	// of the chain, which starts from zeros); next are the stages that
+	// receive from this one.
+	up   *chainStage
+	next []*chainStage
+	// acc is indexed by row and holds one accumulator per row the stage
+	// carries: every row at a hop, one at a delivery stage (nil elsewhere).
+	// A row that ends at its sink accumulates in the caller's output buffer.
+	acc [][]byte
+	// blocks holds the hop's local members, parallel to positions.
+	blocks [][]byte
+	// ready carries the chunk indices whose sums have landed in up's
+	// accumulators.
+	ready chan int
+	// crossIn records whether the inbound stream crossed the rack core (set
+	// by the stage goroutine, read after the join).
 	crossIn bool
 	tFirst  time.Time
 	tLast   time.Time
 }
 
-// chainLedger counts the network transfers of one fold: every hop after the
-// first received one block-sized partial sum per row from its predecessor.
+// chainLedger counts the network transfers of one fold.
 type chainLedger struct {
-	hops      int // inbound partial-sum hops
-	crossHops int // of those, hops that crossed the rack core
+	// hops are the inbound partial-sum transfers between holders, one block
+	// per row each; crossHops those that crossed the rack core.
+	hops, crossHops int
+	// deliveries are the finished rows the last holder streamed to a sink
+	// other than itself, one block each.
+	deliveries, crossDeliveries int
 }
 
 // holder names one stored copy of a stripe position.
@@ -61,7 +80,8 @@ type holder struct {
 }
 
 // holderError reports that a hop could not read a member it was planned to
-// fold (missing or corrupt copy). Repair re-plans around the named holder.
+// fold (missing or corrupt copy). The callers re-plan around the named
+// holder.
 type holderError struct {
 	holder
 	stripe topology.StripeID
@@ -75,69 +95,101 @@ func (e *holderError) Error() string {
 func (e *holderError) Unwrap() error { return e.err }
 
 // chainFold computes out[j] = sum over pos of rows[j][pos] * content(pos)
-// at the sink. holders[pos] lists the live holders of stripe position pos
-// (empty: the position contributes nothing — zero content or an unused
-// survivor) and key maps a position to its store key. Every out buffer is
-// one block long and is fully overwritten on success; on error its content
-// is undefined. Hop spans hang off the span carried by ctx.
-func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, sink topology.NodeID, out [][]byte) (chainLedger, error) {
+// and lands it at sinks[j]. holders[pos] lists the live holders of stripe
+// position pos (empty: the position contributes nothing — zero content or an
+// unused survivor) and key maps a position to its store key. The chain is
+// planned toward the anchor (placement.PlanPipeline), which takes no part in
+// the fold unless it holds a member; the last planned holder streams each
+// finished chunk of row j to sinks[j] over a stream of its own, unless it is
+// that sink. With nothing but zeros to fold, the anchor originates them.
+// Every out buffer is one block long and is fully overwritten on success; on
+// error its content is undefined. A planned member whose checksum-verified
+// read fails is reported as a holderError before any stream opens. Hop spans
+// hang off the span carried by ctx.
+func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID, out [][]byte) (chainLedger, error) {
 	var ledger chainLedger
-	hops, err := placement.PlanPipeline(c.top, holders, sink)
+	hops, err := placement.PlanPipeline(c.top, holders, anchor)
 	if err != nil {
 		return ledger, fmt.Errorf("stripe %d: %w", stripe, err)
 	}
 	if len(hops) == 0 {
-		// Nothing but known zeros to fold: every sum is zero.
-		for _, o := range out {
-			copy(o, c.zeroBlock)
-		}
-		return ledger, nil
+		hops = []placement.PipelineHop{{Node: anchor}}
 	}
 	blockSize := c.cfg.BlockSizeBytes
-	m := len(rows)
-
-	// One stage per planned hop, plus a terminal receive-only stage when the
-	// chain does not already end at the sink. Intermediate accumulators are
-	// pooled and always released.
-	stages := make([]*chainStage, 0, len(hops)+1)
-	for _, h := range hops {
-		stages = append(stages, &chainStage{node: h.Node, positions: h.Positions})
-	}
-	if stages[len(stages)-1].node != sink {
-		stages = append(stages, &chainStage{node: sink})
-	}
-	last := len(stages) - 1
-	stages[last].acc = out
-	for _, st := range stages[:last] {
-		st.acc = make([][]byte, m)
-		for j := range st.acc {
-			st.acc[j] = c.bufPool.Get(blockSize)
-		}
-	}
-	defer func() {
-		for _, st := range stages[:last] {
-			for _, a := range st.acc {
-				c.bufPool.Put(a)
-			}
-		}
-	}()
-
 	chunk := c.cfg.PipelineChunkBytes
 	nChunks := (blockSize + chunk - 1) / chunk
-	start := time.Now()
+	m := len(rows)
 
-	// ready[s] carries chunk indices whose partial sums have landed in
-	// stage s's upstream accumulator (stage 0 starts from zeros). Buffered to
-	// nChunks so a fast upstream never blocks; the group context covers
-	// abandonment.
-	ready := make([]chan int, len(stages))
-	for s := range ready {
-		ready[s] = make(chan int, nChunks)
+	// One stage per planned hop, then one delivery stage per row whose sink
+	// is not the last hop. ready is buffered to nChunks so a fast upstream
+	// never blocks; the group context covers abandonment.
+	newStage := func(node topology.NodeID, up *chainStage) *chainStage {
+		st := &chainStage{node: node, up: up, acc: make([][]byte, m), ready: make(chan int, nChunks)}
+		if up != nil {
+			up.next = append(up.next, st)
+		}
+		return st
+	}
+	stages := make([]*chainStage, 0, len(hops)+m)
+	var tail *chainStage
+	for _, h := range hops {
+		tail = newStage(h.Node, tail)
+		tail.positions = h.Positions
+		stages = append(stages, tail)
+	}
+	for j, sink := range sinks {
+		if sink == tail.node {
+			tail.acc[j] = out[j]
+			continue
+		}
+		d := newStage(sink, tail)
+		d.acc[j] = out[j]
+		stages = append(stages, d)
+	}
+	// Accumulators that are not a caller's buffer and the hops' local members
+	// are pooled and always released.
+	var pooled [][]byte
+	defer func() {
+		for _, a := range pooled {
+			c.bufPool.Put(a)
+		}
+	}()
+	get := func() []byte {
+		b := c.bufPool.Get(blockSize)
+		pooled = append(pooled, b)
+		return b
+	}
+	// Every planned member is read, checksum-verified, before any stream
+	// opens: a fold that fails with a holderError has moved no byte, so the
+	// ledger of the callers' re-planned fold is the whole network cost.
+	for _, st := range stages[:len(hops)] {
+		if len(st.positions) == 0 {
+			continue
+		}
+		dn, err := c.DataNodeOf(st.node)
+		if err != nil {
+			return ledger, err
+		}
+		for _, pos := range st.positions {
+			b := get()
+			st.blocks = append(st.blocks, b)
+			if err := dn.Store.GetInto(key(pos), b); err != nil {
+				return ledger, &holderError{holder{st.node, pos}, stripe, err}
+			}
+		}
+	}
+	for _, st := range stages[:len(hops)] {
+		for j, a := range st.acc {
+			if a == nil {
+				st.acc[j] = get()
+			}
+		}
 	}
 	for idx := 0; idx < nChunks; idx++ {
-		ready[0] <- idx
+		stages[0].ready <- idx
 	}
-	close(ready[0])
+	close(stages[0].ready)
+	start := time.Now()
 
 	parent := telemetry.SpanFromContext(ctx)
 	g, gctx := workgroup.WithContext(ctx)
@@ -150,40 +202,30 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 				Arg("hop", strconv.Itoa(s)).
 				Arg("members", strconv.Itoa(len(st.positions)))
 			defer hop.End()
-			// Inbound partial-sum stream from the previous hop: m chunk-sized
-			// partials per chunk index, attributed by the fabric to every
+			// Inbound stream from the upstream stage: one chunk-sized sum per
+			// carried row and chunk index, attributed by the fabric to every
 			// link the hop traverses.
 			var in *fabric.Stream
-			if s > 0 {
+			carried := 0
+			for _, a := range st.acc {
+				if a != nil {
+					carried++
+				}
+			}
+			if st.up != nil {
 				var err error
-				in, err = c.fab.OpenStream(gctx, stages[s-1].node, st.node)
+				in, err = c.fab.OpenStream(gctx, st.up.node, st.node)
 				if err != nil {
 					return err
 				}
 				defer in.Close()
 				st.crossIn = in.Cross()
 			}
-			// Local members: read once into pooled buffers; the shaped disk
-			// stream charges their bytes chunk by chunk as they are folded.
-			var blocks [][]byte
+			// Local members: the shaped disk stream charges their bytes chunk
+			// by chunk as they are folded.
 			var disk *fabric.Stream
 			if len(st.positions) > 0 {
-				dn, err := c.DataNodeOf(st.node)
-				if err != nil {
-					return err
-				}
-				blocks = make([][]byte, len(st.positions))
-				defer func() {
-					for _, b := range blocks {
-						c.bufPool.Put(b)
-					}
-				}()
-				for pi, pos := range st.positions {
-					blocks[pi] = c.bufPool.Get(blockSize)
-					if err := dn.Store.GetInto(key(pos), blocks[pi]); err != nil {
-						return &holderError{holder{st.node, pos}, stripe, err}
-					}
-				}
+				var err error
 				disk, err = c.fab.OpenStream(gctx, st.node, st.node)
 				if err != nil {
 					return err
@@ -194,10 +236,10 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 				var idx int
 				var chOk bool
 				select {
-				case idx, chOk = <-ready[s]:
+				case idx, chOk = <-st.ready:
 					if !chOk {
-						if s < last {
-							close(ready[s+1])
+						for _, n := range st.next {
+							close(n.ready)
 						}
 						return nil
 					}
@@ -206,19 +248,22 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 				}
 				lo := idx * chunk
 				hi := min(lo+chunk, blockSize)
-				// Receive and adopt the upstream partial sums for this chunk
-				// range (zeros at the head of the chain).
+				// Receive and adopt the upstream sums for this chunk range
+				// (zeros at the head of the chain).
 				if in != nil {
-					if err := in.Send(gctx, m*(hi-lo)); err != nil {
+					if err := in.Send(gctx, carried*(hi-lo)); err != nil {
 						return err
 					}
 				}
-				for j := range rows {
-					from := c.zeroBlock
-					if in != nil {
-						from = stages[s-1].acc[j]
+				for j, a := range st.acc {
+					if a == nil {
+						continue
 					}
-					copy(st.acc[j][lo:hi], from[lo:hi])
+					from := c.zeroBlock
+					if st.up != nil {
+						from = st.up.acc[j]
+					}
+					copy(a[lo:hi], from[lo:hi])
 				}
 				if len(st.positions) > 0 {
 					if err := disk.Send(gctx, len(st.positions)*(hi-lo)); err != nil {
@@ -227,7 +272,7 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 					for pi, pos := range st.positions {
 						for j, row := range rows {
 							if coef := row[pos]; coef != 0 {
-								gf256.MulAddSlice(coef, blocks[pi][lo:hi], st.acc[j][lo:hi])
+								gf256.MulAddSlice(coef, st.blocks[pi][lo:hi], st.acc[j][lo:hi])
 							}
 						}
 					}
@@ -237,8 +282,8 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 					st.tFirst = now
 				}
 				st.tLast = now
-				if s < last {
-					ready[s+1] <- idx
+				for _, n := range st.next {
+					n.ready <- idx
 				}
 			}
 		})
@@ -247,10 +292,16 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 		return ledger, err
 	}
 	end := time.Now()
-	for _, st := range stages[1:] {
+	for _, st := range stages[1:len(hops)] {
 		ledger.hops++
 		if st.crossIn {
 			ledger.crossHops++
+		}
+	}
+	for _, st := range stages[len(hops):] {
+		ledger.deliveries++
+		if st.crossIn {
+			ledger.crossDeliveries++
 		}
 	}
 	if tel := c.metrics(); tel != nil {
@@ -269,11 +320,18 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 }
 
 // pipelineParity materializes the stripe's parity blocks by folding the m
-// parity rows over the replica holders toward the encoder. It returns pooled
-// parity buffers the caller must release and the aborted-member mask, and
-// fills res.cross (m block-equivalents per rack boundary crossed) and
-// res.partialBytes (total partial-sum bytes shipped between hops).
-func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, res *stripeResult) ([][]byte, []bool, error) {
+// parity rows over the replica holders along a chain planned toward the
+// encoder, whose last holder streams parity j to plan.Parity[j]. A replica
+// whose local read fails is excluded and the chain re-planned over the
+// member's remaining live replicas, until a member has none left; an
+// excluded replica the plan keeps is rewritten from a verified copy before
+// the caller deletes the others (rewriteKept). It returns pooled parity
+// buffers the caller must release and the aborted-member mask, and fills
+// res.cross (m block-equivalents per rack boundary the partial sums crossed
+// plus one per rewrite that crossed; the deliveries are uploads and count
+// toward neither figure) and res.partialBytes (total partial-sum bytes
+// shipped between hops).
+func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, plan *placement.PostEncodingPlan, res *stripeResult) ([][]byte, []bool, error) {
 	m := c.coder.M()
 	rows := make([][]byte, m)
 	for j := range rows {
@@ -305,17 +363,83 @@ func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo
 	for j := range pbufs {
 		pbufs[j] = c.bufPool.Get(c.cfg.BlockSizeBytes)
 	}
-	key := func(pos int) blockstore.Key { return DataKey(info.Blocks[pos]) }
-	ledger, err := c.chainFold(ctx, info.ID, rows, replicas, key, encoder, pbufs)
-	if err != nil {
-		for _, p := range pbufs {
-			c.bufPool.Put(p)
+	ok := false
+	defer func() {
+		if !ok {
+			for _, p := range pbufs {
+				c.bufPool.Put(p)
+			}
 		}
-		return nil, nil, err
+	}()
+	key := func(pos int) blockstore.Key { return DataKey(info.Blocks[pos]) }
+	var excluded []holder
+	for {
+		ledger, err := c.chainFold(ctx, info.ID, rows, replicas, key, encoder, plan.Parity, pbufs)
+		var he *holderError
+		if errors.As(err, &he) {
+			excluded = append(excluded, he.holder)
+			replicas[he.pos] = slices.DeleteFunc(replicas[he.pos], func(n topology.NodeID) bool { return n == he.node })
+			if len(replicas[he.pos]) > 0 {
+				continue
+			}
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		res.cross = ledger.crossHops * m
+		res.partialBytes = int64(ledger.hops) * int64(m) * int64(c.cfg.BlockSizeBytes)
+		break
 	}
-	res.cross = ledger.crossHops * m
-	res.partialBytes = int64(ledger.hops) * int64(m) * int64(c.cfg.BlockSizeBytes)
+	for _, bad := range excluded {
+		if plan.Keep[bad.pos] != bad.node {
+			continue // the caller deletes it with the other redundant replicas
+		}
+		crossed, err := c.rewriteKept(ctx, info, bad, replicas[bad.pos])
+		if err != nil {
+			return nil, nil, err
+		}
+		res.cross += crossed
+	}
+	ok = true
 	return pbufs, aborted, nil
+}
+
+// rewriteKept replaces the unreadable copy of stripe member bad.pos on
+// bad.node, the replica the post-encoding plan keeps, with the content of one
+// of the member's other live replicas: a unit-row fold from the nearest
+// readable source to that node, then the store swap. Without it the encode
+// would delete every good copy and leave the bad one as the block's only
+// replica. It returns the cross-rack block transfers the copy took (0 or 1).
+func (c *Cluster) rewriteKept(ctx context.Context, info *placement.StripeInfo, bad holder, sources []topology.NodeID) (int, error) {
+	row := make([]byte, c.cfg.K)
+	row[bad.pos] = 1
+	holders := make([][]topology.NodeID, c.cfg.K)
+	holders[bad.pos] = slices.Clone(sources)
+	key := func(pos int) blockstore.Key { return DataKey(info.Blocks[pos]) }
+	buf := c.bufPool.Get(c.cfg.BlockSizeBytes)
+	defer c.bufPool.Put(buf)
+	for {
+		ledger, err := c.chainFold(ctx, info.ID, [][]byte{row}, holders, key, bad.node, []topology.NodeID{bad.node}, [][]byte{buf})
+		var he *holderError
+		if errors.As(err, &he) {
+			holders[bad.pos] = slices.DeleteFunc(holders[bad.pos], func(n topology.NodeID) bool { return n == he.node })
+			if len(holders[bad.pos]) > 0 {
+				continue
+			}
+		}
+		if err != nil {
+			return 0, err
+		}
+		dn, err := c.DataNodeOf(bad.node)
+		if err != nil {
+			return 0, err
+		}
+		_ = dn.Store.Delete(key(bad.pos))
+		if err := dn.Store.Put(key(bad.pos), buf); err != nil {
+			return 0, err
+		}
+		return ledger.crossHops + ledger.crossDeliveries, nil
+	}
 }
 
 // posHolders resolves who can serve position i of an encoded stripe: its
@@ -402,7 +526,7 @@ func (c *Cluster) reconstructInto(ctx context.Context, sm *StripeMeta, pos int, 
 				row[i] = coeffs[x]
 			}
 		}
-		ledger, err := c.chainFold(ctx, sm.Info.ID, [][]byte{row}, holders, key, sink, [][]byte{out})
+		ledger, err := c.chainFold(ctx, sm.Info.ID, [][]byte{row}, holders, key, sink, []topology.NodeID{sink}, [][]byte{out})
 		var he *holderError
 		if !errors.As(err, &he) || len(bad) == n-k {
 			return ledger, err

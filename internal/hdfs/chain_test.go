@@ -275,10 +275,12 @@ func TestDegradedReadCrossRackBytes(t *testing.T) {
 }
 
 // TestChainFoldCancelAtEveryStage runs the engine directly, as a 1-row and
-// as an m-row fold over a sealed stripe, and cancels it the moment each
-// stage in turn opens its first stream. Whatever stage the cancellation
-// lands in, every pooled buffer must be back in the pool (Gets == Puts)
-// and no store may have changed.
+// as an m-row fold over a sealed stripe toward sinks that hold no member,
+// and cancels it the moment each stream in turn opens: the first hop's disk
+// stream, every partial-sum stream between holders, and every delivery
+// stream from the last holder to a row's sink. Wherever the cancellation
+// lands, every pooled buffer must be back in the pool (Gets == Puts) and no
+// store may have changed.
 func TestChainFoldCancelAtEveryStage(t *testing.T) {
 	cfg := testConfig("rr")
 	cfg.BlockSizeBytes = 64 << 10
@@ -311,22 +313,29 @@ func TestChainFoldCancelAtEveryStage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A sink holding no member, so the chain ends in a receive-only stage.
-	sink := topology.NodeID(-1)
-	for n := topology.NodeID(0); int(n) < c.Topology().Nodes() && sink < 0; n++ {
+	// One sink per row, none holding a member, so every row ends in a
+	// delivery stage; the first doubles as the planning anchor.
+	var sinks []topology.NodeID
+	for n := topology.NodeID(0); int(n) < c.Topology().Nodes() && len(sinks) < len(parityRows); n++ {
 		if !slices.ContainsFunc(holders, func(h []topology.NodeID) bool { return slices.Contains(h, n) }) {
-			sink = n
+			sinks = append(sinks, n)
 		}
 	}
-	hops, err := placement.PlanPipeline(c.Topology(), holders, sink)
+	if len(sinks) < len(parityRows) {
+		t.Fatalf("only %d nodes hold no member, want %d sinks", len(sinks), len(parityRows))
+	}
+	hops, err := placement.PlanPipeline(c.Topology(), holders, sinks[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	stageNodes := make([]topology.NodeID, 0, len(hops)+1)
-	for _, h := range hops {
-		stageNodes = append(stageNodes, h.Node)
+	// The streams of a fold in chain order, as (source, destination): stage
+	// 0 has no inbound stream, its first stream is its disk.
+	type stream struct{ src, dst topology.NodeID }
+	chain := []stream{{hops[0].Node, hops[0].Node}}
+	for s := 1; s < len(hops); s++ {
+		chain = append(chain, stream{hops[s-1].Node, hops[s].Node})
 	}
-	stageNodes = append(stageNodes, sink)
+	tail := hops[len(hops)-1].Node
 
 	storeKeys := func() int {
 		total := 0
@@ -337,15 +346,14 @@ func TestChainFoldCancelAtEveryStage(t *testing.T) {
 		return total
 	}
 	for _, rows := range [][][]byte{parityRows[:1], parityRows} {
-		for s, node := range stageNodes {
-			// Stage 0 has no inbound stream; its first stream is its disk.
-			src := node
-			if s > 0 {
-				src = stageNodes[s-1]
-			}
+		streams := slices.Clone(chain)
+		for _, sink := range sinks[:len(rows)] {
+			streams = append(streams, stream{tail, sink})
+		}
+		for s, at := range streams {
 			ctx, cancel := context.WithCancel(context.Background())
 			unsub := jrn.Subscribe(func(e events.Event) {
-				if e.Type == events.TransferStarted && e.Node == src && e.Peer == node {
+				if e.Type == events.TransferStarted && e.Node == at.src && e.Peer == at.dst {
 					cancel()
 				}
 			})
@@ -354,20 +362,20 @@ func TestChainFoldCancelAtEveryStage(t *testing.T) {
 			for j := range out {
 				out[j] = c.BufferPool().Get(cfg.BlockSizeBytes)
 			}
-			_, err := c.chainFold(ctx, 0, rows, holders, key, sink, out)
+			_, err := c.chainFold(ctx, 0, rows, holders, key, sinks[0], sinks[:len(rows)], out)
 			for _, o := range out {
 				c.BufferPool().Put(o)
 			}
 			unsub()
 			cancel()
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%d-row fold canceled at stage %d = %v, want context.Canceled", len(rows), s, err)
+				t.Fatalf("%d-row fold canceled at stream %d (%d->%d) = %v, want context.Canceled", len(rows), s, at.src, at.dst, err)
 			}
 			if got := c.BufferPool().Outstanding(); got != outstanding {
-				t.Errorf("%d-row fold canceled at stage %d leaked %d pooled buffers", len(rows), s, got-outstanding)
+				t.Errorf("%d-row fold canceled at stream %d leaked %d pooled buffers", len(rows), s, got-outstanding)
 			}
 			if got := storeKeys(); got != keysBefore {
-				t.Errorf("%d-row fold canceled at stage %d changed the stores: %d -> %d keys", len(rows), s, keysBefore, got)
+				t.Errorf("%d-row fold canceled at stream %d changed the stores: %d -> %d keys", len(rows), s, keysBefore, got)
 			}
 		}
 	}

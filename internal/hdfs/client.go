@@ -478,7 +478,7 @@ func (c *Cluster) observeRepair(ledger chainLedger, d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.repairCross.Add(float64(ledger.crossHops * c.cfg.BlockSizeBytes))
+	m.repairCross.Add(float64((ledger.crossHops + ledger.crossDeliveries) * c.cfg.BlockSizeBytes))
 	m.repairMBps.Observe(recoveryThroughputMBps(int64(c.cfg.BlockSizeBytes), d))
 }
 

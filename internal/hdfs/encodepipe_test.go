@@ -11,6 +11,7 @@ import (
 
 	"ear/internal/events"
 	"ear/internal/events/audit"
+	"ear/internal/placement"
 	"ear/internal/telemetry"
 	"ear/internal/topology"
 )
@@ -18,8 +19,8 @@ import (
 // populatePipeTest drives an identical write sequence into a cluster: full
 // stripes, one aborted member mid-stream, and a short tail stripe, then
 // seals every open stripe. The write path does not depend on the encode
-// knob, so two clusters configured identically except for PipelinedEncode
-// end up with bit-identical pre-encode state.
+// knob, so two clusters configured identically except for GatherEncode end
+// up with bit-identical pre-encode state.
 func populatePipeTest(t *testing.T, c *Cluster, seed int64) map[topology.BlockID][]byte {
 	t.Helper()
 	cfg := c.Config()
@@ -97,9 +98,9 @@ func verifyParities(t *testing.T, c *Cluster, contents map[topology.BlockID][]by
 
 // TestPipelinedEncodeMatchesGather is the differential property test: for a
 // spread of (k, m, block size, chunk size, rack layout, policy) geometries
-// — including short and aborted-member stripes — the pipelined path must
-// produce byte-identical parity to the gather path, and both must match
-// parity computed directly from the written bytes.
+// — including short and aborted-member stripes — the default (chain) encode
+// must produce byte-identical parity to the GatherEncode baseline, and both
+// must match erasure.Coder's parity over the written bytes.
 func TestPipelinedEncodeMatchesGather(t *testing.T) {
 	geoms := []struct {
 		name  string
@@ -143,8 +144,8 @@ func TestPipelinedEncodeMatchesGather(t *testing.T) {
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
 			gatherCfg := g.cfg
+			gatherCfg.GatherEncode = true
 			pipeCfg := g.cfg
-			pipeCfg.PipelinedEncode = true
 			pipeCfg.PipelineChunkBytes = g.chunk
 
 			gather, err := NewCluster(gatherCfg)
@@ -247,7 +248,6 @@ func TestPipelinedEncodeMatchesGather(t *testing.T) {
 // the requeued stripes re-encode correctly afterwards.
 func TestPipelinedEncodeCancelCommitsNothing(t *testing.T) {
 	cfg := testConfig("ear")
-	cfg.PipelinedEncode = true
 	cfg.BlockSizeBytes = 256 << 10
 	cfg.BandwidthBytesPerSec = 64 << 10 // ~4s per block: cancel lands mid-chunk
 	c, err := NewCluster(cfg)
@@ -338,12 +338,133 @@ func TestPipelinedEncodeCancelCommitsNothing(t *testing.T) {
 	}
 }
 
+// TestEncodeReplansAroundCorruptReplica corrupts the core-rack replicas of
+// two members of one stripe before the encode job runs. Each hop's
+// checksum-verified read fails, the replica is excluded and the chain
+// re-planned over the member's remaining copies, so the job succeeds instead
+// of requeueing a stripe that can never converge. With c = 1 the plan keeps
+// at most one of the two bad copies: that one must have been rewritten from
+// a good replica before the others were deleted, the other must be gone, and
+// every block's surviving replica must pass its checksum. The re-planned
+// chain's remote hops are reported as m cross-rack block-equivalents per
+// rack boundary plus one per rewrite — for that stripe only.
+func TestEncodeReplansAroundCorruptReplica(t *testing.T) {
+	c := newTestCluster(t, "ear")
+	cfg := c.Config()
+	jrn := events.NewJournal(4096)
+	c.SetJournal(jrn)
+	aud := audit.New(c.Topology(), audit.Config{Replicas: cfg.Replicas, C: cfg.C, CheckCoreRack: true})
+	aud.Attach(jrn)
+
+	ids, contents := writeBlocks(t, c, 3*cfg.K, rand.New(rand.NewSource(67)))
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.NameNode().Block(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := c.NameNode().Stripe(first.Stripe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stripe's holders with the core-rack copies of members 0 and 1
+	// taken out: what the re-planned chain folds over.
+	holders := make([][]topology.NodeID, cfg.K)
+	corrupted := make(map[topology.BlockID]topology.NodeID)
+	for i, b := range sm.Info.Blocks {
+		meta, err := c.NameNode().Block(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range meta.Nodes {
+			if r, _ := c.Topology().RackOf(n); i < 2 && r == sm.Info.CoreRack {
+				corrupted[b] = n
+				continue
+			}
+			holders[i] = append(holders[i], n)
+		}
+	}
+	if len(corrupted) != 2 {
+		t.Fatalf("members 0 and 1 of stripe %d have %d core-rack replicas, want 2", sm.Info.ID, len(corrupted))
+	}
+	for b, n := range corrupted {
+		dn, _ := c.DataNodeOf(n)
+		if err := dn.Store.Corrupt(DataKey(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encoder := topology.NodeID(-1)
+	defer jrn.Subscribe(func(e events.Event) {
+		if e.Type == events.StripeEncodeStarted && e.Stripe == sm.Info.ID {
+			encoder = e.Node
+		}
+	})()
+
+	stats, err := c.RaidNode().EncodeAll()
+	if err != nil {
+		t.Fatalf("EncodeAll with corrupt core-rack replicas: %v", err)
+	}
+	if stats.PipelinedStripes != stats.Stripes || stats.Stripes < 2 {
+		t.Fatalf("pipelined %d of %d stripes", stats.PipelinedStripes, stats.Stripes)
+	}
+	// Every block's one surviving replica is readable in place; a kept bad
+	// copy was rewritten, an unkept one deleted.
+	buf := make([]byte, cfg.BlockSizeBytes)
+	rewrites := 0
+	for id, want := range contents {
+		meta, err := c.NameNode().Block(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(meta.Nodes) != 1 {
+			t.Fatalf("block %d has replicas %v after encoding, want one", id, meta.Nodes)
+		}
+		dn, _ := c.DataNodeOf(meta.Nodes[0])
+		if err := dn.Store.GetInto(DataKey(id), buf); err != nil {
+			t.Fatalf("kept replica of block %d on node %d: %v", id, meta.Nodes[0], err)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("kept replica of block %d on node %d diverged from the payload", id, meta.Nodes[0])
+		}
+		if bad, ok := corrupted[id]; ok {
+			if bad == meta.Nodes[0] {
+				rewrites++
+			} else if bdn, _ := c.DataNodeOf(bad); bdn.Store.Has(DataKey(id)) {
+				t.Errorf("corrupt replica of block %d still stored on node %d", id, bad)
+			}
+		}
+	}
+	// The excluded members' other replicas sit outside the core rack, so the
+	// re-planned chain pays m blocks per rack boundary and each rewrite one;
+	// every other stripe stays in its core rack.
+	hops, err := placement.PlanPipeline(c.Topology(), holders, encoder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundaries := placement.PipelineRackBoundaries(hops, sm.Info.CoreRack)
+	if boundaries < 1 {
+		t.Fatalf("re-planned chain crosses %d rack boundaries, want >= 1", boundaries)
+	}
+	if want := boundaries*c.Coder().M() + rewrites; stats.CrossRackDownloads != want {
+		t.Errorf("CrossRackDownloads = %d, want %d (%d boundaries x m + %d rewrites, all in the re-planned stripe)",
+			stats.CrossRackDownloads, want, boundaries, rewrites)
+	}
+	if n := verifyParities(t, c, contents); n == 0 {
+		t.Fatal("no parity verified")
+	}
+	verifyBlockContents(t, c, contents)
+	if rep := aud.Report(); rep.Total() != 0 {
+		t.Fatalf("auditor dirty after re-planned encode: %+v", rep)
+	}
+	t.Logf("re-planned chain: %d rack boundaries, %d kept copies rewritten", boundaries, rewrites)
+}
+
 // TestPipelinedEncodeTelemetry checks the overlap instrumentation: per-hop
 // fill/drain histograms populate and measured pipeline depth exceeds 1
 // (arithmetic genuinely overlapped transfer).
 func TestPipelinedEncodeTelemetry(t *testing.T) {
 	cfg := testConfig("ear")
-	cfg.PipelinedEncode = true
 	cfg.BlockSizeBytes = 256 << 10
 	cfg.BandwidthBytesPerSec = 8 << 20
 	c, err := NewCluster(cfg)

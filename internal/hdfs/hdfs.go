@@ -68,17 +68,19 @@ type Config struct {
 	MapTasks int
 	Seed     int64
 	// EncodeParallelism bounds how many stripes one encode map task works
-	// on concurrently, so the gather, compute, and upload phases of
-	// different stripes overlap (default 4).
+	// on concurrently (default 4).
 	EncodeParallelism int
-	// PipelinedEncode switches stripe encoding from gather-everything-then-
-	// encode (the paper's HDFS-RAID encode, the default) to the chain
-	// engine: the replica holders chain chunk-by-chunk partial parity sums
-	// toward the encoder, aggregating intra-rack before each core crossing,
-	// so transfer and GF(256) arithmetic overlap and only partial sums
-	// cross the core. Parity content is bit-identical either way. Repair,
-	// node recovery and degraded reads always run through the chain.
-	PipelinedEncode bool
+	// GatherEncode switches stripe encoding from the chain engine (the
+	// default: the replica holders chain chunk-by-chunk partial parity sums
+	// toward the encoder's rack, aggregating intra-rack before each core
+	// crossing, and the last holder streams each parity block to its
+	// planned holder, so transfer and GF(256) arithmetic overlap and only m
+	// blocks cross any link) back to the paper's HDFS-RAID encode: gather k
+	// blocks at the encoder, encode there, upload m. It exists as the
+	// baseline Experiments A-C and the encode-window experiment measure
+	// against. Parity content is bit-identical either way. Repair, node
+	// recovery and degraded reads always run through the chain.
+	GatherEncode bool
 	// PipelineChunkBytes is the granularity at which the chain engine
 	// streams and folds partial sums (default fabric.ChunkBytes). Smaller
 	// chunks fill the chain faster; larger ones amortize per-chunk shaping
@@ -273,15 +275,15 @@ func (c *Cluster) SetTelemetry(reg *telemetry.Registry) {
 		pipeFill: reg.Histogram("hdfs_pipeline_fill_seconds",
 			"Time for the first chunk of a pipelined block write to reach the last replica.", nil).With(),
 		gatherPar: reg.Histogram("hdfs_gather_parallelism",
-			"Concurrent source fetches per encode stripe gather.",
+			"Concurrent source fetches per stripe gather (GatherEncode baseline only).",
 			[]float64{1, 2, 4, 8, 16}).With(),
 		encMBps: reg.Histogram("raidnode_encode_mbps",
-			"Erasure-coding compute throughput per stripe (MB/s, excluding gather and upload).",
+			"Per-stripe parity materialization throughput (member MB over the time to compute the parity and deliver it to its holders).",
 			telemetry.ExponentialBuckets(64, 2, 12)).With(),
 		poolHit: reg.Gauge("erasure_pool_hit_ratio",
 			"Fraction of buffer-pool Gets served from recycled buffers.").With(),
 		encStripe: reg.Histogram("raidnode_stripe_encode_seconds",
-			"Wall time to encode one stripe end to end (gather, compute, parity upload, replica delete).", nil).With(),
+			"Wall time to encode one stripe end to end (parity materialization, commit, replica delete).", nil).With(),
 		repairLat: reg.Histogram("hdfs_repair_seconds",
 			"Block repair latency (chain reconstruction, store, metadata update).", nil).With(),
 		pipeHopFill: reg.Histogram("raidnode_pipe_hop_fill_seconds",
@@ -292,9 +294,9 @@ func (c *Cluster) SetTelemetry(reg *telemetry.Registry) {
 			"Measured chain overlap: busy hop-seconds per wall-second (1 = no overlap, = hop count means a full pipeline).",
 			[]float64{1, 1.5, 2, 3, 4, 6, 8, 12, 16}).With(),
 		partialBytes: reg.Counter("raidnode_partial_sum_bytes_total",
-			"Partial parity-sum bytes shipped between pipelined-encode hops.").With(),
+			"Partial parity-sum bytes shipped between the chain hops of stripe encodes.").With(),
 		pipeStripes: reg.Counter("raidnode_pipelined_stripes_total",
-			"Stripes encoded through the distributed pipeline.").With(),
+			"Stripes encoded through the chain engine (all of them unless GatherEncode is set).").With(),
 		repairCross: reg.Counter("hdfs_repair_cross_rack_bytes_total",
 			"Partial-sum bytes repairs shipped across the rack core.").With(),
 		repairMBps: reg.Histogram("hdfs_repair_mbps",

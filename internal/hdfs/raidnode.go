@@ -49,13 +49,15 @@ type EncodeStats struct {
 	// Violations counts stripes whose post-encoding layout breaks
 	// rack-level fault tolerance and needs the BlockMover.
 	Violations int
-	// PipelinedStripes counts stripes encoded through the distributed
-	// pipeline (Config.PipelinedEncode) rather than the gather path.
+	// PipelinedStripes counts stripes encoded through the chain engine (the
+	// default) rather than the gather baseline (Config.GatherEncode).
 	PipelinedStripes int
 	// PartialSumBytes is the partial parity-sum traffic shipped between
-	// pipeline hops; the pipelined path's replacement for gather traffic.
-	// Cross-rack partial hops also count toward CrossRackDownloads at m
-	// block-equivalents per boundary so the two paths stay comparable.
+	// chain hops; the chain's replacement for gather traffic. Cross-rack
+	// partial hops also count toward CrossRackDownloads at m
+	// block-equivalents per boundary so the two paths stay comparable; the
+	// parity deliveries are uploads on either path and count toward
+	// neither.
 	PartialSumBytes int64
 	// TaskPlacements records where each encoding map task ran.
 	TaskPlacements []mapred.Placement
@@ -149,10 +151,13 @@ type encodeTask struct {
 	strict    bool
 }
 
-// buildTasks splits the pending stripes into at most MapTasks map tasks.
-// Under EAR, stripes sharing a core rack stay in the same task and the task
-// is pinned to that rack (the paper's second and third modifications);
-// under RR tasks have no placement preference.
+// buildTasks splits the pending stripes into map tasks of ceil(stripes /
+// MapTasks) stripes each. Under RR that yields at most MapTasks tasks with
+// no placement preference. Under EAR the split runs per core rack — stripes
+// sharing a core rack stay together and their tasks are pinned to that rack
+// (the paper's second and third modifications) — so every core rack's
+// remainder makes a task of its own and the job can hold up to MapTasks +
+// racks - 1 tasks.
 func (r *RaidNode) buildTasks(stripes []*placement.StripeInfo) ([]*encodeTask, error) {
 	if len(stripes) == 0 {
 		return nil, nil
@@ -210,10 +215,11 @@ func (r *RaidNode) EncodeAll() (EncodeStats, error) {
 // EncodeAllCtx drains the pre-encoding store and encodes every pending
 // stripe through one MapReduce job, returning the job's statistics. When a
 // tracer is installed (Cluster.SetTracer) the job emits one span per phase:
-// stripe-selection, then per map task download / encode / parity-write /
-// replica-delete. Cancelling ctx cancels the job: tasks waiting for slots
-// give up and running tasks abort their in-flight transfers within one
-// chunk reservation.
+// stripe-selection, then per map task and stripe the chain's
+// raidnode.chain-hop stages (download / encode / parity-write with
+// Config.GatherEncode) and replica-delete. Cancelling ctx cancels the job:
+// tasks waiting for slots give up and running tasks abort their in-flight
+// transfers within one chunk reservation.
 func (r *RaidNode) EncodeAllCtx(ctx context.Context) (EncodeStats, error) {
 	var jobSpan *telemetry.Span
 	if parent := telemetry.SpanFromContext(ctx); parent != nil {
@@ -261,8 +267,7 @@ func (r *RaidNode) EncodeAllCtx(ctx context.Context) (EncodeStats, error) {
 				defer taskSpan.End()
 				taskCtx = telemetry.ContextWithSpan(taskCtx, taskSpan)
 				// Stripes are independent, so the task keeps up to
-				// EncodeParallelism of them in flight: one stripe's parity
-				// uploads overlap the next stripe's gather and compute.
+				// EncodeParallelism of them in flight.
 				sg, sctx := workgroup.WithContext(taskCtx)
 				sg.SetLimit(r.c.cfg.EncodeParallelism)
 				for _, s := range t.stripes {
@@ -329,7 +334,7 @@ func (r *RaidNode) EncodeAllCtx(ctx context.Context) (EncodeStats, error) {
 
 // stripeResult summarizes one stripe's encode for the job-level stats
 // merge: cross-rack traffic (block-equivalents), whether the committed
-// layout violates rack fault tolerance, and — in pipelined mode — the
+// layout violates rack fault tolerance, and — on the chain — the
 // partial-sum bytes that replaced gather traffic.
 type stripeResult struct {
 	cross        int
@@ -338,10 +343,12 @@ type stripeResult struct {
 	partialBytes int64
 }
 
-// encodeStripe performs the paper's three-step encoding operation on the
-// given node: materialize the parity blocks (by gathering one replica of
-// each data block to the encoder, or — with Config.PipelinedEncode — by
-// chaining partial parity sums through the replica holders), upload them,
+// encodeStripe performs the encoding operation for one stripe on behalf of
+// the given node: plan the post-encoding layout, materialize every parity
+// block at its planned holder (through the chain engine — the replica
+// holders fold partial parity sums along a chain anchored at the encoder and
+// its last holder streams the parity out — or, with Config.GatherEncode, by
+// the paper's gather, encode and upload at the encoder), commit the parity,
 // and delete the redundant replicas. The fabric's shaping serializes
 // transfers where links are shared, as the TaskTracker's parallel reads of
 // Section II-A would be. The parent span (nil for untraced runs) receives
@@ -358,7 +365,7 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 			m.encStripe.Observe(time.Since(stripeStart).Seconds())
 		}
 	}()
-	res.pipelined = c.cfg.PipelinedEncode
+	res.pipelined = !c.cfg.GatherEncode
 	trace := telemetry.TraceFromContext(ctx)
 	if j := c.Journal(); j != nil {
 		ev := events.New(events.StripeEncodeStarted, "raidnode")
@@ -366,22 +373,31 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 		ev.Node = encoder
 		ev.Rack = encRack
 		ev.Trace = trace
+		ev.Detail = "gather"
 		if res.pipelined {
 			ev.Detail = "pipelined"
 		}
 		j.Publish(ev)
 	}
+	plan, err := c.nn.PlanStripe(info)
+	if err != nil {
+		return res, err
+	}
 	// Both paths return pooled parity buffers (released here, success or
-	// not) and the aborted-member mask; nothing has been committed yet, so
-	// a cancellation up to this point leaves no trace in any store.
+	// not) whose bytes have been shaped all the way to plan.Parity, and the
+	// aborted-member mask. Puts stay staged until then — the same contract
+	// as the write pipeline — so a cancellation up to this point commits
+	// nothing: no store gains a parity key, no replica is deleted, and the
+	// requeued stripe re-encodes from its intact replicas.
 	var (
 		parity  [][]byte
 		aborted []bool
 	)
+	matStart := time.Now()
 	if res.pipelined {
-		parity, aborted, err = c.pipelineParity(ctx, info, encoder, &res)
+		parity, aborted, err = c.pipelineParity(ctx, info, encoder, plan, &res)
 	} else {
-		parity, aborted, err = c.gatherParity(ctx, info, encoder, encRack, parent, &res)
+		parity, aborted, err = c.gatherParity(ctx, info, encoder, encRack, plan, parent, &res)
 	}
 	defer func() {
 		for _, p := range parity {
@@ -391,31 +407,11 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 	if err != nil {
 		return res, err
 	}
-	plan, err := c.nn.PlanStripe(info)
-	if err != nil {
-		return res, err
-	}
-	// Parity uploads go out with bounded fan-in. Puts are staged until every
-	// shaped transfer has finished — the same contract as the write
-	// pipeline — so a cancellation mid-upload commits nothing: no store
-	// gains a parity key, no replica is deleted, and the requeued stripe
-	// re-encodes from its intact replicas.
-	pw := parent.Child("parity-write")
-	ug, uctx := workgroup.WithContext(ctx)
-	ug.SetLimit(gatherFanIn)
-	for j, node := range plan.Parity {
-		j, node := j, node
-		ug.Go(func() error {
-			if err := c.transferShaped(uctx, encoder, node, len(parity[j])); err != nil {
-				return fmt.Errorf("upload parity %d to node %d: %w", j, node, err)
-			}
-			return nil
-		})
-	}
-	err = ug.Wait()
-	pw.End()
-	if err != nil {
-		return res, err
+	if m := c.metrics(); m != nil {
+		if secs := time.Since(matStart).Seconds(); secs > 0 {
+			m.encMBps.Observe(float64(len(info.Blocks)*c.cfg.BlockSizeBytes) / (1 << 20) / secs)
+		}
+		m.poolHit.Set(c.bufPool.HitRate())
 	}
 	for j, node := range plan.Parity {
 		dn, err := c.DataNodeOf(node)
@@ -423,7 +419,7 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 			return res, err
 		}
 		if err := dn.Store.Put(ParityKey(info.ID, j), parity[j]); err != nil {
-			return res, fmt.Errorf("upload parity %d to node %d: %w", j, node, err)
+			return res, fmt.Errorf("store parity %d on node %d: %w", j, node, err)
 		}
 	}
 	// Delete redundant replicas, keeping the plan's chosen one. Aborted
@@ -471,12 +467,13 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 	return res, nil
 }
 
-// gatherParity is the baseline encode data path: download one replica of
-// each data block to the encoder with bounded fan-in, then run the coding
-// kernels over the gathered blocks. It returns pooled parity buffers the
-// caller must release, the aborted-member mask, and fills res.cross with
-// the count of cross-rack block downloads.
-func (c *Cluster) gatherParity(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, encRack topology.RackID, parent *telemetry.Span, res *stripeResult) ([][]byte, []bool, error) {
+// gatherParity is the paper's HDFS-RAID encode, kept as the baseline the
+// experiments measure the chain against: download one replica of each data
+// block to the encoder with bounded fan-in, run the coding kernels over the
+// gathered blocks, and upload each parity block to its planned holder. It
+// returns pooled parity buffers the caller must release, the aborted-member
+// mask, and fills res.cross with the count of cross-rack block downloads.
+func (c *Cluster) gatherParity(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, encRack topology.RackID, plan *placement.PostEncodingPlan, parent *telemetry.Span, res *stripeResult) ([][]byte, []bool, error) {
 	dl := parent.Child("download").Arg("stripe", strconv.FormatInt(int64(info.ID), 10))
 	// Gather and parity buffers come from the cluster pool; zero-valued
 	// members (aborted blocks, short-stripe padding) share the one immutable
@@ -585,18 +582,26 @@ func (c *Cluster) gatherParity(ctx context.Context, info *placement.StripeInfo, 
 	for j := range pbufs {
 		pbufs[j] = c.bufPool.Get(c.cfg.BlockSizeBytes)
 	}
-	encStart := time.Now()
 	err = c.coder.EncodeInto(data, pbufs)
-	encDur := time.Since(encStart)
 	encSpan.End()
 	if err != nil {
 		return nil, nil, err
 	}
-	if m := c.metrics(); m != nil {
-		if secs := encDur.Seconds(); secs > 0 {
-			m.encMBps.Observe(float64(len(data)*c.cfg.BlockSizeBytes) / (1 << 20) / secs)
-		}
-		m.poolHit.Set(c.bufPool.HitRate())
+	pw := parent.Child("parity-write")
+	ug, uctx := workgroup.WithContext(ctx)
+	ug.SetLimit(gatherFanIn)
+	for j, node := range plan.Parity {
+		ug.Go(func() error {
+			if err := c.transferShaped(uctx, encoder, node, len(pbufs[j])); err != nil {
+				return fmt.Errorf("upload parity %d to node %d: %w", j, node, err)
+			}
+			return nil
+		})
+	}
+	err = ug.Wait()
+	pw.End()
+	if err != nil {
+		return nil, nil, err
 	}
 	ok = true
 	return pbufs, aborted, nil

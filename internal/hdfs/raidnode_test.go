@@ -242,8 +242,27 @@ func TestStatsSinceDeltas(t *testing.T) {
 	}
 }
 
+// TestEncodeTelemetryAndTrace checks the encode counters and the span tree
+// of one job on both encode paths: the default chain emits raidnode.chain-hop
+// spans under each map task, the GatherEncode baseline the paper's
+// download / encode / parity-write phases.
 func TestEncodeTelemetryAndTrace(t *testing.T) {
-	c := newTestCluster(t, "ear")
+	t.Run("chain", func(t *testing.T) {
+		testEncodeTelemetryAndTrace(t, false, "raidnode.chain-hop")
+	})
+	t.Run("gather", func(t *testing.T) {
+		testEncodeTelemetryAndTrace(t, true, "download", "encode", "parity-write")
+	})
+}
+
+func testEncodeTelemetryAndTrace(t *testing.T, gather bool, phases ...string) {
+	cfg := testConfig("ear")
+	cfg.GatherEncode = gather
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	reg := telemetry.NewRegistry()
 	c.SetTelemetry(reg)
 	tr := telemetry.NewTracer()
@@ -299,16 +318,23 @@ func TestEncodeTelemetryAndTrace(t *testing.T) {
 	if counts["map-task"] == 0 {
 		t.Error("no map-task spans")
 	}
-	for _, phase := range []string{"download", "encode", "parity-write", "replica-delete"} {
-		if counts[phase] != stats.Stripes { // one per stripe
-			t.Errorf("%s spans = %d, want %d", phase, counts[phase], stats.Stripes)
+	if counts["replica-delete"] != stats.Stripes {
+		t.Errorf("replica-delete spans = %d, want %d", counts["replica-delete"], stats.Stripes)
+	}
+	for _, phase := range phases {
+		// A gather phase has one span per stripe, a chain one per stage.
+		if got := counts[phase]; got < stats.Stripes || (gather && got > stats.Stripes) {
+			t.Errorf("%s spans = %d for %d stripes", phase, got, stats.Stripes)
 		}
 	}
+	if pipelined := counts["raidnode.chain-hop"] > 0; pipelined == gather {
+		t.Errorf("chain-hop spans = %d with GatherEncode %v", counts["raidnode.chain-hop"], gather)
+	}
 	for _, s := range spans {
-		if s.Name == "download" {
+		if s.Name == phases[0] {
 			parent, ok := byID[s.Parent]
 			if !ok || parent.Name != "map-task" {
-				t.Errorf("download span parent = %+v", parent)
+				t.Errorf("%s span parent = %+v", s.Name, parent)
 			}
 		}
 		if s.Dur < 0 {

@@ -284,8 +284,8 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 				stats.ParityRepaired++
 			}
 			stats.BytesRepaired += int64(c.cfg.BlockSizeBytes)
-			stats.CrossRackBytes += int64(ledger.crossHops * c.cfg.BlockSizeBytes)
-			stats.TotalBytes += int64(ledger.hops * c.cfg.BlockSizeBytes)
+			stats.CrossRackBytes += int64((ledger.crossHops + ledger.crossDeliveries) * c.cfg.BlockSizeBytes)
+			stats.TotalBytes += int64((ledger.hops + ledger.deliveries) * c.cfg.BlockSizeBytes)
 			mu.Unlock()
 			return nil
 		})

@@ -29,9 +29,16 @@ type PipelineHop struct {
 // crossing the core once per rack boundary, and the final hop-to-sink
 // transfer is intra-rack whenever the sink's rack holds any member.
 //
-// The plan is deterministic: ties prefer the sink itself, then sink-rack
-// nodes, then the lowest node ID, so two calls with the same inputs yield
-// the same chain (the differential tests rely on this).
+// The cover exhausts the holders in the sink's rack before it considers a
+// remote one, however many positions the remote holder would add: a
+// position the sink's rack can serve never costs a core crossing. Under EAR
+// the core rack holds a replica of every member, so a chain planned toward
+// a core-rack sink never leaves that rack.
+//
+// The plan is deterministic: among the candidates of one class (sink rack,
+// then remote) the largest gain wins, ties prefer the sink itself, then the
+// lowest node ID, so two calls with the same inputs yield the same chain
+// (the differential tests rely on this).
 func PlanPipeline(top *topology.Topology, replicas [][]topology.NodeID, sink topology.NodeID) ([]PipelineHop, error) {
 	sinkRack, err := top.RackOf(sink)
 	if err != nil {
@@ -61,7 +68,7 @@ func PlanPipeline(top *topology.Topology, replicas [][]topology.NodeID, sink top
 	var hops []PipelineHop
 	for len(covered) < uncovered {
 		var best topology.NodeID = -1
-		bestGain, bestRank := 0, -1
+		bestGain, bestRank := 0, -1 // rank: 2 the sink, 1 its rack peers, 0 remote
 		for n, positions := range holds {
 			gain := 0
 			for _, p := range positions {
@@ -72,8 +79,6 @@ func PlanPipeline(top *topology.Topology, replicas [][]topology.NodeID, sink top
 			if gain == 0 {
 				continue
 			}
-			// Rank breaks gain ties: the sink itself beats its rack peers,
-			// which beat remote nodes; equal ranks resolve to the lowest ID.
 			rank := 0
 			switch {
 			case n == sink:
@@ -81,8 +86,11 @@ func PlanPipeline(top *topology.Topology, replicas [][]topology.NodeID, sink top
 			case rackOf[n] == sinkRack:
 				rank = 1
 			}
-			if gain > bestGain ||
-				(gain == bestGain && (rank > bestRank || (rank == bestRank && n < best))) {
+			// Any sink-rack holder beats any remote one; within a class the
+			// larger gain wins, then the sink itself, then the lowest ID.
+			local, bestLocal := rank > 0, bestRank > 0
+			if (local && !bestLocal) || (local == bestLocal && (gain > bestGain ||
+				(gain == bestGain && (rank > bestRank || (rank == bestRank && n < best))))) {
 				best, bestGain, bestRank = n, gain, rank
 			}
 		}

@@ -3,6 +3,7 @@ package placement
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ear/internal/topology"
@@ -177,6 +178,85 @@ func TestPlanPipelineRandomized(t *testing.T) {
 		}
 		if !reflect.DeepEqual(hops, again) {
 			t.Fatalf("trial %d: plan not deterministic:\n%v\n%v", trial, hops, again)
+		}
+	}
+}
+
+// TestPlanPipelineStaysInSinkRack pins the property the chain encode rests
+// on: a position the sink's rack can serve is folded in the sink's rack,
+// however many positions a remote holder would add to the cover. When every
+// position has a holder there the whole chain stays in that rack and crosses
+// no boundary; a position without one is still covered, remotely, and drags
+// no other position out with it. Replica sets are EAR-shaped (one replica in
+// the core rack, the others piled onto few remote nodes so that a remote
+// holder always offers the larger gain) and RR-shaped (random nodes plus one
+// in the sink's rack).
+func TestPlanPipelineStaysInSinkRack(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 200; trial++ {
+		racks := 2 + rng.Intn(5)
+		npr := 1 + rng.Intn(4)
+		top, err := topology.New(racks, npr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := topology.NodeID(rng.Intn(top.Nodes()))
+		sinkRack, _ := top.RackOf(sink)
+		local, _ := top.NodesInRack(sinkRack)
+		var remote []topology.NodeID
+		for n := topology.NodeID(0); int(n) < top.Nodes(); n++ {
+			if r, _ := top.RackOf(n); r != sinkRack {
+				remote = append(remote, n)
+			}
+		}
+		earShaped := trial%2 == 0
+		k := 2 + rng.Intn(11)
+		replicas := make([][]topology.NodeID, k)
+		for i := range replicas {
+			replicas[i] = []topology.NodeID{local[rng.Intn(len(local))]}
+			for r := rng.Intn(3); r > 0; r-- {
+				n := remote[0] // EAR-shaped: one remote node holds everything
+				if !earShaped {
+					n = topology.NodeID(rng.Intn(top.Nodes()))
+				}
+				if !slices.Contains(replicas[i], n) {
+					replicas[i] = append(replicas[i], n)
+				}
+			}
+		}
+		hops, err := PlanPipeline(top, replicas, sink)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		checkPipeline(t, top, replicas, sink, hops)
+		for _, h := range hops {
+			if h.Rack != sinkRack {
+				t.Fatalf("trial %d: hop on node %d leaves sink rack %d: %v", trial, h.Node, sinkRack, hops)
+			}
+		}
+		if b := PipelineRackBoundaries(hops, sinkRack); b != 0 {
+			t.Fatalf("trial %d: %d rack boundaries with every position held in the sink's rack", trial, b)
+		}
+		again, _ := PlanPipeline(top, replicas, sink)
+		if !reflect.DeepEqual(hops, again) {
+			t.Fatalf("trial %d: plan not deterministic:\n%v\n%v", trial, hops, again)
+		}
+
+		// Strip one position of its sink-rack holders: it alone goes remote.
+		orphan := rng.Intn(k)
+		replicas[orphan] = []topology.NodeID{remote[rng.Intn(len(remote))]}
+		hops, err = PlanPipeline(top, replicas, sink)
+		if err != nil {
+			t.Fatalf("trial %d orphaned: %v", trial, err)
+		}
+		checkPipeline(t, top, replicas, sink, hops)
+		for _, h := range hops {
+			if h.Rack != sinkRack && !reflect.DeepEqual(h.Positions, []int{orphan}) {
+				t.Fatalf("trial %d: remote hop %v folds more than the orphaned position %d", trial, h, orphan)
+			}
+		}
+		if b := PipelineRackBoundaries(hops, sinkRack); b != 1 {
+			t.Fatalf("trial %d: %d rack boundaries for one remote position, want 1", trial, b)
 		}
 	}
 }
