@@ -86,8 +86,8 @@ const (
 
 	// NodeRecoveryStarted / NodeRecoveryFinished bracket a full-node
 	// recovery sweep (Cluster.RecoverNode): Node is the dead node, Detail
-	// carries the lost-block count on start and the repaired count on
-	// finish.
+	// carries the lost-member count on start and "<n> repaired, <n>
+	// unrecovered" on finish.
 	NodeRecoveryStarted  Type = "node-recovery-started"
 	NodeRecoveryFinished Type = "node-recovery-finished"
 

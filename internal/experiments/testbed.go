@@ -40,8 +40,8 @@ type TestbedOptions struct {
 	// experiments reproduce and therefore select unless this is set (it
 	// maps to hdfs.Config.GatherEncode = !PipelinedEncode).
 	PipelinedEncode bool
-	// PipelineChunkBytes overrides the pipelined encode's chunk size
-	// (0 = fabric default).
+	// PipelineChunkBytes pins the chain engine's slice (0 = derived per
+	// fold from the link rate, see hdfs.Config.PipelineChunkBytes).
 	PipelineChunkBytes int
 	// C bounds blocks of one stripe per rack after encoding (default 1,
 	// the paper's setting; multi-node-rack geometries need more so a

@@ -4,20 +4,23 @@ package hdfs
 // a lost block degraded are one operation: fold coefficient rows over stripe
 // members along a planned chain. The holders of the members form a chain
 // (placement.PlanPipeline: rack-contiguous, the anchor's rack last) and walk
-// the block chunk by chunk: each hop receives the upstream partial sums over
+// the block slice by slice: each hop receives the upstream partial sums over
 // a fabric stream, folds its locally stored members into them with
 // gf256.MulAddSlice, and forwards the result downstream; the last holder
-// streams each finished row to the node that will store it. Transfer and
-// arithmetic for chunk i+1 overlap the forwarding of chunk i, and a rack
-// holding several members aggregates them before crossing the core, so one
-// set of partial sums crosses per rack boundary instead of one block per
-// remote member, and no link carries more than one block per row. With the
-// m parity rows the sums are the stripe's parity (RapidRAID), delivered to
-// the m parity holders; with one decode row they are the lost member
-// (rack-aware regenerating repair), delivered to the repair target or the
-// reading client. The engine stores nothing: the sums land in the caller's
-// buffers and the caller commits them only after the whole fold succeeded,
-// so a canceled fold leaves no trace in any store.
+// streams each finished row to the node that will store it. A hop reads its
+// members ahead from the shaped disk while the sums are still on their way,
+// and the slice is sized to about a millisecond of link time
+// (foldSliceBytes), so the chain is many slices deep and every stage stays
+// busy. Transfer and arithmetic for slice i+1 overlap the forwarding of slice
+// i, and a rack holding several members aggregates them before crossing the
+// core, so one set of partial sums crosses per rack boundary instead of one
+// block per remote member, and no link carries more than one block per row.
+// With the m parity rows the sums are the stripe's parity (RapidRAID),
+// delivered to the m parity holders; with one decode row they are the lost
+// member (rack-aware regenerating repair), delivered to the repair target or
+// the reading client. The engine stores nothing: the sums land in the
+// caller's buffers and the caller commits them only after the whole fold
+// succeeded, so a canceled fold leaves no trace in any store.
 
 import (
 	"context"
@@ -53,9 +56,13 @@ type chainStage struct {
 	acc [][]byte
 	// blocks holds the hop's local members, parallel to positions.
 	blocks [][]byte
-	// ready carries the chunk indices whose sums have landed in up's
+	// ready carries the slice indices whose sums have landed in up's
 	// accumulators.
 	ready chan int
+	// diskRead carries one token per slice of the local members the stage's
+	// read-ahead worker has charged to the disk, in slice order (nil at a
+	// stage without members).
+	diskRead chan struct{}
 	// crossIn records whether the inbound stream crossed the rack core (set
 	// by the stage goroutine, read after the join).
 	crossIn bool
@@ -94,18 +101,47 @@ func (e *holderError) Error() string {
 
 func (e *holderError) Unwrap() error { return e.err }
 
+// minSliceBytes is the smallest slice a fold derives: below it the per-slice
+// cost of a shaped Send dominates whatever the link rate.
+const minSliceBytes = 4 << 10
+
+// foldSliceBytes returns the slice a fold anchored at the given node walks
+// the block in. A fold over S stages takes B/R + (S-1)·max(s/R, q) for block
+// B, link rate R and slice s, where q ≈ 1 ms is the floor of one shaped Send
+// (a sub-millisecond timer sleep rounds up to about that), so the slice that
+// fills the chain fastest is what one row moves over a link in a millisecond:
+// the anchor's current NIC rate (rates change under Fabric.SetAllRates) over
+// 1000, rounded down to a power of two within [minSliceBytes,
+// fabric.ChunkBytes]. A non-zero Config.PipelineChunkBytes pins the slice.
+func (c *Cluster) foldSliceBytes(anchor topology.NodeID) int {
+	if c.cfg.PipelineChunkBytes > 0 {
+		return c.cfg.PipelineChunkBytes
+	}
+	rate, err := c.fab.NodeRate(anchor)
+	if err != nil {
+		return fabric.ChunkBytes // PlanPipeline has already rejected an unknown anchor
+	}
+	slice := minSliceBytes
+	for slice < fabric.ChunkBytes && float64(2*slice) <= rate/1000 {
+		slice *= 2
+	}
+	return slice
+}
+
 // chainFold computes out[j] = sum over pos of rows[j][pos] * content(pos)
 // and lands it at sinks[j]. holders[pos] lists the live holders of stripe
 // position pos (empty: the position contributes nothing — zero content or an
 // unused survivor) and key maps a position to its store key. The chain is
 // planned toward the anchor (placement.PlanPipeline), which takes no part in
 // the fold unless it holds a member; the last planned holder streams each
-// finished chunk of row j to sinks[j] over a stream of its own, unless it is
+// finished slice of row j to sinks[j] over a stream of its own, unless it is
 // that sink. With nothing but zeros to fold, the anchor originates them.
 // Every out buffer is one block long and is fully overwritten on success; on
 // error its content is undefined. A planned member whose checksum-verified
 // read fails is reported as a holderError before any stream opens. Hop spans
-// hang off the span carried by ctx.
+// hang off the span carried by ctx. Every goroutine a fold starts — one per
+// stage, one disk read-ahead worker per stage with members — is joined before
+// it returns.
 func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID, out [][]byte) (chainLedger, error) {
 	var ledger chainLedger
 	hops, err := placement.PlanPipeline(c.top, holders, anchor)
@@ -116,7 +152,7 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 		hops = []placement.PipelineHop{{Node: anchor}}
 	}
 	blockSize := c.cfg.BlockSizeBytes
-	chunk := c.cfg.PipelineChunkBytes
+	chunk := c.foldSliceBytes(anchor)
 	nChunks := (blockSize + chunk - 1) / chunk
 	m := len(rows)
 
@@ -135,6 +171,10 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 	for _, h := range hops {
 		tail = newStage(h.Node, tail)
 		tail.positions = h.Positions
+		if len(h.Positions) > 0 {
+			// One token per slice, so the read-ahead never blocks.
+			tail.diskRead = make(chan struct{}, nChunks)
+		}
 		stages = append(stages, tail)
 	}
 	for j, sink := range sinks {
@@ -194,16 +234,36 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 	parent := telemetry.SpanFromContext(ctx)
 	g, gctx := workgroup.WithContext(ctx)
 	for s, st := range stages {
+		if st.diskRead != nil {
+			// Read-ahead: the local members do not depend on the upstream, so
+			// the shaped disk stream charges them slice by slice from t = 0,
+			// beside the inbound receives instead of between receive and fold.
+			g.Go(func() error {
+				disk, err := c.fab.OpenStream(gctx, st.node, st.node)
+				if err != nil {
+					return err
+				}
+				defer disk.Close()
+				for lo := 0; lo < blockSize; lo += chunk {
+					if err := disk.Send(gctx, len(st.positions)*(min(lo+chunk, blockSize)-lo)); err != nil {
+						return err
+					}
+					st.diskRead <- struct{}{}
+				}
+				return nil
+			})
+		}
 		g.Go(func() error {
 			hop := parent.ChildTrack("raidnode.chain-hop").
 				Arg(telemetry.ComponentArg, "raidnode").
 				Arg("stripe", strconv.FormatInt(int64(stripe), 10)).
 				Arg("node", strconv.Itoa(int(st.node))).
 				Arg("hop", strconv.Itoa(s)).
-				Arg("members", strconv.Itoa(len(st.positions)))
+				Arg("members", strconv.Itoa(len(st.positions))).
+				Arg("slice", strconv.Itoa(chunk))
 			defer hop.End()
-			// Inbound stream from the upstream stage: one chunk-sized sum per
-			// carried row and chunk index, attributed by the fabric to every
+			// Inbound stream from the upstream stage: one slice-sized sum per
+			// carried row and slice index, attributed by the fabric to every
 			// link the hop traverses.
 			var in *fabric.Stream
 			carried := 0
@@ -221,17 +281,6 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 				defer in.Close()
 				st.crossIn = in.Cross()
 			}
-			// Local members: the shaped disk stream charges their bytes chunk
-			// by chunk as they are folded.
-			var disk *fabric.Stream
-			if len(st.positions) > 0 {
-				var err error
-				disk, err = c.fab.OpenStream(gctx, st.node, st.node)
-				if err != nil {
-					return err
-				}
-				defer disk.Close()
-			}
 			for {
 				var idx int
 				var chOk bool
@@ -248,8 +297,8 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 				}
 				lo := idx * chunk
 				hi := min(lo+chunk, blockSize)
-				// Receive and adopt the upstream sums for this chunk range
-				// (zeros at the head of the chain).
+				// Receive and adopt the upstream sums for this slice (zeros at
+				// the head of the chain).
 				if in != nil {
 					if err := in.Send(gctx, carried*(hi-lo)); err != nil {
 						return err
@@ -265,9 +314,13 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 					}
 					copy(a[lo:hi], from[lo:hi])
 				}
-				if len(st.positions) > 0 {
-					if err := disk.Send(gctx, len(st.positions)*(hi-lo)); err != nil {
-						return err
+				if st.diskRead != nil {
+					// Slices arrive in order on both channels, so the next
+					// token is this slice's.
+					select {
+					case <-st.diskRead:
+					case <-gctx.Done():
+						return gctx.Err()
 					}
 					for pi, pos := range st.positions {
 						for j, row := range rows {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -14,6 +16,7 @@ import (
 	"ear/internal/blockstore"
 	"ear/internal/events"
 	"ear/internal/events/audit"
+	"ear/internal/fabric"
 	"ear/internal/placement"
 	"ear/internal/topology"
 )
@@ -54,6 +57,15 @@ func busiestDataNode(t *testing.T, c *Cluster) topology.NodeID {
 		t.Fatal("no node holds any encoded data block")
 	}
 	return best
+}
+
+// setRates re-rates every link and every disk of c, so a test can populate
+// at full speed and measure at the shaped rates.
+func setRates(t *testing.T, c *Cluster, link, disk float64) {
+	t.Helper()
+	if err := errors.Join(c.Fabric().SetAllRates(link), c.Fabric().SetDiskRates(disk)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // verifyBlockContents reads every written block through the client path and
@@ -115,6 +127,16 @@ func TestChainRepairMatchesPayload(t *testing.T) {
 				K: 8, N: 12, C: 3, BlockSizeBytes: 12 << 10,
 				BandwidthBytesPerSec: 64 << 20, MapTasks: 2, Seed: 4},
 			chunk: 1 << 10,
+		},
+		{
+			// chunk 0: the slice is derived from the link rate (4 MiB/s gives
+			// the 4 KiB floor), over an odd block with shaped disks, so the
+			// read-ahead and a partial last slice run under the default.
+			name: "rr-5x3-k8n10-derived",
+			cfg: Config{Racks: 5, NodesPerRack: 3, Policy: "rr", Replicas: 2,
+				K: 8, N: 10, C: 2, BlockSizeBytes: 10000,
+				BandwidthBytesPerSec: 4 << 20, DiskBandwidthBytesPerSec: 8 << 20,
+				MapTasks: 3, Seed: 5},
 		},
 	}
 	for _, g := range geoms {
@@ -278,25 +300,24 @@ func TestDegradedReadCrossRackBytes(t *testing.T) {
 // as an m-row fold over a sealed stripe toward sinks that hold no member,
 // and cancels it the moment each stream in turn opens: the first hop's disk
 // stream, every partial-sum stream between holders, and every delivery
-// stream from the last holder to a row's sink. Wherever the cancellation
-// lands, every pooled buffer must be back in the pool (Gets == Puts) and no
-// store may have changed.
+// stream from the last holder to a row's sink; then once more on a deadline
+// that lands while every read-ahead worker is part-way through its block.
+// Wherever the cancellation lands, every pooled buffer must be back in the
+// pool (Gets == Puts), no store may have changed, and no goroutine the fold
+// started may outlive it.
 func TestChainFoldCancelAtEveryStage(t *testing.T) {
 	cfg := testConfig("rr")
 	cfg.BlockSizeBytes = 64 << 10
 	cfg.BandwidthBytesPerSec = 64 << 10 // 1 s per block: no fold finishes first
+	cfg.DiskBandwidthBytesPerSec = 64 << 10
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Fabric().SetAllRates(64 << 30); err != nil {
-		t.Fatal(err)
-	}
+	setRates(t, c, 64<<30, 64<<30)
 	ids, _ := writeBlocks(t, c, cfg.K, rand.New(rand.NewSource(59)))
-	if err := c.Fabric().SetAllRates(cfg.BandwidthBytesPerSec); err != nil {
-		t.Fatal(err)
-	}
+	setRates(t, c, cfg.BandwidthBytesPerSec, cfg.DiskBandwidthBytesPerSec)
 	jrn := events.NewJournal(1 << 12)
 	c.SetJournal(jrn)
 
@@ -345,6 +366,38 @@ func TestChainFoldCancelAtEveryStage(t *testing.T) {
 		}
 		return total
 	}
+	// canceledFold runs one fold under ctx, which the caller has arranged to
+	// end mid-fold, and checks that nothing of it is left behind.
+	canceledFold := func(ctx context.Context, rows [][]byte, want error, where string) {
+		t.Helper()
+		keysBefore, outstanding, goroutines := storeKeys(), c.BufferPool().Outstanding(), runtime.NumGoroutine()
+		out := make([][]byte, len(rows))
+		for j := range out {
+			out[j] = c.BufferPool().Get(cfg.BlockSizeBytes)
+		}
+		_, err := c.chainFold(ctx, 0, rows, holders, key, sinks[0], sinks[:len(rows)], out)
+		for _, o := range out {
+			c.BufferPool().Put(o)
+		}
+		if !errors.Is(err, want) {
+			t.Fatalf("%d-row fold canceled %s = %v, want %v", len(rows), where, err, want)
+		}
+		if got := c.BufferPool().Outstanding(); got != outstanding {
+			t.Errorf("%d-row fold canceled %s leaked %d pooled buffers", len(rows), where, got-outstanding)
+		}
+		if got := storeKeys(); got != keysBefore {
+			t.Errorf("%d-row fold canceled %s changed the stores: %d -> %d keys", len(rows), where, keysBefore, got)
+		}
+		// The fold joins its stages and read-ahead workers before returning;
+		// a joined goroutine may take a moment more to leave the count.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > goroutines {
+			t.Errorf("%d-row fold canceled %s left %d goroutines running", len(rows), where, got-goroutines)
+		}
+	}
 	for _, rows := range [][][]byte{parityRows[:1], parityRows} {
 		streams := slices.Clone(chain)
 		for _, sink := range sinks[:len(rows)] {
@@ -357,26 +410,19 @@ func TestChainFoldCancelAtEveryStage(t *testing.T) {
 					cancel()
 				}
 			})
-			keysBefore, outstanding := storeKeys(), c.BufferPool().Outstanding()
-			out := make([][]byte, len(rows))
-			for j := range out {
-				out[j] = c.BufferPool().Get(cfg.BlockSizeBytes)
-			}
-			_, err := c.chainFold(ctx, 0, rows, holders, key, sinks[0], sinks[:len(rows)], out)
-			for _, o := range out {
-				c.BufferPool().Put(o)
-			}
+			canceledFold(ctx, rows, context.Canceled, fmt.Sprintf("at stream %d (%d->%d)", s, at.src, at.dst))
 			unsub()
 			cancel()
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%d-row fold canceled at stream %d (%d->%d) = %v, want context.Canceled", len(rows), s, at.src, at.dst, err)
-			}
-			if got := c.BufferPool().Outstanding(); got != outstanding {
-				t.Errorf("%d-row fold canceled at stream %d leaked %d pooled buffers", len(rows), s, got-outstanding)
-			}
-			if got := storeKeys(); got != keysBefore {
-				t.Errorf("%d-row fold canceled at stream %d changed the stores: %d -> %d keys", len(rows), s, keysBefore, got)
-			}
+		}
+		// Mid-block: a slice takes 62 ms on link and disk alike, so 150 ms in
+		// every read-ahead worker has charged some slices and none all 16.
+		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+		before := c.Fabric().Snapshot()
+		canceledFold(ctx, rows, context.DeadlineExceeded, "mid-block")
+		cancel()
+		read := c.Fabric().Snapshot().Sub(before).ClassBytes[fabric.ClassDisk]
+		if whole := int64(cfg.K * cfg.BlockSizeBytes); read <= 0 || read >= whole {
+			t.Errorf("%d-row fold canceled mid-block had read %d disk bytes, want within (0, %d)", len(rows), read, whole)
 		}
 	}
 }
@@ -629,5 +675,111 @@ func TestConcurrentRepairSameStripe(t *testing.T) {
 		if !bytes.Equal(got, contents[victims[i]]) {
 			t.Fatalf("block %d repaired with wrong content", victims[i])
 		}
+	}
+}
+
+// TestFoldSliceDerivation pins how a fold sizes its slices: what one row
+// moves over the anchor's NIC in about a millisecond at the fabric's current
+// rate, a power of two within [4 KiB, fabric.ChunkBytes], unless
+// Config.PipelineChunkBytes pins it.
+func TestFoldSliceDerivation(t *testing.T) {
+	cfg := testConfig("ear")
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := c.foldSliceBytes(0); got != fabric.ChunkBytes {
+		t.Errorf("slice at the configured %g B/s = %d, want %d", cfg.BandwidthBytesPerSec, got, fabric.ChunkBytes)
+	}
+	// Each row re-rates the same fabric, so every derivation after the first
+	// also shows that the current rate is read, not the configured one.
+	for _, tc := range []struct {
+		rate float64
+		want int
+	}{
+		{16 << 20, 16 << 10},
+		{32 << 20, 32 << 10},
+		{64 << 30, 64 << 10},
+		{1 << 20, 4 << 10},
+		{24 << 20, 16 << 10}, // rounds down to a power of two
+	} {
+		if err := c.Fabric().SetAllRates(tc.rate); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.foldSliceBytes(0); got != tc.want {
+			t.Errorf("slice after SetAllRates(%g) = %d, want %d", tc.rate, got, tc.want)
+		}
+	}
+
+	cfg.PipelineChunkBytes = 3000
+	pinned, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pinned.Close()
+	if err := pinned.Fabric().SetAllRates(16 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if got := pinned.foldSliceBytes(0); got != 3000 {
+		t.Errorf("slice with PipelineChunkBytes 3000 = %d, want it pinned", got)
+	}
+}
+
+// TestDegradedReadLatency checks that the chain stays full: on the
+// benchmark's shaped geometry ((14,12), 256 KiB blocks, 16 MiB/s links,
+// 32 MiB/s disks) a degraded read is a 13-stage fold, and it must deliver in
+// about one block time plus one slice time per stage,
+// B/R + S·max(s/R, 1 ms) ≈ 29 ms. The engine that walked the block in 64 KiB
+// slices and charged the disk between receive and fold took
+// (S + 4 - 1)·5.9 ms ≈ 94 ms, twice the limit below.
+func TestDegradedReadLatency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	cfg := Config{Racks: 4, NodesPerRack: 4, Policy: "ear", Replicas: 2,
+		K: 12, N: 14, C: 4, BlockSizeBytes: 256 << 10,
+		BandwidthBytesPerSec: 16 << 20, DiskBandwidthBytesPerSec: 32 << 20,
+		MapTasks: 4, Seed: 6}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	setRates(t, c, 64<<30, 64<<30)
+	// EAR seals a stripe per core rack: 4k blocks over 4 racks fill at least one.
+	ids, contents := writeBlocks(t, c, 4*cfg.K, rand.New(rand.NewSource(61)))
+	victim, _, _ := loseOneBlock(t, c, ids)
+	setRates(t, c, cfg.BandwidthBytesPerSec, cfg.DiskBandwidthBytesPerSec)
+	var client topology.NodeID
+	for c.NameNode().IsDead(client) {
+		client++
+	}
+
+	slice := c.foldSliceBytes(client)
+	perSlice := max(time.Duration(float64(slice)/cfg.BandwidthBytesPerSec*float64(time.Second)), time.Millisecond)
+	block := time.Duration(float64(cfg.BlockSizeBytes) / cfg.BandwidthBytesPerSec * float64(time.Second))
+	stages := cfg.K + 1 // k survivors on distinct nodes, then the delivery
+	limit := (block + time.Duration(stages)*perSlice) * 3 / 2
+
+	// The fastest of three: the bound is on what the engine can do, not on
+	// what else the host was doing during one read.
+	best := time.Duration(math.MaxInt64)
+	for range 3 {
+		t0 := time.Now()
+		got, err := c.DegradedRead(client, victim)
+		d := time.Since(t0)
+		if err != nil || !bytes.Equal(got, contents[victim]) {
+			t.Fatalf("degraded read: wrong bytes (err %v)", err)
+		}
+		best = min(best, d)
+	}
+	switch {
+	case best < limit:
+		t.Logf("degraded read took %v with %d B slices, limit %v", best, slice, limit)
+	case raceEnabled:
+		t.Logf("degraded read took %v with %d B slices, limit %v (ignored under -race)", best, slice, limit)
+	default:
+		t.Errorf("degraded read took %v with %d B slices, want < 1.5 x (B/R + S·max(s/R, 1 ms)) = %v", best, slice, limit)
 	}
 }

@@ -171,10 +171,17 @@ func (c *Cluster) writePipelined(ctx context.Context, client topology.NodeID, me
 	}
 	close(ready[0])
 
+	// Staging buffers are pooled: the stores copy on Put, so they go back
+	// once the replicas are committed (or the write failed).
 	bufs := make([][]byte, nHops)
 	for i := range bufs {
-		bufs[i] = make([]byte, len(data))
+		bufs[i] = c.bufPool.Get(len(data))
 	}
+	defer func() {
+		for _, b := range bufs {
+			c.bufPool.Put(b)
+		}
+	}()
 
 	parent := telemetry.SpanFromContext(ctx)
 	g, gctx := workgroup.WithContext(ctx)
@@ -301,6 +308,7 @@ func (c *Cluster) ReadBlockCtx(ctx context.Context, client topology.NodeID, id t
 		return nil, err
 	}
 	var readErr error
+	var out []byte
 	for len(live) > 0 {
 		src, err := c.chooseReplica(live, client)
 		if err != nil {
@@ -310,19 +318,23 @@ func (c *Cluster) ReadBlockCtx(ctx context.Context, client topology.NodeID, id t
 		if err != nil {
 			return nil, err
 		}
-		data, err := dn.Store.Get(DataKey(id))
-		if err != nil {
+		// The caller's buffer is the only copy: the store verifies and copies
+		// into it, and the transfer is charged without a payload of its own.
+		if out == nil {
+			out = make([]byte, c.cfg.BlockSizeBytes)
+		}
+		if err := dn.Store.GetInto(DataKey(id), out); err != nil {
 			readErr = fmt.Errorf("block %d on node %d: %w", id, src, err)
 			live = slices.DeleteFunc(live, func(n topology.NodeID) bool { return n == src })
 			continue
 		}
-		out, err := c.fab.TransferCtx(ctx, src, client, data)
-		if err == nil {
-			c.acct.Charge(tenant.FromContext(ctx), "read", 1, int64(len(out)))
+		if err := c.transferShaped(ctx, src, client, len(out)); err != nil {
+			return nil, err
 		}
-		return out, err
+		c.acct.Charge(tenant.FromContext(ctx), "read", 1, int64(len(out)))
+		return out, nil
 	}
-	out, err := c.DegradedReadCtx(ctx, client, id)
+	out, err = c.DegradedReadCtx(ctx, client, id)
 	if err != nil && readErr != nil {
 		return nil, fmt.Errorf("%w (degraded read: %v)", readErr, err)
 	}
@@ -337,7 +349,8 @@ func (c *Cluster) DegradedRead(client topology.NodeID, id topology.BlockID) ([]b
 
 // DegradedReadCtx reconstructs a lost block from its stripe at the client
 // (Section VI's degraded read): the survivors fold the decode row along the
-// chain, so one partial sum per survivor rack crosses the core.
+// chain, so one partial sum per survivor rack crosses the core. A delivered
+// block is charged to the context's tenant as one "read" op.
 func (c *Cluster) DegradedReadCtx(ctx context.Context, client topology.NodeID, id topology.BlockID) ([]byte, error) {
 	meta, err := c.nn.Block(id)
 	if err != nil {
@@ -358,6 +371,9 @@ func (c *Cluster) DegradedReadCtx(ctx context.Context, client topology.NodeID, i
 	if _, err := c.reconstructInto(ctx, sm, pos, client, out); err != nil {
 		return nil, err
 	}
+	// A degraded read delivers a block like any read; ReadBlockCtx charges
+	// only its replica path, so the fallback through here counts once.
+	c.acct.Charge(tenant.FromContext(ctx), "read", 1, int64(len(out)))
 	return out, nil
 }
 

@@ -138,6 +138,16 @@ func TestPipelinedEncodeMatchesGather(t *testing.T) {
 				BandwidthBytesPerSec: 64 << 20, MapTasks: 2, Seed: 4},
 			chunk: 1 << 10,
 		},
+		{
+			// chunk 0: the slice is derived from the link rate (4 MiB/s gives
+			// the 4 KiB floor), over an odd block with shaped disks, so the
+			// read-ahead and a partial last slice run under the default.
+			name: "rr-5x3-k8n10-derived",
+			cfg: Config{Racks: 5, NodesPerRack: 3, Policy: "rr", Replicas: 2,
+				K: 8, N: 10, C: 2, BlockSizeBytes: 10000,
+				BandwidthBytesPerSec: 4 << 20, DiskBandwidthBytesPerSec: 8 << 20,
+				MapTasks: 3, Seed: 5},
+		},
 	}
 	for _, g := range geoms {
 		g := g

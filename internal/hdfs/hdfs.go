@@ -81,10 +81,12 @@ type Config struct {
 	// against. Parity content is bit-identical either way. Repair, node
 	// recovery and degraded reads always run through the chain.
 	GatherEncode bool
-	// PipelineChunkBytes is the granularity at which the chain engine
-	// streams and folds partial sums (default fabric.ChunkBytes). Smaller
-	// chunks fill the chain faster; larger ones amortize per-chunk shaping
-	// overhead.
+	// PipelineChunkBytes pins the slice in which the chain engine streams
+	// and folds partial sums. 0, the default, derives it per fold from the
+	// fabric's current link rate: what one row moves over a link in about a
+	// millisecond, a power of two between 4 KiB and fabric.ChunkBytes (16 KiB
+	// at 16 MiB/s, 32 KiB at 32 MiB/s, 64 KiB unshaped). Smaller slices fill
+	// the chain faster until one shaped send hits its ~1 ms floor.
 	PipelineChunkBytes int
 	// RecoverParallelism bounds how many block repairs Cluster.RecoverNode
 	// runs concurrently when rebuilding a dead DataNode (default 8).
@@ -140,9 +142,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EncodeParallelism == 0 {
 		c.EncodeParallelism = 4
-	}
-	if c.PipelineChunkBytes == 0 {
-		c.PipelineChunkBytes = fabric.ChunkBytes
 	}
 	if c.RecoverParallelism == 0 {
 		c.RecoverParallelism = 8

@@ -2,11 +2,13 @@ package hdfs
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"ear/internal/blockstore"
+	"ear/internal/tenant"
 	"ear/internal/topology"
 )
 
@@ -320,6 +322,54 @@ func TestDegradedReadAfterNodeFailure(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDegradedReadsChargedToTenant: while a holder is down a tenant's read
+// ops and bytes equal the blocks delivered — one charge a block whether it
+// came from a replica, through ReadBlock's degraded fallback, or from
+// DegradedRead called directly.
+func TestDegradedReadsChargedToTenant(t *testing.T) {
+	c := newTestCluster(t, "ear")
+	rng := rand.New(rand.NewSource(9))
+	ids, contents := writeBlocks(t, c, 8, rng)
+	c.NameNode().FlushOpenStripes()
+	if _, err := c.RaidNode().EncodeAll(); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := c.NameNode().Block(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.NameNode().MarkDead(meta.Nodes[0])
+	reader := (meta.Nodes[0] + 1) % topology.NodeID(c.Topology().Nodes())
+	ctx := tenant.NewContext(context.Background(), "acme")
+	delivered := 0
+	for _, id := range ids { // ids[0] degrades, the rest may or may not
+		got, err := c.ReadBlockCtx(ctx, reader, id)
+		if err != nil || !bytes.Equal(got, contents[id]) {
+			t.Fatalf("read of block %d: wrong bytes (err %v)", id, err)
+		}
+		delivered++
+	}
+	if got, err := c.DegradedReadCtx(ctx, reader, ids[0]); err != nil || !bytes.Equal(got, contents[ids[0]]) {
+		t.Fatalf("direct degraded read: wrong bytes (err %v)", err)
+	}
+	delivered++
+	for _, row := range c.Tenants().Snapshot() {
+		if row.Tenant != "acme" {
+			continue
+		}
+		for _, op := range row.Ops {
+			if op.Op != "read" {
+				continue
+			}
+			if op.Count != int64(delivered) || op.Bytes != int64(delivered*c.Config().BlockSizeBytes) {
+				t.Fatalf("tenant read ops %d / bytes %d, want %d / %d", op.Count, op.Bytes, delivered, delivered*c.Config().BlockSizeBytes)
+			}
+			return
+		}
+	}
+	t.Fatal("tenant acme has no read row")
 }
 
 func TestRepairBlock(t *testing.T) {

@@ -16,6 +16,7 @@ package hdfs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -43,6 +44,9 @@ type RecoveryStats struct {
 	// a fabric snapshot delta).
 	CrossRackBytes int64 `json:"cross_rack_bytes"`
 	TotalBytes     int64 `json:"total_bytes"`
+	// Unrecovered counts the lost members the sweep left unrepaired: a stripe
+	// with more erasures than parity, or a sweep cut short by its context.
+	Unrecovered int `json:"unrecovered"`
 	// Duration is the sweep's wall time.
 	Duration time.Duration `json:"duration"`
 }
@@ -237,7 +241,11 @@ func (c *Cluster) planNodeRecovery(dead topology.NodeID) ([]recoverTask, error) 
 // plan; each reconstructs along the chain, commits with staged Puts,
 // and publishes its own lifecycle events, so a failed or canceled sweep
 // leaves every completed repair durable and every unfinished one
-// uncommitted — rerunning RecoverNode picks up exactly the remainder.
+// uncommitted — rerunning RecoverNode picks up exactly the remainder. A
+// repair that fails (a stripe with more erasures than parity) does not stop
+// its siblings: the sweep repairs everything it can, counts the rest in
+// RecoveryStats.Unrecovered and returns the failures joined. Only ctx ends
+// the sweep early.
 func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (RecoveryStats, error) {
 	stats := RecoveryStats{Node: dead}
 	if !c.nn.IsDead(dead) {
@@ -262,22 +270,33 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 	}
 
 	var mu sync.Mutex
-	g, gctx := workgroup.WithContext(ctx)
+	var errs []error
+	var g workgroup.Group
 	g.SetLimit(c.cfg.RecoverParallelism)
 	for _, t := range tasks {
 		t := t
+		// Go blocks while every worker is busy, so this sees a cancellation
+		// within one repair.
+		if ctx.Err() != nil {
+			mu.Lock()
+			errs = append(errs, context.Cause(ctx))
+			mu.Unlock()
+			break
+		}
 		g.Go(func() error {
 			var ledger chainLedger
 			var err error
 			if t.parity < 0 {
-				ledger, err = c.repairBlockOnto(gctx, t.block, t.sm, t.target)
+				ledger, err = c.repairBlockOnto(ctx, t.block, t.sm, t.target)
 			} else {
-				ledger, err = c.repairParityOnto(gctx, t.sm, t.parity, t.target)
-			}
-			if err != nil {
-				return err
+				ledger, err = c.repairParityOnto(ctx, t.sm, t.parity, t.target)
 			}
 			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				errs = append(errs, err)
+				return nil
+			}
 			if t.parity < 0 {
 				stats.BlocksRepaired++
 			} else {
@@ -286,21 +305,22 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 			stats.BytesRepaired += int64(c.cfg.BlockSizeBytes)
 			stats.CrossRackBytes += int64((ledger.crossHops + ledger.crossDeliveries) * c.cfg.BlockSizeBytes)
 			stats.TotalBytes += int64((ledger.hops + ledger.deliveries) * c.cfg.BlockSizeBytes)
-			mu.Unlock()
 			return nil
 		})
 	}
-	err = g.Wait()
+	_ = g.Wait() // the tasks report through errs
+	repaired := stats.BlocksRepaired + stats.ParityRepaired
+	stats.Unrecovered = len(tasks) - repaired
 	stats.Duration = time.Since(t0)
 	if j := c.Journal(); j != nil {
 		ev := events.New(events.NodeRecoveryFinished, "raidnode")
 		ev.Node = dead
 		ev.Bytes = stats.BytesRepaired
-		ev.Detail = strconv.Itoa(stats.BlocksRepaired + stats.ParityRepaired)
+		ev.Detail = fmt.Sprintf("%d repaired, %d unrecovered", repaired, stats.Unrecovered)
 		ev.Trace = telemetry.TraceFromContext(ctx)
 		j.Publish(ev)
 	}
-	return stats, err
+	return stats, errors.Join(errs...)
 }
 
 // repairParityOnto rebuilds lost parity row j of stripe sm onto target:

@@ -1,9 +1,12 @@
 package hdfs
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ear/internal/events"
@@ -221,7 +224,8 @@ func TestRepairTelemetry(t *testing.T) {
 }
 
 // TestRecoverNodeUnrecoverable: with more erasures than parity can absorb,
-// RecoverNode surfaces the error instead of silently skipping the stripe.
+// RecoverNode surfaces the error instead of silently skipping the stripe —
+// and still repairs every other member the dead node held.
 func TestRecoverNodeUnrecoverable(t *testing.T) {
 	cfg := testConfig("ear")
 	c, err := NewCluster(cfg)
@@ -229,8 +233,10 @@ func TestRecoverNodeUnrecoverable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	jrn := events.NewJournal(1 << 15)
+	c.SetJournal(jrn)
 	rng := rand.New(rand.NewSource(47))
-	writeBlocks(t, c, 4*cfg.K, rng)
+	_, contents := writeBlocks(t, c, 12*cfg.K, rng)
 	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +275,66 @@ func TestRecoverNodeUnrecoverable(t *testing.T) {
 	if dead < 0 {
 		t.Fatal("no stripe offered three single-replica members on distinct nodes")
 	}
-	if _, err := c.RecoverNode(context.Background(), dead); !errors.Is(err, ErrNoReplica) {
+	// Split what the dead node held by whether its stripe can still decode.
+	tasks, err := c.planNodeRecovery(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recoverable, hopeless []recoverTask
+	for _, task := range tasks {
+		erased := 0
+		for i := 0; i < cfg.N; i++ {
+			if _, known, err := c.posHolders(task.sm, i, nil); err != nil {
+				t.Fatal(err)
+			} else if !known {
+				erased++
+			}
+		}
+		if erased <= cfg.N-cfg.K {
+			recoverable = append(recoverable, task)
+		} else {
+			hopeless = append(hopeless, task)
+		}
+	}
+	if len(recoverable) == 0 || len(hopeless) == 0 {
+		t.Fatalf("dead node holds %d recoverable and %d unrecoverable members, want both", len(recoverable), len(hopeless))
+	}
+
+	stats, err := c.RecoverNode(context.Background(), dead)
+	if !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("RecoverNode over an unrecoverable stripe = %v, want ErrNoReplica", err)
+	}
+	if got := stats.BlocksRepaired + stats.ParityRepaired; got != len(recoverable) || stats.Unrecovered != len(hopeless) {
+		t.Fatalf("repaired %d, unrecovered %d; want %d and %d", got, stats.Unrecovered, len(recoverable), len(hopeless))
+	}
+	// One hopeless stripe did not cancel its siblings: no recoverable member
+	// names the dead node any more, and every repaired block reads back.
+	for _, task := range recoverable {
+		if task.parity >= 0 {
+			sm, err := nn.Stripe(task.sm.Info.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sm.Plan.Parity[task.parity] == dead {
+				t.Errorf("stripe %d parity %d still on dead node %d", sm.Info.ID, task.parity, dead)
+			}
+			continue
+		}
+		meta, err := nn.Block(task.block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(meta.Nodes, dead) {
+			t.Errorf("block %d still names dead node %d", task.block, dead)
+		}
+		got, err := c.ReadBlock(task.target, task.block)
+		if err != nil || !bytes.Equal(got, contents[task.block]) {
+			t.Errorf("repaired block %d reads back wrong (err %v)", task.block, err)
+		}
+	}
+	finished, _, _ := jrn.Since(0, 0, events.Filter{Type: events.NodeRecoveryFinished})
+	want := fmt.Sprintf("%d repaired, %d unrecovered", len(recoverable), len(hopeless))
+	if len(finished) != 1 || finished[0].Detail != want {
+		t.Errorf("NodeRecoveryFinished = %+v, want one event with detail %q", finished, want)
 	}
 }
