@@ -40,12 +40,9 @@ import (
 	"syscall"
 	"time"
 
-	"ear/internal/events"
-	"ear/internal/events/audit"
-	"ear/internal/fabric"
 	"ear/internal/hdfs"
 	"ear/internal/netcfs"
-	"ear/internal/progress"
+	"ear/internal/planes"
 	"ear/internal/telemetry"
 	"ear/internal/telemetry/slo"
 )
@@ -67,8 +64,9 @@ func parseLevel(s string) (slog.Level, error) {
 }
 
 // adminMux builds the admin endpoint: metrics (Prometheus or JSON by
-// content negotiation), expvar, pprof, and the journal-backed views
-// (/events, /audit, /timeline, /trace, /slo, /health).
+// content negotiation), expvar, pprof, and the eight views of the cluster's
+// planes, tracer and SLO tracker (/events, /audit, /timeline, /trace, /slo,
+// /health, /progress, /tenants).
 func adminMux(reg *telemetry.Registry, cluster *hdfs.Cluster, obs *observability) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -121,13 +119,13 @@ func adminMux(reg *telemetry.Registry, cluster *hdfs.Cluster, obs *observability
 	mux.Handle("/debug/vars", expvar.Handler())
 
 	mux.HandleFunc("/events", obs.handleEvents)
-	mux.HandleFunc("/audit", obs.handleAudit)
-	mux.HandleFunc("/timeline", obs.handleTimeline)
 	mux.HandleFunc("/trace", obs.handleTrace)
-	mux.HandleFunc("/slo", obs.handleSLO)
-	mux.HandleFunc("/health", obs.handleHealth)
-	mux.HandleFunc("/progress", obs.handleProgress)
-	mux.HandleFunc("/tenants", obs.handleTenants)
+	mux.HandleFunc("/audit", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, obs.Auditor.Report()) })
+	mux.HandleFunc("/timeline", view(timelinePage, func() any { return obs.Sampler.Timeline() }))
+	mux.HandleFunc("/slo", view(sloPage, func() any { return obs.slo.Report() }))
+	mux.HandleFunc("/health", view(healthPage, func() any { return obs.HealthReport() }))
+	mux.HandleFunc("/progress", view(progressPage, func() any { return obs.Tracker.Report() }))
+	mux.HandleFunc("/tenants", view(tenantsPage, func() any { return obs.TenantReport() }))
 
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -140,7 +138,7 @@ func adminMux(reg *telemetry.Registry, cluster *hdfs.Cluster, obs *observability
 func run() error {
 	var (
 		listen   = flag.String("listen", "127.0.0.1:7070", "address to listen on")
-		admin    = flag.String("admin", "", "admin HTTP address for /metrics, /debug/vars and /debug/pprof (empty = disabled)")
+		admin    = flag.String("admin", "", "admin HTTP address for /metrics, /debug/vars, /debug/pprof and the /events, /audit, /timeline, /trace, /slo, /health, /progress and /tenants views (empty = disabled)")
 		policy   = flag.String("policy", "ear", `placement policy: "rr" or "ear"`)
 		racks    = flag.Int("racks", 12, "racks")
 		nodes    = flag.Int("nodes", 4, "nodes per rack")
@@ -205,36 +203,22 @@ func run() error {
 	// The event journal records the structured history of every subsystem
 	// (allocations, commits, encodes, deletes, transfers...); the auditor
 	// folds it into a live layout model and checks the placement invariants
-	// continuously. Both run whether or not -admin is set — the journal is a
-	// fixed-size ring and the auditor is O(stripe) per event — so a late
-	// operator can still read the recent history.
-	jrn := events.NewJournal(0)
-	cluster.SetJournal(jrn)
-	aud := audit.New(cluster.Topology(), audit.Config{
-		Replicas:      cluster.Config().Replicas,
-		C:             *c,
-		CheckCoreRack: *policy == "ear",
-	})
-	aud.Attach(jrn)
-
-	// The transition progress tracker folds the same journal into the
-	// per-stripe lifecycle state machine behind /progress: encode backlog,
-	// ETA and the durability-exposure windows. Always on, like the auditor;
-	// after a durable-metadata restart it rebuilds from the recovered-state
-	// backfill the NameNode publishes.
-	prog := progress.New(progress.Config{
-		Replicas: cluster.Config().Replicas,
-		Policy:   *policy,
-	})
-	prog.SetTelemetry(reg)
-	prog.Attach(jrn)
+	// continuously, and the transition progress tracker folds it into the
+	// encode backlog, ETA and durability-exposure windows behind /progress.
+	// All three run whether or not -admin is set — the journal is a
+	// fixed-size ring and the two views are O(stripe) per event — so a late
+	// operator can still read the recent history; after a durable-metadata
+	// restart they rebuild from the recovered-state backfill below.
+	pl := planes.Attach(cluster, planes.Audit|planes.Progress)
+	defer pl.Stop()
+	pl.Tracker.SetTelemetry(reg)
 
 	// After a durable-metadata restart the journal ring starts empty:
 	// replay the canonical event stream implied by the recovered layout so
 	// the auditor and progress tracker resume from the pre-crash state
 	// instead of an empty model.
 	if *metaDir != "" && cluster.NameNode().RecoveredOps() > 0 {
-		cluster.NameNode().PublishRecoveredState(jrn)
+		cluster.NameNode().PublishRecoveredState(pl.Journal)
 	}
 
 	srv, err := netcfs.Serve(cluster, *listen)
@@ -251,9 +235,10 @@ func run() error {
 			return fmt.Errorf("admin listen: %w", err)
 		}
 		defer ln.Close()
-		sampler := fabric.NewSampler(cluster.Fabric(), 0)
-		sampler.Start()
-		defer sampler.Stop()
+		// Fabric sampler behind /timeline, and the health plane: heartbeat
+		// probes plus transfer-cost outlier scoring, publishing
+		// NodeDegraded/NodeRecovered into the journal.
+		planes.Attach(cluster, planes.Timeline|planes.Health)
 
 		// SLO tracker: rolling error budgets over the latency histograms
 		// the registry already collects, sampled in the background.
@@ -266,17 +251,7 @@ func run() error {
 		tracker.Start()
 		defer tracker.Stop()
 
-		// Health plane: heartbeat probes plus transfer-cost outlier scoring,
-		// publishing NodeDegraded/NodeRecovered into the journal.
-		health := hdfs.NewHealthMonitor(cluster, hdfs.HealthConfig{})
-		health.Start()
-		defer health.Stop()
-
-		obs := &observability{
-			journal: jrn, auditor: aud, sampler: sampler,
-			tracer: tracer, slo: tracker, health: health,
-			progress: prog, tenants: cluster.Tenants(),
-		}
+		obs := &observability{Set: pl, tracer: tracer, slo: tracker}
 		go func() {
 			if err := http.Serve(ln, adminMux(reg, cluster, obs)); err != nil {
 				slog.Debug("admin server stopped", "err", err)

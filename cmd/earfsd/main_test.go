@@ -7,10 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"ear/internal/events"
-	"ear/internal/events/audit"
-	"ear/internal/fabric"
 	"ear/internal/hdfs"
+	"ear/internal/planes"
 	"ear/internal/progress"
 	"ear/internal/telemetry"
 	"ear/internal/telemetry/slo"
@@ -33,21 +31,9 @@ func testMux(t *testing.T) (*http.ServeMux, *hdfs.Cluster) {
 
 	reg := telemetry.NewRegistry()
 	cluster.SetTelemetry(reg)
-	jrn := events.NewJournal(0)
-	cluster.SetJournal(jrn)
-	aud := audit.New(cluster.Topology(), audit.Config{Replicas: cluster.Config().Replicas, C: 1, CheckCoreRack: true})
-	aud.Attach(jrn)
-	prog := progress.New(progress.Config{Replicas: cluster.Config().Replicas, Policy: "ear"})
-	prog.Attach(jrn)
-	sampler := fabric.NewSampler(cluster.Fabric(), 0)
-	tracker := slo.NewTracker(reg, 0)
-	health := hdfs.NewHealthMonitor(cluster, hdfs.HealthConfig{})
-
-	obs := &observability{
-		journal: jrn, auditor: aud, sampler: sampler,
-		tracer: telemetry.NewTracer(), slo: tracker, health: health,
-		progress: prog, tenants: cluster.Tenants(),
-	}
+	pl := planes.Attach(cluster, planes.Audit|planes.Progress|planes.Timeline|planes.Health)
+	t.Cleanup(pl.Stop)
+	obs := &observability{Set: pl, tracer: telemetry.NewTracer(), slo: slo.NewTracker(reg, 0)}
 	return adminMux(reg, cluster, obs), cluster
 }
 

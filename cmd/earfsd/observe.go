@@ -8,31 +8,21 @@ import (
 	"strconv"
 
 	"ear/internal/events"
-	"ear/internal/events/audit"
-	"ear/internal/fabric"
-	"ear/internal/hdfs"
-	"ear/internal/progress"
+	"ear/internal/planes"
 	"ear/internal/telemetry"
 	"ear/internal/telemetry/slo"
-	"ear/internal/tenant"
 	"ear/internal/topology"
 )
 
-// observability bundles the journal-backed instruments the admin endpoint
-// serves: the event journal (/events), the invariant auditor (/audit), the
-// fabric utilization sampler (/timeline), the request tracer (/trace), the
-// SLO tracker (/slo), the node health monitor (/health), the transition
-// progress tracker (/progress) and the per-tenant accounting table
-// (/tenants).
+// observability bundles the instruments the admin endpoint serves: the
+// cluster's planes — event journal (/events), invariant auditor (/audit),
+// fabric utilization sampler (/timeline), node health monitor (/health),
+// transition progress tracker (/progress) and per-tenant accounting table
+// (/tenants) — plus the request tracer (/trace) and the SLO tracker (/slo).
 type observability struct {
-	journal  *events.Journal
-	auditor  *audit.Auditor
-	sampler  *fabric.Sampler
-	tracer   *telemetry.Tracer
-	slo      *slo.Tracker
-	health   *hdfs.HealthMonitor
-	progress *progress.Tracker
-	tenants  *tenant.Table
+	*planes.Set
+	tracer *telemetry.Tracer
+	slo    *slo.Tracker
 }
 
 // handleEvents serves cursor reads over the journal. Query parameters:
@@ -92,31 +82,12 @@ func (o *observability) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		f.Trace = id
 	}
-	evs, next, dropped := o.journal.Since(cursor, int(max), f)
+	evs, next, dropped := o.Journal.Since(cursor, int(max), f)
 	writeJSON(w, map[string]any{
 		"events":  evs,
 		"next":    next,
 		"dropped": dropped,
 	})
-}
-
-// handleAudit serves the auditor's invariant report.
-func (o *observability) handleAudit(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, o.auditor.Report())
-}
-
-// handleTimeline serves the fabric utilization timeline: JSON by default, a
-// self-contained HTML view with ?view=html.
-func (o *observability) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	tl := o.sampler.Timeline()
-	if r.URL.Query().Get("view") == "html" {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		if err := writeTimelineHTML(w, tl); err != nil {
-			slog.Warn("timeline html write failed", "err", err)
-		}
-		return
-	}
-	writeJSON(w, tl)
 }
 
 // handleTrace exports the request tracer's span buffer in Chrome trace
@@ -133,73 +104,26 @@ func (o *observability) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSLO serves the SLO tracker's report: per-objective windowed
-// quantile estimates, burn rates and remaining error budget. JSON by
-// default, a self-contained HTML view with ?view=html.
-func (o *observability) handleSLO(w http.ResponseWriter, r *http.Request) {
-	rep := o.slo.Report()
-	if r.URL.Query().Get("view") == "html" {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		if err := writeBlobHTML(w, sloPage, rep); err != nil {
-			slog.Warn("slo html write failed", "err", err)
+// view serves a report as JSON or, when the request says ?view=html, inside
+// the endpoint's self-contained HTML document: the JSON-encoded report fills
+// the page's single %s verb and is rendered client-side, with no external
+// assets.
+func view(page string, report func() any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		rep := report()
+		if r.URL.Query().Get("view") != "html" {
+			writeJSON(w, rep)
+			return
 		}
-		return
-	}
-	writeJSON(w, rep)
-}
-
-// handleHealth serves the node health monitor's per-node scores plus the
-// set of currently degraded nodes. JSON by default, a self-contained HTML
-// view with ?view=html.
-func (o *observability) handleHealth(w http.ResponseWriter, r *http.Request) {
-	rep := map[string]any{
-		"nodes":    o.health.Report(),
-		"degraded": o.health.Degraded(),
-	}
-	if r.URL.Query().Get("view") == "html" {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		if err := writeBlobHTML(w, healthPage, rep); err != nil {
-			slog.Warn("health html write failed", "err", err)
+		blob, err := json.Marshal(rep)
+		if err == nil {
+			_, err = fmt.Fprintf(w, page, blob)
 		}
-		return
-	}
-	writeJSON(w, rep)
-}
-
-// handleProgress serves the transition progress tracker's report: encode
-// backlog, throughput-windowed ETA, the progress curve and the
-// durability-exposure windows. JSON by default, a self-contained HTML view
-// with ?view=html.
-func (o *observability) handleProgress(w http.ResponseWriter, r *http.Request) {
-	rep := o.progress.Report()
-	if r.URL.Query().Get("view") == "html" {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		if err := writeBlobHTML(w, progressPage, rep); err != nil {
-			slog.Warn("progress html write failed", "err", err)
+		if err != nil {
+			slog.Warn("html write failed", "path", r.URL.Path, "err", err)
 		}
-		return
 	}
-	writeJSON(w, rep)
-}
-
-// handleTenants serves the per-tenant resource accounting table: per-op
-// counts, bytes and rolling rates plus cross-/intra-rack fabric splits.
-// JSON by default, a self-contained HTML view with ?view=html.
-func (o *observability) handleTenants(w http.ResponseWriter, r *http.Request) {
-	cross, intra := o.tenants.FabricTotals()
-	rep := map[string]any{
-		"tenants":          o.tenants.Snapshot(),
-		"cross_rack_bytes": cross,
-		"intra_rack_bytes": intra,
-	}
-	if r.URL.Query().Get("view") == "html" {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		if err := writeBlobHTML(w, tenantsPage, rep); err != nil {
-			slog.Warn("tenants html write failed", "err", err)
-		}
-		return
-	}
-	writeJSON(w, rep)
 }
 
 // parseUint parses a uint64 query value, empty meaning def.
@@ -284,27 +208,6 @@ for (const l of (TL.links || [])) {
 }
 </script></body></html>
 `
-
-// writeTimelineHTML renders the self-contained timeline page.
-func writeTimelineHTML(w http.ResponseWriter, tl fabric.Timeline) error {
-	blob, err := json.Marshal(tl)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, timelinePage, blob)
-	return err
-}
-
-// writeBlobHTML renders a self-contained page whose single %s verb takes
-// the JSON-encoded data (same pattern as the timeline page).
-func writeBlobHTML(w http.ResponseWriter, page string, v any) error {
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, page, blob)
-	return err
-}
 
 // sloPage is the self-contained /slo?view=html document: one row per
 // objective with its windowed quantile estimate, burn rate and an error

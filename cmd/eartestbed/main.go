@@ -86,6 +86,7 @@ import (
 	"time"
 
 	"ear/internal/experiments"
+	"ear/internal/planes"
 	"ear/internal/stats"
 	"ear/internal/telemetry"
 )
@@ -136,15 +137,30 @@ func run() error {
 	}
 	base := experiments.TestbedOptions{Stripes: *stripes, Seed: *seed, Tracer: tracer}
 
-	obs := &clusterObserver{
-		start:    time.Now(),
-		audit:    *auditRun,
-		timeline: *timeline != "",
-		health:   *healthMon != "",
-		progress: *progOut != "",
-		tenants:  *tenantsOut != "",
+	// dumps are the per-cluster report files and the plane each one needs.
+	dumps := []struct {
+		path  string
+		plane planes.Which
+		what  string
+	}{
+		{*healthMon, planes.Health, "health"},
+		{*progOut, planes.Progress, "progress"},
+		{*tenantsOut, planes.Tenants, "tenants"},
+		{*auditOut, planes.Audit, "audit"},
 	}
-	if obs.active() {
+	obs := &clusterObserver{start: time.Now()}
+	for _, d := range dumps {
+		if d.path != "" {
+			obs.which |= d.plane
+		}
+	}
+	if *auditRun {
+		obs.which |= planes.Audit
+	}
+	if *timeline != "" {
+		obs.which |= planes.Timeline
+	}
+	if obs.which != 0 {
 		base.ClusterHook = obs.hook
 	}
 
@@ -294,6 +310,7 @@ func run() error {
 		}
 		slog.Info("trace check passed", "multi_component_traces", got, "required", *traceMin)
 	}
+	obs.stop()
 	if *timeline != "" {
 		tl := obs.mergedTimeline()
 		if err := writeJSONFile(*timeline, tl); err != nil {
@@ -301,34 +318,17 @@ func run() error {
 		}
 		slog.Info("timeline written", "path", *timeline, "links", len(tl.Links))
 	}
-	if *healthMon != "" {
-		if err := obs.writeHealthJSON(*healthMon); err != nil {
-			return fmt.Errorf("health write: %w", err)
+	for _, d := range dumps {
+		if d.path == "" {
+			continue
 		}
-		slog.Info("health report written", "path", *healthMon)
-	}
-	if *progOut != "" {
-		if err := obs.writeProgressJSON(*progOut); err != nil {
-			return fmt.Errorf("progress write: %w", err)
+		if err := obs.dump(d.path, d.plane); err != nil {
+			return fmt.Errorf("%s write: %w", d.what, err)
 		}
-		slog.Info("progress report written", "path", *progOut)
-	}
-	if *tenantsOut != "" {
-		if err := obs.writeTenantsJSON(*tenantsOut); err != nil {
-			return fmt.Errorf("tenants write: %w", err)
-		}
-		slog.Info("tenant accounting written", "path", *tenantsOut)
+		slog.Info(d.what+" report written", "path", d.path)
 	}
 	if *auditRun {
-		if *auditOut != "" {
-			if err := obs.writeAuditJSON(*auditOut); err != nil {
-				return fmt.Errorf("audit write: %w", err)
-			}
-			slog.Info("audit report written", "path", *auditOut)
-		}
-		if err := obs.auditReport(); err != nil {
-			return err
-		}
+		return obs.auditReport()
 	}
 	return nil
 }

@@ -7,92 +7,41 @@ import (
 	"sync"
 	"time"
 
-	"ear/internal/events"
 	"ear/internal/events/audit"
 	"ear/internal/fabric"
 	"ear/internal/hdfs"
-	"ear/internal/progress"
-	"ear/internal/tenant"
+	"ear/internal/planes"
 )
 
 // clusterObserver instruments every cluster an experiment builds (testbed
-// experiments build one per policy or per code): with -audit each cluster
-// gets an event journal plus an invariant auditor, with -timeline each
-// cluster's fabric is sampled and the per-cluster timelines are merged on
-// the run's wall clock so the output reads as one experiment-wide series,
-// and with -health each cluster runs a background health monitor whose
-// final per-node scores are dumped at the end.
+// experiments build one per policy or per code) with the planes the command
+// line asked for: -audit the invariant auditor, -progress the transition
+// tracker, -health the background health monitor, -timeline the fabric
+// sampler (the per-cluster timelines are merged on the run's wall clock so
+// the output reads as one experiment-wide series), -tenants the accounting
+// snapshot. An experiment that attaches planes of its own gets these.
 type clusterObserver struct {
-	start    time.Time
-	audit    bool
-	timeline bool
-	health   bool
-	progress bool
-	tenants  bool
+	start time.Time
+	which planes.Which
 
-	mu        sync.Mutex
-	auditors  []*audit.Auditor
-	labels    []string
-	policies  []string
-	samplers  []*fabric.Sampler
-	offsets   []float64
-	monitors  []*hdfs.HealthMonitor
-	monLabels []string
-	trackers  []*progress.Tracker
-	trkLabels []string
-	tables    []*tenant.Table
-	tabLabels []string
-}
-
-// active reports whether the observer has anything to do.
-func (o *clusterObserver) active() bool {
-	return o.audit || o.timeline || o.health || o.progress || o.tenants
+	mu   sync.Mutex
+	sets []*planes.Set
 }
 
 // hook is the TestbedOptions.ClusterHook: called once per cluster built.
 func (o *clusterObserver) hook(c *hdfs.Cluster) {
-	cfg := c.Config()
-	label := fmt.Sprintf("%s (%d,%d)", cfg.Policy, cfg.N, cfg.K)
+	s := planes.Attach(c, o.which)
+	o.mu.Lock()
+	o.sets = append(o.sets, s)
+	o.mu.Unlock()
+}
+
+// stop ends every cluster's background loops; reports stay readable.
+func (o *clusterObserver) stop() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.audit || o.health || o.progress {
-		// The auditor, the health monitor and the progress tracker all feed
-		// off the journal.
-		j := events.NewJournal(0)
-		c.SetJournal(j)
-		if o.audit {
-			a := audit.New(c.Topology(), audit.Config{
-				Replicas:      cfg.Replicas,
-				C:             cfg.C,
-				CheckCoreRack: cfg.Policy == "ear",
-			})
-			a.Attach(j)
-			o.auditors = append(o.auditors, a)
-			o.labels = append(o.labels, label)
-			o.policies = append(o.policies, cfg.Policy)
-		}
-		if o.health {
-			m := hdfs.NewHealthMonitor(c, hdfs.HealthConfig{})
-			m.Start()
-			o.monitors = append(o.monitors, m)
-			o.monLabels = append(o.monLabels, label)
-		}
-		if o.progress {
-			p := progress.New(progress.Config{Replicas: cfg.Replicas, Policy: cfg.Policy})
-			p.Attach(j)
-			o.trackers = append(o.trackers, p)
-			o.trkLabels = append(o.trkLabels, label)
-		}
-	}
-	if o.tenants {
-		o.tables = append(o.tables, c.Tenants())
-		o.tabLabels = append(o.tabLabels, label)
-	}
-	if o.timeline {
-		s := fabric.NewSampler(c.Fabric(), 0)
-		s.Start()
-		o.samplers = append(o.samplers, s)
-		o.offsets = append(o.offsets, time.Since(o.start).Seconds())
+	for _, s := range o.sets {
+		s.Stop()
 	}
 }
 
@@ -109,10 +58,10 @@ func (o *clusterObserver) auditReport() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	failures := 0
-	for i, a := range o.auditors {
-		r := a.Report()
+	for _, s := range o.sets {
+		r := s.Auditor.Report()
 		fmt.Printf("audit %-16s events=%d blocks=%d stripes=%d encoded=%d ongoing=%d transient=%d clean=%v\n",
-			o.labels[i], r.Events, r.Blocks, r.Stripes, r.Encoded,
+			s.Label, r.Events, r.Blocks, r.Stripes, r.Encoded,
 			len(r.Ongoing), len(r.Transient), r.Clean)
 		for _, v := range append(append([]audit.Violation(nil), r.Ongoing...), r.Transient...) {
 			state := "ONGOING"
@@ -123,7 +72,7 @@ func (o *clusterObserver) auditReport() error {
 				state, v.Invariant, v.Stripe, v.Block, v.OpenedSeq, v.LastSeq, v.ResolvedSeq, v.Detail)
 		}
 		switch {
-		case o.policies[i] == "ear" && r.Total() > 0:
+		case s.Policy == "ear" && r.Total() > 0:
 			failures += r.Total()
 		case len(r.Ongoing) > 0:
 			failures += len(r.Ongoing)
@@ -135,90 +84,24 @@ func (o *clusterObserver) auditReport() error {
 	return nil
 }
 
-// writeAuditJSON writes the per-cluster audit reports to path.
-func (o *clusterObserver) writeAuditJSON(path string) error {
+// dump writes every cluster's labelled report of one plane to path.
+func (o *clusterObserver) dump(path string, plane planes.Which) error {
 	o.mu.Lock()
-	type entry struct {
-		Cluster string       `json:"cluster"`
-		Report  audit.Report `json:"report"`
-	}
-	out := make([]entry, len(o.auditors))
-	for i, a := range o.auditors {
-		out[i] = entry{Cluster: o.labels[i], Report: a.Report()}
+	out := make([]planes.Labelled, len(o.sets))
+	for i, s := range o.sets {
+		out[i] = s.Report(plane)
 	}
 	o.mu.Unlock()
 	return writeJSONFile(path, out)
 }
 
-// writeHealthJSON stops every health monitor and writes the final
-// per-cluster node scores to path.
-func (o *clusterObserver) writeHealthJSON(path string) error {
-	o.mu.Lock()
-	type entry struct {
-		Cluster  string            `json:"cluster"`
-		Nodes    []hdfs.NodeHealth `json:"nodes"`
-		Degraded []int             `json:"degraded"`
-	}
-	out := make([]entry, len(o.monitors))
-	for i, m := range o.monitors {
-		m.Stop()
-		e := entry{Cluster: o.monLabels[i], Nodes: m.Report(), Degraded: []int{}}
-		for _, n := range m.Degraded() {
-			e.Degraded = append(e.Degraded, int(n))
-		}
-		out[i] = e
-	}
-	o.mu.Unlock()
-	return writeJSONFile(path, out)
-}
-
-// writeProgressJSON writes the per-cluster transition progress reports to
-// path.
-func (o *clusterObserver) writeProgressJSON(path string) error {
-	o.mu.Lock()
-	type entry struct {
-		Cluster string          `json:"cluster"`
-		Report  progress.Report `json:"report"`
-	}
-	out := make([]entry, len(o.trackers))
-	for i, p := range o.trackers {
-		out[i] = entry{Cluster: o.trkLabels[i], Report: p.Report()}
-	}
-	o.mu.Unlock()
-	return writeJSONFile(path, out)
-}
-
-// writeTenantsJSON writes the per-cluster tenant accounting snapshots to
-// path.
-func (o *clusterObserver) writeTenantsJSON(path string) error {
-	o.mu.Lock()
-	type entry struct {
-		Cluster        string               `json:"cluster"`
-		Tenants        []tenant.TenantStats `json:"tenants"`
-		CrossRackBytes int64                `json:"cross_rack_bytes"`
-		IntraRackBytes int64                `json:"intra_rack_bytes"`
-	}
-	out := make([]entry, len(o.tables))
-	for i, t := range o.tables {
-		cross, intra := t.FabricTotals()
-		out[i] = entry{
-			Cluster: o.tabLabels[i], Tenants: t.Snapshot(),
-			CrossRackBytes: cross, IntraRackBytes: intra,
-		}
-	}
-	o.mu.Unlock()
-	return writeJSONFile(path, out)
-}
-
-// mergedTimeline stops every sampler and merges the per-cluster timelines
-// onto the shared run clock.
+// mergedTimeline merges the per-cluster timelines onto the shared run clock.
 func (o *clusterObserver) mergedTimeline() fabric.Timeline {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	var tl fabric.Timeline
-	for i, s := range o.samplers {
-		s.Stop()
-		tl.Merge(s.Timeline(), o.offsets[i])
+	for _, s := range o.sets {
+		tl.Merge(s.Sampler.Timeline(), s.Attached.Sub(o.start).Seconds())
 	}
 	return tl
 }

@@ -197,12 +197,21 @@ type Journal struct {
 	buf   []Event // ring storage, len == capacity
 	next  int     // ring slot the next event lands in
 	count int     // live events, <= len(buf)
-	subs  map[int]func(Event)
+	// subs holds the synchronous observers in subscription order.
+	subs  []subscriber
 	subID int
+	// planes is the slot internal/planes keeps its per-journal set in.
+	planes any
 
 	// published counts total events ever accepted, readable without the
 	// lock (overhead-sensitive callers poll it).
 	published atomic.Uint64
+}
+
+// subscriber is one synchronous observer; id lets its cancel find it.
+type subscriber struct {
+	id int
+	fn func(Event)
 }
 
 // NewJournal creates a journal retaining at most capacity events
@@ -214,7 +223,6 @@ func NewJournal(capacity int) *Journal {
 	return &Journal{
 		epoch: time.Now(),
 		buf:   make([]Event, capacity),
-		subs:  make(map[int]func(Event)),
 	}
 }
 
@@ -238,8 +246,8 @@ func (j *Journal) Publish(e Event) {
 	if j.count < len(j.buf) {
 		j.count++
 	}
-	for _, fn := range j.subs {
-		fn(e)
+	for _, s := range j.subs {
+		s.fn(e)
 	}
 	j.mu.Unlock()
 	j.published.Add(1)
@@ -255,13 +263,34 @@ func (j *Journal) Subscribe(fn func(Event)) (cancel func()) {
 	j.mu.Lock()
 	j.subID++
 	id := j.subID
-	j.subs[id] = fn
+	j.subs = append(j.subs, subscriber{id, fn})
 	j.mu.Unlock()
 	return func() {
 		j.mu.Lock()
-		delete(j.subs, id)
-		j.mu.Unlock()
+		defer j.mu.Unlock()
+		for i, s := range j.subs {
+			if s.id == id {
+				j.subs = append(j.subs[:i], j.subs[i+1:]...)
+				return
+			}
+		}
 	}
+}
+
+// Planes returns the value kept with this journal, storing fresh first if
+// there is none yet. It is how a second attachment to one journal finds the
+// planes the first one created instead of stacking duplicates (see
+// internal/planes); a nil journal keeps nothing and returns fresh.
+func (j *Journal) Planes(fresh any) any {
+	if j == nil {
+		return fresh
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.planes == nil {
+		j.planes = fresh
+	}
+	return j.planes
 }
 
 // Seq returns the sequence number of the most recent event (0 when empty).

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"ear/internal/events"
-	"ear/internal/events/audit"
 	"ear/internal/hdfs"
+	"ear/internal/planes"
 	"ear/internal/topology"
 )
 
@@ -131,16 +131,9 @@ func RunCrashRecover(opts CrashOptions) (*CrashReport, error) {
 	opts.apply(c)
 	recoverDur := time.Since(start)
 
-	j := events.NewJournal(1 << 15)
-	a := audit.New(c.Topology(), audit.Config{
-		Replicas:      c.Config().Replicas,
-		C:             c.Config().C,
-		CheckCoreRack: true,
-	})
-	defer a.Attach(j)()
-	c.SetJournal(j)
+	pl := planes.Attach(c, planes.Audit)
 	nn := c.NameNode()
-	nn.PublishRecoveredState(j)
+	nn.PublishRecoveredState(pl.Journal)
 
 	rep := &CrashReport{
 		ReplayedOps:   nn.RecoveredOps(),
@@ -181,7 +174,7 @@ func RunCrashRecover(opts CrashOptions) (*CrashReport, error) {
 	}
 	rep.FreshBlocks = fresh
 
-	arep := a.Report()
+	arep := pl.Auditor.Report()
 	rep.Violations = arep.Total()
 	if !arep.Clean {
 		return rep, fmt.Errorf("recovered state fails audit: %d ongoing, %d transient violations",

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ear/internal/events"
 	"ear/internal/events/audit"
 	"ear/internal/hdfs"
+	"ear/internal/planes"
 	"ear/internal/progress"
 )
 
@@ -53,19 +53,7 @@ func RunNodeFail(opts TestbedOptions) (*NodeFailResult, error) {
 	defer c.Close()
 	opts.apply(c)
 
-	jrn := c.Journal()
-	if jrn == nil {
-		jrn = events.NewJournal(0)
-		c.SetJournal(jrn)
-	}
-	aud := audit.New(c.Topology(), audit.Config{
-		Replicas:      cfg.Replicas,
-		C:             cfg.C,
-		CheckCoreRack: true,
-	})
-	defer aud.Attach(jrn)()
-	prog := progress.New(progress.Config{Replicas: cfg.Replicas, Policy: cfg.Policy})
-	defer prog.Attach(jrn)()
+	pl := planes.Attach(c, planes.Audit|planes.Progress)
 
 	rng := rand.New(rand.NewSource(opts.Seed + 131))
 	if _, err := populate(c, opts.Stripes, rng); err != nil {
@@ -89,7 +77,7 @@ func RunNodeFail(opts TestbedOptions) (*NodeFailResult, error) {
 		return nil, fmt.Errorf("%w: nothing encoded, no node worth killing", ErrBadOptions)
 	}
 	c.NameNode().MarkDead(dead)
-	if prog.Report().BlocksAtRisk == 0 {
+	if pl.Tracker.Report().BlocksAtRisk == 0 {
 		return nil, fmt.Errorf("node %d died holding stripe members, but the progress tracker opened no exposure windows", dead)
 	}
 
@@ -129,7 +117,7 @@ func RunNodeFail(opts TestbedOptions) (*NodeFailResult, error) {
 		}
 	}
 
-	res := &NodeFailResult{Stats: stats, Audit: aud.Report(), Progress: prog.Report()}
+	res := &NodeFailResult{Stats: stats, Audit: pl.Auditor.Report(), Progress: pl.Tracker.Report()}
 	if v := res.Audit.Ongoing; len(v) > 0 {
 		return nil, fmt.Errorf("auditor reports %d ongoing violations after recovery, first: %s",
 			len(v), v[0].Detail)

@@ -40,9 +40,6 @@ type TestbedOptions struct {
 	// experiments reproduce and therefore select unless this is set (it
 	// maps to hdfs.Config.GatherEncode = !PipelinedEncode).
 	PipelinedEncode bool
-	// PipelineChunkBytes pins the chain engine's slice (0 = derived per
-	// fold from the link rate, see hdfs.Config.PipelineChunkBytes).
-	PipelineChunkBytes int
 	// C bounds blocks of one stripe per rack after encoding (default 1,
 	// the paper's setting; multi-node-rack geometries need more so a
 	// stripe fits in the cluster).
@@ -51,10 +48,9 @@ type TestbedOptions struct {
 	// builds, so encoding jobs emit per-phase spans (eartestbed -trace).
 	Tracer *telemetry.Tracer
 	// ClusterHook, when non-nil, runs on every cluster the experiment
-	// builds, right after construction and before any traffic. It is the
-	// attachment point for observability that needs the cluster itself —
-	// event journals, auditors, fabric samplers (eartestbed -audit,
-	// -timeline).
+	// builds, right after construction and before any traffic. eartestbed
+	// uses it to planes.Attach what its flags ask for (-audit, -timeline,
+	// ...); an experiment that attaches planes itself then reuses those.
 	ClusterHook func(*hdfs.Cluster)
 }
 
@@ -123,7 +119,6 @@ func (o TestbedOptions) clusterConfig(policy string, n, k int) hdfs.Config {
 		MapTasks:                 o.MapTasks,
 		Seed:                     o.Seed,
 		GatherEncode:             !o.PipelinedEncode,
-		PipelineChunkBytes:       o.PipelineChunkBytes,
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ear/internal/events"
 	"ear/internal/events/audit"
 	"ear/internal/hdfs"
+	"ear/internal/planes"
 	"ear/internal/progress"
 	"ear/internal/tenant"
 	"ear/internal/topology"
@@ -66,22 +66,9 @@ func runTransitionPolicy(opts TransitionOptions, policy string) (PolicyTransitio
 	defer c.Close()
 	opts.apply(c)
 
-	// Reuse a journal installed by TestbedOptions.ClusterHook (eartestbed
-	// -audit and friends attach their own observers to it); otherwise
-	// create one.
-	jrn := c.Journal()
-	if jrn == nil {
-		jrn = events.NewJournal(0)
-		c.SetJournal(jrn)
-	}
-	aud := audit.New(c.Topology(), audit.Config{
-		Replicas:      cfg.Replicas,
-		C:             cfg.C,
-		CheckCoreRack: policy == "ear",
-	})
-	aud.Attach(jrn)
-	prog := progress.New(progress.Config{Replicas: cfg.Replicas, Policy: policy})
-	prog.Attach(jrn)
+	// The planes a TestbedOptions.ClusterHook attached (eartestbed -audit
+	// and friends) are reused, not doubled.
+	pl := planes.Attach(c, planes.Audit|planes.Progress)
 
 	// Populate with tenant-tagged writes, round-robin across the tenant
 	// set, until the requested stripes seal. Unthrottled like populate();
@@ -118,7 +105,7 @@ func runTransitionPolicy(opts TransitionOptions, policy string) (PolicyTransitio
 		}
 	}
 
-	mid := prog.Report()
+	mid := pl.Tracker.Report()
 	if mid.FractionEncoded != 0 {
 		return res, fmt.Errorf("progress tracker reports %.2f encoded before the transition started",
 			mid.FractionEncoded)
@@ -130,8 +117,8 @@ func runTransitionPolicy(opts TransitionOptions, policy string) (PolicyTransitio
 		return res, err
 	}
 
-	res.Progress = prog.Report()
-	res.Audit = aud.Report()
+	res.Progress = pl.Tracker.Report()
+	res.Audit = pl.Auditor.Report()
 	res.Tenants = c.Tenants().Snapshot()
 	snap := c.Fabric().Snapshot()
 	res.FabricCrossBytes = snap.CrossRackBytes

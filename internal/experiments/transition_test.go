@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"ear/internal/events/audit"
+	"ear/internal/hdfs"
+	"ear/internal/planes"
 	"ear/internal/progress"
 )
 
@@ -110,5 +113,49 @@ func TestTransitionProgressReportShape(t *testing.T) {
 	rep := p.Report()
 	if rep.FractionEncoded != 0 || rep.TotalStripes != 0 || rep.ETASeconds != 0 {
 		t.Fatalf("fresh tracker not empty: %+v", rep)
+	}
+}
+
+// TestExperimentReusesHookPlanes is eartestbed's double attach: the cluster
+// hook attaches an auditor, then RunNodeFail asks for an auditor and a
+// tracker. The experiment must read the hook's auditor and add its tracker to
+// the hook's set, one of each on the journal, so both handles report the same.
+func TestExperimentReusesHookPlanes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("testbed experiment in -short mode")
+	}
+	var hooked *planes.Set
+	var hookedAuditor *audit.Auditor
+	opts := fastTestbed()
+	opts.ClusterHook = func(c *hdfs.Cluster) {
+		hooked = planes.Attach(c, planes.Audit)
+		hookedAuditor = hooked.Auditor
+	}
+	res, err := RunNodeFail(opts)
+	if err != nil {
+		t.Fatalf("RunNodeFail: %v", err)
+	}
+	if hooked == nil || hooked.Auditor != hookedAuditor {
+		t.Fatal("the experiment replaced the hook's auditor")
+	}
+	if hooked.Tracker == nil {
+		t.Fatal("the experiment's tracker did not join the hook's set")
+	}
+	if got := hooked.Auditor.Report(); !reflect.DeepEqual(got, res.Audit) {
+		t.Errorf("audit reports differ:\nhook       %+v\nexperiment %+v", got, res.Audit)
+	}
+	got := hooked.Tracker.Report()
+	if got.Events != res.Progress.Events || got.Events != hooked.Journal.Seq() {
+		t.Errorf("tracker saw %d events by the hook's handle, %d by the experiment's, journal has %d",
+			got.Events, res.Progress.Events, hooked.Journal.Seq())
+	}
+	if len(got.ExposureWindows) == 0 || len(got.ExposureWindows) != len(res.Progress.ExposureWindows) {
+		t.Fatalf("exposure windows: hook %d, experiment %d, want equal and > 0 (a node died)",
+			len(got.ExposureWindows), len(res.Progress.ExposureWindows))
+	}
+	for i, w := range got.ExposureWindows {
+		if e := res.Progress.ExposureWindows[i]; w.OpenedSeq != e.OpenedSeq || w.ResolvedSeq != e.ResolvedSeq || w.Block != e.Block {
+			t.Errorf("window %d: hook %+v, experiment %+v", i, w, e)
+		}
 	}
 }

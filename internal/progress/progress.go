@@ -6,9 +6,9 @@
 //
 // A Tracker subscribes to an events.Journal (the same attachment contract
 // as the audit.Auditor: synchronous, O(1)-ish per event, never calls back
-// into the journal) and maintains a per-stripe lifecycle state machine —
-// allocated → grouped → encode-started → encoded → replica-cleaned — from
-// which it derives:
+// into the journal) and runs its own instance of the layout engine
+// (internal/events/layout: the event-sourced model of blocks, stripes and
+// the dead set, plus the window ledger), from which it derives:
 //
 //   - the encode backlog: stripes and bytes grouped but not yet encoded,
 //   - a throughput-windowed ETA: encoded bytes/s over a trailing sample
@@ -20,12 +20,15 @@
 //     as the hdfs_blocks_at_risk gauge and the hdfs_exposure_seconds
 //     histogram.
 //
-// The at-risk state machine deliberately mirrors the auditor's
-// replica-count and partial-delete invariants, transition for transition
-// (same suspension rules while an encode is in flight, same event scoping),
-// so every exposure window the tracker reports corresponds one-to-one to an
-// auditor violation window — the integration tests assert the sequence
-// numbers match exactly.
+// The exposure ledger is the engine restricted to the two durability
+// invariants, replica-count and partial-delete — the predicates, suspension
+// rules, event scoping and ledger the auditor runs, not a copy of them —
+// with one difference, layout.Rules.LiveOnly: the ledger counts only
+// replicas on nodes not marked dead, the auditor counts recorded placement.
+// So while no node is dead every exposure window is an auditor violation
+// window with the same opening and resolving sequence numbers (the
+// integration tests assert that), and a node death opens exposure windows
+// here that the auditor, rightly, never sees.
 //
 // Restarts are survived for free: the PR-7 metadata plane republishes the
 // recovered layout (PublishRecoveredState) into the new process's journal
@@ -36,11 +39,11 @@
 package progress
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
 	"ear/internal/events"
+	"ear/internal/events/layout"
 	"ear/internal/telemetry"
 	"ear/internal/topology"
 )
@@ -54,15 +57,14 @@ type Config struct {
 	Policy string
 }
 
-// Invariant names for risk windows, matching the auditor's.
+// Invariant names for risk windows: the engine's.
 const (
-	RiskReplicaCount  = "replica-count"
-	RiskPartialDelete = "partial-delete"
+	RiskReplicaCount  = string(layout.ReplicaCount)
+	RiskPartialDelete = string(layout.PartialDelete)
 )
 
 // RiskWindow is one durability exposure: the interval during which a block
-// (or an encoded stripe's member) sat below its target redundancy. Sequence
-// numbers match the auditor's violation windows for the same invariant.
+// (or an encoded stripe's member) sat below its target redundancy.
 type RiskWindow struct {
 	Invariant string            `json:"invariant"`
 	Stripe    topology.StripeID `json:"stripe"`
@@ -130,25 +132,6 @@ type Report struct {
 	Recovering bool `json:"recovering,omitempty"`
 }
 
-// blockState mirrors the auditor's per-block model (plus the size needed
-// for byte-level backlog accounting).
-type blockState struct {
-	replicas  map[topology.NodeID]bool
-	stripe    topology.StripeID
-	size      int64
-	committed bool
-	aborted   bool
-	encoded   bool
-}
-
-// stripeState mirrors the auditor's per-stripe model plus byte totals.
-type stripeState struct {
-	blocks   []topology.BlockID
-	bytes    int64
-	encoding bool
-	encoded  bool
-}
-
 // throughput sampling geometry: rate over the trailing rateWindow of
 // samples recorded at each StripeEncoded.
 const (
@@ -173,27 +156,13 @@ type Tracker struct {
 	start  time.Time
 	events uint64
 
-	blocks  map[topology.BlockID]*blockState
-	stripes map[topology.StripeID]*stripeState
-	// dead holds nodes currently marked dead: their replicas stay in the
-	// block model (MarkAlive revives them) but count as unavailable for
-	// every durability check, so a node death opens exposure windows that
-	// repair (or revival) closes.
-	dead map[topology.NodeID]bool
-
-	totalStripes   int
-	encodedStripes int
-	totalBytes     int64
-	encodedBytes   int64
+	// eng is the layout model and the exposure ledger: the two durability
+	// invariants over live replicas.
+	eng *layout.Engine
 
 	samples []sample // ring, newest last
 	curve   []CurvePoint
 	stride  int // curve decimation stride
-
-	// open maps a risk key to its index in windows; closed windows keep
-	// their slot (the auditor's open/all idiom).
-	open    map[string]int
-	windows []RiskWindow
 
 	recovering bool
 
@@ -216,13 +185,15 @@ func New(cfg Config) *Tracker {
 		cfg.Policy = "unknown"
 	}
 	t := &Tracker{
-		cfg:     cfg,
-		blocks:  make(map[topology.BlockID]*blockState),
-		stripes: make(map[topology.StripeID]*stripeState),
-		dead:    make(map[topology.NodeID]bool),
-		open:    make(map[string]int),
-		stride:  1,
-		now:     time.Now,
+		cfg:    cfg,
+		eng:    layout.New(layout.Rules{Replicas: cfg.Replicas, LiveOnly: true}),
+		stride: 1,
+		now:    time.Now,
+	}
+	t.eng.OnResolve = func(w *layout.Window) {
+		if t.mExposure != nil {
+			t.mExposure.Observe(w.ResolvedWall.Sub(w.OpenedWall).Seconds())
+		}
 	}
 	t.start = t.now()
 	return t
@@ -269,123 +240,32 @@ func (t *Tracker) Observe(e events.Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.events++
-
+	if e.Wall.IsZero() {
+		e.Wall = t.now()
+	}
 	switch e.Type {
-	case events.BlockAllocated:
-		b := t.block(e.Block)
-		if e.Bytes > 0 {
-			b.size = e.Bytes
-		}
-		for _, n := range e.Nodes {
-			b.replicas[n] = true
-		}
-	case events.ReplicaWritten:
-		t.block(e.Block).replicas[e.Node] = true
-	case events.BlockCommitted:
-		b := t.block(e.Block)
-		b.committed = true
-		if len(e.Nodes) > 0 {
-			b.replicas = make(map[topology.NodeID]bool, len(e.Nodes))
-			for _, n := range e.Nodes {
-				b.replicas[n] = true
-			}
-		}
-	case events.BlockAborted:
-		b := t.block(e.Block)
-		b.aborted = true
-		b.replicas = make(map[topology.NodeID]bool)
-	case events.StripeGrouped:
-		s := t.stripe(e.Stripe)
-		if len(s.blocks) == 0 {
-			t.totalStripes++
-		} else {
-			t.totalBytes -= s.bytes // regroup: replace, don't double-count
-		}
-		s.blocks = append([]topology.BlockID(nil), e.Blocks...)
-		s.bytes = 0
-		for _, id := range e.Blocks {
-			b := t.block(id)
-			b.stripe = e.Stripe
-			s.bytes += b.size
-		}
-		t.totalBytes += s.bytes
-	case events.StripeEncodeStarted:
-		t.stripe(e.Stripe).encoding = true
-	case events.StripeEncoded:
-		s := t.stripe(e.Stripe)
-		s.encoding = false
-		if !s.encoded {
-			s.encoded = true
-			t.encodedStripes++
-			t.encodedBytes += s.bytes
-			if !t.recovering {
-				t.recordEncodeLocked(e.Wall)
-			}
-		}
-		for _, id := range s.blocks {
-			t.block(id).encoded = true
-		}
-	case events.ReplicaDeleted:
-		delete(t.block(e.Block).replicas, e.Node)
-	case events.ReplicaRelocated:
-		if e.Detail != "parity" {
-			b := t.block(e.Block)
-			delete(b.replicas, e.Node)
-			b.replicas[e.Peer] = true
-		}
-	case events.RepairFinished:
-		// Parity repairs publish with Block unset (Detail "parity"): they
-		// restore stripe redundancy but are not a block replica.
-		if e.Block != events.NoneBlock {
-			t.block(e.Block).replicas[e.Node] = true
-		}
-	case events.NodeDead:
-		t.dead[e.Node] = true
-		t.recheckAllLocked(e)
-	case events.NodeAlive:
-		delete(t.dead, e.Node)
-		t.recheckAllLocked(e)
 	case events.MetaRecoveryStarted:
 		t.recovering = true
 	case events.MetaRecovered:
 		t.recovering = false
 	}
-
-	t.checkRiskLocked(e)
-	t.updateGaugesLocked()
-}
-
-// block returns (creating) the model entry for id.
-func (t *Tracker) block(id topology.BlockID) *blockState {
-	b, ok := t.blocks[id]
-	if !ok {
-		b = &blockState{replicas: make(map[topology.NodeID]bool), stripe: events.NoneStripe}
-		t.blocks[id] = b
+	before := t.eng.Totals().Encoded
+	t.eng.Observe(e)
+	tot := t.eng.Totals()
+	if tot.Encoded > before && !t.recovering {
+		t.recordEncodeLocked(e.Wall, tot)
 	}
-	return b
-}
-
-// stripe returns (creating) the model entry for id.
-func (t *Tracker) stripe(id topology.StripeID) *stripeState {
-	s, ok := t.stripes[id]
-	if !ok {
-		s = &stripeState{}
-		t.stripes[id] = s
-	}
-	return s
+	t.updateGaugesLocked(tot)
 }
 
 // recordEncodeLocked adds a throughput sample and a curve point for one
 // newly encoded stripe.
-func (t *Tracker) recordEncodeLocked(wall time.Time) {
-	if wall.IsZero() {
-		wall = t.now()
-	}
-	t.samples = append(t.samples, sample{t: wall, bytes: t.encodedBytes})
+func (t *Tracker) recordEncodeLocked(wall time.Time, tot layout.Totals) {
+	t.samples = append(t.samples, sample{t: wall, bytes: tot.EncodedBytes})
 	if len(t.samples) > maxSamples {
 		t.samples = t.samples[len(t.samples)-maxSamples:]
 	}
-	if t.encodedStripes%t.stride != 0 && t.encodedStripes != t.totalStripes {
+	if tot.Encoded%t.stride != 0 && tot.Encoded != tot.Grouped {
 		return
 	}
 	if len(t.curve) >= maxCurvePoints {
@@ -396,158 +276,43 @@ func (t *Tracker) recordEncodeLocked(wall time.Time) {
 		t.curve = kept
 		t.stride *= 2
 	}
-	frac := 0.0
-	if t.totalStripes > 0 {
-		frac = float64(t.encodedStripes) / float64(t.totalStripes)
-	}
 	t.curve = append(t.curve, CurvePoint{
 		Seconds:        wall.Sub(t.start).Seconds(),
-		EncodedStripes: t.encodedStripes,
-		TotalStripes:   t.totalStripes,
-		Fraction:       frac,
-		EncodedBytes:   t.encodedBytes,
+		EncodedStripes: tot.Encoded,
+		TotalStripes:   tot.Grouped,
+		Fraction:       fraction(tot),
+		EncodedBytes:   tot.EncodedBytes,
 	})
 }
 
-// liveCountLocked counts the block's replicas on nodes not currently dead.
-func (t *Tracker) liveCountLocked(b *blockState) int {
-	n := 0
-	for node := range b.replicas {
-		if !t.dead[node] {
-			n++
-		}
+// fraction is the share of grouped stripes already encoded.
+func fraction(tot layout.Totals) float64 {
+	if tot.Grouped == 0 {
+		return 0
 	}
-	return n
-}
-
-// recheckAllLocked re-evaluates every tracked durability exposure — the
-// liveness transitions affect every block a node hosts, so the per-event
-// scoping of checkRiskLocked is not enough.
-func (t *Tracker) recheckAllLocked(e events.Event) {
-	for id := range t.blocks {
-		t.checkReplicaRiskLocked(id, e)
-	}
-	for sid, s := range t.stripes {
-		t.checkPartialDeleteRiskLocked(sid, s, e)
-	}
-}
-
-// checkRiskLocked re-evaluates the durability exposures the event can
-// affect, with exactly the auditor's scoping: the event's block first, then
-// every member of the event's (or the block's) stripe.
-func (t *Tracker) checkRiskLocked(e events.Event) {
-	sid := e.Stripe
-	if sid == events.NoneStripe && e.Block != events.NoneBlock {
-		if b, ok := t.blocks[e.Block]; ok {
-			sid = b.stripe
-		}
-	}
-	if e.Block != events.NoneBlock {
-		t.checkReplicaRiskLocked(e.Block, e)
-	}
-	if sid == events.NoneStripe {
-		return
-	}
-	s, ok := t.stripes[sid]
-	if !ok {
-		return
-	}
-	for _, id := range s.blocks {
-		t.checkReplicaRiskLocked(id, e)
-	}
-	t.checkPartialDeleteRiskLocked(sid, s, e)
-}
-
-// checkReplicaRiskLocked mirrors the auditor's replica-count invariant: a
-// committed, pre-encode block keeps >= r replicas, the check suspended
-// while its stripe encodes and once it is encoded.
-func (t *Tracker) checkReplicaRiskLocked(id topology.BlockID, e events.Event) {
-	b, ok := t.blocks[id]
-	if !ok {
-		return
-	}
-	key := fmt.Sprintf("%s/b%d", RiskReplicaCount, id)
-	suspended := b.aborted || b.encoded || !b.committed
-	if s, ok := t.stripes[b.stripe]; ok && (s.encoding || s.encoded) {
-		suspended = true
-	}
-	atRisk := !suspended && t.liveCountLocked(b) < t.cfg.Replicas
-	t.setRiskLocked(key, atRisk, e, RiskWindow{
-		Invariant: RiskReplicaCount,
-		Stripe:    b.stripe,
-		Block:     id,
-	})
-}
-
-// checkPartialDeleteRiskLocked mirrors the auditor's partial-delete
-// invariant: post-encode, every non-aborted member keeps >= 1 replica.
-func (t *Tracker) checkPartialDeleteRiskLocked(sid topology.StripeID, s *stripeState, e events.Event) {
-	key := fmt.Sprintf("%s/s%d", RiskPartialDelete, sid)
-	lost := events.NoneBlock
-	if s.encoded {
-		for _, id := range s.blocks {
-			if b, ok := t.blocks[id]; ok && !b.aborted && t.liveCountLocked(b) == 0 {
-				lost = id
-				break
-			}
-		}
-	}
-	t.setRiskLocked(key, lost != events.NoneBlock, e, RiskWindow{
-		Invariant: RiskPartialDelete,
-		Stripe:    sid,
-		Block:     lost,
-	})
-}
-
-// setRiskLocked opens or closes the exposure window identified by key (the
-// auditor's setState idiom), observing the closed duration into the
-// exposure histogram.
-func (t *Tracker) setRiskLocked(key string, atRisk bool, e events.Event, proto RiskWindow) {
-	idx, isOpen := t.open[key]
-	switch {
-	case atRisk && !isOpen:
-		proto.OpenedSeq = e.Seq
-		proto.OpenedWall = e.Wall
-		if proto.OpenedWall.IsZero() {
-			proto.OpenedWall = t.now()
-		}
-		t.windows = append(t.windows, proto)
-		t.open[key] = len(t.windows) - 1
-	case !atRisk && isOpen:
-		w := &t.windows[idx]
-		w.ResolvedSeq = e.Seq
-		w.ResolvedWall = e.Wall
-		if w.ResolvedWall.IsZero() {
-			w.ResolvedWall = t.now()
-		}
-		w.Seconds = w.ResolvedWall.Sub(w.OpenedWall).Seconds()
-		if t.mExposure != nil {
-			t.mExposure.Observe(w.Seconds)
-		}
-		delete(t.open, key)
-	}
+	return float64(tot.Encoded) / float64(tot.Grouped)
 }
 
 // updateGaugesLocked refreshes the registered gauges.
-func (t *Tracker) updateGaugesLocked() {
+func (t *Tracker) updateGaugesLocked(tot layout.Totals) {
 	if t.mAtRisk == nil {
 		return
 	}
-	t.mAtRisk.Set(float64(len(t.open)))
-	t.mBacklogS.Set(float64(t.totalStripes - t.encodedStripes))
-	t.mBacklogB.Set(float64(t.totalBytes - t.encodedBytes))
-	if t.totalStripes > 0 {
-		t.mFraction.Set(float64(t.encodedStripes) / float64(t.totalStripes))
+	t.mAtRisk.Set(float64(t.eng.Open()))
+	t.mBacklogS.Set(float64(tot.Grouped - tot.Encoded))
+	t.mBacklogB.Set(float64(tot.Bytes - tot.EncodedBytes))
+	if tot.Grouped > 0 {
+		t.mFraction.Set(fraction(tot))
 	}
 }
 
 // rateLocked computes the trailing-window encode throughput in bytes/s.
-func (t *Tracker) rateLocked() float64 {
+func (t *Tracker) rateLocked(encodedBytes int64) float64 {
 	if len(t.samples) < 2 {
 		// One (or zero) samples: fall back to lifetime average.
-		if t.encodedBytes > 0 {
+		if encodedBytes > 0 {
 			if el := t.now().Sub(t.start).Seconds(); el > 0 {
-				return float64(t.encodedBytes) / el
+				return float64(encodedBytes) / el
 			}
 		}
 		return 0
@@ -573,29 +338,24 @@ func (t *Tracker) Report() Report {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.now()
+	tot := t.eng.Totals()
 
 	r := Report{
-		Policy:         t.cfg.Policy,
-		Events:         t.events,
-		TotalStripes:   t.totalStripes,
-		EncodedStripes: t.encodedStripes,
-		TotalBytes:     t.totalBytes,
-		EncodedBytes:   t.encodedBytes,
-		Recovering:     t.recovering,
-	}
-	for _, s := range t.stripes {
-		if s.encoding && !s.encoded {
-			r.EncodingStripes++
-		}
-	}
-	r.PendingStripes = t.totalStripes - t.encodedStripes - r.EncodingStripes
-	r.BacklogStripes = t.totalStripes - t.encodedStripes
-	r.BacklogBytes = t.totalBytes - t.encodedBytes
-	if t.totalStripes > 0 {
-		r.FractionEncoded = float64(t.encodedStripes) / float64(t.totalStripes)
+		Policy:          t.cfg.Policy,
+		Events:          t.events,
+		TotalStripes:    tot.Grouped,
+		EncodingStripes: tot.Encoding,
+		EncodedStripes:  tot.Encoded,
+		PendingStripes:  tot.Grouped - tot.Encoded - tot.Encoding,
+		BacklogStripes:  tot.Grouped - tot.Encoded,
+		BacklogBytes:    tot.Bytes - tot.EncodedBytes,
+		TotalBytes:      tot.Bytes,
+		EncodedBytes:    tot.EncodedBytes,
+		FractionEncoded: fraction(tot),
+		Recovering:      t.recovering,
 	}
 
-	r.RateBytesPerSec = t.rateLocked()
+	r.RateBytesPerSec = t.rateLocked(tot.EncodedBytes)
 	switch {
 	case r.BacklogBytes <= 0:
 		r.ETASeconds = 0
@@ -605,15 +365,20 @@ func (t *Tracker) Report() Report {
 		r.ETASeconds = -1 // no throughput observed yet: unknown
 	}
 
-	r.BlocksAtRisk = len(t.open)
-	r.ExposureWindows = make([]RiskWindow, len(t.windows))
-	copy(r.ExposureWindows, t.windows)
-	for i := range r.ExposureWindows {
-		w := &r.ExposureWindows[i]
-		if !w.Resolved() {
-			w.Seconds = now.Sub(w.OpenedWall).Seconds()
+	r.BlocksAtRisk = t.eng.Open()
+	r.ExposureWindows = make([]RiskWindow, len(t.eng.Windows))
+	for i, w := range t.eng.Windows {
+		end := w.ResolvedWall
+		if !w.Transient() {
+			end = now
 		}
-		r.TotalExposureSeconds += w.Seconds
+		r.ExposureWindows[i] = RiskWindow{
+			Invariant: string(w.Invariant), Stripe: w.Stripe, Block: w.Block,
+			OpenedSeq: w.OpenedSeq, ResolvedSeq: w.ResolvedSeq,
+			OpenedWall: w.OpenedWall, ResolvedWall: w.ResolvedWall,
+			Seconds: end.Sub(w.OpenedWall).Seconds(),
+		}
+		r.TotalExposureSeconds += r.ExposureWindows[i].Seconds
 	}
 	r.Curve = append([]CurvePoint(nil), t.curve...)
 	return r

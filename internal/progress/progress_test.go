@@ -318,3 +318,105 @@ func TestETAProjection(t *testing.T) {
 		t.Fatalf("eta = %v", rep.ETASeconds)
 	}
 }
+
+// TestNodeDeathOpensExposureNotViolation pins the one difference between the
+// two views of the layout engine: the exposure ledger counts only replicas on
+// live nodes, the auditor counts recorded placement. Node 4 holds one of
+// three replicas of the committed, pre-encode block 0 and the only copy of
+// the encoded member block 1; its death opens a replica-count and a
+// partial-delete exposure window at the NodeDead event and leaves the auditor
+// clean. The windows close at the node's revival or, separately, at the
+// repairs that restore the copies elsewhere.
+func TestNodeDeathOpensExposureNotViolation(t *testing.T) {
+	type closing struct {
+		replicaCount, partialDelete uint64
+	}
+	for name, heal := range map[string]func(j *events.Journal) closing{
+		"revival": func(j *events.Journal) closing {
+			ev := events.New(events.NodeAlive, "namenode")
+			ev.Node = 4
+			j.Publish(ev)
+			return closing{j.Seq(), j.Seq()}
+		},
+		"repair": func(j *events.Journal) closing {
+			var c closing
+			for _, id := range []topology.BlockID{0, 1} {
+				fix := events.New(events.RepairFinished, "raidnode")
+				fix.Block, fix.Node = id, 5
+				j.Publish(fix)
+				if id == 0 {
+					c.replicaCount = j.Seq()
+				} else {
+					c.partialDelete = j.Seq()
+				}
+				del := events.New(events.ReplicaDeleted, "raidnode")
+				del.Block, del.Node = id, 4
+				j.Publish(del)
+			}
+			return c
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			top, err := topology.New(3, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := events.NewJournal(0)
+			// c = 3: between StripeEncoded and the deletes below both members
+			// still have a copy in every rack, beside the parity in rack 1.
+			aud := audit.New(top, audit.Config{Replicas: 3, C: 3})
+			defer aud.Attach(j)()
+			tr := New(Config{Replicas: 3, Policy: "ear"})
+			defer tr.Attach(j)()
+
+			publishBlock(j, 0, 1<<20, 0, 2, 4)
+			publishBlock(j, 1, 1<<20, 0, 2, 4)
+			publishBlock(j, 2, 1<<20, 1, 3, 5)
+			groupStripe(j, 0, 0, 1, 2)
+			encodeStripe(j, 0, 3)
+			for block, nodes := range map[topology.BlockID][]topology.NodeID{1: {0, 2}, 2: {3, 5}} {
+				for _, n := range nodes {
+					d := events.New(events.ReplicaDeleted, "raidnode")
+					d.Block, d.Node = block, n
+					j.Publish(d)
+				}
+			}
+			if rep := tr.Report(); rep.BlocksAtRisk != 0 || len(rep.ExposureWindows) != 0 {
+				t.Fatalf("exposure before the death: %+v", rep.ExposureWindows)
+			}
+
+			dead := events.New(events.NodeDead, "namenode")
+			dead.Node = 4
+			j.Publish(dead)
+			opened := j.Seq()
+			rep := tr.Report()
+			if rep.BlocksAtRisk != 2 || len(rep.ExposureWindows) != 2 {
+				t.Fatalf("after the death: %d at risk, windows %+v; want 2 and 2", rep.BlocksAtRisk, rep.ExposureWindows)
+			}
+			if ar := aud.Report(); !ar.Clean {
+				t.Fatalf("node death flagged by the auditor: %+v", ar)
+			}
+
+			want := heal(j)
+			rep = tr.Report()
+			if rep.BlocksAtRisk != 0 || len(rep.ExposureWindows) != 2 {
+				t.Fatalf("after healing: %d at risk, windows %+v; want 0 and 2", rep.BlocksAtRisk, rep.ExposureWindows)
+			}
+			for _, w := range rep.ExposureWindows {
+				resolved := want.replicaCount
+				block := topology.BlockID(0)
+				if w.Invariant == RiskPartialDelete {
+					resolved, block = want.partialDelete, 1
+				} else if w.Invariant != RiskReplicaCount {
+					t.Fatalf("unexpected window %+v", w)
+				}
+				if w.Block != block || w.OpenedSeq != opened || w.ResolvedSeq != resolved {
+					t.Errorf("%s window %+v, want block %d seq [%d..%d]", w.Invariant, w, block, opened, resolved)
+				}
+			}
+			if ar := aud.Report(); !ar.Clean {
+				t.Fatalf("auditor not clean after healing: %+v", ar)
+			}
+		})
+	}
+}
