@@ -32,9 +32,8 @@ var (
 
 // ChunkBytes is the shaping granularity. Flows sharing a link interleave at
 // this grain, approximating fair sharing, and a canceled stream overshoots
-// by at most one chunk's reservation. The replication pipeline uses the
-// same grain, so a downstream hop can forward a chunk as soon as the
-// upstream hop delivers it.
+// by at most one chunk's reservation. It is also the largest slice a stage
+// run of internal/hdfs (replication pipeline, chain fold) walks a block in.
 const ChunkBytes = 64 << 10
 
 // chunkBytes is the internal alias predating the exported constant.

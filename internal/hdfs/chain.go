@@ -20,7 +20,9 @@ package hdfs
 // member (rack-aware regenerating repair), delivered to the repair target or
 // the reading client. The engine stores nothing: the sums land in the
 // caller's buffers and the caller commits them only after the whole fold
-// succeeded, so a canceled fold leaves no trace in any store.
+// succeeded, so a canceled fold leaves no trace in any store. The stage loop
+// (runStages) also carries the replicated write, a run with no members to
+// fold whose stages keep what they forward (client.go).
 
 import (
 	"context"
@@ -39,15 +41,17 @@ import (
 	"ear/internal/workgroup"
 )
 
-// chainStage is one stage of a fold at runtime: a planned hop, which
-// carries every row and folds its local members into them, or a delivery
-// stage, which receives one finished row at that row's sink.
+// chainStage is one stage of a stage run: a planned hop of a fold, which
+// carries every row and folds its local members into them; a delivery stage,
+// which receives one finished row at that row's sink; or a replica of a
+// replicated write, which keeps what it receives.
 type chainStage struct {
 	node      topology.NodeID
 	positions []int
-	// up is the stage whose accumulators this one receives (nil at the head
-	// of the chain, which starts from zeros); next are the stages that
-	// receive from this one.
+	// up is the stage whose accumulators this one receives (nil at the head,
+	// whose accumulators its builder has filled: zeros for a fold, the
+	// caller's bytes for a write); next are the stages that receive from this
+	// one.
 	up   *chainStage
 	next []*chainStage
 	// acc is indexed by row and holds one accumulator per row the stage
@@ -68,6 +72,15 @@ type chainStage struct {
 	crossIn bool
 	tFirst  time.Time
 	tLast   time.Time
+}
+
+// newStage appends to stages a stage at node that receives acc from up.
+func newStage(stages []*chainStage, node topology.NodeID, up *chainStage, acc [][]byte) []*chainStage {
+	st := &chainStage{node: node, up: up, acc: acc}
+	if up != nil {
+		up.next = append(up.next, st)
+	}
+	return append(stages, st)
 }
 
 // chainLedger counts the network transfers of one fold.
@@ -105,27 +118,180 @@ func (e *holderError) Unwrap() error { return e.err }
 // cost of a shaped Send dominates whatever the link rate.
 const minSliceBytes = 4 << 10
 
-// foldSliceBytes returns the slice a fold anchored at the given node walks
-// the block in. A fold over S stages takes B/R + (S-1)·max(s/R, q) for block
+// fillShare bounds a stage run's fill to 1/fillShare of a block time.
+const fillShare = 16
+
+// foldSliceBytes returns the slice a stage run anchored at the given node
+// walks the block in, the one slice rule of the package. A run whose longest
+// path has S fabric streams in series takes B/R + (S-1)·max(s/R, q) for block
 // B, link rate R and slice s, where q ≈ 1 ms is the floor of one shaped Send
-// (a sub-millisecond timer sleep rounds up to about that), so the slice that
-// fills the chain fastest is what one row moves over a link in a millisecond:
-// the anchor's current NIC rate (rates change under Fabric.SetAllRates) over
-// 1000, rounded down to a power of two within [minSliceBytes,
-// fabric.ChunkBytes]. A non-zero Config.PipelineChunkBytes pins the slice.
-func (c *Cluster) foldSliceBytes(anchor topology.NodeID) int {
+// (a sub-millisecond timer sleep rounds up to about that): one block time
+// plus the fill. A smaller slice fills faster but costs more Sends — every
+// timer oversleeps a little, every Send takes CPU, and runs sharing a link
+// interleave at the slice grain, which delays them all — so the slice is the
+// largest power of two up to fabric.ChunkBytes that keeps the fill within
+// 1/fillShare of the block time, and never less than what one row moves over
+// a link in a millisecond, below which a smaller slice fills no faster: the
+// anchor's current NIC rate (rates change under Fabric.SetAllRates) over
+// 1000, at least minSliceBytes. A 13-stage degraded read walks millisecond
+// slices; a run one stream deep (a copy; a write whose other replica is the
+// writer's own) has no fill and walks fabric.ChunkBytes, the grain a Send is
+// shaped at anyway. A non-zero Config.PipelineChunkBytes pins the slice.
+func (c *Cluster) foldSliceBytes(anchor topology.NodeID, streams int) int {
 	if c.cfg.PipelineChunkBytes > 0 {
 		return c.cfg.PipelineChunkBytes
 	}
 	rate, err := c.fab.NodeRate(anchor)
 	if err != nil {
-		return fabric.ChunkBytes // PlanPipeline has already rejected an unknown anchor
+		return fabric.ChunkBytes // an unknown anchor fails when its stream opens
 	}
 	slice := minSliceBytes
-	for slice < fabric.ChunkBytes && float64(2*slice) <= rate/1000 {
+	for slice < fabric.ChunkBytes &&
+		(float64(2*slice) <= rate/1000 || 2*slice*(streams-1)*fillShare <= c.cfg.BlockSizeBytes) {
 		slice *= 2
 	}
 	return slice
+}
+
+// runStages walks one block through the stages slice by slice, the only
+// stage loop in the package. stages[0] is the head and is listed before every
+// stage that receives from it, directly or not. Each stage runs on a
+// goroutine of its own: it opens the inbound fabric stream from its upstream
+// stage's node (a same-node stream is the node's disk), and for every slice
+// the upstream has finished it receives one slice per carried row, adopts the
+// upstream accumulators, folds rows over its local members — which a worker
+// beside it has been reading ahead from the shaped disk since t = 0 — and
+// releases the slice to the stages after it. The walk's grain is
+// foldSliceBytes of the anchor and of how many streams deep the stages are;
+// span opens stage s's span under the one carried by ctx, and every span
+// carries the grain as its "slice" arg. Every goroutine is joined before
+// runStages returns the run's start and end; the first error (a cancelled
+// ctx included) stops them all within one slice.
+func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor topology.NodeID, rows [][]byte, span func(s int, st *chainStage) *telemetry.Span) (start, end time.Time, err error) {
+	blockSize := c.cfg.BlockSizeBytes
+	streams := 0
+	for _, st := range stages {
+		depth := 0
+		for s := st; s.up != nil; s = s.up {
+			depth++
+		}
+		streams = max(streams, depth)
+	}
+	slice := c.foldSliceBytes(anchor, streams)
+	sliceArg := strconv.Itoa(slice)
+	nSlices := (blockSize + slice - 1) / slice
+	for _, st := range stages {
+		// One entry per slice, so a fast upstream never blocks; the group
+		// context covers abandonment.
+		st.ready = make(chan int, nSlices)
+		if len(st.positions) > 0 {
+			st.diskRead = make(chan struct{}, nSlices)
+		}
+	}
+	for idx := 0; idx < nSlices; idx++ {
+		stages[0].ready <- idx
+	}
+	close(stages[0].ready)
+	start = time.Now()
+
+	g, gctx := workgroup.WithContext(ctx)
+	for s, st := range stages {
+		if st.diskRead != nil {
+			// Read-ahead: the local members do not depend on the upstream, so
+			// the shaped disk stream charges them slice by slice from t = 0,
+			// beside the inbound receives instead of between receive and fold.
+			g.Go(func() error {
+				disk, err := c.fab.OpenStream(gctx, st.node, st.node)
+				if err != nil {
+					return err
+				}
+				defer disk.Close()
+				for lo := 0; lo < blockSize; lo += slice {
+					if err := disk.Send(gctx, len(st.positions)*(min(lo+slice, blockSize)-lo)); err != nil {
+						return err
+					}
+					st.diskRead <- struct{}{}
+				}
+				return nil
+			})
+		}
+		g.Go(func() error {
+			defer span(s, st).Arg("slice", sliceArg).End()
+			// Inbound stream from the upstream stage: one slice-sized sum per
+			// carried row and slice index, attributed by the fabric to every
+			// link the hop traverses.
+			var in *fabric.Stream
+			carried := 0
+			for _, a := range st.acc {
+				if a != nil {
+					carried++
+				}
+			}
+			if st.up != nil {
+				var err error
+				in, err = c.fab.OpenStream(gctx, st.up.node, st.node)
+				if err != nil {
+					return err
+				}
+				defer in.Close()
+				st.crossIn = in.Cross()
+			}
+			for {
+				var idx int
+				var chOk bool
+				select {
+				case idx, chOk = <-st.ready:
+					if !chOk {
+						for _, n := range st.next {
+							close(n.ready)
+						}
+						return nil
+					}
+				case <-gctx.Done():
+					return gctx.Err()
+				}
+				lo := idx * slice
+				hi := min(lo+slice, blockSize)
+				// Receive and adopt the upstream accumulators for this slice.
+				if in != nil {
+					if err := in.Send(gctx, carried*(hi-lo)); err != nil {
+						return err
+					}
+					for j, a := range st.acc {
+						if a != nil {
+							copy(a[lo:hi], st.up.acc[j][lo:hi])
+						}
+					}
+				}
+				if st.diskRead != nil {
+					// Slices arrive in order on both channels, so the next
+					// token is this slice's.
+					select {
+					case <-st.diskRead:
+					case <-gctx.Done():
+						return gctx.Err()
+					}
+					for pi, pos := range st.positions {
+						for j, row := range rows {
+							if coef := row[pos]; coef != 0 {
+								gf256.MulAddSlice(coef, st.blocks[pi][lo:hi], st.acc[j][lo:hi])
+							}
+						}
+					}
+				}
+				now := time.Now()
+				if st.tFirst.IsZero() {
+					st.tFirst = now
+				}
+				st.tLast = now
+				for _, n := range st.next {
+					n.ready <- idx
+				}
+			}
+		})
+	}
+	err = g.Wait()
+	return start, time.Now(), err
 }
 
 // chainFold computes out[j] = sum over pos of rows[j][pos] * content(pos)
@@ -139,9 +305,8 @@ func (c *Cluster) foldSliceBytes(anchor topology.NodeID) int {
 // Every out buffer is one block long and is fully overwritten on success; on
 // error its content is undefined. A planned member whose checksum-verified
 // read fails is reported as a holderError before any stream opens. Hop spans
-// hang off the span carried by ctx. Every goroutine a fold starts — one per
-// stage, one disk read-ahead worker per stage with members — is joined before
-// it returns.
+// hang off the span carried by ctx. chainFold plans, reads the members and
+// keeps the ledger; runStages moves the bytes.
 func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID, out [][]byte) (chainLedger, error) {
 	var ledger chainLedger
 	hops, err := placement.PlanPipeline(c.top, holders, anchor)
@@ -152,39 +317,25 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 		hops = []placement.PipelineHop{{Node: anchor}}
 	}
 	blockSize := c.cfg.BlockSizeBytes
-	chunk := c.foldSliceBytes(anchor)
-	nChunks := (blockSize + chunk - 1) / chunk
 	m := len(rows)
 
 	// One stage per planned hop, then one delivery stage per row whose sink
-	// is not the last hop. ready is buffered to nChunks so a fast upstream
-	// never blocks; the group context covers abandonment.
-	newStage := func(node topology.NodeID, up *chainStage) *chainStage {
-		st := &chainStage{node: node, up: up, acc: make([][]byte, m), ready: make(chan int, nChunks)}
-		if up != nil {
-			up.next = append(up.next, st)
-		}
-		return st
-	}
+	// is not the last hop.
 	stages := make([]*chainStage, 0, len(hops)+m)
 	var tail *chainStage
 	for _, h := range hops {
-		tail = newStage(h.Node, tail)
+		stages = newStage(stages, h.Node, tail, make([][]byte, m))
+		tail = stages[len(stages)-1]
 		tail.positions = h.Positions
-		if len(h.Positions) > 0 {
-			// One token per slice, so the read-ahead never blocks.
-			tail.diskRead = make(chan struct{}, nChunks)
-		}
-		stages = append(stages, tail)
 	}
 	for j, sink := range sinks {
 		if sink == tail.node {
 			tail.acc[j] = out[j]
 			continue
 		}
-		d := newStage(sink, tail)
-		d.acc[j] = out[j]
-		stages = append(stages, d)
+		acc := make([][]byte, m)
+		acc[j] = out[j]
+		stages = newStage(stages, sink, tail, acc)
 	}
 	// Accumulators that are not a caller's buffer and the hops' local members
 	// are pooled and always released.
@@ -225,126 +376,22 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 			}
 		}
 	}
-	for idx := 0; idx < nChunks; idx++ {
-		stages[0].ready <- idx
+	// The head of the chain starts every row from zeros.
+	for _, a := range stages[0].acc {
+		clear(a)
 	}
-	close(stages[0].ready)
-	start := time.Now()
-
 	parent := telemetry.SpanFromContext(ctx)
-	g, gctx := workgroup.WithContext(ctx)
-	for s, st := range stages {
-		if st.diskRead != nil {
-			// Read-ahead: the local members do not depend on the upstream, so
-			// the shaped disk stream charges them slice by slice from t = 0,
-			// beside the inbound receives instead of between receive and fold.
-			g.Go(func() error {
-				disk, err := c.fab.OpenStream(gctx, st.node, st.node)
-				if err != nil {
-					return err
-				}
-				defer disk.Close()
-				for lo := 0; lo < blockSize; lo += chunk {
-					if err := disk.Send(gctx, len(st.positions)*(min(lo+chunk, blockSize)-lo)); err != nil {
-						return err
-					}
-					st.diskRead <- struct{}{}
-				}
-				return nil
-			})
-		}
-		g.Go(func() error {
-			hop := parent.ChildTrack("raidnode.chain-hop").
-				Arg(telemetry.ComponentArg, "raidnode").
-				Arg("stripe", strconv.FormatInt(int64(stripe), 10)).
-				Arg("node", strconv.Itoa(int(st.node))).
-				Arg("hop", strconv.Itoa(s)).
-				Arg("members", strconv.Itoa(len(st.positions))).
-				Arg("slice", strconv.Itoa(chunk))
-			defer hop.End()
-			// Inbound stream from the upstream stage: one slice-sized sum per
-			// carried row and slice index, attributed by the fabric to every
-			// link the hop traverses.
-			var in *fabric.Stream
-			carried := 0
-			for _, a := range st.acc {
-				if a != nil {
-					carried++
-				}
-			}
-			if st.up != nil {
-				var err error
-				in, err = c.fab.OpenStream(gctx, st.up.node, st.node)
-				if err != nil {
-					return err
-				}
-				defer in.Close()
-				st.crossIn = in.Cross()
-			}
-			for {
-				var idx int
-				var chOk bool
-				select {
-				case idx, chOk = <-st.ready:
-					if !chOk {
-						for _, n := range st.next {
-							close(n.ready)
-						}
-						return nil
-					}
-				case <-gctx.Done():
-					return gctx.Err()
-				}
-				lo := idx * chunk
-				hi := min(lo+chunk, blockSize)
-				// Receive and adopt the upstream sums for this slice (zeros at
-				// the head of the chain).
-				if in != nil {
-					if err := in.Send(gctx, carried*(hi-lo)); err != nil {
-						return err
-					}
-				}
-				for j, a := range st.acc {
-					if a == nil {
-						continue
-					}
-					from := c.zeroBlock
-					if st.up != nil {
-						from = st.up.acc[j]
-					}
-					copy(a[lo:hi], from[lo:hi])
-				}
-				if st.diskRead != nil {
-					// Slices arrive in order on both channels, so the next
-					// token is this slice's.
-					select {
-					case <-st.diskRead:
-					case <-gctx.Done():
-						return gctx.Err()
-					}
-					for pi, pos := range st.positions {
-						for j, row := range rows {
-							if coef := row[pos]; coef != 0 {
-								gf256.MulAddSlice(coef, st.blocks[pi][lo:hi], st.acc[j][lo:hi])
-							}
-						}
-					}
-				}
-				now := time.Now()
-				if st.tFirst.IsZero() {
-					st.tFirst = now
-				}
-				st.tLast = now
-				for _, n := range st.next {
-					n.ready <- idx
-				}
-			}
-		})
-	}
-	if err := g.Wait(); err != nil {
+	start, end, err := c.runStages(ctx, stages, anchor, rows, func(s int, st *chainStage) *telemetry.Span {
+		return parent.ChildTrack("raidnode.chain-hop").
+			Arg(telemetry.ComponentArg, "raidnode").
+			Arg("stripe", strconv.FormatInt(int64(stripe), 10)).
+			Arg("node", strconv.Itoa(int(st.node))).
+			Arg("hop", strconv.Itoa(s)).
+			Arg("members", strconv.Itoa(len(st.positions)))
+	})
+	if err != nil {
 		return ledger, err
 	}
-	end := time.Now()
 	for _, st := range stages[1:len(hops)] {
 		ledger.hops++
 		if st.crossIn {

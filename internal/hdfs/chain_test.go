@@ -296,6 +296,42 @@ func TestDegradedReadCrossRackBytes(t *testing.T) {
 	}
 }
 
+// canceledRun runs one stage run (a fold, a replicated write) that the
+// caller has arranged to end mid-way with the error want, and checks that
+// nothing of it is left behind: every pooled buffer is back in the pool, no
+// store has gained or lost a key, and no goroutine the run started outlives
+// it.
+func canceledRun(t *testing.T, c *Cluster, want error, what string, run func() error) {
+	t.Helper()
+	storeKeys := func() int {
+		total := 0
+		for n := 0; n < c.Topology().Nodes(); n++ {
+			dn, _ := c.DataNodeOf(topology.NodeID(n))
+			total += dn.Store.Len()
+		}
+		return total
+	}
+	keysBefore, outstanding, goroutines := storeKeys(), c.BufferPool().Outstanding(), runtime.NumGoroutine()
+	if err := run(); !errors.Is(err, want) {
+		t.Fatalf("%s = %v, want %v", what, err, want)
+	}
+	if got := c.BufferPool().Outstanding(); got != outstanding {
+		t.Errorf("%s leaked %d pooled buffers", what, got-outstanding)
+	}
+	if got := storeKeys(); got != keysBefore {
+		t.Errorf("%s changed the stores: %d -> %d keys", what, keysBefore, got)
+	}
+	// A run joins its stages and read-ahead workers before returning; a
+	// joined goroutine may take a moment more to leave the count.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > goroutines {
+		t.Errorf("%s left %d goroutines running", what, got-goroutines)
+	}
+}
+
 // TestChainFoldCancelAtEveryStage runs the engine directly, as a 1-row and
 // as an m-row fold over a sealed stripe toward sinks that hold no member,
 // and cancels it the moment each stream in turn opens: the first hop's disk
@@ -358,45 +394,21 @@ func TestChainFoldCancelAtEveryStage(t *testing.T) {
 	}
 	tail := hops[len(hops)-1].Node
 
-	storeKeys := func() int {
-		total := 0
-		for n := 0; n < c.Topology().Nodes(); n++ {
-			dn, _ := c.DataNodeOf(topology.NodeID(n))
-			total += dn.Store.Len()
-		}
-		return total
-	}
 	// canceledFold runs one fold under ctx, which the caller has arranged to
 	// end mid-fold, and checks that nothing of it is left behind.
 	canceledFold := func(ctx context.Context, rows [][]byte, want error, where string) {
 		t.Helper()
-		keysBefore, outstanding, goroutines := storeKeys(), c.BufferPool().Outstanding(), runtime.NumGoroutine()
-		out := make([][]byte, len(rows))
-		for j := range out {
-			out[j] = c.BufferPool().Get(cfg.BlockSizeBytes)
-		}
-		_, err := c.chainFold(ctx, 0, rows, holders, key, sinks[0], sinks[:len(rows)], out)
-		for _, o := range out {
-			c.BufferPool().Put(o)
-		}
-		if !errors.Is(err, want) {
-			t.Fatalf("%d-row fold canceled %s = %v, want %v", len(rows), where, err, want)
-		}
-		if got := c.BufferPool().Outstanding(); got != outstanding {
-			t.Errorf("%d-row fold canceled %s leaked %d pooled buffers", len(rows), where, got-outstanding)
-		}
-		if got := storeKeys(); got != keysBefore {
-			t.Errorf("%d-row fold canceled %s changed the stores: %d -> %d keys", len(rows), where, keysBefore, got)
-		}
-		// The fold joins its stages and read-ahead workers before returning;
-		// a joined goroutine may take a moment more to leave the count.
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if got := runtime.NumGoroutine(); got > goroutines {
-			t.Errorf("%d-row fold canceled %s left %d goroutines running", len(rows), where, got-goroutines)
-		}
+		canceledRun(t, c, want, fmt.Sprintf("%d-row fold canceled %s", len(rows), where), func() error {
+			out := make([][]byte, len(rows))
+			for j := range out {
+				out[j] = c.BufferPool().Get(cfg.BlockSizeBytes)
+			}
+			_, err := c.chainFold(ctx, 0, rows, holders, key, sinks[0], sinks[:len(rows)], out)
+			for _, o := range out {
+				c.BufferPool().Put(o)
+			}
+			return err
+		})
 	}
 	for _, rows := range [][][]byte{parityRows[:1], parityRows} {
 		streams := slices.Clone(chain)
@@ -678,10 +690,12 @@ func TestConcurrentRepairSameStripe(t *testing.T) {
 	}
 }
 
-// TestFoldSliceDerivation pins how a fold sizes its slices: what one row
-// moves over the anchor's NIC in about a millisecond at the fabric's current
-// rate, a power of two within [4 KiB, fabric.ChunkBytes], unless
-// Config.PipelineChunkBytes pins it.
+// TestFoldSliceDerivation pins how a stage run sizes its slices: with streams
+// in series, what one row moves over the anchor's NIC in about a millisecond
+// at the fabric's current rate, a power of two within [4 KiB,
+// fabric.ChunkBytes] — more where a larger slice still fills the chain within
+// 1/16 of the block time; with a single stream deep, fabric.ChunkBytes
+// whatever the rate; and whatever Config.PipelineChunkBytes pins it to.
 func TestFoldSliceDerivation(t *testing.T) {
 	cfg := testConfig("ear")
 	c, err := NewCluster(cfg)
@@ -689,7 +703,7 @@ func TestFoldSliceDerivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.foldSliceBytes(0); got != fabric.ChunkBytes {
+	if got := c.foldSliceBytes(0, 2); got != fabric.ChunkBytes {
 		t.Errorf("slice at the configured %g B/s = %d, want %d", cfg.BandwidthBytesPerSec, got, fabric.ChunkBytes)
 	}
 	// Each row re-rates the same fabric, so every derivation after the first
@@ -707,8 +721,25 @@ func TestFoldSliceDerivation(t *testing.T) {
 		if err := c.Fabric().SetAllRates(tc.rate); err != nil {
 			t.Fatal(err)
 		}
-		if got := c.foldSliceBytes(0); got != tc.want {
+		if got := c.foldSliceBytes(0, 2); got != tc.want {
 			t.Errorf("slice after SetAllRates(%g) = %d, want %d", tc.rate, got, tc.want)
+		}
+		if got := c.foldSliceBytes(0, 1); got != fabric.ChunkBytes {
+			t.Errorf("slice of a run one stream deep after SetAllRates(%g) = %d, want %d", tc.rate, got, fabric.ChunkBytes)
+		}
+	}
+
+	// A megabyte block on 8 MiB/s links: a millisecond is 8 KiB, and the fill
+	// budget of 64 KiB a block allows more to a run few streams deep.
+	cfg.BlockSizeBytes, cfg.BandwidthBytesPerSec = 1<<20, 8<<20
+	big, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer big.Close()
+	for streams, want := range map[int]int{1: 64 << 10, 2: 64 << 10, 3: 32 << 10, 5: 16 << 10, 9: 8 << 10, 13: 8 << 10} {
+		if got := big.foldSliceBytes(0, streams); got != want {
+			t.Errorf("slice of a 1 MiB block at 8 MiB/s, %d streams deep = %d, want %d", streams, got, want)
 		}
 	}
 
@@ -721,8 +752,10 @@ func TestFoldSliceDerivation(t *testing.T) {
 	if err := pinned.Fabric().SetAllRates(16 << 20); err != nil {
 		t.Fatal(err)
 	}
-	if got := pinned.foldSliceBytes(0); got != 3000 {
-		t.Errorf("slice with PipelineChunkBytes 3000 = %d, want it pinned", got)
+	for _, streams := range []int{1, 2} {
+		if got := pinned.foldSliceBytes(0, streams); got != 3000 {
+			t.Errorf("slice with PipelineChunkBytes 3000, %d stream(s) deep = %d, want it pinned", streams, got)
+		}
 	}
 }
 
@@ -756,7 +789,7 @@ func TestDegradedReadLatency(t *testing.T) {
 		client++
 	}
 
-	slice := c.foldSliceBytes(client)
+	slice := c.foldSliceBytes(client, cfg.K)
 	perSlice := max(time.Duration(float64(slice)/cfg.BandwidthBytesPerSec*float64(time.Second)), time.Millisecond)
 	block := time.Duration(float64(cfg.BlockSizeBytes) / cfg.BandwidthBytesPerSec * float64(time.Second))
 	stages := cfg.K + 1 // k survivors on distinct nodes, then the delivery

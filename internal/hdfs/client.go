@@ -9,11 +9,9 @@ import (
 
 	"ear/internal/blockstore"
 	"ear/internal/events"
-	"ear/internal/fabric"
 	"ear/internal/telemetry"
 	"ear/internal/tenant"
 	"ear/internal/topology"
-	"ear/internal/workgroup"
 )
 
 // gatherFanIn bounds the concurrent source fetches of one stripe gather.
@@ -79,21 +77,29 @@ func (c *Cluster) WriteBlock(client topology.NodeID, data []byte) (topology.Bloc
 	return c.WriteBlockCtx(context.Background(), client, data)
 }
 
-// WriteBlockCtx writes one block from the given client node: the NameNode
-// allocates the block and decides placement, then the data flows down the
-// HDFS replication pipeline (client -> replica 1 -> replica 2 -> ...) in
-// fabric chunks, every hop shaped by the fabric. Hops run concurrently —
-// while replica 1 forwards chunk i to replica 2 the client is already
-// sending chunk i+1 — so an r-way write costs roughly one block transfer
-// plus the pipeline fill, not r transfers.
+// WriteBlockCtx writes one block from the given client node. The NameNode
+// allocates the block for that writer (AllocateBlockFrom): the first replica
+// is the client's own copy — or, when EAR's flow graph moved it, a node of the
+// client's rack — and the remaining replicas follow the placement policy.
+// The data then flows down the HDFS replication pipeline (client -> replica 1
+// -> replica 2 -> ...) slice by slice on the chain engine's stage loop
+// (runStages), every hop shaped by the fabric. Hops run concurrently — while
+// replica 1 forwards slice i to replica 2 the client is already sending slice
+// i+1 — and a node's own copy is a disk stream beside its forward, not a hop
+// in front of it, so an r-way write costs roughly one block transfer plus the
+// pipeline fill of r-1 network hops, not r transfers.
 //
-// Cancelling ctx aborts the write within one chunk reservation per hop; the
-// allocation is then abandoned via NameNode.AbortBlock and no replica is
-// committed to any store.
+// A client outside the topology is rejected with topology.ErrUnknownNode
+// before anything is allocated. Cancelling ctx aborts the write within one
+// slice reservation per hop; the allocation is then abandoned via
+// NameNode.AbortBlock and no replica is committed to any store.
 func (c *Cluster) WriteBlockCtx(ctx context.Context, client topology.NodeID, data []byte) (topology.BlockID, error) {
 	if len(data) != c.cfg.BlockSizeBytes {
 		return 0, fmt.Errorf("%w: block of %d bytes, configured size %d",
 			ErrInvalidConfig, len(data), c.cfg.BlockSizeBytes)
+	}
+	if _, err := c.top.RackOf(client); err != nil {
+		return 0, err
 	}
 	if m := c.metrics(); m != nil {
 		defer func(t0 time.Time) { m.writeLat.Observe(time.Since(t0).Seconds()) }(time.Now())
@@ -101,12 +107,12 @@ func (c *Cluster) WriteBlockCtx(ctx context.Context, client topology.NodeID, dat
 	span, ctx := c.opSpan(ctx, "client", "client.write-block")
 	span.Arg("node", strconv.Itoa(int(client)))
 	defer span.End()
-	meta, err := c.nn.AllocateBlockCtx(ctx, len(data))
+	meta, err := c.nn.AllocateBlockFrom(ctx, len(data), client)
 	if err != nil {
 		return 0, err
 	}
 	span.Arg("block", strconv.FormatInt(int64(meta.ID), 10))
-	if err := c.writePipelined(ctx, client, meta, data); err != nil {
+	if err := c.replicate(ctx, client, meta, data); err != nil {
 		c.abortWrite(meta)
 		return 0, err
 	}
@@ -144,114 +150,61 @@ func (c *Cluster) publishReplicaWritten(ctx context.Context, id topology.BlockID
 	j.Publish(ev)
 }
 
-// writePipelined streams the block down the replication chain chunk by
-// chunk. Hop i owns one fabric stream (previous replica -> replica i) and a
-// staging buffer; it forwards each chunk as soon as the upstream hop has
-// delivered it, so all hops transfer concurrently. Replicas are committed
-// to their stores only after every hop finishes, so a failed or canceled
-// write leaves nothing behind.
-func (c *Cluster) writePipelined(ctx context.Context, client topology.NodeID, meta *BlockMeta, data []byte) error {
-	nHops := len(meta.Nodes)
-	if nHops == 0 {
+// replicate streams the block down the replication chain: a stage run whose
+// head is the client holding the caller's bytes, followed by one stage per
+// replica that keeps what it receives in a pooled staging buffer and forwards
+// it to the next. A replica on the node it receives from (the writer's own
+// copy) is a disk stream beside that node's forward, so the next replica
+// receives from the same stage. Replicas are committed to their stores only
+// after the whole run succeeded, so a failed or canceled write leaves nothing
+// behind.
+func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *BlockMeta, data []byte) error {
+	if len(meta.Nodes) == 0 {
 		return fmt.Errorf("%w: block %d placed on no nodes", ErrNoReplica, meta.ID)
 	}
-	nChunks := (len(data) + fabric.ChunkBytes - 1) / fabric.ChunkBytes
-	start := time.Now()
-
-	// ready[i] carries chunk indices whose bytes have landed in hop i's
-	// source buffer (the original data for hop 0, hop i-1's staging buffer
-	// otherwise). Buffered to nChunks so a fast upstream never blocks; the
-	// group context covers abandonment.
-	ready := make([]chan int, nHops)
-	for i := range ready {
-		ready[i] = make(chan int, nChunks)
+	stages := newStage(nil, client, nil, [][]byte{data})
+	from := stages[0]
+	for _, n := range meta.Nodes {
+		stages = newStage(stages, n, from, [][]byte{c.bufPool.Get(len(data))})
+		if n != from.node {
+			from = stages[len(stages)-1]
+		}
 	}
-	for idx := 0; idx < nChunks; idx++ {
-		ready[0] <- idx
-	}
-	close(ready[0])
-
-	// Staging buffers are pooled: the stores copy on Put, so they go back
-	// once the replicas are committed (or the write failed).
-	bufs := make([][]byte, nHops)
-	for i := range bufs {
-		bufs[i] = c.bufPool.Get(len(data))
-	}
+	// The stores copy on Put, so the staging buffers go back to the pool once
+	// the replicas are committed (or the write failed).
+	replicas := stages[1:]
 	defer func() {
-		for _, b := range bufs {
-			c.bufPool.Put(b)
+		for _, st := range replicas {
+			c.bufPool.Put(st.acc[0])
 		}
 	}()
-
 	parent := telemetry.SpanFromContext(ctx)
-	g, gctx := workgroup.WithContext(ctx)
-	for i := 0; i < nHops; i++ {
-		i := i
-		src := client
-		srcBuf := data
-		if i > 0 {
-			src = meta.Nodes[i-1]
-			srcBuf = bufs[i-1]
+	start, _, err := c.runStages(ctx, stages, client, nil, func(s int, st *chainStage) *telemetry.Span {
+		if s == 0 {
+			return nil // the client is the write's own span
 		}
-		dst := meta.Nodes[i]
-		g.Go(func() error {
-			// Hops run concurrently, so each sits on its own display track;
-			// the span belongs to the receiving DataNode.
-			hop := parent.ChildTrack("datanode.pipeline-hop").
-				Arg(telemetry.ComponentArg, "datanode").
-				Arg("node", strconv.Itoa(int(dst))).
-				Arg("hop", strconv.Itoa(i))
-			defer hop.End()
-			st, err := c.fab.OpenStream(gctx, src, dst)
-			if err != nil {
-				return err
-			}
-			defer st.Close()
-			first := true
-			for {
-				var idx int
-				var ok bool
-				select {
-				case idx, ok = <-ready[i]:
-					if !ok {
-						if i+1 < nHops {
-							close(ready[i+1])
-						}
-						return nil
-					}
-				case <-gctx.Done():
-					return gctx.Err()
-				}
-				lo := idx * fabric.ChunkBytes
-				hi := min(lo+fabric.ChunkBytes, len(data))
-				if err := st.Send(gctx, hi-lo); err != nil {
-					return err
-				}
-				copy(bufs[i][lo:hi], srcBuf[lo:hi])
-				if first && i == nHops-1 {
-					first = false
-					if m := c.metrics(); m != nil {
-						m.pipeFill.Observe(time.Since(start).Seconds())
-					}
-				}
-				if i+1 < nHops {
-					ready[i+1] <- idx
-				}
-			}
-		})
-	}
-	if err := g.Wait(); err != nil {
+		// Hops run concurrently, so each sits on its own display track; the
+		// span belongs to the receiving DataNode.
+		return parent.ChildTrack("datanode.pipeline-hop").
+			Arg(telemetry.ComponentArg, "datanode").
+			Arg("node", strconv.Itoa(int(st.node))).
+			Arg("hop", strconv.Itoa(s-1))
+	})
+	if err != nil {
 		return err
 	}
-	for i, n := range meta.Nodes {
-		dn, err := c.DataNodeOf(n)
+	if m := c.metrics(); m != nil {
+		m.pipeFill.Observe(replicas[len(replicas)-1].tFirst.Sub(start).Seconds())
+	}
+	for _, st := range replicas {
+		dn, err := c.DataNodeOf(st.node)
 		if err != nil {
 			return err
 		}
-		if err := dn.Store.Put(DataKey(meta.ID), bufs[i]); err != nil {
-			return fmt.Errorf("replica on node %d: %w", n, err)
+		if err := dn.Store.Put(DataKey(meta.ID), st.acc[0]); err != nil {
+			return fmt.Errorf("replica on node %d: %w", st.node, err)
 		}
-		c.publishReplicaWritten(ctx, meta.ID, n, len(bufs[i]))
+		c.publishReplicaWritten(ctx, meta.ID, st.node, len(data))
 	}
 	return nil
 }

@@ -89,6 +89,12 @@ type rackPlacer interface {
 	PlaceAt(topology.BlockID, topology.RackID) (topology.Placement, error)
 }
 
+// writerPlacer is the policy capability of putting a block's first replica
+// on the node that writes it (EAR and RR implement it).
+type writerPlacer interface {
+	PlaceFrom(topology.BlockID, topology.NodeID) (topology.Placement, error)
+}
+
 // attemptCounter is the policy capability of reporting how many candidate
 // layouts the last placement generated (EAR implements it).
 type attemptCounter interface {
@@ -171,10 +177,12 @@ type NameNode struct {
 	blockTab  [blockTableShards]blockShard
 
 	shards []*placementShard
-	// routeByRack draws a core rack per allocation and routes to that rack's
-	// shard (EAR); otherwise shards are picked round-robin.
+	// routeByRack routes an allocation to the shard of its core rack — the
+	// writer's rack, or a drawn one when no writer is known (EAR); otherwise
+	// shards are picked by the draw.
 	routeByRack bool
-	// rackSeq feeds the lock-free splitmix64 draw behind shard routing.
+	// rackSeq feeds the lock-free splitmix64 draw behind shard routing,
+	// started from the constructor's seed.
 	rackSeq atomic.Uint64
 
 	// rrMu guards rrPending, committed RR blocks not yet grouped.
@@ -277,6 +285,7 @@ func NewShardedNameNode(cfg placement.Config, policyName string, seed int64, ser
 		return nil, err
 	}
 	nn := newNameNode(cfg, policyName, rand.New(rand.NewSource(seed)), serialize)
+	nn.rackSeq.Store(uint64(seed))
 	shards := cfg.Topology.Racks()
 	for i := 0; i < shards; i++ {
 		var pol placement.Policy
@@ -400,34 +409,56 @@ func (nn *NameNode) draw() uint64 {
 	return x
 }
 
-// AllocateBlock reserves a block with a background (untraced) context. See
-// AllocateBlockCtx.
+// AllocateBlock reserves a block no writer is known for, with a background
+// (untraced) context. See AllocateBlockFrom.
 func (nn *NameNode) AllocateBlock(size int) (*BlockMeta, error) {
-	return nn.AllocateBlockCtx(context.Background(), size)
+	return nn.AllocateBlockFrom(context.Background(), size, placement.NoWriter)
 }
 
-// AllocateBlockCtx reserves a block ID and decides its replica placement.
-// Only the chosen placement shard and the block's table shard are locked;
-// separate racks allocate concurrently. When the context carries a
-// telemetry span (a traced client write), the allocation runs under a
-// "namenode.allocate" child span and the BlockAllocated / StripeGrouped
-// journal events carry the trace ID.
+// AllocateBlockCtx reserves a block no writer is known for. See
+// AllocateBlockFrom.
 func (nn *NameNode) AllocateBlockCtx(ctx context.Context, size int) (*BlockMeta, error) {
+	return nn.AllocateBlockFrom(ctx, size, placement.NoWriter)
+}
+
+// AllocateBlockFrom reserves a block ID and decides its replica placement
+// for the given writing node: the first replica is the writer's own and,
+// under EAR, the writer's rack is the core rack of the stripe the block
+// joins (the flow graph may move replica 1 to another node of that rack).
+// With placement.NoWriter the core rack (EAR) or the first replica (RR) is
+// drawn uniformly from a sequence the constructor's seed starts. Only the
+// chosen placement shard and the block's table shard are locked; separate
+// racks allocate concurrently. When the context carries a telemetry span (a
+// traced client write), the allocation runs under a "namenode.allocate"
+// child span and the BlockAllocated / StripeGrouped journal events carry the
+// trace ID.
+func (nn *NameNode) AllocateBlockFrom(ctx context.Context, size int, writer topology.NodeID) (*BlockMeta, error) {
 	sp := telemetry.SpanFromContext(ctx).Child("namenode.allocate").
 		Arg(telemetry.ComponentArg, "namenode")
 	defer sp.End()
 	trace := sp.TraceID()
 	allocStart := time.Now()
+	// The writer's rack is resolved before a block ID is taken, so an unknown
+	// writer allocates nothing.
+	shardIdx := int32(-1)
+	if writer != placement.NoWriter {
+		r, err := nn.cfg.Topology.RackOf(writer)
+		if err != nil {
+			return nil, err
+		}
+		shardIdx = int32(r)
+	}
 	defer nn.serialSection()()
 	id := topology.BlockID(nn.nextBlock.Add(1) - 1)
 
-	var shardIdx int32
+	// Under EAR the shard is the core rack's: the writer's rack, or a drawn
+	// one. RR shards are interchangeable and always drawn.
+	if shardIdx < 0 || !nn.routeByRack {
+		shardIdx = int32(nn.draw() % uint64(len(nn.shards)))
+	}
 	core := topology.RackID(-1)
 	if nn.routeByRack {
-		core = topology.RackID(nn.draw() % uint64(len(nn.shards)))
-		shardIdx = int32(core)
-	} else {
-		shardIdx = int32(nn.draw() % uint64(len(nn.shards)))
+		core = topology.RackID(shardIdx)
 	}
 	sh := nn.shards[shardIdx]
 
@@ -435,7 +466,9 @@ func (nn *NameNode) AllocateBlockCtx(ctx context.Context, size int) (*BlockMeta,
 	t0 := time.Now()
 	var pl topology.Placement
 	var err error
-	if core >= 0 {
+	if wp, ok := sh.policy.(writerPlacer); ok && writer != placement.NoWriter {
+		pl, err = wp.PlaceFrom(id, writer)
+	} else if core >= 0 {
 		pl, err = sh.policy.(rackPlacer).PlaceAt(id, core)
 	} else {
 		pl, err = sh.policy.Place(id)

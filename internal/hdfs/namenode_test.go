@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -250,6 +251,39 @@ func TestConcurrentWritesAuditorClean(t *testing.T) {
 	if !r.Clean {
 		t.Fatalf("concurrent EAR writes not auditor-clean: ongoing=%+v transient=%+v",
 			r.Ongoing, r.Transient)
+	}
+}
+
+// TestCoreRackSequenceSeeded: the core racks of allocations no writer is
+// known for come from a sequence the constructor's seed starts, so two seeds
+// differ and one seed repeats.
+func TestCoreRackSequenceSeeded(t *testing.T) {
+	cfg := testPlacementConfig(t)
+	cores := func(seed int64) []topology.RackID {
+		nn, err := NewShardedNameNode(cfg, "ear", seed, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []topology.RackID
+		for i := 0; i < 32; i++ {
+			meta, err := nn.AllocateBlock(1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := cfg.Topology.RackOf(meta.Nodes[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+	a, again, b := cores(3), cores(3), cores(4)
+	if !slices.Equal(a, again) {
+		t.Errorf("seed 3 drew core racks %v, then %v", a, again)
+	}
+	if slices.Equal(a, b) {
+		t.Errorf("seeds 3 and 4 drew the same core racks %v", a)
 	}
 }
 

@@ -16,12 +16,12 @@ func sortStripesByCore(s []*StripeInfo) {
 }
 
 // EAR implements encoding-aware replication (paper Section III). Each rack
-// owns one open stripe at a time; a block's first replica lands in some rack
-// (the stripe's core rack) and the remaining replicas are placed randomly,
-// regenerated until the stripe's flow graph keeps a maximum flow equal to
-// the number of blocks placed so far (Section III-C). Once a stripe
-// accumulates k blocks it is sealed and handed to the encoding pipeline via
-// TakeSealed.
+// owns one open stripe at a time; a block's first replica lands in the
+// writer's rack (the stripe's core rack; a random rack when no writer is
+// known) and the remaining replicas are placed randomly, regenerated until
+// the stripe's flow graph keeps a maximum flow equal to the number of blocks
+// placed so far (Section III-C). Once a stripe accumulates k blocks it is
+// sealed and handed to the encoding pipeline via TakeSealed.
 type EAR struct {
 	cfg Config
 	rng *rand.Rand
@@ -92,18 +92,42 @@ func (p *EAR) Name() string {
 	return "ear"
 }
 
-// Place decides the replica locations for a new block. The first replica's
-// rack is chosen uniformly at random, mirroring RR's load balancing; that
-// rack becomes (or already is) the core rack of the stripe the block joins.
+// Place decides the replica locations for a new block no writer is known
+// for. The first replica's rack is chosen uniformly at random, mirroring RR's
+// load balancing; that rack becomes (or already is) the core rack of the
+// stripe the block joins.
 func (p *EAR) Place(block topology.BlockID) (topology.Placement, error) {
 	core := topology.RackID(p.rng.Intn(p.cfg.Topology.Racks()))
 	return p.PlaceAt(block, core)
 }
 
-// PlaceAt places a block whose first replica must land in the given rack,
-// the case where the writer is a node of that rack (HDFS writes the first
-// replica locally).
+// PlaceAt places a block whose first replica must land on some node of the
+// given rack: the caller chose the core rack but names no writing node.
 func (p *EAR) PlaceAt(block topology.BlockID, core topology.RackID) (topology.Placement, error) {
+	return p.placeAt(block, core, NoWriter)
+}
+
+// PlaceFrom places a block written by the given node. HDFS writes the first
+// replica locally, so the writer's rack is the core rack of the stripe the
+// block joins and the first candidate layout puts replica 1 on the writer
+// itself; when the stripe's flow graph rejects that candidate (a hot writer
+// already holds the one block of the stripe a node may keep, and the other
+// replicas do not fit either) the remaining candidates draw replica 1 from
+// the whole core rack, exactly as PlaceAt does. NoWriter is Place.
+func (p *EAR) PlaceFrom(block topology.BlockID, writer topology.NodeID) (topology.Placement, error) {
+	if writer == NoWriter {
+		return p.Place(block)
+	}
+	core, err := p.cfg.Topology.RackOf(writer)
+	if err != nil {
+		return topology.Placement{}, err
+	}
+	return p.placeAt(block, core, writer)
+}
+
+// placeAt is PlaceAt with an optional writer (NoWriter: none) in the core
+// rack.
+func (p *EAR) placeAt(block topology.BlockID, core topology.RackID, writer topology.NodeID) (topology.Placement, error) {
 	if int(core) < 0 || int(core) >= p.cfg.Topology.Racks() {
 		return topology.Placement{}, fmt.Errorf("%w: %d", topology.ErrUnknownRack, core)
 	}
@@ -111,7 +135,7 @@ func (p *EAR) PlaceAt(block topology.BlockID, core topology.RackID) (topology.Pl
 	if err != nil {
 		return topology.Placement{}, err
 	}
-	nodes, iters, err := p.placeInStripe(os, block)
+	nodes, iters, err := p.placeInStripe(os, block, writer)
 	if err != nil {
 		return topology.Placement{}, err
 	}
@@ -121,7 +145,7 @@ func (p *EAR) PlaceAt(block topology.BlockID, core topology.RackID) (topology.Pl
 }
 
 // commitPlacement records an accepted placement on its open stripe and seals
-// the stripe once it reaches k blocks. Shared by the live path (PlaceAt) and
+// the stripe once it reaches k blocks. Shared by the live path (placeAt) and
 // the replay path (RestorePlacement).
 func (p *EAR) commitPlacement(os *openStripe, pl topology.Placement, iters int) {
 	os.info.Blocks = append(os.info.Blocks, pl.Block)
@@ -335,17 +359,21 @@ func (p *EAR) remoteRacks(info *StripeInfo) []topology.RackID {
 // placeInStripe generates candidate layouts for the block until the
 // stripe's flow graph accepts one (Section III-C step 5), returning the
 // layout and the number of candidates generated (Theorem 1's iteration
-// count).
+// count). With a writer, the first candidate pins replica 1 to it; every
+// later one draws replica 1 from the core rack.
 // Candidate layouts live in p.scratch; the accepted one is cloned once into
 // owned memory, so a rejected candidate costs no allocation at steady state.
-func (p *EAR) placeInStripe(os *openStripe, block topology.BlockID) ([]topology.NodeID, int, error) {
+func (p *EAR) placeInStripe(os *openStripe, block topology.BlockID, writer topology.NodeID) ([]topology.NodeID, int, error) {
 	info := os.info
 	i := len(info.Blocks) + 1 // this block's 1-based index within the stripe
 	remote := p.remoteRacks(info)
 	p.lastAttempts = 0
 	for attempt := 1; attempt <= p.cfg.MaxRetries; attempt++ {
 		p.lastAttempts = attempt
-		nodes, err := randomLayoutInto(p.cfg, info.CoreRack, remote, p.rng, &p.scratch)
+		if attempt > 1 {
+			writer = NoWriter
+		}
+		nodes, err := localLayoutInto(p.cfg, writer, info.CoreRack, remote, p.rng, &p.scratch)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -14,7 +14,8 @@ import (
 // and one rebuilding the graph from scratch for every candidate must make
 // bit-identical decisions. Both consume the rng only for layout generation,
 // so identical accept/reject sequences yield identical placements AND
-// identical per-block iteration counts.
+// identical per-block iteration counts. The writer each block is placed from
+// (none for about one block in a stripe) is one more input to both.
 func TestPropertyIncrementalMatchesFullRecompute(t *testing.T) {
 	f := func(seed int64) bool {
 		cfgRng := rand.New(rand.NewSource(seed))
@@ -32,9 +33,14 @@ func TestPropertyIncrementalMatchesFullRecompute(t *testing.T) {
 			t.Logf("seed %d: NewEAR full: %v", seed, err)
 			return false
 		}
+		writers := rand.New(rand.NewSource(seed + 2))
 		for b := 0; b < 4*cfg.K; b++ {
-			pi, errI := inc.Place(topology.BlockID(b))
-			pf, errF := rec.Place(topology.BlockID(b))
+			writer := topology.NodeID(writers.Intn(cfg.Topology.Nodes()))
+			if writers.Intn(cfg.K) == 0 {
+				writer = NoWriter
+			}
+			pi, errI := inc.PlaceFrom(topology.BlockID(b), writer)
+			pf, errF := rec.PlaceFrom(topology.BlockID(b), writer)
 			if (errI == nil) != (errF == nil) {
 				t.Logf("seed %d block %d: err mismatch %v vs %v", seed, b, errI, errF)
 				return false

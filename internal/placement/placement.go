@@ -156,6 +156,10 @@ func (s *StripeInfo) Clone() *StripeInfo {
 	return c
 }
 
+// NoWriter is the writer argument of PlaceFrom when the writing node is not
+// known (metadata-only allocations): the first replica is drawn at random.
+const NoWriter topology.NodeID = -1
+
 // Policy is a replica placement policy. Implementations are not safe for
 // concurrent use; callers serialize access (the NameNode holds a lock, the
 // simulator is single-threaded per event).

@@ -374,6 +374,81 @@ func TestEARPlaceAtValidatesRack(t *testing.T) {
 	}
 }
 
+// TestPlaceFromPinsFirstReplica: with a writer, both policies put replica 1
+// on the writer — EAR unless the stripe's flow graph rejected that first
+// candidate, and then still in the writer's rack, which is the core rack of
+// the stripe the block joined; the post-encoding plans stay violation-free.
+func TestPlaceFromPinsFirstReplica(t *testing.T) {
+	cfg := baseConfig(t, 4, 4, 14, 12)
+	cfg.Replicas, cfg.C = 2, 4
+	top := cfg.Topology
+	rr, err := NewRandom(cfg, rand.New(rand.NewSource(21)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ear, err := NewEAR(cfg, rand.New(rand.NewSource(22)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writers := rand.New(rand.NewSource(23))
+	moved := 0
+	for b := 0; b < 40*cfg.K; b++ {
+		// Bursts from one writer, so some stripes fill from a single node.
+		writer := topology.NodeID(writers.Intn(top.Nodes()))
+		if b%(2*cfg.K) < cfg.K {
+			writer = 5
+		}
+		rack, _ := top.RackOf(writer)
+		pl, err := rr.PlaceFrom(topology.BlockID(b), writer)
+		if err != nil || pl.Nodes[0] != writer {
+			t.Fatalf("RR PlaceFrom(%d, node %d) = %v, %v; want replica 1 on the writer", b, writer, pl.Nodes, err)
+		}
+		if r, _ := top.RackOf(pl.Nodes[1]); r == rack {
+			t.Fatalf("RR block %d: replica 2 on node %d shares rack %d with the writer", b, pl.Nodes[1], rack)
+		}
+		pl, err = ear.PlaceFrom(topology.BlockID(b), writer)
+		if err != nil {
+			t.Fatalf("EAR PlaceFrom(%d, node %d): %v", b, writer, err)
+		}
+		if r, _ := top.RackOf(pl.Nodes[0]); r != rack {
+			t.Fatalf("EAR block %d from node %d (rack %d): replica 1 on node %d (rack %d)", b, writer, rack, pl.Nodes[0], r)
+		}
+		switch attempts := ear.LastPlaceAttempts(); {
+		case attempts >= 10000:
+			t.Fatalf("EAR block %d took %d candidate layouts", b, attempts)
+		case pl.Nodes[0] == writer:
+		case attempts == 1:
+			t.Fatalf("EAR block %d: first candidate accepted with replica 1 on node %d, not on writer %d", b, pl.Nodes[0], writer)
+		default:
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Error("the flow graph never rejected a writer-pinned candidate; the fallback went unexercised")
+	}
+	sealed := append(ear.TakeSealed(), ear.FlushOpen()...)
+	for _, s := range sealed {
+		for i, pl := range s.Placements {
+			if r, _ := top.RackOf(pl.Nodes[0]); r != s.CoreRack {
+				t.Fatalf("stripe %d block %d: replica 1 in rack %d, core rack %d", s.ID, i, r, s.CoreRack)
+			}
+		}
+		plan, err := PlanPostEncoding(cfg, s, rand.New(rand.NewSource(int64(s.ID))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Violation {
+			t.Fatalf("stripe %d needs relocation after writer-local placement", s.ID)
+		}
+	}
+	if _, err := ear.PlaceFrom(0, topology.NodeID(top.Nodes())); !errors.Is(err, topology.ErrUnknownNode) {
+		t.Errorf("EAR PlaceFrom an unknown node: %v", err)
+	}
+	if _, err := rr.PlaceFrom(0, topology.NodeID(top.Nodes())); !errors.Is(err, topology.ErrUnknownNode) {
+		t.Errorf("RR PlaceFrom an unknown node: %v", err)
+	}
+}
+
 func TestPreliminaryEARSkipsFlowCheck(t *testing.T) {
 	cfg := baseConfig(t, 5, 6, 5, 4)
 	cfg.Preliminary = true

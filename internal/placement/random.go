@@ -8,7 +8,8 @@ import (
 )
 
 // Random implements RR, the HDFS default replica placement (paper Section
-// II-A): the first replica goes to a node in a randomly chosen rack and the
+// II-A): the first replica goes to the writing node (PlaceFrom) or, when no
+// writer is known, to a node in a randomly chosen rack (Place), and the
 // remaining r-1 replicas go to distinct nodes in one different randomly
 // chosen rack, protecting against a two-node failure or a single-rack
 // failure. With Config.SpreadReplicas every replica instead lands in its own
@@ -38,9 +39,17 @@ func NewRandom(cfg Config, rng *rand.Rand) (*Random, error) {
 // Name returns "rr".
 func (p *Random) Name() string { return "rr" }
 
-// Place chooses replica locations for the block.
+// Place chooses replica locations for a block no writer is known for.
 func (p *Random) Place(block topology.BlockID) (topology.Placement, error) {
-	nodes, err := randomLayoutInto(p.cfg, topology.RackID(-1), p.racks, p.rng, &p.scratch)
+	return p.PlaceFrom(block, NoWriter)
+}
+
+// PlaceFrom chooses replica locations for a block written by the given node:
+// the first replica is the writer's own (the same rule EAR applies, so the
+// two policies differ only in where replicas 2..r go). NoWriter draws the
+// first replica's rack and node uniformly.
+func (p *Random) PlaceFrom(block topology.BlockID, writer topology.NodeID) (topology.Placement, error) {
+	nodes, err := localLayoutInto(p.cfg, writer, topology.RackID(-1), p.racks, p.rng, &p.scratch)
 	if err != nil {
 		return topology.Placement{}, err
 	}
@@ -83,20 +92,41 @@ func randomLayout(cfg Config, coreRack topology.RackID, remoteRacks []topology.R
 // replica's rack is chosen uniformly. remoteRacks is the eligible set for the
 // non-first replicas. The returned slice aliases s.nodes.
 func randomLayoutInto(cfg Config, coreRack topology.RackID, remoteRacks []topology.RackID, rng *rand.Rand, s *layoutScratch) ([]topology.NodeID, error) {
-	top := cfg.Topology
 	s.nodes = s.nodes[:0]
-
 	firstRack := coreRack
 	if firstRack < 0 {
-		firstRack = topology.RackID(rng.Intn(top.Racks()))
+		firstRack = topology.RackID(rng.Intn(cfg.Topology.Racks()))
 	}
-	if err := sampleNodesInRackInto(top, firstRack, 1, rng, s); err != nil {
+	if err := sampleNodesInRackInto(cfg.Topology, firstRack, 1, rng, s); err != nil {
 		return nil, err
 	}
+	return remoteReplicasInto(cfg, firstRack, remoteRacks, rng, s)
+}
+
+// localLayoutInto generates one replica layout whose first replica is the
+// writing node itself (HDFS writes the first replica locally); the remaining
+// replicas are drawn exactly as in randomLayoutInto, which NoWriter falls back
+// to with the given coreRack. The returned slice aliases s.nodes.
+func localLayoutInto(cfg Config, writer topology.NodeID, coreRack topology.RackID, remoteRacks []topology.RackID, rng *rand.Rand, s *layoutScratch) ([]topology.NodeID, error) {
+	if writer == NoWriter {
+		return randomLayoutInto(cfg, coreRack, remoteRacks, rng, s)
+	}
+	rack, err := cfg.Topology.RackOf(writer)
+	if err != nil {
+		return nil, err
+	}
+	s.nodes = append(s.nodes[:0], writer)
+	return remoteReplicasInto(cfg, rack, remoteRacks, rng, s)
+}
+
+// remoteReplicasInto appends replicas 2..r to s.nodes, which holds the first
+// replica: every one in its own rack with Config.SpreadReplicas, otherwise on
+// distinct nodes of one rack, always outside firstRack.
+func remoteReplicasInto(cfg Config, firstRack topology.RackID, remoteRacks []topology.RackID, rng *rand.Rand, s *layoutScratch) ([]topology.NodeID, error) {
+	top := cfg.Topology
 	if cfg.Replicas == 1 {
 		return s.nodes, nil
 	}
-
 	if cfg.SpreadReplicas {
 		racks, err := sampleRacksInto(remoteRacks, firstRack, cfg.Replicas-1, rng, s)
 		if err != nil {
@@ -109,7 +139,6 @@ func randomLayoutInto(cfg Config, coreRack topology.RackID, remoteRacks []topolo
 		}
 		return s.nodes, nil
 	}
-
 	racks, err := sampleRacksInto(remoteRacks, firstRack, 1, rng, s)
 	if err != nil {
 		return nil, err

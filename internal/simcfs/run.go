@@ -445,8 +445,11 @@ func (r *runState) encodeWorker(proc *sim.Proc, stripes []*placement.StripeInfo)
 
 // writeGenerator issues single-block writes with exponential inter-arrival
 // times. Each write replicates the block along the HDFS pipeline:
-// writer -> first replica -> second -> ... Writes stop after WriteDuration
-// (if set) or when encoding finishes.
+// writer -> first replica -> second -> ... The writer is a random node drawn
+// independently of the placement (the paper's CSIM model: write traffic is
+// evenly spread background load), not the holder of the first replica as in
+// the hdfs testbed; see DESIGN.md, "Data path". Writes stop after
+// WriteDuration (if set) or when encoding finishes.
 func (r *runState) writeGenerator(proc *sim.Proc) error {
 	p := r.params
 	pol, err := r.newPolicy()
