@@ -58,34 +58,6 @@ func BenchmarkPlacementEAR(b *testing.B) { benchPolicy(b, "ear") }
 
 // --- Ablation benchmarks ---------------------------------------------------
 
-// BenchmarkAblationFlowIncremental compares EAR's snapshot-incremental flow
-// check against rebuilding the flow graph per candidate layout.
-func BenchmarkAblationFlowIncremental(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		full bool
-	}{{"incremental", false}, {"full-recompute", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			top, err := topology.New(20, 20)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := placement.Config{Topology: top, K: 10, N: 14, FullRecompute: mode.full}
-			pol, err := placement.NewEAR(cfg, rand.New(rand.NewSource(2)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pol.Place(topology.BlockID(i)); err != nil {
-					b.Fatal(err)
-				}
-				pol.TakeSealed()
-			}
-		})
-	}
-}
-
 // BenchmarkAblationCoreRackFlag quantifies the strict core-rack scheduling
 // flag (Section IV's third modification): with the flag off, EAR's encode
 // maps spill to arbitrary nodes and cross-rack downloads return.

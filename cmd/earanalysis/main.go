@@ -90,10 +90,10 @@ func run() error {
 		fmt.Println(t)
 	}
 	if *traffic {
-		for _, pipelined := range []bool{false, true} {
+		for _, arm := range []experiments.EncodeArm{experiments.Gather, experiments.Chain} {
 			for _, policy := range []string{"rr", "ear"} {
-				opts := experiments.TestbedOptions{Seed: *seed, PipelinedEncode: pipelined}
-				res, err := experiments.RunTraffic(opts, policy, 9, 6)
+				opts := experiments.TestbedOptions{Seed: *seed}
+				res, err := experiments.RunTraffic(opts, policy, 9, 6, arm)
 				if err != nil {
 					return err
 				}

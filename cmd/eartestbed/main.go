@@ -19,7 +19,7 @@
 // The "encodewindow" experiment measures how much the pipelined distributed
 // encode shrinks the encode window — the wall-clock span during which
 // stripes sit between replication and full parity protection — under
-// injected background traffic, with the pipeline knob off and on.
+// injected background traffic: the paper's gather baseline, then the chain.
 //
 // The "nodefail" experiment is the node-failure recovery smoke: it encodes
 // stripes on a multi-node-rack EAR cluster, kills the node holding the most

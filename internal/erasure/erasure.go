@@ -224,9 +224,6 @@ func (c *Coder) EncodeInto(data, parity [][]byte) error {
 	return nil
 }
 
-// parityRow returns (without copying) row i of the parity matrix.
-func (c *Coder) parityRow(i int) []byte { return c.parityRows[i] }
-
 // ParityRowView returns (without copying) row i of the parity coefficient
 // matrix: k coefficients, one per data position. Callers must treat the row
 // as immutable. The pipelined encoder distributes these rows to the replica

@@ -13,8 +13,7 @@ import (
 // safe for concurrent use.
 //
 // Buffers returned by Get have arbitrary contents; callers that need zeroed
-// memory must clear them (or use a dedicated immutable zero block, as the
-// encode path does for padding).
+// memory must clear them, as the head of a fold chain does.
 type BufferPool struct {
 	mu    sync.Mutex
 	pools map[int]*sync.Pool

@@ -87,6 +87,14 @@ func RunCrashRun(opts CrashOptions, kill func() error) error {
 
 	select {
 	case <-encoded:
+		// The scenario must crash what ships: every stripe under way went
+		// into the chain.
+		started, _, _ := j.Since(0, 0, events.Filter{Type: events.StripeEncodeStarted})
+		for _, e := range started {
+			if e.Detail != string(Chain) {
+				return fmt.Errorf("crash run: stripe %d is encoded off the chain (%s)", e.Stripe, e.Detail)
+			}
+		}
 	case <-time.After(opts.KillTimeout):
 		return fmt.Errorf("no stripe encoded within %v; nothing to crash into", opts.KillTimeout)
 	}

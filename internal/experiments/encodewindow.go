@@ -1,13 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"math/rand"
-	"time"
-
-	"ear/internal/hdfs"
-	"ear/internal/topology"
-)
+import "fmt"
 
 // EncodeWindowRow is one cell of the encode-window experiment: the wall-clock
 // duration of the whole encoding job (the window during which the cluster
@@ -60,64 +53,25 @@ func encodeWindowDefaults(o TestbedOptions) TestbedOptions {
 // RunEncodeWindow measures how much the RapidRAID-style pipelined encode
 // shrinks the encode window — the wall-clock span of the encoding job, during
 // which stripes sit between replication and full parity protection — under
-// increasing background cross-traffic, with the pipeline knob off and on.
-// Every other knob (geometry, code, shaping, seed) is held identical between
-// the two runs of each cell, so the delta is the pipeline's alone.
+// increasing background cross-traffic: each cell runs the Gather arm, then
+// the Chain arm. Everything else (geometry, code, shaping, seed) is held
+// identical between the two runs, so the delta is the pipeline's alone.
 func RunEncodeWindow(opts TestbedOptions) (*EncodeWindowResult, error) {
 	opts = encodeWindowDefaults(opts)
 	const n, k = 14, 12
 	res := &EncodeWindowResult{}
 	for _, frac := range []float64{0, 0.4, 0.8} {
 		row := EncodeWindowRow{InjectedFrac: frac}
-		for _, pipelined := range []bool{false, true} {
-			o := opts
-			o.PipelinedEncode = pipelined
-			cfg := o.clusterConfig("rr", n, k)
-			c, err := hdfs.NewCluster(cfg)
+		for _, arm := range []EncodeArm{Gather, Chain} {
+			st, _, err := encodeOnce(opts, "rr", n, k, arm, frac)
 			if err != nil {
 				return nil, err
 			}
-			o.apply(c)
-			rng := rand.New(rand.NewSource(o.Seed + 77))
-			if _, err := populate(c, o.Stripes, rng); err != nil {
-				c.Close()
-				return nil, err
-			}
-			var injectors []interface{ Close() }
-			if frac > 0 {
-				nodes := c.Topology().Nodes()
-				for a := 0; a+1 < nodes; a += 2 {
-					inj, err := c.Fabric().InjectTraffic(topology.NodeID(a), topology.NodeID(a+1),
-						frac*o.BandwidthBytesPerSec)
-					if err != nil {
-						c.Close()
-						return nil, err
-					}
-					injectors = append(injectors, inj)
-				}
-			}
-			t0 := time.Now()
-			st, err := c.RaidNode().EncodeAll()
-			window := time.Since(t0).Seconds()
-			for _, inj := range injectors {
-				inj.Close()
-			}
-			if err == nil {
-				err = settlePlacement(c)
-			}
-			c.Close()
-			if err != nil {
-				return nil, err
-			}
-			if pipelined {
-				if st.PipelinedStripes != st.Stripes {
-					return nil, fmt.Errorf("encodewindow: %d of %d stripes took the pipeline",
-						st.PipelinedStripes, st.Stripes)
-				}
-				row.PipelinedSeconds = window
+			if arm == Chain {
+				row.PipelinedSeconds = st.Duration.Seconds()
 				row.PipelinedCrossDownloads = st.CrossRackDownloads
 			} else {
-				row.GatherSeconds = window
+				row.GatherSeconds = st.Duration.Seconds()
 				row.GatherCrossDownloads = st.CrossRackDownloads
 			}
 		}

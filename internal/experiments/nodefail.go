@@ -65,7 +65,7 @@ func RunNodeFail(opts TestbedOptions) (*NodeFailResult, error) {
 	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
 		return nil, err
 	}
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
+	if _, err := Chain.encodeAll(c); err != nil {
 		return nil, err
 	}
 	if err := settlePlacement(c); err != nil {

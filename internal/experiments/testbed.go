@@ -8,6 +8,8 @@ import (
 	"sync"
 	"time"
 
+	"ear/internal/experiments/hdfsraid"
+	"ear/internal/fabric"
 	"ear/internal/hdfs"
 	"ear/internal/mapred"
 	"ear/internal/stats"
@@ -35,11 +37,6 @@ type TestbedOptions struct {
 	DiskBytesPerSec float64
 	MapTasks        int
 	Seed            int64
-	// PipelinedEncode runs every encode through the chain engine (the
-	// cluster's default) instead of the paper's gather path, which the
-	// experiments reproduce and therefore select unless this is set (it
-	// maps to hdfs.Config.GatherEncode = !PipelinedEncode).
-	PipelinedEncode bool
 	// C bounds blocks of one stripe per rack after encoding (default 1,
 	// the paper's setting; multi-node-rack geometries need more so a
 	// stripe fits in the cluster).
@@ -118,8 +115,34 @@ func (o TestbedOptions) clusterConfig(policy string, n, k int) hdfs.Config {
 		DiskBandwidthBytesPerSec: o.DiskBytesPerSec,
 		MapTasks:                 o.MapTasks,
 		Seed:                     o.Seed,
-		GatherEncode:             !o.PipelinedEncode,
 	}
+}
+
+// EncodeArm names the encode an experiment measures, by what the job's
+// StripeEncodeStarted events say in Detail.
+type EncodeArm string
+
+const (
+	// Chain is what ships: the cluster's own encode, the chain engine.
+	Chain EncodeArm = "pipelined"
+	// Gather is the paper's baseline, HDFS-RAID's download-k / encode /
+	// upload-m (package hdfsraid), which the paper-figure experiments
+	// reproduce.
+	Gather EncodeArm = "gather"
+)
+
+// encodeAll runs one encoding job of the arm on the cluster. The Chain arm
+// fails if any stripe was encoded otherwise: a reliability scenario must
+// exercise, and an A/B run measure, what earfsd ships.
+func (a EncodeArm) encodeAll(c *hdfs.Cluster) (hdfs.EncodeStats, error) {
+	if a == Gather {
+		return c.RaidNode().EncodeAllWith(context.Background(), hdfsraid.Parity(c))
+	}
+	st, err := c.RaidNode().EncodeAll()
+	if err == nil && st.PipelinedStripes != st.Stripes {
+		err = fmt.Errorf("%d of %d stripes took the chain", st.PipelinedStripes, st.Stripes)
+	}
+	return st, err
 }
 
 // populate writes blocks at full speed until the pre-encoding store holds
@@ -160,12 +183,12 @@ func populate(c *hdfs.Cluster, stripes int, rng *rand.Rand) ([]topology.BlockID,
 	return ids, nil
 }
 
-// encodeOnce builds a cluster, populates it, and measures one encoding job,
-// returning its statistics and the cross-rack traffic the job generated (a
-// fabric snapshot delta, so the populate phase is excluded).
-func encodeOnce(opts TestbedOptions, policy string, n, k int) (hdfs.EncodeStats, float64, error) {
-	cfg := opts.clusterConfig(policy, n, k)
-	c, err := hdfs.NewCluster(cfg)
+// encodeOnce builds a cluster, populates it, and measures one encoding job
+// of the arm under injected cross traffic (a fraction of the link rate; 0:
+// none), returning its statistics and the cross-rack traffic the job
+// generated (a fabric snapshot delta, so the populate phase is excluded).
+func encodeOnce(opts TestbedOptions, policy string, n, k int, arm EncodeArm, injected float64) (hdfs.EncodeStats, float64, error) {
+	c, err := hdfs.NewCluster(opts.clusterConfig(policy, n, k))
 	if err != nil {
 		return hdfs.EncodeStats{}, 0, err
 	}
@@ -175,8 +198,27 @@ func encodeOnce(opts TestbedOptions, policy string, n, k int) (hdfs.EncodeStats,
 	if _, err := populate(c, opts.Stripes, rng); err != nil {
 		return hdfs.EncodeStats{}, 0, err
 	}
+	// Pair up nodes as Iperf sender/receiver, half the cluster like the
+	// paper's six pairs on twelve slaves. They stop with the job, or on the
+	// way out of a failure (Close is idempotent).
+	var injectors []*fabric.Injector
+	stop := func() {
+		for _, inj := range injectors {
+			inj.Close()
+		}
+	}
+	defer stop()
+	for a := 0; injected > 0 && a+1 < c.Topology().Nodes(); a += 2 {
+		inj, err := c.Fabric().InjectTraffic(topology.NodeID(a), topology.NodeID(a+1),
+			injected*opts.BandwidthBytesPerSec)
+		if err != nil {
+			return hdfs.EncodeStats{}, 0, err
+		}
+		injectors = append(injectors, inj)
+	}
 	before := c.Fabric().Snapshot()
-	st, err := c.RaidNode().EncodeAll()
+	st, err := arm.encodeAll(c)
+	stop()
 	if err != nil {
 		return st, 0, err
 	}
@@ -214,11 +256,11 @@ func RunA1(opts TestbedOptions) (*Table, error) {
 	}
 	for _, k := range []int{4, 6, 8, 10} {
 		n := k + 2
-		rr, rrCrossMB, err := encodeOnce(opts, "rr", n, k)
+		rr, rrCrossMB, err := encodeOnce(opts, "rr", n, k, Gather, 0)
 		if err != nil {
 			return nil, fmt.Errorf("a1 rr k=%d: %w", k, err)
 		}
-		ear, earCrossMB, err := encodeOnce(opts, "ear", n, k)
+		ear, earCrossMB, err := encodeOnce(opts, "ear", n, k, Gather, 0)
 		if err != nil {
 			return nil, fmt.Errorf("a1 ear k=%d: %w", k, err)
 		}
@@ -243,40 +285,7 @@ func RunA1UDP(opts TestbedOptions) (*Table, error) {
 	for _, frac := range []float64{0, 0.2, 0.4, 0.6, 0.8} {
 		var thpt [2]float64
 		for i, policy := range []string{"rr", "ear"} {
-			cfg := opts.clusterConfig(policy, 10, 8)
-			c, err := hdfs.NewCluster(cfg)
-			if err != nil {
-				return nil, err
-			}
-			opts.apply(c)
-			rng := rand.New(rand.NewSource(opts.Seed + 77))
-			if _, err := populate(c, opts.Stripes, rng); err != nil {
-				c.Close()
-				return nil, err
-			}
-			// Pair up nodes as Iperf sender/receiver, half the cluster like
-			// the paper's six pairs on twelve slaves.
-			var injectors []interface{ Close() }
-			if frac > 0 {
-				nodes := c.Topology().Nodes()
-				for a := 0; a+1 < nodes; a += 2 {
-					inj, err := c.Fabric().InjectTraffic(topology.NodeID(a), topology.NodeID(a+1),
-						frac*opts.BandwidthBytesPerSec)
-					if err != nil {
-						c.Close()
-						return nil, err
-					}
-					injectors = append(injectors, inj)
-				}
-			}
-			st, err := c.RaidNode().EncodeAll()
-			for _, inj := range injectors {
-				inj.Close()
-			}
-			if err == nil {
-				err = settlePlacement(c)
-			}
-			c.Close()
+			st, _, err := encodeOnce(opts, policy, 10, 8, Gather, frac)
 			if err != nil {
 				return nil, err
 			}
@@ -364,7 +373,7 @@ func runA2Policy(opts A2Options, policy string) (*stats.Series, hdfs.EncodeStats
 	}()
 
 	time.Sleep(opts.LeadTime)
-	encStats, err := c.RaidNode().EncodeAll()
+	encStats, err := Gather.encodeAll(c)
 	close(stop)
 	<-done
 	wg.Wait()

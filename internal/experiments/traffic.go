@@ -75,8 +75,9 @@ type TrafficResult struct {
 // network bytes live in encode's gather and parity uploads); the delete
 // phase runs the PlacementMonitor + BlockMover pass that relocates blocks of
 // any stripe left violating rack-level fault tolerance (zero traffic on a
-// clean EAR run, the paper's headline saving).
-func RunTraffic(opts TestbedOptions, policy string, n, k int) (*TrafficResult, error) {
+// clean EAR run, the paper's headline saving). arm names the encode the
+// encode phase runs.
+func RunTraffic(opts TestbedOptions, policy string, n, k int, arm EncodeArm) (*TrafficResult, error) {
 	opts = opts.withDefaults()
 	cfg := opts.clusterConfig(policy, n, k)
 	c, err := hdfs.NewCluster(cfg)
@@ -145,7 +146,7 @@ func RunTraffic(opts TestbedOptions, policy string, n, k int) (*TrafficResult, e
 		return nil, err
 	}
 	if err := measure("encode", func() error {
-		_, err := c.RaidNode().EncodeAll()
+		_, err := arm.encodeAll(c)
 		return err
 	}); err != nil {
 		return nil, err
@@ -177,13 +178,9 @@ func RunTraffic(opts TestbedOptions, policy string, n, k int) (*TrafficResult, e
 	sampler.Stop()
 	res.Timeline = sampler.Timeline()
 
-	mode := "pipelined"
-	if cfg.GatherEncode {
-		mode = "gather"
-	}
 	t := &Table{
 		ID:      "traffic",
-		Caption: fmt.Sprintf("Per-phase cross-rack vs intra-rack traffic, policy %s (%d,%d), %s encode, chain repair", policy, n, k, mode),
+		Caption: fmt.Sprintf("Per-phase cross-rack vs intra-rack traffic, policy %s (%d,%d), %s encode, chain repair", policy, n, k, arm),
 		Headers: []string{"phase", "transfers", "xrack MB", "intra MB", "fabric xrack MB", "fabric intra MB"},
 		Notes: []string{
 			fmt.Sprintf("journal vs fabric max discrepancy: %.3f%%", res.MaxDiscrepancy*100),

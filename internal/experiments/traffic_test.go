@@ -6,7 +6,7 @@ import (
 )
 
 // TestRunTrafficConsistency runs the write/encode/delete/repair breakdown
-// for both policies and pins the cross-checks: the journal-derived byte
+// for both policies on the gather arm and pins the cross-checks: the journal-derived byte
 // totals agree with the fabric counters within 1%, every phase appears, the
 // encode and repair phases move bytes, and an EAR run's delete phase is the
 // paper's headline — zero transfers, because no post-encoding relocation is
@@ -14,7 +14,7 @@ import (
 func TestRunTrafficConsistency(t *testing.T) {
 	opts := fastTestbed()
 	for _, policy := range []string{"rr", "ear"} {
-		res, err := RunTraffic(opts, policy, 6, 4)
+		res, err := RunTraffic(opts, policy, 6, 4, Gather)
 		if err != nil {
 			t.Fatalf("RunTraffic %s: %v", policy, err)
 		}
@@ -63,9 +63,8 @@ func TestRunTrafficConsistency(t *testing.T) {
 // star of gather downloads.
 func TestRunTrafficPipelined(t *testing.T) {
 	opts := fastTestbed()
-	opts.PipelinedEncode = true
 	for _, policy := range []string{"rr", "ear"} {
-		res, err := RunTraffic(opts, policy, 6, 4)
+		res, err := RunTraffic(opts, policy, 6, 4, Chain)
 		if err != nil {
 			t.Fatalf("RunTraffic %s pipelined: %v", policy, err)
 		}

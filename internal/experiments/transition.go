@@ -110,7 +110,7 @@ func runTransitionPolicy(opts TransitionOptions, policy string) (PolicyTransitio
 		return res, fmt.Errorf("progress tracker reports %.2f encoded before the transition started",
 			mid.FractionEncoded)
 	}
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
+	if _, err := Chain.encodeAll(c); err != nil {
 		return res, err
 	}
 	if err := settlePlacement(c); err != nil {

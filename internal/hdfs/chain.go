@@ -425,19 +425,19 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 // whose local read fails is excluded and the chain re-planned over the
 // member's remaining live replicas, until a member has none left; an
 // excluded replica the plan keeps is rewritten from a verified copy before
-// the caller deletes the others (rewriteKept). It returns pooled parity
-// buffers the caller must release and the aborted-member mask, and fills
-// res.cross (m block-equivalents per rack boundary the partial sums crossed
-// plus one per rewrite that crossed; the deliveries are uploads and count
-// toward neither figure) and res.partialBytes (total partial-sum bytes
-// shipped between hops).
-func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, plan *placement.PostEncodingPlan, res *stripeResult) ([][]byte, []bool, error) {
+// the caller deletes the others (rewriteKept). It is the ParityFunc of every
+// encode job that names no other: pooled parity buffers the caller must
+// release, the aborted-member mask, CrossRackDownloads (m block-equivalents
+// per rack boundary the partial sums crossed plus one per rewrite that
+// crossed; the deliveries are uploads and count toward neither figure) and
+// PartialSumBytes (total partial-sum bytes shipped between hops).
+func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, plan *placement.PostEncodingPlan) (sp StripeParity, err error) {
 	m := c.coder.M()
 	rows := make([][]byte, m)
 	for j := range rows {
 		row, err := c.coder.ParityRowView(j)
 		if err != nil {
-			return nil, nil, err
+			return sp, err
 		}
 		rows[j] = row
 	}
@@ -448,14 +448,14 @@ func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo
 	for i, b := range info.Blocks {
 		live, err := c.nn.LiveReplicas(b)
 		if err != nil {
-			return nil, nil, err
+			return sp, err
 		}
 		if len(live) == 0 {
 			if meta, merr := c.nn.Block(b); merr == nil && meta.Aborted {
 				aborted[i] = true
 				continue
 			}
-			return nil, nil, fmt.Errorf("stripe %d block %d: %w", info.ID, b, ErrNoReplica)
+			return sp, fmt.Errorf("stripe %d block %d: %w", info.ID, b, ErrNoReplica)
 		}
 		replicas[i] = live
 	}
@@ -484,10 +484,10 @@ func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo
 			}
 		}
 		if err != nil {
-			return nil, nil, err
+			return sp, err
 		}
-		res.cross = ledger.crossHops * m
-		res.partialBytes = int64(ledger.hops) * int64(m) * int64(c.cfg.BlockSizeBytes)
+		sp.CrossRackDownloads = ledger.crossHops * m
+		sp.PartialSumBytes = int64(ledger.hops) * int64(m) * int64(c.cfg.BlockSizeBytes)
 		break
 	}
 	for _, bad := range excluded {
@@ -496,12 +496,13 @@ func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo
 		}
 		crossed, err := c.rewriteKept(ctx, info, bad, replicas[bad.pos])
 		if err != nil {
-			return nil, nil, err
+			return sp, err
 		}
-		res.cross += crossed
+		sp.CrossRackDownloads += crossed
 	}
 	ok = true
-	return pbufs, aborted, nil
+	sp.Blocks, sp.Aborted = pbufs, aborted
+	return sp, nil
 }
 
 // rewriteKept replaces the unreadable copy of stripe member bad.pos on

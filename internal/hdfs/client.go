@@ -14,9 +14,6 @@ import (
 	"ear/internal/topology"
 )
 
-// gatherFanIn bounds the concurrent source fetches of one stripe gather.
-const gatherFanIn = 16
-
 // DataKey builds the store key for a data block replica.
 func DataKey(id topology.BlockID) blockstore.Key {
 	return blockstore.Key{ID: int64(id), Kind: blockstore.Data}
@@ -454,37 +451,9 @@ func (c *Cluster) observeRepair(ledger chainLedger, d time.Duration) {
 // pickRepairNode selects a live node holding no block of the stripe, in a
 // rack whose stripe population stays within c (preserving fault tolerance).
 func (c *Cluster) pickRepairNode(sm *StripeMeta) (topology.NodeID, error) {
-	used := make(map[topology.NodeID]bool)
-	rackCount := make(map[topology.RackID]int)
-	note := func(n topology.NodeID) error {
-		if c.nn.IsDead(n) {
-			return nil
-		}
-		used[n] = true
-		r, err := c.top.RackOf(n)
-		if err != nil {
-			return err
-		}
-		rackCount[r]++
-		return nil
-	}
-	for _, b := range sm.Info.Blocks {
-		live, err := c.nn.LiveReplicas(b)
-		if err != nil {
-			return 0, err
-		}
-		for _, n := range live {
-			if err := note(n); err != nil {
-				return 0, err
-			}
-		}
-	}
-	if sm.Plan != nil {
-		for _, n := range sm.Plan.Parity {
-			if err := note(n); err != nil {
-				return 0, err
-			}
-		}
+	used, rackCount, err := c.stripeOccupancy(sm)
+	if err != nil {
+		return 0, err
 	}
 	maxPerRack := c.cfg.C
 	if maxPerRack <= 0 {

@@ -92,11 +92,11 @@ func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 		// Re-apply the recorded placement decision to the policy (EAR keeps
 		// open-stripe state; RR keeps none and skips this). The decision is
 		// in the record, so no randomness is consumed.
-		if pr, ok := sh.policy.(placementRestorer); ok {
+		if sh.ear != nil {
 			if op.core < 0 {
 				return fmt.Errorf("hdfs: replay lsn %d: allocate of block %d has no core rack", lsn, op.block)
 			}
-			if err := pr.RestorePlacement(op.block, op.core, op.nodes, op.targets, op.attempts); err != nil {
+			if err := sh.ear.RestorePlacement(op.block, op.core, op.nodes, op.targets, op.attempts); err != nil {
 				return fmt.Errorf("hdfs: replay lsn %d: %w", lsn, err)
 			}
 		}
@@ -132,11 +132,11 @@ func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 		if int(op.shard) < 0 || int(op.shard) >= len(nn.shards) {
 			return fmt.Errorf("hdfs: replay lsn %d: flush on unknown shard %d", lsn, op.shard)
 		}
-		od, ok := nn.shards[op.shard].policy.(openDropper)
-		if !ok {
+		ear := nn.shards[op.shard].ear
+		if ear == nil {
 			return fmt.Errorf("hdfs: replay lsn %d: shard %d policy cannot drop open stripes", lsn, op.shard)
 		}
-		info := od.DropOpen(op.core)
+		info := ear.DropOpen(op.core)
 		if info == nil {
 			return fmt.Errorf("hdfs: replay lsn %d: no open stripe on shard %d core rack %d", lsn, op.shard, op.core)
 		}
@@ -243,7 +243,6 @@ func (nn *NameNode) replayBlock(lsn uint64, op *nnOp) (*BlockMeta, error) {
 // handed the stripes out is in the log, so replay alone leaves them parked).
 // Returns the number of stripes requeued.
 func (nn *NameNode) RequeueUnencodedStripes() (int, error) {
-	defer nn.serialSection()()
 	nn.mu.Lock()
 	queued := make(map[topology.StripeID]bool, len(nn.preEncoding))
 	for _, info := range nn.preEncoding {
@@ -460,13 +459,12 @@ func (nn *NameNode) encodeStateLocked(buf []byte) []byte {
 
 	buf = appendU32(buf, uint32(len(nn.shards)))
 	for _, sh := range nn.shards {
-		exp, ok := sh.policy.(openStateExporter)
-		if !ok {
+		if sh.ear == nil {
 			buf = append(buf, 0)
 			continue
 		}
 		buf = append(buf, 1)
-		next, open := exp.OpenState()
+		next, open := sh.ear.OpenState()
 		buf = appendI64(buf, int64(next))
 		buf = appendU32(buf, uint32(len(open)))
 		for _, info := range open {
@@ -550,8 +548,8 @@ func (nn *NameNode) restoreSnapshot(state []byte) error {
 		if r.u8() == 0 {
 			continue
 		}
-		exp, ok := nn.shards[i].policy.(openStateExporter)
-		if !ok {
+		ear := nn.shards[i].ear
+		if ear == nil {
 			return fmt.Errorf("hdfs: snapshot has open-stripe state for shard %d but its policy keeps none", i)
 		}
 		next := topology.StripeID(r.i64())
@@ -563,7 +561,7 @@ func (nn *NameNode) restoreSnapshot(state []byte) error {
 		if r.err != nil {
 			break
 		}
-		if err := exp.RestoreOpenState(next, open); err != nil {
+		if err := ear.RestoreOpenState(next, open); err != nil {
 			return fmt.Errorf("hdfs: restoring shard %d open state: %w", i, err)
 		}
 	}
@@ -621,9 +619,6 @@ func (nn *NameNode) SnapshotNow() error {
 	if nn.wal == nil {
 		return ErrNoMetaLog
 	}
-	// No serialSection here: lockAll freezes the plane by itself, and in the
-	// serialized A/B mode the triggering mutation already holds serialMu when
-	// maybeSnapshot runs (taking it again would self-deadlock).
 	start := time.Now()
 	nn.lockAll()
 	lsn := nn.wal.LastLSN()
@@ -691,17 +686,17 @@ func (nn *NameNode) PublishRecoveredState(j *events.Journal) {
 
 	// originalNodes: the placement the block was allocated with — recorded in
 	// its stripe's Info (the block table holds only the current, possibly
-	// encode-collapsed, replica set).
+	// encode-collapsed, replica set). The stripes are indexed once so the
+	// backfill, which every restart runs, stays linear in the block count.
+	byID := make(map[topology.StripeID]*StripeMeta, len(stripes))
+	for _, sm := range stripes {
+		byID[sm.Info.ID] = sm
+	}
 	originalNodes := func(m *BlockMeta) []topology.NodeID {
-		if m.Stripe >= 0 {
-			for _, sm := range stripes {
-				if sm.Info.ID != m.Stripe {
-					continue
-				}
-				for i, b := range sm.Info.Blocks {
-					if b == m.ID && i < len(sm.Info.Placements) {
-						return sm.Info.Placements[i].Nodes
-					}
+		if sm, ok := byID[m.Stripe]; ok {
+			for i, b := range sm.Info.Blocks {
+				if b == m.ID && i < len(sm.Info.Placements) {
+					return sm.Info.Placements[i].Nodes
 				}
 			}
 		}

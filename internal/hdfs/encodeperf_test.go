@@ -99,50 +99,6 @@ func TestEncodeParallelismValidation(t *testing.T) {
 	}
 }
 
-// TestSharedZeroBlockNeverWritten exercises the paths that feed the shared
-// zero block into the coding kernels — short-stripe padding at encode and
-// decode time, and aborted stripe members — and asserts the block is still
-// all zeros afterwards. The kernels guarantee they never write through
-// their inputs; this pins the guarantee at the cluster level.
-func TestSharedZeroBlockNeverWritten(t *testing.T) {
-	c := newTestCluster(t, "ear")
-	cfg := c.Config()
-	rng := rand.New(rand.NewSource(23))
-	ids, contents := writeBlocks(t, c, 2, rng) // short stripe: 2 of k=4 blocks
-
-	// Abort a third allocation so the stripe also carries an aborted member.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.WriteBlockCtx(ctx, 0, make([]byte, cfg.BlockSizeBytes)); err == nil {
-		t.Fatal("write under canceled context should fail")
-	}
-
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
-	// Degraded-read a lost member so the chain's zero-initialized head hop
-	// reads the zero block on the decode side too.
-	victim := ids[0]
-	vm, err := c.NameNode().Block(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.NameNode().MarkDead(vm.Nodes[0])
-	got, err := c.ReadBlock(0, victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, contents[victim]) {
-		t.Fatal("degraded read content mismatch")
-	}
-	for i, b := range c.zeroBlock {
-		if b != 0 {
-			t.Fatalf("shared zero block written: byte %d = %#x", i, b)
-		}
-	}
-}
-
 // TestCrossRackNotCountedOnFailedGather pins the counting fix: cross-rack
 // downloads are recorded when a fetch completes, so a gather whose fetches
 // all fail reports zero even though every resolved source was remote.
@@ -208,13 +164,13 @@ func TestCrossRackNotCountedOnFailedGather(t *testing.T) {
 		}
 	}
 	parent := tr.Start("test-encode")
-	res, err := c.encodeStripe(context.Background(), stripes[0], encoder, parent)
+	res, _, err := c.encodeStripe(context.Background(), stripes[0], encoder, parent, nil)
 	parent.End()
 	if err == nil {
 		t.Fatal("encodeStripe succeeded with no replica bytes anywhere")
 	}
-	if res.cross != 0 {
-		t.Errorf("failed gather counted %d cross-rack downloads, want 0", res.cross)
+	if res.CrossRackDownloads != 0 {
+		t.Errorf("failed gather counted %d cross-rack downloads, want 0", res.CrossRackDownloads)
 	}
 	for _, s := range tr.Spans() {
 		if s.Name != "download" {

@@ -31,7 +31,10 @@ import (
 // ErrInvalidConfig indicates an unusable cluster configuration.
 var ErrInvalidConfig = errors.New("hdfs: invalid config")
 
-// Config describes a mini-HDFS cluster.
+// Config describes a mini-HDFS cluster. It selects no data path: stripes
+// encode, repair and degraded-read through the one chain engine (chain.go),
+// and the paper's HDFS-RAID gather is a ParityFunc an experiment hands one
+// encode job (RaidNode.EncodeAllWith), not a setting.
 type Config struct {
 	Racks        int
 	NodesPerRack int
@@ -70,17 +73,6 @@ type Config struct {
 	// EncodeParallelism bounds how many stripes one encode map task works
 	// on concurrently (default 4).
 	EncodeParallelism int
-	// GatherEncode switches stripe encoding from the chain engine (the
-	// default: the replica holders chain chunk-by-chunk partial parity sums
-	// toward the encoder's rack, aggregating intra-rack before each core
-	// crossing, and the last holder streams each parity block to its
-	// planned holder, so transfer and GF(256) arithmetic overlap and only m
-	// blocks cross any link) back to the paper's HDFS-RAID encode: gather k
-	// blocks at the encoder, encode there, upload m. It exists as the
-	// baseline Experiments A-C and the encode-window experiment measure
-	// against. Parity content is bit-identical either way. Repair, node
-	// recovery and degraded reads always run through the chain.
-	GatherEncode bool
 	// PipelineChunkBytes pins the slice in which the chain engine streams
 	// and folds partial sums. 0, the default, derives it per fold from the
 	// fabric's current link rate: what one row moves over a link in about a
@@ -88,14 +80,6 @@ type Config struct {
 	// at 16 MiB/s, 32 KiB at 32 MiB/s, 64 KiB unshaped). Smaller slices fill
 	// the chain faster until one shaped send hits its ~1 ms floor.
 	PipelineChunkBytes int
-	// RecoverParallelism bounds how many block repairs Cluster.RecoverNode
-	// runs concurrently when rebuilding a dead DataNode (default 8).
-	RecoverParallelism int
-	// SerializeMetadata funnels every NameNode operation through a single
-	// global mutex, reverting the sharded metadata path to the historical
-	// one-big-lock behavior. It exists for benchmarking and equivalence
-	// testing; production configurations leave it false.
-	SerializeMetadata bool
 
 	// MetaDir, when set, makes the metadata plane durable: NewCluster opens
 	// a write-ahead op log there, recovers whatever a previous incarnation
@@ -106,11 +90,6 @@ type Config struct {
 	// timer, the default), "always" (fsync before every mutation returns),
 	// or "none" (OS-buffered only).
 	MetaSync string
-	// MetaSyncEvery is the fsync period under MetaSync "interval"
-	// (default 25ms).
-	MetaSyncEvery time.Duration
-	// MetaSegmentBytes caps one log segment (default 16 MiB).
-	MetaSegmentBytes int64
 	// MetaSnapshotEvery, when positive, checkpoints the metadata plane after
 	// that many log appends, truncating the covered log prefix. 0 means
 	// snapshots happen only on explicit NameNode.SnapshotNow calls.
@@ -143,9 +122,6 @@ func (c Config) withDefaults() Config {
 	if c.EncodeParallelism == 0 {
 		c.EncodeParallelism = 4
 	}
-	if c.RecoverParallelism == 0 {
-		c.RecoverParallelism = 8
-	}
 	return c
 }
 
@@ -166,13 +142,9 @@ type Cluster struct {
 	jt    *mapred.JobTracker
 	raid  *RaidNode
 
-	// bufPool recycles block-sized buffers across stripe gathers, parity
-	// encodes, and reconstructions. zeroBlock is the shared immutable
-	// all-zero block used for short-stripe padding and aborted stripe
-	// members; the coding kernels only read their inputs, so one instance
-	// serves every stripe and must never be written.
-	bufPool   *erasure.BufferPool
-	zeroBlock []byte
+	// bufPool recycles block-sized buffers across chain accumulators, parity
+	// encodes, and reconstructions.
+	bufPool *erasure.BufferPool
 
 	// rng guarded by rngMu serves concurrent client-path random choices;
 	// the NameNode's policy rng is separate and serialized by its lock.
@@ -226,7 +198,6 @@ type clusterMetrics struct {
 	violations *telemetry.Metric // raidnode_placement_violations_total
 	encJobs    *telemetry.Metric // raidnode_encode_jobs_total
 	pipeFill   *telemetry.Metric // hdfs_pipeline_fill_seconds
-	gatherPar  *telemetry.Metric // hdfs_gather_parallelism
 	encMBps    *telemetry.Metric // raidnode_encode_mbps
 	poolHit    *telemetry.Metric // erasure_pool_hit_ratio
 	encStripe  *telemetry.Metric // raidnode_stripe_encode_seconds
@@ -273,9 +244,6 @@ func (c *Cluster) SetTelemetry(reg *telemetry.Registry) {
 			"Encoding jobs run.").With(),
 		pipeFill: reg.Histogram("hdfs_pipeline_fill_seconds",
 			"Time for the first chunk of a pipelined block write to reach the last replica.", nil).With(),
-		gatherPar: reg.Histogram("hdfs_gather_parallelism",
-			"Concurrent source fetches per stripe gather (GatherEncode baseline only).",
-			[]float64{1, 2, 4, 8, 16}).With(),
 		encMBps: reg.Histogram("raidnode_encode_mbps",
 			"Per-stripe parity materialization throughput (member MB over the time to compute the parity and deliver it to its holders).",
 			telemetry.ExponentialBuckets(64, 2, 12)).With(),
@@ -295,7 +263,7 @@ func (c *Cluster) SetTelemetry(reg *telemetry.Registry) {
 		partialBytes: reg.Counter("raidnode_partial_sum_bytes_total",
 			"Partial parity-sum bytes shipped between the chain hops of stripe encodes.").With(),
 		pipeStripes: reg.Counter("raidnode_pipelined_stripes_total",
-			"Stripes encoded through the chain engine (all of them unless GatherEncode is set).").With(),
+			"Stripes encoded through the chain engine.").With(),
 		repairCross: reg.Counter("hdfs_repair_cross_rack_bytes_total",
 			"Partial-sum bytes repairs shipped across the rack core.").With(),
 		repairMBps: reg.Histogram("hdfs_repair_mbps",
@@ -387,7 +355,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown policy %q", ErrInvalidConfig, cfg.Policy)
 	}
-	nn, err := NewShardedNameNode(pcfg, cfg.Policy, cfg.Seed, cfg.SerializeMetadata)
+	nn, err := NewShardedNameNode(pcfg, cfg.Policy, cfg.Seed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -401,8 +369,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		l, err := metalog.Open(metalog.Options{
 			Dir:           cfg.MetaDir,
 			Sync:          sync,
-			SyncEvery:     cfg.MetaSyncEvery,
-			SegmentBytes:  cfg.MetaSegmentBytes,
 			FsyncObserver: fsyncObs.observe,
 		})
 		if err != nil {
@@ -436,18 +402,17 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		dns[i] = &DataNode{ID: topology.NodeID(i), Store: blockstore.New()}
 	}
 	c := &Cluster{
-		cfg:       cfg,
-		top:       top,
-		fab:       fab,
-		nn:        nn,
-		dns:       dns,
-		coder:     coder,
-		jt:        jt,
-		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
-		bufPool:   erasure.NewBufferPool(),
-		zeroBlock: make([]byte, cfg.BlockSizeBytes),
-		fsyncObs:  fsyncObs,
-		acct:      tenant.NewTable(),
+		cfg:      cfg,
+		top:      top,
+		fab:      fab,
+		nn:       nn,
+		dns:      dns,
+		coder:    coder,
+		jt:       jt,
+		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
+		bufPool:  erasure.NewBufferPool(),
+		fsyncObs: fsyncObs,
+		acct:     tenant.NewTable(),
 	}
 	fab.SetAccounting(c.acct)
 	nn.setAccounting(c.acct)

@@ -77,55 +77,14 @@ type blockShard struct {
 // placementShard serializes one placement-policy instance. Under EAR every
 // core rack gets its own shard (open-stripe state is keyed by core rack, so
 // shards never share state); under RR shards are interchangeable and chosen
-// round-robin.
+// round-robin. NewShardedNameNode builds every policy, so what a shard can do
+// is known by construction: ear is the policy under EAR — the stripe state
+// the op log and snapshots record and replay restore — and nil under RR,
+// which keeps none.
 type placementShard struct {
 	mu     sync.Mutex
 	policy placement.Policy
-}
-
-// rackPlacer is the policy capability of pinning a block's first replica to
-// a chosen rack (EAR implements it); required for per-rack sharding.
-type rackPlacer interface {
-	PlaceAt(topology.BlockID, topology.RackID) (topology.Placement, error)
-}
-
-// writerPlacer is the policy capability of putting a block's first replica
-// on the node that writes it (EAR and RR implement it).
-type writerPlacer interface {
-	PlaceFrom(topology.BlockID, topology.NodeID) (topology.Placement, error)
-}
-
-// attemptCounter is the policy capability of reporting how many candidate
-// layouts the last placement generated (EAR implements it).
-type attemptCounter interface {
-	LastPlaceAttempts() int
-}
-
-// targetReporter is the policy capability of reporting the target-rack set
-// of the stripe the last placement joined (EAR implements it); the op layer
-// records it so replay reopens stripes without consuming randomness.
-type targetReporter interface {
-	LastPlaceTargets() []topology.RackID
-}
-
-// placementRestorer is the policy capability of deterministically re-applying
-// a recorded placement decision during crash-recovery replay (EAR implements
-// it; RR keeps no placement state and needs none).
-type placementRestorer interface {
-	RestorePlacement(block topology.BlockID, core topology.RackID, nodes []topology.NodeID, targets []topology.RackID, iterations int) error
-}
-
-// openStateExporter is the policy capability of exporting and restoring its
-// open-stripe state for snapshots (EAR implements it).
-type openStateExporter interface {
-	OpenState() (topology.StripeID, []*placement.StripeInfo)
-	RestoreOpenState(next topology.StripeID, open []*placement.StripeInfo) error
-}
-
-// openDropper is the policy capability of dropping one open stripe by core
-// rack, the replay counterpart of FlushOpen (EAR implements it).
-type openDropper interface {
-	DropOpen(core topology.RackID) *placement.StripeInfo
+	ear    *placement.EAR
 }
 
 // NameNode holds all metadata: block locations, the placement policy hook
@@ -177,10 +136,6 @@ type NameNode struct {
 	blockTab  [blockTableShards]blockShard
 
 	shards []*placementShard
-	// routeByRack routes an allocation to the shard of its core rack — the
-	// writer's rack, or a drawn one when no writer is known (EAR); otherwise
-	// shards are picked by the draw.
-	routeByRack bool
 	// rackSeq feeds the lock-free splitmix64 draw behind shard routing,
 	// started from the constructor's seed.
 	rackSeq atomic.Uint64
@@ -192,12 +147,6 @@ type NameNode struct {
 	// deadMu guards dead, the failed-node set.
 	deadMu sync.RWMutex
 	dead   map[topology.NodeID]bool
-
-	// serialize funnels every metadata operation through serialMu,
-	// emulating the historical single-global-mutex NameNode for A/B
-	// benchmarking. Set at construction only.
-	serialize bool
-	serialMu  sync.Mutex
 
 	// jrn is the cluster event journal (atomic so installation never races
 	// with in-flight operations; nil means unjournaled). BlockAllocated is
@@ -245,67 +194,43 @@ type nnMetrics struct {
 	recovery  *telemetry.Metric // namenode_recovery_seconds
 }
 
-// newNameNode builds the shared core; callers attach placement shards.
-func newNameNode(cfg placement.Config, policyName string, rng *rand.Rand, serialize bool) *NameNode {
+// NewShardedNameNode builds a NameNode whose placement state is sharded: one
+// policy instance (with its own rng) per core rack under EAR, or one per
+// rack-count slot under RR. The fourth argument is ignored: it selected the
+// one-big-lock A/B mode, which is gone, and stays in the signature only
+// because benchmark/ compiles against it; a [benchmark] PR drops it.
+func NewShardedNameNode(cfg placement.Config, policyName string, seed int64, _ bool) (*NameNode, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	nn := &NameNode{
 		cfg:        cfg,
 		policyName: policyName,
-		rng:        rng,
+		rng:        rand.New(rand.NewSource(seed)),
 		stripes:    make(map[topology.StripeID]*StripeMeta),
 		dead:       make(map[topology.NodeID]bool),
-		serialize:  serialize,
 	}
 	for i := range nn.blockTab {
 		nn.blockTab[i].blocks = make(map[topology.BlockID]*BlockMeta)
 	}
-	return nn
-}
-
-// NewNameNode builds a NameNode around a single caller-supplied policy
-// instance (one placement shard). NewCluster uses NewShardedNameNode, which
-// scales placement across per-core-rack shards.
-func NewNameNode(cfg placement.Config, policy placement.Policy, rng *rand.Rand) (*NameNode, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if policy == nil || rng == nil {
-		return nil, fmt.Errorf("%w: nil policy or rng", placement.ErrInvalidConfig)
-	}
-	nn := newNameNode(cfg, policy.Name(), rng, false)
-	nn.shards = []*placementShard{{policy: policy}}
-	return nn, nil
-}
-
-// NewShardedNameNode builds a NameNode whose placement state is sharded: one
-// policy instance (with its own rng) per core rack under EAR, or one per
-// rack-count slot under RR. serialize funnels all metadata operations through
-// one mutex, preserved for A/B benchmarking against the sharded path.
-func NewShardedNameNode(cfg placement.Config, policyName string, seed int64, serialize bool) (*NameNode, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	nn := newNameNode(cfg, policyName, rand.New(rand.NewSource(seed)), serialize)
 	nn.rackSeq.Store(uint64(seed))
-	shards := cfg.Topology.Racks()
-	for i := 0; i < shards; i++ {
-		var pol placement.Policy
+	for i := 0; i < cfg.Topology.Racks(); i++ {
+		sh := &placementShard{}
 		var err error
 		rng := rand.New(rand.NewSource(seed + int64(i) + 1))
 		switch policyName {
 		case "ear":
-			pol, err = placement.NewEAR(cfg, rng)
+			sh.ear, err = placement.NewEAR(cfg, rng)
+			sh.policy = sh.ear
 		case "rr":
-			pol, err = placement.NewRandom(cfg, rng)
+			sh.policy, err = placement.NewRandom(cfg, rng)
 		default:
 			return nil, fmt.Errorf("%w: unknown policy %q", placement.ErrInvalidConfig, policyName)
 		}
 		if err != nil {
 			return nil, err
 		}
-		nn.shards = append(nn.shards, &placementShard{policy: pol})
-	}
-	if policyName == "ear" {
-		nn.routeByRack = true
+		nn.shards = append(nn.shards, sh)
 	}
 	return nn, nil
 }
@@ -350,16 +275,6 @@ func (nn *NameNode) SetTelemetry(reg *telemetry.Registry) {
 
 // metrics returns the installed metric handles, nil when unobserved.
 func (nn *NameNode) metrics() *nnMetrics { return nn.tel.Load() }
-
-// serialSection enters the whole-NameNode critical section when the
-// serialized A/B mode is on; the returned func leaves it. A no-op otherwise.
-func (nn *NameNode) serialSection() func() {
-	if !nn.serialize {
-		return func() {}
-	}
-	nn.serialMu.Lock()
-	return nn.serialMu.Unlock
-}
 
 // blockShardFor returns the block-table shard owning the ID.
 func (nn *NameNode) blockShardFor(id topology.BlockID) *blockShard {
@@ -415,12 +330,6 @@ func (nn *NameNode) AllocateBlock(size int) (*BlockMeta, error) {
 	return nn.AllocateBlockFrom(context.Background(), size, placement.NoWriter)
 }
 
-// AllocateBlockCtx reserves a block no writer is known for. See
-// AllocateBlockFrom.
-func (nn *NameNode) AllocateBlockCtx(ctx context.Context, size int) (*BlockMeta, error) {
-	return nn.AllocateBlockFrom(ctx, size, placement.NoWriter)
-}
-
 // AllocateBlockFrom reserves a block ID and decides its replica placement
 // for the given writing node: the first replica is the writer's own and,
 // under EAR, the writer's rack is the core rack of the stripe the block
@@ -448,30 +357,27 @@ func (nn *NameNode) AllocateBlockFrom(ctx context.Context, size int, writer topo
 		}
 		shardIdx = int32(r)
 	}
-	defer nn.serialSection()()
 	id := topology.BlockID(nn.nextBlock.Add(1) - 1)
 
 	// Under EAR the shard is the core rack's: the writer's rack, or a drawn
 	// one. RR shards are interchangeable and always drawn.
-	if shardIdx < 0 || !nn.routeByRack {
+	if shardIdx < 0 || nn.policyName != "ear" {
 		shardIdx = int32(nn.draw() % uint64(len(nn.shards)))
 	}
+	sh := nn.shards[shardIdx]
 	core := topology.RackID(-1)
-	if nn.routeByRack {
+	if sh.ear != nil {
 		core = topology.RackID(shardIdx)
 	}
-	sh := nn.shards[shardIdx]
 
 	sh.mu.Lock()
 	t0 := time.Now()
 	var pl topology.Placement
 	var err error
-	if wp, ok := sh.policy.(writerPlacer); ok && writer != placement.NoWriter {
-		pl, err = wp.PlaceFrom(id, writer)
-	} else if core >= 0 {
-		pl, err = sh.policy.(rackPlacer).PlaceAt(id, core)
+	if sh.ear != nil && writer == placement.NoWriter {
+		pl, err = sh.ear.PlaceAt(id, core)
 	} else {
-		pl, err = sh.policy.Place(id)
+		pl, err = sh.policy.PlaceFrom(id, writer)
 	}
 	elapsed := time.Since(t0)
 	if err != nil {
@@ -480,23 +386,8 @@ func (nn *NameNode) AllocateBlockFrom(ctx context.Context, size int, writer topo
 	}
 	attempts := 1
 	var targets []topology.RackID
-	if ac, ok := sh.policy.(attemptCounter); ok {
-		if a := ac.LastPlaceAttempts(); a > 0 {
-			attempts = a
-		}
-	}
-	if tp, ok := sh.policy.(targetReporter); ok {
-		targets = tp.LastPlaceTargets()
-	}
-	if core < 0 {
-		// The policy drew the core rack itself (single-shard EAR via Place);
-		// recover it from the first replica so replay can restore into the
-		// right open stripe. RR has no stripe state and ignores it.
-		if _, isRestorer := sh.policy.(placementRestorer); isRestorer && len(pl.Nodes) > 0 {
-			if r, rerr := nn.cfg.Topology.RackOf(pl.Nodes[0]); rerr == nil {
-				core = r
-			}
-		}
+	if sh.ear != nil {
+		attempts, targets = sh.ear.LastPlaceAttempts(), sh.ear.LastPlaceTargets()
 	}
 
 	op := &nnOp{
@@ -610,7 +501,6 @@ func (nn *NameNode) CommitBlock(id topology.BlockID) error {
 // placement time; RR blocks queue for RaidNode grouping). The context's
 // trace, if any, is stamped on the BlockCommitted journal event.
 func (nn *NameNode) CommitBlockCtx(ctx context.Context, id topology.BlockID) error {
-	defer nn.serialSection()()
 	op := &nnOp{kind: opCommit, block: id}
 	bs := nn.blockShardFor(id)
 	bs.mu.Lock()
@@ -680,7 +570,6 @@ func (nn *NameNode) publishAll(evs []events.Event) {
 // an aborted member simply contributes zeros at encode time, exactly like
 // the zero-padding of short stripes. Aborting a committed block is an error.
 func (nn *NameNode) AbortBlock(id topology.BlockID) error {
-	defer nn.serialSection()()
 	op := &nnOp{kind: opAbort, block: id}
 	bs := nn.blockShardFor(id)
 	bs.mu.Lock()
@@ -740,7 +629,6 @@ func (nn *NameNode) registerStripeLocked(info *placement.StripeInfo) {
 // groups pending blocks k at a time with no placement knowledge, exactly as
 // HDFS-RAID's RaidNode does. Incomplete groups stay queued.
 func (nn *NameNode) TakePendingStripes() ([]*placement.StripeInfo, error) {
-	defer nn.serialSection()()
 	var pending []events.Event
 	var lsn uint64
 	if nn.policyName == "rr" {
@@ -840,7 +728,6 @@ func (nn *NameNode) removePendingLocked(members []topology.BlockID) {
 // PendingStripeCount reports how many sealed stripes await encoding
 // (including, under RR, the full groups formable from pending blocks).
 func (nn *NameNode) PendingStripeCount() int {
-	defer nn.serialSection()()
 	nn.mu.Lock()
 	n := len(nn.preEncoding)
 	nn.mu.Unlock()
@@ -852,30 +739,21 @@ func (nn *NameNode) PendingStripeCount() int {
 	return n
 }
 
-// flusher is the optional policy capability of sealing in-progress stripes
-// early (EAR implements it).
-type flusher interface {
-	FlushOpen() []*placement.StripeInfo
-}
-
 // FlushOpenStripes seals every in-progress stripe regardless of fill level
 // (short stripes are zero-padded at encode time). Under RR it is a no-op:
 // leftover blocks smaller than one stripe stay replicated. It returns the
 // number of stripes flushed; the error is non-nil only when the write-ahead
 // log rejected an op (already-flushed stripes stay registered).
 func (nn *NameNode) FlushOpenStripes() (int, error) {
-	defer nn.serialSection()()
 	var pending []events.Event
 	var lsn uint64
 	count := 0
 	for si, sh := range nn.shards {
-		sh.mu.Lock()
-		f, ok := sh.policy.(flusher)
-		if !ok {
-			sh.mu.Unlock()
+		if sh.ear == nil {
 			continue
 		}
-		for _, s := range f.FlushOpen() {
+		sh.mu.Lock()
+		for _, s := range sh.ear.FlushOpen() {
 			op := &nnOp{kind: opFlushStripe, shard: int32(si), core: s.CoreRack}
 			nn.mu.Lock()
 			l, err := nn.logOp(op)
@@ -906,7 +784,6 @@ func (nn *NameNode) FlushOpenStripes() (int, error) {
 
 // PlanStripe computes the post-encoding layout for a stripe.
 func (nn *NameNode) PlanStripe(info *placement.StripeInfo) (*placement.PostEncodingPlan, error) {
-	defer nn.serialSection()()
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	plan, err := placement.PlanPostEncoding(nn.cfg, info, nn.rng)
@@ -931,7 +808,6 @@ func (nn *NameNode) SetPlanOverrideForTest(fn func(*placement.StripeInfo, *place
 // block keeps a single replica and the stripe stores its plan (a private
 // copy, so the caller's plan never aliases NameNode state).
 func (nn *NameNode) CommitEncoding(id topology.StripeID, plan *placement.PostEncodingPlan) error {
-	defer nn.serialSection()()
 	op := &nnOp{kind: opEncodeCommit, stripe: id, plan: plan}
 	nn.mu.Lock()
 	sm, ok := nn.stripes[id]
@@ -986,7 +862,6 @@ func (nn *NameNode) applyEncodeLocked(sm *StripeMeta, plan *placement.PostEncodi
 
 // Block returns a copy of the block's metadata.
 func (nn *NameNode) Block(id topology.BlockID) (*BlockMeta, error) {
-	defer nn.serialSection()()
 	bs := nn.blockShardFor(id)
 	bs.mu.RLock()
 	defer bs.mu.RUnlock()
@@ -1001,7 +876,6 @@ func (nn *NameNode) Block(id topology.BlockID) (*BlockMeta, error) {
 // while concurrent operations (UpdateParityLocation, CommitEncoding) mutate
 // the authoritative record.
 func (nn *NameNode) Stripe(id topology.StripeID) (*StripeMeta, error) {
-	defer nn.serialSection()()
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	sm, ok := nn.stripes[id]
@@ -1014,7 +888,6 @@ func (nn *NameNode) Stripe(id topology.StripeID) (*StripeMeta, error) {
 // EncodedStripes lists the IDs of stripes that completed encoding, in
 // ascending order.
 func (nn *NameNode) EncodedStripes() []topology.StripeID {
-	defer nn.serialSection()()
 	nn.mu.Lock()
 	out := make([]topology.StripeID, 0, len(nn.stripes))
 	for id, sm := range nn.stripes {
@@ -1029,7 +902,6 @@ func (nn *NameNode) EncodedStripes() []topology.StripeID {
 
 // LiveReplicas returns the block's replica nodes that are not dead.
 func (nn *NameNode) LiveReplicas(id topology.BlockID) ([]topology.NodeID, error) {
-	defer nn.serialSection()()
 	bs := nn.blockShardFor(id)
 	bs.mu.RLock()
 	defer bs.mu.RUnlock()
@@ -1054,7 +926,6 @@ func (nn *NameNode) LiveReplicas(id topology.BlockID) ([]topology.NodeID, error)
 // routing reads to a dead node); the log's sticky error still surfaces on
 // the next fallible mutation.
 func (nn *NameNode) MarkDead(n topology.NodeID) {
-	defer nn.serialSection()()
 	op := &nnOp{kind: opNodeDead, node: n}
 	nn.deadMu.Lock()
 	lsn, _ := nn.logOp(op)
@@ -1069,7 +940,6 @@ func (nn *NameNode) MarkDead(n topology.NodeID) {
 // MarkAlive reverses MarkDead: the node rejoins the cluster (its stale
 // replicas are assumed invalidated by the rejoin protocol).
 func (nn *NameNode) MarkAlive(n topology.NodeID) {
-	defer nn.serialSection()()
 	op := &nnOp{kind: opNodeAlive, node: n}
 	nn.deadMu.Lock()
 	lsn, _ := nn.logOp(op)
@@ -1083,7 +953,6 @@ func (nn *NameNode) MarkAlive(n topology.NodeID) {
 
 // IsDead reports whether the node failed.
 func (nn *NameNode) IsDead(n topology.NodeID) bool {
-	defer nn.serialSection()()
 	nn.deadMu.RLock()
 	defer nn.deadMu.RUnlock()
 	return nn.dead[n]
@@ -1093,7 +962,6 @@ func (nn *NameNode) IsDead(n topology.NodeID) bool {
 // BlockMover and by repair). No NameNode event: the data-path layer that
 // moved the bytes publishes ReplicaRelocated/ReplicaDeleted.
 func (nn *NameNode) UpdateBlockLocation(id topology.BlockID, nodes []topology.NodeID) error {
-	defer nn.serialSection()()
 	op := &nnOp{kind: opBlockMoved, block: id, nodes: nodes}
 	bs := nn.blockShardFor(id)
 	bs.mu.Lock()
@@ -1121,7 +989,6 @@ func applyBlockMovedLocked(meta *BlockMeta, nodes []topology.NodeID) {
 // UpdateParityLocation rewrites the location of one parity block of a
 // stripe (used by the BlockMover).
 func (nn *NameNode) UpdateParityLocation(id topology.StripeID, idx int, node topology.NodeID) error {
-	defer nn.serialSection()()
 	op := &nnOp{kind: opParityMoved, stripe: id, idx: idx, node: node}
 	nn.mu.Lock()
 	sm, ok := nn.stripes[id]
@@ -1145,7 +1012,6 @@ func (nn *NameNode) UpdateParityLocation(id topology.StripeID, idx int, node top
 
 // BlockCount returns the number of allocated blocks.
 func (nn *NameNode) BlockCount() int {
-	defer nn.serialSection()()
 	n := 0
 	for i := range nn.blockTab {
 		bs := &nn.blockTab[i]

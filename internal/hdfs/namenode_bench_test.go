@@ -19,59 +19,42 @@ func benchPlacementConfig(b *testing.B) placement.Config {
 	return placement.Config{Topology: top, Replicas: 3, K: 6, N: 9, C: 1}
 }
 
-// BenchmarkAllocateBlock compares the new metadata path against the seed's.
-// "seed" is a faithful emulation of the pre-PR NameNode: every operation
-// behind one global mutex (SerializeMetadata) and every candidate layout
-// checked by cloning the stripe's flow graph and recomputing max flow from
-// scratch (FullRecompute). "sharded" is this PR: per-core-rack placement
-// shards, striped block table, and rollback-based incremental feasibility.
-// "serialized" isolates just the locking axis (incremental flow, one mutex).
-// The headline number is seed/parallel vs sharded/parallel; on a single-core
-// host the ratio reflects per-op cost only, on multi-core it compounds with
-// the removed lock contention.
+// BenchmarkAllocateBlock measures the metadata path of one allocation:
+// per-core-rack placement shards, striped block table, rollback-based
+// incremental feasibility. On a single-core host serial and parallel read
+// the same per-op cost; on multi-core the parallel arm shows what the
+// sharding buys.
 func BenchmarkAllocateBlock(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		serialize bool
-		recompute bool
-	}{
-		{"sharded", false, false},
-		{"serialized", true, false},
-		{"seed", true, true},
-	} {
-		newNN := func(b *testing.B) *NameNode {
-			cfg := benchPlacementConfig(b)
-			cfg.FullRecompute = mode.recompute
-			nn, err := NewShardedNameNode(cfg, "ear", 1, mode.serialize)
-			if err != nil {
+	newNN := func(b *testing.B) *NameNode {
+		nn, err := NewShardedNameNode(benchPlacementConfig(b), "ear", 1, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return nn
+	}
+	b.Run("sharded/serial", func(b *testing.B) {
+		nn := newNN(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := nn.AllocateBlock(1); err != nil {
 				b.Fatal(err)
 			}
-			return nn
 		}
-		b.Run(mode.name+"/serial", func(b *testing.B) {
-			nn := newNN(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+	})
+	b.Run("sharded/parallel", func(b *testing.B) {
+		nn := newNN(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
 				if _, err := nn.AllocateBlock(1); err != nil {
-					b.Fatal(err)
+					b.Error(err)
+					return
 				}
 			}
 		})
-		b.Run(mode.name+"/parallel", func(b *testing.B) {
-			nn := newNN(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := nn.AllocateBlock(1); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
+	})
 }
 
 // BenchmarkCommitBlock measures the block-table striped-lock path alone.

@@ -332,25 +332,3 @@ func TestEncodedStripesSorted(t *testing.T) {
 		}
 	}
 }
-
-// TestSerializedMetadataMatchesSharded checks the A/B knob changes only
-// concurrency, not behavior: a serialized NameNode produces structurally
-// valid stripes exactly like the sharded one.
-func TestSerializedMetadataMatchesSharded(t *testing.T) {
-	cfg := testConfig("ear")
-	cfg.SerializeMetadata = true
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	rng := rand.New(rand.NewSource(23))
-	writeBlocks(t, c, 2*cfg.K, rng)
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
-	if bad, err := c.RaidNode().PlacementMonitor(); err != nil || len(bad) != 0 {
-		t.Fatalf("serialized cluster produced violating stripes %v (err %v)", bad, err)
-	}
-}

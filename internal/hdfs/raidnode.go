@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ear/internal/events"
@@ -49,15 +48,14 @@ type EncodeStats struct {
 	// Violations counts stripes whose post-encoding layout breaks
 	// rack-level fault tolerance and needs the BlockMover.
 	Violations int
-	// PipelinedStripes counts stripes encoded through the chain engine (the
-	// default) rather than the gather baseline (Config.GatherEncode).
+	// PipelinedStripes counts stripes encoded through the chain engine:
+	// all of them, unless the job was handed a ParityFunc (EncodeAllWith).
 	PipelinedStripes int
 	// PartialSumBytes is the partial parity-sum traffic shipped between
-	// chain hops; the chain's replacement for gather traffic. Cross-rack
-	// partial hops also count toward CrossRackDownloads at m
-	// block-equivalents per boundary so the two paths stay comparable; the
-	// parity deliveries are uploads on either path and count toward
-	// neither.
+	// chain hops. Cross-rack partial hops also count toward
+	// CrossRackDownloads at m block-equivalents per boundary, so the chain
+	// stays comparable with a baseline that downloads whole blocks; the
+	// parity deliveries are uploads either way and count toward neither.
 	PartialSumBytes int64
 	// TaskPlacements records where each encoding map task ran.
 	TaskPlacements []mapred.Placement
@@ -212,15 +210,46 @@ func (r *RaidNode) EncodeAll() (EncodeStats, error) {
 	return r.EncodeAllCtx(context.Background())
 }
 
-// EncodeAllCtx drains the pre-encoding store and encodes every pending
-// stripe through one MapReduce job, returning the job's statistics. When a
-// tracer is installed (Cluster.SetTracer) the job emits one span per phase:
-// stripe-selection, then per map task and stripe the chain's
-// raidnode.chain-hop stages (download / encode / parity-write with
-// Config.GatherEncode) and replica-delete. Cancelling ctx cancels the job:
-// tasks waiting for slots give up and running tasks abort their in-flight
-// transfers within one chunk reservation.
+// EncodeAllCtx encodes every pending stripe through the chain engine. See
+// EncodeAllWith.
 func (r *RaidNode) EncodeAllCtx(ctx context.Context) (EncodeStats, error) {
+	return r.EncodeAllWith(ctx, nil)
+}
+
+// StripeParity is one stripe's parity as a ParityFunc returns it: the m
+// blocks in Cluster.BufferPool buffers (the encode releases them), their
+// bytes already shaped all the way to plan.Parity; the mask of aborted
+// members, which have no bytes anywhere and went in as zeros like
+// short-stripe padding; and the stripe's share of the two EncodeStats
+// traffic figures.
+type StripeParity struct {
+	Blocks             [][]byte
+	Aborted            []bool
+	CrossRackDownloads int
+	PartialSumBytes    int64
+}
+
+// ParityFunc materializes the m parity blocks of a planned stripe at
+// plan.Parity on behalf of the encoder node. It stores and commits nothing:
+// a failure or a cancellation leaves every store and the metadata as they
+// were, and releases whatever it took from the buffer pool. The span carried
+// by ctx is the map task's.
+type ParityFunc func(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, plan *placement.PostEncodingPlan) (StripeParity, error)
+
+// EncodeAllWith drains the pre-encoding store and encodes every pending
+// stripe through one MapReduce job, returning the job's statistics. fn
+// materializes each stripe's parity in place of the chain engine (nil: the
+// chain); planning, the staged parity Puts, replica deletion, the metadata
+// commit, events and tenant charges stay the RaidNode's. An experiment
+// measures the paper's HDFS-RAID gather this way
+// (internal/experiments/hdfsraid); the choice ends with the job and nothing
+// remembers it. When a tracer is installed (Cluster.SetTracer) the job emits
+// one span per phase: stripe-selection, then per map task and stripe the
+// chain's raidnode.chain-hop stages (or whatever fn emits) and
+// replica-delete. Cancelling ctx cancels the job: tasks waiting for slots
+// give up and running tasks abort their in-flight transfers within one chunk
+// reservation.
+func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStats, error) {
 	var jobSpan *telemetry.Span
 	if parent := telemetry.SpanFromContext(ctx); parent != nil {
 		jobSpan = parent.Child("encode-job")
@@ -273,33 +302,33 @@ func (r *RaidNode) EncodeAllCtx(ctx context.Context) (EncodeStats, error) {
 				for _, s := range t.stripes {
 					s := s
 					sg.Go(func() error {
-						res, err := r.c.encodeStripe(sctx, s, on, taskSpan)
+						sp, violated, err := r.c.encodeStripe(sctx, s, on, taskSpan, fn)
 						if err != nil {
 							return err
 						}
 						encodedBytes := int64(len(s.Blocks) * r.c.cfg.BlockSizeBytes)
 						mu.Lock()
-						stats.CrossRackDownloads += res.cross
-						if res.violated {
+						stats.CrossRackDownloads += sp.CrossRackDownloads
+						if violated {
 							stats.Violations++
 						}
 						stats.EncodedBytes += encodedBytes
-						if res.pipelined {
+						if fn == nil {
 							stats.PipelinedStripes++
 						}
-						stats.PartialSumBytes += res.partialBytes
+						stats.PartialSumBytes += sp.PartialSumBytes
 						mu.Unlock()
 						if tel != nil {
-							tel.crossDl.Add(float64(res.cross))
-							if res.violated {
+							tel.crossDl.Add(float64(sp.CrossRackDownloads))
+							if violated {
 								tel.violations.Inc()
 							}
 							tel.encBytes.Add(float64(encodedBytes))
-							if res.pipelined {
+							if fn == nil {
 								tel.pipeStripes.Inc()
 							}
-							if res.partialBytes > 0 {
-								tel.partialBytes.Add(float64(res.partialBytes))
+							if sp.PartialSumBytes > 0 {
+								tel.partialBytes.Add(float64(sp.PartialSumBytes))
 							}
 						}
 						return nil
@@ -332,32 +361,21 @@ func (r *RaidNode) EncodeAllCtx(ctx context.Context) (EncodeStats, error) {
 	return stats, nil
 }
 
-// stripeResult summarizes one stripe's encode for the job-level stats
-// merge: cross-rack traffic (block-equivalents), whether the committed
-// layout violates rack fault tolerance, and — on the chain — the
-// partial-sum bytes that replaced gather traffic.
-type stripeResult struct {
-	cross        int
-	violated     bool
-	pipelined    bool
-	partialBytes int64
-}
-
 // encodeStripe performs the encoding operation for one stripe on behalf of
 // the given node: plan the post-encoding layout, materialize every parity
-// block at its planned holder (through the chain engine — the replica
-// holders fold partial parity sums along a chain anchored at the encoder and
-// its last holder streams the parity out — or, with Config.GatherEncode, by
-// the paper's gather, encode and upload at the encoder), commit the parity,
+// block at its planned holder (materialize; nil is the chain engine — the
+// replica holders fold partial parity sums along a chain anchored at the
+// encoder and its last holder streams the parity out), commit the parity,
 // and delete the redundant replicas. The fabric's shaping serializes
 // transfers where links are shared, as the TaskTracker's parallel reads of
 // Section II-A would be. The parent span (nil for untraced runs) receives
-// one child span per phase.
-func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, parent *telemetry.Span) (stripeResult, error) {
-	var res stripeResult
+// one child span per phase. It returns, for the job-level stats merge, the
+// stripe's parity with the blocks released and whether the committed layout
+// violates rack fault tolerance.
+func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, parent *telemetry.Span, materialize ParityFunc) (sp StripeParity, violated bool, err error) {
 	encRack, err := c.top.RackOf(encoder)
 	if err != nil {
-		return res, err
+		return sp, false, err
 	}
 	stripeStart := time.Now()
 	defer func() {
@@ -365,7 +383,10 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 			m.encStripe.Observe(time.Since(stripeStart).Seconds())
 		}
 	}()
-	res.pipelined = !c.cfg.GatherEncode
+	detail := "gather"
+	if materialize == nil {
+		materialize, detail = c.pipelineParity, "pipelined"
+	}
 	trace := telemetry.TraceFromContext(ctx)
 	if j := c.Journal(); j != nil {
 		ev := events.New(events.StripeEncodeStarted, "raidnode")
@@ -373,39 +394,29 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 		ev.Node = encoder
 		ev.Rack = encRack
 		ev.Trace = trace
-		ev.Detail = "gather"
-		if res.pipelined {
-			ev.Detail = "pipelined"
-		}
+		ev.Detail = detail
 		j.Publish(ev)
 	}
 	plan, err := c.nn.PlanStripe(info)
 	if err != nil {
-		return res, err
+		return sp, false, err
 	}
-	// Both paths return pooled parity buffers (released here, success or
-	// not) whose bytes have been shaped all the way to plan.Parity, and the
+	// The parity comes back in pooled buffers (released here, success or not)
+	// whose bytes have been shaped all the way to plan.Parity, with the
 	// aborted-member mask. Puts stay staged until then — the same contract
 	// as the write pipeline — so a cancellation up to this point commits
 	// nothing: no store gains a parity key, no replica is deleted, and the
 	// requeued stripe re-encodes from its intact replicas.
-	var (
-		parity  [][]byte
-		aborted []bool
-	)
 	matStart := time.Now()
-	if res.pipelined {
-		parity, aborted, err = c.pipelineParity(ctx, info, encoder, plan, &res)
-	} else {
-		parity, aborted, err = c.gatherParity(ctx, info, encoder, encRack, plan, parent, &res)
-	}
+	sp, err = materialize(ctx, info, encoder, plan)
 	defer func() {
-		for _, p := range parity {
+		for _, p := range sp.Blocks {
 			c.bufPool.Put(p)
 		}
+		sp.Blocks = nil
 	}()
 	if err != nil {
-		return res, err
+		return sp, false, err
 	}
 	if m := c.metrics(); m != nil {
 		if secs := time.Since(matStart).Seconds(); secs > 0 {
@@ -416,10 +427,10 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 	for j, node := range plan.Parity {
 		dn, err := c.DataNodeOf(node)
 		if err != nil {
-			return res, err
+			return sp, false, err
 		}
-		if err := dn.Store.Put(ParityKey(info.ID, j), parity[j]); err != nil {
-			return res, fmt.Errorf("store parity %d on node %d: %w", j, node, err)
+		if err := dn.Store.Put(ParityKey(info.ID, j), sp.Blocks[j]); err != nil {
+			return sp, false, fmt.Errorf("store parity %d on node %d: %w", j, node, err)
 		}
 	}
 	// Delete redundant replicas, keeping the plan's chosen one. Aborted
@@ -428,7 +439,7 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 	defer del.End()
 	jnl := c.Journal()
 	for i, b := range info.Blocks {
-		if aborted[i] {
+		if sp.Aborted[i] {
 			continue
 		}
 		for _, n := range info.Placements[i].Nodes {
@@ -437,10 +448,10 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 			}
 			dn, err := c.DataNodeOf(n)
 			if err != nil {
-				return res, err
+				return sp, false, err
 			}
 			if err := dn.Store.Delete(DataKey(b)); err != nil {
-				return res, fmt.Errorf("delete replica of %d on %d: %w", b, n, err)
+				return sp, false, fmt.Errorf("delete replica of %d on %d: %w", b, n, err)
 			}
 			if jnl != nil {
 				ev := events.New(events.ReplicaDeleted, "raidnode")
@@ -453,158 +464,17 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 		}
 	}
 	if err := c.nn.CommitEncoding(info.ID, plan); err != nil {
-		return res, err
+		return sp, false, err
 	}
 	// Encoding is background work driven by the RaidNode, not a tenant
 	// request: bill each member block's owner for its share of the stripe.
 	for i, b := range info.Blocks {
-		if aborted[i] {
+		if sp.Aborted[i] {
 			continue
 		}
 		c.acct.Charge(c.acct.Owner(b), "encode", 1, int64(c.cfg.BlockSizeBytes))
 	}
-	res.violated = plan.Violation
-	return res, nil
-}
-
-// gatherParity is the paper's HDFS-RAID encode, kept as the baseline the
-// experiments measure the chain against: download one replica of each data
-// block to the encoder with bounded fan-in, run the coding kernels over the
-// gathered blocks, and upload each parity block to its planned holder. It
-// returns pooled parity buffers the caller must release, the aborted-member
-// mask, and fills res.cross with the count of cross-rack block downloads.
-func (c *Cluster) gatherParity(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, encRack topology.RackID, plan *placement.PostEncodingPlan, parent *telemetry.Span, res *stripeResult) ([][]byte, []bool, error) {
-	dl := parent.Child("download").Arg("stripe", strconv.FormatInt(int64(info.ID), 10))
-	// Gather and parity buffers come from the cluster pool; zero-valued
-	// members (aborted blocks, short-stripe padding) share the one immutable
-	// zero block, which the coding kernels only ever read. The gather
-	// buffers go back when this returns, success or not; parity buffers are
-	// released on failure and handed to the caller on success.
-	data := make([][]byte, c.cfg.K)
-	pooled := make([]bool, c.cfg.K)
-	defer func() {
-		for i, ok := range pooled {
-			if ok {
-				c.bufPool.Put(data[i])
-			}
-		}
-	}()
-	// Resolve sources up front (cheap metadata work); aborted members have
-	// no bytes anywhere and encode as zeros, like short-stripe padding.
-	type fetchJob struct {
-		i     int
-		b     topology.BlockID
-		src   topology.NodeID
-		cross bool
-	}
-	aborted := make([]bool, len(info.Blocks))
-	var jobs []fetchJob
-	for i, b := range info.Blocks {
-		live, err := c.nn.LiveReplicas(b)
-		if err != nil {
-			dl.End()
-			return nil, nil, err
-		}
-		if len(live) == 0 {
-			if meta, merr := c.nn.Block(b); merr == nil && meta.Aborted {
-				aborted[i] = true
-				data[i] = c.zeroBlock
-				continue
-			}
-		}
-		src, err := c.chooseReplica(live, encoder)
-		if err != nil {
-			dl.End()
-			return nil, nil, fmt.Errorf("stripe %d block %d: %w", info.ID, b, err)
-		}
-		srcRack, err := c.top.RackOf(src)
-		if err != nil {
-			dl.End()
-			return nil, nil, err
-		}
-		jobs = append(jobs, fetchJob{i: i, b: b, src: src, cross: srcRack != encRack})
-	}
-	if m := c.metrics(); m != nil && len(jobs) > 0 {
-		m.gatherPar.Observe(float64(min(len(jobs), gatherFanIn)))
-	}
-	// Cross-rack downloads are counted when a fetch completes, not when its
-	// source is resolved, so a failed gather never reports traffic that was
-	// only planned.
-	var cross atomic.Int64
-	g, gctx := workgroup.WithContext(ctx)
-	g.SetLimit(gatherFanIn)
-	for _, j := range jobs {
-		j := j
-		g.Go(func() error {
-			dn, err := c.DataNodeOf(j.src)
-			if err != nil {
-				return fmt.Errorf("fetch block %d from node %d: %w", j.b, j.src, err)
-			}
-			buf := c.bufPool.Get(c.cfg.BlockSizeBytes)
-			if err := dn.Store.GetInto(DataKey(j.b), buf); err != nil {
-				c.bufPool.Put(buf)
-				return fmt.Errorf("fetch block %d from node %d: %w", j.b, j.src, err)
-			}
-			if err := c.transferShaped(gctx, j.src, encoder, len(buf)); err != nil {
-				c.bufPool.Put(buf)
-				return fmt.Errorf("fetch block %d from node %d: %w", j.b, j.src, err)
-			}
-			data[j.i] = buf
-			pooled[j.i] = true
-			if j.cross {
-				cross.Add(1)
-			}
-			return nil
-		})
-	}
-	err := g.Wait()
-	dl.Arg("cross_rack_downloads", strconv.FormatInt(cross.Load(), 10)).End()
-	res.cross = int(cross.Load())
-	if err != nil {
-		return nil, nil, err
-	}
-	// Zero-pad short stripes to k blocks.
-	for i := len(info.Blocks); i < c.cfg.K; i++ {
-		data[i] = c.zeroBlock
-	}
-	encSpan := parent.Child("encode")
-	pbufs := make([][]byte, c.coder.M())
-	ok := false
-	defer func() {
-		if !ok {
-			for _, p := range pbufs {
-				if p != nil {
-					c.bufPool.Put(p)
-				}
-			}
-		}
-	}()
-	for j := range pbufs {
-		pbufs[j] = c.bufPool.Get(c.cfg.BlockSizeBytes)
-	}
-	err = c.coder.EncodeInto(data, pbufs)
-	encSpan.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	pw := parent.Child("parity-write")
-	ug, uctx := workgroup.WithContext(ctx)
-	ug.SetLimit(gatherFanIn)
-	for j, node := range plan.Parity {
-		ug.Go(func() error {
-			if err := c.transferShaped(uctx, encoder, node, len(pbufs[j])); err != nil {
-				return fmt.Errorf("upload parity %d to node %d: %w", j, node, err)
-			}
-			return nil
-		})
-	}
-	err = ug.Wait()
-	pw.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	ok = true
-	return pbufs, aborted, nil
+	return sp, plan.Violation, nil
 }
 
 // PlacementMonitor scans encoded stripes and returns the IDs of those whose

@@ -29,6 +29,9 @@ import (
 	"ear/internal/workgroup"
 )
 
+// recoverFanIn bounds how many block repairs RecoverNode runs concurrently.
+const recoverFanIn = 8
+
 // RecoveryStats summarizes one full-node recovery sweep.
 type RecoveryStats struct {
 	// Node is the dead node the sweep recovered.
@@ -236,7 +239,7 @@ func (c *Cluster) planNodeRecovery(dead topology.NodeID) ([]recoverTask, error) 
 }
 
 // RecoverNode reconstructs every stripe member lost with the dead node,
-// fanning the repairs out with Config.RecoverParallelism workers. The node
+// fanning the repairs out with recoverFanIn workers. The node
 // must already be marked dead (MarkDead). Repairs share one deterministic
 // plan; each reconstructs along the chain, commits with staged Puts,
 // and publishes its own lifecycle events, so a failed or canceled sweep
@@ -272,7 +275,7 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 	var mu sync.Mutex
 	var errs []error
 	var g workgroup.Group
-	g.SetLimit(c.cfg.RecoverParallelism)
+	g.SetLimit(recoverFanIn)
 	for _, t := range tasks {
 		t := t
 		// Go blocks while every worker is busy, so this sees a cancellation

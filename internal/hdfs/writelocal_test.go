@@ -70,7 +70,7 @@ func TestWriteIsWriterLocal(t *testing.T) {
 					if meta.Nodes[0] != writer {
 						attempts := 1
 						if policy == "ear" {
-							attempts = c.nn.shards[rack].policy.(attemptCounter).LastPlaceAttempts()
+							attempts = c.nn.shards[rack].ear.LastPlaceAttempts()
 						}
 						if attempts == 1 {
 							t.Fatalf("block %d: replica 1 on node %d, not on writer %d, though the first candidate was accepted",

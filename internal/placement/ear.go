@@ -41,6 +41,12 @@ type EAR struct {
 	// seals, nothing reads its graph again, so the next open stripe reuses
 	// the adjacency storage instead of rebuilding it from zero.
 	flowPool []*stripeFlow
+	// fullRecompute makes accept rebuild the flow graph from scratch for
+	// every candidate layout instead of extending the incremental flow in
+	// place: the reference the package's equivalence tests compare the
+	// incremental admission against. Only those tests set it, on a fresh
+	// policy.
+	fullRecompute bool
 }
 
 // openStripe tracks an in-progress stripe together with its incremental
@@ -178,7 +184,7 @@ func (p *EAR) RestorePlacement(block topology.BlockID, core topology.RackID, nod
 			return err
 		}
 	}
-	if !p.cfg.Preliminary && !p.cfg.FullRecompute {
+	if !p.cfg.Preliminary && !p.fullRecompute {
 		ok, err := os.flow.tryAdd(nodes)
 		if err != nil {
 			return err
@@ -243,7 +249,7 @@ func (p *EAR) RestoreOpenState(next topology.StripeID, open []*StripeInfo) error
 			return err
 		}
 		for i, pl := range info.Placements {
-			if !p.cfg.Preliminary && !p.cfg.FullRecompute {
+			if !p.cfg.Preliminary && !p.fullRecompute {
 				ok, err := os.flow.tryAdd(pl.Nodes)
 				if err != nil {
 					return err
@@ -327,7 +333,7 @@ func (p *EAR) openWith(core topology.RackID, targets []topology.RackID) (*openSt
 // attachFlow gives an open stripe its incremental flow state (pooled when
 // available), or leaves it nil in preliminary/full-recompute modes.
 func (p *EAR) attachFlow(os *openStripe) error {
-	if p.cfg.Preliminary || p.cfg.FullRecompute {
+	if p.cfg.Preliminary || p.fullRecompute {
 		return nil
 	}
 	if n := len(p.flowPool); n > 0 {
@@ -396,7 +402,7 @@ func (p *EAR) placeInStripe(os *openStripe, block topology.BlockID, writer topol
 // feasible (max flow == i) and, if so, commits it to the incremental flow
 // state.
 func (p *EAR) accept(os *openStripe, nodes []topology.NodeID, i int) (bool, error) {
-	if p.cfg.FullRecompute {
+	if p.fullRecompute {
 		layouts := make([][]topology.NodeID, 0, i)
 		for _, pl := range os.info.Placements {
 			layouts = append(layouts, pl.Nodes)
@@ -614,8 +620,8 @@ func (f *stripeFlow) rollbackAdd(ck maxflow.Checkpoint, prevVertex, prevBlocks i
 }
 
 // solveStripeFlow builds the flow graph for the given layouts from scratch
-// and returns its maximum flow (the full-recompute ablation path; also used
-// by the post-encoding planner).
+// and returns its maximum flow (the post-encoding planner's solve, and the
+// from-scratch reference of the admission tests).
 func solveStripeFlow(cfg Config, info *StripeInfo, layouts [][]topology.NodeID) (int64, error) {
 	f, err := newStripeFlow(cfg, info)
 	if err != nil {

@@ -20,19 +20,17 @@ func TestPropertyIncrementalMatchesFullRecompute(t *testing.T) {
 	f := func(seed int64) bool {
 		cfgRng := rand.New(rand.NewSource(seed))
 		cfg := randomValidConfig(t, cfgRng)
-		full := cfg
-		full.FullRecompute = true
-
 		inc, err := NewEAR(cfg, rand.New(rand.NewSource(seed+1)))
 		if err != nil {
 			t.Logf("seed %d: NewEAR: %v", seed, err)
 			return false
 		}
-		rec, err := NewEAR(full, rand.New(rand.NewSource(seed+1)))
+		rec, err := NewEAR(cfg, rand.New(rand.NewSource(seed+1)))
 		if err != nil {
 			t.Logf("seed %d: NewEAR full: %v", seed, err)
 			return false
 		}
+		rec.fullRecompute = true
 		writers := rand.New(rand.NewSource(seed + 2))
 		for b := 0; b < 4*cfg.K; b++ {
 			writer := topology.NodeID(writers.Intn(cfg.Topology.Nodes()))

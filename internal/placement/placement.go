@@ -51,10 +51,6 @@ type Config struct {
 	// paper's "preliminary EAR" whose rack-fault-tolerance violation
 	// probability is Equation (1).
 	Preliminary bool
-	// FullRecompute makes EAR rebuild the flow graph from scratch for
-	// every candidate layout instead of extending the incremental flow in
-	// place. Functionally identical; kept for the ablation benchmark.
-	FullRecompute bool
 	// MaxRetries bounds layout regeneration per block (safety net around
 	// Theorem 1's small expected iteration count). Default 10000.
 	MaxRetries int
@@ -166,8 +162,12 @@ const NoWriter topology.NodeID = -1
 type Policy interface {
 	// Name identifies the policy ("rr" or "ear").
 	Name() string
-	// Place decides the replica locations for a new block.
+	// Place decides the replica locations for a new block no writer is
+	// known for.
 	Place(block topology.BlockID) (topology.Placement, error)
+	// PlaceFrom decides the replica locations for a block written by the
+	// given node, which keeps the first replica; NoWriter is Place.
+	PlaceFrom(block topology.BlockID, writer topology.NodeID) (topology.Placement, error)
 	// TakeSealed drains the stripes completed since the previous call.
 	// RR performs no write-time grouping and always returns nil; callers
 	// group RR blocks into stripes at encoding time (as HDFS-RAID does).

@@ -313,12 +313,11 @@ func TestEARFullRecomputeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEAR: %v", err)
 	}
-	cfgFull := cfg
-	cfgFull.FullRecompute = true
-	full, err := NewEAR(cfgFull, rand.New(rand.NewSource(7)))
+	full, err := NewEAR(cfg, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatalf("NewEAR full: %v", err)
 	}
+	full.fullRecompute = true
 	for b := 0; b < 120; b++ {
 		p1, err := inc.Place(topology.BlockID(b))
 		if err != nil {
