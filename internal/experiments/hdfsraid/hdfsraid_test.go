@@ -190,8 +190,11 @@ func TestGatherMatchesChain(t *testing.T) {
 // fabric: no store gains or loses a key, no stripe is encoded, every pooled
 // buffer is back, and the requeued stripes then encode through the chain.
 func TestGatherCancelCommitsNothing(t *testing.T) {
+	// 128 KiB/s links: the cancel lands inside every download's first chunk,
+	// and the window of chunks each canceled stream leaves booked is what the
+	// re-encode at the end waits behind.
 	cfg := hdfs.Config{Racks: 6, NodesPerRack: 3, Policy: "rr", Replicas: 3, K: 4, N: 6, C: 1,
-		BlockSizeBytes: 256 << 10, BandwidthBytesPerSec: 64 << 10, MapTasks: 4, Seed: 1}
+		BlockSizeBytes: 256 << 10, BandwidthBytesPerSec: 128 << 10, MapTasks: 4, Seed: 1}
 	c, err := hdfs.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

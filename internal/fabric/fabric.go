@@ -24,7 +24,8 @@ import (
 
 // Errors returned by the package.
 var (
-	// ErrInvalidRate indicates a non-positive bandwidth.
+	// ErrInvalidRate indicates a non-positive bandwidth, or cross traffic
+	// that would leave a link none.
 	ErrInvalidRate = errors.New("fabric: invalid rate")
 	// ErrStreamClosed indicates a Send on a closed stream.
 	ErrStreamClosed = errors.New("fabric: stream closed")
@@ -32,12 +33,21 @@ var (
 
 // ChunkBytes is the shaping granularity. Flows sharing a link interleave at
 // this grain, approximating fair sharing, and a canceled stream overshoots
-// by at most one chunk's reservation. It is also the largest slice a stage
-// run of internal/hdfs (replication pipeline, chain fold) walks a block in.
+// by at most sendWindow chunks' reservations. It is also the largest slice a
+// stage run of internal/hdfs (replication pipeline, chain fold) walks a block
+// in.
 const ChunkBytes = 64 << 10
 
 // chunkBytes is the internal alias predating the exported constant.
 const chunkBytes = ChunkBytes
+
+// sendWindow is how many bookings a stream may hold on its links that have
+// not arrived yet: the chunk on the wire and one queued behind it. Every
+// timer oversleeps, and with the next chunk already queued the link stays
+// busy while the host wakes up; with no window (1) each oversleep is idle
+// link time. Streams sharing a link still interleave FIFO, at most a window
+// apart.
+const sendWindow = 2
 
 // LinkClass groups links by their position in the topology, the grouping
 // Snapshot and the telemetry labels report.
@@ -70,6 +80,12 @@ type Link struct {
 	nextFree time.Time
 	moved    int64         // total bytes shaped through the link
 	waited   time.Duration // total shaping delay imposed on callers
+	// injected is the cross traffic InjectTraffic has put on the link, bytes
+	// per second, always below rate: it takes its rate off the top and
+	// reservations are served at what is left. The bytes it carries are added
+	// to moved lazily; accrued is the instant they are counted up to.
+	injected float64
+	accrued  time.Time
 
 	// Telemetry handles, set by SetTelemetry; nil when unobserved.
 	mBytes *telemetry.Metric
@@ -104,25 +120,61 @@ func (l *Link) Rate() float64 {
 
 // SetRate changes the link rate (used to model varying effective bandwidth).
 func (l *Link) SetRate(bytesPerSec float64) error {
-	if bytesPerSec <= 0 {
-		return fmt.Errorf("%w: %q at %g B/s", ErrInvalidRate, l.name, bytesPerSec)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if !(bytesPerSec > max(l.injected, 0)) {
+		return fmt.Errorf("%w: %q at %g B/s, %g B/s of it injected", ErrInvalidRate, l.name, bytesPerSec, l.injected)
+	}
 	l.rate = bytesPerSec
 	return nil
 }
 
-// Moved returns the total bytes shaped through the link.
+// Moved returns the total bytes shaped through the link, injected cross
+// traffic included.
 func (l *Link) Moved() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.accrue(time.Now())
 	return l.moved
+}
+
+// inject puts delta bytes per second of cross traffic on the link, or takes
+// them off (delta < 0). Cross traffic must leave the link something to carry
+// payload with.
+func (l *Link) inject(delta float64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !(l.injected+delta < l.rate) {
+		return fmt.Errorf("%w: %g B/s injected into %q at %g B/s", ErrInvalidRate, l.injected+delta, l.name, l.rate)
+	}
+	l.accrue(time.Now())
+	l.injected += delta
+	return nil
+}
+
+// accrue counts the cross traffic the link has carried since the last call,
+// in whole bytes; the fraction left over stays ahead of accrued. The caller
+// holds l.mu.
+func (l *Link) accrue(now time.Time) {
+	if l.injected <= 0 {
+		l.accrued = now
+		return
+	}
+	n := int64(l.injected * now.Sub(l.accrued).Seconds())
+	if n <= 0 {
+		return
+	}
+	l.accrued = l.accrued.Add(time.Duration(float64(n) / l.injected * float64(time.Second)))
+	l.moved += n
+	if l.mBytes != nil {
+		l.mBytes.Add(float64(n))
+	}
 }
 
 // Waited returns the cumulative token-bucket delay the link has imposed:
 // the sum over reservations of how long each caller had to wait for its
-// bytes to clear the link.
+// bytes to clear the link — from the booking, or, for bytes a stream queued
+// behind its own previous booking, from the instant that booking cleared.
 func (l *Link) Waited() time.Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -136,18 +188,26 @@ func (l *Link) setTelemetry(bytes, wait *telemetry.Metric) {
 	l.mu.Unlock()
 }
 
-// reserve books n bytes of capacity and returns how long the caller must
-// wait before the bytes have "arrived".
-func (l *Link) reserve(n int) time.Duration {
+// reserve books n bytes of capacity and returns the instant the bytes will
+// have "arrived" (cleared the link). behind is when the caller's previous
+// reservation clears this link, for a caller that books ahead of its own
+// arrivals (the zero time otherwise): bytes queued behind the caller's own
+// have waited since those cleared, not since the booking call, so booking
+// ahead counts no interval twice in Waited.
+func (l *Link) reserve(n int, behind time.Time) time.Time {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	now := time.Now()
+	l.accrue(now)
 	if l.nextFree.Before(now) {
 		l.nextFree = now
 	}
-	l.nextFree = l.nextFree.Add(time.Duration(float64(n) / l.rate * float64(time.Second)))
+	l.nextFree = l.nextFree.Add(time.Duration(float64(n) / (l.rate - l.injected) * float64(time.Second)))
 	l.moved += int64(n)
-	wait := l.nextFree.Sub(now)
+	if behind.Before(now) {
+		behind = now
+	}
+	wait := l.nextFree.Sub(behind)
 	l.waited += wait
 	if l.mBytes != nil {
 		l.mBytes.Add(float64(n))
@@ -155,7 +215,7 @@ func (l *Link) reserve(n int) time.Duration {
 	if l.mWait != nil {
 		l.mWait.Add(wait.Seconds())
 	}
-	return wait
+	return l.nextFree
 }
 
 // Fabric wires the links of a cluster topology.
@@ -339,6 +399,7 @@ func (f *Fabric) Snapshot() Snapshot {
 	for _, group := range [][]*Link{f.nodeUp, f.nodeDown, f.rackUp, f.rackDown, f.disk} {
 		for _, l := range group {
 			l.mu.Lock()
+			l.accrue(time.Now())
 			st := LinkStat{
 				Name:            l.name,
 				Class:           l.class,
@@ -469,29 +530,44 @@ func (f *Fabric) path(src, dst topology.NodeID) ([]*Link, bool, error) {
 	return links, cross, nil
 }
 
-// sleepCtx blocks for d or until the context is done, returning the
-// context's error in the latter case.
-func sleepCtx(ctx context.Context, d time.Duration) error {
+// SleepUntil blocks until the instant t or until the context is done,
+// returning the context's error in the latter case. It is the one function
+// the data path sleeps in: a Stream books bytes and reports when they arrive,
+// and whoever needs them sleeps here until then.
+func SleepUntil(ctx context.Context, t time.Time) error {
+	d := time.Until(t)
 	if d <= 0 {
 		return ctx.Err()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	timer := time.NewTimer(d)
+	defer timer.Stop()
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-t.C:
+	case <-timer.C:
 		return nil
 	}
 }
 
-// Stream is one open src->dst flow over the shaped path. Send books payload
-// bytes chunk by chunk, so concurrent streams sharing a link interleave at
-// ChunkBytes granularity (the token bucket serves reservations FIFO) and a
-// cancellation takes effect within one chunk's reservation. A stream to the
+// booking is one chunk a stream has reserved on every link of its path.
+type booking struct {
+	arrival time.Time // when the chunk has cleared the slowest link
+	bytes   int
+}
+
+// Stream is one open src->dst flow over the shaped path. Book reserves
+// payload bytes chunk by chunk on every link and reports when they arrive;
+// Send is Book plus the sleep until then. A stream holds at most sendWindow
+// bookings that have not arrived, so concurrent streams sharing a link
+// interleave at ChunkBytes granularity (the token bucket serves reservations
+// FIFO; no stream is more than the window ahead) and a cancellation leaves at
+// most the window booked but undelivered. Bytes count as delivered — Sent, the
+// locality counters, tenant charges, the journal's transfer-finished — once
+// their arrival instant has passed, never at the booking. A stream to the
 // same node is shaped by the node's disk when EnableDisk was called and is
 // otherwise instantaneous. Streams carry no payload themselves: the caller
-// owns the bytes and copies them at most once per delivered replica.
+// owns the bytes and copies them at most once per delivered replica. One
+// goroutine may Book while another sleeps on the arrivals and closes.
 type Stream struct {
 	f      *Fabric
 	src    topology.NodeID
@@ -506,6 +582,11 @@ type Stream struct {
 	mu     sync.Mutex
 	sent   int64
 	closed bool
+	// queued holds the bookings that have not been counted as delivered,
+	// oldest first; behind[i] is when the latest booking clears links[i].
+	queued  [sendWindow]booking
+	nQueued int
+	behind  []time.Time
 }
 
 // OpenStream validates the path and registers an open stream from src to
@@ -538,6 +619,7 @@ func (f *Fabric) OpenStream(ctx context.Context, src, dst topology.NodeID) (*Str
 		}
 		s.links, s.cross = links, cross
 	}
+	s.behind = make([]time.Time, len(s.links))
 	f.mu.Lock()
 	open, tot, j := f.mStreamsOpen, f.mStreamsTot, f.journal
 	f.mu.Unlock()
@@ -557,49 +639,103 @@ func (f *Fabric) OpenStream(ctx context.Context, src, dst topology.NodeID) (*Str
 	return s, nil
 }
 
-// Send shapes n payload bytes through the stream, blocking for the shaped
-// duration. It returns the context's error if canceled mid-flight; bytes of
-// chunks already reserved stay booked on the links (at most one chunk
-// overshoot).
-func (s *Stream) Send(ctx context.Context, n int) error {
+// Book reserves n payload bytes on every link of the path, chunk by chunk,
+// and returns the instant the last of them arrives. It returns as soon as the
+// last chunk is queued, blocking only while the stream already holds
+// sendWindow bookings that have not arrived. A canceled context or a closed
+// stream ends it with bytes of chunks already reserved still booked on the
+// links (at most the window) and not counted as delivered.
+func (s *Stream) Book(ctx context.Context, n int) (arrival time.Time, err error) {
 	if n < 0 {
-		return fmt.Errorf("fabric: negative send of %d bytes", n)
-	}
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return fmt.Errorf("%w: %d->%d", ErrStreamClosed, s.src, s.dst)
+		return time.Time{}, fmt.Errorf("fabric: negative send of %d bytes", n)
 	}
 	for off := 0; off < n; off += chunkBytes {
-		c := chunkBytes
-		if off+c > n {
-			c = n - off
+		if arrival, err = s.bookChunk(ctx, min(chunkBytes, n-off)); err != nil {
+			return time.Time{}, err
 		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var wait time.Duration
-		for _, l := range s.links {
-			if d := l.reserve(c); d > wait {
-				wait = d
-			}
-		}
-		if err := sleepCtx(ctx, wait); err != nil {
-			return err
-		}
-		s.account(c)
 	}
-	// Zero-byte sends still honor cancellation.
-	return ctx.Err()
+	return arrival, nil
+}
+
+// bookChunk waits for room in the window, reserves one chunk of c bytes on
+// every link and queues the booking.
+func (s *Stream) bookChunk(ctx context.Context, c int) (time.Time, error) {
+	for {
+		s.mu.Lock()
+		// The context first: a stream closed under a canceled run reports the
+		// cancellation, not the close it caused.
+		if err := ctx.Err(); err != nil {
+			s.mu.Unlock()
+			return time.Time{}, err
+		}
+		if s.closed {
+			s.mu.Unlock()
+			return time.Time{}, fmt.Errorf("%w: %d->%d", ErrStreamClosed, s.src, s.dst)
+		}
+		s.settle()
+		if s.nQueued < sendWindow {
+			break
+		}
+		oldest := s.queued[0].arrival
+		s.mu.Unlock()
+		if err := SleepUntil(ctx, oldest); err != nil {
+			return time.Time{}, err
+		}
+	}
+	defer s.mu.Unlock()
+	var arrival time.Time
+	for i, l := range s.links {
+		s.behind[i] = l.reserve(c, s.behind[i])
+		if s.behind[i].After(arrival) {
+			arrival = s.behind[i]
+		}
+	}
+	s.queued[s.nQueued] = booking{arrival, c}
+	s.nQueued++
+	return arrival, nil
+}
+
+// Send shapes n payload bytes through the stream, blocking until they have
+// arrived. It returns the context's error if canceled mid-flight; see Book
+// for what stays booked.
+func (s *Stream) Send(ctx context.Context, n int) error {
+	arrival, err := s.Book(ctx, n)
+	if err != nil {
+		return err
+	}
+	// Zero-byte sends still honor cancellation: SleepUntil reports it.
+	if err := SleepUntil(ctx, arrival); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.settle()
+	s.mu.Unlock()
+	return nil
+}
+
+// settle counts every queued booking whose arrival has passed as delivered.
+// The caller holds s.mu.
+func (s *Stream) settle() {
+	if s.nQueued == 0 {
+		return
+	}
+	now := time.Now()
+	arrived, bytes := 0, 0
+	for arrived < s.nQueued && !s.queued[arrived].arrival.After(now) {
+		bytes += s.queued[arrived].bytes
+		arrived++
+	}
+	if arrived == 0 {
+		return
+	}
+	s.nQueued = copy(s.queued[:], s.queued[arrived:s.nQueued])
+	s.sent += int64(bytes)
+	s.account(bytes)
 }
 
 // account books c delivered payload bytes in the locality counters. Local
 // (same-node) traffic is disk activity, not network payload.
 func (s *Stream) account(c int) {
-	s.mu.Lock()
-	s.sent += int64(c)
-	s.mu.Unlock()
 	if s.local {
 		return
 	}
@@ -629,14 +765,17 @@ func (s *Stream) Cross() bool { return s.cross }
 // excluded from the network payload counters.
 func (s *Stream) Local() bool { return s.local }
 
-// Sent returns the payload bytes delivered so far.
+// Sent returns the payload bytes delivered so far: those whose arrival
+// instant has passed.
 func (s *Stream) Sent() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.settle()
 	return s.sent
 }
 
-// Close releases the stream. It is idempotent.
+// Close releases the stream. Bookings that have not arrived by now are never
+// counted as delivered. It is idempotent.
 func (s *Stream) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -644,6 +783,8 @@ func (s *Stream) Close() {
 		return
 	}
 	s.closed = true
+	s.settle()
+	s.nQueued = 0
 	sent := s.sent
 	s.mu.Unlock()
 	s.f.mu.Lock()
@@ -664,15 +805,17 @@ func (s *Stream) Close() {
 
 // Transfer ships data from src to dst, returning a copy of the payload
 // after blocking the caller for the shaped duration. A transfer to the same
-// node is an unshaped copy (local disk access is not modeled by the
-// network). The returned slice never aliases the input.
+// node is a read of the node's disk: shaped once EnableDisk was called, an
+// unshaped copy before, and never counted as network payload. The returned
+// slice never aliases the input.
 func (f *Fabric) Transfer(src, dst topology.NodeID, data []byte) ([]byte, error) {
 	return f.TransferCtx(context.Background(), src, dst, data)
 }
 
-// TransferCtx is Transfer with cancellation: the shaped wait aborts within
-// one chunk reservation of ctx being canceled, and the payload copy (the
-// single copy per delivered replica) is made only on success.
+// TransferCtx is Transfer with cancellation: the shaped wait aborts the
+// moment ctx is canceled, with at most the stream's window of chunks booked
+// and undelivered, and the payload copy (the single copy per delivered
+// replica) is made only on success.
 func (f *Fabric) TransferCtx(ctx context.Context, src, dst topology.NodeID, data []byte) ([]byte, error) {
 	s, err := f.OpenStream(ctx, src, dst)
 	if err != nil {
@@ -685,63 +828,60 @@ func (f *Fabric) TransferCtx(ctx context.Context, src, dst topology.NodeID, data
 	return append([]byte(nil), data...), nil
 }
 
-// Injector drains link capacity continuously, modeling the paper's Iperf
-// UDP cross-traffic between node pairs (Experiment A.1's network-condition
-// sweep). Stop it with Close.
+// Injector is cross traffic taking link capacity, modeling the paper's Iperf
+// UDP streams between node pairs (Experiment A.1's network-condition sweep).
+// Stop it with Close.
 type Injector struct {
-	f    *Fabric
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	f     *Fabric
+	links []*Link
+	rate  float64
+	once  sync.Once
 }
 
-// InjectTraffic starts a background stream of rateBytesPerSec from src to
-// dst. The stream only consumes capacity; no payload is delivered. The
-// injector runs until its Close — or the fabric's.
+// InjectTraffic puts rateBytesPerSec of cross traffic on every link from src
+// to dst until the injector's Close, or the fabric's. The traffic is open
+// loop, as UDP is: it never queues or backs off, it takes its rate off the
+// top of each link and payload is shaped at what is left, from a flow's first
+// byte to its last. No payload is delivered and no locality counter moves;
+// the links count the bytes as moved. A rate that would leave a link of the
+// path nothing is ErrInvalidRate.
 func (f *Fabric) InjectTraffic(src, dst topology.NodeID, rateBytesPerSec float64) (*Injector, error) {
-	if rateBytesPerSec <= 0 {
+	if !(rateBytesPerSec > 0) { // NaN included
 		return nil, fmt.Errorf("%w: injector at %g B/s", ErrInvalidRate, rateBytesPerSec)
 	}
 	links, _, err := f.path(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	inj := &Injector{f: f, stop: make(chan struct{}), done: make(chan struct{})}
+	for i, l := range links {
+		if err := l.inject(rateBytesPerSec); err != nil {
+			for _, undo := range links[:i] {
+				_ = undo.inject(-rateBytesPerSec) // taking traffic off cannot fail
+			}
+			return nil, err
+		}
+	}
+	inj := &Injector{f: f, links: links, rate: rateBytesPerSec}
 	f.mu.Lock()
 	f.injectors[inj] = struct{}{}
 	f.mu.Unlock()
-	interval := time.Duration(float64(chunkBytes) / rateBytesPerSec * float64(time.Second))
-	go func() {
-		defer close(inj.done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				for _, l := range links {
-					l.reserve(chunkBytes)
-				}
-			case <-inj.stop:
-				return
-			}
-		}
-	}()
 	return inj, nil
 }
 
-// Close stops the injector and waits for its goroutine to exit. Closing an
+// Close takes the injector's traffic off its links. Closing an
 // already-closed injector is a no-op.
 func (i *Injector) Close() {
 	i.once.Do(func() {
-		close(i.stop)
+		for _, l := range i.links {
+			_ = l.inject(-i.rate) // taking traffic off cannot fail
+		}
 		i.f.mu.Lock()
 		delete(i.f.injectors, i)
 		i.f.mu.Unlock()
 	})
-	<-i.done
 }
 
-// Close tears the fabric down, stopping any still-running injectors. Open
+// Close tears the fabric down, stopping any still-open injectors. Open
 // streams are unaffected (they belong to their callers), and the fabric's
 // counters remain readable.
 func (f *Fabric) Close() {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -204,8 +206,8 @@ func TestLinkMovedAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.reserve(1000)
-	l.reserve(24)
+	l.reserve(1000, time.Time{})
+	l.reserve(24, time.Time{})
 	if l.Moved() != 1024 {
 		t.Errorf("Moved = %d, want 1024", l.Moved())
 	}
@@ -323,7 +325,7 @@ func TestLinkWaitedAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.reserve(1 << 20) // one full second of backlog
+	l.reserve(1<<20, time.Time{}) // one full second of backlog
 	if w := l.Waited(); w < 900*time.Millisecond {
 		t.Errorf("Waited = %v, want ~1s", w)
 	}
@@ -506,7 +508,7 @@ func TestInjectorDoubleCloseAndFabricClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := f.InjectTraffic(0, 1, 1<<20)
+	inj, err := f.InjectTraffic(0, 1, 1<<19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,16 +516,386 @@ func TestInjectorDoubleCloseAndFabricClose(t *testing.T) {
 	inj.Close() // must be a safe no-op
 
 	// Fabric teardown stops still-running injectors.
-	inj2, err := f.InjectTraffic(0, 1, 1<<20)
+	inj2, err := f.InjectTraffic(0, 1, 1<<19)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	select {
-	case <-inj2.done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Fabric.Close did not stop the running injector")
+	if got := f.nodeUp[0].injected; got != 0 {
+		t.Fatalf("Fabric.Close left %g B/s of the running injector on node0.up", got)
 	}
 	inj2.Close() // still safe after fabric teardown
 	f.Close()    // and fabric close is idempotent too
+}
+
+// slowPair is a two-rack, two-node fabric at 1 MiB/s, so one chunk is on a
+// link for 62.5 ms: slow enough that a test goroutine reaches its next call
+// long before the chunk in flight arrives.
+func slowPair(t *testing.T) (f *Fabric, chunkTime time.Duration) {
+	t.Helper()
+	f, err := New(mustTop(t, 2, 1), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, time.Duration(float64(ChunkBytes) / (1 << 20) * float64(time.Second))
+}
+
+// bookChunks books n chunks one Book call each, the first behind a chunk of
+// the stream's that arrives at `behind` (the zero time: the link is idle), and
+// returns their arrival instants. It skips the test if the host held the
+// goroutine up for so long that a chunk was booked after its predecessor had
+// arrived: the link idled then, and the arithmetic the callers check does not
+// apply.
+func bookChunks(t *testing.T, s *Stream, n int, behind time.Time) []time.Time {
+	t.Helper()
+	arrivals := make([]time.Time, n)
+	for i := range arrivals {
+		var err error
+		if arrivals[i], err = s.Book(context.Background(), ChunkBytes); err != nil {
+			t.Fatal(err)
+		}
+		if !behind.IsZero() && !time.Now().Before(behind) {
+			t.Skipf("chunk %d was booked after its predecessor had arrived: the host stalled the test and the link idled", i)
+		}
+		behind = arrivals[i]
+	}
+	return arrivals
+}
+
+// TestBookKeepsIdleLinkBusy is the window's arithmetic: on an idle link four
+// chunks arrive exactly n/R after the first was booked, because each chunk is
+// queued behind its predecessor before that one arrives. With one booking a
+// stream, chunk i+1 starts when the sender has woken from chunk i, and every
+// oversleep is added to the total.
+func TestBookKeepsIdleLinkBusy(t *testing.T) {
+	f, chunkTime := slowPair(t)
+	ctx := context.Background()
+	s, err := f.OpenStream(ctx, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	before := time.Now()
+	first, err := s.Book(ctx, ChunkBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := time.Now()
+	// The link was idle, so the first chunk was booked one chunk time before
+	// it arrives; that instant lies inside the call.
+	booked := first.Add(-chunkTime)
+	if booked.Before(before) || booked.After(after) {
+		t.Fatalf("first chunk arrives %v after the call began, want one chunk time (%v) after an instant inside the call (%v long)",
+			first.Sub(before), chunkTime, after.Sub(before))
+	}
+	arrivals := bookChunks(t, s, 3, first)
+	last := arrivals[2]
+	if got := last.Sub(booked); got != 4*chunkTime {
+		t.Errorf("4 chunks arrive %v after the first booking, want n/R = %v: the link idled for %v", got, 4*chunkTime, got-4*chunkTime)
+	}
+	// The calls had to wait for room in the window, never for an arrival of
+	// their own: the last returned with its chunk and the one before it still
+	// to come.
+	if got := s.Sent(); got >= 3*ChunkBytes && time.Now().Before(arrivals[1]) {
+		t.Errorf("Sent = %d with the last two chunks booked and not arrived", got)
+	}
+	if err := SleepUntil(ctx, last); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Sent(); got != 4*ChunkBytes {
+		t.Errorf("Sent = %d after the last arrival, want %d", got, 4*ChunkBytes)
+	}
+
+	// The same through Send, the call every data path makes: it returns once
+	// the bytes have arrived and only then are they counted.
+	start := time.Now()
+	if err := s.Send(ctx, 4*ChunkBytes); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < 4*chunkTime {
+		t.Errorf("Send returned after %v, before the bytes arrived (%v)", elapsed, 4*chunkTime)
+	}
+	if got := s.Sent(); got != 8*ChunkBytes {
+		t.Errorf("Sent = %d after Send, want %d", got, 8*ChunkBytes)
+	}
+	if got := f.CrossRackBytes(); got != 8*ChunkBytes {
+		t.Errorf("CrossRackBytes = %d after Send, want %d", got, 8*ChunkBytes)
+	}
+	// Booking ahead counts no interval twice: a lone stream's chunk waits one
+	// chunk time on every link of the path, from its booking on an idle link
+	// or from the instant its predecessor cleared — not the ~2x a wait
+	// measured from the booking call would add up to. No wall-clock reading
+	// enters the sum, so it is exact however the host scheduled the test.
+	for _, l := range s.links {
+		if got := l.Waited(); got != 8*chunkTime {
+			t.Errorf("%s waited %v over 8 chunks of a lone stream, want n·c/R = %v", l.Name(), got, 8*chunkTime)
+		}
+	}
+}
+
+// TestStreamsShareLinkWithinWindow: two streams booking through one uplink
+// are served FIFO at chunk grain, and the window is as far as either gets
+// ahead. In the order the link serves them, while both have chunks left, no
+// stream has more than sendWindow chunks in a row.
+func TestStreamsShareLinkWithinWindow(t *testing.T) {
+	// Rack-mates, so the sender's uplink is the one link the streams share:
+	// the links of a path are booked one after another, and two streams
+	// booking two shared links at the same instant could be served in one
+	// order on the first and the other on the second.
+	f, err := New(mustTop(t, 1, 3), 2<<20) // 31 ms a chunk
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunks = 8
+	type served struct {
+		stream  int
+		arrival time.Time
+	}
+	var (
+		mu    sync.Mutex
+		order []served
+		wg    sync.WaitGroup
+	)
+	begin := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		s, err := f.OpenStream(context.Background(), 0, topology.NodeID(1+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-begin
+			for c := 0; c < chunks; c++ {
+				arrival, err := s.Book(context.Background(), ChunkBytes)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				order = append(order, served{i, arrival})
+				mu.Unlock()
+			}
+		}()
+	}
+	close(begin)
+	wg.Wait()
+	if len(order) != 2*chunks {
+		t.Fatalf("%d chunks booked, want %d", len(order), 2*chunks)
+	}
+	// Every chunk crosses node0.up, which serves one at a time, and then a
+	// downlink of the stream's own: arrival order is service order.
+	sort.Slice(order, func(a, b int) bool { return order[a].arrival.Before(order[b].arrival) })
+	left := [2]int{chunks, chunks}
+	run, turns := 0, 0
+	for i, o := range order {
+		if i > 0 && order[i-1].stream == o.stream {
+			run++
+		} else {
+			run, turns = 1, turns+1
+		}
+		left[o.stream]--
+		// A run counts against the window only while the other stream is in
+		// the queue too: after its first chunk and before its last.
+		if other := 1 - o.stream; left[other] > 0 && left[other] < chunks && run > sendWindow {
+			t.Errorf("stream %d served %d chunks in a row at position %d with stream %d waiting, window is %d", o.stream, run, i, other, sendWindow)
+		}
+	}
+	if turns < chunks/sendWindow {
+		t.Errorf("service changed stream %d times over %d chunks: the streams did not share the link", turns, 2*chunks)
+	}
+}
+
+// TestCanceledSendOvershootsByTheWindow: a Send cut short leaves at most the
+// window booked on the links beyond what arrived, and only what arrived is
+// ever counted as delivered: by Sent, by the locality counters, and after
+// Close whatever time passes.
+func TestCanceledSendOvershootsByTheWindow(t *testing.T) {
+	f, chunkTime := slowPair(t)
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 3*chunkTime+chunkTime/5)
+	defer cancel()
+	s, err := f.OpenStream(ctx, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Send(ctx, 1<<20); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Send = %v, want deadline exceeded", err)
+	}
+	sent, moved := s.Sent(), f.nodeUp[0].Moved()
+	if arrivedBy := int64(time.Since(start) / chunkTime * ChunkBytes); sent > arrivedBy {
+		t.Errorf("Sent = %d, more than the %d bytes that can have arrived", sent, arrivedBy)
+	}
+	if sent < 2*ChunkBytes {
+		t.Errorf("Sent = %d after three chunk times, want at least 2 chunks", sent)
+	}
+	if over := moved - sent; over <= 0 || over > sendWindow*ChunkBytes {
+		t.Errorf("links hold %d bytes beyond the %d delivered, want within (0, %d]", over, sent, sendWindow*ChunkBytes)
+	}
+	s.Close()
+	delivered := s.Sent()
+	if delivered < sent || delivered > moved {
+		t.Errorf("Sent = %d at Close, was %d with %d booked", delivered, sent, moved)
+	}
+	// The chunks still queued at Close clear the links later and are never
+	// counted.
+	f.nodeUp[0].mu.Lock()
+	cleared := f.nodeUp[0].nextFree
+	f.nodeUp[0].mu.Unlock()
+	if err := SleepUntil(context.Background(), cleared); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Sent(); got != delivered {
+		t.Errorf("Sent = %d after the abandoned chunks cleared the link, want the %d delivered at Close", got, delivered)
+	}
+	if got := f.CrossRackBytes(); got != delivered {
+		t.Errorf("CrossRackBytes = %d, want the %d delivered", got, delivered)
+	}
+}
+
+// TestInjectorRejectsWhatNoLinkCarries: an injector whose chunk interval
+// rounded to zero used to panic its goroutine in time.NewTicker after
+// InjectTraffic had returned nil. Cross traffic is a rate on the links now,
+// and one that leaves a link of the path nothing is refused, whole.
+func TestInjectorRejectsWhatNoLinkCarries(t *testing.T) {
+	const linkRate = 16 << 20
+	f, err := New(mustTop(t, 2, 2), linkRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, rate := range []float64{1e15, linkRate, math.Inf(1), math.NaN(), -1} {
+		if _, err := f.InjectTraffic(0, 3, rate); !errors.Is(err, ErrInvalidRate) {
+			t.Errorf("InjectTraffic at %g B/s = %v, want ErrInvalidRate", rate, err)
+		}
+	}
+	if _, err := f.InjectTraffic(1, 3, 0.75*linkRate); err != nil {
+		t.Fatal(err)
+	}
+	// 0 -> 3 shares rack0.up, rack1.down and node3.down with 1 -> 3: refused
+	// there, and taken back off node0.up, which had room for it.
+	if _, err := f.InjectTraffic(0, 3, 0.5*linkRate); !errors.Is(err, ErrInvalidRate) {
+		t.Errorf("second injector past the link rate = %v, want ErrInvalidRate", err)
+	}
+	for l, want := range map[*Link]float64{f.nodeUp[0]: 0, f.nodeUp[1]: 0.75 * linkRate, f.rackUp[0]: 0.75 * linkRate, f.nodeDown[3]: 0.75 * linkRate} {
+		if l.injected != want {
+			t.Errorf("%s carries %g B/s of cross traffic, want %g", l.Name(), l.injected, want)
+		}
+	}
+	if err := f.SetAllRates(0.75 * linkRate); !errors.Is(err, ErrInvalidRate) {
+		t.Errorf("SetAllRates down to the injected rate = %v, want ErrInvalidRate", err)
+	}
+}
+
+// TestInjectedTrafficComesOffTheTop: cross traffic is open loop, so payload
+// is shaped at what it leaves from a flow's first chunk on. However many
+// chunks a stream queues ahead, it cannot get in front of traffic that never
+// queues, and when the injector closes the link is whole again.
+func TestInjectedTrafficComesOffTheTop(t *testing.T) {
+	f, chunkTime := slowPair(t)
+	inj, err := f.InjectTraffic(0, 1, 768<<10) // 3/4 of the link
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := f.OpenStream(context.Background(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	before := time.Now()
+	arrivals := bookChunks(t, s, 3, time.Time{})
+	if got := arrivals[0].Sub(before); got < 4*chunkTime {
+		t.Errorf("first chunk beside 3/4 cross traffic arrives after %v, want 4 chunk times (%v)", got, 4*chunkTime)
+	}
+	if got := arrivals[2].Sub(arrivals[0]); got != 8*chunkTime {
+		t.Errorf("two more chunks arrive %v later, want %v", got, 8*chunkTime)
+	}
+	inj.Close()
+	// The window has room once the second chunk has arrived; the third is on
+	// the wire then.
+	next := bookChunks(t, s, 1, arrivals[2])[0]
+	if got := next.Sub(arrivals[2]); got != chunkTime {
+		t.Errorf("a chunk booked after the injector closed takes %v, want %v", got, chunkTime)
+	}
+}
+
+// TestInjectorBooksItsRate: at a rate whose chunk interval a ticker delivers,
+// an injector books rate × time on every link of its path.
+func TestInjectorBooksItsRate(t *testing.T) {
+	f, err := New(mustTop(t, 2, 1), 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const rate = 16 << 20 // a chunk every 3.9 ms
+	start := time.Now()
+	inj, err := f.InjectTraffic(0, 1, rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	inj.Close()
+	want := rate * time.Since(start).Seconds()
+	for _, l := range []*Link{f.nodeUp[0], f.rackUp[0], f.rackDown[1], f.nodeDown[1]} {
+		if got := float64(l.Moved()); got < 0.85*want || got > 1.15*want {
+			t.Errorf("%s carried %.0f injected bytes, want %.0f ±15%%", l.Name(), got, want)
+		}
+	}
+}
+
+// TestStreamBookerAndReceiver uses a stream the way a stage run does, from
+// two goroutines: one books chunks and hands the arrival instants over, the
+// other sleeps until each, reads what has been delivered and closes the
+// stream — after the last arrival, or early with the booker still at work.
+func TestStreamBookerAndReceiver(t *testing.T) {
+	const chunks = 24
+	for _, closeAfter := range []int{chunks, 5} {
+		f, err := New(mustTop(t, 2, 1), 64<<20) // 1 ms a chunk
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		s, err := f.OpenStream(ctx, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrivals := make(chan time.Time, chunks)
+		booked := make(chan error, 1)
+		go func() {
+			defer close(arrivals)
+			for c := 0; c < chunks; c++ {
+				arrival, err := s.Book(ctx, ChunkBytes)
+				if err != nil {
+					booked <- err
+					return
+				}
+				arrivals <- arrival
+			}
+			booked <- nil
+		}()
+		for got := 1; got <= closeAfter; got++ {
+			if err := SleepUntil(ctx, <-arrivals); err != nil {
+				t.Fatal(err)
+			}
+			if sent := s.Sent(); sent < int64(got)*ChunkBytes {
+				t.Fatalf("Sent = %d after the arrival of chunk %d", sent, got)
+			}
+		}
+		s.Close()
+		err = <-booked
+		if closeAfter == chunks && err != nil {
+			t.Fatalf("booker: %v", err)
+		}
+		if closeAfter < chunks && !errors.Is(err, ErrStreamClosed) {
+			t.Fatalf("booker on a stream closed under it = %v, want ErrStreamClosed", err)
+		}
+		sent, moved := s.Sent(), f.nodeUp[0].Moved()
+		if sent < int64(closeAfter)*ChunkBytes || sent > moved || moved-sent > sendWindow*ChunkBytes {
+			t.Errorf("closed after %d arrivals: Sent = %d with %d booked, want at least the arrivals and at most the window short of the bookings", closeAfter, sent, moved)
+		}
+		if got := f.CrossRackBytes(); got != sent {
+			t.Errorf("CrossRackBytes = %d, want Sent = %d", got, sent)
+		}
+	}
 }

@@ -60,18 +60,27 @@ type chainStage struct {
 	acc [][]byte
 	// blocks holds the hop's local members, parallel to positions.
 	blocks [][]byte
-	// ready carries the slice indices whose sums have landed in up's
-	// accumulators.
-	ready chan int
-	// diskRead carries one token per slice of the local members the stage's
-	// read-ahead worker has charged to the disk, in slice order (nil at a
-	// stage without members).
-	diskRead chan struct{}
-	// crossIn records whether the inbound stream crossed the rack core (set
-	// by the stage goroutine, read after the join).
-	crossIn bool
-	tFirst  time.Time
-	tLast   time.Time
+	// in is the inbound stream from up's node (nil at the head) and disk the
+	// node's own disk stream the local members are read over (nil at a stage
+	// without members). runStages opens both before any stage runs; up books
+	// on in, the read-ahead worker on disk, and the stage closes both when it
+	// returns. carried is how many rows a slice on in moves.
+	in, disk *fabric.Stream
+	carried  int
+	// ready carries the slices up has finished and booked on in, in slice
+	// order: the index and the instant its bytes arrive.
+	ready chan sliceArrival
+	// diskRead carries, in slice order, the instant each slice of the local
+	// members the read-ahead worker has booked on disk arrives.
+	diskRead chan time.Time
+	tFirst   time.Time
+	tLast    time.Time
+}
+
+// sliceArrival is one slice a stage may adopt once the instant has passed.
+type sliceArrival struct {
+	idx     int
+	arrival time.Time
 }
 
 // newStage appends to stages a stage at node that receives acc from up.
@@ -155,18 +164,24 @@ func (c *Cluster) foldSliceBytes(anchor topology.NodeID, streams int) int {
 
 // runStages walks one block through the stages slice by slice, the only
 // stage loop in the package. stages[0] is the head and is listed before every
-// stage that receives from it, directly or not. Each stage runs on a
-// goroutine of its own: it opens the inbound fabric stream from its upstream
-// stage's node (a same-node stream is the node's disk), and for every slice
-// the upstream has finished it receives one slice per carried row, adopts the
-// upstream accumulators, folds rows over its local members — which a worker
-// beside it has been reading ahead from the shaped disk since t = 0 — and
-// releases the slice to the stages after it. The walk's grain is
-// foldSliceBytes of the anchor and of how many streams deep the stages are;
-// span opens stage s's span under the one carried by ctx, and every span
-// carries the grain as its "slice" arg. Every goroutine is joined before
-// runStages returns the run's start and end; the first error (a cancelled
-// ctx included) stops them all within one slice.
+// stage that receives from it, directly or not. Every stream of the run — a
+// stage's inbound stream from its upstream stage's node, and the disk stream
+// of a stage with local members (a same-node stream is the node's disk) — is
+// opened here before any stage runs. Each stage runs on a goroutine of its
+// own, and booking is the sender's: a stage that has finished a slice books
+// it, one slice per carried row, on the inbound stream of every stage after
+// it and hands the slice's arrival instant down; a worker beside a stage with
+// members books their slices on the disk from t = 0. Both book ahead of the
+// arrivals as far as a stream's window allows, so links and disks stay busy
+// while the receiving stage is still waking up. The receiving stage sleeps
+// once a slice, until both the upstream sums and its own members have
+// arrived, adopts the upstream accumulators, folds rows over its members and
+// passes the slice on. The walk's grain is foldSliceBytes of the anchor and
+// of how many streams deep the stages are; span opens stage s's span under
+// the one carried by ctx, and every span carries the grain as its "slice"
+// arg. Every goroutine is joined before runStages returns the run's start
+// and end; the first error (a cancelled ctx included) stops them all within
+// one slice.
 func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor topology.NodeID, rows [][]byte, span func(s int, st *chainStage) *telemetry.Span) (start, end time.Time, err error) {
 	blockSize := c.cfg.BlockSizeBytes
 	streams := 0
@@ -180,67 +195,63 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 	slice := c.foldSliceBytes(anchor, streams)
 	sliceArg := strconv.Itoa(slice)
 	nSlices := (blockSize + slice - 1) / slice
-	for _, st := range stages {
-		// One entry per slice, so a fast upstream never blocks; the group
-		// context covers abandonment.
-		st.ready = make(chan int, nSlices)
-		if len(st.positions) > 0 {
-			st.diskRead = make(chan struct{}, nSlices)
+	for i, st := range stages {
+		if st.up != nil {
+			st.in, err = c.fab.OpenStream(ctx, st.up.node, st.node)
+		}
+		if err == nil && len(st.positions) > 0 {
+			st.disk, err = c.fab.OpenStream(ctx, st.node, st.node)
+		}
+		if err != nil {
+			// No stage runs, so none closes what was opened so far.
+			for _, opened := range stages[:i+1] {
+				opened.closeStreams()
+			}
+			return start, end, err
+		}
+		for _, a := range st.acc {
+			if a != nil {
+				st.carried++
+			}
+		}
+		// One entry per slice, so a sender never blocks on a channel; the
+		// group context covers abandonment.
+		st.ready = make(chan sliceArrival, nSlices)
+		if st.disk != nil {
+			st.diskRead = make(chan time.Time, nSlices)
 		}
 	}
 	for idx := 0; idx < nSlices; idx++ {
-		stages[0].ready <- idx
+		stages[0].ready <- sliceArrival{idx: idx}
 	}
 	close(stages[0].ready)
 	start = time.Now()
 
 	g, gctx := workgroup.WithContext(ctx)
 	for s, st := range stages {
-		if st.diskRead != nil {
+		if st.disk != nil {
 			// Read-ahead: the local members do not depend on the upstream, so
-			// the shaped disk stream charges them slice by slice from t = 0,
-			// beside the inbound receives instead of between receive and fold.
+			// they are booked on the shaped disk slice by slice from t = 0,
+			// beside the inbound slices instead of between receive and fold.
 			g.Go(func() error {
-				disk, err := c.fab.OpenStream(gctx, st.node, st.node)
-				if err != nil {
-					return err
-				}
-				defer disk.Close()
 				for lo := 0; lo < blockSize; lo += slice {
-					if err := disk.Send(gctx, len(st.positions)*(min(lo+slice, blockSize)-lo)); err != nil {
+					arrival, err := st.disk.Book(gctx, len(st.positions)*(min(lo+slice, blockSize)-lo))
+					if err != nil {
 						return err
 					}
-					st.diskRead <- struct{}{}
+					st.diskRead <- arrival
 				}
 				return nil
 			})
 		}
 		g.Go(func() error {
 			defer span(s, st).Arg("slice", sliceArg).End()
-			// Inbound stream from the upstream stage: one slice-sized sum per
-			// carried row and slice index, attributed by the fabric to every
-			// link the hop traverses.
-			var in *fabric.Stream
-			carried := 0
-			for _, a := range st.acc {
-				if a != nil {
-					carried++
-				}
-			}
-			if st.up != nil {
-				var err error
-				in, err = c.fab.OpenStream(gctx, st.up.node, st.node)
-				if err != nil {
-					return err
-				}
-				defer in.Close()
-				st.crossIn = in.Cross()
-			}
+			defer st.closeStreams()
 			for {
-				var idx int
+				var r sliceArrival
 				var chOk bool
 				select {
-				case idx, chOk = <-st.ready:
+				case r, chOk = <-st.ready:
 					if !chOk {
 						for _, n := range st.next {
 							close(n.ready)
@@ -250,32 +261,37 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 				case <-gctx.Done():
 					return gctx.Err()
 				}
-				lo := idx * slice
+				lo := r.idx * slice
 				hi := min(lo+slice, blockSize)
-				// Receive and adopt the upstream accumulators for this slice.
-				if in != nil {
-					if err := in.Send(gctx, carried*(hi-lo)); err != nil {
-						return err
+				arrival := r.arrival
+				if st.diskRead != nil {
+					// Slices arrive in order on both channels, so the next
+					// instant is this slice's.
+					select {
+					case read := <-st.diskRead:
+						if read.After(arrival) {
+							arrival = read
+						}
+					case <-gctx.Done():
+						return gctx.Err()
 					}
+				}
+				if err := fabric.SleepUntil(gctx, arrival); err != nil {
+					return err
+				}
+				// Adopt the upstream accumulators for this slice and fold the
+				// local members into them.
+				if st.up != nil {
 					for j, a := range st.acc {
 						if a != nil {
 							copy(a[lo:hi], st.up.acc[j][lo:hi])
 						}
 					}
 				}
-				if st.diskRead != nil {
-					// Slices arrive in order on both channels, so the next
-					// token is this slice's.
-					select {
-					case <-st.diskRead:
-					case <-gctx.Done():
-						return gctx.Err()
-					}
-					for pi, pos := range st.positions {
-						for j, row := range rows {
-							if coef := row[pos]; coef != 0 {
-								gf256.MulAddSlice(coef, st.blocks[pi][lo:hi], st.acc[j][lo:hi])
-							}
+				for pi, pos := range st.positions {
+					for j, row := range rows {
+						if coef := row[pos]; coef != 0 {
+							gf256.MulAddSlice(coef, st.blocks[pi][lo:hi], st.acc[j][lo:hi])
 						}
 					}
 				}
@@ -284,14 +300,30 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 					st.tFirst = now
 				}
 				st.tLast = now
+				// Send the slice on: one slice-sized sum per row the receiver
+				// carries, attributed by the fabric to every link of the hop.
 				for _, n := range st.next {
-					n.ready <- idx
+					sent, err := n.in.Book(gctx, n.carried*(hi-lo))
+					if err != nil {
+						return err
+					}
+					n.ready <- sliceArrival{r.idx, sent}
 				}
 			}
 		})
 	}
 	err = g.Wait()
 	return start, time.Now(), err
+}
+
+// closeStreams closes the streams runStages opened for the stage.
+func (st *chainStage) closeStreams() {
+	if st.in != nil {
+		st.in.Close()
+	}
+	if st.disk != nil {
+		st.disk.Close()
+	}
 }
 
 // chainFold computes out[j] = sum over pos of rows[j][pos] * content(pos)
@@ -394,13 +426,13 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 	}
 	for _, st := range stages[1:len(hops)] {
 		ledger.hops++
-		if st.crossIn {
+		if st.in.Cross() {
 			ledger.crossHops++
 		}
 	}
 	for _, st := range stages[len(hops):] {
 		ledger.deliveries++
-		if st.crossIn {
+		if st.in.Cross() {
 			ledger.crossDeliveries++
 		}
 	}

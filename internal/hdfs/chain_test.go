@@ -18,6 +18,7 @@ import (
 	"ear/internal/events/audit"
 	"ear/internal/fabric"
 	"ear/internal/placement"
+	"ear/internal/telemetry"
 	"ear/internal/topology"
 )
 
@@ -298,11 +299,15 @@ func TestDegradedReadCrossRackBytes(t *testing.T) {
 
 // canceledRun runs one stage run (a fold, a replicated write) that the
 // caller has arranged to end mid-way with the error want, and checks that
-// nothing of it is left behind: every pooled buffer is back in the pool, no
-// store has gained or lost a key, and no goroutine the run started outlives
-// it.
+// nothing of it is left behind: every stream it opened is closed (a run opens
+// all of them before its first stage starts), every pooled buffer is back in
+// the pool, no store has gained or lost a key, and no goroutine the run
+// started outlives it.
 func canceledRun(t *testing.T, c *Cluster, want error, what string, run func() error) {
 	t.Helper()
+	reg := telemetry.NewRegistry()
+	c.Fabric().SetTelemetry(reg)
+	streams := reg.Gauge("fabric_streams_active", "").With()
 	storeKeys := func() int {
 		total := 0
 		for n := 0; n < c.Topology().Nodes(); n++ {
@@ -314,6 +319,12 @@ func canceledRun(t *testing.T, c *Cluster, want error, what string, run func() e
 	keysBefore, outstanding, goroutines := storeKeys(), c.BufferPool().Outstanding(), runtime.NumGoroutine()
 	if err := run(); !errors.Is(err, want) {
 		t.Fatalf("%s = %v, want %v", what, err, want)
+	}
+	if opened := reg.Counter("fabric_streams_total", "").With().Value(); opened == 0 {
+		t.Errorf("%s opened no stream", what)
+	}
+	if got := streams.Value(); got != 0 {
+		t.Errorf("%s left %g fabric streams open", what, got)
 	}
 	if got := c.BufferPool().Outstanding(); got != outstanding {
 		t.Errorf("%s leaked %d pooled buffers", what, got-outstanding)
@@ -338,8 +349,11 @@ func canceledRun(t *testing.T, c *Cluster, want error, what string, run func() e
 // stream, every partial-sum stream between holders, and every delivery
 // stream from the last holder to a row's sink; then once more on a deadline
 // that lands while every read-ahead worker is part-way through its block.
-// Wherever the cancellation lands, every pooled buffer must be back in the
-// pool (Gets == Puts), no store may have changed, and no goroutine the fold
+// The run opens its streams before any stage starts, so a cancellation at
+// any stream but the last makes the next OpenStream fail with the earlier
+// ones open and no stage there to close them. Wherever the cancellation
+// lands, every stream must be closed, every pooled buffer back in the pool
+// (Gets == Puts), no store may have changed, and no goroutine the fold
 // started may outlive it.
 func TestChainFoldCancelAtEveryStage(t *testing.T) {
 	cfg := testConfig("rr")
@@ -427,7 +441,8 @@ func TestChainFoldCancelAtEveryStage(t *testing.T) {
 			cancel()
 		}
 		// Mid-block: a slice takes 62 ms on link and disk alike, so 150 ms in
-		// every read-ahead worker has charged some slices and none all 16.
+		// every read-ahead worker has booked some slices — those that arrived
+		// and its stream's window — and none all 16.
 		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 		before := c.Fabric().Snapshot()
 		canceledFold(ctx, rows, context.DeadlineExceeded, "mid-block")
@@ -437,6 +452,46 @@ func TestChainFoldCancelAtEveryStage(t *testing.T) {
 			t.Errorf("%d-row fold canceled mid-block had read %d disk bytes, want within (0, %d)", len(rows), read, whole)
 		}
 	}
+}
+
+// TestChainOpenStreamFailsMidway: a stage run opens every stream before its
+// first stage starts, so an OpenStream that fails — here on a node outside
+// the topology, not on a canceled context — finds earlier streams open and
+// no stage running to close them. A fold whose one sink is unknown and a
+// write with an unknown second replica must both return the error with every
+// stream closed, every pooled buffer returned, no store changed and no
+// goroutine left.
+func TestChainOpenStreamFailsMidway(t *testing.T) {
+	cfg := testConfig("rr")
+	cfg.DiskBandwidthBytesPerSec = 64 << 20
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ids, _ := writeBlocks(t, c, cfg.K, rand.New(rand.NewSource(67)))
+	holders := make([][]topology.NodeID, cfg.K)
+	for i, id := range ids {
+		if holders[i], err = c.NameNode().LiveReplicas(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	row, err := c.Coder().ParityRowView(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nowhere := topology.NodeID(c.Topology().Nodes())
+	canceledRun(t, c, topology.ErrUnknownNode, "fold toward an unknown sink", func() error {
+		out := c.BufferPool().Get(cfg.BlockSizeBytes)
+		defer c.BufferPool().Put(out)
+		_, err := c.chainFold(context.Background(), 0, [][]byte{row}, holders,
+			func(pos int) blockstore.Key { return DataKey(ids[pos]) }, 0, []topology.NodeID{nowhere}, [][]byte{out})
+		return err
+	})
+	canceledRun(t, c, topology.ErrUnknownNode, "write with an unknown second replica", func() error {
+		meta := &BlockMeta{ID: topology.BlockID(1 << 20), Nodes: []topology.NodeID{3, nowhere}}
+		return c.replicate(context.Background(), 3, meta, make([]byte, cfg.BlockSizeBytes))
+	})
 }
 
 // TestRepairReplansAroundCorruptSurvivor corrupts a survivor the first plan
@@ -507,7 +562,9 @@ func TestRepairReplansAroundCorruptSurvivor(t *testing.T) {
 func TestRepairCancelCommitsNothing(t *testing.T) {
 	cfg := testConfig("ear")
 	cfg.BlockSizeBytes = 256 << 10
-	cfg.BandwidthBytesPerSec = 64 << 10 // ~4s per block: cancel lands mid-chunk
+	// ~2s per block: the cancel lands mid-slice, and the window of slices each
+	// canceled stream leaves booked is what the re-repair below waits behind.
+	cfg.BandwidthBytesPerSec = 128 << 10
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -759,21 +816,81 @@ func TestFoldSliceDerivation(t *testing.T) {
 	}
 }
 
+// fillModel is what a stage run takes on a quiet host to move one block over
+// `streams` shaped streams in series (network hops, and the head's disk when
+// it reads members), the model the latency tests below hold the engine to:
+//
+//	B/R + (S-1)·max(s/R, q) + one final oversleep
+//
+// B/R is the block on one link: senders book ahead of the arrivals, so a link
+// streams without a gap however late its receiver wakes, and no term grows
+// with the number of slices. What is left of the timer is paid per stage: a
+// stage passes a slice on only after it woke up for it, so a stage adds the
+// slice's link time or q, whichever is more, and the last stage's wake-up is
+// the final oversleep. q = 1.1 ms is the floor of one timed wait on this
+// runtime (DESIGN.md, "Keeping the chain full"), so the model is a floor too:
+// on the 13-stream degraded read of the benchmark geometry it gives 29.9 ms
+// and a quiet host measures 34-35 ms, its wake-ups landing up to a netpoller
+// tick after the floor. The tests allow 1.4 x the model for the best of three
+// runs: 41.9 ms there, where the per-slice model it replaces allowed 42.9.
+func fillModel(blockBytes, sliceBytes, streams int, rate float64) time.Duration {
+	const q = 1100 * time.Microsecond
+	return onLink(blockBytes, rate) + time.Duration(streams-1)*max(onLink(sliceBytes, rate), q) + q
+}
+
+// onLink is n bytes on a link of the given rate, bytes per second.
+func onLink(n int, rate float64) time.Duration {
+	return time.Duration(float64(n) / rate * float64(time.Second))
+}
+
+// fastestOf returns the shortest of n timed runs: the models bound what the
+// engine can do, not what else the host was doing during one run.
+func fastestOf(n int, run func()) time.Duration {
+	best := time.Duration(math.MaxInt64)
+	for range n {
+		t0 := time.Now()
+		run()
+		best = min(best, time.Since(t0))
+	}
+	return best
+}
+
+// heldTo reports a measured latency against its limit; a miss is an error
+// except under the race detector, which slows every wake-up.
+func heldTo(t *testing.T, what string, got, limit time.Duration) {
+	t.Helper()
+	switch {
+	case got < limit:
+		t.Logf("%s took %v, limit %v", what, got, limit)
+	case raceEnabled:
+		t.Logf("%s took %v, limit %v (ignored under -race)", what, got, limit)
+	default:
+		t.Errorf("%s took %v, want < %v", what, got, limit)
+	}
+}
+
+// benchGeometry is the benchmark's shaped cluster: (14,12) over 4x4 nodes,
+// 256 KiB blocks, 16 MiB/s links, 32 MiB/s disks.
+func benchGeometry() Config {
+	return Config{Racks: 4, NodesPerRack: 4, Policy: "ear", Replicas: 2,
+		K: 12, N: 14, C: 4, BlockSizeBytes: 256 << 10,
+		BandwidthBytesPerSec: 16 << 20, DiskBandwidthBytesPerSec: 32 << 20,
+		MapTasks: 4, Seed: 6}
+}
+
 // TestDegradedReadLatency checks that the chain stays full: on the
-// benchmark's shaped geometry ((14,12), 256 KiB blocks, 16 MiB/s links,
-// 32 MiB/s disks) a degraded read is a 13-stage fold, and it must deliver in
-// about one block time plus one slice time per stage,
-// B/R + S·max(s/R, 1 ms) ≈ 29 ms. The engine that walked the block in 64 KiB
-// slices and charged the disk between receive and fold took
-// (S + 4 - 1)·5.9 ms ≈ 94 ms, twice the limit below.
+// benchmark's shaped geometry a degraded read is a fold over 13 streams in
+// series (the head's disk, eleven partial-sum hops, the delivery), and it must
+// deliver within 1.4 x fillModel of them: one block time plus one wake-up per
+// stage, 34-35 ms measured against a limit of 41.9 ms (no looser than the
+// 42.9 ms this test held the previous engine to). The engine that walked the
+// block in 64 KiB slices and charged the disk between receive and fold took
+// (S + 4 - 1)·5.9 ms ≈ 94 ms.
 func TestDegradedReadLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	cfg := Config{Racks: 4, NodesPerRack: 4, Policy: "ear", Replicas: 2,
-		K: 12, N: 14, C: 4, BlockSizeBytes: 256 << 10,
-		BandwidthBytesPerSec: 16 << 20, DiskBandwidthBytesPerSec: 32 << 20,
-		MapTasks: 4, Seed: 6}
+	cfg := benchGeometry()
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -789,30 +906,84 @@ func TestDegradedReadLatency(t *testing.T) {
 		client++
 	}
 
+	// k survivors on distinct nodes: k-1 hops between them and the delivery.
 	slice := c.foldSliceBytes(client, cfg.K)
-	perSlice := max(time.Duration(float64(slice)/cfg.BandwidthBytesPerSec*float64(time.Second)), time.Millisecond)
-	block := time.Duration(float64(cfg.BlockSizeBytes) / cfg.BandwidthBytesPerSec * float64(time.Second))
-	stages := cfg.K + 1 // k survivors on distinct nodes, then the delivery
-	limit := (block + time.Duration(stages)*perSlice) * 3 / 2
-
-	// The fastest of three: the bound is on what the engine can do, not on
-	// what else the host was doing during one read.
-	best := time.Duration(math.MaxInt64)
-	for range 3 {
-		t0 := time.Now()
+	limit := fillModel(cfg.BlockSizeBytes, slice, cfg.K+1, cfg.BandwidthBytesPerSec) * 14 / 10
+	best := fastestOf(3, func() {
 		got, err := c.DegradedRead(client, victim)
-		d := time.Since(t0)
 		if err != nil || !bytes.Equal(got, contents[victim]) {
 			t.Fatalf("degraded read: wrong bytes (err %v)", err)
 		}
-		best = min(best, d)
+	})
+	heldTo(t, fmt.Sprintf("degraded read in %d B slices", slice), best, limit)
+}
+
+// TestOneClientBlockLatency pins what booking ahead buys the two plainest
+// shaped operations: with one closed-loop client on the benchmark geometry,
+// nothing contending, a block read from a remote replica and a block written
+// writer-local (own disk beside one hop across the core) are each one stream
+// deep, so each is the block on one link, B/R = 15.6 ms, plus fixed costs:
+// one final oversleep and a checksummed store read (16.0-16.2 ms measured),
+// or one final oversleep, two store writes and two NameNode calls (16.9-17.1
+// ms). Stop-and-wait sends, an oversleep a chunk, measured 17.4-17.5 ms and
+// 18.5 ms here, with no read under 17.0 and no write under 17.7. The medians
+// are held to B/R + 1.5 ms (read) and B/R + 2.25 ms (write): limits that
+// stop-and-wait misses on a quiet host and booking ahead meets on one busy
+// with the other packages' tests.
+func TestOneClientBlockLatency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
 	}
-	switch {
-	case best < limit:
-		t.Logf("degraded read took %v with %d B slices, limit %v", best, slice, limit)
-	case raceEnabled:
-		t.Logf("degraded read took %v with %d B slices, limit %v (ignored under -race)", best, slice, limit)
-	default:
-		t.Errorf("degraded read took %v with %d B slices, want < 1.5 x (B/R + S·max(s/R, 1 ms)) = %v", best, slice, limit)
+	cfg := benchGeometry()
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer c.Close()
+	const ops = 15
+	rng := rand.New(rand.NewSource(71))
+	data := make([]byte, cfg.BlockSizeBytes)
+	rng.Read(data)
+	median := func(op func()) time.Duration {
+		took := make([]time.Duration, ops)
+		for i := range took {
+			t0 := time.Now()
+			op()
+			took[i] = time.Since(t0)
+		}
+		slices.Sort(took)
+		return took[ops/2]
+	}
+	// The best median of up to five rounds, for the reason fastestOf gives.
+	bestWrite, bestRead := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	block := onLink(cfg.BlockSizeBytes, cfg.BandwidthBytesPerSec)
+	readLimit, writeLimit := block+1500*time.Microsecond, block+2250*time.Microsecond
+	for round := 0; round < 5 && (bestWrite >= writeLimit || bestRead >= readLimit); round++ {
+		var ids []topology.BlockID
+		bestWrite = min(bestWrite, median(func() {
+			id, err := c.WriteBlock(topology.NodeID(rng.Intn(c.Topology().Nodes())), data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}))
+		bestRead = min(bestRead, median(func() {
+			id := ids[0]
+			ids = ids[1:]
+			meta, err := c.NameNode().Block(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A reader that holds no replica: the read is one transfer.
+			reader := topology.NodeID(rng.Intn(c.Topology().Nodes()))
+			for slices.Contains(meta.Nodes, reader) {
+				reader = topology.NodeID(rng.Intn(c.Topology().Nodes()))
+			}
+			if _, err := c.ReadBlock(reader, id); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	heldTo(t, "one client's median WriteBlock", bestWrite, writeLimit)
+	heldTo(t, "one client's median ReadBlock", bestRead, readLimit)
 }

@@ -87,9 +87,10 @@ func (c *Cluster) WriteBlock(client topology.NodeID, data []byte) (topology.Bloc
 // pipeline fill of r-1 network hops, not r transfers.
 //
 // A client outside the topology is rejected with topology.ErrUnknownNode
-// before anything is allocated. Cancelling ctx aborts the write within one
-// slice reservation per hop; the allocation is then abandoned via
-// NameNode.AbortBlock and no replica is committed to any store.
+// before anything is allocated. Cancelling ctx aborts the write at once, with
+// at most a stream's window of slices left booked per hop; the allocation is
+// then abandoned via NameNode.AbortBlock and no replica is committed to any
+// store.
 func (c *Cluster) WriteBlockCtx(ctx context.Context, client topology.NodeID, data []byte) (topology.BlockID, error) {
 	if len(data) != c.cfg.BlockSizeBytes {
 		return 0, fmt.Errorf("%w: block of %d bytes, configured size %d",
@@ -244,8 +245,8 @@ func (c *Cluster) ReadBlock(client topology.NodeID, id topology.BlockID) ([]byte
 // replica. A replica whose local read fails (missing or corrupt copy) is
 // skipped for the next live one, and when none is left — every holder dead
 // or unreadable — the read degrades to erasure-coded reconstruction if the
-// block's stripe is encoded. Cancelling ctx aborts the transfer within one
-// chunk reservation.
+// block's stripe is encoded. Cancelling ctx aborts the transfer at once, with
+// at most the stream's window of chunks left booked.
 func (c *Cluster) ReadBlockCtx(ctx context.Context, client topology.NodeID, id topology.BlockID) ([]byte, error) {
 	if m := c.metrics(); m != nil {
 		defer func(t0 time.Time) { m.readLat.Observe(time.Since(t0).Seconds()) }(time.Now())

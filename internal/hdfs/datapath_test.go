@@ -73,7 +73,12 @@ func TestPipelinedWriteMatchesPayload(t *testing.T) {
 // TestPipelinedWriteLatency checks the headline property of the chunk
 // pipeline: a 3-replica write completes in about one block-transfer time
 // plus the pipeline fill, not the r sequential block transfers (r x block /
-// rate) a store-and-forward chain costs.
+// rate) a store-and-forward chain costs. Replica 1 is the writer's own
+// (unshaped here), so the block crosses two network streams in series and
+// must land within fillModel of them: B/R plus one slice time plus the last
+// wake-up, 134 ms against 375 ms store-and-forward. "Clearly faster than
+// store-and-forward" fails the test in every mode; the model bound is
+// advisory under the race detector, like its neighbours.
 func TestPipelinedWriteLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -81,8 +86,7 @@ func TestPipelinedWriteLatency(t *testing.T) {
 	cfg := testConfig("rr")
 	cfg.BlockSizeBytes = 1 << 20
 	cfg.BandwidthBytesPerSec = 8 << 20 // one block transfer = 125ms
-	single := time.Duration(float64(cfg.BlockSizeBytes) / cfg.BandwidthBytesPerSec * float64(time.Second))
-	storeAndForward := time.Duration(cfg.Replicas) * single
+	storeAndForward := time.Duration(cfg.Replicas) * onLink(cfg.BlockSizeBytes, cfg.BandwidthBytesPerSec)
 
 	c, err := NewCluster(cfg)
 	if err != nil {
@@ -92,18 +96,17 @@ func TestPipelinedWriteLatency(t *testing.T) {
 
 	data := make([]byte, cfg.BlockSizeBytes)
 	rand.New(rand.NewSource(3)).Read(data)
-	t0 := time.Now()
-	if _, err := c.WriteBlock(0, data); err != nil {
-		t.Fatal(err)
+	const streams = 2 // writer -> replica 2 -> replica 3
+	limit := fillModel(cfg.BlockSizeBytes, c.foldSliceBytes(0, streams), streams, cfg.BandwidthBytesPerSec) * 14 / 10
+	best := fastestOf(3, func() {
+		if _, err := c.WriteBlock(0, data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if best >= storeAndForward*6/10 {
+		t.Errorf("pipelined write %v not clearly faster than %d store-and-forward transfers (%v)", best, cfg.Replicas, storeAndForward)
 	}
-	d := time.Since(t0)
-
-	if d >= storeAndForward*6/10 {
-		t.Errorf("pipelined write %v not clearly faster than %d store-and-forward transfers (%v)", d, cfg.Replicas, storeAndForward)
-	}
-	if limit := single * 3 / 2; d >= limit {
-		t.Errorf("pipelined 3-replica write took %v, want < 1.5x single transfer (%v)", d, limit)
-	}
+	heldTo(t, "pipelined 3-replica write", best, limit)
 }
 
 // TestWriteCancelMidFlight cancels a write while its chunks are in flight

@@ -206,7 +206,9 @@ func TestPipelinedEncodeMatchesGather(t *testing.T) {
 func TestPipelinedEncodeCancelCommitsNothing(t *testing.T) {
 	cfg := testConfig("ear")
 	cfg.BlockSizeBytes = 256 << 10
-	cfg.BandwidthBytesPerSec = 64 << 10 // ~4s per block: cancel lands mid-chunk
+	// ~2s per block: the cancel lands mid-slice, and the window of slices each
+	// canceled stream leaves booked is what the re-encode below waits behind.
+	cfg.BandwidthBytesPerSec = 128 << 10
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

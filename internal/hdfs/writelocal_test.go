@@ -199,10 +199,11 @@ func TestWriteFromUnknownNodeAllocatesNothing(t *testing.T) {
 }
 
 // TestWriteCancelAtEverySlice cancels a write whose first hop is the
-// writer's own disk while slice 0, 1, ... of the forward to replica 2 is on
-// the wire. Wherever it lands no store keeps a replica, the allocation is
-// void, every staging buffer is back in the pool and no stage outlives the
-// call.
+// writer's own disk the moment slice 0, 1, ... of the forward to replica 2 is
+// booked on the writer's NIC, with that slice or one the stream's window put
+// before it on the wire. Wherever it lands no stream stays open, no store
+// keeps a replica, the allocation is void, every staging buffer is back in
+// the pool and no stage outlives the call.
 func TestWriteCancelAtEverySlice(t *testing.T) {
 	cfg := testConfig("rr")
 	cfg.Replicas = 2
@@ -223,8 +224,9 @@ func TestWriteCancelAtEverySlice(t *testing.T) {
 		stop := make(chan struct{})
 		watched := make(chan struct{})
 		go func() {
-			// A Send books its slice on the links before it sleeps, so slice
-			// idx is in flight once the writer's NIC has booked idx+1 of them.
+			// The sending stage books a slice on the links before anyone
+			// sleeps for it, so slice idx is queued or in flight once the
+			// writer's NIC has booked idx+1 of them.
 			defer close(watched)
 			for {
 				up := linkMoved(c.Fabric().Snapshot().Sub(sent), fmt.Sprintf("node%d.up", writer))
