@@ -291,9 +291,6 @@ func New(top *topology.Topology, bytesPerSec float64) (*Fabric, error) {
 	return f, nil
 }
 
-// Topology returns the wired topology.
-func (f *Fabric) Topology() *topology.Topology { return f.top }
-
 // SetAllRates changes every network link's rate (disk rates are separate).
 // Experiments use it to pre-populate data at full speed before throttling
 // to the measured configuration.
@@ -760,10 +757,6 @@ func (s *Stream) account(c int) {
 // transfers (the pipelined encoder's partial-sum hops) use it to attribute
 // their bytes to the link class they actually traversed.
 func (s *Stream) Cross() bool { return s.cross }
-
-// Local reports whether the stream is a same-node (disk) stream that is
-// excluded from the network payload counters.
-func (s *Stream) Local() bool { return s.local }
 
 // Sent returns the payload bytes delivered so far: those whose arrival
 // instant has passed.

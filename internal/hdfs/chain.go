@@ -575,6 +575,39 @@ func (c *Cluster) rewriteKept(ctx context.Context, info *placement.StripeInfo, b
 	}
 }
 
+// A member of an encoded stripe is addressed by (sm, pos): data members at
+// 0..len(sm.Info.Blocks)-1, short-stripe padding (zeros, stored nowhere) up to
+// k, parity rows from k to n-1. memberKey, recordedHolders and posHolders are
+// the only code that turns that address into a store key or a node.
+
+// memberKey returns the store key of stripe position pos, which must not be
+// padding: the member block's data key below k, the stripe's parity key from k.
+func (c *Cluster) memberKey(sm *StripeMeta, pos int) blockstore.Key {
+	if pos < c.cfg.K {
+		return DataKey(sm.Info.Blocks[pos])
+	}
+	return ParityKey(sm.Info.ID, pos-c.cfg.K)
+}
+
+// recordedHolders lists the nodes the NameNode records for position pos of an
+// encoded stripe, dead ones included (posHolders narrows them to who can
+// serve): a member block's replica set, nothing for padding, the planned
+// holder of a parity row.
+func (c *Cluster) recordedHolders(sm *StripeMeta, pos int) ([]topology.NodeID, error) {
+	switch {
+	case pos < len(sm.Info.Blocks):
+		meta, err := c.nn.Block(sm.Info.Blocks[pos])
+		if err != nil {
+			return nil, err
+		}
+		return meta.Nodes, nil
+	case pos < c.cfg.K:
+		return nil, nil
+	default:
+		return []topology.NodeID{sm.Plan.Parity[pos-c.cfg.K]}, nil
+	}
+}
+
 // posHolders resolves who can serve position i of an encoded stripe: its
 // live holders minus those a failed local read has excluded, and whether
 // the position's content is known at all — through a holder, or as the
@@ -616,12 +649,7 @@ func (c *Cluster) reconstructInto(ctx context.Context, sm *StripeMeta, pos int, 
 		return chainLedger{}, fmt.Errorf("%w: stripe %d not encoded", ErrUnknownStripe, sm.Info.ID)
 	}
 	k, n := c.cfg.K, c.cfg.N
-	key := func(p int) blockstore.Key {
-		if p < k {
-			return DataKey(sm.Info.Blocks[p])
-		}
-		return ParityKey(sm.Info.ID, p-k)
-	}
+	key := func(p int) blockstore.Key { return c.memberKey(sm, p) }
 	bad := make(map[holder]bool)
 	for {
 		row := make([]byte, n)

@@ -39,35 +39,6 @@ func (c *Cluster) transferShaped(ctx context.Context, src, dst topology.NodeID, 
 	return st.Send(ctx, n)
 }
 
-// relocateBlock moves one stored block from src to dst through a pooled
-// buffer: checksum-verified read, shaped transfer, store at dst, delete at
-// src. It returns the bytes moved.
-func (c *Cluster) relocateBlock(ctx context.Context, key blockstore.Key, src, dst topology.NodeID) (int64, error) {
-	srcDN, err := c.DataNodeOf(src)
-	if err != nil {
-		return 0, err
-	}
-	dstDN, err := c.DataNodeOf(dst)
-	if err != nil {
-		return 0, err
-	}
-	buf := c.bufPool.Get(c.cfg.BlockSizeBytes)
-	defer c.bufPool.Put(buf)
-	if err := srcDN.Store.GetInto(key, buf); err != nil {
-		return 0, err
-	}
-	if err := c.transferShaped(ctx, src, dst, len(buf)); err != nil {
-		return 0, err
-	}
-	if err := dstDN.Store.Put(key, buf); err != nil {
-		return 0, err
-	}
-	if err := srcDN.Store.Delete(key); err != nil {
-		return 0, err
-	}
-	return int64(len(buf)), nil
-}
-
 // WriteBlock writes one block from the given client node with a background
 // context. See WriteBlockCtx.
 func (c *Cluster) WriteBlock(client topology.NodeID, data []byte) (topology.BlockID, error) {
@@ -303,20 +274,9 @@ func (c *Cluster) DegradedRead(client topology.NodeID, id topology.BlockID) ([]b
 // chain, so one partial sum per survivor rack crosses the core. A delivered
 // block is charged to the context's tenant as one "read" op.
 func (c *Cluster) DegradedReadCtx(ctx context.Context, client topology.NodeID, id topology.BlockID) ([]byte, error) {
-	meta, err := c.nn.Block(id)
+	sm, pos, err := c.blockMember(id)
 	if err != nil {
 		return nil, err
-	}
-	if meta.Stripe < 0 {
-		return nil, fmt.Errorf("%w: block %d lost before encoding", ErrNoReplica, id)
-	}
-	sm, err := c.nn.Stripe(meta.Stripe)
-	if err != nil {
-		return nil, err
-	}
-	pos := slices.Index(sm.Info.Blocks, id)
-	if pos < 0 {
-		return nil, fmt.Errorf("%w: block %d missing from stripe %d", ErrUnknownStripe, id, meta.Stripe)
 	}
 	out := make([]byte, c.cfg.BlockSizeBytes)
 	if _, err := c.reconstructInto(ctx, sm, pos, client, out); err != nil {
@@ -337,105 +297,43 @@ func (c *Cluster) RepairBlock(id topology.BlockID) (topology.NodeID, error) {
 // RepairBlockCtx rebuilds a lost block onto a fresh live node and updates
 // the NameNode, the RaidNode recovery path. It returns the chosen node.
 func (c *Cluster) RepairBlockCtx(ctx context.Context, id topology.BlockID) (topology.NodeID, error) {
-	meta, err := c.nn.Block(id)
+	sm, pos, err := c.blockMember(id)
 	if err != nil {
 		return 0, err
 	}
-	if meta.Stripe < 0 {
-		return 0, fmt.Errorf("%w: block %d has no stripe", ErrNoReplica, id)
-	}
-	sm, err := c.nn.Stripe(meta.Stripe)
+	used, rackCount, err := c.stripeOccupancy(sm)
 	if err != nil {
 		return 0, err
 	}
-	target, err := c.pickRepairNode(sm)
+	target, err := c.pickRepairNode(sm.Info.ID, used, rackCount)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := c.repairBlockOnto(ctx, id, sm, target); err != nil {
+	if _, err := c.repairMember(ctx, sm, pos, target); err != nil {
 		return 0, err
 	}
 	return target, nil
 }
 
-// repairBlockOnto rebuilds lost data block id of stripe sm onto target:
-// reconstruction along the chain, a staged Put (nothing is stored or
-// published until the rebuild fully succeeded, so a canceled repair commits
-// nothing), the metadata update, lifecycle events, telemetry, and
-// per-tenant charging. It returns the repair's network transfers.
-func (c *Cluster) repairBlockOnto(ctx context.Context, id topology.BlockID, sm *StripeMeta, target topology.NodeID) (chainLedger, error) {
-	t0 := time.Now()
-	if m := c.metrics(); m != nil {
-		defer func() { m.repairLat.Observe(time.Since(t0).Seconds()) }()
-	}
-	span, ctx := c.opSpan(ctx, "raidnode", "raidnode.repair-block")
-	span.Arg("block", strconv.FormatInt(int64(id), 10))
-	defer span.End()
-	// Repair is background work with no requester context: run it under the
-	// block's recorded owner, so the fabric charges every survivor download
-	// and partial-sum hop to that tenant at the same accounting point as
-	// any foreground stream, and the op charge below matches.
-	ctx = tenant.NewContext(ctx, c.acct.Owner(id))
+// blockMember resolves a block to its stripe-member address: the stripe it
+// was grouped into and its position there.
+func (c *Cluster) blockMember(id topology.BlockID) (*StripeMeta, int, error) {
 	meta, err := c.nn.Block(id)
 	if err != nil {
-		return chainLedger{}, err
+		return nil, 0, err
+	}
+	if meta.Stripe < 0 {
+		return nil, 0, fmt.Errorf("%w: block %d is in no stripe to rebuild it from", ErrNoReplica, id)
+	}
+	sm, err := c.nn.Stripe(meta.Stripe)
+	if err != nil {
+		return nil, 0, err
 	}
 	pos := slices.Index(sm.Info.Blocks, id)
 	if pos < 0 {
-		return chainLedger{}, fmt.Errorf("%w: block %d missing from stripe %d", ErrUnknownStripe, id, sm.Info.ID)
+		return nil, 0, fmt.Errorf("%w: block %d missing from stripe %d", ErrUnknownStripe, id, meta.Stripe)
 	}
-	if j := c.Journal(); j != nil {
-		ev := events.New(events.RepairStarted, "raidnode")
-		ev.Block, ev.Stripe, ev.Node = id, sm.Info.ID, target
-		ev.Trace = telemetry.TraceFromContext(ctx)
-		j.Publish(ev)
-	}
-	// The rebuilt block lives in a pooled buffer; the store keeps its own
-	// copy on Put, so the buffer is recycled on return.
-	buf := c.bufPool.Get(c.cfg.BlockSizeBytes)
-	defer c.bufPool.Put(buf)
-	ledger, err := c.reconstructInto(ctx, sm, pos, target, buf)
-	if err != nil {
-		return chainLedger{}, err
-	}
-	dn, err := c.DataNodeOf(target)
-	if err != nil {
-		return chainLedger{}, err
-	}
-	// The target holds no live member of the stripe, so anything stored
-	// under the key is a stale copy from before the node last died; the
-	// repair supersedes it.
-	_ = dn.Store.Delete(DataKey(id))
-	if err := dn.Store.Put(DataKey(id), buf); err != nil {
-		return chainLedger{}, err
-	}
-	if err := c.nn.UpdateBlockLocation(id, []topology.NodeID{target}); err != nil {
-		return chainLedger{}, err
-	}
-	if j := c.Journal(); j != nil {
-		ev := events.New(events.RepairFinished, "raidnode")
-		ev.Block, ev.Stripe, ev.Node = id, sm.Info.ID, target
-		ev.Bytes = int64(len(buf))
-		ev.Trace = telemetry.TraceFromContext(ctx)
-		j.Publish(ev)
-		// The repair supersedes the block's prior locations (typically a
-		// dead node's): retire them in the journal so stream-tracking
-		// models converge on the post-repair layout. Published after
-		// RepairFinished, so the modeled replica count never dips below
-		// one on a successful repair.
-		for _, n := range meta.Nodes {
-			if n == target {
-				continue
-			}
-			del := events.New(events.ReplicaDeleted, "raidnode")
-			del.Block, del.Stripe, del.Node = id, sm.Info.ID, n
-			del.Trace = telemetry.TraceFromContext(ctx)
-			j.Publish(del)
-		}
-	}
-	c.observeRepair(ledger, time.Since(t0))
-	c.acct.Charge(tenant.FromContext(ctx), "repair", 1, int64(len(buf)))
-	return ledger, nil
+	return sm, pos, nil
 }
 
 // observeRepair folds one finished single-row repair into the repair
@@ -450,16 +348,9 @@ func (c *Cluster) observeRepair(ledger chainLedger, d time.Duration) {
 }
 
 // pickRepairNode selects a live node holding no block of the stripe, in a
-// rack whose stripe population stays within c (preserving fault tolerance).
-func (c *Cluster) pickRepairNode(sm *StripeMeta) (topology.NodeID, error) {
-	used, rackCount, err := c.stripeOccupancy(sm)
-	if err != nil {
-		return 0, err
-	}
-	maxPerRack := c.cfg.C
-	if maxPerRack <= 0 {
-		maxPerRack = 1
-	}
+// rack whose stripe population stays within c (preserving fault tolerance),
+// given the stripe's occupancy (stripeOccupancy).
+func (c *Cluster) pickRepairNode(stripe topology.StripeID, used map[topology.NodeID]bool, rackCount map[topology.RackID]int) (topology.NodeID, error) {
 	// Prefer racks that already hold blocks of the stripe but have spare
 	// capacity: co-locating the repaired block with survivors minimizes
 	// the cross-rack recovery downloads (Section III-D). Fall back to any
@@ -475,7 +366,7 @@ func (c *Cluster) pickRepairNode(sm *StripeMeta) (topology.NodeID, error) {
 			if err != nil {
 				return 0, false, err
 			}
-			if rackCount[r] >= maxPerRack {
+			if rackCount[r] >= c.maxPerRack() {
 				continue
 			}
 			if wantCoLocated && rackCount[r] == 0 {
@@ -494,5 +385,5 @@ func (c *Cluster) pickRepairNode(sm *StripeMeta) (topology.NodeID, error) {
 			return n, nil
 		}
 	}
-	return 0, fmt.Errorf("hdfs: no eligible repair node for stripe %d", sm.Info.ID)
+	return 0, fmt.Errorf("hdfs: no eligible repair node for stripe %d", stripe)
 }

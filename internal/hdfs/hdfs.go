@@ -48,8 +48,6 @@ type Config struct {
 	// after encoding; TargetRacks is R' (0 = all racks).
 	K, N, C     int
 	TargetRacks int
-	// SpreadReplicas places each replica in its own rack.
-	SpreadReplicas bool
 	// BlockSizeBytes is the fixed block size (default 1 MiB; scaled down
 	// from HDFS's 64 MB so experiments complete quickly — bandwidth scales
 	// with it).
@@ -61,9 +59,6 @@ type Config struct {
 	// block reads at this rate, modeling the testbed's SATA disks. 0
 	// leaves local reads unshaped.
 	DiskBandwidthBytesPerSec float64
-	// Scheme selects the erasure code construction (default Reed-Solomon,
-	// matching HDFS-RAID).
-	Scheme erasure.Scheme
 	// SlotsPerNode is the TaskTracker map-slot count (default 4).
 	SlotsPerNode int
 	// MapTasks is the number of map tasks per encoding job (default 12,
@@ -109,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BandwidthBytesPerSec == 0 {
 		c.BandwidthBytesPerSec = 32 << 20
-	}
-	if c.Scheme == 0 {
-		c.Scheme = erasure.ReedSolomon
 	}
 	if c.SlotsPerNode == 0 {
 		c.SlotsPerNode = 4
@@ -342,13 +334,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	pcfg := placement.Config{
-		Topology:       top,
-		Replicas:       cfg.Replicas,
-		K:              cfg.K,
-		N:              cfg.N,
-		C:              cfg.C,
-		TargetRacks:    cfg.TargetRacks,
-		SpreadReplicas: cfg.SpreadReplicas,
+		Topology:    top,
+		Replicas:    cfg.Replicas,
+		K:           cfg.K,
+		N:           cfg.N,
+		C:           cfg.C,
+		TargetRacks: cfg.TargetRacks,
 	}
 	switch cfg.Policy {
 	case "rr", "ear":
@@ -389,7 +380,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	coder, err := erasure.New(cfg.N, cfg.K, cfg.Scheme)
+	// Reed-Solomon, matching HDFS-RAID.
+	coder, err := erasure.New(cfg.N, cfg.K, erasure.ReedSolomon)
 	if err != nil {
 		return nil, err
 	}

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"ear/internal/blockstore"
+	"ear/internal/events"
+	"ear/internal/fabric"
 	"ear/internal/tenant"
 	"ear/internal/topology"
 )
@@ -232,18 +235,23 @@ func TestRRCrossRackDownloadsObserved(t *testing.T) {
 }
 
 func TestBlockMoverRestoresFaultTolerance(t *testing.T) {
-	// With few racks RR violates often; after BlockMover the monitor must
-	// be clean and data must remain readable.
+	// With few racks RR violates often (this seed leaves three stripes
+	// violating); after BlockMover the monitor must be clean and data must
+	// remain readable. A relocation is a unit-row fold: it reads the member
+	// through the source's shaped disk and moves it over the network once.
 	cfg := testConfig("rr")
 	cfg.Racks = 6
 	cfg.K = 5
 	cfg.N = 6
 	cfg.Seed = 6
+	cfg.DiskBandwidthBytesPerSec = 64 << 20
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	jrn := events.NewJournal(1 << 14)
+	c.SetJournal(jrn)
 	rng := rand.New(rand.NewSource(6))
 	var ids []topology.BlockID
 	contents := map[topology.BlockID][]byte{}
@@ -262,14 +270,29 @@ func TestBlockMoverRestoresFaultTolerance(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Violations == 0 {
-		t.Skip("no violations this seed; nothing to exercise")
+		t.Fatal("seed 6 no longer produces a violating stripe; pick one that does")
 	}
+	before := c.Fabric().Snapshot()
 	moved, movedBytes, err := c.RaidNode().BlockMover()
 	if err != nil {
 		t.Fatalf("BlockMover: %v", err)
 	}
-	if moved == 0 || movedBytes == 0 {
-		t.Fatalf("BlockMover moved nothing despite %d violations", stats.Violations)
+	if moved == 0 || movedBytes != int64(moved*cfg.BlockSizeBytes) {
+		t.Fatalf("BlockMover moved %d members, %d bytes, despite %d violations", moved, movedBytes, stats.Violations)
+	}
+	delta := c.Fabric().Snapshot().Sub(before)
+	if disk, net := delta.ClassBytes[fabric.ClassDisk], delta.ClassBytes[fabric.ClassNodeUp]; disk != movedBytes || net != movedBytes {
+		t.Errorf("%d relocated bytes read %d bytes from disk and sent %d, want one block each a move", movedBytes, disk, net)
+	}
+	sources := make(map[topology.NodeID]int64)
+	relocated, _, _ := jrn.Since(0, 0, events.Filter{Type: events.ReplicaRelocated})
+	for _, e := range relocated {
+		sources[e.Node] += e.Bytes
+	}
+	for n, want := range sources {
+		if got := linkMoved(delta, fmt.Sprintf("node%d.disk", n)); got != want {
+			t.Errorf("node %d's disk read %d bytes for the %d it gave up", n, got, want)
+		}
 	}
 	bad, err := c.RaidNode().PlacementMonitor()
 	if err != nil {

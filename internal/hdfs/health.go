@@ -11,85 +11,44 @@ import (
 	"ear/internal/topology"
 )
 
-// HealthConfig tunes the cluster health monitor. Zero values take the
-// defaults noted per field.
-type HealthConfig struct {
-	// Interval is the scoring period: each tick probes every node and
-	// recomputes scores (default 500ms).
-	Interval time.Duration
-	// ProbeTimeout bounds one heartbeat probe; a probe still in flight at
-	// the deadline is scored at its elapsed time (default 4×Interval).
-	ProbeTimeout time.Duration
-	// HeartbeatBytes is the probe payload: a small shaped transfer to a
+// The monitor's tuning is fixed: nothing ever ran it with other values.
+const (
+	// healthInterval is the scoring period: each tick probes every node and
+	// recomputes scores.
+	healthInterval = 500 * time.Millisecond
+	// probeTimeout bounds one heartbeat probe; a probe still in flight at the
+	// deadline is scored at its elapsed time.
+	probeTimeout = 4 * healthInterval
+	// heartbeatBytes is the probe payload: a small shaped transfer to a
 	// same-rack peer, so probe latency reflects the node's fabric links
-	// without moving real data (default 4096).
-	HeartbeatBytes int
-	// OutlierFactor is the latency ratio versus the cluster median at which
-	// a signal's subscore reaches zero: at the median the subscore is 1, at
-	// OutlierFactor×median it is 0, linear between (default 3).
-	OutlierFactor float64
-	// HeartbeatFloor is the absolute probe latency below which a node is
-	// healthy regardless of ratio — without it, microsecond-scale medians
-	// turn scheduler jitter into outliers (default 25ms). It also floors
-	// the ratio's denominator.
-	HeartbeatFloor time.Duration
-	// OpCostFloor is the same slack for the transfer-cost signal, in
-	// seconds per MiB (default 0.5, i.e. anything faster than ~2 MiB/s
-	// effective is never an outlier).
-	OpCostFloor float64
-	// MinSamples is how many transfers a node must have in one scoring
+	// without moving real data.
+	heartbeatBytes = 4096
+	// outlierFactor is the latency ratio versus the cluster median at which a
+	// signal's subscore reaches zero: at the median the subscore is 1, at
+	// outlierFactor×median it is 0, linear between.
+	outlierFactor = 3.0
+	// heartbeatFloor is the absolute probe latency below which a node is
+	// healthy regardless of ratio — without it, microsecond-scale medians turn
+	// scheduler jitter into outliers. It also floors the ratio's denominator.
+	heartbeatFloor = 25 * time.Millisecond
+	// opCostFloor is the same slack for the transfer-cost signal, in seconds
+	// per MiB (anything faster than ~2 MiB/s effective is never an outlier).
+	opCostFloor = 0.5
+	// minOpSamples is how many transfers a node must have in one scoring
 	// window before its op-latency signal counts; below it the signal is
-	// neutral (default 2 — each tick's own probes contribute two).
-	MinSamples int
-	// DegradedBelow and RecoveredAt are the hysteresis thresholds on the
-	// 0–100 score: a node degrades below the former and must climb back to
-	// the latter to recover (defaults 50 and 75).
-	DegradedBelow float64
-	RecoveredAt   float64
-	// FailureDecay multiplies each node's failure count every tick, so old
-	// NodeDead transitions stop hurting the score (default 0.5).
-	FailureDecay float64
-}
-
-func (cfg HealthConfig) withDefaults() HealthConfig {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 500 * time.Millisecond
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 4 * cfg.Interval
-	}
-	if cfg.HeartbeatBytes <= 0 {
-		cfg.HeartbeatBytes = 4096
-	}
-	if cfg.OutlierFactor <= 1 {
-		cfg.OutlierFactor = 3
-	}
-	if cfg.HeartbeatFloor <= 0 {
-		cfg.HeartbeatFloor = 25 * time.Millisecond
-	}
-	if cfg.OpCostFloor <= 0 {
-		cfg.OpCostFloor = 0.5
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 2
-	}
-	if cfg.DegradedBelow <= 0 {
-		cfg.DegradedBelow = 50
-	}
-	if cfg.RecoveredAt <= 0 {
-		cfg.RecoveredAt = 75
-	}
-	if cfg.RecoveredAt < cfg.DegradedBelow {
-		cfg.RecoveredAt = cfg.DegradedBelow
-	}
-	if cfg.FailureDecay <= 0 || cfg.FailureDecay >= 1 {
-		cfg.FailureDecay = 0.5
-	}
-	return cfg
-}
-
-// opSampleCap bounds the per-node ring of observed transfer rates.
-const opSampleCap = 64
+	// neutral (each tick's own probes contribute two).
+	minOpSamples = 2
+	// degradedBelow and recoveredAt are the hysteresis thresholds on the 0–100
+	// score: a node degrades below the former and must climb back to the
+	// latter to recover.
+	degradedBelow = 50.0
+	recoveredAt   = 75.0
+	// failureDecay multiplies each node's failure count every tick, so old
+	// NodeDead transitions stop hurting the score.
+	failureDecay = 0.5
+	// opSampleCap bounds the per-node ring of observed transfer rates.
+	opSampleCap = 64
+)
 
 // NodeHealth is one node's scored state, as served by the /health endpoint.
 type NodeHealth struct {
@@ -105,7 +64,7 @@ type NodeHealth struct {
 	// OpSecPerMB is the node's typical observed transfer cost — the 25th
 	// percentile of the transfers it took part in during the last scoring
 	// window, from the journal's TransferFinished stream (0 until
-	// MinSamples transfers). A low percentile is deliberate: transfers are
+	// minOpSamples transfers). A low percentile is deliberate: transfers are
 	// attributed to both endpoints, and a healthy node that merely talked
 	// to a slow peer still shows fast transfers on its other paths, while
 	// a node whose own links are slow is slow on every path. The window is
@@ -152,8 +111,7 @@ type nodeState struct {
 // exported so tests can drive scoring rounds deterministically; Start runs
 // Tick on a background ticker.
 type HealthMonitor struct {
-	c   *Cluster
-	cfg HealthConfig
+	c *Cluster
 
 	mu    sync.Mutex
 	nodes []nodeState
@@ -168,12 +126,8 @@ type HealthMonitor struct {
 // NewHealthMonitor creates a monitor for the cluster and subscribes it to
 // the cluster's current journal (a nil journal disables the op-latency and
 // failure signals but heartbeat scoring still works).
-func NewHealthMonitor(c *Cluster, cfg HealthConfig) *HealthMonitor {
-	h := &HealthMonitor{
-		c:     c,
-		cfg:   cfg.withDefaults(),
-		nodes: make([]nodeState, c.top.Nodes()),
-	}
+func NewHealthMonitor(c *Cluster) *HealthMonitor {
+	h := &HealthMonitor{c: c, nodes: make([]nodeState, c.top.Nodes())}
 	for i := range h.nodes {
 		h.nodes[i].score = 100
 	}
@@ -275,10 +229,10 @@ func (h *HealthMonitor) Tick(ctx context.Context) {
 		wg.Add(1)
 		go func(i int, src, dst topology.NodeID) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, h.cfg.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			start := time.Now()
-			err := h.c.transferShaped(pctx, src, dst, h.cfg.HeartbeatBytes)
+			err := h.c.transferShaped(pctx, src, dst, heartbeatBytes)
 			lat := time.Since(start)
 			// A timed-out probe still scores at its elapsed time — that IS
 			// the signal; other errors (shutdown) drop the sample.
@@ -289,7 +243,7 @@ func (h *HealthMonitor) Tick(ctx context.Context) {
 				// The transfer never finished, so the fabric's journal
 				// event may carry zero bytes; record the op observation
 				// directly lest the stuck node lose its op signal.
-				spm := lat.Seconds() / (float64(h.cfg.HeartbeatBytes) / (1 << 20))
+				spm := lat.Seconds() / (float64(heartbeatBytes) / (1 << 20))
 				h.mu.Lock()
 				h.addOpSample(src, spm)
 				h.addOpSample(dst, spm)
@@ -311,7 +265,7 @@ func (h *HealthMonitor) Tick(ctx context.Context) {
 		}
 		st.opCost = 0
 		st.opWindow = st.opCount
-		if st.opCount >= h.cfg.MinSamples {
+		if st.opCount >= minOpSamples {
 			vals := append([]float64(nil), st.opSamples[:st.opCount]...)
 			sort.Float64s(vals)
 			st.opCost = vals[len(vals)/4]
@@ -328,22 +282,22 @@ func (h *HealthMonitor) Tick(ctx context.Context) {
 		st := &h.nodes[i]
 		if dead[i] {
 			st.score = 0
-			st.failures *= h.cfg.FailureDecay
+			st.failures *= failureDecay
 			continue
 		}
-		st.hbRatio = ratioOf(st.hbLat.Seconds(), hbMed, h.cfg.HeartbeatFloor.Seconds())
-		st.opRatio = ratioOf(st.opCost, opMed, h.cfg.OpCostFloor)
-		sHb := h.subscore(st.hbRatio)
-		sOp := h.subscore(st.opRatio)
+		st.hbRatio = ratioOf(st.hbLat.Seconds(), hbMed, heartbeatFloor.Seconds())
+		st.opRatio = ratioOf(st.opCost, opMed, opCostFloor)
+		sHb := subscore(st.hbRatio)
+		sOp := subscore(st.opRatio)
 		sFail := 1 / (1 + st.failures)
 		st.score = 100 * (0.4*sHb + 0.4*sOp + 0.2*sFail)
-		st.failures *= h.cfg.FailureDecay
+		st.failures *= failureDecay
 		switch {
-		case !st.degraded && st.score < h.cfg.DegradedBelow:
+		case !st.degraded && st.score < degradedBelow:
 			st.degraded = true
 			transitions = append(transitions, transition{ev: h.transitionEvent(
 				events.NodeDegraded, topology.NodeID(i), st, sHb, sOp, sFail)})
-		case st.degraded && st.score >= h.cfg.RecoveredAt:
+		case st.degraded && st.score >= recoveredAt:
 			st.degraded = false
 			transitions = append(transitions, transition{ev: h.transitionEvent(
 				events.NodeRecovered, topology.NodeID(i), st, sHb, sOp, sFail)})
@@ -409,9 +363,9 @@ func ratioOf(v, med, floor float64) float64 {
 }
 
 // subscore maps a latency ratio to [0,1]: 1 at or below the median, linear
-// down to 0 at OutlierFactor× the median.
-func (h *HealthMonitor) subscore(ratio float64) float64 {
-	s := 1 - (ratio-1)/(h.cfg.OutlierFactor-1)
+// down to 0 at outlierFactor× the median.
+func subscore(ratio float64) float64 {
+	s := 1 - (ratio-1)/(outlierFactor-1)
 	if s < 0 {
 		return 0
 	}
@@ -477,7 +431,7 @@ func (h *HealthMonitor) Start() {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		go func() { <-stop; cancel() }()
-		tick := time.NewTicker(h.cfg.Interval)
+		tick := time.NewTicker(healthInterval)
 		defer tick.Stop()
 		for {
 			select {

@@ -9,17 +9,14 @@ import (
 	"ear/internal/topology"
 )
 
-// newHealthCluster builds a journaled cluster plus a monitor tuned for
-// driving Tick directly (no background loop).
+// newHealthCluster builds a journaled cluster plus a monitor the tests drive
+// through Tick directly (no background loop).
 func newHealthCluster(t *testing.T) (*Cluster, *events.Journal, *HealthMonitor) {
 	t.Helper()
 	c := newTestCluster(t, "rr")
 	jnl := events.NewJournal(4096)
 	c.SetJournal(jnl)
-	h := NewHealthMonitor(c, HealthConfig{
-		Interval:     50 * time.Millisecond,
-		ProbeTimeout: 5 * time.Second,
-	})
+	h := NewHealthMonitor(c)
 	t.Cleanup(h.Stop)
 	return c, jnl, h
 }

@@ -558,132 +558,93 @@ func (r *RaidNode) BlockMoverCtx(ctx context.Context) (moved int, movedBytes int
 	return moved, movedBytes, nil
 }
 
-// fixStripe moves excess blocks of one stripe out of over-full racks. It
-// re-fetches the stripe metadata every round: Stripe returns a snapshot, and
-// each relocation (UpdateParityLocation in particular) changes the
-// authoritative layout the next round must see.
-func (r *RaidNode) fixStripe(ctx context.Context, id topology.StripeID) (int, int64, error) {
-	moved := 0
-	var movedBytes int64
-	maxPerRack := r.c.cfg.C
-	if maxPerRack <= 0 {
-		maxPerRack = 1
-	}
+// fixStripe moves members of one stripe out of over-full racks until no rack
+// holds more than c of them. It re-fetches the stripe metadata every round:
+// Stripe returns a snapshot, and each relocation changes the authoritative
+// layout the next round must see.
+func (r *RaidNode) fixStripe(ctx context.Context, id topology.StripeID) (moved int, movedBytes int64, err error) {
+	c := r.c
 	for {
-		sm, err := r.c.nn.Stripe(id)
+		sm, err := c.nn.Stripe(id)
 		if err != nil {
 			return moved, movedBytes, err
 		}
-		layout, err := r.currentLayout(sm)
+		used, rackCount, err := c.stripeOccupancy(sm)
 		if err != nil {
 			return moved, movedBytes, err
 		}
-		counts, err := layout.BlocksPerRack(r.c.top)
+		pos, from, err := c.crowdedMember(sm, rackCount)
 		if err != nil {
 			return moved, movedBytes, err
 		}
-		var overRack topology.RackID = -1
-		for rk, cnt := range counts {
-			if cnt > maxPerRack {
-				overRack = rk
-				break
+		if pos < 0 {
+			for _, cnt := range rackCount {
+				if cnt > c.maxPerRack() {
+					return moved, movedBytes, fmt.Errorf("hdfs: stripe %d: an over-full rack holds no sole copy to move", id)
+				}
 			}
-		}
-		if overRack < 0 {
 			return moved, movedBytes, nil
 		}
-		// Pick a data block of the stripe sitting in the over-full rack.
-		var victim topology.BlockID = -1
-		var victimNode topology.NodeID
-		for _, b := range sm.Info.Blocks {
-			meta, err := r.c.nn.Block(b)
-			if err != nil {
-				return moved, movedBytes, err
-			}
-			if len(meta.Nodes) != 1 {
-				continue
-			}
-			rk, err := r.c.top.RackOf(meta.Nodes[0])
-			if err != nil {
-				return moved, movedBytes, err
-			}
-			if rk == overRack {
-				victim = b
-				victimNode = meta.Nodes[0]
-				break
-			}
-		}
-		if victim < 0 {
-			// Only parity blocks in the over-full rack; move one of those
-			// and re-check the layout.
-			b, err := r.fixParity(ctx, sm, overRack)
-			if err != nil {
-				return moved, movedBytes, err
-			}
-			moved++
-			movedBytes += b
-			continue
-		}
-		target, err := r.c.pickRepairNode(sm)
+		target, err := c.pickRepairNode(id, used, rackCount)
 		if err != nil {
 			return moved, movedBytes, err
 		}
-		n, err := r.c.relocateBlock(ctx, DataKey(victim), victimNode, target)
-		if err != nil {
+		if err := c.relocateMember(ctx, sm, pos, from, target); err != nil {
 			return moved, movedBytes, err
-		}
-		if err := r.c.nn.UpdateBlockLocation(victim, []topology.NodeID{target}); err != nil {
-			return moved, movedBytes, err
-		}
-		if jnl := r.c.Journal(); jnl != nil {
-			ev := events.New(events.ReplicaRelocated, "blockmover")
-			ev.Block = victim
-			ev.Stripe = sm.Info.ID
-			ev.Node = victimNode
-			ev.Peer = target
-			ev.Bytes = n
-			jnl.Publish(ev)
 		}
 		moved++
-		movedBytes += n
+		movedBytes += int64(c.cfg.BlockSizeBytes)
 	}
 }
 
-// fixParity relocates one parity block out of the over-full rack and
-// returns the bytes moved.
-func (r *RaidNode) fixParity(ctx context.Context, sm *StripeMeta, overRack topology.RackID) (int64, error) {
-	if sm.Plan == nil {
-		return 0, fmt.Errorf("hdfs: stripe %d violating without plan", sm.Info.ID)
-	}
-	for j, node := range sm.Plan.Parity {
-		rk, err := r.c.top.RackOf(node)
+// crowdedMember returns the lowest position of the stripe (data before
+// parity) whose only live copy sits in a rack holding more than c of the
+// stripe's members, and the node holding it; the position is -1 when there is
+// none. The same state always names the same member.
+func (c *Cluster) crowdedMember(sm *StripeMeta, rackCount map[topology.RackID]int) (int, topology.NodeID, error) {
+	for pos := 0; pos < c.cfg.N; pos++ {
+		live, _, err := c.posHolders(sm, pos, nil)
 		if err != nil {
-			return 0, err
+			return -1, 0, err
 		}
-		if rk != overRack {
+		if len(live) != 1 {
 			continue
 		}
-		target, err := r.c.pickRepairNode(sm)
+		rk, err := c.top.RackOf(live[0])
 		if err != nil {
-			return 0, err
+			return -1, 0, err
 		}
-		n, err := r.c.relocateBlock(ctx, ParityKey(sm.Info.ID, j), node, target)
-		if err != nil {
-			return 0, err
+		if rackCount[rk] > c.maxPerRack() {
+			return pos, live[0], nil
 		}
-		if err := r.c.nn.UpdateParityLocation(sm.Info.ID, j, target); err != nil {
-			return 0, err
-		}
-		if jnl := r.c.Journal(); jnl != nil {
-			ev := events.New(events.ReplicaRelocated, "blockmover")
-			ev.Stripe = sm.Info.ID
-			ev.Node = node
-			ev.Peer = target
-			ev.Bytes = n
-			ev.Detail = "parity"
-			jnl.Publish(ev)
-		}
-		return n, nil
 	}
-	return 0, fmt.Errorf("hdfs: stripe %d: nothing movable in rack %d", sm.Info.ID, overRack)
+	return -1, 0, nil
+}
+
+// relocateMember moves member pos of the stripe from its only holder to
+// target, the BlockMover's relocation: a rebuild at the target (rebuildMember —
+// while the source copy reads clean the fold is a copy of it through the
+// source's disk and the network, and a corrupt one is rebuilt from the rest of
+// the stripe instead of failing the pass), the ReplicaRelocated event, and,
+// only now that the NameNode names the new holder, the delete of the copy it
+// moved away from. An error before the metadata commit leaves the source copy
+// the recorded one.
+func (c *Cluster) relocateMember(ctx context.Context, sm *StripeMeta, pos int, from, target topology.NodeID) error {
+	if _, err := c.rebuildMember(ctx, sm, pos, target); err != nil {
+		return err
+	}
+	ev := events.New(events.ReplicaRelocated, "blockmover")
+	ev.Stripe, ev.Node, ev.Peer = sm.Info.ID, from, target
+	ev.Bytes = int64(c.cfg.BlockSizeBytes)
+	if pos < c.cfg.K {
+		ev.Block = sm.Info.Blocks[pos]
+	} else {
+		ev.Detail = "parity"
+	}
+	c.Journal().Publish(ev)
+	dn, err := c.DataNodeOf(from)
+	if err != nil {
+		return err
+	}
+	return dn.Store.Delete(c.memberKey(sm, pos))
 }

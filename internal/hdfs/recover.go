@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -69,13 +70,18 @@ func recoveryThroughputMBps(bytes int64, d time.Duration) float64 {
 	return float64(bytes) / (1 << 20) / d.Seconds()
 }
 
-// recoverTask is one planned reconstruction: a lost data block (parity ==
-// -1) or a lost parity row of sm, rebuilt onto target.
+// recoverTask is one planned reconstruction: lost position pos of stripe sm,
+// rebuilt onto target.
 type recoverTask struct {
 	sm     *StripeMeta
-	block  topology.BlockID
-	parity int
+	pos    int
 	target topology.NodeID
+}
+
+// maxPerRack is the most members of one stripe a rack may hold (c, at least
+// one).
+func (c *Cluster) maxPerRack() int {
+	return max(c.cfg.C, 1)
 }
 
 // stripeOccupancy maps which live nodes already hold a member of the
@@ -84,34 +90,22 @@ type recoverTask struct {
 func (c *Cluster) stripeOccupancy(sm *StripeMeta) (map[topology.NodeID]bool, map[topology.RackID]int, error) {
 	used := make(map[topology.NodeID]bool)
 	rackCount := make(map[topology.RackID]int)
-	note := func(n topology.NodeID) error {
-		if c.nn.IsDead(n) || used[n] {
-			return nil
-		}
-		used[n] = true
-		r, err := c.top.RackOf(n)
-		if err != nil {
-			return err
-		}
-		rackCount[r]++
-		return nil
+	n := c.cfg.N
+	if sm.Plan == nil {
+		n = len(sm.Info.Blocks) // not encoded yet: no parity position is held
 	}
-	for _, b := range sm.Info.Blocks {
-		live, err := c.nn.LiveReplicas(b)
+	for pos := 0; pos < n; pos++ {
+		live, _, err := c.posHolders(sm, pos, nil)
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, n := range live {
-			if err := note(n); err != nil {
+		for _, node := range live {
+			used[node] = true
+			r, err := c.top.RackOf(node)
+			if err != nil {
 				return nil, nil, err
 			}
-		}
-	}
-	if sm.Plan != nil {
-		for _, n := range sm.Plan.Parity {
-			if err := note(n); err != nil {
-				return nil, nil, err
-			}
+			rackCount[r]++
 		}
 	}
 	return used, rackCount, nil
@@ -126,10 +120,6 @@ func (c *Cluster) stripeOccupancy(sm *StripeMeta) (map[topology.NodeID]bool, map
 // keys spread hundreds of concurrent repairs evenly across surviving
 // racks.
 func (c *Cluster) pickRecoveryTarget(used map[topology.NodeID]bool, rackCount map[topology.RackID]int, nodeLoad map[topology.NodeID]int, rackLoad map[topology.RackID]int) (topology.NodeID, error) {
-	maxPerRack := c.cfg.C
-	if maxPerRack <= 0 {
-		maxPerRack = 1
-	}
 	var best topology.NodeID
 	var bestNode, bestRack int
 	found := false
@@ -142,7 +132,7 @@ func (c *Cluster) pickRecoveryTarget(used map[topology.NodeID]bool, rackCount ma
 		if err != nil {
 			return 0, err
 		}
-		if rackCount[r] >= maxPerRack {
+		if rackCount[r] >= c.maxPerRack() {
 			continue
 		}
 		nl, rl := nodeLoad[n], rackLoad[r]
@@ -169,41 +159,21 @@ func (c *Cluster) planNodeRecovery(dead topology.NodeID) ([]recoverTask, error) 
 		if err != nil {
 			return nil, err
 		}
-		var lost []int // stripe positions: data i < k, parity k+j
-		for i, b := range sm.Info.Blocks {
-			meta, err := c.nn.Block(b)
+		var lost []int
+		for pos := 0; pos < c.cfg.N; pos++ {
+			recorded, err := c.recordedHolders(sm, pos)
 			if err != nil {
 				return nil, err
 			}
-			if meta.Aborted {
+			if !slices.Contains(recorded, dead) {
 				continue
 			}
-			held := false
-			for _, n := range meta.Nodes {
-				if n == dead {
-					held = true
-					break
-				}
-			}
-			if !held {
-				continue
-			}
-			live, err := c.nn.LiveReplicas(b)
-			if err != nil {
+			// A member another live replica still serves is re-replication
+			// territory (BlockMover), not reconstruction.
+			if _, known, err := c.posHolders(sm, pos, nil); err != nil {
 				return nil, err
-			}
-			if len(live) > 0 {
-				// Another replica survives: re-replication territory
-				// (BlockMover), not reconstruction.
-				continue
-			}
-			lost = append(lost, i)
-		}
-		if sm.Plan != nil {
-			for j, n := range sm.Plan.Parity {
-				if n == dead {
-					lost = append(lost, c.cfg.K+j)
-				}
+			} else if !known {
+				lost = append(lost, pos)
 			}
 		}
 		if len(lost) == 0 {
@@ -226,13 +196,7 @@ func (c *Cluster) planNodeRecovery(dead topology.NodeID) ([]recoverTask, error) 
 			rackCount[r]++
 			nodeLoad[target]++
 			rackLoad[r]++
-			t := recoverTask{sm: sm, parity: -1, target: target}
-			if pos < c.cfg.K {
-				t.block = sm.Info.Blocks[pos]
-			} else {
-				t.parity = pos - c.cfg.K
-			}
-			tasks = append(tasks, t)
+			tasks = append(tasks, recoverTask{sm, pos, target})
 		}
 	}
 	return tasks, nil
@@ -287,20 +251,14 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 			break
 		}
 		g.Go(func() error {
-			var ledger chainLedger
-			var err error
-			if t.parity < 0 {
-				ledger, err = c.repairBlockOnto(ctx, t.block, t.sm, t.target)
-			} else {
-				ledger, err = c.repairParityOnto(ctx, t.sm, t.parity, t.target)
-			}
+			ledger, err := c.repairMember(ctx, t.sm, t.pos, t.target)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
 				errs = append(errs, err)
 				return nil
 			}
-			if t.parity < 0 {
+			if t.pos < c.cfg.K {
 				stats.BlocksRepaired++
 			} else {
 				stats.ParityRepaired++
@@ -326,41 +284,20 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 	return stats, errors.Join(errs...)
 }
 
-// repairParityOnto rebuilds lost parity row j of stripe sm onto target:
-// the mirror of repairBlockOnto for positions k..n-1. The rebuilt row is
-// staged (nothing stored or published until reconstruction succeeded),
-// then committed with UpdateParityLocation. Lifecycle events carry
-// Detail "parity" with Block unset, and a ReplicaRelocated event moves
-// the parity holder in stream-tracking models.
-func (c *Cluster) repairParityOnto(ctx context.Context, sm *StripeMeta, j int, target topology.NodeID) (chainLedger, error) {
-	if sm.Plan == nil || j < 0 || j >= len(sm.Plan.Parity) {
-		return chainLedger{}, fmt.Errorf("%w: stripe %d has no parity row %d", ErrUnknownStripe, sm.Info.ID, j)
-	}
-	t0 := time.Now()
-	if m := c.metrics(); m != nil {
-		defer func() { m.repairLat.Observe(time.Since(t0).Seconds()) }()
-	}
-	span, ctx := c.opSpan(ctx, "raidnode", "raidnode.repair-parity")
-	span.Arg("stripe", strconv.FormatInt(int64(sm.Info.ID), 10)).
-		Arg("row", strconv.Itoa(j))
-	defer span.End()
-	// Parity belongs to the stripe, not to one block: charge the stripe's
-	// first member's owner so the rebuild traffic lands on the tenant whose
-	// data the row protects.
-	if len(sm.Info.Blocks) > 0 {
-		ctx = tenant.NewContext(ctx, c.acct.Owner(sm.Info.Blocks[0]))
-	}
-	old := sm.Plan.Parity[j]
-	if j := c.Journal(); j != nil {
-		ev := events.New(events.RepairStarted, "raidnode")
-		ev.Stripe, ev.Node = sm.Info.ID, target
-		ev.Detail = "parity"
-		ev.Trace = telemetry.TraceFromContext(ctx)
-		j.Publish(ev)
-	}
+// rebuildMember puts member pos of encoded stripe sm on target and makes it
+// durable there, the one way a stripe member changes holder — repair, node
+// recovery and the BlockMover all end here. The member is reconstructed along
+// the chain into a pooled buffer (reconstructInto: a copy from a holder while
+// one can serve it, a decode from the survivors otherwise), stored only after
+// the whole fold succeeded, and only then named by the NameNode, so a failed
+// or canceled rebuild commits nothing and a reader never finds the metadata
+// ahead of the bytes. Whatever the member's earlier holders still store stays
+// theirs to delete, after this returns.
+func (c *Cluster) rebuildMember(ctx context.Context, sm *StripeMeta, pos int, target topology.NodeID) (chainLedger, error) {
+	// The store keeps its own copy on Put, so the buffer is recycled on return.
 	buf := c.bufPool.Get(c.cfg.BlockSizeBytes)
 	defer c.bufPool.Put(buf)
-	ledger, err := c.reconstructInto(ctx, sm, c.cfg.K+j, target, buf)
+	ledger, err := c.reconstructInto(ctx, sm, pos, target, buf)
 	if err != nil {
 		return chainLedger{}, err
 	}
@@ -368,31 +305,87 @@ func (c *Cluster) repairParityOnto(ctx context.Context, sm *StripeMeta, j int, t
 	if err != nil {
 		return chainLedger{}, err
 	}
-	// Supersede any stale copy left from before the target last died.
-	_ = dn.Store.Delete(ParityKey(sm.Info.ID, j))
-	if err := dn.Store.Put(ParityKey(sm.Info.ID, j), buf); err != nil {
+	// The target holds no live member of the stripe, so anything stored under
+	// the key is a stale copy from before the node last died; this one
+	// supersedes it.
+	key := c.memberKey(sm, pos)
+	_ = dn.Store.Delete(key)
+	if err := dn.Store.Put(key, buf); err != nil {
 		return chainLedger{}, err
 	}
-	if err := c.nn.UpdateParityLocation(sm.Info.ID, j, target); err != nil {
+	if pos < c.cfg.K {
+		err = c.nn.UpdateBlockLocation(sm.Info.Blocks[pos], []topology.NodeID{target})
+	} else {
+		err = c.nn.UpdateParityLocation(sm.Info.ID, pos-c.cfg.K, target)
+	}
+	return ledger, err
+}
+
+// repairMember rebuilds lost member pos of stripe sm onto target (rebuildMember)
+// and adds what is repair's own: the raidnode.repair-block / repair-parity
+// span, the RepairStarted/RepairFinished lifecycle, the events that retire the
+// member's earlier holders, repair telemetry and the tenant charge. Events of
+// a parity row carry Detail "parity" and no Block. It returns the repair's
+// network transfers.
+func (c *Cluster) repairMember(ctx context.Context, sm *StripeMeta, pos int, target topology.NodeID) (chainLedger, error) {
+	t0 := time.Now()
+	if m := c.metrics(); m != nil {
+		defer func() { m.repairLat.Observe(time.Since(t0).Seconds()) }()
+	}
+	// Repair is background work with no requester context: run it under the
+	// member's recorded owner, so the fabric charges every survivor read and
+	// partial-sum hop to that tenant at the same accounting point as any
+	// foreground stream, and the op charge below matches. A parity row belongs
+	// to the stripe, not to one block: it goes to the owner of the stripe's
+	// first member, the tenant whose data the row protects.
+	var span *telemetry.Span
+	block, detail, owner := events.NoneBlock, "parity", sm.Info.Blocks[0]
+	if pos < c.cfg.K {
+		block, detail, owner = sm.Info.Blocks[pos], "", sm.Info.Blocks[pos]
+		span, ctx = c.opSpan(ctx, "raidnode", "raidnode.repair-block")
+		span.Arg("block", strconv.FormatInt(int64(block), 10))
+	} else {
+		span, ctx = c.opSpan(ctx, "raidnode", "raidnode.repair-parity")
+		span.Arg("stripe", strconv.FormatInt(int64(sm.Info.ID), 10)).
+			Arg("row", strconv.Itoa(pos-c.cfg.K))
+	}
+	defer span.End()
+	ctx = tenant.NewContext(ctx, c.acct.Owner(owner))
+	old, err := c.recordedHolders(sm, pos)
+	if err != nil {
 		return chainLedger{}, err
 	}
-	if jr := c.Journal(); jr != nil {
-		ev := events.New(events.RepairFinished, "raidnode")
-		ev.Stripe, ev.Node = sm.Info.ID, target
-		ev.Bytes = int64(len(buf))
-		ev.Detail = "parity"
+	size := int64(c.cfg.BlockSizeBytes)
+	publish := func(t events.Type, node, peer topology.NodeID, bytes int64) {
+		ev := events.New(t, "raidnode")
+		ev.Block, ev.Stripe, ev.Node, ev.Peer = block, sm.Info.ID, node, peer
+		ev.Bytes, ev.Detail = bytes, detail
 		ev.Trace = telemetry.TraceFromContext(ctx)
-		jr.Publish(ev)
-		// Move the parity holder in stream-tracking models (the auditor
-		// rewrites its parity map on this, same as BlockMover relocation).
-		rel := events.New(events.ReplicaRelocated, "raidnode")
-		rel.Stripe, rel.Node, rel.Peer = sm.Info.ID, old, target
-		rel.Bytes = int64(len(buf))
-		rel.Detail = "parity"
-		rel.Trace = telemetry.TraceFromContext(ctx)
-		jr.Publish(rel)
+		c.Journal().Publish(ev)
+	}
+	publish(events.RepairStarted, target, events.NoneNode, 0)
+	ledger, err := c.rebuildMember(ctx, sm, pos, target)
+	if err != nil {
+		return chainLedger{}, err
+	}
+	publish(events.RepairFinished, target, events.NoneNode, size)
+	// The repair supersedes the member's prior locations (typically a dead
+	// node's): retire them in the journal so stream-tracking models converge
+	// on the post-repair layout — a data replica is deleted, a parity row moves
+	// holder (the auditor rewrites its parity map on this, same as a BlockMover
+	// relocation). Published after RepairFinished, so the modeled replica count
+	// never dips below one on a successful repair.
+	for _, n := range old {
+		if n == target {
+			continue
+		}
+		if pos < c.cfg.K {
+			publish(events.ReplicaDeleted, n, events.NoneNode, 0)
+		} else {
+			publish(events.ReplicaRelocated, n, target, size)
+		}
 	}
 	c.observeRepair(ledger, time.Since(t0))
-	c.acct.Charge(tenant.FromContext(ctx), "repair", 1, int64(len(buf)))
+	c.acct.Charge(tenant.FromContext(ctx), "repair", 1, size)
 	return ledger, nil
 }

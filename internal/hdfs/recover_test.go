@@ -66,7 +66,7 @@ func TestRecoverNode(t *testing.T) {
 	}
 	for i := range plan1 {
 		a, b := plan1[i], plan2[i]
-		if a.sm.Info.ID != b.sm.Info.ID || a.block != b.block || a.parity != b.parity || a.target != b.target {
+		if a.sm.Info.ID != b.sm.Info.ID || a.pos != b.pos || a.target != b.target {
 			t.Fatalf("plan diverged at %d: %+v vs %+v", i, a, b)
 		}
 	}
@@ -310,26 +310,24 @@ func TestRecoverNodeUnrecoverable(t *testing.T) {
 	// One hopeless stripe did not cancel its siblings: no recoverable member
 	// names the dead node any more, and every repaired block reads back.
 	for _, task := range recoverable {
-		if task.parity >= 0 {
-			sm, err := nn.Stripe(task.sm.Info.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sm.Plan.Parity[task.parity] == dead {
-				t.Errorf("stripe %d parity %d still on dead node %d", sm.Info.ID, task.parity, dead)
-			}
-			continue
-		}
-		meta, err := nn.Block(task.block)
+		sm, err := nn.Stripe(task.sm.Info.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if slices.Contains(meta.Nodes, dead) {
-			t.Errorf("block %d still names dead node %d", task.block, dead)
+		recorded, err := c.recordedHolders(sm, task.pos)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got, err := c.ReadBlock(task.target, task.block)
-		if err != nil || !bytes.Equal(got, contents[task.block]) {
-			t.Errorf("repaired block %d reads back wrong (err %v)", task.block, err)
+		if slices.Contains(recorded, dead) {
+			t.Errorf("stripe %d position %d still names dead node %d", sm.Info.ID, task.pos, dead)
+		}
+		if task.pos >= cfg.K {
+			continue
+		}
+		block := sm.Info.Blocks[task.pos]
+		got, err := c.ReadBlock(task.target, block)
+		if err != nil || !bytes.Equal(got, contents[block]) {
+			t.Errorf("repaired block %d reads back wrong (err %v)", block, err)
 		}
 	}
 	finished, _, _ := jrn.Since(0, 0, events.Filter{Type: events.NodeRecoveryFinished})

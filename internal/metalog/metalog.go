@@ -251,7 +251,8 @@ func (l *Log) listSeqs(prefix, suffix string) ([]uint64, error) {
 // replays every record with LSN greater than the snapshot's through replay,
 // in LSN order. A torn or corrupted record ends replay: the containing
 // segment is truncated at the last valid boundary and any later segments are
-// deleted, so the next Append continues from the recovered position. Recover
+// deleted, so the next Append continues from the recovered LSN, always in a
+// fresh segment (a recovered segment is never reopened for writing). Recover
 // must be called exactly once, before the first Append; a log that recovered
 // nothing starts empty at LSN 1.
 func (l *Log) Recover(restore func(snapshot []byte) error, replay func(lsn uint64, payload []byte) error) error {
@@ -469,50 +470,6 @@ func (l *Log) openSegmentLocked(firstLSN uint64) error {
 	l.segStart = firstLSN
 	l.segSize = segHeaderLen
 	return nil
-}
-
-// reopenSegmentForAppend positions the writer at the end of an existing
-// recovered segment (whose tail was already truncated to a valid boundary).
-func (l *Log) reopenSegmentForAppend(firstLSN uint64) error {
-	path := filepath.Join(l.opts.Dir, segmentName(firstLSN))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	l.f = f
-	l.segStart = firstLSN
-	l.segSize = st.Size()
-	return nil
-}
-
-// EnsureAppendable opens the writer after recovery: the last recovered
-// segment continues filling, or a fresh one starts. Called lazily by Append
-// when nil; exposed so callers can fail fast on an unwritable directory.
-func (l *Log) EnsureAppendable() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	if l.f != nil {
-		return nil
-	}
-	seqs, err := l.listSeqs("wal-", ".seg")
-	if err != nil {
-		return err
-	}
-	if len(seqs) > 0 {
-		last := seqs[len(seqs)-1]
-		if err := l.reopenSegmentForAppend(last); err == nil {
-			return nil
-		}
-	}
-	return l.openSegmentLocked(l.lastLSN + 1)
 }
 
 // rotateLocked seals the active segment (flush + fsync + close) and leaves
@@ -776,12 +733,6 @@ func (l *Log) LastLSN() uint64 {
 
 // DurableLSN returns the newest LSN known to be fsynced.
 func (l *Log) DurableLSN() uint64 { return l.durable.Load() }
-
-// SnapshotLSN returns the LSN covered by the newest snapshot, 0 when none.
-func (l *Log) SnapshotLSN() uint64 { return l.snapLSN.Load() }
-
-// Policy returns the configured sync policy.
-func (l *Log) Policy() SyncPolicy { return l.opts.Sync }
 
 // Stats returns the current counters.
 func (l *Log) Stats() Stats {

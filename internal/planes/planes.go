@@ -89,7 +89,7 @@ func Attach(c *hdfs.Cluster, which Which) *Set {
 		s.Tracker.Attach(j)
 	}
 	if which&Health != 0 && s.Health == nil {
-		s.Health = hdfs.NewHealthMonitor(c, hdfs.HealthConfig{})
+		s.Health = hdfs.NewHealthMonitor(c)
 		s.Health.Start()
 	}
 	if which&Timeline != 0 && s.Sampler == nil {

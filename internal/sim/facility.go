@@ -37,9 +37,6 @@ func (f *Facility) Name() string { return f.name }
 // Servers returns the configured server count.
 func (f *Facility) Servers() int { return f.servers }
 
-// Busy returns the number of servers currently reserved.
-func (f *Facility) Busy() int { return f.busy }
-
 // QueueLen returns the number of processes waiting for a server.
 func (f *Facility) QueueLen() int { return len(f.waiters) }
 

@@ -96,18 +96,11 @@ func (s *Sim) At(t float64, fn func()) error {
 // own goroutine (the function passed to Spawn).
 type Proc struct {
 	sim  *Sim
-	name string
 	wake chan struct{}
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() float64 { return p.sim.now }
-
-// Sim returns the owning simulation.
-func (p *Proc) Sim() *Sim { return p.sim }
 
 // Spawn creates a process that begins executing fn at now+delay. fn's error,
 // if any, aborts the simulation: Run returns it.
@@ -118,7 +111,7 @@ func (s *Sim) Spawn(name string, delay float64, fn func(p *Proc) error) error {
 	if s.closed {
 		return ErrNotRunning
 	}
-	p := &Proc{sim: s, name: name, wake: make(chan struct{}, 1)}
+	p := &Proc{sim: s, wake: make(chan struct{}, 1)}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()

@@ -96,9 +96,6 @@ func NewCluster(s *sim.Sim, top *topology.Topology, bandwidthMBps float64) (*Clu
 	return c, nil
 }
 
-// Topology returns the cluster topology.
-func (c *Cluster) Topology() *topology.Topology { return c.top }
-
 // EnableDisk attaches a single-server disk facility to every node; local
 // transfers are then held for mb/diskMBps seconds.
 func (c *Cluster) EnableDisk(diskMBps float64) error {

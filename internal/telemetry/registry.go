@@ -231,9 +231,6 @@ func (v *Vec) With(labelValues ...string) *Metric {
 	return m
 }
 
-// Name returns the family name.
-func (v *Vec) Name() string { return v.name }
-
 // Metric is one series of a family. All methods are safe for concurrent
 // use.
 type Metric struct {

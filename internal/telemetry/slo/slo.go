@@ -120,9 +120,6 @@ func NewTracker(reg *telemetry.Registry, interval time.Duration) *Tracker {
 	return &Tracker{reg: reg, interval: interval}
 }
 
-// Interval returns the sampling interval.
-func (t *Tracker) Interval() time.Duration { return t.interval }
-
 // Add registers an objective. The window is divided into
 // round(Window/interval) ring slots (minimum 1).
 func (t *Tracker) Add(obj Objective) error {

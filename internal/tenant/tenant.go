@@ -228,9 +228,6 @@ type TenantStats struct {
 	Ops            []OpStats `json:"ops"`
 }
 
-// TotalBytes sums the tenant's fabric attribution.
-func (s TenantStats) TotalBytes() int64 { return s.CrossRackBytes + s.IntraRackBytes }
-
 // Snapshot returns every tenant's accounting state, tenants and ops sorted
 // by name.
 func (t *Table) Snapshot() []TenantStats {
