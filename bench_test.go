@@ -91,9 +91,10 @@ func BenchmarkAblationCoreRackFlag(b *testing.B) {
 }
 
 // BenchmarkAblationTargetRacks measures Section III-D's packing knob. The
-// encode-path cross-rack traffic stays flat (parity always leaves the full
-// core rack); the benefit of c > 1 appears in recovery traffic, which
-// RunRecovery measures, at the price of rack fault tolerance.
+// encode-path cross-rack traffic falls with c (min(n-k, c) parity blocks of
+// a stripe stay in its core rack); the other benefit of c > 1 appears in
+// recovery traffic, which RunRecovery measures, at the price of rack fault
+// tolerance.
 func BenchmarkAblationTargetRacks(b *testing.B) {
 	for _, mode := range []struct {
 		name       string

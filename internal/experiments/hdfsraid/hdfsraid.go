@@ -98,6 +98,12 @@ func Parity(c *hdfs.Cluster) hdfs.ParityFunc {
 		if err != nil {
 			return sp, err
 		}
+		for _, node := range plan.Parity {
+			// Every upload succeeded, so both nodes are the topology's.
+			if same, _ := c.Topology().SameRack(node, encoder); !same {
+				sp.CrossRackUploads++
+			}
+		}
 		held = held[:len(held)-len(pbufs)]
 		sp.Blocks, sp.Aborted = pbufs, aborted
 		return sp, nil

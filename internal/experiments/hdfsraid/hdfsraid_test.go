@@ -283,6 +283,12 @@ func TestGatherTelemetryAndTrace(t *testing.T) {
 	if got := counter("raidnode_cross_rack_downloads_total"); got != 0 || stats.CrossRackDownloads != 0 {
 		t.Errorf("cross-rack downloads = %g / %d, want 0 under EAR", got, stats.CrossRackDownloads)
 	}
+	// The gather counts its own uploads: with c = 1 one of a stripe's two
+	// parity blocks stays in the core rack, where the encoder is, and the
+	// other leaves it.
+	if got := counter("raidnode_cross_rack_uploads_total"); got != float64(stats.Stripes) || stats.CrossRackUploads != stats.Stripes {
+		t.Errorf("cross-rack uploads = %g / %d, want one a stripe (%d)", got, stats.CrossRackUploads, stats.Stripes)
+	}
 	spans := tr.Spans()
 	counts := map[string]int{}
 	byID := map[int64]telemetry.SpanSnapshot{}

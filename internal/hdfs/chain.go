@@ -341,7 +341,7 @@ func (st *chainStage) closeStreams() {
 // keeps the ledger; runStages moves the bytes.
 func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID, out [][]byte) (chainLedger, error) {
 	var ledger chainLedger
-	hops, err := placement.PlanPipeline(c.top, holders, anchor)
+	hops, err := placement.PlanPipeline(c.top, holders, anchor, sinks...)
 	if err != nil {
 		return ledger, fmt.Errorf("stripe %d: %w", stripe, err)
 	}
@@ -452,8 +452,10 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 }
 
 // pipelineParity materializes the stripe's parity blocks by folding the m
-// parity rows over the replica holders along a chain planned toward the
-// encoder, whose last holder streams parity j to plan.Parity[j]. A replica
+// parity rows over the replica holders along a chain whose last holder
+// streams parity j to plan.Parity[j]. The chain is planned toward the first
+// parity holder in the encoder's rack, so that it ends on a node that stores
+// a row (toward the encoder when that rack holds no parity). A replica
 // whose local read fails is excluded and the chain re-planned over the
 // member's remaining live replicas, until a member has none left; an
 // excluded replica the plan keeps is rewritten from a verified copy before
@@ -461,9 +463,16 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 // encode job that names no other: pooled parity buffers the caller must
 // release, the aborted-member mask, CrossRackDownloads (m block-equivalents
 // per rack boundary the partial sums crossed plus one per rewrite that
-// crossed; the deliveries are uploads and count toward neither figure) and
+// crossed), CrossRackUploads (the deliveries that crossed) and
 // PartialSumBytes (total partial-sum bytes shipped between hops).
 func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, plan *placement.PostEncodingPlan) (sp StripeParity, err error) {
+	anchor := encoder
+	if j := slices.IndexFunc(plan.Parity, func(p topology.NodeID) bool {
+		same, _ := c.top.SameRack(p, encoder) // an unknown node fails when its stream opens
+		return same
+	}); j >= 0 {
+		anchor = plan.Parity[j]
+	}
 	m := c.coder.M()
 	rows := make([][]byte, m)
 	for j := range rows {
@@ -506,7 +515,7 @@ func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo
 	key := func(pos int) blockstore.Key { return DataKey(info.Blocks[pos]) }
 	var excluded []holder
 	for {
-		ledger, err := c.chainFold(ctx, info.ID, rows, replicas, key, encoder, plan.Parity, pbufs)
+		ledger, err := c.chainFold(ctx, info.ID, rows, replicas, key, anchor, plan.Parity, pbufs)
 		var he *holderError
 		if errors.As(err, &he) {
 			excluded = append(excluded, he.holder)
@@ -519,6 +528,7 @@ func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo
 			return sp, err
 		}
 		sp.CrossRackDownloads = ledger.crossHops * m
+		sp.CrossRackUploads = ledger.crossDeliveries
 		sp.PartialSumBytes = int64(ledger.hops) * int64(m) * int64(c.cfg.BlockSizeBytes)
 		break
 	}

@@ -187,6 +187,7 @@ type clusterMetrics struct {
 	stripes    *telemetry.Metric // raidnode_stripes_encoded_total
 	encBytes   *telemetry.Metric // raidnode_encoded_bytes_total
 	crossDl    *telemetry.Metric // raidnode_cross_rack_downloads_total
+	crossUp    *telemetry.Metric // raidnode_cross_rack_uploads_total
 	violations *telemetry.Metric // raidnode_placement_violations_total
 	encJobs    *telemetry.Metric // raidnode_encode_jobs_total
 	pipeFill   *telemetry.Metric // hdfs_pipeline_fill_seconds
@@ -230,6 +231,8 @@ func (c *Cluster) SetTelemetry(reg *telemetry.Registry) {
 			"Data bytes encoded into stripes.").With(),
 		crossDl: reg.Counter("raidnode_cross_rack_downloads_total",
 			"Data blocks fetched across racks by encoding tasks (zero under EAR with strict scheduling).").With(),
+		crossUp: reg.Counter("raidnode_cross_rack_uploads_total",
+			"Parity blocks delivered to their holders across racks (zero under EAR while a stripe's parity fits in its core rack).").With(),
 		violations: reg.Counter("raidnode_placement_violations_total",
 			"Stripes whose post-encoding layout broke rack-level fault tolerance.").With(),
 		encJobs: reg.Counter("raidnode_encode_jobs_total",

@@ -23,20 +23,23 @@ import (
 // planOverride rewrites a post-encoding plan before it is committed.
 type planOverride func(*placement.StripeInfo, *placement.PostEncodingPlan)
 
-// crowdData keeps exactly two data members on their core-rack replica (under
-// EAR the first of a placement; the others are elsewhere): with c = 1 the core
-// rack is over-full by one data member.
-func crowdData(info *placement.StripeInfo, plan *placement.PostEncodingPlan) {
-	inCore := 0
-	for i, n := range plan.Keep {
-		if n == info.Placements[i].Nodes[0] {
-			inCore++
+// crowdData keeps data members on their core-rack replica (under EAR the
+// first of a placement; the others are elsewhere) until the core rack holds
+// exactly two members of the stripe, the parity row the plan keeps at home
+// included: with c = 1 the core rack is over-full by one data member.
+func crowdData(top *topology.Topology) planOverride {
+	return func(info *placement.StripeInfo, plan *placement.PostEncodingPlan) {
+		inCore := 0
+		for _, n := range plan.Layout(info.ID).AllNodes() {
+			if r, _ := top.RackOf(n); r == info.CoreRack {
+				inCore++
+			}
 		}
-	}
-	for i := 0; i < len(plan.Keep) && inCore < 2; i++ {
-		if plan.Keep[i] != info.Placements[i].Nodes[0] {
-			plan.Keep[i] = info.Placements[i].Nodes[0]
-			inCore++
+		for i := 0; i < len(plan.Keep) && inCore < 2; i++ {
+			if plan.Keep[i] != info.Placements[i].Nodes[0] {
+				plan.Keep[i] = info.Placements[i].Nodes[0]
+				inCore++
+			}
 		}
 	}
 }
@@ -162,7 +165,7 @@ func TestRelocationCommitsBeforeSourceDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	sm, contents := stageStripe(t, c, 71, crowdData)
+	sm, contents := stageStripe(t, c, 71, crowdData(c.Topology()))
 	_, victim, from := firstInCoreRack(t, c, sm)
 	if err := c.NameNode().CloseMeta(); err != nil {
 		t.Fatal(err)
@@ -187,7 +190,7 @@ func TestRelocationCommitsBeforeSourceDelete(t *testing.T) {
 // of failing the BlockMover pass, and the bad copy must be gone.
 func TestRelocationRebuildsCorruptSource(t *testing.T) {
 	c := newTestCluster(t, "ear")
-	sm, contents := stageStripe(t, c, 73, crowdData)
+	sm, contents := stageStripe(t, c, 73, crowdData(c.Topology()))
 	_, victim, from := firstInCoreRack(t, c, sm)
 	dn, _ := c.DataNodeOf(from)
 	if err := dn.Store.Corrupt(DataKey(victim)); err != nil {
@@ -226,10 +229,11 @@ func TestBlockMoverVictimOrderIsDeterministic(t *testing.T) {
 		jrn := events.NewJournal(1 << 12)
 		c.SetJournal(jrn)
 		sm, _ := stageStripe(t, c, 79, func(info *placement.StripeInfo, plan *placement.PostEncodingPlan) {
-			crowdData(info, plan)
+			crowdData(top)(info, plan)
 			for _, n := range plan.Keep {
 				if r, _ := top.RackOf(n); r != info.CoreRack {
-					plan.Parity[0] = rackMate(top, n)
+					// The last row: the first is the one the plan keeps at home.
+					plan.Parity[len(plan.Parity)-1] = rackMate(top, n)
 					return
 				}
 			}
@@ -376,7 +380,7 @@ func TestMemberMoveJournalShapes(t *testing.T) {
 		},
 		{
 			name:     "blockmover/data",
-			override: func(*topology.Topology) planOverride { return crowdData },
+			override: crowdData,
 			move: func(t *testing.T, c *Cluster, sm *StripeMeta) (topology.BlockID, topology.NodeID) {
 				_, b, old := firstInCoreRack(t, c, sm)
 				if _, _, err := c.RaidNode().BlockMover(); err != nil {
@@ -464,7 +468,7 @@ func TestBlockMoverCancelLeavesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	sm, contents := stageStripe(t, c, 97, crowdData)
+	sm, contents := stageStripe(t, c, 97, crowdData(c.Topology()))
 	_, victim, from := firstInCoreRack(t, c, sm)
 	setRates(t, c, 512<<10, 512<<10) // 125 ms per block: the deadline lands mid-move
 	canceledRun(t, c, context.DeadlineExceeded, "BlockMoverCtx", func() error {

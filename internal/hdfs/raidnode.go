@@ -57,6 +57,9 @@ type EncodeStats struct {
 	// stays comparable with a baseline that downloads whole blocks; the
 	// parity deliveries are uploads either way and count toward neither.
 	PartialSumBytes int64
+	// CrossRackUploads counts parity blocks delivered to their holders across
+	// racks (zero under EAR while a stripe's parity fits in its core rack).
+	CrossRackUploads int
 	// TaskPlacements records where each encoding map task ran.
 	TaskPlacements []mapred.Placement
 }
@@ -85,6 +88,7 @@ type StatsCursor struct {
 	violations   int
 	pipelined    int
 	partialBytes int64
+	crossUploads int
 	placements   int
 	gen          int
 }
@@ -120,6 +124,7 @@ func (r *RaidNode) StatsSince(cur StatsCursor) (EncodeStats, StatsCursor) {
 		Violations:         r.stats.Violations - cur.violations,
 		PipelinedStripes:   r.stats.PipelinedStripes - cur.pipelined,
 		PartialSumBytes:    r.stats.PartialSumBytes - cur.partialBytes,
+		CrossRackUploads:   r.stats.CrossRackUploads - cur.crossUploads,
 	}
 	if cur.placements < len(r.stats.TaskPlacements) {
 		d.TaskPlacements = append([]mapred.Placement(nil), r.stats.TaskPlacements[cur.placements:]...)
@@ -135,6 +140,7 @@ func (r *RaidNode) StatsSince(cur StatsCursor) (EncodeStats, StatsCursor) {
 		violations:   r.stats.Violations,
 		pipelined:    r.stats.PipelinedStripes,
 		partialBytes: r.stats.PartialSumBytes,
+		crossUploads: r.stats.CrossRackUploads,
 		placements:   len(r.stats.TaskPlacements),
 		gen:          r.gen,
 	}
@@ -220,13 +226,14 @@ func (r *RaidNode) EncodeAllCtx(ctx context.Context) (EncodeStats, error) {
 // blocks in Cluster.BufferPool buffers (the encode releases them), their
 // bytes already shaped all the way to plan.Parity; the mask of aborted
 // members, which have no bytes anywhere and went in as zeros like
-// short-stripe padding; and the stripe's share of the two EncodeStats
+// short-stripe padding; and the stripe's share of the three EncodeStats
 // traffic figures.
 type StripeParity struct {
 	Blocks             [][]byte
 	Aborted            []bool
 	CrossRackDownloads int
 	PartialSumBytes    int64
+	CrossRackUploads   int
 }
 
 // ParityFunc materializes the m parity blocks of a planned stripe at
@@ -317,6 +324,7 @@ func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStat
 							stats.PipelinedStripes++
 						}
 						stats.PartialSumBytes += sp.PartialSumBytes
+						stats.CrossRackUploads += sp.CrossRackUploads
 						mu.Unlock()
 						if tel != nil {
 							tel.crossDl.Add(float64(sp.CrossRackDownloads))
@@ -330,6 +338,7 @@ func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStat
 							if sp.PartialSumBytes > 0 {
 								tel.partialBytes.Add(float64(sp.PartialSumBytes))
 							}
+							tel.crossUp.Add(float64(sp.CrossRackUploads))
 						}
 						return nil
 					})
@@ -356,6 +365,7 @@ func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStat
 	r.stats.Violations += stats.Violations
 	r.stats.PipelinedStripes += stats.PipelinedStripes
 	r.stats.PartialSumBytes += stats.PartialSumBytes
+	r.stats.CrossRackUploads += stats.CrossRackUploads
 	r.stats.TaskPlacements = append(r.stats.TaskPlacements, placements...)
 	r.mu.Unlock()
 	return stats, nil

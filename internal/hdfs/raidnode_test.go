@@ -357,6 +357,14 @@ func TestEncodeCrossRackCountersUnderRR(t *testing.T) {
 	if stats.CrossRackDownloads == 0 {
 		t.Error("RR encode saw zero cross-rack downloads")
 	}
+	// The parity uploads have a count of their own. Two parity blocks a stripe
+	// sit in two racks (C=1), so at least one of them left the last hop's.
+	if got := reg.Counter("raidnode_cross_rack_uploads_total", "").With().Value(); got != float64(stats.CrossRackUploads) {
+		t.Errorf("uploads counter = %g, stats = %d", got, stats.CrossRackUploads)
+	}
+	if stats.CrossRackUploads < stats.Stripes || stats.CrossRackUploads > 2*stats.Stripes {
+		t.Errorf("%d cross-rack parity uploads for %d stripes of 2 parity blocks", stats.CrossRackUploads, stats.Stripes)
+	}
 	if v := reg.Counter("fabric_bytes_total", "", "locality").With("cross-rack").Value(); v <= 0 {
 		t.Error("fabric cross-rack byte counter not bumped")
 	}
@@ -409,6 +417,10 @@ func TestStatsSinceCursorSemantics(t *testing.T) {
 	if dSpan.EncodedBytes != dA.EncodedBytes+dB1.EncodedBytes {
 		t.Errorf("spanning bytes %d != %d + %d", dSpan.EncodedBytes, dA.EncodedBytes, dB1.EncodedBytes)
 	}
+	if dA.CrossRackUploads == 0 || dSpan.CrossRackUploads != dA.CrossRackUploads+dB1.CrossRackUploads {
+		t.Errorf("spanning cross-rack uploads %d != %d + %d, the first nonzero",
+			dSpan.CrossRackUploads, dA.CrossRackUploads, dB1.CrossRackUploads)
+	}
 	if len(dSpan.TaskPlacements) != len(dA.TaskPlacements)+len(dB1.TaskPlacements) {
 		t.Errorf("spanning placements %d != %d + %d",
 			len(dSpan.TaskPlacements), len(dA.TaskPlacements), len(dB1.TaskPlacements))
@@ -428,7 +440,7 @@ func TestStatsSinceCursorSemantics(t *testing.T) {
 	if dR.Stripes != 1 {
 		t.Errorf("stale-cursor delta stripes = %d, want 1 (everything since reset)", dR.Stripes)
 	}
-	if dR.EncodedBytes < 0 || dR.Duration < 0 || dR.CrossRackDownloads < 0 || dR.Violations < 0 {
+	if dR.EncodedBytes < 0 || dR.Duration < 0 || dR.CrossRackDownloads < 0 || dR.Violations < 0 || dR.CrossRackUploads < 0 {
 		t.Errorf("stale-cursor delta went negative: %+v", dR)
 	}
 	if len(dR.TaskPlacements) == 0 {
@@ -443,7 +455,7 @@ func TestStatsSinceCursorSemantics(t *testing.T) {
 	// yet) is a clean zero, not negative.
 	c.RaidNode().ResetStats()
 	dZ, _ := c.RaidNode().StatsSince(curR)
-	if dZ.Stripes != 0 || dZ.EncodedBytes != 0 || dZ.Duration != 0 {
+	if dZ.Stripes != 0 || dZ.EncodedBytes != 0 || dZ.Duration != 0 || dZ.CrossRackUploads != 0 {
 		t.Errorf("post-reset empty delta nonzero: %+v", dZ)
 	}
 }

@@ -243,8 +243,24 @@ func TestRecoverNodeUnrecoverable(t *testing.T) {
 	if _, err := c.RaidNode().EncodeAll(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill three members of ONE stripe: (6,4) absorbs only two erasures.
+	// Kill three members of ONE stripe: (6,4) absorbs only two erasures. The
+	// node to recover is one of the three that holds a member of another
+	// stripe too, so that it has something recoverable; where the plans put
+	// the members varies from run to run (concurrent stripes share one rng).
 	nn := c.NameNode()
+	members := make(map[topology.NodeID]int)
+	for _, sid := range nn.EncodedStripes() {
+		sm := stripeOf(t, c, sid)
+		for pos := 0; pos < cfg.N; pos++ {
+			recorded, err := c.recordedHolders(sm, pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range recorded {
+				members[n]++
+			}
+		}
+	}
 	var dead topology.NodeID = -1
 	for _, sid := range nn.EncodedStripes() {
 		sm, err := nn.Stripe(sid)
@@ -264,16 +280,17 @@ func TestRecoverNodeUnrecoverable(t *testing.T) {
 			seen[meta.Nodes[0]] = true
 			holders = append(holders, meta.Nodes[0])
 		}
-		if len(holders) >= 3 {
-			for _, n := range holders[:3] {
+		holders = holders[:min(len(holders), 3)]
+		if i := slices.IndexFunc(holders, func(n topology.NodeID) bool { return members[n] > 1 }); len(holders) == 3 && i >= 0 {
+			for _, n := range holders {
 				nn.MarkDead(n)
 			}
-			dead = holders[2]
+			dead = holders[i]
 			break
 		}
 	}
 	if dead < 0 {
-		t.Fatal("no stripe offered three single-replica members on distinct nodes")
+		t.Fatal("no stripe offered three single-replica members on distinct nodes, one of them holding more")
 	}
 	// Split what the dead node held by whether its stripe can still decode.
 	tasks, err := c.planNodeRecovery(dead)

@@ -18,8 +18,9 @@ func sortStripesByCore(s []*StripeInfo) {
 // EAR implements encoding-aware replication (paper Section III). Each rack
 // owns one open stripe at a time; a block's first replica lands in the
 // writer's rack (the stripe's core rack; a random rack when no writer is
-// known) and the remaining replicas are placed randomly, regenerated until
-// the stripe's flow graph keeps a maximum flow equal to the number of blocks
+// known) and the remaining replicas are placed randomly — where the stripe's
+// flow graph has room, while it has any (stripeRoom) — regenerated until the
+// stripe's flow graph keeps a maximum flow equal to the number of blocks
 // placed so far (Section III-C). Once a stripe accumulates k blocks it is
 // sealed and handed to the encoding pipeline via TakeSealed.
 type EAR struct {
@@ -37,10 +38,11 @@ type EAR struct {
 	scratch      layoutScratch
 	lastAttempts int
 	lastTargets  []topology.RackID
-	// flowPool recycles the flow state of sealed stripes: once a stripe
-	// seals, nothing reads its graph again, so the next open stripe reuses
-	// the adjacency storage instead of rebuilding it from zero.
+	// flowPool and roomPool recycle the flow state and the room of sealed
+	// stripes: once a stripe seals, nothing reads either again, so the next
+	// open stripe reuses the storage instead of rebuilding it from zero.
 	flowPool []*stripeFlow
+	roomPool []*stripeRoom
 	// fullRecompute makes accept rebuild the flow graph from scratch for
 	// every candidate layout instead of extending the incremental flow in
 	// place: the reference the package's equivalence tests compare the
@@ -57,6 +59,8 @@ type openStripe struct {
 	// flow equal to len(info.Blocks) already pushed. Nil in preliminary or
 	// full-recompute modes.
 	flow *stripeFlow
+	// room is what the steered replica draw reads. Nil in preliminary mode.
+	room *stripeRoom
 }
 
 var _ Policy = (*EAR)(nil)
@@ -154,6 +158,7 @@ func (p *EAR) placeAt(block topology.BlockID, core topology.RackID, writer topol
 // the stripe once it reaches k blocks. Shared by the live path (placeAt) and
 // the replay path (RestorePlacement).
 func (p *EAR) commitPlacement(os *openStripe, pl topology.Placement, iters int) {
+	os.room.add(p.cfg.Topology, pl.Nodes)
 	os.info.Blocks = append(os.info.Blocks, pl.Block)
 	os.info.Placements = append(os.info.Placements, pl.Clone())
 	os.info.Iterations = append(os.info.Iterations, iters)
@@ -258,6 +263,7 @@ func (p *EAR) RestoreOpenState(next topology.StripeID, open []*StripeInfo) error
 					return fmt.Errorf("placement: snapshot layout for block %d rejected by stripe %d flow", pl.Block, info.ID)
 				}
 			}
+			os.room.add(p.cfg.Topology, pl.Nodes)
 			os.info.Blocks = append(os.info.Blocks, info.Blocks[i])
 			os.info.Placements = append(os.info.Placements, pl.Clone())
 			os.info.Iterations = append(os.info.Iterations, info.Iterations[i])
@@ -267,11 +273,15 @@ func (p *EAR) RestoreOpenState(next topology.StripeID, open []*StripeInfo) error
 	return nil
 }
 
-// recycleFlow returns a sealed stripe's flow state to the pool.
+// recycleFlow returns a sealed stripe's flow state and room to their pools.
 func (p *EAR) recycleFlow(os *openStripe) {
 	if os.flow != nil {
 		p.flowPool = append(p.flowPool, os.flow)
 		os.flow = nil
+	}
+	if os.room != nil {
+		p.roomPool = append(p.roomPool, os.room)
+		os.room = nil
 	}
 }
 
@@ -330,10 +340,23 @@ func (p *EAR) openWith(core topology.RackID, targets []topology.RackID) (*openSt
 	return os, nil
 }
 
-// attachFlow gives an open stripe its incremental flow state (pooled when
-// available), or leaves it nil in preliminary/full-recompute modes.
+// attachFlow gives an open stripe its room and its incremental flow state
+// (pooled when available): neither in preliminary mode, no flow state in
+// full-recompute mode.
 func (p *EAR) attachFlow(os *openStripe) error {
-	if p.cfg.Preliminary || p.fullRecompute {
+	if p.cfg.Preliminary {
+		return nil
+	}
+	if n := len(p.roomPool); n > 0 {
+		os.room, p.roomPool = p.roomPool[n-1], p.roomPool[:n-1]
+		clear(os.room.taken)
+		clear(os.room.nodes)
+		clear(os.room.blocks)
+	} else {
+		top := p.cfg.Topology
+		os.room = &stripeRoom{taken: make([]bool, top.Nodes()), nodes: make([]int, top.Racks()), blocks: make([]int, top.Racks())}
+	}
+	if p.fullRecompute {
 		return nil
 	}
 	if n := len(p.flowPool); n > 0 {
@@ -366,7 +389,9 @@ func (p *EAR) remoteRacks(info *StripeInfo) []topology.RackID {
 // stripe's flow graph accepts one (Section III-C step 5), returning the
 // layout and the number of candidates generated (Theorem 1's iteration
 // count). With a writer, the first candidate pins replica 1 to it; every
-// later one draws replica 1 from the core rack.
+// later one draws replica 1 from the core rack. While the stripe has room
+// (remoteReplicasInto) the first candidate is admitted by construction and
+// the core rack's places stay free for the stripe's parity (PlanPostEncoding).
 // Candidate layouts live in p.scratch; the accepted one is cloned once into
 // owned memory, so a rejected candidate costs no allocation at steady state.
 func (p *EAR) placeInStripe(os *openStripe, block topology.BlockID, writer topology.NodeID) ([]topology.NodeID, int, error) {
@@ -379,7 +404,7 @@ func (p *EAR) placeInStripe(os *openStripe, block topology.BlockID, writer topol
 		if attempt > 1 {
 			writer = NoWriter
 		}
-		nodes, err := localLayoutInto(p.cfg, writer, info.CoreRack, remote, p.rng, &p.scratch)
+		nodes, err := localLayoutInto(p.cfg, writer, info.CoreRack, remote, os.room, p.rng, &p.scratch)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -408,7 +433,7 @@ func (p *EAR) accept(os *openStripe, nodes []topology.NodeID, i int) (bool, erro
 			layouts = append(layouts, pl.Nodes)
 		}
 		layouts = append(layouts, nodes)
-		flow, err := solveStripeFlow(p.cfg, os.info, layouts)
+		flow, err := solveStripeFlow(p.cfg, os.info, layouts, 0)
 		if err != nil {
 			return false, err
 		}
@@ -429,6 +454,9 @@ type stripeFlow struct {
 	info   *StripeInfo
 	graph  *maxflow.Graph
 	blocks int
+	// reserve is withheld from the core rack's sink edge: the places the
+	// post-encoding planner keeps for parity (0 for admission).
+	reserve int
 	// vertex ids
 	source, sink int
 	nodeVertex   map[topology.NodeID]int
@@ -548,7 +576,11 @@ func (f *stripeFlow) addBlock(nodes []topology.NodeID) error {
 				f.rackVertex[r] = rv
 				f.addedRacks = append(f.addedRacks, r)
 				if f.isTarget(r) {
-					if _, err := f.graph.AddEdge(rv, f.sink, int64(f.cfg.C)); err != nil {
+					capacity := f.cfg.C
+					if r == f.info.CoreRack {
+						capacity -= f.reserve
+					}
+					if _, err := f.graph.AddEdge(rv, f.sink, int64(capacity)); err != nil {
 						return err
 					}
 				}
@@ -619,14 +651,15 @@ func (f *stripeFlow) rollbackAdd(ck maxflow.Checkpoint, prevVertex, prevBlocks i
 	return err
 }
 
-// solveStripeFlow builds the flow graph for the given layouts from scratch
-// and returns its maximum flow (the post-encoding planner's solve, and the
-// from-scratch reference of the admission tests).
-func solveStripeFlow(cfg Config, info *StripeInfo, layouts [][]topology.NodeID) (int64, error) {
+// solveStripeFlow builds the flow graph for the given layouts from scratch,
+// with reserve places of the core rack withheld, and returns its maximum flow
+// (the from-scratch reference of the admission and planner tests).
+func solveStripeFlow(cfg Config, info *StripeInfo, layouts [][]topology.NodeID, reserve int) (int64, error) {
 	f, err := newStripeFlow(cfg, info)
 	if err != nil {
 		return 0, err
 	}
+	f.reserve = reserve
 	for _, nodes := range layouts {
 		if err := f.addBlock(nodes); err != nil {
 			return 0, err

@@ -93,7 +93,7 @@ func TestPropertyTryAddMatchesFromScratch(t *testing.T) {
 				return false
 			}
 			layouts := append(append([][]topology.NodeID(nil), accepted...), cand)
-			flow, err := solveStripeFlow(cfg, info, layouts)
+			flow, err := solveStripeFlow(cfg, info, layouts, 0)
 			if err != nil {
 				t.Logf("seed %d: solve: %v", seed, err)
 				return false
@@ -180,12 +180,31 @@ func TestRandomLayoutIntoAllocatesNothing(t *testing.T) {
 	racks := allRacks(top)
 	var s layoutScratch
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := randomLayoutInto(cfg, 0, racks, rng, &s); err != nil {
+		if _, err := randomLayoutInto(cfg, 0, racks, nil, rng, &s); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("randomLayoutInto allocates %.1f objects per run, want 0", allocs)
+	}
+	// The steered draw, from a writer into a stripe two blocks full: it reads
+	// the stripe's room and filters in the same scratch.
+	room := &stripeRoom{taken: make([]bool, top.Nodes()), nodes: make([]int, top.Racks()), blocks: make([]int, top.Racks())}
+	room.add(top, []topology.NodeID{0, 4, 5})
+	room.add(top, []topology.NodeID{1, 8, 9})
+	allocs = testing.AllocsPerRun(200, func() {
+		nodes, err := localLayoutInto(cfg, 2, 0, racks, room, rng, &s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes[1:] {
+			if r, _ := top.RackOf(n); room.taken[n] || room.blocks[r] >= cfg.C {
+				t.Fatalf("steered replica on node %d: taken or in a rack without room", n)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("the steered localLayoutInto allocates %.1f objects per run, want 0", allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ear/internal/topology"
@@ -35,11 +36,16 @@ type PipelineHop struct {
 // the core rack holds a replica of every member, so a chain planned toward
 // a core-rack sink never leaves that rack.
 //
+// A fold with several rows ends each at a sink of its own: sink is the one the
+// chain is planned toward, and any of the others that is a hop in the sink's
+// rack leads that rack's segment — the last hop delivers its row to it, and a
+// segment's head is the one hop that receives no partial sums from a rack-mate.
+//
 // The plan is deterministic: among the candidates of one class (sink rack,
 // then remote) the largest gain wins, ties prefer the sink itself, then the
 // lowest node ID, so two calls with the same inputs yield the same chain
 // (the differential tests rely on this).
-func PlanPipeline(top *topology.Topology, replicas [][]topology.NodeID, sink topology.NodeID) ([]PipelineHop, error) {
+func PlanPipeline(top *topology.Topology, replicas [][]topology.NodeID, sink topology.NodeID, others ...topology.NodeID) ([]PipelineHop, error) {
 	sinkRack, err := top.RackOf(sink)
 	if err != nil {
 		return nil, err
@@ -109,9 +115,10 @@ func PlanPipeline(top *topology.Topology, replicas [][]topology.NodeID, sink top
 		hops = append(hops, hop)
 		delete(holds, best)
 	}
-	// Rack-contiguous order with the sink's rack last; within a rack the
-	// sink node itself goes last so the chain can terminate there without an
-	// extra hop. Everything else orders by (rack, node) for determinism.
+	// Rack-contiguous order with the sink's rack last; within it the sink
+	// node itself goes last, so the chain can terminate there without an extra
+	// hop, and the other sinks first. Everything else orders by (rack, node)
+	// for determinism.
 	sort.SliceStable(hops, func(a, b int) bool {
 		ra, rb := hops[a].Rack, hops[b].Rack
 		if (ra == sinkRack) != (rb == sinkRack) {
@@ -122,6 +129,9 @@ func PlanPipeline(top *topology.Topology, replicas [][]topology.NodeID, sink top
 		}
 		if (hops[a].Node == sink) != (hops[b].Node == sink) {
 			return hops[b].Node == sink
+		}
+		if la, lb := slices.Contains(others, hops[a].Node), slices.Contains(others, hops[b].Node); la != lb && ra == sinkRack {
+			return la
 		}
 		return hops[a].Node < hops[b].Node
 	})

@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -145,6 +147,10 @@ func TestPlanPipelineIntraRackAggregation(t *testing.T) {
 
 func TestPlanPipelineRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	// plans fingerprints every one-sink plan below: a fold with one sink
+	// (repair, degraded read, relocation) plans as it did before PlanPipeline
+	// learnt about the other sinks of an encode.
+	plans := fnv.New64a()
 	for trial := 0; trial < 200; trial++ {
 		racks := 2 + rng.Intn(5)
 		npr := 1 + rng.Intn(4)
@@ -178,6 +184,44 @@ func TestPlanPipelineRandomized(t *testing.T) {
 		}
 		if !reflect.DeepEqual(hops, again) {
 			t.Fatalf("trial %d: plan not deterministic:\n%v\n%v", trial, hops, again)
+		}
+		// What a one-sink fold passes: the sink again, as its only other sink.
+		if same, _ := PlanPipeline(top, replicas, sink, sink); !reflect.DeepEqual(hops, same) {
+			t.Fatalf("trial %d: naming the sink twice changed the plan:\n%v\n%v", trial, hops, same)
+		}
+		fmt.Fprint(plans, hops)
+	}
+	if got := plans.Sum64(); got != 0xea3f5432c4dcfe88 {
+		t.Errorf("one-sink plans fingerprint %#x, want the pre-change 0xea3f5432c4dcfe88", got)
+	}
+}
+
+// TestPlanPipelineOtherSinksLead: with sinks {a, b} both holding members in
+// the last rack, a — the sink the chain is planned toward — is the last hop
+// and b the first of that rack's segment, wherever their IDs would sort them;
+// a remote rack's segment and a sink that holds nothing are left alone.
+func TestPlanPipelineOtherSinksLead(t *testing.T) {
+	top, err := topology.New(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rack 1 (nodes 4..7) holds positions 0..3, one a node; position 4 lives
+	// only on node 9 of rack 2.
+	replicas := [][]topology.NodeID{{4}, {5}, {6}, {7}, {9}}
+	for _, tc := range []struct{ a, b topology.NodeID }{{5, 7}, {7, 5}, {4, 6}, {6, 4}} {
+		hops, err := PlanPipeline(top, replicas, tc.a, tc.a, tc.b, 9, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPipeline(t, top, replicas, tc.a, hops)
+		if len(hops) != 5 || hops[0].Node != 9 {
+			t.Fatalf("sinks %v: chain %v, want the remote hop on node 9 first", tc, hops)
+		}
+		if hops[1].Node != tc.b || hops[4].Node != tc.a {
+			t.Fatalf("sinks %v: rack segment %v, want it to start at %d and end at %d", tc, hops[1:], tc.b, tc.a)
+		}
+		if lo, hi := hops[2].Node, hops[3].Node; lo >= hi {
+			t.Fatalf("sinks %v: the other hops %d, %d are not in ID order", tc, lo, hi)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ear/internal/topology"
 )
@@ -59,6 +60,13 @@ func (p *PostEncodingPlan) Layout(id topology.StripeID) topology.StripeLayout {
 // enforced feasibility at write time); for RR-placed blocks grouped into a
 // stripe at encoding time, a violation is the common case the paper's
 // Figure 3 and motivating example describe.
+//
+// A stripe with a core rack keeps that rack's places for its parity, which
+// then crosses no rack on its way there: the matching is solved with
+// min(n-k, c) of the core rack's c places withheld and gets them back one at a
+// time only while it is incomplete, and placeParity fills the free places at
+// home first. A stripe without a core rack (RR) reserves nothing and plans as
+// the paper does; so does preliminary EAR, for the reason given at the branch.
 func PlanPostEncoding(cfg Config, info *StripeInfo, rng *rand.Rand) (*PostEncodingPlan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -76,14 +84,35 @@ func PlanPostEncoding(cfg Config, info *StripeInfo, rng *rand.Rand) (*PostEncodi
 	if err != nil {
 		return nil, err
 	}
+	// Only here is it decided whether the stripe has a home (RR: no core rack,
+	// reserve 0). Preliminary EAR is exempt for its rng's sake alone:
+	// MonteCarloViolation places and plans with one rng, and placeParity's draw
+	// over the home nodes would shift every later stripe of Fig 3, whose counts
+	// the reservation cannot change (follow-up: ROADMAP item 3).
+	if info.CoreRack >= 0 && f.isTarget(info.CoreRack) && !cfg.Preliminary {
+		f.reserve = min(cfg.N-cfg.K, cfg.C)
+	}
 	for _, pl := range info.Placements {
 		if err := f.addBlock(pl.Nodes); err != nil {
 			return nil, err
 		}
 	}
-	flow, err := f.graph.MaxFlow(f.source, f.sink)
-	if err != nil {
-		return nil, err
+	// A stripe whose home replicas are all lost has no vertex at home and
+	// nothing to give a withheld place back to.
+	coreV, atHome := f.rackVertex[info.CoreRack]
+	var flow int64
+	for back := 0; ; back++ {
+		more, err := f.graph.MaxFlow(f.source, f.sink)
+		if err != nil {
+			return nil, err
+		}
+		flow += more
+		if flow == int64(len(info.Blocks)) || back == f.reserve || !atHome {
+			break
+		}
+		if _, err := f.graph.AddEdge(coreV, f.sink, 1); err != nil {
+			return nil, err
+		}
 	}
 	match, err := f.matching()
 	if err != nil {
@@ -102,7 +131,7 @@ func PlanPostEncoding(cfg Config, info *StripeInfo, rng *rand.Rand) (*PostEncodi
 	}
 	plan.Violation = flow < int64(len(info.Blocks))
 
-	parity, err := placeParity(cfg, info, plan.Keep, rng)
+	parity, err := placeParity(cfg, info, plan.Keep, f.reserve, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -133,9 +162,12 @@ func (f *stripeFlow) matching() ([]topology.NodeID, error) {
 
 // placeParity assigns the n-k parity blocks to nodes of target racks that
 // still have spare stripe capacity (fewer than c stripe blocks), never
-// reusing a node that keeps a data block. Racks and nodes are drawn
-// uniformly among the eligible, preserving load balancing.
-func placeParity(cfg Config, info *StripeInfo, keep []topology.NodeID, rng *rand.Rand) ([]topology.NodeID, error) {
+// reusing a node that keeps a data block. Up to home (the planner's reserve)
+// of the core rack's spare places come first: its nodes that hold a replica
+// of the stripe (hops of the encode chain already) before those that do not,
+// in drawn order, so that the chain's tail rotates from stripe to stripe. For
+// the rest, racks and nodes are drawn uniformly among the eligible.
+func placeParity(cfg Config, info *StripeInfo, keep []topology.NodeID, home int, rng *rand.Rand) ([]topology.NodeID, error) {
 	top := cfg.Topology
 	used := make(map[topology.NodeID]bool, len(keep))
 	rackCount := make(map[topology.RackID]int)
@@ -156,7 +188,27 @@ func placeParity(cfg Config, info *StripeInfo, keep []topology.NodeID, rng *rand
 	// parity count is always n-k.
 	m := cfg.N - cfg.K
 	parity := make([]topology.NodeID, 0, m)
-	for j := 0; j < m; j++ {
+	if core := info.CoreRack; home > 0 {
+		free, err := top.NodesInRack(core)
+		if err != nil {
+			return nil, err
+		}
+		free = slices.DeleteFunc(free, func(n topology.NodeID) bool { return used[n] })
+		rng.Shuffle(len(free), func(a, b int) { free[a], free[b] = free[b], free[a] })
+		rank := func(n topology.NodeID) int {
+			if slices.ContainsFunc(info.Placements, func(pl topology.Placement) bool { return pl.Contains(n) }) {
+				return 0
+			}
+			return 1
+		}
+		slices.SortStableFunc(free, func(a, b topology.NodeID) int { return rank(a) - rank(b) })
+		for _, n := range free[:min(len(free), home, max(0, cfg.C-rackCount[core]))] {
+			parity = append(parity, n)
+			used[n] = true
+			rackCount[core]++
+		}
+	}
+	for j := len(parity); j < m; j++ {
 		// Racks with spare capacity, uniformly shuffled.
 		candidates := make([]topology.RackID, 0, len(eligible))
 		for _, r := range eligible {

@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ear/internal/topology"
 )
@@ -49,7 +50,7 @@ func (p *Random) Place(block topology.BlockID) (topology.Placement, error) {
 // two policies differ only in where replicas 2..r go). NoWriter draws the
 // first replica's rack and node uniformly.
 func (p *Random) PlaceFrom(block topology.BlockID, writer topology.NodeID) (topology.Placement, error) {
-	nodes, err := localLayoutInto(p.cfg, writer, topology.RackID(-1), p.racks, p.rng, &p.scratch)
+	nodes, err := localLayoutInto(p.cfg, writer, topology.RackID(-1), p.racks, nil, p.rng, &p.scratch)
 	if err != nil {
 		return topology.Placement{}, err
 	}
@@ -79,103 +80,135 @@ func cloneNodes(nodes []topology.NodeID) []topology.NodeID {
 // randomLayoutInto with a persistent scratch instead.
 func randomLayout(cfg Config, coreRack topology.RackID, remoteRacks []topology.RackID, rng *rand.Rand) ([]topology.NodeID, error) {
 	var s layoutScratch
-	nodes, err := randomLayoutInto(cfg, coreRack, remoteRacks, rng, &s)
+	nodes, err := randomLayoutInto(cfg, coreRack, remoteRacks, nil, rng, &s)
 	if err != nil {
 		return nil, err
 	}
 	return cloneNodes(nodes), nil
 }
 
+// stripeRoom is where an open EAR stripe's flow graph can still take a block
+// without rerouting. The flow through a rack's sink edge never exceeds the
+// blocks that reach the rack, so a rack with fewer than c has residual
+// capacity whatever matching the graph holds: the steered draw reads only
+// this, and decides alike over the incremental flow, the full recompute and a
+// replayed policy.
+type stripeRoom struct {
+	taken  []bool // by node
+	nodes  []int  // by rack: nodes taken
+	blocks []int  // by rack: blocks of the stripe with a replica there
+}
+
+// add records a layout the stripe has admitted, which has checked its nodes
+// (nil: a stripe without room). A layout lists the replicas of one rack
+// together; one that did not would count as more blocks, the safe side.
+func (m *stripeRoom) add(top *topology.Topology, nodes []topology.NodeID) {
+	if m == nil {
+		return
+	}
+	prev := topology.RackID(-1)
+	for _, n := range nodes {
+		r, _ := top.RackOf(n)
+		if !m.taken[n] {
+			m.taken[n] = true
+			m.nodes[r]++
+		}
+		if r != prev {
+			m.blocks[r]++
+		}
+		prev = r
+	}
+}
+
 // randomLayoutInto generates one replica layout using the scratch buffers. If
 // coreRack >= 0 the first replica is pinned to a random node of that rack
 // (the EAR case) and the remaining replicas avoid it; otherwise the first
 // replica's rack is chosen uniformly. remoteRacks is the eligible set for the
-// non-first replicas. The returned slice aliases s.nodes.
-func randomLayoutInto(cfg Config, coreRack topology.RackID, remoteRacks []topology.RackID, rng *rand.Rand, s *layoutScratch) ([]topology.NodeID, error) {
+// non-first replicas and room the open stripe they are steered into (nil:
+// none). The returned slice aliases s.nodes.
+func randomLayoutInto(cfg Config, coreRack topology.RackID, remoteRacks []topology.RackID, room *stripeRoom, rng *rand.Rand, s *layoutScratch) ([]topology.NodeID, error) {
 	s.nodes = s.nodes[:0]
 	firstRack := coreRack
 	if firstRack < 0 {
 		firstRack = topology.RackID(rng.Intn(cfg.Topology.Racks()))
 	}
-	if err := sampleNodesInRackInto(cfg.Topology, firstRack, 1, rng, s); err != nil {
+	if err := sampleNodesInRackInto(cfg.Topology, firstRack, 1, nil, rng, s); err != nil {
 		return nil, err
 	}
-	return remoteReplicasInto(cfg, firstRack, remoteRacks, rng, s)
+	return remoteReplicasInto(cfg, firstRack, remoteRacks, room, rng, s)
 }
 
 // localLayoutInto generates one replica layout whose first replica is the
 // writing node itself (HDFS writes the first replica locally); the remaining
 // replicas are drawn exactly as in randomLayoutInto, which NoWriter falls back
 // to with the given coreRack. The returned slice aliases s.nodes.
-func localLayoutInto(cfg Config, writer topology.NodeID, coreRack topology.RackID, remoteRacks []topology.RackID, rng *rand.Rand, s *layoutScratch) ([]topology.NodeID, error) {
+func localLayoutInto(cfg Config, writer topology.NodeID, coreRack topology.RackID, remoteRacks []topology.RackID, room *stripeRoom, rng *rand.Rand, s *layoutScratch) ([]topology.NodeID, error) {
 	if writer == NoWriter {
-		return randomLayoutInto(cfg, coreRack, remoteRacks, rng, s)
+		return randomLayoutInto(cfg, coreRack, remoteRacks, room, rng, s)
 	}
 	rack, err := cfg.Topology.RackOf(writer)
 	if err != nil {
 		return nil, err
 	}
 	s.nodes = append(s.nodes[:0], writer)
-	return remoteReplicasInto(cfg, rack, remoteRacks, rng, s)
+	return remoteReplicasInto(cfg, rack, remoteRacks, room, rng, s)
 }
 
 // remoteReplicasInto appends replicas 2..r to s.nodes, which holds the first
 // replica: every one in its own rack with Config.SpreadReplicas, otherwise on
-// distinct nodes of one rack, always outside firstRack.
-func remoteReplicasInto(cfg Config, firstRack topology.RackID, remoteRacks []topology.RackID, rng *rand.Rand, s *layoutScratch) ([]topology.NodeID, error) {
-	top := cfg.Topology
+// distinct nodes of one rack, always outside firstRack. With a room the racks
+// are drawn among those fewer than c of the stripe's blocks reach and that
+// have enough untaken nodes, and the nodes among the untaken ones, so the
+// stripe's flow graph admits the layout by the direct path block -> node ->
+// rack -> sink; when too few such racks are left the draw is the uniform one.
+func remoteReplicasInto(cfg Config, firstRack topology.RackID, remoteRacks []topology.RackID, room *stripeRoom, rng *rand.Rand, s *layoutScratch) ([]topology.NodeID, error) {
 	if cfg.Replicas == 1 {
 		return s.nodes, nil
 	}
+	count, perRack := 1, cfg.Replicas-1
 	if cfg.SpreadReplicas {
-		racks, err := sampleRacksInto(remoteRacks, firstRack, cfg.Replicas-1, rng, s)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range racks {
-			if err := sampleNodesInRackInto(top, r, 1, rng, s); err != nil {
-				return nil, err
+		count, perRack = cfg.Replicas-1, 1
+	}
+	pool := s.racks[:0]
+	for {
+		for _, r := range remoteRacks {
+			if r != firstRack && (room == nil ||
+				room.blocks[r] < cfg.C && cfg.Topology.NodesPerRack()-room.nodes[r] >= perRack) {
+				pool = append(pool, r)
 			}
 		}
-		return s.nodes, nil
-	}
-	racks, err := sampleRacksInto(remoteRacks, firstRack, 1, rng, s)
-	if err != nil {
-		return nil, err
-	}
-	if err := sampleNodesInRackInto(top, racks[0], cfg.Replicas-1, rng, s); err != nil {
-		return nil, err
-	}
-	return s.nodes, nil
-}
-
-// sampleRacksInto fills s.racks with the eligible set minus the excluded rack
-// and partially Fisher-Yates-shuffles it, returning the first count entries
-// (distinct racks drawn uniformly). The result aliases s.racks.
-func sampleRacksInto(eligible []topology.RackID, exclude topology.RackID, count int, rng *rand.Rand, s *layoutScratch) ([]topology.RackID, error) {
-	pool := s.racks[:0]
-	for _, r := range eligible {
-		if r != exclude {
-			pool = append(pool, r)
+		if room == nil || len(pool) >= count {
+			break
 		}
+		pool, room = pool[:0], nil
 	}
 	s.racks = pool
 	if count > len(pool) {
 		return nil, fmt.Errorf("placement: need %d racks, only %d eligible", count, len(pool))
 	}
+	// Partial Fisher-Yates: count distinct racks drawn uniformly.
 	for i := 0; i < count; i++ {
 		j := i + rng.Intn(len(pool)-i)
 		pool[i], pool[j] = pool[j], pool[i]
 	}
-	return pool[:count], nil
+	for _, r := range pool[:count] {
+		if err := sampleNodesInRackInto(cfg.Topology, r, perRack, room, rng, s); err != nil {
+			return nil, err
+		}
+	}
+	return s.nodes, nil
 }
 
 // sampleNodesInRackInto appends count distinct nodes drawn uniformly from
-// rack r to s.nodes, using s.pool as the sampling pool.
-func sampleNodesInRackInto(top *topology.Topology, r topology.RackID, count int, rng *rand.Rand, s *layoutScratch) error {
+// rack r (with a room: from its untaken nodes) to s.nodes, using s.pool as
+// the sampling pool.
+func sampleNodesInRackInto(top *topology.Topology, r topology.RackID, count int, room *stripeRoom, rng *rand.Rand, s *layoutScratch) error {
 	pool, err := top.AppendNodesInRack(r, s.pool[:0])
 	if err != nil {
 		return err
+	}
+	if room != nil {
+		pool = slices.DeleteFunc(pool, func(n topology.NodeID) bool { return room.taken[n] })
 	}
 	s.pool = pool
 	if count > len(pool) {
