@@ -81,7 +81,9 @@ func Theorem1Bound(i, c, racks int) (float64, error) {
 // MonteCarloViolation estimates the rack-fault-tolerance violation
 // probability of the preliminary EAR empirically: it places stripes with
 // the flow check disabled and asks the post-encoding planner whether a
-// valid deletion exists. The result should track Equation (1).
+// valid deletion exists. The result should track Equation (1). The planner
+// draws from an rng of its own, seeded by one draw from the caller's, so what
+// it draws to place parity leaves the placements of later stripes alone.
 func MonteCarloViolation(k, racks, nodesPerRack, stripes int, rng *rand.Rand) (float64, error) {
 	top, err := topology.New(racks, nodesPerRack)
 	if err != nil {
@@ -94,6 +96,7 @@ func MonteCarloViolation(k, racks, nodesPerRack, stripes int, rng *rand.Rand) (f
 		C:           1,
 		Preliminary: true,
 	}
+	planRng := rand.New(rand.NewSource(rng.Int63()))
 	pol, err := placement.NewEAR(cfg, rng)
 	if err != nil {
 		return 0, err
@@ -107,7 +110,7 @@ func MonteCarloViolation(k, racks, nodesPerRack, stripes int, rng *rand.Rand) (f
 		}
 		block++
 		for _, s := range pol.TakeSealed() {
-			plan, err := placement.PlanPostEncoding(cfg, s, rng)
+			plan, err := placement.PlanPostEncoding(cfg, s, planRng)
 			if err != nil {
 				return 0, err
 			}

@@ -193,98 +193,7 @@ func TestRunB2AllFactorsValidate(t *testing.T) {
 	}
 }
 
-func TestRunA1(t *testing.T) {
-	if testing.Short() {
-		t.Skip("testbed experiment in -short mode")
-	}
-	tb, err := RunA1(fastTestbed())
-	if err != nil {
-		t.Fatalf("RunA1: %v", err)
-	}
-	if len(tb.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	for _, row := range tb.Rows {
-		rr, ear := parseRow(t, row[1]), parseRow(t, row[2])
-		if ear <= rr {
-			if raceEnabled {
-				t.Logf("(n,k)=%s: EAR %.2f <= RR %.2f MB/s (ignored under -race)", row[0], ear, rr)
-			} else {
-				t.Errorf("(n,k)=%s: EAR %.2f <= RR %.2f MB/s", row[0], ear, rr)
-			}
-		}
-		if earCross := parseRow(t, row[5]); earCross != 0 {
-			t.Errorf("(n,k)=%s: EAR cross-rack downloads %v", row[0], earCross)
-		}
-	}
-}
-
-func TestRunA1UDP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("testbed experiment in -short mode")
-	}
-	opts := fastTestbed()
-	opts.Stripes = 3
-	tb, err := RunA1UDP(opts)
-	if err != nil {
-		t.Fatalf("RunA1UDP: %v", err)
-	}
-	if len(tb.Rows) != 5 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	// Gains should not collapse as traffic increases (paper: they grow).
-	// Wall-clock throughput ratios are advisory under -race.
-	first := parseRow(t, tb.Rows[0][3])
-	last := parseRow(t, tb.Rows[len(tb.Rows)-1][3])
-	if first <= 0 {
-		if raceEnabled {
-			t.Logf("unloaded gain %.1f%% (ignored under -race)", first)
-		} else {
-			t.Errorf("unloaded gain %.1f%%, want positive", first)
-		}
-	}
-	if last <= 0 {
-		if raceEnabled {
-			t.Logf("loaded gain %.1f%% (ignored under -race)", last)
-		} else {
-			t.Errorf("loaded gain %.1f%%, want positive", last)
-		}
-	}
-}
-
-func TestRunA2(t *testing.T) {
-	if testing.Short() {
-		t.Skip("testbed experiment in -short mode")
-	}
-	opts := A2Options{TestbedOptions: fastTestbed(), WriteRate: 10, LeadTime: 500 * time.Millisecond}
-	res, err := RunA2(opts)
-	if err != nil {
-		t.Fatalf("RunA2: %v", err)
-	}
-	if len(res.Summary.Rows) != 3 {
-		t.Fatalf("summary rows = %d", len(res.Summary.Rows))
-	}
-	if res.RRSeries.Len() == 0 || res.EARSeries.Len() == 0 {
-		t.Fatal("empty write response series")
-	}
-	// Encoding time: EAR faster. The margin at this scale is tens of
-	// milliseconds, within the race detector's distortion, so the
-	// comparison is advisory under -race.
-	rrEnc := parseRow(t, res.Summary.Rows[2][1])
-	earEnc := parseRow(t, res.Summary.Rows[2][2])
-	if earEnc >= rrEnc {
-		if raceEnabled {
-			t.Logf("EAR encode %.2fs >= RR %.2fs (ignored under -race)", earEnc, rrEnc)
-		} else {
-			t.Errorf("EAR encode %.2fs >= RR %.2fs", earEnc, rrEnc)
-		}
-	}
-}
-
 func TestRunA3(t *testing.T) {
-	if testing.Short() {
-		t.Skip("testbed experiment in -short mode")
-	}
 	opts := A3Options{TestbedOptions: fastTestbed(), Jobs: 6, MeanInterarrival: 50 * time.Millisecond}
 	res, err := RunA3(opts)
 	if err != nil {

@@ -16,9 +16,6 @@ import (
 // with the invariant auditor's transient-violation windows, and per-tenant
 // byte attribution must reproduce the fabric's own totals within 1%.
 func TestRunTransition(t *testing.T) {
-	if testing.Short() {
-		t.Skip("testbed experiment in -short mode")
-	}
 	res, err := RunTransition(TransitionOptions{TestbedOptions: fastTestbed(), Tenants: 3})
 	if err != nil {
 		t.Fatalf("RunTransition: %v", err)
@@ -121,9 +118,6 @@ func TestTransitionProgressReportShape(t *testing.T) {
 // tracker. The experiment must read the hook's auditor and add its tracker to
 // the hook's set, one of each on the journal, so both handles report the same.
 func TestExperimentReusesHookPlanes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("testbed experiment in -short mode")
-	}
 	var hooked *planes.Set
 	var hookedAuditor *audit.Auditor
 	opts := fastTestbed()

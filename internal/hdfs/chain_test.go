@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -145,11 +144,7 @@ func TestChainRepairMatchesPayload(t *testing.T) {
 			t.Parallel()
 			cfg := g.cfg
 			cfg.PipelineChunkBytes = g.chunk
-			c, err := NewCluster(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+			c := newCluster(t, cfg)
 			contents := populatePipeTest(t, c, cfg.Seed+200)
 			if _, err := c.RaidNode().EncodeAll(); err != nil {
 				t.Fatal(err)
@@ -204,12 +199,7 @@ func TestChainRepairMatchesPayload(t *testing.T) {
 func loseOneBlock(t *testing.T, c *Cluster, ids []topology.BlockID) (topology.BlockID, *StripeMeta, int) {
 	t.Helper()
 	nn := c.NameNode()
-	if _, err := nn.FlushOpenStripes(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	for _, victim := range ids {
 		vm, err := nn.Block(victim)
 		if err != nil {
@@ -236,11 +226,7 @@ func TestDegradedReadCrossRackBytes(t *testing.T) {
 	cfg := Config{Racks: 4, NodesPerRack: 4, Policy: "ear", Replicas: 2,
 		K: 6, N: 9, C: 3, BlockSizeBytes: 8 << 10,
 		BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 5}
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	ids, contents := writeBlocks(t, c, 4*cfg.K, rand.New(rand.NewSource(53)))
 	victim, sm, pos := loseOneBlock(t, c, ids)
 
@@ -308,13 +294,13 @@ func canceledRun(t *testing.T, c *Cluster, want error, what string, run func() e
 	reg := telemetry.NewRegistry()
 	c.Fabric().SetTelemetry(reg)
 	streams := reg.Gauge("fabric_streams_active", "").With()
-	storeKeys := func() int {
-		total := 0
-		for n := 0; n < c.Topology().Nodes(); n++ {
+	storeKeys := func() []int {
+		keys := make([]int, c.Topology().Nodes())
+		for n := range keys {
 			dn, _ := c.DataNodeOf(topology.NodeID(n))
-			total += dn.Store.Len()
+			keys[n] = dn.Store.Len()
 		}
-		return total
+		return keys
 	}
 	keysBefore, outstanding, goroutines := storeKeys(), c.BufferPool().Outstanding(), runtime.NumGoroutine()
 	if err := run(); !errors.Is(err, want) {
@@ -329,18 +315,10 @@ func canceledRun(t *testing.T, c *Cluster, want error, what string, run func() e
 	if got := c.BufferPool().Outstanding(); got != outstanding {
 		t.Errorf("%s leaked %d pooled buffers", what, got-outstanding)
 	}
-	if got := storeKeys(); got != keysBefore {
-		t.Errorf("%s changed the stores: %d -> %d keys", what, keysBefore, got)
+	if got := storeKeys(); !slices.Equal(got, keysBefore) {
+		t.Errorf("%s changed the stores: %v -> %v keys a node", what, keysBefore, got)
 	}
-	// A run joins its stages and read-ahead workers before returning; a
-	// joined goroutine may take a moment more to leave the count.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > goroutines {
-		t.Errorf("%s left %d goroutines running", what, got-goroutines)
-	}
+	settled(t, goroutines)
 }
 
 // TestChainFoldCancelAtEveryStage runs the engine directly, as a 1-row and
@@ -360,11 +338,7 @@ func TestChainFoldCancelAtEveryStage(t *testing.T) {
 	cfg.BlockSizeBytes = 64 << 10
 	cfg.BandwidthBytesPerSec = 64 << 10 // 1 s per block: no fold finishes first
 	cfg.DiskBandwidthBytesPerSec = 64 << 10
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	setRates(t, c, 64<<30, 64<<30)
 	ids, _ := writeBlocks(t, c, cfg.K, rand.New(rand.NewSource(59)))
 	setRates(t, c, cfg.BandwidthBytesPerSec, cfg.DiskBandwidthBytesPerSec)
@@ -372,6 +346,7 @@ func TestChainFoldCancelAtEveryStage(t *testing.T) {
 	c.SetJournal(jrn)
 
 	holders := make([][]topology.NodeID, cfg.K)
+	var err error
 	for i, id := range ids {
 		if holders[i], err = c.NameNode().LiveReplicas(id); err != nil {
 			t.Fatal(err)
@@ -464,13 +439,10 @@ func TestChainFoldCancelAtEveryStage(t *testing.T) {
 func TestChainOpenStreamFailsMidway(t *testing.T) {
 	cfg := testConfig("rr")
 	cfg.DiskBandwidthBytesPerSec = 64 << 20
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	ids, _ := writeBlocks(t, c, cfg.K, rand.New(rand.NewSource(67)))
 	holders := make([][]topology.NodeID, cfg.K)
+	var err error
 	for i, id := range ids {
 		if holders[i], err = c.NameNode().LiveReplicas(id); err != nil {
 			t.Fatal(err)
@@ -565,31 +537,18 @@ func TestRepairCancelCommitsNothing(t *testing.T) {
 	// ~2s per block: the cancel lands mid-slice, and the window of slices each
 	// canceled stream leaves booked is what the re-repair below waits behind.
 	cfg.BandwidthBytesPerSec = 128 << 10
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	jrn := events.NewJournal(4096)
 	c.SetJournal(jrn)
 	aud := audit.New(c.Topology(), audit.Config{Replicas: cfg.Replicas, C: cfg.C, CheckCoreRack: true})
 	aud.Attach(jrn)
 
 	// Populate and encode at full speed, then throttle for the repair.
-	if err := c.Fabric().SetAllRates(64 << 30); err != nil {
-		t.Fatal(err)
-	}
+	setRates(t, c, 64<<30, 64<<30)
 	rng := rand.New(rand.NewSource(23))
 	ids, contents := writeBlocks(t, c, cfg.K, rng)
-	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Fabric().SetAllRates(cfg.BandwidthBytesPerSec); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
+	setRates(t, c, cfg.BandwidthBytesPerSec, cfg.BandwidthBytesPerSec)
 
 	victim := ids[0]
 	vm, err := c.NameNode().Block(victim)
@@ -598,36 +557,12 @@ func TestRepairCancelCommitsNothing(t *testing.T) {
 	}
 	c.NameNode().MarkDead(vm.Nodes[0])
 
-	snapshot := func() map[topology.NodeID]int {
-		keys := make(map[topology.NodeID]int)
-		for n := 0; n < c.Topology().Nodes(); n++ {
-			dn, err := c.DataNodeOf(topology.NodeID(n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			keys[topology.NodeID(n)] = len(dn.Store.Keys())
-		}
-		return keys
-	}
-	before := snapshot()
-	goroutines := runtime.NumGoroutine()
-
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	if _, err := c.RepairBlockCtx(ctx, victim); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RepairBlockCtx under timeout = %v, want DeadlineExceeded", err)
-	}
-	// The canceled pipeline must wind down without leaking hop goroutines.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	after := snapshot()
-	for n, count := range after {
-		if count != before[n] {
-			t.Fatalf("node %d store changed across canceled repair: %d -> %d keys", n, before[n], count)
-		}
-	}
+	canceledRun(t, c, context.DeadlineExceeded, "RepairBlockCtx under timeout", func() error {
+		_, err := c.RepairBlockCtx(ctx, victim)
+		return err
+	})
 	if meta, err := c.NameNode().Block(victim); err != nil || len(meta.Nodes) != 1 || meta.Nodes[0] != vm.Nodes[0] {
 		t.Fatalf("block location changed across canceled repair: %v, %v", meta, err)
 	}
@@ -636,9 +571,7 @@ func TestRepairCancelCommitsNothing(t *testing.T) {
 	}
 
 	// Requeue: the same repair at full speed succeeds and restores content.
-	if err := c.Fabric().SetAllRates(64 << 30); err != nil {
-		t.Fatal(err)
-	}
+	setRates(t, c, 64<<30, 64<<30)
 	target, err := c.RepairBlock(victim)
 	if err != nil {
 		t.Fatalf("repair after cancel: %v", err)
@@ -664,19 +597,10 @@ func TestRepairCancelCommitsNothing(t *testing.T) {
 // and pooled buffers tolerate concurrent RepairBlock on the same stripe.
 func TestConcurrentRepairSameStripe(t *testing.T) {
 	cfg := testConfig("ear") // (6,4): two erasures stay decodable
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	rng := rand.New(rand.NewSource(31))
 	_, contents := writeBlocks(t, c, 4*cfg.K, rng)
-	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	nn := c.NameNode()
 	// Find a stripe with two single-replica members on distinct nodes and
 	// kill both holders (a (6,4) code decodes through two erasures).
@@ -755,11 +679,7 @@ func TestConcurrentRepairSameStripe(t *testing.T) {
 // whatever the rate; and whatever Config.PipelineChunkBytes pins it to.
 func TestFoldSliceDerivation(t *testing.T) {
 	cfg := testConfig("ear")
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	if got := c.foldSliceBytes(0, 2); got != fabric.ChunkBytes {
 		t.Errorf("slice at the configured %g B/s = %d, want %d", cfg.BandwidthBytesPerSec, got, fabric.ChunkBytes)
 	}
@@ -775,9 +695,7 @@ func TestFoldSliceDerivation(t *testing.T) {
 		{1 << 20, 4 << 10},
 		{24 << 20, 16 << 10}, // rounds down to a power of two
 	} {
-		if err := c.Fabric().SetAllRates(tc.rate); err != nil {
-			t.Fatal(err)
-		}
+		setRates(t, c, tc.rate, tc.rate)
 		if got := c.foldSliceBytes(0, 2); got != tc.want {
 			t.Errorf("slice after SetAllRates(%g) = %d, want %d", tc.rate, got, tc.want)
 		}
@@ -789,11 +707,7 @@ func TestFoldSliceDerivation(t *testing.T) {
 	// A megabyte block on 8 MiB/s links: a millisecond is 8 KiB, and the fill
 	// budget of 64 KiB a block allows more to a run few streams deep.
 	cfg.BlockSizeBytes, cfg.BandwidthBytesPerSec = 1<<20, 8<<20
-	big, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer big.Close()
+	big := newCluster(t, cfg)
 	for streams, want := range map[int]int{1: 64 << 10, 2: 64 << 10, 3: 32 << 10, 5: 16 << 10, 9: 8 << 10, 13: 8 << 10} {
 		if got := big.foldSliceBytes(0, streams); got != want {
 			t.Errorf("slice of a 1 MiB block at 8 MiB/s, %d streams deep = %d, want %d", streams, got, want)
@@ -801,11 +715,7 @@ func TestFoldSliceDerivation(t *testing.T) {
 	}
 
 	cfg.PipelineChunkBytes = 3000
-	pinned, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pinned.Close()
+	pinned := newCluster(t, cfg)
 	if err := pinned.Fabric().SetAllRates(16 << 20); err != nil {
 		t.Fatal(err)
 	}
@@ -816,57 +726,16 @@ func TestFoldSliceDerivation(t *testing.T) {
 	}
 }
 
-// fillModel is what a stage run takes on a quiet host to move one block over
-// `streams` shaped streams in series (network hops, and the head's disk when
-// it reads members), the model the latency tests below hold the engine to:
-//
-//	B/R + (S-1)·max(s/R, q) + one final oversleep
-//
-// B/R is the block on one link: senders book ahead of the arrivals, so a link
-// streams without a gap however late its receiver wakes, and no term grows
-// with the number of slices. What is left of the timer is paid per stage: a
-// stage passes a slice on only after it woke up for it, so a stage adds the
-// slice's link time or q, whichever is more, and the last stage's wake-up is
-// the final oversleep. q = 1.1 ms is the floor of one timed wait on this
-// runtime (DESIGN.md, "Keeping the chain full"), so the model is a floor too:
-// on the 13-stream degraded read of the benchmark geometry it gives 29.9 ms
-// and a quiet host measures 34-35 ms, its wake-ups landing up to a netpoller
-// tick after the floor. The tests allow 1.4 x the model for the best of three
-// runs: 41.9 ms there, where the per-slice model it replaces allowed 42.9.
-func fillModel(blockBytes, sliceBytes, streams int, rate float64) time.Duration {
-	const q = 1100 * time.Microsecond
-	return onLink(blockBytes, rate) + time.Duration(streams-1)*max(onLink(sliceBytes, rate), q) + q
-}
-
 // onLink is n bytes on a link of the given rate, bytes per second.
 func onLink(n int, rate float64) time.Duration {
 	return time.Duration(float64(n) / rate * float64(time.Second))
 }
 
-// fastestOf returns the shortest of n timed runs: the models bound what the
-// engine can do, not what else the host was doing during one run.
-func fastestOf(n int, run func()) time.Duration {
-	best := time.Duration(math.MaxInt64)
-	for range n {
-		t0 := time.Now()
-		run()
-		best = min(best, time.Since(t0))
-	}
-	return best
-}
-
-// heldTo reports a measured latency against its limit; a miss is an error
-// except under the race detector, which slows every wake-up.
-func heldTo(t *testing.T, what string, got, limit time.Duration) {
-	t.Helper()
-	switch {
-	case got < limit:
-		t.Logf("%s took %v, limit %v", what, got, limit)
-	case raceEnabled:
-		t.Logf("%s took %v, limit %v (ignored under -race)", what, got, limit)
-	default:
-		t.Errorf("%s took %v, want < %v", what, got, limit)
-	}
+// took is how long op takes on the clock the suite was built for.
+func took(op func()) time.Duration {
+	t0 := time.Now()
+	op()
+	return time.Since(t0)
 }
 
 // benchGeometry is the benchmark's shaped cluster: (14,12) over 4x4 nodes,
@@ -878,112 +747,81 @@ func benchGeometry() Config {
 		MapTasks: 4, Seed: 6}
 }
 
-// TestDegradedReadLatency checks that the chain stays full: on the
-// benchmark's shaped geometry a degraded read is a fold over 13 streams in
-// series (the head's disk, eleven partial-sum hops, the delivery), and it must
-// deliver within 1.4 x fillModel of them: one block time plus one wake-up per
-// stage, 34-35 ms measured against a limit of 41.9 ms (no looser than the
-// 42.9 ms this test held the previous engine to). The engine that walked the
-// block in 64 KiB slices and charged the disk between receive and fold took
-// (S + 4 - 1)·5.9 ms ≈ 94 ms.
-func TestDegradedReadLatency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	cfg := benchGeometry()
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	setRates(t, c, 64<<30, 64<<30)
-	// EAR seals a stripe per core rack: 4k blocks over 4 racks fill at least one.
-	ids, contents := writeBlocks(t, c, 4*cfg.K, rand.New(rand.NewSource(61)))
-	victim, _, _ := loseOneBlock(t, c, ids)
-	setRates(t, c, cfg.BandwidthBytesPerSec, cfg.DiskBandwidthBytesPerSec)
-	var client topology.NodeID
-	for c.NameNode().IsDead(client) {
-		client++
-	}
-
-	// k survivors on distinct nodes: k-1 hops between them and the delivery.
-	slice := c.foldSliceBytes(client, cfg.K)
-	limit := fillModel(cfg.BlockSizeBytes, slice, cfg.K+1, cfg.BandwidthBytesPerSec) * 14 / 10
-	best := fastestOf(3, func() {
-		got, err := c.DegradedRead(client, victim)
-		if err != nil || !bytes.Equal(got, contents[victim]) {
-			t.Fatalf("degraded read: wrong bytes (err %v)", err)
-		}
-	})
-	heldTo(t, fmt.Sprintf("degraded read in %d B slices", slice), best, limit)
+// lifecycleRun is what each phase of one lifecycleOnBench took. Encode and
+// recovery run several folds at once and have no closed form; what holds them
+// from below is their link bound, the bytes the phase put on its busiest link
+// over that link's rate.
+type lifecycleRun struct {
+	write, read, encode, degraded, recover time.Duration
+	encodeBound, recoverBound              time.Duration
 }
 
-// TestOneClientBlockLatency pins what booking ahead buys the two plainest
-// shaped operations: with one closed-loop client on the benchmark geometry,
-// nothing contending, a block read from a remote replica and a block written
-// writer-local (own disk beside one hop across the core) are each one stream
-// deep, so each is the block on one link, B/R = 15.6 ms, plus fixed costs:
-// one final oversleep and a checksummed store read (16.0-16.2 ms measured),
-// or one final oversleep, two store writes and two NameNode calls (16.9-17.1
-// ms). Stop-and-wait sends, an oversleep a chunk, measured 17.4-17.5 ms and
-// 18.5 ms here, with no read under 17.0 and no write under 17.7. The medians
-// are held to B/R + 1.5 ms (read) and B/R + 2.25 ms (write): limits that
-// stop-and-wait misses on a quiet host and booking ahead meets on one busy
-// with the other packages' tests.
-func TestOneClientBlockLatency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
+// linkBound times op and returns its link bound beside what it took, failing
+// the test if op beat it.
+func linkBound(t *testing.T, c *Cluster, what string, op func()) (dur, bound time.Duration) {
+	t.Helper()
+	before := c.Fabric().Snapshot()
+	dur = took(op)
+	for _, l := range c.Fabric().Snapshot().Sub(before).Links {
+		bound = max(bound, onLink(int(l.MovedBytes), l.RateBytesPerSec))
 	}
+	if dur <= bound-time.Microsecond { // a booking's link time is truncated to the nanosecond
+		t.Errorf("%s took %v, under the %v its busiest link needs", what, dur, bound)
+	}
+	return dur, bound
+}
+
+// lifecycleOnBench takes a fresh cluster of the benchmark geometry through
+// the lifecycle the benchmark measures, one closed-loop client throughout: 4k
+// seeded writes (EAR seals a stripe per core rack), k reads, the encode of
+// every stripe, the death of the busiest node, a degraded read of a block it
+// held, its recovery, and an unshaped read-back of every block against the
+// seeded payload. It fails the test on a wrong byte, an unrecovered member, a
+// phase under its link bound or a pooled buffer still out.
+func lifecycleOnBench(t *testing.T) (run lifecycleRun) {
+	t.Helper()
 	cfg := benchGeometry()
-	c, err := NewCluster(cfg)
-	if err != nil {
+	c := newCluster(t, cfg)
+	rng := rand.New(rand.NewSource(81))
+	var ids []topology.BlockID
+	var contents map[topology.BlockID][]byte
+	run.write = took(func() { ids, contents = writeBlocks(t, c, 4*cfg.K, rng) })
+	run.read = took(func() {
+		for _, id := range ids[:cfg.K] {
+			if _, err := c.ReadBlock(topology.NodeID(rng.Intn(c.Topology().Nodes())), id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	const ops = 15
-	rng := rand.New(rand.NewSource(71))
-	data := make([]byte, cfg.BlockSizeBytes)
-	rng.Read(data)
-	median := func(op func()) time.Duration {
-		took := make([]time.Duration, ops)
-		for i := range took {
-			t0 := time.Now()
-			op()
-			took[i] = time.Since(t0)
+	run.encode, run.encodeBound = linkBound(t, c, "encode", func() {
+		if _, err := c.RaidNode().EncodeAll(); err != nil {
+			t.Fatal(err)
 		}
-		slices.Sort(took)
-		return took[ops/2]
+	})
+	dead := busiestDataNode(t, c)
+	c.NameNode().MarkDead(dead)
+	lost := ids[slices.IndexFunc(ids, func(id topology.BlockID) bool {
+		meta, err := c.NameNode().Block(id)
+		return err == nil && slices.Equal(meta.Nodes, []topology.NodeID{dead})
+	})]
+	run.degraded = took(func() {
+		if _, err := c.DegradedRead((dead+1)%topology.NodeID(c.Topology().Nodes()), lost); err != nil {
+			t.Fatal(err)
+		}
+	})
+	run.recover, run.recoverBound = linkBound(t, c, "recovery", func() {
+		stats, err := c.RecoverNode(context.Background(), dead)
+		if err != nil || stats.Unrecovered != 0 || stats.BlocksRepaired == 0 {
+			t.Fatalf("RecoverNode(%d) = %+v, %v", dead, stats, err)
+		}
+	})
+	setRates(t, c, 64<<30, 64<<30)
+	verifyBlockContents(t, c, contents)
+	if out := c.BufferPool().Outstanding(); out != 0 {
+		t.Errorf("%d pooled buffers still out after the lifecycle", out)
 	}
-	// The best median of up to five rounds, for the reason fastestOf gives.
-	bestWrite, bestRead := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-	block := onLink(cfg.BlockSizeBytes, cfg.BandwidthBytesPerSec)
-	readLimit, writeLimit := block+1500*time.Microsecond, block+2250*time.Microsecond
-	for round := 0; round < 5 && (bestWrite >= writeLimit || bestRead >= readLimit); round++ {
-		var ids []topology.BlockID
-		bestWrite = min(bestWrite, median(func() {
-			id, err := c.WriteBlock(topology.NodeID(rng.Intn(c.Topology().Nodes())), data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, id)
-		}))
-		bestRead = min(bestRead, median(func() {
-			id := ids[0]
-			ids = ids[1:]
-			meta, err := c.NameNode().Block(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A reader that holds no replica: the read is one transfer.
-			reader := topology.NodeID(rng.Intn(c.Topology().Nodes()))
-			for slices.Contains(meta.Nodes, reader) {
-				reader = topology.NodeID(rng.Intn(c.Topology().Nodes()))
-			}
-			if _, err := c.ReadBlock(reader, id); err != nil {
-				t.Fatal(err)
-			}
-		}))
-	}
-	heldTo(t, "one client's median WriteBlock", bestWrite, writeLimit)
-	heldTo(t, "one client's median ReadBlock", bestRead, readLimit)
+	return run
 }

@@ -29,11 +29,7 @@ func TestChaosLifecycle(t *testing.T) {
 				BandwidthBytesPerSec: 1 << 30,
 				Seed:                 31,
 			}
-			c, err := NewCluster(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+			c := newCluster(t, cfg)
 			rng := rand.New(rand.NewSource(32))
 
 			oracle := map[topology.BlockID][]byte{}

@@ -18,11 +18,7 @@ func TestEncodeParallelismMatchesSequential(t *testing.T) {
 	encode := func(t *testing.T, parallelism int) (*Cluster, EncodeStats, map[topology.BlockID][]byte) {
 		cfg := testConfig("ear")
 		cfg.EncodeParallelism = parallelism
-		c, err := NewCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Close)
+		c := newCluster(t, cfg)
 		rng := rand.New(rand.NewSource(21))
 		_, contents := writeBlocks(t, c, 16, rng)
 		c.NameNode().FlushOpenStripes()
@@ -89,11 +85,7 @@ func TestEncodeParallelismValidation(t *testing.T) {
 		t.Error("negative EncodeParallelism accepted")
 	}
 	cfg.EncodeParallelism = 0
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
+	c := newCluster(t, cfg)
 	if got := c.Config().EncodeParallelism; got <= 1 {
 		t.Errorf("default EncodeParallelism = %d, want > 1", got)
 	}

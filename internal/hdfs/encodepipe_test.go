@@ -3,9 +3,7 @@ package hdfs
 import (
 	"bytes"
 	"context"
-	"errors"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -154,11 +152,7 @@ func TestPipelinedEncodeMatchesGather(t *testing.T) {
 			t.Parallel()
 			pipeCfg := g.cfg
 			pipeCfg.PipelineChunkBytes = g.chunk
-			pipe, err := NewCluster(pipeCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pipe.Close()
+			pipe := newCluster(t, pipeCfg)
 			pc := populatePipeTest(t, pipe, g.cfg.Seed+100)
 
 			ps, err := pipe.RaidNode().EncodeAll()
@@ -209,64 +203,27 @@ func TestPipelinedEncodeCancelCommitsNothing(t *testing.T) {
 	// ~2s per block: the cancel lands mid-slice, and the window of slices each
 	// canceled stream leaves booked is what the re-encode below waits behind.
 	cfg.BandwidthBytesPerSec = 128 << 10
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	jrn := events.NewJournal(4096)
 	c.SetJournal(jrn)
 	aud := audit.New(c.Topology(), audit.Config{Replicas: cfg.Replicas, C: cfg.C, CheckCoreRack: true})
 	aud.Attach(jrn)
 
 	// Populate at full speed, then throttle for the canceled encode.
-	if err := c.Fabric().SetAllRates(64 << 30); err != nil {
-		t.Fatal(err)
-	}
+	setRates(t, c, 64<<30, 64<<30)
 	rng := rand.New(rand.NewSource(17))
 	_, contents := writeBlocks(t, c, 2*cfg.K, rng)
 	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Fabric().SetAllRates(cfg.BandwidthBytesPerSec); err != nil {
-		t.Fatal(err)
-	}
-
-	snapshot := func() map[topology.NodeID][]string {
-		keys := make(map[topology.NodeID][]string)
-		for n := 0; n < c.Topology().Nodes(); n++ {
-			dn, err := c.DataNodeOf(topology.NodeID(n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range dn.Store.Keys() {
-				keys[topology.NodeID(n)] = append(keys[topology.NodeID(n)], k.String())
-			}
-		}
-		return keys
-	}
-	before := snapshot()
-	goroutines := runtime.NumGoroutine()
+	setRates(t, c, cfg.BandwidthBytesPerSec, cfg.BandwidthBytesPerSec)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	if _, err := c.RaidNode().EncodeAllCtx(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("EncodeAllCtx under timeout = %v, want DeadlineExceeded", err)
-	}
-	// The canceled pipeline must wind down without leaking hop goroutines.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	after := snapshot()
-	for n, keys := range after {
-		if len(keys) != len(before[n]) {
-			t.Fatalf("node %d stores changed across canceled encode: %v -> %v", n, before[n], keys)
-		}
-	}
-	if len(after) != len(before) {
-		t.Fatalf("store population changed: %d -> %d nodes", len(before), len(after))
-	}
+	canceledRun(t, c, context.DeadlineExceeded, "EncodeAllCtx under timeout", func() error {
+		_, err := c.RaidNode().EncodeAllCtx(ctx)
+		return err
+	})
 	if rep := aud.Report(); rep.Total() != 0 {
 		t.Fatalf("auditor dirty after canceled pipeline: %+v", rep)
 	}
@@ -279,9 +236,7 @@ func TestPipelinedEncodeCancelCommitsNothing(t *testing.T) {
 	if requeued == 0 {
 		t.Fatal("no stripes requeued after canceled encode")
 	}
-	if err := c.Fabric().SetAllRates(64 << 30); err != nil {
-		t.Fatal(err)
-	}
+	setRates(t, c, 64<<30, 64<<30)
 	stats, err := c.RaidNode().EncodeAll()
 	if err != nil {
 		t.Fatalf("re-encode after cancel: %v", err)
@@ -426,11 +381,7 @@ func TestPipelinedEncodeTelemetry(t *testing.T) {
 	cfg := testConfig("ear")
 	cfg.BlockSizeBytes = 256 << 10
 	cfg.BandwidthBytesPerSec = 8 << 20
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	reg := telemetry.NewRegistry()
 	c.SetTelemetry(reg)
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ear/internal/blockstore"
@@ -34,12 +35,48 @@ func testConfig(policy string) Config {
 
 func newTestCluster(t *testing.T, policy string) *Cluster {
 	t.Helper()
-	c, err := NewCluster(testConfig(policy))
+	return newCluster(t, testConfig(policy))
+}
+
+// newCluster builds a cluster the test closes when it ends.
+func newCluster(t *testing.T, cfg Config) *Cluster {
+	t.Helper()
+	c, err := NewCluster(cfg)
 	if err != nil {
-		t.Fatalf("NewCluster(%s): %v", policy, err)
+		t.Fatalf("NewCluster(%+v): %v", cfg, err)
 	}
 	t.Cleanup(c.Close)
 	return c
+}
+
+// encodeAll seals every open stripe and encodes them all.
+func encodeAll(t *testing.T, c *Cluster) {
+	t.Helper()
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RaidNode().EncodeAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// settled fails the test unless the goroutine count comes back down to
+// before: what the operation under test started must be gone when it has
+// returned. A run joins its goroutines, but one that has returned stays in
+// runtime.NumGoroutine until the scheduler has retired it, which is the
+// host's business. So the wait is on the host, not on the test's clock: a GC
+// cycle stops the world, which lets every exiting goroutine finish, where a
+// deadline of seconds passes in microseconds of host time on a bubble's fake
+// clock (bubble_test.go) and reported a goroutine no stack dump showed.
+func settled(t *testing.T, before int) {
+	t.Helper()
+	for cycle := 0; runtime.NumGoroutine() > before; cycle++ {
+		if cycle == 100 {
+			t.Errorf("%d goroutines outlive the operation that started them", runtime.NumGoroutine()-before)
+			return
+		}
+		runtime.GC()
+	}
 }
 
 func writeBlocks(t *testing.T, c *Cluster, count int, rng *rand.Rand) ([]topology.BlockID, map[topology.BlockID][]byte) {
@@ -245,11 +282,7 @@ func TestBlockMoverRestoresFaultTolerance(t *testing.T) {
 	cfg.N = 6
 	cfg.Seed = 6
 	cfg.DiskBandwidthBytesPerSec = 64 << 20
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	jrn := events.NewJournal(1 << 14)
 	c.SetJournal(jrn)
 	rng := rand.New(rand.NewSource(6))
@@ -318,10 +351,7 @@ func TestDegradedReadAfterNodeFailure(t *testing.T) {
 			c := newTestCluster(t, policy)
 			rng := rand.New(rand.NewSource(7))
 			ids, contents := writeBlocks(t, c, 8, rng)
-			c.NameNode().FlushOpenStripes()
-			if _, err := c.RaidNode().EncodeAll(); err != nil {
-				t.Fatal(err)
-			}
+			encodeAll(t, c)
 			// Fail the single node holding block ids[0].
 			meta, err := c.NameNode().Block(ids[0])
 			if err != nil {
@@ -355,10 +385,7 @@ func TestDegradedReadsChargedToTenant(t *testing.T) {
 	c := newTestCluster(t, "ear")
 	rng := rand.New(rand.NewSource(9))
 	ids, contents := writeBlocks(t, c, 8, rng)
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	meta, err := c.NameNode().Block(ids[0])
 	if err != nil {
 		t.Fatal(err)
@@ -399,10 +426,7 @@ func TestRepairBlock(t *testing.T) {
 	c := newTestCluster(t, "ear")
 	rng := rand.New(rand.NewSource(8))
 	ids, contents := writeBlocks(t, c, 8, rng)
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	meta, err := c.NameNode().Block(ids[1])
 	if err != nil {
 		t.Fatal(err)
@@ -514,10 +538,7 @@ func TestCorruptReplicaFallsBackInDegradedRead(t *testing.T) {
 	c := newTestCluster(t, "ear")
 	rng := rand.New(rand.NewSource(11))
 	ids, contents := writeBlocks(t, c, 4, rng)
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	meta, err := c.NameNode().Block(ids[2])
 	if err != nil {
 		t.Fatal(err)
@@ -576,10 +597,7 @@ func TestReadFailsOverToAnotherReplica(t *testing.T) {
 func TestReadDegradesPastCorruptCopyBesideDeadNode(t *testing.T) {
 	c := newTestCluster(t, "ear") // (6,4) absorbs the two erasures
 	ids, contents := writeBlocks(t, c, 4*c.Config().K, rand.New(rand.NewSource(19)))
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	// Two members of one stripe on distinct nodes.
 	byStripe := make(map[topology.StripeID][]topology.BlockID)
 	var pair []topology.BlockID

@@ -28,11 +28,7 @@ import (
 func TestEncodeCrossesNoRack(t *testing.T) {
 	cfg := testConfig("ear")
 	cfg.Racks, cfg.NodesPerRack, cfg.Replicas, cfg.K, cfg.N, cfg.C = 4, 4, 2, 12, 14, 4
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
+	c := newCluster(t, cfg)
 	jrn, auditor := attachAuditor(c)
 	tracker := progress.New(progress.Config{Replicas: cfg.Replicas, Policy: cfg.Policy})
 	t.Cleanup(tracker.Attach(jrn))

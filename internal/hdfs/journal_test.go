@@ -3,7 +3,6 @@ package hdfs
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"ear/internal/events"
 	"ear/internal/events/audit"
@@ -93,10 +92,7 @@ func TestAuditorDetectsMisplacedStripe(t *testing.T) {
 	c.NameNode().SetPlanOverrideForTest(misplaceFirstStripe(&staged))
 	rng := rand.New(rand.NewSource(53))
 	writeBlocks(t, c, 2*c.Config().K, rng)
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	if staged < 0 {
 		t.Fatal("plan override never ran")
 	}
@@ -142,10 +138,7 @@ func TestAuditorTransientViolationResolvedByBlockMover(t *testing.T) {
 	c.NameNode().SetPlanOverrideForTest(misplaceFirstStripe(&staged))
 	rng := rand.New(rand.NewSource(59))
 	writeBlocks(t, c, 2*c.Config().K, rng)
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	moved, _, err := c.RaidNode().BlockMover()
 	if err != nil {
 		t.Fatal(err)
@@ -180,64 +173,4 @@ func TestAuditorTransientViolationResolvedByBlockMover(t *testing.T) {
 	if len(evs) != 1 || evs[0].Type != events.ReplicaRelocated {
 		t.Errorf("resolving event = %+v, want the ReplicaRelocated that fixed the stripe", evs)
 	}
-}
-
-// TestJournalOverheadOnEncode bounds the journal's cost on the encode path.
-// The journal's cost is per event while encoding is per byte, so with
-// realistic block sizes the journal must be noise: replaying the run's own
-// event stream into a fresh journal + auditor measures the per-event cost,
-// and that cost times the events the run published must stay under 3% of
-// the run's wall time.
-func TestJournalOverheadOnEncode(t *testing.T) {
-	cfg := testConfig("ear")
-	cfg.BlockSizeBytes = 1 << 20 // realistic enough that encode time is per-byte work
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	j, _ := attachAuditor(c)
-	rng := rand.New(rand.NewSource(61))
-	writeBlocks(t, c, 4*cfg.K, rng)
-	c.NameNode().FlushOpenStripes()
-	seqBefore := j.Seq()
-	t0 := time.Now()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
-	encodeDur := time.Since(t0)
-	published := j.Seq() - seqBefore
-	if published == 0 {
-		t.Fatal("encode published no events")
-	}
-
-	// Replay the actual event stream — not a synthetic one — into a fresh
-	// journal and auditor, several rounds for timing resolution. Each round
-	// gets its own auditor so its model walks the same transitions the live
-	// run drove.
-	stream := j.Snapshot()
-	const rounds = 10
-	var replay time.Duration
-	for r := 0; r < rounds; r++ {
-		probe := events.NewJournal(0)
-		pa := audit.New(c.Topology(), audit.Config{
-			Replicas: cfg.Replicas, C: cfg.C, CheckCoreRack: true,
-		})
-		pa.Attach(probe)
-		p0 := time.Now()
-		for _, e := range stream {
-			probe.Publish(e)
-		}
-		replay += time.Since(p0)
-	}
-	perPublish := replay / time.Duration(rounds*len(stream))
-
-	overhead := perPublish * time.Duration(published)
-	if limit := encodeDur * 3 / 100; overhead > limit {
-		t.Errorf("journal overhead %v for %d events exceeds 3%% of encode time %v (per publish %v)",
-			overhead, published, encodeDur, perPublish)
-	}
-	t.Logf("encode %v, %d events, per-publish %v, est overhead %.3f%%",
-		encodeDur, published, perPublish,
-		100*float64(overhead)/float64(encodeDur))
 }

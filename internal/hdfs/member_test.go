@@ -97,12 +97,7 @@ func stageStripe(t *testing.T, c *Cluster, seed int64, override planOverride) (*
 		}
 		contents[id] = data
 	}
-	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	ids := c.NameNode().EncodedStripes()
 	if len(ids) != 1 {
 		t.Fatalf("staged %d stripes, want 1", len(ids))
@@ -160,11 +155,7 @@ func monitorClean(t *testing.T, c *Cluster) {
 func TestRelocationCommitsBeforeSourceDelete(t *testing.T) {
 	cfg := testConfig("ear")
 	cfg.MetaDir = t.TempDir()
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	sm, contents := stageStripe(t, c, 71, crowdData(c.Topology()))
 	_, victim, from := firstInCoreRack(t, c, sm)
 	if err := c.NameNode().CloseMeta(); err != nil {
@@ -463,11 +454,7 @@ func TestBlockMoverCancelLeavesNothing(t *testing.T) {
 	cfg := testConfig("ear")
 	cfg.BlockSizeBytes = 64 << 10
 	cfg.DiskBandwidthBytesPerSec = 64 << 20
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	sm, contents := stageStripe(t, c, 97, crowdData(c.Topology()))
 	_, victim, from := firstInCoreRack(t, c, sm)
 	setRates(t, c, 512<<10, 512<<10) // 125 ms per block: the deadline lands mid-move

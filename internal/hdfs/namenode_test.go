@@ -243,10 +243,7 @@ func TestConcurrentWritesAuditorClean(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	r := a.Report()
 	if !r.Clean {
 		t.Fatalf("concurrent EAR writes not auditor-clean: ongoing=%+v transient=%+v",

@@ -121,10 +121,7 @@ func TestPlacementMonitorDetectsManualViolation(t *testing.T) {
 	c := newTestCluster(t, "ear")
 	rng := rand.New(rand.NewSource(41))
 	writeBlocks(t, c, 40, rng)
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	// Pick a stripe with at least two data blocks.
 	var sm *StripeMeta
 	var sid topology.StripeID = -1
@@ -197,10 +194,7 @@ func TestStatsSinceDeltas(t *testing.T) {
 	c := newTestCluster(t, "rr")
 	rng := rand.New(rand.NewSource(41))
 	writeBlocks(t, c, 8, rng) // 2 stripes
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	d1, cur := c.RaidNode().StatsSince(StatsCursor{})
 	if d1.Stripes != 2 {
 		t.Errorf("first delta stripes = %d, want 2", d1.Stripes)
@@ -215,10 +209,7 @@ func TestStatsSinceDeltas(t *testing.T) {
 	}
 	// Second encode round: only the new round shows up.
 	writeBlocks(t, c, 4, rng) // 1 stripe
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	d3, _ := c.RaidNode().StatsSince(cur2)
 	if d3.Stripes != 1 {
 		t.Errorf("second delta stripes = %d, want 1", d3.Stripes)
@@ -253,11 +244,7 @@ func TestEncodeTelemetryAndTrace(t *testing.T) {
 func testEncodeTelemetryAndTrace(t *testing.T) {
 	const phase = "raidnode.chain-hop"
 	cfg := testConfig("ear")
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	reg := telemetry.NewRegistry()
 	c.SetTelemetry(reg)
 	tr := telemetry.NewTracer()
@@ -386,20 +373,14 @@ func TestStatsSinceCursorSemantics(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(43))
 	writeBlocks(t, c, 4, rng) // 1 stripe
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	dA, curA := c.RaidNode().StatsSince(cur0)
 	if dA.Stripes != 1 {
 		t.Fatalf("round one delta stripes = %d, want 1", dA.Stripes)
 	}
 
 	writeBlocks(t, c, 4, rng) // 1 more stripe
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 
 	// Overlapping cursors: reading from curA sees round two; reading again
 	// from the SAME cursor sees it again (non-consuming); reading from cur0
@@ -432,10 +413,7 @@ func TestStatsSinceCursorSemantics(t *testing.T) {
 	stale := curA
 	c.RaidNode().ResetStats()
 	writeBlocks(t, c, 4, rng)
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	dR, curR := c.RaidNode().StatsSince(stale)
 	if dR.Stripes != 1 {
 		t.Errorf("stale-cursor delta stripes = %d, want 1 (everything since reset)", dR.Stripes)

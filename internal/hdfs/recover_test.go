@@ -24,11 +24,7 @@ func TestRecoverNode(t *testing.T) {
 	cfg := Config{Racks: 4, NodesPerRack: 4, Policy: "ear", Replicas: 2,
 		K: 6, N: 9, C: 3, BlockSizeBytes: 8 << 10,
 		BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 7}
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	jrn := events.NewJournal(1 << 15)
 	c.SetJournal(jrn)
 	tracker := progress.New(progress.Config{Replicas: cfg.Replicas, Policy: cfg.Policy})
@@ -36,12 +32,7 @@ func TestRecoverNode(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(41))
 	_, contents := writeBlocks(t, c, 6*cfg.K, rng)
-	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 
 	dead := busiestDataNode(t, c)
 	c.NameNode().MarkDead(dead)
@@ -181,21 +172,12 @@ func TestRecoverNode(t *testing.T) {
 // bytes accumulate and the per-repair throughput histogram populates.
 func TestRepairTelemetry(t *testing.T) {
 	cfg := testConfig("ear")
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	reg := telemetry.NewRegistry()
 	c.SetTelemetry(reg)
 	rng := rand.New(rand.NewSource(43))
 	ids, _ := writeBlocks(t, c, cfg.K, rng)
-	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	vm, err := c.NameNode().Block(ids[0])
 	if err != nil {
 		t.Fatal(err)
@@ -228,21 +210,12 @@ func TestRepairTelemetry(t *testing.T) {
 // and still repairs every other member the dead node held.
 func TestRecoverNodeUnrecoverable(t *testing.T) {
 	cfg := testConfig("ear")
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	jrn := events.NewJournal(1 << 15)
 	c.SetJournal(jrn)
 	rng := rand.New(rand.NewSource(47))
 	_, contents := writeBlocks(t, c, 12*cfg.K, rng)
-	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, c)
 	// Kill three members of ONE stripe: (6,4) absorbs only two erasures. The
 	// node to recover is one of the three that holds a member of another
 	// stripe too, so that it has something recoverable; where the plans put

@@ -179,10 +179,7 @@ func TestEncodeAndRepairTraceStampJournal(t *testing.T) {
 	c, tr, jnl := tracedCluster(t, "ear")
 	rng := rand.New(rand.NewSource(13))
 	ids, _ := writeBlocks(t, c, c.Config().K*2, rng)
-	c.NameNode().FlushOpenStripes()
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatalf("EncodeAll: %v", err)
-	}
+	encodeAll(t, c)
 
 	jobs := spansByName(tr.Spans())["encode-job"]
 	if len(jobs) != 1 {

@@ -38,11 +38,7 @@ func TestWriteIsWriterLocal(t *testing.T) {
 				cfg := testConfig(policy)
 				cfg.Replicas = replicas
 				cfg.DiskBandwidthBytesPerSec = cfg.BandwidthBytesPerSec
-				c, err := NewCluster(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(c.Close)
+				c := newCluster(t, cfg)
 				top := c.Topology()
 				block := int64(cfg.BlockSizeBytes)
 				rng := rand.New(rand.NewSource(71))
@@ -112,11 +108,7 @@ func TestWriteIsWriterLocal(t *testing.T) {
 func TestHotWriterSealsAndEncodesClean(t *testing.T) {
 	cfg := testConfig("ear")
 	cfg.Racks, cfg.NodesPerRack, cfg.Replicas, cfg.K, cfg.N, cfg.C = 4, 4, 2, 12, 14, 4
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
+	c := newCluster(t, cfg)
 	_, a := attachAuditor(c)
 	const writer = topology.NodeID(4)
 	rack, _ := c.Topology().RackOf(writer)
@@ -211,11 +203,7 @@ func TestWriteCancelAtEverySlice(t *testing.T) {
 	cfg.PipelineChunkBytes = 8 << 10
 	cfg.BandwidthBytesPerSec = 256 << 10 // 31 ms a slice
 	cfg.DiskBandwidthBytesPerSec = 256 << 10
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, cfg)
 	const writer = topology.NodeID(5)
 	data := make([]byte, cfg.BlockSizeBytes)
 	for idx := 0; idx < cfg.BlockSizeBytes/cfg.PipelineChunkBytes; idx++ {
@@ -287,11 +275,7 @@ func TestWriterLocalWritesReplay(t *testing.T) {
 			}
 			c.Close()
 
-			re, err := NewCluster(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
+			re := newCluster(t, cfg)
 			if re.NameNode().RecoveredOps() == 0 {
 				t.Fatal("reopen replayed no ops")
 			}

@@ -66,7 +66,7 @@ func (p *PostEncodingPlan) Layout(id topology.StripeID) topology.StripeLayout {
 // min(n-k, c) of the core rack's c places withheld and gets them back one at a
 // time only while it is incomplete, and placeParity fills the free places at
 // home first. A stripe without a core rack (RR) reserves nothing and plans as
-// the paper does; so does preliminary EAR, for the reason given at the branch.
+// the paper does.
 func PlanPostEncoding(cfg Config, info *StripeInfo, rng *rand.Rand) (*PostEncodingPlan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -85,11 +85,8 @@ func PlanPostEncoding(cfg Config, info *StripeInfo, rng *rand.Rand) (*PostEncodi
 		return nil, err
 	}
 	// Only here is it decided whether the stripe has a home (RR: no core rack,
-	// reserve 0). Preliminary EAR is exempt for its rng's sake alone:
-	// MonteCarloViolation places and plans with one rng, and placeParity's draw
-	// over the home nodes would shift every later stripe of Fig 3, whose counts
-	// the reservation cannot change (follow-up: ROADMAP item 3).
-	if info.CoreRack >= 0 && f.isTarget(info.CoreRack) && !cfg.Preliminary {
+	// reserve 0).
+	if info.CoreRack >= 0 && f.isTarget(info.CoreRack) {
 		f.reserve = min(cfg.N-cfg.K, cfg.C)
 	}
 	for _, pl := range info.Placements {
