@@ -47,11 +47,13 @@ func heldTo(t *testing.T, what string, ops int, model, _ time.Duration, op func(
 // payload) and, for every phase one client drives alone, the same virtual
 // duration. Recovery rebuilds eight members at once and the encode runs four
 // map tasks at once: streams that book a link at the same virtual instant are
-// ordered by the Go scheduler and the tasks draw from one rng in the order
-// they run, so those two phases are held only to their link bound and logged
-// run beside run with the difference (over 260 runs: encode 66.41-71.29 ms,
-// recovery 85.45-89.36 ms, in steps of one 0.98 ms slice). That difference is
-// where ROADMAP item 1(b) starts; the phases join the loop when it lands.
+// ordered by the Go scheduler, so those two phases are held only to their link
+// bound and logged run beside run with the difference. Every plan, task
+// preference and repair target is a function of (seed, what it is for), so
+// the layouts repeat; over 360 runs the encode took 71.289 ms on 353 and
+// 69.336 ms on 7, recovery 86.43-89.36 ms in steps of one 0.98 ms slice.
+// That difference is what is left of ROADMAP item 1(b); the phases join the
+// loop when it is zero.
 func TestLifecycleRepeats(t *testing.T) {
 	a, b := lifecycleOnBench(t), lifecycleOnBench(t)
 	for _, phase := range []struct {

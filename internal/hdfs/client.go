@@ -178,9 +178,10 @@ func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *B
 	return nil
 }
 
-// chooseReplica picks the replica a reader should use: the reader itself if
-// it holds one, else a same-rack replica, else a uniformly random one.
-func (c *Cluster) chooseReplica(nodes []topology.NodeID, reader topology.NodeID) (topology.NodeID, error) {
+// chooseReplica picks the replica of block id a reader should use: the reader
+// itself if it holds one, else a same-rack replica, else any, spread over
+// blocks and readers by a draw that is a function of (seed, block, reader).
+func (c *Cluster) chooseReplica(id topology.BlockID, nodes []topology.NodeID, reader topology.NodeID) (topology.NodeID, error) {
 	if len(nodes) == 0 {
 		return 0, ErrNoReplica
 	}
@@ -202,9 +203,9 @@ func (c *Cluster) chooseReplica(nodes []topology.NodeID, reader topology.NodeID)
 		}
 	}
 	if len(sameRack) > 0 {
-		return sameRack[c.randIntn(len(sameRack))], nil
+		nodes = sameRack
 	}
-	return nodes[c.randIntn(len(nodes))], nil
+	return nodes[drawFor(c.cfg.Seed, int64(id), int64(reader))%uint64(len(nodes))], nil
 }
 
 // ReadBlock reads a block with a background context. See ReadBlockCtx.
@@ -232,7 +233,7 @@ func (c *Cluster) ReadBlockCtx(ctx context.Context, client topology.NodeID, id t
 	var readErr error
 	var out []byte
 	for len(live) > 0 {
-		src, err := c.chooseReplica(live, client)
+		src, err := c.chooseReplica(id, live, client)
 		if err != nil {
 			return nil, err
 		}
@@ -305,7 +306,7 @@ func (c *Cluster) RepairBlockCtx(ctx context.Context, id topology.BlockID) (topo
 	if err != nil {
 		return 0, err
 	}
-	target, err := c.pickRepairNode(sm.Info.ID, used, rackCount)
+	target, err := c.pickTarget(sm.Info.ID, used, rackCount, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -345,45 +346,4 @@ func (c *Cluster) observeRepair(ledger chainLedger, d time.Duration) {
 	}
 	m.repairCross.Add(float64((ledger.crossHops + ledger.crossDeliveries) * c.cfg.BlockSizeBytes))
 	m.repairMBps.Observe(recoveryThroughputMBps(int64(c.cfg.BlockSizeBytes), d))
-}
-
-// pickRepairNode selects a live node holding no block of the stripe, in a
-// rack whose stripe population stays within c (preserving fault tolerance),
-// given the stripe's occupancy (stripeOccupancy).
-func (c *Cluster) pickRepairNode(stripe topology.StripeID, used map[topology.NodeID]bool, rackCount map[topology.RackID]int) (topology.NodeID, error) {
-	// Prefer racks that already hold blocks of the stripe but have spare
-	// capacity: co-locating the repaired block with survivors minimizes
-	// the cross-rack recovery downloads (Section III-D). Fall back to any
-	// rack with spare capacity.
-	pick := func(wantCoLocated bool) (topology.NodeID, bool, error) {
-		start := c.randIntn(c.top.Nodes())
-		for off := 0; off < c.top.Nodes(); off++ {
-			n := topology.NodeID((start + off) % c.top.Nodes())
-			if c.nn.IsDead(n) || used[n] {
-				continue
-			}
-			r, err := c.top.RackOf(n)
-			if err != nil {
-				return 0, false, err
-			}
-			if rackCount[r] >= c.maxPerRack() {
-				continue
-			}
-			if wantCoLocated && rackCount[r] == 0 {
-				continue
-			}
-			return n, true, nil
-		}
-		return 0, false, nil
-	}
-	for _, coLocated := range []bool{true, false} {
-		n, ok, err := pick(coLocated)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			return n, nil
-		}
-	}
-	return 0, fmt.Errorf("hdfs: no eligible repair node for stripe %d", stripe)
 }

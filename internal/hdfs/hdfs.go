@@ -11,8 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -65,9 +63,6 @@ type Config struct {
 	// the paper's setting).
 	MapTasks int
 	Seed     int64
-	// EncodeParallelism bounds how many stripes one encode map task works
-	// on concurrently (default 4).
-	EncodeParallelism int
 	// PipelineChunkBytes pins the slice in which the chain engine streams
 	// and folds partial sums. 0, the default, derives it per fold from the
 	// fabric's current link rate: what one row moves over a link in about a
@@ -111,9 +106,6 @@ func (c Config) withDefaults() Config {
 	if c.MapTasks == 0 {
 		c.MapTasks = 12
 	}
-	if c.EncodeParallelism == 0 {
-		c.EncodeParallelism = 4
-	}
 	return c
 }
 
@@ -133,17 +125,11 @@ type Cluster struct {
 	coder *erasure.Coder
 	jt    *mapred.JobTracker
 	raid  *RaidNode
+	ns    *Namespace
 
 	// bufPool recycles block-sized buffers across chain accumulators, parity
 	// encodes, and reconstructions.
 	bufPool *erasure.BufferPool
-
-	// rng guarded by rngMu serves concurrent client-path random choices;
-	// the NameNode's policy rng is separate and serialized by its lock.
-	// rngMu also guards lazy creation of the namespace.
-	rngMu sync.Mutex
-	rng   *rand.Rand
-	ns    *Namespace
 
 	// tel, tracer, and jrn are the observability sinks, installed by
 	// SetTelemetry / SetTracer / SetJournal (atomic so installation never
@@ -326,9 +312,6 @@ func (c *Cluster) opSpan(ctx context.Context, component, name string) (*telemetr
 // NewCluster builds and starts a cluster.
 func NewCluster(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
-	if cfg.EncodeParallelism < 0 {
-		return nil, fmt.Errorf("%w: EncodeParallelism %d", ErrInvalidConfig, cfg.EncodeParallelism)
-	}
 	if cfg.PipelineChunkBytes < 0 {
 		return nil, fmt.Errorf("%w: PipelineChunkBytes %d", ErrInvalidConfig, cfg.PipelineChunkBytes)
 	}
@@ -404,7 +387,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		dns:      dns,
 		coder:    coder,
 		jt:       jt,
-		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
 		bufPool:  erasure.NewBufferPool(),
 		fsyncObs: fsyncObs,
 		acct:     tenant.NewTable(),
@@ -412,6 +394,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	fab.SetAccounting(c.acct)
 	nn.setAccounting(c.acct)
 	c.raid = newRaidNode(c)
+	c.ns = &Namespace{c: c, files: make(map[string]*FileInfo)}
 	return c, nil
 }
 
@@ -460,9 +443,26 @@ func (c *Cluster) DataNodeOf(n topology.NodeID) (*DataNode, error) {
 	return c.dns[n], nil
 }
 
-// randIntn draws from the cluster's client-path rng under its own lock.
-func (c *Cluster) randIntn(n int) int {
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	return c.rng.Intn(n)
+// drawFor makes a choice a function of what it is for: the seed mixed with the
+// ids the choice belongs to (a block and its reader, a stripe). The same seed
+// and ids draw the same 64 bits on every run, whichever goroutine asks first;
+// the seed is mixed before an id meets it, so seed 6 id 1 is not seed 7 id 0.
+func drawFor(seed int64, ids ...int64) uint64 {
+	x := mix64(uint64(seed) + splitmixGamma)
+	for _, id := range ids {
+		x = mix64((x ^ uint64(id)) + splitmixGamma)
+	}
+	return x
+}
+
+// splitmixGamma is splitmix64's state increment and mix64 its output function.
+const splitmixGamma = 0x9E3779B97F4A7C15
+
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
 }

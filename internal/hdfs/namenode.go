@@ -106,8 +106,8 @@ type placementShard struct {
 //   - placementShard.mu: placement policy state, one shard per core rack
 //     (EAR) or per slot (RR).
 //   - blockShard.mu: the block table, 16-way striped by BlockID.
-//   - mu: the stripe registry only (stripes, preEncoding, nextStripe, the
-//     planner rng, planOverride).
+//   - mu: the stripe registry only (stripes, preEncoding, nextStripe,
+//     planOverride).
 //   - rrMu / deadMu: the RR grouping queue and node liveness set.
 //
 // Lock ordering: placementShard.mu or rrMu may acquire mu (stripe
@@ -120,13 +120,14 @@ type placementShard struct {
 type NameNode struct {
 	cfg        placement.Config
 	policyName string
+	// seed keys every post-encoding plan (PlanStripe), with the stripe's ID.
+	seed int64
 
 	// mu guards the stripe registry.
 	mu          sync.Mutex
 	nextStripe  topology.StripeID
 	stripes     map[topology.StripeID]*StripeMeta
 	preEncoding []*placement.StripeInfo
-	rng         *rand.Rand
 	// planOverride, when non-nil, rewrites every post-encoding plan before
 	// it is returned — a test-only hook for staging deliberately mis-placed
 	// stripes the auditor must catch. Guarded by mu.
@@ -206,7 +207,7 @@ func NewShardedNameNode(cfg placement.Config, policyName string, seed int64, _ b
 	nn := &NameNode{
 		cfg:        cfg,
 		policyName: policyName,
-		rng:        rand.New(rand.NewSource(seed)),
+		seed:       seed,
 		stripes:    make(map[topology.StripeID]*StripeMeta),
 		dead:       make(map[topology.NodeID]bool),
 	}
@@ -315,13 +316,7 @@ func (nn *NameNode) waitDurable(lsn uint64) error {
 // draw is a lock-free splitmix64 step used for shard routing and core-rack
 // selection.
 func (nn *NameNode) draw() uint64 {
-	x := nn.rackSeq.Add(0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return mix64(nn.rackSeq.Add(splitmixGamma))
 }
 
 // AllocateBlock reserves a block no writer is known for, with a background
@@ -782,11 +777,18 @@ func (nn *NameNode) FlushOpenStripes() (int, error) {
 	return count, nil
 }
 
-// PlanStripe computes the post-encoding layout for a stripe.
+// PlanStripe computes the post-encoding layout for a stripe, a function of
+// (seed, stripe): the rng is the stripe's own, so concurrent encodes plan the
+// same layouts in whatever order they get here. The solve stays under nn.mu
+// though it no longer needs it: the lock hands the stripes of a job out one
+// solve apart, and folds that start on one instant wake every stage of every
+// chain together from then on, which cost the 2-core benchmark host 10 % of
+// encode_mbps when the solve was moved out (CHANGES.md, PR 23).
 func (nn *NameNode) PlanStripe(info *placement.StripeInfo) (*placement.PostEncodingPlan, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	plan, err := placement.PlanPostEncoding(nn.cfg, info, nn.rng)
+	rng := rand.New(rand.NewSource(int64(drawFor(nn.seed, int64(info.ID)))))
+	plan, err := placement.PlanPostEncoding(nn.cfg, info, rng)
 	if err == nil && nn.planOverride != nil {
 		nn.planOverride(info, plan)
 	}

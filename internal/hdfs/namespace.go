@@ -45,15 +45,8 @@ type Namespace struct {
 	files map[string]*FileInfo
 }
 
-// Namespace returns the cluster's file namespace (created on first use).
-func (c *Cluster) Namespace() *Namespace {
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	if c.ns == nil {
-		c.ns = &Namespace{c: c, files: make(map[string]*FileInfo)}
-	}
-	return c.ns
-}
+// Namespace returns the cluster's file namespace.
+func (c *Cluster) Namespace() *Namespace { return c.ns }
 
 // Create registers an empty open file.
 func (ns *Namespace) Create(path string) error {

@@ -15,9 +15,13 @@ import (
 	"ear/internal/workgroup"
 )
 
-// moverFanIn bounds how many violating stripes the BlockMover fixes
+// encodeFanIn bounds how many stripes one encode map task works on
+// concurrently, moverFanIn how many violating stripes the BlockMover fixes
 // concurrently.
-const moverFanIn = 4
+const (
+	encodeFanIn = 4
+	moverFanIn  = 4
+)
 
 // RaidNode coordinates the asynchronous encoding operation, the role
 // HDFS-RAID's RaidNode plays: it drains the pre-encoding store, submits a
@@ -159,7 +163,8 @@ type encodeTask struct {
 // MapTasks) stripes each. Under RR that yields at most MapTasks tasks with
 // no placement preference. Under EAR the split runs per core rack — stripes
 // sharing a core rack stay together and their tasks are pinned to that rack
-// (the paper's second and third modifications) — so every core rack's
+// (the paper's second and third modifications), each preferring the node of
+// it that (seed, the task's first stripe) draws — so every core rack's
 // remainder makes a task of its own and the job can hold up to MapTasks +
 // racks - 1 tasks.
 func (r *RaidNode) buildTasks(stripes []*placement.StripeInfo) ([]*encodeTask, error) {
@@ -202,7 +207,7 @@ func (r *RaidNode) buildTasks(stripes []*placement.StripeInfo) ([]*encodeTask, e
 			}
 			tasks = append(tasks, &encodeTask{
 				stripes:   group[start:end],
-				preferred: nodes[r.c.randIntn(len(nodes))],
+				preferred: nodes[drawFor(r.c.cfg.Seed, int64(group[start].ID))%uint64(len(nodes))],
 				strict:    true,
 			})
 		}
@@ -302,10 +307,10 @@ func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStat
 					Arg("node", strconv.Itoa(int(on)))
 				defer taskSpan.End()
 				taskCtx = telemetry.ContextWithSpan(taskCtx, taskSpan)
-				// Stripes are independent, so the task keeps up to
-				// EncodeParallelism of them in flight.
+				// Stripes are independent, so the task keeps up to encodeFanIn
+				// of them in flight.
 				sg, sctx := workgroup.WithContext(taskCtx)
-				sg.SetLimit(r.c.cfg.EncodeParallelism)
+				sg.SetLimit(encodeFanIn)
 				for _, s := range t.stripes {
 					s := s
 					sg.Go(func() error {
@@ -595,7 +600,7 @@ func (r *RaidNode) fixStripe(ctx context.Context, id topology.StripeID) (moved i
 			}
 			return moved, movedBytes, nil
 		}
-		target, err := c.pickRepairNode(id, used, rackCount)
+		target, err := c.pickTarget(id, used, rackCount, nil)
 		if err != nil {
 			return moved, movedBytes, err
 		}

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ear/internal/mapred"
@@ -41,18 +42,18 @@ func TestRaidNodeStatsAccumulate(t *testing.T) {
 func TestChooseReplicaPreference(t *testing.T) {
 	c := newTestCluster(t, "rr") // 6 racks x 3 nodes
 	// Reader itself holds a replica: always chosen.
-	got, err := c.chooseReplica([]topology.NodeID{9, 4, 2}, 4)
+	got, err := c.chooseReplica(0, []topology.NodeID{9, 4, 2}, 4)
 	if err != nil || got != 4 {
 		t.Errorf("local preference = (%d, %v), want node 4", got, err)
 	}
 	// Same-rack replica preferred over remote: reader 0 is in rack 0
 	// (nodes 0-2); candidate 1 shares it.
-	got, err = c.chooseReplica([]topology.NodeID{9, 1}, 0)
+	got, err = c.chooseReplica(0, []topology.NodeID{9, 1}, 0)
 	if err != nil || got != 1 {
 		t.Errorf("rack preference = (%d, %v), want node 1", got, err)
 	}
 	// No candidates: error.
-	if _, err := c.chooseReplica(nil, 0); err == nil {
+	if _, err := c.chooseReplica(0, nil, 0); err == nil {
 		t.Error("empty candidates: expected error")
 	}
 }
@@ -435,5 +436,38 @@ func TestStatsSinceCursorSemantics(t *testing.T) {
 	dZ, _ := c.RaidNode().StatsSince(curR)
 	if dZ.Stripes != 0 || dZ.EncodedBytes != 0 || dZ.Duration != 0 || dZ.CrossRackUploads != 0 {
 		t.Errorf("post-reset empty delta nonzero: %+v", dZ)
+	}
+}
+
+// TestEncodePlansRepeat encodes the same writes on two clusters of one seed,
+// every map task and every stripe of a task in flight at once: each stripe's
+// post-encoding plan is a function of (seed, stripe), so both clusters keep
+// the same replicas and place the same parity, in whatever order their
+// goroutines reached the planner.
+func TestEncodePlansRepeat(t *testing.T) {
+	encode := func() (*Cluster, []*StripeMeta) {
+		cfg := testConfig("ear")
+		c := newCluster(t, cfg)
+		writeBlocks(t, c, 12*cfg.K, rand.New(rand.NewSource(61)))
+		encodeAll(t, c)
+		var stripes []*StripeMeta
+		for _, sid := range c.NameNode().EncodedStripes() {
+			stripes = append(stripes, stripeOf(t, c, sid))
+		}
+		return c, stripes
+	}
+	ca, a := encode()
+	cb, b := encode()
+	if len(a) != len(b) || len(a) < 12 {
+		t.Fatalf("%d and %d stripes encoded, want the same dozen or more", len(a), len(b))
+	}
+	for i := range a {
+		if !slices.Equal(a[i].Plan.Keep, b[i].Plan.Keep) || !slices.Equal(a[i].Plan.Parity, b[i].Plan.Parity) {
+			t.Errorf("stripe %d planned keep %v parity %v, then keep %v parity %v",
+				a[i].Info.ID, a[i].Plan.Keep, a[i].Plan.Parity, b[i].Plan.Keep, b[i].Plan.Parity)
+		}
+	}
+	if na, nb := busiestDataNode(t, ca), busiestDataNode(t, cb); na != nb {
+		t.Errorf("busiest node %d, then %d", na, nb)
 	}
 }

@@ -5,14 +5,15 @@ package hdfs
 // independent repairs whose aggregate wall time is what the durability
 // exposure window actually measures. Following the deterministic-recovery
 // observation (D3: deterministic data distribution turns recovery into a
-// balanced parallel job), RecoverNode enumerates the lost members up
-// front, assigns every repair a target with a deterministic
-// least-loaded-first rule balanced across surviving racks and nodes, and
-// fans the repairs out through a bounded workgroup. Each repair folds its
-// decode row along the chain (reconstructInto) and publishes the usual
-// RepairStarted/RepairFinished lifecycle, so the
-// progress tracker folds the sweep into the durability-exposure ledger;
-// NodeRecoveryStarted/Finished bracket the whole sweep.
+// balanced parallel job), RecoverNode enumerates the lost members, assigns
+// every repair a target with a deterministic least-loaded-first rule balanced
+// across surviving racks and nodes (pickTarget), fans the repairs out through
+// a bounded workgroup, and plans again from what they left until nothing it
+// can fix is lost. Each repair folds its decode row along the chain
+// (reconstructInto) and publishes the usual RepairStarted/RepairFinished
+// lifecycle, so the progress tracker folds the sweep into the
+// durability-exposure ledger; NodeRecoveryStarted/Finished bracket the whole
+// sweep.
 
 import (
 	"context"
@@ -48,8 +49,9 @@ type RecoveryStats struct {
 	// a fabric snapshot delta).
 	CrossRackBytes int64 `json:"cross_rack_bytes"`
 	TotalBytes     int64 `json:"total_bytes"`
-	// Unrecovered counts the lost members the sweep left unrepaired: a stripe
-	// with more erasures than parity, or a sweep cut short by its context.
+	// Unrecovered counts the members the sweep's first plan found lost and no
+	// round repaired: a stripe with more erasures than parity, a member no
+	// node is eligible to take, or a sweep cut short by its context.
 	Unrecovered int `json:"unrecovered"`
 	// Duration is the sweep's wall time.
 	Duration time.Duration `json:"duration"`
@@ -111,20 +113,32 @@ func (c *Cluster) stripeOccupancy(sm *StripeMeta) (map[topology.NodeID]bool, map
 	return used, rackCount, nil
 }
 
-// pickRecoveryTarget deterministically selects the repair target for one
-// lost member: the least-loaded eligible node (by repairs already assigned
-// to the node, then to its rack, then lowest node ID), excluding dead
-// nodes, nodes already holding a member of the stripe, and racks at the
-// stripe's per-rack cap. Unlike pickRepairNode's randomized pick, the
-// same cluster state always yields the same recovery plan, and the load
-// keys spread hundreds of concurrent repairs evenly across surviving
-// racks.
-func (c *Cluster) pickRecoveryTarget(used map[topology.NodeID]bool, rackCount map[topology.RackID]int, nodeLoad map[topology.NodeID]int, rackLoad map[topology.RackID]int) (topology.NodeID, error) {
-	var best topology.NodeID
-	var bestNode, bestRack int
-	found := false
-	for id := 0; id < c.top.Nodes(); id++ {
-		n := topology.NodeID(id)
+// pickTarget chooses the node that takes a member of the stripe, given the
+// stripe's occupancy (stripeOccupancy): the one answer to "which node takes
+// this member" under repair (RepairBlockCtx), node recovery (planNodeRecovery)
+// and the BlockMover (fixStripe). A node is eligible when it is live, not in
+// used, and in a rack holding fewer than c members of the stripe; among the
+// eligible the least (load on the node, load on its rack, rack holds no member
+// of the stripe, ring distance from node stripe mod nodes) wins. load counts
+// the members a sweep has already assigned, so a sweep spreads its repairs
+// least-loaded-first; a one-off repair (nil load reads as zero) lands beside
+// survivors, which minimizes cross-rack recovery traffic (Section III-D); and
+// the same arguments and liveness always give the same node.
+func (c *Cluster) pickTarget(stripe topology.StripeID, used map[topology.NodeID]bool, rackCount map[topology.RackID]int, load map[topology.NodeID]int) (topology.NodeID, error) {
+	rackLoad := make(map[topology.RackID]int)
+	for n, l := range load {
+		r, err := c.top.RackOf(n)
+		if err != nil {
+			return 0, err
+		}
+		rackLoad[r] += l
+	}
+	nodes := c.top.Nodes()
+	start := int(uint64(stripe) % uint64(nodes))
+	best, bestKey := topology.NodeID(-1), [3]int{}
+	// Nearest on the ring first, so an equal key never replaces the pick.
+	for off := 0; off < nodes; off++ {
+		n := topology.NodeID((start + off) % nodes)
 		if c.nn.IsDead(n) || used[n] {
 			continue
 		}
@@ -135,35 +149,36 @@ func (c *Cluster) pickRecoveryTarget(used map[topology.NodeID]bool, rackCount ma
 		if rackCount[r] >= c.maxPerRack() {
 			continue
 		}
-		nl, rl := nodeLoad[n], rackLoad[r]
-		if !found || nl < bestNode || (nl == bestNode && rl < bestRack) {
-			best, bestNode, bestRack, found = n, nl, rl, true
+		// The third key is 0 beside a member of the stripe, 1 apart from all.
+		key := [3]int{load[n], rackLoad[r], 1 - min(rackCount[r], 1)}
+		if best < 0 || slices.Compare(key[:], bestKey[:]) < 0 {
+			best, bestKey = n, key
 		}
 	}
-	if !found {
-		return 0, fmt.Errorf("%w: no eligible recovery target", ErrNoReplica)
+	if best < 0 {
+		return 0, fmt.Errorf("%w: stripe %d has no eligible target", ErrNoReplica, stripe)
 	}
 	return best, nil
 }
 
 // planNodeRecovery enumerates every stripe member lost with the dead node
-// and assigns each reconstruction a deterministic, load-balanced target. A
-// data block counts as lost only when no live replica remains anywhere;
-// aborted members encode as zeros and need no repair.
-func (c *Cluster) planNodeRecovery(dead topology.NodeID) ([]recoverTask, error) {
-	nodeLoad := make(map[topology.NodeID]int)
-	rackLoad := make(map[topology.RackID]int)
-	var tasks []recoverTask
+// and assigns each reconstruction a target (pickTarget, loaded with the
+// plan's own assignments so far). A data block counts as lost only when no
+// live replica remains anywhere; aborted members encode as zeros and need no
+// repair. A lost member no node is eligible for gets no task: it is reported
+// in stuck, one error a member, and the rest of the plan stands.
+func (c *Cluster) planNodeRecovery(dead topology.NodeID) (tasks []recoverTask, stuck []error, err error) {
+	load := make(map[topology.NodeID]int)
 	for _, sid := range c.nn.EncodedStripes() {
 		sm, err := c.nn.Stripe(sid)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		var lost []int
 		for pos := 0; pos < c.cfg.N; pos++ {
 			recorded, err := c.recordedHolders(sm, pos)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if !slices.Contains(recorded, dead) {
 				continue
@@ -171,7 +186,7 @@ func (c *Cluster) planNodeRecovery(dead topology.NodeID) ([]recoverTask, error) 
 			// A member another live replica still serves is re-replication
 			// territory (BlockMover), not reconstruction.
 			if _, known, err := c.posHolders(sm, pos, nil); err != nil {
-				return nil, err
+				return nil, nil, err
 			} else if !known {
 				lost = append(lost, pos)
 			}
@@ -181,38 +196,43 @@ func (c *Cluster) planNodeRecovery(dead topology.NodeID) ([]recoverTask, error) 
 		}
 		used, rackCount, err := c.stripeOccupancy(sm)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, pos := range lost {
-			target, err := c.pickRecoveryTarget(used, rackCount, nodeLoad, rackLoad)
-			if err != nil {
-				return nil, fmt.Errorf("stripe %d: %w", sm.Info.ID, err)
+			target, err := c.pickTarget(sid, used, rackCount, load)
+			if errors.Is(err, ErrNoReplica) {
+				stuck = append(stuck, fmt.Errorf("position %d: %w", pos, err))
+				continue
 			}
-			used[target] = true
+			if err != nil {
+				return nil, nil, err
+			}
 			r, err := c.top.RackOf(target)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
+			used[target] = true
 			rackCount[r]++
-			nodeLoad[target]++
-			rackLoad[r]++
+			load[target]++
 			tasks = append(tasks, recoverTask{sm, pos, target})
 		}
 	}
-	return tasks, nil
+	return tasks, stuck, nil
 }
 
-// RecoverNode reconstructs every stripe member lost with the dead node,
-// fanning the repairs out with recoverFanIn workers. The node
-// must already be marked dead (MarkDead). Repairs share one deterministic
-// plan; each reconstructs along the chain, commits with staged Puts,
-// and publishes its own lifecycle events, so a failed or canceled sweep
-// leaves every completed repair durable and every unfinished one
-// uncommitted — rerunning RecoverNode picks up exactly the remainder. A
-// repair that fails (a stripe with more erasures than parity) does not stop
-// its siblings: the sweep repairs everything it can, counts the rest in
-// RecoveryStats.Unrecovered and returns the failures joined. Only ctx ends
-// the sweep early.
+// RecoverNode reconstructs every stripe member lost with the dead node, which
+// must already be marked dead (MarkDead). It plans what is still lost
+// (planNodeRecovery), fans the repairs out with recoverFanIn workers, and
+// plans again from the state they left, until a round finds nothing left or
+// repairs nothing, or ctx ends: a repair whose target died under it commits
+// nothing (rebuildMember) and the next round gives its member another target.
+// Each repair commits with staged Puts and publishes its own lifecycle events,
+// so a failed or canceled sweep leaves every completed repair durable and
+// every unfinished one uncommitted — rerunning RecoverNode picks up exactly the
+// remainder. A repair that fails (a stripe with more erasures than parity)
+// stops no sibling: the sweep counts in RecoveryStats.Unrecovered what its first
+// plan found lost and no round repaired, and returns the last round's failures
+// joined.
 func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (RecoveryStats, error) {
 	stats := RecoveryStats{Node: dead}
 	if !c.nn.IsDead(dead) {
@@ -223,21 +243,44 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 	span.Arg("node", strconv.Itoa(int(dead)))
 	defer span.End()
 
-	tasks, err := c.planNodeRecovery(dead)
+	tasks, errs, err := c.planNodeRecovery(dead)
 	if err != nil {
 		return stats, err
 	}
-	span.Arg("lost", strconv.Itoa(len(tasks)))
-	if j := c.Journal(); j != nil {
-		ev := events.New(events.NodeRecoveryStarted, "raidnode")
-		ev.Node = dead
-		ev.Detail = strconv.Itoa(len(tasks))
+	lost := len(tasks) + len(errs)
+	span.Arg("lost", strconv.Itoa(lost))
+	publish := func(t events.Type, bytes int64, detail string) {
+		ev := events.New(t, "raidnode")
+		ev.Node, ev.Bytes, ev.Detail = dead, bytes, detail
 		ev.Trace = telemetry.TraceFromContext(ctx)
-		j.Publish(ev)
+		c.Journal().Publish(ev)
 	}
+	publish(events.NodeRecoveryStarted, 0, strconv.Itoa(lost))
+	repaired := 0
+	for len(tasks) > 0 {
+		before := repaired
+		errs = append(errs, c.repairAll(ctx, tasks, &stats)...)
+		repaired = stats.BlocksRepaired + stats.ParityRepaired
+		if repaired == before || ctx.Err() != nil {
+			break
+		}
+		// What the round left lost, planned against the state it left.
+		if tasks, errs, err = c.planNodeRecovery(dead); err != nil {
+			errs = []error{err}
+		}
+	}
+	stats.Unrecovered = lost - repaired
+	stats.Duration = time.Since(t0)
+	publish(events.NodeRecoveryFinished, stats.BytesRepaired, fmt.Sprintf("%d repaired, %d unrecovered", repaired, stats.Unrecovered))
+	return stats, errors.Join(errs...)
+}
 
+// repairAll runs one round of a sweep: the planned repairs through recoverFanIn
+// workers, each success folded into stats, the failures returned. A failure
+// stops no sibling; a canceled ctx starts no further repair and is reported
+// once.
+func (c *Cluster) repairAll(ctx context.Context, tasks []recoverTask, stats *RecoveryStats) (failed []error) {
 	var mu sync.Mutex
-	var errs []error
 	var g workgroup.Group
 	g.SetLimit(recoverFanIn)
 	for _, t := range tasks {
@@ -246,7 +289,7 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 		// within one repair.
 		if ctx.Err() != nil {
 			mu.Lock()
-			errs = append(errs, context.Cause(ctx))
+			failed = append(failed, context.Cause(ctx))
 			mu.Unlock()
 			break
 		}
@@ -255,7 +298,7 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
-				errs = append(errs, err)
+				failed = append(failed, err)
 				return nil
 			}
 			if t.pos < c.cfg.K {
@@ -269,19 +312,8 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 			return nil
 		})
 	}
-	_ = g.Wait() // the tasks report through errs
-	repaired := stats.BlocksRepaired + stats.ParityRepaired
-	stats.Unrecovered = len(tasks) - repaired
-	stats.Duration = time.Since(t0)
-	if j := c.Journal(); j != nil {
-		ev := events.New(events.NodeRecoveryFinished, "raidnode")
-		ev.Node = dead
-		ev.Bytes = stats.BytesRepaired
-		ev.Detail = fmt.Sprintf("%d repaired, %d unrecovered", repaired, stats.Unrecovered)
-		ev.Trace = telemetry.TraceFromContext(ctx)
-		j.Publish(ev)
-	}
-	return stats, errors.Join(errs...)
+	_ = g.Wait() // the tasks report through failed
+	return failed
 }
 
 // rebuildMember puts member pos of encoded stripe sm on target and makes it
@@ -289,10 +321,11 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 // recovery and the BlockMover all end here. The member is reconstructed along
 // the chain into a pooled buffer (reconstructInto: a copy from a holder while
 // one can serve it, a decode from the survivors otherwise), stored only after
-// the whole fold succeeded, and only then named by the NameNode, so a failed
-// or canceled rebuild commits nothing and a reader never finds the metadata
-// ahead of the bytes. Whatever the member's earlier holders still store stays
-// theirs to delete, after this returns.
+// the whole fold succeeded, and only then, if the target is still alive, named
+// by the NameNode, so a failed or canceled rebuild or one whose target died
+// commits nothing and a reader never finds the metadata ahead of the bytes.
+// Whatever the member's earlier holders still store stays theirs to delete,
+// after this returns.
 func (c *Cluster) rebuildMember(ctx context.Context, sm *StripeMeta, pos int, target topology.NodeID) (chainLedger, error) {
 	// The store keeps its own copy on Put, so the buffer is recycled on return.
 	buf := c.bufPool.Get(c.cfg.BlockSizeBytes)
@@ -312,6 +345,12 @@ func (c *Cluster) rebuildMember(ctx context.Context, sm *StripeMeta, pos int, ta
 	_ = dn.Store.Delete(key)
 	if err := dn.Store.Put(key, buf); err != nil {
 		return chainLedger{}, err
+	}
+	// The target may have died since it was picked, under the fold or before
+	// it: a dead node is never named a holder. Whoever picked it picks again.
+	if c.nn.IsDead(target) {
+		_ = dn.Store.Delete(key)
+		return chainLedger{}, fmt.Errorf("stripe %d position %d: target node %d died before the rebuilt member was committed", sm.Info.ID, pos, target)
 	}
 	if pos < c.cfg.K {
 		err = c.nn.UpdateBlockLocation(sm.Info.Blocks[pos], []topology.NodeID{target})
