@@ -4,10 +4,15 @@
 package hdfs
 
 import (
+	"math/rand"
 	"os"
+	"slices"
+	"sync"
 	"testing"
 	"testing/synctest"
 	"time"
+
+	"ear/internal/topology"
 )
 
 // TestMain runs the package's whole suite, unedited, inside one synctest
@@ -67,4 +72,149 @@ func TestLifecycleRepeats(t *testing.T) {
 	}
 	t.Logf("encode: %v, then %v (difference %v), link bound %v", a.encode, b.encode, (a.encode - b.encode).Abs(), a.encodeBound)
 	t.Logf("recovery: %v, then %v (difference %v), link bound %v", a.recover, b.recover, (a.recover - b.recover).Abs(), a.recoverBound)
+}
+
+// twoWriters runs two closed-loop writers on a fresh cluster of cfg, each
+// writing blocks blocks from the nodes next(w) yields, and returns every
+// write's duration, the phase's and the cluster.
+func twoWriters(t *testing.T, cfg Config, blocks int, next func(w int) func() topology.NodeID) (lat []time.Duration, phase time.Duration, c *Cluster) {
+	t.Helper()
+	c = newCluster(t, cfg)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	phase = took(func() {
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(node func() topology.NodeID) {
+				defer wg.Done()
+				data := make([]byte, cfg.BlockSizeBytes)
+				for i := 0; i < blocks; i++ {
+					n := node()
+					d := took(func() {
+						if _, err := c.WriteBlock(n, data); err != nil {
+							t.Error(err)
+						}
+					})
+					mu.Lock()
+					lat = append(lat, d)
+					mu.Unlock()
+				}
+			}(next(w))
+		}
+		wg.Wait()
+	})
+	return lat, phase, c
+}
+
+// benchWalks are the benchmark's client walks: writer w issues its writes
+// from seeded shuffles of all nodes, one after another.
+func benchWalks(seed int64, nodes int) func(w int) func() topology.NodeID {
+	return func(w int) func() topology.NodeID {
+		rng := rand.New(rand.NewSource(seed*7919 + 101 + int64(w)))
+		var perm []int
+		return func() topology.NodeID {
+			if len(perm) == 0 {
+				perm = rng.Perm(nodes)
+			}
+			n := perm[0]
+			perm = perm[1:]
+			return topology.NodeID(n)
+		}
+	}
+}
+
+// TestTwoWritersMissEachOther: two closed-loop writers on the benchmark
+// geometry. Replica 2 goes to the eligible rack, then node, with the fewest
+// replicas the NameNode counts in flight, so two writes under way land on
+// different downlinks wherever their stripes have room. (a) Writers pinned to
+// nodes 0 and 5, 72 blocks each: on every cluster seed the mean write takes at
+// most 1.10 x B/R (the uniform draw: 1.14-1.21 x, 28-39 of 144 writes above
+// B/R; steered 1.00-1.05 x, 0-11). (b) Two seeded 16-node walks like the
+// benchmark's write 144 blocks in at most 1.40 s on the mean over the seeds
+// (uniform: 1.44-1.51 s, steered 1.34-1.36 s, over six passes). A single walk
+// is held to the mean, not on its own, because it spans 1.30-1.43 s steered
+// and 1.38-1.62 s uniform: allocations at one instant are still ordered by the
+// scheduler (ROADMAP 1(b)), and when both writers sit in one rack they share
+// its uplink, which no placement can change. The spread is logged.
+func TestTwoWritersMissEachOther(t *testing.T) {
+	cfg := benchGeometry()
+	block := onLink(cfg.BlockSizeBytes, cfg.BandwidthBytesPerSec)
+	pinned := func(w int) func() topology.NodeID {
+		node := []topology.NodeID{0, 5}[w]
+		return func() topology.NodeID { return node }
+	}
+	var means []float64
+	var phases []time.Duration
+	for seed := int64(1); seed <= 5; seed++ {
+		cfg.Seed = seed
+		lat, _, _ := twoWriters(t, cfg, 72, pinned)
+		var sum time.Duration
+		above := 0
+		for _, d := range lat {
+			sum += d
+			if d > block {
+				above++
+			}
+		}
+		mean := float64(sum) / float64(len(lat)) / float64(block)
+		if mean > 1.10 {
+			t.Errorf("seed %d, writers on nodes 0 and 5: the mean write took %.3f x B/R (%d of %d above B/R), want at most 1.10",
+				seed, mean, above, len(lat))
+		}
+		_, phase, _ := twoWriters(t, cfg, 72, benchWalks(seed, cfg.Racks*cfg.NodesPerRack))
+		t.Logf("seed %d: pinned, mean write %.3f x B/R with %d of %d above it; walks, 144 writes in %v", seed, mean, above, len(lat), phase)
+		means, phases = append(means, mean), append(phases, phase)
+	}
+	var sum time.Duration
+	for _, p := range phases {
+		sum += p
+	}
+	if mean := sum / time.Duration(len(phases)); mean > 1400*time.Millisecond {
+		t.Errorf("two walks: 144 writes took %v on the mean over %d seeds (%v), want at most 1.4s", mean, len(phases), phases)
+	}
+	t.Logf("over %d runs: pinned %.3f-%.3f x B/R, walks %v-%v (mean %v)", len(means), slices.Min(means), slices.Max(means),
+		slices.Min(phases), slices.Max(phases), sum/time.Duration(len(phases)))
+}
+
+// TestTwoWritersKeepBalance holds the paper's point (iii) under the steered
+// draw: 20 stripes written by two concurrent walks on the benchmark geometry
+// leave per-node replica counts with max / mean at most 32/30, the uniform
+// draw's worst on the same cluster seeds (1.033-1.067 over all replicas and
+// 1.000-1.067 over replica 2 alone, seeds 1-8; the steered draw measured the
+// same ranges). The draw stays uniform among the least-loaded places, and a
+// stripe still covers its remote nodes once each.
+func TestTwoWritersKeepBalance(t *testing.T) {
+	cfg := benchGeometry()
+	skew := func(counts []int) float64 {
+		return float64(slices.Max(counts)) * float64(len(counts)) / float64(sumOf(counts))
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		cfg.Seed = seed
+		_, _, c := twoWriters(t, cfg, 10*cfg.K, benchWalks(seed, cfg.Racks*cfg.NodesPerRack))
+		all, second := make([]int, c.Topology().Nodes()), make([]int, c.Topology().Nodes())
+		for id := 0; id < c.NameNode().BlockCount(); id++ {
+			meta, err := c.NameNode().Block(topology.BlockID(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range meta.Nodes {
+				all[n]++
+				if i > 0 {
+					second[n]++
+				}
+			}
+		}
+		if s := skew(all); s > 32.0/30+1e-9 {
+			t.Errorf("seed %d: per-node replicas %v, max/mean %.4f; want at most 32/30", seed, all, s)
+		}
+		t.Logf("seed %d: max/mean per node %.4f over all replicas, %.4f over replica 2", seed, skew(all), skew(second))
+	}
+}
+
+func sumOf(xs []int) int {
+	s := 0
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }

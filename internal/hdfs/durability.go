@@ -100,7 +100,7 @@ func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 				return fmt.Errorf("hdfs: replay lsn %d: %w", lsn, err)
 			}
 		}
-		nn.applyAllocate(op)
+		nn.applyAllocate(op, false)
 	case opCommit:
 		meta, err := nn.replayBlock(lsn, op)
 		if err != nil {
@@ -113,7 +113,7 @@ func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		applyAbortLocked(meta)
+		nn.applyAbortLocked(meta)
 	case opSealStripe:
 		if int(op.shard) < 0 || int(op.shard) >= len(nn.shards) {
 			return fmt.Errorf("hdfs: replay lsn %d: seal on unknown shard %d", lsn, op.shard)
@@ -188,7 +188,7 @@ func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		applyBlockMovedLocked(meta, op.nodes)
+		nn.applyBlockMovedLocked(meta, op.nodes)
 	case opParityMoved:
 		nn.mu.Lock()
 		sm, ok := nn.stripes[op.stripe]

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -167,7 +168,11 @@ func (d *opDriver) step() {
 // mutation of a random op sequence, a crash (the copied log directory) plus
 // recovery yields a NameNode whose canonical state encoding is byte-equal
 // to the live one's. Mid-sequence snapshots exercise the snapshot + log-tail
-// path, not just pure replay.
+// path, not just pure replay. The ledger of replicas in flight is live state
+// the log does not carry: the live NameNode's counts are exactly the
+// uncommitted blocks' replicas 2..r after every step, each recovered one
+// starts at zero, and committing or aborting there a block allocated before
+// the crash leaves it at zero.
 func TestCrashAtEveryPrefix(t *testing.T) {
 	for _, policy := range []string{"ear", "rr"} {
 		t.Run(policy, func(t *testing.T) {
@@ -184,11 +189,32 @@ func TestCrashAtEveryPrefix(t *testing.T) {
 						t.Fatalf("step %d: snapshot: %v", i, err)
 					}
 				}
+				var writing [][]topology.NodeID
+				for _, id := range d.uncommitted {
+					meta, err := nn.Block(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					writing = append(writing, meta.Nodes)
+				}
+				wantInFlight(t, nn, fmt.Sprintf("step %d, live", i), writing...)
 				want := nn.StateDigest()
 				crash := t.TempDir()
 				copyDir(t, dir, crash)
 				rec := openDurableNN(t, crash, policy, cfg)
 				got := rec.StateDigest()
+				wantInFlight(t, rec, fmt.Sprintf("step %d, recovered", i))
+				if n := len(d.uncommitted); n > 0 {
+					if err := rec.CommitBlock(d.uncommitted[0]); err != nil {
+						t.Fatal(err)
+					}
+					if n > 1 {
+						if err := rec.AbortBlock(d.uncommitted[n-1]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					wantInFlight(t, rec, fmt.Sprintf("step %d, recovered, pre-crash blocks settled", i))
+				}
 				if err := rec.CloseMeta(); err != nil {
 					t.Fatalf("step %d: close recovered log: %v", i, err)
 				}

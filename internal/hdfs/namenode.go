@@ -47,6 +47,12 @@ type BlockMeta struct {
 	// is retained so stripe geometry stays consistent; the block has no
 	// replicas and encodes as zeros.
 	Aborted bool
+	// writing is set by a live allocation and cleared, under the block's
+	// table-shard lock, by the first apply that ends the write or changes
+	// its replicas (settleLocked): while it is set the block's replicas
+	// 2..r are counted in the NameNode's in-flight ledger. Replay never sets
+	// it, and snapshots and StateDigest do not encode it.
+	writing bool
 }
 
 // StripeMeta is the NameNode's record of one stripe.
@@ -140,6 +146,14 @@ type NameNode struct {
 	// rackSeq feeds the lock-free splitmix64 draw behind shard routing,
 	// started from the constructor's seed.
 	rackSeq atomic.Uint64
+	// inFlight is the ledger of replicas in flight: for every block allocated
+	// on the live path and not yet settled (settleLocked), its replicas 2..r
+	// — the ones a write sends over the network; replica 1 is the writer's
+	// own — counted against their nodes and racks. Every placement shard's
+	// policy reads it, to send replica 2 where no write is landing. Its
+	// counts are atomics, so it adds no lock; replay, snapshots and
+	// StateDigest never see it, and a recovered NameNode starts at zero.
+	inFlight *placement.InFlight
 
 	// rrMu guards rrPending, committed RR blocks not yet grouped.
 	rrMu      sync.Mutex
@@ -210,6 +224,7 @@ func NewShardedNameNode(cfg placement.Config, policyName string, seed int64, _ b
 		seed:       seed,
 		stripes:    make(map[topology.StripeID]*StripeMeta),
 		dead:       make(map[topology.NodeID]bool),
+		inFlight:   placement.NewInFlight(cfg.Topology),
 	}
 	for i := range nn.blockTab {
 		nn.blockTab[i].blocks = make(map[topology.BlockID]*BlockMeta)
@@ -221,10 +236,16 @@ func NewShardedNameNode(cfg placement.Config, policyName string, seed int64, _ b
 		rng := rand.New(rand.NewSource(seed + int64(i) + 1))
 		switch policyName {
 		case "ear":
-			sh.ear, err = placement.NewEAR(cfg, rng)
-			sh.policy = sh.ear
+			if sh.ear, err = placement.NewEAR(cfg, rng); err == nil {
+				sh.ear.SetInFlight(nn.inFlight)
+				sh.policy = sh.ear
+			}
 		case "rr":
-			sh.policy, err = placement.NewRandom(cfg, rng)
+			var rr *placement.Random
+			if rr, err = placement.NewRandom(cfg, rng); err == nil {
+				rr.SetInFlight(nn.inFlight)
+				sh.policy = rr
+			}
 		default:
 			return nil, fmt.Errorf("%w: unknown policy %q", placement.ErrInvalidConfig, policyName)
 		}
@@ -400,7 +421,7 @@ func (nn *NameNode) AllocateBlockFrom(ctx context.Context, size int, writer topo
 		sh.mu.Unlock()
 		return nil, err
 	}
-	meta := nn.applyAllocate(op)
+	meta := nn.applyAllocate(op, true)
 	out := cloneBlockMeta(meta)
 
 	// Publish the allocation before releasing the placement shard: a later
@@ -463,7 +484,9 @@ func (nn *NameNode) AllocateBlockFrom(ctx context.Context, size int, writer topo
 // applyAllocate installs a block-allocation op's metadata record: the shared
 // apply step of the live path and replay. The placement policy's state was
 // already advanced by the caller (PlaceAt live, RestorePlacement in replay).
-func (nn *NameNode) applyAllocate(op *nnOp) *BlockMeta {
+// A live allocation (writing) counts its replicas in the in-flight ledger
+// before the record becomes visible, so no settle can precede the count.
+func (nn *NameNode) applyAllocate(op *nnOp, writing bool) *BlockMeta {
 	// Live allocation pre-assigns IDs with an atomic add, so this is a no-op
 	// there; replay advances the counter past every recorded ID.
 	for {
@@ -473,10 +496,14 @@ func (nn *NameNode) applyAllocate(op *nnOp) *BlockMeta {
 		}
 	}
 	meta := &BlockMeta{
-		ID:     op.block,
-		Size:   int(op.size),
-		Nodes:  append([]topology.NodeID(nil), op.nodes...),
-		Stripe: -1,
+		ID:      op.block,
+		Size:    int(op.size),
+		Nodes:   append([]topology.NodeID(nil), op.nodes...),
+		Stripe:  -1,
+		writing: writing,
+	}
+	if writing {
+		nn.inFlight.Add(meta.Nodes[1:], 1)
 	}
 	bs := nn.blockShardFor(op.block)
 	bs.mu.Lock()
@@ -533,6 +560,7 @@ func (nn *NameNode) CommitBlockCtx(ctx context.Context, id topology.BlockID) err
 // replica set; the shared apply step of commit. Caller holds the block's
 // table-shard mutex.
 func (nn *NameNode) applyCommitLocked(meta *BlockMeta) []topology.NodeID {
+	nn.settleLocked(meta)
 	meta.Committed = true
 	return append([]topology.NodeID(nil), meta.Nodes...)
 }
@@ -582,7 +610,7 @@ func (nn *NameNode) AbortBlock(id topology.BlockID) error {
 		bs.mu.Unlock()
 		return err
 	}
-	applyAbortLocked(meta)
+	nn.applyAbortLocked(meta)
 	bs.mu.Unlock()
 	if err := nn.waitDurable(lsn); err != nil {
 		return err
@@ -595,9 +623,23 @@ func (nn *NameNode) AbortBlock(id topology.BlockID) error {
 
 // applyAbortLocked clears the block's replicas and flags it aborted; the
 // shared apply step of abort. Caller holds the block's table-shard mutex.
-func applyAbortLocked(meta *BlockMeta) {
+func (nn *NameNode) applyAbortLocked(meta *BlockMeta) {
+	nn.settleLocked(meta)
 	meta.Aborted = true
 	meta.Nodes = nil
+}
+
+// settleLocked releases a block's replicas from the in-flight ledger the
+// first time an apply ends its write (commit, abort) or changes its replicas
+// (a move, an encode), so each count is released exactly once and against the
+// nodes it was raised for. A block replay installed was never counted and
+// settles nothing, so a recovered NameNode's counts never go below zero.
+// Caller holds the block's table-shard mutex.
+func (nn *NameNode) settleLocked(meta *BlockMeta) {
+	if meta.writing {
+		meta.writing = false
+		nn.inFlight.Add(meta.Nodes[1:], -1)
+	}
 }
 
 // registerStripeLocked assigns the next stripe ID and stores the stripe:
@@ -853,6 +895,7 @@ func (nn *NameNode) applyEncodeLocked(sm *StripeMeta, plan *placement.PostEncodi
 			bs.mu.Unlock()
 			continue
 		}
+		nn.settleLocked(meta)
 		meta.Nodes = []topology.NodeID{plan.Keep[i]}
 		meta.Encoded = true
 		bs.mu.Unlock()
@@ -977,14 +1020,15 @@ func (nn *NameNode) UpdateBlockLocation(id topology.BlockID, nodes []topology.No
 		bs.mu.Unlock()
 		return err
 	}
-	applyBlockMovedLocked(meta, nodes)
+	nn.applyBlockMovedLocked(meta, nodes)
 	bs.mu.Unlock()
 	return nn.waitDurable(lsn)
 }
 
 // applyBlockMovedLocked rewrites the block's replica set; the shared apply
 // step of block-moved. Caller holds the block's table-shard mutex.
-func applyBlockMovedLocked(meta *BlockMeta, nodes []topology.NodeID) {
+func (nn *NameNode) applyBlockMovedLocked(meta *BlockMeta, nodes []topology.NodeID) {
+	nn.settleLocked(meta)
 	meta.Nodes = append([]topology.NodeID(nil), nodes...)
 }
 

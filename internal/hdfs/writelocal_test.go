@@ -194,8 +194,8 @@ func TestWriteFromUnknownNodeAllocatesNothing(t *testing.T) {
 // writer's own disk the moment slice 0, 1, ... of the forward to replica 2 is
 // booked on the writer's NIC, with that slice or one the stream's window put
 // before it on the wire. Wherever it lands no stream stays open, no store
-// keeps a replica, the allocation is void, every staging buffer is back in
-// the pool and no stage outlives the call.
+// keeps a replica, the allocation is void and no longer counted in flight,
+// every staging buffer is back in the pool and no stage outlives the call.
 func TestWriteCancelAtEverySlice(t *testing.T) {
 	cfg := testConfig("rr")
 	cfg.Replicas = 2
@@ -244,6 +244,7 @@ func TestWriteCancelAtEverySlice(t *testing.T) {
 		if !meta.Aborted || meta.Committed || len(meta.Nodes) != 0 {
 			t.Errorf("write canceled in slice %d left block meta %+v", idx, meta)
 		}
+		wantInFlight(t, c.nn, fmt.Sprintf("write canceled in slice %d", idx))
 	}
 	if got := c.BufferPool().Outstanding(); got != 0 {
 		t.Errorf("%d pooled buffers outstanding after the canceled writes", got)

@@ -49,6 +49,9 @@ type EAR struct {
 	// incremental admission against. Only those tests set it, on a fresh
 	// policy.
 	fullRecompute bool
+	// inFlight, when set, steers the first candidate's room-steered draw
+	// (SetInFlight).
+	inFlight *InFlight
 }
 
 // openStripe tracks an in-progress stripe together with its incremental
@@ -93,6 +96,13 @@ func (p *EAR) LastPlaceAttempts() int { return p.lastAttempts }
 // write-ahead op layer records it so replay can reopen the stripe with the
 // same targets instead of re-drawing them from the rng.
 func (p *EAR) LastPlaceTargets() []topology.RackID { return p.lastTargets }
+
+// SetInFlight steers the draw that cannot be rejected — the first candidate
+// of a block while its stripe has room — to the eligible racks, then nodes,
+// with the fewest replicas in flight, uniformly among those. Every other draw
+// (the uniform fallback, the retries, preliminary EAR) ignores it, and nil,
+// the default, steers nothing.
+func (p *EAR) SetInFlight(l *InFlight) { p.inFlight = l }
 
 // Name returns "ear" (or "ear-preliminary").
 func (p *EAR) Name() string {
@@ -391,7 +401,8 @@ func (p *EAR) remoteRacks(info *StripeInfo) []topology.RackID {
 // count). With a writer, the first candidate pins replica 1 to it; every
 // later one draws replica 1 from the core rack. While the stripe has room
 // (remoteReplicasInto) the first candidate is admitted by construction and
-// the core rack's places stay free for the stripe's parity (PlanPostEncoding).
+// the core rack's places stay free for the stripe's parity (PlanPostEncoding);
+// that candidate alone reads the writes in flight (SetInFlight).
 // Candidate layouts live in p.scratch; the accepted one is cloned once into
 // owned memory, so a rejected candidate costs no allocation at steady state.
 func (p *EAR) placeInStripe(os *openStripe, block topology.BlockID, writer topology.NodeID) ([]topology.NodeID, int, error) {
@@ -401,10 +412,14 @@ func (p *EAR) placeInStripe(os *openStripe, block topology.BlockID, writer topol
 	p.lastAttempts = 0
 	for attempt := 1; attempt <= p.cfg.MaxRetries; attempt++ {
 		p.lastAttempts = attempt
+		load := p.inFlight
+		if attempt > 1 || os.room == nil { // a retry, or preliminary EAR
+			load = nil
+		}
 		if attempt > 1 {
 			writer = NoWriter
 		}
-		nodes, err := localLayoutInto(p.cfg, writer, info.CoreRack, remote, os.room, p.rng, &p.scratch)
+		nodes, err := localLayoutInto(p.cfg, writer, info.CoreRack, remote, os.room, load, p.rng, &p.scratch)
 		if err != nil {
 			return nil, 0, err
 		}

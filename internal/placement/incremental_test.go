@@ -180,7 +180,7 @@ func TestRandomLayoutIntoAllocatesNothing(t *testing.T) {
 	racks := allRacks(top)
 	var s layoutScratch
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := randomLayoutInto(cfg, 0, racks, nil, rng, &s); err != nil {
+		if _, err := randomLayoutInto(cfg, 0, racks, nil, nil, rng, &s); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -193,7 +193,7 @@ func TestRandomLayoutIntoAllocatesNothing(t *testing.T) {
 	room.add(top, []topology.NodeID{0, 4, 5})
 	room.add(top, []topology.NodeID{1, 8, 9})
 	allocs = testing.AllocsPerRun(200, func() {
-		nodes, err := localLayoutInto(cfg, 2, 0, racks, room, rng, &s)
+		nodes, err := localLayoutInto(cfg, 2, 0, racks, room, nil, rng, &s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,6 +205,18 @@ func TestRandomLayoutIntoAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("the steered localLayoutInto allocates %.1f objects per run, want 0", allocs)
+	}
+	// Steered away from the writes in flight too: the loads go to scratch.
+	ledger := shuffledInFlight(top, rng)
+	for _, room := range []*stripeRoom{room, nil} {
+		allocs = testing.AllocsPerRun(200, func() {
+			if _, err := localLayoutInto(cfg, 2, 0, racks, room, ledger, rng, &s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("localLayoutInto reading a ledger (room %v) allocates %.1f objects per run, want 0", room != nil, allocs)
+		}
 	}
 }
 

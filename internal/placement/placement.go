@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"ear/internal/topology"
 )
@@ -155,6 +156,62 @@ func (s *StripeInfo) Clone() *StripeInfo {
 // NoWriter is the writer argument of PlaceFrom when the writing node is not
 // known (metadata-only allocations): the first replica is drawn at random.
 const NoWriter topology.NodeID = -1
+
+// InFlight is a ledger of the writes under way: how many replicas are being
+// written to each node, and how many writes enter each rack. A steered draw
+// reads it (SetInFlight); its owner, the NameNode, moves the counts with Add.
+// They are atomics, so one placement shard reads them while another moves
+// them, without a lock.
+type InFlight struct {
+	top   *topology.Topology
+	nodes []atomic.Int32
+	racks []atomic.Int32
+}
+
+// NewInFlight returns a ledger of the topology with every count at zero.
+func NewInFlight(top *topology.Topology) *InFlight {
+	return &InFlight{top: top, nodes: make([]atomic.Int32, top.Nodes()), racks: make([]atomic.Int32, top.Racks())}
+}
+
+// Add moves by delta the count of every node of a write's pipeline and of
+// every rack it enters: consecutive nodes of one rack count the rack once, as
+// the write crosses the rack's downlink once however many of them it holds.
+// A node outside the topology counts nowhere.
+func (l *InFlight) Add(nodes []topology.NodeID, delta int32) {
+	prev := topology.RackID(-1)
+	for _, n := range nodes {
+		r, err := l.top.RackOf(n)
+		if err != nil {
+			continue
+		}
+		l.nodes[n].Add(delta)
+		if r != prev {
+			l.racks[r].Add(delta)
+		}
+		prev = r
+	}
+}
+
+// Node reports the replicas in flight to node n.
+func (l *InFlight) Node(n topology.NodeID) int { return int(l.nodes[n].Load()) }
+
+// Rack reports the writes in flight that enter rack r.
+func (l *InFlight) Rack(r topology.RackID) int { return int(l.racks[r].Load()) }
+
+// nodeCounts and rackCounts are what pickLeast indexes: nil for no ledger.
+func (l *InFlight) nodeCounts() []atomic.Int32 {
+	if l == nil {
+		return nil
+	}
+	return l.nodes
+}
+
+func (l *InFlight) rackCounts() []atomic.Int32 {
+	if l == nil {
+		return nil
+	}
+	return l.racks
+}
 
 // Policy is a replica placement policy. Implementations are not safe for
 // concurrent use; callers serialize access (the NameNode holds a lock, the

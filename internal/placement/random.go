@@ -2,8 +2,10 @@ package placement
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 
 	"ear/internal/topology"
 )
@@ -16,10 +18,11 @@ import (
 // failure. With Config.SpreadReplicas every replica instead lands in its own
 // rack.
 type Random struct {
-	cfg     Config
-	rng     *rand.Rand
-	racks   []topology.RackID
-	scratch layoutScratch
+	cfg      Config
+	rng      *rand.Rand
+	racks    []topology.RackID
+	scratch  layoutScratch
+	inFlight *InFlight
 }
 
 var _ Policy = (*Random)(nil)
@@ -40,6 +43,11 @@ func NewRandom(cfg Config, rng *rand.Rand) (*Random, error) {
 // Name returns "rr".
 func (p *Random) Name() string { return "rr" }
 
+// SetInFlight steers replicas 2..r to the eligible racks, then nodes, with
+// the fewest replicas in flight, uniformly among those (nil: uniformly among
+// all, the default).
+func (p *Random) SetInFlight(l *InFlight) { p.inFlight = l }
+
 // Place chooses replica locations for a block no writer is known for.
 func (p *Random) Place(block topology.BlockID) (topology.Placement, error) {
 	return p.PlaceFrom(block, NoWriter)
@@ -50,7 +58,7 @@ func (p *Random) Place(block topology.BlockID) (topology.Placement, error) {
 // two policies differ only in where replicas 2..r go). NoWriter draws the
 // first replica's rack and node uniformly.
 func (p *Random) PlaceFrom(block topology.BlockID, writer topology.NodeID) (topology.Placement, error) {
-	nodes, err := localLayoutInto(p.cfg, writer, topology.RackID(-1), p.racks, nil, p.rng, &p.scratch)
+	nodes, err := localLayoutInto(p.cfg, writer, topology.RackID(-1), p.racks, nil, p.inFlight, p.rng, &p.scratch)
 	if err != nil {
 		return topology.Placement{}, err
 	}
@@ -69,6 +77,7 @@ type layoutScratch struct {
 	nodes []topology.NodeID // layout under construction
 	racks []topology.RackID // rack sampling pool
 	pool  []topology.NodeID // node sampling pool
+	ties  []int             // least-loaded candidates of one draw
 }
 
 // cloneNodes copies a scratch-backed layout into freshly owned memory.
@@ -80,7 +89,7 @@ func cloneNodes(nodes []topology.NodeID) []topology.NodeID {
 // randomLayoutInto with a persistent scratch instead.
 func randomLayout(cfg Config, coreRack topology.RackID, remoteRacks []topology.RackID, rng *rand.Rand) ([]topology.NodeID, error) {
 	var s layoutScratch
-	nodes, err := randomLayoutInto(cfg, coreRack, remoteRacks, nil, rng, &s)
+	nodes, err := randomLayoutInto(cfg, coreRack, remoteRacks, nil, nil, rng, &s)
 	if err != nil {
 		return nil, err
 	}
@@ -124,34 +133,35 @@ func (m *stripeRoom) add(top *topology.Topology, nodes []topology.NodeID) {
 // coreRack >= 0 the first replica is pinned to a random node of that rack
 // (the EAR case) and the remaining replicas avoid it; otherwise the first
 // replica's rack is chosen uniformly. remoteRacks is the eligible set for the
-// non-first replicas and room the open stripe they are steered into (nil:
-// none). The returned slice aliases s.nodes.
-func randomLayoutInto(cfg Config, coreRack topology.RackID, remoteRacks []topology.RackID, room *stripeRoom, rng *rand.Rand, s *layoutScratch) ([]topology.NodeID, error) {
+// non-first replicas, room the open stripe they are steered into and load the
+// writes in flight they are steered away from (nil: none). The returned slice
+// aliases s.nodes.
+func randomLayoutInto(cfg Config, coreRack topology.RackID, remoteRacks []topology.RackID, room *stripeRoom, load *InFlight, rng *rand.Rand, s *layoutScratch) ([]topology.NodeID, error) {
 	s.nodes = s.nodes[:0]
 	firstRack := coreRack
 	if firstRack < 0 {
 		firstRack = topology.RackID(rng.Intn(cfg.Topology.Racks()))
 	}
-	if err := sampleNodesInRackInto(cfg.Topology, firstRack, 1, nil, rng, s); err != nil {
+	if err := sampleNodesInRackInto(cfg.Topology, firstRack, 1, nil, nil, rng, s); err != nil {
 		return nil, err
 	}
-	return remoteReplicasInto(cfg, firstRack, remoteRacks, room, rng, s)
+	return remoteReplicasInto(cfg, firstRack, remoteRacks, room, load, rng, s)
 }
 
 // localLayoutInto generates one replica layout whose first replica is the
 // writing node itself (HDFS writes the first replica locally); the remaining
 // replicas are drawn exactly as in randomLayoutInto, which NoWriter falls back
 // to with the given coreRack. The returned slice aliases s.nodes.
-func localLayoutInto(cfg Config, writer topology.NodeID, coreRack topology.RackID, remoteRacks []topology.RackID, room *stripeRoom, rng *rand.Rand, s *layoutScratch) ([]topology.NodeID, error) {
+func localLayoutInto(cfg Config, writer topology.NodeID, coreRack topology.RackID, remoteRacks []topology.RackID, room *stripeRoom, load *InFlight, rng *rand.Rand, s *layoutScratch) ([]topology.NodeID, error) {
 	if writer == NoWriter {
-		return randomLayoutInto(cfg, coreRack, remoteRacks, room, rng, s)
+		return randomLayoutInto(cfg, coreRack, remoteRacks, room, load, rng, s)
 	}
 	rack, err := cfg.Topology.RackOf(writer)
 	if err != nil {
 		return nil, err
 	}
 	s.nodes = append(s.nodes[:0], writer)
-	return remoteReplicasInto(cfg, rack, remoteRacks, room, rng, s)
+	return remoteReplicasInto(cfg, rack, remoteRacks, room, load, rng, s)
 }
 
 // remoteReplicasInto appends replicas 2..r to s.nodes, which holds the first
@@ -160,8 +170,10 @@ func localLayoutInto(cfg Config, writer topology.NodeID, coreRack topology.RackI
 // are drawn among those fewer than c of the stripe's blocks reach and that
 // have enough untaken nodes, and the nodes among the untaken ones, so the
 // stripe's flow graph admits the layout by the direct path block -> node ->
-// rack -> sink; when too few such racks are left the draw is the uniform one.
-func remoteReplicasInto(cfg Config, firstRack topology.RackID, remoteRacks []topology.RackID, room *stripeRoom, rng *rand.Rand, s *layoutScratch) ([]topology.NodeID, error) {
+// rack -> sink; when too few such racks are left the draw is the uniform one,
+// load ignored. With a load each rack, then each node, is drawn among the
+// eligible ones with the fewest replicas in flight (pickLeast).
+func remoteReplicasInto(cfg Config, firstRack topology.RackID, remoteRacks []topology.RackID, room *stripeRoom, load *InFlight, rng *rand.Rand, s *layoutScratch) ([]topology.NodeID, error) {
 	if cfg.Replicas == 1 {
 		return s.nodes, nil
 	}
@@ -180,29 +192,31 @@ func remoteReplicasInto(cfg Config, firstRack topology.RackID, remoteRacks []top
 		if room == nil || len(pool) >= count {
 			break
 		}
-		pool, room = pool[:0], nil
+		pool, room, load = pool[:0], nil, nil
 	}
 	s.racks = pool
 	if count > len(pool) {
 		return nil, fmt.Errorf("placement: need %d racks, only %d eligible", count, len(pool))
 	}
-	// Partial Fisher-Yates: count distinct racks drawn uniformly.
 	for i := 0; i < count; i++ {
-		j := i + rng.Intn(len(pool)-i)
-		pool[i], pool[j] = pool[j], pool[i]
+		pickLeast(pool, i, load.rackCounts(), rng, s)
 	}
 	for _, r := range pool[:count] {
-		if err := sampleNodesInRackInto(cfg.Topology, r, perRack, room, rng, s); err != nil {
+		nodeLoad := load
+		if load != nil && load.Rack(r) == 0 {
+			nodeLoad = nil // no node of an idle rack has a write in flight
+		}
+		if err := sampleNodesInRackInto(cfg.Topology, r, perRack, room, nodeLoad, rng, s); err != nil {
 			return nil, err
 		}
 	}
 	return s.nodes, nil
 }
 
-// sampleNodesInRackInto appends count distinct nodes drawn uniformly from
-// rack r (with a room: from its untaken nodes) to s.nodes, using s.pool as
+// sampleNodesInRackInto appends count distinct nodes of rack r (with a room:
+// of its untaken nodes) to s.nodes, drawn as pickLeast draws, using s.pool as
 // the sampling pool.
-func sampleNodesInRackInto(top *topology.Topology, r topology.RackID, count int, room *stripeRoom, rng *rand.Rand, s *layoutScratch) error {
+func sampleNodesInRackInto(top *topology.Topology, r topology.RackID, count int, room *stripeRoom, load *InFlight, rng *rand.Rand, s *layoutScratch) error {
 	pool, err := top.AppendNodesInRack(r, s.pool[:0])
 	if err != nil {
 		return err
@@ -215,9 +229,37 @@ func sampleNodesInRackInto(top *topology.Topology, r topology.RackID, count int,
 		return fmt.Errorf("placement: need %d nodes in rack %d, have %d", count, r, len(pool))
 	}
 	for i := 0; i < count; i++ {
-		j := i + rng.Intn(len(pool)-i)
-		pool[i], pool[j] = pool[j], pool[i]
+		pickLeast(pool, i, load.nodeCounts(), rng, s)
 		s.nodes = append(s.nodes, pool[i])
 	}
 	return nil
+}
+
+// pickLeast is one step of a partial Fisher-Yates shuffle: it swaps into
+// pool[i] an entry of pool[i:] drawn uniformly, with one rng.Intn. With the
+// ledger's counts for the pool's kind (load, indexed by ID) the draw is among
+// the entries with the fewest replicas in flight, listed in pool order in
+// s.ties as the one pass over them reads each count once (other placement
+// shards move the counts while this one draws), so counts that are zero
+// everywhere draw what no counts do.
+func pickLeast[T topology.NodeID | topology.RackID](pool []T, i int, load []atomic.Int32, rng *rand.Rand, s *layoutScratch) {
+	j := i
+	if load == nil {
+		j += rng.Intn(len(pool) - i)
+	} else {
+		s.ties = slices.Grow(s.ties[:0], len(pool)-i)[:len(pool)-i]
+		ties, t, least := s.ties, 0, int32(math.MaxInt32)
+		for k, x := range pool[i:] {
+			l := load[x].Load()
+			if l < least {
+				t, least = 0, l
+			}
+			ties[t] = k
+			if l == least {
+				t++
+			}
+		}
+		j += ties[rng.Intn(t)]
+	}
+	pool[i], pool[j] = pool[j], pool[i]
 }
