@@ -48,7 +48,7 @@ func (o CrashOptions) crashClusterConfig() hdfs.Config {
 // RunCrashRun is the scenario's first phase: populate, start an encoding
 // run, and — as soon as the journal shows the first stripe encoded, with the
 // rest still in flight — invoke kill. The caller decides what "kill" means:
-// the eartestbed command SIGKILLs its own process (so kill never returns),
+// the earexp command SIGKILLs its own process (so kill never returns),
 // while tests snapshot the log directory mid-flight. The encoding keeps
 // running while kill executes; nothing is flushed or closed.
 func RunCrashRun(opts CrashOptions, kill func() error) error {
@@ -60,9 +60,9 @@ func RunCrashRun(opts CrashOptions, kill func() error) error {
 	if err != nil {
 		return err
 	}
-	opts.apply(c)
 	j := events.NewJournal(1 << 15)
-	c.SetJournal(j)
+	c.SetJournal(j) // before the observers, which then read this journal
+	opts.apply(c)
 
 	encoded := make(chan struct{}, 1)
 	cancel := j.Subscribe(func(e events.Event) {

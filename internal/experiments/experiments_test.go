@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ear/internal/hdfs"
+	"ear/internal/stats"
 )
 
 // fastTestbed returns a small configuration so testbed runs finish quickly.
@@ -210,6 +213,37 @@ func TestRunA3(t *testing.T) {
 	earLast := res.Completions["ear"][5].Seconds()
 	if rrLast > 3*earLast || earLast > 3*rrLast {
 		t.Errorf("MapReduce runtimes diverge: rr %.2fs vs ear %.2fs", rrLast, earLast)
+	}
+}
+
+// TestFig9EmptyWindow: EAR's encode is over before the writer's next write,
+// so its "during" window holds nothing. The row says n/a and claims no
+// improvement, where a zero mean used to print a gain of billions of percent.
+func TestFig9EmptyWindow(t *testing.T) {
+	series := func(points ...stats.Point) *stats.Series { return &stats.Series{Points: points} }
+	rr := a2Run{
+		series:   series(stats.Point{T: 0.5, V: 0.06}, stats.Point{T: 2.5, V: 0.3}, stats.Point{T: 3.5, V: 0.3}),
+		enc:      hdfs.EncodeStats{Duration: 1750 * time.Millisecond},
+		encStart: 2,
+	}
+	ear := a2Run{
+		series:   series(stats.Point{T: 0.5, V: 0.06}, stats.Point{T: 2.5, V: 0.07}),
+		enc:      hdfs.EncodeStats{Duration: 380 * time.Millisecond},
+		encStart: 2.6,
+	}
+	rows := fig9(rr, ear).Rows
+	want := [][]string{
+		{"write resp before encode (s)", "0.060", "0.065", "-7.7%"},
+		{"write resp during encode (s)", "0.300", "n/a"},
+		{"encoding time (s)", "1.750", "0.380", "+360.5%"},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %q, want %q", rows, want)
+	}
+	for i := range want {
+		if strings.Join(rows[i], "|") != strings.Join(want[i], "|") {
+			t.Errorf("row %d = %q, want %q", i, rows[i], want[i])
+		}
 	}
 }
 

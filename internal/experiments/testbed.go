@@ -42,10 +42,10 @@ type TestbedOptions struct {
 	// stripe fits in the cluster).
 	C int
 	// Tracer, when non-nil, is installed on every cluster the experiment
-	// builds, so encoding jobs emit per-phase spans (eartestbed -trace).
+	// builds, so encoding jobs emit per-phase spans (earexp -trace).
 	Tracer *telemetry.Tracer
 	// ClusterHook, when non-nil, runs on every cluster the experiment
-	// builds, right after construction and before any traffic. eartestbed
+	// builds, right after construction and before any traffic. earexp
 	// uses it to planes.Attach what its flags ask for (-audit, -timeline,
 	// ...); an experiment that attaches planes itself then reuses those.
 	ClusterHook func(*hdfs.Cluster)
@@ -325,18 +325,26 @@ func (o A2Options) withDefaults() A2Options {
 	return o
 }
 
+// a2Run is one policy's A.2 measurement: its write responses, timed from
+// the writer's start, and the encode that began encStart seconds in.
+type a2Run struct {
+	series   *stats.Series
+	enc      hdfs.EncodeStats
+	encStart float64
+}
+
 // runA2Policy measures write responses around one encoding run.
-func runA2Policy(opts A2Options, policy string) (*stats.Series, hdfs.EncodeStats, float64, float64, error) {
+func runA2Policy(opts A2Options, policy string) (a2Run, error) {
 	cfg := opts.clusterConfig(policy, 10, 8)
 	c, err := hdfs.NewCluster(cfg)
 	if err != nil {
-		return nil, hdfs.EncodeStats{}, 0, 0, err
+		return a2Run{}, err
 	}
 	defer c.Close()
 	opts.apply(c)
 	rng := rand.New(rand.NewSource(opts.Seed + 99))
 	if _, err := populate(c, opts.Stripes, rng); err != nil {
-		return nil, hdfs.EncodeStats{}, 0, 0, err
+		return a2Run{}, err
 	}
 
 	series := &stats.Series{Name: policy}
@@ -378,42 +386,62 @@ func runA2Policy(opts A2Options, policy string) (*stats.Series, hdfs.EncodeStats
 	<-done
 	wg.Wait()
 	if err != nil {
-		return nil, hdfs.EncodeStats{}, 0, 0, err
+		return a2Run{}, err
 	}
 	if err := settlePlacement(c); err != nil {
-		return nil, hdfs.EncodeStats{}, 0, 0, err
+		return a2Run{}, err
 	}
-	encStart := opts.LeadTime.Seconds()
-	encEnd := encStart + encStats.Duration.Seconds()
-	mu.Lock()
-	before, _ := series.WindowMean(0, encStart)
-	during, _ := series.WindowMean(encStart, encEnd)
-	mu.Unlock()
-	return series, encStats, before, during, nil
+	return a2Run{series: series, enc: encStats, encStart: opts.LeadTime.Seconds()}, nil
 }
 
 // RunA2 reproduces Experiment A.2 / Figure 9: the impact of encoding on
 // write performance.
 func RunA2(opts A2Options) (*A2Result, error) {
 	opts = opts.withDefaults()
-	rrSeries, rrStats, rrBefore, rrDuring, err := runA2Policy(opts, "rr")
+	rr, err := runA2Policy(opts, "rr")
 	if err != nil {
 		return nil, fmt.Errorf("a2 rr: %w", err)
 	}
-	earSeries, earStats, earBefore, earDuring, err := runA2Policy(opts, "ear")
+	ear, err := runA2Policy(opts, "ear")
 	if err != nil {
 		return nil, fmt.Errorf("a2 ear: %w", err)
 	}
+	return &A2Result{Summary: fig9(rr, ear), RRSeries: rr.series, EARSeries: ear.series}, nil
+}
+
+// fig9 tabulates both policies' A.2 runs. A window no write landed in (a
+// seeded writer can leave an encode shorter than its mean gap empty) prints
+// n/a, and its row has no improvement cell.
+func fig9(rr, ear a2Run) *Table {
 	t := &Table{
 		ID:      "fig9",
 		Caption: "Experiment A.2: impact of encoding on write performance",
 		Headers: []string{"metric", "RR", "EAR", "EAR improvement"},
 	}
-	t.AddRow("write resp before encode (s)", f3(rrBefore), f3(earBefore), pct(rrBefore/nonZero(earBefore)))
-	t.AddRow("write resp during encode (s)", f3(rrDuring), f3(earDuring), pct(rrDuring/nonZero(earDuring)))
-	t.AddRow("encoding time (s)", f3(rrStats.Duration.Seconds()), f3(earStats.Duration.Seconds()),
-		pct(rrStats.Duration.Seconds()/nonZero(earStats.Duration.Seconds())))
-	return &A2Result{Summary: t, RRSeries: rrSeries, EARSeries: earSeries}, nil
+	windowRow := func(label string, window func(r a2Run) (float64, float64)) {
+		row := []string{label}
+		var means []float64
+		for _, r := range []a2Run{rr, ear} {
+			m, err := r.series.WindowMean(window(r))
+			if err != nil {
+				row = append(row, "n/a")
+				continue
+			}
+			means = append(means, m)
+			row = append(row, f3(m))
+		}
+		if len(means) == 2 {
+			row = append(row, pct(means[0]/means[1]))
+		}
+		t.AddRow(row...)
+	}
+	windowRow("write resp before encode (s)", func(r a2Run) (float64, float64) { return 0, r.encStart })
+	windowRow("write resp during encode (s)", func(r a2Run) (float64, float64) {
+		return r.encStart, r.encStart + r.enc.Duration.Seconds()
+	})
+	rrEnc, earEnc := rr.enc.Duration.Seconds(), ear.enc.Duration.Seconds()
+	t.AddRow("encoding time (s)", f3(rrEnc), f3(earEnc), pct(rrEnc/nonZero(earEnc)))
+	return t
 }
 
 // nonZero guards ratio denominators.

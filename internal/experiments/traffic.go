@@ -85,16 +85,17 @@ func RunTraffic(opts TestbedOptions, policy string, n, k int, arm EncodeArm) (*T
 		return nil, err
 	}
 	defer c.Close()
-	opts.apply(c)
 
 	// The journal must hold every transfer event of the run: bound it by the
 	// worst-case stream count (writes replicate every block, encoding touches
 	// every block and parity, repair pulls up to k survivors per lost member,
-	// each stream publishes two events) with slack.
+	// each stream publishes two events) with slack. It goes in before the
+	// observers, so planes a ClusterHook attaches read the same journal.
 	blocks := opts.Stripes * k * 2
 	capacity := (blocks*(cfg.Replicas+2) + opts.Stripes*(k+n) + opts.Stripes*(k+1)) * 4
 	j := events.NewJournal(capacity)
 	c.SetJournal(j)
+	opts.apply(c)
 
 	sampler := fabric.NewSampler(c.Fabric(), 0)
 	sampler.Start()

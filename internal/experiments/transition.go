@@ -66,7 +66,7 @@ func runTransitionPolicy(opts TransitionOptions, policy string) (PolicyTransitio
 	defer c.Close()
 	opts.apply(c)
 
-	// The planes a TestbedOptions.ClusterHook attached (eartestbed -audit
+	// The planes a TestbedOptions.ClusterHook attached (earexp -audit
 	// and friends) are reused, not doubled.
 	pl := planes.Attach(c, planes.Audit|planes.Progress)
 

@@ -113,7 +113,7 @@ func TestTransitionProgressReportShape(t *testing.T) {
 	}
 }
 
-// TestExperimentReusesHookPlanes is eartestbed's double attach: the cluster
+// TestExperimentReusesHookPlanes is earexp's double attach: the cluster
 // hook attaches an auditor, then RunNodeFail asks for an auditor and a
 // tracker. The experiment must read the hook's auditor and add its tracker to
 // the hook's set, one of each on the journal, so both handles report the same.

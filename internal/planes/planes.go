@@ -56,7 +56,7 @@ type Set struct {
 
 // Attach makes sure the selected planes exist on c and returns the cluster's
 // set: the same one on every call, so a caller that finds an auditor or a
-// tracker already attached (say by eartestbed's cluster hook) reads that one.
+// tracker already attached (say by earexp's cluster hook) reads that one.
 // It reuses the cluster's journal or installs a fresh one; events published
 // before a plane attached are not replayed to it.
 func Attach(c *hdfs.Cluster, which Which) *Set {

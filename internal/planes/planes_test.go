@@ -75,7 +75,7 @@ func TestAttachTwiceSharesPlanes(t *testing.T) {
 
 // TestConfigDerivedFromCluster: label, policy and thresholds come from the
 // cluster's own hdfs.Config, and every labelled report keeps the shape the
-// eartestbed dumps have: {cluster, report} for the auditor and the tracker,
+// earexp dumps have: {cluster, report} for the auditor and the tracker,
 // the health and tenant fields inline.
 func TestConfigDerivedFromCluster(t *testing.T) {
 	c := testCluster(t, "rr")
