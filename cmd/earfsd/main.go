@@ -9,8 +9,8 @@
 //
 // With -admin, earfsd also serves an HTTP observability endpoint:
 // /metrics (JSON by default, Prometheus text exposition via ?format=prom
-// or an Accept header preferring text/plain), /debug/vars (expvar,
-// including the RaidNode's cumulative encoding statistics),
+// or an Accept header preferring text/plain; the RaidNode's encode totals
+// are its raidnode_* counters), /debug/vars (the Go runtime's expvars),
 // /debug/pprof/*, /events (the structured event journal, cursor + filter,
 // including ?trace= to follow one request), /audit (the invariant
 // auditor's report), /timeline (per-link fabric utilization), /trace
@@ -36,7 +36,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -64,10 +63,10 @@ func parseLevel(s string) (slog.Level, error) {
 }
 
 // adminMux builds the admin endpoint: metrics (Prometheus or JSON by
-// content negotiation), expvar, pprof, and the eight views of the cluster's
-// planes, tracer and SLO tracker (/events, /audit, /timeline, /trace, /slo,
-// /health, /progress, /tenants).
-func adminMux(reg *telemetry.Registry, cluster *hdfs.Cluster, obs *observability) *http.ServeMux {
+// content negotiation), the Go runtime's expvars, pprof, and the eight views
+// of the cluster's planes, tracer and SLO tracker (/events, /audit,
+// /timeline, /trace, /slo, /health, /progress, /tenants).
+func adminMux(reg *telemetry.Registry, obs *observability) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		// Content negotiation: JSON is the default; Prometheus 0.0.4 text
@@ -83,39 +82,6 @@ func adminMux(reg *telemetry.Registry, cluster *hdfs.Cluster, obs *observability
 		}
 		writeJSON(w, reg.Snapshot())
 	})
-
-	// Publish the RaidNode's cumulative encoding statistics as one expvar
-	// map, folded incrementally so each poll is O(new work) (StatsSince).
-	var mu sync.Mutex
-	var cursor hdfs.StatsCursor
-	totals := map[string]any{}
-	encodeVar := expvar.Func(func() any {
-		mu.Lock()
-		defer mu.Unlock()
-		d, next := cluster.RaidNode().StatsSince(cursor)
-		cursor = next
-		add := func(k string, v float64) {
-			prev, _ := totals[k].(float64)
-			totals[k] = prev + v
-		}
-		add("stripes", float64(d.Stripes))
-		add("encoded_bytes", float64(d.EncodedBytes))
-		add("duration_seconds", d.Duration.Seconds())
-		add("cross_rack_downloads", float64(d.CrossRackDownloads))
-		add("violations", float64(d.Violations))
-		out := make(map[string]any, len(totals))
-		for k, v := range totals {
-			out[k] = v
-		}
-		return out
-	})
-	// expvar registration is global and panics on duplicates; reuse the map
-	// when adminMux is built more than once in a process (tests).
-	vars, ok := expvar.Get("earfsd").(*expvar.Map)
-	if vars == nil || !ok {
-		vars = expvar.NewMap("earfsd")
-	}
-	vars.Set("encode", encodeVar)
 	mux.Handle("/debug/vars", expvar.Handler())
 
 	mux.HandleFunc("/events", obs.handleEvents)
@@ -253,7 +219,7 @@ func run() error {
 
 		obs := &observability{Set: pl, tracer: tracer, slo: tracker}
 		go func() {
-			if err := http.Serve(ln, adminMux(reg, cluster, obs)); err != nil {
+			if err := http.Serve(ln, adminMux(reg, obs)); err != nil {
 				slog.Debug("admin server stopped", "err", err)
 			}
 		}()

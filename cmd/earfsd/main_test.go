@@ -34,7 +34,7 @@ func testMux(t *testing.T) (*http.ServeMux, *hdfs.Cluster) {
 	pl := planes.Attach(cluster, planes.Audit|planes.Progress|planes.Timeline|planes.Health)
 	t.Cleanup(pl.Stop)
 	obs := &observability{Set: pl, tracer: telemetry.NewTracer(), slo: slo.NewTracker(reg, 0)}
-	return adminMux(reg, cluster, obs), cluster
+	return adminMux(reg, obs), cluster
 }
 
 func get(t *testing.T, mux *http.ServeMux, path string, hdr map[string]string) *httptest.ResponseRecorder {

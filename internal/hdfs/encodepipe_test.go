@@ -196,7 +196,7 @@ func TestPipelinedEncodeMatchesGather(t *testing.T) {
 // TestPipelinedEncodeCancelCommitsNothing kills the context mid-pipeline on
 // a slow fabric and verifies the staged-commit contract: no parity key
 // lands in any store, no replica is deleted, the auditor stays clean, and
-// the requeued stripes re-encode correctly afterwards.
+// the requeued stripes re-encode correctly afterwards, counted once each.
 func TestPipelinedEncodeCancelCommitsNothing(t *testing.T) {
 	cfg := testConfig("ear")
 	cfg.BlockSizeBytes = 256 << 10
@@ -204,6 +204,8 @@ func TestPipelinedEncodeCancelCommitsNothing(t *testing.T) {
 	// canceled stream leaves booked is what the re-encode below waits behind.
 	cfg.BandwidthBytesPerSec = 128 << 10
 	c := newCluster(t, cfg)
+	reg := telemetry.NewRegistry()
+	c.SetTelemetry(reg)
 	jrn := events.NewJournal(4096)
 	c.SetJournal(jrn)
 	aud := audit.New(c.Topology(), audit.Config{Replicas: cfg.Replicas, C: cfg.C, CheckCoreRack: true})
@@ -243,6 +245,11 @@ func TestPipelinedEncodeCancelCommitsNothing(t *testing.T) {
 	}
 	if stats.Stripes != requeued {
 		t.Fatalf("re-encoded %d stripes, requeued %d", stats.Stripes, requeued)
+	}
+	// The canceled job committed nothing, so it counted nothing.
+	encoded := len(c.NameNode().EncodedStripes())
+	if got := reg.Counter("raidnode_stripes_encoded_total", "").With().Value(); got != float64(encoded) {
+		t.Errorf("raidnode_stripes_encoded_total = %g, %d stripes encoded", got, encoded)
 	}
 	if n := verifyParities(t, c, contents); n == 0 {
 		t.Fatal("no parity verified after re-encode")

@@ -212,7 +212,7 @@ func (c *Cluster) SetTelemetry(reg *telemetry.Registry) {
 		readLat: reg.Histogram("hdfs_client_read_seconds",
 			"Block read latency from the nearest live replica.", nil).With(),
 		stripes: reg.Counter("raidnode_stripes_encoded_total",
-			"Stripes encoded by the RaidNode.").With(),
+			"Stripes the RaidNode encoded, counted at their commit.").With(),
 		encBytes: reg.Counter("raidnode_encoded_bytes_total",
 			"Data bytes encoded into stripes.").With(),
 		crossDl: reg.Counter("raidnode_cross_rack_downloads_total",
@@ -415,8 +415,8 @@ func (c *Cluster) Topology() *topology.Topology { return c.top }
 func (c *Cluster) Fabric() *fabric.Fabric { return c.fab }
 
 // Tenants returns the per-tenant resource accounting table (always
-// present; the earfsd /tenants endpoint and the earanalysis cross-check
-// read it).
+// present; the earfsd /tenants endpoint and the earexp transition
+// cross-check read it).
 func (c *Cluster) Tenants() *tenant.Table { return c.acct }
 
 // NameNode returns the metadata service.

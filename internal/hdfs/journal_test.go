@@ -11,7 +11,7 @@ import (
 )
 
 // attachAuditor wires a journal and auditor to the cluster, mirroring how
-// earfsd and eartestbed -audit instrument it.
+// earfsd and earexp -audit instrument it.
 func attachAuditor(c *Cluster) (*events.Journal, *audit.Auditor) {
 	j := events.NewJournal(0)
 	c.SetJournal(j)

@@ -31,16 +31,9 @@ const (
 // tolerance is violated (BlockMover).
 type RaidNode struct {
 	c *Cluster
-
-	mu    sync.Mutex
-	stats EncodeStats
-	// gen counts ResetStats calls; cursors remember the generation they were
-	// minted in so a cursor from before a reset is detected and treated as
-	// "since startup" instead of producing negative deltas.
-	gen int
 }
 
-// EncodeStats aggregates the outcome of encoding jobs.
+// EncodeStats is the outcome of one encoding job.
 type EncodeStats struct {
 	Stripes        int
 	EncodedBytes   int64
@@ -69,87 +62,6 @@ type EncodeStats struct {
 }
 
 func newRaidNode(c *Cluster) *RaidNode { return &RaidNode{c: c} }
-
-// Stats returns a copy of the accumulated encoding statistics, including
-// every task placement ever recorded (an O(total-placements) copy). Pollers
-// should prefer StatsSince.
-func (r *RaidNode) Stats() EncodeStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.stats
-	s.TaskPlacements = append([]mapred.Placement(nil), r.stats.TaskPlacements...)
-	return s
-}
-
-// StatsCursor marks a position in the RaidNode's cumulative stats stream.
-// The zero value means "since startup". Obtain updated cursors from
-// StatsSince.
-type StatsCursor struct {
-	stripes      int
-	encodedBytes int64
-	duration     time.Duration
-	crossRack    int
-	violations   int
-	pipelined    int
-	partialBytes int64
-	crossUploads int
-	placements   int
-	gen          int
-}
-
-// ResetStats zeroes the accumulated statistics (test isolation and admin
-// resets). Cursors minted before the reset are invalidated: the next
-// StatsSince with such a cursor reports everything accumulated since the
-// reset, never negative deltas.
-func (r *RaidNode) ResetStats() {
-	r.mu.Lock()
-	r.stats = EncodeStats{}
-	r.gen++
-	r.mu.Unlock()
-}
-
-// StatsSince returns the statistics accumulated after the cursor and the
-// cursor to pass on the next call. Only task placements recorded since the
-// cursor are copied, so a periodic poller (the admin endpoint, the OpStats
-// RPC) pays O(new placements) per call instead of re-copying the whole
-// history like Stats. A cursor minted before a ResetStats is stale and is
-// treated as the zero cursor ("since the reset").
-func (r *RaidNode) StatsSince(cur StatsCursor) (EncodeStats, StatsCursor) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if cur.gen != r.gen {
-		cur = StatsCursor{gen: r.gen}
-	}
-	d := EncodeStats{
-		Stripes:            r.stats.Stripes - cur.stripes,
-		EncodedBytes:       r.stats.EncodedBytes - cur.encodedBytes,
-		Duration:           r.stats.Duration - cur.duration,
-		CrossRackDownloads: r.stats.CrossRackDownloads - cur.crossRack,
-		Violations:         r.stats.Violations - cur.violations,
-		PipelinedStripes:   r.stats.PipelinedStripes - cur.pipelined,
-		PartialSumBytes:    r.stats.PartialSumBytes - cur.partialBytes,
-		CrossRackUploads:   r.stats.CrossRackUploads - cur.crossUploads,
-	}
-	if cur.placements < len(r.stats.TaskPlacements) {
-		d.TaskPlacements = append([]mapred.Placement(nil), r.stats.TaskPlacements[cur.placements:]...)
-	}
-	if d.Duration > 0 {
-		d.ThroughputMBps = float64(d.EncodedBytes) / (1 << 20) / d.Duration.Seconds()
-	}
-	next := StatsCursor{
-		stripes:      r.stats.Stripes,
-		encodedBytes: r.stats.EncodedBytes,
-		duration:     r.stats.Duration,
-		crossRack:    r.stats.CrossRackDownloads,
-		violations:   r.stats.Violations,
-		pipelined:    r.stats.PipelinedStripes,
-		partialBytes: r.stats.PartialSumBytes,
-		crossUploads: r.stats.CrossRackUploads,
-		placements:   len(r.stats.TaskPlacements),
-		gen:          r.gen,
-	}
-	return d, next
-}
 
 // encodeTask is one map task's work: the stripes it encodes and its
 // scheduling preference.
@@ -291,7 +203,6 @@ func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStat
 	stats := EncodeStats{Stripes: len(stripes)}
 	if tel != nil {
 		tel.encJobs.Inc()
-		tel.stripes.Add(float64(len(stripes)))
 	}
 	for i, t := range tasks {
 		t := t
@@ -336,6 +247,7 @@ func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStat
 							if violated {
 								tel.violations.Inc()
 							}
+							tel.stripes.Inc()
 							tel.encBytes.Add(float64(encodedBytes))
 							if fn == nil {
 								tel.pipeStripes.Inc()
@@ -362,17 +274,6 @@ func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStat
 	if stats.Duration > 0 {
 		stats.ThroughputMBps = float64(stats.EncodedBytes) / (1 << 20) / stats.Duration.Seconds()
 	}
-	r.mu.Lock()
-	r.stats.Stripes += stats.Stripes
-	r.stats.EncodedBytes += stats.EncodedBytes
-	r.stats.Duration += stats.Duration
-	r.stats.CrossRackDownloads += stats.CrossRackDownloads
-	r.stats.Violations += stats.Violations
-	r.stats.PipelinedStripes += stats.PipelinedStripes
-	r.stats.PartialSumBytes += stats.PartialSumBytes
-	r.stats.CrossRackUploads += stats.CrossRackUploads
-	r.stats.TaskPlacements = append(r.stats.TaskPlacements, placements...)
-	r.mu.Unlock()
 	return stats, nil
 }
 

@@ -11,31 +11,34 @@ import (
 	"ear/internal/topology"
 )
 
+// TestRaidNodeStatsAccumulate: each job reports only its own stripes, and the
+// registry's raidnode counters are where the totals across jobs accumulate.
 func TestRaidNodeStatsAccumulate(t *testing.T) {
 	c := newTestCluster(t, "rr")
+	reg := telemetry.NewRegistry()
+	c.SetTelemetry(reg)
 	rng := rand.New(rand.NewSource(40))
-	writeBlocks(t, c, 8, rng) // 2 stripes
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
+	var jobs []EncodeStats
+	for _, blocks := range []int{8, 4} { // 2 stripes, then 1 more
+		writeBlocks(t, c, blocks, rng)
+		stats, err := c.RaidNode().EncodeAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Stripes != blocks/4 || len(stats.TaskPlacements) == 0 {
+			t.Errorf("job of %d blocks: %d stripes, %d task placements", blocks, stats.Stripes, len(stats.TaskPlacements))
+		}
+		jobs = append(jobs, stats)
 	}
-	writeBlocks(t, c, 4, rng) // 1 more stripe
-	if _, err := c.RaidNode().EncodeAll(); err != nil {
-		t.Fatal(err)
+	get := func(name string) float64 { return reg.Counter(name, "").With().Value() }
+	if got := get("raidnode_stripes_encoded_total"); got != 3 {
+		t.Errorf("stripes counter = %g, want 3", got)
 	}
-	stats := c.RaidNode().Stats()
-	if stats.Stripes != 3 {
-		t.Errorf("accumulated stripes = %d, want 3", stats.Stripes)
+	if got, want := get("raidnode_encoded_bytes_total"), float64(3*4*c.Config().BlockSizeBytes); got != want {
+		t.Errorf("bytes counter = %g, want %g", got, want)
 	}
-	if stats.EncodedBytes != int64(3*4*c.Config().BlockSizeBytes) {
-		t.Errorf("accumulated bytes = %d", stats.EncodedBytes)
-	}
-	if len(stats.TaskPlacements) == 0 {
-		t.Error("no task placements recorded")
-	}
-	// The returned copy must not alias internal state.
-	stats.TaskPlacements[0].Task = "mutated"
-	if again := c.RaidNode().Stats(); again.TaskPlacements[0].Task == "mutated" {
-		t.Error("Stats aliases internal slice")
+	if got, want := get("raidnode_cross_rack_downloads_total"), float64(jobs[0].CrossRackDownloads+jobs[1].CrossRackDownloads); got != want {
+		t.Errorf("cross-rack downloads counter = %g, want %g", got, want)
 	}
 }
 
@@ -191,49 +194,6 @@ func TestPlacementMonitorDetectsManualViolation(t *testing.T) {
 	}
 }
 
-func TestStatsSinceDeltas(t *testing.T) {
-	c := newTestCluster(t, "rr")
-	rng := rand.New(rand.NewSource(41))
-	writeBlocks(t, c, 8, rng) // 2 stripes
-	encodeAll(t, c)
-	d1, cur := c.RaidNode().StatsSince(StatsCursor{})
-	if d1.Stripes != 2 {
-		t.Errorf("first delta stripes = %d, want 2", d1.Stripes)
-	}
-	if len(d1.TaskPlacements) == 0 {
-		t.Error("first delta has no placements")
-	}
-	// Nothing happened since: delta must be empty.
-	d2, cur2 := c.RaidNode().StatsSince(cur)
-	if d2.Stripes != 0 || d2.EncodedBytes != 0 || len(d2.TaskPlacements) != 0 {
-		t.Errorf("idle delta nonzero: %+v", d2)
-	}
-	// Second encode round: only the new round shows up.
-	writeBlocks(t, c, 4, rng) // 1 stripe
-	encodeAll(t, c)
-	d3, _ := c.RaidNode().StatsSince(cur2)
-	if d3.Stripes != 1 {
-		t.Errorf("second delta stripes = %d, want 1", d3.Stripes)
-	}
-	if d3.EncodedBytes != int64(4*c.Config().BlockSizeBytes) {
-		t.Errorf("second delta bytes = %d", d3.EncodedBytes)
-	}
-	if want := c.RaidNode().Stats().TaskPlacements; len(d1.TaskPlacements)+len(d3.TaskPlacements) != len(want) {
-		t.Errorf("delta placements %d+%d, cumulative %d",
-			len(d1.TaskPlacements), len(d3.TaskPlacements), len(want))
-	}
-	if d3.Duration > 0 && d3.ThroughputMBps <= 0 {
-		t.Error("delta throughput not computed")
-	}
-	// The delta copy must not alias internal state.
-	if len(d3.TaskPlacements) > 0 {
-		d3.TaskPlacements[0].Task = "mutated"
-		if again := c.RaidNode().Stats(); again.TaskPlacements[len(d1.TaskPlacements)].Task == "mutated" {
-			t.Error("StatsSince aliases internal slice")
-		}
-	}
-}
-
 // TestEncodeTelemetryAndTrace checks the encode counters and the span tree
 // of one job: the chain emits raidnode.chain-hop spans under each map task.
 // (The paper's gather and its download / encode / parity-write spans are
@@ -355,87 +315,6 @@ func TestEncodeCrossRackCountersUnderRR(t *testing.T) {
 	}
 	if v := reg.Counter("fabric_bytes_total", "", "locality").With("cross-rack").Value(); v <= 0 {
 		t.Error("fabric cross-rack byte counter not bumped")
-	}
-}
-
-// TestStatsSinceCursorSemantics pins the cursor contract: an empty window
-// reads as a zero delta, a cursor is a position (re-reading from it yields
-// the same delta, and overlapping cursors decompose the stream
-// consistently), and a cursor minted before ResetStats degrades to "since
-// the reset" instead of going negative.
-func TestStatsSinceCursorSemantics(t *testing.T) {
-	c := newTestCluster(t, "rr")
-
-	// Empty window on a fresh RaidNode: zero delta, usable cursor.
-	d0, cur0 := c.RaidNode().StatsSince(StatsCursor{})
-	if d0.Stripes != 0 || d0.EncodedBytes != 0 || d0.Duration != 0 || len(d0.TaskPlacements) != 0 {
-		t.Fatalf("fresh delta nonzero: %+v", d0)
-	}
-
-	rng := rand.New(rand.NewSource(43))
-	writeBlocks(t, c, 4, rng) // 1 stripe
-	encodeAll(t, c)
-	dA, curA := c.RaidNode().StatsSince(cur0)
-	if dA.Stripes != 1 {
-		t.Fatalf("round one delta stripes = %d, want 1", dA.Stripes)
-	}
-
-	writeBlocks(t, c, 4, rng) // 1 more stripe
-	encodeAll(t, c)
-
-	// Overlapping cursors: reading from curA sees round two; reading again
-	// from the SAME cursor sees it again (non-consuming); reading from cur0
-	// spans both rounds, and the split deltas sum to the spanning one.
-	dB1, _ := c.RaidNode().StatsSince(curA)
-	dB2, _ := c.RaidNode().StatsSince(curA)
-	if dB1.Stripes != dB2.Stripes || dB1.EncodedBytes != dB2.EncodedBytes ||
-		len(dB1.TaskPlacements) != len(dB2.TaskPlacements) {
-		t.Errorf("re-reading the same cursor diverged: %+v vs %+v", dB1, dB2)
-	}
-	dSpan, _ := c.RaidNode().StatsSince(cur0)
-	if dSpan.Stripes != dA.Stripes+dB1.Stripes {
-		t.Errorf("spanning stripes %d != %d + %d", dSpan.Stripes, dA.Stripes, dB1.Stripes)
-	}
-	if dSpan.EncodedBytes != dA.EncodedBytes+dB1.EncodedBytes {
-		t.Errorf("spanning bytes %d != %d + %d", dSpan.EncodedBytes, dA.EncodedBytes, dB1.EncodedBytes)
-	}
-	if dA.CrossRackUploads == 0 || dSpan.CrossRackUploads != dA.CrossRackUploads+dB1.CrossRackUploads {
-		t.Errorf("spanning cross-rack uploads %d != %d + %d, the first nonzero",
-			dSpan.CrossRackUploads, dA.CrossRackUploads, dB1.CrossRackUploads)
-	}
-	if len(dSpan.TaskPlacements) != len(dA.TaskPlacements)+len(dB1.TaskPlacements) {
-		t.Errorf("spanning placements %d != %d + %d",
-			len(dSpan.TaskPlacements), len(dA.TaskPlacements), len(dB1.TaskPlacements))
-	}
-
-	// A cursor minted before ResetStats is stale: the next read reports
-	// everything since the reset — here, one fresh stripe — with no negative
-	// components, and hands back a valid post-reset cursor.
-	stale := curA
-	c.RaidNode().ResetStats()
-	writeBlocks(t, c, 4, rng)
-	encodeAll(t, c)
-	dR, curR := c.RaidNode().StatsSince(stale)
-	if dR.Stripes != 1 {
-		t.Errorf("stale-cursor delta stripes = %d, want 1 (everything since reset)", dR.Stripes)
-	}
-	if dR.EncodedBytes < 0 || dR.Duration < 0 || dR.CrossRackDownloads < 0 || dR.Violations < 0 || dR.CrossRackUploads < 0 {
-		t.Errorf("stale-cursor delta went negative: %+v", dR)
-	}
-	if len(dR.TaskPlacements) == 0 {
-		t.Error("stale-cursor delta lost the post-reset placements")
-	}
-	// The replacement cursor works normally afterwards.
-	if dIdle, _ := c.RaidNode().StatsSince(curR); dIdle.Stripes != 0 || len(dIdle.TaskPlacements) != 0 {
-		t.Errorf("post-reset idle delta nonzero: %+v", dIdle)
-	}
-
-	// A stale cursor read immediately after a reset (nothing accumulated
-	// yet) is a clean zero, not negative.
-	c.RaidNode().ResetStats()
-	dZ, _ := c.RaidNode().StatsSince(curR)
-	if dZ.Stripes != 0 || dZ.EncodedBytes != 0 || dZ.Duration != 0 || dZ.CrossRackUploads != 0 {
-		t.Errorf("post-reset empty delta nonzero: %+v", dZ)
 	}
 }
 

@@ -303,14 +303,3 @@ func (jt *JobTracker) SubmitCtx(ctx context.Context, job Job) ([]Placement, erro
 	}
 	return placements, nil
 }
-
-// FreeSlots returns the current total free slots (diagnostics).
-func (jt *JobTracker) FreeSlots() int {
-	jt.mu.Lock()
-	defer jt.mu.Unlock()
-	total := 0
-	for _, f := range jt.free {
-		total += f
-	}
-	return total
-}

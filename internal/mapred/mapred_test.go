@@ -56,8 +56,12 @@ func TestSubmitRunsAllTasks(t *testing.T) {
 	if len(placements) != 3 || len(ran) != 3 {
 		t.Fatalf("placements %d, ran %d", len(placements), len(ran))
 	}
-	if jt.FreeSlots() != 8 {
-		t.Errorf("FreeSlots = %d, want 8 after completion", jt.FreeSlots())
+	jt.mu.Lock()
+	defer jt.mu.Unlock()
+	for node, free := range jt.free {
+		if free != 2 {
+			t.Errorf("node %d has %d free slots after completion, want 2", node, free)
+		}
 	}
 }
 
@@ -497,9 +501,16 @@ func TestTaskFailureCancelsJobContext(t *testing.T) {
 	defer jt.Close()
 	boom := errors.New("boom")
 	sawCancel := make(chan struct{}, 1)
+	// The failing task waits for its sibling to be running: a failure before
+	// the sibling holds a slot would leave it nothing to observe.
+	watching := make(chan struct{})
 	_, err = jt.Submit(Job{Name: "j", Tasks: []*Task{
-		{Name: "fail", Preferred: AnyNode, Run: func(context.Context, topology.NodeID) error { return boom }},
+		{Name: "fail", Preferred: AnyNode, Run: func(context.Context, topology.NodeID) error {
+			<-watching
+			return boom
+		}},
 		{Name: "watch", Preferred: AnyNode, Run: func(ctx context.Context, _ topology.NodeID) error {
+			close(watching)
 			select {
 			case <-ctx.Done():
 				sawCancel <- struct{}{}

@@ -1,8 +1,8 @@
-// Package maxflow provides a Dinic maximum-flow solver and a bipartite
-// matching helper. The EAR placement algorithm (paper Section III-B)
-// determines whether a replica layout admits a post-encoding block layout
-// satisfying rack-level fault tolerance by solving a maximum-flow problem on
-// a four-layer graph: source -> blocks -> nodes -> racks -> sink.
+// Package maxflow provides a Dinic maximum-flow solver. The EAR placement
+// algorithm (paper Section III-B) determines whether a replica layout admits
+// a post-encoding block layout satisfying rack-level fault tolerance by
+// solving a maximum-flow problem on a four-layer graph: source -> blocks ->
+// nodes -> racks -> sink.
 package maxflow
 
 import (
@@ -62,25 +62,6 @@ func NewGraph(n int) (*Graph, error) {
 
 // N returns the vertex count.
 func (g *Graph) N() int { return g.n }
-
-// Clone returns a deep copy of the graph including any residual flow state,
-// so a caller can tentatively add edges and push flow without committing.
-// Outstanding checkpoints are not carried over; prefer Checkpoint/Rollback,
-// which avoid the O(V+E) copy entirely.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		n:      g.n,
-		heads:  make([][]int, g.n),
-		edges:  append([]edge(nil), g.edges...),
-		level:  make([]int, g.n),
-		iter:   make([]int, g.n),
-		parent: make([]int, g.n),
-	}
-	for v, hs := range g.heads {
-		c.heads[v] = append([]int(nil), hs...)
-	}
-	return c
-}
 
 // Reset empties the graph in place — no edges, no flow, no outstanding
 // checkpoints — while keeping the vertex count and all allocated adjacency
@@ -330,66 +311,4 @@ func min64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// BipartiteMatch computes a maximum matching between `left` vertices and
-// `right` vertices given the adjacency adj[l] = list of right vertices. It
-// returns match[l] = matched right vertex or -1, and the matching size. It
-// is implemented on top of the flow solver so that the two stay consistent.
-func BipartiteMatch(left, right int, adj [][]int) ([]int, int, error) {
-	if left < 0 || right < 0 {
-		return nil, 0, fmt.Errorf("maxflow: negative partition sizes %d, %d", left, right)
-	}
-	match := make([]int, left)
-	for i := range match {
-		match[i] = -1
-	}
-	if left == 0 || right == 0 {
-		return match, 0, nil
-	}
-	// Vertices: 0 = source, 1..left = left side, left+1..left+right = right
-	// side, left+right+1 = sink.
-	s, t := 0, left+right+1
-	g, err := NewGraph(left + right + 2)
-	if err != nil {
-		return nil, 0, err
-	}
-	type lrEdge struct {
-		l, r, id int
-	}
-	var lrEdges []lrEdge
-	for l := 0; l < left; l++ {
-		if _, err := g.AddEdge(s, 1+l, 1); err != nil {
-			return nil, 0, err
-		}
-		for _, r := range adj[l] {
-			if r < 0 || r >= right {
-				return nil, 0, fmt.Errorf("%w: right vertex %d of %d", ErrInvalidVertex, r, right)
-			}
-			id, err := g.AddEdge(1+l, 1+left+r, 1)
-			if err != nil {
-				return nil, 0, err
-			}
-			lrEdges = append(lrEdges, lrEdge{l: l, r: r, id: id})
-		}
-	}
-	for r := 0; r < right; r++ {
-		if _, err := g.AddEdge(1+left+r, t, 1); err != nil {
-			return nil, 0, err
-		}
-	}
-	size, err := g.MaxFlow(s, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, e := range lrEdges {
-		f, err := g.EdgeFlow(e.id)
-		if err != nil {
-			return nil, 0, err
-		}
-		if f > 0 {
-			match[e.l] = e.r
-		}
-	}
-	return match, int(size), nil
 }

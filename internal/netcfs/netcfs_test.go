@@ -3,6 +3,7 @@ package netcfs
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -286,22 +287,38 @@ func TestStatsRPC(t *testing.T) {
 		t.Errorf("initial encode stripes = %d", rep.Encode.Stripes)
 	}
 
-	// Generate traffic: write a file and encode it.
-	if err := c.Create("/a"); err != nil {
-		t.Fatal(err)
-	}
+	// The cluster's scheduler counts every encode task by locality: the
+	// split the RPC's TaskLocality must reproduce.
+	clusterReg := telemetry.NewRegistry()
+	srv.cluster.SetTelemetry(clusterReg)
+
+	// Generate traffic: write two files, encoding after each.
 	blk := make([]byte, 8<<10)
 	rand.New(rand.NewSource(7)).Read(blk)
-	for i := 0; i < 4; i++ {
-		if err := c.Append("/a", blk); err != nil {
+	var sum EncodeSummary
+	for _, path := range []string{"/a", "/b"} {
+		if err := c.Create(path); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := c.CloseFile("/a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Encode(); err != nil {
-		t.Fatal(err)
+		for i := 0; i < 4; i++ {
+			if err := c.Append(path, blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.CloseFile(path); err != nil {
+			t.Fatal(err)
+		}
+		job, err := c.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.Stripes == 0 || job.EncodedBytes != 4*8<<10 {
+			t.Errorf("encode of %s = %+v", path, job)
+		}
+		sum.Stripes += job.Stripes
+		sum.EncodedBytes += job.EncodedBytes
+		sum.CrossRackDownloads += job.CrossRackDownloads
+		sum.Violations += job.Violations
 	}
 
 	rep, err = c.Stats()
@@ -312,36 +329,47 @@ func TestStatsRPC(t *testing.T) {
 	for _, m := range rep.Ops {
 		byOp[m.Op] = m
 	}
-	if got := byOp["append"].Count; got != 4 {
-		t.Errorf("append count = %d, want 4", got)
+	if got := byOp["append"].Count; got != 8 {
+		t.Errorf("append count = %d, want 8", got)
 	}
-	if got := byOp["encode"].Count; got != 1 {
-		t.Errorf("encode count = %d, want 1", got)
+	if got := byOp["encode"].Count; got != 2 {
+		t.Errorf("encode count = %d, want 2", got)
 	}
 	if m := byOp["encode"]; m.TotalSeconds <= 0 || m.P99Seconds < m.P50Seconds {
 		t.Errorf("encode latency summary inconsistent: %+v", m)
 	}
-	if rep.Encode.Stripes == 0 || rep.Encode.EncodedBytes != 4*8<<10 {
-		t.Errorf("encode totals = %+v", rep.Encode)
+	e := rep.Encode
+	if e.Stripes != sum.Stripes || e.EncodedBytes != sum.EncodedBytes ||
+		e.CrossRackDownloads != sum.CrossRackDownloads || e.Violations != sum.Violations {
+		t.Errorf("encode totals = %+v, the two jobs sum to %+v", e, sum)
 	}
-	total := 0
-	for _, n := range rep.TaskLocality {
-		total += n
+	if e.DurationSeconds <= 0 || e.ThroughputMBps <= 0 {
+		t.Errorf("encode totals carry no duration or throughput: %+v", e)
 	}
-	if total == 0 {
-		t.Error("no task locality recorded")
+	tasks := clusterReg.Counter("mapred_tasks_total", "", "locality")
+	want := map[string]int{}
+	for _, level := range []string{"node", "rack", "remote"} {
+		if n := int(tasks.With(level).Value()); n > 0 {
+			want[level] = n
+		}
+	}
+	if len(want) == 0 || !maps.Equal(rep.TaskLocality, want) {
+		t.Errorf("task locality = %v, the scheduler placed %v", rep.TaskLocality, want)
 	}
 	if rep.IntraRackBytes+rep.CrossRackBytes <= 0 {
 		t.Error("no fabric traffic recorded")
 	}
 
-	// Polling again must not double-count encode totals (cursor advanced).
-	rep2, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Encode.Stripes != rep.Encode.Stripes {
-		t.Errorf("stripes grew on idle poll: %d -> %d", rep.Encode.Stripes, rep2.Encode.Stripes)
+	// Idle polls read the totals; they do not add to them.
+	for i := 0; i < 2; i++ {
+		again, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Encode != rep.Encode || !maps.Equal(again.TaskLocality, rep.TaskLocality) {
+			t.Errorf("idle poll %d moved the totals: %+v %v -> %+v %v",
+				i, rep.Encode, rep.TaskLocality, again.Encode, again.TaskLocality)
+		}
 	}
 
 	// Re-homing metrics into a shared registry keeps the RPC working.

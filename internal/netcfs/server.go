@@ -43,12 +43,11 @@ type Server struct {
 	conns  map[net.Conn]bool
 	wg     sync.WaitGroup
 
-	// Per-op telemetry and the cumulative encoding totals served by the
-	// stats RPC (guarded by mu). The server always keeps its own registry
-	// so the RPC works standalone; SetTelemetry re-homes the metrics into
-	// a shared registry (the admin endpoint's).
+	// Per-op telemetry and the totals of the encodes this server ran, which
+	// the stats RPC serves (guarded by mu). The server always keeps its own
+	// registry so the RPC works standalone; SetTelemetry re-homes the
+	// metrics into a shared registry (the admin endpoint's).
 	ops       map[Op]*opHandles
-	cursor    hdfs.StatsCursor
 	encTotals EncodeSummary
 	locality  map[string]int
 	tracer    *telemetry.Tracer
@@ -250,24 +249,21 @@ func (s *Server) pickClient(req *Request) topology.NodeID {
 	return topology.NodeID(s.rng.Intn(s.cluster.Topology().Nodes()))
 }
 
-// statsReport assembles the OpServerStats payload. Encoding statistics are
-// folded in incrementally via RaidNode.StatsSince, so repeated polling stays
-// cheap regardless of how many encoding jobs have run.
-func (s *Server) statsReport() *StatsReport {
+// addEncode adds one successful encode job to the totals the stats RPC
+// serves.
+func (s *Server) addEncode(st hdfs.EncodeStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d, next := s.cluster.RaidNode().StatsSince(s.cursor)
-	s.cursor = next
-	s.encTotals.Stripes += d.Stripes
-	s.encTotals.EncodedBytes += d.EncodedBytes
-	s.encTotals.DurationSeconds += d.Duration.Seconds()
-	s.encTotals.CrossRackDownloads += d.CrossRackDownloads
-	s.encTotals.Violations += d.Violations
-	if s.encTotals.DurationSeconds > 0 {
-		s.encTotals.ThroughputMBps = float64(s.encTotals.EncodedBytes) /
-			(1 << 20) / s.encTotals.DurationSeconds
+	t := &s.encTotals
+	t.Stripes += st.Stripes
+	t.EncodedBytes += st.EncodedBytes
+	t.DurationSeconds += st.Duration.Seconds()
+	t.CrossRackDownloads += st.CrossRackDownloads
+	t.Violations += st.Violations
+	if t.DurationSeconds > 0 {
+		t.ThroughputMBps = float64(t.EncodedBytes) / (1 << 20) / t.DurationSeconds
 	}
-	for _, pl := range d.TaskPlacements {
+	for _, pl := range st.TaskPlacements {
 		switch {
 		case pl.Local:
 			s.locality["node"]++
@@ -277,7 +273,12 @@ func (s *Server) statsReport() *StatsReport {
 			s.locality["remote"]++
 		}
 	}
+}
 
+// statsReport assembles the OpServerStats payload.
+func (s *Server) statsReport() *StatsReport {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	fab := s.cluster.Fabric().Snapshot()
 	report := &StatsReport{
 		Encode:         s.encTotals,
@@ -363,6 +364,7 @@ func (s *Server) handle(ctx context.Context, req *Request) Response {
 		if err != nil {
 			return fail(err)
 		}
+		s.addEncode(stats)
 		return Response{Encode: &EncodeSummary{
 			Stripes:            stats.Stripes,
 			EncodedBytes:       stats.EncodedBytes,

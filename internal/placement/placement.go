@@ -259,43 +259,6 @@ func CrossRackDownloads(top *topology.Topology, placements []topology.Placement,
 	return downloads, nil
 }
 
-// BestEncoderNode returns the node minimizing cross-rack downloads for the
-// stripe, breaking ties uniformly at random. RR encoding uses it to give the
-// baseline its best case; EAR's core rack achieves zero by construction.
-func BestEncoderNode(top *topology.Topology, placements []topology.Placement, rng *rand.Rand) (topology.NodeID, int, error) {
-	// Count blocks available per rack; the best rack maximizes coverage.
-	perRack := make(map[topology.RackID]int)
-	for _, p := range placements {
-		set, err := p.RackSet(top)
-		if err != nil {
-			return 0, 0, err
-		}
-		for r := range set {
-			perRack[r]++
-		}
-	}
-	best, bestCount := topology.RackID(-1), -1
-	ties := 0
-	for r := 0; r < top.Racks(); r++ {
-		c := perRack[topology.RackID(r)]
-		switch {
-		case c > bestCount:
-			best, bestCount, ties = topology.RackID(r), c, 1
-		case c == bestCount:
-			ties++
-			if rng.Intn(ties) == 0 {
-				best = topology.RackID(r)
-			}
-		}
-	}
-	nodes, err := top.NodesInRack(best)
-	if err != nil {
-		return 0, 0, err
-	}
-	node := nodes[rng.Intn(len(nodes))]
-	return node, len(placements) - bestCount, nil
-}
-
 // RandomEncoderNode picks an encoding node uniformly at random, the paper's
 // model for the baseline ("the CFS randomly selects a node to perform the
 // encoding operation", Section II-A).

@@ -94,7 +94,7 @@ type CurvePoint struct {
 }
 
 // Report is the tracker's summary: the operator view behind earfsd
-// /progress and eartestbed -progress.
+// /progress and earexp -progress.
 type Report struct {
 	Policy string `json:"policy"`
 	Events uint64 `json:"events"`

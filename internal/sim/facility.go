@@ -127,42 +127,3 @@ func ReleaseMany(fs []*Facility) {
 		f.Release()
 	}
 }
-
-// Mailbox is an unbounded FIFO channel between simulated processes: Put
-// never blocks; Get blocks the caller until an item is available.
-type Mailbox struct {
-	sim     *Sim
-	name    string
-	items   []any
-	waiters []*Proc
-}
-
-// NewMailbox creates an empty mailbox.
-func (s *Sim) NewMailbox(name string) *Mailbox {
-	return &Mailbox{sim: s, name: name}
-}
-
-// Len returns the number of queued items.
-func (m *Mailbox) Len() int { return len(m.items) }
-
-// Put enqueues an item, waking one waiting receiver if any. Safe to call
-// from scheduler callbacks as well as processes.
-func (m *Mailbox) Put(item any) {
-	m.items = append(m.items, item)
-	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		w.wakeAt(m.sim.now)
-	}
-}
-
-// Get dequeues the oldest item, blocking p until one arrives.
-func (m *Mailbox) Get(p *Proc) any {
-	for len(m.items) == 0 {
-		m.waiters = append(m.waiters, p)
-		p.block()
-	}
-	item := m.items[0]
-	m.items = m.items[1:]
-	return item
-}

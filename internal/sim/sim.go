@@ -157,7 +157,7 @@ func (p *Proc) Hold(d float64) error {
 }
 
 // block parks the process without scheduling a resumption; some other
-// component (facility release, mailbox put) must wake it via wakeAt.
+// component (a facility release) must wake it via wakeAt.
 func (p *Proc) block() {
 	p.sim.yieldToScheduler()
 	p.waitWake()

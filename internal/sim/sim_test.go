@@ -349,40 +349,6 @@ func TestFacilityStats(t *testing.T) {
 	}
 }
 
-func TestMailbox(t *testing.T) {
-	s := New()
-	m := s.NewMailbox("jobs")
-	var got []int
-	_ = s.Spawn("producer", 0, func(p *Proc) error {
-		for i := 1; i <= 3; i++ {
-			if err := p.Hold(2); err != nil {
-				return err
-			}
-			m.Put(i)
-		}
-		return nil
-	})
-	_ = s.Spawn("consumer", 0, func(p *Proc) error {
-		for i := 0; i < 3; i++ {
-			v, ok := m.Get(p).(int)
-			if !ok {
-				return errors.New("bad item type")
-			}
-			got = append(got, v)
-		}
-		return nil
-	})
-	if err := s.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("got = %v", got)
-	}
-	if m.Len() != 0 {
-		t.Errorf("Len = %d, want 0", m.Len())
-	}
-}
-
 func TestBlockedProcessesCleanedUpOnShutdown(t *testing.T) {
 	// A process waiting forever on a facility must not leak when Run ends;
 	// Run joins all goroutines before returning.

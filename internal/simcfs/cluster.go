@@ -121,16 +121,6 @@ func (c *Cluster) CrossRackMB() float64 { return c.crossRackMB }
 // IntraRackMB returns the cumulative intra-rack traffic in MB.
 func (c *Cluster) IntraRackMB() float64 { return c.intraRackMB }
 
-// RackUplinkUtilization returns the mean utilization across rack uplinks,
-// the contended resource of the paper's model.
-func (c *Cluster) RackUplinkUtilization() float64 {
-	var sum float64
-	for _, f := range c.rackUp {
-		sum += f.Utilization()
-	}
-	return sum / float64(len(c.rackUp))
-}
-
 // pathFacilities returns the links a transfer occupies, sorted canonically.
 func (c *Cluster) pathFacilities(src, dst topology.NodeID) ([]*sim.Facility, bool, error) {
 	srcRack, err := c.top.RackOf(src)

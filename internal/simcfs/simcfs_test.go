@@ -84,8 +84,8 @@ func TestClusterSharedRackUplinkContention(t *testing.T) {
 	if len(done) != 2 || done[0] != 1 || done[1] != 2 {
 		t.Errorf("completions = %v, want [1 2] (uplink serialized)", done)
 	}
-	if u := c.RackUplinkUtilization(); math.Abs(u-0.5) > 1e-9 {
-		t.Errorf("mean rack uplink utilization = %g, want 0.5 (one of two busy)", u)
+	if u := c.rackUp[0].Utilization(); math.Abs(u-1) > 1e-9 {
+		t.Errorf("rack 0 uplink utilization = %g, want 1 (busy throughout)", u)
 	}
 }
 

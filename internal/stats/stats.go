@@ -1,6 +1,6 @@
 // Package stats provides the statistical helpers shared by the experiment
 // harnesses: random-variate generation (exponential inter-arrival times for
-// Poisson processes, log-normal job sizes), summary statistics, the
+// Poisson processes, log-normal job sizes), mean and percentiles, the
 // five-number boxplot summaries the paper's Figure 13 reports, and simple
 // time-series accumulation.
 package stats
@@ -29,24 +29,6 @@ func LogNormal(rng *rand.Rand, mu, sigma float64) float64 {
 	return math.Exp(rng.NormFloat64()*sigma + mu)
 }
 
-// Poisson draws a Poisson-distributed count with the given mean using
-// Knuth's method (adequate for the small means used here).
-func Poisson(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Mean returns the arithmetic mean.
 func Mean(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -57,23 +39,6 @@ func Mean(xs []float64) (float64, error) {
 		sum += x
 	}
 	return sum / float64(len(xs)), nil
-}
-
-// StdDev returns the sample standard deviation (n-1 denominator).
-func StdDev(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, ErrNoData
-	}
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1)), nil
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
@@ -149,39 +114,6 @@ func (b BoxPlot) String() string {
 	return fmt.Sprintf("min=%.3f q1=%.3f med=%.3f q3=%.3f max=%.3f outliers=%d",
 		b.Min, b.Q1, b.Median, b.Q3, b.Max, len(b.Outliers))
 }
-
-// Welford accumulates mean and variance online without storing samples.
-// The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds a sample into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the sample count.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 for an empty accumulator).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the sample variance (0 with fewer than two samples).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Point is one (time, value) sample of a time series.
 type Point struct {

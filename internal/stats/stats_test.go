@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestMean(t *testing.T) {
@@ -15,19 +14,6 @@ func TestMean(t *testing.T) {
 	got, err := Mean([]float64{1, 2, 3, 4})
 	if err != nil || got != 2.5 {
 		t.Errorf("Mean = (%v, %v), want (2.5, nil)", got, err)
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	if _, err := StdDev([]float64{1}); !errors.Is(err, ErrNoData) {
-		t.Errorf("StdDev(single) error = %v", err)
-	}
-	got, err := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatalf("StdDev: %v", err)
-	}
-	if math.Abs(got-2.138) > 0.01 {
-		t.Errorf("StdDev = %.4f, want ~2.138", got)
 	}
 }
 
@@ -101,12 +87,12 @@ func TestBoxPlot(t *testing.T) {
 
 func TestExponentialMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var w Welford
-	for i := 0; i < 200000; i++ {
-		w.Add(Exponential(rng, 2.0))
+	xs := make([]float64, 200000)
+	for i := range xs {
+		xs[i] = Exponential(rng, 2.0)
 	}
-	if math.Abs(w.Mean()-2.0) > 0.05 {
-		t.Errorf("exponential mean = %.4f, want ~2.0", w.Mean())
+	if m, err := Mean(xs); err != nil || math.Abs(m-2.0) > 0.05 {
+		t.Errorf("exponential mean = (%.4f, %v), want ~2.0", m, err)
 	}
 }
 
@@ -122,59 +108,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 	if math.Abs(med-math.E) > 0.1 {
 		t.Errorf("log-normal median = %.4f, want ~e", med)
-	}
-}
-
-func TestPoisson(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	if Poisson(rng, 0) != 0 {
-		t.Error("Poisson(0) != 0")
-	}
-	if Poisson(rng, -1) != 0 {
-		t.Error("Poisson(negative) != 0")
-	}
-	var w Welford
-	for i := 0; i < 100000; i++ {
-		w.Add(float64(Poisson(rng, 3.5)))
-	}
-	if math.Abs(w.Mean()-3.5) > 0.1 {
-		t.Errorf("Poisson mean = %.4f, want ~3.5", w.Mean())
-	}
-	if math.Abs(w.Variance()-3.5) > 0.2 {
-		t.Errorf("Poisson variance = %.4f, want ~3.5", w.Variance())
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(100)
-		xs := make([]float64, n)
-		var w Welford
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 10
-			w.Add(xs[i])
-		}
-		bm, err1 := Mean(xs)
-		bs, err2 := StdDev(xs)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return math.Abs(w.Mean()-bm) < 1e-9 && math.Abs(w.StdDev()-bs) < 1e-9 && w.N() == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.N() != 0 {
-		t.Error("zero-value Welford not neutral")
-	}
-	w.Add(5)
-	if w.Variance() != 0 {
-		t.Error("variance with one sample should be 0")
 	}
 }
 

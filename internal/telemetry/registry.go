@@ -148,26 +148,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labelKeys ...
 	return r.register(name, help, KindHistogram, buckets, labelKeys)
 }
 
-// Unregister removes the named family from the registry. Handles already
-// obtained with With keep working but no longer appear in snapshots or the
-// exposition; a later registration of the same name starts a fresh family
-// (possibly with a different shape). It reports whether the family existed.
-func (r *Registry) Unregister(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.families[name]; !ok {
-		return false
-	}
-	delete(r.families, name)
-	for i, n := range r.order {
-		if n == name {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
 // Reset zeroes every series of every family in place: counters and gauges
 // return to 0, histograms forget their observations. Families, label keys,
 // and existing series handles survive, so code holding a *Metric keeps

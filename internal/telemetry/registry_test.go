@@ -248,43 +248,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestUnregister(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("gone", "").With()
-	c.Inc()
-	reg.Gauge("kept", "").With().Set(1)
-
-	if !reg.Unregister("gone") {
-		t.Fatal("Unregister(existing) = false")
-	}
-	if reg.Unregister("gone") {
-		t.Error("Unregister(missing) = true")
-	}
-	snap := reg.Snapshot()
-	if len(snap) != 1 || snap[0].Name != "kept" {
-		t.Fatalf("snapshot after Unregister = %+v, want only kept", snap)
-	}
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "gone") {
-		t.Error("unregistered family still in exposition")
-	}
-
-	// The detached handle keeps working; re-registering the name starts a
-	// fresh family, with a different shape allowed.
-	c.Inc()
-	if c.Value() != 2 {
-		t.Errorf("detached handle = %g, want 2", c.Value())
-	}
-	g := reg.Gauge("gone", "", "op").With("x")
-	g.Set(9)
-	if g.Value() != 9 {
-		t.Errorf("re-registered family = %g, want 9", g.Value())
-	}
-}
-
 func TestResetConcurrentWithPublishers(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("n", "").With()

@@ -106,18 +106,29 @@ func (c *opCell) rates(sec int64) (countRate, byteRate float64) {
 	return float64(cnt) / rateWindow, float64(byt) / rateWindow
 }
 
-// tenantCell is the accounting state of one tenant.
-type tenantCell struct {
-	ops            map[string]*opCell
-	crossRackBytes int64
-	intraRackBytes int64
+// The op cells ChargeFabric charges: a tenant's cross- and intra-rack byte
+// totals are these two cells' bytes.
+const (
+	opCross = "xfer-cross"
+	opIntra = "xfer-intra"
+)
+
+// fabricBytes reads a tenant's cross- and intra-rack bytes off its op cells.
+func fabricBytes(ops map[string]*opCell) (cross, intra int64) {
+	if c := ops[opCross]; c != nil {
+		cross = c.bytes
+	}
+	if c := ops[opIntra]; c != nil {
+		intra = c.bytes
+	}
+	return cross, intra
 }
 
 // Table is the shared per-tenant accounting grid. All methods are safe for
 // concurrent use; a nil *Table ignores charges and returns empty snapshots.
 type Table struct {
 	mu      sync.Mutex
-	tenants map[string]*tenantCell
+	tenants map[string]map[string]*opCell // tenant → op → cell
 	owners  map[topology.BlockID]string
 	now     func() time.Time // injectable for rate tests
 }
@@ -125,7 +136,7 @@ type Table struct {
 // NewTable builds an empty accounting table.
 func NewTable() *Table {
 	return &Table{
-		tenants: make(map[string]*tenantCell),
+		tenants: make(map[string]map[string]*opCell),
 		owners:  make(map[topology.BlockID]string),
 		now:     time.Now,
 	}
@@ -136,15 +147,15 @@ func (t *Table) cellLocked(tenant, op string) *opCell {
 	if tenant == "" {
 		tenant = System
 	}
-	tc, ok := t.tenants[tenant]
+	ops, ok := t.tenants[tenant]
 	if !ok {
-		tc = &tenantCell{ops: make(map[string]*opCell)}
-		t.tenants[tenant] = tc
+		ops = make(map[string]*opCell)
+		t.tenants[tenant] = ops
 	}
-	c, ok := tc.ops[op]
+	c, ok := ops[op]
 	if !ok {
 		c = &opCell{}
-		tc.ops[op] = c
+		ops[op] = c
 	}
 	return c
 }
@@ -161,30 +172,16 @@ func (t *Table) Charge(tenant, op string, count, bytes int64) {
 }
 
 // ChargeFabric attributes fabric payload bytes to the tenant, split by rack
-// locality, and also charges the "xfer-cross"/"xfer-intra" op cells so
-// transfer rates show up in the op grid. The fabric calls this at the same
-// point it increments its own cross-/intra-rack totals, so summing the
-// table over tenants reproduces the fabric totals exactly.
+// locality, in the "xfer-cross"/"xfer-intra" op cells, so transfer rates
+// show up in the op grid. The fabric calls this at the same point it
+// increments its own cross-/intra-rack totals, so summing the table over
+// tenants reproduces the fabric totals exactly.
 func (t *Table) ChargeFabric(tenant string, cross bool, bytes int64) {
-	if t == nil {
-		return
-	}
-	if tenant == "" {
-		tenant = System
-	}
-	op := "xfer-intra"
+	op := opIntra
 	if cross {
-		op = "xfer-cross"
+		op = opCross
 	}
-	t.mu.Lock()
-	t.cellLocked(tenant, op).charge(t.now().Unix(), 0, bytes)
-	tc := t.tenants[tenant]
-	if cross {
-		tc.crossRackBytes += bytes
-	} else {
-		tc.intraRackBytes += bytes
-	}
-	t.mu.Unlock()
+	t.Charge(tenant, op, 0, bytes)
 }
 
 // SetOwner records the owning tenant of a block (called at allocation).
@@ -238,14 +235,10 @@ func (t *Table) Snapshot() []TenantStats {
 	defer t.mu.Unlock()
 	sec := t.now().Unix()
 	out := make([]TenantStats, 0, len(t.tenants))
-	for name, tc := range t.tenants {
-		row := TenantStats{
-			Tenant:         name,
-			CrossRackBytes: tc.crossRackBytes,
-			IntraRackBytes: tc.intraRackBytes,
-			Ops:            make([]OpStats, 0, len(tc.ops)),
-		}
-		for op, c := range tc.ops {
+	for name, ops := range t.tenants {
+		row := TenantStats{Tenant: name, Ops: make([]OpStats, 0, len(ops))}
+		row.CrossRackBytes, row.IntraRackBytes = fabricBytes(ops)
+		for op, c := range ops {
 			cr, br := c.rates(sec)
 			row.Ops = append(row.Ops, OpStats{
 				Op: op, Count: c.count, Bytes: c.bytes,
@@ -260,7 +253,7 @@ func (t *Table) Snapshot() []TenantStats {
 }
 
 // FabricTotals sums cross- and intra-rack attributed bytes over every
-// tenant — the quantity the earanalysis cross-check compares against the
+// tenant — the quantity the earexp tenant cross-check compares against the
 // fabric's own counters.
 func (t *Table) FabricTotals() (cross, intra int64) {
 	if t == nil {
@@ -268,9 +261,10 @@ func (t *Table) FabricTotals() (cross, intra int64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, tc := range t.tenants {
-		cross += tc.crossRackBytes
-		intra += tc.intraRackBytes
+	for _, ops := range t.tenants {
+		c, i := fabricBytes(ops)
+		cross += c
+		intra += i
 	}
 	return cross, intra
 }
