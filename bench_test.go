@@ -53,7 +53,7 @@ func benchPolicy(b *testing.B, name string) {
 func BenchmarkPlacementRR(b *testing.B) { benchPolicy(b, "rr") }
 
 // BenchmarkPlacementEAR measures EAR's placement cost per block, including
-// the incremental max-flow feasibility check.
+// the max-flow admission check.
 func BenchmarkPlacementEAR(b *testing.B) { benchPolicy(b, "ear") }
 
 // --- Ablation benchmarks ---------------------------------------------------

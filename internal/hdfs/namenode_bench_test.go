@@ -20,8 +20,9 @@ func benchPlacementConfig(b *testing.B) placement.Config {
 }
 
 // BenchmarkAllocateBlock measures the metadata path of one allocation:
-// per-core-rack placement shards, striped block table, rollback-based
-// incremental feasibility. On a single-core host serial and parallel read
+// per-core-rack placement shards, striped block table, and EAR's admission
+// (the direct path, else one from-scratch solve of the open stripe's flow
+// graph). On a single-core host serial and parallel read
 // the same per-op cost; on multi-core the parallel arm shows what the
 // sharding buys.
 func BenchmarkAllocateBlock(b *testing.B) {

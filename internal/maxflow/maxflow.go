@@ -77,10 +77,9 @@ func (g *Graph) Reset() {
 
 // Checkpoint marks the current graph state — edge set and residual
 // capacities — for a later Rollback. While at least one checkpoint is
-// outstanding every capacity mutation is journaled (O(1) per push), so
-// tentatively adding edges and pushing flow costs nothing to undo: this is
-// what makes EAR's per-candidate feasibility check zero-clone. Checkpoints
-// nest LIFO: release each one with either Rollback or Commit.
+// outstanding every capacity mutation is journaled (O(1) per push), so edges
+// added and flow pushed since are undone without cloning the graph.
+// Checkpoints nest LIFO: release each one with either Rollback or Commit.
 func (g *Graph) Checkpoint() Checkpoint {
 	g.recording++
 	return Checkpoint{edges: len(g.edges), undoLen: len(g.undo)}
@@ -159,9 +158,10 @@ func (g *Graph) push(id int, d int64) {
 // AugmentOne searches for a single s-t augmenting path in the residual graph
 // (plain BFS, shortest path) and pushes its bottleneck flow, returning the
 // amount pushed — 0 when s and t are disconnected in the residual graph.
-// When at most one unit of additional flow is possible — EAR's case, where a
-// new block vertex hangs off the source by a unit-capacity edge — one call
-// decides feasibility without re-running the full blocking-flow search.
+// When at most one unit of additional flow is possible — a new block vertex
+// hanging off the source by a unit-capacity edge of a stripe's flow graph —
+// one call decides feasibility without re-running the full blocking-flow
+// search.
 func (g *Graph) AugmentOne(s, t int) (int64, error) {
 	if s < 0 || s >= g.n || t < 0 || t >= g.n {
 		return 0, fmt.Errorf("%w: flow %d -> %d in graph of %d", ErrInvalidVertex, s, t, g.n)
@@ -238,8 +238,9 @@ func (g *Graph) EdgeFlow(id int) (int64, error) {
 
 // MaxFlow computes the maximum s-t flow with Dinic's algorithm. It may be
 // called repeatedly after adding edges; flow accumulates across calls (each
-// call returns only the additional flow pushed), which gives the EAR
-// algorithm its cheap incremental feasibility checks.
+// call returns only the additional flow pushed), which is how the
+// post-encoding planner gives a withheld place back to the core rack without
+// solving again from zero.
 func (g *Graph) MaxFlow(s, t int) (int64, error) {
 	if s < 0 || s >= g.n || t < 0 || t >= g.n {
 		return 0, fmt.Errorf("%w: flow %d -> %d in graph of %d", ErrInvalidVertex, s, t, g.n)

@@ -83,8 +83,8 @@ func TestPlaceFromAvoidsReplicasInFlight(t *testing.T) {
 			core, _ := top.RackOf(writer)
 			// What EAR may draw from: the open stripe's room, or all of it.
 			var room *stripeRoom
-			if os := ear.open[core]; os != nil {
-				room = os.room
+			if info := ear.open[core]; info != nil {
+				room = ear.roomOf(info)
 			}
 			var racks []topology.RackID
 			for _, r := range allRacks(top) {

@@ -305,39 +305,6 @@ func TestEARTargetRacks(t *testing.T) {
 	}
 }
 
-func TestEARFullRecomputeEquivalence(t *testing.T) {
-	// The incremental and full-recompute feasibility checks accept the same
-	// layouts, so identical RNG streams produce identical placements.
-	cfg := baseConfig(t, 10, 6, 9, 6)
-	inc, err := NewEAR(cfg, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatalf("NewEAR: %v", err)
-	}
-	full, err := NewEAR(cfg, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatalf("NewEAR full: %v", err)
-	}
-	full.fullRecompute = true
-	for b := 0; b < 120; b++ {
-		p1, err := inc.Place(topology.BlockID(b))
-		if err != nil {
-			t.Fatalf("inc Place: %v", err)
-		}
-		p2, err := full.Place(topology.BlockID(b))
-		if err != nil {
-			t.Fatalf("full Place: %v", err)
-		}
-		if len(p1.Nodes) != len(p2.Nodes) {
-			t.Fatalf("block %d: placements differ in size", b)
-		}
-		for i := range p1.Nodes {
-			if p1.Nodes[i] != p2.Nodes[i] {
-				t.Fatalf("block %d: incremental %v != full %v", b, p1.Nodes, p2.Nodes)
-			}
-		}
-	}
-}
-
 func TestEARFlushOpen(t *testing.T) {
 	cfg := baseConfig(t, 5, 6, 5, 4)
 	p, err := NewEAR(cfg, rand.New(rand.NewSource(8)))
@@ -359,6 +326,33 @@ func TestEARFlushOpen(t *testing.T) {
 	}
 	if again := p.FlushOpen(); len(again) != 0 {
 		t.Fatal("second FlushOpen should be empty")
+	}
+}
+
+// TestEARFlushOpenSortsByCore: with an open stripe on every one of twelve
+// racks, FlushOpen returns them in ascending core-rack order, as OpenState
+// does, on every fresh policy — not in the open map's order.
+func TestEARFlushOpenSortsByCore(t *testing.T) {
+	cfg := baseConfig(t, 12, 2, 6, 4)
+	for seed := int64(0); seed < 20; seed++ {
+		p, err := NewEAR(cfg, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < cfg.Topology.Racks(); r++ {
+			if _, err := p.PlaceAt(topology.BlockID(r), topology.RackID(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		open := p.FlushOpen()
+		if len(open) != cfg.Topology.Racks() {
+			t.Fatalf("seed %d: FlushOpen returned %d stripes, want %d", seed, len(open), cfg.Topology.Racks())
+		}
+		for i, s := range open {
+			if s.CoreRack != topology.RackID(i) {
+				t.Fatalf("seed %d: stripe %d of the flush has core rack %d, want %d", seed, i, s.CoreRack, i)
+			}
+		}
 	}
 }
 

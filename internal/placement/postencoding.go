@@ -80,19 +80,18 @@ func PlanPostEncoding(cfg Config, info *StripeInfo, rng *rand.Rand) (*PostEncodi
 		return nil, fmt.Errorf("%w: nil rng", ErrInvalidConfig)
 	}
 
-	f, err := newStripeFlow(cfg, info)
+	f, err := newStripeFlow(cfg)
 	if err != nil {
 		return nil, err
 	}
 	// Only here is it decided whether the stripe has a home (RR: no core rack,
 	// reserve 0).
-	if info.CoreRack >= 0 && f.isTarget(info.CoreRack) {
-		f.reserve = min(cfg.N-cfg.K, cfg.C)
+	reserve := 0
+	if info.CoreRack >= 0 && info.isTarget(info.CoreRack) {
+		reserve = min(cfg.N-cfg.K, cfg.C)
 	}
-	for _, pl := range info.Placements {
-		if err := f.addBlock(pl.Nodes); err != nil {
-			return nil, err
-		}
+	if err := f.build(info, reserve); err != nil {
+		return nil, err
 	}
 	// A stripe whose home replicas are all lost has no vertex at home and
 	// nothing to give a withheld place back to.
@@ -138,7 +137,7 @@ func PlanPostEncoding(cfg Config, info *StripeInfo, rng *rand.Rand) (*PostEncodi
 
 // matching extracts, after MaxFlow, the node matched to each block (or -1).
 func (f *stripeFlow) matching() ([]topology.NodeID, error) {
-	out := make([]topology.NodeID, f.blocks)
+	out := make([]topology.NodeID, len(f.blockEdges))
 	for i := range out {
 		out[i] = -1
 	}

@@ -85,36 +85,21 @@ func cloneNodes(nodes []topology.NodeID) []topology.NodeID {
 	return append([]topology.NodeID(nil), nodes...)
 }
 
-// randomLayout generates one replica layout into fresh memory. Hot paths use
-// randomLayoutInto with a persistent scratch instead.
-func randomLayout(cfg Config, coreRack topology.RackID, remoteRacks []topology.RackID, rng *rand.Rand) ([]topology.NodeID, error) {
-	var s layoutScratch
-	nodes, err := randomLayoutInto(cfg, coreRack, remoteRacks, nil, nil, rng, &s)
-	if err != nil {
-		return nil, err
-	}
-	return cloneNodes(nodes), nil
-}
-
 // stripeRoom is where an open EAR stripe's flow graph can still take a block
-// without rerouting. The flow through a rack's sink edge never exceeds the
-// blocks that reach the rack, so a rack with fewer than c has residual
-// capacity whatever matching the graph holds: the steered draw reads only
-// this, and decides alike over the incremental flow, the full recompute and a
-// replayed policy.
+// without rerouting, rebuilt from the stripe's placements (EAR.roomOf). The
+// flow through a rack's sink edge never exceeds the blocks that reach the
+// rack, so a rack with fewer than c has residual capacity whatever matching
+// the graph holds: the steered draw and the direct admission read only this.
 type stripeRoom struct {
 	taken  []bool // by node
 	nodes  []int  // by rack: nodes taken
 	blocks []int  // by rack: blocks of the stripe with a replica there
 }
 
-// add records a layout the stripe has admitted, which has checked its nodes
-// (nil: a stripe without room). A layout lists the replicas of one rack
-// together; one that did not would count as more blocks, the safe side.
+// add records a layout the stripe has admitted, which has checked its nodes.
+// A layout lists the replicas of one rack together; one that did not would
+// count as more blocks, the safe side.
 func (m *stripeRoom) add(top *topology.Topology, nodes []topology.NodeID) {
-	if m == nil {
-		return
-	}
 	prev := topology.RackID(-1)
 	for _, n := range nodes {
 		r, _ := top.RackOf(n)
@@ -127,6 +112,23 @@ func (m *stripeRoom) add(top *topology.Topology, nodes []topology.NodeID) {
 		}
 		prev = r
 	}
+}
+
+// admits reports whether the candidate layout reaches the sink of the
+// stripe's flow graph by the direct path: some replica on a node the stripe
+// does not occupy, in a target rack fewer than c of its blocks reach, so
+// source -> block -> node -> rack -> sink has spare capacity whatever
+// matching the graph holds. Every node is checked against the topology.
+func (m *stripeRoom) admits(cfg Config, info *StripeInfo, nodes []topology.NodeID) (bool, error) {
+	direct := false
+	for _, n := range nodes {
+		r, err := cfg.Topology.RackOf(n)
+		if err != nil {
+			return false, err
+		}
+		direct = direct || !m.taken[n] && m.blocks[r] < cfg.C && info.isTarget(r)
+	}
+	return direct, nil
 }
 
 // randomLayoutInto generates one replica layout using the scratch buffers. If

@@ -3,6 +3,7 @@ package placement
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ear/internal/topology"
@@ -71,7 +72,7 @@ func TestRestorePlacementMirrorsLivePolicy(t *testing.T) {
 	}
 }
 
-func TestRestoreOpenStateRebuildsFlow(t *testing.T) {
+func TestRestoreOpenStateRoundTrips(t *testing.T) {
 	cfg := Config{Topology: mustTop(t, 8, 6), K: 6, N: 8}
 	live, _ := driveAndMirror(t, cfg, 100, 3)
 	next, open := live.OpenState()
@@ -90,7 +91,7 @@ func TestRestoreOpenStateRebuildsFlow(t *testing.T) {
 	if n2 != next || !reflect.DeepEqual(open2, open) {
 		t.Fatalf("round trip diverged:\nwant %d %+v\ngot  %d %+v", next, open, n2, open2)
 	}
-	// The rebuilt flow graphs are live: filling an open stripe to k seals it.
+	// The restored stripes are live: filling an open stripe to k seals it.
 	info := open[0]
 	for i := len(info.Blocks); i < cfg.K; i++ {
 		if _, err := fresh.PlaceAt(topology.BlockID(1000+i), info.CoreRack); err != nil {
@@ -145,5 +146,34 @@ func TestRestorePlacementRejectsInfeasibleLayout(t *testing.T) {
 	}
 	if err := p.RestorePlacement(3, 0, layout, targets, 1); err == nil {
 		t.Fatal("third identical layout should be infeasible and rejected")
+	}
+}
+
+// TestRestoreOpenStateRejectsInfeasibleLayout: a snapshot whose open stripe
+// records the three identical layouts above is refused, and its first two
+// alone restore. k is 4 here, so that the open stripe is not refused for
+// holding k blocks first.
+func TestRestoreOpenStateRejectsInfeasibleLayout(t *testing.T) {
+	cfg := Config{Topology: mustTop(t, 4, 4), K: 4, N: 5, TargetRacks: 3, C: 2, Replicas: 2}
+	p, err := NewEAR(cfg, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &StripeInfo{ID: 5, CoreRack: 0, Targets: []topology.RackID{0, 1, 2}}
+	for b := topology.BlockID(1); b <= 3; b++ {
+		rec.Blocks = append(rec.Blocks, b)
+		rec.Placements = append(rec.Placements, topology.Placement{Block: b, Nodes: []topology.NodeID{0, 4}})
+		rec.Iterations = append(rec.Iterations, 1)
+	}
+	if err := p.RestoreOpenState(6, []*StripeInfo{rec}); err == nil || !strings.Contains(err.Error(), "rejected") {
+		t.Fatalf("RestoreOpenState of three identical layouts: %v, want the third rejected", err)
+	}
+	two := rec.Clone()
+	two.Blocks, two.Placements, two.Iterations = two.Blocks[:2], two.Placements[:2], two.Iterations[:2]
+	if err := p.RestoreOpenState(6, []*StripeInfo{two}); err != nil {
+		t.Fatalf("RestoreOpenState of the first two layouts: %v", err)
+	}
+	if next, open := p.OpenState(); next != 6 || !reflect.DeepEqual(open, []*StripeInfo{two}) {
+		t.Fatalf("open state after the restore: %d %+v, want 6 %+v", next, open, two)
 	}
 }
