@@ -31,23 +31,24 @@ var (
 	ErrStreamClosed = errors.New("fabric: stream closed")
 )
 
-// ChunkBytes is the shaping granularity. Flows sharing a link interleave at
-// this grain, approximating fair sharing, and a canceled stream overshoots
-// by at most sendWindow chunks' reservations. It is also the largest slice a
-// stage run of internal/hdfs (replication pipeline, chain fold) walks a block
-// in.
+// ChunkBytes is the shaping granularity: the largest booking a stream makes.
+// Flows sharing a link interleave at no coarser grain, approximating fair
+// sharing, and a canceled stream overshoots by at most sendWindow bytes of
+// reservations. It is also the largest slice a stage run of internal/hdfs
+// (replication pipeline, chain fold) walks a block in.
 const ChunkBytes = 64 << 10
 
 // chunkBytes is the internal alias predating the exported constant.
 const chunkBytes = ChunkBytes
 
-// sendWindow is how many bookings a stream may hold on its links that have
-// not arrived yet: the chunk on the wire and one queued behind it. Every
-// timer oversleeps, and with the next chunk already queued the link stays
-// busy while the host wakes up; with no window (1) each oversleep is idle
-// link time. Streams sharing a link still interleave FIFO, at most a window
-// apart.
-const sendWindow = 2
+// sendWindow is how many booked bytes a stream may hold on its links that
+// have not arrived yet: two chunks, the one on the wire and one queued behind
+// it, or as many smaller bookings as fit in their bytes. Every timer
+// oversleeps, and with the next booking already queued the link stays busy
+// while the host wakes up. Counted in bytes, the window gives streams sharing
+// a link the same byte share whatever size they book in; a booking is at most
+// half the window, so an empty stream always has room for one.
+const sendWindow = 2 * ChunkBytes
 
 // LinkClass groups links by their position in the topology, the grouping
 // Snapshot and the telemetry labels report.
@@ -173,8 +174,10 @@ func (l *Link) accrue(now time.Time) {
 
 // Waited returns the cumulative token-bucket delay the link has imposed:
 // the sum over reservations of how long each caller had to wait for its
-// bytes to clear the link — from the booking, or, for bytes a stream queued
-// behind its own previous booking, from the instant that booking cleared.
+// bytes to clear the link — from the instant they were ready (the booking,
+// or the earlier instant a back-dated booking names), or, for bytes a stream
+// queued behind its own previous booking, from the instant that booking
+// cleared.
 func (l *Link) Waited() time.Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -189,23 +192,30 @@ func (l *Link) setTelemetry(bytes, wait *telemetry.Metric) {
 }
 
 // reserve books n bytes of capacity and returns the instant the bytes will
-// have "arrived" (cleared the link). behind is when the caller's previous
-// reservation clears this link, for a caller that books ahead of its own
-// arrivals (the zero time otherwise): bytes queued behind the caller's own
-// have waited since those cleared, not since the booking call, so booking
-// ahead counts no interval twice in Waited.
-func (l *Link) reserve(n int, behind time.Time) time.Time {
+// have "arrived" (cleared the link). ready is the instant the bytes were
+// ready to leave (the zero time: now). The link serves them from the later
+// of its queue tail and ready, and never from later than now: a booking can
+// reclaim link time that went idle while its sender was waking up, but never
+// time another booking holds, and it leaves no hole in the future. behind is
+// when the caller's previous reservation clears this link, for a caller that
+// books ahead of its own arrivals (the zero time otherwise). The wait runs
+// from the later of behind and ready: bytes queued behind the caller's own
+// have waited since those cleared, so no interval is counted twice in Waited.
+func (l *Link) reserve(n int, behind, ready time.Time) time.Time {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	now := time.Now()
 	l.accrue(now)
-	if l.nextFree.Before(now) {
-		l.nextFree = now
+	if ready.IsZero() || ready.After(now) {
+		ready = now
+	}
+	if l.nextFree.Before(ready) {
+		l.nextFree = ready
 	}
 	l.nextFree = l.nextFree.Add(time.Duration(float64(n) / (l.rate - l.injected) * float64(time.Second)))
 	l.moved += int64(n)
-	if behind.Before(now) {
-		behind = now
+	if behind.Before(ready) {
+		behind = ready
 	}
 	wait := l.nextFree.Sub(behind)
 	l.waited += wait
@@ -555,10 +565,11 @@ type booking struct {
 // Stream is one open src->dst flow over the shaped path. Book reserves
 // payload bytes chunk by chunk on every link and reports when they arrive;
 // Send is Book plus the sleep until then. A stream holds at most sendWindow
-// bookings that have not arrived, so concurrent streams sharing a link
-// interleave at ChunkBytes granularity (the token bucket serves reservations
-// FIFO; no stream is more than the window ahead) and a cancellation leaves at
-// most the window booked but undelivered. Bytes count as delivered — Sent, the
+// booked bytes that have not arrived, so concurrent streams sharing a link
+// interleave at no coarser grain than ChunkBytes and split it by bytes (the
+// token bucket serves reservations FIFO; no stream is more than the window
+// ahead) and a cancellation leaves at most the window booked but
+// undelivered. Bytes count as delivered — Sent, the
 // locality counters, tenant charges, the journal's transfer-finished — once
 // their arrival instant has passed, never at the booking. A stream to the
 // same node is shaped by the node's disk when EnableDisk was called and is
@@ -580,10 +591,11 @@ type Stream struct {
 	sent   int64
 	closed bool
 	// queued holds the bookings that have not been counted as delivered,
-	// oldest first; behind[i] is when the latest booking clears links[i].
-	queued  [sendWindow]booking
-	nQueued int
-	behind  []time.Time
+	// oldest first, and queuedBytes their bytes; behind[i] is when the latest
+	// booking clears links[i].
+	queued      []booking
+	queuedBytes int
+	behind      []time.Time
 }
 
 // OpenStream validates the path and registers an open stream from src to
@@ -637,26 +649,33 @@ func (f *Fabric) OpenStream(ctx context.Context, src, dst topology.NodeID) (*Str
 }
 
 // Book reserves n payload bytes on every link of the path, chunk by chunk,
-// and returns the instant the last of them arrives. It returns as soon as the
-// last chunk is queued, blocking only while the stream already holds
-// sendWindow bookings that have not arrived. A canceled context or a closed
-// stream ends it with bytes of chunks already reserved still booked on the
-// links (at most the window) and not counted as delivered.
-func (s *Stream) Book(ctx context.Context, n int) (arrival time.Time, err error) {
+// and returns the instant the last of them arrives. ready is the instant the
+// bytes were ready to leave, no earlier than the stream's OpenStream (the
+// zero time: now): each link serves them from the later of its queue tail and
+// ready, never from later than the booking, so a sender that books late
+// still gets the link time it left idle (Link.reserve). Book returns as soon
+// as the last chunk is queued, blocking only while the stream's unarrived
+// bookings leave the window no room for the next chunk. A canceled context or
+// a closed stream ends it with bytes of chunks already reserved still booked
+// on the links (at most the window) and not counted as delivered.
+func (s *Stream) Book(ctx context.Context, n int, ready time.Time) (arrival time.Time, err error) {
 	if n < 0 {
 		return time.Time{}, fmt.Errorf("fabric: negative send of %d bytes", n)
 	}
+	if !ready.IsZero() && ready.Before(s.opened) {
+		ready = s.opened
+	}
 	for off := 0; off < n; off += chunkBytes {
-		if arrival, err = s.bookChunk(ctx, min(chunkBytes, n-off)); err != nil {
+		if arrival, err = s.bookChunk(ctx, min(chunkBytes, n-off), ready); err != nil {
 			return time.Time{}, err
 		}
 	}
 	return arrival, nil
 }
 
-// bookChunk waits for room in the window, reserves one chunk of c bytes on
-// every link and queues the booking.
-func (s *Stream) bookChunk(ctx context.Context, c int) (time.Time, error) {
+// bookChunk waits for room in the window, reserves one chunk of c bytes
+// ready at ready on every link and queues the booking.
+func (s *Stream) bookChunk(ctx context.Context, c int, ready time.Time) (time.Time, error) {
 	for {
 		s.mu.Lock()
 		// The context first: a stream closed under a canceled run reports the
@@ -670,7 +689,7 @@ func (s *Stream) bookChunk(ctx context.Context, c int) (time.Time, error) {
 			return time.Time{}, fmt.Errorf("%w: %d->%d", ErrStreamClosed, s.src, s.dst)
 		}
 		s.settle()
-		if s.nQueued < sendWindow {
+		if s.queuedBytes+c <= sendWindow {
 			break
 		}
 		oldest := s.queued[0].arrival
@@ -682,13 +701,13 @@ func (s *Stream) bookChunk(ctx context.Context, c int) (time.Time, error) {
 	defer s.mu.Unlock()
 	var arrival time.Time
 	for i, l := range s.links {
-		s.behind[i] = l.reserve(c, s.behind[i])
+		s.behind[i] = l.reserve(c, s.behind[i], ready)
 		if s.behind[i].After(arrival) {
 			arrival = s.behind[i]
 		}
 	}
-	s.queued[s.nQueued] = booking{arrival, c}
-	s.nQueued++
+	s.queued = append(s.queued, booking{arrival, c})
+	s.queuedBytes += c
 	return arrival, nil
 }
 
@@ -696,7 +715,7 @@ func (s *Stream) bookChunk(ctx context.Context, c int) (time.Time, error) {
 // arrived. It returns the context's error if canceled mid-flight; see Book
 // for what stays booked.
 func (s *Stream) Send(ctx context.Context, n int) error {
-	arrival, err := s.Book(ctx, n)
+	arrival, err := s.Book(ctx, n, time.Time{})
 	if err != nil {
 		return err
 	}
@@ -713,19 +732,20 @@ func (s *Stream) Send(ctx context.Context, n int) error {
 // settle counts every queued booking whose arrival has passed as delivered.
 // The caller holds s.mu.
 func (s *Stream) settle() {
-	if s.nQueued == 0 {
+	if len(s.queued) == 0 {
 		return
 	}
 	now := time.Now()
 	arrived, bytes := 0, 0
-	for arrived < s.nQueued && !s.queued[arrived].arrival.After(now) {
+	for arrived < len(s.queued) && !s.queued[arrived].arrival.After(now) {
 		bytes += s.queued[arrived].bytes
 		arrived++
 	}
 	if arrived == 0 {
 		return
 	}
-	s.nQueued = copy(s.queued[:], s.queued[arrived:s.nQueued])
+	s.queued = s.queued[:copy(s.queued, s.queued[arrived:])]
+	s.queuedBytes -= bytes
 	s.sent += int64(bytes)
 	s.account(bytes)
 }
@@ -777,7 +797,7 @@ func (s *Stream) Close() {
 	}
 	s.closed = true
 	s.settle()
-	s.nQueued = 0
+	s.queued, s.queuedBytes = nil, 0
 	sent := s.sent
 	s.mu.Unlock()
 	s.f.mu.Lock()

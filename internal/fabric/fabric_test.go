@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -206,8 +207,8 @@ func TestLinkMovedAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.reserve(1000, time.Time{})
-	l.reserve(24, time.Time{})
+	l.reserve(1000, time.Time{}, time.Time{})
+	l.reserve(24, time.Time{}, time.Time{})
 	if l.Moved() != 1024 {
 		t.Errorf("Moved = %d, want 1024", l.Moved())
 	}
@@ -325,7 +326,7 @@ func TestLinkWaitedAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.reserve(1<<20, time.Time{}) // one full second of backlog
+	l.reserve(1<<20, time.Time{}, time.Time{}) // one full second of backlog
 	if w := l.Waited(); w != time.Second {
 		t.Errorf("Waited = %v, want 1s", w)
 	}
@@ -438,7 +439,7 @@ func TestStreamAccountsLocality(t *testing.T) {
 func TestConcurrentStreamsShareLinkFairly(t *testing.T) {
 	// Two streams share node0's uplink, which serves them a window at a time:
 	// the last finishes when both payloads have crossed it and the other one
-	// window of chunks earlier, not a payload earlier as it would if the link
+	// window of bytes earlier, not a payload earlier as it would if the link
 	// served them one after the other.
 	top := mustTop(t, 3, 1)
 	const rate = 8 << 20
@@ -470,7 +471,7 @@ func TestConcurrentStreamsShareLinkFairly(t *testing.T) {
 	wg.Wait()
 	both := 2 * onLink(payload, rate)
 	onModel(t, "the stream served last", both, max(elapsed[0], elapsed[1]))
-	onModel(t, "the stream served first", both-sendWindow*onLink(ChunkBytes, rate), min(elapsed[0], elapsed[1]))
+	onModel(t, "the stream served first", both-onLink(sendWindow, rate), min(elapsed[0], elapsed[1]))
 }
 
 func TestStreamTelemetryGauge(t *testing.T) {
@@ -547,7 +548,7 @@ func bookChunks(t *testing.T, s *Stream, n int, behind time.Time) []time.Time {
 	arrivals := make([]time.Time, n)
 	for i := range arrivals {
 		var err error
-		if arrivals[i], err = s.Book(context.Background(), ChunkBytes); err != nil {
+		if arrivals[i], err = s.Book(context.Background(), ChunkBytes, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 		if !behind.IsZero() && !time.Now().Before(behind) {
@@ -572,7 +573,7 @@ func TestBookKeepsIdleLinkBusy(t *testing.T) {
 	}
 	defer s.Close()
 	before := time.Now()
-	first, err := s.Book(ctx, ChunkBytes)
+	first, err := s.Book(ctx, ChunkBytes, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +631,7 @@ func TestBookKeepsIdleLinkBusy(t *testing.T) {
 // TestStreamsShareLinkWithinWindow: two streams booking through one uplink
 // are served FIFO at chunk grain, and the window is as far as either gets
 // ahead. In the order the link serves them, while both have chunks left, no
-// stream has more than sendWindow chunks in a row.
+// stream has more than a window's worth of chunks in a row.
 func TestStreamsShareLinkWithinWindow(t *testing.T) {
 	// Rack-mates, so the sender's uplink is the one link the streams share:
 	// the links of a path are booked one after another, and two streams
@@ -662,7 +663,7 @@ func TestStreamsShareLinkWithinWindow(t *testing.T) {
 			defer wg.Done()
 			<-begin
 			for c := 0; c < chunks; c++ {
-				arrival, err := s.Book(context.Background(), ChunkBytes)
+				arrival, err := s.Book(context.Background(), ChunkBytes, time.Time{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -681,6 +682,7 @@ func TestStreamsShareLinkWithinWindow(t *testing.T) {
 	// Every chunk crosses node0.up, which serves one at a time, and then a
 	// downlink of the stream's own: arrival order is service order.
 	sort.Slice(order, func(a, b int) bool { return order[a].arrival.Before(order[b].arrival) })
+	const window = sendWindow / ChunkBytes
 	left := [2]int{chunks, chunks}
 	run, turns := 0, 0
 	for i, o := range order {
@@ -692,11 +694,11 @@ func TestStreamsShareLinkWithinWindow(t *testing.T) {
 		left[o.stream]--
 		// A run counts against the window only while the other stream is in
 		// the queue too: after its first chunk and before its last.
-		if other := 1 - o.stream; left[other] > 0 && left[other] < chunks && run > sendWindow {
-			t.Errorf("stream %d served %d chunks in a row at position %d with stream %d waiting, window is %d", o.stream, run, i, other, sendWindow)
+		if other := 1 - o.stream; left[other] > 0 && left[other] < chunks && run > window {
+			t.Errorf("stream %d served %d chunks in a row at position %d with stream %d waiting, window is %d", o.stream, run, i, other, window)
 		}
 	}
-	if turns < chunks/sendWindow {
+	if turns < chunks/window {
 		t.Errorf("service changed stream %d times over %d chunks: the streams did not share the link", turns, 2*chunks)
 	}
 }
@@ -726,8 +728,8 @@ func TestCanceledSendOvershootsByTheWindow(t *testing.T) {
 	if sent < 2*ChunkBytes {
 		t.Errorf("Sent = %d after three chunk times, want at least 2 chunks", sent)
 	}
-	if over := moved - sent; over <= 0 || over > sendWindow*ChunkBytes {
-		t.Errorf("links hold %d bytes beyond the %d delivered, want within (0, %d]", over, sent, sendWindow*ChunkBytes)
+	if over := moved - sent; over <= 0 || over > sendWindow {
+		t.Errorf("links hold %d bytes beyond the %d delivered, want within (0, %d]", over, sent, sendWindow)
 	}
 	s.Close()
 	delivered := s.Sent()
@@ -865,7 +867,7 @@ func TestStreamBookerAndReceiver(t *testing.T) {
 		go func() {
 			defer close(arrivals)
 			for c := 0; c < chunks; c++ {
-				arrival, err := s.Book(ctx, ChunkBytes)
+				arrival, err := s.Book(ctx, ChunkBytes, time.Time{})
 				if err != nil {
 					booked <- err
 					return
@@ -891,11 +893,241 @@ func TestStreamBookerAndReceiver(t *testing.T) {
 			t.Fatalf("booker on a stream closed under it = %v, want ErrStreamClosed", err)
 		}
 		sent, moved := s.Sent(), f.nodeUp[0].Moved()
-		if sent < int64(closeAfter)*ChunkBytes || sent > moved || moved-sent > sendWindow*ChunkBytes {
+		if sent < int64(closeAfter)*ChunkBytes || sent > moved || moved-sent > sendWindow {
 			t.Errorf("closed after %d arrivals: Sent = %d with %d booked, want at least the arrivals and at most the window short of the bookings", closeAfter, sent, moved)
 		}
 		if got := f.CrossRackBytes(); got != sent {
 			t.Errorf("CrossRackBytes = %d, want Sent = %d", got, sent)
 		}
 	}
+}
+
+// TestBookingStartsWhenItsBytesWereReady: a booking carries the instant its
+// bytes were ready. On a link idle since then it starts there, not at the
+// booking, so a sender that woke late still gets the link time it left idle
+// and the bytes may have arrived by the time Book returns. A ready instant in
+// the future starts at the booking, and one before the stream opened starts
+// at the open.
+func TestBookingStartsWhenItsBytesWereReady(t *testing.T) {
+	ctx := context.Background()
+	open := func() (*Stream, time.Duration) {
+		f, chunkTime := slowPair(t)
+		s, err := f.OpenStream(ctx, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s, chunkTime
+	}
+	book := func(s *Stream, ready time.Time) time.Time {
+		t.Helper()
+		arrival, err := s.Book(ctx, ChunkBytes, ready)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return arrival
+	}
+
+	s, chunkTime := open()
+	time.Sleep(2 * chunkTime)
+	ready := s.opened.Add(chunkTime / 2)
+	if got := book(s, ready); got != ready.Add(chunkTime) {
+		t.Errorf("a chunk ready in the idle past arrives %v after it was ready, want one chunk time (%v)", got.Sub(ready), chunkTime)
+	}
+	if got := s.Sent(); got != ChunkBytes {
+		t.Errorf("Sent = %d right after booking a chunk whose link time had passed, want %d", got, ChunkBytes)
+	}
+	// The next chunk ready at the same instant waits behind the first: a
+	// booking never takes time another one holds.
+	first := ready.Add(chunkTime)
+	if got := book(s, ready); got != first.Add(chunkTime) {
+		t.Errorf("a second chunk ready at the same instant arrives %v after the first, want %v", got.Sub(first), chunkTime)
+	}
+
+	s, chunkTime = open()
+	before := time.Now()
+	booked := book(s, before.Add(time.Hour)).Add(-chunkTime)
+	if after := time.Now(); booked.Before(before) || booked.After(after) {
+		t.Errorf("a chunk ready an hour from now was served from %v after the call began, want an instant inside the call (%v long)",
+			booked.Sub(before), after.Sub(before))
+	}
+
+	s, chunkTime = open()
+	time.Sleep(chunkTime)
+	if got := book(s, s.opened.Add(-time.Hour)); got != s.opened.Add(chunkTime) {
+		t.Errorf("a chunk ready before the stream opened arrives %v after the open, want one chunk time (%v)", got.Sub(s.opened), chunkTime)
+	}
+}
+
+// TestLinkNeverBooksMoreThanItsRate books a link with ready instants drawn
+// from the idle past, the busy past, now and the future, between sleeps of
+// random length. Whatever the instants, the link serves its bookings one
+// after another: over any interval [a, b] it books no more than
+// rate × (b − a) + one booking, it never starts a booking later than both its
+// queue tail and the call (no hole in the future), and no booking adds a
+// negative wait.
+func TestLinkNeverBooksMoreThanItsRate(t *testing.T) {
+	const rate = 1 << 20
+	l, err := NewLink("x", rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	type served struct {
+		start, end time.Time
+		bytes      int
+	}
+	var log []served
+	var tail time.Time
+	// Bookings of up to 8 ms between sleeps of up to 8 ms: the link is busy
+	// at some calls and idle at others.
+	for i := 0; i < 80; i++ {
+		time.Sleep(time.Duration(rng.Intn(8000)) * time.Microsecond)
+		n := 1 + rng.Intn(8<<10)
+		var ready time.Time
+		switch rng.Intn(4) {
+		case 1:
+			ready = time.Now().Add(-time.Duration(rng.Intn(20000)) * time.Microsecond)
+		case 2:
+			ready = time.Now()
+		case 3:
+			ready = time.Now().Add(time.Duration(rng.Intn(20000)) * time.Microsecond)
+		}
+		waited := l.Waited()
+		before := time.Now()
+		end := l.reserve(n, time.Time{}, ready)
+		after := time.Now()
+		if d := l.Waited() - waited; d < 0 {
+			t.Errorf("booking %d added %v to Waited", i, d)
+		}
+		start := end.Add(-onLink(n, rate))
+		if start.Before(tail) {
+			t.Errorf("booking %d starts %v before the link's previous booking ends", i, tail.Sub(start))
+		}
+		if latest := maxTime(tail, after); start.After(latest) {
+			t.Errorf("booking %d starts %v after both the queue tail and the call: a hole in the future", i, start.Sub(latest))
+		}
+		if !ready.IsZero() && start.Before(minTime(ready, before)) {
+			t.Errorf("booking %d starts %v before its bytes were ready", i, minTime(ready, before).Sub(start))
+		}
+		log = append(log, served{start, end, n})
+		tail = end
+	}
+	for i := range log {
+		bytes := 0
+		for j := i; j < len(log); j++ {
+			bytes += log[j].bytes
+			if limit := rate*log[j].start.Sub(log[i].start).Seconds() + float64(log[j].bytes); float64(bytes) > limit+1 {
+				t.Fatalf("bookings %d..%d start within %v and hold %d bytes, more than rate × interval + one booking (%.0f)",
+					i, j, log[j].start.Sub(log[i].start), bytes, limit)
+			}
+		}
+	}
+}
+
+func maxTime(a, b time.Time) time.Time {
+	if a.After(b) {
+		return a
+	}
+	return b
+}
+
+func minTime(a, b time.Time) time.Time {
+	if a.Before(b) {
+		return a
+	}
+	return b
+}
+
+// TestWaitedCountsNoIntervalTwice: a stream that books four chunks late, all
+// ready at its open on an idle path, has them served back to back from that
+// instant, every one in the past. Each waited one chunk time on every link —
+// the first from the instant it was ready, the rest from the instant the one
+// before cleared — so Waited reads exactly 4·c/R: measured from the ready
+// instant alone it would read 10·c/R, and from the booking call, negative.
+func TestWaitedCountsNoIntervalTwice(t *testing.T) {
+	f, chunkTime := slowPair(t)
+	ctx := context.Background()
+	s, err := f.OpenStream(ctx, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	time.Sleep(8 * chunkTime)
+	var last time.Time
+	for c := 0; c < 4; c++ {
+		if last, err = s.Book(ctx, ChunkBytes, s.opened); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := s.opened.Add(4 * chunkTime); last != want {
+		t.Errorf("the fourth chunk arrives %v after the open, want %v", last.Sub(s.opened), 4*chunkTime)
+	}
+	if got := s.Sent(); got != 4*ChunkBytes {
+		t.Errorf("Sent = %d with every chunk's link time in the past, want %d", got, 4*ChunkBytes)
+	}
+	for _, l := range s.links {
+		if got := l.Waited(); got != 4*chunkTime {
+			t.Errorf("%s waited %v over 4 back-dated chunks, want %v", l.Name(), got, 4*chunkTime)
+		}
+	}
+}
+
+// TestStreamsShareLinkByBytes: a fold walking 4 KiB slices and a read
+// walking 64 KiB chunks share one uplink. The window is bytes, so each holds
+// the same bytes in the link's FIFO and each receives half of what the link
+// delivers, within one window, for as long as both have bytes to come. A
+// window of two bookings would give the read sixteen times the fold's share.
+func TestStreamsShareLinkByBytes(t *testing.T) {
+	f, err := New(mustTop(t, 1, 3), 4<<20) // 1 ms a slice, 16 ms a chunk
+	if err != nil {
+		t.Fatal(err)
+	}
+	const payload = 1 << 20
+	type arrived struct {
+		stream, bytes int
+		at            time.Time
+	}
+	var (
+		mu    sync.Mutex
+		order []arrived
+		wg    sync.WaitGroup
+	)
+	begin := make(chan struct{})
+	for i, booking := range []int{4 << 10, ChunkBytes} {
+		s, err := f.OpenStream(context.Background(), 0, topology.NodeID(1+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-begin
+			for off := 0; off < payload; off += booking {
+				at, err := s.Book(context.Background(), booking, time.Time{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				order = append(order, arrived{i, booking, at})
+				mu.Unlock()
+			}
+		}()
+	}
+	close(begin)
+	wg.Wait()
+	sort.SliceStable(order, func(a, b int) bool { return order[a].at.Before(order[b].at) })
+	var got [2]int
+	for _, a := range order {
+		got[a.stream] += a.bytes
+		if got[0] == payload || got[1] == payload {
+			break
+		}
+		if half := (got[0] + got[1]) / 2; min(got[0], got[1]) < half-sendWindow {
+			t.Fatalf("the 4 KiB stream has %d bytes and the 64 KiB one %d: one is more than a window (%d) below half", got[0], got[1], sendWindow)
+		}
+	}
+	t.Logf("when the first stream finished: 4 KiB bookings %d bytes, 64 KiB bookings %d", got[0], got[1])
 }

@@ -30,7 +30,7 @@ func TestMain(m *testing.M) {
 
 // heldTo on the fake clock: every one of ops runs of op takes its closed
 // form, to the rounding of a booking (the fabric truncates a slice's link
-// time to the nanosecond: 8 ns in all over the 208 bookings of a degraded
+// time to the nanosecond: 40 ns in all over the 4 KiB slices of a degraded
 // read), and the same time.Duration as the first. The limit is the wall
 // clock's.
 func heldTo(t *testing.T, what string, ops int, model, _ time.Duration, op func()) {
@@ -55,10 +55,10 @@ func heldTo(t *testing.T, what string, ops int, model, _ time.Duration, op func(
 // ordered by the Go scheduler, so those two phases are held only to their link
 // bound and logged run beside run with the difference. Every plan, task
 // preference and repair target is a function of (seed, what it is for), so
-// the layouts repeat; over 360 runs the encode took 71.289 ms on 353 and
-// 69.336 ms on 7, recovery 86.43-89.36 ms in steps of one 0.98 ms slice.
-// That difference is what is left of ROADMAP item 1(b); the phases join the
-// loop when it is zero.
+// the layouts repeat; over 50 runs the encode took 67.627 ms on every one,
+// recovery 84.47-90.33 ms in steps of one 0.24 ms slice. That difference is
+// what is left of ROADMAP item 1(b); the phases join the loop when it is
+// zero for both.
 func TestLifecycleRepeats(t *testing.T) {
 	a, b := lifecycleOnBench(t), lifecycleOnBench(t)
 	for _, phase := range []struct {

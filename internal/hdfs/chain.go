@@ -9,7 +9,8 @@ package hdfs
 // gf256.MulAddSlice, and forwards the result downstream; the last holder
 // streams each finished row to the node that will store it. A hop reads its
 // members ahead from the shaped disk while the sums are still on their way,
-// and the slice is sized to about a millisecond of link time
+// every stage books its forward from the instant the slice was ready, and
+// the slice is sized so the fill stays a small share of a block time
 // (foldSliceBytes), so the chain is many slices deep and every stage stays
 // busy. Transfer and arithmetic for slice i+1 overlap the forwarding of slice
 // i, and a rack holding several members aggregates them before crossing the
@@ -124,28 +125,32 @@ func (e *holderError) Error() string {
 func (e *holderError) Unwrap() error { return e.err }
 
 // minSliceBytes is the smallest slice a fold derives: below it the per-slice
-// cost of a shaped Send dominates whatever the link rate.
+// cost of a booking dominates whatever the link rate.
 const minSliceBytes = 4 << 10
 
 // fillShare bounds a stage run's fill to 1/fillShare of a block time.
 const fillShare = 16
 
+// sliceCPUTime is the link time below which a slice costs more in per-slice
+// CPU (a booking, a wake-up, a fold call) than it saves in fill.
+const sliceCPUTime = 100 * time.Microsecond
+
 // foldSliceBytes returns the slice a stage run anchored at the given node
 // walks the block in, the one slice rule of the package. A run whose longest
-// path has S fabric streams in series takes B/R + (S-1)·max(s/R, q) for block
-// B, link rate R and slice s, where q ≈ 1 ms is the floor of one shaped Send
-// (a sub-millisecond timer sleep rounds up to about that): one block time
-// plus the fill. A smaller slice fills faster but costs more Sends — every
-// timer oversleeps a little, every Send takes CPU, and runs sharing a link
-// interleave at the slice grain, which delays them all — so the slice is the
-// largest power of two up to fabric.ChunkBytes that keeps the fill within
-// 1/fillShare of the block time, and never less than what one row moves over
-// a link in a millisecond, below which a smaller slice fills no faster: the
-// anchor's current NIC rate (rates change under Fabric.SetAllRates) over
-// 1000, at least minSliceBytes. A 13-stage degraded read walks millisecond
-// slices; a run one stream deep (a copy; a write whose other replica is the
-// writer's own) has no fill and walks fabric.ChunkBytes, the grain a Send is
-// shaped at anyway. A non-zero Config.PipelineChunkBytes pins the slice.
+// path has S fabric streams in series takes B/R + (S-1)·s/R for block B, link
+// rate R and slice s: one block time plus the fill, since every stage books
+// its forward from the instant the slice was ready, not from when its host
+// woke up. A smaller slice fills faster but costs more bookings — each takes
+// CPU, and runs sharing a link interleave at the slice grain — so the slice is
+// the largest power of two up to fabric.ChunkBytes that keeps the fill within
+// 1/fillShare of the block time, at least minSliceBytes. Where a link moves
+// more than a slice in sliceCPUTime at the anchor's current NIC rate (rates
+// change under Fabric.SetAllRates), as on an unshaped fabric, per-slice CPU is
+// the only cost and the slice grows past that too. A 13-stage degraded read
+// or a 4-hop encode of 256 KiB blocks on 16 MiB/s links walks 4 KiB slices; a
+// run one stream deep (a copy; a write whose other replica is the writer's
+// own) has no fill and walks fabric.ChunkBytes, the grain a Send is shaped at
+// anyway. A non-zero Config.PipelineChunkBytes pins the slice.
 func (c *Cluster) foldSliceBytes(anchor topology.NodeID, streams int) int {
 	if c.cfg.PipelineChunkBytes > 0 {
 		return c.cfg.PipelineChunkBytes
@@ -156,7 +161,7 @@ func (c *Cluster) foldSliceBytes(anchor topology.NodeID, streams int) int {
 	}
 	slice := minSliceBytes
 	for slice < fabric.ChunkBytes &&
-		(float64(2*slice) <= rate/1000 || 2*slice*(streams-1)*fillShare <= c.cfg.BlockSizeBytes) {
+		(float64(2*slice) <= rate*sliceCPUTime.Seconds() || 2*slice*(streams-1)*fillShare <= c.cfg.BlockSizeBytes) {
 		slice *= 2
 	}
 	return slice
@@ -171,12 +176,14 @@ func (c *Cluster) foldSliceBytes(anchor topology.NodeID, streams int) int {
 // own, and booking is the sender's: a stage that has finished a slice books
 // it, one slice per carried row, on the inbound stream of every stage after
 // it and hands the slice's arrival instant down; a worker beside a stage with
-// members books their slices on the disk from t = 0. Both book ahead of the
-// arrivals as far as a stream's window allows, so links and disks stay busy
-// while the receiving stage is still waking up. The receiving stage sleeps
-// once a slice, until both the upstream sums and its own members have
-// arrived, adopts the upstream accumulators, folds rows over its members and
-// passes the slice on. The walk's grain is foldSliceBytes of the anchor and
+// members books their slices on the disk from the run's start. Both book
+// ahead of the arrivals as far as a stream's window allows, so links and
+// disks stay busy while the receiving stage is still waking up. The
+// receiving stage sleeps once a slice, until both the upstream sums and its
+// own members have arrived, adopts the upstream accumulators, folds rows over
+// its members and passes the slice on, booked as ready at that instant rather
+// than at the later one its host woke up at (the head's slices are ready at
+// the run's start). The walk's grain is foldSliceBytes of the anchor and
 // of how many streams deep the stages are; span opens stage s's span under
 // the one carried by ctx, and every span carries the grain as its "slice"
 // arg. Every goroutine is joined before runStages returns the run's start
@@ -221,21 +228,22 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 			st.diskRead = make(chan time.Time, nSlices)
 		}
 	}
+	start = time.Now()
 	for idx := 0; idx < nSlices; idx++ {
-		stages[0].ready <- sliceArrival{idx: idx}
+		stages[0].ready <- sliceArrival{idx, start}
 	}
 	close(stages[0].ready)
-	start = time.Now()
 
 	g, gctx := workgroup.WithContext(ctx)
 	for s, st := range stages {
 		if st.disk != nil {
 			// Read-ahead: the local members do not depend on the upstream, so
-			// they are booked on the shaped disk slice by slice from t = 0,
-			// beside the inbound slices instead of between receive and fold.
+			// they are booked on the shaped disk slice by slice, all ready at
+			// the start, beside the inbound slices instead of between receive
+			// and fold.
 			g.Go(func() error {
 				for lo := 0; lo < blockSize; lo += slice {
-					arrival, err := st.disk.Book(gctx, len(st.positions)*(min(lo+slice, blockSize)-lo))
+					arrival, err := st.disk.Book(gctx, len(st.positions)*(min(lo+slice, blockSize)-lo), start)
 					if err != nil {
 						return err
 					}
@@ -301,9 +309,10 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 				}
 				st.tLast = now
 				// Send the slice on: one slice-sized sum per row the receiver
-				// carries, attributed by the fabric to every link of the hop.
+				// carries, ready when its inputs arrived, attributed by the
+				// fabric to every link of the hop.
 				for _, n := range st.next {
-					sent, err := n.in.Book(gctx, n.carried*(hi-lo))
+					sent, err := n.in.Book(gctx, n.carried*(hi-lo), arrival)
 					if err != nil {
 						return err
 					}

@@ -335,8 +335,8 @@ func canceledRun(t *testing.T, c *Cluster, want error, what string, run func() e
 // started may outlive it.
 func TestChainFoldCancelAtEveryStage(t *testing.T) {
 	cfg := testConfig("rr")
-	cfg.BlockSizeBytes = 64 << 10
-	cfg.BandwidthBytesPerSec = 64 << 10 // 1 s per block: no fold finishes first
+	cfg.BlockSizeBytes = 256 << 10      // twice a stream's window
+	cfg.BandwidthBytesPerSec = 64 << 10 // 4 s per block: no fold finishes first
 	cfg.DiskBandwidthBytesPerSec = 64 << 10
 	c := newCluster(t, cfg)
 	setRates(t, c, 64<<30, 64<<30)
@@ -415,9 +415,10 @@ func TestChainFoldCancelAtEveryStage(t *testing.T) {
 			unsub()
 			cancel()
 		}
-		// Mid-block: a slice takes 62 ms on link and disk alike, so 150 ms in
-		// every read-ahead worker has booked some slices — those that arrived
-		// and its stream's window — and none all 16.
+		// Mid-block: a block is twice the 128 KiB a stream may hold booked and
+		// unarrived, and a 4 KiB slice takes 62.5 ms on link and disk alike,
+		// so 150 ms in every read-ahead worker has booked some slices — those
+		// that arrived and its stream's window — and none all of them.
 		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 		before := c.Fabric().Snapshot()
 		canceledFold(ctx, rows, context.DeadlineExceeded, "mid-block")
@@ -672,28 +673,31 @@ func TestConcurrentRepairSameStripe(t *testing.T) {
 }
 
 // TestFoldSliceDerivation pins how a stage run sizes its slices: with streams
-// in series, what one row moves over the anchor's NIC in about a millisecond
-// at the fabric's current rate, a power of two within [4 KiB,
-// fabric.ChunkBytes] — more where a larger slice still fills the chain within
-// 1/16 of the block time; with a single stream deep, fabric.ChunkBytes
-// whatever the rate; and whatever Config.PipelineChunkBytes pins it to.
+// in series, the largest power of two within [4 KiB, fabric.ChunkBytes] that
+// fills the chain within 1/16 of the block time, or more where the anchor's
+// NIC moves more than a slice in 100 µs at the fabric's current rate (an
+// unshaped fabric walks fabric.ChunkBytes); with a single stream deep,
+// fabric.ChunkBytes whatever the rate; and whatever Config.PipelineChunkBytes
+// pins it to.
 func TestFoldSliceDerivation(t *testing.T) {
 	cfg := testConfig("ear")
 	c := newCluster(t, cfg)
-	if got := c.foldSliceBytes(0, 2); got != fabric.ChunkBytes {
-		t.Errorf("slice at the configured %g B/s = %d, want %d", cfg.BandwidthBytesPerSec, got, fabric.ChunkBytes)
+	if got := c.foldSliceBytes(0, 2); got != minSliceBytes {
+		t.Errorf("slice of an 8 KiB block at the configured %g B/s = %d, want %d", cfg.BandwidthBytesPerSec, got, minSliceBytes)
 	}
 	// Each row re-rates the same fabric, so every derivation after the first
-	// also shows that the current rate is read, not the configured one.
+	// also shows that the current rate is read, not the configured one. The
+	// 8 KiB block leaves the fill budget no room: the rate alone decides.
 	for _, tc := range []struct {
 		rate float64
 		want int
 	}{
-		{16 << 20, 16 << 10},
-		{32 << 20, 32 << 10},
+		{16 << 20, 4 << 10},
+		{128 << 20, 8 << 10},
+		{256 << 20, 16 << 10},
+		{384 << 20, 32 << 10}, // rounds down to a power of two
 		{64 << 30, 64 << 10},
 		{1 << 20, 4 << 10},
-		{24 << 20, 16 << 10}, // rounds down to a power of two
 	} {
 		setRates(t, c, tc.rate, tc.rate)
 		if got := c.foldSliceBytes(0, 2); got != tc.want {
@@ -704,13 +708,21 @@ func TestFoldSliceDerivation(t *testing.T) {
 		}
 	}
 
-	// A megabyte block on 8 MiB/s links: a millisecond is 8 KiB, and the fill
-	// budget of 64 KiB a block allows more to a run few streams deep.
+	// A megabyte block on 8 MiB/s links: the fill budget of 64 KiB a block
+	// sets the slice, down to the floor for a run 13 streams deep.
 	cfg.BlockSizeBytes, cfg.BandwidthBytesPerSec = 1<<20, 8<<20
 	big := newCluster(t, cfg)
-	for streams, want := range map[int]int{1: 64 << 10, 2: 64 << 10, 3: 32 << 10, 5: 16 << 10, 9: 8 << 10, 13: 8 << 10} {
+	for streams, want := range map[int]int{1: 64 << 10, 2: 64 << 10, 3: 32 << 10, 5: 16 << 10, 9: 8 << 10, 13: 4 << 10} {
 		if got := big.foldSliceBytes(0, streams); got != want {
 			t.Errorf("slice of a 1 MiB block at 8 MiB/s, %d streams deep = %d, want %d", streams, got, want)
+		}
+	}
+	// The benchmark geometry: the 13-stream degraded read and a 4- or
+	// 5-stream encode of 256 KiB blocks on 16 MiB/s links walk 4 KiB.
+	bench := newCluster(t, benchGeometry())
+	for streams, want := range map[int]int{1: 64 << 10, 2: 16 << 10, 3: 8 << 10, 4: 4 << 10, 5: 4 << 10, 13: 4 << 10} {
+		if got := bench.foldSliceBytes(0, streams); got != want {
+			t.Errorf("slice on the benchmark geometry, %d streams deep = %d, want %d", streams, got, want)
 		}
 	}
 

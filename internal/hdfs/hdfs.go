@@ -64,11 +64,12 @@ type Config struct {
 	MapTasks int
 	Seed     int64
 	// PipelineChunkBytes pins the slice in which the chain engine streams
-	// and folds partial sums. 0, the default, derives it per fold from the
-	// fabric's current link rate: what one row moves over a link in about a
-	// millisecond, a power of two between 4 KiB and fabric.ChunkBytes (16 KiB
-	// at 16 MiB/s, 32 KiB at 32 MiB/s, 64 KiB unshaped). Smaller slices fill
-	// the chain faster until one shaped send hits its ~1 ms floor.
+	// and folds partial sums. 0, the default, derives it per fold from how
+	// many streams deep the fold is and the fabric's current link rate: the
+	// largest power of two between 4 KiB and fabric.ChunkBytes that keeps the
+	// fill within 1/16 of a block time (4 KiB for a deep fold of 256 KiB
+	// blocks, 64 KiB one stream deep or unshaped). Smaller slices fill the
+	// chain faster and cost more bookings.
 	PipelineChunkBytes int
 
 	// MetaDir, when set, makes the metadata plane durable: NewCluster opens
