@@ -94,7 +94,7 @@ func storedParity(t *testing.T, c *hdfs.Cluster, contents map[topology.BlockID][
 }
 
 // TestGatherMatchesChain is the differential test of the two encodes: on a
-// spread of (k, m, block size, slice size, rack layout, policy) geometries,
+// spread of (k, m, block size, rack layout, policy) geometries,
 // with a short stripe and an aborted member in each, the chain (EncodeAll)
 // and the gather (through the EncodeAllWith seam) store byte-identical
 // parity, and both store erasure.Coder's. The aborted-member stripe and the
@@ -102,35 +102,32 @@ func storedParity(t *testing.T, c *hdfs.Cluster, contents map[topology.BlockID][
 // kernel that wrote through its input would break the later one's parity.
 func TestGatherMatchesChain(t *testing.T) {
 	geoms := []struct {
-		name  string
-		cfg   hdfs.Config
-		slice int
+		name string
+		cfg  hdfs.Config
 	}{
 		{"ear-6x3-k4n6", hdfs.Config{Racks: 6, NodesPerRack: 3, Policy: "ear", Replicas: 3,
 			K: 4, N: 6, C: 1, BlockSizeBytes: 8 << 10,
-			BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 1}, 2 << 10},
+			BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 1}},
 		{"rr-3x4-k6n9-disk", hdfs.Config{Racks: 3, NodesPerRack: 4, Policy: "rr", Replicas: 2,
 			K: 6, N: 9, C: 3, BlockSizeBytes: 16 << 10,
 			BandwidthBytesPerSec: 64 << 20, DiskBandwidthBytesPerSec: 256 << 20,
-			MapTasks: 2, Seed: 2}, 4 << 10},
+			MapTasks: 2, Seed: 2}},
 		// An odd block size the slice does not divide.
 		{"rr-5x2-k8n10-oddblock", hdfs.Config{Racks: 5, NodesPerRack: 2, Policy: "rr", Replicas: 2,
 			K: 8, N: 10, C: 2, BlockSizeBytes: 10000,
-			BandwidthBytesPerSec: 64 << 20, MapTasks: 3, Seed: 3}, 4096},
+			BandwidthBytesPerSec: 64 << 20, MapTasks: 3, Seed: 3}},
 		{"ear-4x3-k8n12-smallchunk", hdfs.Config{Racks: 4, NodesPerRack: 3, Policy: "ear", Replicas: 2,
 			K: 8, N: 12, C: 3, BlockSizeBytes: 12 << 10,
-			BandwidthBytesPerSec: 64 << 20, MapTasks: 2, Seed: 4}, 1 << 10},
-		// Slice 0: derived from the link rate, over shaped disks.
+			BandwidthBytesPerSec: 64 << 20, MapTasks: 2, Seed: 4}},
+		// A slow link, over shaped disks.
 		{"rr-5x3-k8n10-derived", hdfs.Config{Racks: 5, NodesPerRack: 3, Policy: "rr", Replicas: 2,
 			K: 8, N: 10, C: 2, BlockSizeBytes: 10000,
 			BandwidthBytesPerSec: 4 << 20, DiskBandwidthBytesPerSec: 8 << 20,
-			MapTasks: 3, Seed: 5}, 0},
+			MapTasks: 3, Seed: 5}},
 	}
 	for _, g := range geoms {
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			chainCfg := g.cfg
-			chainCfg.PipelineChunkBytes = g.slice
 			newCluster := func(cfg hdfs.Config) *hdfs.Cluster {
 				c, err := hdfs.NewCluster(cfg)
 				if err != nil {
@@ -139,7 +136,7 @@ func TestGatherMatchesChain(t *testing.T) {
 				t.Cleanup(c.Close)
 				return c
 			}
-			chain, base := newCluster(chainCfg), newCluster(g.cfg)
+			chain, base := newCluster(g.cfg), newCluster(g.cfg)
 			cc, bc := populate(t, chain, g.cfg.Seed+100), populate(t, base, g.cfg.Seed+100)
 
 			cs, err := chain.RaidNode().EncodeAll()

@@ -458,7 +458,6 @@ type A3Options struct {
 	Jobs int
 	// MeanInterarrival between jobs, in scaled time.
 	MeanInterarrival time.Duration
-	SlotsPerNode     int
 }
 
 func (o A3Options) withDefaults() A3Options {
@@ -468,9 +467,6 @@ func (o A3Options) withDefaults() A3Options {
 	}
 	if o.MeanInterarrival == 0 {
 		o.MeanInterarrival = 100 * time.Millisecond
-	}
-	if o.SlotsPerNode == 0 {
-		o.SlotsPerNode = 4
 	}
 	return o
 }
@@ -486,7 +482,6 @@ type A3Result struct {
 // sorted completion offsets.
 func runSwim(opts A3Options, policy string, jobs []mapred.SwimJob) ([]time.Duration, error) {
 	cfg := opts.clusterConfig(policy, 10, 8)
-	cfg.SlotsPerNode = opts.SlotsPerNode
 	c, err := hdfs.NewCluster(cfg)
 	if err != nil {
 		return nil, err

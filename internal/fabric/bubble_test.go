@@ -38,6 +38,16 @@ func onModel(t *testing.T, what string, model time.Duration, runs ...time.Durati
 	}
 }
 
+// inModel holds a duration the model bounds but does not fix, as where two
+// streams book one link at the same instant in an order the scheduler picks,
+// to [lo, hi]: on the fake clock both ends hold.
+func inModel(t *testing.T, what string, lo, hi, got time.Duration) {
+	t.Helper()
+	if got <= lo-time.Microsecond || got >= hi+time.Microsecond {
+		t.Errorf("%s took %v, want the model's %v to %v", what, got, lo, hi)
+	}
+}
+
 // timed runs op twice and holds both runs to the model.
 func timed(t *testing.T, what string, model time.Duration, op func()) {
 	t.Helper()

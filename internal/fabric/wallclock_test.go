@@ -22,6 +22,16 @@ func onModel(t *testing.T, what string, model time.Duration, runs ...time.Durati
 	}
 }
 
+// inModel on the wall clock: the low end of the model's range is a floor,
+// like onModel's model, and the high end is logged with the host tax.
+func inModel(t *testing.T, what string, lo, hi, got time.Duration) {
+	t.Helper()
+	if got <= lo-time.Microsecond {
+		t.Errorf("%s took %v, under the model's %v: the fabric delivered early", what, got, lo)
+	}
+	t.Logf("%s took %v on the wall, %v to %v modelled", what, got, lo, hi)
+}
+
 // timed runs op once and holds it to the model.
 func timed(t *testing.T, what string, model time.Duration, op func()) {
 	t.Helper()

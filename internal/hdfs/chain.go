@@ -150,11 +150,8 @@ const sliceCPUTime = 100 * time.Microsecond
 // or a 4-hop encode of 256 KiB blocks on 16 MiB/s links walks 4 KiB slices; a
 // run one stream deep (a copy; a write whose other replica is the writer's
 // own) has no fill and walks fabric.ChunkBytes, the grain a Send is shaped at
-// anyway. A non-zero Config.PipelineChunkBytes pins the slice.
+// anyway.
 func (c *Cluster) foldSliceBytes(anchor topology.NodeID, streams int) int {
-	if c.cfg.PipelineChunkBytes > 0 {
-		return c.cfg.PipelineChunkBytes
-	}
 	rate, err := c.fab.NodeRate(anchor)
 	if err != nil {
 		return fabric.ChunkBytes // an unknown anchor fails when its stream opens

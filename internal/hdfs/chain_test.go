@@ -84,7 +84,7 @@ func verifyBlockContents(t *testing.T, c *Cluster, contents map[topology.BlockID
 }
 
 // TestChainRepairMatchesPayload is the repair property test: across a spread
-// of (k, m, rack layout, block/chunk size) geometries — with short stripes
+// of (k, m, rack layout, block size) geometries — with short stripes
 // and aborted members in the population — killing a full DataNode and
 // recovering it must restore block and parity content byte-identical to
 // what was written, and no repair may ship more than one partial sum per
@@ -93,16 +93,14 @@ func verifyBlockContents(t *testing.T, c *Cluster, contents map[topology.BlockID
 // geometry.
 func TestChainRepairMatchesPayload(t *testing.T) {
 	geoms := []struct {
-		name  string
-		cfg   Config
-		chunk int
+		name string
+		cfg  Config
 	}{
 		{
 			name: "ear-6x3-k4n6",
 			cfg: Config{Racks: 6, NodesPerRack: 3, Policy: "ear", Replicas: 3,
 				K: 4, N: 6, C: 1, BlockSizeBytes: 8 << 10,
 				BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 1},
-			chunk: 2 << 10,
 		},
 		{
 			name: "rr-3x4-k6n9-disk",
@@ -110,28 +108,25 @@ func TestChainRepairMatchesPayload(t *testing.T) {
 				K: 6, N: 9, C: 3, BlockSizeBytes: 16 << 10,
 				BandwidthBytesPerSec: 64 << 20, DiskBandwidthBytesPerSec: 256 << 20,
 				MapTasks: 2, Seed: 2},
-			chunk: 4 << 10,
 		},
 		{
-			// Odd block size not divisible by the chunk: exercises the
-			// partial final chunk of every repair hop.
+			// Odd block size not divisible by the slice: exercises the
+			// partial final slice of every repair hop.
 			name: "rr-5x3-k8n10-oddblock",
 			cfg: Config{Racks: 5, NodesPerRack: 3, Policy: "rr", Replicas: 2,
 				K: 8, N: 10, C: 2, BlockSizeBytes: 10000,
 				BandwidthBytesPerSec: 64 << 20, MapTasks: 3, Seed: 3},
-			chunk: 4096,
 		},
 		{
 			name: "ear-4x3-k8n12-smallchunk",
 			cfg: Config{Racks: 4, NodesPerRack: 3, Policy: "ear", Replicas: 2,
 				K: 8, N: 12, C: 3, BlockSizeBytes: 12 << 10,
 				BandwidthBytesPerSec: 64 << 20, MapTasks: 2, Seed: 4},
-			chunk: 1 << 10,
 		},
 		{
-			// chunk 0: the slice is derived from the link rate (4 MiB/s gives
-			// the 4 KiB floor), over an odd block with shaped disks, so the
-			// read-ahead and a partial last slice run under the default.
+			// A slow link (4 MiB/s gives the 4 KiB floor) over an odd block
+			// with shaped disks, so the read-ahead and a partial last slice
+			// run.
 			name: "rr-5x3-k8n10-derived",
 			cfg: Config{Racks: 5, NodesPerRack: 3, Policy: "rr", Replicas: 2,
 				K: 8, N: 10, C: 2, BlockSizeBytes: 10000,
@@ -143,7 +138,6 @@ func TestChainRepairMatchesPayload(t *testing.T) {
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := g.cfg
-			cfg.PipelineChunkBytes = g.chunk
 			c := newCluster(t, cfg)
 			contents := populatePipeTest(t, c, cfg.Seed+200)
 			if _, err := c.RaidNode().EncodeAll(); err != nil {
@@ -677,8 +671,7 @@ func TestConcurrentRepairSameStripe(t *testing.T) {
 // fills the chain within 1/16 of the block time, or more where the anchor's
 // NIC moves more than a slice in 100 µs at the fabric's current rate (an
 // unshaped fabric walks fabric.ChunkBytes); with a single stream deep,
-// fabric.ChunkBytes whatever the rate; and whatever Config.PipelineChunkBytes
-// pins it to.
+// fabric.ChunkBytes whatever the rate.
 func TestFoldSliceDerivation(t *testing.T) {
 	cfg := testConfig("ear")
 	c := newCluster(t, cfg)
@@ -723,17 +716,6 @@ func TestFoldSliceDerivation(t *testing.T) {
 	for streams, want := range map[int]int{1: 64 << 10, 2: 16 << 10, 3: 8 << 10, 4: 4 << 10, 5: 4 << 10, 13: 4 << 10} {
 		if got := bench.foldSliceBytes(0, streams); got != want {
 			t.Errorf("slice on the benchmark geometry, %d streams deep = %d, want %d", streams, got, want)
-		}
-	}
-
-	cfg.PipelineChunkBytes = 3000
-	pinned := newCluster(t, cfg)
-	if err := pinned.Fabric().SetAllRates(16 << 20); err != nil {
-		t.Fatal(err)
-	}
-	for _, streams := range []int{1, 2} {
-		if got := pinned.foldSliceBytes(0, streams); got != 3000 {
-			t.Errorf("slice with PipelineChunkBytes 3000, %d stream(s) deep = %d, want it pinned", streams, got)
 		}
 	}
 }

@@ -31,13 +31,15 @@ var ErrNoMetaLog = errors.New("hdfs: no metadata log attached")
 // (it is the only writer of nn.wal, which is read without synchronization
 // afterwards). On a fresh log it degenerates to just attaching it.
 //
-// Replay applies ops through the same helpers the live paths use but
-// publishes no events and records no metrics; call PublishRecoveredState
-// afterwards to backfill the canonical event stream for subscribers that
-// need the full history (the placement auditor).
+// Replay applies ops through the same helpers the live paths use, under mu
+// as they are, but publishes no events and records no metrics; call
+// PublishRecoveredState afterwards to backfill the canonical event stream
+// for subscribers that need the full history (the placement auditor).
 func (nn *NameNode) RecoverMeta(l *metalog.Log) error {
 	start := time.Now()
 	var replayed int64
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	err := l.Recover(nn.restoreSnapshot, func(lsn uint64, payload []byte) error {
 		replayed++
 		return nn.replayOp(lsn, payload)
@@ -74,10 +76,10 @@ func (nn *NameNode) CloseMeta() error {
 
 // --- replay -----------------------------------------------------------------
 
-// replayOp decodes one log record and applies it. It runs single-threaded
-// before the NameNode serves traffic, in LSN order — which, because every op
-// is appended while holding the lock guarding the state it mutates, is a
-// linear extension of each lock domain's live apply order.
+// replayOp decodes one log record and applies it. It runs before the
+// NameNode serves traffic, in LSN order — which, because every op is
+// appended and applied in one hold of mu, is the live apply order. Caller
+// holds mu.
 func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 	op, err := decodeOp(payload)
 	if err != nil {
@@ -85,29 +87,27 @@ func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 	}
 	switch op.kind {
 	case opAllocate:
-		if int(op.shard) < 0 || int(op.shard) >= len(nn.shards) {
+		if int(op.shard) < 0 || int(op.shard) >= len(nn.policies) {
 			return fmt.Errorf("hdfs: replay lsn %d: allocate on unknown shard %d", lsn, op.shard)
 		}
-		sh := nn.shards[op.shard]
 		// Re-apply the recorded placement decision to the policy (EAR keeps
 		// open-stripe state; RR keeps none and skips this). The decision is
 		// in the record, so no randomness is consumed.
-		if sh.ear != nil {
+		if ear := nn.policies[op.shard].ear; ear != nil {
 			if op.core < 0 {
 				return fmt.Errorf("hdfs: replay lsn %d: allocate of block %d has no core rack", lsn, op.block)
 			}
-			if err := sh.ear.RestorePlacement(op.block, op.core, op.nodes, op.targets, op.attempts); err != nil {
+			if err := ear.RestorePlacement(op.block, op.core, op.nodes, op.targets, op.attempts); err != nil {
 				return fmt.Errorf("hdfs: replay lsn %d: %w", lsn, err)
 			}
 		}
-		nn.applyAllocate(op, false)
+		nn.applyAllocateLocked(op, false)
 	case opCommit:
 		meta, err := nn.replayBlock(lsn, op)
 		if err != nil {
 			return err
 		}
 		nn.applyCommitLocked(meta)
-		nn.enqueueRRPending(op.block)
 	case opAbort:
 		meta, err := nn.replayBlock(lsn, op)
 		if err != nil {
@@ -115,24 +115,22 @@ func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 		}
 		nn.applyAbortLocked(meta)
 	case opSealStripe:
-		if int(op.shard) < 0 || int(op.shard) >= len(nn.shards) {
+		if int(op.shard) < 0 || int(op.shard) >= len(nn.policies) {
 			return fmt.Errorf("hdfs: replay lsn %d: seal on unknown shard %d", lsn, op.shard)
 		}
 		// The preceding allocate's RestorePlacement sealed exactly one
 		// stripe on this shard; anything else means log and policy state
 		// disagree.
-		sealed := nn.shards[op.shard].policy.TakeSealed()
+		sealed := nn.policies[op.shard].policy.TakeSealed()
 		if len(sealed) != 1 {
 			return fmt.Errorf("hdfs: replay lsn %d: shard %d has %d sealed stripes, want 1", lsn, op.shard, len(sealed))
 		}
-		nn.mu.Lock()
 		nn.registerStripeLocked(sealed[0])
-		nn.mu.Unlock()
 	case opFlushStripe:
-		if int(op.shard) < 0 || int(op.shard) >= len(nn.shards) {
+		if int(op.shard) < 0 || int(op.shard) >= len(nn.policies) {
 			return fmt.Errorf("hdfs: replay lsn %d: flush on unknown shard %d", lsn, op.shard)
 		}
-		ear := nn.shards[op.shard].ear
+		ear := nn.policies[op.shard].ear
 		if ear == nil {
 			return fmt.Errorf("hdfs: replay lsn %d: shard %d policy cannot drop open stripes", lsn, op.shard)
 		}
@@ -140,47 +138,31 @@ func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 		if info == nil {
 			return fmt.Errorf("hdfs: replay lsn %d: no open stripe on shard %d core rack %d", lsn, op.shard, op.core)
 		}
-		nn.mu.Lock()
 		nn.registerStripeLocked(info)
-		nn.mu.Unlock()
 	case opGroupStripe:
 		// Rebuild the RR group exactly as GroupIntoStripes did: members in
 		// recorded order, placements snapshotted from the block table (which
 		// at this point in the replay holds what it held live).
 		info := &placement.StripeInfo{CoreRack: -1}
 		for _, b := range op.blocks {
-			bs := nn.blockShardFor(b)
-			bs.mu.RLock()
-			meta, ok := bs.blocks[b]
+			meta, ok := nn.blocks[b]
 			if !ok {
-				bs.mu.RUnlock()
 				return fmt.Errorf("hdfs: replay lsn %d: group references unknown block %d", lsn, b)
 			}
 			pl := topology.Placement{Block: b, Nodes: append([]topology.NodeID(nil), meta.Nodes...)}
-			bs.mu.RUnlock()
 			info.Blocks = append(info.Blocks, b)
 			info.Placements = append(info.Placements, pl)
 		}
-		nn.mu.Lock()
 		nn.registerStripeLocked(info)
-		nn.mu.Unlock()
-		nn.rrMu.Lock()
 		nn.removePendingLocked(op.blocks)
-		nn.rrMu.Unlock()
 	case opDrainPending:
-		nn.mu.Lock()
 		nn.applyDrainLocked()
-		nn.mu.Unlock()
 	case opEncodeCommit:
-		nn.mu.Lock()
 		sm, ok := nn.stripes[op.stripe]
 		if !ok {
-			nn.mu.Unlock()
 			return fmt.Errorf("hdfs: replay lsn %d: encode-commit of unknown stripe %d", lsn, op.stripe)
 		}
-		err := nn.applyEncodeLocked(sm, op.plan)
-		nn.mu.Unlock()
-		if err != nil {
+		if err := nn.applyEncodeLocked(sm, op.plan); err != nil {
 			return fmt.Errorf("hdfs: replay lsn %d: %w", lsn, err)
 		}
 	case opBlockMoved:
@@ -190,45 +172,30 @@ func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 		}
 		nn.applyBlockMovedLocked(meta, op.nodes)
 	case opParityMoved:
-		nn.mu.Lock()
 		sm, ok := nn.stripes[op.stripe]
 		if !ok || sm.Plan == nil || op.idx < 0 || op.idx >= len(sm.Plan.Parity) {
-			nn.mu.Unlock()
 			return fmt.Errorf("hdfs: replay lsn %d: stripe %d has no parity index %d", lsn, op.stripe, op.idx)
 		}
 		sm.Plan.Parity[op.idx] = op.node
-		nn.mu.Unlock()
 	case opNodeDead:
-		nn.deadMu.Lock()
 		nn.dead[op.node] = true
-		nn.deadMu.Unlock()
 	case opNodeAlive:
-		nn.deadMu.Lock()
 		delete(nn.dead, op.node)
-		nn.deadMu.Unlock()
 	case opRequeueStripe:
-		nn.mu.Lock()
 		sm, ok := nn.stripes[op.stripe]
 		if !ok {
-			nn.mu.Unlock()
 			return fmt.Errorf("hdfs: replay lsn %d: requeue of unknown stripe %d", lsn, op.stripe)
 		}
 		nn.applyRequeueLocked(sm)
-		nn.mu.Unlock()
 	default:
 		return fmt.Errorf("hdfs: replay lsn %d: unhandled op kind %v", lsn, op.kind)
 	}
 	return nil
 }
 
-// replayBlock resolves the block a replayed op refers to. The caller applies
-// the op without the shard lock: replay is single-threaded, and the apply
-// helpers' Locked suffix refers to the live path's contract.
+// replayBlock resolves the block a replayed op refers to. Caller holds mu.
 func (nn *NameNode) replayBlock(lsn uint64, op *nnOp) (*BlockMeta, error) {
-	bs := nn.blockShardFor(op.block)
-	bs.mu.Lock()
-	meta, ok := bs.blocks[op.block]
-	bs.mu.Unlock()
+	meta, ok := nn.blocks[op.block]
 	if !ok {
 		return nil, fmt.Errorf("hdfs: replay lsn %d: %v of unknown block %d", lsn, op.kind, op.block)
 	}
@@ -257,14 +224,10 @@ func (nn *NameNode) RequeueUnencodedStripes() (int, error) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var lsn uint64
 	for _, id := range ids {
-		op := &nnOp{kind: opRequeueStripe, stripe: id}
-		l, err := nn.logOp(op)
-		if err != nil {
+		var err error
+		if lsn, err = nn.logOp(&nnOp{kind: opRequeueStripe, stripe: id}); err != nil {
 			nn.mu.Unlock()
 			return 0, err
-		}
-		if l > lsn {
-			lsn = l
 		}
 		nn.applyRequeueLocked(nn.stripes[id])
 	}
@@ -276,7 +239,7 @@ func (nn *NameNode) RequeueUnencodedStripes() (int, error) {
 }
 
 // applyRequeueLocked puts a stripe back into the pre-encoding store; the
-// shared apply step of requeue. Caller holds nn.mu.
+// shared apply step of requeue. Caller holds mu.
 func (nn *NameNode) applyRequeueLocked(sm *StripeMeta) {
 	nn.preEncoding = append(nn.preEncoding, sm.Info)
 }
@@ -292,36 +255,6 @@ const (
 	snapBlockCommitted = 1 << 1
 	snapBlockAborted   = 1 << 2
 )
-
-// lockAll acquires every NameNode lock in the global ordering (placement
-// shards by index, then rrMu, mu, block-table shards by index, deadMu),
-// freezing the whole metadata plane; unlockAll releases in reverse. Used
-// only by the snapshot path — every mutation is quiesced, so the captured
-// state is a consistent cut and the log's LastLSN at that moment is exactly
-// the applied prefix.
-func (nn *NameNode) lockAll() {
-	for _, sh := range nn.shards {
-		sh.mu.Lock()
-	}
-	nn.rrMu.Lock()
-	nn.mu.Lock()
-	for i := range nn.blockTab {
-		nn.blockTab[i].mu.Lock()
-	}
-	nn.deadMu.Lock()
-}
-
-func (nn *NameNode) unlockAll() {
-	nn.deadMu.Unlock()
-	for i := len(nn.blockTab) - 1; i >= 0; i-- {
-		nn.blockTab[i].mu.Unlock()
-	}
-	nn.mu.Unlock()
-	nn.rrMu.Unlock()
-	for i := len(nn.shards) - 1; i >= 0; i-- {
-		nn.shards[i].mu.Unlock()
-	}
-}
 
 // appendPlacement / readPlacement extend op.go's codec to placements.
 func appendPlacement(b []byte, pl topology.Placement) []byte {
@@ -373,7 +306,8 @@ func (r *opReader) stripeInfo() *placement.StripeInfo {
 }
 
 // encodeStateLocked serializes the complete metadata plane. The caller holds
-// every lock (lockAll). The encoding is canonical — maps are walked in
+// mu, for reading at least, so no mutation is half applied and the log's
+// LastLSN is exactly the applied prefix. The encoding is canonical — maps are walked in
 // sorted order — so byte equality of two encodings is state equality; the
 // crash-recovery property tests compare exactly these bytes. The policy
 // rngs are deliberately excluded: placement decisions are recorded in ops
@@ -381,19 +315,17 @@ func (r *opReader) stripeInfo() *placement.StripeInfo {
 // differ only in unconsumed randomness are operationally identical.
 func (nn *NameNode) encodeStateLocked(buf []byte) []byte {
 	buf = append(buf, snapshotVersion)
-	buf = appendI64(buf, nn.nextBlock.Load())
+	buf = appendI64(buf, int64(nn.nextBlock))
 	buf = appendI64(buf, int64(nn.nextStripe))
 
-	var blockIDs []topology.BlockID
-	for i := range nn.blockTab {
-		for id := range nn.blockTab[i].blocks {
-			blockIDs = append(blockIDs, id)
-		}
+	blockIDs := make([]topology.BlockID, 0, len(nn.blocks))
+	for id := range nn.blocks {
+		blockIDs = append(blockIDs, id)
 	}
 	sort.Slice(blockIDs, func(i, j int) bool { return blockIDs[i] < blockIDs[j] })
 	buf = appendU32(buf, uint32(len(blockIDs)))
 	for _, id := range blockIDs {
-		m := nn.blockShardFor(id).blocks[id]
+		m := nn.blocks[id]
 		buf = appendI64(buf, int64(m.ID))
 		buf = appendI64(buf, int64(m.Size))
 		buf = appendI64(buf, int64(m.Stripe))
@@ -457,14 +389,14 @@ func (nn *NameNode) encodeStateLocked(buf []byte) []byte {
 	sort.Slice(deadIDs, func(i, j int) bool { return deadIDs[i] < deadIDs[j] })
 	buf = appendNodes(buf, deadIDs)
 
-	buf = appendU32(buf, uint32(len(nn.shards)))
-	for _, sh := range nn.shards {
-		if sh.ear == nil {
+	buf = appendU32(buf, uint32(len(nn.policies)))
+	for _, rp := range nn.policies {
+		if rp.ear == nil {
 			buf = append(buf, 0)
 			continue
 		}
 		buf = append(buf, 1)
-		next, open := sh.ear.OpenState()
+		next, open := rp.ear.OpenState()
 		buf = appendI64(buf, int64(next))
 		buf = appendU32(buf, uint32(len(open)))
 		for _, info := range open {
@@ -476,13 +408,13 @@ func (nn *NameNode) encodeStateLocked(buf []byte) []byte {
 
 // restoreSnapshot rebuilds the metadata plane from a snapshot produced by
 // encodeStateLocked. It runs once, on a freshly constructed NameNode, before
-// log-tail replay; no locks are needed but the helpers take them anyway.
+// log-tail replay. Caller holds mu.
 func (nn *NameNode) restoreSnapshot(state []byte) error {
 	r := &opReader{b: state}
 	if v := r.u8(); r.err == nil && v != snapshotVersion {
 		return fmt.Errorf("hdfs: snapshot version %d, want %d", v, snapshotVersion)
 	}
-	nn.nextBlock.Store(r.i64())
+	nn.nextBlock = topology.BlockID(r.i64())
 	nn.nextStripe = topology.StripeID(r.i64())
 
 	nblocks := r.count()
@@ -498,7 +430,7 @@ func (nn *NameNode) restoreSnapshot(state []byte) error {
 		m.Aborted = flags&snapBlockAborted != 0
 		m.Nodes = r.nodes()
 		if r.err == nil {
-			nn.blockShardFor(m.ID).blocks[m.ID] = m
+			nn.blocks[m.ID] = m
 		}
 	}
 
@@ -541,14 +473,14 @@ func (nn *NameNode) restoreSnapshot(state []byte) error {
 	}
 
 	nshards := r.count()
-	if r.err == nil && nshards != len(nn.shards) {
-		return fmt.Errorf("hdfs: snapshot has %d placement shards, NameNode has %d", nshards, len(nn.shards))
+	if r.err == nil && nshards != len(nn.policies) {
+		return fmt.Errorf("hdfs: snapshot has %d placement shards, NameNode has %d", nshards, len(nn.policies))
 	}
 	for i := 0; i < nshards && r.err == nil; i++ {
 		if r.u8() == 0 {
 			continue
 		}
-		ear := nn.shards[i].ear
+		ear := nn.policies[i].ear
 		if ear == nil {
 			return fmt.Errorf("hdfs: snapshot has open-stripe state for shard %d but its policy keeps none", i)
 		}
@@ -578,8 +510,8 @@ func (nn *NameNode) restoreSnapshot(state []byte) error {
 // (the same bytes a snapshot stores). Two NameNodes with equal digests hold
 // identical metadata; the crash-recovery property tests are built on this.
 func (nn *NameNode) StateDigest() []byte {
-	nn.lockAll()
-	defer nn.unlockAll()
+	nn.mu.RLock()
+	defer nn.mu.RUnlock()
 	return nn.encodeStateLocked(nil)
 }
 
@@ -593,7 +525,7 @@ func (nn *NameNode) StateDigest() []byte {
 func (nn *NameNode) SetAutoSnapshot(every int64) { nn.snapEvery.Store(every) }
 
 // maybeSnapshot checkpoints when the auto-snapshot threshold has passed.
-// Called from waitDurable with no NameNode locks held. Errors are dropped:
+// Called from waitDurable with mu released. Errors are dropped:
 // a failed checkpoint leaves the log longer, not the state worse, and the
 // next explicit SnapshotNow surfaces them.
 func (nn *NameNode) maybeSnapshot() {
@@ -620,10 +552,10 @@ func (nn *NameNode) SnapshotNow() error {
 		return ErrNoMetaLog
 	}
 	start := time.Now()
-	nn.lockAll()
+	nn.mu.RLock()
 	lsn := nn.wal.LastLSN()
 	state := nn.encodeStateLocked(nil)
-	nn.unlockAll()
+	nn.mu.RUnlock()
 	if err := nn.wal.Snapshot(lsn, state); err != nil {
 		return err
 	}
@@ -663,13 +595,11 @@ func (nn *NameNode) PublishRecoveredState(j *events.Journal) {
 	}
 	j.Publish(events.New(events.MetaRecoveryStarted, "namenode"))
 
-	// Clone the plane under the global freeze, publish after releasing.
-	nn.lockAll()
-	blocks := make([]*BlockMeta, 0, 256)
-	for i := range nn.blockTab {
-		for _, m := range nn.blockTab[i].blocks {
-			blocks = append(blocks, cloneBlockMeta(m))
-		}
+	// Clone the plane under mu, publish after releasing it.
+	nn.mu.RLock()
+	blocks := make([]*BlockMeta, 0, len(nn.blocks))
+	for _, m := range nn.blocks {
+		blocks = append(blocks, cloneBlockMeta(m))
 	}
 	stripes := make([]*StripeMeta, 0, len(nn.stripes))
 	for _, sm := range nn.stripes {
@@ -679,7 +609,7 @@ func (nn *NameNode) PublishRecoveredState(j *events.Journal) {
 	for n := range nn.dead {
 		dead = append(dead, n)
 	}
-	nn.unlockAll()
+	nn.mu.RUnlock()
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].ID < blocks[j].ID })
 	sort.Slice(stripes, func(i, j int) bool { return stripes[i].Info.ID < stripes[j].Info.ID })
 	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })

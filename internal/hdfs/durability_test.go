@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 
 	"ear/internal/events"
@@ -26,16 +28,16 @@ func testPlacementCfg(t *testing.T) placement.Config {
 	return placement.Config{Topology: top, Replicas: 2, K: 4, N: 6, C: 2}
 }
 
-// openDurableNN builds a sharded NameNode over a write-ahead log in dir,
-// recovering whatever the directory holds. SyncAlways so every returned
-// mutation is on disk — copying dir at any point is a valid crash image.
-func openDurableNN(t *testing.T, dir, policy string, cfg placement.Config) *NameNode {
+// openDurableNN builds a NameNode over a write-ahead log in dir, recovering
+// whatever the directory holds. Under SyncAlways every returned mutation is
+// on disk, so copying dir at any point is a valid crash image.
+func openDurableNN(t *testing.T, dir, policy string, cfg placement.Config, syncPolicy metalog.SyncPolicy) *NameNode {
 	t.Helper()
 	nn, err := NewShardedNameNode(cfg, policy, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := metalog.Open(metalog.Options{Dir: dir, Sync: metalog.SyncAlways})
+	l, err := metalog.Open(metalog.Options{Dir: dir, Sync: syncPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,6 @@ func copyDir(t *testing.T, src, dst string) {
 // opDriver generates a random but deterministic stream of NameNode
 // mutations, exercising every op kind.
 type opDriver struct {
-	t           *testing.T
 	rng         *rand.Rand
 	nn          *NameNode
 	nodes       int
@@ -76,66 +77,66 @@ type opDriver struct {
 	dead        []topology.NodeID
 }
 
-func (d *opDriver) allocate() {
+func (d *opDriver) allocate() error {
 	meta, err := d.nn.AllocateBlock(1024 + d.rng.Intn(1024))
 	if err != nil {
-		d.t.Fatalf("allocate: %v", err)
+		return fmt.Errorf("allocate: %w", err)
 	}
 	d.uncommitted = append(d.uncommitted, meta.ID)
+	return nil
 }
 
-func (d *opDriver) step() {
+func (d *opDriver) step() error {
 	switch p := d.rng.Intn(100); {
 	case p < 45: // allocate
-		d.allocate()
+		return d.allocate()
 	case p < 70: // commit
 		if len(d.uncommitted) == 0 {
-			d.allocate()
-			return
+			return d.allocate()
 		}
 		i := d.rng.Intn(len(d.uncommitted))
 		id := d.uncommitted[i]
 		d.uncommitted = append(d.uncommitted[:i], d.uncommitted[i+1:]...)
 		if err := d.nn.CommitBlock(id); err != nil {
-			d.t.Fatalf("commit %d: %v", id, err)
+			return fmt.Errorf("commit %d: %w", id, err)
 		}
 		d.committed = append(d.committed, id)
 	case p < 74: // abort
 		if len(d.uncommitted) == 0 {
-			return
+			return nil
 		}
 		i := d.rng.Intn(len(d.uncommitted))
 		id := d.uncommitted[i]
 		d.uncommitted = append(d.uncommitted[:i], d.uncommitted[i+1:]...)
 		if err := d.nn.AbortBlock(id); err != nil {
-			d.t.Fatalf("abort %d: %v", id, err)
+			return fmt.Errorf("abort %d: %w", id, err)
 		}
 	case p < 79: // flush open stripes
 		if _, err := d.nn.FlushOpenStripes(); err != nil {
-			d.t.Fatalf("flush: %v", err)
+			return fmt.Errorf("flush: %w", err)
 		}
 	case p < 86: // drain the pre-encoding store
 		out, err := d.nn.TakePendingStripes()
 		if err != nil {
-			d.t.Fatalf("take pending: %v", err)
+			return fmt.Errorf("take pending: %w", err)
 		}
 		d.drained = append(d.drained, out...)
 	case p < 91: // commit an encoding
 		if len(d.drained) == 0 {
-			return
+			return nil
 		}
 		info := d.drained[0]
 		d.drained = d.drained[1:]
 		plan, err := d.nn.PlanStripe(info)
 		if err != nil {
-			d.t.Fatalf("plan stripe %d: %v", info.ID, err)
+			return fmt.Errorf("plan stripe %d: %w", info.ID, err)
 		}
 		if err := d.nn.CommitEncoding(info.ID, plan); err != nil {
-			d.t.Fatalf("commit encoding %d: %v", info.ID, err)
+			return fmt.Errorf("commit encoding %d: %w", info.ID, err)
 		}
 	case p < 94: // move a block
 		if len(d.committed) == 0 {
-			return
+			return nil
 		}
 		id := d.committed[d.rng.Intn(len(d.committed))]
 		nodes := []topology.NodeID{
@@ -143,7 +144,7 @@ func (d *opDriver) step() {
 			topology.NodeID(d.rng.Intn(d.nodes)),
 		}
 		if err := d.nn.UpdateBlockLocation(id, nodes); err != nil {
-			d.t.Fatalf("move %d: %v", id, err)
+			return fmt.Errorf("move %d: %w", id, err)
 		}
 	case p < 96: // kill a node
 		n := topology.NodeID(d.rng.Intn(d.nodes))
@@ -151,17 +152,18 @@ func (d *opDriver) step() {
 		d.dead = append(d.dead, n)
 	case p < 98: // revive a node
 		if len(d.dead) == 0 {
-			return
+			return nil
 		}
 		n := d.dead[len(d.dead)-1]
 		d.dead = d.dead[:len(d.dead)-1]
 		d.nn.MarkAlive(n)
 	default: // requeue interrupted encodings
 		if _, err := d.nn.RequeueUnencodedStripes(); err != nil {
-			d.t.Fatalf("requeue: %v", err)
+			return fmt.Errorf("requeue: %w", err)
 		}
 		d.drained = nil // everything unencoded is back in the queue
 	}
+	return nil
 }
 
 // TestCrashAtEveryPrefix is the tentpole property: after every single
@@ -178,12 +180,14 @@ func TestCrashAtEveryPrefix(t *testing.T) {
 		t.Run(policy, func(t *testing.T) {
 			cfg := testPlacementCfg(t)
 			dir := t.TempDir()
-			nn := openDurableNN(t, dir, policy, cfg)
+			nn := openDurableNN(t, dir, policy, cfg, metalog.SyncAlways)
 			defer nn.CloseMeta()
-			d := &opDriver{t: t, rng: rand.New(rand.NewSource(11)), nn: nn, nodes: cfg.Topology.Nodes()}
+			d := &opDriver{rng: rand.New(rand.NewSource(11)), nn: nn, nodes: cfg.Topology.Nodes()}
 			const steps = 140
 			for i := 0; i < steps; i++ {
-				d.step()
+				if err := d.step(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
 				if i%37 == 36 {
 					if err := nn.SnapshotNow(); err != nil {
 						t.Fatalf("step %d: snapshot: %v", i, err)
@@ -201,7 +205,7 @@ func TestCrashAtEveryPrefix(t *testing.T) {
 				want := nn.StateDigest()
 				crash := t.TempDir()
 				copyDir(t, dir, crash)
-				rec := openDurableNN(t, crash, policy, cfg)
+				rec := openDurableNN(t, crash, policy, cfg, metalog.SyncAlways)
 				got := rec.StateDigest()
 				wantInFlight(t, rec, fmt.Sprintf("step %d, recovered", i))
 				if n := len(d.uncommitted); n > 0 {
@@ -229,6 +233,76 @@ func TestCrashAtEveryPrefix(t *testing.T) {
 	}
 }
 
+// TestConcurrentOpsReplayToLiveState runs TestCrashAtEveryPrefix's op mix
+// from four goroutines on one durable NameNode, each with its own rng and
+// blocks, beside a goroutine draining the pre-encoding store, for 20 trials
+// a policy: closing the log and recovering from it must give the live state
+// byte for byte. That holds only if every op logs and applies in one hold,
+// so that the log's order is the apply order; RR's grouping queue, whose
+// order the digest carries, shows a commit that queues its block outside
+// that hold.
+func TestConcurrentOpsReplayToLiveState(t *testing.T) {
+	const trials, writers, steps = 20, 4, 100
+	for _, policy := range []string{"ear", "rr"} {
+		t.Run(policy, func(t *testing.T) {
+			cfg := testPlacementCfg(t)
+			diverged := 0
+			for trial := 0; trial < trials && !t.Failed(); trial++ {
+				dir := t.TempDir()
+				nn := openDurableNN(t, dir, policy, cfg, metalog.SyncNone)
+				var drivers sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					d := &opDriver{rng: rand.New(rand.NewSource(int64(100*trial + w))), nn: nn, nodes: cfg.Topology.Nodes()}
+					drivers.Add(1)
+					go func() {
+						defer drivers.Done()
+						for i := 0; i < steps; i++ {
+							if err := d.step(); err != nil {
+								t.Errorf("trial %d, writer %d, step %d: %v", trial, w, i, err)
+								return
+							}
+						}
+					}()
+				}
+				stop := make(chan struct{})
+				drained := make(chan struct{})
+				go func() {
+					defer close(drained)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if _, err := nn.TakePendingStripes(); err != nil {
+							t.Errorf("trial %d, drainer: %v", trial, err)
+							return
+						}
+						runtime.Gosched()
+					}
+				}()
+				drivers.Wait()
+				close(stop)
+				<-drained
+				want := nn.StateDigest()
+				if err := nn.CloseMeta(); err != nil {
+					t.Fatal(err)
+				}
+				rec := openDurableNN(t, dir, policy, cfg, metalog.SyncNone)
+				if !bytes.Equal(want, rec.StateDigest()) {
+					diverged++
+				}
+				if err := rec.CloseMeta(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if diverged > 0 {
+				t.Errorf("in %d of %d trials the recovered state diverges from the live state", diverged, trials)
+			}
+		})
+	}
+}
+
 // TestRecoveredStateBackfillAuditsClean drives traffic through encoding,
 // recovers from the crash image, backfills the canonical event stream via
 // PublishRecoveredState, and asserts the placement auditor — which models
@@ -236,11 +310,13 @@ func TestCrashAtEveryPrefix(t *testing.T) {
 func TestRecoveredStateBackfillAuditsClean(t *testing.T) {
 	cfg := testPlacementCfg(t)
 	dir := t.TempDir()
-	nn := openDurableNN(t, dir, "ear", cfg)
+	nn := openDurableNN(t, dir, "ear", cfg, metalog.SyncAlways)
 	defer nn.CloseMeta()
-	d := &opDriver{t: t, rng: rand.New(rand.NewSource(5)), nn: nn, nodes: cfg.Topology.Nodes()}
+	d := &opDriver{rng: rand.New(rand.NewSource(5)), nn: nn, nodes: cfg.Topology.Nodes()}
 	for i := 0; i < 200; i++ {
-		d.step()
+		if err := d.step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
 	}
 	// Finish cleanly: commit everything outstanding, encode every stripe.
 	for _, id := range d.uncommitted {
@@ -267,7 +343,7 @@ func TestRecoveredStateBackfillAuditsClean(t *testing.T) {
 
 	crash := t.TempDir()
 	copyDir(t, dir, crash)
-	rec := openDurableNN(t, crash, "ear", cfg)
+	rec := openDurableNN(t, crash, "ear", cfg, metalog.SyncAlways)
 	defer rec.CloseMeta()
 	if rec.RecoveredOps() == 0 {
 		t.Fatal("recovery replayed no ops")

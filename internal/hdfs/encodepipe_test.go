@@ -93,23 +93,21 @@ func verifyParities(t *testing.T, c *Cluster, contents map[topology.BlockID][]by
 }
 
 // TestPipelinedEncodeMatchesGather is the chain's payload oracle: for a
-// spread of (k, m, block size, chunk size, rack layout, policy) geometries
+// spread of (k, m, block size, rack layout, policy) geometries
 // — including short and aborted-member stripes — the encode must store
 // erasure.Coder's parity over the written bytes. The differential against
 // the paper's gather, on the same geometries, lives with the gather
 // (internal/experiments/hdfsraid).
 func TestPipelinedEncodeMatchesGather(t *testing.T) {
 	geoms := []struct {
-		name  string
-		cfg   Config
-		chunk int
+		name string
+		cfg  Config
 	}{
 		{
 			name: "ear-6x3-k4n6",
 			cfg: Config{Racks: 6, NodesPerRack: 3, Policy: "ear", Replicas: 3,
 				K: 4, N: 6, C: 1, BlockSizeBytes: 8 << 10,
 				BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 1},
-			chunk: 2 << 10,
 		},
 		{
 			name: "rr-3x4-k6n9-disk",
@@ -117,28 +115,25 @@ func TestPipelinedEncodeMatchesGather(t *testing.T) {
 				K: 6, N: 9, C: 3, BlockSizeBytes: 16 << 10,
 				BandwidthBytesPerSec: 64 << 20, DiskBandwidthBytesPerSec: 256 << 20,
 				MapTasks: 2, Seed: 2},
-			chunk: 4 << 10,
 		},
 		{
-			// Odd block size not divisible by the chunk: exercises the
-			// partial final chunk of every hop.
+			// Odd block size not divisible by the slice: exercises the
+			// partial final slice of every hop.
 			name: "rr-5x2-k8n10-oddblock",
 			cfg: Config{Racks: 5, NodesPerRack: 2, Policy: "rr", Replicas: 2,
 				K: 8, N: 10, C: 2, BlockSizeBytes: 10000,
 				BandwidthBytesPerSec: 64 << 20, MapTasks: 3, Seed: 3},
-			chunk: 4096,
 		},
 		{
 			name: "ear-4x3-k8n12-smallchunk",
 			cfg: Config{Racks: 4, NodesPerRack: 3, Policy: "ear", Replicas: 2,
 				K: 8, N: 12, C: 3, BlockSizeBytes: 12 << 10,
 				BandwidthBytesPerSec: 64 << 20, MapTasks: 2, Seed: 4},
-			chunk: 1 << 10,
 		},
 		{
-			// chunk 0: the slice is derived from the link rate (4 MiB/s gives
-			// the 4 KiB floor), over an odd block with shaped disks, so the
-			// read-ahead and a partial last slice run under the default.
+			// A slow link (4 MiB/s gives the 4 KiB floor) over an odd block
+			// with shaped disks, so the read-ahead and a partial last slice
+			// run.
 			name: "rr-5x3-k8n10-derived",
 			cfg: Config{Racks: 5, NodesPerRack: 3, Policy: "rr", Replicas: 2,
 				K: 8, N: 10, C: 2, BlockSizeBytes: 10000,
@@ -150,9 +145,7 @@ func TestPipelinedEncodeMatchesGather(t *testing.T) {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			pipeCfg := g.cfg
-			pipeCfg.PipelineChunkBytes = g.chunk
-			pipe := newCluster(t, pipeCfg)
+			pipe := newCluster(t, g.cfg)
 			pc := populatePipeTest(t, pipe, g.cfg.Seed+100)
 
 			ps, err := pipe.RaidNode().EncodeAll()

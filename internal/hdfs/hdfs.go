@@ -29,6 +29,9 @@ import (
 // ErrInvalidConfig indicates an unusable cluster configuration.
 var ErrInvalidConfig = errors.New("hdfs: invalid config")
 
+// slotsPerNode is every TaskTracker's map-slot count.
+const slotsPerNode = 4
+
 // Config describes a mini-HDFS cluster. It selects no data path: stripes
 // encode, repair and degraded-read through the one chain engine (chain.go),
 // and the paper's HDFS-RAID gather is a ParityFunc an experiment hands one
@@ -57,20 +60,10 @@ type Config struct {
 	// block reads at this rate, modeling the testbed's SATA disks. 0
 	// leaves local reads unshaped.
 	DiskBandwidthBytesPerSec float64
-	// SlotsPerNode is the TaskTracker map-slot count (default 4).
-	SlotsPerNode int
 	// MapTasks is the number of map tasks per encoding job (default 12,
 	// the paper's setting).
 	MapTasks int
 	Seed     int64
-	// PipelineChunkBytes pins the slice in which the chain engine streams
-	// and folds partial sums. 0, the default, derives it per fold from how
-	// many streams deep the fold is and the fabric's current link rate: the
-	// largest power of two between 4 KiB and fabric.ChunkBytes that keeps the
-	// fill within 1/16 of a block time (4 KiB for a deep fold of 256 KiB
-	// blocks, 64 KiB one stream deep or unshaped). Smaller slices fill the
-	// chain faster and cost more bookings.
-	PipelineChunkBytes int
 
 	// MetaDir, when set, makes the metadata plane durable: NewCluster opens
 	// a write-ahead op log there, recovers whatever a previous incarnation
@@ -100,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BandwidthBytesPerSec == 0 {
 		c.BandwidthBytesPerSec = 32 << 20
-	}
-	if c.SlotsPerNode == 0 {
-		c.SlotsPerNode = 4
 	}
 	if c.MapTasks == 0 {
 		c.MapTasks = 12
@@ -313,9 +303,6 @@ func (c *Cluster) opSpan(ctx context.Context, component, name string) (*telemetr
 // NewCluster builds and starts a cluster.
 func NewCluster(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
-	if cfg.PipelineChunkBytes < 0 {
-		return nil, fmt.Errorf("%w: PipelineChunkBytes %d", ErrInvalidConfig, cfg.PipelineChunkBytes)
-	}
 	top, err := topology.New(cfg.Racks, cfg.NodesPerRack)
 	if err != nil {
 		return nil, err
@@ -372,7 +359,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	jt, err := mapred.NewJobTracker(top, cfg.SlotsPerNode)
+	jt, err := mapred.NewJobTracker(top, slotsPerNode)
 	if err != nil {
 		return nil, err
 	}

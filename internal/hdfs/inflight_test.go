@@ -144,7 +144,7 @@ func TestInFlightSettlesEachWriteOnce(t *testing.T) {
 
 // TestInFlightConcurrentWriters: four writers on a shaped cluster, one write
 // in three canceled — before it starts or a few microseconds in — so commits
-// and aborts interleave with allocations on every shard. While they run no
+// and aborts interleave with allocations on every rack. While they run no
 // count goes below zero or above what four writes can hold (one block each,
 // entering one remote rack with r-1 replicas on distinct nodes); when they
 // return every count is zero. CI runs it under -race.

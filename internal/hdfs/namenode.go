@@ -47,11 +47,11 @@ type BlockMeta struct {
 	// is retained so stripe geometry stays consistent; the block has no
 	// replicas and encodes as zeros.
 	Aborted bool
-	// writing is set by a live allocation and cleared, under the block's
-	// table-shard lock, by the first apply that ends the write or changes
-	// its replicas (settleLocked): while it is set the block's replicas
-	// 2..r are counted in the NameNode's in-flight ledger. Replay never sets
-	// it, and snapshots and StateDigest do not encode it.
+	// writing is set by a live allocation and cleared, under the NameNode's
+	// lock, by the first apply that ends the write or changes its replicas
+	// (settleLocked): while it is set the block's replicas 2..r are counted
+	// in the NameNode's in-flight ledger. Replay never sets it, and
+	// snapshots and StateDigest do not encode it.
 	writing bool
 }
 
@@ -70,25 +70,15 @@ func cloneStripeMeta(sm *StripeMeta) *StripeMeta {
 	return &StripeMeta{Info: sm.Info.Clone(), Plan: sm.Plan.Clone(), Encoded: sm.Encoded}
 }
 
-// blockTableShards stripes the block table so metadata lookups on different
-// blocks do not contend on one mutex.
-const blockTableShards = 16
-
-// blockShard is one stripe of the block table.
-type blockShard struct {
-	mu     sync.RWMutex
-	blocks map[topology.BlockID]*BlockMeta
-}
-
-// placementShard serializes one placement-policy instance. Under EAR every
-// core rack gets its own shard (open-stripe state is keyed by core rack, so
-// shards never share state); under RR shards are interchangeable and chosen
-// round-robin. NewShardedNameNode builds every policy, so what a shard can do
-// is known by construction: ear is the policy under EAR — the stripe state
-// the op log and snapshots record and replay restore — and nil under RR,
-// which keeps none.
-type placementShard struct {
-	mu     sync.Mutex
+// rackPolicy is the placement-policy instance of one rack, with its own rng.
+// Under EAR it is the policy of the stripes whose core rack that is
+// (open-stripe state is keyed by core rack, so instances never share state);
+// under RR instances are interchangeable and one is drawn per allocation. The
+// op log records an instance's index as its shard. NewShardedNameNode builds
+// every policy, so what an instance can do is known by construction: ear is
+// the policy under EAR — the stripe state the op log and snapshots record
+// and replay restore — and nil under RR, which keeps none.
+type rackPolicy struct {
 	policy placement.Policy
 	ear    *placement.EAR
 }
@@ -106,68 +96,51 @@ type placementShard struct {
 // opEvent; replay applies ops without publishing, keeping recovery invisible
 // to telemetry.
 //
-// Concurrency layout — four independent lock domains instead of one global
-// mutex:
-//
-//   - placementShard.mu: placement policy state, one shard per core rack
-//     (EAR) or per slot (RR).
-//   - blockShard.mu: the block table, 16-way striped by BlockID.
-//   - mu: the stripe registry only (stripes, preEncoding, nextStripe,
-//     planOverride).
-//   - rrMu / deadMu: the RR grouping queue and node liveness set.
-//
-// Lock ordering: placementShard.mu or rrMu may acquire mu (stripe
-// registration logs and applies under the caller's lock so the write-ahead
-// log's order matches the stripe-ID order); any of them may acquire
-// blockShard.mu; blockShard.mu may acquire deadMu. Never acquire in the
-// reverse direction. Ops that mutate a lock domain's state are appended to
-// the log while that domain's lock is held, which is what makes replay in
-// log order equivalent to the live interleaving.
+// One lock, mu, guards every piece of metadata state. A mutation holds it
+// from its checks through its log append and its apply, so the log's order
+// is the apply order and replay in log order rebuilds the live state; reads
+// hold it for reading.
 type NameNode struct {
 	cfg        placement.Config
 	policyName string
 	// seed keys every post-encoding plan (PlanStripe), with the stripe's ID.
 	seed int64
 
-	// mu guards the stripe registry.
-	mu          sync.Mutex
+	// mu guards every field from here to dead.
+	mu          sync.RWMutex
+	nextBlock   topology.BlockID
+	blocks      map[topology.BlockID]*BlockMeta
 	nextStripe  topology.StripeID
 	stripes     map[topology.StripeID]*StripeMeta
 	preEncoding []*placement.StripeInfo
 	// planOverride, when non-nil, rewrites every post-encoding plan before
 	// it is returned — a test-only hook for staging deliberately mis-placed
-	// stripes the auditor must catch. Guarded by mu.
+	// stripes the auditor must catch.
 	planOverride func(*placement.StripeInfo, *placement.PostEncodingPlan)
+	// policies holds one placement-policy instance per rack.
+	policies []rackPolicy
+	// rackSeq is the splitmix64 state behind drawn core racks and RR's
+	// drawn policy instance, started from the constructor's seed.
+	rackSeq uint64
+	// rrPending lists committed RR blocks not yet grouped, in commit order.
+	rrPending []topology.BlockID
+	// dead is the failed-node set.
+	dead map[topology.NodeID]bool
 
-	nextBlock atomic.Int64
-	blockTab  [blockTableShards]blockShard
-
-	shards []*placementShard
-	// rackSeq feeds the lock-free splitmix64 draw behind shard routing,
-	// started from the constructor's seed.
-	rackSeq atomic.Uint64
 	// inFlight is the ledger of replicas in flight: for every block allocated
 	// on the live path and not yet settled (settleLocked), its replicas 2..r
 	// — the ones a write sends over the network; replica 1 is the writer's
-	// own — counted against their nodes and racks. Every placement shard's
-	// policy reads it, to send replica 2 where no write is landing. Its
-	// counts are atomics, so it adds no lock; replay, snapshots and
-	// StateDigest never see it, and a recovered NameNode starts at zero.
+	// own — counted against their nodes and racks. Every policy instance
+	// reads it, to send replica 2 where no write is landing. Replay,
+	// snapshots and StateDigest never see it, and a recovered NameNode starts
+	// at zero.
 	inFlight *placement.InFlight
-
-	// rrMu guards rrPending, committed RR blocks not yet grouped.
-	rrMu      sync.Mutex
-	rrPending []topology.BlockID
-
-	// deadMu guards dead, the failed-node set.
-	deadMu sync.RWMutex
-	dead   map[topology.NodeID]bool
 
 	// jrn is the cluster event journal (atomic so installation never races
 	// with in-flight operations; nil means unjournaled). BlockAllocated is
-	// published under the placement shard lock so a stripe's StripeGrouped
-	// event always trails every member's allocation event; everything else
-	// publishes after locks are released.
+	// published under mu so a stripe's StripeGrouped event always trails
+	// every member's allocation event; everything else publishes after mu is
+	// released.
 	jrn atomic.Pointer[events.Journal]
 
 	tel atomic.Pointer[nnMetrics]
@@ -209,11 +182,12 @@ type nnMetrics struct {
 	recovery  *telemetry.Metric // namenode_recovery_seconds
 }
 
-// NewShardedNameNode builds a NameNode whose placement state is sharded: one
-// policy instance (with its own rng) per core rack under EAR, or one per
-// rack-count slot under RR. The fourth argument is ignored: it selected the
-// one-big-lock A/B mode, which is gone, and stays in the signature only
-// because benchmark/ compiles against it; a [benchmark] PR drops it.
+// NewShardedNameNode builds a NameNode with one placement-policy instance
+// (with its own rng) per rack: under EAR the instance of the stripes whose
+// core rack that is, under RR one drawn per allocation. The fourth argument
+// is ignored: it selected the one-big-lock A/B mode, which is gone, and stays
+// in the signature only because benchmark/ compiles against it; a
+// [benchmark] PR drops it.
 func NewShardedNameNode(cfg placement.Config, policyName string, seed int64, _ bool) (*NameNode, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -222,29 +196,27 @@ func NewShardedNameNode(cfg placement.Config, policyName string, seed int64, _ b
 		cfg:        cfg,
 		policyName: policyName,
 		seed:       seed,
+		blocks:     make(map[topology.BlockID]*BlockMeta),
 		stripes:    make(map[topology.StripeID]*StripeMeta),
+		rackSeq:    uint64(seed),
 		dead:       make(map[topology.NodeID]bool),
 		inFlight:   placement.NewInFlight(cfg.Topology),
 	}
-	for i := range nn.blockTab {
-		nn.blockTab[i].blocks = make(map[topology.BlockID]*BlockMeta)
-	}
-	nn.rackSeq.Store(uint64(seed))
 	for i := 0; i < cfg.Topology.Racks(); i++ {
-		sh := &placementShard{}
+		var rp rackPolicy
 		var err error
 		rng := rand.New(rand.NewSource(seed + int64(i) + 1))
 		switch policyName {
 		case "ear":
-			if sh.ear, err = placement.NewEAR(cfg, rng); err == nil {
-				sh.ear.SetInFlight(nn.inFlight)
-				sh.policy = sh.ear
+			if rp.ear, err = placement.NewEAR(cfg, rng); err == nil {
+				rp.ear.SetInFlight(nn.inFlight)
+				rp.policy = rp.ear
 			}
 		case "rr":
 			var rr *placement.Random
 			if rr, err = placement.NewRandom(cfg, rng); err == nil {
 				rr.SetInFlight(nn.inFlight)
-				sh.policy = rr
+				rp.policy = rr
 			}
 		default:
 			return nil, fmt.Errorf("%w: unknown policy %q", placement.ErrInvalidConfig, policyName)
@@ -252,7 +224,7 @@ func NewShardedNameNode(cfg placement.Config, policyName string, seed int64, _ b
 		if err != nil {
 			return nil, err
 		}
-		nn.shards = append(nn.shards, sh)
+		nn.policies = append(nn.policies, rp)
 	}
 	return nn, nil
 }
@@ -298,15 +270,10 @@ func (nn *NameNode) SetTelemetry(reg *telemetry.Registry) {
 // metrics returns the installed metric handles, nil when unobserved.
 func (nn *NameNode) metrics() *nnMetrics { return nn.tel.Load() }
 
-// blockShardFor returns the block-table shard owning the ID.
-func (nn *NameNode) blockShardFor(id topology.BlockID) *blockShard {
-	return &nn.blockTab[uint64(id)%blockTableShards]
-}
-
 // logOp appends the encoded op to the write-ahead log and returns its LSN,
-// or (0, nil) when no log is attached. Callers hold the lock guarding the
-// state the op mutates, so per lock domain the log order equals the apply
-// order — the property replay depends on.
+// or (0, nil) when no log is attached. Callers hold mu for writing and apply
+// the op in the same hold, so the log order is the apply order — the
+// property replay depends on — and LSNs rise within one hold.
 func (nn *NameNode) logOp(op *nnOp) (uint64, error) {
 	if nn.wal == nil {
 		return 0, nil
@@ -320,9 +287,8 @@ func (nn *NameNode) logOp(op *nnOp) (uint64, error) {
 
 // waitDurable blocks until the op at lsn is fsynced, per the log's sync
 // policy (only SyncAlways actually waits). A no-op without a log. Every
-// mutation path calls it after releasing its locks, which makes it the one
-// place to piggyback the auto-checkpoint check (maybeSnapshot needs the
-// whole plane unlocked).
+// mutation path calls it after releasing mu, which makes it the one place to
+// piggyback the auto-checkpoint check (maybeSnapshot takes mu itself).
 func (nn *NameNode) waitDurable(lsn uint64) error {
 	if nn.wal == nil || lsn == 0 {
 		return nil
@@ -332,12 +298,6 @@ func (nn *NameNode) waitDurable(lsn uint64) error {
 	}
 	nn.maybeSnapshot()
 	return nil
-}
-
-// draw is a lock-free splitmix64 step used for shard routing and core-rack
-// selection.
-func (nn *NameNode) draw() uint64 {
-	return mix64(nn.rackSeq.Add(splitmixGamma))
 }
 
 // AllocateBlock reserves a block no writer is known for, with a background
@@ -351,66 +311,64 @@ func (nn *NameNode) AllocateBlock(size int) (*BlockMeta, error) {
 // under EAR, the writer's rack is the core rack of the stripe the block
 // joins (the flow graph may move replica 1 to another node of that rack).
 // With placement.NoWriter the core rack (EAR) or the first replica (RR) is
-// drawn uniformly from a sequence the constructor's seed starts. Only the
-// chosen placement shard and the block's table shard are locked; separate
-// racks allocate concurrently. When the context carries a telemetry span (a
-// traced client write), the allocation runs under a "namenode.allocate"
-// child span and the BlockAllocated / StripeGrouped journal events carry the
-// trace ID.
+// drawn uniformly from a sequence the constructor's seed starts. When the
+// context carries a telemetry span (a traced client write), the allocation
+// runs under a "namenode.allocate" child span and the BlockAllocated /
+// StripeGrouped journal events carry the trace ID.
 func (nn *NameNode) AllocateBlockFrom(ctx context.Context, size int, writer topology.NodeID) (*BlockMeta, error) {
 	sp := telemetry.SpanFromContext(ctx).Child("namenode.allocate").
 		Arg(telemetry.ComponentArg, "namenode")
 	defer sp.End()
 	trace := sp.TraceID()
 	allocStart := time.Now()
-	// The writer's rack is resolved before a block ID is taken, so an unknown
-	// writer allocates nothing.
-	shardIdx := int32(-1)
+	// The writer's rack is resolved first, so an unknown writer allocates
+	// nothing.
+	shard := int32(-1)
 	if writer != placement.NoWriter {
 		r, err := nn.cfg.Topology.RackOf(writer)
 		if err != nil {
 			return nil, err
 		}
-		shardIdx = int32(r)
+		shard = int32(r)
 	}
-	id := topology.BlockID(nn.nextBlock.Add(1) - 1)
 
-	// Under EAR the shard is the core rack's: the writer's rack, or a drawn
-	// one. RR shards are interchangeable and always drawn.
-	if shardIdx < 0 || nn.policyName != "ear" {
-		shardIdx = int32(nn.draw() % uint64(len(nn.shards)))
+	nn.mu.Lock()
+	id := nn.nextBlock
+	// Under EAR the policy instance is the core rack's: the writer's rack, or
+	// a drawn one. RR's instances are interchangeable and always drawn.
+	if shard < 0 || nn.policyName != "ear" {
+		nn.rackSeq += splitmixGamma
+		shard = int32(mix64(nn.rackSeq) % uint64(len(nn.policies)))
 	}
-	sh := nn.shards[shardIdx]
+	rp := nn.policies[shard]
 	core := topology.RackID(-1)
-	if sh.ear != nil {
-		core = topology.RackID(shardIdx)
+	if rp.ear != nil {
+		core = topology.RackID(shard)
 	}
-
-	sh.mu.Lock()
 	t0 := time.Now()
 	var pl topology.Placement
 	var err error
-	if sh.ear != nil && writer == placement.NoWriter {
-		pl, err = sh.ear.PlaceAt(id, core)
+	if rp.ear != nil && writer == placement.NoWriter {
+		pl, err = rp.ear.PlaceAt(id, core)
 	} else {
-		pl, err = sh.policy.PlaceFrom(id, writer)
+		pl, err = rp.policy.PlaceFrom(id, writer)
 	}
 	elapsed := time.Since(t0)
 	if err != nil {
-		sh.mu.Unlock()
+		nn.mu.Unlock()
 		return nil, err
 	}
 	attempts := 1
 	var targets []topology.RackID
-	if sh.ear != nil {
-		attempts, targets = sh.ear.LastPlaceAttempts(), sh.ear.LastPlaceTargets()
+	if rp.ear != nil {
+		attempts, targets = rp.ear.LastPlaceAttempts(), rp.ear.LastPlaceTargets()
 	}
 
 	op := &nnOp{
 		kind:     opAllocate,
 		block:    id,
 		size:     int64(size),
-		shard:    shardIdx,
+		shard:    shard,
 		core:     core,
 		attempts: attempts,
 		nodes:    pl.Nodes,
@@ -418,16 +376,16 @@ func (nn *NameNode) AllocateBlockFrom(ctx context.Context, size int, writer topo
 	}
 	lsn, err := nn.logOp(op)
 	if err != nil {
-		sh.mu.Unlock()
+		nn.mu.Unlock()
 		return nil, err
 	}
-	meta := nn.applyAllocate(op, true)
+	meta := nn.applyAllocateLocked(op, true)
 	out := cloneBlockMeta(meta)
 
-	// Publish the allocation before releasing the placement shard: a later
-	// allocation on this shard may seal a stripe containing this block, and
-	// that stripe's StripeGrouped event must trail every member's
-	// BlockAllocated event in the journal.
+	// Publish the allocation before releasing mu: a later allocation may seal
+	// a stripe containing this block, and that stripe's StripeGrouped event,
+	// published after its own hold, must trail every member's BlockAllocated
+	// event in the journal.
 	if j := nn.journal(); j != nil {
 		if ev, ok := opEvent(op); ok {
 			ev.Trace = trace
@@ -435,31 +393,22 @@ func (nn *NameNode) AllocateBlockFrom(ctx context.Context, size int, writer topo
 		}
 	}
 
-	// Drain and register stripes the placement sealed, while still holding
-	// the shard: the seal op is logged and applied under nn.mu so the
-	// stripe-ID sequence matches the log order across shards.
+	// Register the stripes the placement sealed in the same hold.
 	var pending []events.Event
-	for _, s := range sh.policy.TakeSealed() {
-		sop := &nnOp{kind: opSealStripe, shard: shardIdx}
-		nn.mu.Lock()
-		l, serr := nn.logOp(sop)
-		if serr != nil {
+	for _, s := range rp.policy.TakeSealed() {
+		sop := &nnOp{kind: opSealStripe, shard: shard}
+		if lsn, err = nn.logOp(sop); err != nil {
 			nn.mu.Unlock()
-			sh.mu.Unlock()
-			return nil, serr
-		}
-		if l > lsn {
-			lsn = l
+			return nil, err
 		}
 		nn.registerStripeLocked(s)
-		nn.mu.Unlock()
 		sop.stripe, sop.core, sop.blocks = s.ID, s.CoreRack, s.Blocks
 		if ev, ok := opEvent(sop); ok {
 			ev.Trace = trace
 			pending = append(pending, ev)
 		}
 	}
-	sh.mu.Unlock()
+	nn.mu.Unlock()
 
 	if err := nn.waitDurable(lsn); err != nil {
 		return nil, err
@@ -484,17 +433,10 @@ func (nn *NameNode) AllocateBlockFrom(ctx context.Context, size int, writer topo
 // applyAllocate installs a block-allocation op's metadata record: the shared
 // apply step of the live path and replay. The placement policy's state was
 // already advanced by the caller (PlaceAt live, RestorePlacement in replay).
-// A live allocation (writing) counts its replicas in the in-flight ledger
-// before the record becomes visible, so no settle can precede the count.
-func (nn *NameNode) applyAllocate(op *nnOp, writing bool) *BlockMeta {
-	// Live allocation pre-assigns IDs with an atomic add, so this is a no-op
-	// there; replay advances the counter past every recorded ID.
-	for {
-		cur := nn.nextBlock.Load()
-		if cur >= int64(op.block)+1 || nn.nextBlock.CompareAndSwap(cur, int64(op.block)+1) {
-			break
-		}
-	}
+// A live allocation (writing) counts its replicas 2..r in the in-flight
+// ledger. Caller holds mu.
+func (nn *NameNode) applyAllocateLocked(op *nnOp, writing bool) *BlockMeta {
+	nn.nextBlock = max(nn.nextBlock, op.block+1)
 	meta := &BlockMeta{
 		ID:      op.block,
 		Size:    int(op.size),
@@ -505,10 +447,7 @@ func (nn *NameNode) applyAllocate(op *nnOp, writing bool) *BlockMeta {
 	if writing {
 		nn.inFlight.Add(meta.Nodes[1:], 1)
 	}
-	bs := nn.blockShardFor(op.block)
-	bs.mu.Lock()
-	bs.blocks[op.block] = meta
-	bs.mu.Unlock()
+	nn.blocks[op.block] = meta
 	return meta
 }
 
@@ -524,26 +463,24 @@ func (nn *NameNode) CommitBlock(id topology.BlockID) error {
 // trace, if any, is stamped on the BlockCommitted journal event.
 func (nn *NameNode) CommitBlockCtx(ctx context.Context, id topology.BlockID) error {
 	op := &nnOp{kind: opCommit, block: id}
-	bs := nn.blockShardFor(id)
-	bs.mu.Lock()
-	meta, ok := bs.blocks[id]
+	nn.mu.Lock()
+	meta, ok := nn.blocks[id]
 	if !ok {
-		bs.mu.Unlock()
+		nn.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrUnknownBlock, id)
 	}
 	if meta.Aborted {
-		bs.mu.Unlock()
+		nn.mu.Unlock()
 		return fmt.Errorf("hdfs: block %d aborted", id)
 	}
 	lsn, err := nn.logOp(op)
 	if err != nil {
-		bs.mu.Unlock()
+		nn.mu.Unlock()
 		return err
 	}
 	op.nodes = nn.applyCommitLocked(meta)
-	bs.mu.Unlock()
+	nn.mu.Unlock()
 
-	nn.enqueueRRPending(id)
 	if err := nn.waitDurable(lsn); err != nil {
 		return err
 	}
@@ -556,23 +493,16 @@ func (nn *NameNode) CommitBlockCtx(ctx context.Context, id topology.BlockID) err
 	return nil
 }
 
-// applyCommitLocked marks the block committed and returns a copy of its
-// replica set; the shared apply step of commit. Caller holds the block's
-// table-shard mutex.
+// applyCommitLocked marks the block committed, queues it for RaidNode
+// grouping under RR, and returns a copy of its replica set; the shared apply
+// step of commit. Caller holds mu.
 func (nn *NameNode) applyCommitLocked(meta *BlockMeta) []topology.NodeID {
 	nn.settleLocked(meta)
 	meta.Committed = true
-	return append([]topology.NodeID(nil), meta.Nodes...)
-}
-
-// enqueueRRPending queues a committed block for RaidNode grouping (RR only).
-func (nn *NameNode) enqueueRRPending(id topology.BlockID) {
-	if nn.policyName != "rr" {
-		return
+	if nn.policyName == "rr" {
+		nn.rrPending = append(nn.rrPending, meta.ID)
 	}
-	nn.rrMu.Lock()
-	nn.rrPending = append(nn.rrPending, id)
-	nn.rrMu.Unlock()
+	return append([]topology.NodeID(nil), meta.Nodes...)
 }
 
 // publishAll publishes events gathered under a lock, in order.
@@ -594,24 +524,23 @@ func (nn *NameNode) publishAll(evs []events.Event) {
 // the zero-padding of short stripes. Aborting a committed block is an error.
 func (nn *NameNode) AbortBlock(id topology.BlockID) error {
 	op := &nnOp{kind: opAbort, block: id}
-	bs := nn.blockShardFor(id)
-	bs.mu.Lock()
-	meta, ok := bs.blocks[id]
+	nn.mu.Lock()
+	meta, ok := nn.blocks[id]
 	if !ok {
-		bs.mu.Unlock()
+		nn.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrUnknownBlock, id)
 	}
 	if meta.Committed {
-		bs.mu.Unlock()
+		nn.mu.Unlock()
 		return fmt.Errorf("hdfs: block %d already committed", id)
 	}
 	lsn, err := nn.logOp(op)
 	if err != nil {
-		bs.mu.Unlock()
+		nn.mu.Unlock()
 		return err
 	}
 	nn.applyAbortLocked(meta)
-	bs.mu.Unlock()
+	nn.mu.Unlock()
 	if err := nn.waitDurable(lsn); err != nil {
 		return err
 	}
@@ -622,7 +551,7 @@ func (nn *NameNode) AbortBlock(id topology.BlockID) error {
 }
 
 // applyAbortLocked clears the block's replicas and flags it aborted; the
-// shared apply step of abort. Caller holds the block's table-shard mutex.
+// shared apply step of abort. Caller holds mu.
 func (nn *NameNode) applyAbortLocked(meta *BlockMeta) {
 	nn.settleLocked(meta)
 	meta.Aborted = true
@@ -634,7 +563,7 @@ func (nn *NameNode) applyAbortLocked(meta *BlockMeta) {
 // (a move, an encode), so each count is released exactly once and against the
 // nodes it was raised for. A block replay installed was never counted and
 // settles nothing, so a recovered NameNode's counts never go below zero.
-// Caller holds the block's table-shard mutex.
+// Caller holds mu.
 func (nn *NameNode) settleLocked(meta *BlockMeta) {
 	if meta.writing {
 		meta.writing = false
@@ -644,7 +573,7 @@ func (nn *NameNode) settleLocked(meta *BlockMeta) {
 
 // registerStripeLocked assigns the next stripe ID and stores the stripe:
 // the shared apply step of every stripe-registering op (seal, flush, group).
-// The caller holds nn.mu and appended the op under the same hold, so the
+// The caller holds mu and appended the op under the same hold, so the
 // stripe-ID sequence always matches the log order. The caller builds the
 // StripeGrouped event from the registered info via opEvent.
 func (nn *NameNode) registerStripeLocked(info *placement.StripeInfo) {
@@ -653,12 +582,9 @@ func (nn *NameNode) registerStripeLocked(info *placement.StripeInfo) {
 	nn.stripes[info.ID] = &StripeMeta{Info: info}
 	nn.preEncoding = append(nn.preEncoding, info)
 	for _, b := range info.Blocks {
-		bs := nn.blockShardFor(b)
-		bs.mu.Lock()
-		if meta, ok := bs.blocks[b]; ok {
+		if meta, ok := nn.blocks[b]; ok {
 			meta.Stripe = info.ID
 		}
-		bs.mu.Unlock()
 	}
 }
 
@@ -668,61 +594,42 @@ func (nn *NameNode) registerStripeLocked(info *placement.StripeInfo) {
 func (nn *NameNode) TakePendingStripes() ([]*placement.StripeInfo, error) {
 	var pending []events.Event
 	var lsn uint64
-	if nn.policyName == "rr" {
-		nn.rrMu.Lock()
-		if len(nn.rrPending) >= nn.cfg.K {
-			placements := make(map[topology.BlockID]topology.Placement, len(nn.rrPending))
-			for _, b := range nn.rrPending {
-				bs := nn.blockShardFor(b)
-				bs.mu.RLock()
-				meta, ok := bs.blocks[b]
-				if !ok {
-					bs.mu.RUnlock()
-					nn.rrMu.Unlock()
-					return nil, fmt.Errorf("%w: %d", ErrUnknownBlock, b)
-				}
-				placements[b] = topology.Placement{Block: b, Nodes: append([]topology.NodeID(nil), meta.Nodes...)}
-				bs.mu.RUnlock()
-			}
-			groups, err := placement.GroupIntoStripes(nn.cfg.K, nn.rrPending, placements, 0)
-			if err != nil {
-				nn.rrMu.Unlock()
-				return nil, err
-			}
-			for _, g := range groups {
-				op := &nnOp{kind: opGroupStripe, blocks: append([]topology.BlockID(nil), g.Blocks...)}
-				nn.mu.Lock()
-				l, err := nn.logOp(op)
-				if err != nil {
-					nn.mu.Unlock()
-					nn.rrMu.Unlock()
-					return nil, err
-				}
-				if l > lsn {
-					lsn = l
-				}
-				nn.registerStripeLocked(g)
-				nn.mu.Unlock()
-				nn.removePendingLocked(g.Blocks)
-				op.stripe, op.core = g.ID, g.CoreRack
-				if ev, ok := opEvent(op); ok {
-					pending = append(pending, ev)
-				}
-			}
-		}
-		nn.rrMu.Unlock()
-	}
 	nn.mu.Lock()
-	var out []*placement.StripeInfo
-	if len(nn.preEncoding) > 0 {
-		dop := &nnOp{kind: opDrainPending}
-		l, err := nn.logOp(dop)
+	if nn.policyName == "rr" && len(nn.rrPending) >= nn.cfg.K {
+		placements := make(map[topology.BlockID]topology.Placement, len(nn.rrPending))
+		for _, b := range nn.rrPending {
+			meta, ok := nn.blocks[b]
+			if !ok {
+				nn.mu.Unlock()
+				return nil, fmt.Errorf("%w: %d", ErrUnknownBlock, b)
+			}
+			placements[b] = topology.Placement{Block: b, Nodes: append([]topology.NodeID(nil), meta.Nodes...)}
+		}
+		groups, err := placement.GroupIntoStripes(nn.cfg.K, nn.rrPending, placements, 0)
 		if err != nil {
 			nn.mu.Unlock()
 			return nil, err
 		}
-		if l > lsn {
-			lsn = l
+		for _, g := range groups {
+			op := &nnOp{kind: opGroupStripe, blocks: append([]topology.BlockID(nil), g.Blocks...)}
+			if lsn, err = nn.logOp(op); err != nil {
+				nn.mu.Unlock()
+				return nil, err
+			}
+			nn.registerStripeLocked(g)
+			nn.removePendingLocked(g.Blocks)
+			op.stripe, op.core = g.ID, g.CoreRack
+			if ev, ok := opEvent(op); ok {
+				pending = append(pending, ev)
+			}
+		}
+	}
+	var out []*placement.StripeInfo
+	if len(nn.preEncoding) > 0 {
+		var err error
+		if lsn, err = nn.logOp(&nnOp{kind: opDrainPending}); err != nil {
+			nn.mu.Unlock()
+			return nil, err
 		}
 		out = nn.applyDrainLocked()
 	}
@@ -735,7 +642,7 @@ func (nn *NameNode) TakePendingStripes() ([]*placement.StripeInfo, error) {
 }
 
 // applyDrainLocked hands the pre-encoding store to the caller and clears it;
-// the shared apply step of drain-pending. Caller holds nn.mu.
+// the shared apply step of drain-pending. Caller holds mu.
 func (nn *NameNode) applyDrainLocked() []*placement.StripeInfo {
 	out := nn.preEncoding
 	nn.preEncoding = nil
@@ -744,7 +651,7 @@ func (nn *NameNode) applyDrainLocked() []*placement.StripeInfo {
 
 // removePendingLocked deletes the given blocks from the RR grouping queue,
 // preserving the order of the remainder; the shared apply step of a group
-// op's queue side. Caller holds rrMu.
+// op's queue side. Caller holds mu.
 func (nn *NameNode) removePendingLocked(members []topology.BlockID) {
 	if len(members) == 0 || len(nn.rrPending) == 0 {
 		return
@@ -765,15 +672,9 @@ func (nn *NameNode) removePendingLocked(members []topology.BlockID) {
 // PendingStripeCount reports how many sealed stripes await encoding
 // (including, under RR, the full groups formable from pending blocks).
 func (nn *NameNode) PendingStripeCount() int {
-	nn.mu.Lock()
-	n := len(nn.preEncoding)
-	nn.mu.Unlock()
-	if nn.policyName == "rr" {
-		nn.rrMu.Lock()
-		n += len(nn.rrPending) / nn.cfg.K
-		nn.rrMu.Unlock()
-	}
-	return n
+	nn.mu.RLock()
+	defer nn.mu.RUnlock()
+	return len(nn.preEncoding) + len(nn.rrPending)/nn.cfg.K
 }
 
 // FlushOpenStripes seals every in-progress stripe regardless of fill level
@@ -785,33 +686,27 @@ func (nn *NameNode) FlushOpenStripes() (int, error) {
 	var pending []events.Event
 	var lsn uint64
 	count := 0
-	for si, sh := range nn.shards {
-		if sh.ear == nil {
+	nn.mu.Lock()
+	for si, rp := range nn.policies {
+		if rp.ear == nil {
 			continue
 		}
-		sh.mu.Lock()
-		for _, s := range sh.ear.FlushOpen() {
+		for _, s := range rp.ear.FlushOpen() {
 			op := &nnOp{kind: opFlushStripe, shard: int32(si), core: s.CoreRack}
-			nn.mu.Lock()
-			l, err := nn.logOp(op)
-			if err != nil {
+			var err error
+			if lsn, err = nn.logOp(op); err != nil {
 				nn.mu.Unlock()
-				sh.mu.Unlock()
 				return count, err
 			}
-			if l > lsn {
-				lsn = l
-			}
 			nn.registerStripeLocked(s)
-			nn.mu.Unlock()
 			count++
 			op.stripe, op.core, op.blocks = s.ID, s.CoreRack, s.Blocks
 			if ev, ok := opEvent(op); ok {
 				pending = append(pending, ev)
 			}
 		}
-		sh.mu.Unlock()
 	}
+	nn.mu.Unlock()
 	if err := nn.waitDurable(lsn); err != nil {
 		return count, err
 	}
@@ -821,11 +716,12 @@ func (nn *NameNode) FlushOpenStripes() (int, error) {
 
 // PlanStripe computes the post-encoding layout for a stripe, a function of
 // (seed, stripe): the rng is the stripe's own, so concurrent encodes plan the
-// same layouts in whatever order they get here. The solve stays under nn.mu
-// though it no longer needs it: the lock hands the stripes of a job out one
-// solve apart, and folds that start on one instant wake every stage of every
-// chain together from then on, which cost the 2-core benchmark host 10 % of
-// encode_mbps when the solve was moved out (CHANGES.md, PR 23).
+// same layouts in whatever order they get here. The solve holds mu for
+// writing though it reads nothing mu guards but planOverride: the exclusive
+// hold hands the stripes of a job out one solve apart, and folds that start
+// on one instant wake every stage of every chain together from then on,
+// which cost the 2-core benchmark host 10 % of encode_mbps when the solve
+// was moved out (CHANGES.md, PR 23).
 func (nn *NameNode) PlanStripe(info *placement.StripeInfo) (*placement.PostEncodingPlan, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -880,25 +776,20 @@ func (nn *NameNode) CommitEncoding(id topology.StripeID, plan *placement.PostEnc
 
 // applyEncodeLocked collapses every member of an encoded stripe to its
 // single kept replica and stores the plan; the shared apply step of
-// encode-commit. Caller holds nn.mu.
+// encode-commit. Caller holds mu.
 func (nn *NameNode) applyEncodeLocked(sm *StripeMeta, plan *placement.PostEncodingPlan) error {
 	for i, b := range sm.Info.Blocks {
-		bs := nn.blockShardFor(b)
-		bs.mu.Lock()
-		meta, ok := bs.blocks[b]
+		meta, ok := nn.blocks[b]
 		if !ok {
-			bs.mu.Unlock()
 			return fmt.Errorf("%w: %d in stripe %d", ErrUnknownBlock, b, sm.Info.ID)
 		}
 		if meta.Aborted {
 			// Aborted members encoded as zeros; they keep no replica.
-			bs.mu.Unlock()
 			continue
 		}
 		nn.settleLocked(meta)
 		meta.Nodes = []topology.NodeID{plan.Keep[i]}
 		meta.Encoded = true
-		bs.mu.Unlock()
 	}
 	sm.Plan = plan.Clone()
 	sm.Encoded = true
@@ -907,10 +798,9 @@ func (nn *NameNode) applyEncodeLocked(sm *StripeMeta, plan *placement.PostEncodi
 
 // Block returns a copy of the block's metadata.
 func (nn *NameNode) Block(id topology.BlockID) (*BlockMeta, error) {
-	bs := nn.blockShardFor(id)
-	bs.mu.RLock()
-	defer bs.mu.RUnlock()
-	meta, ok := bs.blocks[id]
+	nn.mu.RLock()
+	defer nn.mu.RUnlock()
+	meta, ok := nn.blocks[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownBlock, id)
 	}
@@ -921,8 +811,8 @@ func (nn *NameNode) Block(id topology.BlockID) (*BlockMeta, error) {
 // while concurrent operations (UpdateParityLocation, CommitEncoding) mutate
 // the authoritative record.
 func (nn *NameNode) Stripe(id topology.StripeID) (*StripeMeta, error) {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
+	nn.mu.RLock()
+	defer nn.mu.RUnlock()
 	sm, ok := nn.stripes[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownStripe, id)
@@ -933,35 +823,32 @@ func (nn *NameNode) Stripe(id topology.StripeID) (*StripeMeta, error) {
 // EncodedStripes lists the IDs of stripes that completed encoding, in
 // ascending order.
 func (nn *NameNode) EncodedStripes() []topology.StripeID {
-	nn.mu.Lock()
+	nn.mu.RLock()
 	out := make([]topology.StripeID, 0, len(nn.stripes))
 	for id, sm := range nn.stripes {
 		if sm.Encoded {
 			out = append(out, id)
 		}
 	}
-	nn.mu.Unlock()
+	nn.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // LiveReplicas returns the block's replica nodes that are not dead.
 func (nn *NameNode) LiveReplicas(id topology.BlockID) ([]topology.NodeID, error) {
-	bs := nn.blockShardFor(id)
-	bs.mu.RLock()
-	defer bs.mu.RUnlock()
-	meta, ok := bs.blocks[id]
+	nn.mu.RLock()
+	defer nn.mu.RUnlock()
+	meta, ok := nn.blocks[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownBlock, id)
 	}
 	live := make([]topology.NodeID, 0, len(meta.Nodes))
-	nn.deadMu.RLock()
 	for _, n := range meta.Nodes {
 		if !nn.dead[n] {
 			live = append(live, n)
 		}
 	}
-	nn.deadMu.RUnlock()
 	return live, nil
 }
 
@@ -972,10 +859,10 @@ func (nn *NameNode) LiveReplicas(id topology.BlockID) ([]topology.NodeID, error)
 // the next fallible mutation.
 func (nn *NameNode) MarkDead(n topology.NodeID) {
 	op := &nnOp{kind: opNodeDead, node: n}
-	nn.deadMu.Lock()
+	nn.mu.Lock()
 	lsn, _ := nn.logOp(op)
 	nn.dead[n] = true
-	nn.deadMu.Unlock()
+	nn.mu.Unlock()
 	_ = nn.waitDurable(lsn)
 	if ev, ok := opEvent(op); ok {
 		nn.journal().Publish(ev)
@@ -986,10 +873,10 @@ func (nn *NameNode) MarkDead(n topology.NodeID) {
 // replicas are assumed invalidated by the rejoin protocol).
 func (nn *NameNode) MarkAlive(n topology.NodeID) {
 	op := &nnOp{kind: opNodeAlive, node: n}
-	nn.deadMu.Lock()
+	nn.mu.Lock()
 	lsn, _ := nn.logOp(op)
 	delete(nn.dead, n)
-	nn.deadMu.Unlock()
+	nn.mu.Unlock()
 	_ = nn.waitDurable(lsn)
 	if ev, ok := opEvent(op); ok {
 		nn.journal().Publish(ev)
@@ -998,8 +885,8 @@ func (nn *NameNode) MarkAlive(n topology.NodeID) {
 
 // IsDead reports whether the node failed.
 func (nn *NameNode) IsDead(n topology.NodeID) bool {
-	nn.deadMu.RLock()
-	defer nn.deadMu.RUnlock()
+	nn.mu.RLock()
+	defer nn.mu.RUnlock()
 	return nn.dead[n]
 }
 
@@ -1008,25 +895,24 @@ func (nn *NameNode) IsDead(n topology.NodeID) bool {
 // moved the bytes publishes ReplicaRelocated/ReplicaDeleted.
 func (nn *NameNode) UpdateBlockLocation(id topology.BlockID, nodes []topology.NodeID) error {
 	op := &nnOp{kind: opBlockMoved, block: id, nodes: nodes}
-	bs := nn.blockShardFor(id)
-	bs.mu.Lock()
-	meta, ok := bs.blocks[id]
+	nn.mu.Lock()
+	meta, ok := nn.blocks[id]
 	if !ok {
-		bs.mu.Unlock()
+		nn.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrUnknownBlock, id)
 	}
 	lsn, err := nn.logOp(op)
 	if err != nil {
-		bs.mu.Unlock()
+		nn.mu.Unlock()
 		return err
 	}
 	nn.applyBlockMovedLocked(meta, nodes)
-	bs.mu.Unlock()
+	nn.mu.Unlock()
 	return nn.waitDurable(lsn)
 }
 
 // applyBlockMovedLocked rewrites the block's replica set; the shared apply
-// step of block-moved. Caller holds the block's table-shard mutex.
+// step of block-moved. Caller holds mu.
 func (nn *NameNode) applyBlockMovedLocked(meta *BlockMeta, nodes []topology.NodeID) {
 	nn.settleLocked(meta)
 	meta.Nodes = append([]topology.NodeID(nil), nodes...)
@@ -1058,14 +944,9 @@ func (nn *NameNode) UpdateParityLocation(id topology.StripeID, idx int, node top
 
 // BlockCount returns the number of allocated blocks.
 func (nn *NameNode) BlockCount() int {
-	n := 0
-	for i := range nn.blockTab {
-		bs := &nn.blockTab[i]
-		bs.mu.RLock()
-		n += len(bs.blocks)
-		bs.mu.RUnlock()
-	}
-	return n
+	nn.mu.RLock()
+	defer nn.mu.RUnlock()
+	return len(nn.blocks)
 }
 
 func cloneBlockMeta(m *BlockMeta) *BlockMeta {

@@ -8,8 +8,8 @@ import (
 	"ear/internal/topology"
 )
 
-// benchPlacementConfig is a mid-size cluster (16 racks x 8 nodes) so the
-// sharded NameNode has enough placement shards to spread goroutines across.
+// benchPlacementConfig is a mid-size cluster: 16 racks x 8 nodes, RS(9,6),
+// r = 3.
 func benchPlacementConfig(b *testing.B) placement.Config {
 	b.Helper()
 	top, err := topology.New(16, 8)
@@ -19,12 +19,11 @@ func benchPlacementConfig(b *testing.B) placement.Config {
 	return placement.Config{Topology: top, Replicas: 3, K: 6, N: 9, C: 1}
 }
 
-// BenchmarkAllocateBlock measures the metadata path of one allocation:
-// per-core-rack placement shards, striped block table, and EAR's admission
-// (the direct path, else one from-scratch solve of the open stripe's flow
-// graph). On a single-core host serial and parallel read
-// the same per-op cost; on multi-core the parallel arm shows what the
-// sharding buys.
+// BenchmarkAllocateBlock measures the metadata path of one allocation, with
+// no log attached: EAR's admission (the direct path, else one from-scratch
+// solve of the open stripe's flow graph), the apply and any stripe seal, in
+// one hold of the NameNode's lock. The parallel arm shows what callers
+// contending for the lock pay.
 func BenchmarkAllocateBlock(b *testing.B) {
 	newNN := func(b *testing.B) *NameNode {
 		nn, err := NewShardedNameNode(benchPlacementConfig(b), "ear", 1, false)
@@ -33,7 +32,7 @@ func BenchmarkAllocateBlock(b *testing.B) {
 		}
 		return nn
 	}
-	b.Run("sharded/serial", func(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
 		nn := newNN(b)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -43,7 +42,7 @@ func BenchmarkAllocateBlock(b *testing.B) {
 			}
 		}
 	})
-	b.Run("sharded/parallel", func(b *testing.B) {
+	b.Run("parallel", func(b *testing.B) {
 		nn := newNN(b)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -58,7 +57,8 @@ func BenchmarkAllocateBlock(b *testing.B) {
 	})
 }
 
-// BenchmarkCommitBlock measures the block-table striped-lock path alone.
+// BenchmarkCommitBlock measures commits from parallel callers, each one hold
+// of the NameNode's lock.
 func BenchmarkCommitBlock(b *testing.B) {
 	nn, err := NewShardedNameNode(benchPlacementConfig(b), "ear", 1, false)
 	if err != nil {

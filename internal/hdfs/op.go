@@ -26,11 +26,11 @@ const (
 	opCommit opKind = 2
 	// opAbort records an abandoned uncommitted allocation.
 	opAbort opKind = 3
-	// opSealStripe records that a placement shard's policy sealed a stripe
+	// opSealStripe records that a rack's policy instance sealed a stripe
 	// at k blocks; apply drains it via TakeSealed and registers it under
 	// the next global stripe ID.
 	opSealStripe opKind = 4
-	// opFlushStripe records the early seal of one shard's open stripe
+	// opFlushStripe records the early seal of one core rack's open stripe
 	// (FlushOpenStripes); apply drops it from the policy and registers it.
 	opFlushStripe opKind = 5
 	// opGroupStripe records an RR stripe grouped from k committed blocks.
@@ -96,7 +96,7 @@ type nnOp struct {
 	kind     opKind
 	block    topology.BlockID
 	size     int64
-	shard    int32 // placement shard index (allocate, seal, flush)
+	shard    int32 // index of the rack's policy instance (allocate, seal, flush)
 	core     topology.RackID
 	attempts int
 	nodes    []topology.NodeID

@@ -66,7 +66,7 @@ func TestWriteIsWriterLocal(t *testing.T) {
 					if meta.Nodes[0] != writer {
 						attempts := 1
 						if policy == "ear" {
-							attempts = c.nn.shards[rack].ear.LastPlaceAttempts()
+							attempts = c.nn.policies[rack].ear.LastPlaceAttempts()
 						}
 						if attempts == 1 {
 							t.Fatalf("block %d: replica 1 on node %d, not on writer %d, though the first candidate was accepted",
@@ -199,14 +199,15 @@ func TestWriteFromUnknownNodeAllocatesNothing(t *testing.T) {
 func TestWriteCancelAtEverySlice(t *testing.T) {
 	cfg := testConfig("rr")
 	cfg.Replicas = 2
-	cfg.BlockSizeBytes = 64 << 10
-	cfg.PipelineChunkBytes = 8 << 10
-	cfg.BandwidthBytesPerSec = 256 << 10 // 31 ms a slice
-	cfg.DiskBandwidthBytesPerSec = 256 << 10
+	cfg.BlockSizeBytes = 512 << 10
+	cfg.BandwidthBytesPerSec = 2 << 20 // 31 ms a slice
+	cfg.DiskBandwidthBytesPerSec = 2 << 20
 	c := newCluster(t, cfg)
 	const writer = topology.NodeID(5)
+	// One stream deep, the write walks fabric.ChunkBytes: eight slices.
+	slice := c.foldSliceBytes(writer, 1)
 	data := make([]byte, cfg.BlockSizeBytes)
-	for idx := 0; idx < cfg.BlockSizeBytes/cfg.PipelineChunkBytes; idx++ {
+	for idx := 0; idx < cfg.BlockSizeBytes/slice; idx++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		sent := c.Fabric().Snapshot()
 		stop := make(chan struct{})
@@ -218,7 +219,7 @@ func TestWriteCancelAtEverySlice(t *testing.T) {
 			defer close(watched)
 			for {
 				up := linkMoved(c.Fabric().Snapshot().Sub(sent), fmt.Sprintf("node%d.up", writer))
-				if up >= int64((idx+1)*cfg.PipelineChunkBytes) {
+				if up >= int64((idx+1)*slice) {
 					cancel()
 					return
 				}

@@ -160,8 +160,7 @@ const NoWriter topology.NodeID = -1
 // InFlight is a ledger of the writes under way: how many replicas are being
 // written to each node, and how many writes enter each rack. A steered draw
 // reads it (SetInFlight); its owner, the NameNode, moves the counts with Add.
-// They are atomics, so one placement shard reads them while another moves
-// them, without a lock.
+// They are atomics, so the counts can be read without the owner's lock.
 type InFlight struct {
 	top   *topology.Topology
 	nodes []atomic.Int32

@@ -241,8 +241,8 @@ func sampleNodesInRackInto(top *topology.Topology, r topology.RackID, count int,
 // pool[i] an entry of pool[i:] drawn uniformly, with one rng.Intn. With the
 // ledger's counts for the pool's kind (load, indexed by ID) the draw is among
 // the entries with the fewest replicas in flight, listed in pool order in
-// s.ties as the one pass over them reads each count once (other placement
-// shards move the counts while this one draws), so counts that are zero
+// s.ties as the one pass over them reads each count once (the ledger's owner
+// may move the counts while a draw reads them), so counts that are zero
 // everywhere draw what no counts do.
 func pickLeast[T topology.NodeID | topology.RackID](pool []T, i int, load []atomic.Int32, rng *rand.Rand, s *layoutScratch) {
 	j := i
