@@ -38,9 +38,6 @@ var (
 // (replication pipeline, chain fold) walks a block in.
 const ChunkBytes = 64 << 10
 
-// chunkBytes is the internal alias predating the exported constant.
-const chunkBytes = ChunkBytes
-
 // sendWindow is how many booked bytes a stream may hold on its links that
 // have not arrived yet: two chunks, the one on the wire and one queued behind
 // it, or as many smaller bookings as fit in their bytes. Every timer
@@ -665,8 +662,8 @@ func (s *Stream) Book(ctx context.Context, n int, ready time.Time) (arrival time
 	if !ready.IsZero() && ready.Before(s.opened) {
 		ready = s.opened
 	}
-	for off := 0; off < n; off += chunkBytes {
-		if arrival, err = s.bookChunk(ctx, min(chunkBytes, n-off), ready); err != nil {
+	for off := 0; off < n; off += ChunkBytes {
+		if arrival, err = s.bookChunk(ctx, min(ChunkBytes, n-off), ready); err != nil {
 			return time.Time{}, err
 		}
 	}

@@ -2,28 +2,31 @@ package hdfs
 
 // The chain engine. Encoding a stripe, repairing a lost member and reading
 // a lost block degraded are one operation: fold coefficient rows over stripe
-// members along a planned chain. The holders of the members form a chain
-// (placement.PlanPipeline: rack-contiguous, the anchor's rack last) and walk
-// the block slice by slice: each hop receives the upstream partial sums over
-// a fabric stream, folds its locally stored members into them with
-// gf256.MulAddSlice, and forwards the result downstream; the last holder
-// streams each finished row to the node that will store it. A hop reads its
-// members ahead from the shaped disk while the sums are still on their way,
-// every stage books its forward from the instant the slice was ready, and
-// the slice is sized so the fill stays a small share of a block time
-// (foldSliceBytes), so the chain is many slices deep and every stage stays
-// busy. Transfer and arithmetic for slice i+1 overlap the forwarding of slice
-// i, and a rack holding several members aggregates them before crossing the
-// core, so one set of partial sums crosses per rack boundary instead of one
-// block per remote member, and no link carries more than one block per row.
-// With the m parity rows the sums are the stripe's parity (RapidRAID),
-// delivered to the m parity holders; with one decode row they are the lost
-// member (rack-aware regenerating repair), delivered to the repair target or
-// the reading client. The engine stores nothing: the sums land in the
-// caller's buffers and the caller commits them only after the whole fold
-// succeeded, so a canceled fold leaves no trace in any store. The stage loop
-// (runStages) also carries the replicated write, a run with no members to
-// fold whose stages keep what they forward (client.go).
+// members along planned chains, one chain per row. The holders of the members
+// are covered once (placement.PlanPipeline, toward the fold's anchor), and
+// the cover is ordered once per row toward that row's sink
+// (placement.OrderPipeline: rack-contiguous, the sink's rack last, the sink
+// itself last). Each row's chain walks the block slice by slice: each hop
+// receives the row's upstream partial sum over a fabric stream, folds its
+// locally stored members into it with gf256.MulAddSlice, and forwards the
+// result downstream, so the row ends on its sink wherever the sink is a hop
+// of the cover; only a row whose sink is not one ends in a delivery stage.
+// A node reads its members once for all rows, ahead from the shaped disk
+// while the sums are still on their way; every stage books its forward from
+// the instant the slice was ready, and the slice is sized so the fill stays
+// a small share of a block time (foldSliceBytes), so a chain is many slices
+// deep and every stage stays busy. Transfer and arithmetic for slice i+1
+// overlap the forwarding of slice i, and a rack holding several members
+// aggregates them before crossing the core: one block per row per hop, so
+// one partial sum per row crosses per rack boundary instead of one block per
+// remote member. With the m parity rows the sums are the stripe's parity
+// (RapidRAID), each ending on the node that stores it; with one decode row
+// they are the lost member (rack-aware regenerating repair), delivered to the
+// repair target or the reading client. The engine stores nothing: the sums
+// land in the caller's buffers and the caller commits them only after the
+// whole fold succeeded, so a canceled fold leaves no trace in any store. The
+// stage loop (runStages) also carries the replicated write, a run with no
+// members to fold whose stages keep what they forward (client.go).
 
 import (
 	"context"
@@ -42,40 +45,44 @@ import (
 	"ear/internal/workgroup"
 )
 
-// chainStage is one stage of a stage run: a planned hop of a fold, which
-// carries every row and folds its local members into them; a delivery stage,
-// which receives one finished row at that row's sink; or a replica of a
-// replicated write, which keeps what it receives.
+// chainStage is one stage of a stage run, and it carries one row: a planned
+// hop of a fold, which folds its local members into the row's partial sum; a
+// delivery stage, which receives a finished row at a sink that is no hop of
+// the cover; or a replica of a replicated write, which keeps what it
+// receives.
 type chainStage struct {
-	node      topology.NodeID
+	node topology.NodeID
+	// row holds the coefficients of the stage's row, indexed by stripe
+	// position (nil for a write), and positions and blocks the node's local
+	// members it folds with them, shared by every stage of the fold on the
+	// node (none at a delivery stage or in a write).
+	row       []byte
 	positions []int
-	// up is the stage whose accumulators this one receives (nil at the head,
-	// whose accumulators its builder has filled: zeros for a fold, the
-	// caller's bytes for a write); next are the stages that receive from this
-	// one.
+	blocks    [][]byte
+	// up is the stage whose accumulator this one receives (nil at a head,
+	// whose accumulator comes filled: zeros for a fold, the caller's bytes for
+	// a write); next are the stages that receive from this one.
 	up   *chainStage
 	next []*chainStage
-	// acc is indexed by row and holds one accumulator per row the stage
-	// carries: every row at a hop, one at a delivery stage (nil elsewhere).
-	// A row that ends at its sink accumulates in the caller's output buffer.
-	acc [][]byte
-	// blocks holds the hop's local members, parallel to positions.
-	blocks [][]byte
-	// in is the inbound stream from up's node (nil at the head) and disk the
-	// node's own disk stream the local members are read over (nil at a stage
-	// without members). runStages opens both before any stage runs; up books
-	// on in, the read-ahead worker on disk, and the stage closes both when it
-	// returns. carried is how many rows a slice on in moves.
-	in, disk *fabric.Stream
-	carried  int
+	// acc is the row's partial sum once this stage has folded: the caller's
+	// output buffer where the row ends at its sink.
+	acc []byte
+	// in is the inbound stream from up's node (nil at a head), which up books
+	// on.
+	in *fabric.Stream
 	// ready carries the slices up has finished and booked on in, in slice
 	// order: the index and the instant its bytes arrive.
 	ready chan sliceArrival
-	// diskRead carries, in slice order, the instant each slice of the local
-	// members the read-ahead worker has booked on disk arrives.
+	// diskRead carries, in slice order, the instant each slice of the node's
+	// members arrives from its disk (nil at a stage without members).
 	diskRead chan time.Time
-	tFirst   time.Time
-	tLast    time.Time
+	// stagger is how long after a slice's inputs arrived the stage wakes for
+	// it; it still books the slice as ready at the arrival. The rows of one
+	// fold share links, and a microsecond per row orders their same-instant
+	// bookings by row instead of by the scheduler.
+	stagger time.Duration
+	tFirst  time.Time
+	tLast   time.Time
 }
 
 // sliceArrival is one slice a stage may adopt once the instant has passed.
@@ -84,8 +91,16 @@ type sliceArrival struct {
 	arrival time.Time
 }
 
+// diskReader is one node's read-ahead: the disk stream its members are booked
+// on once, slice by slice, for every stage of the run on the node (stages[0]
+// names the node and the members).
+type diskReader struct {
+	disk   *fabric.Stream
+	stages []*chainStage
+}
+
 // newStage appends to stages a stage at node that receives acc from up.
-func newStage(stages []*chainStage, node topology.NodeID, up *chainStage, acc [][]byte) []*chainStage {
+func newStage(stages []*chainStage, node topology.NodeID, up *chainStage, acc []byte) []*chainStage {
 	st := &chainStage{node: node, up: up, acc: acc}
 	if up != nil {
 		up.next = append(up.next, st)
@@ -93,13 +108,13 @@ func newStage(stages []*chainStage, node topology.NodeID, up *chainStage, acc []
 	return append(stages, st)
 }
 
-// chainLedger counts the network transfers of one fold.
+// chainLedger counts the network transfers of one fold, one block each.
 type chainLedger struct {
-	// hops are the inbound partial-sum transfers between holders, one block
-	// per row each; crossHops those that crossed the rack core.
+	// hops are the inbound partial-sum transfers between holders, summed over
+	// the rows' chains; crossHops those that crossed the rack core.
 	hops, crossHops int
-	// deliveries are the finished rows the last holder streamed to a sink
-	// other than itself, one block each.
+	// deliveries are the finished rows a chain's last holder streamed to a
+	// sink that is no hop of the cover.
 	deliveries, crossDeliveries int
 }
 
@@ -146,11 +161,11 @@ const sliceCPUTime = 100 * time.Microsecond
 // 1/fillShare of the block time, at least minSliceBytes. Where a link moves
 // more than a slice in sliceCPUTime at the anchor's current NIC rate (rates
 // change under Fabric.SetAllRates), as on an unshaped fabric, per-slice CPU is
-// the only cost and the slice grows past that too. A 13-stage degraded read
-// or a 4-hop encode of 256 KiB blocks on 16 MiB/s links walks 4 KiB slices; a
-// run one stream deep (a copy; a write whose other replica is the writer's
-// own) has no fill and walks fabric.ChunkBytes, the grain a Send is shaped at
-// anyway.
+// the only cost and the slice grows past that too. Of 256 KiB blocks on 16
+// MiB/s links, a 13-stage degraded read walks 4 KiB slices and an encode
+// whose row chains are three streams deep 8 KiB; a run one stream deep (a
+// copy; a write whose other replica is the writer's own) has no fill and
+// walks fabric.ChunkBytes, the grain a Send is shaped at anyway.
 func (c *Cluster) foldSliceBytes(anchor topology.NodeID, streams int) int {
 	rate, err := c.fab.NodeRate(anchor)
 	if err != nil {
@@ -165,28 +180,32 @@ func (c *Cluster) foldSliceBytes(anchor topology.NodeID, streams int) int {
 }
 
 // runStages walks one block through the stages slice by slice, the only
-// stage loop in the package. stages[0] is the head and is listed before every
-// stage that receives from it, directly or not. Every stream of the run — a
-// stage's inbound stream from its upstream stage's node, and the disk stream
-// of a stage with local members (a same-node stream is the node's disk) — is
-// opened here before any stage runs. Each stage runs on a goroutine of its
-// own, and booking is the sender's: a stage that has finished a slice books
-// it, one slice per carried row, on the inbound stream of every stage after
-// it and hands the slice's arrival instant down; a worker beside a stage with
-// members books their slices on the disk from the run's start. Both book
-// ahead of the arrivals as far as a stream's window allows, so links and
-// disks stay busy while the receiving stage is still waking up. The
-// receiving stage sleeps once a slice, until both the upstream sums and its
-// own members have arrived, adopts the upstream accumulators, folds rows over
-// its members and passes the slice on, booked as ready at that instant rather
-// than at the later one its host woke up at (the head's slices are ready at
-// the run's start). The walk's grain is foldSliceBytes of the anchor and
-// of how many streams deep the stages are; span opens stage s's span under
-// the one carried by ctx, and every span carries the grain as its "slice"
-// arg. Every goroutine is joined before runStages returns the run's start
-// and end; the first error (a cancelled ctx included) stops them all within
-// one slice.
-func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor topology.NodeID, rows [][]byte, span func(s int, st *chainStage) *telemetry.Span) (start, end time.Time, err error) {
+// stage loop in the package. Every stage with no upstream is a head, and a
+// stage is listed after the one it receives from. Every stream of the run — a
+// stage's inbound stream from its upstream stage's node, and one disk stream
+// per node with members (a same-node stream is the node's disk) — is opened
+// here before any stage runs and closed before runStages returns. Each stage
+// runs on a goroutine of its own, and booking is the sender's: a stage that
+// has finished a slice books it on the inbound stream of every stage after it
+// and hands the slice's arrival instant down; one read-ahead worker per node
+// with members books their slices on its disk, once for all of the node's
+// stages, and hands each arrival to every one of them. Both book ahead of the
+// arrivals as far as a stream's window allows, so links and disks stay busy
+// while the receiving stage is still waking up. The receiving stage sleeps
+// once a slice, until both the upstream sum and its node's members have
+// arrived and its stagger has passed, adopts the upstream accumulator, folds
+// its row over the members and passes the slice on, booked as ready at the
+// arrival rather than at the later instant its host woke up at (a head's
+// slices are ready at the run's start). The read-ahead starts phase after the
+// run's start and books its slices as ready at the start: runs that start
+// together and share a disk book it in the order of their phases instead of
+// the scheduler's, at no cost in disk time. The walk's grain is
+// foldSliceBytes of the anchor and of how many streams deep the stages are;
+// span opens stage s's span under the one carried by ctx, and every span
+// carries the grain as its "slice" arg. Every goroutine is joined before
+// runStages returns the run's start and end; the first error (a cancelled
+// ctx included) stops them all within one slice.
+func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor topology.NodeID, phase time.Duration, span func(s int, st *chainStage) *telemetry.Span) (start, end time.Time, err error) {
 	blockSize := c.cfg.BlockSizeBytes
 	streams := 0
 	for _, st := range stages {
@@ -199,59 +218,78 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 	slice := c.foldSliceBytes(anchor, streams)
 	sliceArg := strconv.Itoa(slice)
 	nSlices := (blockSize + slice - 1) / slice
-	for i, st := range stages {
+	var opened []*fabric.Stream
+	defer func() {
+		for _, s := range opened {
+			s.Close()
+		}
+	}()
+	open := func(src, dst topology.NodeID) (*fabric.Stream, error) {
+		s, err := c.fab.OpenStream(ctx, src, dst)
+		if err == nil {
+			opened = append(opened, s)
+		}
+		return s, err
+	}
+	var readers []*diskReader
+	for _, st := range stages {
 		if st.up != nil {
-			st.in, err = c.fab.OpenStream(ctx, st.up.node, st.node)
-		}
-		if err == nil && len(st.positions) > 0 {
-			st.disk, err = c.fab.OpenStream(ctx, st.node, st.node)
-		}
-		if err != nil {
-			// No stage runs, so none closes what was opened so far.
-			for _, opened := range stages[:i+1] {
-				opened.closeStreams()
-			}
-			return start, end, err
-		}
-		for _, a := range st.acc {
-			if a != nil {
-				st.carried++
+			if st.in, err = open(st.up.node, st.node); err != nil {
+				return start, end, err
 			}
 		}
 		// One entry per slice, so a sender never blocks on a channel; the
 		// group context covers abandonment.
 		st.ready = make(chan sliceArrival, nSlices)
-		if st.disk != nil {
-			st.diskRead = make(chan time.Time, nSlices)
+		if len(st.positions) == 0 {
+			continue
 		}
+		i := slices.IndexFunc(readers, func(r *diskReader) bool { return r.stages[0].node == st.node })
+		if i < 0 {
+			disk, err := open(st.node, st.node)
+			if err != nil {
+				return start, end, err
+			}
+			i = len(readers)
+			readers = append(readers, &diskReader{disk: disk})
+		}
+		readers[i].stages = append(readers[i].stages, st)
+		st.diskRead = make(chan time.Time, nSlices)
 	}
 	start = time.Now()
-	for idx := 0; idx < nSlices; idx++ {
-		stages[0].ready <- sliceArrival{idx, start}
+	for _, st := range stages {
+		if st.up == nil {
+			for idx := 0; idx < nSlices; idx++ {
+				st.ready <- sliceArrival{idx, start}
+			}
+			close(st.ready)
+		}
 	}
-	close(stages[0].ready)
 
 	g, gctx := workgroup.WithContext(ctx)
-	for s, st := range stages {
-		if st.disk != nil {
-			// Read-ahead: the local members do not depend on the upstream, so
-			// they are booked on the shaped disk slice by slice, all ready at
-			// the start, beside the inbound slices instead of between receive
-			// and fold.
-			g.Go(func() error {
-				for lo := 0; lo < blockSize; lo += slice {
-					arrival, err := st.disk.Book(gctx, len(st.positions)*(min(lo+slice, blockSize)-lo), start)
-					if err != nil {
-						return err
-					}
+	for _, r := range readers {
+		// Read-ahead: the members do not depend on the upstream, so they are
+		// booked on the shaped disk slice by slice, all ready at the start,
+		// beside the inbound slices instead of between receive and fold.
+		g.Go(func() error {
+			if err := fabric.SleepUntil(gctx, start.Add(phase)); err != nil {
+				return err
+			}
+			for lo := 0; lo < blockSize; lo += slice {
+				arrival, err := r.disk.Book(gctx, len(r.stages[0].positions)*(min(lo+slice, blockSize)-lo), start)
+				if err != nil {
+					return err
+				}
+				for _, st := range r.stages {
 					st.diskRead <- arrival
 				}
-				return nil
-			})
-		}
+			}
+			return nil
+		})
+	}
+	for s, st := range stages {
 		g.Go(func() error {
 			defer span(s, st).Arg("slice", sliceArg).End()
-			defer st.closeStreams()
 			for {
 				var r sliceArrival
 				var chOk bool
@@ -281,23 +319,17 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 						return gctx.Err()
 					}
 				}
-				if err := fabric.SleepUntil(gctx, arrival); err != nil {
+				if err := fabric.SleepUntil(gctx, arrival.Add(st.stagger)); err != nil {
 					return err
 				}
-				// Adopt the upstream accumulators for this slice and fold the
-				// local members into them.
+				// Adopt the upstream accumulator for this slice and fold the
+				// node's members into it.
 				if st.up != nil {
-					for j, a := range st.acc {
-						if a != nil {
-							copy(a[lo:hi], st.up.acc[j][lo:hi])
-						}
-					}
+					copy(st.acc[lo:hi], st.up.acc[lo:hi])
 				}
 				for pi, pos := range st.positions {
-					for j, row := range rows {
-						if coef := row[pos]; coef != 0 {
-							gf256.MulAddSlice(coef, st.blocks[pi][lo:hi], st.acc[j][lo:hi])
-						}
+					if coef := st.row[pos]; coef != 0 {
+						gf256.MulAddSlice(coef, st.blocks[pi][lo:hi], st.acc[lo:hi])
 					}
 				}
 				now := time.Now()
@@ -305,11 +337,10 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 					st.tFirst = now
 				}
 				st.tLast = now
-				// Send the slice on: one slice-sized sum per row the receiver
-				// carries, ready when its inputs arrived, attributed by the
-				// fabric to every link of the hop.
+				// Send the slice on, ready when its inputs arrived, attributed by
+				// the fabric to every link of the hop.
 				for _, n := range st.next {
-					sent, err := n.in.Book(gctx, n.carried*(hi-lo), arrival)
+					sent, err := n.in.Book(gctx, hi-lo, arrival)
 					if err != nil {
 						return err
 					}
@@ -322,61 +353,34 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 	return start, time.Now(), err
 }
 
-// closeStreams closes the streams runStages opened for the stage.
-func (st *chainStage) closeStreams() {
-	if st.in != nil {
-		st.in.Close()
-	}
-	if st.disk != nil {
-		st.disk.Close()
-	}
-}
-
 // chainFold computes out[j] = sum over pos of rows[j][pos] * content(pos)
 // and lands it at sinks[j]. holders[pos] lists the live holders of stripe
 // position pos (empty: the position contributes nothing — zero content or an
-// unused survivor) and key maps a position to its store key. The chain is
-// planned toward the anchor (placement.PlanPipeline), which takes no part in
-// the fold unless it holds a member; the last planned holder streams each
-// finished slice of row j to sinks[j] over a stream of its own, unless it is
-// that sink. With nothing but zeros to fold, the anchor originates them.
-// Every out buffer is one block long and is fully overwritten on success; on
-// error its content is undefined. A planned member whose checksum-verified
-// read fails is reported as a holderError before any stream opens. Hop spans
-// hang off the span carried by ctx. chainFold plans, reads the members and
-// keeps the ledger; runStages moves the bytes.
+// unused survivor) and key maps a position to its store key. The holders are
+// covered once, planned toward the anchor (placement.PlanPipeline), which
+// takes no part in the fold unless it holds a member, and each row walks that
+// cover in a chain of its own ordered toward sinks[j]
+// (placement.OrderPipeline), which ends on the sink when it is a hop of the
+// cover and otherwise streams each finished slice to it from the chain's last
+// hop. With nothing but zeros to fold, the anchor originates them. Every out
+// buffer is one block long and is fully overwritten on success; on error its
+// content is undefined. Each covered member is read once, whatever the number
+// of rows, and a member whose checksum-verified read fails is reported as a
+// holderError before any stream opens. Hop spans hang off the span carried by
+// ctx. chainFold plans, reads the members and keeps the ledger; runStages
+// moves the bytes.
 func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID, out [][]byte) (chainLedger, error) {
 	var ledger chainLedger
-	hops, err := placement.PlanPipeline(c.top, holders, anchor, sinks...)
+	cover, err := placement.PlanPipeline(c.top, holders, anchor)
 	if err != nil {
 		return ledger, fmt.Errorf("stripe %d: %w", stripe, err)
 	}
-	if len(hops) == 0 {
-		hops = []placement.PipelineHop{{Node: anchor}}
+	if len(cover) == 0 {
+		cover = []placement.PipelineHop{{Node: anchor}}
 	}
 	blockSize := c.cfg.BlockSizeBytes
-	m := len(rows)
-
-	// One stage per planned hop, then one delivery stage per row whose sink
-	// is not the last hop.
-	stages := make([]*chainStage, 0, len(hops)+m)
-	var tail *chainStage
-	for _, h := range hops {
-		stages = newStage(stages, h.Node, tail, make([][]byte, m))
-		tail = stages[len(stages)-1]
-		tail.positions = h.Positions
-	}
-	for j, sink := range sinks {
-		if sink == tail.node {
-			tail.acc[j] = out[j]
-			continue
-		}
-		acc := make([][]byte, m)
-		acc[j] = out[j]
-		stages = newStage(stages, sink, tail, acc)
-	}
-	// Accumulators that are not a caller's buffer and the hops' local members
-	// are pooled and always released.
+	// Accumulators that are not a caller's buffer and the covered members are
+	// pooled and always released.
 	var pooled [][]byte
 	defer func() {
 		for _, a := range pooled {
@@ -388,38 +392,58 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 		pooled = append(pooled, b)
 		return b
 	}
-	// Every planned member is read, checksum-verified, before any stream
+	// Every covered member is read, checksum-verified, before any stream
 	// opens: a fold that fails with a holderError has moved no byte, so the
 	// ledger of the callers' re-planned fold is the whole network cost.
-	for _, st := range stages[:len(hops)] {
-		if len(st.positions) == 0 {
+	members := make(map[topology.NodeID][][]byte, len(cover))
+	for _, h := range cover {
+		if len(h.Positions) == 0 {
 			continue
 		}
-		dn, err := c.DataNodeOf(st.node)
+		dn, err := c.DataNodeOf(h.Node)
 		if err != nil {
 			return ledger, err
 		}
-		for _, pos := range st.positions {
+		for _, pos := range h.Positions {
 			b := get()
-			st.blocks = append(st.blocks, b)
+			members[h.Node] = append(members[h.Node], b)
 			if err := dn.Store.GetInto(key(pos), b); err != nil {
-				return ledger, &holderError{holder{st.node, pos}, stripe, err}
+				return ledger, &holderError{holder{h.Node, pos}, stripe, err}
 			}
 		}
 	}
-	for _, st := range stages[:len(hops)] {
-		for j, a := range st.acc {
-			if a == nil {
-				st.acc[j] = get()
+
+	// Per row, one stage per covered hop in that row's order, starting from
+	// zeros, and a delivery stage when the sink is no hop.
+	stages := make([]*chainStage, 0, len(rows)*(len(cover)+1))
+	for j, sink := range sinks {
+		first := len(stages)
+		sinkRack, _ := c.top.RackOf(sink) // an unknown sink fails when its stream opens
+		var up *chainStage
+		for _, h := range placement.OrderPipeline(cover, sink, sinkRack, sinks...) {
+			acc := out[j]
+			if h.Node != sink {
+				acc = get()
 			}
+			if up == nil {
+				clear(acc)
+			}
+			stages = newStage(stages, h.Node, up, acc)
+			up = stages[len(stages)-1]
+			up.row, up.positions, up.blocks = rows[j], h.Positions, members[h.Node]
+		}
+		if up.node != sink {
+			stages = newStage(stages, sink, up, out[j])
+		}
+		for _, st := range stages[first:] {
+			st.stagger = time.Duration(j) * time.Microsecond
 		}
 	}
-	// The head of the chain starts every row from zeros.
-	for _, a := range stages[0].acc {
-		clear(a)
-	}
+	// The read-ahead's phase is keyed by stripe: the folds a map task or a
+	// recovery keeps in flight start together and share disks.
+	phase := time.Duration(stripe % 1000)
 	parent := telemetry.SpanFromContext(ctx)
-	start, end, err := c.runStages(ctx, stages, anchor, rows, func(s int, st *chainStage) *telemetry.Span {
+	start, end, err := c.runStages(ctx, stages, anchor, phase, func(s int, st *chainStage) *telemetry.Span {
 		return parent.ChildTrack("raidnode.chain-hop").
 			Arg(telemetry.ComponentArg, "raidnode").
 			Arg("stripe", strconv.FormatInt(int64(stripe), 10)).
@@ -430,16 +454,21 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 	if err != nil {
 		return ledger, err
 	}
-	for _, st := range stages[1:len(hops)] {
-		ledger.hops++
-		if st.in.Cross() {
-			ledger.crossHops++
-		}
-	}
-	for _, st := range stages[len(hops):] {
-		ledger.deliveries++
-		if st.in.Cross() {
-			ledger.crossDeliveries++
+	// A stage with an upstream and members is a hop; one without members is
+	// a delivery.
+	for _, st := range stages {
+		switch {
+		case st.up == nil:
+		case len(st.positions) > 0:
+			ledger.hops++
+			if st.in.Cross() {
+				ledger.crossHops++
+			}
+		default:
+			ledger.deliveries++
+			if st.in.Cross() {
+				ledger.crossDeliveries++
+			}
 		}
 	}
 	if tel := c.metrics(); tel != nil {
@@ -458,19 +487,18 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 }
 
 // pipelineParity materializes the stripe's parity blocks by folding the m
-// parity rows over the replica holders along a chain whose last holder
-// streams parity j to plan.Parity[j]. The chain is planned toward the first
-// parity holder in the encoder's rack, so that it ends on a node that stores
-// a row (toward the encoder when that rack holds no parity). A replica
-// whose local read fails is excluded and the chain re-planned over the
-// member's remaining live replicas, until a member has none left; an
-// excluded replica the plan keeps is rewritten from a verified copy before
-// the caller deletes the others (rewriteKept). It is the ParityFunc of every
-// encode job that names no other: pooled parity buffers the caller must
-// release, the aborted-member mask, CrossRackDownloads (m block-equivalents
-// per rack boundary the partial sums crossed plus one per rewrite that
+// parity rows over the replica holders, one chain per row, so that parity j
+// ends on plan.Parity[j]. The holders are covered toward the first parity
+// holder in the encoder's rack (toward the encoder when that rack holds no
+// parity). A replica whose local read fails is excluded and the cover
+// re-planned over the member's remaining live replicas, until a member has
+// none left; an excluded replica the plan keeps is rewritten from a verified
+// copy before the caller deletes the others (rewriteKept). It is the
+// ParityFunc of every encode job that names no other: pooled parity buffers
+// the caller must release, the aborted-member mask, CrossRackDownloads (the
+// per-row hops whose partial sum crossed a rack, plus one per rewrite that
 // crossed), CrossRackUploads (the deliveries that crossed) and
-// PartialSumBytes (total partial-sum bytes shipped between hops).
+// PartialSumBytes (one block per per-row hop between holders).
 func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, plan *placement.PostEncodingPlan) (sp StripeParity, err error) {
 	anchor := encoder
 	if j := slices.IndexFunc(plan.Parity, func(p topology.NodeID) bool {
@@ -533,9 +561,9 @@ func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo
 		if err != nil {
 			return sp, err
 		}
-		sp.CrossRackDownloads = ledger.crossHops * m
+		sp.CrossRackDownloads = ledger.crossHops
 		sp.CrossRackUploads = ledger.crossDeliveries
-		sp.PartialSumBytes = int64(ledger.hops) * int64(m) * int64(c.cfg.BlockSizeBytes)
+		sp.PartialSumBytes = int64(ledger.hops) * int64(c.cfg.BlockSizeBytes)
 		break
 	}
 	for _, bad := range excluded {

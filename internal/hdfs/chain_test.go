@@ -316,17 +316,18 @@ func canceledRun(t *testing.T, c *Cluster, want error, what string, run func() e
 }
 
 // TestChainFoldCancelAtEveryStage runs the engine directly, as a 1-row and
-// as an m-row fold over a sealed stripe toward sinks that hold no member,
-// and cancels it the moment each stream in turn opens: the first hop's disk
-// stream, every partial-sum stream between holders, and every delivery
-// stream from the last holder to a row's sink; then once more on a deadline
-// that lands while every read-ahead worker is part-way through its block.
-// The run opens its streams before any stage starts, so a cancellation at
-// any stream but the last makes the next OpenStream fail with the earlier
-// ones open and no stage there to close them. Wherever the cancellation
-// lands, every stream must be closed, every pooled buffer back in the pool
-// (Gets == Puts), no store may have changed, and no goroutine the fold
-// started may outlive it.
+// as an m-row fold over a sealed stripe toward sinks that hold no member. One
+// uncancelled fold at lifted rates names the fold's streams, from its
+// TransferStarted events: every row's chain, the disk stream each node with
+// members shares between the rows, and each row's delivery stage. Then the
+// fold is cancelled the moment each of those streams in turn opens, and once
+// more on a deadline that lands while every read-ahead worker is part-way
+// through its block. The run opens its streams before any stage starts, so a
+// cancellation at any stream but the last makes the next OpenStream fail with
+// the earlier ones open and no stage running. Wherever the cancellation
+// lands, every stream must be closed, every pooled buffer back in the pool,
+// no store may have changed, and no goroutine the fold started may outlive
+// it.
 func TestChainFoldCancelAtEveryStage(t *testing.T) {
 	cfg := testConfig("rr")
 	cfg.BlockSizeBytes = 256 << 10      // twice a stream's window
@@ -364,48 +365,83 @@ func TestChainFoldCancelAtEveryStage(t *testing.T) {
 	if len(sinks) < len(parityRows) {
 		t.Fatalf("only %d nodes hold no member, want %d sinks", len(sinks), len(parityRows))
 	}
-	hops, err := placement.PlanPipeline(c.Topology(), holders, sinks[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The streams of a fold in chain order, as (source, destination): stage
-	// 0 has no inbound stream, its first stream is its disk.
-	type stream struct{ src, dst topology.NodeID }
-	chain := []stream{{hops[0].Node, hops[0].Node}}
-	for s := 1; s < len(hops); s++ {
-		chain = append(chain, stream{hops[s-1].Node, hops[s].Node})
-	}
-	tail := hops[len(hops)-1].Node
 
+	// fold runs one fold under ctx toward the first len(rows) sinks.
+	fold := func(ctx context.Context, rows [][]byte) error {
+		out := make([][]byte, len(rows))
+		for j := range out {
+			out[j] = c.BufferPool().Get(cfg.BlockSizeBytes)
+		}
+		_, err := c.chainFold(ctx, 0, rows, holders, key, sinks[0], sinks[:len(rows)], out)
+		for _, o := range out {
+			c.BufferPool().Put(o)
+		}
+		return err
+	}
+	// opened returns the streams an uncancelled fold opens, in order, and
+	// checks that it read every member off its disk once, whatever the
+	// number of rows.
+	opened := func(rows [][]byte) []events.Event {
+		setRates(t, c, 64<<30, 64<<30)
+		defer setRates(t, c, cfg.BandwidthBytesPerSec, cfg.DiskBandwidthBytesPerSec)
+		var started []events.Event
+		defer jrn.Subscribe(func(e events.Event) {
+			if e.Type == events.TransferStarted {
+				started = append(started, e)
+			}
+		})()
+		before := c.Fabric().Snapshot()
+		if err := fold(context.Background(), rows); err != nil {
+			t.Fatal(err)
+		}
+		if read, want := c.Fabric().Snapshot().Sub(before).ClassBytes[fabric.ClassDisk], int64(cfg.K*cfg.BlockSizeBytes); read != want {
+			t.Errorf("%d-row fold read %d disk bytes, want the %d of its members once", len(rows), read, want)
+		}
+		return started
+	}
 	// canceledFold runs one fold under ctx, which the caller has arranged to
 	// end mid-fold, and checks that nothing of it is left behind.
 	canceledFold := func(ctx context.Context, rows [][]byte, want error, where string) {
 		t.Helper()
 		canceledRun(t, c, want, fmt.Sprintf("%d-row fold canceled %s", len(rows), where), func() error {
-			out := make([][]byte, len(rows))
-			for j := range out {
-				out[j] = c.BufferPool().Get(cfg.BlockSizeBytes)
-			}
-			_, err := c.chainFold(ctx, 0, rows, holders, key, sinks[0], sinks[:len(rows)], out)
-			for _, o := range out {
-				c.BufferPool().Put(o)
-			}
-			return err
+			return fold(ctx, rows)
 		})
+		if out := c.BufferPool().Outstanding(); out != 0 {
+			t.Errorf("%d-row fold canceled %s: %d pooled buffers outstanding", len(rows), where, out)
+		}
 	}
 	for _, rows := range [][][]byte{parityRows[:1], parityRows} {
-		streams := slices.Clone(chain)
+		// Every row walks the whole cover and ends in a delivery, so each row
+		// has as many network streams as the cover has hops, and the hops'
+		// disk streams are one per node whatever the number of rows.
+		streams := opened(rows)
+		disks := 0
+		for _, e := range streams {
+			if e.Node == e.Peer {
+				disks++
+			}
+		}
+		if network := len(streams) - disks; disks == 0 || network != len(rows)*disks {
+			t.Fatalf("%d-row fold opened %d disk and %d network streams, want one network stream a row per disk stream",
+				len(rows), disks, network)
+		}
 		for _, sink := range sinks[:len(rows)] {
-			streams = append(streams, stream{tail, sink})
+			if !slices.ContainsFunc(streams, func(e events.Event) bool { return e.Peer == sink }) {
+				t.Fatalf("%d-row fold opened no stream to sink %d: %+v", len(rows), sink, streams)
+			}
 		}
 		for s, at := range streams {
 			ctx, cancel := context.WithCancel(context.Background())
+			seen := 0
 			unsub := jrn.Subscribe(func(e events.Event) {
-				if e.Type == events.TransferStarted && e.Node == at.src && e.Peer == at.dst {
-					cancel()
+				if e.Type == events.TransferStarted {
+					if seen == s {
+						cancel()
+					}
+					seen++
 				}
 			})
-			canceledFold(ctx, rows, context.Canceled, fmt.Sprintf("at stream %d (%d->%d)", s, at.src, at.dst))
+			canceledFold(ctx, rows, context.Canceled, fmt.Sprintf("at stream %d (%d->%d)", s, at.Node, at.Peer))
 			unsub()
 			cancel()
 		}
@@ -710,8 +746,8 @@ func TestFoldSliceDerivation(t *testing.T) {
 			t.Errorf("slice of a 1 MiB block at 8 MiB/s, %d streams deep = %d, want %d", streams, got, want)
 		}
 	}
-	// The benchmark geometry: the 13-stream degraded read and a 4- or
-	// 5-stream encode of 256 KiB blocks on 16 MiB/s links walk 4 KiB.
+	// The benchmark geometry: the 13-stream degraded read of 256 KiB blocks
+	// on 16 MiB/s links walks 4 KiB, an encode's 3-stream row chains 8 KiB.
 	bench := newCluster(t, benchGeometry())
 	for streams, want := range map[int]int{1: 64 << 10, 2: 16 << 10, 3: 8 << 10, 4: 4 << 10, 5: 4 << 10, 13: 4 << 10} {
 		if got := bench.foldSliceBytes(0, streams); got != want {

@@ -131,10 +131,10 @@ func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *B
 	if len(meta.Nodes) == 0 {
 		return fmt.Errorf("%w: block %d placed on no nodes", ErrNoReplica, meta.ID)
 	}
-	stages := newStage(nil, client, nil, [][]byte{data})
+	stages := newStage(nil, client, nil, data)
 	from := stages[0]
 	for _, n := range meta.Nodes {
-		stages = newStage(stages, n, from, [][]byte{c.bufPool.Get(len(data))})
+		stages = newStage(stages, n, from, c.bufPool.Get(len(data)))
 		if n != from.node {
 			from = stages[len(stages)-1]
 		}
@@ -144,11 +144,11 @@ func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *B
 	replicas := stages[1:]
 	defer func() {
 		for _, st := range replicas {
-			c.bufPool.Put(st.acc[0])
+			c.bufPool.Put(st.acc)
 		}
 	}()
 	parent := telemetry.SpanFromContext(ctx)
-	start, _, err := c.runStages(ctx, stages, client, nil, func(s int, st *chainStage) *telemetry.Span {
+	start, _, err := c.runStages(ctx, stages, client, 0, func(s int, st *chainStage) *telemetry.Span {
 		if s == 0 {
 			return nil // the client is the write's own span
 		}
@@ -170,7 +170,7 @@ func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *B
 		if err != nil {
 			return err
 		}
-		if err := dn.Store.Put(DataKey(meta.ID), st.acc[0]); err != nil {
+		if err := dn.Store.Put(DataKey(meta.ID), st.acc); err != nil {
 			return fmt.Errorf("replica on node %d: %w", st.node, err)
 		}
 		c.publishReplicaWritten(ctx, meta.ID, st.node, len(data))

@@ -3,11 +3,12 @@ package hdfs
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"ear/internal/fabric"
 	"ear/internal/progress"
 	"ear/internal/topology"
 )
@@ -16,15 +17,16 @@ import (
 // benchmark's geometry ((14,12), r = 2, c = 4 on 4 x 4 nodes): writers walking
 // the cluster plus one hot writer, every stripe sealed or flushed, one encode
 // job. EAR proposed every block's remote replica where the stripe had room,
-// the planner kept the core rack's places for the two parity blocks and the
-// chain ended on one of them, so over the encode no byte crossed a rack, no
-// NIC of a core rack received more than the m partial sums a stripe plus the
-// parity delivered to it, and the layout is the paper's: no violation, nothing
-// for the PlacementMonitor, parity equal to the coder's. Then the stripe is
-// read and rebuilt through its home parity: with the holder of one parity row
-// and a data holder of the same stripe dead, the degraded read decodes through
-// the other row, and recovering both nodes ends byte-identical, auditor clean,
-// exposure ledger at zero.
+// the planner kept the core rack's places for the two parity blocks and each
+// row's chain ended on the node that stores the row, so over the encode no
+// byte crossed a rack, the NICs received exactly the partial sums plus one
+// block per parity row whose holder has no member of its stripe, and the
+// layout is the paper's: no violation, nothing for the PlacementMonitor,
+// parity equal to the coder's. Then the stripe is read and rebuilt through
+// its home parity: with the holder of one parity row and a data holder of the
+// same stripe dead, the degraded read decodes through the other row, and
+// recovering both nodes ends byte-identical, auditor clean, exposure ledger
+// at zero.
 func TestEncodeCrossesNoRack(t *testing.T) {
 	cfg := testConfig("ear")
 	cfg.Racks, cfg.NodesPerRack, cfg.Replicas, cfg.K, cfg.N, cfg.C = 4, 4, 2, 12, 14, 4
@@ -53,6 +55,15 @@ func TestEncodeCrossesNoRack(t *testing.T) {
 	if _, err := nn.FlushOpenStripes(); err != nil {
 		t.Fatal(err)
 	}
+	// Who holds each member before the encode deletes the redundant copies.
+	held := make(map[topology.BlockID][]topology.NodeID, len(contents))
+	for id := range contents {
+		meta, err := nn.Block(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[id] = meta.Nodes
+	}
 
 	before := c.Fabric().Snapshot()
 	stats, err := c.RaidNode().EncodeAll()
@@ -75,29 +86,30 @@ func TestEncodeCrossesNoRack(t *testing.T) {
 			t.Errorf("the encode moved %d bytes over %s, want 0", l.MovedBytes, l.Name)
 		}
 	}
-	// What a NIC may receive: m partial sums for every stripe of its rack,
-	// plus one block for every parity row the node stores.
-	allowed := make(map[topology.NodeID]int64)
+	// What the NICs receive, exactly: the partial sums, one block per hop of
+	// each row's chain, plus one delivery for every parity row whose holder
+	// has no member of its stripe and so is no hop of the chain.
+	deliveries := 0
 	for _, id := range nn.EncodedStripes() {
 		sm := stripeOf(t, c, id)
-		home, err := top.NodesInRack(sm.Info.CoreRack)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range home {
-			allowed[n] += int64(m) * block
-		}
 		for j, n := range sm.Plan.Parity {
 			if r, _ := top.RackOf(n); r != sm.Info.CoreRack {
 				t.Errorf("stripe %d: parity %d on node %d of rack %d, core rack %d", id, j, n, r, sm.Info.CoreRack)
 			}
-			allowed[n] += block
+			if !slices.ContainsFunc(sm.Info.Blocks, func(b topology.BlockID) bool { return slices.Contains(held[b], n) }) {
+				deliveries++
+			}
 		}
 	}
-	for n := topology.NodeID(0); int(n) < top.Nodes(); n++ {
-		if got := linkMoved(delta, fmt.Sprintf("node%d.down", n)); got > allowed[n] {
-			t.Errorf("node %d received %d bytes over the encode, at most %d expected", n, got, allowed[n])
+	var received int64
+	for _, l := range delta.Links {
+		if l.Class == fabric.ClassNodeDown {
+			received += l.MovedBytes
 		}
+	}
+	if want := stats.PartialSumBytes + int64(deliveries)*block; received != want {
+		t.Errorf("the NICs received %d blocks over the encode, want %d partial sums + %d deliveries",
+			received/block, stats.PartialSumBytes/block, deliveries)
 	}
 	monitorClean(t, c)
 	if n := verifyParities(t, c, contents); n != m*stats.Stripes {

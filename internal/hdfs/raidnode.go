@@ -40,7 +40,8 @@ type EncodeStats struct {
 	Duration       time.Duration
 	ThroughputMBps float64
 	// CrossRackDownloads counts data blocks fetched across racks by
-	// encoding tasks (zero under EAR with strict scheduling).
+	// encoding tasks (zero under EAR with strict scheduling); for the chain,
+	// the per-row hops whose partial sum crossed a rack.
 	CrossRackDownloads int
 	// Violations counts stripes whose post-encoding layout breaks
 	// rack-level fault tolerance and needs the BlockMover.
@@ -49,10 +50,11 @@ type EncodeStats struct {
 	// all of them, unless the job was handed a ParityFunc (EncodeAllWith).
 	PipelinedStripes int
 	// PartialSumBytes is the partial parity-sum traffic shipped between
-	// chain hops. Cross-rack partial hops also count toward
-	// CrossRackDownloads at m block-equivalents per boundary, so the chain
-	// stays comparable with a baseline that downloads whole blocks; the
-	// parity deliveries are uploads either way and count toward neither.
+	// chain hops: one block per hop of each row's chain. Cross-rack hops
+	// also count toward CrossRackDownloads, one block-equivalent each (m per
+	// rack boundary of the cover), so the chain stays comparable with a
+	// baseline that downloads whole blocks; the parity deliveries are uploads
+	// either way and count toward neither.
 	PartialSumBytes int64
 	// CrossRackUploads counts parity blocks delivered to their holders across
 	// racks (zero under EAR while a stripe's parity fits in its core rack).
@@ -280,8 +282,8 @@ func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStat
 // encodeStripe performs the encoding operation for one stripe on behalf of
 // the given node: plan the post-encoding layout, materialize every parity
 // block at its planned holder (materialize; nil is the chain engine — the
-// replica holders fold partial parity sums along a chain anchored at the
-// encoder and its last holder streams the parity out), commit the parity,
+// replica holders fold each parity row along a chain of its own that ends on
+// the row's holder), commit the parity,
 // and delete the redundant replicas. The fabric's shaping serializes
 // transfers where links are shared, as the TaskTracker's parallel reads of
 // Section II-A would be. The parent span (nil for untraced runs) receives

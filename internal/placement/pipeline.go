@@ -36,16 +36,13 @@ type PipelineHop struct {
 // the core rack holds a replica of every member, so a chain planned toward
 // a core-rack sink never leaves that rack.
 //
-// A fold with several rows ends each at a sink of its own: sink is the one the
-// chain is planned toward, and any of the others that is a hop in the sink's
-// rack leads that rack's segment — the last hop delivers its row to it, and a
-// segment's head is the one hop that receives no partial sums from a rack-mate.
+// The cover is ordered toward sink by OrderPipeline.
 //
 // The plan is deterministic: among the candidates of one class (sink rack,
 // then remote) the largest gain wins, ties prefer the sink itself, then the
 // lowest node ID, so two calls with the same inputs yield the same chain
 // (the differential tests rely on this).
-func PlanPipeline(top *topology.Topology, replicas [][]topology.NodeID, sink topology.NodeID, others ...topology.NodeID) ([]PipelineHop, error) {
+func PlanPipeline(top *topology.Topology, replicas [][]topology.NodeID, sink topology.NodeID) ([]PipelineHop, error) {
 	sinkRack, err := top.RackOf(sink)
 	if err != nil {
 		return nil, err
@@ -115,10 +112,20 @@ func PlanPipeline(top *topology.Topology, replicas [][]topology.NodeID, sink top
 		hops = append(hops, hop)
 		delete(holds, best)
 	}
-	// Rack-contiguous order with the sink's rack last; within it the sink
-	// node itself goes last, so the chain can terminate there without an extra
-	// hop, and the other sinks first. Everything else orders by (rack, node)
-	// for determinism.
+	return OrderPipeline(hops, sink, sinkRack), nil
+}
+
+// OrderPipeline returns a copy of the cover hops ordered as a chain toward
+// sink, which lives in sinkRack: racks contiguous with the sink's rack last,
+// the sink itself terminal when it is a hop, so the chain ends there without
+// a delivery, and each of others that is a hop leading its rack's segment.
+// Everything else orders by (rack, node) for determinism. A fold with several
+// rows orders one cover once per row, toward that row's sink with the other
+// rows' sinks as others: a sink then heads its rack's segment in every chain
+// but its own, where it is the last hop, so it takes partial sums from a
+// rack-mate in its own chain only.
+func OrderPipeline(hops []PipelineHop, sink topology.NodeID, sinkRack topology.RackID, others ...topology.NodeID) []PipelineHop {
+	hops = slices.Clone(hops)
 	sort.SliceStable(hops, func(a, b int) bool {
 		ra, rb := hops[a].Rack, hops[b].Rack
 		if (ra == sinkRack) != (rb == sinkRack) {
@@ -130,12 +137,12 @@ func PlanPipeline(top *topology.Topology, replicas [][]topology.NodeID, sink top
 		if (hops[a].Node == sink) != (hops[b].Node == sink) {
 			return hops[b].Node == sink
 		}
-		if la, lb := slices.Contains(others, hops[a].Node), slices.Contains(others, hops[b].Node); la != lb && ra == sinkRack {
+		if la, lb := slices.Contains(others, hops[a].Node), slices.Contains(others, hops[b].Node); la != lb {
 			return la
 		}
 		return hops[a].Node < hops[b].Node
 	})
-	return hops, nil
+	return hops
 }
 
 // PipelineRackBoundaries counts the cross-rack transitions a pipeline plan

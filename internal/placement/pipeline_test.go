@@ -185,8 +185,10 @@ func TestPlanPipelineRandomized(t *testing.T) {
 		if !reflect.DeepEqual(hops, again) {
 			t.Fatalf("trial %d: plan not deterministic:\n%v\n%v", trial, hops, again)
 		}
-		// What a one-sink fold passes: the sink again, as its only other sink.
-		if same, _ := PlanPipeline(top, replicas, sink, sink); !reflect.DeepEqual(hops, same) {
+		// What a one-sink fold orders: the cover toward the sink, with the
+		// sink again as its only other sink.
+		sinkRack, _ := top.RackOf(sink)
+		if same := OrderPipeline(hops, sink, sinkRack, sink); !reflect.DeepEqual(hops, same) {
 			t.Fatalf("trial %d: naming the sink twice changed the plan:\n%v\n%v", trial, hops, same)
 		}
 		fmt.Fprint(plans, hops)
@@ -197,32 +199,73 @@ func TestPlanPipelineRandomized(t *testing.T) {
 }
 
 // TestPlanPipelineOtherSinksLead: with sinks {a, b} both holding members in
-// the last rack, a — the sink the chain is planned toward — is the last hop
-// and b the first of that rack's segment, wherever their IDs would sort them;
-// a remote rack's segment and a sink that holds nothing are left alone.
+// the last rack, the cover ordered toward a is a chain whose last hop is a
+// and whose rack segment b leads, wherever their IDs would sort them; another
+// sink leads a remote rack's segment too, and a sink that holds nothing
+// changes nothing.
 func TestPlanPipelineOtherSinksLead(t *testing.T) {
 	top, err := topology.New(3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rack 1 (nodes 4..7) holds positions 0..3, one a node; position 4 lives
-	// only on node 9 of rack 2.
-	replicas := [][]topology.NodeID{{4}, {5}, {6}, {7}, {9}}
+	// Rack 1 (nodes 4..7) holds positions 0..3, one a node; positions 4 and 5
+	// live only on nodes 9 and 8 of rack 2.
+	replicas := [][]topology.NodeID{{4}, {5}, {6}, {7}, {9}, {8}}
 	for _, tc := range []struct{ a, b topology.NodeID }{{5, 7}, {7, 5}, {4, 6}, {6, 4}} {
-		hops, err := PlanPipeline(top, replicas, tc.a, tc.a, tc.b, 9, 0)
+		cover, err := PlanPipeline(top, replicas, tc.a)
 		if err != nil {
 			t.Fatal(err)
 		}
+		hops := OrderPipeline(cover, tc.a, 1, tc.a, tc.b, 9, 0)
 		checkPipeline(t, top, replicas, tc.a, hops)
-		if len(hops) != 5 || hops[0].Node != 9 {
-			t.Fatalf("sinks %v: chain %v, want the remote hop on node 9 first", tc, hops)
+		if len(hops) != 6 || hops[0].Node != 9 || hops[1].Node != 8 {
+			t.Fatalf("sinks %v: chain %v, want the remote segment led by node 9, then node 8", tc, hops)
 		}
-		if hops[1].Node != tc.b || hops[4].Node != tc.a {
-			t.Fatalf("sinks %v: rack segment %v, want it to start at %d and end at %d", tc, hops[1:], tc.b, tc.a)
+		if hops[2].Node != tc.b || hops[5].Node != tc.a {
+			t.Fatalf("sinks %v: rack segment %v, want it to start at %d and end at %d", tc, hops[2:], tc.b, tc.a)
 		}
-		if lo, hi := hops[2].Node, hops[3].Node; lo >= hi {
+		if lo, hi := hops[3].Node, hops[4].Node; lo >= hi {
 			t.Fatalf("sinks %v: the other hops %d, %d are not in ID order", tc, lo, hi)
 		}
+	}
+}
+
+// TestOrderPipelineOneCoverPerRow orders one cover toward each of three
+// sinks, as a three-row fold does: every order keeps the cover's hops and
+// their positions, keeps racks contiguous with the row's sink's rack last,
+// ends on the row's sink where it is a hop, and has the other sinks lead
+// their racks' segments (two in one rack, as sinks 1 and 2 are, lead it
+// together); the cover itself is left as it was.
+func TestOrderPipelineOneCoverPerRow(t *testing.T) {
+	top, err := topology.New(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicas := [][]topology.NodeID{{0}, {1}, {2}, {5}, {6}, {9}, {10}}
+	sinks := []topology.NodeID{1, 2, 6}
+	cover, err := PlanPipeline(top, replicas, sinks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := slices.Clone(cover)
+	for _, sink := range sinks {
+		sinkRack, _ := top.RackOf(sink)
+		chain := OrderPipeline(cover, sink, sinkRack, sinks...)
+		checkPipeline(t, top, replicas, sink, chain)
+		if chain[len(chain)-1].Node != sink {
+			t.Errorf("chain toward %d ends at %d: %v", sink, chain[len(chain)-1].Node, chain)
+		}
+		for i, h := range chain {
+			if h.Node == sink || !slices.Contains(sinks, h.Node) {
+				continue
+			}
+			if prev := i - 1; prev >= 0 && chain[prev].Rack == h.Rack && !slices.Contains(sinks, chain[prev].Node) {
+				t.Errorf("chain toward %d: sink %d does not lead rack %d's segment: %v", sink, h.Node, h.Rack, chain)
+			}
+		}
+	}
+	if !reflect.DeepEqual(cover, planned) {
+		t.Errorf("ordering changed the cover: %v, was %v", cover, planned)
 	}
 }
 
