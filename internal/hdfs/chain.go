@@ -78,8 +78,10 @@ type chainStage struct {
 	diskRead chan time.Time
 	// stagger is how long after a slice's inputs arrived the stage wakes for
 	// it; it still books the slice as ready at the arrival. The rows of one
-	// fold share links, and a microsecond per row orders their same-instant
-	// bookings by row instead of by the scheduler.
+	// fold share links, and so do the folds in flight together: a microsecond
+	// per row and the fold's stripe-keyed phase (under a microsecond) order
+	// their same-instant bookings by row and stripe instead of by the
+	// scheduler.
 	stagger time.Duration
 	tFirst  time.Time
 	tLast   time.Time
@@ -413,6 +415,9 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 		}
 	}
 
+	// The fold's phase is keyed by stripe: the folds a map task or a recovery
+	// keeps in flight start together and share links and disks.
+	phase := time.Duration(stripe % 1000)
 	// Per row, one stage per covered hop in that row's order, starting from
 	// zeros, and a delivery stage when the sink is no hop.
 	stages := make([]*chainStage, 0, len(rows)*(len(cover)+1))
@@ -436,12 +441,9 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 			stages = newStage(stages, sink, up, out[j])
 		}
 		for _, st := range stages[first:] {
-			st.stagger = time.Duration(j) * time.Microsecond
+			st.stagger = time.Duration(j)*time.Microsecond + phase
 		}
 	}
-	// The read-ahead's phase is keyed by stripe: the folds a map task or a
-	// recovery keeps in flight start together and share disks.
-	phase := time.Duration(stripe % 1000)
 	parent := telemetry.SpanFromContext(ctx)
 	start, end, err := c.runStages(ctx, stages, anchor, phase, func(s int, st *chainStage) *telemetry.Span {
 		return parent.ChildTrack("raidnode.chain-hop").

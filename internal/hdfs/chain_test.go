@@ -777,6 +777,44 @@ func benchGeometry() Config {
 		MapTasks: 4, Seed: 6}
 }
 
+// benchWalks are the benchmark's client walks: writer w issues its writes
+// from seeded shuffles of all nodes, one after another.
+func benchWalks(seed int64, nodes int) func(w int) func() topology.NodeID {
+	return func(w int) func() topology.NodeID {
+		rng := rand.New(rand.NewSource(seed*7919 + 101 + int64(w)))
+		var perm []int
+		return func() topology.NodeID {
+			if len(perm) == 0 {
+				perm = rng.Perm(nodes)
+			}
+			n := perm[0]
+			perm = perm[1:]
+			return topology.NodeID(n)
+		}
+	}
+}
+
+// lifecycleWrites returns a cluster of the benchmark geometry on the given
+// seed holding what one lifecycle-shaped round writes: 14 x k blocks from the
+// two clients' walks, taken in turn from one goroutine so the layout repeats,
+// at lifted rates.
+func lifecycleWrites(t *testing.T, seed int64) (*Cluster, Config) {
+	t.Helper()
+	cfg := benchGeometry()
+	cfg.Seed = seed
+	c := newCluster(t, cfg)
+	setRates(t, c, 64<<30, 64<<30)
+	walks := benchWalks(seed, cfg.Racks*cfg.NodesPerRack)
+	clients := []func() topology.NodeID{walks(0), walks(1)}
+	data := make([]byte, cfg.BlockSizeBytes)
+	for i := 0; i < 14*cfg.K; i++ {
+		if _, err := c.WriteBlock(clients[i%2](), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c, cfg
+}
+
 // lifecycleRun is what each phase of one lifecycleOnBench took. Encode and
 // recovery run several folds at once and have no closed form; what holds them
 // from below is their link bound, the bytes the phase put on its busiest link

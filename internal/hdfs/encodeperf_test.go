@@ -131,7 +131,7 @@ func TestCrossRackNotCountedOnFailedGather(t *testing.T) {
 		}
 	}
 	parent := tr.Start("test-encode")
-	res, _, err := c.encodeStripe(context.Background(), stripes[0], encoder, parent, nil)
+	res, _, err := c.encodeStripe(context.Background(), stripes[0], nil, encoder, parent, nil)
 	parent.End()
 	if err == nil {
 		t.Fatal("encodeStripe succeeded with no replica bytes anywhere")

@@ -13,6 +13,61 @@ import (
 	"ear/internal/topology"
 )
 
+// TestParityHomesTakeTurnsOnTheLifecycle encodes what a lifecycle-shaped
+// round writes, on six cluster seeds, and checks that each core rack's nodes
+// took turns at storing its stripes' parity: no node that held members of
+// two or more of its rack's stripes stored the parity of none of them, so
+// none forwarded both rows of every stripe, and no NIC uplink sent more than
+// 6 blocks over the encode (7 or 8 when the planner's draw picked the homes).
+func TestParityHomesTakeTurnsOnTheLifecycle(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		c, cfg := lifecycleWrites(t, seed)
+		nn := c.NameNode()
+		if _, err := nn.FlushOpenStripes(); err != nil {
+			t.Fatal(err)
+		}
+		before := c.Fabric().Snapshot()
+		if _, err := c.RaidNode().EncodeAll(); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range c.Fabric().Snapshot().Sub(before).Links {
+			if sent := l.MovedBytes / int64(cfg.BlockSizeBytes); l.Class == fabric.ClassNodeUp && sent > 6 {
+				t.Errorf("seed %d: %s sent %d blocks over the encode, want at most 6", seed, l.Name, sent)
+			}
+		}
+		// Per core-rack node, the stripes it held a member of (the stripe's
+		// record keeps the replicas it was sealed with) and how many of those
+		// it stores parity of.
+		held := make(map[topology.NodeID]int)
+		homes := make(map[topology.NodeID]int)
+		for _, id := range nn.EncodedStripes() {
+			sm := stripeOf(t, c, id)
+			holds := func(n topology.NodeID) bool {
+				return slices.ContainsFunc(sm.Info.Placements, func(pl topology.Placement) bool { return pl.Contains(n) })
+			}
+			core, err := c.Topology().NodesInRack(sm.Info.CoreRack)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range core {
+				if holds(n) {
+					held[n]++
+				}
+			}
+			for _, n := range sm.Plan.Parity {
+				if holds(n) {
+					homes[n]++
+				}
+			}
+		}
+		for n, stripes := range held {
+			if stripes >= 2 && homes[n] == 0 {
+				t.Errorf("seed %d: node %d held members of %d stripes and stored the parity of none", seed, n, stripes)
+			}
+		}
+	}
+}
+
 // TestEncodeCrossesNoRack runs the whole "parity stays home" path on the
 // benchmark's geometry ((14,12), r = 2, c = 4 on 4 x 4 nodes): writers walking
 // the cluster plus one hot writer, every stripe sealed or flushed, one encode

@@ -715,18 +715,19 @@ func (nn *NameNode) FlushOpenStripes() (int, error) {
 }
 
 // PlanStripe computes the post-encoding layout for a stripe, a function of
-// (seed, stripe): the rng is the stripe's own, so concurrent encodes plan the
-// same layouts in whatever order they get here. The solve holds mu for
-// writing though it reads nothing mu guards but planOverride: the exclusive
-// hold hands the stripes of a job out one solve apart, and folds that start
-// on one instant wake every stage of every chain together from then on,
-// which cost the 2-core benchmark host 10 % of encode_mbps when the solve
-// was moved out (CHANGES.md, PR 23).
-func (nn *NameNode) PlanStripe(info *placement.StripeInfo) (*placement.PostEncodingPlan, error) {
+// (seed, stripe, homes): the rng is the stripe's own, so concurrent encodes
+// plan the same layouts in whatever order they get here, and homes are the
+// core-rack nodes the encoder wants its parity on (placement.PlanPostEncoding).
+// The solve holds mu for writing though it reads nothing mu guards but
+// planOverride: the exclusive hold hands the stripes of a job out one solve
+// apart, and folds that start on one instant wake every stage of every chain
+// together from then on, which cost the 2-core benchmark host 10 % of
+// encode_mbps when the solve was moved out (CHANGES.md, PR 23).
+func (nn *NameNode) PlanStripe(info *placement.StripeInfo, homes ...topology.NodeID) (*placement.PostEncodingPlan, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	rng := rand.New(rand.NewSource(int64(drawFor(nn.seed, int64(info.ID)))))
-	plan, err := placement.PlanPostEncoding(nn.cfg, info, rng)
+	plan, err := placement.PlanPostEncoding(nn.cfg, info, rng, homes...)
 	if err == nil && nn.planOverride != nil {
 		nn.planOverride(info, plan)
 	}

@@ -3,6 +3,7 @@ package hdfs
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -65,10 +66,12 @@ type EncodeStats struct {
 
 func newRaidNode(c *Cluster) *RaidNode { return &RaidNode{c: c} }
 
-// encodeTask is one map task's work: the stripes it encodes and its
-// scheduling preference.
+// encodeTask is one map task's work: the stripes it encodes, the parity
+// homes each stripe's plan is asked for (homes[i] for stripes[i]; none under
+// RR) and its scheduling preference.
 type encodeTask struct {
 	stripes   []*placement.StripeInfo
+	homes     [][]topology.NodeID
 	preferred topology.NodeID
 	strict    bool
 }
@@ -80,7 +83,8 @@ type encodeTask struct {
 // (the paper's second and third modifications), each preferring the node of
 // it that (seed, the task's first stripe) draws — so every core rack's
 // remainder makes a task of its own and the job can hold up to MapTasks +
-// racks - 1 tasks.
+// racks - 1 tasks. The rack's nodes take turns at holding its stripes'
+// parity (parityHomes), starting from the node the rack's first task prefers.
 func (r *RaidNode) buildTasks(stripes []*placement.StripeInfo) ([]*encodeTask, error) {
 	if len(stripes) == 0 {
 		return nil, nil
@@ -114,6 +118,9 @@ func (r *RaidNode) buildTasks(stripes []*placement.StripeInfo) ([]*encodeTask, e
 		if err != nil {
 			return nil, err
 		}
+		draw := func(s *placement.StripeInfo) int { return int(drawFor(r.c.cfg.Seed, int64(s.ID)) % uint64(len(nodes))) }
+		m := r.c.cfg.N - r.c.cfg.K
+		homes := parityHomes(nodes, draw(group[0]), group, m, min(m, r.c.cfg.C))
 		for start := 0; start < len(group); start += perTask {
 			end := start + perTask
 			if end > len(group) {
@@ -121,12 +128,57 @@ func (r *RaidNode) buildTasks(stripes []*placement.StripeInfo) ([]*encodeTask, e
 			}
 			tasks = append(tasks, &encodeTask{
 				stripes:   group[start:end],
-				preferred: nodes[drawFor(r.c.cfg.Seed, int64(group[start].ID))%uint64(len(nodes))],
+				homes:     homes[start:end],
+				preferred: nodes[draw(group[start])],
 				strict:    true,
 			})
 		}
 	}
 	return tasks, nil
+}
+
+// parityHomes returns, for each stripe of one core rack's group in the order
+// the job encodes them, the h nodes of the rack (nodes) its parity should
+// stay home on. In a stripe's fold every node of the core rack that holds a
+// member sends one partial sum per parity row it does not hold (chain.go), so
+// a holder sends m blocks a stripe and a parity holder among them m - 1. The
+// stripes of a group are encoded at once, and a node that never held parity
+// would forward every row of every stripe on its one NIC: so the homes of
+// each stripe are its member holders that have sent the most in the group so
+// far, the rest of the rack after them, ties taken in turn around the rack
+// from nodes[first], h nodes on per stripe. The planner keeps the homes free
+// of data blocks while it can (placement.PlanPostEncoding).
+func parityHomes(nodes []topology.NodeID, first int, group []*placement.StripeInfo, m, h int) [][]topology.NodeID {
+	sent := make(map[topology.NodeID]int, len(nodes))
+	homes := make([][]topology.NodeID, len(group))
+	for i, s := range group {
+		holds := func(n topology.NodeID) bool {
+			return slices.ContainsFunc(s.Placements, func(pl topology.Placement) bool { return pl.Contains(n) })
+		}
+		turn := (first + i*h) % len(nodes)
+		order := append(slices.Clone(nodes[turn:]), nodes[:turn]...)
+		slices.SortStableFunc(order, func(a, b topology.NodeID) int {
+			switch ha, hb := holds(a), holds(b); {
+			case ha && hb:
+				return sent[b] - sent[a]
+			case ha:
+				return -1
+			case hb:
+				return 1
+			}
+			return 0
+		})
+		homes[i] = order[:min(h, len(order))]
+		for _, n := range nodes {
+			if holds(n) {
+				sent[n] += m
+				if slices.Contains(homes[i], n) {
+					sent[n]--
+				}
+			}
+		}
+	}
+	return homes
 }
 
 // EncodeAll encodes every pending stripe with a background context. See
@@ -224,10 +276,13 @@ func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStat
 				// of them in flight.
 				sg, sctx := workgroup.WithContext(taskCtx)
 				sg.SetLimit(encodeFanIn)
-				for _, s := range t.stripes {
-					s := s
+				for i, s := range t.stripes {
+					var homes []topology.NodeID
+					if t.homes != nil {
+						homes = t.homes[i]
+					}
 					sg.Go(func() error {
-						sp, violated, err := r.c.encodeStripe(sctx, s, on, taskSpan, fn)
+						sp, violated, err := r.c.encodeStripe(sctx, s, homes, on, taskSpan, fn)
 						if err != nil {
 							return err
 						}
@@ -280,7 +335,8 @@ func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStat
 }
 
 // encodeStripe performs the encoding operation for one stripe on behalf of
-// the given node: plan the post-encoding layout, materialize every parity
+// the given node: plan the post-encoding layout (asking for the parity homes
+// the job gave the stripe, none under RR), materialize every parity
 // block at its planned holder (materialize; nil is the chain engine — the
 // replica holders fold each parity row along a chain of its own that ends on
 // the row's holder), commit the parity,
@@ -290,7 +346,7 @@ func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStat
 // one child span per phase. It returns, for the job-level stats merge, the
 // stripe's parity with the blocks released and whether the committed layout
 // violates rack fault tolerance.
-func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, parent *telemetry.Span, materialize ParityFunc) (sp StripeParity, violated bool, err error) {
+func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, homes []topology.NodeID, encoder topology.NodeID, parent *telemetry.Span, materialize ParityFunc) (sp StripeParity, violated bool, err error) {
 	encRack, err := c.top.RackOf(encoder)
 	if err != nil {
 		return sp, false, err
@@ -315,7 +371,7 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 		ev.Detail = detail
 		j.Publish(ev)
 	}
-	plan, err := c.nn.PlanStripe(info)
+	plan, err := c.nn.PlanStripe(info, homes...)
 	if err != nil {
 		return sp, false, err
 	}

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -116,6 +117,35 @@ func TestBuildTasksEARGroupsByCoreRack(t *testing.T) {
 				t.Errorf("task preferring rack %d contains stripe with core rack %d", rack, s.CoreRack)
 			}
 		}
+	}
+}
+
+// TestParityHomesTakeTurns: four stripes of a core rack whose four nodes all
+// hold members take the parity in pairs around the rack from the first node
+// given, so every node holds parity twice and sends 6 partial sums; a node
+// that holds no member of a stripe is home only when too few holders are left.
+func TestParityHomesTakeTurns(t *testing.T) {
+	rack := []topology.NodeID{4, 5, 6, 7}
+	stripe := func(holders ...topology.NodeID) *placement.StripeInfo {
+		s := &placement.StripeInfo{}
+		for i, n := range holders {
+			s.Placements = append(s.Placements, topology.Placement{Block: topology.BlockID(i), Nodes: []topology.NodeID{n, 12}})
+		}
+		return s
+	}
+	all := stripe(4, 5, 6, 7, 4, 5)
+	homes := parityHomes(rack, 1, []*placement.StripeInfo{all, all, all, all}, 2, 2)
+	want := [][]topology.NodeID{{5, 6}, {7, 4}, {5, 6}, {7, 4}}
+	if !reflect.DeepEqual(homes, want) {
+		t.Errorf("homes %v, want %v", homes, want)
+	}
+	// Node 7 holds nothing of the first stripe and node 5 nothing of the
+	// second: the holders that have sent the most come first. The third
+	// stripe's one holder, node 5, takes a non-holder in turn beside it.
+	homes = parityHomes(rack, 0, []*placement.StripeInfo{stripe(4, 5, 6), stripe(4, 6, 7), stripe(5)}, 2, 2)
+	want = [][]topology.NodeID{{4, 5}, {6, 4}, {5, 4}}
+	if !reflect.DeepEqual(homes, want) {
+		t.Errorf("homes %v, want %v", homes, want)
 	}
 }
 

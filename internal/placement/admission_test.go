@@ -9,12 +9,14 @@ import (
 
 // solveStripeFlow solves from scratch the flow graph of the stripe's core rack
 // and target racks over the given layouts, with reserve places of the core
-// rack withheld: the reference the admission and planner tests check against.
-func solveStripeFlow(cfg Config, info *StripeInfo, layouts [][]topology.NodeID, reserve int) (int64, error) {
+// rack and the withheld nodes' places withheld: the reference the admission
+// and planner tests check against.
+func solveStripeFlow(cfg Config, info *StripeInfo, layouts [][]topology.NodeID, reserve int, withheld ...topology.NodeID) (int64, error) {
 	f, err := newStripeFlow(cfg)
 	if err != nil {
 		return 0, err
 	}
+	f.withheld = withheld
 	if err := f.build(&StripeInfo{ID: info.ID, CoreRack: info.CoreRack, Targets: info.Targets}, reserve); err != nil {
 		return 0, err
 	}

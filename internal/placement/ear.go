@@ -406,6 +406,10 @@ type stripeFlow struct {
 	// reserve is withheld from the core rack's sink edge: the places the
 	// post-encoding planner keeps for parity (0 for admission).
 	reserve int
+	// withheld are core-rack nodes wired in without their node->rack edge:
+	// the parity homes the post-encoding planner was asked for (none for
+	// admission). build keeps them.
+	withheld []topology.NodeID
 	// vertex ids
 	source, sink int
 	nodeVertex   map[topology.NodeID]int
@@ -495,8 +499,10 @@ func (f *stripeFlow) addBlock(nodes []topology.NodeID) error {
 					}
 				}
 			}
-			if _, err := f.graph.AddEdge(nv, rv, 1); err != nil {
-				return err
+			if !slices.Contains(f.withheld, n) {
+				if _, err := f.graph.AddEdge(nv, rv, 1); err != nil {
+					return err
+				}
 			}
 		}
 		id, err := f.graph.AddEdge(blockV, nv, 1)

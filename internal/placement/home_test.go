@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ear/internal/topology"
@@ -202,6 +203,110 @@ func TestHomeParityPrefersHoldersAndRotates(t *testing.T) {
 	}
 	if len(tails) < 3 {
 		t.Errorf("parity 0 landed on %v over 60 seeds, want every free holder in turn", tails)
+	}
+}
+
+// TestPlanHonorsHomes asks the planner for every ordered pair of core-rack
+// nodes as a stripe's parity homes, over EAR stripes of two geometries with
+// n - k = 2. The parity lands on exactly those homes, in order, whenever the
+// from-scratch flow graph with the homes' places withheld as well as the
+// parity's still matches every block; otherwise a home is given back. Either
+// way the plan is valid and keeps as many parity blocks at home as the plan
+// asked for no homes.
+func TestPlanHonorsHomes(t *testing.T) {
+	for _, tc := range []struct{ racks, nodes, n, k, c int }{
+		{racks: 4, nodes: 4, n: 14, k: 12, c: 4},
+		{racks: 4, nodes: 4, n: 8, k: 6, c: 3},
+	} {
+		cfg := Config{Topology: mustTop(t, tc.racks, tc.nodes), K: tc.k, N: tc.n, C: tc.c, Replicas: 2}
+		top := cfg.Topology
+		honored, asked := 0, 0
+		for seed := int64(0); seed < 4; seed++ {
+			pol, err := NewEAR(cfg, rand.New(rand.NewSource(300+seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			writers := rand.New(rand.NewSource(400 + seed))
+			for b := 0; b < 8*tc.k; b++ {
+				if _, err := pol.PlaceFrom(topology.BlockID(b), topology.NodeID(writers.Intn(top.Nodes()))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, s := range append(pol.TakeSealed(), pol.FlushOpen()...) {
+				base, err := PlanPostEncoding(cfg, s, rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				core, err := top.NodesInRack(s.CoreRack)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, a := range core {
+					for _, b := range core {
+						if a == b {
+							continue
+						}
+						homes := []topology.NodeID{a, b}
+						plan, err := PlanPostEncoding(cfg, s, rand.New(rand.NewSource(seed)), homes...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if plan.Violation {
+							t.Fatalf("stripe %d, homes %v: violation", s.ID, homes)
+						}
+						if err := plan.Layout(s.ID).Validate(top, tc.c); err != nil {
+							t.Fatalf("stripe %d, homes %v: %v", s.ID, homes, err)
+						}
+						if got, want := homeParity(t, cfg, s, plan), homeParity(t, cfg, s, base); got != want {
+							t.Fatalf("stripe %d, homes %v: %d parity blocks at home, %d without homes", s.ID, homes, got, want)
+						}
+						flow, err := solveStripeFlow(cfg.withDefaults(), s, layoutsOf(s), 2, homes...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						asked++
+						if flow == int64(len(s.Blocks)) {
+							honored++
+							if !reflect.DeepEqual(plan.Parity, homes) {
+								t.Fatalf("stripe %d: parity on %v, want the homes %v, which the matching leaves free", s.ID, plan.Parity, homes)
+							}
+						}
+					}
+				}
+			}
+		}
+		t.Logf("(%d,%d) on %dx%d: homes honored for %d of %d asks", tc.n, tc.k, tc.racks, tc.nodes, honored, asked)
+		if honored == 0 {
+			t.Errorf("(%d,%d): no ask left both homes free", tc.n, tc.k)
+		}
+	}
+}
+
+// TestPlanGivesBackHomes: the stripe of TestPlanKeepsWhatFitsAtHome must keep
+// block 0 or block 1 on its core-rack replica (nodes 0 and 1). Asked for
+// homes 1 then 2, the planner gives node 2 back first, then node 1, and only
+// then a parity place: one parity block stays home, on a home the matching
+// left free.
+func TestPlanGivesBackHomes(t *testing.T) {
+	cfg := Config{Topology: mustTop(t, 3, 3), K: 4, N: 6, C: 2, Replicas: 2}
+	info := handBuilt(0, []topology.NodeID{0, 3}, []topology.NodeID{1, 3}, []topology.NodeID{2, 6}, []topology.NodeID{0, 7})
+	for seed := int64(0); seed < 20; seed++ {
+		plan, err := PlanPostEncoding(cfg, info, rand.New(rand.NewSource(seed)), 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Violation {
+			t.Fatalf("seed %d: violation", seed)
+		}
+		if err := plan.Layout(info.ID).Validate(cfg.Topology, cfg.C); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got := homeParity(t, cfg, info, plan); got != 1 {
+			t.Fatalf("seed %d: %d parity blocks at home, want 1 (plan %+v)", seed, got, plan)
+		}
+		if p := plan.Parity[0]; p != 1 && p != 2 || slices.Contains(plan.Keep, p) {
+			t.Fatalf("seed %d: parity 0 on node %d, want a free home (plan %+v)", seed, p, plan)
+		}
 	}
 }
 

@@ -67,7 +67,13 @@ func (p *PostEncodingPlan) Layout(id topology.StripeID) topology.StripeLayout {
 // time only while it is incomplete, and placeParity fills the free places at
 // home first. A stripe without a core rack (RR) reserves nothing and plans as
 // the paper does.
-func PlanPostEncoding(cfg Config, info *StripeInfo, rng *rand.Rand) (*PostEncodingPlan, error) {
+//
+// homes, when given, names the core-rack nodes the caller wants the stripe's
+// parity on, parity 0 first (the encoder takes turns among the rack's nodes).
+// They keep no data block while the matching completes without them: each is
+// given back, the last one first, before any withheld place is, so homes move
+// where parity lands at home but never how much of it does.
+func PlanPostEncoding(cfg Config, info *StripeInfo, rng *rand.Rand, homes ...topology.NodeID) (*PostEncodingPlan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -89,26 +95,48 @@ func PlanPostEncoding(cfg Config, info *StripeInfo, rng *rand.Rand) (*PostEncodi
 	reserve := 0
 	if info.CoreRack >= 0 && info.isTarget(info.CoreRack) {
 		reserve = min(cfg.N-cfg.K, cfg.C)
+		homes = homes[:min(len(homes), reserve)]
+		for _, n := range homes {
+			if r, err := cfg.Topology.RackOf(n); err == nil && r == info.CoreRack {
+				f.withheld = append(f.withheld, n)
+			}
+		}
 	}
 	if err := f.build(info, reserve); err != nil {
 		return nil, err
 	}
 	// A stripe whose home replicas are all lost has no vertex at home and
-	// nothing to give a withheld place back to.
+	// nothing to give a withheld place back to. A home that holds no replica
+	// has nothing to give back either.
 	coreV, atHome := f.rackVertex[info.CoreRack]
+	withheld := slices.DeleteFunc(f.withheld, func(n topology.NodeID) bool {
+		_, ok := f.nodeVertex[n]
+		return !ok
+	})
 	var flow int64
-	for back := 0; ; back++ {
+	for back := 0; ; {
 		more, err := f.graph.MaxFlow(f.source, f.sink)
 		if err != nil {
 			return nil, err
 		}
 		flow += more
-		if flow == int64(len(info.Blocks)) || back == f.reserve || !atHome {
+		if flow == int64(len(info.Blocks)) || !atHome {
+			break
+		}
+		if last := len(withheld) - 1; last >= 0 {
+			if _, err := f.graph.AddEdge(f.nodeVertex[withheld[last]], coreV, 1); err != nil {
+				return nil, err
+			}
+			withheld = withheld[:last]
+			continue
+		}
+		if back == f.reserve {
 			break
 		}
 		if _, err := f.graph.AddEdge(coreV, f.sink, 1); err != nil {
 			return nil, err
 		}
+		back++
 	}
 	match, err := f.matching()
 	if err != nil {
@@ -127,7 +155,7 @@ func PlanPostEncoding(cfg Config, info *StripeInfo, rng *rand.Rand) (*PostEncodi
 	}
 	plan.Violation = flow < int64(len(info.Blocks))
 
-	parity, err := placeParity(cfg, info, plan.Keep, f.reserve, rng)
+	parity, err := placeParity(cfg, info, plan.Keep, f.reserve, homes, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -159,11 +187,12 @@ func (f *stripeFlow) matching() ([]topology.NodeID, error) {
 // placeParity assigns the n-k parity blocks to nodes of target racks that
 // still have spare stripe capacity (fewer than c stripe blocks), never
 // reusing a node that keeps a data block. Up to home (the planner's reserve)
-// of the core rack's spare places come first: its nodes that hold a replica
-// of the stripe (hops of the encode chain already) before those that do not,
-// in drawn order, so that the chain's tail rotates from stripe to stripe. For
-// the rest, racks and nodes are drawn uniformly among the eligible.
-func placeParity(cfg Config, info *StripeInfo, keep []topology.NodeID, home int, rng *rand.Rand) ([]topology.NodeID, error) {
+// of the core rack's spare places come first: the caller's homes in their
+// order, then its nodes that hold a replica of the stripe (hops of the encode
+// chain already) before those that do not, in drawn order, so that the chain's
+// tail rotates from stripe to stripe. For the rest, racks and nodes are drawn
+// uniformly among the eligible.
+func placeParity(cfg Config, info *StripeInfo, keep []topology.NodeID, home int, homes []topology.NodeID, rng *rand.Rand) ([]topology.NodeID, error) {
 	top := cfg.Topology
 	used := make(map[topology.NodeID]bool, len(keep))
 	rackCount := make(map[topology.RackID]int)
@@ -192,6 +221,9 @@ func placeParity(cfg Config, info *StripeInfo, keep []topology.NodeID, home int,
 		free = slices.DeleteFunc(free, func(n topology.NodeID) bool { return used[n] })
 		rng.Shuffle(len(free), func(a, b int) { free[a], free[b] = free[b], free[a] })
 		rank := func(n topology.NodeID) int {
+			if i := slices.Index(homes, n); i >= 0 {
+				return i - len(homes)
+			}
 			if slices.ContainsFunc(info.Placements, func(pl topology.Placement) bool { return pl.Contains(n) }) {
 				return 0
 			}
