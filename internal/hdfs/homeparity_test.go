@@ -17,23 +17,17 @@ import (
 // round writes, on six cluster seeds, and checks that each core rack's nodes
 // took turns at storing its stripes' parity: no node that held members of
 // two or more of its rack's stripes stored the parity of none of them, so
-// none forwarded both rows of every stripe, and no NIC uplink sent more than
-// 6 blocks over the encode (7 or 8 when the planner's draw picked the homes).
+// none forwarded both rows of every stripe. What that saves the busiest
+// uplink is TestLifecycleEncodeDesignTime's to hold.
 func TestParityHomesTakeTurnsOnTheLifecycle(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		c, cfg := lifecycleWrites(t, seed)
+		c, _ := lifecycleWrites(t, seed)
 		nn := c.NameNode()
 		if _, err := nn.FlushOpenStripes(); err != nil {
 			t.Fatal(err)
 		}
-		before := c.Fabric().Snapshot()
 		if _, err := c.RaidNode().EncodeAll(); err != nil {
 			t.Fatal(err)
-		}
-		for _, l := range c.Fabric().Snapshot().Sub(before).Links {
-			if sent := l.MovedBytes / int64(cfg.BlockSizeBytes); l.Class == fabric.ClassNodeUp && sent > 6 {
-				t.Errorf("seed %d: %s sent %d blocks over the encode, want at most 6", seed, l.Name, sent)
-			}
 		}
 		// Per core-rack node, the stripes it held a member of (the stripe's
 		// record keeps the replicas it was sealed with) and how many of those

@@ -119,8 +119,7 @@ func (r *RaidNode) buildTasks(stripes []*placement.StripeInfo) ([]*encodeTask, e
 			return nil, err
 		}
 		draw := func(s *placement.StripeInfo) int { return int(drawFor(r.c.cfg.Seed, int64(s.ID)) % uint64(len(nodes))) }
-		m := r.c.cfg.N - r.c.cfg.K
-		homes := parityHomes(nodes, draw(group[0]), group, m, min(m, r.c.cfg.C))
+		homes := parityHomes(nodes, draw(group[0]), group, min(r.c.cfg.N-r.c.cfg.K, r.c.cfg.C))
 		for start := 0; start < len(group); start += perTask {
 			end := start + perTask
 			if end > len(group) {
@@ -140,16 +139,14 @@ func (r *RaidNode) buildTasks(stripes []*placement.StripeInfo) ([]*encodeTask, e
 // parityHomes returns, for each stripe of one core rack's group in the order
 // the job encodes them, the h nodes of the rack (nodes) its parity should
 // stay home on. In a stripe's fold every node of the core rack that holds a
-// member sends one partial sum per parity row it does not hold (chain.go), so
-// a holder sends m blocks a stripe and a parity holder among them m - 1. The
-// stripes of a group are encoded at once, and a node that never held parity
-// would forward every row of every stripe on its one NIC: so the homes of
-// each stripe are its member holders that have sent the most in the group so
-// far, the rest of the rack after them, ties taken in turn around the rack
-// from nodes[first], h nodes on per stripe. The planner keeps the homes free
-// of data blocks while it can (placement.PlanPostEncoding).
-func parityHomes(nodes []topology.NodeID, first int, group []*placement.StripeInfo, m, h int) [][]topology.NodeID {
-	sent := make(map[topology.NodeID]int, len(nodes))
+// member sends one partial sum per parity row it does not hold (chain.go).
+// The stripes of a group are encoded at once, and a node that never held
+// parity would forward every row of every stripe on its one NIC: so the
+// homes take turns around the rack, h nodes on per stripe from nodes[first],
+// the stripe's member holders before the rest of the rack (a holder is a hop
+// of the fold already). The planner keeps the homes free of data blocks while
+// it can (placement.PlanPostEncoding).
+func parityHomes(nodes []topology.NodeID, first int, group []*placement.StripeInfo, h int) [][]topology.NodeID {
 	homes := make([][]topology.NodeID, len(group))
 	for i, s := range group {
 		holds := func(n topology.NodeID) bool {
@@ -159,24 +156,14 @@ func parityHomes(nodes []topology.NodeID, first int, group []*placement.StripeIn
 		order := append(slices.Clone(nodes[turn:]), nodes[:turn]...)
 		slices.SortStableFunc(order, func(a, b topology.NodeID) int {
 			switch ha, hb := holds(a), holds(b); {
-			case ha && hb:
-				return sent[b] - sent[a]
-			case ha:
+			case ha && !hb:
 				return -1
-			case hb:
+			case hb && !ha:
 				return 1
 			}
 			return 0
 		})
 		homes[i] = order[:min(h, len(order))]
-		for _, n := range nodes {
-			if holds(n) {
-				sent[n] += m
-				if slices.Contains(homes[i], n) {
-					sent[n]--
-				}
-			}
-		}
 	}
 	return homes
 }

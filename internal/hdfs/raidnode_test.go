@@ -134,16 +134,17 @@ func TestParityHomesTakeTurns(t *testing.T) {
 		return s
 	}
 	all := stripe(4, 5, 6, 7, 4, 5)
-	homes := parityHomes(rack, 1, []*placement.StripeInfo{all, all, all, all}, 2, 2)
+	homes := parityHomes(rack, 1, []*placement.StripeInfo{all, all, all, all}, 2)
 	want := [][]topology.NodeID{{5, 6}, {7, 4}, {5, 6}, {7, 4}}
 	if !reflect.DeepEqual(homes, want) {
 		t.Errorf("homes %v, want %v", homes, want)
 	}
-	// Node 7 holds nothing of the first stripe and node 5 nothing of the
-	// second: the holders that have sent the most come first. The third
-	// stripe's one holder, node 5, takes a non-holder in turn beside it.
-	homes = parityHomes(rack, 0, []*placement.StripeInfo{stripe(4, 5, 6), stripe(4, 6, 7), stripe(5)}, 2, 2)
-	want = [][]topology.NodeID{{4, 5}, {6, 4}, {5, 4}}
+	// A node that holds nothing of a stripe is passed over for the next
+	// holder in turn: node 5 on the first stripe, node 7 on the second. The
+	// third stripe's one holder, node 5, comes first and takes the node whose
+	// turn it is beside it.
+	homes = parityHomes(rack, 0, []*placement.StripeInfo{stripe(4, 6, 7), stripe(4, 5, 6), stripe(5)}, 2)
+	want = [][]topology.NodeID{{4, 6}, {6, 4}, {5, 4}}
 	if !reflect.DeepEqual(homes, want) {
 		t.Errorf("homes %v, want %v", homes, want)
 	}
