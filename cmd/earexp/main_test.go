@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"strings"
 	"testing"
+
+	"ear/internal/planes"
 )
 
 // TestQuickTablesGolden holds the tables that run no cluster (analysis,
@@ -50,5 +54,37 @@ func TestUnknownValuesNameTheValid(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("%s: printed %q before failing", tc.args, out.String())
 		}
+	}
+}
+
+// TestBundleOnFailure: -bundle writes nothing when the run passes and, when
+// it fails, every cluster's bundle: here nodefail's own auditor and tracker
+// with the journal behind them, after the trace check failed.
+func TestBundleOnFailure(t *testing.T) {
+	path := t.TempDir() + "/bundle.json"
+	if err := run(strings.Fields("-exp nodefail -stripes 2 -bundle "+path), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a passing run wrote %s (stat: %v)", path, err)
+	}
+	err := run(strings.Fields("-exp nodefail -stripes 2 -require-trace 1000000 -bundle "+path), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "trace check") {
+		t.Fatalf("want the trace check to fail the run, got %v", err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bundles []planes.Bundle
+	if err := json.Unmarshal(blob, &bundles); err != nil {
+		t.Fatal(err)
+	}
+	if len(bundles) != 1 {
+		t.Fatalf("nodefail builds one cluster, bundle holds %d", len(bundles))
+	}
+	b := bundles[0]
+	if b.Audit == nil || b.Progress == nil || len(b.Events) == 0 || b.Events[len(b.Events)-1].Seq != b.Seq {
+		t.Errorf("bundle lacks nodefail's planes or its journal: %+v", b)
 	}
 }

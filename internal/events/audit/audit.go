@@ -97,6 +97,15 @@ func (a *Auditor) Observe(e events.Event) {
 	a.eng.Observe(e)
 }
 
+// Reset forgets everything folded so far, so a replayed stream (the
+// recovered-state backfill) rebuilds the model from scratch.
+func (a *Auditor) Reset() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.events = 0
+	a.eng.Reset()
+}
+
 // Report summarizes the audit so far. Violations are in opening order (the
 // ledger's), so sorted by opening sequence number.
 func (a *Auditor) Report() Report {

@@ -163,6 +163,13 @@ func New(r Rules) *Engine {
 	return g
 }
 
+// Reset empties the model and the ledger; the rules and OnResolve stay.
+func (g *Engine) Reset() {
+	on := g.OnResolve
+	*g = *New(g.rules)
+	g.OnResolve = on
+}
+
 // Open returns how many windows are currently open.
 func (g *Engine) Open() int { return len(g.open) }
 

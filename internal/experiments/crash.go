@@ -139,9 +139,9 @@ func RunCrashRecover(opts CrashOptions) (*CrashReport, error) {
 	opts.apply(c)
 	recoverDur := time.Since(start)
 
+	// Attach rebuilds the auditor from the recovered state's backfill.
 	pl := planes.Attach(c, planes.Audit)
 	nn := c.NameNode()
-	nn.PublishRecoveredState(pl.Journal)
 
 	rep := &CrashReport{
 		ReplayedOps:   nn.RecoveredOps(),

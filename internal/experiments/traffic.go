@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"ear/internal/events"
-	"ear/internal/fabric"
 	"ear/internal/hdfs"
 	"ear/internal/topology"
 )
@@ -54,17 +53,16 @@ func (p PhaseTraffic) discrepancy() float64 {
 	return c
 }
 
-// TrafficResult is RunTraffic's output: the per-phase breakdown, the
-// per-link utilization timeline sampled across the whole run, and a rendered
-// summary table.
+// TrafficResult is RunTraffic's output: the per-phase breakdown and a
+// rendered summary table. (The per-link utilization timeline of the run is
+// the Timeline plane's: earexp -exp traffic -timeline out.json.)
 type TrafficResult struct {
 	Policy string         `json:"policy"`
 	Phases []PhaseTraffic `json:"phases"`
 	// MaxDiscrepancy is the worst relative disagreement between the
 	// journal-derived and fabric-derived byte totals across all phases.
-	MaxDiscrepancy float64         `json:"max_discrepancy"`
-	Timeline       fabric.Timeline `json:"timeline"`
-	Summary        *Table          `json:"-"`
+	MaxDiscrepancy float64 `json:"max_discrepancy"`
+	Summary        *Table  `json:"-"`
 }
 
 // RunTraffic runs one write -> encode -> delete lifecycle on a fresh cluster
@@ -96,10 +94,6 @@ func RunTraffic(opts TestbedOptions, policy string, n, k int, arm EncodeArm) (*T
 	j := events.NewJournal(capacity)
 	c.SetJournal(j)
 	opts.apply(c)
-
-	sampler := fabric.NewSampler(c.Fabric(), 0)
-	sampler.Start()
-	defer sampler.Stop()
 
 	res := &TrafficResult{Policy: policy}
 	cursor := j.Seq()
@@ -176,8 +170,6 @@ func RunTraffic(opts TestbedOptions, policy string, n, k int, arm EncodeArm) (*T
 	}); err != nil {
 		return nil, err
 	}
-	sampler.Stop()
-	res.Timeline = sampler.Timeline()
 
 	t := &Table{
 		ID:      "traffic",

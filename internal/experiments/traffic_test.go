@@ -45,10 +45,6 @@ func TestRunTrafficConsistency(t *testing.T) {
 		if r := byName["repair"]; r.Transfers == 0 || r.CrossRackBytes+r.IntraRackBytes == 0 {
 			t.Errorf("%s: repair phase moved nothing: %+v", policy, r)
 		}
-		if res.Timeline.DurationSeconds <= 0 || len(res.Timeline.Links) == 0 {
-			t.Errorf("%s: timeline empty: duration=%g links=%d",
-				policy, res.Timeline.DurationSeconds, len(res.Timeline.Links))
-		}
 		if res.Summary == nil {
 			t.Errorf("%s: no summary table", policy)
 		}

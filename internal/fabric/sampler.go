@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// DefaultSampleInterval is the sampler's polling period when none is given:
-// fine enough to resolve the phases of a scaled-testbed encode run, coarse
+// DefaultSampleInterval is the period internal/planes samples at: fine
+// enough to resolve the phases of a scaled-testbed encode run, coarse
 // enough that a multi-second experiment stays within a few hundred points
 // per link.
 const DefaultSampleInterval = 50 * time.Millisecond
@@ -42,10 +42,10 @@ type Timeline struct {
 	IntraRack []SamplePoint `json:"intra_rack"`
 }
 
-// Sampler polls a fabric's link counters on a fixed interval and records
-// per-link throughput time series — the instrument behind the earfsd
-// /timeline endpoint and the testbed's encoding-traffic figures. Start it,
-// run the workload, Stop it, read Timeline.
+// Sampler differentiates a fabric's link counters into per-link throughput
+// time series — the instrument behind the earfsd /timeline endpoint and
+// earexp -timeline. It is passive: each Sample records one interval since
+// the previous one, and internal/planes calls it every interval.
 type Sampler struct {
 	f        *Fabric
 	interval time.Duration
@@ -58,65 +58,19 @@ type Sampler struct {
 	cross   []SamplePoint
 	intra   []SamplePoint
 	elapsed float64
-
-	stop chan struct{}
-	done chan struct{}
 }
 
-// NewSampler creates a sampler for the fabric (interval <= 0 selects
-// DefaultSampleInterval). It does not start polling; call Start.
+// NewSampler creates a sampler for the fabric whose clock and counters start
+// now. interval is the period the caller samples at, which Timeline reports.
 func NewSampler(f *Fabric, interval time.Duration) *Sampler {
-	if interval <= 0 {
-		interval = DefaultSampleInterval
+	return &Sampler{
+		f: f, interval: interval, series: make(map[string]*LinkTimeline),
+		started: time.Now(), prev: f.Snapshot(),
 	}
-	return &Sampler{f: f, interval: interval, series: make(map[string]*LinkTimeline)}
 }
 
-// Start begins polling. Starting an already-started sampler is a no-op.
-func (s *Sampler) Start() {
-	s.mu.Lock()
-	if s.stop != nil {
-		s.mu.Unlock()
-		return
-	}
-	s.started = time.Now()
-	s.prev = s.f.Snapshot()
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	stop, done := s.stop, s.done
-	s.mu.Unlock()
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(s.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				s.sample()
-			case <-stop:
-				s.sample() // final partial interval
-				return
-			}
-		}
-	}()
-}
-
-// Stop halts polling after one final sample and waits for the poller to
-// exit. Stopping a stopped (or never-started) sampler is a no-op.
-func (s *Sampler) Stop() {
-	s.mu.Lock()
-	stop, done := s.stop, s.done
-	s.stop, s.done = nil, nil
-	s.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
-// sample records one delta against the previous snapshot.
-func (s *Sampler) sample() {
+// Sample records the interval since the previous sample.
+func (s *Sampler) Sample() {
 	cur := s.f.Snapshot()
 	now := time.Now()
 	s.mu.Lock()
@@ -148,7 +102,7 @@ func (s *Sampler) sample() {
 }
 
 // Timeline returns a copy of everything sampled so far. Safe to call while
-// sampling, and after Stop.
+// sampling.
 func (s *Sampler) Timeline() Timeline {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -157,8 +157,11 @@ func (o *fsyncObserver) observe(d time.Duration) {
 	}
 }
 
-// clusterMetrics bundles the cluster's metric handles.
+// clusterMetrics bundles the cluster's metric handles and the registry
+// they live in.
 type clusterMetrics struct {
+	reg *telemetry.Registry
+
 	writeLat   *telemetry.Metric // hdfs_client_write_seconds
 	readLat    *telemetry.Metric // hdfs_client_read_seconds
 	stripes    *telemetry.Metric // raidnode_stripes_encoded_total
@@ -198,6 +201,7 @@ type clusterMetrics struct {
 // serving traffic; earlier activity is not backfilled.
 func (c *Cluster) SetTelemetry(reg *telemetry.Registry) {
 	m := &clusterMetrics{
+		reg: reg,
 		writeLat: reg.Histogram("hdfs_client_write_seconds",
 			"Block write latency through the replication pipeline.", nil).With(),
 		readLat: reg.Histogram("hdfs_client_read_seconds",
@@ -251,6 +255,15 @@ func (c *Cluster) SetTelemetry(reg *telemetry.Registry) {
 	c.fab.SetTelemetry(reg)
 	c.jt.SetTelemetry(reg)
 	c.nn.SetTelemetry(reg)
+}
+
+// Telemetry returns the registry SetTelemetry installed; nil when
+// unobserved.
+func (c *Cluster) Telemetry() *telemetry.Registry {
+	if m := c.metrics(); m != nil {
+		return m.reg
+	}
+	return nil
 }
 
 // SetTracer installs a span tracer for the encode path (nil disables).

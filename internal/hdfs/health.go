@@ -13,12 +13,12 @@ import (
 
 // The monitor's tuning is fixed: nothing ever ran it with other values.
 const (
-	// healthInterval is the scoring period: each tick probes every node and
+	// HealthInterval is the scoring period: each tick probes every node and
 	// recomputes scores.
-	healthInterval = 500 * time.Millisecond
+	HealthInterval = 500 * time.Millisecond
 	// probeTimeout bounds one heartbeat probe; a probe still in flight at the
 	// deadline is scored at its elapsed time.
-	probeTimeout = 4 * healthInterval
+	probeTimeout = 4 * HealthInterval
 	// heartbeatBytes is the probe payload: a small shaped transfer to a
 	// same-rack peer, so probe latency reflects the node's fabric links
 	// without moving real data.
@@ -106,38 +106,36 @@ type nodeState struct {
 // transitions. Each signal is scored relative to the cluster median, so the
 // monitor needs no absolute latency calibration.
 //
-// Create the monitor after installing the cluster's journal
-// (Cluster.SetJournal): it subscribes at construction time. Tick is
-// exported so tests can drive scoring rounds deterministically; Start runs
-// Tick on a background ticker.
+// The monitor is passive, like every plane: it scores when Tick is called
+// and folds the events Observe is handed. internal/planes subscribes it to
+// the journal and calls Tick every HealthInterval; tests drive both
+// directly.
 type HealthMonitor struct {
 	c *Cluster
 
 	mu    sync.Mutex
 	nodes []nodeState
-
-	cancelSub func()
-
-	loopMu sync.Mutex
-	stop   chan struct{}
-	done   chan struct{}
 }
 
-// NewHealthMonitor creates a monitor for the cluster and subscribes it to
-// the cluster's current journal (a nil journal disables the op-latency and
-// failure signals but heartbeat scoring still works).
+// NewHealthMonitor creates a monitor for the cluster, every node at 100.
 func NewHealthMonitor(c *Cluster) *HealthMonitor {
 	h := &HealthMonitor{c: c, nodes: make([]nodeState, c.top.Nodes())}
-	for i := range h.nodes {
-		h.nodes[i].score = 100
-	}
-	h.cancelSub = c.Journal().Subscribe(h.observe)
+	h.Reset()
 	return h
 }
 
-// observe folds one journal event into the per-node state. It runs under
+// Reset forgets every signal: each node back at 100, never probed.
+func (h *HealthMonitor) Reset() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i := range h.nodes {
+		h.nodes[i] = nodeState{score: 100}
+	}
+}
+
+// Observe folds one journal event into the per-node state. It runs under
 // the journal lock, so it only updates the monitor's own fields.
-func (h *HealthMonitor) observe(e events.Event) {
+func (h *HealthMonitor) Observe(e events.Event) {
 	switch e.Type {
 	case events.TransferFinished:
 		if e.Bytes <= 0 || e.Dur <= 0 || e.Node == e.Peer {
@@ -205,8 +203,7 @@ func (h *HealthMonitor) heartbeatPeer(n topology.NodeID) (topology.NodeID, bool)
 }
 
 // Tick runs one scoring round: probe every live node, fold the signals into
-// scores, and publish degrade/recover transitions. Start calls it on a
-// ticker; tests call it directly.
+// scores, and publish degrade/recover transitions.
 func (h *HealthMonitor) Tick(ctx context.Context) {
 	n := len(h.nodes)
 	type probe struct {
@@ -253,10 +250,7 @@ func (h *HealthMonitor) Tick(ctx context.Context) {
 	}
 	wg.Wait()
 
-	type transition struct {
-		ev events.Event
-	}
-	var transitions []transition
+	var transitions []events.Event
 	h.mu.Lock()
 	for i := range h.nodes {
 		st := &h.nodes[i]
@@ -295,21 +289,21 @@ func (h *HealthMonitor) Tick(ctx context.Context) {
 		switch {
 		case !st.degraded && st.score < degradedBelow:
 			st.degraded = true
-			transitions = append(transitions, transition{ev: h.transitionEvent(
-				events.NodeDegraded, topology.NodeID(i), st, sHb, sOp, sFail)})
+			transitions = append(transitions, h.transitionEvent(
+				events.NodeDegraded, topology.NodeID(i), st, sHb, sOp, sFail))
 		case st.degraded && st.score >= recoveredAt:
 			st.degraded = false
-			transitions = append(transitions, transition{ev: h.transitionEvent(
-				events.NodeRecovered, topology.NodeID(i), st, sHb, sOp, sFail)})
+			transitions = append(transitions, h.transitionEvent(
+				events.NodeRecovered, topology.NodeID(i), st, sHb, sOp, sFail))
 		}
 	}
 	h.mu.Unlock()
 
 	// Publish outside h.mu: the journal runs subscribers (including this
-	// monitor's own observe) under its lock, and observe takes h.mu.
+	// monitor's own Observe) under its lock, and Observe takes h.mu.
 	jnl := h.c.Journal()
-	for _, tr := range transitions {
-		jnl.Publish(tr.ev)
+	for _, ev := range transitions {
+		jnl.Publish(ev)
 	}
 }
 
@@ -414,48 +408,4 @@ func (h *HealthMonitor) Degraded() []topology.NodeID {
 		}
 	}
 	return out
-}
-
-// Start launches the background scoring loop; Stop ends it.
-func (h *HealthMonitor) Start() {
-	h.loopMu.Lock()
-	defer h.loopMu.Unlock()
-	if h.stop != nil {
-		return
-	}
-	h.stop = make(chan struct{})
-	h.done = make(chan struct{})
-	stop, done := h.stop, h.done
-	go func() {
-		defer close(done)
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		go func() { <-stop; cancel() }()
-		tick := time.NewTicker(healthInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				h.Tick(ctx)
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop halts the scoring loop (waiting for it) and unsubscribes from the
-// journal. The monitor is done afterwards; create a new one to resume.
-func (h *HealthMonitor) Stop() {
-	h.loopMu.Lock()
-	if h.stop != nil {
-		close(h.stop)
-		<-h.done
-		h.stop, h.done = nil, nil
-	}
-	h.loopMu.Unlock()
-	if h.cancelSub != nil {
-		h.cancelSub()
-		h.cancelSub = nil
-	}
 }

@@ -3,21 +3,20 @@ package hdfs
 import (
 	"context"
 	"testing"
-	"time"
 
 	"ear/internal/events"
 	"ear/internal/topology"
 )
 
-// newHealthCluster builds a journaled cluster plus a monitor the tests drive
-// through Tick directly (no background loop).
+// newHealthCluster builds a journaled cluster plus a monitor subscribed to
+// it, which the tests drive through Tick directly (no background loop).
 func newHealthCluster(t *testing.T) (*Cluster, *events.Journal, *HealthMonitor) {
 	t.Helper()
 	c := newTestCluster(t, "rr")
 	jnl := events.NewJournal(4096)
 	c.SetJournal(jnl)
 	h := NewHealthMonitor(c)
-	t.Cleanup(h.Stop)
+	t.Cleanup(jnl.Subscribe(h.Observe))
 	return c, jnl, h
 }
 
@@ -165,23 +164,4 @@ func TestHealthDeadNodesSkipped(t *testing.T) {
 	if rep[deadNode].Failures <= 0 {
 		t.Errorf("dead node failures = %v, want > 0", rep[deadNode].Failures)
 	}
-}
-
-func TestHealthStartStopLoop(t *testing.T) {
-	_, _, h := newHealthCluster(t)
-	h.Start()
-	h.Start() // idempotent
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rep := h.Report()
-		if rep[0].Heartbeat > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background loop never probed")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	h.Stop()
-	h.Stop() // idempotent
 }

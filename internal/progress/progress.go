@@ -30,12 +30,13 @@
 // integration tests assert that), and a node death opens exposure windows
 // here that the auditor, rightly, never sees.
 //
-// Restarts are survived for free: the PR-7 metadata plane republishes the
-// recovered layout (PublishRecoveredState) into the new process's journal
-// before traffic flows, so a tracker attached at startup rebuilds its model
-// from the backfill. Throughput samples and curve points are suppressed
-// between MetaRecoveryStarted and MetaRecovered so the replayed encodes do
-// not masquerade as instantaneous throughput.
+// Restarts are survived for free: planes.Attach resets the tracker and has
+// the durable metadata plane republish the recovered layout
+// (PublishRecoveredState) into the new process's journal before traffic
+// flows, so the tracker rebuilds its model from the backfill. Throughput
+// samples and curve points are suppressed between MetaRecoveryStarted and
+// MetaRecovered so the replayed encodes do not masquerade as instantaneous
+// throughput.
 package progress
 
 import (
@@ -256,6 +257,19 @@ func (t *Tracker) Observe(e events.Event) {
 		t.recordEncodeLocked(e.Wall, tot)
 	}
 	t.updateGaugesLocked(tot)
+}
+
+// Reset forgets everything folded so far and restarts the clock, so a
+// replayed stream (the recovered-state backfill) rebuilds the model from
+// scratch. The telemetry handles stay.
+func (t *Tracker) Reset() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.events = 0
+	t.eng.Reset()
+	t.samples, t.curve, t.stride = nil, nil, 1
+	t.recovering = false
+	t.start = t.now()
 }
 
 // recordEncodeLocked adds a throughput sample and a curve point for one

@@ -16,9 +16,9 @@
 //
 // The Tracker reads only public registry snapshots, so it works against any
 // histogram family regardless of which subsystem owns it, and sampling cost
-// is independent of operation rate. Sample is exported so tests (and callers
-// with their own clocks) can step the window deterministically; Start runs
-// the same step on a background ticker.
+// is independent of operation rate. The Tracker is passive: each Sample
+// steps the window by one interval, internal/planes calls it every interval
+// and tests step it deterministically.
 package slo
 
 import (
@@ -105,13 +105,9 @@ type Tracker struct {
 
 	mu   sync.Mutex
 	objs []*tracked
-
-	loopMu sync.Mutex
-	stop   chan struct{}
-	done   chan struct{}
 }
 
-// NewTracker creates a tracker sampling reg every interval (minimum 10ms;
+// NewTracker creates a tracker of reg sampled every interval (minimum 10ms;
 // values below are raised to it).
 func NewTracker(reg *telemetry.Registry, interval time.Duration) *Tracker {
 	if interval < 10*time.Millisecond {
@@ -146,8 +142,7 @@ func (t *Tracker) Add(obj Objective) error {
 }
 
 // Sample takes one sampling step: it reads the registry once and pushes each
-// objective's histogram delta into its ring. Exported so tests can drive the
-// window deterministically; Start calls it on a ticker.
+// objective's histogram delta into its ring.
 func (t *Tracker) Sample() {
 	snap := t.reg.Snapshot()
 	byName := make(map[string]*telemetry.FamilySnapshot, len(snap))
@@ -316,45 +311,6 @@ func quantile(bounds, cum []float64, total, q float64) float64 {
 		prev, lo = c, b
 	}
 	return bounds[len(bounds)-1]
-}
-
-// Start launches the background sampling loop. Stop ends it; Start after
-// Stop begins a fresh loop.
-func (t *Tracker) Start() {
-	t.loopMu.Lock()
-	defer t.loopMu.Unlock()
-	if t.stop != nil {
-		return
-	}
-	t.stop = make(chan struct{})
-	t.done = make(chan struct{})
-	stop, done := t.stop, t.done
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(t.interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				t.Sample()
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop halts the background loop and waits for it to exit. Safe to call
-// without a prior Start.
-func (t *Tracker) Stop() {
-	t.loopMu.Lock()
-	defer t.loopMu.Unlock()
-	if t.stop == nil {
-		return
-	}
-	close(t.stop)
-	<-t.done
-	t.stop, t.done = nil, nil
 }
 
 // DefaultObjectives returns the testbed's core-operation objectives over the

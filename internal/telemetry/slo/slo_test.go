@@ -246,30 +246,3 @@ func TestDefaultObjectivesCoverCoreOps(t *testing.T) {
 		}
 	}
 }
-
-func TestStartStopLoop(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	h := reg.Histogram("op_seconds", "", []float64{1}).With()
-	tr := NewTracker(reg, 10*time.Millisecond)
-	if err := tr.Add(Objective{Name: "op", Metric: "op_seconds",
-		Quantile: 0.9, Threshold: 1, Window: 100 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	tr.Start()
-	tr.Start() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		// Keep observing: the first tick only primes the baseline, so ops
-		// must arrive between two later ticks to show up as a delta.
-		h.Observe(0.5)
-		if st := tr.Report()[0]; st.Ops > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background loop never sampled the observation")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	tr.Stop()
-	tr.Stop() // idempotent
-}
