@@ -156,9 +156,11 @@ type NameNode struct {
 	// recoveredIn holds the duration of the last RecoverMeta, observed into
 	// namenode_recovery_seconds when telemetry attaches (recovery runs
 	// before SetTelemetry on the restart path); recoveredOps counts the log
-	// records it replayed.
+	// records it replayed; recovered is set when it loaded a snapshot or at
+	// least one record.
 	recoveredIn  atomic.Int64 // nanoseconds; 0 = no recovery ran
 	recoveredOps atomic.Int64
+	recovered    atomic.Bool
 
 	// Auto-checkpoint state (durability.go): snapEvery arms a snapshot every
 	// N log appends, lastSnapAppends remembers the append count at the last
