@@ -74,7 +74,8 @@ func New() *Store {
 	return &Store{entries: make(map[Key]entry)}
 }
 
-// Put stores a copy of data under key. It returns ErrExists if the key is
+// Put stores a copy of data under key, the only copy the store makes: the
+// stored bytes are never written again. It returns ErrExists if the key is
 // already present.
 func (s *Store) Put(key Key, data []byte) error {
 	s.mu.Lock()
@@ -88,8 +89,12 @@ func (s *Store) Put(key Key, data []byte) error {
 	return nil
 }
 
-// Get returns a copy of the block, verifying its checksum.
-func (s *Store) Get(key Key) ([]byte, error) {
+// View returns the stored block itself, its checksum verified, without a
+// copy. The slice is read-only and stays valid after the block is deleted or
+// corrupted: the store never writes a slice once Put has stored it (Corrupt
+// swaps in a flipped copy), so a view is safe to read from any goroutine for
+// as long as the caller keeps it.
+func (s *Store) View(key Key) ([]byte, error) {
 	s.mu.RLock()
 	e, ok := s.entries[key]
 	s.mu.RUnlock()
@@ -99,7 +104,16 @@ func (s *Store) Get(key Key) ([]byte, error) {
 	if crc32.Checksum(e.data, castagnoli) != e.sum {
 		return nil, fmt.Errorf("%w: %s", ErrCorrupt, key)
 	}
-	return append([]byte(nil), e.data...), nil
+	return e.data, nil
+}
+
+// Get returns a copy of the block, verifying its checksum.
+func (s *Store) Get(key Key) ([]byte, error) {
+	v, err := s.View(key)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), v...), nil
 }
 
 // GetInto copies the block into dst, verifying the checksum first. dst must
@@ -107,19 +121,14 @@ func (s *Store) Get(key Key) ([]byte, error) {
 // callers notice stale buffer sizes instead of silently truncating. It is
 // the allocation-free counterpart of Get.
 func (s *Store) GetInto(key Key, dst []byte) error {
-	s.mu.RLock()
-	e, ok := s.entries[key]
-	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, key)
+	v, err := s.View(key)
+	if err != nil {
+		return err
 	}
-	if crc32.Checksum(e.data, castagnoli) != e.sum {
-		return fmt.Errorf("%w: %s", ErrCorrupt, key)
+	if len(dst) != len(v) {
+		return fmt.Errorf("blockstore: %s is %d bytes, destination buffer %d", key, len(v), len(dst))
 	}
-	if len(dst) != len(e.data) {
-		return fmt.Errorf("blockstore: %s is %d bytes, destination buffer %d", key, len(e.data), len(dst))
-	}
-	copy(dst, e.data)
+	copy(dst, v)
 	return nil
 }
 
@@ -144,8 +153,9 @@ func (s *Store) Delete(key Key) error {
 	return nil
 }
 
-// Corrupt flips a bit of the stored block, for failure-injection tests.
-// It returns ErrNotFound if absent.
+// Corrupt replaces the stored block with a copy that has one bit flipped, for
+// failure-injection tests; views taken before keep the verified bytes. It
+// returns ErrNotFound if absent.
 func (s *Store) Corrupt(key Key) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -154,7 +164,9 @@ func (s *Store) Corrupt(key Key) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
 	if len(e.data) > 0 {
+		e.data = append([]byte(nil), e.data...)
 		e.data[0] ^= 0x01
+		s.entries[key] = e
 	}
 	return nil
 }

@@ -97,6 +97,40 @@ func TestCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestViewSurvivesCorrupt pins the immutability views rely on: a view taken
+// before Corrupt keeps the verified bytes, the next View and GetInto report
+// the corruption, and GetInto still rejects a wrong-size buffer.
+func TestViewSurvivesCorrupt(t *testing.T) {
+	s := New()
+	key := Key{ID: 4, Kind: Data}
+	data := []byte("replica bytes")
+	if err := s.Put(key, data); err != nil {
+		t.Fatal(err)
+	}
+	view, err := s.View(key)
+	if err != nil || !bytes.Equal(view, data) {
+		t.Fatalf("View = %q, %v; want %q", view, err, data)
+	}
+	if err := s.GetInto(key, make([]byte, len(data)+1)); err == nil || errors.Is(err, ErrCorrupt) {
+		t.Errorf("GetInto into a %d-byte buffer = %v, want a size error", len(data)+1, err)
+	}
+	if err := s.Corrupt(key); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(view, data) {
+		t.Errorf("a view taken before Corrupt reads %q, want %q", view, data)
+	}
+	if _, err := s.View(key); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("View after Corrupt = %v, want ErrCorrupt", err)
+	}
+	if err := s.GetInto(key, make([]byte, len(data))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("GetInto after Corrupt = %v, want ErrCorrupt", err)
+	}
+	if _, err := s.View(Key{ID: 5, Kind: Data}); !errors.Is(err, ErrNotFound) {
+		t.Errorf("View of a missing key = %v, want ErrNotFound", err)
+	}
+}
+
 func TestHasKeysClear(t *testing.T) {
 	s := New()
 	keys := []Key{{ID: 5, Kind: Parity}, {ID: 1, Kind: Data}, {ID: 3, Kind: Data}}

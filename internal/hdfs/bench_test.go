@@ -2,7 +2,10 @@ package hdfs
 
 import (
 	"math/rand"
+	"runtime"
+	"syscall"
 	"testing"
+	"time"
 
 	"ear/internal/events"
 	"ear/internal/progress"
@@ -11,8 +14,9 @@ import (
 )
 
 // benchConfig shapes the fabric hard enough that data-path structure (not
-// Go overhead) dominates: one block transfer costs ~8ms, and local reads
-// are disk-shaped so a gather can overlap disk and network fetches.
+// Go overhead) dominates: one block transfer costs ~8ms, and local reads are
+// disk-shaped, so a fold's read-ahead overlaps a node's disk with the partial
+// sums on their way to it.
 func benchConfig() Config {
 	return Config{
 		Racks:                    6,
@@ -127,4 +131,46 @@ func BenchmarkEncodeAll(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkEncodeLifecycleRound encodes what one lifecycle-shaped round of
+// the benchmark writes (lifecycleWrites, on seeds 1-6 in turn) at the shaped
+// rates, on the wall clock. ns/op is the encode; cpu-ms/op is the process CPU
+// it took, user and system time from getrusage: the host's share, which the
+// fabric's design time leaves out.
+func BenchmarkEncodeLifecycleRound(b *testing.B) {
+	var cpu time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, cfg := lifecycleWrites(b, int64(i%6+1))
+		if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+			b.Fatal(err)
+		}
+		setRates(b, c, cfg.BandwidthBytesPerSec, cfg.DiskBandwidthBytesPerSec)
+		runtime.GC() // the writes' garbage is not the encode's
+		cpu0 := cpuTime(b)
+		b.StartTimer()
+		if _, err := c.RaidNode().EncodeAll(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		cpu += cpuTime(b) - cpu0
+		// newCluster keeps every cluster until the benchmark ends: drop this
+		// one's blocks now so the iterations' layouts do not pile up.
+		for n := 0; n < c.Topology().Nodes(); n++ {
+			if dn, err := c.DataNodeOf(topology.NodeID(n)); err == nil {
+				dn.Store.Clear()
+			}
+		}
+	}
+	b.ReportMetric(cpu.Seconds()*1e3/float64(b.N), "cpu-ms/op")
+}
+
+// cpuTime is the user and system CPU the process has used so far.
+func cpuTime(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

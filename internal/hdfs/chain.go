@@ -22,11 +22,13 @@ package hdfs
 // remote member. With the m parity rows the sums are the stripe's parity
 // (RapidRAID), each ending on the node that stores it; with one decode row
 // they are the lost member (rack-aware regenerating repair), delivered to the
-// repair target or the reading client. The engine stores nothing: the sums
-// land in the caller's buffers and the caller commits them only after the
-// whole fold succeeded, so a canceled fold leaves no trace in any store. The
-// stage loop (runStages) also carries the replicated write, a run with no
-// members to fold whose stages keep what they forward (client.go).
+// repair target or the reading client. The engine copies no byte: a hop folds
+// its members straight from the store's read-only views into the row's one
+// buffer, the caller's, which every stage of the row sums into in place. It
+// stores nothing either: the caller commits the sums only after the whole
+// fold succeeded, so a canceled fold leaves no trace in any store. The stage
+// loop (runStages) also carries the replicated write, a run with no members
+// to fold whose stages all forward the caller's bytes (client.go).
 
 import (
 	"context"
@@ -48,24 +50,25 @@ import (
 // chainStage is one stage of a stage run, and it carries one row: a planned
 // hop of a fold, which folds its local members into the row's partial sum; a
 // delivery stage, which receives a finished row at a sink that is no hop of
-// the cover; or a replica of a replicated write, which keeps what it
-// receives.
+// the cover; or a replica of a replicated write, which receives the caller's
+// bytes.
 type chainStage struct {
 	node topology.NodeID
 	// row holds the coefficients of the stage's row, indexed by stripe
 	// position (nil for a write), and positions and blocks the node's local
-	// members it folds with them, shared by every stage of the fold on the
-	// node (none at a delivery stage or in a write).
+	// members it folds with them, read-only store views shared by every stage
+	// of the fold on the node (none at a delivery stage or in a write).
 	row       []byte
 	positions []int
 	blocks    [][]byte
-	// up is the stage whose accumulator this one receives (nil at a head,
-	// whose accumulator comes filled: zeros for a fold, the caller's bytes for
-	// a write); next are the stages that receive from this one.
+	// up is the stage whose slices this one receives (nil at a head); next
+	// are the stages that receive from this one.
 	up   *chainStage
 	next []*chainStage
-	// acc is the row's partial sum once this stage has folded: the caller's
-	// output buffer where the row ends at its sink.
+	// acc is the row's one buffer, shared by every stage of the row: the
+	// caller's output, zeroed before a fold starts, which each stage of the
+	// fold sums its members into in place once up has finished the slice; the
+	// caller's bytes in a write.
 	acc []byte
 	// in is the inbound stream from up's node (nil at a head), which up books
 	// on.
@@ -195,10 +198,11 @@ func (c *Cluster) foldSliceBytes(anchor topology.NodeID, streams int) int {
 // arrivals as far as a stream's window allows, so links and disks stay busy
 // while the receiving stage is still waking up. The receiving stage sleeps
 // once a slice, until both the upstream sum and its node's members have
-// arrived and its stagger has passed, adopts the upstream accumulator, folds
-// its row over the members and passes the slice on, booked as ready at the
-// arrival rather than at the later instant its host woke up at (a head's
-// slices are ready at the run's start). The read-ahead starts phase after the
+// arrived and its stagger has passed, folds its row over the members into the
+// row's buffer in place (the ready channels order the stages of a row slice
+// by slice, so no two touch one slice at once) and passes the slice on,
+// booked as ready at the arrival rather than at the later instant its host
+// woke up at (a head's slices are ready at the run's start). The read-ahead starts phase after the
 // run's start and books its slices as ready at the start: runs that start
 // together and share a disk book it in the order of their phases instead of
 // the scheduler's, at no cost in disk time. The walk's grain is
@@ -324,11 +328,8 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 				if err := fabric.SleepUntil(gctx, arrival.Add(st.stagger)); err != nil {
 					return err
 				}
-				// Adopt the upstream accumulator for this slice and fold the
-				// node's members into it.
-				if st.up != nil {
-					copy(st.acc[lo:hi], st.up.acc[lo:hi])
-				}
+				// Fold the node's members into the row's sum for this slice;
+				// up finished it before handing it down.
 				for pi, pos := range st.positions {
 					if coef := st.row[pos]; coef != 0 {
 						gf256.MulAddSlice(coef, st.blocks[pi][lo:hi], st.acc[lo:hi])
@@ -365,12 +366,12 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 // (placement.OrderPipeline), which ends on the sink when it is a hop of the
 // cover and otherwise streams each finished slice to it from the chain's last
 // hop. With nothing but zeros to fold, the anchor originates them. Every out
-// buffer is one block long and is fully overwritten on success; on error its
-// content is undefined. Each covered member is read once, whatever the number
-// of rows, and a member whose checksum-verified read fails is reported as a
-// holderError before any stream opens. Hop spans hang off the span carried by
-// ctx. chainFold plans, reads the members and keeps the ledger; runStages
-// moves the bytes.
+// buffer is one block long and is fully overwritten on success, the only
+// memory the fold writes; on error its content is undefined. Each covered
+// member is viewed once, whatever the number of rows, and a member whose
+// checksum-verified view fails is reported as a holderError before any stream
+// opens. Hop spans hang off the span carried by ctx. chainFold plans, views
+// the members and keeps the ledger; runStages moves the bytes.
 func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID, out [][]byte) (chainLedger, error) {
 	var ledger chainLedger
 	cover, err := placement.PlanPipeline(c.top, holders, anchor)
@@ -380,21 +381,7 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 	if len(cover) == 0 {
 		cover = []placement.PipelineHop{{Node: anchor}}
 	}
-	blockSize := c.cfg.BlockSizeBytes
-	// Accumulators that are not a caller's buffer and the covered members are
-	// pooled and always released.
-	var pooled [][]byte
-	defer func() {
-		for _, a := range pooled {
-			c.bufPool.Put(a)
-		}
-	}()
-	get := func() []byte {
-		b := c.bufPool.Get(blockSize)
-		pooled = append(pooled, b)
-		return b
-	}
-	// Every covered member is read, checksum-verified, before any stream
+	// Every covered member is viewed, checksum-verified, before any stream
 	// opens: a fold that fails with a holderError has moved no byte, so the
 	// ledger of the callers' re-planned fold is the whole network cost.
 	members := make(map[topology.NodeID][][]byte, len(cover))
@@ -407,33 +394,27 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 			return ledger, err
 		}
 		for _, pos := range h.Positions {
-			b := get()
-			members[h.Node] = append(members[h.Node], b)
-			if err := dn.Store.GetInto(key(pos), b); err != nil {
+			b, err := dn.Store.View(key(pos))
+			if err != nil {
 				return ledger, &holderError{holder{h.Node, pos}, stripe, err}
 			}
+			members[h.Node] = append(members[h.Node], b)
 		}
 	}
 
 	// The fold's phase is keyed by stripe: the folds a map task or a recovery
 	// keeps in flight start together and share links and disks.
 	phase := time.Duration(stripe % 1000)
-	// Per row, one stage per covered hop in that row's order, starting from
-	// zeros, and a delivery stage when the sink is no hop.
+	// Per row, one stage per covered hop in that row's order, all summing into
+	// out[j] from zeros, and a delivery stage when the sink is no hop.
 	stages := make([]*chainStage, 0, len(rows)*(len(cover)+1))
 	for j, sink := range sinks {
 		first := len(stages)
 		sinkRack, _ := c.top.RackOf(sink) // an unknown sink fails when its stream opens
+		clear(out[j])
 		var up *chainStage
 		for _, h := range placement.OrderPipeline(cover, sink, sinkRack, sinks...) {
-			acc := out[j]
-			if h.Node != sink {
-				acc = get()
-			}
-			if up == nil {
-				clear(acc)
-			}
-			stages = newStage(stages, h.Node, up, acc)
+			stages = newStage(stages, h.Node, up, out[j])
 			up = stages[len(stages)-1]
 			up.row, up.positions, up.blocks = rows[j], h.Positions, members[h.Node]
 		}
@@ -483,7 +464,6 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 		if wall := end.Sub(start); wall > 0 {
 			tel.pipeDepth.Observe(busy.Seconds() / wall.Seconds())
 		}
-		tel.poolHit.Set(c.bufPool.HitRate())
 	}
 	return ledger, nil
 }

@@ -61,7 +61,7 @@ func busiestDataNode(t *testing.T, c *Cluster) topology.NodeID {
 
 // setRates re-rates every link and every disk of c, so a test can populate
 // at full speed and measure at the shaped rates.
-func setRates(t *testing.T, c *Cluster, link, disk float64) {
+func setRates(t testing.TB, c *Cluster, link, disk float64) {
 	t.Helper()
 	if err := errors.Join(c.Fabric().SetAllRates(link), c.Fabric().SetDiskRates(disk)); err != nil {
 		t.Fatal(err)
@@ -624,8 +624,9 @@ func TestRepairCancelCommitsNothing(t *testing.T) {
 }
 
 // TestConcurrentRepairSameStripe loses two data blocks of one stripe and
-// repairs them concurrently — the -race run proves the shared decode cache
-// and pooled buffers tolerate concurrent RepairBlock on the same stripe.
+// repairs them concurrently — the -race run proves the shared decode cache,
+// the members' shared store views and pooled buffers tolerate concurrent
+// RepairBlock on the same stripe.
 func TestConcurrentRepairSameStripe(t *testing.T) {
 	cfg := testConfig("ear") // (6,4): two erasures stay decodable
 	c := newCluster(t, cfg)
@@ -798,7 +799,7 @@ func benchWalks(seed int64, nodes int) func(w int) func() topology.NodeID {
 // seed holding what one lifecycle-shaped round writes: 14 x k blocks from the
 // two clients' walks, taken in turn from one goroutine so the layout repeats,
 // at lifted rates.
-func lifecycleWrites(t *testing.T, seed int64) (*Cluster, Config) {
+func lifecycleWrites(t testing.TB, seed int64) (*Cluster, Config) {
 	t.Helper()
 	cfg := benchGeometry()
 	cfg.Seed = seed

@@ -121,12 +121,13 @@ func (c *Cluster) publishReplicaWritten(ctx context.Context, id topology.BlockID
 
 // replicate streams the block down the replication chain: a stage run whose
 // head is the client holding the caller's bytes, followed by one stage per
-// replica that keeps what it receives in a pooled staging buffer and forwards
-// it to the next. A replica on the node it receives from (the writer's own
-// copy) is a disk stream beside that node's forward, so the next replica
-// receives from the same stage. Replicas are committed to their stores only
-// after the whole run succeeded, so a failed or canceled write leaves nothing
-// behind.
+// replica that receives them and forwards them to the next. The stages share
+// the caller's bytes, which no stage writes; each replica's store copies them
+// on Put, the only copy the write makes. A replica on the node it
+// receives from (the writer's own copy) is a disk stream beside that node's
+// forward, so the next replica receives from the same stage. Replicas are
+// committed to their stores only after the whole run succeeded, so a failed or
+// canceled write leaves nothing behind.
 func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *BlockMeta, data []byte) error {
 	if len(meta.Nodes) == 0 {
 		return fmt.Errorf("%w: block %d placed on no nodes", ErrNoReplica, meta.ID)
@@ -134,19 +135,12 @@ func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *B
 	stages := newStage(nil, client, nil, data)
 	from := stages[0]
 	for _, n := range meta.Nodes {
-		stages = newStage(stages, n, from, c.bufPool.Get(len(data)))
+		stages = newStage(stages, n, from, data)
 		if n != from.node {
 			from = stages[len(stages)-1]
 		}
 	}
-	// The stores copy on Put, so the staging buffers go back to the pool once
-	// the replicas are committed (or the write failed).
 	replicas := stages[1:]
-	defer func() {
-		for _, st := range replicas {
-			c.bufPool.Put(st.acc)
-		}
-	}()
 	parent := telemetry.SpanFromContext(ctx)
 	start, _, err := c.runStages(ctx, stages, client, 0, func(s int, st *chainStage) *telemetry.Span {
 		if s == 0 {
@@ -170,7 +164,7 @@ func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *B
 		if err != nil {
 			return err
 		}
-		if err := dn.Store.Put(DataKey(meta.ID), st.acc); err != nil {
+		if err := dn.Store.Put(DataKey(meta.ID), data); err != nil {
 			return fmt.Errorf("replica on node %d: %w", st.node, err)
 		}
 		c.publishReplicaWritten(ctx, meta.ID, st.node, len(data))

@@ -14,8 +14,7 @@ import (
 // keep several stripes in flight at once (encodeFanIn) and checks what a
 // sequential encode would give: every block of every concurrently encoded
 // stripe reconstructs from its stripe alone, and the job's byte total is the
-// workload's. (The name is from when the fan-in was a Config field and the test
-// ran both settings; TestRaidNodeStatsAccumulate pins stripe and byte totals.)
+// workload's (TestRaidNodeStatsAccumulate pins stripe and byte totals).
 func TestEncodeParallelismMatchesSequential(t *testing.T) {
 	cPar := newTestCluster(t, "ear")
 	_, contents := writeBlocks(t, cPar, 16, rand.New(rand.NewSource(21)))
@@ -57,12 +56,66 @@ func TestEncodeParallelismMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The encode and repair paths above all drew from the buffer pool.
+	// The encode drew its parity outputs from the buffer pool.
 	if gets, _ := cPar.BufferPool().Stats(); gets == 0 {
 		t.Error("buffer pool never used")
 	}
 	if r := cPar.BufferPool().HitRate(); r < 0 || r > 1 {
 		t.Errorf("pool hit rate %f out of range", r)
+	}
+}
+
+// TestBufferPoolBudget pins what the data paths draw from the buffer pool.
+// The chain engine folds members from the stores' views into its caller's
+// buffers and a write forwards the caller's bytes, so a write and a degraded
+// read take no buffer, an encode exactly its m parity outputs a stripe, and
+// every buffer is back in the pool once each returns.
+func TestBufferPoolBudget(t *testing.T) {
+	c := newTestCluster(t, "ear")
+	pool := c.BufferPool()
+	drew := func(what string, op func()) int64 {
+		t.Helper()
+		before, _ := pool.Stats()
+		op()
+		gets, _ := pool.Stats()
+		if out := pool.Outstanding(); out != 0 {
+			t.Errorf("%s left %d pooled buffers out", what, out)
+		}
+		return gets - before
+	}
+	var ids []topology.BlockID
+	var contents map[topology.BlockID][]byte
+	if n := drew("the writes", func() { ids, contents = writeBlocks(t, c, 4*c.Config().K, rand.New(rand.NewSource(23))) }); n != 0 {
+		t.Errorf("%d writes took %d pooled buffers, want none", len(ids), n)
+	}
+	c.NameNode().FlushOpenStripes()
+	var stripes int
+	n := drew("the encode", func() {
+		stats, err := c.RaidNode().EncodeAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripes = stats.Stripes
+	})
+	if want := int64(c.Coder().M() * stripes); stripes == 0 || n != want {
+		t.Errorf("the encode of %d stripes took %d pooled buffers, want %d (m a stripe)", stripes, n, want)
+	}
+	meta, err := c.NameNode().Block(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.NameNode().MarkDead(meta.Nodes[0])
+	reader := (meta.Nodes[0] + 1) % topology.NodeID(c.Topology().Nodes())
+	if n := drew("the degraded read", func() {
+		got, err := c.DegradedRead(reader, ids[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, contents[ids[0]]) {
+			t.Error("the degraded read returned wrong bytes")
+		}
+	}); n != 0 {
+		t.Errorf("the degraded read took %d pooled buffers, want none", n)
 	}
 }
 

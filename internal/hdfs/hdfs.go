@@ -118,8 +118,8 @@ type Cluster struct {
 	raid  *RaidNode
 	ns    *Namespace
 
-	// bufPool recycles block-sized buffers across chain accumulators, parity
-	// encodes, and reconstructions.
+	// bufPool recycles the block-sized buffers an operation keeps past its
+	// fold: an encode's parity and a rebuilt member.
 	bufPool *erasure.BufferPool
 
 	// tel, tracer, and jrn are the observability sinks, installed by

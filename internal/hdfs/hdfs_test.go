@@ -39,7 +39,7 @@ func newTestCluster(t *testing.T, policy string) *Cluster {
 }
 
 // newCluster builds a cluster the test closes when it ends.
-func newCluster(t *testing.T, cfg Config) *Cluster {
+func newCluster(t testing.TB, cfg Config) *Cluster {
 	t.Helper()
 	c, err := NewCluster(cfg)
 	if err != nil {

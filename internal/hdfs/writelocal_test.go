@@ -195,7 +195,7 @@ func TestWriteFromUnknownNodeAllocatesNothing(t *testing.T) {
 // booked on the writer's NIC, with that slice or one the stream's window put
 // before it on the wire. Wherever it lands no stream stays open, no store
 // keeps a replica, the allocation is void and no longer counted in flight,
-// every staging buffer is back in the pool and no stage outlives the call.
+// no pooled buffer is out and no stage outlives the call.
 func TestWriteCancelAtEverySlice(t *testing.T) {
 	cfg := testConfig("rr")
 	cfg.Replicas = 2
