@@ -4,6 +4,8 @@
 package fabric
 
 import (
+	"context"
+	"errors"
 	"os"
 	"testing"
 	"testing/synctest"
@@ -52,4 +54,62 @@ func inModel(t *testing.T, what string, lo, hi, got time.Duration) {
 func timed(t *testing.T, what string, model time.Duration, op func()) {
 	t.Helper()
 	onModel(t, what, model, took(op), took(op))
+}
+
+// TestStreamRoom: Room never blocks. It names the zero time while the window
+// has room for n more bytes and, once the window's 128 KiB are booked and
+// unarrived, the instant the oldest booking arrives. A Book of at most
+// ChunkBytes made at that instant returns without sleeping, and a Book on a
+// closed stream still fails.
+func TestStreamRoom(t *testing.T) {
+	f, chunkTime := slowPair(t)
+	ctx := context.Background()
+	s, err := f.OpenStream(ctx, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	start := time.Now()
+	var arrivals []time.Time
+	for booked := 0; booked < sendWindow; booked += ChunkBytes {
+		if room := s.Room(ChunkBytes); !room.IsZero() {
+			t.Fatalf("Room(%d) = %v with %d of %d bytes booked, want the zero time", ChunkBytes, room, booked, sendWindow)
+		}
+		arrival, err := s.Book(ctx, ChunkBytes, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrivals = append(arrivals, arrival)
+	}
+	if got := arrivals[0].Sub(start); got != chunkTime {
+		t.Fatalf("the first chunk arrives %v after the start, want one chunk time, %v", got, chunkTime)
+	}
+	for _, n := range []int{1, ChunkBytes} {
+		if room := s.Room(n); !room.Equal(arrivals[0]) {
+			t.Errorf("Room(%d) with the window full = %v, want the oldest arrival %v", n, room, arrivals[0])
+		}
+	}
+	if d := time.Since(start); d != 0 {
+		t.Errorf("booking into a window with room and asking for room took %v, want no time", d)
+	}
+	if err := SleepUntil(ctx, arrivals[0]); err != nil {
+		t.Fatal(err)
+	}
+	if room := s.Room(ChunkBytes); !room.IsZero() {
+		t.Errorf("Room(%d) once the oldest booking arrived = %v, want the zero time", ChunkBytes, room)
+	}
+	at := time.Now()
+	if _, err := s.Book(ctx, ChunkBytes, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(at); d != 0 {
+		t.Errorf("a Book at the instant Room named slept %v", d)
+	}
+	if room := s.Room(ChunkBytes); !room.Equal(arrivals[1]) {
+		t.Errorf("Room(%d) with the window full again = %v, want the oldest arrival %v", ChunkBytes, room, arrivals[1])
+	}
+	s.Close()
+	if _, err := s.Book(ctx, ChunkBytes, time.Time{}); !errors.Is(err, ErrStreamClosed) {
+		t.Errorf("Book on a closed stream = %v, want ErrStreamClosed", err)
+	}
 }

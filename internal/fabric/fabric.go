@@ -670,6 +670,20 @@ func (s *Stream) Book(ctx context.Context, n int, ready time.Time) (arrival time
 	return arrival, nil
 }
 
+// Room reports, without blocking, when n more bytes (at most ChunkBytes) fit
+// the stream's window: the zero time when they fit now, so that a Book of n
+// bytes does not wait, and otherwise the instant the oldest unarrived booking
+// arrives, the earliest at which they may.
+func (s *Stream) Room(n int) time.Time {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.settle()
+	if len(s.queued) == 0 || s.queuedBytes+n <= sendWindow {
+		return time.Time{}
+	}
+	return s.queued[0].arrival
+}
+
 // bookChunk waits for room in the window, reserves one chunk of c bytes
 // ready at ready on every link and queues the booking.
 func (s *Stream) bookChunk(ctx context.Context, c int, ready time.Time) (time.Time, error) {

@@ -4,16 +4,21 @@
 package hdfs
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/synctest"
 	"time"
 
+	"ear/internal/blockstore"
 	"ear/internal/fabric"
+	"ear/internal/telemetry"
 	"ear/internal/topology"
 )
 
@@ -56,10 +61,10 @@ func heldTo(t *testing.T, what string, ops int, model, _ time.Duration, op func(
 // the layouts repeat. The encode runs four map tasks and recovery eight
 // repairs at once, and streams that book a link at the same virtual instant
 // are ordered by whoever books first; the chain engine removes those ties
-// within a run, where a fold's rows wake a microsecond apart, every stage of
-// a fold wakes a stripe-keyed phase late and its read-ahead starts that phase
-// after the run's start (chain.go). With the parity homes taking turns the
-// encode takes 54.688 ms (66.895 when the planner's draw picked them) and
+// within a run, where one loop takes a fold's steps in a fixed order, and
+// every step of a fold sleeps a stripe-keyed phase past its instant
+// (chain.go). With the parity homes taking turns the encode takes 54.687 ms
+// (66.895 when the planner's draw picked them) and
 // recovery, of another node on the new layout, 100.220 ms, on every run of 8
 // at GOMAXPROCS 1, 4 and 8; while only the read-ahead had the phase, two
 // repairs' stages tied on that layout and recovery took 100.220 or 100.464 ms.
@@ -145,7 +150,7 @@ func shapedEncode(t *testing.T, c *Cluster, cfg Config) (r encodeRun) {
 // per row, 396.0 ms against 359.4 ms, which the busiest disk (46 block reads,
 // against a mean of 36) and the busiest uplink (23 blocks) set together. With
 // the parity homes taking turns the uplinks send at most 20 blocks, and the
-// encode takes 379.2-379.6 ms against the disk's 359.4 ms alone.
+// encode takes 379.6 ms against the disk's 359.4 ms alone.
 func TestEncodeDesignTime(t *testing.T) {
 	cfg := benchGeometry()
 	c := newCluster(t, cfg)
@@ -174,8 +179,9 @@ func TestEncodeDesignTime(t *testing.T) {
 // encodes took 117.4-137.7 ms, 128.7 on the mean. Taking turns, no uplink
 // sends more than 6 blocks, the bound is 93.75 ms (6 blocks a NIC, and the
 // busiest disk's 12 reads where it has them), and the encodes take
-// 104.7-110.1 ms, 107.2 on the mean. The test holds the mean to 110 ms and
-// every uplink to 6 blocks.
+// 104.7-110.1 ms, 107.1 on the mean; seeds 1 and 4 each resolve one tie
+// between folds either way, by the scheduler (ROADMAP item 1). The test
+// holds the mean to 110 ms and every uplink to 6 blocks.
 func TestLifecycleEncodeDesignTime(t *testing.T) {
 	var sum time.Duration
 	const seeds = 6
@@ -191,6 +197,107 @@ func TestLifecycleEncodeDesignTime(t *testing.T) {
 	t.Logf("mean encode %v over %d seeds", sum/seeds, seeds)
 	if sum/seeds > 110*time.Millisecond {
 		t.Errorf("the encodes took %v on the mean over %d seeds, want at most 110ms", sum/seeds, seeds)
+	}
+}
+
+// TestFoldForwardWaitsForRoom blocks a forward rather than a disk
+// read-ahead. A two-row fold runs over k blocks of twice a stream's window,
+// toward two sinks that hold no member. One sink's NIC runs at a quarter of
+// the link rate, so its row's delivery stream fills its window and the loop
+// waits for the instant Stream.Room names, while the other row runs on. Both
+// rows must land the parity of the payload, and the run must take the same
+// virtual time twice. Every span of the fast row must end before the slow
+// row's delivery ends.
+func TestFoldForwardWaitsForRoom(t *testing.T) {
+	cfg := testConfig("rr")
+	cfg.BlockSizeBytes = 256 << 10
+	cfg.BandwidthBytesPerSec = 16 << 20
+	c := newCluster(t, cfg)
+	ids, contents := writeBlocks(t, c, cfg.K, rand.New(rand.NewSource(67)))
+	data := make([][]byte, cfg.K)
+	holders := make([][]topology.NodeID, cfg.K)
+	for i, id := range ids {
+		data[i] = contents[id]
+		var err error
+		if holders[i], err = c.NameNode().LiveReplicas(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := c.Coder().Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]byte, 2)
+	for j := range rows {
+		if rows[j], err = c.Coder().ParityRowView(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sinks []topology.NodeID
+	for n := topology.NodeID(0); int(n) < c.Topology().Nodes() && len(sinks) < len(rows); n++ {
+		if !slices.ContainsFunc(holders, func(h []topology.NodeID) bool { return slices.Contains(h, n) }) {
+			sinks = append(sinks, n)
+		}
+	}
+	if len(sinks) < len(rows) {
+		t.Fatalf("only %d nodes hold no member, want %d sinks", len(sinks), len(rows))
+	}
+	slow := len(rows) - 1
+	if err := c.Fabric().SetNodeRate(sinks[slow], cfg.BandwidthBytesPerSec/4); err != nil {
+		t.Fatal(err)
+	}
+	key := func(pos int) blockstore.Key { return DataKey(ids[pos]) }
+	tr := telemetry.NewTracer()
+	fold := func() time.Duration {
+		root := tr.Start("fold")
+		ctx := telemetry.ContextWithSpan(context.Background(), root)
+		out := [][]byte{make([]byte, cfg.BlockSizeBytes), make([]byte, cfg.BlockSizeBytes)}
+		d := took(func() {
+			if _, err := c.chainFold(ctx, 0, rows, holders, key, sinks[0], sinks, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		root.End()
+		for j := range out {
+			if !bytes.Equal(out[j], want[j]) {
+				t.Errorf("row %d's fold differs from the payload's parity", j)
+			}
+		}
+		return d
+	}
+	first, second := fold(), fold()
+	if first != second {
+		t.Errorf("the fold took %v, then %v: virtual time did not repeat", first, second)
+	}
+	if floor := onLink(cfg.BlockSizeBytes, cfg.BandwidthBytesPerSec/4); first < floor {
+		t.Errorf("the fold took %v, under the %v the slow sink's NIC takes for a block", first, floor)
+	}
+	// Stages are listed row by row, and each row walks the same cover and
+	// ends in a delivery, so the first half of a fold's hops is row 0.
+	var folds []telemetry.SpanSnapshot
+	hops := make(map[int64][]telemetry.SpanSnapshot)
+	for _, sp := range tr.Spans() {
+		switch sp.Name {
+		case "fold":
+			folds = append(folds, sp)
+		case "raidnode.chain-hop":
+			hops[sp.Parent] = append(hops[sp.Parent], sp)
+		}
+	}
+	for f, root := range folds {
+		var fastEnd, slowEnd time.Duration
+		for _, sp := range hops[root.ID] {
+			end := sp.Start + sp.Dur - root.Start
+			if hop, _ := strconv.Atoi(sp.Args["hop"]); hop < len(hops[root.ID])/2 {
+				fastEnd = max(fastEnd, end)
+			} else {
+				slowEnd = max(slowEnd, end)
+			}
+		}
+		if fastEnd >= slowEnd {
+			t.Errorf("fold %d: the fast row's spans end at %v, not before the slow row's %v", f, fastEnd, slowEnd)
+		}
+		t.Logf("fold %d took %v: the fast row's spans end at %v, the slow row's at %v", f, first, fastEnd, slowEnd)
 	}
 }
 

@@ -27,8 +27,9 @@ package hdfs
 // buffer, the caller's, which every stage of the row sums into in place. It
 // stores nothing either: the caller commits the sums only after the whole
 // fold succeeded, so a canceled fold leaves no trace in any store. The stage
-// loop (runStages) also carries the replicated write, a run with no members
-// to fold whose stages all forward the caller's bytes (client.go).
+// loop (runStages) is one event loop on the caller's goroutine, and it also
+// carries the replicated write, a run with no members to fold whose stages
+// all forward the caller's bytes (client.go).
 
 import (
 	"context"
@@ -44,7 +45,6 @@ import (
 	"ear/internal/placement"
 	"ear/internal/telemetry"
 	"ear/internal/topology"
-	"ear/internal/workgroup"
 )
 
 // chainStage is one stage of a stage run, and it carries one row: a planned
@@ -71,37 +71,32 @@ type chainStage struct {
 	// caller's bytes in a write.
 	acc []byte
 	// in is the inbound stream from up's node (nil at a head), which up books
-	// on.
-	in *fabric.Stream
-	// ready carries the slices up has finished and booked on in, in slice
-	// order: the index and the instant its bytes arrive.
-	ready chan sliceArrival
-	// diskRead carries, in slice order, the instant each slice of the node's
-	// members arrives from its disk (nil at a stage without members).
-	diskRead chan time.Time
-	// stagger is how long after a slice's inputs arrived the stage wakes for
-	// it; it still books the slice as ready at the arrival. The rows of one
-	// fold share links, and so do the folds in flight together: a microsecond
-	// per row and the fold's stripe-keyed phase (under a microsecond) order
-	// their same-instant bookings by row and stripe instead of by the
-	// scheduler.
-	stagger time.Duration
-	tFirst  time.Time
-	tLast   time.Time
-}
-
-// sliceArrival is one slice a stage may adopt once the instant has passed.
-type sliceArrival struct {
-	idx     int
-	arrival time.Time
+	// on, and arrived the instant each slice up has booked on it arrives, in
+	// slice order (every slice is there at the start for a head).
+	in      *fabric.Stream
+	arrived []time.Time
+	// disk is the read-ahead of the node's members (nil at a stage without
+	// members), done counts the slices the stage has folded and forwarded, and
+	// wait is the instant a full forward stream has room again (Stream.Room;
+	// the zero time while none is full).
+	disk          *diskReader
+	done          int
+	wait          time.Time
+	tFirst, tLast time.Time
 }
 
 // diskReader is one node's read-ahead: the disk stream its members are booked
-// on once, slice by slice, for every stage of the run on the node (stages[0]
-// names the node and the members).
+// on once, slice by slice, for every stage of the run on the node. members
+// counts them, booked the bytes of the next slice booked so far, arrived the
+// instant each booked slice arrives and wait the instant the disk stream has
+// room again.
 type diskReader struct {
-	disk   *fabric.Stream
-	stages []*chainStage
+	node    topology.NodeID
+	disk    *fabric.Stream
+	members int
+	booked  int
+	arrived []time.Time
+	wait    time.Time
 }
 
 // newStage appends to stages a stage at node that receives acc from up.
@@ -185,32 +180,32 @@ func (c *Cluster) foldSliceBytes(anchor topology.NodeID, streams int) int {
 }
 
 // runStages walks one block through the stages slice by slice, the only
-// stage loop in the package. Every stage with no upstream is a head, and a
-// stage is listed after the one it receives from. Every stream of the run — a
-// stage's inbound stream from its upstream stage's node, and one disk stream
-// per node with members (a same-node stream is the node's disk) — is opened
-// here before any stage runs and closed before runStages returns. Each stage
-// runs on a goroutine of its own, and booking is the sender's: a stage that
-// has finished a slice books it on the inbound stream of every stage after it
-// and hands the slice's arrival instant down; one read-ahead worker per node
-// with members books their slices on its disk, once for all of the node's
-// stages, and hands each arrival to every one of them. Both book ahead of the
-// arrivals as far as a stream's window allows, so links and disks stay busy
-// while the receiving stage is still waking up. The receiving stage sleeps
-// once a slice, until both the upstream sum and its node's members have
-// arrived and its stagger has passed, folds its row over the members into the
-// row's buffer in place (the ready channels order the stages of a row slice
-// by slice, so no two touch one slice at once) and passes the slice on,
-// booked as ready at the arrival rather than at the later instant its host
-// woke up at (a head's slices are ready at the run's start). The read-ahead starts phase after the
-// run's start and books its slices as ready at the start: runs that start
-// together and share a disk book it in the order of their phases instead of
-// the scheduler's, at no cost in disk time. The walk's grain is
-// foldSliceBytes of the anchor and of how many streams deep the stages are;
-// span opens stage s's span under the one carried by ctx, and every span
-// carries the grain as its "slice" arg. Every goroutine is joined before
-// runStages returns the run's start and end; the first error (a cancelled
-// ctx included) stops them all within one slice.
+// stage loop in the package: one event loop on the caller's goroutine. Every
+// stage with no upstream is a head, and a stage is listed after the one it
+// receives from. Every stream of the run — a stage's inbound stream from its
+// upstream stage's node, and one disk stream per node with members (a
+// same-node stream is the node's disk) — is opened here before the loop
+// starts and closed before runStages returns. A read-ahead step books one
+// chunk of a node's members for their next slice on its disk, once for all
+// of the node's stages, ready at the run's start: they arrive beside the
+// inbound slices instead of between receive and fold. A stage step takes
+// its next slice once the upstream sum and the node's members have arrived,
+// folds its row over the members into the row's buffer in place and books
+// the slice on the inbound stream of every stage after it, ready at the
+// instant its inputs arrived rather than at the later instant the loop got
+// to it (a head's slices are ready at the start). Bookings run ahead of the
+// arrivals as far as a stream's window allows; a step whose stream is full
+// waits for the instant Stream.Room names as a step of its own, so no Book
+// blocks and one full stream never stalls the rest of the run. The loop
+// takes the earliest step and sleeps until that instant plus phase. At one
+// instant read-ahead steps run before stage steps and stages in list order,
+// so rows that share a link book it in row order, and runs that start
+// together and share a link or a disk book it in the order of their phases.
+// The walk's grain is foldSliceBytes of the anchor and of how many streams
+// deep the stages are; span opens stage s's span under the one carried by
+// ctx, which ends once the stage has forwarded its last slice and carries
+// the grain as its "slice" arg. runStages returns the run's start and end;
+// the first error (a cancelled ctx included) ends the run at once.
 func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor topology.NodeID, phase time.Duration, span func(s int, st *chainStage) *telemetry.Span) (start, end time.Time, err error) {
 	blockSize := c.cfg.BlockSizeBytes
 	streams := 0
@@ -244,116 +239,123 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 				return start, end, err
 			}
 		}
-		// One entry per slice, so a sender never blocks on a channel; the
-		// group context covers abandonment.
-		st.ready = make(chan sliceArrival, nSlices)
 		if len(st.positions) == 0 {
 			continue
 		}
-		i := slices.IndexFunc(readers, func(r *diskReader) bool { return r.stages[0].node == st.node })
+		i := slices.IndexFunc(readers, func(r *diskReader) bool { return r.node == st.node })
 		if i < 0 {
 			disk, err := open(st.node, st.node)
 			if err != nil {
 				return start, end, err
 			}
 			i = len(readers)
-			readers = append(readers, &diskReader{disk: disk})
+			readers = append(readers, &diskReader{node: st.node, disk: disk, members: len(st.positions)})
 		}
-		readers[i].stages = append(readers[i].stages, st)
-		st.diskRead = make(chan time.Time, nSlices)
+		st.disk = readers[i]
 	}
 	start = time.Now()
-	for _, st := range stages {
-		if st.up == nil {
-			for idx := 0; idx < nSlices; idx++ {
-				st.ready <- sliceArrival{idx, start}
-			}
-			close(st.ready)
+	spans := make([]*telemetry.Span, len(stages))
+	defer func() {
+		for _, sp := range spans {
+			sp.End()
+		}
+	}()
+	for s, st := range stages {
+		spans[s] = span(s, st).Arg("slice", sliceArg)
+		for st.up == nil && len(st.arrived) < nSlices {
+			st.arrived = append(st.arrived, start)
 		}
 	}
+	// inputs is the instant stage st's next slice has arrived from upstream
+	// and from its disk; the caller has checked that both are booked.
+	inputs := func(st *chainStage) time.Time {
+		t := st.arrived[st.done]
+		if st.disk != nil {
+			t = later(t, st.disk.arrived[st.done])
+		}
+		return t
+	}
+	for {
+		var at time.Time
+		var r *diskReader
+		s := -1
+		for _, rd := range readers {
+			if t := later(start, rd.wait); len(rd.arrived) < nSlices && (r == nil || t.Before(at)) {
+				at, r = t, rd
+			}
+		}
+		for i, st := range stages {
+			if st.done == len(st.arrived) || st.disk != nil && st.done == len(st.disk.arrived) {
+				continue
+			}
+			if t := later(inputs(st), st.wait); (r == nil && s < 0) || t.Before(at) {
+				at, r, s = t, nil, i
+			}
+		}
+		if r == nil && s < 0 {
+			return start, time.Now(), nil
+		}
+		if err := fabric.SleepUntil(ctx, at.Add(phase)); err != nil {
+			return start, end, err
+		}
+		if r != nil {
+			bytes := r.members * min(slice, blockSize-len(r.arrived)*slice)
+			n := min(fabric.ChunkBytes, bytes-r.booked)
+			if r.wait = r.disk.Room(n); !r.wait.IsZero() {
+				continue
+			}
+			arrival, err := r.disk.Book(ctx, n, start)
+			if err != nil {
+				return start, end, err
+			}
+			if r.booked += n; r.booked == bytes {
+				r.arrived, r.booked = append(r.arrived, arrival), 0
+			}
+			continue
+		}
+		st := stages[s]
+		lo := st.done * slice
+		hi := min(lo+slice, blockSize)
+		st.wait = time.Time{}
+		for _, n := range st.next {
+			st.wait = later(st.wait, n.in.Room(hi-lo))
+		}
+		if !st.wait.IsZero() {
+			continue
+		}
+		// Fold the node's members into the row's sum for this slice, then
+		// send it on, ready when its inputs arrived, attributed by the fabric
+		// to every link of the hop.
+		for pi, pos := range st.positions {
+			if coef := st.row[pos]; coef != 0 {
+				gf256.MulAddSlice(coef, st.blocks[pi][lo:hi], st.acc[lo:hi])
+			}
+		}
+		now := time.Now()
+		if st.tFirst.IsZero() {
+			st.tFirst = now
+		}
+		st.tLast = now
+		ready := inputs(st)
+		for _, n := range st.next {
+			arrival, err := n.in.Book(ctx, hi-lo, ready)
+			if err != nil {
+				return start, end, err
+			}
+			n.arrived = append(n.arrived, arrival)
+		}
+		if st.done++; st.done == nSlices {
+			spans[s].End()
+		}
+	}
+}
 
-	g, gctx := workgroup.WithContext(ctx)
-	for _, r := range readers {
-		// Read-ahead: the members do not depend on the upstream, so they are
-		// booked on the shaped disk slice by slice, all ready at the start,
-		// beside the inbound slices instead of between receive and fold.
-		g.Go(func() error {
-			if err := fabric.SleepUntil(gctx, start.Add(phase)); err != nil {
-				return err
-			}
-			for lo := 0; lo < blockSize; lo += slice {
-				arrival, err := r.disk.Book(gctx, len(r.stages[0].positions)*(min(lo+slice, blockSize)-lo), start)
-				if err != nil {
-					return err
-				}
-				for _, st := range r.stages {
-					st.diskRead <- arrival
-				}
-			}
-			return nil
-		})
+// later returns the later of two instants.
+func later(a, b time.Time) time.Time {
+	if b.After(a) {
+		return b
 	}
-	for s, st := range stages {
-		g.Go(func() error {
-			defer span(s, st).Arg("slice", sliceArg).End()
-			for {
-				var r sliceArrival
-				var chOk bool
-				select {
-				case r, chOk = <-st.ready:
-					if !chOk {
-						for _, n := range st.next {
-							close(n.ready)
-						}
-						return nil
-					}
-				case <-gctx.Done():
-					return gctx.Err()
-				}
-				lo := r.idx * slice
-				hi := min(lo+slice, blockSize)
-				arrival := r.arrival
-				if st.diskRead != nil {
-					// Slices arrive in order on both channels, so the next
-					// instant is this slice's.
-					select {
-					case read := <-st.diskRead:
-						if read.After(arrival) {
-							arrival = read
-						}
-					case <-gctx.Done():
-						return gctx.Err()
-					}
-				}
-				if err := fabric.SleepUntil(gctx, arrival.Add(st.stagger)); err != nil {
-					return err
-				}
-				// Fold the node's members into the row's sum for this slice;
-				// up finished it before handing it down.
-				for pi, pos := range st.positions {
-					if coef := st.row[pos]; coef != 0 {
-						gf256.MulAddSlice(coef, st.blocks[pi][lo:hi], st.acc[lo:hi])
-					}
-				}
-				now := time.Now()
-				if st.tFirst.IsZero() {
-					st.tFirst = now
-				}
-				st.tLast = now
-				// Send the slice on, ready when its inputs arrived, attributed by
-				// the fabric to every link of the hop.
-				for _, n := range st.next {
-					sent, err := n.in.Book(gctx, hi-lo, arrival)
-					if err != nil {
-						return err
-					}
-					n.ready <- sliceArrival{r.idx, sent}
-				}
-			}
-		})
-	}
-	err = g.Wait()
-	return start, time.Now(), err
+	return a
 }
 
 // chainFold computes out[j] = sum over pos of rows[j][pos] * content(pos)
@@ -409,7 +411,6 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 	// out[j] from zeros, and a delivery stage when the sink is no hop.
 	stages := make([]*chainStage, 0, len(rows)*(len(cover)+1))
 	for j, sink := range sinks {
-		first := len(stages)
 		sinkRack, _ := c.top.RackOf(sink) // an unknown sink fails when its stream opens
 		clear(out[j])
 		var up *chainStage
@@ -420,9 +421,6 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 		}
 		if up.node != sink {
 			stages = newStage(stages, sink, up, out[j])
-		}
-		for _, st := range stages[first:] {
-			st.stagger = time.Duration(j)*time.Microsecond + phase
 		}
 	}
 	parent := telemetry.SpanFromContext(ctx)

@@ -321,13 +321,12 @@ func canceledRun(t *testing.T, c *Cluster, want error, what string, run func() e
 // TransferStarted events: every row's chain, the disk stream each node with
 // members shares between the rows, and each row's delivery stage. Then the
 // fold is cancelled the moment each of those streams in turn opens, and once
-// more on a deadline that lands while every read-ahead worker is part-way
+// more on a deadline that lands while every node's read-ahead is part-way
 // through its block. The run opens its streams before any stage starts, so a
 // cancellation at any stream but the last makes the next OpenStream fail with
 // the earlier ones open and no stage running. Wherever the cancellation
 // lands, every stream must be closed, every pooled buffer back in the pool,
-// no store may have changed, and no goroutine the fold started may outlive
-// it.
+// no store may have changed, and no goroutine may outlive the fold.
 func TestChainFoldCancelAtEveryStage(t *testing.T) {
 	cfg := testConfig("rr")
 	cfg.BlockSizeBytes = 256 << 10      // twice a stream's window
@@ -447,7 +446,7 @@ func TestChainFoldCancelAtEveryStage(t *testing.T) {
 		}
 		// Mid-block: a block is twice the 128 KiB a stream may hold booked and
 		// unarrived, and a 4 KiB slice takes 62.5 ms on link and disk alike,
-		// so 150 ms in every read-ahead worker has booked some slices — those
+		// so 150 ms in every node's read-ahead has booked some slices — those
 		// that arrived and its stream's window — and none all of them.
 		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 		before := c.Fabric().Snapshot()

@@ -51,11 +51,12 @@ func (c *Cluster) WriteBlock(client topology.NodeID, data []byte) (topology.Bloc
 // client's rack — and the remaining replicas follow the placement policy.
 // The data then flows down the HDFS replication pipeline (client -> replica 1
 // -> replica 2 -> ...) slice by slice on the chain engine's stage loop
-// (runStages), every hop shaped by the fabric. Hops run concurrently — while
-// replica 1 forwards slice i to replica 2 the client is already sending slice
-// i+1 — and a node's own copy is a disk stream beside its forward, not a hop
-// in front of it, so an r-way write costs roughly one block transfer plus the
-// pipeline fill of r-1 network hops, not r transfers.
+// (runStages), every hop shaped by the fabric. Hops overlap — while replica
+// 1 forwards slice i to replica 2 the client's slice i+1 is already on its
+// way, since every hop books ahead of the arrivals — and a node's own copy is
+// a disk stream beside its forward, not a hop in front of it, so an r-way
+// write costs roughly one block transfer plus the pipeline fill of r-1
+// network hops, not r transfers.
 //
 // A client outside the topology is rejected with topology.ErrUnknownNode
 // before anything is allocated. Cancelling ctx aborts the write at once, with
@@ -146,7 +147,7 @@ func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *B
 		if s == 0 {
 			return nil // the client is the write's own span
 		}
-		// Hops run concurrently, so each sits on its own display track; the
+		// Hops overlap in time, so each sits on its own display track; the
 		// span belongs to the receiving DataNode.
 		return parent.ChildTrack("datanode.pipeline-hop").
 			Arg(telemetry.ComponentArg, "datanode").
