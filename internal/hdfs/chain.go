@@ -27,9 +27,12 @@ package hdfs
 // buffer, the caller's, which every stage of the row sums into in place. It
 // stores nothing either: the caller commits the sums only after the whole
 // fold succeeded, so a canceled fold leaves no trace in any store. The stage
-// loop (runStages) is one event loop on the caller's goroutine, and it also
-// carries the replicated write, a run with no members to fold whose stages
-// all forward the caller's bytes (client.go).
+// loop (stageLoop) is one event loop on the caller's goroutine, with one
+// read-ahead per node for every fold it runs. An encode map task runs all its
+// stripes' folds through one loop, admitting each once it is planned and
+// committing each once it ends (parityFold); every other fold is a loop of one
+// run (runStages), and so is the replicated write, a run with no members to
+// fold whose stages all forward the caller's bytes (client.go).
 
 import (
 	"context"
@@ -75,29 +78,119 @@ type chainStage struct {
 	// slice order (every slice is there at the start for a head).
 	in      *fabric.Stream
 	arrived []time.Time
-	// disk is the read-ahead of the node's members (nil at a stage without
+	// disk is the run's read of the node's members (nil at a stage without
 	// members), done counts the slices the stage has folded and forwarded, and
 	// wait is the instant a full forward stream has room again (Stream.Room;
 	// the zero time while none is full).
-	disk          *diskReader
+	disk          *diskShare
 	done          int
 	wait          time.Time
 	tFirst, tLast time.Time
 }
 
-// diskReader is one node's read-ahead: the disk stream its members are booked
-// on once, slice by slice, for every stage of the run on the node. members
-// counts them, booked the bytes of the next slice booked so far, arrived the
-// instant each booked slice arrives and wait the instant the disk stream has
-// room again.
-type diskReader struct {
-	node    topology.NodeID
-	disk    *fabric.Stream
-	members int
-	booked  int
-	arrived []time.Time
-	wait    time.Time
+// inputs is the instant the stage's next slice has arrived from upstream and
+// from its disk; the caller has checked that both are booked.
+func (st *chainStage) inputs() time.Time {
+	t := st.arrived[st.done]
+	if st.disk != nil {
+		t = later(t, st.disk.arrived[st.done])
+	}
+	return t
 }
+
+// diskReader is one node's read-ahead in a stage loop: the disk stream the
+// members of every run on the node are booked on, slice by slice. shares are
+// the runs' reads in admission order, low the one it books next (pick), and
+// wait the instant the disk stream has room again.
+type diskReader struct {
+	node   topology.NodeID
+	disk   *fabric.Stream
+	shares []*diskShare
+	low    *diskShare
+	wait   time.Time
+}
+
+// diskShare is one run's read on a node's disk, once for every stage of the
+// run on the node: members counts the members they fold, booked the bytes of
+// the next slice booked so far and arrived the instant each booked slice
+// arrives.
+type diskShare struct {
+	run             *stageRun
+	members, booked int
+	arrived         []time.Time
+}
+
+// pick sets low to the share the reader books next: of those with a slice
+// not yet booked, the one whose slice starts lowest in its block, the
+// earliest admitted on a tie, so the disk serves the runs' slices in the
+// order their stages need them; nil once every slice is booked. Runs may walk
+// different slices, so the order is by offset, not by slice index. Only an
+// admission and a booked slice change it.
+func (r *diskReader) pick() {
+	r.low = nil
+	for _, d := range r.shares {
+		if len(d.arrived) < d.run.nSlices && (r.low == nil || d.offset() < r.low.offset()) {
+			r.low = d
+		}
+	}
+}
+
+// offset is where the share's next slice starts in the block.
+func (d *diskShare) offset() int { return len(d.arrived) * d.run.slice }
+
+// stageRun is one block walked through a list of stages in a stage loop: one
+// fold, or one replicated write. Every stage with no upstream is a head, and
+// a stage is listed after the one it receives from. The run walks the block
+// in nSlices slices of slice bytes from its admission, start, to end, the
+// instant its last stage forwarded its last slice; its stages' inbound
+// streams are open in between. left counts the stages still walking, and
+// finish, when set, runs on the loop's goroutine at the run's end. next is
+// the stage with the run's earliest step, at its instant (schedule).
+type stageRun struct {
+	stages         []*chainStage
+	slice, nSlices int
+	start, end     time.Time
+	spans          []*telemetry.Span
+	left           int
+	finish         func() error
+	next           int
+	at             time.Time
+}
+
+// schedule finds the run's earliest stage step, the first in list order on a
+// tie; next is -1 while no stage has both inputs of its next slice booked.
+// Only the run's own steps and its disk reads change when its stages can
+// step, and the loop calls schedule after each, so the loop's scan for the
+// earliest step looks at one instant a run.
+func (run *stageRun) schedule() {
+	run.next = -1
+	for i, st := range run.stages {
+		if st.done == len(st.arrived) || st.disk != nil && st.done == len(st.disk.arrived) {
+			continue
+		}
+		if t := later(st.inputs(), st.wait); run.next < 0 || t.Before(run.at) {
+			run.next, run.at = i, t
+		}
+	}
+}
+
+// stageLoop is the package's one event loop. It walks the runs admitted to
+// it, in admission order, on its caller's goroutine; runs that share a node
+// share its read-ahead, one disk stream a node for the loop's life. Every
+// step sleeps phase past its instant. observe, when set, sees every slice a
+// read-ahead books (readAheadKey).
+type stageLoop struct {
+	c       *Cluster
+	phase   time.Duration
+	runs    []*stageRun
+	readers []*diskReader
+	observe func(node topology.NodeID, run *stageRun, offset int)
+}
+
+// readAheadKey is the context key of a function a stage loop hands every
+// slice its read-ahead books: the node, the run it is for and where the slice
+// starts in the block. Tests use it to check the order a disk serves.
+type readAheadKey struct{}
 
 // newStage appends to stages a stage at node that receives acc from up.
 func newStage(stages []*chainStage, node topology.NodeID, up *chainStage, acc []byte) []*chainStage {
@@ -179,35 +272,30 @@ func (c *Cluster) foldSliceBytes(anchor topology.NodeID, streams int) int {
 	return slice
 }
 
-// runStages walks one block through the stages slice by slice, the only
-// stage loop in the package: one event loop on the caller's goroutine. Every
-// stage with no upstream is a head, and a stage is listed after the one it
-// receives from. Every stream of the run — a stage's inbound stream from its
-// upstream stage's node, and one disk stream per node with members (a
-// same-node stream is the node's disk) — is opened here before the loop
-// starts and closed before runStages returns. A read-ahead step books one
-// chunk of a node's members for their next slice on its disk, once for all
-// of the node's stages, ready at the run's start: they arrive beside the
-// inbound slices instead of between receive and fold. A stage step takes
-// its next slice once the upstream sum and the node's members have arrived,
-// folds its row over the members into the row's buffer in place and books
-// the slice on the inbound stream of every stage after it, ready at the
-// instant its inputs arrived rather than at the later instant the loop got
-// to it (a head's slices are ready at the start). Bookings run ahead of the
-// arrivals as far as a stream's window allows; a step whose stream is full
-// waits for the instant Stream.Room names as a step of its own, so no Book
-// blocks and one full stream never stalls the rest of the run. The loop
-// takes the earliest step and sleeps until that instant plus phase. At one
-// instant read-ahead steps run before stage steps and stages in list order,
-// so rows that share a link book it in row order, and runs that start
-// together and share a link or a disk book it in the order of their phases.
-// The walk's grain is foldSliceBytes of the anchor and of how many streams
-// deep the stages are; span opens stage s's span under the one carried by
-// ctx, which ends once the stage has forwarded its last slice and carries
-// the grain as its "slice" arg. runStages returns the run's start and end;
-// the first error (a cancelled ctx included) ends the run at once.
+// runStages walks one block through the stages slice by slice, a loop of one
+// run, and returns the run's start and end; the first error (a cancelled ctx
+// included) ends the run at once. span opens stage s's span.
 func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor topology.NodeID, phase time.Duration, span func(s int, st *chainStage) *telemetry.Span) (start, end time.Time, err error) {
-	blockSize := c.cfg.BlockSizeBytes
+	l := &stageLoop{c: c, phase: phase}
+	defer l.close()
+	run, err := l.admit(ctx, stages, anchor, span)
+	if err != nil {
+		return start, end, err
+	}
+	err = l.run(ctx, nil)
+	return run.start, run.end, err
+}
+
+// admit adds a run of the stages to the loop. Its streams open here: every
+// stage's inbound stream from its upstream stage's node, and the disk stream
+// of each node with members the loop reads from no run yet (a same-node
+// stream is the node's disk). Every stage of the run on a node shares one
+// read of the node's members. The walk's grain is foldSliceBytes of the
+// anchor and of how many streams deep the stages are; span opens stage s's
+// span under the one carried by ctx, which ends once the stage has forwarded
+// its last slice and carries the grain as its "slice" arg. On error the run
+// is not admitted and its streams are closed.
+func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topology.NodeID, span func(s int, st *chainStage) *telemetry.Span) (*stageRun, error) {
 	streams := 0
 	for _, st := range stages {
 		depth := 0
@@ -216,111 +304,124 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 		}
 		streams = max(streams, depth)
 	}
-	slice := c.foldSliceBytes(anchor, streams)
-	sliceArg := strconv.Itoa(slice)
-	nSlices := (blockSize + slice - 1) / slice
-	var opened []*fabric.Stream
-	defer func() {
-		for _, s := range opened {
-			s.Close()
-		}
-	}()
-	open := func(src, dst topology.NodeID) (*fabric.Stream, error) {
-		s, err := c.fab.OpenStream(ctx, src, dst)
-		if err == nil {
-			opened = append(opened, s)
-		}
-		return s, err
-	}
-	var readers []*diskReader
+	run := &stageRun{stages: stages, slice: l.c.foldSliceBytes(anchor, streams), left: len(stages)}
+	run.nSlices = (l.c.cfg.BlockSizeBytes + run.slice - 1) / run.slice
+	shares := make(map[topology.NodeID]*diskShare)
 	for _, st := range stages {
 		if st.up != nil {
-			if st.in, err = open(st.up.node, st.node); err != nil {
-				return start, end, err
+			in, err := l.c.fab.OpenStream(ctx, st.up.node, st.node)
+			if err != nil {
+				run.closeStreams()
+				return nil, err
 			}
+			st.in = in
 		}
 		if len(st.positions) == 0 {
 			continue
 		}
-		i := slices.IndexFunc(readers, func(r *diskReader) bool { return r.node == st.node })
+		if st.disk = shares[st.node]; st.disk != nil {
+			continue
+		}
+		i := slices.IndexFunc(l.readers, func(r *diskReader) bool { return r.node == st.node })
 		if i < 0 {
-			disk, err := open(st.node, st.node)
+			disk, err := l.c.fab.OpenStream(ctx, st.node, st.node)
 			if err != nil {
-				return start, end, err
+				run.closeStreams()
+				return nil, err
 			}
-			i = len(readers)
-			readers = append(readers, &diskReader{node: st.node, disk: disk, members: len(st.positions)})
+			i = len(l.readers)
+			l.readers = append(l.readers, &diskReader{node: st.node, disk: disk})
 		}
-		st.disk = readers[i]
+		st.disk = &diskShare{run: run, members: len(st.positions)}
+		shares[st.node] = st.disk
+		l.readers[i].shares = append(l.readers[i].shares, st.disk)
+		l.readers[i].pick()
 	}
-	start = time.Now()
-	spans := make([]*telemetry.Span, len(stages))
-	defer func() {
-		for _, sp := range spans {
-			sp.End()
-		}
-	}()
+	run.start = time.Now()
+	sliceArg := strconv.Itoa(run.slice)
+	run.spans = make([]*telemetry.Span, len(stages))
 	for s, st := range stages {
-		spans[s] = span(s, st).Arg("slice", sliceArg)
-		for st.up == nil && len(st.arrived) < nSlices {
-			st.arrived = append(st.arrived, start)
+		run.spans[s] = span(s, st).Arg("slice", sliceArg)
+		for st.up == nil && len(st.arrived) < run.nSlices {
+			st.arrived = append(st.arrived, run.start)
 		}
 	}
-	// inputs is the instant stage st's next slice has arrived from upstream
-	// and from its disk; the caller has checked that both are booked.
-	inputs := func(st *chainStage) time.Time {
-		t := st.arrived[st.done]
-		if st.disk != nil {
-			t = later(t, st.disk.arrived[st.done])
-		}
-		return t
-	}
+	run.schedule()
+	l.runs = append(l.runs, run)
+	return run, nil
+}
+
+// run walks every admitted run to its end. A read-ahead step books one chunk
+// of a node's members for the next slice diskReader.pick names, ready at its
+// run's start: they arrive beside the inbound slices instead of between
+// receive and fold. A stage step takes its next slice once the upstream sum
+// and the node's members have arrived, folds its row over the members into
+// the row's buffer in place and books the slice on the inbound stream of
+// every stage after it, ready at the instant its inputs arrived rather than
+// at the later instant the loop got to it (a head's slices are ready at its
+// run's start). Bookings run ahead of the arrivals as far as a stream's
+// window allows; a step whose stream is full waits for the instant
+// Stream.Room names as a step of its own, so no Book blocks and one full
+// stream never stalls the rest of the loop. The loop takes the earliest step
+// and sleeps until that instant plus phase. At one instant read-ahead steps
+// run before stage steps and stages in admission order, then in list order,
+// so rows that share a link book it in row order, and loops that start
+// together and share a link or a disk book it in the order of their phases.
+// While next is set and no step is overdue, the loop calls it to admit more
+// runs, until it reports that none remain; on a fake clock, where the host
+// takes no time, every run is admitted before the first booking. A run whose
+// last stage has forwarded its last slice ends at once: its streams close and
+// its finish runs. The first error ends the loop.
+func (l *stageLoop) run(ctx context.Context, next func() (more bool, err error)) error {
+	blockSize := l.c.cfg.BlockSizeBytes
+	l.observe, _ = ctx.Value(readAheadKey{}).(func(topology.NodeID, *stageRun, int))
+	more := next != nil
 	for {
 		var at time.Time
 		var r *diskReader
-		s := -1
-		for _, rd := range readers {
-			if t := later(start, rd.wait); len(rd.arrived) < nSlices && (r == nil || t.Before(at)) {
-				at, r = t, rd
+		var run *stageRun
+		for _, rd := range l.readers {
+			if rd.low != nil {
+				if t := later(rd.low.run.start, rd.wait); r == nil || t.Before(at) {
+					at, r = t, rd
+				}
 			}
 		}
-		for i, st := range stages {
-			if st.done == len(st.arrived) || st.disk != nil && st.done == len(st.disk.arrived) {
-				continue
-			}
-			if t := later(inputs(st), st.wait); (r == nil && s < 0) || t.Before(at) {
-				at, r, s = t, nil, i
+		for _, sr := range l.runs {
+			if sr.next >= 0 && ((r == nil && run == nil) || sr.at.Before(at)) {
+				at, r, run = sr.at, nil, sr
 			}
 		}
-		if r == nil && s < 0 {
-			return start, time.Now(), nil
-		}
-		if err := fabric.SleepUntil(ctx, at.Add(phase)); err != nil {
-			return start, end, err
-		}
-		if r != nil {
-			bytes := r.members * min(slice, blockSize-len(r.arrived)*slice)
-			n := min(fabric.ChunkBytes, bytes-r.booked)
-			if r.wait = r.disk.Room(n); !r.wait.IsZero() {
-				continue
-			}
-			arrival, err := r.disk.Book(ctx, n, start)
-			if err != nil {
-				return start, end, err
-			}
-			if r.booked += n; r.booked == bytes {
-				r.arrived, r.booked = append(r.arrived, arrival), 0
+		idle := r == nil && run == nil
+		if more && (idle || !at.Add(l.phase).Before(time.Now())) {
+			var err error
+			if more, err = next(); err != nil {
+				return err
 			}
 			continue
 		}
-		st := stages[s]
-		lo := st.done * slice
-		hi := min(lo+slice, blockSize)
+		if idle {
+			return nil
+		}
+		if err := fabric.SleepUntil(ctx, at.Add(l.phase)); err != nil {
+			return err
+		}
+		if r != nil {
+			if err := l.read(ctx, r); err != nil {
+				return err
+			}
+			continue
+		}
+		s := run.next
+		st := run.stages[s]
+		lo := st.done * run.slice
+		hi := min(lo+run.slice, blockSize)
 		st.wait = time.Time{}
 		for _, n := range st.next {
 			st.wait = later(st.wait, n.in.Room(hi-lo))
 		}
 		if !st.wait.IsZero() {
+			run.schedule()
 			continue
 		}
 		// Fold the node's members into the row's sum for this slice, then
@@ -336,17 +437,88 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 			st.tFirst = now
 		}
 		st.tLast = now
-		ready := inputs(st)
+		ready := st.inputs()
 		for _, n := range st.next {
 			arrival, err := n.in.Book(ctx, hi-lo, ready)
 			if err != nil {
-				return start, end, err
+				return err
 			}
 			n.arrived = append(n.arrived, arrival)
 		}
-		if st.done++; st.done == nSlices {
-			spans[s].End()
+		st.done++
+		run.schedule()
+		if st.done < run.nSlices {
+			continue
 		}
+		run.spans[s].End()
+		if run.left--; run.left == 0 {
+			if err := l.finish(run); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// read is a read-ahead step of reader r: it books the next chunk of its next
+// share on the node's disk, or records the instant the disk has room again.
+func (l *stageLoop) read(ctx context.Context, r *diskReader) error {
+	d := r.low
+	lo := d.offset()
+	bytes := d.members * min(d.run.slice, l.c.cfg.BlockSizeBytes-lo)
+	n := min(fabric.ChunkBytes, bytes-d.booked)
+	if r.wait = r.disk.Room(n); !r.wait.IsZero() {
+		return nil
+	}
+	arrival, err := r.disk.Book(ctx, n, d.run.start)
+	if err != nil {
+		return err
+	}
+	if d.booked += n; d.booked == bytes {
+		d.arrived, d.booked = append(d.arrived, arrival), 0
+		r.pick()
+		d.run.schedule()
+		if l.observe != nil {
+			l.observe(r.node, d.run, lo)
+		}
+	}
+	return nil
+}
+
+// finish ends a run whose every stage has forwarded its last slice: its
+// streams close, it leaves the loop and its finish runs.
+func (l *stageLoop) finish(run *stageRun) error {
+	run.end = time.Now()
+	run.closeStreams()
+	l.runs = slices.DeleteFunc(l.runs, func(r *stageRun) bool { return r == run })
+	for _, r := range l.readers {
+		r.shares = slices.DeleteFunc(r.shares, func(d *diskShare) bool { return d.run == run })
+	}
+	if run.finish == nil {
+		return nil
+	}
+	return run.finish()
+}
+
+// closeStreams closes the inbound streams the run's stages have open.
+func (run *stageRun) closeStreams() {
+	for _, st := range run.stages {
+		if st.in != nil {
+			st.in.Close()
+		}
+	}
+}
+
+// close ends the loop: the streams of every run it has not finished close,
+// their open spans end, and every node's disk stream closes.
+func (l *stageLoop) close() {
+	for _, run := range l.runs {
+		run.closeStreams()
+		for _, sp := range run.spans {
+			sp.End()
+		}
+	}
+	for _, r := range l.readers {
+		r.disk.Close()
 	}
 }
 
@@ -373,19 +545,36 @@ func later(a, b time.Time) time.Time {
 // member is viewed once, whatever the number of rows, and a member whose
 // checksum-verified view fails is reported as a holderError before any stream
 // opens. Hop spans hang off the span carried by ctx. chainFold plans, views
-// the members and keeps the ledger; runStages moves the bytes.
+// the members and keeps the ledger (foldStages, foldLedger); runStages moves
+// the bytes.
 func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID, out [][]byte) (chainLedger, error) {
-	var ledger chainLedger
+	stages, err := c.foldStages(stripe, rows, holders, key, anchor, sinks, out)
+	if err != nil {
+		return chainLedger{}, err
+	}
+	// The fold's phase is keyed by stripe: the folds a recovery keeps in
+	// flight start together and share links and disks.
+	start, end, err := c.runStages(ctx, stages, anchor, time.Duration(stripe%1000), hopSpans(ctx, stripe))
+	if err != nil {
+		return chainLedger{}, err
+	}
+	return c.foldLedger(stages, start, end), nil
+}
+
+// foldStages plans the fold chainFold describes and returns its stages: per
+// row, one stage per covered hop in that row's order, all summing into out[j]
+// from zeros, and a delivery stage when the sink is no hop. Every covered
+// member is viewed, checksum-verified, before any stream opens: a fold that
+// fails with a holderError has moved no byte, so the ledger of the callers'
+// re-planned fold is the whole network cost.
+func (c *Cluster) foldStages(stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID, out [][]byte) ([]*chainStage, error) {
 	cover, err := placement.PlanPipeline(c.top, holders, anchor)
 	if err != nil {
-		return ledger, fmt.Errorf("stripe %d: %w", stripe, err)
+		return nil, fmt.Errorf("stripe %d: %w", stripe, err)
 	}
 	if len(cover) == 0 {
 		cover = []placement.PipelineHop{{Node: anchor}}
 	}
-	// Every covered member is viewed, checksum-verified, before any stream
-	// opens: a fold that fails with a holderError has moved no byte, so the
-	// ledger of the callers' re-planned fold is the whole network cost.
 	members := make(map[topology.NodeID][][]byte, len(cover))
 	for _, h := range cover {
 		if len(h.Positions) == 0 {
@@ -393,22 +582,16 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 		}
 		dn, err := c.DataNodeOf(h.Node)
 		if err != nil {
-			return ledger, err
+			return nil, err
 		}
 		for _, pos := range h.Positions {
 			b, err := dn.Store.View(key(pos))
 			if err != nil {
-				return ledger, &holderError{holder{h.Node, pos}, stripe, err}
+				return nil, &holderError{holder{h.Node, pos}, stripe, err}
 			}
 			members[h.Node] = append(members[h.Node], b)
 		}
 	}
-
-	// The fold's phase is keyed by stripe: the folds a map task or a recovery
-	// keeps in flight start together and share links and disks.
-	phase := time.Duration(stripe % 1000)
-	// Per row, one stage per covered hop in that row's order, all summing into
-	// out[j] from zeros, and a delivery stage when the sink is no hop.
 	stages := make([]*chainStage, 0, len(rows)*(len(cover)+1))
 	for j, sink := range sinks {
 		sinkRack, _ := c.top.RackOf(sink) // an unknown sink fails when its stream opens
@@ -423,20 +606,28 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 			stages = newStage(stages, sink, up, out[j])
 		}
 	}
+	return stages, nil
+}
+
+// hopSpans opens the span of a fold's stage: a raidnode.chain-hop track under
+// the span carried by ctx.
+func hopSpans(ctx context.Context, stripe topology.StripeID) func(s int, st *chainStage) *telemetry.Span {
 	parent := telemetry.SpanFromContext(ctx)
-	start, end, err := c.runStages(ctx, stages, anchor, phase, func(s int, st *chainStage) *telemetry.Span {
+	return func(s int, st *chainStage) *telemetry.Span {
 		return parent.ChildTrack("raidnode.chain-hop").
 			Arg(telemetry.ComponentArg, "raidnode").
 			Arg("stripe", strconv.FormatInt(int64(stripe), 10)).
 			Arg("node", strconv.Itoa(int(st.node))).
 			Arg("hop", strconv.Itoa(s)).
 			Arg("members", strconv.Itoa(len(st.positions)))
-	})
-	if err != nil {
-		return ledger, err
 	}
-	// A stage with an upstream and members is a hop; one without members is
-	// a delivery.
+}
+
+// foldLedger returns the ledger of a fold that ran from start to end and
+// observes its pipe depth: a stage with an upstream and members is a hop,
+// one without members a delivery.
+func (c *Cluster) foldLedger(stages []*chainStage, start, end time.Time) chainLedger {
+	var ledger chainLedger
 	for _, st := range stages {
 		switch {
 		case st.up == nil:
@@ -463,23 +654,24 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 			tel.pipeDepth.Observe(busy.Seconds() / wall.Seconds())
 		}
 	}
-	return ledger, nil
+	return ledger
 }
 
-// pipelineParity materializes the stripe's parity blocks by folding the m
-// parity rows over the replica holders, one chain per row, so that parity j
-// ends on plan.Parity[j]. The holders are covered toward the first parity
-// holder in the encoder's rack (toward the encoder when that rack holds no
-// parity). A replica whose local read fails is excluded and the cover
-// re-planned over the member's remaining live replicas, until a member has
-// none left; an excluded replica the plan keeps is rewritten from a verified
-// copy before the caller deletes the others (rewriteKept). It is the
-// ParityFunc of every encode job that names no other: pooled parity buffers
-// the caller must release, the aborted-member mask, CrossRackDownloads (the
+// parityFold admits the fold of a planned stripe's parity to its map task's
+// loop: the m parity rows folded over the replica holders, one chain per row,
+// so that parity j ends on plan.Parity[j], in m pooled buffers (sp.Blocks)
+// the caller releases, beside the aborted-member mask (sp.Aborted). The
+// holders are covered toward the first parity holder in the encoder's rack
+// (toward the encoder when that rack holds no parity). A replica whose view
+// fails is excluded and the cover re-planned over the member's remaining live
+// replicas before the fold joins the loop, until a member has none left. When
+// the fold ends, an excluded replica the plan keeps is rewritten from a
+// verified copy (rewriteKept), sp gets the stripe's CrossRackDownloads (the
 // per-row hops whose partial sum crossed a rack, plus one per rewrite that
 // crossed), CrossRackUploads (the deliveries that crossed) and
-// PartialSumBytes (one block per per-row hop between holders).
-func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, plan *placement.PostEncodingPlan) (sp StripeParity, err error) {
+// PartialSumBytes (one block per per-row hop between holders), and commit
+// runs.
+func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placement.StripeInfo, encoder topology.NodeID, plan *placement.PostEncodingPlan, sp *StripeParity, commit func() error) error {
 	anchor := encoder
 	if j := slices.IndexFunc(plan.Parity, func(p topology.NodeID) bool {
 		same, _ := c.top.SameRack(p, encoder) // an unknown node fails when its stream opens
@@ -492,44 +684,35 @@ func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo
 	for j := range rows {
 		row, err := c.coder.ParityRowView(j)
 		if err != nil {
-			return sp, err
+			return err
 		}
 		rows[j] = row
 	}
 	// Aborted members and short-stripe padding contribute zeros and need no
 	// hop.
-	aborted := make([]bool, len(info.Blocks))
+	sp.Aborted = make([]bool, len(info.Blocks))
 	replicas := make([][]topology.NodeID, c.cfg.K)
 	for i, b := range info.Blocks {
 		live, err := c.nn.LiveReplicas(b)
 		if err != nil {
-			return sp, err
+			return err
 		}
 		if len(live) == 0 {
 			if meta, merr := c.nn.Block(b); merr == nil && meta.Aborted {
-				aborted[i] = true
+				sp.Aborted[i] = true
 				continue
 			}
-			return sp, fmt.Errorf("stripe %d block %d: %w", info.ID, b, ErrNoReplica)
+			return fmt.Errorf("stripe %d block %d: %w", info.ID, b, ErrNoReplica)
 		}
 		replicas[i] = live
 	}
-	pbufs := make([][]byte, m)
-	for j := range pbufs {
-		pbufs[j] = c.bufPool.Get(c.cfg.BlockSizeBytes)
+	for range m {
+		sp.Blocks = append(sp.Blocks, c.bufPool.Get(c.cfg.BlockSizeBytes))
 	}
-	ok := false
-	defer func() {
-		if !ok {
-			for _, p := range pbufs {
-				c.bufPool.Put(p)
-			}
-		}
-	}()
 	key := func(pos int) blockstore.Key { return DataKey(info.Blocks[pos]) }
 	var excluded []holder
 	for {
-		ledger, err := c.chainFold(ctx, info.ID, rows, replicas, key, anchor, plan.Parity, pbufs)
+		stages, err := c.foldStages(info.ID, rows, replicas, key, anchor, plan.Parity, sp.Blocks)
 		var he *holderError
 		if errors.As(err, &he) {
 			excluded = append(excluded, he.holder)
@@ -539,26 +722,31 @@ func (c *Cluster) pipelineParity(ctx context.Context, info *placement.StripeInfo
 			}
 		}
 		if err != nil {
-			return sp, err
+			return err
 		}
-		sp.CrossRackDownloads = ledger.crossHops
-		sp.CrossRackUploads = ledger.crossDeliveries
-		sp.PartialSumBytes = int64(ledger.hops) * int64(c.cfg.BlockSizeBytes)
-		break
-	}
-	for _, bad := range excluded {
-		if plan.Keep[bad.pos] != bad.node {
-			continue // the caller deletes it with the other redundant replicas
-		}
-		crossed, err := c.rewriteKept(ctx, info, bad, replicas[bad.pos])
+		run, err := loop.admit(ctx, stages, anchor, hopSpans(ctx, info.ID))
 		if err != nil {
-			return sp, err
+			return err
 		}
-		sp.CrossRackDownloads += crossed
+		run.finish = func() error {
+			ledger := c.foldLedger(stages, run.start, run.end)
+			sp.CrossRackDownloads = ledger.crossHops
+			sp.CrossRackUploads = ledger.crossDeliveries
+			sp.PartialSumBytes = int64(ledger.hops) * int64(c.cfg.BlockSizeBytes)
+			for _, bad := range excluded {
+				if plan.Keep[bad.pos] != bad.node {
+					continue // the caller deletes it with the other redundant replicas
+				}
+				crossed, err := c.rewriteKept(ctx, info, bad, replicas[bad.pos])
+				if err != nil {
+					return err
+				}
+				sp.CrossRackDownloads += crossed
+			}
+			return commit()
+		}
+		return nil
 	}
-	ok = true
-	sp.Blocks, sp.Aborted = pbufs, aborted
-	return sp, nil
 }
 
 // rewriteKept replaces the unreadable copy of stripe member bad.pos on

@@ -795,10 +795,16 @@ func benchWalks(seed int64, nodes int) func(w int) func() topology.NodeID {
 }
 
 // lifecycleWrites returns a cluster of the benchmark geometry on the given
-// seed holding what one lifecycle-shaped round writes: 14 x k blocks from the
-// two clients' walks, taken in turn from one goroutine so the layout repeats,
-// at lifted rates.
+// seed holding what one lifecycle-shaped round writes: 14 x k blocks.
 func lifecycleWrites(t testing.TB, seed int64) (*Cluster, Config) {
+	t.Helper()
+	return benchWrites(t, seed, 14)
+}
+
+// benchWrites returns a cluster of the benchmark geometry on the given seed
+// holding stripes x k blocks from the benchmark's two clients' walks, taken
+// in turn from one goroutine so the layout repeats, at lifted rates.
+func benchWrites(t testing.TB, seed int64, stripes int) (*Cluster, Config) {
 	t.Helper()
 	cfg := benchGeometry()
 	cfg.Seed = seed
@@ -807,7 +813,7 @@ func lifecycleWrites(t testing.TB, seed int64) (*Cluster, Config) {
 	walks := benchWalks(seed, cfg.Racks*cfg.NodesPerRack)
 	clients := []func() topology.NodeID{walks(0), walks(1)}
 	data := make([]byte, cfg.BlockSizeBytes)
-	for i := 0; i < 14*cfg.K; i++ {
+	for i := 0; i < stripes*cfg.K; i++ {
 		if _, err := c.WriteBlock(clients[i%2](), data); err != nil {
 			t.Fatal(err)
 		}

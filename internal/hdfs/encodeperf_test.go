@@ -6,15 +6,17 @@ import (
 	"math/rand"
 	"testing"
 
+	"ear/internal/placement"
 	"ear/internal/telemetry"
 	"ear/internal/topology"
 )
 
 // TestEncodeParallelismMatchesSequential encodes a workload whose map tasks
-// keep several stripes in flight at once (encodeFanIn) and checks what a
-// sequential encode would give: every block of every concurrently encoded
-// stripe reconstructs from its stripe alone, and the job's byte total is the
-// workload's (TestRaidNodeStatsAccumulate pins stripe and byte totals).
+// keep several stripes in flight at once (every stripe of a task folds in
+// the task's one stage loop) and checks what a sequential encode would give:
+// every block of every concurrently encoded stripe reconstructs from its
+// stripe alone, and the job's byte total is the workload's
+// (TestRaidNodeStatsAccumulate pins stripe and byte totals).
 func TestEncodeParallelismMatchesSequential(t *testing.T) {
 	cPar := newTestCluster(t, "ear")
 	_, contents := writeBlocks(t, cPar, 16, rand.New(rand.NewSource(21)))
@@ -184,10 +186,13 @@ func TestCrossRackNotCountedOnFailedGather(t *testing.T) {
 		}
 	}
 	parent := tr.Start("test-encode")
-	res, _, err := c.encodeStripe(context.Background(), stripes[0], nil, encoder, parent, nil)
+	var res StripeParity
+	err = c.encodeStripes(context.Background(), &encodeTask{stripes: stripes}, encoder, parent, nil, func(_ *placement.StripeInfo, sp StripeParity, _ bool) {
+		res.CrossRackDownloads += sp.CrossRackDownloads
+	})
 	parent.End()
 	if err == nil {
-		t.Fatal("encodeStripe succeeded with no replica bytes anywhere")
+		t.Fatal("encodeStripes succeeded with no replica bytes anywhere")
 	}
 	if res.CrossRackDownloads != 0 {
 		t.Errorf("failed gather counted %d cross-rack downloads, want 0", res.CrossRackDownloads)

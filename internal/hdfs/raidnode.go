@@ -16,13 +16,9 @@ import (
 	"ear/internal/workgroup"
 )
 
-// encodeFanIn bounds how many stripes one encode map task works on
-// concurrently, moverFanIn how many violating stripes the BlockMover fixes
+// moverFanIn bounds how many violating stripes the BlockMover fixes
 // concurrently.
-const (
-	encodeFanIn = 4
-	moverFanIn  = 4
-)
+const moverFanIn = 4
 
 // RaidNode coordinates the asynchronous encoding operation, the role
 // HDFS-RAID's RaidNode plays: it drains the pre-encoding store, submits a
@@ -259,52 +255,36 @@ func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStat
 					Arg("node", strconv.Itoa(int(on)))
 				defer taskSpan.End()
 				taskCtx = telemetry.ContextWithSpan(taskCtx, taskSpan)
-				// Stripes are independent, so the task keeps up to encodeFanIn
-				// of them in flight.
-				sg, sctx := workgroup.WithContext(taskCtx)
-				sg.SetLimit(encodeFanIn)
-				for i, s := range t.stripes {
-					var homes []topology.NodeID
-					if t.homes != nil {
-						homes = t.homes[i]
+				return r.c.encodeStripes(taskCtx, t, on, taskSpan, fn, func(s *placement.StripeInfo, sp StripeParity, violated bool) {
+					encodedBytes := int64(len(s.Blocks) * r.c.cfg.BlockSizeBytes)
+					mu.Lock()
+					stats.CrossRackDownloads += sp.CrossRackDownloads
+					if violated {
+						stats.Violations++
 					}
-					sg.Go(func() error {
-						sp, violated, err := r.c.encodeStripe(sctx, s, homes, on, taskSpan, fn)
-						if err != nil {
-							return err
-						}
-						encodedBytes := int64(len(s.Blocks) * r.c.cfg.BlockSizeBytes)
-						mu.Lock()
-						stats.CrossRackDownloads += sp.CrossRackDownloads
+					stats.EncodedBytes += encodedBytes
+					if fn == nil {
+						stats.PipelinedStripes++
+					}
+					stats.PartialSumBytes += sp.PartialSumBytes
+					stats.CrossRackUploads += sp.CrossRackUploads
+					mu.Unlock()
+					if tel != nil {
+						tel.crossDl.Add(float64(sp.CrossRackDownloads))
 						if violated {
-							stats.Violations++
+							tel.violations.Inc()
 						}
-						stats.EncodedBytes += encodedBytes
+						tel.stripes.Inc()
+						tel.encBytes.Add(float64(encodedBytes))
 						if fn == nil {
-							stats.PipelinedStripes++
+							tel.pipeStripes.Inc()
 						}
-						stats.PartialSumBytes += sp.PartialSumBytes
-						stats.CrossRackUploads += sp.CrossRackUploads
-						mu.Unlock()
-						if tel != nil {
-							tel.crossDl.Add(float64(sp.CrossRackDownloads))
-							if violated {
-								tel.violations.Inc()
-							}
-							tel.stripes.Inc()
-							tel.encBytes.Add(float64(encodedBytes))
-							if fn == nil {
-								tel.pipeStripes.Inc()
-							}
-							if sp.PartialSumBytes > 0 {
-								tel.partialBytes.Add(float64(sp.PartialSumBytes))
-							}
-							tel.crossUp.Add(float64(sp.CrossRackUploads))
+						if sp.PartialSumBytes > 0 {
+							tel.partialBytes.Add(float64(sp.PartialSumBytes))
 						}
-						return nil
-					})
-				}
-				return sg.Wait()
+						tel.crossUp.Add(float64(sp.CrossRackUploads))
+					}
+				})
 			},
 		})
 	}
@@ -321,64 +301,104 @@ func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStat
 	return stats, nil
 }
 
-// encodeStripe performs the encoding operation for one stripe on behalf of
-// the given node: plan the post-encoding layout (asking for the parity homes
-// the job gave the stripe, none under RR), materialize every parity
-// block at its planned holder (materialize; nil is the chain engine — the
-// replica holders fold each parity row along a chain of its own that ends on
-// the row's holder), commit the parity,
-// and delete the redundant replicas. The fabric's shaping serializes
-// transfers where links are shared, as the TaskTracker's parallel reads of
-// Section II-A would be. The parent span (nil for untraced runs) receives
-// one child span per phase. It returns, for the job-level stats merge, the
-// stripe's parity with the blocks released and whether the committed layout
-// violates rack fault tolerance.
-func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, homes []topology.NodeID, encoder topology.NodeID, parent *telemetry.Span, materialize ParityFunc) (sp StripeParity, violated bool, err error) {
+// encodeStripes performs one map task's encoding operation on behalf of the
+// given node, for each of the task's stripes: plan the post-encoding layout
+// (asking for the parity homes the job gave the stripe, none under RR),
+// materialize every parity block at its planned holder, commit the parity and
+// delete the redundant replicas; done receives each committed stripe's parity
+// figures and whether its layout violates rack fault tolerance. With
+// materialize nil the chain engine folds the parity (parityFold), and every
+// stripe of the task folds in one stage loop on the task's goroutine: a stripe
+// joins the loop once it is planned, its members viewed and its m parity
+// buffers taken, and is committed as soon as its fold ends, so the task holds
+// the parity of every stripe in flight, up to m/k of its data. A ParityFunc
+// materializes and commits one stripe after another, as HDFS-RAID's map task
+// does. Parity stays staged until its stripe commits — the same contract as
+// the write pipeline — so a cancellation commits no unfinished stripe: no
+// store gains its parity key, no replica of it is deleted, and the requeued
+// stripe re-encodes from its intact replicas. The parent span (nil for
+// untraced runs) receives one child span per phase.
+func (c *Cluster) encodeStripes(ctx context.Context, t *encodeTask, encoder topology.NodeID, parent *telemetry.Span, materialize ParityFunc, done func(info *placement.StripeInfo, sp StripeParity, violated bool)) error {
 	encRack, err := c.top.RackOf(encoder)
 	if err != nil {
-		return sp, false, err
+		return err
 	}
-	stripeStart := time.Now()
+	detail := "pipelined"
+	if materialize != nil {
+		detail = "gather"
+	}
+	trace := parent.TraceID()
+	// The parity of every stripe not committed goes back to the pool, however
+	// the task ends.
+	var staged []*StripeParity
 	defer func() {
-		if m := c.metrics(); m != nil {
-			m.encStripe.Observe(time.Since(stripeStart).Seconds())
+		for _, sp := range staged {
+			c.releaseParity(sp)
 		}
 	}()
-	detail := "gather"
-	if materialize == nil {
-		materialize, detail = c.pipelineParity, "pipelined"
-	}
-	trace := telemetry.TraceFromContext(ctx)
-	if j := c.Journal(); j != nil {
-		ev := events.New(events.StripeEncodeStarted, "raidnode")
-		ev.Stripe = info.ID
-		ev.Node = encoder
-		ev.Rack = encRack
-		ev.Trace = trace
-		ev.Detail = detail
-		j.Publish(ev)
-	}
-	plan, err := c.nn.PlanStripe(info, homes...)
-	if err != nil {
-		return sp, false, err
-	}
-	// The parity comes back in pooled buffers (released here, success or not)
-	// whose bytes have been shaped all the way to plan.Parity, with the
-	// aborted-member mask. Puts stay staged until then — the same contract
-	// as the write pipeline — so a cancellation up to this point commits
-	// nothing: no store gains a parity key, no replica is deleted, and the
-	// requeued stripe re-encodes from its intact replicas.
-	matStart := time.Now()
-	sp, err = materialize(ctx, info, encoder, plan)
-	defer func() {
-		for _, p := range sp.Blocks {
-			c.bufPool.Put(p)
+	loop := &stageLoop{c: c, phase: time.Duration(t.stripes[0].ID % 1000)}
+	defer loop.close()
+	next := 0
+	return loop.run(ctx, func() (bool, error) {
+		i, info := next, t.stripes[next]
+		next++
+		more := next < len(t.stripes)
+		start := time.Now()
+		if j := c.Journal(); j != nil {
+			ev := events.New(events.StripeEncodeStarted, "raidnode")
+			ev.Stripe = info.ID
+			ev.Node = encoder
+			ev.Rack = encRack
+			ev.Trace = trace
+			ev.Detail = detail
+			j.Publish(ev)
 		}
-		sp.Blocks = nil
-	}()
-	if err != nil {
-		return sp, false, err
+		var homes []topology.NodeID
+		if t.homes != nil {
+			homes = t.homes[i]
+		}
+		plan, err := c.nn.PlanStripe(info, homes...)
+		if err != nil {
+			return more, err
+		}
+		sp := new(StripeParity)
+		staged = append(staged, sp)
+		matStart := time.Now()
+		commit := func() error {
+			violated, err := c.commitStripe(info, plan, sp, matStart, parent)
+			if m := c.metrics(); m != nil {
+				m.encStripe.Observe(time.Since(start).Seconds())
+			}
+			if err == nil {
+				done(info, *sp, violated)
+			}
+			return err
+		}
+		if materialize == nil {
+			return more, c.parityFold(ctx, loop, info, encoder, plan, sp, commit)
+		}
+		if *sp, err = materialize(ctx, info, encoder, plan); err != nil {
+			return more, err
+		}
+		return more, commit()
+	})
+}
+
+// releaseParity returns a stripe's pooled parity buffers, once.
+func (c *Cluster) releaseParity(sp *StripeParity) {
+	for _, p := range sp.Blocks {
+		c.bufPool.Put(p)
 	}
+	sp.Blocks = nil
+}
+
+// commitStripe commits a stripe whose parity, materialized from matStart on,
+// has been shaped all the way to its planned holders: the parity Puts, the
+// deletes of the redundant replicas, the metadata commit and the tenant
+// charges. It releases the parity buffers, success or not, and reports
+// whether the committed layout violates rack fault tolerance.
+func (c *Cluster) commitStripe(info *placement.StripeInfo, plan *placement.PostEncodingPlan, sp *StripeParity, matStart time.Time, parent *telemetry.Span) (violated bool, err error) {
+	defer c.releaseParity(sp)
 	if m := c.metrics(); m != nil {
 		if secs := time.Since(matStart).Seconds(); secs > 0 {
 			m.encMBps.Observe(float64(len(info.Blocks)*c.cfg.BlockSizeBytes) / (1 << 20) / secs)
@@ -388,10 +408,10 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 	for j, node := range plan.Parity {
 		dn, err := c.DataNodeOf(node)
 		if err != nil {
-			return sp, false, err
+			return false, err
 		}
 		if err := dn.Store.Put(ParityKey(info.ID, j), sp.Blocks[j]); err != nil {
-			return sp, false, fmt.Errorf("store parity %d on node %d: %w", j, node, err)
+			return false, fmt.Errorf("store parity %d on node %d: %w", j, node, err)
 		}
 	}
 	// Delete redundant replicas, keeping the plan's chosen one. Aborted
@@ -409,23 +429,23 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 			}
 			dn, err := c.DataNodeOf(n)
 			if err != nil {
-				return sp, false, err
+				return false, err
 			}
 			if err := dn.Store.Delete(DataKey(b)); err != nil {
-				return sp, false, fmt.Errorf("delete replica of %d on %d: %w", b, n, err)
+				return false, fmt.Errorf("delete replica of %d on %d: %w", b, n, err)
 			}
 			if jnl != nil {
 				ev := events.New(events.ReplicaDeleted, "raidnode")
 				ev.Block = b
 				ev.Stripe = info.ID
 				ev.Node = n
-				ev.Trace = trace
+				ev.Trace = parent.TraceID()
 				jnl.Publish(ev)
 			}
 		}
 	}
 	if err := c.nn.CommitEncoding(info.ID, plan); err != nil {
-		return sp, false, err
+		return false, err
 	}
 	// Encoding is background work driven by the RaidNode, not a tenant
 	// request: bill each member block's owner for its share of the stripe.
@@ -435,7 +455,7 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 		}
 		c.acct.Charge(c.acct.Owner(b), "encode", 1, int64(c.cfg.BlockSizeBytes))
 	}
-	return sp, plan.Violation, nil
+	return plan.Violation, nil
 }
 
 // PlacementMonitor scans encoded stripes and returns the IDs of those whose
