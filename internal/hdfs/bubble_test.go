@@ -61,18 +61,20 @@ func heldTo(t *testing.T, what string, ops int, model, _ time.Duration, op func(
 // the same bytes (each run reads every block back against its seeded
 // payload) and, for every phase, the same virtual duration. Every plan, task
 // preference and repair target is a function of (seed, what it is for), so
-// the layouts repeat. The encode runs four map tasks and recovery eight
-// repairs at once, and streams that book a link at the same virtual instant
-// are ordered by whoever books first; the chain engine removes those ties
-// within a loop, which takes its steps in a fixed order (all of a map task's
-// folds run in one loop), and every step of a loop sleeps a stripe-keyed
-// phase past its instant (chain.go). With the parity homes taking turns and
-// one read-ahead per node for each map task's folds the encode takes 52.734
-// ms (54.687 with a loop per fold, 66.895 when the planner's draw picked the
-// homes) and recovery, of another node on the new layout, 100.220 ms, on
-// every run of 8 at GOMAXPROCS 1, 4 and 8; while only the read-ahead had the
-// phase, two repairs' stages tied on that layout and recovery took 100.220 or
-// 100.464 ms. Both are logged beside their link bounds.
+// the layouts repeat. The encode runs four map tasks at once, and streams
+// that book a link at the same virtual instant are ordered by whoever books
+// first; the chain engine removes those ties within a loop, which takes its
+// steps in a fixed order (all of a map task's folds run in one loop), and
+// every step of a map task's loop sleeps a phase keyed by its first stripe
+// past its instant (chain.go). Recovery, of another node on the new layout,
+// is 6 repairs folded in one loop, which shares each node's read-ahead among
+// them. With the parity homes taking turns and one read-ahead per node for
+// each map task's folds the encode takes 52.734 ms (54.687 with a loop per
+// fold, 66.895 when the planner's draw picked the homes) and recovery 96.191
+// ms, on every run at GOMAXPROCS 1, 4 and 8; while each repair ran a loop of
+// its own, phased by its stripe, recovery took 100.220 ms (100.220 or 100.464
+// while only the read-ahead had the phase). Both are logged beside their link
+// bounds, and recovery is held to 96.6 ms.
 func TestLifecycleRepeats(t *testing.T) {
 	a, b := lifecycleOnBench(t), lifecycleOnBench(t)
 	for _, phase := range []struct {
@@ -86,6 +88,9 @@ func TestLifecycleRepeats(t *testing.T) {
 		t.Logf("%s: %v", phase.what, phase.a)
 	}
 	t.Logf("encode link bound %v, recovery link bound %v", a.encodeBound, a.recoverBound)
+	if a.recover > 96600*time.Microsecond {
+		t.Errorf("recovery took %v, want at most 96.6ms", a.recover)
+	}
 }
 
 // encodeRun is one encode job timed on the fake clock: how long it took, its
@@ -743,25 +748,13 @@ func TestEncodeTaskCancel(t *testing.T) {
 		}
 		return dur, opened, commits
 	}
-	// nth cancels on the i-th event of type typ.
-	nth := func(typ events.Type, i int) func(events.Event) bool {
-		seen := 0
-		return func(e events.Event) bool {
-			if e.Type != typ {
-				return false
-			}
-			seen++
-			return seen == i+1
-		}
-	}
-
 	whole, streams, commits := encode("uncancelled", 0, nil)
 	for i := range 3 {
-		encode(fmt.Sprintf("at stripe %d's admission", i), 0, nth(events.StripeEncodeStarted, i))
-		encode(fmt.Sprintf("at fold %d's commit", i), 0, nth(events.StripeEncoded, i))
+		encode(fmt.Sprintf("at stripe %d's admission", i), 0, nthEvent(events.StripeEncodeStarted, i))
+		encode(fmt.Sprintf("at fold %d's commit", i), 0, nthEvent(events.StripeEncoded, i))
 	}
 	for s, at := range streams {
-		encode(fmt.Sprintf("at stream %d (%d->%d)", s, at.Node, at.Peer), 0, nth(events.TransferStarted, s))
+		encode(fmt.Sprintf("at stream %d (%d->%d)", s, at.Node, at.Peer), 0, nthEvent(events.TransferStarted, s))
 	}
 	for step := time.Duration(1); step <= 10; step++ {
 		encode(fmt.Sprintf("on a deadline at %d/10 of %v", step, whole), step*whole/10, nil)
@@ -770,4 +763,348 @@ func TestEncodeTaskCancel(t *testing.T) {
 		encode(fmt.Sprintf("on a deadline just past fold %d's commit at %v", i, at), at+time.Nanosecond, nil)
 	}
 	t.Logf("the uncancelled encode took %v, opened %d streams and committed its folds at %v", whole, len(streams), commits)
+}
+
+// nthEvent reports the i-th event of type typ it is handed, counting from 0.
+func nthEvent(typ events.Type, i int) func(events.Event) bool {
+	seen := 0
+	return func(e events.Event) bool {
+		if e.Type != typ {
+			return false
+		}
+		seen++
+		return seen == i+1
+	}
+}
+
+// TestAdmitFailureBooksNothing admits to one stage loop a copy of a member
+// toward a node outside the topology, whose delivery stream fails to open
+// once the member's holder has opened its disk stream for it, and then a
+// sound copy of the same member to a live node. The failed run must join no
+// read-ahead: the loop's observer sees no slice booked for it, and the sound
+// copy lands the member's bytes in the virtual time it takes in a loop of its
+// own. While admit joined each read to its node's read-ahead as it went, the
+// failed run's read stayed there and the disk booked its slices first.
+func TestAdmitFailureBooksNothing(t *testing.T) {
+	cfg := benchGeometry()
+	c := newCluster(t, cfg)
+	setRates(t, c, 64<<30, 64<<30)
+	ids, contents := writeBlocks(t, c, 1, rand.New(rand.NewSource(73)))
+	setRates(t, c, cfg.BandwidthBytesPerSec, cfg.DiskBandwidthBytesPerSec)
+	live, err := c.NameNode().LiveReplicas(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := live[0]
+	sink := topology.NodeID(0)
+	for slices.Contains(live, sink) {
+		sink++
+	}
+	holders := make([][]topology.NodeID, cfg.K)
+	holders[0] = []topology.NodeID{from}
+	row := make([]byte, cfg.K)
+	row[0] = 1
+	// copyTo plans the unit-row fold of the member from its holder to the
+	// node, anchored at the holder: a head stage that reads the member and a
+	// delivery stage.
+	copyTo := func(to topology.NodeID, out []byte) []*chainStage {
+		stages, err := c.foldStages(0, [][]byte{row}, holders, func(int) blockstore.Key { return DataKey(ids[0]) }, from, []topology.NodeID{to}, [][]byte{out})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stages
+	}
+	spans := hopSpans(context.Background(), 0)
+	out := make([]byte, cfg.BlockSizeBytes)
+	alone := took(func() {
+		if _, _, err := c.runStages(context.Background(), copyTo(sink, out), from, spans); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	booked := make(map[*stageRun]int)
+	ctx := context.WithValue(context.Background(), readAheadKey{}, func(_ topology.NodeID, run *stageRun, _ int) { booked[run]++ })
+	l := &stageLoop{c: c}
+	defer l.close()
+	nowhere := topology.NodeID(c.Topology().Nodes())
+	if _, err := l.admit(ctx, copyTo(nowhere, make([]byte, cfg.BlockSizeBytes)), from, spans); !errors.Is(err, topology.ErrUnknownNode) {
+		t.Fatalf("admitting a copy to node %d = %v, want topology.ErrUnknownNode", nowhere, err)
+	}
+	sound, err := l.admit(ctx, copyTo(sink, out), from, spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := took(func() {
+		if err := l.run(ctx, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(booked) != 1 || booked[sound] == 0 {
+		t.Errorf("the read-ahead booked slices for %d runs, %d of them the sound copy's; want the sound copy's alone", len(booked), booked[sound])
+	}
+	if shared != alone {
+		t.Errorf("the sound copy took %v after a failed admission, %v in a loop of its own", shared, alone)
+	}
+	if !bytes.Equal(out, contents[ids[0]]) {
+		t.Error("the sound copy differs from the member")
+	}
+	t.Logf("a copy of node %d's member to node %d took %v, in a loop of its own and after a failed admission", from, sink, alone)
+}
+
+// seededWrite is one block a writer sends, and the node it sends it from.
+type seededWrite struct {
+	from topology.NodeID
+	data []byte
+}
+
+// lifecycleDraws returns what lifecycleOnBench writes, drawn as writeBlocks
+// draws it: 4k seeded blocks of the benchmark geometry and their writers.
+func lifecycleDraws() []seededWrite {
+	cfg := benchGeometry()
+	rng := rand.New(rand.NewSource(81))
+	writes := make([]seededWrite, 4*cfg.K)
+	for i := range writes {
+		writes[i].data = make([]byte, cfg.BlockSizeBytes)
+		rng.Read(writes[i].data)
+		writes[i].from = topology.NodeID(rng.Intn(cfg.Racks * cfg.NodesPerRack))
+	}
+	return writes
+}
+
+// lifecycleLayout returns a cluster of the benchmark geometry holding the
+// writes (lifecycleDraws), written and encoded at lifted rates, with attach
+// (when set) run on it before the first write; then the layout's busiest
+// node is marked dead and the shaped rates are back on. It returns the
+// written payload and the dead node.
+func lifecycleLayout(t *testing.T, writes []seededWrite, attach func(c *Cluster)) (*Cluster, map[topology.BlockID][]byte, topology.NodeID) {
+	t.Helper()
+	cfg := benchGeometry()
+	c := newCluster(t, cfg)
+	if attach != nil {
+		attach(c)
+	}
+	setRates(t, c, 64<<30, 64<<30)
+	contents := make(map[topology.BlockID][]byte, len(writes))
+	for _, w := range writes {
+		id, err := c.WriteBlock(w.from, w.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		contents[id] = w.data
+	}
+	encodeAll(t, c)
+	dead := busiestDataNode(t, c)
+	c.NameNode().MarkDead(dead)
+	setRates(t, c, cfg.BandwidthBytesPerSec, cfg.DiskBandwidthBytesPerSec)
+	return c, contents, dead
+}
+
+// TestSweepRepairsShareReadAhead recovers the lifecycle layout's busiest node
+// (lifecycleLayout), one round of repairs folded in one stage loop, and
+// watches every slice the loop's read-aheads book. No node's disk may book a
+// slice that starts below one it booked before — the disk serves the repairs'
+// reads in block order, not one repair's block after another's, as it did
+// while each repair read ahead on its own — and at least one disk must serve
+// two repairs. Every block must read back its payload.
+func TestSweepRepairsShareReadAhead(t *testing.T) {
+	c, contents, dead := lifecycleLayout(t, lifecycleDraws(), nil)
+	offsets := make(map[topology.NodeID][]int)
+	runs := make(map[topology.NodeID]map[*stageRun]bool)
+	observe := func(node topology.NodeID, run *stageRun, offset int) {
+		offsets[node] = append(offsets[node], offset)
+		if runs[node] == nil {
+			runs[node] = make(map[*stageRun]bool)
+		}
+		runs[node][run] = true
+	}
+	var stats RecoveryStats
+	dur := took(func() {
+		var err error
+		stats, err = c.RecoverNode(context.WithValue(context.Background(), readAheadKey{}, observe), dead)
+		if err != nil || stats.Unrecovered != 0 {
+			t.Fatalf("RecoverNode(%d) = %+v, %v", dead, stats, err)
+		}
+	})
+	shared := 0
+	for node, offs := range offsets {
+		if len(runs[node]) > 1 {
+			shared++
+		}
+		for i := 1; i < len(offs); i++ {
+			if offs[i] < offs[i-1] {
+				t.Fatalf("node %d's disk booked a slice at offset %d after one at %d (offsets in booking order: %v)", node, offs[i], offs[i-1], offs)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no node's disk served two repairs")
+	}
+	setRates(t, c, 64<<30, 64<<30)
+	verifyBlockContents(t, c, contents)
+	t.Logf("%d + %d members of node %d repaired in %v; %d of %d disks served two repairs or more",
+		stats.BlocksRepaired, stats.ParityRepaired, dead, dur, shared, len(offsets))
+}
+
+// TestRecoverNodeCancel cancels the recovery of the lifecycle layout's
+// busiest node (lifecycleLayout), on a fresh cluster each time: at each
+// repair's admission (its RepairStarted), at each stream's open (the
+// TransferStarted events of an uncancelled sweep name them), at each repair's
+// commit (its RepairFinished), and on deadlines at tenths of the uncancelled
+// sweep. Wherever the cancellation lands, every member whose RepairFinished
+// was published is recorded on its target and reads back its payload, and no
+// other target stores its member or is recorded for it; no stream stays
+// open, no pooled buffer out and no span open, and the auditor stays clean.
+// A second sweep then repairs exactly the remainder, and every lost member
+// reads back byte-identical from a live holder.
+func TestRecoverNodeCancel(t *testing.T) {
+	cfg := benchGeometry()
+	writes := lifecycleDraws()
+	// parity holds each lost parity row's payload, by stripe and row: every
+	// sweep's layout is the same.
+	parity := make(map[[2]int][]byte)
+	// readsBack reports whether the member task rebuilt reads back its
+	// payload from holder.
+	readsBack := func(c *Cluster, contents map[topology.BlockID][]byte, task recoverTask, holder topology.NodeID) bool {
+		t.Helper()
+		if task.pos < cfg.K {
+			b := task.sm.Info.Blocks[task.pos]
+			got, err := c.ReadBlock(holder, b)
+			return err == nil && bytes.Equal(got, contents[b])
+		}
+		row := [2]int{int(task.sm.Info.ID), task.pos - cfg.K}
+		if parity[row] == nil {
+			data := make([][]byte, cfg.K)
+			for i := range data {
+				data[i] = make([]byte, cfg.BlockSizeBytes)
+				if i < len(task.sm.Info.Blocks) {
+					data[i] = contents[task.sm.Info.Blocks[i]]
+				}
+			}
+			rows, err := c.Coder().Encode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parity[row] = rows[row[1]]
+		}
+		dn, err := c.DataNodeOf(holder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dn.Store.Get(c.memberKey(task.sm, task.pos))
+		return err == nil && bytes.Equal(got, parity[row])
+	}
+	// sweep recovers the node on a fresh layout, cancelled on the first event
+	// cancelOn reports, or under timeout when one is set, and checks what it
+	// left. It returns the sweep's duration, the streams it opened and the
+	// repairs it finished.
+	sweep := func(where string, timeout time.Duration, cancelOn func(e events.Event) bool) (dur time.Duration, opened, finished []events.Event) {
+		t.Helper()
+		reg := telemetry.NewRegistry()
+		tr := telemetry.NewTracer()
+		jrn := events.NewJournal(1 << 15)
+		var aud *audit.Auditor
+		c, contents, dead := lifecycleLayout(t, writes, func(c *Cluster) {
+			c.SetJournal(jrn)
+			aud = audit.New(c.Topology(), audit.Config{Replicas: cfg.Replicas, C: cfg.C, CheckCoreRack: true})
+			aud.Attach(jrn)
+		})
+		c.SetTelemetry(reg)
+		c.SetTracer(tr)
+		tasks, _, err := c.planNodeRecovery(dead)
+		if err != nil || len(tasks) == 0 {
+			t.Fatalf("%s: a plan of %d repairs, %v", where, len(tasks), err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		if timeout > 0 {
+			ctx, cancel = context.WithTimeout(context.Background(), timeout)
+		}
+		defer cancel()
+		unsub := jrn.Subscribe(func(e events.Event) {
+			switch e.Type {
+			case events.TransferStarted:
+				opened = append(opened, e)
+			case events.RepairFinished:
+				finished = append(finished, e)
+			}
+			if cancelOn != nil && cancelOn(e) {
+				cancel()
+			}
+		})
+		t0 := time.Now()
+		stats, err := c.RecoverNode(ctx, dead)
+		dur = time.Since(t0)
+		unsub()
+		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if err == nil && len(finished) != len(tasks) {
+			t.Fatalf("%s: the sweep succeeded with %d of %d repairs finished", where, len(finished), len(tasks))
+		}
+		if got := stats.BlocksRepaired + stats.ParityRepaired; got != len(finished) {
+			t.Errorf("%s: the sweep counts %d repairs, %d finished", where, got, len(finished))
+		}
+		for _, task := range tasks {
+			sm, key := stripeOf(t, c, task.sm.Info.ID), c.memberKey(task.sm, task.pos)
+			recorded, err := c.recordedHolders(sm, task.pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := slices.ContainsFunc(finished, func(e events.Event) bool {
+				return e.Stripe == sm.Info.ID && e.Node == task.target && (task.pos >= cfg.K || e.Block == sm.Info.Blocks[task.pos])
+			})
+			switch {
+			case done && !slices.Equal(recorded, []topology.NodeID{task.target}):
+				t.Errorf("%s: stripe %d position %d finished on node %d but is recorded on %v", where, sm.Info.ID, task.pos, task.target, recorded)
+			case done && !readsBack(c, contents, task, task.target):
+				t.Errorf("%s: stripe %d position %d does not read back its payload from node %d", where, sm.Info.ID, task.pos, task.target)
+			case !done && (slices.Contains(recorded, task.target) || holds(t, c, task.target, key)):
+				t.Errorf("%s: stripe %d position %d did not finish, yet its target %d is recorded (%v) or stores it (%v)",
+					where, sm.Info.ID, task.pos, task.target, recorded, holds(t, c, task.target, key))
+			}
+		}
+		if got := reg.Gauge("fabric_streams_active", "").With().Value(); got != 0 {
+			t.Errorf("%s: %g fabric streams left open", where, got)
+		}
+		if out := c.BufferPool().Outstanding(); out != 0 {
+			t.Errorf("%s: %d pooled buffers outstanding", where, out)
+		}
+		for _, sp := range tr.Spans() {
+			if !sp.Ended {
+				t.Errorf("%s: span %s %v still open", where, sp.Name, sp.Args)
+			}
+		}
+		if rep := aud.Report(); rep.Total() != 0 {
+			t.Errorf("%s: auditor dirty: %+v", where, rep)
+		}
+
+		setRates(t, c, 64<<30, 64<<30)
+		again, err := c.RecoverNode(context.Background(), dead)
+		if err != nil || again.Unrecovered != 0 || again.BlocksRepaired+again.ParityRepaired != len(tasks)-len(finished) {
+			t.Fatalf("%s: the second sweep = %+v, %v; want the %d of %d members the first left", where, again, err, len(tasks)-len(finished), len(tasks))
+		}
+		for _, task := range tasks {
+			sm := stripeOf(t, c, task.sm.Info.ID)
+			recorded, err := c.recordedHolders(sm, task.pos)
+			if err != nil || len(recorded) != 1 || recorded[0] == dead || !readsBack(c, contents, task, recorded[0]) {
+				t.Errorf("%s: after the second sweep stripe %d position %d is recorded on %v (%v), not read back from a live holder", where, sm.Info.ID, task.pos, recorded, err)
+			}
+		}
+		if rep := aud.Report(); rep.Total() != 0 {
+			t.Errorf("%s: auditor dirty after the second sweep: %+v", where, rep)
+		}
+		return dur, opened, finished
+	}
+
+	whole, streams, repairs := sweep("uncancelled", 0, nil)
+	for i := range repairs {
+		sweep(fmt.Sprintf("at repair %d's admission", i), 0, nthEvent(events.RepairStarted, i))
+		sweep(fmt.Sprintf("at repair %d's commit", i), 0, nthEvent(events.RepairFinished, i))
+	}
+	for s, at := range streams {
+		sweep(fmt.Sprintf("at stream %d (%d->%d)", s, at.Node, at.Peer), 0, nthEvent(events.TransferStarted, s))
+	}
+	for step := time.Duration(1); step <= 10; step++ {
+		sweep(fmt.Sprintf("on a deadline at %d/10 of %v", step, whole), step*whole/10, nil)
+	}
+	t.Logf("the uncancelled sweep took %v, opened %d streams and finished %d repairs", whole, len(streams), len(repairs))
 }

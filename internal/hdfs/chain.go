@@ -28,11 +28,11 @@ package hdfs
 // stores nothing either: the caller commits the sums only after the whole
 // fold succeeded, so a canceled fold leaves no trace in any store. The stage
 // loop (stageLoop) is one event loop on the caller's goroutine, with one
-// read-ahead per node for every fold it runs. An encode map task runs all its
-// stripes' folds through one loop, admitting each once it is planned and
-// committing each once it ends (parityFold); every other fold is a loop of one
-// run (runStages), and so is the replicated write, a run with no members to
-// fold whose stages all forward the caller's bytes (client.go).
+// read-ahead per node for every fold it runs. A map task folds its stripes
+// (parityFold), and a recovery or BlockMover round its members (rebuildMember),
+// in one loop, each admitted once planned and committed once it ends; any
+// other fold is a loop of one run (runStages), and so is the replicated write,
+// a run with no members to fold whose stages forward the caller's bytes.
 
 import (
 	"context"
@@ -143,9 +143,11 @@ func (d *diskShare) offset() int { return len(d.arrived) * d.run.slice }
 // a stage is listed after the one it receives from. The run walks the block
 // in nSlices slices of slice bytes from its admission, start, to end, the
 // instant its last stage forwarded its last slice; its stages' inbound
-// streams are open in between. left counts the stages still walking, and
-// finish, when set, runs on the loop's goroutine at the run's end. next is
-// the stage with the run's earliest step, at its instant (schedule).
+// streams are open in between. left counts the stages still walking. At the
+// run's end finish runs on the loop's goroutine, then release, which returns
+// what the run holds (pooled buffers, a span) and which the loop's close runs
+// for a run that never ended. next is the stage with the run's earliest step,
+// at its instant (schedule).
 type stageRun struct {
 	stages         []*chainStage
 	slice, nSlices int
@@ -153,6 +155,7 @@ type stageRun struct {
 	spans          []*telemetry.Span
 	left           int
 	finish         func() error
+	release        func()
 	next           int
 	at             time.Time
 }
@@ -177,8 +180,8 @@ func (run *stageRun) schedule() {
 // stageLoop is the package's one event loop. It walks the runs admitted to
 // it, in admission order, on its caller's goroutine; runs that share a node
 // share its read-ahead, one disk stream a node for the loop's life. Every
-// step sleeps phase past its instant. observe, when set, sees every slice a
-// read-ahead books (readAheadKey).
+// step sleeps phase past its instant, set only by a map task. observe, when
+// set, sees every slice a read-ahead books (readAheadKey).
 type stageLoop struct {
 	c       *Cluster
 	phase   time.Duration
@@ -275,14 +278,14 @@ func (c *Cluster) foldSliceBytes(anchor topology.NodeID, streams int) int {
 // runStages walks one block through the stages slice by slice, a loop of one
 // run, and returns the run's start and end; the first error (a cancelled ctx
 // included) ends the run at once. span opens stage s's span.
-func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor topology.NodeID, phase time.Duration, span func(s int, st *chainStage) *telemetry.Span) (start, end time.Time, err error) {
-	l := &stageLoop{c: c, phase: phase}
+func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor topology.NodeID, span func(s int, st *chainStage) *telemetry.Span) (start, end time.Time, err error) {
+	l := &stageLoop{c: c}
 	defer l.close()
 	run, err := l.admit(ctx, stages, anchor, span)
 	if err != nil {
 		return start, end, err
 	}
-	err = l.run(ctx, nil)
+	err = l.run(ctx, 0, nil)
 	return run.start, run.end, err
 }
 
@@ -294,7 +297,7 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 // anchor and of how many streams deep the stages are; span opens stage s's
 // span under the one carried by ctx, which ends once the stage has forwarded
 // its last slice and carries the grain as its "slice" arg. On error the run
-// is not admitted and its streams are closed.
+// is not admitted: its streams are closed and its reads join no read-ahead.
 func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topology.NodeID, span func(s int, st *chainStage) *telemetry.Span) (*stageRun, error) {
 	streams := 0
 	for _, st := range stages {
@@ -304,7 +307,8 @@ func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topo
 		}
 		streams = max(streams, depth)
 	}
-	run := &stageRun{stages: stages, slice: l.c.foldSliceBytes(anchor, streams), left: len(stages)}
+	run := &stageRun{stages: stages, slice: l.c.foldSliceBytes(anchor, streams), left: len(stages),
+		finish: func() error { return nil }, release: func() {}}
 	run.nSlices = (l.c.cfg.BlockSizeBytes + run.slice - 1) / run.slice
 	shares := make(map[topology.NodeID]*diskShare)
 	for _, st := range stages {
@@ -322,20 +326,22 @@ func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topo
 		if st.disk = shares[st.node]; st.disk != nil {
 			continue
 		}
-		i := slices.IndexFunc(l.readers, func(r *diskReader) bool { return r.node == st.node })
-		if i < 0 {
+		if !slices.ContainsFunc(l.readers, func(r *diskReader) bool { return r.node == st.node }) {
 			disk, err := l.c.fab.OpenStream(ctx, st.node, st.node)
 			if err != nil {
 				run.closeStreams()
 				return nil, err
 			}
-			i = len(l.readers)
 			l.readers = append(l.readers, &diskReader{node: st.node, disk: disk})
 		}
 		st.disk = &diskShare{run: run, members: len(st.positions)}
 		shares[st.node] = st.disk
-		l.readers[i].shares = append(l.readers[i].shares, st.disk)
-		l.readers[i].pick()
+	}
+	for _, r := range l.readers {
+		if d := shares[r.node]; d != nil {
+			r.shares = append(r.shares, d)
+			r.pick()
+		}
 	}
 	run.start = time.Now()
 	sliceArg := strconv.Itoa(run.slice)
@@ -365,17 +371,17 @@ func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topo
 // stream never stalls the rest of the loop. The loop takes the earliest step
 // and sleeps until that instant plus phase. At one instant read-ahead steps
 // run before stage steps and stages in admission order, then in list order,
-// so rows that share a link book it in row order, and loops that start
-// together and share a link or a disk book it in the order of their phases.
-// While next is set and no step is overdue, the loop calls it to admit more
-// runs, until it reports that none remain; on a fake clock, where the host
-// takes no time, every run is admitted before the first booking. A run whose
-// last stage has forwarded its last slice ends at once: its streams close and
-// its finish runs. The first error ends the loop.
-func (l *stageLoop) run(ctx context.Context, next func() (more bool, err error)) error {
+// so rows that share a link book it in row order, and a job's map tasks,
+// whose loops start together, book a shared link in the order of their
+// phases. While no step is overdue, the loop calls admit(i) for its items i
+// = 0..n-1 in turn to admit their runs; on a fake clock, where the host takes
+// no time, every run is admitted before the first booking. A run whose last
+// stage has forwarded its last slice ends at once (finish). The first error
+// ends the loop.
+func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) error) error {
 	blockSize := l.c.cfg.BlockSizeBytes
 	l.observe, _ = ctx.Value(readAheadKey{}).(func(topology.NodeID, *stageRun, int))
-	more := next != nil
+	admitted := 0
 	for {
 		var at time.Time
 		var r *diskReader
@@ -393,9 +399,9 @@ func (l *stageLoop) run(ctx context.Context, next func() (more bool, err error))
 			}
 		}
 		idle := r == nil && run == nil
-		if more && (idle || !at.Add(l.phase).Before(time.Now())) {
-			var err error
-			if more, err = next(); err != nil {
+		if admitted < n && (idle || !at.Add(l.phase).Before(time.Now())) {
+			admitted++
+			if err := admit(admitted - 1); err != nil {
 				return err
 			}
 			continue
@@ -485,7 +491,7 @@ func (l *stageLoop) read(ctx context.Context, r *diskReader) error {
 }
 
 // finish ends a run whose every stage has forwarded its last slice: its
-// streams close, it leaves the loop and its finish runs.
+// streams close, it leaves the loop, and its finish and release run.
 func (l *stageLoop) finish(run *stageRun) error {
 	run.end = time.Now()
 	run.closeStreams()
@@ -493,9 +499,7 @@ func (l *stageLoop) finish(run *stageRun) error {
 	for _, r := range l.readers {
 		r.shares = slices.DeleteFunc(r.shares, func(d *diskShare) bool { return d.run == run })
 	}
-	if run.finish == nil {
-		return nil
-	}
+	defer run.release()
 	return run.finish()
 }
 
@@ -508,14 +512,15 @@ func (run *stageRun) closeStreams() {
 	}
 }
 
-// close ends the loop: the streams of every run it has not finished close,
-// their open spans end, and every node's disk stream closes.
+// close ends the loop: every run it has not finished closes its streams,
+// ends its open spans and releases, and every node's disk stream closes.
 func (l *stageLoop) close() {
 	for _, run := range l.runs {
 		run.closeStreams()
 		for _, sp := range run.spans {
 			sp.End()
 		}
+		run.release()
 	}
 	for _, r := range l.readers {
 		r.disk.Close()
@@ -552,9 +557,7 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 	if err != nil {
 		return chainLedger{}, err
 	}
-	// The fold's phase is keyed by stripe: the folds a recovery keeps in
-	// flight start together and share links and disks.
-	start, end, err := c.runStages(ctx, stages, anchor, time.Duration(stripe%1000), hopSpans(ctx, stripe))
+	start, end, err := c.runStages(ctx, stages, anchor, hopSpans(ctx, stripe))
 	if err != nil {
 		return chainLedger{}, err
 	}
@@ -660,7 +663,7 @@ func (c *Cluster) foldLedger(stages []*chainStage, start, end time.Time) chainLe
 // parityFold admits the fold of a planned stripe's parity to its map task's
 // loop: the m parity rows folded over the replica holders, one chain per row,
 // so that parity j ends on plan.Parity[j], in m pooled buffers (sp.Blocks)
-// the caller releases, beside the aborted-member mask (sp.Aborted). The
+// the run releases, beside the aborted-member mask (sp.Aborted). The
 // holders are covered toward the first parity holder in the encoder's rack
 // (toward the encoder when that rack holds no parity). A replica whose view
 // fails is excluded and the cover re-planned over the member's remaining live
@@ -721,13 +724,15 @@ func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placeme
 				continue
 			}
 		}
+		var run *stageRun
+		if err == nil {
+			run, err = loop.admit(ctx, stages, anchor, hopSpans(ctx, info.ID))
+		}
 		if err != nil {
+			c.releaseParity(sp)
 			return err
 		}
-		run, err := loop.admit(ctx, stages, anchor, hopSpans(ctx, info.ID))
-		if err != nil {
-			return err
-		}
+		run.release = func() { c.releaseParity(sp) }
 		run.finish = func() error {
 			ledger := c.foldLedger(stages, run.start, run.end)
 			sp.CrossRackDownloads = ledger.crossHops
@@ -848,17 +853,17 @@ func (c *Cluster) posHolders(sm *StripeMeta, i int, bad map[holder]bool) ([]topo
 	return nodes, len(nodes) > 0, nil
 }
 
-// reconstructInto rebuilds stripe position pos (data or parity) into out at
-// the sink by folding one row along the chain. While a copy of the position
-// survives the row is the unit row and the fold is a copy from the nearest
-// holder; otherwise the k lowest surviving positions (data before parity,
-// the central decoder's choice) are folded with the coefficients of the
-// cached decode row, one partial sum per survivor rack boundary. A holder
+// rebuildStages plans the stages of a fold of one row that rebuilds stripe
+// position pos (data or parity) into out at the sink. While a copy of the
+// position survives the row is the unit row and the fold is a copy from the
+// nearest holder; otherwise the k lowest surviving positions (data before
+// parity, the central decoder's choice) are folded with the coefficients of
+// the cached decode row, one partial sum per survivor rack boundary. A holder
 // whose local read fails is treated as erased: it is excluded and the
 // survivors re-selected, up to the n-k erasures the code absorbs.
-func (c *Cluster) reconstructInto(ctx context.Context, sm *StripeMeta, pos int, sink topology.NodeID, out []byte) (chainLedger, error) {
+func (c *Cluster) rebuildStages(sm *StripeMeta, pos int, sink topology.NodeID, out []byte) ([]*chainStage, error) {
 	if sm.Plan == nil {
-		return chainLedger{}, fmt.Errorf("%w: stripe %d not encoded", ErrUnknownStripe, sm.Info.ID)
+		return nil, fmt.Errorf("%w: stripe %d not encoded", ErrUnknownStripe, sm.Info.ID)
 	}
 	k, n := c.cfg.K, c.cfg.N
 	key := func(p int) blockstore.Key { return c.memberKey(sm, p) }
@@ -868,7 +873,7 @@ func (c *Cluster) reconstructInto(ctx context.Context, sm *StripeMeta, pos int, 
 		holders := make([][]topology.NodeID, n)
 		live, known, err := c.posHolders(sm, pos, bad)
 		if err != nil {
-			return chainLedger{}, err
+			return nil, err
 		}
 		if known {
 			row[pos], holders[pos] = 1, live
@@ -880,7 +885,7 @@ func (c *Cluster) reconstructInto(ctx context.Context, sm *StripeMeta, pos int, 
 				}
 				h, ok, err := c.posHolders(sm, i, bad)
 				if err != nil {
-					return chainLedger{}, err
+					return nil, err
 				}
 				if ok {
 					holders[i] = h
@@ -888,21 +893,21 @@ func (c *Cluster) reconstructInto(ctx context.Context, sm *StripeMeta, pos int, 
 				}
 			}
 			if len(indices) < k {
-				return chainLedger{}, fmt.Errorf("%w: stripe %d position %d: only %d of %d survivors available",
+				return nil, fmt.Errorf("%w: stripe %d position %d: only %d of %d survivors available",
 					ErrNoReplica, sm.Info.ID, pos, len(indices), k)
 			}
 			coeffs, err := c.coder.DecodeRow(indices, pos)
 			if err != nil {
-				return chainLedger{}, err
+				return nil, err
 			}
 			for x, i := range indices {
 				row[i] = coeffs[x]
 			}
 		}
-		ledger, err := c.chainFold(ctx, sm.Info.ID, [][]byte{row}, holders, key, sink, []topology.NodeID{sink}, [][]byte{out})
+		stages, err := c.foldStages(sm.Info.ID, [][]byte{row}, holders, key, sink, []topology.NodeID{sink}, [][]byte{out})
 		var he *holderError
 		if !errors.As(err, &he) || len(bad) == n-k {
-			return ledger, err
+			return stages, err
 		}
 		bad[he.holder] = true
 	}

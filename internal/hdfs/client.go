@@ -143,7 +143,7 @@ func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *B
 	}
 	replicas := stages[1:]
 	parent := telemetry.SpanFromContext(ctx)
-	start, _, err := c.runStages(ctx, stages, client, 0, func(s int, st *chainStage) *telemetry.Span {
+	start, _, err := c.runStages(ctx, stages, client, func(s int, st *chainStage) *telemetry.Span {
 		if s == 0 {
 			return nil // the client is the write's own span
 		}
@@ -267,17 +267,24 @@ func (c *Cluster) DegradedRead(client topology.NodeID, id topology.BlockID) ([]b
 
 // DegradedReadCtx reconstructs a lost block from its stripe at the client
 // (Section VI's degraded read): the survivors fold the decode row along the
-// chain, so one partial sum per survivor rack crosses the core. A delivered
-// block is charged to the context's tenant as one "read" op.
+// chain in a loop of one run, so one partial sum per survivor rack crosses
+// the core. A delivered block is charged to the context's tenant as one
+// "read" op.
 func (c *Cluster) DegradedReadCtx(ctx context.Context, client topology.NodeID, id topology.BlockID) ([]byte, error) {
 	sm, pos, err := c.blockMember(id)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]byte, c.cfg.BlockSizeBytes)
-	if _, err := c.reconstructInto(ctx, sm, pos, client, out); err != nil {
+	stages, err := c.rebuildStages(sm, pos, client, out)
+	if err != nil {
 		return nil, err
 	}
+	start, end, err := c.runStages(ctx, stages, client, hopSpans(ctx, sm.Info.ID))
+	if err != nil {
+		return nil, err
+	}
+	c.foldLedger(stages, start, end) // observes the fold's pipe depth
 	// A degraded read delivers a block like any read; ReadBlockCtx charges
 	// only its replica path, so the fallback through here counts once.
 	c.acct.Charge(tenant.FromContext(ctx), "read", 1, int64(len(out)))
@@ -291,7 +298,7 @@ func (c *Cluster) RepairBlock(id topology.BlockID) (topology.NodeID, error) {
 }
 
 // RepairBlockCtx rebuilds a lost block onto a fresh live node and updates
-// the NameNode, the RaidNode recovery path. It returns the chosen node.
+// the NameNode, a recovery round of one repair. It returns the chosen node.
 func (c *Cluster) RepairBlockCtx(ctx context.Context, id topology.BlockID) (topology.NodeID, error) {
 	sm, pos, err := c.blockMember(id)
 	if err != nil {
@@ -305,7 +312,7 @@ func (c *Cluster) RepairBlockCtx(ctx context.Context, id topology.BlockID) (topo
 	if err != nil {
 		return 0, err
 	}
-	if _, err := c.repairMember(ctx, sm, pos, target); err != nil {
+	if err := c.repairAll(ctx, []recoverTask{{sm, pos, target}}, new(RecoveryStats)); err != nil {
 		return 0, err
 	}
 	return target, nil
@@ -330,15 +337,4 @@ func (c *Cluster) blockMember(id topology.BlockID) (*StripeMeta, int, error) {
 		return nil, 0, fmt.Errorf("%w: block %d missing from stripe %d", ErrUnknownStripe, id, meta.Stripe)
 	}
 	return sm, pos, nil
-}
-
-// observeRepair folds one finished single-row repair into the repair
-// telemetry.
-func (c *Cluster) observeRepair(ledger chainLedger, d time.Duration) {
-	m := c.metrics()
-	if m == nil {
-		return
-	}
-	m.repairCross.Add(float64((ledger.crossHops + ledger.crossDeliveries) * c.cfg.BlockSizeBytes))
-	m.repairMBps.Observe(recoveryThroughputMBps(int64(c.cfg.BlockSizeBytes), d))
 }

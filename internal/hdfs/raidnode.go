@@ -13,12 +13,7 @@ import (
 	"ear/internal/placement"
 	"ear/internal/telemetry"
 	"ear/internal/topology"
-	"ear/internal/workgroup"
 )
-
-// moverFanIn bounds how many violating stripes the BlockMover fixes
-// concurrently.
-const moverFanIn = 4
 
 // RaidNode coordinates the asynchronous encoding operation, the role
 // HDFS-RAID's RaidNode plays: it drains the pre-encoding store, submits a
@@ -311,7 +306,9 @@ func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStat
 // stripe of the task folds in one stage loop on the task's goroutine: a stripe
 // joins the loop once it is planned, its members viewed and its m parity
 // buffers taken, and is committed as soon as its fold ends, so the task holds
-// the parity of every stripe in flight, up to m/k of its data. A ParityFunc
+// the parity of every stripe in flight, up to m/k of its data, and the loop
+// puts back the parity of every stripe it did not commit, however the task
+// ends (stageRun.release). A ParityFunc
 // materializes and commits one stripe after another, as HDFS-RAID's map task
 // does. Parity stays staged until its stripe commits — the same contract as
 // the write pipeline — so a cancellation commits no unfinished stripe: no
@@ -328,21 +325,10 @@ func (c *Cluster) encodeStripes(ctx context.Context, t *encodeTask, encoder topo
 		detail = "gather"
 	}
 	trace := parent.TraceID()
-	// The parity of every stripe not committed goes back to the pool, however
-	// the task ends.
-	var staged []*StripeParity
-	defer func() {
-		for _, sp := range staged {
-			c.releaseParity(sp)
-		}
-	}()
 	loop := &stageLoop{c: c, phase: time.Duration(t.stripes[0].ID % 1000)}
 	defer loop.close()
-	next := 0
-	return loop.run(ctx, func() (bool, error) {
-		i, info := next, t.stripes[next]
-		next++
-		more := next < len(t.stripes)
+	return loop.run(ctx, len(t.stripes), func(i int) error {
+		info := t.stripes[i]
 		start := time.Now()
 		if j := c.Journal(); j != nil {
 			ev := events.New(events.StripeEncodeStarted, "raidnode")
@@ -359,10 +345,9 @@ func (c *Cluster) encodeStripes(ctx context.Context, t *encodeTask, encoder topo
 		}
 		plan, err := c.nn.PlanStripe(info, homes...)
 		if err != nil {
-			return more, err
+			return err
 		}
 		sp := new(StripeParity)
-		staged = append(staged, sp)
 		matStart := time.Now()
 		commit := func() error {
 			violated, err := c.commitStripe(info, plan, sp, matStart, parent)
@@ -375,12 +360,12 @@ func (c *Cluster) encodeStripes(ctx context.Context, t *encodeTask, encoder topo
 			return err
 		}
 		if materialize == nil {
-			return more, c.parityFold(ctx, loop, info, encoder, plan, sp, commit)
+			return c.parityFold(ctx, loop, info, encoder, plan, sp, commit)
 		}
 		if *sp, err = materialize(ctx, info, encoder, plan); err != nil {
-			return more, err
+			return err
 		}
-		return more, commit()
+		return commit()
 	})
 }
 
@@ -509,79 +494,67 @@ func (r *RaidNode) BlockMover() (moved int, movedBytes int64, err error) {
 	return r.BlockMoverCtx(context.Background())
 }
 
-// BlockMoverCtx relocates blocks of violating stripes until each rack holds
-// at most c blocks of the stripe, returning the number of blocks moved and
-// the bytes of relocation traffic generated (the overhead EAR avoids).
-// Stripes are independent, so up to moverFanIn of them are fixed
-// concurrently.
+// BlockMoverCtx relocates members of violating stripes until each rack holds
+// at most c members of the stripe, returning the number of members moved and
+// the bytes of relocation traffic generated (the overhead EAR avoids). It
+// works in rounds. A round plans one move per violating stripe against the
+// stripe's current layout — the member crowdedMember names, to the node
+// pickTarget names — and folds every move of the round in one stage loop,
+// each committed as its fold ends (relocateMember); the next round plans again
+// from the layout they left, until no stripe has a move. The first error ends
+// the pass.
 func (r *RaidNode) BlockMoverCtx(ctx context.Context) (moved int, movedBytes int64, err error) {
+	c := r.c
 	bad, err := r.PlacementMonitor()
 	if err != nil {
 		return 0, 0, err
 	}
-	g, gctx := workgroup.WithContext(ctx)
-	g.SetLimit(moverFanIn)
-	var mu sync.Mutex
-	for _, id := range bad {
-		id := id
-		g.Go(func() error {
-			n, b, err := r.fixStripe(gctx, id)
-			mu.Lock()
-			moved += n
-			movedBytes += b
-			mu.Unlock()
-			return err
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return moved, movedBytes, err
-	}
-	return moved, movedBytes, nil
-}
-
-// fixStripe moves members of one stripe out of over-full racks until no rack
-// holds more than c of them. It re-fetches the stripe metadata every round:
-// Stripe returns a snapshot, and each relocation changes the authoritative
-// layout the next round must see.
-func (r *RaidNode) fixStripe(ctx context.Context, id topology.StripeID) (moved int, movedBytes int64, err error) {
-	c := r.c
 	for {
-		sm, err := c.nn.Stripe(id)
-		if err != nil {
-			return moved, movedBytes, err
-		}
-		used, rackCount, err := c.stripeOccupancy(sm)
-		if err != nil {
-			return moved, movedBytes, err
-		}
-		pos, from, err := c.crowdedMember(sm, rackCount)
-		if err != nil {
-			return moved, movedBytes, err
-		}
-		if pos < 0 {
-			for _, cnt := range rackCount {
-				if cnt > c.maxPerRack() {
-					return moved, movedBytes, fmt.Errorf("hdfs: stripe %d: an over-full rack holds no sole copy to move", id)
-				}
+		loop := &stageLoop{c: c}
+		var moves []func() error
+		for _, id := range bad {
+			sm, err := c.nn.Stripe(id)
+			if err != nil {
+				return moved, movedBytes, err
 			}
+			used, rackCount, err := c.stripeOccupancy(sm)
+			if err != nil {
+				return moved, movedBytes, err
+			}
+			pos, from, err := c.crowdedMember(sm, rackCount)
+			if err != nil {
+				return moved, movedBytes, err
+			}
+			if pos < 0 {
+				continue
+			}
+			target, err := c.pickTarget(id, used, rackCount, nil)
+			if err != nil {
+				return moved, movedBytes, err
+			}
+			moves = append(moves, func() error {
+				return c.relocateMember(ctx, loop, sm, pos, from, target, func() {
+					moved++
+					movedBytes += int64(c.cfg.BlockSizeBytes)
+				})
+			})
+		}
+		if len(moves) == 0 {
 			return moved, movedBytes, nil
 		}
-		target, err := c.pickTarget(id, used, rackCount, nil)
+		err := loop.run(ctx, len(moves), func(i int) error { return moves[i]() })
+		loop.close()
 		if err != nil {
 			return moved, movedBytes, err
 		}
-		if err := c.relocateMember(ctx, sm, pos, from, target); err != nil {
-			return moved, movedBytes, err
-		}
-		moved++
-		movedBytes += int64(c.cfg.BlockSizeBytes)
 	}
 }
 
 // crowdedMember returns the lowest position of the stripe (data before
 // parity) whose only live copy sits in a rack holding more than c of the
-// stripe's members, and the node holding it; the position is -1 when there is
-// none. The same state always names the same member.
+// stripe's members, and the node holding it. The position is -1 when no rack
+// is over-full; an over-full rack that holds no such copy is an error. The
+// same state always names the same member.
 func (c *Cluster) crowdedMember(sm *StripeMeta, rackCount map[topology.RackID]int) (int, topology.NodeID, error) {
 	for pos := 0; pos < c.cfg.N; pos++ {
 		live, _, err := c.posHolders(sm, pos, nil)
@@ -599,33 +572,44 @@ func (c *Cluster) crowdedMember(sm *StripeMeta, rackCount map[topology.RackID]in
 			return pos, live[0], nil
 		}
 	}
+	for _, cnt := range rackCount {
+		if cnt > c.maxPerRack() {
+			return -1, 0, fmt.Errorf("hdfs: stripe %d: an over-full rack holds no sole copy to move", sm.Info.ID)
+		}
+	}
 	return -1, 0, nil
 }
 
-// relocateMember moves member pos of the stripe from its only holder to
-// target, the BlockMover's relocation: a rebuild at the target (rebuildMember —
-// while the source copy reads clean the fold is a copy of it through the
-// source's disk and the network, and a corrupt one is rebuilt from the rest of
-// the stripe instead of failing the pass), the ReplicaRelocated event, and,
-// only now that the NameNode names the new holder, the delete of the copy it
-// moved away from. An error before the metadata commit leaves the source copy
-// the recorded one.
-func (c *Cluster) relocateMember(ctx context.Context, sm *StripeMeta, pos int, from, target topology.NodeID) error {
-	if _, err := c.rebuildMember(ctx, sm, pos, target); err != nil {
-		return err
-	}
-	ev := events.New(events.ReplicaRelocated, "blockmover")
-	ev.Stripe, ev.Node, ev.Peer = sm.Info.ID, from, target
-	ev.Bytes = int64(c.cfg.BlockSizeBytes)
-	if pos < c.cfg.K {
-		ev.Block = sm.Info.Blocks[pos]
-	} else {
-		ev.Detail = "parity"
-	}
-	c.Journal().Publish(ev)
-	dn, err := c.DataNodeOf(from)
-	if err != nil {
-		return err
-	}
-	return dn.Store.Delete(c.memberKey(sm, pos))
+// relocateMember admits to the loop the BlockMover's move of member pos of
+// the stripe from its only holder to target: a rebuild at the target
+// (rebuildMember — while the source copy reads clean the fold is a copy of it
+// through the source's disk and the network, and a corrupt one is rebuilt from
+// the rest of the stripe instead of failing the pass), then the
+// ReplicaRelocated event and, only now that the NameNode names the new holder,
+// the delete of the copy it moved away from, after which moved runs. An error
+// before the metadata commit leaves the source copy the recorded one.
+func (c *Cluster) relocateMember(ctx context.Context, loop *stageLoop, sm *StripeMeta, pos int, from, target topology.NodeID, moved func()) error {
+	return c.rebuildMember(ctx, loop, sm, pos, target, func() {}, func(_ chainLedger, err error) error {
+		if err != nil {
+			return err
+		}
+		ev := events.New(events.ReplicaRelocated, "blockmover")
+		ev.Stripe, ev.Node, ev.Peer = sm.Info.ID, from, target
+		ev.Bytes = int64(c.cfg.BlockSizeBytes)
+		if pos < c.cfg.K {
+			ev.Block = sm.Info.Blocks[pos]
+		} else {
+			ev.Detail = "parity"
+		}
+		c.Journal().Publish(ev)
+		dn, err := c.DataNodeOf(from)
+		if err != nil {
+			return err
+		}
+		if err := dn.Store.Delete(c.memberKey(sm, pos)); err != nil {
+			return err
+		}
+		moved()
+		return nil
+	})
 }

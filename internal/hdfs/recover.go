@@ -1,19 +1,19 @@
 package hdfs
 
-// Parallel full-node recovery. When a DataNode dies, every encoded stripe
-// that kept a member there needs one reconstruction — hundreds of
-// independent repairs whose aggregate wall time is what the durability
-// exposure window actually measures. Following the deterministic-recovery
-// observation (D3: deterministic data distribution turns recovery into a
-// balanced parallel job), RecoverNode enumerates the lost members, assigns
-// every repair a target with a deterministic least-loaded-first rule balanced
-// across surviving racks and nodes (pickTarget), fans the repairs out through
-// a bounded workgroup, and plans again from what they left until nothing it
-// can fix is lost. Each repair folds its decode row along the chain
-// (reconstructInto) and publishes the usual RepairStarted/RepairFinished
+// Full-node recovery. When a DataNode dies, every encoded stripe that kept a
+// member there needs one reconstruction — hundreds of independent repairs
+// whose aggregate wall time is what the durability exposure window actually
+// measures. Following the deterministic-recovery observation (D3:
+// deterministic data distribution turns recovery into a balanced parallel
+// job), RecoverNode enumerates the lost members, assigns every repair a
+// target with a deterministic least-loaded-first rule balanced across
+// surviving racks and nodes (pickTarget), folds a round's repairs in one
+// stage loop on the sweep's goroutine, in plan order and sharing each node's
+// read-ahead, and plans again from what they left until nothing it can fix is
+// lost. Each repair folds its decode row along the chain (rebuildMember),
+// commits as its fold ends and publishes the usual RepairStarted/Finished
 // lifecycle, so the progress tracker folds the sweep into the
-// durability-exposure ledger; NodeRecoveryStarted/Finished bracket the whole
-// sweep.
+// durability-exposure ledger; NodeRecoveryStarted/Finished bracket the sweep.
 
 import (
 	"context"
@@ -21,18 +21,13 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"ear/internal/events"
 	"ear/internal/telemetry"
 	"ear/internal/tenant"
 	"ear/internal/topology"
-	"ear/internal/workgroup"
 )
-
-// recoverFanIn bounds how many block repairs RecoverNode runs concurrently.
-const recoverFanIn = 8
 
 // RecoveryStats summarizes one full-node recovery sweep.
 type RecoveryStats struct {
@@ -116,7 +111,7 @@ func (c *Cluster) stripeOccupancy(sm *StripeMeta) (map[topology.NodeID]bool, map
 // pickTarget chooses the node that takes a member of the stripe, given the
 // stripe's occupancy (stripeOccupancy): the one answer to "which node takes
 // this member" under repair (RepairBlockCtx), node recovery (planNodeRecovery)
-// and the BlockMover (fixStripe). A node is eligible when it is live, not in
+// and the BlockMover (BlockMoverCtx). A node is eligible when it is live, not in
 // used, and in a rack holding fewer than c members of the stripe; among the
 // eligible the least (load on the node, load on its rack, rack holds no member
 // of the stripe, ring distance from node stripe mod nodes) wins. load counts
@@ -222,11 +217,11 @@ func (c *Cluster) planNodeRecovery(dead topology.NodeID) (tasks []recoverTask, s
 
 // RecoverNode reconstructs every stripe member lost with the dead node, which
 // must already be marked dead (MarkDead). It plans what is still lost
-// (planNodeRecovery), fans the repairs out with recoverFanIn workers, and
-// plans again from the state they left, until a round finds nothing left or
-// repairs nothing, or ctx ends: a repair whose target died under it commits
-// nothing (rebuildMember) and the next round gives its member another target.
-// Each repair commits with staged Puts and publishes its own lifecycle events,
+// (planNodeRecovery), folds them in one round (repairAll), and plans again
+// from the state they left, until a round finds nothing left or repairs
+// nothing, or ctx ends: a repair whose target died under it commits nothing
+// (commitMember) and the next round gives its member another target. Each
+// repair commits with staged Puts and publishes its own lifecycle events,
 // so a failed or canceled sweep leaves every completed repair durable and
 // every unfinished one uncommitted — rerunning RecoverNode picks up exactly the
 // remainder. A repair that fails (a stripe with more erasures than parity)
@@ -259,7 +254,7 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 	repaired := 0
 	for len(tasks) > 0 {
 		before := repaired
-		errs = append(errs, c.repairAll(ctx, tasks, &stats)...)
+		errs = append(errs, c.repairAll(ctx, tasks, &stats))
 		repaired = stats.BlocksRepaired + stats.ParityRepaired
 		if repaired == before || ctx.Err() != nil {
 			break
@@ -275,68 +270,65 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 	return stats, errors.Join(errs...)
 }
 
-// repairAll runs one round of a sweep: the planned repairs through recoverFanIn
-// workers, each success folded into stats, the failures returned. A failure
-// stops no sibling; a canceled ctx starts no further repair and is reported
-// once.
-func (c *Cluster) repairAll(ctx context.Context, tasks []recoverTask, stats *RecoveryStats) (failed []error) {
-	var mu sync.Mutex
-	var g workgroup.Group
-	g.SetLimit(recoverFanIn)
-	for _, t := range tasks {
-		t := t
-		// Go blocks while every worker is busy, so this sees a cancellation
-		// within one repair.
+// repairAll runs one round of a sweep: the planned repairs admitted in plan
+// order to one stage loop, each folded into stats as it commits, the failures
+// returned joined. A failed repair stops no sibling; a canceled ctx ends the
+// round and is reported once.
+func (c *Cluster) repairAll(ctx context.Context, tasks []recoverTask, stats *RecoveryStats) error {
+	loop := &stageLoop{c: c}
+	defer loop.close()
+	var failed []error
+	fail := func(err error) error {
 		if ctx.Err() != nil {
-			mu.Lock()
-			failed = append(failed, context.Cause(ctx))
-			mu.Unlock()
-			break
+			return err
 		}
-		g.Go(func() error {
-			ledger, err := c.repairMember(ctx, t.sm, t.pos, t.target)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				failed = append(failed, err)
-				return nil
-			}
-			if t.pos < c.cfg.K {
-				stats.BlocksRepaired++
-			} else {
-				stats.ParityRepaired++
-			}
-			stats.BytesRepaired += int64(c.cfg.BlockSizeBytes)
-			stats.CrossRackBytes += int64((ledger.crossHops + ledger.crossDeliveries) * c.cfg.BlockSizeBytes)
-			stats.TotalBytes += int64((ledger.hops + ledger.deliveries) * c.cfg.BlockSizeBytes)
-			return nil
-		})
+		failed = append(failed, err)
+		return nil
 	}
-	_ = g.Wait() // the tasks report through failed
-	return failed
+	if err := loop.run(ctx, len(tasks), func(i int) error { return c.repairMember(ctx, loop, tasks[i], stats, fail) }); err != nil {
+		failed = append(failed, err)
+	}
+	return errors.Join(failed...)
 }
 
-// rebuildMember puts member pos of encoded stripe sm on target and makes it
-// durable there, the one way a stripe member changes holder — repair, node
-// recovery and the BlockMover all end here. The member is reconstructed along
-// the chain into a pooled buffer (reconstructInto: a copy from a holder while
-// one can serve it, a decode from the survivors otherwise), stored only after
-// the whole fold succeeded, and only then, if the target is still alive, named
-// by the NameNode, so a failed or canceled rebuild or one whose target died
-// commits nothing and a reader never finds the metadata ahead of the bytes.
-// Whatever the member's earlier holders still store stays theirs to delete,
-// after this returns.
-func (c *Cluster) rebuildMember(ctx context.Context, sm *StripeMeta, pos int, target topology.NodeID) (chainLedger, error) {
-	// The store keeps its own copy on Put, so the buffer is recycled on return.
+// rebuildMember admits to the loop the fold that puts member pos of encoded
+// stripe sm on target, the one way a stripe member changes holder — repair,
+// node recovery and the BlockMover all end here. The member is rebuilt along
+// the chain into a pooled buffer (rebuildStages) and committed at the run's
+// end (commitMember), so a failed or canceled rebuild commits nothing. done
+// gets the fold's ledger and the error of the plan, admission or commit (nil
+// once committed) and returns the admission's or the run's error; whatever
+// the earlier holders store is done's to delete. release runs with the run's.
+func (c *Cluster) rebuildMember(ctx context.Context, loop *stageLoop, sm *StripeMeta, pos int, target topology.NodeID, release func(), done func(chainLedger, error) error) error {
+	// The store keeps its own copy on Put, so the buffer goes back to the pool
+	// with the run.
 	buf := c.bufPool.Get(c.cfg.BlockSizeBytes)
-	defer c.bufPool.Put(buf)
-	ledger, err := c.reconstructInto(ctx, sm, pos, target, buf)
-	if err != nil {
-		return chainLedger{}, err
+	end := func() {
+		c.bufPool.Put(buf)
+		release()
 	}
+	stages, err := c.rebuildStages(sm, pos, target, buf)
+	var run *stageRun
+	if err == nil {
+		run, err = loop.admit(ctx, stages, target, hopSpans(ctx, sm.Info.ID))
+	}
+	if err != nil {
+		end()
+		return done(chainLedger{}, err)
+	}
+	run.release = end
+	run.finish = func() error {
+		return done(c.foldLedger(stages, run.start, run.end), c.commitMember(sm, pos, target, buf))
+	}
+	return nil
+}
+
+// commitMember stores rebuilt member pos of stripe sm on target, then has the
+// NameNode name the target if it is still alive: metadata never leads bytes.
+func (c *Cluster) commitMember(sm *StripeMeta, pos int, target topology.NodeID, buf []byte) error {
 	dn, err := c.DataNodeOf(target)
 	if err != nil {
-		return chainLedger{}, err
+		return err
 	}
 	// The target holds no live member of the stripe, so anything stored under
 	// the key is a stale copy from before the node last died; this one
@@ -344,37 +336,35 @@ func (c *Cluster) rebuildMember(ctx context.Context, sm *StripeMeta, pos int, ta
 	key := c.memberKey(sm, pos)
 	_ = dn.Store.Delete(key)
 	if err := dn.Store.Put(key, buf); err != nil {
-		return chainLedger{}, err
+		return err
 	}
 	// The target may have died since it was picked, under the fold or before
 	// it: a dead node is never named a holder. Whoever picked it picks again.
 	if c.nn.IsDead(target) {
 		_ = dn.Store.Delete(key)
-		return chainLedger{}, fmt.Errorf("stripe %d position %d: target node %d died before the rebuilt member was committed", sm.Info.ID, pos, target)
+		return fmt.Errorf("stripe %d position %d: target node %d died before the rebuilt member was committed", sm.Info.ID, pos, target)
 	}
 	if pos < c.cfg.K {
-		err = c.nn.UpdateBlockLocation(sm.Info.Blocks[pos], []topology.NodeID{target})
-	} else {
-		err = c.nn.UpdateParityLocation(sm.Info.ID, pos-c.cfg.K, target)
+		return c.nn.UpdateBlockLocation(sm.Info.Blocks[pos], []topology.NodeID{target})
 	}
-	return ledger, err
+	return c.nn.UpdateParityLocation(sm.Info.ID, pos-c.cfg.K, target)
 }
 
-// repairMember rebuilds lost member pos of stripe sm onto target (rebuildMember)
-// and adds what is repair's own: the raidnode.repair-block / repair-parity
-// span, the RepairStarted/RepairFinished lifecycle, the events that retire the
-// member's earlier holders, repair telemetry and the tenant charge. Events of
-// a parity row carry Detail "parity" and no Block. It returns the repair's
-// network transfers.
-func (c *Cluster) repairMember(ctx context.Context, sm *StripeMeta, pos int, target topology.NodeID) (chainLedger, error) {
+// repairMember admits to the loop the rebuild of lost member t.pos of stripe
+// t.sm onto t.target (rebuildMember) and adds what is repair's own: the
+// raidnode.repair-block / repair-parity span, which ends with the run, the
+// RepairStarted/RepairFinished lifecycle, the events that retire the member's
+// earlier holders, repair telemetry, the tenant charge and the repair's share
+// of stats. Events of a parity row carry Detail "parity" and no Block. A
+// failure goes to fail, whose error ends the loop.
+func (c *Cluster) repairMember(ctx context.Context, loop *stageLoop, t recoverTask, stats *RecoveryStats, fail func(error) error) error {
 	t0 := time.Now()
-	if m := c.metrics(); m != nil {
-		defer func() { m.repairLat.Observe(time.Since(t0).Seconds()) }()
-	}
+	sm, pos := t.sm, t.pos
 	// Repair is background work with no requester context: run it under the
-	// member's recorded owner, so the fabric charges every survivor read and
-	// partial-sum hop to that tenant at the same accounting point as any
-	// foreground stream, and the op charge below matches. A parity row belongs
+	// member's recorded owner, so the fabric charges every partial-sum hop, and
+	// the survivor reads of any disk stream the repair opens for its loop, to
+	// that tenant at the same accounting point as any foreground stream, and
+	// the op charge below matches. A parity row belongs
 	// to the stripe, not to one block: it goes to the owner of the stripe's
 	// first member, the tenant whose data the row protects.
 	var span *telemetry.Span
@@ -388,43 +378,64 @@ func (c *Cluster) repairMember(ctx context.Context, sm *StripeMeta, pos int, tar
 		span.Arg("stripe", strconv.FormatInt(int64(sm.Info.ID), 10)).
 			Arg("row", strconv.Itoa(pos-c.cfg.K))
 	}
-	defer span.End()
+	m := c.metrics()
+	end := func() {
+		span.End()
+		if m != nil {
+			m.repairLat.Observe(time.Since(t0).Seconds())
+		}
+	}
 	ctx = tenant.NewContext(ctx, c.acct.Owner(owner))
 	old, err := c.recordedHolders(sm, pos)
 	if err != nil {
-		return chainLedger{}, err
+		end()
+		return fail(err)
 	}
 	size := int64(c.cfg.BlockSizeBytes)
-	publish := func(t events.Type, node, peer topology.NodeID, bytes int64) {
-		ev := events.New(t, "raidnode")
+	publish := func(typ events.Type, node, peer topology.NodeID, bytes int64) {
+		ev := events.New(typ, "raidnode")
 		ev.Block, ev.Stripe, ev.Node, ev.Peer = block, sm.Info.ID, node, peer
 		ev.Bytes, ev.Detail = bytes, detail
 		ev.Trace = telemetry.TraceFromContext(ctx)
 		c.Journal().Publish(ev)
 	}
-	publish(events.RepairStarted, target, events.NoneNode, 0)
-	ledger, err := c.rebuildMember(ctx, sm, pos, target)
-	if err != nil {
-		return chainLedger{}, err
-	}
-	publish(events.RepairFinished, target, events.NoneNode, size)
-	// The repair supersedes the member's prior locations (typically a dead
-	// node's): retire them in the journal so stream-tracking models converge
-	// on the post-repair layout — a data replica is deleted, a parity row moves
-	// holder (the auditor rewrites its parity map on this, same as a BlockMover
-	// relocation). Published after RepairFinished, so the modeled replica count
-	// never dips below one on a successful repair.
-	for _, n := range old {
-		if n == target {
-			continue
+	publish(events.RepairStarted, t.target, events.NoneNode, 0)
+	return c.rebuildMember(ctx, loop, sm, pos, t.target, end, func(ledger chainLedger, err error) error {
+		if err != nil {
+			return fail(err)
 		}
+		publish(events.RepairFinished, t.target, events.NoneNode, size)
+		// The repair supersedes the member's prior locations (typically a dead
+		// node's): retire them in the journal so stream-tracking models
+		// converge on the post-repair layout — a data replica is deleted, a
+		// parity row moves holder (the auditor rewrites its parity map on this,
+		// same as a BlockMover relocation). Published after RepairFinished, so
+		// the modeled replica count never dips below one on a successful
+		// repair.
+		for _, n := range old {
+			if n == t.target {
+				continue
+			}
+			if pos < c.cfg.K {
+				publish(events.ReplicaDeleted, n, events.NoneNode, 0)
+			} else {
+				publish(events.ReplicaRelocated, n, t.target, size)
+			}
+		}
+		cross := int64((ledger.crossHops + ledger.crossDeliveries) * c.cfg.BlockSizeBytes)
+		if m != nil {
+			m.repairCross.Add(float64(cross))
+			m.repairMBps.Observe(recoveryThroughputMBps(size, time.Since(t0)))
+		}
+		c.acct.Charge(tenant.FromContext(ctx), "repair", 1, size)
 		if pos < c.cfg.K {
-			publish(events.ReplicaDeleted, n, events.NoneNode, 0)
+			stats.BlocksRepaired++
 		} else {
-			publish(events.ReplicaRelocated, n, target, size)
+			stats.ParityRepaired++
 		}
-	}
-	c.observeRepair(ledger, time.Since(t0))
-	c.acct.Charge(tenant.FromContext(ctx), "repair", 1, size)
-	return ledger, nil
+		stats.BytesRepaired += size
+		stats.CrossRackBytes += cross
+		stats.TotalBytes += int64((ledger.hops + ledger.deliveries) * c.cfg.BlockSizeBytes)
+		return nil
+	})
 }
