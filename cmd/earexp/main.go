@@ -24,7 +24,6 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"syscall"
 	"time"
 
 	exp "ear/internal/experiments"
@@ -206,7 +205,12 @@ var catalog = []experiment{
 		}
 		err := exp.RunCrashRun(opts, func() error {
 			slog.Info("first stripe encoded; killing the process mid-transition")
-			return syscall.Kill(syscall.Getpid(), syscall.SIGKILL)
+			// Process.Kill is SIGKILL on Unix, so the shell sees exit 137.
+			self, err := os.FindProcess(os.Getpid())
+			if err != nil {
+				return err
+			}
+			return self.Kill()
 		})
 		if err == nil { // a kill that returns was not delivered
 			err = errors.New("crash run phase survived its own SIGKILL")

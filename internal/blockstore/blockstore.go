@@ -57,43 +57,58 @@ func (k Key) String() string { return fmt.Sprintf("%s/%d", k.Kind, k.ID) }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-type entry struct {
+// Sealed is a block the stores may hold: a private copy of the bytes, never
+// written again, and its checksum. Only Seal makes one, so no caller's slice
+// ever becomes a stored block, and any number of stores may adopt the same
+// Sealed block, sharing its bytes.
+type Sealed struct {
 	data []byte
 	sum  uint32
+}
+
+// Seal copies data and checksums the copy, outside any store's lock.
+func Seal(data []byte) Sealed {
+	cp := append([]byte(nil), data...)
+	return Sealed{data: cp, sum: crc32.Checksum(cp, castagnoli)}
 }
 
 // Store is a thread-safe in-memory block store.
 type Store struct {
 	mu      sync.RWMutex
-	entries map[Key]entry
+	entries map[Key]Sealed
 	bytes   int64
 }
 
 // New returns an empty store.
 func New() *Store {
-	return &Store{entries: make(map[Key]entry)}
+	return &Store{entries: make(map[Key]Sealed)}
 }
 
-// Put stores a copy of data under key, the only copy the store makes: the
-// stored bytes are never written again. It returns ErrExists if the key is
-// already present.
+// Put stores a copy of data under key: Adopt of Seal(data). It returns
+// ErrExists if the key is already present.
 func (s *Store) Put(key Key, data []byte) error {
+	return s.Adopt(key, Seal(data))
+}
+
+// Adopt stores the sealed block under key without a copy; stores that adopt
+// the same block share its bytes, and each counts them in Bytes. It returns
+// ErrExists if the key is already present.
+func (s *Store) Adopt(key Key, b Sealed) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.entries[key]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, key)
 	}
-	cp := append([]byte(nil), data...)
-	s.entries[key] = entry{data: cp, sum: crc32.Checksum(cp, castagnoli)}
-	s.bytes += int64(len(cp))
+	s.entries[key] = b
+	s.bytes += int64(len(b.data))
 	return nil
 }
 
 // View returns the stored block itself, its checksum verified, without a
 // copy. The slice is read-only and stays valid after the block is deleted or
-// corrupted: the store never writes a slice once Put has stored it (Corrupt
-// swaps in a flipped copy), so a view is safe to read from any goroutine for
-// as long as the caller keeps it.
+// corrupted: no store writes a sealed block's bytes (Corrupt swaps in a
+// flipped copy), so a view is safe to read from any goroutine for as long as
+// the caller keeps it.
 func (s *Store) View(key Key) ([]byte, error) {
 	s.mu.RLock()
 	e, ok := s.entries[key]
@@ -206,6 +221,6 @@ func (s *Store) Keys() []Key {
 func (s *Store) Clear() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries = make(map[Key]entry)
+	s.entries = make(map[Key]Sealed)
 	s.bytes = 0
 }

@@ -53,6 +53,42 @@ func TestPutDuplicate(t *testing.T) {
 	}
 }
 
+// TestAdoptSharesSealedBlock: stores that adopt one sealed block share its
+// bytes, which are not the sealed slice's, count them each, refuse a second
+// adoption under a key and keep a corrupted store's neighbours clean.
+func TestAdoptSharesSealedBlock(t *testing.T) {
+	data := []byte("one copy for every replica")
+	b := Seal(data)
+	data[0] = 'X'
+	key := Key{ID: 3, Kind: Data}
+	a, c := New(), New()
+	for _, s := range []*Store{a, c} {
+		if err := s.Adopt(key, b); err != nil {
+			t.Fatal(err)
+		}
+		if s.Bytes() != int64(len(data)) {
+			t.Errorf("Bytes = %d, want %d", s.Bytes(), len(data))
+		}
+	}
+	if err := a.Adopt(key, b); !errors.Is(err, ErrExists) {
+		t.Errorf("second Adopt error = %v", err)
+	}
+	va, _ := a.View(key)
+	vc, _ := c.View(key)
+	if &va[0] != &vc[0] || &va[0] == &data[0] || va[0] != 'o' {
+		t.Fatal("adopting stores do not share the sealed copy")
+	}
+	if err := a.Corrupt(key); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.View(key); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("corrupted View error = %v", err)
+	}
+	if v, err := c.View(key); err != nil || string(v) != "one copy for every replica" {
+		t.Errorf("neighbour's View after Corrupt = %q, %v", v, err)
+	}
+}
+
 func TestGetMissing(t *testing.T) {
 	s := New()
 	if _, err := s.Get(Key{ID: 404, Kind: Data}); !errors.Is(err, ErrNotFound) {

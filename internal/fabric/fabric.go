@@ -535,16 +535,41 @@ func (f *Fabric) path(src, dst topology.NodeID) ([]*Link, bool, error) {
 }
 
 // SleepUntil blocks until the instant t or until the context is done,
-// returning the context's error in the latter case. It is the one function
-// the data path sleeps in: a Stream books bytes and reports when they arrive,
-// and whoever needs them sleeps here until then.
+// returning the context's error in the latter case. It and SleepUntilExact
+// are the functions the data path sleeps in: a Stream books bytes and reports
+// when they arrive, and whoever needs them sleeps here until then. It may
+// oversleep: an idle Go process waits for its timers in whole milliseconds of
+// the netpoller, so a wait ends up to a millisecond late, which a caller that
+// books ahead of its arrivals or back-dates its bookings absorbs.
 func SleepUntil(ctx context.Context, t time.Time) error {
+	return sleepUntil(ctx, t, false)
+}
+
+// SleepUntilExact is SleepUntil for a wait whose end a caller is timing, the
+// last arrival of an operation: it ends within tens of microseconds of t
+// instead of up to a millisecond late. It waits on the same Go timer, never
+// returning before t; on Linux it also arms a timerfd registered with the
+// runtime's poller for the same instant (wake_linux.go), which wakes the
+// poller on time so that the runtime fires the timer then. Without a timerfd
+// it is SleepUntil. Each exact wait costs a few system calls, so the data
+// path keeps it for the waits that end an operation.
+func SleepUntilExact(ctx context.Context, t time.Time) error {
+	return sleepUntil(ctx, t, true)
+}
+
+// sleepUntil is SleepUntil, and SleepUntilExact when exact is set.
+func sleepUntil(ctx context.Context, t time.Time, exact bool) error {
 	d := time.Until(t)
 	if d <= 0 {
 		return ctx.Err()
 	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
+	if exact {
+		if w := armWake(t); w != nil {
+			defer w.release()
+		}
+	}
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
@@ -723,15 +748,16 @@ func (s *Stream) bookChunk(ctx context.Context, c int, ready time.Time) (time.Ti
 }
 
 // Send shapes n payload bytes through the stream, blocking until they have
-// arrived. It returns the context's error if canceled mid-flight; see Book
-// for what stays booked.
+// arrived, and wakes on time when they have (SleepUntilExact). It returns the
+// context's error if canceled mid-flight; see Book for what stays booked.
 func (s *Stream) Send(ctx context.Context, n int) error {
 	arrival, err := s.Book(ctx, n, time.Time{})
 	if err != nil {
 		return err
 	}
-	// Zero-byte sends still honor cancellation: SleepUntil reports it.
-	if err := SleepUntil(ctx, arrival); err != nil {
+	// The wait the caller times, so it wakes on time. Zero-byte sends still
+	// honor cancellation: the sleep reports it.
+	if err := SleepUntilExact(ctx, arrival); err != nil {
 		return err
 	}
 	s.mu.Lock()

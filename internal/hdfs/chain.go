@@ -369,15 +369,16 @@ func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topo
 // window allows; a step whose stream is full waits for the instant
 // Stream.Room names as a step of its own, so no Book blocks and one full
 // stream never stalls the rest of the loop. The loop takes the earliest step
-// and sleeps until that instant plus phase. At one instant read-ahead steps
-// run before stage steps and stages in admission order, then in list order,
-// so rows that share a link book it in row order, and a job's map tasks,
-// whose loops start together, book a shared link in the order of their
-// phases. While no step is overdue, the loop calls admit(i) for its items i
-// = 0..n-1 in turn to admit their runs; on a fake clock, where the host takes
-// no time, every run is admitted before the first booking. A run whose last
-// stage has forwarded its last slice ends at once (finish). The first error
-// ends the loop.
+// and sleeps until that instant plus phase: on time (fabric.SleepUntilExact)
+// before the step that ends a run, up to the host's timer tick late before
+// any other. At one instant read-ahead steps run before stage steps and
+// stages in admission order, then in list order, so rows that share a link
+// book it in row order, and a job's map tasks, whose loops start together,
+// book a shared link in the order of their phases. While no step is overdue,
+// the loop calls admit(i) for its items i = 0..n-1 in turn to admit their
+// runs; on a fake clock, where the host takes no time, every run is admitted
+// before the first booking. A run whose last stage has forwarded its last
+// slice ends at once (finish). The first error ends the loop.
 func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) error) error {
 	blockSize := l.c.cfg.BlockSizeBytes
 	l.observe, _ = ctx.Value(readAheadKey{}).(func(topology.NodeID, *stageRun, int))
@@ -409,7 +410,15 @@ func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) error) err
 		if idle {
 			return nil
 		}
-		if err := fabric.SleepUntil(ctx, at.Add(l.phase)); err != nil {
+		// A step that ends its run is the end of a write, a degraded read or a
+		// fold's commit, which a caller times: it wakes on time. Every other
+		// step's forward is back-dated to its inputs, which absorbs an
+		// oversleep.
+		sleep := fabric.SleepUntil
+		if run != nil && run.left == 1 && run.stages[run.next].done == run.nSlices-1 {
+			sleep = fabric.SleepUntilExact
+		}
+		if err := sleep(ctx, at.Add(l.phase)); err != nil {
 			return err
 		}
 		if r != nil {

@@ -123,12 +123,13 @@ func (c *Cluster) publishReplicaWritten(ctx context.Context, id topology.BlockID
 // replicate streams the block down the replication chain: a stage run whose
 // head is the client holding the caller's bytes, followed by one stage per
 // replica that receives them and forwards them to the next. The stages share
-// the caller's bytes, which no stage writes; each replica's store copies them
-// on Put, the only copy the write makes. A replica on the node it
+// the caller's bytes, which no stage writes. A replica on the node it
 // receives from (the writer's own copy) is a disk stream beside that node's
 // forward, so the next replica receives from the same stage. Replicas are
-// committed to their stores only after the whole run succeeded, so a failed or
-// canceled write leaves nothing behind.
+// committed to their stores only after the whole run succeeded, so a failed
+// or canceled write leaves nothing behind: the block is sealed then, the one
+// copy and the one checksum the write makes, and every replica's store adopts
+// that copy, never the caller's slice.
 func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *BlockMeta, data []byte) error {
 	if len(meta.Nodes) == 0 {
 		return fmt.Errorf("%w: block %d placed on no nodes", ErrNoReplica, meta.ID)
@@ -160,12 +161,13 @@ func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *B
 	if m := c.metrics(); m != nil {
 		m.pipeFill.Observe(replicas[len(replicas)-1].tFirst.Sub(start).Seconds())
 	}
+	block := blockstore.Seal(data)
 	for _, st := range replicas {
 		dn, err := c.DataNodeOf(st.node)
 		if err != nil {
 			return err
 		}
-		if err := dn.Store.Put(DataKey(meta.ID), data); err != nil {
+		if err := dn.Store.Adopt(DataKey(meta.ID), block); err != nil {
 			return fmt.Errorf("replica on node %d: %w", st.node, err)
 		}
 		c.publishReplicaWritten(ctx, meta.ID, st.node, len(data))

@@ -3,10 +3,13 @@ package hdfs
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	"ear/internal/blockstore"
 	"ear/internal/topology"
 )
 
@@ -65,6 +68,86 @@ func TestPipelinedWriteMatchesPayload(t *testing.T) {
 					f.CrossRackBytes, f.IntraRackBytes, wantCross, wantIntra)
 			}
 		})
+	}
+}
+
+// TestWriteStoresOneBuffer: a write seals one copy of the caller's block and
+// every replica's store adopts it. At r = 2 and r = 3, under both policies,
+// every replica's view shares one backing array that is not the caller's, so
+// overwriting the caller's slice afterwards changes no replica; corrupting one
+// replica leaves the others' views clean; and each store still counts the
+// block in its Bytes.
+func TestWriteStoresOneBuffer(t *testing.T) {
+	for _, policy := range []string{"rr", "ear"} {
+		for _, r := range []int{2, 3} {
+			t.Run(fmt.Sprintf("%s/r=%d", policy, r), func(t *testing.T) {
+				cfg := testConfig(policy)
+				cfg.Replicas = r
+				c := newCluster(t, cfg)
+				data := make([]byte, cfg.BlockSizeBytes)
+				rand.New(rand.NewSource(int64(r))).Read(data)
+				want := bytes.Clone(data)
+				id, err := c.WriteBlock(1, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				meta, err := c.NameNode().Block(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(meta.Nodes) != r {
+					t.Fatalf("block %d placed on %v, want %d replicas", id, meta.Nodes, r)
+				}
+				stores := make([]*blockstore.Store, r)
+				for i, n := range meta.Nodes {
+					dn, err := c.DataNodeOf(n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					stores[i] = dn.Store
+					v, err := dn.Store.View(DataKey(id))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if &v[0] == &data[0] {
+						t.Fatalf("replica %d on node %d holds the caller's slice", i, n)
+					}
+					if first, _ := stores[0].View(DataKey(id)); &v[0] != &first[0] {
+						t.Errorf("replica %d on node %d holds a buffer of its own, not the write's one copy", i, n)
+					}
+				}
+				for i := range data {
+					data[i] = ^data[i]
+				}
+				for i, st := range stores {
+					if v, err := st.View(DataKey(id)); err != nil || !bytes.Equal(v, want) {
+						t.Errorf("replica %d changed with the caller's slice (err %v)", i, err)
+					}
+				}
+				var stored int64
+				for n := 0; n < c.Topology().Nodes(); n++ {
+					dn, err := c.DataNodeOf(topology.NodeID(n))
+					if err != nil {
+						t.Fatal(err)
+					}
+					stored += dn.Store.Bytes()
+				}
+				if stored != int64(r*cfg.BlockSizeBytes) {
+					t.Errorf("stores count %d bytes, want %d replicas of %d", stored, r, cfg.BlockSizeBytes)
+				}
+				if err := stores[0].Corrupt(DataKey(id)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := stores[0].View(DataKey(id)); !errors.Is(err, blockstore.ErrCorrupt) {
+					t.Errorf("corrupted replica's view: %v, want %v", err, blockstore.ErrCorrupt)
+				}
+				for i, st := range stores[1:] {
+					if v, err := st.View(DataKey(id)); err != nil || !bytes.Equal(v, want) {
+						t.Errorf("replica %d no longer clean after replica 0 was corrupted (err %v)", i+1, err)
+					}
+				}
+			})
+		}
 	}
 }
 
