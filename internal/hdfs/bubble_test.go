@@ -6,12 +6,17 @@ package hdfs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/synctest"
@@ -55,41 +60,110 @@ func heldTo(t *testing.T, what string, ops int, model, _ time.Duration, op func(
 		t.Errorf("%s took %v, want the model's %v (off by %v)", what, first, model, d)
 	}
 	t.Logf("%s took %v on each of %d runs, model %v", what, first, ops, model)
+	designTime(t, what, first, model)
 }
 
-// TestLifecycleRepeats runs the benchmark's lifecycle twice in one process:
-// the same bytes (each run reads every block back against its seeded
-// payload) and, for every phase, the same virtual duration. Every plan, task
-// preference and repair target is a function of (seed, what it is for), so
-// the layouts repeat. The encode runs four map tasks at once, and streams
-// that book a link at the same virtual instant are ordered by whoever books
-// first; the chain engine removes those ties within a loop, which takes its
-// steps in a fixed order (all of a map task's folds run in one loop), and
-// every step of a map task's loop sleeps a phase keyed by its first stripe
-// past its instant (chain.go). Recovery, of another node on the new layout,
-// is 6 repairs folded in one loop, which shares each node's read-ahead among
-// them. With the parity homes taking turns and one read-ahead per node for
-// each map task's folds the encode takes 52.734 ms (54.687 with a loop per
-// fold, 66.895 when the planner's draw picked the homes) and recovery 96.191
-// ms, on every run at GOMAXPROCS 1, 4 and 8; while each repair ran a loop of
-// its own, phased by its stripe, recovery took 100.220 ms (100.220 or 100.464
-// while only the read-ahead had the phase). Both are logged beside their link
-// bounds, and recovery is held to 96.6 ms.
-func TestLifecycleRepeats(t *testing.T) {
-	a, b := lifecycleOnBench(t), lifecycleOnBench(t)
-	for _, phase := range []struct {
-		what string
-		a, b time.Duration
-	}{{"4k writes", a.write, b.write}, {"k reads", a.read, b.read}, {"the degraded read", a.degraded, b.degraded},
-		{"the encode", a.encode, b.encode}, {"recovery", a.recover, b.recover}} {
-		if phase.a != phase.b {
-			t.Errorf("%s took %v, then %v: virtual time did not repeat", phase.what, phase.a, phase.b)
+// update has the design-time tests rewrite their rows of BENCH_design.json
+// instead of holding the run to them:
+//
+//	GOEXPERIMENT=synctest go test -run 'TestLifecycleRepeats|TestDegradedReadLatency|TestOneClientBlockLatency|TestPipelinedWriteLatency|TestEncodeDesignTime|TestLifecycleEncodeDesignTime|TestForegroundEncodeDesignTime' ./internal/hdfs -update
+var update = flag.Bool("update", false, "rewrite the rows of BENCH_design.json that the run measures")
+
+// designFile is the committed record of every design time: per row, the
+// virtual duration and the bound it is logged beside (a closed form or a
+// link bound; 0 where the test has none), in nanoseconds.
+const designFile = "../../BENCH_design.json"
+
+type designRow struct {
+	DesignNS int64 `json:"design_ns"`
+	BoundNS  int64 `json:"bound_ns"`
+}
+
+var design struct {
+	sync.Mutex
+	rows map[string]designRow
+}
+
+// designTime holds the design time of the calling test's row what to
+// BENCH_design.json, to the nanosecond, or with -update writes it there. A
+// row is named by the top-level test and what, so every subtest of one test
+// shares it.
+func designTime(t *testing.T, what string, dur, bound time.Duration) {
+	t.Helper()
+	test, _, _ := strings.Cut(t.Name(), "/")
+	name := test + ": " + what
+	design.Lock()
+	defer design.Unlock()
+	if design.rows == nil {
+		design.rows = make(map[string]designRow)
+		if b, err := os.ReadFile(designFile); err == nil {
+			if err := json.Unmarshal(b, &design.rows); err != nil {
+				t.Fatalf("%s: %v", designFile, err)
+			}
+		} else if !*update {
+			t.Fatal(err)
 		}
-		t.Logf("%s: %v", phase.what, phase.a)
 	}
-	t.Logf("encode link bound %v, recovery link bound %v", a.encodeBound, a.recoverBound)
-	if a.recover > 96600*time.Microsecond {
-		t.Errorf("recovery took %v, want at most 96.6ms", a.recover)
+	row := designRow{int64(dur), int64(bound)}
+	if !*update {
+		if got, ok := design.rows[name]; !ok || got != row {
+			t.Errorf("%s: %v beside %v; %s records %v beside %v (present: %v). A change that moves a design time regenerates the file with -update and says why in CHANGES.md",
+				name, dur, bound, designFile, time.Duration(got.DesignNS), time.Duration(got.BoundNS), ok)
+		}
+		return
+	}
+	design.rows[name] = row
+	b, err := json.MarshalIndent(design.rows, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(designFile, append(b, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLifecycleRepeats runs the benchmark's lifecycle twice in one process
+// at each GOMAXPROCS of 1, 2 and 8: the same bytes (each run reads every
+// block back against its seeded payload) and, for every phase, the same
+// virtual duration, and the encode puts the same bytes on every link
+// (fabric.Snapshot). Every plan, task preference and repair target is a
+// function of (seed, what it is for), so the layouts repeat, and streams
+// that book a link at the same virtual instant are ordered by the one stage
+// loop that books them, which takes its steps in a fixed order: the encode
+// job folds the stripes of its four map tasks in one loop, and recovery, of
+// another node on the new layout, its 6 repairs in one loop, which shares
+// each node's read-ahead among them. No loop sleeps past its instant. While
+// each map task ran a loop of its own, the loops were ordered only by a
+// phase of `stripe mod 1000` ns that every step of a task's loop slept past
+// its instant, and the encode took 52.734349 ms; in one loop it takes
+// 52.734348 ms (54.687 with a loop per fold, 66.895 when the planner's draw
+// picked the homes) and recovery 96.191 ms; while each repair ran a loop of
+// its own, phased by its stripe, recovery took 100.220 ms. Both are logged
+// beside their link bounds, and recovery is held to 96.6 ms.
+func TestLifecycleRepeats(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			a, b := lifecycleOnBench(t), lifecycleOnBench(t)
+			for _, phase := range []struct {
+				what        string
+				a, b, bound time.Duration
+			}{{"4k writes", a.write, b.write, 0}, {"k reads", a.read, b.read, 0}, {"the degraded read", a.degraded, b.degraded, 0},
+				{"the encode", a.encode, b.encode, a.encodeBound}, {"recovery", a.recover, b.recover, a.recoverBound}} {
+				if phase.a != phase.b {
+					t.Errorf("%s took %v, then %v: virtual time did not repeat", phase.what, phase.a, phase.b)
+				}
+				t.Logf("%s: %v", phase.what, phase.a)
+				designTime(t, phase.what, phase.a, phase.bound)
+			}
+			if !reflect.DeepEqual(a.encodeLinks, b.encodeLinks) {
+				t.Errorf("the encode moved %+v, then %+v: its link totals did not repeat", a.encodeLinks, b.encodeLinks)
+			}
+			t.Logf("encode link bound %v, recovery link bound %v", a.encodeBound, a.recoverBound)
+			if a.recover > 96600*time.Microsecond {
+				t.Errorf("recovery took %v, want at most 96.6ms", a.recover)
+			}
+		})
 	}
 }
 
@@ -176,6 +250,7 @@ func TestEncodeDesignTime(t *testing.T) {
 	}
 	r := shapedEncode(t, c, cfg)
 	t.Log(r)
+	designTime(t, "encode of 50 stripes", r.dur, r.bound)
 	if r.dur > 375*time.Millisecond {
 		t.Errorf("%v: want at most 375ms", r)
 	}
@@ -209,6 +284,7 @@ func TestLifecycleEncodeDesignTime(t *testing.T) {
 		}
 		r := runs[0]
 		t.Logf("seed %d: %v", seed, r)
+		designTime(t, fmt.Sprintf("encode, seed %d", seed), r.dur, r.bound)
 		if runs[1].dur != r.dur {
 			t.Errorf("seed %d: the encode took %v, then %v: virtual time did not repeat", seed, r.dur, runs[1].dur)
 		}
@@ -474,6 +550,7 @@ func TestForegroundEncodeDesignTime(t *testing.T) {
 	}
 	r := runs[0]
 	t.Log(r)
+	designTime(t, "encode of 104 stripes", r.dur, r.bound)
 	if runs[1].dur != r.dur {
 		t.Errorf("the encode took %v, then %v: virtual time did not repeat", r.dur, runs[1].dur)
 	}
@@ -482,16 +559,17 @@ func TestForegroundEncodeDesignTime(t *testing.T) {
 	}
 }
 
-// rackStripes returns a cluster of the benchmark geometry with one map task a
-// core rack, holding what the given writes leave: the i-th of len(from)
-// blocks written, seeded, from node from[i] of rack 0, at lifted rates, and
-// flushed. Writes are writer-local, so every stripe's core rack is rack 0 and
-// all of them are one map task's. The shaped rates are back on when it
-// returns.
-func rackStripes(t *testing.T, from []int, seed int64) (*Cluster, map[topology.BlockID][]byte) {
+// rackStripes returns a cluster of the benchmark geometry whose encode job
+// has mapTasks map tasks (Config.MapTasks), holding what the given writes
+// leave: the i-th of len(from) blocks written, seeded, from node from[i] of
+// rack 0, at lifted rates, and flushed. Writes are writer-local, so every
+// stripe's core rack is rack 0, and with one map task all of them are its;
+// with more, rack 0's stripes split into that many tasks. The shaped rates
+// are back on when it returns.
+func rackStripes(t *testing.T, from []int, mapTasks int, seed int64) (*Cluster, map[topology.BlockID][]byte) {
 	t.Helper()
 	cfg := benchGeometry()
-	cfg.MapTasks = 1
+	cfg.MapTasks = mapTasks
 	c := newCluster(t, cfg)
 	setRates(t, c, 64<<30, 64<<30)
 	rack, err := c.Topology().NodesInRack(0)
@@ -516,23 +594,32 @@ func rackStripes(t *testing.T, from []int, seed int64) (*Cluster, map[topology.B
 	return c, contents
 }
 
-// TestTaskFoldsShareReadAhead encodes two stripes of one map task that share
-// rack 0's disks: a full stripe written from the rack's nodes in turn and a
-// short one of two blocks from its first node. Both folds run in the task's
-// one stage loop, and each node's disk serves them through one read-ahead.
-// Both stripes must store the parity Coder.Encode gives; no node's disk may
-// book a slice that starts below one it booked before, so neither fold's
-// reads run ahead of the other's on a disk they share (a disk that served
-// the folds first come, first served would book one fold's block, then the
-// other's); and the short stripe must be committed — its ReplicaDeleted and
-// StripeEncoded events — before the full stripe's last stage ends.
+// TestTaskFoldsShareReadAhead encodes two stripes that share rack 0's disks:
+// a full stripe written from the rack's nodes in turn and a short one of two
+// blocks from its first node, as one map task's and as two tasks' of one job
+// (the core rack split in two). Either way both folds run in the job's one
+// stage loop, and each node's disk serves them through one read-ahead. Both
+// stripes must store the parity Coder.Encode gives; every node must open one
+// disk stream for the whole job (while each map task ran a loop of its own, a
+// node opened one a task); no node's disk may book a slice that starts below
+// one it booked before, so neither fold's reads run ahead of the other's on
+// a disk they share (a disk that served the folds first come, first served
+// would book one fold's block, then the other's); and the short stripe must
+// be committed — its ReplicaDeleted and StripeEncoded events — before the
+// full stripe's last stage ends.
 func TestTaskFoldsShareReadAhead(t *testing.T) {
+	for _, tasks := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d map tasks", tasks), func(t *testing.T) { foldsShareReadAhead(t, tasks) })
+	}
+}
+
+func foldsShareReadAhead(t *testing.T, tasks int) {
 	cfg := benchGeometry()
 	from := make([]int, cfg.K, cfg.K+2)
 	for i := range from {
 		from[i] = i % cfg.NodesPerRack
 	}
-	c, contents := rackStripes(t, append(from, 0, 0), 43)
+	c, contents := rackStripes(t, append(from, 0, 0), tasks, 43)
 	jrn := events.NewJournal(4096)
 	c.SetJournal(jrn)
 	tr := telemetry.NewTracer()
@@ -549,17 +636,26 @@ func TestTaskFoldsShareReadAhead(t *testing.T) {
 		runs[node][run] = true
 	}
 	committed := make(map[topology.StripeID][]time.Duration)
+	disks := make(map[topology.NodeID]int)
 	defer jrn.Subscribe(func(e events.Event) {
-		if e.Type == events.ReplicaDeleted || e.Type == events.StripeEncoded {
+		switch {
+		case e.Type == events.ReplicaDeleted || e.Type == events.StripeEncoded:
 			committed[e.Stripe] = append(committed[e.Stripe], time.Since(epoch))
+		case e.Type == events.TransferStarted && e.Node == e.Peer:
+			disks[e.Node]++
 		}
 	})()
 	stats, err := c.RaidNode().EncodeAllCtx(context.WithValue(context.Background(), readAheadKey{}, observe))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Stripes != 2 || len(stats.TaskPlacements) != 1 {
-		t.Fatalf("encoded %d stripes in %d map tasks, want 2 in one", stats.Stripes, len(stats.TaskPlacements))
+	if stats.Stripes != 2 || len(stats.TaskPlacements) != tasks {
+		t.Fatalf("encoded %d stripes in %d map tasks, want 2 in %d", stats.Stripes, len(stats.TaskPlacements), tasks)
+	}
+	for node, opened := range disks {
+		if opened != 1 {
+			t.Errorf("node %d opened %d disk streams over the job, want one", node, opened)
+		}
 	}
 	if n := verifyParities(t, c, contents); n != 2*c.Coder().M() {
 		t.Fatalf("verified %d parity blocks, want %d", n, 2*c.Coder().M())
@@ -605,18 +701,27 @@ func TestTaskFoldsShareReadAhead(t *testing.T) {
 	t.Logf("%d nodes' disks served both folds; the short stripe's commit events at %v, the full stripe's last stage ended at %v", shared, ats, fullEnd)
 }
 
-// TestEncodeTaskCancel cancels a map task of three stripes that share rack
-// 0's nodes, on a fresh cluster each time: at each stripe's admission (its
+// TestEncodeTaskCancel cancels an encode job of three stripes that share rack
+// 0's nodes, as one map task's and as three tasks' of one stripe each (the
+// core rack split in three, every task in the job's one stage loop), on a
+// fresh cluster each time: at each stripe's admission (its
 // StripeEncodeStarted), at each stream's open (the TransferStarted events of
 // an uncancelled encode name them), at each fold's commit (its
 // StripeEncoded), and on a sweep of deadlines across the uncancelled encode.
 // Wherever the cancellation lands, every stripe the job committed stores the
 // parity Coder.Encode gives, and every other stripe has no parity key in any
 // store and every replica it had; a cancellation at a fold's commit leaves
-// that fold committed. No stream stays open and no pooled buffer out, the
-// auditor stays clean, and requeueing the unencoded stripes and encoding
-// again encodes the rest, byte-identical, counting every stripe once.
+// that fold committed. No stream stays open, no pooled buffer out, no map
+// slot busy and no span open, the auditor stays clean, and requeueing the
+// unencoded stripes and encoding again encodes the rest, byte-identical,
+// counting every stripe once.
 func TestEncodeTaskCancel(t *testing.T) {
+	for _, tasks := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%d map tasks", tasks), func(t *testing.T) { encodeTaskCancel(t, tasks) })
+	}
+}
+
+func encodeTaskCancel(t *testing.T, tasks int) {
 	cfg := benchGeometry()
 	from := make([]int, 3*cfg.K)
 	for i := range from {
@@ -628,9 +733,11 @@ func TestEncodeTaskCancel(t *testing.T) {
 	// instant each stripe's commit ended.
 	encode := func(where string, timeout time.Duration, cancelOn func(e events.Event) bool) (dur time.Duration, opened []events.Event, commits []time.Duration) {
 		t.Helper()
-		c, contents := rackStripes(t, from, 47)
+		c, contents := rackStripes(t, from, tasks, 47)
 		reg := telemetry.NewRegistry()
 		c.SetTelemetry(reg)
+		tr := telemetry.NewTracer()
+		c.SetTracer(tr)
 		jrn := events.NewJournal(1 << 14)
 		c.SetJournal(jrn)
 		aud := audit.New(c.Topology(), audit.Config{Replicas: cfg.Replicas, C: cfg.C, CheckCoreRack: true})
@@ -712,6 +819,14 @@ func TestEncodeTaskCancel(t *testing.T) {
 		}
 		if out := c.BufferPool().Outstanding(); out != 0 {
 			t.Errorf("%s: %d pooled buffers outstanding", where, out)
+		}
+		if got := reg.Gauge("mapred_slots_busy", "").With().Value(); got != 0 {
+			t.Errorf("%s: %g map slots left busy", where, got)
+		}
+		for _, sp := range tr.Spans() {
+			if !sp.Ended {
+				t.Errorf("%s: span %s %v still open", where, sp.Name, sp.Args)
+			}
 		}
 		if rep := aud.Report(); rep.Total() != 0 {
 			t.Errorf("%s: auditor dirty: %+v", where, rep)

@@ -28,11 +28,12 @@ package hdfs
 // stores nothing either: the caller commits the sums only after the whole
 // fold succeeded, so a canceled fold leaves no trace in any store. The stage
 // loop (stageLoop) is one event loop on the caller's goroutine, with one
-// read-ahead per node for every fold it runs. A map task folds its stripes
-// (parityFold), and a recovery or BlockMover round its members (rebuildMember),
-// in one loop, each admitted once planned and committed once it ends; any
-// other fold is a loop of one run (runStages), and so is the replicated write,
-// a run with no members to fold whose stages forward the caller's bytes.
+// read-ahead per node for every fold it runs. An encode job folds the stripes
+// of all its map tasks (parityFold), and a recovery or BlockMover round its
+// members (rebuildMember), in one loop, each admitted once planned and
+// committed once it ends; any other fold is a loop of one run (runStages), and
+// so is the replicated write, a run with no members to fold whose stages
+// forward the caller's bytes.
 
 import (
 	"context"
@@ -179,12 +180,10 @@ func (run *stageRun) schedule() {
 
 // stageLoop is the package's one event loop. It walks the runs admitted to
 // it, in admission order, on its caller's goroutine; runs that share a node
-// share its read-ahead, one disk stream a node for the loop's life. Every
-// step sleeps phase past its instant, set only by a map task. observe, when
-// set, sees every slice a read-ahead books (readAheadKey).
+// share its read-ahead, one disk stream a node for the loop's life. observe,
+// when set, sees every slice a read-ahead books (readAheadKey).
 type stageLoop struct {
 	c       *Cluster
-	phase   time.Duration
 	runs    []*stageRun
 	readers []*diskReader
 	observe func(node topology.NodeID, run *stageRun, offset int)
@@ -369,17 +368,17 @@ func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topo
 // window allows; a step whose stream is full waits for the instant
 // Stream.Room names as a step of its own, so no Book blocks and one full
 // stream never stalls the rest of the loop. The loop takes the earliest step
-// and sleeps until that instant plus phase: on time (fabric.SleepUntilExact)
-// before the step that ends a run, up to the host's timer tick late before
-// any other. At one instant read-ahead steps run before stage steps and
-// stages in admission order, then in list order, so rows that share a link
-// book it in row order, and a job's map tasks, whose loops start together,
-// book a shared link in the order of their phases. While no step is overdue,
-// the loop calls admit(i) for its items i = 0..n-1 in turn to admit their
-// runs; on a fake clock, where the host takes no time, every run is admitted
+// and sleeps until its instant: on time (fabric.SleepUntilExact) before the
+// step that ends a run, up to the host's timer tick late before any other. At
+// one instant read-ahead steps run before stage steps and stages in admission
+// order, then in list order, so rows that share a link book it in row order.
+// While no step is overdue, the loop calls admit(i) for its items i = 0..n-1
+// (n < 0: no end) in turn to admit their runs; admit reports false to be asked
+// for item i again after the next step, and an idle loop ends when it does.
+// On a fake clock, where the host takes no time, every run admit has joins
 // before the first booking. A run whose last stage has forwarded its last
 // slice ends at once (finish). The first error ends the loop.
-func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) error) error {
+func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) (bool, error)) error {
 	blockSize := l.c.cfg.BlockSizeBytes
 	l.observe, _ = ctx.Value(readAheadKey{}).(func(topology.NodeID, *stageRun, int))
 	admitted := 0
@@ -400,12 +399,13 @@ func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) error) err
 			}
 		}
 		idle := r == nil && run == nil
-		if admitted < n && (idle || !at.Add(l.phase).Before(time.Now())) {
-			admitted++
-			if err := admit(admitted - 1); err != nil {
+		if (n < 0 || admitted < n) && (idle || !at.Before(time.Now())) {
+			if more, err := admit(admitted); err != nil {
 				return err
+			} else if more {
+				admitted++
+				continue
 			}
-			continue
 		}
 		if idle {
 			return nil
@@ -418,7 +418,7 @@ func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) error) err
 		if run != nil && run.left == 1 && run.stages[run.next].done == run.nSlices-1 {
 			sleep = fabric.SleepUntilExact
 		}
-		if err := sleep(ctx, at.Add(l.phase)); err != nil {
+		if err := sleep(ctx, at); err != nil {
 			return err
 		}
 		if r != nil {
@@ -669,7 +669,7 @@ func (c *Cluster) foldLedger(stages []*chainStage, start, end time.Time) chainLe
 	return ledger
 }
 
-// parityFold admits the fold of a planned stripe's parity to its map task's
+// parityFold admits the fold of a planned stripe's parity to its encode job's
 // loop: the m parity rows folded over the replica holders, one chain per row,
 // so that parity j ends on plan.Parity[j], in m pooled buffers (sp.Blocks)
 // the run releases, beside the aborted-member mask (sp.Aborted). The

@@ -824,25 +824,27 @@ func benchWrites(t testing.TB, seed int64, stripes int) (*Cluster, Config) {
 // lifecycleRun is what each phase of one lifecycleOnBench took. Encode and
 // recovery run several folds at once and have no closed form; what holds them
 // from below is their link bound, the bytes the phase put on its busiest link
-// over that link's rate.
+// over that link's rate. encodeLinks is what the encode put on every link.
 type lifecycleRun struct {
 	write, read, encode, degraded, recover time.Duration
 	encodeBound, recoverBound              time.Duration
+	encodeLinks                            fabric.Snapshot
 }
 
-// linkBound times op and returns its link bound beside what it took, failing
-// the test if op beat it.
-func linkBound(t *testing.T, c *Cluster, what string, op func()) (dur, bound time.Duration) {
+// linkBound times op and returns its link bound beside what it took and what
+// it put on every link, failing the test if op beat the bound.
+func linkBound(t *testing.T, c *Cluster, what string, op func()) (dur, bound time.Duration, moved fabric.Snapshot) {
 	t.Helper()
 	before := c.Fabric().Snapshot()
 	dur = took(op)
-	for _, l := range c.Fabric().Snapshot().Sub(before).Links {
+	moved = c.Fabric().Snapshot().Sub(before)
+	for _, l := range moved.Links {
 		bound = max(bound, onLink(int(l.MovedBytes), l.RateBytesPerSec))
 	}
 	if dur <= bound-time.Microsecond { // a booking's link time is truncated to the nanosecond
 		t.Errorf("%s took %v, under the %v its busiest link needs", what, dur, bound)
 	}
-	return dur, bound
+	return dur, bound, moved
 }
 
 // lifecycleOnBench takes a fresh cluster of the benchmark geometry through
@@ -870,7 +872,7 @@ func lifecycleOnBench(t *testing.T) (run lifecycleRun) {
 	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
 		t.Fatal(err)
 	}
-	run.encode, run.encodeBound = linkBound(t, c, "encode", func() {
+	run.encode, run.encodeBound, run.encodeLinks = linkBound(t, c, "encode", func() {
 		if _, err := c.RaidNode().EncodeAll(); err != nil {
 			t.Fatal(err)
 		}
@@ -886,7 +888,7 @@ func lifecycleOnBench(t *testing.T) (run lifecycleRun) {
 			t.Fatal(err)
 		}
 	})
-	run.recover, run.recoverBound = linkBound(t, c, "recovery", func() {
+	run.recover, run.recoverBound, _ = linkBound(t, c, "recovery", func() {
 		stats, err := c.RecoverNode(context.Background(), dead)
 		if err != nil || stats.Unrecovered != 0 || stats.BlocksRepaired == 0 {
 			t.Fatalf("RecoverNode(%d) = %+v, %v", dead, stats, err)

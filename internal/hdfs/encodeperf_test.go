@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ear/internal/mapred"
 	"ear/internal/placement"
 	"ear/internal/telemetry"
 	"ear/internal/topology"
@@ -187,12 +188,13 @@ func TestCrossRackNotCountedOnFailedGather(t *testing.T) {
 	}
 	parent := tr.Start("test-encode")
 	var res StripeParity
-	err = c.encodeStripes(context.Background(), &encodeTask{stripes: stripes}, encoder, parent, nil, func(_ *placement.StripeInfo, sp StripeParity, _ bool) {
+	task := &encodeTask{Task: mapred.Task{Name: "test-encode-map0", Preferred: encoder}, stripes: stripes, homes: make([][]topology.NodeID, len(stripes))}
+	_, err = c.foldJob(telemetry.ContextWithSpan(context.Background(), parent), []*encodeTask{task}, func(_ *placement.StripeInfo, sp StripeParity, _ bool) {
 		res.CrossRackDownloads += sp.CrossRackDownloads
 	})
 	parent.End()
 	if err == nil {
-		t.Fatal("encodeStripes succeeded with no replica bytes anywhere")
+		t.Fatal("foldJob succeeded with no replica bytes anywhere")
 	}
 	if res.CrossRackDownloads != 0 {
 		t.Errorf("failed gather counted %d cross-rack downloads, want 0", res.CrossRackDownloads)

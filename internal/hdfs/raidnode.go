@@ -51,20 +51,19 @@ type EncodeStats struct {
 	// CrossRackUploads counts parity blocks delivered to their holders across
 	// racks (zero under EAR while a stripe's parity fits in its core rack).
 	CrossRackUploads int
-	// TaskPlacements records where each encoding map task ran.
+	// TaskPlacements records where each map task that got a slot ran.
 	TaskPlacements []mapred.Placement
 }
 
 func newRaidNode(c *Cluster) *RaidNode { return &RaidNode{c: c} }
 
-// encodeTask is one map task's work: the stripes it encodes, the parity
-// homes each stripe's plan is asked for (homes[i] for stripes[i]; none under
-// RR) and its scheduling preference.
+// encodeTask is one map task: the mapred.Task the JobTracker places, with its
+// scheduling preference, the stripes it encodes and the parity homes each
+// stripe's plan is asked for (homes[i] for stripes[i]; empty under RR).
 type encodeTask struct {
-	stripes   []*placement.StripeInfo
-	homes     [][]topology.NodeID
-	preferred topology.NodeID
-	strict    bool
+	mapred.Task
+	stripes []*placement.StripeInfo
+	homes   [][]topology.NodeID
 }
 
 // buildTasks splits the pending stripes into map tasks of ceil(stripes /
@@ -85,11 +84,8 @@ func (r *RaidNode) buildTasks(stripes []*placement.StripeInfo) ([]*encodeTask, e
 	if r.c.cfg.Policy != "ear" {
 		var tasks []*encodeTask
 		for start := 0; start < len(stripes); start += perTask {
-			end := start + perTask
-			if end > len(stripes) {
-				end = len(stripes)
-			}
-			tasks = append(tasks, &encodeTask{stripes: stripes[start:end], preferred: mapred.AnyNode})
+			group := stripes[start:min(start+perTask, len(stripes))]
+			tasks = append(tasks, &encodeTask{Task: mapred.Task{Preferred: mapred.AnyNode}, stripes: group, homes: make([][]topology.NodeID, len(group))})
 		}
 		return tasks, nil
 	}
@@ -112,15 +108,11 @@ func (r *RaidNode) buildTasks(stripes []*placement.StripeInfo) ([]*encodeTask, e
 		draw := func(s *placement.StripeInfo) int { return int(drawFor(r.c.cfg.Seed, int64(s.ID)) % uint64(len(nodes))) }
 		homes := parityHomes(nodes, draw(group[0]), group, min(r.c.cfg.N-r.c.cfg.K, r.c.cfg.C))
 		for start := 0; start < len(group); start += perTask {
-			end := start + perTask
-			if end > len(group) {
-				end = len(group)
-			}
+			end := min(start+perTask, len(group))
 			tasks = append(tasks, &encodeTask{
-				stripes:   group[start:end],
-				homes:     homes[start:end],
-				preferred: nodes[draw(group[start])],
-				strict:    true,
+				Task:    mapred.Task{Preferred: nodes[draw(group[start])], StrictRack: true},
+				stripes: group[start:end],
+				homes:   homes[start:end],
 			})
 		}
 	}
@@ -199,94 +191,88 @@ type ParityFunc func(ctx context.Context, info *placement.StripeInfo, encoder to
 // commit, events and tenant charges stay the RaidNode's. An experiment
 // measures the paper's HDFS-RAID gather this way
 // (internal/experiments/hdfsraid); the choice ends with the job and nothing
-// remembers it. When a tracer is installed (Cluster.SetTracer) the job emits
-// one span per phase: stripe-selection, then per map task and stripe the
-// chain's raidnode.chain-hop stages (or whatever fn emits) and
-// replica-delete. Cancelling ctx cancels the job: tasks waiting for slots
-// give up and running tasks abort their in-flight transfers within one chunk
-// reservation.
+// remembers it. A chain job folds all its map tasks' stripes in one stage loop
+// (foldJob); a gather job runs each task on a goroutine of its own
+// (mapred.JobTracker.SubmitCtx), which encodes the task's stripes one after
+// another, as HDFS-RAID's map task does. When a tracer is installed
+// (Cluster.SetTracer) the job emits one span per phase: stripe-selection,
+// then per map task and stripe the chain's raidnode.chain-hop stages (or
+// whatever fn emits) and replica-delete. Cancelling ctx cancels the job:
+// tasks waiting for slots give up and running tasks abort their in-flight
+// transfers within one chunk reservation.
 func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStats, error) {
-	var jobSpan *telemetry.Span
-	if parent := telemetry.SpanFromContext(ctx); parent != nil {
-		jobSpan = parent.Child("encode-job")
-	} else {
-		jobSpan = r.c.trace().Start("encode-job")
-	}
-	jobSpan.Arg(telemetry.ComponentArg, "raidnode")
+	jobSpan, ctx := r.c.opSpan(ctx, "raidnode", "encode-job")
 	defer jobSpan.End()
-	ctx = telemetry.ContextWithSpan(ctx, jobSpan)
 	tel := r.c.metrics()
 
 	sel := jobSpan.Child("stripe-selection")
 	stripes, err := r.c.nn.TakePendingStripes()
-	if err != nil {
-		sel.End()
-		return EncodeStats{}, err
+	var tasks []*encodeTask
+	if err == nil {
+		tasks, err = r.buildTasks(stripes)
 	}
-	tasks, err := r.buildTasks(stripes)
 	sel.End()
 	if err != nil {
 		return EncodeStats{}, err
 	}
 	jobSpan.Arg("stripes", strconv.Itoa(len(stripes))).Arg("tasks", strconv.Itoa(len(tasks)))
-	var job mapred.Job
-	job.Name = fmt.Sprintf("encode-%d-stripes", len(stripes))
+	job := mapred.Job{Name: fmt.Sprintf("encode-%d-stripes", len(stripes))}
+	for i, t := range tasks {
+		t.Name = fmt.Sprintf("%s-map%d", job.Name, i)
+	}
 	var mu sync.Mutex
 	stats := EncodeStats{Stripes: len(stripes)}
 	if tel != nil {
 		tel.encJobs.Inc()
 	}
-	for i, t := range tasks {
-		t := t
-		name := fmt.Sprintf("%s-map%d", job.Name, i)
-		job.Tasks = append(job.Tasks, &mapred.Task{
-			Name:       name,
-			Preferred:  t.preferred,
-			StrictRack: t.strict,
-			Run: func(taskCtx context.Context, on topology.NodeID) error {
-				taskSpan := jobSpan.ChildTrack("map-task").
-					Arg(telemetry.ComponentArg, "raidnode").
-					Arg("task", name).
-					Arg("node", strconv.Itoa(int(on)))
-				defer taskSpan.End()
-				taskCtx = telemetry.ContextWithSpan(taskCtx, taskSpan)
-				return r.c.encodeStripes(taskCtx, t, on, taskSpan, fn, func(s *placement.StripeInfo, sp StripeParity, violated bool) {
-					encodedBytes := int64(len(s.Blocks) * r.c.cfg.BlockSizeBytes)
-					mu.Lock()
-					stats.CrossRackDownloads += sp.CrossRackDownloads
-					if violated {
-						stats.Violations++
-					}
-					stats.EncodedBytes += encodedBytes
-					if fn == nil {
-						stats.PipelinedStripes++
-					}
-					stats.PartialSumBytes += sp.PartialSumBytes
-					stats.CrossRackUploads += sp.CrossRackUploads
-					mu.Unlock()
-					if tel != nil {
-						tel.crossDl.Add(float64(sp.CrossRackDownloads))
-						if violated {
-							tel.violations.Inc()
-						}
-						tel.stripes.Inc()
-						tel.encBytes.Add(float64(encodedBytes))
-						if fn == nil {
-							tel.pipeStripes.Inc()
-						}
-						if sp.PartialSumBytes > 0 {
-							tel.partialBytes.Add(float64(sp.PartialSumBytes))
-						}
-						tel.crossUp.Add(float64(sp.CrossRackUploads))
-					}
-				})
-			},
-		})
+	done := func(s *placement.StripeInfo, sp StripeParity, violated bool) {
+		encodedBytes := int64(len(s.Blocks) * r.c.cfg.BlockSizeBytes)
+		mu.Lock()
+		stats.CrossRackDownloads += sp.CrossRackDownloads
+		if violated {
+			stats.Violations++
+		}
+		stats.EncodedBytes += encodedBytes
+		if fn == nil {
+			stats.PipelinedStripes++
+		}
+		stats.PartialSumBytes += sp.PartialSumBytes
+		stats.CrossRackUploads += sp.CrossRackUploads
+		mu.Unlock()
+		if tel != nil {
+			tel.crossDl.Add(float64(sp.CrossRackDownloads))
+			if violated {
+				tel.violations.Inc()
+			}
+			tel.stripes.Inc()
+			tel.encBytes.Add(float64(encodedBytes))
+			if fn == nil {
+				tel.pipeStripes.Inc()
+			}
+			tel.partialBytes.Add(float64(sp.PartialSumBytes))
+			tel.crossUp.Add(float64(sp.CrossRackUploads))
+		}
 	}
 	start := time.Now()
-	placements, err := r.c.jt.SubmitCtx(ctx, job)
+	if fn == nil {
+		stats.TaskPlacements, err = r.c.foldJob(ctx, tasks, done)
+	} else {
+		for _, t := range tasks {
+			t.Run = func(taskCtx context.Context, on topology.NodeID) error {
+				span, taskCtx := mapTaskSpan(taskCtx, t.Name, on)
+				defer span.End()
+				for j := range t.stripes {
+					if err := r.c.encodeStripe(taskCtx, t, j, on, nil, fn, done); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			job.Tasks = append(job.Tasks, &t.Task)
+		}
+		stats.TaskPlacements, err = r.c.jt.SubmitCtx(ctx, job)
+	}
 	stats.Duration = time.Since(start)
-	stats.TaskPlacements = placements
 	if err != nil {
 		return stats, err
 	}
@@ -296,77 +282,135 @@ func (r *RaidNode) EncodeAllWith(ctx context.Context, fn ParityFunc) (EncodeStat
 	return stats, nil
 }
 
-// encodeStripes performs one map task's encoding operation on behalf of the
-// given node, for each of the task's stripes: plan the post-encoding layout
-// (asking for the parity homes the job gave the stripe, none under RR),
-// materialize every parity block at its planned holder, commit the parity and
-// delete the redundant replicas; done receives each committed stripe's parity
-// figures and whether its layout violates rack fault tolerance. With
-// materialize nil the chain engine folds the parity (parityFold), and every
-// stripe of the task folds in one stage loop on the task's goroutine: a stripe
-// joins the loop once it is planned, its members viewed and its m parity
-// buffers taken, and is committed as soon as its fold ends, so the task holds
-// the parity of every stripe in flight, up to m/k of its data, and the loop
-// puts back the parity of every stripe it did not commit, however the task
-// ends (stageRun.release). A ParityFunc
-// materializes and commits one stripe after another, as HDFS-RAID's map task
-// does. Parity stays staged until its stripe commits — the same contract as
-// the write pipeline — so a cancellation commits no unfinished stripe: no
-// store gains its parity key, no replica of it is deleted, and the requeued
-// stripe re-encodes from its intact replicas. The parent span (nil for
-// untraced runs) receives one child span per phase.
-func (c *Cluster) encodeStripes(ctx context.Context, t *encodeTask, encoder topology.NodeID, parent *telemetry.Span, materialize ParityFunc, done func(info *placement.StripeInfo, sp StripeParity, violated bool)) error {
-	encRack, err := c.top.RackOf(encoder)
+// mapTaskSpan opens the span of the named map task on node on, under the span
+// carried by ctx, and returns it with a context that carries it.
+func mapTaskSpan(ctx context.Context, name string, on topology.NodeID) (*telemetry.Span, context.Context) {
+	span := telemetry.SpanFromContext(ctx).ChildTrack("map-task").Arg(telemetry.ComponentArg, "raidnode").
+		Arg("task", name).Arg("node", strconv.Itoa(int(on)))
+	return span, telemetry.ContextWithSpan(ctx, span)
+}
+
+// foldJob runs a chain encode job in one stage loop on the caller's goroutine
+// and returns where each task that got a slot ran, in placement order. A slot
+// the JobTracker grants a task admits its stripes to the loop: the j-th stripe
+// of every placed task, in task order, before any task's (j+1)-th, so no core
+// rack waits behind another's planning and member views. A task waiting for a
+// slot stalls no run; the loop blocks for one only once it has no run left. A
+// task's slot is released, and its map-task span ends, when its last stripe
+// commits or the loop closes. The first error ends the job.
+func (c *Cluster) foldJob(ctx context.Context, tasks []*encodeTask, done func(*placement.StripeInfo, StripeParity, bool)) ([]mapred.Placement, error) {
+	type mapTask struct {
+		pl             mapred.Placement
+		span           *telemetry.Span
+		ctx            context.Context
+		admitted, left int // left > 0 while the task holds its slot
+	}
+	mts := make([]*mapTask, len(tasks)) // nil while a task waits for its slot
+	var placements []mapred.Placement
+	place := func(i int, wait bool) (bool, error) {
+		pl, ok, err := c.jt.Place(ctx, &tasks[i].Task, wait)
+		if ok {
+			mts[i] = &mapTask{pl: pl, left: len(tasks[i].stripes)}
+			mts[i].span, mts[i].ctx = mapTaskSpan(ctx, pl.Task, pl.Node)
+			placements = append(placements, pl)
+		}
+		return ok, err
+	}
+	loop := &stageLoop{c: c}
+	defer func() {
+		loop.close()
+		for _, mt := range mts {
+			if mt != nil && mt.left > 0 {
+				c.jt.Release(mt.pl)
+				mt.span.End()
+			}
+		}
+	}()
+	err := loop.run(ctx, -1, func(int) (bool, error) {
+		next, waiting := -1, -1
+		for i := range tasks {
+			if mts[i] == nil {
+				if ok, err := place(i, false); err != nil {
+					return false, err
+				} else if !ok {
+					waiting = i
+					continue
+				}
+			}
+			if mts[i].admitted < len(tasks[i].stripes) && (next < 0 || mts[i].admitted < mts[next].admitted) {
+				next = i
+			}
+		}
+		if next < 0 {
+			// Any stripe left is a waiting task's: block for a slot only when
+			// no run is left to stall.
+			if waiting < 0 || len(loop.runs) > 0 {
+				return false, nil
+			}
+			if _, err := place(waiting, true); err != nil {
+				return false, err
+			}
+			next = waiting
+		}
+		mt, t, j := mts[next], tasks[next], mts[next].admitted
+		mt.admitted++
+		return true, c.encodeStripe(mt.ctx, t, j, mt.pl.Node, loop, nil, func(info *placement.StripeInfo, sp StripeParity, violated bool) {
+			done(info, sp, violated)
+			if mt.left--; mt.left == 0 {
+				c.jt.Release(mt.pl)
+				mt.span.End()
+			}
+		})
+	})
+	return placements, err
+}
+
+// encodeStripe encodes stripe i of map task t on behalf of the encoder node:
+// it plans the stripe's layout, asking for the parity homes the job gave it
+// (none under RR), materializes its parity at the planned holders — folded in
+// the job's loop when materialize is nil (parityFold), which commits the
+// stripe as its fold ends — and commits it (commitStripe), after which done
+// gets its parity figures and whether its layout violates rack fault
+// tolerance. Parity stays staged until its stripe commits, so a cancellation
+// commits no unfinished stripe: no store gains its parity key, no replica of
+// it is deleted, and the requeued stripe re-encodes from its intact replicas.
+// The span carried by ctx, the map task's, gets one child span per phase.
+func (c *Cluster) encodeStripe(ctx context.Context, t *encodeTask, i int, encoder topology.NodeID, loop *stageLoop, materialize ParityFunc, done func(*placement.StripeInfo, StripeParity, bool)) error {
+	info := t.stripes[i]
+	start := time.Now()
+	parent := telemetry.SpanFromContext(ctx)
+	if j := c.Journal(); j != nil {
+		ev := events.New(events.StripeEncodeStarted, "raidnode")
+		ev.Stripe, ev.Node, ev.Trace, ev.Detail = info.ID, encoder, parent.TraceID(), "pipelined"
+		if materialize != nil {
+			ev.Detail = "gather"
+		}
+		ev.Rack, _ = c.top.RackOf(encoder) // the JobTracker placed the task on a known node
+		j.Publish(ev)
+	}
+	plan, err := c.nn.PlanStripe(info, t.homes[i]...)
 	if err != nil {
 		return err
 	}
-	detail := "pipelined"
-	if materialize != nil {
-		detail = "gather"
+	sp := new(StripeParity)
+	matStart := time.Now()
+	commit := func() error {
+		violated, err := c.commitStripe(info, plan, sp, matStart, parent)
+		if m := c.metrics(); m != nil {
+			m.encStripe.Observe(time.Since(start).Seconds())
+		}
+		if err == nil {
+			done(info, *sp, violated)
+		}
+		return err
 	}
-	trace := parent.TraceID()
-	loop := &stageLoop{c: c, phase: time.Duration(t.stripes[0].ID % 1000)}
-	defer loop.close()
-	return loop.run(ctx, len(t.stripes), func(i int) error {
-		info := t.stripes[i]
-		start := time.Now()
-		if j := c.Journal(); j != nil {
-			ev := events.New(events.StripeEncodeStarted, "raidnode")
-			ev.Stripe = info.ID
-			ev.Node = encoder
-			ev.Rack = encRack
-			ev.Trace = trace
-			ev.Detail = detail
-			j.Publish(ev)
-		}
-		var homes []topology.NodeID
-		if t.homes != nil {
-			homes = t.homes[i]
-		}
-		plan, err := c.nn.PlanStripe(info, homes...)
-		if err != nil {
-			return err
-		}
-		sp := new(StripeParity)
-		matStart := time.Now()
-		commit := func() error {
-			violated, err := c.commitStripe(info, plan, sp, matStart, parent)
-			if m := c.metrics(); m != nil {
-				m.encStripe.Observe(time.Since(start).Seconds())
-			}
-			if err == nil {
-				done(info, *sp, violated)
-			}
-			return err
-		}
-		if materialize == nil {
-			return c.parityFold(ctx, loop, info, encoder, plan, sp, commit)
-		}
-		if *sp, err = materialize(ctx, info, encoder, plan); err != nil {
-			return err
-		}
-		return commit()
-	})
+	if materialize == nil {
+		return c.parityFold(ctx, loop, info, encoder, plan, sp, commit)
+	}
+	if *sp, err = materialize(ctx, info, encoder, plan); err != nil {
+		return err
+	}
+	return commit()
 }
 
 // releaseParity returns a stripe's pooled parity buffers, once.
@@ -497,12 +541,11 @@ func (r *RaidNode) BlockMover() (moved int, movedBytes int64, err error) {
 // BlockMoverCtx relocates members of violating stripes until each rack holds
 // at most c members of the stripe, returning the number of members moved and
 // the bytes of relocation traffic generated (the overhead EAR avoids). It
-// works in rounds. A round plans one move per violating stripe against the
-// stripe's current layout — the member crowdedMember names, to the node
-// pickTarget names — and folds every move of the round in one stage loop,
-// each committed as its fold ends (relocateMember); the next round plans again
-// from the layout they left, until no stripe has a move. The first error ends
-// the pass.
+// works in rounds. A round admits to one stage loop, stripe by stripe, one
+// move per violating stripe planned against the stripe's current layout — the
+// member crowdedMember names, to the node pickTarget names — each committed as
+// its fold ends (relocateMember); the next round plans again from the layout
+// they left, until no stripe has a move. The first error ends the pass.
 func (r *RaidNode) BlockMoverCtx(ctx context.Context) (moved int, movedBytes int64, err error) {
 	c := r.c
 	bad, err := r.PlacementMonitor()
@@ -511,40 +554,32 @@ func (r *RaidNode) BlockMoverCtx(ctx context.Context) (moved int, movedBytes int
 	}
 	for {
 		loop := &stageLoop{c: c}
-		var moves []func() error
-		for _, id := range bad {
-			sm, err := c.nn.Stripe(id)
+		moving := false
+		err := loop.run(ctx, len(bad), func(i int) (bool, error) {
+			sm, err := c.nn.Stripe(bad[i])
 			if err != nil {
-				return moved, movedBytes, err
+				return false, err
 			}
 			used, rackCount, err := c.stripeOccupancy(sm)
 			if err != nil {
-				return moved, movedBytes, err
+				return false, err
 			}
 			pos, from, err := c.crowdedMember(sm, rackCount)
+			if err != nil || pos < 0 {
+				return true, err
+			}
+			target, err := c.pickTarget(bad[i], used, rackCount, nil)
 			if err != nil {
-				return moved, movedBytes, err
+				return false, err
 			}
-			if pos < 0 {
-				continue
-			}
-			target, err := c.pickTarget(id, used, rackCount, nil)
-			if err != nil {
-				return moved, movedBytes, err
-			}
-			moves = append(moves, func() error {
-				return c.relocateMember(ctx, loop, sm, pos, from, target, func() {
-					moved++
-					movedBytes += int64(c.cfg.BlockSizeBytes)
-				})
+			moving = true
+			return true, c.relocateMember(ctx, loop, sm, pos, from, target, func() {
+				moved++
+				movedBytes += int64(c.cfg.BlockSizeBytes)
 			})
-		}
-		if len(moves) == 0 {
-			return moved, movedBytes, nil
-		}
-		err := loop.run(ctx, len(moves), func(i int) error { return moves[i]() })
+		})
 		loop.close()
-		if err != nil {
+		if err != nil || !moving {
 			return moved, movedBytes, err
 		}
 	}

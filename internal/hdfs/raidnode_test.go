@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"ear/internal/events"
 	"ear/internal/mapred"
 	"ear/internal/placement"
 	"ear/internal/telemetry"
@@ -40,6 +41,81 @@ func TestRaidNodeStatsAccumulate(t *testing.T) {
 	}
 	if got, want := get("raidnode_cross_rack_downloads_total"), float64(jobs[0].CrossRackDownloads+jobs[1].CrossRackDownloads); got != want {
 		t.Errorf("cross-rack downloads counter = %g, want %g", got, want)
+	}
+}
+
+// TestEncodeJobWaitsForSlot encodes, on single-node racks, more map tasks in
+// one core rack than its node has map slots. Every block is written from node
+// 0, so every stripe's core rack is rack 0, and Config.MapTasks splits them
+// into one task a stripe, all pinned to node 0. The job must complete with
+// every stripe's parity; the JobTracker must place every task once, on node 0
+// (a TaskScheduled event and a TaskPlacements entry each); and node 0 must
+// never hold more than slotsPerNode of them: mapred_slots_busy stays within
+// slotsPerNode at every event of the job, exactly slotsPerNode tasks are
+// scheduled before the first stripe commits and frees a slot, and every slot
+// is free once the job returns.
+func TestEncodeJobWaitsForSlot(t *testing.T) {
+	cfg := testConfig("ear")
+	cfg.Racks, cfg.NodesPerRack, cfg.Replicas = 8, 1, 2
+	cfg.MapTasks = 64
+	c := newCluster(t, cfg)
+	reg := telemetry.NewRegistry()
+	c.SetTelemetry(reg)
+	jrn := events.NewJournal(1 << 12)
+	c.SetJournal(jrn)
+	rng := rand.New(rand.NewSource(83))
+	contents := make(map[topology.BlockID][]byte)
+	for i := 0; i < (slotsPerNode+2)*cfg.K; i++ {
+		data := make([]byte, cfg.BlockSizeBytes)
+		rng.Read(data)
+		id, err := c.WriteBlock(0, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		contents[id] = data
+	}
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	busy := reg.Gauge("mapred_slots_busy", "").With()
+	var maxBusy float64
+	scheduled, early, committed := 0, 0, false
+	unsub := jrn.Subscribe(func(e events.Event) {
+		maxBusy = max(maxBusy, busy.Value())
+		switch e.Type {
+		case events.TaskScheduled:
+			scheduled++
+			if !committed {
+				early++
+			}
+		case events.StripeEncoded:
+			committed = true
+		}
+	})
+	stats, err := c.RaidNode().EncodeAll()
+	unsub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Stripes <= slotsPerNode {
+		t.Fatalf("encoded %d stripes, want more than the %d slots of a node", stats.Stripes, slotsPerNode)
+	}
+	if len(stats.TaskPlacements) != stats.Stripes || scheduled != stats.Stripes {
+		t.Errorf("%d stripes, one a task: %d placements recorded, %d TaskScheduled events", stats.Stripes, len(stats.TaskPlacements), scheduled)
+	}
+	for _, pl := range stats.TaskPlacements {
+		if pl.Node != 0 || !pl.Local {
+			t.Errorf("task %s placed %+v, want node-local on node 0", pl.Task, pl)
+		}
+	}
+	if maxBusy > slotsPerNode || early != slotsPerNode {
+		t.Errorf("up to %g slots busy and %d tasks scheduled before the first commit, want %d of each", maxBusy, early, slotsPerNode)
+	}
+	if got := busy.Value(); got != 0 {
+		t.Errorf("%g slots still busy after the job", got)
+	}
+	if n := verifyParities(t, c, contents); n != stats.Stripes*c.Coder().M() {
+		t.Errorf("verified %d parity blocks of %d stripes", n, stats.Stripes)
 	}
 }
 
@@ -79,7 +155,7 @@ func TestBuildTasksChunking(t *testing.T) {
 	total := 0
 	for _, task := range tasks {
 		total += len(task.stripes)
-		if task.strict || task.preferred != mapred.AnyNode {
+		if task.StrictRack || task.Preferred != mapred.AnyNode {
 			t.Error("RR tasks must not be rack-pinned")
 		}
 	}
@@ -105,10 +181,10 @@ func TestBuildTasksEARGroupsByCoreRack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range tasks {
-		if !task.strict {
+		if !task.StrictRack {
 			t.Error("EAR tasks must be rack-pinned")
 		}
-		rack, err := c.Topology().RackOf(task.preferred)
+		rack, err := c.Topology().RackOf(task.Preferred)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -285,7 +285,7 @@ func (c *Cluster) repairAll(ctx context.Context, tasks []recoverTask, stats *Rec
 		failed = append(failed, err)
 		return nil
 	}
-	if err := loop.run(ctx, len(tasks), func(i int) error { return c.repairMember(ctx, loop, tasks[i], stats, fail) }); err != nil {
+	if err := loop.run(ctx, len(tasks), func(i int) (bool, error) { return true, c.repairMember(ctx, loop, tasks[i], stats, fail) }); err != nil {
 		failed = append(failed, err)
 	}
 	return errors.Join(failed...)

@@ -63,8 +63,9 @@ type Placement struct {
 	Rack  bool // ran in the preferred node's rack
 }
 
-// JobTracker schedules tasks onto per-node slots. Multiple Submit calls may
-// run concurrently; slots are shared across jobs.
+// JobTracker schedules tasks onto per-node slots, shared across jobs: Submit
+// runs a job's tasks, and a caller that runs its own claims and frees their
+// slots with Place and Release. Any of them may run concurrently.
 type JobTracker struct {
 	top          *topology.Topology
 	slotsPerNode int
@@ -76,7 +77,7 @@ type JobTracker struct {
 
 	// Telemetry handles, set by SetTelemetry (guarded by mu); nil when
 	// unobserved.
-	mWaiting  *telemetry.Metric
+	mWaiting  *telemetry.Metric // tasks blocked in Place
 	mBusy     *telemetry.Metric
 	mLocality *telemetry.Vec
 
@@ -127,32 +128,6 @@ func (jt *JobTracker) SetTelemetry(reg *telemetry.Registry) {
 // publishes a TaskScheduled event into it. nil detaches.
 func (jt *JobTracker) SetJournal(j *events.Journal) { jt.jrn.Store(j) }
 
-// noteScheduled records a task placement's locality class.
-func (jt *JobTracker) noteScheduled(t *Task, pl Placement) {
-	jt.mu.Lock()
-	locality := jt.mLocality
-	jt.mu.Unlock()
-	level := "remote"
-	switch {
-	case t.Preferred == AnyNode:
-		level = "any"
-	case pl.Local:
-		level = "node"
-	case pl.Rack:
-		level = "rack"
-	}
-	if j := jt.jrn.Load(); j != nil {
-		ev := events.New(events.TaskScheduled, "mapred")
-		ev.Node = pl.Node
-		ev.Detail = pl.Task + " locality=" + level
-		j.Publish(ev)
-	}
-	if locality == nil {
-		return
-	}
-	locality.With(level).Inc()
-}
-
 // Close rejects future submissions and wakes any waiting tasks so they can
 // observe the shutdown. In-flight tasks complete.
 func (jt *JobTracker) Close() {
@@ -162,28 +137,78 @@ func (jt *JobTracker) Close() {
 	jt.cond.Broadcast()
 }
 
-// acquire blocks until a slot compatible with the task is free, claims it,
-// and returns the node. It prefers the exact node, then the rack, then (for
-// non-strict tasks) any node. A canceled context aborts the wait (SubmitCtx
-// broadcasts the condition variable on cancellation).
-func (jt *JobTracker) acquire(ctx context.Context, t *Task) (topology.NodeID, error) {
-	var rackNodes []topology.NodeID
+// Place claims a slot compatible with the task and records the placement:
+// its locality class and a TaskScheduled event. It prefers the exact node,
+// then the rack, then (for non-strict tasks) any node. While none is free it
+// waits until one is, ctx is canceled or the tracker closes; told not to
+// wait, it returns ok false at once and claims nothing. Release hands the
+// slot back.
+func (jt *JobTracker) Place(ctx context.Context, t *Task, wait bool) (pl Placement, ok bool, err error) {
+	var order []topology.NodeID
 	if t.Preferred != AnyNode {
 		rack, err := jt.top.RackOf(t.Preferred)
 		if err != nil {
-			return 0, fmt.Errorf("%w: %q preferred node: %v", ErrBadTask, t.Name, err)
+			return pl, false, fmt.Errorf("%w: %q preferred node: %v", ErrBadTask, t.Name, err)
 		}
-		rackNodes, err = jt.top.NodesInRack(rack)
+		nodes, err := jt.top.NodesInRack(rack)
 		if err != nil {
-			return 0, err
+			return pl, false, err
 		}
+		order = append([]topology.NodeID{t.Preferred}, nodes...)
 	} else if t.StrictRack {
-		return 0, fmt.Errorf("%w: %q strict without preferred node", ErrBadTask, t.Name)
+		return pl, false, fmt.Errorf("%w: %q strict without preferred node", ErrBadTask, t.Name)
 	}
+	if !t.StrictRack {
+		for n := range jt.free {
+			order = append(order, topology.NodeID(n))
+		}
+	}
+	if wait {
+		// Take the lock so a waiter that checked ctx but has not yet parked on
+		// the condition variable cannot miss the wake.
+		stop := context.AfterFunc(ctx, func() {
+			jt.mu.Lock()
+			jt.cond.Broadcast()
+			jt.mu.Unlock()
+		})
+		defer stop()
+	}
+	node, err := jt.acquire(ctx, order, wait)
+	if err != nil || node == AnyNode {
+		return pl, false, err
+	}
+	pl = Placement{Task: t.Name, Node: node}
+	level := "any"
+	if t.Preferred != AnyNode {
+		pl.Local = node == t.Preferred
+		pl.Rack, _ = jt.top.SameRack(node, t.Preferred)
+		level = "remote"
+		if pl.Rack {
+			level = "rack"
+		}
+		if pl.Local {
+			level = "node"
+		}
+	}
+	if j := jt.jrn.Load(); j != nil {
+		ev := events.New(events.TaskScheduled, "mapred")
+		ev.Node, ev.Detail = pl.Node, pl.Task+" locality="+level
+		j.Publish(ev)
+	}
+	jt.mu.Lock()
+	if jt.mLocality != nil {
+		jt.mLocality.With(level).Inc()
+	}
+	jt.mu.Unlock()
+	return pl, true, nil
+}
 
+// acquire claims a slot on the first node of order with one free and returns
+// the node. While none is free it waits, or returns AnyNode when told not to.
+func (jt *JobTracker) acquire(ctx context.Context, order []topology.NodeID, wait bool) (topology.NodeID, error) {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	if jt.mWaiting != nil {
+	if wait && jt.mWaiting != nil {
 		jt.mWaiting.Inc()
 		defer jt.mWaiting.Dec()
 	}
@@ -194,40 +219,26 @@ func (jt *JobTracker) acquire(ctx context.Context, t *Task) (topology.NodeID, er
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		if t.Preferred != AnyNode && jt.free[t.Preferred] > 0 {
-			return jt.grant(t.Preferred), nil
-		}
-		if t.Preferred != AnyNode {
-			for _, n := range rackNodes {
-				if jt.free[n] > 0 {
-					return jt.grant(n), nil
+		for _, n := range order {
+			if jt.free[n] > 0 {
+				jt.free[n]--
+				if jt.mBusy != nil {
+					jt.mBusy.Inc()
 				}
+				return n, nil
 			}
 		}
-		if !t.StrictRack {
-			for n := range jt.free {
-				if jt.free[n] > 0 {
-					return jt.grant(topology.NodeID(n)), nil
-				}
-			}
+		if !wait {
+			return AnyNode, nil
 		}
 		jt.cond.Wait()
 	}
 }
 
-// grant claims one slot on n. The caller holds jt.mu.
-func (jt *JobTracker) grant(n topology.NodeID) topology.NodeID {
-	jt.free[n]--
-	if jt.mBusy != nil {
-		jt.mBusy.Inc()
-	}
-	return n
-}
-
-// release frees the slot on node n.
-func (jt *JobTracker) release(n topology.NodeID) {
+// Release frees the slot a placement holds.
+func (jt *JobTracker) Release(pl Placement) {
 	jt.mu.Lock()
-	jt.free[n]++
+	jt.free[pl.Node]++
 	if jt.mBusy != nil {
 		jt.mBusy.Dec()
 	}
@@ -241,11 +252,11 @@ func (jt *JobTracker) Submit(job Job) ([]Placement, error) {
 	return jt.SubmitCtx(context.Background(), job)
 }
 
-// SubmitCtx is Submit under a context: the first task failure — or a
-// cancellation of ctx — cancels the job context handed to every task, so
-// running tasks can abort their in-flight transfers and tasks still waiting
-// for a slot give up instead of running. Placements are recorded for the
-// tasks that were actually scheduled.
+// SubmitCtx is Submit under a context: each task runs on a goroutine of its
+// own once Place grants it a slot. The first task failure — or a cancellation
+// of ctx — cancels the job context handed to every task, so running tasks can
+// abort their in-flight transfers and tasks still waiting for a slot give up.
+// Placements are those of the scheduled tasks, in task order.
 func (jt *JobTracker) SubmitCtx(ctx context.Context, job Job) ([]Placement, error) {
 	jt.mu.Lock()
 	if jt.closed {
@@ -258,46 +269,26 @@ func (jt *JobTracker) SubmitCtx(ctx context.Context, job Job) ([]Placement, erro
 			return nil, fmt.Errorf("%w: job %q task %d has no body", ErrBadTask, job.Name, i)
 		}
 	}
-
 	g, jobCtx := workgroup.WithContext(ctx)
-	// Slot waiters block on the condition variable; wake them when the job
-	// context dies so they observe the cancellation.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-jobCtx.Done():
-			// Take the lock so a waiter that checked the context but has
-			// not yet parked on the condition variable cannot miss the wake.
-			jt.mu.Lock()
-			jt.cond.Broadcast()
-			jt.mu.Unlock()
-		case <-watchDone:
-		}
-	}()
-	placements := make([]Placement, len(job.Tasks))
+	placed := make([]*Placement, len(job.Tasks))
 	for i, t := range job.Tasks {
-		i, t := i, t
 		g.Go(func() error {
-			node, err := jt.acquire(jobCtx, t)
+			pl, _, err := jt.Place(jobCtx, t, true)
 			if err != nil {
 				return err
 			}
-			defer jt.release(node)
-			pl := Placement{Task: t.Name, Node: node}
-			if t.Preferred != AnyNode {
-				pl.Local = node == t.Preferred
-				same, err := jt.top.SameRack(node, t.Preferred)
-				if err == nil {
-					pl.Rack = same
-				}
-			}
-			placements[i] = pl
-			jt.noteScheduled(t, pl)
-			return t.Run(jobCtx, node)
+			defer jt.Release(pl)
+			placed[i] = &pl
+			return t.Run(jobCtx, pl.Node)
 		})
 	}
 	err := g.Wait()
-	close(watchDone)
+	var placements []Placement
+	for _, pl := range placed {
+		if pl != nil {
+			placements = append(placements, *pl)
+		}
+	}
 	if err != nil {
 		return placements, fmt.Errorf("job %q: %w", job.Name, err)
 	}

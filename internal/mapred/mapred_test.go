@@ -493,6 +493,40 @@ func TestSubmitCtxCancelWakesSlotWaiters(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSubmitCtxRecordsOnlyScheduledTasks cancels a job while one of its
+// strict tasks waits for the only slot of its rack, which its sibling holds:
+// the placements name the sibling alone, not a zero Placement for the task
+// that never ran.
+func TestSubmitCtxRecordsOnlyScheduledTasks(t *testing.T) {
+	jt, err := NewJobTracker(mustTop(t, 2, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jt.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	running := make(chan struct{})
+	task := func(name string) *Task {
+		return &Task{Name: name, Preferred: 1, StrictRack: true, Run: func(ctx context.Context, _ topology.NodeID) error {
+			close(running)
+			<-ctx.Done()
+			return ctx.Err()
+		}}
+	}
+	go func() {
+		<-running
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	}()
+	placements, err := jt.SubmitCtx(ctx, Job{Name: "j", Tasks: []*Task{task("a"), task("b")}})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("SubmitCtx = %v, want context.Canceled", err)
+	}
+	if len(placements) != 1 || placements[0].Node != 1 || !placements[0].Local {
+		t.Errorf("placements %+v, want the one task that ran, on node 1", placements)
+	}
+}
+
 func TestTaskFailureCancelsJobContext(t *testing.T) {
 	jt, err := NewJobTracker(mustTop(t, 2, 2), 2)
 	if err != nil {

@@ -1,24 +1,20 @@
 // Package workgroup is a dependency-free errgroup: a Group runs a set of
 // goroutines, propagates the first error, and cancels a shared context so
-// the rest can abort early. A concurrency limit bounds fan-in, which is how
-// the data path caps parallel block gathers (k fetches over disjoint links
-// without unbounded goroutine growth). It mirrors the golang.org/x/sync
-// errgroup API so a later swap is mechanical.
+// the rest can abort early. It mirrors the golang.org/x/sync errgroup API so
+// a later swap is mechanical.
 package workgroup
 
 import (
 	"context"
-	"fmt"
 	"sync"
 )
 
 // Group collects goroutines working on subtasks of a common task. The zero
-// value is usable: no limit, no cancellation on error.
+// value is usable: no cancellation on error.
 type Group struct {
 	cancel context.CancelCauseFunc
 
-	wg  sync.WaitGroup
-	sem chan struct{}
+	wg sync.WaitGroup
 
 	errOnce sync.Once
 	err     error
@@ -32,34 +28,12 @@ func WithContext(ctx context.Context) (*Group, context.Context) {
 	return &Group{cancel: cancel}, ctx
 }
 
-// SetLimit caps the number of concurrently running goroutines to n (n < 1
-// removes the cap). It must not be called while goroutines are active.
-func (g *Group) SetLimit(n int) {
-	if len(g.sem) != 0 {
-		panic(fmt.Sprintf("workgroup: modify limit while %d goroutines active", len(g.sem)))
-	}
-	if n < 1 {
-		g.sem = nil
-		return
-	}
-	g.sem = make(chan struct{}, n)
-}
-
-// Go runs f in a new goroutine, blocking first if the concurrency limit is
-// reached. The first non-nil error cancels the group context and is
-// returned by Wait.
+// Go runs f in a new goroutine. The first non-nil error cancels the group
+// context and is returned by Wait.
 func (g *Group) Go(f func() error) {
-	if g.sem != nil {
-		g.sem <- struct{}{}
-	}
 	g.wg.Add(1)
 	go func() {
-		defer func() {
-			if g.sem != nil {
-				<-g.sem
-			}
-			g.wg.Done()
-		}()
+		defer g.wg.Done()
 		if err := f(); err != nil {
 			g.errOnce.Do(func() {
 				g.err = err

@@ -3,7 +3,6 @@ package workgroup
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,32 +45,6 @@ func TestFirstErrorWinsAndCancels(t *testing.T) {
 	}
 	if cause := context.Cause(ctx); !errors.Is(cause, boom) {
 		t.Errorf("cancel cause = %v, want boom", cause)
-	}
-}
-
-func TestLimitBoundsConcurrency(t *testing.T) {
-	g, _ := WithContext(context.Background())
-	g.SetLimit(3)
-	var cur, peak atomic.Int32
-	var mu sync.Mutex
-	for i := 0; i < 20; i++ {
-		g.Go(func() error {
-			c := cur.Add(1)
-			mu.Lock()
-			if c > peak.Load() {
-				peak.Store(c)
-			}
-			mu.Unlock()
-			time.Sleep(time.Millisecond)
-			cur.Add(-1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > 3 {
-		t.Errorf("peak concurrency %d exceeds limit 3", p)
 	}
 }
 
