@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"time"
@@ -103,28 +104,35 @@ func RunCrashRun(opts CrashOptions, kill func() error) error {
 
 // CrashReport summarizes the recover phase.
 type CrashReport struct {
-	ReplayedOps   int64 `json:"replayed_ops"`
-	Blocks        int   `json:"blocks"`
-	Stripes       int   `json:"stripes"`
-	Encoded       int   `json:"encoded_stripes"`
-	Requeued      int   `json:"requeued_stripes"`
-	FreshBlocks   int   `json:"fresh_blocks"`
+	ReplayedOps int64 `json:"replayed_ops"`
+	Blocks      int   `json:"blocks"`
+	Stripes     int   `json:"stripes"`
+	Encoded     int   `json:"encoded_stripes"`
+	Requeued    int   `json:"requeued_stripes"`
+	FreshBlocks int   `json:"fresh_blocks"`
+	// Readable and Lost count the recovered committed blocks a read
+	// returned and failed on. The DataNodes' stores live in the killed
+	// process's memory, so every pre-crash block reads as lost.
+	Readable      int   `json:"readable_blocks"`
+	Lost          int   `json:"lost_blocks"`
 	Violations    int   `json:"violations"`
 	RecoverMillis int64 `json:"recover_millis"`
 }
 
 // String renders the one-line marker CI greps for.
 func (r CrashReport) String() string {
-	return fmt.Sprintf("CRASH_RECOVERY_OK replayed=%d blocks=%d stripes=%d encoded=%d requeued=%d fresh=%d violations=%d recover_ms=%d",
-		r.ReplayedOps, r.Blocks, r.Stripes, r.Encoded, r.Requeued, r.FreshBlocks, r.Violations, r.RecoverMillis)
+	return fmt.Sprintf("CRASH_RECOVERY_OK replayed=%d blocks=%d stripes=%d encoded=%d requeued=%d fresh=%d readable=%d lost=%d violations=%d recover_ms=%d",
+		r.ReplayedOps, r.Blocks, r.Stripes, r.Encoded, r.Requeued, r.FreshBlocks, r.Readable, r.Lost, r.Violations, r.RecoverMillis)
 }
 
 // RunCrashRecover is the second phase: a fresh cluster over the same MetaDir
 // recovers the metadata plane (snapshot plus log tail, torn tail truncated),
 // backfills the canonical event stream for the placement auditor, requeues
 // the encodings the crash interrupted, and proves the plane is live by
-// serving new writes. It fails if the auditor finds any invariant violation
-// or the recovered state is implausibly empty.
+// serving new writes and reading each back. It tries to read every recovered
+// committed block and reports how many it could. It fails if a fresh block
+// reads back other bytes than were written, the auditor finds any invariant
+// violation or the recovered state is implausibly empty.
 func RunCrashRecover(opts CrashOptions) (*CrashReport, error) {
 	opts = opts.withDefaults()
 	if opts.MetaDir == "" {
@@ -169,18 +177,42 @@ func RunCrashRecover(opts CrashOptions) (*CrashReport, error) {
 	rep.Stripes = rep.Encoded + nn.PendingStripeCount()
 
 	// The recovered plane serves traffic: fresh writes allocate, commit, and
-	// group under the same invariants.
+	// group under the same invariants, and read back what was written.
 	rng := rand.New(rand.NewSource(opts.Seed + 902))
 	payload := make([]byte, c.Config().BlockSizeBytes)
 	fresh := 2 * c.Config().K
 	for i := 0; i < fresh; i++ {
 		rng.Read(payload)
 		client := topology.NodeID(rng.Intn(c.Topology().Nodes()))
-		if _, err := c.WriteBlock(client, payload); err != nil {
+		id, err := c.WriteBlock(client, payload)
+		if err != nil {
 			return nil, fmt.Errorf("fresh write after recovery: %w", err)
+		}
+		got, err := c.ReadBlock(client, id)
+		if err != nil {
+			return nil, fmt.Errorf("reading fresh block %d after recovery: %w", id, err)
+		}
+		if !bytes.Equal(got, payload) {
+			return nil, fmt.Errorf("fresh block %d reads back other bytes than were written", id)
 		}
 	}
 	rep.FreshBlocks = fresh
+
+	// The recovered blocks' metadata is complete; their bytes are not.
+	for id := topology.BlockID(0); int(id) < rep.Blocks; id++ {
+		meta, err := nn.Block(id)
+		if err != nil {
+			return nil, err
+		}
+		if !meta.Committed {
+			continue
+		}
+		if _, err := c.ReadBlock(0, id); err != nil {
+			rep.Lost++
+		} else {
+			rep.Readable++
+		}
+	}
 
 	arep := pl.Auditor.Report()
 	rep.Violations = arep.Total()

@@ -137,9 +137,11 @@ func designTime(t *testing.T, what string, dur, bound time.Duration) {
 // phase of `stripe mod 1000` ns that every step of a task's loop slept past
 // its instant, and the encode took 52.734349 ms; in one loop it takes
 // 52.734348 ms (54.687 with a loop per fold, 66.895 when the planner's draw
-// picked the homes) and recovery 96.191 ms; while each repair ran a loop of
-// its own, phased by its stripe, recovery took 100.220 ms. Both are logged
-// beside their link bounds, and recovery is held to 96.6 ms.
+// picked the homes) and recovery 85.205 ms against a link bound of 78.125.
+// On the layout that per-rack placement streams drew, recovery took 96.191 ms
+// against 93.75, and 100.220 ms while each repair ran a loop of its own,
+// phased by its stripe. Both are logged beside their link bounds, and
+// recovery is held to 96.6 ms.
 func TestLifecycleRepeats(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {

@@ -96,17 +96,14 @@ func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 	}
 	switch op.kind {
 	case opAllocate:
-		if int(op.shard) < 0 || int(op.shard) >= len(nn.policies) {
-			return fmt.Errorf("hdfs: replay lsn %d: allocate on unknown shard %d", lsn, op.shard)
-		}
 		// Re-apply the recorded placement decision to the policy (EAR keeps
 		// open-stripe state; RR keeps none and skips this). The decision is
 		// in the record, so no randomness is consumed.
-		if ear := nn.policies[op.shard].ear; ear != nil {
+		if nn.ear != nil {
 			if op.core < 0 {
 				return fmt.Errorf("hdfs: replay lsn %d: allocate of block %d has no core rack", lsn, op.block)
 			}
-			if err := ear.RestorePlacement(op.block, op.core, op.nodes, op.targets, op.attempts); err != nil {
+			if err := nn.ear.RestorePlacement(op.block, op.core, op.nodes, op.targets, op.attempts); err != nil {
 				return fmt.Errorf("hdfs: replay lsn %d: %w", lsn, err)
 			}
 		}
@@ -124,28 +121,23 @@ func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 		}
 		nn.applyAbortLocked(meta)
 	case opSealStripe:
-		if int(op.shard) < 0 || int(op.shard) >= len(nn.policies) {
-			return fmt.Errorf("hdfs: replay lsn %d: seal on unknown shard %d", lsn, op.shard)
-		}
 		// The preceding allocate's RestorePlacement sealed exactly one
-		// stripe on this shard; anything else means log and policy state
-		// disagree.
-		sealed := nn.policies[op.shard].policy.TakeSealed()
+		// stripe; anything else means log and policy state disagree.
+		if nn.ear == nil {
+			return fmt.Errorf("hdfs: replay lsn %d: seal under a policy that seals no stripes", lsn)
+		}
+		sealed := nn.ear.TakeSealed()
 		if len(sealed) != 1 {
-			return fmt.Errorf("hdfs: replay lsn %d: shard %d has %d sealed stripes, want 1", lsn, op.shard, len(sealed))
+			return fmt.Errorf("hdfs: replay lsn %d: policy has %d sealed stripes, want 1", lsn, len(sealed))
 		}
 		nn.registerStripeLocked(sealed[0])
 	case opFlushStripe:
-		if int(op.shard) < 0 || int(op.shard) >= len(nn.policies) {
-			return fmt.Errorf("hdfs: replay lsn %d: flush on unknown shard %d", lsn, op.shard)
+		if nn.ear == nil {
+			return fmt.Errorf("hdfs: replay lsn %d: flush under a policy that keeps no open stripes", lsn)
 		}
-		ear := nn.policies[op.shard].ear
-		if ear == nil {
-			return fmt.Errorf("hdfs: replay lsn %d: shard %d policy cannot drop open stripes", lsn, op.shard)
-		}
-		info := ear.DropOpen(op.core)
+		info := nn.ear.DropOpen(op.core)
 		if info == nil {
-			return fmt.Errorf("hdfs: replay lsn %d: no open stripe on shard %d core rack %d", lsn, op.shard, op.core)
+			return fmt.Errorf("hdfs: replay lsn %d: no open stripe on core rack %d", lsn, op.core)
 		}
 		nn.registerStripeLocked(info)
 	case opGroupStripe:
@@ -255,8 +247,9 @@ func (nn *NameNode) applyRequeueLocked(sm *StripeMeta) {
 
 // --- snapshot codec ---------------------------------------------------------
 
-// snapshotVersion is the first byte of every state snapshot.
-const snapshotVersion = 1
+// snapshotVersion is the first byte of every state snapshot. Version 1 held
+// one open-stripe state per rack's policy instance.
+const snapshotVersion = 2
 
 // Block flag bits in the snapshot encoding.
 const (
@@ -318,10 +311,10 @@ func (r *opReader) stripeInfo() *placement.StripeInfo {
 // mu, for reading at least, so no mutation is half applied and the log's
 // LastLSN is exactly the applied prefix. The encoding is canonical — maps are walked in
 // sorted order — so byte equality of two encodings is state equality; the
-// crash-recovery property tests compare exactly these bytes. The policy
-// rngs are deliberately excluded: placement decisions are recorded in ops
-// at propose time, so recovery never re-draws them, and two states that
-// differ only in unconsumed randomness are operationally identical.
+// crash-recovery property tests compare exactly these bytes. The rng is not
+// state: placement decisions are recorded in ops at propose time, so
+// recovery never re-draws them, and every draw restarts it from the seed
+// and what the draw is for (NameNode.draw).
 func (nn *NameNode) encodeStateLocked(buf []byte) []byte {
 	buf = append(buf, snapshotVersion)
 	buf = appendI64(buf, int64(nn.nextBlock))
@@ -398,14 +391,8 @@ func (nn *NameNode) encodeStateLocked(buf []byte) []byte {
 	sort.Slice(deadIDs, func(i, j int) bool { return deadIDs[i] < deadIDs[j] })
 	buf = appendNodes(buf, deadIDs)
 
-	buf = appendU32(buf, uint32(len(nn.policies)))
-	for _, rp := range nn.policies {
-		if rp.ear == nil {
-			buf = append(buf, 0)
-			continue
-		}
-		buf = append(buf, 1)
-		next, open := rp.ear.OpenState()
+	if nn.ear != nil {
+		next, open := nn.ear.OpenState()
 		buf = appendI64(buf, int64(next))
 		buf = appendU32(buf, uint32(len(open)))
 		for _, info := range open {
@@ -481,29 +468,17 @@ func (nn *NameNode) restoreSnapshot(state []byte) error {
 		nn.dead[n] = true
 	}
 
-	nshards := r.count()
-	if r.err == nil && nshards != len(nn.policies) {
-		return fmt.Errorf("hdfs: snapshot has %d placement shards, NameNode has %d", nshards, len(nn.policies))
-	}
-	for i := 0; i < nshards && r.err == nil; i++ {
-		if r.u8() == 0 {
-			continue
-		}
-		ear := nn.policies[i].ear
-		if ear == nil {
-			return fmt.Errorf("hdfs: snapshot has open-stripe state for shard %d but its policy keeps none", i)
-		}
+	if nn.ear != nil && r.err == nil {
 		next := topology.StripeID(r.i64())
 		nopen := r.count()
 		open := make([]*placement.StripeInfo, 0, nopen)
 		for j := 0; j < nopen && r.err == nil; j++ {
 			open = append(open, r.stripeInfo())
 		}
-		if r.err != nil {
-			break
-		}
-		if err := ear.RestoreOpenState(next, open); err != nil {
-			return fmt.Errorf("hdfs: restoring shard %d open state: %w", i, err)
+		if r.err == nil {
+			if err := nn.ear.RestoreOpenState(next, open); err != nil {
+				return fmt.Errorf("hdfs: restoring open stripes: %w", err)
+			}
 		}
 	}
 	if r.err != nil {

@@ -2,11 +2,13 @@ package hdfs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -299,6 +301,147 @@ func TestConcurrentOpsReplayToLiveState(t *testing.T) {
 			if diverged > 0 {
 				t.Errorf("in %d of %d trials the recovered state diverges from the live state", diverged, trials)
 			}
+		})
+	}
+}
+
+// TestRecoveredNameNodePlacesLikeLive: a NameNode recovered from its log
+// places the next blocks where the live one does. Under each policy a durable
+// NameNode allocates and commits 40 blocks from writers that cycle through
+// the nodes, every fifth with no writer, and snapshots halfway; the live
+// NameNode and one recovered from a copy of its directory then allocate the
+// same 40 more, each committed before the next, so neither has a write in
+// flight. Every placement draw is a function of the seed and the block, so
+// each block lands on the same nodes and both end in the same state.
+func TestRecoveredNameNodePlacesLikeLive(t *testing.T) {
+	const before, after = 40, 40
+	for _, policy := range []string{"ear", "rr"} {
+		t.Run(policy, func(t *testing.T) {
+			cfg := testPlacementCfg(t)
+			writer := func(i int) topology.NodeID {
+				if i%5 == 4 {
+					return placement.NoWriter
+				}
+				return topology.NodeID(i % cfg.Topology.Nodes())
+			}
+			place := func(nn *NameNode, i int) []topology.NodeID {
+				t.Helper()
+				meta, err := nn.AllocateBlockFrom(context.Background(), 1024, writer(i))
+				if err != nil {
+					t.Fatalf("block %d: %v", i, err)
+				}
+				if err := nn.CommitBlock(meta.ID); err != nil {
+					t.Fatalf("block %d: %v", i, err)
+				}
+				return meta.Nodes
+			}
+			dir := t.TempDir()
+			live := openDurableNN(t, dir, policy, cfg, metalog.SyncAlways)
+			defer live.CloseMeta()
+			for i := 0; i < before; i++ {
+				place(live, i)
+				if i == before/2 {
+					if err := live.SnapshotNow(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			crash := t.TempDir()
+			copyDir(t, dir, crash)
+			rec := openDurableNN(t, crash, policy, cfg, metalog.SyncAlways)
+			defer rec.CloseMeta()
+			differ, first := 0, ""
+			for i := before; i < before+after; i++ {
+				want, got := place(live, i), place(rec, i)
+				if !slices.Equal(want, got) {
+					if differ++; differ == 1 {
+						first = fmt.Sprintf("block %d (writer %d): live on %v, recovered on %v", i, writer(i), want, got)
+					}
+				}
+			}
+			if differ > 0 {
+				t.Fatalf("%d of %d placements after recovery differ from the live NameNode's; the first: %s", differ, after, first)
+			}
+			if !bytes.Equal(live.StateDigest(), rec.StateDigest()) {
+				t.Fatal("the recovered NameNode's state diverges from the live one's")
+			}
+		})
+	}
+}
+
+// TestRecoverRejectsEarlierFormat: a metadata directory written while the
+// NameNode kept a placement-policy instance per rack fails RecoverMeta and
+// installs nothing, whether it holds a version-1 snapshot or an allocate
+// record that names its instance. That record reads as a valid allocate under
+// the current layout, shifted by the field it lost (its instance, core rack
+// and attempts as core rack, attempts and one replica, its replicas as target
+// racks), so only its retired kind keeps it from replaying.
+func TestRecoverRejectsEarlierFormat(t *testing.T) {
+	cfg := testPlacementCfg(t)
+	old := []byte{1} // allocate, with the instance field
+	old = appendI64(old, 0)
+	old = appendI64(old, 1024)
+	old = appendU32(old, 0)                         // instance
+	old = appendU32(old, 0)                         // core rack
+	old = appendU32(old, 1)                         // attempts
+	old = appendNodes(old, []topology.NodeID{2, 4}) // replicas
+	old = appendRacks(old, nil)                     // targets
+	shifted := append([]byte{byte(opAllocate)}, old[1:]...)
+	if _, err := decodeOp(shifted); err != nil {
+		t.Fatalf("the shifted record no longer decodes (%v); this test's premise is stale", err)
+	}
+	recoverErr := func(t *testing.T, dir, policy string) {
+		t.Helper()
+		nn, err := NewShardedNameNode(cfg, policy, 7, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := metalog.Open(metalog.Options{Dir: dir, Sync: metalog.SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nn.RecoverMeta(l); err == nil {
+			t.Fatal("recovered from a directory in the earlier format")
+		} else {
+			t.Log(err)
+		}
+		if n := nn.BlockCount(); n != 0 {
+			t.Fatalf("a failed recovery installed %d blocks", n)
+		}
+	}
+	for _, policy := range []string{"ear", "rr"} {
+		t.Run(policy+"/record", func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := metalog.Open(metalog.Options{Dir: dir, Sync: metalog.SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Recover(nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Append(old); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			recoverErr(t, dir, policy)
+		})
+		t.Run(policy+"/snapshot", func(t *testing.T) {
+			dir := t.TempDir()
+			nn := openDurableNN(t, dir, policy, cfg, metalog.SyncAlways)
+			if _, err := nn.AllocateBlock(1024); err != nil {
+				t.Fatal(err)
+			}
+			state := nn.StateDigest()
+			state[0] = 1
+			if err := nn.wal.Snapshot(nn.wal.LastLSN(), state); err != nil {
+				t.Fatal(err)
+			}
+			if err := nn.CloseMeta(); err != nil {
+				t.Fatal(err)
+			}
+			recoverErr(t, dir, policy)
 		})
 	}
 }

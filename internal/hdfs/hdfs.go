@@ -459,6 +459,15 @@ func drawFor(seed int64, ids ...int64) uint64 {
 // splitmixGamma is splitmix64's state increment and mix64 its output function.
 const splitmixGamma = 0x9E3779B97F4A7C15
 
+// splitmix is splitmix64 as a rand.Source64. Its state is one word, so
+// reseeding it before every draw (NameNode.draw) costs a store where
+// math/rand's own source fills a 607-word table.
+type splitmix struct{ x uint64 }
+
+func (s *splitmix) Seed(seed int64) { s.x = uint64(seed) }
+func (s *splitmix) Uint64() uint64  { s.x += splitmixGamma; return mix64(s.x) }
+func (s *splitmix) Int63() int64    { return int64(s.Uint64() >> 1) }
+
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9

@@ -70,19 +70,6 @@ func cloneStripeMeta(sm *StripeMeta) *StripeMeta {
 	return &StripeMeta{Info: sm.Info.Clone(), Plan: sm.Plan.Clone(), Encoded: sm.Encoded}
 }
 
-// rackPolicy is the placement-policy instance of one rack, with its own rng.
-// Under EAR it is the policy of the stripes whose core rack that is
-// (open-stripe state is keyed by core rack, so instances never share state);
-// under RR instances are interchangeable and one is drawn per allocation. The
-// op log records an instance's index as its shard. NewShardedNameNode builds
-// every policy, so what an instance can do is known by construction: ear is
-// the policy under EAR — the stripe state the op log and snapshots record
-// and replay restore — and nil under RR, which keeps none.
-type rackPolicy struct {
-	policy placement.Policy
-	ear    *placement.EAR
-}
-
 // NameNode holds all metadata: block locations, the placement policy hook
 // (the paper's first HDFS modification), and the pre-encoding store mapping
 // stripes to their block lists (the second modification).
@@ -101,9 +88,8 @@ type rackPolicy struct {
 // is the apply order and replay in log order rebuilds the live state; reads
 // hold it for reading.
 type NameNode struct {
-	cfg        placement.Config
-	policyName string
-	// seed keys every post-encoding plan (PlanStripe), with the stripe's ID.
+	cfg placement.Config
+	// seed keys every placement draw, with what the draw is for (draw).
 	seed int64
 
 	// mu guards every field from here to dead.
@@ -117,11 +103,13 @@ type NameNode struct {
 	// it is returned — a test-only hook for staging deliberately mis-placed
 	// stripes the auditor must catch.
 	planOverride func(*placement.StripeInfo, *placement.PostEncodingPlan)
-	// policies holds one placement-policy instance per rack.
-	policies []rackPolicy
-	// rackSeq is the splitmix64 state behind drawn core racks and RR's
-	// drawn policy instance, started from the constructor's seed.
-	rackSeq uint64
+	// policy places every block; ear is the same policy under EAR — the
+	// open-stripe state the op log and snapshots record and replay restores —
+	// and nil under RR, which keeps none. Both draw from rng, which only a
+	// write hold of mu uses, each time reseeded by draw.
+	policy placement.Policy
+	ear    *placement.EAR
+	rng    *rand.Rand
 	// rrPending lists committed RR blocks not yet grouped, in commit order.
 	rrPending []topology.BlockID
 	// dead is the failed-node set.
@@ -130,8 +118,8 @@ type NameNode struct {
 	// inFlight is the ledger of replicas in flight: for every block allocated
 	// on the live path and not yet settled (settleLocked), its replicas 2..r
 	// — the ones a write sends over the network; replica 1 is the writer's
-	// own — counted against their nodes and racks. Every policy instance
-	// reads it, to send replica 2 where no write is landing. Replay,
+	// own — counted against their nodes and racks. The policy reads it, to
+	// send replica 2 where no write is landing. Replay,
 	// snapshots and StateDigest never see it, and a recovered NameNode starts
 	// at zero.
 	inFlight *placement.InFlight
@@ -184,52 +172,51 @@ type nnMetrics struct {
 	recovery  *telemetry.Metric // namenode_recovery_seconds
 }
 
-// NewShardedNameNode builds a NameNode with one placement-policy instance
-// (with its own rng) per rack: under EAR the instance of the stripes whose
-// core rack that is, under RR one drawn per allocation. The fourth argument
-// is ignored: it selected the one-big-lock A/B mode, which is gone, and stays
-// in the signature only because benchmark/ compiles against it; a
-// [benchmark] PR drops it.
-func NewShardedNameNode(cfg placement.Config, policyName string, seed int64, _ bool) (*NameNode, error) {
+// NewShardedNameNode builds a NameNode with one placement policy, "ear" or
+// "rr", whose draws are functions of the seed and what each is for. The
+// fourth argument is ignored: it selected the one-big-lock A/B mode, which is
+// gone, and stays in the signature, as does the name, only because benchmark/
+// compiles against both.
+func NewShardedNameNode(cfg placement.Config, policy string, seed int64, _ bool) (*NameNode, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	nn := &NameNode{
-		cfg:        cfg,
-		policyName: policyName,
-		seed:       seed,
-		blocks:     make(map[topology.BlockID]*BlockMeta),
-		stripes:    make(map[topology.StripeID]*StripeMeta),
-		rackSeq:    uint64(seed),
-		dead:       make(map[topology.NodeID]bool),
-		inFlight:   placement.NewInFlight(cfg.Topology),
+		cfg:      cfg,
+		seed:     seed,
+		blocks:   make(map[topology.BlockID]*BlockMeta),
+		stripes:  make(map[topology.StripeID]*StripeMeta),
+		rng:      rand.New(new(splitmix)),
+		dead:     make(map[topology.NodeID]bool),
+		inFlight: placement.NewInFlight(cfg.Topology),
 	}
-	for i := 0; i < cfg.Topology.Racks(); i++ {
-		var rp rackPolicy
-		var err error
-		rng := rand.New(rand.NewSource(seed + int64(i) + 1))
-		switch policyName {
-		case "ear":
-			if rp.ear, err = placement.NewEAR(cfg, rng); err == nil {
-				rp.ear.SetInFlight(nn.inFlight)
-				rp.policy = rp.ear
-			}
-		case "rr":
-			var rr *placement.Random
-			if rr, err = placement.NewRandom(cfg, rng); err == nil {
-				rr.SetInFlight(nn.inFlight)
-				rp.policy = rr
-			}
-		default:
-			return nil, fmt.Errorf("%w: unknown policy %q", placement.ErrInvalidConfig, policyName)
+	var err error
+	switch policy {
+	case "ear":
+		if nn.ear, err = placement.NewEAR(cfg, nn.rng); err == nil {
+			nn.ear.SetInFlight(nn.inFlight)
+			nn.policy = nn.ear
 		}
-		if err != nil {
-			return nil, err
+	case "rr":
+		var rr *placement.Random
+		if rr, err = placement.NewRandom(cfg, nn.rng); err == nil {
+			rr.SetInFlight(nn.inFlight)
+			nn.policy = rr
 		}
-		nn.policies = append(nn.policies, rp)
+	default:
+		err = fmt.Errorf("%w: unknown policy %q", placement.ErrInvalidConfig, policy)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return nn, nil
 }
+
+// draw restarts rng at what its next draws are for: a block's allocation
+// (its ID) or a stripe's post-encoding plan (^its ID, so that no stripe keys
+// a block's draws). A NameNode recovered from its log therefore draws what
+// the live one would. Caller holds mu for writing.
+func (nn *NameNode) draw(key int64) { nn.rng.Seed(int64(drawFor(nn.seed, key))) }
 
 // SetJournal installs the cluster event journal. Metadata transitions
 // (allocation, commit, abort, stripe grouping, encode commit, liveness)
@@ -312,65 +299,42 @@ func (nn *NameNode) AllocateBlock(size int) (*BlockMeta, error) {
 // for the given writing node: the first replica is the writer's own and,
 // under EAR, the writer's rack is the core rack of the stripe the block
 // joins (the flow graph may move replica 1 to another node of that rack).
-// With placement.NoWriter the core rack (EAR) or the first replica (RR) is
-// drawn uniformly from a sequence the constructor's seed starts. When the
-// context carries a telemetry span (a traced client write), the allocation
-// runs under a "namenode.allocate" child span and the BlockAllocated /
-// StripeGrouped journal events carry the trace ID.
+// With placement.NoWriter the core rack (EAR) or the first replica's rack
+// (RR) is drawn uniformly. Every draw is a function of the seed and the
+// block's ID. When the context carries a telemetry span (a traced client
+// write), the allocation runs under a "namenode.allocate" child span and the
+// BlockAllocated / StripeGrouped journal events carry the trace ID.
 func (nn *NameNode) AllocateBlockFrom(ctx context.Context, size int, writer topology.NodeID) (*BlockMeta, error) {
 	sp := telemetry.SpanFromContext(ctx).Child("namenode.allocate").
 		Arg(telemetry.ComponentArg, "namenode")
 	defer sp.End()
 	trace := sp.TraceID()
 	allocStart := time.Now()
-	// The writer's rack is resolved first, so an unknown writer allocates
-	// nothing.
-	shard := int32(-1)
-	if writer != placement.NoWriter {
-		r, err := nn.cfg.Topology.RackOf(writer)
-		if err != nil {
-			return nil, err
-		}
-		shard = int32(r)
-	}
 
 	nn.mu.Lock()
 	id := nn.nextBlock
-	// Under EAR the policy instance is the core rack's: the writer's rack, or
-	// a drawn one. RR's instances are interchangeable and always drawn.
-	if shard < 0 || nn.policyName != "ear" {
-		nn.rackSeq += splitmixGamma
-		shard = int32(mix64(nn.rackSeq) % uint64(len(nn.policies)))
-	}
-	rp := nn.policies[shard]
-	core := topology.RackID(-1)
-	if rp.ear != nil {
-		core = topology.RackID(shard)
-	}
+	nn.draw(int64(id))
 	t0 := time.Now()
-	var pl topology.Placement
-	var err error
-	if rp.ear != nil && writer == placement.NoWriter {
-		pl, err = rp.ear.PlaceAt(id, core)
-	} else {
-		pl, err = rp.policy.PlaceFrom(id, writer)
-	}
+	pl, err := nn.policy.PlaceFrom(id, writer)
 	elapsed := time.Since(t0)
 	if err != nil {
 		nn.mu.Unlock()
 		return nil, err
 	}
-	attempts := 1
+	// EAR puts replica 1 in the stripe's core rack, which replay reopens the
+	// stripe in; the policy drew that node from the topology, so RackOf
+	// cannot fail.
+	attempts, core := 1, topology.RackID(-1)
 	var targets []topology.RackID
-	if rp.ear != nil {
-		attempts, targets = rp.ear.LastPlaceAttempts(), rp.ear.LastPlaceTargets()
+	if nn.ear != nil {
+		attempts, targets = nn.ear.LastPlaceAttempts(), nn.ear.LastPlaceTargets()
+		core, _ = nn.cfg.Topology.RackOf(pl.Nodes[0])
 	}
 
 	op := &nnOp{
 		kind:     opAllocate,
 		block:    id,
 		size:     int64(size),
-		shard:    shard,
 		core:     core,
 		attempts: attempts,
 		nodes:    pl.Nodes,
@@ -397,8 +361,8 @@ func (nn *NameNode) AllocateBlockFrom(ctx context.Context, size int, writer topo
 
 	// Register the stripes the placement sealed in the same hold.
 	var pending []events.Event
-	for _, s := range rp.policy.TakeSealed() {
-		sop := &nnOp{kind: opSealStripe, shard: shard}
+	for _, s := range nn.policy.TakeSealed() {
+		sop := &nnOp{kind: opSealStripe}
 		if lsn, err = nn.logOp(sop); err != nil {
 			nn.mu.Unlock()
 			return nil, err
@@ -434,7 +398,7 @@ func (nn *NameNode) AllocateBlockFrom(ctx context.Context, size int, writer topo
 
 // applyAllocate installs a block-allocation op's metadata record: the shared
 // apply step of the live path and replay. The placement policy's state was
-// already advanced by the caller (PlaceAt live, RestorePlacement in replay).
+// already advanced by the caller (PlaceFrom live, RestorePlacement in replay).
 // A live allocation (writing) counts its replicas 2..r in the in-flight
 // ledger. Caller holds mu.
 func (nn *NameNode) applyAllocateLocked(op *nnOp, writing bool) *BlockMeta {
@@ -501,7 +465,7 @@ func (nn *NameNode) CommitBlockCtx(ctx context.Context, id topology.BlockID) err
 func (nn *NameNode) applyCommitLocked(meta *BlockMeta) []topology.NodeID {
 	nn.settleLocked(meta)
 	meta.Committed = true
-	if nn.policyName == "rr" {
+	if nn.ear == nil {
 		nn.rrPending = append(nn.rrPending, meta.ID)
 	}
 	return append([]topology.NodeID(nil), meta.Nodes...)
@@ -597,7 +561,7 @@ func (nn *NameNode) TakePendingStripes() ([]*placement.StripeInfo, error) {
 	var pending []events.Event
 	var lsn uint64
 	nn.mu.Lock()
-	if nn.policyName == "rr" && len(nn.rrPending) >= nn.cfg.K {
+	if nn.ear == nil && len(nn.rrPending) >= nn.cfg.K {
 		placements := make(map[topology.BlockID]topology.Placement, len(nn.rrPending))
 		for _, b := range nn.rrPending {
 			meta, ok := nn.blocks[b]
@@ -689,23 +653,22 @@ func (nn *NameNode) FlushOpenStripes() (int, error) {
 	var lsn uint64
 	count := 0
 	nn.mu.Lock()
-	for si, rp := range nn.policies {
-		if rp.ear == nil {
-			continue
+	var open []*placement.StripeInfo
+	if nn.ear != nil {
+		open = nn.ear.FlushOpen()
+	}
+	for _, s := range open {
+		op := &nnOp{kind: opFlushStripe, core: s.CoreRack}
+		var err error
+		if lsn, err = nn.logOp(op); err != nil {
+			nn.mu.Unlock()
+			return count, err
 		}
-		for _, s := range rp.ear.FlushOpen() {
-			op := &nnOp{kind: opFlushStripe, shard: int32(si), core: s.CoreRack}
-			var err error
-			if lsn, err = nn.logOp(op); err != nil {
-				nn.mu.Unlock()
-				return count, err
-			}
-			nn.registerStripeLocked(s)
-			count++
-			op.stripe, op.core, op.blocks = s.ID, s.CoreRack, s.Blocks
-			if ev, ok := opEvent(op); ok {
-				pending = append(pending, ev)
-			}
+		nn.registerStripeLocked(s)
+		count++
+		op.stripe, op.blocks = s.ID, s.Blocks
+		if ev, ok := opEvent(op); ok {
+			pending = append(pending, ev)
 		}
 	}
 	nn.mu.Unlock()
@@ -717,19 +680,20 @@ func (nn *NameNode) FlushOpenStripes() (int, error) {
 }
 
 // PlanStripe computes the post-encoding layout for a stripe, a function of
-// (seed, stripe, homes): the rng is the stripe's own, so concurrent encodes
-// plan the same layouts in whatever order they get here, and homes are the
-// core-rack nodes the encoder wants its parity on (placement.PlanPostEncoding).
-// The solve holds mu for writing though it reads nothing mu guards but
-// planOverride: the exclusive hold hands the stripes of a job out one solve
-// apart, and folds that start on one instant wake every stage of every chain
-// together from then on, which cost the 2-core benchmark host 10 % of
-// encode_mbps when the solve was moved out (CHANGES.md, PR 23).
+// (seed, stripe, homes): the rng restarts at the stripe's draw, so concurrent
+// encodes plan the same layouts in whatever order they get here, and homes
+// are the core-rack nodes the encoder wants its parity on
+// (placement.PlanPostEncoding). The solve holds mu for writing, as every use
+// of the rng does; the exclusive hold also hands the stripes of a job out one
+// solve apart, and folds that start on one instant wake every stage of every
+// chain together from then on, which cost the 2-core benchmark host 10 % of
+// encode_mbps when the solve was moved out of the hold (DESIGN.md, "One
+// NameNode lock").
 func (nn *NameNode) PlanStripe(info *placement.StripeInfo, homes ...topology.NodeID) (*placement.PostEncodingPlan, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	rng := rand.New(rand.NewSource(int64(drawFor(nn.seed, int64(info.ID)))))
-	plan, err := placement.PlanPostEncoding(nn.cfg, info, rng, homes...)
+	nn.draw(^int64(info.ID))
+	plan, err := placement.PlanPostEncoding(nn.cfg, info, nn.rng, homes...)
 	if err == nil && nn.planOverride != nil {
 		nn.planOverride(info, plan)
 	}

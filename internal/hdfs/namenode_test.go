@@ -20,7 +20,7 @@ func testPlacementConfig(t *testing.T) placement.Config {
 	return placement.Config{Topology: top, Replicas: 3, K: 4, N: 6, C: 1}
 }
 
-// encodedStripeFixture builds a sharded EAR NameNode with at least one
+// encodedStripeFixture builds an EAR NameNode with at least one
 // encoded stripe and returns it with the stripe's ID.
 func encodedStripeFixture(t *testing.T) (*NameNode, topology.StripeID) {
 	t.Helper()
@@ -112,7 +112,7 @@ func TestStripeSnapshotRace(t *testing.T) {
 	}
 }
 
-// TestConcurrentAllocateBlockGeometry hammers the sharded allocation path
+// TestConcurrentAllocateBlockGeometry hammers the allocation path
 // from many goroutines (run under -race in CI) and then checks every sealed
 // stripe kept valid EAR geometry: replica counts, distinct nodes, first
 // replica in the stripe's core rack, and block-table consistency.

@@ -13,7 +13,10 @@ import (
 // change the NameNode performs — and nothing else — has a kind here; the
 // write-ahead log is a sequence of these records, and crash recovery is
 // their replay. Values are part of the on-disk format: never renumber,
-// only append.
+// only append. A record whose layout changes takes a new value, so a log
+// written before the change fails to decode instead of replaying: kinds 1, 4
+// and 5 were allocate, seal-stripe and flush-stripe records that named one of
+// several per-rack policy instances, and are retired.
 type opKind uint8
 
 const (
@@ -21,18 +24,18 @@ const (
 	// replica nodes, core rack, the open stripe's target racks, and the
 	// iteration count, so replay can restore the policy's open-stripe state
 	// without consuming randomness.
-	opAllocate opKind = 1
+	opAllocate opKind = 14
 	// opCommit records that a block's replicas are durably written.
 	opCommit opKind = 2
 	// opAbort records an abandoned uncommitted allocation.
 	opAbort opKind = 3
-	// opSealStripe records that a rack's policy instance sealed a stripe
-	// at k blocks; apply drains it via TakeSealed and registers it under
-	// the next global stripe ID.
-	opSealStripe opKind = 4
+	// opSealStripe records that the policy sealed a stripe at k blocks;
+	// apply drains it via TakeSealed and registers it under the next
+	// global stripe ID.
+	opSealStripe opKind = 15
 	// opFlushStripe records the early seal of one core rack's open stripe
 	// (FlushOpenStripes); apply drops it from the policy and registers it.
-	opFlushStripe opKind = 5
+	opFlushStripe opKind = 16
 	// opGroupStripe records an RR stripe grouped from k committed blocks.
 	opGroupStripe opKind = 6
 	// opDrainPending records that the pre-encoding store was handed to the
@@ -96,7 +99,6 @@ type nnOp struct {
 	kind     opKind
 	block    topology.BlockID
 	size     int64
-	shard    int32 // index of the rack's policy instance (allocate, seal, flush)
 	core     topology.RackID
 	attempts int
 	nodes    []topology.NodeID
@@ -153,22 +155,18 @@ func (op *nnOp) encode(buf []byte) []byte {
 	case opAllocate:
 		buf = appendI64(buf, int64(op.block))
 		buf = appendI64(buf, op.size)
-		buf = appendU32(buf, uint32(op.shard))
 		buf = appendU32(buf, uint32(int32(op.core)))
 		buf = appendU32(buf, uint32(op.attempts))
 		buf = appendNodes(buf, op.nodes)
 		buf = appendRacks(buf, op.targets)
 	case opCommit, opAbort:
 		buf = appendI64(buf, int64(op.block))
-	case opSealStripe:
-		buf = appendU32(buf, uint32(op.shard))
+	case opSealStripe, opDrainPending:
+		// kind tag only
 	case opFlushStripe:
-		buf = appendU32(buf, uint32(op.shard))
 		buf = appendU32(buf, uint32(int32(op.core)))
 	case opGroupStripe:
 		buf = appendBlocks(buf, op.blocks)
-	case opDrainPending:
-		// kind tag only
 	case opEncodeCommit:
 		buf = appendI64(buf, int64(op.stripe))
 		buf = appendNodes(buf, op.plan.Keep)
@@ -294,21 +292,17 @@ func decodeOp(payload []byte) (*nnOp, error) {
 	case opAllocate:
 		op.block = topology.BlockID(r.i64())
 		op.size = r.i64()
-		op.shard = int32(r.u32())
 		op.core = topology.RackID(int32(r.u32()))
 		op.attempts = int(int32(r.u32()))
 		op.nodes = r.nodes()
 		op.targets = r.racks()
 	case opCommit, opAbort:
 		op.block = topology.BlockID(r.i64())
-	case opSealStripe:
-		op.shard = int32(r.u32())
+	case opSealStripe, opDrainPending:
 	case opFlushStripe:
-		op.shard = int32(r.u32())
 		op.core = topology.RackID(int32(r.u32()))
 	case opGroupStripe:
 		op.blocks = r.blocks()
-	case opDrainPending:
 	case opEncodeCommit:
 		op.stripe = topology.StripeID(r.i64())
 		plan := &placement.PostEncodingPlan{

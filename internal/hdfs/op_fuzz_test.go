@@ -12,12 +12,12 @@ import (
 // accepts round-trips through the encoder to the same canonical bytes.
 func FuzzDecodeOp(f *testing.F) {
 	seeds := []*nnOp{
-		{kind: opAllocate, block: 7, size: 1 << 20, shard: 3, core: 2, attempts: 4,
+		{kind: opAllocate, block: 7, size: 1 << 20, core: 2, attempts: 4,
 			nodes: []topology.NodeID{1, 5}, targets: []topology.RackID{0, 2}},
 		{kind: opCommit, block: 9},
 		{kind: opAbort, block: 2},
-		{kind: opSealStripe, shard: 1},
-		{kind: opFlushStripe, shard: 0, core: 3},
+		{kind: opSealStripe},
+		{kind: opFlushStripe, core: 3},
 		{kind: opGroupStripe, blocks: []topology.BlockID{1, 2, 3, 4}},
 		{kind: opDrainPending},
 		{kind: opEncodeCommit, stripe: 5, plan: &placement.PostEncodingPlan{

@@ -66,7 +66,7 @@ func TestWriteIsWriterLocal(t *testing.T) {
 					if meta.Nodes[0] != writer {
 						attempts := 1
 						if policy == "ear" {
-							attempts = c.nn.policies[rack].ear.LastPlaceAttempts()
+							attempts = c.nn.ear.LastPlaceAttempts()
 						}
 						if attempts == 1 {
 							t.Fatalf("block %d: replica 1 on node %d, not on writer %d, though the first candidate was accepted",

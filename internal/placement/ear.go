@@ -16,9 +16,9 @@ func sortStripesByCore(s []*StripeInfo) {
 	sort.Slice(s, func(i, j int) bool { return s[i].CoreRack < s[j].CoreRack })
 }
 
-// EAR implements encoding-aware replication (paper Section III). Each rack
-// owns one open stripe at a time; a block's first replica lands in the
-// writer's rack (the stripe's core rack; a random rack when no writer is
+// EAR implements encoding-aware replication (paper Section III). It keeps
+// one open stripe per core rack at a time; a block's first replica lands in
+// the writer's rack (the stripe's core rack; a random rack when no writer is
 // known) and the remaining replicas are placed randomly — where the stripe's
 // flow graph has room, while it has any (stripeRoom) — regenerated until the
 // stripe's flow graph keeps a maximum flow equal to the number of blocks
