@@ -2,7 +2,8 @@
 // mini-HDFS testbed: an in-memory, checksum-verified store of fixed-role
 // blocks (data replicas and parity blocks). HDFS DataNodes keep blocks as
 // files with CRC sidecars; the store keeps bytes with a CRC32C checksum
-// verified on every read.
+// verified on every read: in one pass before View, Get or GetInto returns,
+// or slice by slice by a reader of an Unverified block.
 package blockstore
 
 import (
@@ -110,16 +111,48 @@ func (s *Store) Adopt(key Key, b Sealed) error {
 // flipped copy), so a view is safe to read from any goroutine for as long as
 // the caller keeps it.
 func (s *Store) View(key Key) ([]byte, error) {
+	b, err := s.Unverified(key)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.Check(b.Update(0, 0, len(b.data))); err != nil {
+		return nil, fmt.Errorf("%w: %s", err, key)
+	}
+	return b.data, nil
+}
+
+// Unverified returns the stored block itself, bytes and checksum, without a
+// copy and without verifying it: a reader that reads the block in slices
+// verifies it as it goes (Update, Check) instead of in one pass before it
+// starts. Like a view, it stays valid after the block is deleted or
+// corrupted.
+func (s *Store) Unverified(key Key) (Sealed, error) {
 	s.mu.RLock()
 	e, ok := s.entries[key]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
+		return Sealed{}, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	if crc32.Checksum(e.data, castagnoli) != e.sum {
-		return nil, fmt.Errorf("%w: %s", ErrCorrupt, key)
+	return e, nil
+}
+
+// Bytes returns the sealed block's bytes, read-only.
+func (b Sealed) Bytes() []byte { return b.data }
+
+// Update returns the running checksum crc extended over the block's bytes
+// [lo, hi). Run from 0 over consecutive ranges that cover the block, it ends
+// at the checksum Check compares.
+func (b Sealed) Update(crc uint32, lo, hi int) uint32 {
+	return crc32.Update(crc, castagnoli, b.data[lo:hi])
+}
+
+// Check returns ErrCorrupt unless crc, the block's running checksum over all
+// of its bytes (Update), equals the checksum it was sealed with.
+func (b Sealed) Check(crc uint32) error {
+	if crc != b.sum {
+		return ErrCorrupt
 	}
-	return e.data, nil
+	return nil
 }
 
 // Get returns a copy of the block, verifying its checksum.

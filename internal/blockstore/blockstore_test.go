@@ -227,3 +227,43 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("Len = %d, want 16", s.Len())
 	}
 }
+
+// TestRunningChecksumOverSlices reads an Unverified block in uneven slices:
+// the running checksum over them passes Check, and with one bit flipped in
+// the last slice it fails, though every earlier slice read clean.
+func TestRunningChecksumOverSlices(t *testing.T) {
+	s := New()
+	key := Key{ID: 3, Kind: Data}
+	data := make([]byte, 10000)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	if err := s.Put(key, data); err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Unverified(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Bytes(), data) {
+		t.Fatal("Unverified bytes differ from what was put")
+	}
+	running := func(b Sealed) uint32 {
+		crc := uint32(0)
+		for lo := 0; lo < len(b.Bytes()); lo += 4096 {
+			crc = b.Update(crc, lo, min(lo+4096, len(b.Bytes())))
+		}
+		return crc
+	}
+	if err := b.Check(running(b)); err != nil {
+		t.Fatalf("running checksum over the slices: %v", err)
+	}
+	flipped := Sealed{data: bytes.Clone(b.data), sum: b.sum}
+	flipped.data[len(flipped.data)-1] ^= 0x80
+	if err := flipped.Check(running(flipped)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a bit flipped in the last slice: Check = %v, want ErrCorrupt", err)
+	}
+	if _, err := s.Unverified(Key{ID: 4, Kind: Data}); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Unverified of a missing block = %v, want ErrNotFound", err)
+	}
+}

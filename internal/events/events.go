@@ -65,6 +65,11 @@ const (
 	// Node to Peer.
 	ReplicaRelocated Type = "replica-relocated"
 
+	// ReplicaCorrupt: a read found the stored copy of Block (none for a
+	// parity row, Detail "parity") of Stripe on Node failing its checksum,
+	// and went on without it. The copy stays stored and recorded.
+	ReplicaCorrupt Type = "replica-corrupt"
+
 	// RepairStarted / RepairFinished bracket the reconstruction of a lost
 	// block onto Node.
 	RepairStarted  Type = "repair-started"

@@ -1,6 +1,7 @@
 package hdfs
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"syscall"
@@ -137,9 +138,15 @@ func BenchmarkEncodeAll(b *testing.B) {
 // the benchmark writes (lifecycleWrites, on seeds 1-6 in turn) at the shaped
 // rates, on the wall clock. ns/op is the encode; cpu-ms/op is the process CPU
 // it took, user and system time from getrusage: the host's share, which the
-// fabric's design time leaves out.
+// fabric's design time leaves out; admit-ms/op is how long after the job's
+// start its last stripe joined the job's loop (the latest run start the
+// read-ahead books a slice for, readAheadKey), which a fake clock puts at 0.
 func BenchmarkEncodeLifecycleRound(b *testing.B) {
-	var cpu time.Duration
+	var cpu, admit time.Duration
+	var last time.Time
+	ctx := context.WithValue(context.Background(), readAheadKey{}, func(_ topology.NodeID, run *stageRun, _ int) {
+		last = later(last, run.start)
+	})
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		c, cfg := lifecycleWrites(b, int64(i%6+1))
@@ -149,12 +156,14 @@ func BenchmarkEncodeLifecycleRound(b *testing.B) {
 		setRates(b, c, cfg.BandwidthBytesPerSec, cfg.DiskBandwidthBytesPerSec)
 		runtime.GC() // the writes' garbage is not the encode's
 		cpu0 := cpuTime(b)
+		start := time.Now()
 		b.StartTimer()
-		if _, err := c.RaidNode().EncodeAll(); err != nil {
+		if _, err := c.RaidNode().EncodeAllCtx(ctx); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
 		cpu += cpuTime(b) - cpu0
+		admit += last.Sub(start)
 		// newCluster keeps every cluster until the benchmark ends: drop this
 		// one's blocks now so the iterations' layouts do not pile up.
 		for n := 0; n < c.Topology().Nodes(); n++ {
@@ -164,6 +173,7 @@ func BenchmarkEncodeLifecycleRound(b *testing.B) {
 		}
 	}
 	b.ReportMetric(cpu.Seconds()*1e3/float64(b.N), "cpu-ms/op")
+	b.ReportMetric(admit.Seconds()*1e3/float64(b.N), "admit-ms/op")
 }
 
 // cpuTime is the user and system CPU the process has used so far.

@@ -23,10 +23,12 @@ package hdfs
 // (RapidRAID), each ending on the node that stores it; with one decode row
 // they are the lost member (rack-aware regenerating repair), delivered to the
 // repair target or the reading client. The engine copies no byte: a hop folds
-// its members straight from the store's read-only views into the row's one
-// buffer, the caller's, which every stage of the row sums into in place. It
-// stores nothing either: the caller commits the sums only after the whole
-// fold succeeded, so a canceled fold leaves no trace in any store. The stage
+// its members straight from the stores' sealed blocks into the row's one
+// buffer, the caller's, which every stage of the row sums into in place, and
+// the read-ahead verifies each member's checksum slice by slice before the
+// fold can end. It stores nothing either: the caller commits the sums only
+// after the whole fold succeeded, so a canceled or failed fold leaves no trace
+// in any store. The stage
 // loop (stageLoop) is one event loop on the caller's goroutine, with one
 // read-ahead per node for every fold it runs. An encode job folds the stripes
 // of all its map tasks (parityFold), and a recovery or BlockMover round its
@@ -59,12 +61,8 @@ import (
 type chainStage struct {
 	node topology.NodeID
 	// row holds the coefficients of the stage's row, indexed by stripe
-	// position (nil for a write), and positions and blocks the node's local
-	// members it folds with them, read-only store views shared by every stage
-	// of the fold on the node (none at a delivery stage or in a write).
-	row       []byte
-	positions []int
-	blocks    [][]byte
+	// position (nil for a write).
+	row []byte
 	// up is the stage whose slices this one receives (nil at a head); next
 	// are the stages that receive from this one.
 	up   *chainStage
@@ -79,10 +77,11 @@ type chainStage struct {
 	// slice order (every slice is there at the start for a head).
 	in      *fabric.Stream
 	arrived []time.Time
-	// disk is the run's read of the node's members (nil at a stage without
-	// members), done counts the slices the stage has folded and forwarded, and
-	// wait is the instant a full forward stream has room again (Stream.Room;
-	// the zero time while none is full).
+	// disk is the node's members the stage folds with row, read once for
+	// every stage of the run on the node (nil at a stage without members: a
+	// delivery stage or a write), done counts the slices the stage has folded
+	// and forwarded, and wait is the instant a full forward stream has room
+	// again (Stream.Room; the zero time while none is full).
 	disk          *diskShare
 	done          int
 	wait          time.Time
@@ -112,13 +111,21 @@ type diskReader struct {
 }
 
 // diskShare is one run's read on a node's disk, once for every stage of the
-// run on the node: members counts the members they fold, booked the bytes of
-// the next slice booked so far and arrived the instant each booked slice
-// arrives.
+// run on the node: the members of the stripe they fold, by stripe position
+// (positions) and store key (keys), and the stored blocks, read-only and
+// unverified until the read-ahead has read them. booked counts the bytes of
+// the next slice booked so far, arrived the instant each booked slice
+// arrives, and sums each block's running checksum over the slices booked so
+// far (read).
 type diskShare struct {
-	run             *stageRun
-	members, booked int
-	arrived         []time.Time
+	run       *stageRun
+	stripe    topology.StripeID
+	positions []int
+	keys      []blockstore.Key
+	blocks    []blockstore.Sealed
+	sums      []uint32
+	booked    int
+	arrived   []time.Time
 }
 
 // pick sets low to the share the reader books next: of those with a slice
@@ -147,8 +154,12 @@ func (d *diskShare) offset() int { return len(d.arrived) * d.run.slice }
 // streams are open in between. left counts the stages still walking. At the
 // run's end finish runs on the loop's goroutine, then release, which returns
 // what the run holds (pooled buffers, a span) and which the loop's close runs
-// for a run that never ended. next is the stage with the run's earliest step,
-// at its instant (schedule).
+// for a run that never ended. A run that fails on the way, a member failing
+// its checksum (stageLoop.read), leaves the loop at once and hands the error
+// to fail, which takes over what the run holds: it releases it, or hands it to
+// a run it re-plans into the loop, and returns the error that ends the loop,
+// if any (by default it releases and returns the error). next is the stage
+// with the run's earliest step, at its instant (schedule).
 type stageRun struct {
 	stages         []*chainStage
 	slice, nSlices int
@@ -157,6 +168,7 @@ type stageRun struct {
 	left           int
 	finish         func() error
 	release        func()
+	fail           func(error) error
 	next           int
 	at             time.Time
 }
@@ -220,7 +232,8 @@ type holder struct {
 }
 
 // holderError reports that a hop could not read a member it was planned to
-// fold (missing or corrupt copy). The callers re-plan around the named
+// fold: a copy missing when the fold was planned, or one that failed its
+// checksum as the read-ahead read it. The callers re-plan around the named
 // holder.
 type holderError struct {
 	holder
@@ -288,7 +301,7 @@ func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor to
 	return run.start, run.end, err
 }
 
-// admit adds a run of the stages to the loop. Its streams open here: every
+// admit adds a run of the stages to the loop. It only opens streams: every
 // stage's inbound stream from its upstream stage's node, and the disk stream
 // of each node with members the loop reads from no run yet (a same-node
 // stream is the node's disk). Every stage of the run on a node shares one
@@ -308,6 +321,10 @@ func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topo
 	}
 	run := &stageRun{stages: stages, slice: l.c.foldSliceBytes(anchor, streams), left: len(stages),
 		finish: func() error { return nil }, release: func() {}}
+	run.fail = func(err error) error {
+		run.release()
+		return err
+	}
 	run.nSlices = (l.c.cfg.BlockSizeBytes + run.slice - 1) / run.slice
 	shares := make(map[topology.NodeID]*diskShare)
 	for _, st := range stages {
@@ -319,10 +336,7 @@ func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topo
 			}
 			st.in = in
 		}
-		if len(st.positions) == 0 {
-			continue
-		}
-		if st.disk = shares[st.node]; st.disk != nil {
+		if st.disk == nil || shares[st.node] != nil {
 			continue
 		}
 		if !slices.ContainsFunc(l.readers, func(r *diskReader) bool { return r.node == st.node }) {
@@ -333,11 +347,11 @@ func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topo
 			}
 			l.readers = append(l.readers, &diskReader{node: st.node, disk: disk})
 		}
-		st.disk = &diskShare{run: run, members: len(st.positions)}
 		shares[st.node] = st.disk
 	}
 	for _, r := range l.readers {
 		if d := shares[r.node]; d != nil {
+			d.run = run
 			r.shares = append(r.shares, d)
 			r.pick()
 		}
@@ -359,7 +373,11 @@ func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topo
 // run walks every admitted run to its end. A read-ahead step books one chunk
 // of a node's members for the next slice diskReader.pick names, ready at its
 // run's start: they arrive beside the inbound slices instead of between
-// receive and fold. A stage step takes its next slice once the upstream sum
+// receive and fold. Once a slice is booked whole the read-ahead extends each
+// member's running checksum over it, and checks the sum with the member's last
+// slice, before any stage can fold that slice: a run never finishes on a
+// member that fails, and the one that does costs at most its own run's
+// traffic. A stage step takes its next slice once the upstream sum
 // and the node's members have arrived, folds its row over the members into
 // the row's buffer in place and books the slice on the inbound stream of
 // every stage after it, ready at the instant its inputs arrived rather than
@@ -372,17 +390,29 @@ func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topo
 // step that ends a run, up to the host's timer tick late before any other. At
 // one instant read-ahead steps run before stage steps and stages in admission
 // order, then in list order, so rows that share a link book it in row order.
-// While no step is overdue, the loop calls admit(i) for its items i = 0..n-1
-// (n < 0: no end) in turn to admit their runs; admit reports false to be asked
-// for item i again after the next step, and an idle loop ends when it does.
-// On a fake clock, where the host takes no time, every run admit has joins
-// before the first booking. A run whose last stage has forwarded its last
-// slice ends at once (finish). The first error ends the loop.
+// Before each step the loop calls admit(i) for its items i = 0..n-1 (n < 0:
+// no end) in turn, for as many as it can: an admission only plans and opens
+// streams, so every run that can join does before the next booking, and no
+// run waits behind another's setting up. admit reports false to be asked for
+// item i again after the next step, and an idle loop ends when it does. A run
+// whose last stage has forwarded its last slice ends at once (finish); one
+// whose member fails its checksum leaves at once (abort). The first error
+// ends the loop.
 func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) (bool, error)) error {
 	blockSize := l.c.cfg.BlockSizeBytes
 	l.observe, _ = ctx.Value(readAheadKey{}).(func(topology.NodeID, *stageRun, int))
 	admitted := 0
 	for {
+		for n < 0 || admitted < n {
+			more, err := admit(admitted)
+			if err != nil {
+				return err
+			}
+			if !more {
+				break
+			}
+			admitted++
+		}
 		var at time.Time
 		var r *diskReader
 		var run *stageRun
@@ -398,16 +428,7 @@ func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) (bool, err
 				at, r, run = sr.at, nil, sr
 			}
 		}
-		idle := r == nil && run == nil
-		if (n < 0 || admitted < n) && (idle || !at.Before(time.Now())) {
-			if more, err := admit(admitted); err != nil {
-				return err
-			} else if more {
-				admitted++
-				continue
-			}
-		}
-		if idle {
+		if r == nil && run == nil {
 			return nil
 		}
 		// A step that ends its run is the end of a write, a degraded read or a
@@ -442,9 +463,11 @@ func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) (bool, err
 		// Fold the node's members into the row's sum for this slice, then
 		// send it on, ready when its inputs arrived, attributed by the fabric
 		// to every link of the hop.
-		for pi, pos := range st.positions {
-			if coef := st.row[pos]; coef != 0 {
-				gf256.MulAddSlice(coef, st.blocks[pi][lo:hi], st.acc[lo:hi])
+		if d := st.disk; d != nil {
+			for i, pos := range d.positions {
+				if coef := st.row[pos]; coef != 0 {
+					gf256.MulAddSlice(coef, d.blocks[i].Bytes()[lo:hi], st.acc[lo:hi])
+				}
 			}
 		}
 		now := time.Now()
@@ -476,10 +499,15 @@ func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) (bool, err
 
 // read is a read-ahead step of reader r: it books the next chunk of its next
 // share on the node's disk, or records the instant the disk has room again.
+// Once the share's slice is booked whole, the slice of every member is run
+// into the member's checksum, and a member whose last slice it was is checked:
+// one that fails aborts its run with a holderError.
 func (l *stageLoop) read(ctx context.Context, r *diskReader) error {
+	blockSize := l.c.cfg.BlockSizeBytes
 	d := r.low
 	lo := d.offset()
-	bytes := d.members * min(d.run.slice, l.c.cfg.BlockSizeBytes-lo)
+	hi := min(lo+d.run.slice, blockSize)
+	bytes := len(d.blocks) * (hi - lo)
 	n := min(fabric.ChunkBytes, bytes-d.booked)
 	if r.wait = r.disk.Room(n); !r.wait.IsZero() {
 		return nil
@@ -488,28 +516,56 @@ func (l *stageLoop) read(ctx context.Context, r *diskReader) error {
 	if err != nil {
 		return err
 	}
-	if d.booked += n; d.booked == bytes {
-		d.arrived, d.booked = append(d.arrived, arrival), 0
-		r.pick()
-		d.run.schedule()
-		if l.observe != nil {
-			l.observe(r.node, d.run, lo)
+	if d.booked += n; d.booked < bytes {
+		return nil
+	}
+	if l.observe != nil {
+		l.observe(r.node, d.run, lo)
+	}
+	for i, b := range d.blocks {
+		d.sums[i] = b.Update(d.sums[i], lo, hi)
+		if hi < blockSize {
+			continue
+		}
+		if err := b.Check(d.sums[i]); err != nil {
+			l.c.replicaCorrupt(ctx, d.stripe, d.keys[i], r.node)
+			return l.abort(d.run, &holderError{holder{r.node, d.positions[i]}, d.stripe, err})
 		}
 	}
+	d.arrived, d.booked = append(d.arrived, arrival), 0
+	r.pick()
+	d.run.schedule()
 	return nil
 }
 
-// finish ends a run whose every stage has forwarded its last slice: its
-// streams close, it leaves the loop, and its finish and release run.
+// finish ends a run whose every stage has forwarded its last slice: it leaves
+// the loop, and its finish and release run.
 func (l *stageLoop) finish(run *stageRun) error {
 	run.end = time.Now()
+	l.leave(run)
+	defer run.release()
+	return run.finish()
+}
+
+// abort ends a run before its end, on err: it leaves the loop, its open spans
+// end, and its fail takes over what it holds.
+func (l *stageLoop) abort(run *stageRun, err error) error {
+	l.leave(run)
+	for _, sp := range run.spans {
+		sp.End()
+	}
+	return run.fail(err)
+}
+
+// leave takes a run out of the loop: its streams close, and its reads leave
+// the read-aheads, which pick their next share again.
+func (l *stageLoop) leave(run *stageRun) {
 	run.closeStreams()
 	l.runs = slices.DeleteFunc(l.runs, func(r *stageRun) bool { return r == run })
 	for _, r := range l.readers {
 		r.shares = slices.DeleteFunc(r.shares, func(d *diskShare) bool { return d.run == run })
+		r.pick()
 	}
-	defer run.release()
-	return run.finish()
 }
 
 // closeStreams closes the inbound streams the run's stages have open.
@@ -556,11 +612,11 @@ func later(a, b time.Time) time.Time {
 // hop. With nothing but zeros to fold, the anchor originates them. Every out
 // buffer is one block long and is fully overwritten on success, the only
 // memory the fold writes; on error its content is undefined. Each covered
-// member is viewed once, whatever the number of rows, and a member whose
-// checksum-verified view fails is reported as a holderError before any stream
-// opens. Hop spans hang off the span carried by ctx. chainFold plans, views
-// the members and keeps the ledger (foldStages, foldLedger); runStages moves
-// the bytes.
+// member is read once, whatever the number of rows, and a member missing from
+// its holder's store, or failing its checksum as the read-ahead reads it, is
+// reported as a holderError. Hop spans hang off the span carried by ctx.
+// chainFold plans and keeps the ledger (foldStages, foldLedger); runStages
+// moves and verifies the bytes.
 func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID, out [][]byte) (chainLedger, error) {
 	stages, err := c.foldStages(stripe, rows, holders, key, anchor, sinks, out)
 	if err != nil {
@@ -575,10 +631,12 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 
 // foldStages plans the fold chainFold describes and returns its stages: per
 // row, one stage per covered hop in that row's order, all summing into out[j]
-// from zeros, and a delivery stage when the sink is no hop. Every covered
-// member is viewed, checksum-verified, before any stream opens: a fold that
-// fails with a holderError has moved no byte, so the ledger of the callers'
-// re-planned fold is the whole network cost.
+// from zeros, and a delivery stage when the sink is no hop. The stages of a
+// hop share one diskShare of its members, the stored blocks taken unverified:
+// the read-ahead verifies them slice by slice before the run can end
+// (stageLoop.read), so a bad member costs at most its run's traffic and is
+// re-planned around by the run's owner. A member missing from its holder's
+// store fails here, a holderError before any stream opens.
 func (c *Cluster) foldStages(stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID, out [][]byte) ([]*chainStage, error) {
 	cover, err := placement.PlanPipeline(c.top, holders, anchor)
 	if err != nil {
@@ -587,7 +645,7 @@ func (c *Cluster) foldStages(stripe topology.StripeID, rows [][]byte, holders []
 	if len(cover) == 0 {
 		cover = []placement.PipelineHop{{Node: anchor}}
 	}
-	members := make(map[topology.NodeID][][]byte, len(cover))
+	shares := make(map[topology.NodeID]*diskShare, len(cover))
 	for _, h := range cover {
 		if len(h.Positions) == 0 {
 			continue
@@ -596,13 +654,16 @@ func (c *Cluster) foldStages(stripe topology.StripeID, rows [][]byte, holders []
 		if err != nil {
 			return nil, err
 		}
+		d := &diskShare{stripe: stripe, positions: h.Positions, sums: make([]uint32, len(h.Positions))}
 		for _, pos := range h.Positions {
-			b, err := dn.Store.View(key(pos))
+			b, err := dn.Store.Unverified(key(pos))
 			if err != nil {
 				return nil, &holderError{holder{h.Node, pos}, stripe, err}
 			}
-			members[h.Node] = append(members[h.Node], b)
+			d.keys = append(d.keys, key(pos))
+			d.blocks = append(d.blocks, b)
 		}
+		shares[h.Node] = d
 	}
 	stages := make([]*chainStage, 0, len(rows)*(len(cover)+1))
 	for j, sink := range sinks {
@@ -612,7 +673,7 @@ func (c *Cluster) foldStages(stripe topology.StripeID, rows [][]byte, holders []
 		for _, h := range placement.OrderPipeline(cover, sink, sinkRack, sinks...) {
 			stages = newStage(stages, h.Node, up, out[j])
 			up = stages[len(stages)-1]
-			up.row, up.positions, up.blocks = rows[j], h.Positions, members[h.Node]
+			up.row, up.disk = rows[j], shares[h.Node]
 		}
 		if up.node != sink {
 			stages = newStage(stages, sink, up, out[j])
@@ -626,12 +687,16 @@ func (c *Cluster) foldStages(stripe topology.StripeID, rows [][]byte, holders []
 func hopSpans(ctx context.Context, stripe topology.StripeID) func(s int, st *chainStage) *telemetry.Span {
 	parent := telemetry.SpanFromContext(ctx)
 	return func(s int, st *chainStage) *telemetry.Span {
+		members := 0
+		if st.disk != nil {
+			members = len(st.disk.positions)
+		}
 		return parent.ChildTrack("raidnode.chain-hop").
 			Arg(telemetry.ComponentArg, "raidnode").
 			Arg("stripe", strconv.FormatInt(int64(stripe), 10)).
 			Arg("node", strconv.Itoa(int(st.node))).
 			Arg("hop", strconv.Itoa(s)).
-			Arg("members", strconv.Itoa(len(st.positions)))
+			Arg("members", strconv.Itoa(members))
 	}
 }
 
@@ -643,7 +708,7 @@ func (c *Cluster) foldLedger(stages []*chainStage, start, end time.Time) chainLe
 	for _, st := range stages {
 		switch {
 		case st.up == nil:
-		case len(st.positions) > 0:
+		case st.disk != nil:
 			ledger.hops++
 			if st.in.Cross() {
 				ledger.crossHops++
@@ -674,15 +739,16 @@ func (c *Cluster) foldLedger(stages []*chainStage, start, end time.Time) chainLe
 // so that parity j ends on plan.Parity[j], in m pooled buffers (sp.Blocks)
 // the run releases, beside the aborted-member mask (sp.Aborted). The
 // holders are covered toward the first parity holder in the encoder's rack
-// (toward the encoder when that rack holds no parity). A replica whose view
-// fails is excluded and the cover re-planned over the member's remaining live
-// replicas before the fold joins the loop, until a member has none left. When
-// the fold ends, an excluded replica the plan keeps is rewritten from a
-// verified copy (rewriteKept), sp gets the stripe's CrossRackDownloads (the
-// per-row hops whose partial sum crossed a rack, plus one per rewrite that
-// crossed), CrossRackUploads (the deliveries that crossed) and
-// PartialSumBytes (one block per per-row hop between holders), and commit
-// runs.
+// (toward the encoder when that rack holds no parity). A replica missing when
+// the fold is planned, or failing its checksum as the loop reads it, is
+// excluded and the cover re-planned over the member's remaining live replicas,
+// and the new fold joins the same loop with the same buffers, until a member
+// has none left. When the fold ends, an excluded replica the plan keeps is
+// rewritten from a verified copy (rewriteKept), sp gets the stripe's
+// CrossRackDownloads (the per-row hops whose partial sum crossed a rack, plus
+// one per rewrite that crossed), CrossRackUploads (the deliveries that
+// crossed) and PartialSumBytes (one block per per-row hop between holders),
+// and commit runs.
 func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placement.StripeInfo, encoder topology.NodeID, plan *placement.PostEncodingPlan, sp *StripeParity, commit func() error) error {
 	anchor := encoder
 	if j := slices.IndexFunc(plan.Parity, func(p topology.NodeID) bool {
@@ -723,25 +789,30 @@ func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placeme
 	}
 	key := func(pos int) blockstore.Key { return DataKey(info.Blocks[pos]) }
 	var excluded []holder
-	for {
-		stages, err := c.foldStages(info.ID, rows, replicas, key, anchor, plan.Parity, sp.Blocks)
+	var admit func() error
+	fail := func(err error) error {
 		var he *holderError
 		if errors.As(err, &he) {
 			excluded = append(excluded, he.holder)
 			replicas[he.pos] = slices.DeleteFunc(replicas[he.pos], func(n topology.NodeID) bool { return n == he.node })
 			if len(replicas[he.pos]) > 0 {
-				continue
+				return admit()
 			}
 		}
+		c.releaseParity(sp)
+		return err
+	}
+	admit = func() error {
+		stages, err := c.foldStages(info.ID, rows, replicas, key, anchor, plan.Parity, sp.Blocks)
 		var run *stageRun
 		if err == nil {
 			run, err = loop.admit(ctx, stages, anchor, hopSpans(ctx, info.ID))
 		}
 		if err != nil {
-			c.releaseParity(sp)
-			return err
+			return fail(err)
 		}
 		run.release = func() { c.releaseParity(sp) }
+		run.fail = fail
 		run.finish = func() error {
 			ledger := c.foldLedger(stages, run.start, run.end)
 			sp.CrossRackDownloads = ledger.crossHops
@@ -761,6 +832,7 @@ func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placeme
 		}
 		return nil
 	}
+	return admit()
 }
 
 // rewriteKept replaces the unreadable copy of stripe member bad.pos on
@@ -869,14 +941,15 @@ func (c *Cluster) posHolders(sm *StripeMeta, i int, bad map[holder]bool) ([]topo
 // parity, the central decoder's choice) are folded with the coefficients of
 // the cached decode row, one partial sum per survivor rack boundary. A holder
 // whose local read fails is treated as erased: it is excluded and the
-// survivors re-selected, up to the n-k erasures the code absorbs.
-func (c *Cluster) rebuildStages(sm *StripeMeta, pos int, sink topology.NodeID, out []byte) ([]*chainStage, error) {
+// survivors re-selected, up to the n-k erasures the code absorbs (replan).
+// bad holds the holders excluded so far: the caller's, kept across the folds
+// it plans again after a run failed on a member's checksum.
+func (c *Cluster) rebuildStages(sm *StripeMeta, pos int, sink topology.NodeID, out []byte, bad map[holder]bool) ([]*chainStage, error) {
 	if sm.Plan == nil {
 		return nil, fmt.Errorf("%w: stripe %d not encoded", ErrUnknownStripe, sm.Info.ID)
 	}
 	k, n := c.cfg.K, c.cfg.N
 	key := func(p int) blockstore.Key { return c.memberKey(sm, p) }
-	bad := make(map[holder]bool)
 	for {
 		row := make([]byte, n)
 		holders := make([][]topology.NodeID, n)
@@ -914,10 +987,20 @@ func (c *Cluster) rebuildStages(sm *StripeMeta, pos int, sink topology.NodeID, o
 			}
 		}
 		stages, err := c.foldStages(sm.Info.ID, [][]byte{row}, holders, key, sink, []topology.NodeID{sink}, [][]byte{out})
-		var he *holderError
-		if !errors.As(err, &he) || len(bad) == n-k {
+		if !c.replan(err, bad) {
 			return stages, err
 		}
-		bad[he.holder] = true
 	}
+}
+
+// replan reports whether a rebuild that failed with err can be planned again
+// without the holder err names, and if so adds the holder to bad: err is a
+// holderError, and bad holds fewer than the n-k erasures the code absorbs.
+func (c *Cluster) replan(err error, bad map[holder]bool) bool {
+	var he *holderError
+	if !errors.As(err, &he) || len(bad) == c.cfg.N-c.cfg.K {
+		return false
+	}
+	bad[he.holder] = true
+	return true
 }

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -211,11 +212,12 @@ func (c *Cluster) ReadBlock(client topology.NodeID, id topology.BlockID) ([]byte
 }
 
 // ReadBlockCtx reads a block to the client node from its nearest live
-// replica. A replica whose local read fails (missing or corrupt copy) is
-// skipped for the next live one, and when none is left — every holder dead
-// or unreadable — the read degrades to erasure-coded reconstruction if the
-// block's stripe is encoded. Cancelling ctx aborts the transfer at once, with
-// at most the stream's window of chunks left booked.
+// replica. A replica whose local read fails (missing or corrupt copy, the
+// latter journaled as ReplicaCorrupt) is skipped for the next live one, and
+// when none is left — every holder dead or unreadable — the read degrades to
+// erasure-coded reconstruction if the block's stripe is encoded. Cancelling
+// ctx aborts the transfer at once, with at most the stream's window of chunks
+// left booked.
 func (c *Cluster) ReadBlockCtx(ctx context.Context, client topology.NodeID, id topology.BlockID) ([]byte, error) {
 	if m := c.metrics(); m != nil {
 		defer func(t0 time.Time) { m.readLat.Observe(time.Since(t0).Seconds()) }(time.Now())
@@ -244,6 +246,13 @@ func (c *Cluster) ReadBlockCtx(ctx context.Context, client topology.NodeID, id t
 			out = make([]byte, c.cfg.BlockSizeBytes)
 		}
 		if err := dn.Store.GetInto(DataKey(id), out); err != nil {
+			if errors.Is(err, blockstore.ErrCorrupt) {
+				stripe := events.NoneStripe
+				if meta, merr := c.nn.Block(id); merr == nil {
+					stripe = meta.Stripe
+				}
+				c.replicaCorrupt(ctx, stripe, DataKey(id), src)
+			}
 			readErr = fmt.Errorf("block %d on node %d: %w", id, src, err)
 			live = slices.DeleteFunc(live, func(n topology.NodeID) bool { return n == src })
 			continue
@@ -270,27 +279,34 @@ func (c *Cluster) DegradedRead(client topology.NodeID, id topology.BlockID) ([]b
 // DegradedReadCtx reconstructs a lost block from its stripe at the client
 // (Section VI's degraded read): the survivors fold the decode row along the
 // chain in a loop of one run, so one partial sum per survivor rack crosses
-// the core. A delivered block is charged to the context's tenant as one
-// "read" op.
+// the core. A survivor that fails its checksum as the fold reads it ends the
+// run, and the read is planned again without it (replan). A delivered block
+// is charged to the context's tenant as one "read" op.
 func (c *Cluster) DegradedReadCtx(ctx context.Context, client topology.NodeID, id topology.BlockID) ([]byte, error) {
 	sm, pos, err := c.blockMember(id)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]byte, c.cfg.BlockSizeBytes)
-	stages, err := c.rebuildStages(sm, pos, client, out)
-	if err != nil {
-		return nil, err
+	bad := make(map[holder]bool)
+	for {
+		stages, err := c.rebuildStages(sm, pos, client, out, bad)
+		if err != nil {
+			return nil, err
+		}
+		start, end, err := c.runStages(ctx, stages, client, hopSpans(ctx, sm.Info.ID))
+		if c.replan(err, bad) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		c.foldLedger(stages, start, end) // observes the fold's pipe depth
+		// A degraded read delivers a block like any read; ReadBlockCtx charges
+		// only its replica path, so the fallback through here counts once.
+		c.acct.Charge(tenant.FromContext(ctx), "read", 1, int64(len(out)))
+		return out, nil
 	}
-	start, end, err := c.runStages(ctx, stages, client, hopSpans(ctx, sm.Info.ID))
-	if err != nil {
-		return nil, err
-	}
-	c.foldLedger(stages, start, end) // observes the fold's pipe depth
-	// A degraded read delivers a block like any read; ReadBlockCtx charges
-	// only its replica path, so the fallback through here counts once.
-	c.acct.Charge(tenant.FromContext(ctx), "read", 1, int64(len(out)))
-	return out, nil
 }
 
 // RepairBlock rebuilds a lost block with a background context. See
@@ -339,4 +355,19 @@ func (c *Cluster) blockMember(id topology.BlockID) (*StripeMeta, int, error) {
 		return nil, 0, fmt.Errorf("%w: block %d missing from stripe %d", ErrUnknownStripe, id, meta.Stripe)
 	}
 	return sm, pos, nil
+}
+
+// replicaCorrupt journals a ReplicaCorrupt event: a read found the copy
+// stored under key on node, a member of stripe (NoneStripe: of none), failing
+// its checksum.
+func (c *Cluster) replicaCorrupt(ctx context.Context, stripe topology.StripeID, key blockstore.Key, node topology.NodeID) {
+	ev := events.New(events.ReplicaCorrupt, "datanode")
+	ev.Stripe, ev.Node = stripe, node
+	ev.Trace = telemetry.TraceFromContext(ctx)
+	if key.Kind == blockstore.Data {
+		ev.Block = topology.BlockID(key.ID)
+	} else {
+		ev.Detail = "parity"
+	}
+	c.Journal().Publish(ev)
 }

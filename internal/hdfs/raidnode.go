@@ -292,12 +292,13 @@ func mapTaskSpan(ctx context.Context, name string, on topology.NodeID) (*telemet
 
 // foldJob runs a chain encode job in one stage loop on the caller's goroutine
 // and returns where each task that got a slot ran, in placement order. A slot
-// the JobTracker grants a task admits its stripes to the loop: the j-th stripe
-// of every placed task, in task order, before any task's (j+1)-th, so no core
-// rack waits behind another's planning and member views. A task waiting for a
-// slot stalls no run; the loop blocks for one only once it has no run left. A
-// task's slot is released, and its map-task span ends, when its last stripe
-// commits or the loop closes. The first error ends the job.
+// the JobTracker grants a task admits all its stripes to the loop before the
+// loop's next booking (stageLoop.run): the j-th stripe of every placed task,
+// in task order, before any task's (j+1)-th, the order their runs' bookings
+// take at one instant. A task waiting for a slot stalls no run and is asked
+// again after each step; the loop blocks for one only once it has no run
+// left. A task's slot is released, and its map-task span ends, when its last
+// stripe commits or the loop closes. The first error ends the job.
 func (c *Cluster) foldJob(ctx context.Context, tasks []*encodeTask, done func(*placement.StripeInfo, StripeParity, bool)) ([]mapred.Placement, error) {
 	type mapTask struct {
 		pl             mapred.Placement

@@ -295,10 +295,14 @@ func (c *Cluster) repairAll(ctx context.Context, tasks []recoverTask, stats *Rec
 // stripe sm on target, the one way a stripe member changes holder — repair,
 // node recovery and the BlockMover all end here. The member is rebuilt along
 // the chain into a pooled buffer (rebuildStages) and committed at the run's
-// end (commitMember), so a failed or canceled rebuild commits nothing. done
-// gets the fold's ledger and the error of the plan, admission or commit (nil
-// once committed) and returns the admission's or the run's error; whatever
-// the earlier holders store is done's to delete. release runs with the run's.
+// end (commitMember), so a failed or canceled rebuild commits nothing. A run
+// whose member fails its checksum as the loop reads it is planned again
+// without that holder (replan), and the new run joins the same loop with the
+// same buffer. done gets the ledger of the fold that committed and the error
+// of the plan, the admission, a run no re-plan is left for, or the commit
+// (nil once committed) and returns the error that ends the loop, if any;
+// whatever the earlier holders store is done's to delete. release runs with
+// the last run's.
 func (c *Cluster) rebuildMember(ctx context.Context, loop *stageLoop, sm *StripeMeta, pos int, target topology.NodeID, release func(), done func(chainLedger, error) error) error {
 	// The store keeps its own copy on Put, so the buffer goes back to the pool
 	// with the run.
@@ -307,20 +311,31 @@ func (c *Cluster) rebuildMember(ctx context.Context, loop *stageLoop, sm *Stripe
 		c.bufPool.Put(buf)
 		release()
 	}
-	stages, err := c.rebuildStages(sm, pos, target, buf)
-	var run *stageRun
-	if err == nil {
-		run, err = loop.admit(ctx, stages, target, hopSpans(ctx, sm.Info.ID))
-	}
-	if err != nil {
+	bad := make(map[holder]bool)
+	var admit func() error
+	fail := func(err error) error {
+		if c.replan(err, bad) {
+			return admit()
+		}
 		end()
 		return done(chainLedger{}, err)
 	}
-	run.release = end
-	run.finish = func() error {
-		return done(c.foldLedger(stages, run.start, run.end), c.commitMember(sm, pos, target, buf))
+	admit = func() error {
+		stages, err := c.rebuildStages(sm, pos, target, buf, bad)
+		var run *stageRun
+		if err == nil {
+			run, err = loop.admit(ctx, stages, target, hopSpans(ctx, sm.Info.ID))
+		}
+		if err != nil {
+			return fail(err)
+		}
+		run.release, run.fail = end, fail
+		run.finish = func() error {
+			return done(c.foldLedger(stages, run.start, run.end), c.commitMember(sm, pos, target, buf))
+		}
+		return nil
 	}
-	return nil
+	return admit()
 }
 
 // commitMember stores rebuilt member pos of stripe sm on target, then has the
