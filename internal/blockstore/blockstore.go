@@ -58,10 +58,10 @@ func (k Key) String() string { return fmt.Sprintf("%s/%d", k.Kind, k.ID) }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Sealed is a block the stores may hold: a private copy of the bytes, never
-// written again, and its checksum. Only Seal makes one, so no caller's slice
-// ever becomes a stored block, and any number of stores may adopt the same
-// Sealed block, sharing its bytes.
+// Sealed is a block the stores may hold: bytes no one writes again, and their
+// checksum. Seal makes one from a private copy, Own from a slice its caller
+// hands over; any number of stores may adopt the same Sealed block, sharing
+// its bytes.
 type Sealed struct {
 	data []byte
 	sum  uint32
@@ -69,8 +69,13 @@ type Sealed struct {
 
 // Seal copies data and checksums the copy, outside any store's lock.
 func Seal(data []byte) Sealed {
-	cp := append([]byte(nil), data...)
-	return Sealed{data: cp, sum: crc32.Checksum(cp, castagnoli)}
+	return Own(append([]byte(nil), data...))
+}
+
+// Own checksums data in place, outside any store's lock, and seals it without
+// a copy: the caller hands the slice over and never writes it again.
+func Own(data []byte) Sealed {
+	return Sealed{data: data, sum: crc32.Checksum(data, castagnoli)}
 }
 
 // Store is a thread-safe in-memory block store.

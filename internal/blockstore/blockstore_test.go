@@ -89,6 +89,37 @@ func TestAdoptSharesSealedBlock(t *testing.T) {
 	}
 }
 
+// TestOwnSharesCallersBlock: a store that adopts an owned block keeps the
+// caller's array itself, verifies it on View, and a Corrupt of the store
+// leaves that array as it was.
+func TestOwnSharesCallersBlock(t *testing.T) {
+	data := []byte("folded parity, stored as folded")
+	key := Key{ID: 4, Kind: Parity}
+	s := New()
+	if err := s.Adopt(key, Own(data)); err != nil {
+		t.Fatal(err)
+	}
+	if s.Bytes() != int64(len(data)) {
+		t.Errorf("Bytes = %d, want %d", s.Bytes(), len(data))
+	}
+	v, err := s.View(key)
+	if err != nil {
+		t.Fatalf("View of an owned block: %v", err)
+	}
+	if &v[0] != &data[0] {
+		t.Fatal("the store copied an owned block")
+	}
+	if err := s.Corrupt(key); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.View(key); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("corrupted View error = %v", err)
+	}
+	if string(data) != "folded parity, stored as folded" {
+		t.Errorf("Corrupt wrote the caller's array: %q", data)
+	}
+}
+
 func TestGetMissing(t *testing.T) {
 	s := New()
 	if _, err := s.Get(Key{ID: 404, Kind: Data}); !errors.Is(err, ErrNotFound) {

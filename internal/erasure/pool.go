@@ -5,15 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// BufferPool recycles block-sized byte buffers across encode, gather, and
-// reconstruction operations. It is a set of sync.Pools keyed by buffer size:
+// BufferPool recycles block-sized byte buffers, the scratch of a gather
+// encode's downloads. It is a set of sync.Pools keyed by buffer size:
 // stripe pipelines deal in a handful of fixed sizes (the configured block
 // size, occasionally a short tail), so each size class stays hot while GC
 // remains free to drop idle buffers under memory pressure. All methods are
 // safe for concurrent use.
 //
 // Buffers returned by Get have arbitrary contents; callers that need zeroed
-// memory must clear them, as the head of a fold chain does.
+// memory must clear them.
 type BufferPool struct {
 	mu    sync.Mutex
 	pools map[int]*sync.Pool
@@ -66,8 +66,7 @@ func (p *BufferPool) Put(buf []byte) {
 }
 
 // Stats reports the cumulative Get count and how many of those were served
-// from the pool (hits). The ratio is the pool hit rate the telemetry layer
-// exports.
+// from the pool (hits).
 func (p *BufferPool) Stats() (gets, hits int64) {
 	return p.gets.Load(), p.hits.Load()
 }
@@ -77,13 +76,4 @@ func (p *BufferPool) Stats() (gets, hits int64) {
 // ended, failed or canceled, is a leak.
 func (p *BufferPool) Outstanding() int64 {
 	return p.gets.Load() - p.puts.Load()
-}
-
-// HitRate returns hits/gets, or 0 before the first Get.
-func (p *BufferPool) HitRate() float64 {
-	gets, hits := p.Stats()
-	if gets == 0 {
-		return 0
-	}
-	return float64(hits) / float64(gets)
 }

@@ -24,7 +24,8 @@ import (
 // job: c.RaidNode().EncodeAllWith(ctx, hdfsraid.Parity(c)). A stripe's k
 // downloads run at once (Section II-A's parallel reads), then encode, then
 // the m uploads, under the map task's download / encode / parity-write spans.
-// Every pooled buffer goes back first, except the parity of a success.
+// The downloads land in pooled buffers, which all go back before it returns;
+// the parity blocks are its own, since the encode stores them as they are.
 func Parity(c *hdfs.Cluster) hdfs.ParityFunc {
 	pool, size := c.BufferPool(), c.Config().BlockSizeBytes
 	// zero stands in for aborted members and short-stripe padding; the coding
@@ -74,9 +75,8 @@ func Parity(c *hdfs.Cluster) hdfs.ParityFunc {
 		}
 		pbufs := make([][]byte, c.Coder().M())
 		for j := range pbufs {
-			pbufs[j] = pool.Get(size)
+			pbufs[j] = make([]byte, size)
 		}
-		held = append(held, pbufs...)
 		enc := parent.Child("encode")
 		err = c.Coder().EncodeInto(data, pbufs)
 		enc.End()
@@ -104,7 +104,6 @@ func Parity(c *hdfs.Cluster) hdfs.ParityFunc {
 				sp.CrossRackUploads++
 			}
 		}
-		held = held[:len(held)-len(pbufs)]
 		sp.Blocks, sp.Aborted = pbufs, aborted
 		return sp, nil
 	}

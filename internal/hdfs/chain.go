@@ -153,7 +153,7 @@ func (d *diskShare) offset() int { return len(d.arrived) * d.run.slice }
 // instant its last stage forwarded its last slice; its stages' inbound
 // streams are open in between. left counts the stages still walking. At the
 // run's end finish runs on the loop's goroutine, then release, which returns
-// what the run holds (pooled buffers, a span) and which the loop's close runs
+// what the run holds (a repair's span) and which the loop's close runs
 // for a run that never ended. A run that fails on the way, a member failing
 // its checksum (stageLoop.read), leaves the loop at once and hands the error
 // to fail, which takes over what the run holds: it releases it, or hands it to
@@ -736,19 +736,19 @@ func (c *Cluster) foldLedger(stages []*chainStage, start, end time.Time) chainLe
 
 // parityFold admits the fold of a planned stripe's parity to its encode job's
 // loop: the m parity rows folded over the replica holders, one chain per row,
-// so that parity j ends on plan.Parity[j], in m pooled buffers (sp.Blocks)
-// the run releases, beside the aborted-member mask (sp.Aborted). The
-// holders are covered toward the first parity holder in the encoder's rack
-// (toward the encoder when that rack holds no parity). A replica missing when
-// the fold is planned, or failing its checksum as the loop reads it, is
-// excluded and the cover re-planned over the member's remaining live replicas,
-// and the new fold joins the same loop with the same buffers, until a member
-// has none left. When the fold ends, an excluded replica the plan keeps is
-// rewritten from a verified copy (rewriteKept), sp gets the stripe's
-// CrossRackDownloads (the per-row hops whose partial sum crossed a rack, plus
-// one per rewrite that crossed), CrossRackUploads (the deliveries that
-// crossed) and PartialSumBytes (one block per per-row hop between holders),
-// and commit runs.
+// so that parity j ends on plan.Parity[j], in m blocks of its own (sp.Blocks)
+// that the commit stores as they are, beside the aborted-member mask
+// (sp.Aborted). The holders are covered toward the first parity holder in the
+// encoder's rack (toward the encoder when that rack holds no parity). A
+// replica missing when the fold is planned, or failing its checksum as the
+// loop reads it, is excluded and the cover re-planned over the member's
+// remaining live replicas, and the new fold joins the same loop with the same
+// buffers, until a member has none left. When the fold ends, an excluded
+// replica the plan keeps is rewritten from a verified copy (rewriteKept), sp
+// gets the stripe's CrossRackDownloads (the per-row hops whose partial sum
+// crossed a rack, plus one per rewrite that crossed), CrossRackUploads (the
+// deliveries that crossed) and PartialSumBytes (one block per per-row hop
+// between holders), and commit runs.
 func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placement.StripeInfo, encoder topology.NodeID, plan *placement.PostEncodingPlan, sp *StripeParity, commit func() error) error {
 	anchor := encoder
 	if j := slices.IndexFunc(plan.Parity, func(p topology.NodeID) bool {
@@ -785,7 +785,7 @@ func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placeme
 		replicas[i] = live
 	}
 	for range m {
-		sp.Blocks = append(sp.Blocks, c.bufPool.Get(c.cfg.BlockSizeBytes))
+		sp.Blocks = append(sp.Blocks, make([]byte, c.cfg.BlockSizeBytes))
 	}
 	key := func(pos int) blockstore.Key { return DataKey(info.Blocks[pos]) }
 	var excluded []holder
@@ -799,7 +799,6 @@ func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placeme
 				return admit()
 			}
 		}
-		c.releaseParity(sp)
 		return err
 	}
 	admit = func() error {
@@ -811,7 +810,6 @@ func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placeme
 		if err != nil {
 			return fail(err)
 		}
-		run.release = func() { c.releaseParity(sp) }
 		run.fail = fail
 		run.finish = func() error {
 			ledger := c.foldLedger(stages, run.start, run.end)
@@ -847,8 +845,7 @@ func (c *Cluster) rewriteKept(ctx context.Context, info *placement.StripeInfo, b
 	holders := make([][]topology.NodeID, c.cfg.K)
 	holders[bad.pos] = slices.Clone(sources)
 	key := func(pos int) blockstore.Key { return DataKey(info.Blocks[pos]) }
-	buf := c.bufPool.Get(c.cfg.BlockSizeBytes)
-	defer c.bufPool.Put(buf)
+	buf := make([]byte, c.cfg.BlockSizeBytes)
 	for {
 		ledger, err := c.chainFold(ctx, info.ID, [][]byte{row}, holders, key, bad.node, []topology.NodeID{bad.node}, [][]byte{buf})
 		var he *holderError
@@ -866,7 +863,7 @@ func (c *Cluster) rewriteKept(ctx context.Context, info *placement.StripeInfo, b
 			return 0, err
 		}
 		_ = dn.Store.Delete(key(bad.pos))
-		if err := dn.Store.Put(key(bad.pos), buf); err != nil {
+		if err := dn.Store.Adopt(key(bad.pos), blockstore.Own(buf)); err != nil {
 			return 0, err
 		}
 		return ledger.crossHops + ledger.crossDeliveries, nil

@@ -29,8 +29,8 @@ func ParityKey(stripe topology.StripeID, idx int) blockstore.Key {
 // transferShaped charges a src->dst transfer of n bytes on the fabric
 // without materializing a payload copy; the caller owns the destination
 // buffer. Shaping and byte accounting match fabric.TransferCtx exactly
-// (that helper is OpenStream + Send + copy), so pooled data paths stay
-// indistinguishable from allocating ones on the wire.
+// (that helper is OpenStream + Send + copy), so a path that fills a buffer
+// of its own costs on the wire what a copying transfer does.
 func (c *Cluster) transferShaped(ctx context.Context, src, dst topology.NodeID, n int) error {
 	st, err := c.fab.OpenStream(ctx, src, dst)
 	if err != nil {

@@ -118,8 +118,8 @@ type Cluster struct {
 	raid  *RaidNode
 	ns    *Namespace
 
-	// bufPool recycles the block-sized buffers an operation keeps past its
-	// fold: an encode's parity and a rebuilt member.
+	// bufPool is the pool BufferPool hands out, the gather baseline's download
+	// scratch; nothing in the package takes from it.
 	bufPool *erasure.BufferPool
 
 	// tel, tracer, and jrn are the observability sinks, installed by
@@ -172,7 +172,6 @@ type clusterMetrics struct {
 	encJobs    *telemetry.Metric // raidnode_encode_jobs_total
 	pipeFill   *telemetry.Metric // hdfs_pipeline_fill_seconds
 	encMBps    *telemetry.Metric // raidnode_encode_mbps
-	poolHit    *telemetry.Metric // erasure_pool_hit_ratio
 	encStripe  *telemetry.Metric // raidnode_stripe_encode_seconds
 	repairLat  *telemetry.Metric // hdfs_repair_seconds
 
@@ -223,8 +222,6 @@ func (c *Cluster) SetTelemetry(reg *telemetry.Registry) {
 		encMBps: reg.Histogram("raidnode_encode_mbps",
 			"Per-stripe parity materialization throughput (member MB over the time to compute the parity and deliver it to its holders).",
 			telemetry.ExponentialBuckets(64, 2, 12)).With(),
-		poolHit: reg.Gauge("erasure_pool_hit_ratio",
-			"Fraction of buffer-pool Gets served from recycled buffers.").With(),
 		encStripe: reg.Histogram("raidnode_stripe_encode_seconds",
 			"Wall time to encode one stripe end to end (parity materialization, commit, replica delete).", nil).With(),
 		repairLat: reg.Histogram("hdfs_repair_seconds",
@@ -432,8 +429,8 @@ func (c *Cluster) JobTracker() *mapred.JobTracker { return c.jt }
 // Coder returns the erasure coder.
 func (c *Cluster) Coder() *erasure.Coder { return c.coder }
 
-// BufferPool returns the cluster-wide block buffer pool (for stats and
-// benchmarks).
+// BufferPool returns the cluster-wide block buffer pool, which the data
+// paths never take from: an encode's ParityFunc may borrow scratch from it.
 func (c *Cluster) BufferPool() *erasure.BufferPool { return c.bufPool }
 
 // DataNodeOf returns the DataNode with the given ID.

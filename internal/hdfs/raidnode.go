@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"ear/internal/blockstore"
 	"ear/internal/events"
 	"ear/internal/mapred"
 	"ear/internal/placement"
@@ -164,11 +165,10 @@ func (r *RaidNode) EncodeAllCtx(ctx context.Context) (EncodeStats, error) {
 }
 
 // StripeParity is one stripe's parity as a ParityFunc returns it: the m
-// blocks in Cluster.BufferPool buffers (the encode releases them), their
-// bytes already shaped all the way to plan.Parity; the mask of aborted
-// members, which have no bytes anywhere and went in as zeros like
-// short-stripe padding; and the stripe's share of the three EncodeStats
-// traffic figures.
+// blocks, which the encode stores as they are, their bytes already shaped all
+// the way to plan.Parity; the mask of aborted members, which have no bytes
+// anywhere and went in as zeros like short-stripe padding; and the stripe's
+// share of the three EncodeStats traffic figures.
 type StripeParity struct {
 	Blocks             [][]byte
 	Aborted            []bool
@@ -180,14 +180,14 @@ type StripeParity struct {
 // ParityFunc materializes the m parity blocks of a planned stripe at
 // plan.Parity on behalf of the encoder node. It stores and commits nothing:
 // a failure or a cancellation leaves every store and the metadata as they
-// were, and releases whatever it took from the buffer pool. The span carried
-// by ctx is the map task's.
+// were. A ParityFunc hands the blocks over and never writes them again. The
+// span carried by ctx is the map task's.
 type ParityFunc func(ctx context.Context, info *placement.StripeInfo, encoder topology.NodeID, plan *placement.PostEncodingPlan) (StripeParity, error)
 
 // EncodeAllWith drains the pre-encoding store and encodes every pending
 // stripe through one MapReduce job, returning the job's statistics. fn
 // materializes each stripe's parity in place of the chain engine (nil: the
-// chain); planning, the staged parity Puts, replica deletion, the metadata
+// chain); planning, the staged parity stores, replica deletion, the metadata
 // commit, events and tenant charges stay the RaidNode's. An experiment
 // measures the paper's HDFS-RAID gather this way
 // (internal/experiments/hdfsraid); the choice ends with the job and nothing
@@ -414,33 +414,23 @@ func (c *Cluster) encodeStripe(ctx context.Context, t *encodeTask, i int, encode
 	return commit()
 }
 
-// releaseParity returns a stripe's pooled parity buffers, once.
-func (c *Cluster) releaseParity(sp *StripeParity) {
-	for _, p := range sp.Blocks {
-		c.bufPool.Put(p)
-	}
-	sp.Blocks = nil
-}
-
 // commitStripe commits a stripe whose parity, materialized from matStart on,
-// has been shaped all the way to its planned holders: the parity Puts, the
-// deletes of the redundant replicas, the metadata commit and the tenant
-// charges. It releases the parity buffers, success or not, and reports
-// whether the committed layout violates rack fault tolerance.
+// has been shaped all the way to its planned holders: each holder's store
+// adopting its parity block as it is, the deletes of the redundant replicas,
+// the metadata commit and the tenant charges. It reports whether the
+// committed layout violates rack fault tolerance.
 func (c *Cluster) commitStripe(info *placement.StripeInfo, plan *placement.PostEncodingPlan, sp *StripeParity, matStart time.Time, parent *telemetry.Span) (violated bool, err error) {
-	defer c.releaseParity(sp)
 	if m := c.metrics(); m != nil {
 		if secs := time.Since(matStart).Seconds(); secs > 0 {
 			m.encMBps.Observe(float64(len(info.Blocks)*c.cfg.BlockSizeBytes) / (1 << 20) / secs)
 		}
-		m.poolHit.Set(c.bufPool.HitRate())
 	}
 	for j, node := range plan.Parity {
 		dn, err := c.DataNodeOf(node)
 		if err != nil {
 			return false, err
 		}
-		if err := dn.Store.Put(ParityKey(info.ID, j), sp.Blocks[j]); err != nil {
+		if err := dn.Store.Adopt(ParityKey(info.ID, j), blockstore.Own(sp.Blocks[j])); err != nil {
 			return false, fmt.Errorf("store parity %d on node %d: %w", j, node, err)
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"time"
 
+	"ear/internal/blockstore"
 	"ear/internal/events"
 	"ear/internal/telemetry"
 	"ear/internal/tenant"
@@ -221,7 +222,7 @@ func (c *Cluster) planNodeRecovery(dead topology.NodeID) (tasks []recoverTask, s
 // from the state they left, until a round finds nothing left or repairs
 // nothing, or ctx ends: a repair whose target died under it commits nothing
 // (commitMember) and the next round gives its member another target. Each
-// repair commits with staged Puts and publishes its own lifecycle events,
+// repair commits with staged stores and publishes its own lifecycle events,
 // so a failed or canceled sweep leaves every completed repair durable and
 // every unfinished one uncommitted — rerunning RecoverNode picks up exactly the
 // remainder. A repair that fails (a stripe with more erasures than parity)
@@ -294,30 +295,24 @@ func (c *Cluster) repairAll(ctx context.Context, tasks []recoverTask, stats *Rec
 // rebuildMember admits to the loop the fold that puts member pos of encoded
 // stripe sm on target, the one way a stripe member changes holder — repair,
 // node recovery and the BlockMover all end here. The member is rebuilt along
-// the chain into a pooled buffer (rebuildStages) and committed at the run's
-// end (commitMember), so a failed or canceled rebuild commits nothing. A run
-// whose member fails its checksum as the loop reads it is planned again
-// without that holder (replan), and the new run joins the same loop with the
-// same buffer. done gets the ledger of the fold that committed and the error
-// of the plan, the admission, a run no re-plan is left for, or the commit
-// (nil once committed) and returns the error that ends the loop, if any;
-// whatever the earlier holders store is done's to delete. release runs with
-// the last run's.
+// the chain into a block of its own (rebuildStages), which the target's store
+// keeps as it was folded when the run ends (commitMember), so a failed or
+// canceled rebuild commits nothing. A run whose member fails its checksum as
+// the loop reads it is planned again without that holder (replan), and the new
+// run joins the same loop with the same buffer. done gets the ledger of the
+// fold that committed and the error of the plan, the admission, a run no
+// re-plan is left for, or the commit (nil once committed) and returns the
+// error that ends the loop, if any; whatever the earlier holders store is
+// done's to delete. release runs with the last run's.
 func (c *Cluster) rebuildMember(ctx context.Context, loop *stageLoop, sm *StripeMeta, pos int, target topology.NodeID, release func(), done func(chainLedger, error) error) error {
-	// The store keeps its own copy on Put, so the buffer goes back to the pool
-	// with the run.
-	buf := c.bufPool.Get(c.cfg.BlockSizeBytes)
-	end := func() {
-		c.bufPool.Put(buf)
-		release()
-	}
+	buf := make([]byte, c.cfg.BlockSizeBytes)
 	bad := make(map[holder]bool)
 	var admit func() error
 	fail := func(err error) error {
 		if c.replan(err, bad) {
 			return admit()
 		}
-		end()
+		release()
 		return done(chainLedger{}, err)
 	}
 	admit = func() error {
@@ -329,7 +324,7 @@ func (c *Cluster) rebuildMember(ctx context.Context, loop *stageLoop, sm *Stripe
 		if err != nil {
 			return fail(err)
 		}
-		run.release, run.fail = end, fail
+		run.release, run.fail = release, fail
 		run.finish = func() error {
 			return done(c.foldLedger(stages, run.start, run.end), c.commitMember(sm, pos, target, buf))
 		}
@@ -338,8 +333,9 @@ func (c *Cluster) rebuildMember(ctx context.Context, loop *stageLoop, sm *Stripe
 	return admit()
 }
 
-// commitMember stores rebuilt member pos of stripe sm on target, then has the
-// NameNode name the target if it is still alive: metadata never leads bytes.
+// commitMember stores rebuilt member pos of stripe sm on target as it was
+// folded, then has the NameNode name the target if it is still alive:
+// metadata never leads bytes.
 func (c *Cluster) commitMember(sm *StripeMeta, pos int, target topology.NodeID, buf []byte) error {
 	dn, err := c.DataNodeOf(target)
 	if err != nil {
@@ -350,7 +346,7 @@ func (c *Cluster) commitMember(sm *StripeMeta, pos int, target topology.NodeID, 
 	// supersedes it.
 	key := c.memberKey(sm, pos)
 	_ = dn.Store.Delete(key)
-	if err := dn.Store.Put(key, buf); err != nil {
+	if err := dn.Store.Adopt(key, blockstore.Own(buf)); err != nil {
 		return err
 	}
 	// The target may have died since it was picked, under the fold or before
