@@ -923,8 +923,9 @@ func TestAdmitFailureBooksNothing(t *testing.T) {
 	row[0] = 1
 	// copyTo plans the unit-row fold of the member from its holder to the
 	// node, anchored at the holder: a head stage that reads the member and a
-	// delivery stage.
+	// delivery stage. It zeroes out, which a second copy reuses.
 	copyTo := func(to topology.NodeID, out []byte) []*chainStage {
+		clear(out)
 		stages, err := c.foldStages(0, [][]byte{row}, holders, func(int) blockstore.Key { return DataKey(ids[0]) }, from, []topology.NodeID{to}, [][]byte{out})
 		if err != nil {
 			t.Fatal(err)

@@ -1,12 +1,14 @@
 package hdfs
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"testing"
 
 	"ear/internal/events"
 	"ear/internal/events/audit"
+	"ear/internal/placement"
 	"ear/internal/progress"
 	"ear/internal/telemetry"
 	"ear/internal/topology"
@@ -282,6 +284,103 @@ func TestEncodeJobReplansCorruptMemberInLoop(t *testing.T) {
 	}
 	w.settledAfter(t, c)
 	verifyBlockContents(t, c, contents)
+}
+
+// runRows returns how many rows a fold's run folds: one sink stage a row.
+func runRows(run *stageRun) (rows int) {
+	for _, st := range run.stages {
+		if len(st.next) == 0 {
+			rows++
+		}
+	}
+	return rows
+}
+
+// TestEncodeRewritesCorruptKeptCopyInLoop corrupts, once and as the stripe's
+// plan is made, a core-rack copy that the post-encoding plan keeps: with c = 3
+// the plan keeps core-rack copies, and the fold, anchored in the core rack,
+// reads them. The read-ahead finds the copy failing its checksum, the fold is
+// re-planned around it, and a copy of the member to the kept node joins the
+// same loop beside the re-planned fold: its first slice is booked before the
+// fold's last. The stripe commits once both have ended, so the kept copy is
+// stored, verifies and equals the payload, every parity block is the coder's,
+// and the auditor is clean.
+func TestEncodeRewritesCorruptKeptCopyInLoop(t *testing.T) {
+	cfg := testConfig("ear")
+	cfg.C = 3
+	c := newCluster(t, cfg)
+	_, contents := writeBlocks(t, c, 2*cfg.K, rand.New(rand.NewSource(67)))
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	stripe, victim, kept := events.NoneStripe, topology.BlockID(-1), holder{node: -1}
+	c.NameNode().SetPlanOverrideForTest(func(info *placement.StripeInfo, plan *placement.PostEncodingPlan) {
+		if victim >= 0 {
+			return
+		}
+		for i, b := range info.Blocks {
+			if r, _ := c.Topology().RackOf(plan.Keep[i]); r != info.CoreRack {
+				continue
+			}
+			dn, _ := c.DataNodeOf(plan.Keep[i])
+			if err := dn.Store.Corrupt(DataKey(b)); err != nil {
+				t.Error(err)
+			}
+			stripe, victim, kept = info.ID, b, holder{plan.Keep[i], i}
+			return
+		}
+	})
+	w := watchCorrupt(t, c)
+	var booked []*stageRun
+	ctx := context.WithValue(context.Background(), readAheadKey{}, func(_ topology.NodeID, run *stageRun, _ int) {
+		booked = append(booked, run)
+	})
+	stats, err := c.RaidNode().EncodeAllCtx(ctx)
+	if err != nil {
+		t.Fatalf("EncodeAll with a corrupt kept copy: %v", err)
+	}
+	if victim < 0 {
+		t.Fatal("no plan kept a core-rack copy")
+	}
+	w.oneCorruptEvent(t, victim, stripe, kept.node)
+	if got := soleHolder(t, c, victim); got != kept.node {
+		t.Fatalf("block %d kept on node %d, the plan keeps node %d", victim, got, kept.node)
+	}
+	dn, _ := c.DataNodeOf(kept.node)
+	got, err := dn.Store.Get(DataKey(victim))
+	if err != nil {
+		t.Fatalf("kept copy of block %d on node %d: %v", victim, kept.node, err)
+	}
+	if !bytes.Equal(got, contents[victim]) {
+		t.Fatalf("kept copy of block %d on node %d differs from the payload", victim, kept.node)
+	}
+	if n := verifyParities(t, c, contents); n != stats.Stripes*c.Coder().M() {
+		t.Errorf("verified %d parity blocks of %d stripes", n, stats.Stripes)
+	}
+	w.settledAfter(t, c)
+	// The rewrite is the stripe's one-row run; its re-planned fold is the
+	// last of its m-row runs.
+	firstRewrite, lastFold := -1, -1
+	for i, run := range booked {
+		if runStripe(run) != stripe {
+			continue
+		}
+		if runRows(run) == 1 && firstRewrite < 0 {
+			firstRewrite = i
+		}
+		if runRows(run) == c.Coder().M() {
+			lastFold = i
+		}
+	}
+	if firstRewrite < 0 {
+		t.Fatal("the read-ahead booked no slice of a rewrite")
+	}
+	if firstRewrite > lastFold {
+		t.Errorf("the rewrite's first slice is booking %d of %d, after the re-planned fold's last (%d): it did not share the fold's loop",
+			firstRewrite, len(booked), lastFold)
+	}
+	t.Logf("stripe %d: the rewrite of block %d to node %d booked its first slice at %d of %d, the re-planned fold its last at %d",
+		stripe, victim, kept.node, firstRewrite, len(booked), lastFold)
 }
 
 // TestRecoverSweepReplansCorruptSurvivorInLoop corrupts a survivor the first

@@ -256,12 +256,13 @@ func TestPipelinedEncodeCancelCommitsNothing(t *testing.T) {
 // two members of one stripe before the encode job runs. Each hop's
 // checksum-verified read fails, the replica is excluded and the chain
 // re-planned over the member's remaining copies, so the job succeeds instead
-// of requeueing a stripe that can never converge. With c = 1 the plan keeps
-// at most one of the two bad copies: that one must have been rewritten from
-// a good replica before the others were deleted, the other must be gone, and
-// every block's surviving replica must pass its checksum. The re-planned
-// chain's remote hops are reported as m cross-rack block-equivalents per
-// rack boundary plus one per rewrite — for that stripe only.
+// of requeueing a stripe that can never converge. The bad copies must be
+// gone and every block's surviving replica must pass its checksum. With c = 1
+// on this geometry the plan keeps neither bad copy, so nothing is rewritten
+// (the log says 0); TestEncodeRewritesCorruptKeptCopyInLoop covers a kept
+// one. The re-planned chain's remote hops are reported as m cross-rack
+// block-equivalents per rack boundary plus one per rewrite — for that stripe
+// only.
 func TestEncodeReplansAroundCorruptReplica(t *testing.T) {
 	c := newTestCluster(t, "ear")
 	cfg := c.Config()

@@ -17,8 +17,8 @@ import (
 	"ear/internal/topology"
 )
 
-// Tests of the one member move (rebuildMember) through its three callers:
-// RepairBlockCtx, RecoverNode and the BlockMover.
+// Tests of the one member move (foldMember, then commitMember) through its
+// three callers: RepairBlockCtx, RecoverNode and the BlockMover.
 
 // planOverride rewrites a post-encoding plan before it is committed.
 type planOverride func(*placement.StripeInfo, *placement.PostEncodingPlan)

@@ -608,14 +608,17 @@ func (c *Cluster) crowdedMember(sm *StripeMeta, rackCount map[topology.RackID]in
 
 // relocateMember admits to the loop the BlockMover's move of member pos of
 // the stripe from its only holder to target: a rebuild at the target
-// (rebuildMember — while the source copy reads clean the fold is a copy of it
-// through the source's disk and the network, and a corrupt one is rebuilt from
-// the rest of the stripe instead of failing the pass), then the
-// ReplicaRelocated event and, only now that the NameNode names the new holder,
+// (foldMember, committed by commitMember — while the source copy reads clean
+// the fold is a copy of it through the source's disk and the network, and a
+// corrupt one is rebuilt from the rest of the stripe instead of failing the
+// pass), then the ReplicaRelocated event and, only now that the NameNode names the new holder,
 // the delete of the copy it moved away from, after which moved runs. An error
 // before the metadata commit leaves the source copy the recorded one.
 func (c *Cluster) relocateMember(ctx context.Context, loop *stageLoop, sm *StripeMeta, pos int, from, target topology.NodeID, moved func()) error {
-	return c.rebuildMember(ctx, loop, sm, pos, target, func() {}, func(_ chainLedger, err error) error {
+	return c.foldMember(ctx, loop, sm, pos, target, make(map[holder]bool), func() {}, func(block []byte, _ chainLedger, err error) error {
+		if err == nil {
+			err = c.commitMember(sm, pos, target, block)
+		}
 		if err != nil {
 			return err
 		}

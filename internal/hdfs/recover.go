@@ -10,7 +10,7 @@ package hdfs
 // surviving racks and nodes (pickTarget), folds a round's repairs in one
 // stage loop on the sweep's goroutine, in plan order and sharing each node's
 // read-ahead, and plans again from what they left until nothing it can fix is
-// lost. Each repair folds its decode row along the chain (rebuildMember),
+// lost. Each repair folds its decode row along the chain (foldMember),
 // commits as its fold ends and publishes the usual RepairStarted/Finished
 // lifecycle, so the progress tracker folds the sweep into the
 // durability-exposure ledger; NodeRecoveryStarted/Finished bracket the sweep.
@@ -292,41 +292,40 @@ func (c *Cluster) repairAll(ctx context.Context, tasks []recoverTask, stats *Rec
 	return errors.Join(failed...)
 }
 
-// rebuildMember admits to the loop the fold that puts member pos of encoded
-// stripe sm on target, the one way a stripe member changes holder — repair,
-// node recovery and the BlockMover all end here. The member is rebuilt along
-// the chain into a block of its own (rebuildStages), which the target's store
-// keeps as it was folded when the run ends (commitMember), so a failed or
-// canceled rebuild commits nothing. A run whose member fails its checksum as
-// the loop reads it is planned again without that holder (replan), and the new
-// run joins the same loop with the same buffer. done gets the ledger of the
-// fold that committed and the error of the plan, the admission, a run no
-// re-plan is left for, or the commit (nil once committed) and returns the
-// error that ends the loop, if any; whatever the earlier holders store is
-// done's to delete. release runs with the last run's.
-func (c *Cluster) rebuildMember(ctx context.Context, loop *stageLoop, sm *StripeMeta, pos int, target topology.NodeID, release func(), done func(chainLedger, error) error) error {
-	buf := make([]byte, c.cfg.BlockSizeBytes)
-	bad := make(map[holder]bool)
+// foldMember admits to the loop the fold of member pos of stripe sm into a
+// block of its own at sink, the one fold of one member: repair, node recovery
+// and the BlockMover commit it (commitMember), a degraded read delivers it,
+// and an encode rewrites a kept copy with it (parityFold). The member is
+// rebuilt along the chain (rebuildStages): a copy while a holder survives, a
+// decode otherwise. A run whose member fails its checksum as the loop reads
+// it is planned again without that holder (replan, which adds it to bad, the
+// caller's), into a block of its own, and the new run joins the same loop.
+// done gets the block and the ledger of the run that ended, or the error of
+// the plan, the admission or a run no re-plan is left for, and returns the
+// error that ends the loop, if any; the block is done's to keep. release runs
+// with the last run's.
+func (c *Cluster) foldMember(ctx context.Context, loop *stageLoop, sm *StripeMeta, pos int, sink topology.NodeID, bad map[holder]bool, release func(), done func([]byte, chainLedger, error) error) error {
 	var admit func() error
 	fail := func(err error) error {
-		if c.replan(err, bad) {
+		if _, ok := replan(err, bad); ok {
 			return admit()
 		}
 		release()
-		return done(chainLedger{}, err)
+		return done(nil, chainLedger{}, err)
 	}
 	admit = func() error {
-		stages, err := c.rebuildStages(sm, pos, target, buf, bad)
+		buf := make([]byte, c.cfg.BlockSizeBytes)
+		stages, err := c.rebuildStages(sm, pos, sink, buf, bad)
 		var run *stageRun
 		if err == nil {
-			run, err = loop.admit(ctx, stages, target, hopSpans(ctx, sm.Info.ID))
+			run, err = loop.admit(ctx, stages, sink, hopSpans(ctx, sm.Info.ID))
 		}
 		if err != nil {
 			return fail(err)
 		}
 		run.release, run.fail = release, fail
 		run.finish = func() error {
-			return done(c.foldLedger(stages, run.start, run.end), c.commitMember(sm, pos, target, buf))
+			return done(buf, c.foldLedger(stages, run.start, run.end), nil)
 		}
 		return nil
 	}
@@ -362,12 +361,12 @@ func (c *Cluster) commitMember(sm *StripeMeta, pos int, target topology.NodeID, 
 }
 
 // repairMember admits to the loop the rebuild of lost member t.pos of stripe
-// t.sm onto t.target (rebuildMember) and adds what is repair's own: the
-// raidnode.repair-block / repair-parity span, which ends with the run, the
-// RepairStarted/RepairFinished lifecycle, the events that retire the member's
-// earlier holders, repair telemetry, the tenant charge and the repair's share
-// of stats. Events of a parity row carry Detail "parity" and no Block. A
-// failure goes to fail, whose error ends the loop.
+// t.sm onto t.target (foldMember, committed by commitMember) and adds what is
+// repair's own: the raidnode.repair-block / repair-parity span, which ends
+// with the run, the RepairStarted/RepairFinished lifecycle, the events that
+// retire the member's earlier holders, repair telemetry, the tenant charge and
+// the repair's share of stats. Events of a parity row carry Detail "parity"
+// and no Block. A failure goes to fail, whose error ends the loop.
 func (c *Cluster) repairMember(ctx context.Context, loop *stageLoop, t recoverTask, stats *RecoveryStats, fail func(error) error) error {
 	t0 := time.Now()
 	sm, pos := t.sm, t.pos
@@ -411,7 +410,10 @@ func (c *Cluster) repairMember(ctx context.Context, loop *stageLoop, t recoverTa
 		c.Journal().Publish(ev)
 	}
 	publish(events.RepairStarted, t.target, events.NoneNode, 0)
-	return c.rebuildMember(ctx, loop, sm, pos, t.target, end, func(ledger chainLedger, err error) error {
+	return c.foldMember(ctx, loop, sm, pos, t.target, make(map[holder]bool), end, func(block []byte, ledger chainLedger, err error) error {
+		if err == nil {
+			err = c.commitMember(sm, pos, t.target, block)
+		}
 		if err != nil {
 			return fail(err)
 		}
