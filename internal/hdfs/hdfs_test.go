@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ear/internal/blockstore"
@@ -455,6 +456,44 @@ func TestRepairBlock(t *testing.T) {
 	got, err := c.ReadBlock(2, ids[1])
 	if err != nil || !bytes.Equal(got, contents[ids[1]]) {
 		t.Fatalf("read after repair: %v", err)
+	}
+}
+
+// A repair rebuilds a member of an encoded stripe. A block whose stripe is
+// flushed but not yet encoded is still replicated and has no parity: repairing
+// it fails and leaves its recorded replica set as it was. With every copy
+// gone, such a block has no decode to fall back on, and a degraded read
+// reports no replica.
+func TestRepairUnencodedStripeFails(t *testing.T) {
+	c := newTestCluster(t, "ear")
+	rng := rand.New(rand.NewSource(8))
+	ids, _ := writeBlocks(t, c, c.Config().K, rng)
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := c.NameNode().Block(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Stripe < 0 || meta.Encoded {
+		t.Fatalf("block %d: stripe %d, encoded %v; want a flushed, unencoded stripe", ids[1], meta.Stripe, meta.Encoded)
+	}
+	nodes := slices.Clone(meta.Nodes)
+	if _, err := c.RepairBlock(ids[1]); !errors.Is(err, ErrUnknownStripe) {
+		t.Fatalf("RepairBlock of a block in an unencoded stripe: %v, want ErrUnknownStripe", err)
+	}
+	after, err := c.NameNode().Block(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(after.Nodes, nodes) {
+		t.Fatalf("replica set after a failed repair: %v, want %v", after.Nodes, nodes)
+	}
+	for _, n := range nodes {
+		c.NameNode().MarkDead(n)
+	}
+	if _, err := c.DegradedRead(0, ids[1]); !errors.Is(err, ErrNoReplica) {
+		t.Fatalf("degraded read of a lost block in an unencoded stripe: %v, want ErrNoReplica", err)
 	}
 }
 
