@@ -138,11 +138,17 @@ func BenchmarkEncodeAll(b *testing.B) {
 // the benchmark writes (lifecycleWrites, on seeds 1-6 in turn) at the shaped
 // rates, on the wall clock. ns/op is the encode; cpu-ms/op is the process CPU
 // it took, user and system time from getrusage: the host's share, which the
-// fabric's design time leaves out; admit-ms/op is how long after the job's
-// start its last stripe joined the job's loop (the latest run start the
-// read-ahead books a slice for, readAheadKey), which a fake clock puts at 0.
+// fabric's design time leaves out; minflt/op the minor page faults it took,
+// getrusage's Minflt; admit-ms/op is how long after the job's start its last
+// stripe joined the job's loop (the latest run start the read-ahead books a
+// slice for, readAheadKey), which a fake clock puts at 0. The runtime.GC()
+// before each op keeps the heap the last op's parity used resident, so an op
+// zeroes its parity blocks but seldom faults them in: minflt/op stays low
+// here, where every round of the lifecycle benchmark after the first faults
+// its parity in afresh from memory the runtime has returned to the OS.
 func BenchmarkEncodeLifecycleRound(b *testing.B) {
 	var cpu, admit time.Duration
+	var minflt int64
 	var last time.Time
 	ctx := context.WithValue(context.Background(), readAheadKey{}, func(_ topology.NodeID, run *stageRun, _ int) {
 		last = later(last, run.start)
@@ -155,14 +161,15 @@ func BenchmarkEncodeLifecycleRound(b *testing.B) {
 		}
 		setRates(b, c, cfg.BandwidthBytesPerSec, cfg.DiskBandwidthBytesPerSec)
 		runtime.GC() // the writes' garbage is not the encode's
-		cpu0 := cpuTime(b)
+		cpu0, flt0 := usage(b)
 		start := time.Now()
 		b.StartTimer()
 		if _, err := c.RaidNode().EncodeAllCtx(ctx); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		cpu += cpuTime(b) - cpu0
+		cpu1, flt1 := usage(b)
+		cpu, minflt = cpu+cpu1-cpu0, minflt+flt1-flt0
 		admit += last.Sub(start)
 		// newCluster keeps every cluster until the benchmark ends: drop this
 		// one's blocks now so the iterations' layouts do not pile up.
@@ -173,14 +180,16 @@ func BenchmarkEncodeLifecycleRound(b *testing.B) {
 		}
 	}
 	b.ReportMetric(cpu.Seconds()*1e3/float64(b.N), "cpu-ms/op")
+	b.ReportMetric(float64(minflt)/float64(b.N), "minflt/op")
 	b.ReportMetric(admit.Seconds()*1e3/float64(b.N), "admit-ms/op")
 }
 
-// cpuTime is the user and system CPU the process has used so far.
-func cpuTime(b *testing.B) time.Duration {
+// usage is the user and system CPU the process has used so far, and the minor
+// page faults it has taken.
+func usage(b *testing.B) (cpu time.Duration, minflt int64) {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
 		b.Fatal(err)
 	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()), int64(ru.Minflt)
 }

@@ -923,19 +923,17 @@ func TestAdmitFailureBooksNothing(t *testing.T) {
 	row[0] = 1
 	// copyTo plans the unit-row fold of the member from its holder to the
 	// node, anchored at the holder: a head stage that reads the member and a
-	// delivery stage. It zeroes out, which a second copy reuses.
-	copyTo := func(to topology.NodeID, out []byte) []*chainStage {
-		clear(out)
-		stages, err := c.foldStages(0, [][]byte{row}, holders, func(int) blockstore.Key { return DataKey(ids[0]) }, from, []topology.NodeID{to}, [][]byte{out})
+	// delivery stage. The run's block is the copy.
+	copyTo := func(to topology.NodeID) []*chainStage {
+		stages, err := c.foldStages(0, [][]byte{row}, holders, func(int) blockstore.Key { return DataKey(ids[0]) }, from, []topology.NodeID{to})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return stages
 	}
 	spans := hopSpans(context.Background(), 0)
-	out := make([]byte, cfg.BlockSizeBytes)
 	alone := took(func() {
-		if _, _, err := c.runStages(context.Background(), copyTo(sink, out), from, spans); err != nil {
+		if _, err := c.runStages(context.Background(), copyTo(sink), from, spans); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -945,10 +943,10 @@ func TestAdmitFailureBooksNothing(t *testing.T) {
 	l := &stageLoop{c: c}
 	defer l.close()
 	nowhere := topology.NodeID(c.Topology().Nodes())
-	if _, err := l.admit(ctx, copyTo(nowhere, make([]byte, cfg.BlockSizeBytes)), from, spans); !errors.Is(err, topology.ErrUnknownNode) {
+	if _, err := l.admit(ctx, copyTo(nowhere), from, spans); !errors.Is(err, topology.ErrUnknownNode) {
 		t.Fatalf("admitting a copy to node %d = %v, want topology.ErrUnknownNode", nowhere, err)
 	}
-	sound, err := l.admit(ctx, copyTo(sink, out), from, spans)
+	sound, err := l.admit(ctx, copyTo(sink), from, spans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -963,6 +961,7 @@ func TestAdmitFailureBooksNothing(t *testing.T) {
 	if shared != alone {
 		t.Errorf("the sound copy took %v after a failed admission, %v in a loop of its own", shared, alone)
 	}
+	out := sound.blocks()[0]
 	if !bytes.Equal(out, contents[ids[0]]) {
 		t.Error("the sound copy differs from the member")
 	}

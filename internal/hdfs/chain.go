@@ -24,11 +24,11 @@ package hdfs
 // they are the lost member (rack-aware regenerating repair), delivered to the
 // repair target or the reading client. The engine copies no byte: a hop folds
 // its members straight from the stores' sealed blocks into the row's one
-// buffer, the caller's, which every stage of the row sums into in place, and
-// the read-ahead verifies each member's checksum slice by slice before the
-// fold can end. It stores nothing either: the caller commits the sums only
-// after the whole fold succeeded, so a canceled or failed fold leaves no trace
-// in any store. The stage
+// block, made at the row's first step, which every stage of the row sums into
+// in place, and the read-ahead verifies each member's checksum slice by slice
+// before the fold can end. It stores nothing either: the fold's owner commits
+// the blocks its run hands it only after the whole fold succeeded, so a
+// canceled or failed fold leaves no trace in any store. The stage
 // loop (stageLoop) is one event loop on the caller's goroutine, with one
 // read-ahead per node for every fold it runs. An encode job folds the stripes
 // of all its map tasks (parityFold), and a recovery or BlockMover round its
@@ -70,11 +70,11 @@ type chainStage struct {
 	// are the stages that receive from this one.
 	up   *chainStage
 	next []*chainStage
-	// acc is the row's one buffer, shared by every stage of the row: the
-	// caller's output, a zero block the fold's owner has just made, which
-	// each stage of the fold sums its members into in place once up has
-	// finished the slice; the caller's bytes in a write.
-	acc []byte
+	// acc points to the row's one buffer, shared by every stage of the row:
+	// in a fold a zero block the loop makes at the row's first step, which
+	// each stage sums its members into in place once up has finished the
+	// slice; the caller's bytes in a write.
+	acc *[]byte
 	// in is the inbound stream from up's node (nil at a head), which up books
 	// on, and arrived the instant each slice up has booked on it arrives, in
 	// slice order (every slice is there at the start for a head).
@@ -155,25 +155,36 @@ func (d *diskShare) offset() int { return len(d.arrived) * d.run.slice }
 // in nSlices slices of slice bytes from its admission, start, to end, the
 // instant its last stage forwarded its last slice; its stages' inbound
 // streams are open in between. left counts the stages still walking. At the
-// run's end finish runs on the loop's goroutine, then release, which returns
-// what the run holds (a repair's span) and which the loop's close runs
-// for a run that never ended. A run that fails on the way, a member failing
-// its checksum (stageLoop.read), leaves the loop at once and hands the error
-// to fail, which takes over what the run holds: it releases it, or hands it to
-// a run it re-plans into the loop, and returns the error that ends the loop,
-// if any (by default it releases and returns the error). next is the stage
-// with the run's earliest step, at its instant (schedule).
+// run's end finish runs on the loop's goroutine with its blocks, then release,
+// which returns what the run holds (a repair's span) and which the loop's
+// close runs for a run that never ended. A run that fails on the way, a member
+// failing its checksum (stageLoop.read), leaves the loop at once and hands the
+// error to fail, which takes over what the run holds: it releases it, or hands
+// it to a run it re-plans into the loop, and returns the error that ends the
+// loop, if any (by default it releases and returns the error). next is the
+// stage with the run's earliest step, at its instant (schedule).
 type stageRun struct {
 	stages         []*chainStage
 	slice, nSlices int
 	start, end     time.Time
 	spans          []*telemetry.Span
 	left           int
-	finish         func() error
+	finish         func(blocks [][]byte) error
 	release        func()
 	fail           func(error) error
 	next           int
 	at             time.Time
+}
+
+// blocks returns the buffer of every stage that forwards to none, in list
+// order: a fold's rows, each in the block it ended in.
+func (run *stageRun) blocks() (out [][]byte) {
+	for _, st := range run.stages {
+		if len(st.next) == 0 {
+			out = append(out, *st.acc)
+		}
+	}
+	return out
 }
 
 // schedule finds the run's earliest stage step, the first in list order on a
@@ -210,7 +221,7 @@ type stageLoop struct {
 type readAheadKey struct{}
 
 // newStage appends to stages a stage at node that receives acc from up.
-func newStage(stages []*chainStage, node topology.NodeID, up *chainStage, acc []byte) []*chainStage {
+func newStage(stages []*chainStage, node topology.NodeID, up *chainStage, acc *[]byte) []*chainStage {
 	st := &chainStage{node: node, up: up, acc: acc}
 	if up != nil {
 		up.next = append(up.next, st)
@@ -291,17 +302,16 @@ func (c *Cluster) foldSliceBytes(anchor topology.NodeID, streams int) int {
 }
 
 // runStages walks one block through the stages slice by slice, a loop of one
-// run, and returns the run's start and end; the first error (a cancelled ctx
-// included) ends the run at once. span opens stage s's span.
-func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor topology.NodeID, span func(s int, st *chainStage) *telemetry.Span) (start, end time.Time, err error) {
+// run, and returns the run; the first error (a cancelled ctx included) ends the
+// run at once. span opens stage s's span.
+func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor topology.NodeID, span func(s int, st *chainStage) *telemetry.Span) (*stageRun, error) {
 	l := &stageLoop{c: c}
 	defer l.close()
 	run, err := l.admit(ctx, stages, anchor, span)
 	if err != nil {
-		return start, end, err
+		return nil, err
 	}
-	err = l.run(ctx, 0, nil)
-	return run.start, run.end, err
+	return run, l.run(ctx, 0, nil)
 }
 
 // admit adds a run of the stages to the loop. It only opens streams: every
@@ -323,7 +333,7 @@ func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topo
 		streams = max(streams, depth)
 	}
 	run := &stageRun{stages: stages, slice: l.c.foldSliceBytes(anchor, streams), left: len(stages),
-		finish: func() error { return nil }, release: func() {}}
+		finish: func([][]byte) error { return nil }, release: func() {}}
 	run.fail = func(err error) error {
 		run.release()
 		return err
@@ -380,10 +390,11 @@ func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topo
 // member's running checksum over it, and checks the sum with the member's last
 // slice, before any stage can fold that slice: a run never finishes on a
 // member that fails, and the one that does costs at most its own run's
-// traffic. A stage step takes its next slice once the upstream sum
-// and the node's members have arrived, folds its row over the members into
-// the row's buffer in place and books the slice on the inbound stream of
-// every stage after it, ready at the instant its inputs arrived rather than
+// traffic. A stage step takes its next slice once the upstream sum and the
+// node's members have arrived, folds its row over the members into the row's
+// buffer in place (made at a fold row's first step, so its zeroing and page
+// faults delay no earlier booking) and books the slice on the inbound stream
+// of every stage after it, ready at the instant its inputs arrived rather than
 // at the later instant the loop got to it (a head's slices are ready at its
 // run's start). Bookings run ahead of the arrivals as far as a stream's
 // window allows; a step whose stream is full waits for the instant
@@ -466,10 +477,13 @@ func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) (bool, err
 		// Fold the node's members into the row's sum for this slice, then
 		// send it on, ready when its inputs arrived, attributed by the fabric
 		// to every link of the hop.
+		if *st.acc == nil {
+			*st.acc = make([]byte, blockSize)
+		}
 		if d := st.disk; d != nil {
 			for i, pos := range d.positions {
 				if coef := st.row[pos]; coef != 0 {
-					gf256.MulAddSlice(coef, d.blocks[i].Bytes()[lo:hi], st.acc[lo:hi])
+					gf256.MulAddSlice(coef, d.blocks[i].Bytes()[lo:hi], (*st.acc)[lo:hi])
 				}
 			}
 		}
@@ -542,12 +556,12 @@ func (l *stageLoop) read(ctx context.Context, r *diskReader) error {
 }
 
 // finish ends a run whose every stage has forwarded its last slice: it leaves
-// the loop, and its finish and release run.
+// the loop, and its finish, handed the run's blocks, and release run.
 func (l *stageLoop) finish(run *stageRun) error {
 	run.end = time.Now()
 	l.leave(run)
 	defer run.release()
-	return run.finish()
+	return run.finish(run.blocks())
 }
 
 // abort ends a run before its end, on err: it leaves the loop, its open spans
@@ -603,23 +617,24 @@ func later(a, b time.Time) time.Time {
 	return a
 }
 
-// foldStages plans a fold and returns its stages: out[j] = sum over pos of
-// rows[j][pos] * content(pos), landed at sinks[j]. holders[pos] lists the
-// holders of stripe position pos (empty: the position contributes nothing —
-// zero content or an unused survivor) and key maps a position to its store
-// key. The holders are covered once, planned toward the anchor
-// (placement.PlanPipeline), which takes no part in the fold unless it holds a
-// member, and each row walks that cover in a chain of its own ordered toward
-// sinks[j] (placement.OrderPipeline): one stage per covered hop, all summing
-// into out[j] in place, and a delivery stage when the sink is no hop. With
-// nothing but zeros to fold, the anchor originates them. Every out block is
-// one block long and must be zero: each admission folds into blocks its owner
-// has just made. The stages of a hop share one diskShare of its members, the
-// stored blocks taken unverified: the read-ahead verifies them slice by slice
-// before the run can end (stageLoop.read), so a bad member costs at most its
-// run's traffic and is re-planned around by the run's owner. A member missing
-// from its holder's store fails here, a holderError before any stream opens.
-func (c *Cluster) foldStages(stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID, out [][]byte) ([]*chainStage, error) {
+// foldStages plans a fold and returns its stages: row j's block, the sum over
+// pos of rows[j][pos] * content(pos), landed at sinks[j] and handed to the
+// run's finish in row order. holders[pos] lists the holders of stripe
+// position pos (empty: the position contributes nothing — zero content or an
+// unused survivor) and key maps a position to its store key. The holders are
+// covered once, planned toward the anchor (placement.PlanPipeline), which
+// takes no part in the fold unless it holds a member, and each row walks that
+// cover in a chain of its own ordered toward sinks[j]
+// (placement.OrderPipeline): one stage per covered hop, all summing in place
+// into the block the loop makes at the row's first step, and a delivery stage
+// when the sink is no hop. With nothing but zeros to fold, the anchor
+// originates them. The stages of a hop share one diskShare of its members,
+// the stored blocks taken unverified: the read-ahead verifies them slice by
+// slice before the run can end (stageLoop.read), so a bad member costs at most
+// its run's traffic and is re-planned around by the run's owner. A member
+// missing from its holder's store fails here, a holderError before any stream
+// opens.
+func (c *Cluster) foldStages(stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID) ([]*chainStage, error) {
 	cover, err := placement.PlanPipeline(c.top, holders, anchor)
 	if err != nil {
 		return nil, fmt.Errorf("stripe %d: %w", stripe, err)
@@ -651,13 +666,14 @@ func (c *Cluster) foldStages(stripe topology.StripeID, rows [][]byte, holders []
 	for j, sink := range sinks {
 		sinkRack, _ := c.top.RackOf(sink) // an unknown sink fails when its stream opens
 		var up *chainStage
+		acc := new([]byte)
 		for _, h := range placement.OrderPipeline(cover, sink, sinkRack, sinks...) {
-			stages = newStage(stages, h.Node, up, out[j])
+			stages = newStage(stages, h.Node, up, acc)
 			up = stages[len(stages)-1]
 			up.row, up.disk = rows[j], shares[h.Node]
 		}
 		if up.node != sink {
-			stages = newStage(stages, sink, up, out[j])
+			stages = newStage(stages, sink, up, acc)
 		}
 	}
 	return stages, nil
@@ -717,13 +733,13 @@ func (c *Cluster) foldLedger(stages []*chainStage, start, end time.Time) chainLe
 
 // parityFold admits the fold of a planned stripe's parity to its encode job's
 // loop: the m parity rows folded over the replica holders, one chain per row,
-// so that parity j ends on plan.Parity[j], in m blocks of its own (sp.Blocks)
-// that the commit stores as they are, beside the aborted-member mask
-// (sp.Aborted). The holders are covered toward the first parity holder in the
-// encoder's rack (toward the encoder when that rack holds no parity), and are
-// read through posHolders, the rule every fold of a member follows. A replica
-// missing when the fold is planned, or failing its checksum as the loop reads
-// it, is excluded (replan) and the fold planned again into fresh blocks in the
+// so that parity j ends on plan.Parity[j], in the block the run hands its
+// finish for row j (sp.Blocks), which the commit stores as it is, beside the
+// aborted-member mask (sp.Aborted). The holders are covered toward the first
+// parity holder in the encoder's rack (toward the encoder when that rack holds
+// no parity), and are read through posHolders, the rule every fold of a member
+// follows. A replica missing when the fold is planned, or failing its checksum
+// as the loop reads it, is excluded (replan) and the fold planned again in the
 // same loop, until a member has no replica left (ErrNoReplica). When the
 // excluded replica is the one the plan keeps, a copy of the member to its node
 // (foldMember) joins the loop beside the re-planned fold and replaces the bad
@@ -806,11 +822,7 @@ func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placeme
 			}
 			holders[i], sp.Aborted[i] = live, len(live) == 0
 		}
-		sp.Blocks = make([][]byte, len(rows))
-		for j := range sp.Blocks {
-			sp.Blocks[j] = make([]byte, c.cfg.BlockSizeBytes)
-		}
-		stages, err := c.foldStages(info.ID, rows, holders, key, anchor, plan.Parity, sp.Blocks)
+		stages, err := c.foldStages(info.ID, rows, holders, key, anchor, plan.Parity)
 		var run *stageRun
 		if err == nil {
 			run, err = loop.admit(ctx, stages, anchor, hopSpans(ctx, info.ID))
@@ -819,7 +831,8 @@ func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placeme
 			return fail(err)
 		}
 		run.fail = fail
-		run.finish = func() error {
+		run.finish = func(blocks [][]byte) error {
+			sp.Blocks = blocks
 			ledger := c.foldLedger(stages, run.start, run.end)
 			sp.CrossRackDownloads += ledger.crossHops
 			sp.CrossRackUploads = ledger.crossDeliveries
@@ -894,7 +907,7 @@ func (c *Cluster) posHolders(sm *StripeMeta, i int, bad map[holder]bool) ([]topo
 }
 
 // rebuildStages plans the stages of a fold of one row that rebuilds stripe
-// position pos (data or parity) into out at the sink. While a copy of the
+// position pos (data or parity) at the sink. While a copy of the
 // position survives the row is the unit row and the fold is a copy from the
 // nearest holder, which needs no plan, so it serves a stripe not yet encoded
 // too (one with no copy left has nothing to decode from: ErrNoReplica);
@@ -905,7 +918,7 @@ func (c *Cluster) posHolders(sm *StripeMeta, i int, bad map[holder]bool) ([]topo
 // bad, the caller's, kept across the folds it plans again after a run failed
 // on a member's checksum (replan), and the survivors are re-selected until
 // fewer than k are left (ErrNoReplica).
-func (c *Cluster) rebuildStages(sm *StripeMeta, pos int, sink topology.NodeID, out []byte, bad map[holder]bool) ([]*chainStage, error) {
+func (c *Cluster) rebuildStages(sm *StripeMeta, pos int, sink topology.NodeID, bad map[holder]bool) ([]*chainStage, error) {
 	k, n := c.cfg.K, c.cfg.N
 	key := func(p int) blockstore.Key { return c.memberKey(sm, p) }
 	for {
@@ -948,7 +961,7 @@ func (c *Cluster) rebuildStages(sm *StripeMeta, pos int, sink topology.NodeID, o
 				row[i] = coeffs[x]
 			}
 		}
-		stages, err := c.foldStages(sm.Info.ID, [][]byte{row}, holders, key, sink, []topology.NodeID{sink}, [][]byte{out})
+		stages, err := c.foldStages(sm.Info.ID, [][]byte{row}, holders, key, sink, []topology.NodeID{sink})
 		if _, ok := replan(err, bad); !ok {
 			return stages, err
 		}

@@ -68,24 +68,23 @@ func setRates(t testing.TB, c *Cluster, link, disk float64) {
 	}
 }
 
-// chainFold folds rows over the holders into out toward the sinks in a loop of
-// one run (foldStages, runStages) and returns the fold's ledger: the bare
-// engine, without an owner to re-plan or commit. It zeroes out first, since
-// callers fold into pooled or reused blocks. Hop spans hang off the span
-// carried by ctx.
+// chainFold folds rows over the holders toward the sinks in a loop of one run
+// (foldStages, runStages), copies the blocks the run ended in into out, and
+// returns the fold's ledger: the bare engine, without an owner to re-plan or
+// commit. Hop spans hang off the span carried by ctx.
 func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID, out [][]byte) (chainLedger, error) {
-	for _, o := range out {
-		clear(o)
-	}
-	stages, err := c.foldStages(stripe, rows, holders, key, anchor, sinks, out)
+	stages, err := c.foldStages(stripe, rows, holders, key, anchor, sinks)
 	if err != nil {
 		return chainLedger{}, err
 	}
-	start, end, err := c.runStages(ctx, stages, anchor, hopSpans(ctx, stripe))
+	run, err := c.runStages(ctx, stages, anchor, hopSpans(ctx, stripe))
 	if err != nil {
 		return chainLedger{}, err
 	}
-	return c.foldLedger(stages, start, end), nil
+	for j, b := range run.blocks() {
+		copy(out[j], b)
+	}
+	return c.foldLedger(stages, run.start, run.end), nil
 }
 
 // verifyBlockContents reads every written block through the client path and

@@ -135,17 +135,17 @@ func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *B
 	if len(meta.Nodes) == 0 {
 		return fmt.Errorf("%w: block %d placed on no nodes", ErrNoReplica, meta.ID)
 	}
-	stages := newStage(nil, client, nil, data)
+	stages := newStage(nil, client, nil, &data)
 	from := stages[0]
 	for _, n := range meta.Nodes {
-		stages = newStage(stages, n, from, data)
+		stages = newStage(stages, n, from, &data)
 		if n != from.node {
 			from = stages[len(stages)-1]
 		}
 	}
 	replicas := stages[1:]
 	parent := telemetry.SpanFromContext(ctx)
-	start, _, err := c.runStages(ctx, stages, client, func(s int, st *chainStage) *telemetry.Span {
+	run, err := c.runStages(ctx, stages, client, func(s int, st *chainStage) *telemetry.Span {
 		if s == 0 {
 			return nil // the client is the write's own span
 		}
@@ -160,7 +160,7 @@ func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *B
 		return err
 	}
 	if m := c.metrics(); m != nil {
-		m.pipeFill.Observe(replicas[len(replicas)-1].tFirst.Sub(start).Seconds())
+		m.pipeFill.Observe(replicas[len(replicas)-1].tFirst.Sub(run.start).Seconds())
 	}
 	block := blockstore.Seal(data)
 	for _, st := range replicas {

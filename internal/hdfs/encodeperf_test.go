@@ -175,6 +175,69 @@ func TestEncodeStoresParityAsFolded(t *testing.T) {
 	}
 }
 
+// TestFoldAdmissionMakesNoBlocks pins that an admission only plans and opens
+// streams: the stage loop makes each fold's block at its row's first step. An
+// encode job admits every stripe, and a recovery round every repair, before
+// the read-ahead books its first slice (readAheadKey), so the heap a job has
+// allocated by then is its admissions': less than a block a run, where blocks
+// made at admission come to m a stripe and one a repair. Not parallel: it
+// reads the process's heap counters.
+func TestFoldAdmissionMakesNoBlocks(t *testing.T) {
+	// admitted runs op under a context whose read-ahead hook reads the heap
+	// counters at the first slice, and returns what op allocated until then.
+	admitted := func(t *testing.T, op func(ctx context.Context)) uint64 {
+		t.Helper()
+		var start, first runtime.MemStats
+		booked := false
+		ctx := context.WithValue(context.Background(), readAheadKey{}, func(topology.NodeID, *stageRun, int) {
+			if !booked {
+				booked = true
+				runtime.ReadMemStats(&first)
+			}
+		})
+		runtime.GC()
+		runtime.ReadMemStats(&start)
+		op(ctx)
+		if !booked {
+			t.Fatal("the read-ahead booked no slice")
+		}
+		return first.TotalAlloc - start.TotalAlloc
+	}
+	check := func(t *testing.T, what string, grew uint64, runs, blockSize int) {
+		t.Helper()
+		perRun := float64(grew) / float64(blockSize) / float64(runs)
+		t.Logf("%s allocated %.3f blocks a run before its first slice (%d runs)", what, perRun, runs)
+		if perRun >= 1 {
+			t.Errorf("%s allocated %.3f blocks a run before its first slice, want < 1: an admission makes no block", what, perRun)
+		}
+	}
+	c, cfg := lifecycleWrites(t, 1)
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	var stripes int
+	grew := admitted(t, func(ctx context.Context) {
+		stats, err := c.RaidNode().EncodeAllCtx(ctx)
+		if err != nil || stats.Stripes == 0 {
+			t.Fatalf("encoded %d stripes: %v", stats.Stripes, err)
+		}
+		stripes = stats.Stripes
+	})
+	check(t, "the encode job", grew, stripes, cfg.BlockSizeBytes)
+
+	dead := busiestDataNode(t, c)
+	c.NameNode().MarkDead(dead)
+	var repairs int
+	grew = admitted(t, func(ctx context.Context) {
+		stats, err := c.RecoverNode(ctx, dead)
+		if err != nil || stats.Unrecovered != 0 {
+			t.Fatalf("RecoverNode left %d members unrecovered: %v", stats.Unrecovered, err)
+		}
+		repairs = stats.BlocksRepaired + stats.ParityRepaired
+	})
+	check(t, "the recovery round", grew, repairs, cfg.BlockSizeBytes)
+}
+
 // TestCrossRackNotCountedOnFailedGather pins the counting fix: cross-rack
 // downloads are recorded when a fetch completes, so a gather whose fetches
 // all fail reports zero even though every resolved source was remote.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -92,16 +93,57 @@ func verifyParities(t *testing.T, c *Cluster, contents map[topology.BlockID][]by
 	return checked
 }
 
+// abortStripe seals a stripe of k members, all written from one node under a
+// canceled context: each allocation is aborted, and the stripe's content is
+// zeros.
+func abortStripe(t *testing.T, c *Cluster) {
+	t.Helper()
+	cfg := c.Config()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for range cfg.K {
+		if _, err := c.WriteBlockCtx(ctx, 0, make([]byte, cfg.BlockSizeBytes)); err == nil {
+			t.Fatal("write under canceled context should fail")
+		}
+	}
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// allAbortedStripes counts the encoded stripes whose every member was aborted.
+func allAbortedStripes(t *testing.T, c *Cluster) int {
+	t.Helper()
+	n := 0
+	for _, id := range c.NameNode().EncodedStripes() {
+		sm, err := c.NameNode().Stripe(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(sm.Info.Blocks, func(b topology.BlockID) bool {
+			meta, err := c.NameNode().Block(b)
+			return err != nil || !meta.Aborted
+		}) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestPipelinedEncodeMatchesGather is the chain's payload oracle: for a
 // spread of (k, m, block size, rack layout, policy) geometries
-// — including short and aborted-member stripes — the encode must store
-// erasure.Coder's parity over the written bytes. The differential against
+// — including short and aborted-member stripes, and a stripe whose every
+// member was aborted, whose rows have nothing but zeros to fold — the encode
+// must store erasure.Coder's parity over the written bytes. The differential against
 // the paper's gather, on the same geometries, lives with the gather
 // (internal/experiments/hdfsraid).
 func TestPipelinedEncodeMatchesGather(t *testing.T) {
 	geoms := []struct {
 		name string
 		cfg  Config
+		// allAborted adds a stripe of k members whose writes were all
+		// abandoned.
+		allAborted bool
 	}{
 		{
 			name: "ear-6x3-k4n6",
@@ -140,6 +182,13 @@ func TestPipelinedEncodeMatchesGather(t *testing.T) {
 				BandwidthBytesPerSec: 4 << 20, DiskBandwidthBytesPerSec: 8 << 20,
 				MapTasks: 3, Seed: 5},
 		},
+		{
+			name: "ear-6x3-k4n6-all-aborted",
+			cfg: Config{Racks: 6, NodesPerRack: 3, Policy: "ear", Replicas: 3,
+				K: 4, N: 6, C: 1, BlockSizeBytes: 8 << 10,
+				BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 6},
+			allAborted: true,
+		},
 	}
 	for _, g := range geoms {
 		g := g
@@ -147,6 +196,9 @@ func TestPipelinedEncodeMatchesGather(t *testing.T) {
 			t.Parallel()
 			pipe := newCluster(t, g.cfg)
 			pc := populatePipeTest(t, pipe, g.cfg.Seed+100)
+			if g.allAborted {
+				abortStripe(t, pipe)
+			}
 
 			ps, err := pipe.RaidNode().EncodeAll()
 			if err != nil {
@@ -161,6 +213,9 @@ func TestPipelinedEncodeMatchesGather(t *testing.T) {
 			}
 			if n := verifyParities(t, pipe, pc); n == 0 {
 				t.Fatal("verified no parity blocks")
+			}
+			if g.allAborted && allAbortedStripes(t, pipe) == 0 {
+				t.Fatal("encoded no stripe whose every member was aborted")
 			}
 			// Degraded reads work through pipelined parity too.
 			var victim topology.BlockID = -1

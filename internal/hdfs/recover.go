@@ -299,11 +299,11 @@ func (c *Cluster) repairAll(ctx context.Context, tasks []recoverTask, stats *Rec
 // rebuilt along the chain (rebuildStages): a copy while a holder survives, a
 // decode otherwise. A run whose member fails its checksum as the loop reads
 // it is planned again without that holder (replan, which adds it to bad, the
-// caller's), into a block of its own, and the new run joins the same loop.
-// done gets the block and the ledger of the run that ended, or the error of
-// the plan, the admission or a run no re-plan is left for, and returns the
-// error that ends the loop, if any; the block is done's to keep. release runs
-// with the last run's.
+// caller's), and the new run joins the same loop. done gets the block the
+// loop made at the first step of the run that ended and the run's ledger, or
+// the error of the plan, the admission or a run no re-plan is left for, and
+// returns the error that ends the loop, if any; the block is done's to keep.
+// release runs with the last run's.
 func (c *Cluster) foldMember(ctx context.Context, loop *stageLoop, sm *StripeMeta, pos int, sink topology.NodeID, bad map[holder]bool, release func(), done func([]byte, chainLedger, error) error) error {
 	var admit func() error
 	fail := func(err error) error {
@@ -314,8 +314,7 @@ func (c *Cluster) foldMember(ctx context.Context, loop *stageLoop, sm *StripeMet
 		return done(nil, chainLedger{}, err)
 	}
 	admit = func() error {
-		buf := make([]byte, c.cfg.BlockSizeBytes)
-		stages, err := c.rebuildStages(sm, pos, sink, buf, bad)
+		stages, err := c.rebuildStages(sm, pos, sink, bad)
 		var run *stageRun
 		if err == nil {
 			run, err = loop.admit(ctx, stages, sink, hopSpans(ctx, sm.Info.ID))
@@ -324,8 +323,8 @@ func (c *Cluster) foldMember(ctx context.Context, loop *stageLoop, sm *StripeMet
 			return fail(err)
 		}
 		run.release, run.fail = release, fail
-		run.finish = func() error {
-			return done(buf, c.foldLedger(stages, run.start, run.end), nil)
+		run.finish = func(blocks [][]byte) error {
+			return done(blocks[0], c.foldLedger(stages, run.start, run.end), nil)
 		}
 		return nil
 	}
