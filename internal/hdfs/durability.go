@@ -617,19 +617,18 @@ func (nn *NameNode) PublishRecoveredState(j *events.Journal) {
 		return m.Nodes
 	}
 
+	// Every event but StripeEncodeStarted, which has no op, is the one
+	// opEvent builds for the op that would have made this state.
+	publish := func(op *nnOp) {
+		if ev, ok := opEvent(op); ok {
+			j.Publish(ev)
+		}
+	}
 	for _, m := range blocks {
-		ev := events.New(events.BlockAllocated, "namenode")
-		ev.Block = m.ID
-		ev.Bytes = int64(m.Size)
-		ev.Nodes = append([]topology.NodeID(nil), originalNodes(m)...)
-		j.Publish(ev)
+		publish(&nnOp{kind: opAllocate, block: m.ID, size: int64(m.Size), nodes: originalNodes(m)})
 	}
 	for _, sm := range stripes {
-		ev := events.New(events.StripeGrouped, "namenode")
-		ev.Stripe = sm.Info.ID
-		ev.Rack = sm.Info.CoreRack
-		ev.Blocks = append([]topology.BlockID(nil), sm.Info.Blocks...)
-		j.Publish(ev)
+		publish(&nnOp{kind: opGroupStripe, stripe: sm.Info.ID, core: sm.Info.CoreRack, blocks: sm.Info.Blocks})
 		if sm.Encoded {
 			sev := events.New(events.StripeEncodeStarted, "namenode")
 			sev.Stripe = sm.Info.ID
@@ -639,29 +638,18 @@ func (nn *NameNode) PublishRecoveredState(j *events.Journal) {
 	for _, m := range blocks {
 		switch {
 		case m.Aborted:
-			ev := events.New(events.BlockAborted, "namenode")
-			ev.Block = m.ID
-			j.Publish(ev)
+			publish(&nnOp{kind: opAbort, block: m.ID})
 		case m.Committed:
-			ev := events.New(events.BlockCommitted, "namenode")
-			ev.Block = m.ID
-			ev.Nodes = append([]topology.NodeID(nil), m.Nodes...)
-			j.Publish(ev)
+			publish(&nnOp{kind: opCommit, block: m.ID, nodes: m.Nodes})
 		}
 	}
 	for _, sm := range stripes {
-		if !sm.Encoded || sm.Plan == nil {
-			continue
+		if sm.Encoded && sm.Plan != nil {
+			publish(&nnOp{kind: opEncodeCommit, stripe: sm.Info.ID, plan: sm.Plan})
 		}
-		ev := events.New(events.StripeEncoded, "namenode")
-		ev.Stripe = sm.Info.ID
-		ev.Nodes = append([]topology.NodeID(nil), sm.Plan.Parity...)
-		j.Publish(ev)
 	}
 	for _, n := range dead {
-		ev := events.New(events.NodeDead, "namenode")
-		ev.Node = n
-		j.Publish(ev)
+		publish(&nnOp{kind: opNodeDead, node: n})
 	}
 
 	done := events.New(events.MetaRecovered, "namenode")

@@ -507,18 +507,22 @@ func (r *RaidNode) PlacementMonitor() ([]topology.StripeID, error) {
 	return bad, nil
 }
 
-// currentLayout assembles the live layout of an encoded stripe.
+// currentLayout assembles the recorded layout of an encoded stripe, position
+// by position: what the NameNode records (recordedHolders), dead holders
+// included, since the PlacementMonitor audits recorded placement.
 func (r *RaidNode) currentLayout(sm *StripeMeta) (topology.StripeLayout, error) {
+	c := r.c
 	layout := topology.StripeLayout{Stripe: sm.Info.ID}
-	for _, b := range sm.Info.Blocks {
-		meta, err := r.c.nn.Block(b)
+	for pos := 0; pos < c.cfg.N; pos++ {
+		nodes, err := c.recordedHolders(sm, pos)
 		if err != nil {
 			return layout, err
 		}
-		layout.Data = append(layout.Data, meta.Nodes...)
-	}
-	if sm.Plan != nil {
-		layout.Parity = append(layout.Parity, sm.Plan.Parity...)
+		if pos < c.cfg.K {
+			layout.Data = append(layout.Data, nodes...)
+		} else {
+			layout.Parity = append(layout.Parity, nodes...)
+		}
 	}
 	return layout, nil
 }
