@@ -87,7 +87,7 @@ func Parity(c *hdfs.Cluster) hdfs.ParityFunc {
 		ug, uctx := workgroup.WithContext(ctx)
 		for j, node := range plan.Parity {
 			ug.Go(func() error {
-				if err := send(uctx, c, encoder, node, size); err != nil {
+				if err := c.Fabric().Send(uctx, encoder, node, size); err != nil {
 					return fmt.Errorf("upload parity %d to node %d: %w", j, node, err)
 				}
 				return nil
@@ -150,16 +150,5 @@ func fetch(ctx context.Context, c *hdfs.Cluster, b topology.BlockID, encoder top
 	if err := dn.Store.GetInto(hdfs.DataKey(b), buf); err != nil {
 		return false, false, fmt.Errorf("node %d: %w", src, err)
 	}
-	return crossed, false, send(ctx, c, src, encoder, len(buf))
-}
-
-// send charges an n-byte src -> dst transfer on the fabric; the bytes
-// themselves already sit in the destination's buffer.
-func send(ctx context.Context, c *hdfs.Cluster, src, dst topology.NodeID, n int) error {
-	st, err := c.Fabric().OpenStream(ctx, src, dst)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	return st.Send(ctx, n)
+	return crossed, false, c.Fabric().Send(ctx, src, encoder, len(buf))
 }

@@ -867,15 +867,22 @@ func (f *Fabric) Transfer(src, dst topology.NodeID, data []byte) ([]byte, error)
 // and undelivered, and the payload copy (the single copy per delivered
 // replica) is made only on success.
 func (f *Fabric) TransferCtx(ctx context.Context, src, dst topology.NodeID, data []byte) ([]byte, error) {
-	s, err := f.OpenStream(ctx, src, dst)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	if err := s.Send(ctx, len(data)); err != nil {
+	if err := f.Send(ctx, src, dst, len(data)); err != nil {
 		return nil, err
 	}
 	return append([]byte(nil), data...), nil
+}
+
+// Send charges an n-byte src->dst transfer without a payload (OpenStream,
+// Stream.Send, Close): the wire cost of a TransferCtx, for a caller that
+// fills a buffer of its own.
+func (f *Fabric) Send(ctx context.Context, src, dst topology.NodeID, n int) error {
+	s, err := f.OpenStream(ctx, src, dst)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	return s.Send(ctx, n)
 }
 
 // Injector is cross traffic taking link capacity, modeling the paper's Iperf

@@ -66,7 +66,7 @@ func heldTo(t *testing.T, what string, ops int, model, _ time.Duration, op func(
 // update has the design-time tests rewrite their rows of BENCH_design.json
 // instead of holding the run to them:
 //
-//	GOEXPERIMENT=synctest go test -run 'TestLifecycleRepeats|TestDegradedReadLatency|TestOneClientBlockLatency|TestPipelinedWriteLatency|TestEncodeDesignTime|TestLifecycleEncodeDesignTime|TestForegroundEncodeDesignTime' ./internal/hdfs -update
+//	GOEXPERIMENT=synctest go test -run 'TestLifecycleRepeats|TestDegradedReadLatency|TestOneClientBlockLatency|TestPipelinedWriteLatency|TestEncodeDesignTime|TestLifecycleEncodeDesignTime|TestForegroundEncodeDesignTime|TestRecoveryDesignTime' ./internal/hdfs -update
 var update = flag.Bool("update", false, "rewrite the rows of BENCH_design.json that the run measures")
 
 // designFile is the committed record of every design time: per row, the
@@ -137,9 +137,11 @@ func designTime(t *testing.T, what string, dur, bound time.Duration) {
 // phase of `stripe mod 1000` ns that every step of a task's loop slept past
 // its instant, and the encode took 52.734349 ms; in one loop it takes
 // 52.734348 ms (54.687 with a loop per fold, 66.895 when the planner's draw
-// picked the homes) and recovery 85.205 ms against a link bound of 78.125.
-// On the layout that per-rack placement streams drew, recovery took 96.191 ms
-// against 93.75, and 100.220 ms while each repair ran a loop of its own,
+// picked the homes) and recovery 78.735 ms against a link bound of 78.125
+// (85.205 ms while every chain visited racks and nodes in ID order and every
+// decode folded the k lowest survivors, before a round planned against its
+// link tally). On the layout that per-rack placement streams drew, recovery
+// took 96.191 ms against 93.75, and 100.220 ms while each repair ran a loop of its own,
 // phased by its stripe. Both are logged beside their link bounds, and
 // recovery is held to 96.6 ms.
 func TestLifecycleRepeats(t *testing.T) {
@@ -298,6 +300,62 @@ func TestLifecycleEncodeDesignTime(t *testing.T) {
 	t.Logf("mean encode %v over %d seeds", sum/seeds, seeds)
 	if sum/seeds > 100*time.Millisecond {
 		t.Errorf("the encodes took %v on the mean over %d seeds, want at most 100ms", sum/seeds, seeds)
+	}
+}
+
+// TestRecoveryDesignTime recovers the busiest data node of what a
+// lifecycle-shaped round writes (lifecycleWrites), encoded, on eight cluster
+// seeds at the shaped rates, and logs for each link class the busiest link's
+// bytes over the class mean. Each seed is held to the time recovery took
+// while every chain visited racks and nodes in ID order and every decode
+// folded the k lowest survivor positions, and the mean to 200 ms (226.1 ms
+// then, when the busiest rack downlink carried 13–15 blocks against a mean of
+// 10–11.25).
+func TestRecoveryDesignTime(t *testing.T) {
+	before := []time.Duration{206786580, 237426150, 242431020, 221434980, 220336350, 221557050, 237059940, 221679120}
+	var sum time.Duration
+	for i, was := range before {
+		seed := int64(i + 1)
+		c, cfg := lifecycleWrites(t, seed)
+		if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RaidNode().EncodeAll(); err != nil {
+			t.Fatal(err)
+		}
+		dead := busiestDataNode(t, c)
+		c.NameNode().MarkDead(dead)
+		setRates(t, c, cfg.BandwidthBytesPerSec, cfg.DiskBandwidthBytesPerSec)
+		dur, bound, moved := linkBound(t, c, "recovery", func() {
+			stats, err := c.RecoverNode(context.Background(), dead)
+			if err != nil || stats.Unrecovered != 0 {
+				t.Fatalf("seed %d: RecoverNode(%d) = %+v, %v", seed, dead, stats, err)
+			}
+		})
+		busiest, total, links := make(map[fabric.LinkClass]int64), make(map[fabric.LinkClass]int64), make(map[fabric.LinkClass]int)
+		for _, l := range moved.Links {
+			busiest[l.Class] = max(busiest[l.Class], l.MovedBytes)
+			total[l.Class] += l.MovedBytes
+			links[l.Class]++
+		}
+		var spread []string
+		for _, cl := range []fabric.LinkClass{fabric.ClassNodeUp, fabric.ClassNodeDown, fabric.ClassRackUp, fabric.ClassRackDown, fabric.ClassDisk} {
+			if total[cl] > 0 {
+				spread = append(spread, fmt.Sprintf("%s %d/%.2f blocks", cl,
+					busiest[cl]/int64(cfg.BlockSizeBytes), float64(total[cl])/float64(links[cl])/float64(cfg.BlockSizeBytes)))
+			}
+		}
+		t.Logf("seed %d: node %d recovered in %v, link bound %v; busiest/mean per class: %s", seed, dead, dur, bound, strings.Join(spread, ", "))
+		designTime(t, fmt.Sprintf("recovery, seed %d", seed), dur, bound)
+		if dur > was {
+			t.Errorf("seed %d: recovery took %v, want at most %v", seed, dur, was)
+		}
+		sum += dur
+	}
+	mean := sum / time.Duration(len(before))
+	t.Logf("mean recovery %v over %d seeds", mean, len(before))
+	if mean > 200*time.Millisecond {
+		t.Errorf("recovery took %v on the mean over %d seeds, want at most 200ms", mean, len(before))
 	}
 }
 
@@ -925,7 +983,7 @@ func TestAdmitFailureBooksNothing(t *testing.T) {
 	// node, anchored at the holder: a head stage that reads the member and a
 	// delivery stage. The run's block is the copy.
 	copyTo := func(to topology.NodeID) []*chainStage {
-		stages, err := c.foldStages(0, [][]byte{row}, holders, func(int) blockstore.Key { return DataKey(ids[0]) }, from, []topology.NodeID{to})
+		stages, err := c.foldStages(0, [][]byte{row}, holders, func(int) blockstore.Key { return DataKey(ids[0]) }, from, []topology.NodeID{to}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

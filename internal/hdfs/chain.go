@@ -213,6 +213,7 @@ type stageLoop struct {
 	runs    []*stageRun
 	readers []*diskReader
 	observe func(node topology.NodeID, run *stageRun, offset int)
+	load    placement.LinkLoad // a recovery round's: what its runs put on each link
 }
 
 // readAheadKey is the context key of a function a stage loop hands every
@@ -348,6 +349,7 @@ func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topo
 				return nil, err
 			}
 			st.in = in
+			l.load.Add(l.c.top, st.up.node, st.node)
 		}
 		if st.disk == nil || shares[st.node] != nil {
 			continue
@@ -624,7 +626,7 @@ func later(a, b time.Time) time.Time {
 // unused survivor) and key maps a position to its store key. The holders are
 // covered once, planned toward the anchor (placement.PlanPipeline), which
 // takes no part in the fold unless it holds a member, and each row walks that
-// cover in a chain of its own ordered toward sinks[j]
+// cover in a chain of its own ordered toward sinks[j] and against load
 // (placement.OrderPipeline): one stage per covered hop, all summing in place
 // into the block the loop makes at the row's first step, and a delivery stage
 // when the sink is no hop. With nothing but zeros to fold, the anchor
@@ -634,7 +636,7 @@ func later(a, b time.Time) time.Time {
 // its run's traffic and is re-planned around by the run's owner. A member
 // missing from its holder's store fails here, a holderError before any stream
 // opens.
-func (c *Cluster) foldStages(stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID) ([]*chainStage, error) {
+func (c *Cluster) foldStages(stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID, load placement.LinkLoad) ([]*chainStage, error) {
 	cover, err := placement.PlanPipeline(c.top, holders, anchor)
 	if err != nil {
 		return nil, fmt.Errorf("stripe %d: %w", stripe, err)
@@ -667,7 +669,7 @@ func (c *Cluster) foldStages(stripe topology.StripeID, rows [][]byte, holders []
 		sinkRack, _ := c.top.RackOf(sink) // an unknown sink fails when its stream opens
 		var up *chainStage
 		acc := new([]byte)
-		for _, h := range placement.OrderPipeline(cover, sink, sinkRack, sinks...) {
+		for _, h := range placement.OrderPipeline(cover, sink, sinkRack, load, sinks...) {
 			stages = newStage(stages, h.Node, up, acc)
 			up = stages[len(stages)-1]
 			up.row, up.disk = rows[j], shares[h.Node]
@@ -822,7 +824,7 @@ func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placeme
 			}
 			holders[i], sp.Aborted[i] = live, len(live) == 0
 		}
-		stages, err := c.foldStages(info.ID, rows, holders, key, anchor, plan.Parity)
+		stages, err := c.foldStages(info.ID, rows, holders, key, anchor, plan.Parity, nil)
 		var run *stageRun
 		if err == nil {
 			run, err = loop.admit(ctx, stages, anchor, hopSpans(ctx, info.ID))
@@ -907,19 +909,18 @@ func (c *Cluster) posHolders(sm *StripeMeta, i int, bad map[holder]bool) ([]topo
 }
 
 // rebuildStages plans the stages of a fold of one row that rebuilds stripe
-// position pos (data or parity) at the sink. While a copy of the
-// position survives the row is the unit row and the fold is a copy from the
-// nearest holder, which needs no plan, so it serves a stripe not yet encoded
-// too (one with no copy left has nothing to decode from: ErrNoReplica);
-// otherwise the k lowest surviving positions of the encoded stripe (data
-// before parity, the central decoder's choice) are folded with the
-// coefficients of the cached decode row, one partial sum per survivor rack
-// boundary. A holder whose local read fails is treated as erased: it joins
-// bad, the caller's, kept across the folds it plans again after a run failed
-// on a member's checksum (replan), and the survivors are re-selected until
-// fewer than k are left (ErrNoReplica).
-func (c *Cluster) rebuildStages(sm *StripeMeta, pos int, sink topology.NodeID, bad map[holder]bool) ([]*chainStage, error) {
-	k, n := c.cfg.K, c.cfg.N
+// position pos (data or parity) at the sink, against the loop's link load
+// (nil: none). While a copy of the position survives the row is the unit row
+// and the fold is a copy from the nearest holder, which needs no plan, so it
+// serves a stripe not yet encoded too (one with no copy left has nothing to
+// decode from: ErrNoReplica); otherwise k survivors of the encoded stripe
+// (survivors) are folded with the coefficients of the cached decode row, one
+// partial sum per survivor rack boundary. A holder whose local read fails is
+// treated as erased: it joins bad, the caller's, kept across the folds it
+// plans again after a run failed on a member's checksum (replan), and the
+// survivors are re-selected until fewer than k are left (ErrNoReplica).
+func (c *Cluster) rebuildStages(sm *StripeMeta, pos int, sink topology.NodeID, bad map[holder]bool, load placement.LinkLoad) ([]*chainStage, error) {
+	n := c.cfg.N
 	key := func(p int) blockstore.Key { return c.memberKey(sm, p) }
 	for {
 		row := make([]byte, n)
@@ -935,37 +936,77 @@ func (c *Cluster) rebuildStages(sm *StripeMeta, pos int, sink topology.NodeID, b
 				return nil, fmt.Errorf("%w: stripe %d position %d: no copy left, and the stripe is not encoded",
 					ErrNoReplica, sm.Info.ID, pos)
 			}
-			indices := make([]int, 0, k)
-			for i := 0; i < n && len(indices) < k; i++ {
-				if i == pos {
-					continue
-				}
-				h, ok, err := c.posHolders(sm, i, bad)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					holders[i] = h
-					indices = append(indices, i)
-				}
-			}
-			if len(indices) < k {
-				return nil, fmt.Errorf("%w: stripe %d position %d: only %d of %d survivors available",
-					ErrNoReplica, sm.Info.ID, pos, len(indices), k)
+			indices, have, err := c.survivors(sm, pos, sink, bad, load)
+			if err != nil {
+				return nil, err
 			}
 			coeffs, err := c.coder.DecodeRow(indices, pos)
 			if err != nil {
 				return nil, err
 			}
 			for x, i := range indices {
-				row[i] = coeffs[x]
+				row[i], holders[i] = coeffs[x], have[i]
 			}
 		}
-		stages, err := c.foldStages(sm.Info.ID, [][]byte{row}, holders, key, sink, []topology.NodeID{sink})
+		stages, err := c.foldStages(sm.Info.ID, [][]byte{row}, holders, key, sink, []topology.NodeID{sink}, load)
 		if _, ok := replan(err, bad); !ok {
 			return stages, err
 		}
 	}
+}
+
+// survivors chooses the k positions of encoded stripe sm other than pos that
+// a decode at sink folds, in position order, beside every position's holders
+// (posHolders): the fewest racks besides the sink's, whose partial sums cross
+// the core, taking the sink's rack first, then the racks with the most
+// survivors, then those with the least loaded uplinks; of their survivors,
+// those with the least loaded node uplinks, then the lowest positions. Known
+// zeros have no holder, cost nothing and go first. It is the one rule of every
+// decode; below k survivors it fails with ErrNoReplica.
+func (c *Cluster) survivors(sm *StripeMeta, pos int, sink topology.NodeID, bad map[holder]bool, load placement.LinkLoad) ([]int, [][]topology.NodeID, error) {
+	sinkRack, _ := c.top.RackOf(sink) // an unknown sink fails when its stream opens
+	holders, rackOf, up := make([][]topology.NodeID, c.cfg.N), make([]topology.RackID, c.cfg.N), make([]int, c.cfg.N)
+	count, known := make(map[topology.RackID]int), []int(nil)
+	for i := range holders {
+		h, ok, err := c.posHolders(sm, i, bad)
+		if err != nil {
+			return nil, nil, err
+		}
+		if !ok || i == pos {
+			continue
+		}
+		r, u := sinkRack, -1
+		if len(h) > 0 {
+			r, _ = c.top.RackOf(h[0]) // a holder is a live node
+			u = load.Node(h[0], true)
+		}
+		holders[i], rackOf[i], up[i], known = h, r, u, append(known, i)
+		count[r]++
+	}
+	if len(known) < c.cfg.K {
+		return nil, nil, fmt.Errorf("%w: stripe %d position %d: only %d of %d survivors available", ErrNoReplica, sm.Info.ID, pos, len(known), c.cfg.K)
+	}
+	racks := make([]topology.RackID, 0, len(count))
+	for r := range count {
+		racks = append(racks, r)
+	}
+	rackKey := func(r topology.RackID) []int {
+		n := count[r]
+		if r == sinkRack {
+			n += len(known) // first: its survivors cross nothing
+		}
+		return []int{-n, load.Rack(r, true), int(r)}
+	}
+	slices.SortFunc(racks, func(a, b topology.RackID) int { return slices.Compare(rackKey(a), rackKey(b)) })
+	used := 0
+	for taken := 0; taken < c.cfg.K; used++ {
+		taken += count[racks[used]]
+	}
+	indices := slices.DeleteFunc(slices.Clone(known), func(i int) bool { return !slices.Contains(racks[:used], rackOf[i]) })
+	slices.SortStableFunc(indices, func(a, b int) int { return up[a] - up[b] })
+	indices = indices[:c.cfg.K]
+	slices.Sort(indices)
+	return indices, holders, nil
 }
 
 // replan reports whether a fold that failed with err can be planned again

@@ -73,7 +73,7 @@ func setRates(t testing.TB, c *Cluster, link, disk float64) {
 // returns the fold's ledger: the bare engine, without an owner to re-plan or
 // commit. Hop spans hang off the span carried by ctx.
 func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows [][]byte, holders [][]topology.NodeID, key func(pos int) blockstore.Key, anchor topology.NodeID, sinks []topology.NodeID, out [][]byte) (chainLedger, error) {
-	stages, err := c.foldStages(stripe, rows, holders, key, anchor, sinks)
+	stages, err := c.foldStages(stripe, rows, holders, key, anchor, sinks, nil)
 	if err != nil {
 		return chainLedger{}, err
 	}
@@ -233,8 +233,10 @@ func loseOneBlock(t *testing.T, c *Cluster, ids []topology.BlockID) (topology.Bl
 
 // TestDegradedReadCrossRackBytes pins ROADMAP item 2's "one partial per
 // survivor rack": a degraded read of a dead member moves exactly one block
-// across the core per rack boundary of the chain planned over the k lowest
-// surviving positions — measured at the fabric, not at the engine's ledger.
+// across the core per rack boundary of the chain planned over the survivors
+// the decode rule picks for the reading client (survivors) — measured at the
+// fabric, not at the engine's ledger — and never more than over the k lowest
+// surviving positions.
 func TestDegradedReadCrossRackBytes(t *testing.T) {
 	cfg := Config{Racks: 4, NodesPerRack: 4, Policy: "ear", Replicas: 2,
 		K: 6, N: 9, C: 3, BlockSizeBytes: 8 << 10,
@@ -243,11 +245,11 @@ func TestDegradedReadCrossRackBytes(t *testing.T) {
 	ids, contents := writeBlocks(t, c, 4*cfg.K, rand.New(rand.NewSource(53)))
 	victim, sm, pos := loseOneBlock(t, c, ids)
 
-	// The survivors, resolved from the NameNode alone: the k lowest stripe
-	// positions other than the victim that still have a live holder.
-	holders := make([][]topology.NodeID, cfg.N)
-	survivors := 0
-	for i := 0; i < cfg.N && survivors < cfg.K; i++ {
+	// The surviving positions, resolved from the NameNode alone: every
+	// stripe position other than the victim that still has a live holder.
+	have := make([][]topology.NodeID, cfg.N)
+	var known []int
+	for i := 0; i < cfg.N; i++ {
 		switch {
 		case i == pos:
 			continue
@@ -256,27 +258,41 @@ func TestDegradedReadCrossRackBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			holders[i] = live
+			have[i] = live
 		case i >= cfg.K && !c.NameNode().IsDead(sm.Plan.Parity[i-cfg.K]):
-			holders[i] = []topology.NodeID{sm.Plan.Parity[i-cfg.K]}
+			have[i] = []topology.NodeID{sm.Plan.Parity[i-cfg.K]}
 		}
-		if len(holders[i]) > 0 {
-			survivors++
+		if len(have[i]) > 0 {
+			known = append(known, i)
 		}
 	}
-	if survivors != cfg.K {
-		t.Fatalf("stripe %d offers %d survivors, want %d", sm.Info.ID, survivors, cfg.K)
+	if len(known) < cfg.K {
+		t.Fatalf("stripe %d offers %d survivors, want at least %d", sm.Info.ID, len(known), cfg.K)
 	}
-	for client := topology.NodeID(0); int(client) < c.Topology().Nodes(); client++ {
-		if c.NameNode().IsDead(client) {
-			continue
+	chain := func(indices []int, client topology.NodeID) int {
+		holders := make([][]topology.NodeID, cfg.N)
+		for _, i := range indices {
+			holders[i] = have[i]
 		}
 		hops, err := placement.PlanPipeline(c.Topology(), holders, client)
 		if err != nil {
 			t.Fatal(err)
 		}
 		clientRack, _ := c.Topology().RackOf(client)
-		boundaries := placement.PipelineRackBoundaries(hops, clientRack)
+		return placement.PipelineRackBoundaries(hops, clientRack)
+	}
+	for client := topology.NodeID(0); int(client) < c.Topology().Nodes(); client++ {
+		if c.NameNode().IsDead(client) {
+			continue
+		}
+		indices, _, err := c.survivors(sm, pos, client, make(map[holder]bool), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boundaries := chain(indices, client)
+		if lowest := chain(known[:cfg.K], client); boundaries > lowest {
+			t.Fatalf("client %d: chain crosses %d boundaries, more than the %d of the k lowest survivors", client, boundaries, lowest)
+		}
 		if boundaries >= cfg.K {
 			t.Fatalf("client %d: chain crosses %d boundaries, no better than gathering k=%d blocks", client, boundaries, cfg.K)
 		}

@@ -10,6 +10,7 @@ import (
 
 	"ear/internal/blockstore"
 	"ear/internal/events"
+	"ear/internal/fabric"
 	"ear/internal/telemetry"
 	"ear/internal/tenant"
 	"ear/internal/topology"
@@ -24,20 +25,6 @@ func DataKey(id topology.BlockID) blockstore.Key {
 // IDs and parity indices are folded into one ID space.
 func ParityKey(stripe topology.StripeID, idx int) blockstore.Key {
 	return blockstore.Key{ID: int64(stripe)*1024 + int64(idx), Kind: blockstore.Parity}
-}
-
-// transferShaped charges a src->dst transfer of n bytes on the fabric
-// without materializing a payload copy; the caller owns the destination
-// buffer. Shaping and byte accounting match fabric.TransferCtx exactly
-// (that helper is OpenStream + Send + copy), so a path that fills a buffer
-// of its own costs on the wire what a copying transfer does.
-func (c *Cluster) transferShaped(ctx context.Context, src, dst topology.NodeID, n int) error {
-	st, err := c.fab.OpenStream(ctx, src, dst)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	return st.Send(ctx, n)
 }
 
 // WriteBlock writes one block from the given client node with a background
@@ -128,9 +115,9 @@ func (c *Cluster) publishReplicaWritten(ctx context.Context, id topology.BlockID
 // receives from (the writer's own copy) is a disk stream beside that node's
 // forward, so the next replica receives from the same stage. Replicas are
 // committed to their stores only after the whole run succeeded, so a failed
-// or canceled write leaves nothing behind: the block is sealed then, the one
-// copy and the one checksum the write makes, and every replica's store adopts
-// that copy, never the caller's slice.
+// or canceled write leaves nothing behind. The block is sealed beside the
+// run, the one copy and the one checksum the write makes, and every replica's
+// store adopts that copy, never the caller's slice.
 func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *BlockMeta, data []byte) error {
 	if len(meta.Nodes) == 0 {
 		return fmt.Errorf("%w: block %d placed on no nodes", ErrNoReplica, meta.ID)
@@ -145,6 +132,9 @@ func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *B
 	}
 	replicas := stages[1:]
 	parent := telemetry.SpanFromContext(ctx)
+	// Sealed beside the run, and awaited on every path, as it reads data.
+	sealed := make(chan blockstore.Sealed, 1)
+	go func() { sealed <- blockstore.Seal(data) }()
 	run, err := c.runStages(ctx, stages, client, func(s int, st *chainStage) *telemetry.Span {
 		if s == 0 {
 			return nil // the client is the write's own span
@@ -156,13 +146,13 @@ func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *B
 			Arg("node", strconv.Itoa(int(st.node))).
 			Arg("hop", strconv.Itoa(s-1))
 	})
+	block := <-sealed
 	if err != nil {
 		return err
 	}
 	if m := c.metrics(); m != nil {
 		m.pipeFill.Observe(replicas[len(replicas)-1].tFirst.Sub(run.start).Seconds())
 	}
-	block := blockstore.Seal(data)
 	for _, st := range replicas {
 		dn, err := c.DataNodeOf(st.node)
 		if err != nil {
@@ -215,9 +205,10 @@ func (c *Cluster) ReadBlock(client topology.NodeID, id topology.BlockID) ([]byte
 // replica. A replica whose local read fails (missing or corrupt copy, the
 // latter journaled as ReplicaCorrupt) is skipped for the next live one, and
 // when none is left — every holder dead or unreadable — the read degrades to
-// erasure-coded reconstruction if the block's stripe is encoded. Cancelling
-// ctx aborts the transfer at once, with at most the stream's window of chunks
-// left booked.
+// erasure-coded reconstruction if the block's stripe is encoded. The store
+// verifies a copy under the transfer's first chunk, so a copy that fails
+// costs that chunk, booked and never delivered. Cancelling ctx aborts the
+// transfer at once, with at most the stream's window of chunks left booked.
 func (c *Cluster) ReadBlockCtx(ctx context.Context, client topology.NodeID, id topology.BlockID) ([]byte, error) {
 	if m := c.metrics(); m != nil {
 		defer func(t0 time.Time) { m.readLat.Observe(time.Since(t0).Seconds()) }(time.Now())
@@ -240,12 +231,22 @@ func (c *Cluster) ReadBlockCtx(ctx context.Context, client topology.NodeID, id t
 		if err != nil {
 			return nil, err
 		}
-		// The caller's buffer is the only copy: the store verifies and copies
-		// into it, and the transfer is charged without a payload of its own.
+		// The store fills the caller's buffer while the first chunk travels.
+		st, err := c.fab.OpenStream(ctx, src, client)
+		if err != nil {
+			return nil, err
+		}
+		first := min(fabric.ChunkBytes, c.cfg.BlockSizeBytes)
+		arrival, err := st.Book(ctx, first, time.Time{})
+		if err != nil {
+			st.Close()
+			return nil, err
+		}
 		if out == nil {
 			out = make([]byte, c.cfg.BlockSizeBytes)
 		}
 		if err := dn.Store.GetInto(DataKey(id), out); err != nil {
+			st.Close()
 			if errors.Is(err, blockstore.ErrCorrupt) {
 				stripe := events.NoneStripe
 				if meta, merr := c.nn.Block(id); merr == nil {
@@ -257,7 +258,12 @@ func (c *Cluster) ReadBlockCtx(ctx context.Context, client topology.NodeID, id t
 			live = slices.DeleteFunc(live, func(n topology.NodeID) bool { return n == src })
 			continue
 		}
-		if err := c.transferShaped(ctx, src, client, len(out)); err != nil {
+		last, err := st.Book(ctx, len(out)-first, time.Time{})
+		if err == nil {
+			err = fabric.SleepUntilExact(ctx, later(arrival, last))
+		}
+		st.Close()
+		if err != nil {
 			return nil, err
 		}
 		c.acct.Charge(tenant.FromContext(ctx), "read", 1, int64(len(out)))

@@ -601,13 +601,20 @@ func TestCorruptReplicaFallsBackInDegradedRead(t *testing.T) {
 // TestReadFailsOverToAnotherReplica corrupts the replica the reader prefers
 // (its own) before encoding: the read moves on to the next live replica,
 // and only with every copy unreadable does it fail, naming the corruption.
+// Blocks are four chunks long: a corrupt remote source's uplink moves at
+// most its first chunk, booked before the checksum failed, and the fabric
+// counts nothing delivered but the block the read returns.
 func TestReadFailsOverToAnotherReplica(t *testing.T) {
-	c := newTestCluster(t, "rr")
+	cfg := testConfig("rr")
+	cfg.BlockSizeBytes = 4 * fabric.ChunkBytes
+	cfg.BandwidthBytesPerSec = 4 << 20 // a chunk takes 15.6 ms, far longer than a checksum
+	c := newCluster(t, cfg)
 	ids, contents := writeBlocks(t, c, 1, rand.New(rand.NewSource(17)))
 	meta, err := c.NameNode().Block(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	reader := meta.Nodes[0]
 	for i, n := range meta.Nodes {
 		dn, err := c.DataNodeOf(n)
 		if err != nil {
@@ -616,7 +623,10 @@ func TestReadFailsOverToAnotherReplica(t *testing.T) {
 		if err := dn.Store.Corrupt(DataKey(ids[0])); err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.ReadBlock(meta.Nodes[0], ids[0])
+		before := c.Fabric().Snapshot()
+		got, err := c.ReadBlock(reader, ids[0])
+		moved := c.Fabric().Snapshot().Sub(before)
+		delivered := int64(0)
 		if i < len(meta.Nodes)-1 {
 			if err != nil {
 				t.Fatalf("read with %d of %d replicas corrupt: %v", i+1, len(meta.Nodes), err)
@@ -624,8 +634,19 @@ func TestReadFailsOverToAnotherReplica(t *testing.T) {
 			if !bytes.Equal(got, contents[ids[0]]) {
 				t.Fatalf("read with %d replicas corrupt returned wrong bytes", i+1)
 			}
+			delivered = int64(cfg.BlockSizeBytes)
 		} else if !errors.Is(err, blockstore.ErrCorrupt) {
 			t.Fatalf("read with every replica corrupt = %v, want ErrCorrupt", err)
+		}
+		if got := moved.CrossRackBytes + moved.IntraRackBytes; got != delivered {
+			t.Errorf("read with %d replicas corrupt delivered %d bytes, want %d", i+1, got, delivered)
+		}
+		for _, l := range moved.Links {
+			for _, bad := range meta.Nodes[1 : i+1] {
+				if l.Name == fmt.Sprintf("node%d.up", bad) && l.MovedBytes > fabric.ChunkBytes {
+					t.Errorf("read with %d replicas corrupt: corrupt source %s moved %d bytes, want at most %d", i+1, l.Name, l.MovedBytes, fabric.ChunkBytes)
+				}
+			}
 		}
 	}
 }

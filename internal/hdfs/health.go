@@ -229,7 +229,7 @@ func (h *HealthMonitor) Tick(ctx context.Context) {
 			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			start := time.Now()
-			err := h.c.transferShaped(pctx, src, dst, heartbeatBytes)
+			err := h.c.fab.Send(pctx, src, dst, heartbeatBytes)
 			lat := time.Since(start)
 			// A timed-out probe still scores at its elapsed time — that IS
 			// the signal; other errors (shutdown) drop the sample.

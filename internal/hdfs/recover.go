@@ -25,6 +25,7 @@ import (
 
 	"ear/internal/blockstore"
 	"ear/internal/events"
+	"ear/internal/placement"
 	"ear/internal/telemetry"
 	"ear/internal/tenant"
 	"ear/internal/topology"
@@ -276,7 +277,7 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 // returned joined. A failed repair stops no sibling; a canceled ctx ends the
 // round and is reported once.
 func (c *Cluster) repairAll(ctx context.Context, tasks []recoverTask, stats *RecoveryStats) error {
-	loop := &stageLoop{c: c}
+	loop := &stageLoop{c: c, load: placement.LinkLoad{}}
 	defer loop.close()
 	var failed []error
 	fail := func(err error) error {
@@ -314,7 +315,7 @@ func (c *Cluster) foldMember(ctx context.Context, loop *stageLoop, sm *StripeMet
 		return done(nil, chainLedger{}, err)
 	}
 	admit = func() error {
-		stages, err := c.rebuildStages(sm, pos, sink, bad)
+		stages, err := c.rebuildStages(sm, pos, sink, bad, loop.load)
 		var run *stageRun
 		if err == nil {
 			run, err = loop.admit(ctx, stages, sink, hopSpans(ctx, sm.Info.ID))

@@ -112,35 +112,71 @@ func PlanPipeline(top *topology.Topology, replicas [][]topology.NodeID, sink top
 		hops = append(hops, hop)
 		delete(holds, best)
 	}
-	return OrderPipeline(hops, sink, sinkRack), nil
+	return OrderPipeline(hops, sink, sinkRack, nil), nil
 }
+
+// LinkLoad is a tally, in blocks, of what the folds a plan has admitted so
+// far put on each node's and each rack's uplink and downlink, which Node and
+// Rack read. A nil tally is empty and adds nothing.
+type LinkLoad map[loadKey]int
+
+type loadKey struct {
+	rack, up bool // a rack's link, else a node's; its uplink, else its downlink
+	id       int
+}
+
+// Add counts one block sent from src to dst: on their NICs unless it stays on
+// the node, and on their racks' links when it crosses the core.
+func (l LinkLoad) Add(top *topology.Topology, src, dst topology.NodeID) {
+	if l == nil || src == dst {
+		return
+	}
+	srcRack, _ := top.RackOf(src) // both ends opened their streams
+	dstRack, _ := top.RackOf(dst)
+	l[loadKey{false, true, int(src)}]++
+	l[loadKey{false, false, int(dst)}]++
+	if srcRack != dstRack {
+		l[loadKey{true, true, int(srcRack)}]++
+		l[loadKey{true, false, int(dstRack)}]++
+	}
+}
+
+func (l LinkLoad) Node(n topology.NodeID, up bool) int { return l[loadKey{false, up, int(n)}] }
+func (l LinkLoad) Rack(r topology.RackID, up bool) int { return l[loadKey{true, up, int(r)}] }
 
 // OrderPipeline returns a copy of the cover hops ordered as a chain toward
 // sink, which lives in sinkRack: racks contiguous with the sink's rack last,
 // the sink itself terminal when it is a hop, so the chain ends there without
 // a delivery, and each of others that is a hop leading its rack's segment.
-// Everything else orders by (rack, node) for determinism. A fold with several
+// The chain's first rack and node receive nothing, so racks and then nodes
+// order by their downlinks' load, most first, then by ID. A fold with several
 // rows orders one cover once per row, toward that row's sink with the other
 // rows' sinks as others: a sink then heads its rack's segment in every chain
 // but its own, where it is the last hop, so it takes partial sums from a
 // rack-mate in its own chain only.
-func OrderPipeline(hops []PipelineHop, sink topology.NodeID, sinkRack topology.RackID, others ...topology.NodeID) []PipelineHop {
+func OrderPipeline(hops []PipelineHop, sink topology.NodeID, sinkRack topology.RackID, load LinkLoad, others ...topology.NodeID) []PipelineHop {
 	hops = slices.Clone(hops)
 	sort.SliceStable(hops, func(a, b int) bool {
-		ra, rb := hops[a].Rack, hops[b].Rack
-		if (ra == sinkRack) != (rb == sinkRack) {
-			return rb == sinkRack
+		ha, hb := hops[a], hops[b]
+		if (ha.Rack == sinkRack) != (hb.Rack == sinkRack) {
+			return hb.Rack == sinkRack
 		}
-		if ra != rb {
-			return ra < rb
+		if ha.Rack != hb.Rack {
+			if da, db := load.Rack(ha.Rack, false), load.Rack(hb.Rack, false); da != db {
+				return da > db
+			}
+			return ha.Rack < hb.Rack
 		}
-		if (hops[a].Node == sink) != (hops[b].Node == sink) {
-			return hops[b].Node == sink
+		if (ha.Node == sink) != (hb.Node == sink) {
+			return hb.Node == sink
 		}
-		if la, lb := slices.Contains(others, hops[a].Node), slices.Contains(others, hops[b].Node); la != lb {
+		if la, lb := slices.Contains(others, ha.Node), slices.Contains(others, hb.Node); la != lb {
 			return la
 		}
-		return hops[a].Node < hops[b].Node
+		if da, db := load.Node(ha.Node, false), load.Node(hb.Node, false); da != db {
+			return da > db
+		}
+		return ha.Node < hb.Node
 	})
 	return hops
 }

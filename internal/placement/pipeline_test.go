@@ -188,7 +188,7 @@ func TestPlanPipelineRandomized(t *testing.T) {
 		// What a one-sink fold orders: the cover toward the sink, with the
 		// sink again as its only other sink.
 		sinkRack, _ := top.RackOf(sink)
-		if same := OrderPipeline(hops, sink, sinkRack, sink); !reflect.DeepEqual(hops, same) {
+		if same := OrderPipeline(hops, sink, sinkRack, nil, sink); !reflect.DeepEqual(hops, same) {
 			t.Fatalf("trial %d: naming the sink twice changed the plan:\n%v\n%v", trial, hops, same)
 		}
 		fmt.Fprint(plans, hops)
@@ -216,7 +216,7 @@ func TestPlanPipelineOtherSinksLead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hops := OrderPipeline(cover, tc.a, 1, tc.a, tc.b, 9, 0)
+		hops := OrderPipeline(cover, tc.a, 1, nil, tc.a, tc.b, 9, 0)
 		checkPipeline(t, top, replicas, tc.a, hops)
 		if len(hops) != 6 || hops[0].Node != 9 || hops[1].Node != 8 {
 			t.Fatalf("sinks %v: chain %v, want the remote segment led by node 9, then node 8", tc, hops)
@@ -250,7 +250,7 @@ func TestOrderPipelineOneCoverPerRow(t *testing.T) {
 	planned := slices.Clone(cover)
 	for _, sink := range sinks {
 		sinkRack, _ := top.RackOf(sink)
-		chain := OrderPipeline(cover, sink, sinkRack, sinks...)
+		chain := OrderPipeline(cover, sink, sinkRack, nil, sinks...)
 		checkPipeline(t, top, replicas, sink, chain)
 		if chain[len(chain)-1].Node != sink {
 			t.Errorf("chain toward %d ends at %d: %v", sink, chain[len(chain)-1].Node, chain)
