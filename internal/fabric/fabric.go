@@ -12,8 +12,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ear/internal/events"
@@ -546,34 +548,82 @@ func SleepUntil(ctx context.Context, t time.Time) error {
 }
 
 // SleepUntilExact is SleepUntil for a wait whose end a caller is timing, the
-// last arrival of an operation: it ends within tens of microseconds of t
-// instead of up to a millisecond late. It waits on the same Go timer, never
-// returning before t; on Linux it also arms a timerfd registered with the
-// runtime's poller for the same instant (wake_linux.go), which wakes the
-// poller on time so that the runtime fires the timer then. Without a timerfd
-// it is SleepUntil. Each exact wait costs a few system calls, so the data
-// path keeps it for the waits that end an operation.
+// last arrival of an operation: it ends within microseconds of t instead of up
+// to a millisecond late, and never before t. It sleeps on a Go timer until
+// timerSlack before t, how late the runtime's timers have been firing, and
+// yields the processor (runtime.Gosched) for the rest. Where the clock does
+// not move across a yield, as on a synctest bubble's fake clock or a clock
+// coarser than a yield, it waits out the rest on a plain timer, so a fake
+// instant is met exactly. The yield costs
+// CPU, up to the slack a wait, so the data path keeps it for the waits that
+// end an operation.
 func SleepUntilExact(ctx context.Context, t time.Time) error {
 	return sleepUntil(ctx, t, true)
 }
 
+// timerSlack is how late, in nanoseconds, the runtime's timers have been
+// firing: every wait that ends on its timer raises it at once to how late that
+// timer fired and lowers it by a sixteenth of the gap when the timer was
+// earlier, so it follows the late end of recent wakes. On a fake clock timers
+// fire on their instant and it falls to 0. Two waits that end together may
+// each overwrite the other's update, which costs the estimate one sample.
+var timerSlack atomic.Int64
+
+// maxTimerSlack bounds timerSlack at two ticks of the runtime's timers: an
+// idle process waits for them in whole milliseconds of the netpoller, so a
+// timer fires up to one tick late, and one later than two was held up by load
+// that a longer yield would only compete with.
+const maxTimerSlack = 2 * time.Millisecond
+
+// learnSlack feeds timerSlack how late a timer fired.
+func learnSlack(late time.Duration) {
+	late = min(max(late, 0), maxTimerSlack)
+	s := time.Duration(timerSlack.Load())
+	if late < s {
+		late = s - (s-late)/16
+	}
+	timerSlack.Store(int64(late))
+}
+
 // sleepUntil is SleepUntil, and SleepUntilExact when exact is set.
 func sleepUntil(ctx context.Context, t time.Time, exact bool) error {
+	if !exact {
+		return sleepOnTimer(ctx, t)
+	}
+	if err := sleepOnTimer(ctx, t.Add(-time.Duration(timerSlack.Load()))); err != nil {
+		return err
+	}
+	for {
+		now := time.Now()
+		if !now.Before(t) {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		default:
+		}
+		runtime.Gosched()
+		if !time.Now().After(now) {
+			return sleepOnTimer(ctx, t) // a frozen clock: no yield reaches t
+		}
+	}
+}
+
+// sleepOnTimer waits on a Go timer until t, or until the context is done, and
+// feeds timerSlack how late the timer fired.
+func sleepOnTimer(ctx context.Context, t time.Time) error {
 	d := time.Until(t)
 	if d <= 0 {
 		return ctx.Err()
 	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
-	if exact {
-		if w := armWake(t); w != nil {
-			defer w.release()
-		}
-	}
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-timer.C:
+		learnSlack(time.Since(t))
 		return nil
 	}
 }

@@ -5,15 +5,15 @@ package fabric
 import (
 	"context"
 	"errors"
-	"os"
+	"runtime"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 )
 
 // The exact wait on the host's timers. It holds an upper limit on a
 // lateness, which the race detector and a fake clock would both void.
+// internal/fabric/exactwake holds the same wait on a fake clock.
 
 // lateness waits until n instants 0.3–4 ms ahead, one after another, and
 // returns how late each wait returned, sorted.
@@ -35,7 +35,7 @@ func lateness(t *testing.T, n int, sleep func(context.Context, time.Time) error)
 // before their instant and return 250 µs late at the median at most. The
 // plain timer, logged beside it, is about 0.6 ms late at the median on an idle
 // process, since the runtime waits for timers in whole milliseconds, so the
-// test fails if the timerfd no longer wakes the poller.
+// test fails if the exact wait no longer yields out the timer's slack.
 func TestSleepUntilExactWakesOnTime(t *testing.T) {
 	const waits = 60
 	exact := lateness(t, waits, SleepUntilExact)
@@ -51,9 +51,10 @@ func TestSleepUntilExactWakesOnTime(t *testing.T) {
 }
 
 // TestSleepUntilExactCancel: a canceled exact wait returns the context's
-// error at once, and the timerfd it leaves to the free list, armed for its
-// instant when it was canceled, ends no later wait before that wait's own.
+// error at once, whether it is on its timer or yielding out the slack, and no
+// later wait returns before its instant.
 func TestSleepUntilExactCancel(t *testing.T) {
+	defer timerSlack.Store(timerSlack.Load())
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		time.AfterFunc(time.Millisecond, cancel)
@@ -65,9 +66,29 @@ func TestSleepUntilExactCancel(t *testing.T) {
 		if took := time.Since(start); took > 100*time.Millisecond {
 			t.Fatalf("canceled exact wait returned after %v", took)
 		}
-		// The recycled fd was armed for a second out; the next wait is
-		// shorter, and one armed just before it, canceled at once, is
-		// shorter still.
+		// With the slack at its bound the whole wait yields, and a cancel
+		// lands while it does. The canceler yields too, on the one P, so the
+		// two take turns: a timer, or a goroutine on another P, may wait on
+		// that P's poller tick or its thread, which the yields do not hasten.
+		timerSlack.Store(int64(maxTimerSlack))
+		procs := runtime.GOMAXPROCS(1)
+		yielding, stop := context.WithCancel(context.Background())
+		start = time.Now()
+		go func() {
+			for time.Since(start) < 100*time.Microsecond {
+				runtime.Gosched()
+			}
+			stop()
+		}()
+		err = SleepUntilExact(yielding, start.Add(maxTimerSlack))
+		took := time.Since(start)
+		runtime.GOMAXPROCS(procs)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("exact wait canceled while it yields returned %v after %v, want %v",
+				err, took, context.Canceled)
+		}
+		// A wait canceled before it starts is shorter still; the next one
+		// still ends no earlier than its instant.
 		short, cancel := context.WithCancel(context.Background())
 		cancel()
 		_ = SleepUntilExact(short, time.Now().Add(500*time.Microsecond))
@@ -76,61 +97,7 @@ func TestSleepUntilExactCancel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if early := at.Sub(time.Now()); early > 0 {
-			t.Fatalf("a wait on a recycled timerfd returned %v early", early)
+			t.Fatalf("an exact wait after a canceled one returned %v early", early)
 		}
-	}
-}
-
-// openFDs counts the process's open file descriptors.
-func openFDs(t *testing.T) int {
-	t.Helper()
-	fds, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		t.Skipf("no /proc/self/fd: %v", err)
-	}
-	return len(fds)
-}
-
-// TestSleepUntilExactBoundsFDs: 1,000 concurrent exact waits, half of them
-// canceled midway, each end as their context or instant says and leave at
-// most maxWakeFDs more file descriptors open than there were before them.
-func TestSleepUntilExactBoundsFDs(t *testing.T) {
-	before := openFDs(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, 1000)
-	ats := make([]time.Time, len(errs))
-	ends := make([]time.Time, len(errs))
-	for i := range errs {
-		wctx := context.Background()
-		if i%2 == 1 {
-			wctx = ctx
-		}
-		ats[i] = start.Add(2*time.Millisecond + time.Duration(i)*2*time.Microsecond)
-		wg.Add(1)
-		go func(i int, wctx context.Context) {
-			defer wg.Done()
-			errs[i] = SleepUntilExact(wctx, ats[i])
-			ends[i] = time.Now()
-		}(i, wctx)
-	}
-	time.Sleep(time.Until(start.Add(3 * time.Millisecond)))
-	cancel()
-	wg.Wait()
-	for i, err := range errs {
-		switch {
-		case i%2 == 0 && err != nil:
-			t.Fatalf("wait %d: %v", i, err)
-		case i%2 == 0 && ends[i].Before(ats[i]):
-			t.Fatalf("wait %d returned %v early", i, ats[i].Sub(ends[i]))
-		case i%2 == 1 && err != nil && !errors.Is(err, context.Canceled):
-			t.Fatalf("canceled wait %d: %v", i, err)
-		}
-	}
-	if after := openFDs(t); after > before+maxWakeFDs {
-		t.Errorf("%d file descriptors open after the waits, %d before: more than the %d timerfds the free list may hold",
-			after, before, maxWakeFDs)
 	}
 }

@@ -998,7 +998,7 @@ func TestAdmitFailureBooksNothing(t *testing.T) {
 
 	booked := make(map[*stageRun]int)
 	ctx := context.WithValue(context.Background(), readAheadKey{}, func(_ topology.NodeID, run *stageRun, _ int) { booked[run]++ })
-	l := &stageLoop{c: c}
+	l := newStageLoop(c)
 	defer l.close()
 	nowhere := topology.NodeID(c.Topology().Nodes())
 	if _, err := l.admit(ctx, copyTo(nowhere), from, spans); !errors.Is(err, topology.ErrUnknownNode) {

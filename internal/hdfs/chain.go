@@ -206,14 +206,20 @@ func (run *stageRun) schedule() {
 
 // stageLoop is the package's one event loop. It walks the runs admitted to
 // it, in admission order, on its caller's goroutine; runs that share a node
-// share its read-ahead, one disk stream a node for the loop's life. observe,
-// when set, sees every slice a read-ahead books (readAheadKey).
+// share its read-ahead, one disk stream a node for the loop's life, and the
+// folds it plans are ordered against load, what its admitted runs put on each
+// link. observe, when set, sees every slice a read-ahead books (readAheadKey).
 type stageLoop struct {
 	c       *Cluster
 	runs    []*stageRun
 	readers []*diskReader
 	observe func(node topology.NodeID, run *stageRun, offset int)
-	load    placement.LinkLoad // a recovery round's: what its runs put on each link
+	load    placement.LinkLoad
+}
+
+// newStageLoop returns an empty loop of the cluster's, its link tally empty.
+func newStageLoop(c *Cluster) *stageLoop {
+	return &stageLoop{c: c, load: placement.LinkLoad{}}
 }
 
 // readAheadKey is the context key of a function a stage loop hands every
@@ -306,7 +312,7 @@ func (c *Cluster) foldSliceBytes(anchor topology.NodeID, streams int) int {
 // run, and returns the run; the first error (a cancelled ctx included) ends the
 // run at once. span opens stage s's span.
 func (c *Cluster) runStages(ctx context.Context, stages []*chainStage, anchor topology.NodeID, span func(s int, st *chainStage) *telemetry.Span) (*stageRun, error) {
-	l := &stageLoop{c: c}
+	l := newStageLoop(c)
 	defer l.close()
 	run, err := l.admit(ctx, stages, anchor, span)
 	if err != nil {
@@ -824,7 +830,7 @@ func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placeme
 			}
 			holders[i], sp.Aborted[i] = live, len(live) == 0
 		}
-		stages, err := c.foldStages(info.ID, rows, holders, key, anchor, plan.Parity, nil)
+		stages, err := c.foldStages(info.ID, rows, holders, key, anchor, plan.Parity, loop.load)
 		var run *stageRun
 		if err == nil {
 			run, err = loop.admit(ctx, stages, anchor, hopSpans(ctx, info.ID))
@@ -909,11 +915,11 @@ func (c *Cluster) posHolders(sm *StripeMeta, i int, bad map[holder]bool) ([]topo
 }
 
 // rebuildStages plans the stages of a fold of one row that rebuilds stripe
-// position pos (data or parity) at the sink, against the loop's link load
-// (nil: none). While a copy of the position survives the row is the unit row
-// and the fold is a copy from the nearest holder, which needs no plan, so it
-// serves a stripe not yet encoded too (one with no copy left has nothing to
-// decode from: ErrNoReplica); otherwise k survivors of the encoded stripe
+// position pos (data or parity) at the sink, against the loop's link load.
+// While a copy of the position survives the row is the unit row and the fold
+// is a copy from the nearest holder, which needs no plan, so it serves a
+// stripe not yet encoded too (one with no copy left has nothing to decode
+// from: ErrNoReplica); otherwise k survivors of the encoded stripe
 // (survivors) are folded with the coefficients of the cached decode row, one
 // partial sum per survivor rack boundary. A holder whose local read fails is
 // treated as erased: it joins bad, the caller's, kept across the folds it

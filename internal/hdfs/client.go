@@ -294,7 +294,7 @@ func (c *Cluster) DegradedReadCtx(ctx context.Context, client topology.NodeID, i
 	if err != nil {
 		return nil, err
 	}
-	loop := &stageLoop{c: c}
+	loop := newStageLoop(c)
 	defer loop.close()
 	var out []byte
 	if err := loop.run(ctx, 1, func(int) (bool, error) {

@@ -317,7 +317,7 @@ func (c *Cluster) foldJob(ctx context.Context, tasks []*encodeTask, done func(*p
 		}
 		return ok, err
 	}
-	loop := &stageLoop{c: c}
+	loop := newStageLoop(c)
 	defer func() {
 		loop.close()
 		for _, mt := range mts {
@@ -548,7 +548,7 @@ func (r *RaidNode) BlockMoverCtx(ctx context.Context) (moved int, movedBytes int
 		return 0, 0, err
 	}
 	for {
-		loop := &stageLoop{c: c}
+		loop := newStageLoop(c)
 		moving := false
 		err := loop.run(ctx, len(bad), func(i int) (bool, error) {
 			sm, err := c.nn.Stripe(bad[i])

@@ -25,7 +25,6 @@ import (
 
 	"ear/internal/blockstore"
 	"ear/internal/events"
-	"ear/internal/placement"
 	"ear/internal/telemetry"
 	"ear/internal/tenant"
 	"ear/internal/topology"
@@ -277,7 +276,7 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 // returned joined. A failed repair stops no sibling; a canceled ctx ends the
 // round and is reported once.
 func (c *Cluster) repairAll(ctx context.Context, tasks []recoverTask, stats *RecoveryStats) error {
-	loop := &stageLoop{c: c, load: placement.LinkLoad{}}
+	loop := newStageLoop(c)
 	defer loop.close()
 	var failed []error
 	fail := func(err error) error {

@@ -117,7 +117,7 @@ func PlanPipeline(top *topology.Topology, replicas [][]topology.NodeID, sink top
 
 // LinkLoad is a tally, in blocks, of what the folds a plan has admitted so
 // far put on each node's and each rack's uplink and downlink, which Node and
-// Rack read. A nil tally is empty and adds nothing.
+// Rack read. A nil tally reads as empty.
 type LinkLoad map[loadKey]int
 
 type loadKey struct {
@@ -128,7 +128,7 @@ type loadKey struct {
 // Add counts one block sent from src to dst: on their NICs unless it stays on
 // the node, and on their racks' links when it crosses the core.
 func (l LinkLoad) Add(top *topology.Topology, src, dst topology.NodeID) {
-	if l == nil || src == dst {
+	if src == dst {
 		return
 	}
 	srcRack, _ := top.RackOf(src) // both ends opened their streams

@@ -299,11 +299,9 @@ func (m *Metric) Mean() float64 {
 }
 
 // Quantile estimates the q-th quantile (0 <= q <= 1) of a histogram by
-// linear interpolation within the containing bucket, the standard
-// Prometheus histogram_quantile estimate. Samples are assumed non-negative:
-// the first bucket interpolates from zero. Estimates in the overflow bucket
-// clamp to the largest finite bound. Returns NaN for an empty histogram or
-// out-of-range q.
+// linear interpolation within the containing bucket (BucketQuantile), the
+// standard Prometheus histogram_quantile estimate. Samples are assumed
+// non-negative. Returns NaN for an empty histogram or out-of-range q.
 func (m *Metric) Quantile(q float64) float64 {
 	if m.kind != KindHistogram {
 		panic("telemetry: Quantile on non-histogram")
@@ -313,33 +311,31 @@ func (m *Metric) Quantile(q float64) float64 {
 	if q < 0 || q > 1 || m.count == 0 {
 		return math.NaN()
 	}
-	rank := q * float64(m.count)
-	var cum float64
-	for i, c := range m.bucketCounts {
-		next := cum + float64(c)
-		if next >= rank && c > 0 {
-			if i == len(m.bounds) { // overflow bucket
-				return m.bounds[len(m.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = m.bounds[i-1]
-			}
-			hi := m.bounds[i]
-			return lo + (hi-lo)*(rank-cum)/float64(c)
-		}
-		cum = next
+	cum := make([]float64, len(m.bounds))
+	var n uint64
+	for i := range cum {
+		n += m.bucketCounts[i]
+		cum[i] = float64(n)
 	}
-	// All mass below rank (q == 1 with rounding): the last non-empty bucket.
-	for i := len(m.bucketCounts) - 1; i >= 0; i-- {
-		if m.bucketCounts[i] > 0 {
-			if i == len(m.bounds) {
-				return m.bounds[len(m.bounds)-1]
-			}
-			return m.bounds[i]
+	return BucketQuantile(m.bounds, cum, float64(m.count), q)
+}
+
+// BucketQuantile estimates the q-quantile of a histogram of total
+// observations, cum[i] of them at or below bounds[i]: linear within the
+// bucket holding rank q·total, from the bound below it (0 below the first),
+// and the highest finite bound for a rank in the overflow bucket. It is the
+// one interpolation of the registry (Metric.Quantile) and of the SLO
+// tracker's windowed estimate; total must be positive and bounds non-empty.
+func BucketQuantile(bounds, cum []float64, total, q float64) float64 {
+	rank := q * total
+	prev, lo := 0.0, 0.0
+	for i, b := range bounds {
+		if c := cum[i]; c >= rank && c > prev {
+			return lo + (b-lo)*(rank-prev)/(c-prev)
 		}
+		prev, lo = cum[i], b
 	}
-	return math.NaN()
+	return bounds[len(bounds)-1]
 }
 
 // SeriesSnapshot is the point-in-time state of one series.

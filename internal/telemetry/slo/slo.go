@@ -294,23 +294,13 @@ func countAtOrBelow(bounds, cum []float64, thr float64) float64 {
 	return prev
 }
 
-// quantile estimates the q-quantile of the windowed distribution, mirroring
-// the registry's interpolation: rank within the containing bucket, overflow
-// mass reported as the highest finite bound.
+// quantile estimates the q-quantile of the windowed distribution with the
+// registry's interpolation (telemetry.BucketQuantile); an empty window's is 0.
 func quantile(bounds, cum []float64, total, q float64) float64 {
 	if total <= 0 || len(bounds) == 0 {
 		return 0
 	}
-	rank := q * total
-	prev, lo := 0.0, 0.0
-	for i, b := range bounds {
-		c := cum[i]
-		if c >= rank && c > prev {
-			return lo + (b-lo)*(rank-prev)/(c-prev)
-		}
-		prev, lo = c, b
-	}
-	return bounds[len(bounds)-1]
+	return telemetry.BucketQuantile(bounds, cum, total, q)
 }
 
 // DefaultObjectives returns the testbed's core-operation objectives over the

@@ -246,3 +246,50 @@ func TestDefaultObjectivesCoverCoreOps(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantileMatchesRegistry: the tracker's windowed quantile, fed the
+// cumulative buckets of a registry snapshot as a sample is, and the registry's
+// Metric.Quantile read the same buckets alike (telemetry.BucketQuantile). Each
+// keeps its own answer for an empty histogram: 0 here, NaN in the registry.
+func TestQuantileMatchesRegistry(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		bounds []float64
+		obs    []float64
+		q      float64
+		want   float64
+	}{
+		{"empty", []float64{1, 2}, nil, 0.5, 0},
+		{"overflow", []float64{1, 2}, []float64{0.5, 5, 7}, 0.9, 2},
+		{"q=1", []float64{1, 2, 4}, []float64{0.5, 1.5, 3}, 1, 4},
+		{"single bucket", []float64{10}, []float64{1, 2, 3, 4}, 0.5, 5},
+		{"within a bucket", []float64{1, 2, 4}, []float64{0.5, 1.5, 1.5, 3}, 0.5, 1.5},
+	} {
+		reg := telemetry.NewRegistry()
+		h := reg.Histogram("lat", "", tc.bounds).With()
+		for _, v := range tc.obs {
+			h.Observe(v)
+		}
+		var fam *telemetry.FamilySnapshot
+		for _, f := range reg.Snapshot() {
+			if f.Name == "lat" {
+				fam = &f
+			}
+		}
+		ops, cum, bounds, ok := sumSeries(fam, nil)
+		if !ok {
+			t.Fatalf("%s: no histogram series in the snapshot", tc.name)
+		}
+		got, fromRegistry := quantile(bounds, cum, ops, tc.q), h.Quantile(tc.q)
+		if got != tc.want {
+			t.Errorf("%s: tracker's q%g = %g, want %g", tc.name, tc.q, got, tc.want)
+		}
+		if len(tc.obs) == 0 {
+			if !math.IsNaN(fromRegistry) {
+				t.Errorf("%s: registry's q%g = %g, want NaN", tc.name, tc.q, fromRegistry)
+			}
+		} else if fromRegistry != got {
+			t.Errorf("%s: registry's q%g = %g, tracker's %g", tc.name, tc.q, fromRegistry, got)
+		}
+	}
+}
