@@ -75,7 +75,21 @@ func Seal(data []byte) Sealed {
 // Own checksums data in place, outside any store's lock, and seals it without
 // a copy: the caller hands the slice over and never writes it again.
 func Own(data []byte) Sealed {
-	return Sealed{data: data, sum: crc32.Checksum(data, castagnoli)}
+	return OwnSummed(data, Extend(0, data))
+}
+
+// OwnSummed is Own for a caller that made data slice by slice and ran its
+// checksum over each slice as it was done (Extend): sum is that running
+// checksum over all of data, which is not read again to seal it.
+func OwnSummed(data []byte, sum uint32) Sealed {
+	return Sealed{data: data, sum: sum}
+}
+
+// Extend returns the running checksum crc extended over p. Run from 0 over
+// consecutive slices that make up a block, it ends at the block's checksum,
+// the one Own computes.
+func Extend(crc uint32, p []byte) uint32 {
+	return crc32.Update(crc, castagnoli, p)
 }
 
 // Store is a thread-safe in-memory block store.
@@ -148,7 +162,7 @@ func (b Sealed) Bytes() []byte { return b.data }
 // [lo, hi). Run from 0 over consecutive ranges that cover the block, it ends
 // at the checksum Check compares.
 func (b Sealed) Update(crc uint32, lo, hi int) uint32 {
-	return crc32.Update(crc, castagnoli, b.data[lo:hi])
+	return Extend(crc, b.data[lo:hi])
 }
 
 // Check returns ErrCorrupt unless crc, the block's running checksum over all

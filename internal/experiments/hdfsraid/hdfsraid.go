@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"sync/atomic"
 
+	"ear/internal/blockstore"
 	"ear/internal/hdfs"
 	"ear/internal/placement"
 	"ear/internal/telemetry"
@@ -25,7 +26,8 @@ import (
 // downloads run at once (Section II-A's parallel reads), then encode, then
 // the m uploads, under the map task's download / encode / parity-write spans.
 // The downloads land in pooled buffers, which all go back before it returns;
-// the parity blocks are its own, since the encode stores them as they are.
+// the parity blocks are its own, sealed, since the encode stores them as they
+// are.
 func Parity(c *hdfs.Cluster) hdfs.ParityFunc {
 	pool, size := c.BufferPool(), c.Config().BlockSizeBytes
 	// zero stands in for aborted members and short-stripe padding; the coding
@@ -104,7 +106,10 @@ func Parity(c *hdfs.Cluster) hdfs.ParityFunc {
 				sp.CrossRackUploads++
 			}
 		}
-		sp.Blocks, sp.Aborted = pbufs, aborted
+		for _, b := range pbufs {
+			sp.Blocks = append(sp.Blocks, blockstore.Own(b))
+		}
+		sp.Aborted = aborted
 		return sp, nil
 	}
 }

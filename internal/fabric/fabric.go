@@ -190,20 +190,20 @@ func (l *Link) setTelemetry(bytes, wait *telemetry.Metric) {
 	l.mu.Unlock()
 }
 
-// reserve books n bytes of capacity and returns the instant the bytes will
-// have "arrived" (cleared the link). ready is the instant the bytes were
-// ready to leave (the zero time: now). The link serves them from the later
-// of its queue tail and ready, and never from later than now: a booking can
-// reclaim link time that went idle while its sender was waking up, but never
-// time another booking holds, and it leaves no hole in the future. behind is
-// when the caller's previous reservation clears this link, for a caller that
-// books ahead of its own arrivals (the zero time otherwise). The wait runs
-// from the later of behind and ready: bytes queued behind the caller's own
-// have waited since those cleared, so no interval is counted twice in Waited.
-func (l *Link) reserve(n int, behind, ready time.Time) time.Time {
+// reserve books n bytes of capacity at the instant now and returns when the
+// link starts serving them and the instant they will have "arrived" (cleared
+// the link). ready is the instant the bytes were ready to leave (the zero
+// time: now). The link serves them from the later of its queue tail and
+// ready, and never from later than now: a booking can reclaim link time that
+// went idle while its sender was waking up, but never time another booking
+// holds, and it leaves no hole in the future. behind is when the caller's
+// previous reservation clears this link, for a caller that books ahead of its
+// own arrivals (the zero time otherwise). The wait runs from the later of
+// behind and ready: bytes queued behind the caller's own have waited since
+// those cleared, so no interval is counted twice in Waited.
+func (l *Link) reserve(now time.Time, n int, behind, ready time.Time) (start, end time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := time.Now()
 	l.accrue(now)
 	if ready.IsZero() || ready.After(now) {
 		ready = now
@@ -211,6 +211,7 @@ func (l *Link) reserve(n int, behind, ready time.Time) time.Time {
 	if l.nextFree.Before(ready) {
 		l.nextFree = ready
 	}
+	start = l.nextFree
 	l.nextFree = l.nextFree.Add(time.Duration(float64(n) / (l.rate - l.injected) * float64(time.Second)))
 	l.moved += int64(n)
 	if behind.Before(ready) {
@@ -224,7 +225,7 @@ func (l *Link) reserve(n int, behind, ready time.Time) time.Time {
 	if l.mWait != nil {
 		l.mWait.Add(wait.Seconds())
 	}
-	return l.nextFree
+	return start, l.nextFree
 }
 
 // Fabric wires the links of a cluster topology.
@@ -544,7 +545,8 @@ func (f *Fabric) path(src, dst topology.NodeID) ([]*Link, bool, error) {
 // the netpoller, so a wait ends up to a millisecond late, which a caller that
 // books ahead of its arrivals or back-dates its bookings absorbs.
 func SleepUntil(ctx context.Context, t time.Time) error {
-	return sleepUntil(ctx, t, false)
+	var s Sleeper
+	return s.Until(ctx, t)
 }
 
 // SleepUntilExact is SleepUntil for a wait whose end a caller is timing, the
@@ -558,7 +560,43 @@ func SleepUntil(ctx context.Context, t time.Time) error {
 // CPU, up to the slack a wait, so the data path keeps it for the waits that
 // end an operation.
 func SleepUntilExact(ctx context.Context, t time.Time) error {
-	return sleepUntil(ctx, t, true)
+	var s Sleeper
+	return s.UntilExact(ctx, t)
+}
+
+// Sleeper is SleepUntil and SleepUntilExact on one Go timer, reset for every
+// wait, for a caller that sleeps many times over on one goroutine, as a stage
+// loop does between its steps: it makes no timer a wait. The zero Sleeper is
+// ready to use; one must not be used by two goroutines at once.
+type Sleeper struct {
+	timer *time.Timer
+}
+
+// Until is SleepUntil on the sleeper's timer.
+func (s *Sleeper) Until(ctx context.Context, t time.Time) error {
+	return s.onTimer(ctx, t)
+}
+
+// UntilExact is SleepUntilExact on the sleeper's timer.
+func (s *Sleeper) UntilExact(ctx context.Context, t time.Time) error {
+	if err := s.onTimer(ctx, t.Add(-time.Duration(timerSlack.Load()))); err != nil {
+		return err
+	}
+	for {
+		now := time.Now()
+		if !now.Before(t) {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		default:
+		}
+		runtime.Gosched()
+		if !time.Now().After(now) {
+			return s.onTimer(ctx, t) // a frozen clock: no yield reaches t
+		}
+	}
 }
 
 // timerSlack is how late, in nanoseconds, the runtime's timers have been
@@ -585,46 +623,36 @@ func learnSlack(late time.Duration) {
 	timerSlack.Store(int64(late))
 }
 
-// sleepUntil is SleepUntil, and SleepUntilExact when exact is set.
-func sleepUntil(ctx context.Context, t time.Time, exact bool) error {
-	if !exact {
-		return sleepOnTimer(ctx, t)
-	}
-	if err := sleepOnTimer(ctx, t.Add(-time.Duration(timerSlack.Load()))); err != nil {
-		return err
-	}
+// onTimer waits on the sleeper's timer until t, or until the context is
+// done, and feeds timerSlack how late the timer fired. A timer stopped by a
+// cancel may still have fired into its channel, which is drained; a wake
+// before t, which only such a value could bring, waits again.
+func (s *Sleeper) onTimer(ctx context.Context, t time.Time) error {
 	for {
-		now := time.Now()
-		if !now.Before(t) {
-			return nil
+		d := time.Until(t)
+		if d <= 0 {
+			return ctx.Err()
+		}
+		if s.timer == nil {
+			s.timer = time.NewTimer(d)
+		} else {
+			s.timer.Reset(d)
 		}
 		select {
 		case <-ctx.Done():
+			if !s.timer.Stop() {
+				select {
+				case <-s.timer.C:
+				default:
+				}
+			}
 			return ctx.Err()
-		default:
+		case <-s.timer.C:
+			if late := time.Since(t); late >= 0 {
+				learnSlack(late)
+				return nil
+			}
 		}
-		runtime.Gosched()
-		if !time.Now().After(now) {
-			return sleepOnTimer(ctx, t) // a frozen clock: no yield reaches t
-		}
-	}
-}
-
-// sleepOnTimer waits on a Go timer until t, or until the context is done, and
-// feeds timerSlack how late the timer fired.
-func sleepOnTimer(ctx context.Context, t time.Time) error {
-	d := time.Until(t)
-	if d <= 0 {
-		return ctx.Err()
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-timer.C:
-		learnSlack(time.Since(t))
-		return nil
 	}
 }
 
@@ -658,6 +686,9 @@ type Stream struct {
 	trace  uint64 // trace ID adopted from the opening context
 	tenant string // accounting identity adopted from the opening context
 	opened time.Time
+	// observe, adopted from the opening context, sees every link booking
+	// (ObserveBookings).
+	observe func(link string, start, end time.Time)
 
 	mu     sync.Mutex
 	sent   int64
@@ -685,6 +716,7 @@ func (f *Fabric) OpenStream(ctx context.Context, src, dst topology.NodeID) (*Str
 		tenant: tenant.FromContext(ctx),
 		opened: time.Now(),
 	}
+	s.observe, _ = ctx.Value(bookingsKey{}).(func(string, time.Time, time.Time))
 	if src == dst {
 		if _, err := f.top.RackOf(src); err != nil {
 			return nil, err
@@ -720,6 +752,18 @@ func (f *Fabric) OpenStream(ctx context.Context, src, dst topology.NodeID) (*Str
 	return s, nil
 }
 
+// bookingsKey is the context key of the function ObserveBookings attaches.
+type bookingsKey struct{}
+
+// ObserveBookings returns a copy of ctx under which every stream opened calls
+// observe for each chunk it books on each link of its path: the link's name
+// and the instants the link starts and ends serving the chunk. observe runs
+// on the booking goroutine with the stream's lock held, so it must not call
+// back into the stream. Tests use it to see how a job keeps each link busy.
+func ObserveBookings(ctx context.Context, observe func(link string, start, end time.Time)) context.Context {
+	return context.WithValue(ctx, bookingsKey{}, observe)
+}
+
 // Book reserves n payload bytes on every link of the path, chunk by chunk,
 // and returns the instant the last of them arrives. ready is the instant the
 // bytes were ready to leave, no earlier than the stream's OpenStream (the
@@ -752,7 +796,9 @@ func (s *Stream) Book(ctx context.Context, n int, ready time.Time) (arrival time
 func (s *Stream) Room(n int) time.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.settle()
+	if s.queuedBytes+n > sendWindow {
+		s.settle(time.Now()) // bytes that fit without it leave the count to the next Book
+	}
 	if len(s.queued) == 0 || s.queuedBytes+n <= sendWindow {
 		return time.Time{}
 	}
@@ -760,8 +806,9 @@ func (s *Stream) Room(n int) time.Time {
 }
 
 // bookChunk waits for room in the window, reserves one chunk of c bytes
-// ready at ready on every link and queues the booking.
+// ready at ready on every link, all at one instant, and queues the booking.
 func (s *Stream) bookChunk(ctx context.Context, c int, ready time.Time) (time.Time, error) {
+	var now time.Time
 	for {
 		s.mu.Lock()
 		// The context first: a stream closed under a canceled run reports the
@@ -774,7 +821,8 @@ func (s *Stream) bookChunk(ctx context.Context, c int, ready time.Time) (time.Ti
 			s.mu.Unlock()
 			return time.Time{}, fmt.Errorf("%w: %d->%d", ErrStreamClosed, s.src, s.dst)
 		}
-		s.settle()
+		now = time.Now()
+		s.settle(now)
 		if s.queuedBytes+c <= sendWindow {
 			break
 		}
@@ -787,9 +835,13 @@ func (s *Stream) bookChunk(ctx context.Context, c int, ready time.Time) (time.Ti
 	defer s.mu.Unlock()
 	var arrival time.Time
 	for i, l := range s.links {
-		s.behind[i] = l.reserve(c, s.behind[i], ready)
+		var start time.Time
+		start, s.behind[i] = l.reserve(now, c, s.behind[i], ready)
 		if s.behind[i].After(arrival) {
 			arrival = s.behind[i]
+		}
+		if s.observe != nil {
+			s.observe(l.name, start, s.behind[i])
 		}
 	}
 	s.queued = append(s.queued, booking{arrival, c})
@@ -811,18 +863,17 @@ func (s *Stream) Send(ctx context.Context, n int) error {
 		return err
 	}
 	s.mu.Lock()
-	s.settle()
+	s.settle(time.Now())
 	s.mu.Unlock()
 	return nil
 }
 
-// settle counts every queued booking whose arrival has passed as delivered.
-// The caller holds s.mu.
-func (s *Stream) settle() {
+// settle counts every queued booking whose arrival has passed by now as
+// delivered. The caller holds s.mu.
+func (s *Stream) settle(now time.Time) {
 	if len(s.queued) == 0 {
 		return
 	}
-	now := time.Now()
 	arrived, bytes := 0, 0
 	for arrived < len(s.queued) && !s.queued[arrived].arrival.After(now) {
 		bytes += s.queued[arrived].bytes
@@ -870,7 +921,7 @@ func (s *Stream) Cross() bool { return s.cross }
 func (s *Stream) Sent() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.settle()
+	s.settle(time.Now())
 	return s.sent
 }
 
@@ -883,7 +934,7 @@ func (s *Stream) Close() {
 		return
 	}
 	s.closed = true
-	s.settle()
+	s.settle(time.Now())
 	s.queued, s.queuedBytes = nil, 0
 	sent := s.sent
 	s.mu.Unlock()

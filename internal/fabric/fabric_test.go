@@ -207,8 +207,8 @@ func TestLinkMovedAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.reserve(1000, time.Time{}, time.Time{})
-	l.reserve(24, time.Time{}, time.Time{})
+	l.reserve(time.Now(), 1000, time.Time{}, time.Time{})
+	l.reserve(time.Now(), 24, time.Time{}, time.Time{})
 	if l.Moved() != 1024 {
 		t.Errorf("Moved = %d, want 1024", l.Moved())
 	}
@@ -326,7 +326,7 @@ func TestLinkWaitedAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.reserve(1<<20, time.Time{}, time.Time{}) // one full second of backlog
+	l.reserve(time.Now(), 1<<20, time.Time{}, time.Time{}) // one full second of backlog
 	if w := l.Waited(); w != time.Second {
 		t.Errorf("Waited = %v, want 1s", w)
 	}
@@ -998,7 +998,7 @@ func TestLinkNeverBooksMoreThanItsRate(t *testing.T) {
 		}
 		waited := l.Waited()
 		before := time.Now()
-		end := l.reserve(n, time.Time{}, ready)
+		_, end := l.reserve(time.Now(), n, time.Time{}, ready)
 		after := time.Now()
 		if d := l.Waited() - waited; d < 0 {
 			t.Errorf("booking %d added %v to Waited", i, d)
@@ -1133,4 +1133,29 @@ func TestStreamsShareLinkByBytes(t *testing.T) {
 		}
 	}
 	t.Logf("when the first stream finished: 4 KiB bookings %d bytes, 64 KiB bookings %d", got[0], got[1])
+}
+
+// TestSleeperWaitsAgainAfterCancel: one Sleeper, its timer reset for every
+// wait, is canceled in the middle of a wait and then waits again, plainly and
+// exactly: each canceled wait returns the context's error, and no later wait
+// returns before its instant, so nothing a cancel left in the timer's channel
+// ends the next wait early.
+func TestSleeperWaitsAgainAfterCancel(t *testing.T) {
+	var s Sleeper
+	for i := 0; i < 10; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(time.Millisecond, cancel)
+		if err := s.Until(ctx, time.Now().Add(time.Second)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled wait returned %v, want %v", err, context.Canceled)
+		}
+		for _, wait := range []func(context.Context, time.Time) error{s.Until, s.UntilExact} {
+			at := time.Now().Add(2 * time.Millisecond)
+			if err := wait(context.Background(), at); err != nil {
+				t.Fatal(err)
+			}
+			if early := at.Sub(time.Now()); early > 0 {
+				t.Fatalf("wait %d after a canceled one returned %v early", i, early)
+			}
+		}
+	}
 }

@@ -136,17 +136,32 @@ func BenchmarkEncodeAll(b *testing.B) {
 
 // BenchmarkEncodeLifecycleRound encodes what one lifecycle-shaped round of
 // the benchmark writes (lifecycleWrites, on seeds 1-6 in turn) at the shaped
-// rates, on the wall clock. ns/op is the encode; cpu-ms/op is the process CPU
-// it took, user and system time from getrusage: the host's share, which the
-// fabric's design time leaves out; minflt/op the minor page faults it took,
-// getrusage's Minflt; admit-ms/op is how long after the job's start its last
-// stripe joined the job's loop (the latest run start the read-ahead books a
-// slice for, readAheadKey), which a fake clock puts at 0. The runtime.GC()
-// before each op keeps the heap the last op's parity used resident, so an op
-// zeroes its parity blocks but seldom faults them in: minflt/op stays low
-// here, where every round of the lifecycle benchmark after the first faults
-// its parity in afresh from memory the runtime has returned to the OS.
+// rates, on the wall clock (encodeOnWall).
 func BenchmarkEncodeLifecycleRound(b *testing.B) {
+	encodeOnWall(b, func(i int) (*Cluster, Config) { return lifecycleWrites(b, int64(i%6+1)) })
+}
+
+// BenchmarkEncodeForegroundLayout encodes the encode-foreground workload's
+// layout, 104 stripes of the benchmark's walks (benchWrites), at the shaped
+// rates, on the wall clock (encodeOnWall): one loop folding 104 runs, where
+// the host's cost a step shows. A layout holds about 0.7 GB.
+func BenchmarkEncodeForegroundLayout(b *testing.B) {
+	encodeOnWall(b, func(int) (*Cluster, Config) { return benchWrites(b, benchGeometry().Seed, 104) })
+}
+
+// encodeOnWall encodes, once an op, the layout op i builds, flushed, at the
+// shaped rates, on the wall clock. ns/op is the encode; cpu-ms/op is the
+// process CPU it took, user and system time from getrusage: the host's share,
+// which the fabric's design time leaves out; minflt/op the minor page faults
+// it took, getrusage's Minflt; admit-ms/op is how long after the job's start
+// its last stripe joined the job's loop (the latest run start the read-ahead
+// books a slice for, readAheadKey), which a fake clock puts at 0. The
+// runtime.GC() before each op keeps the heap the last op's parity used
+// resident, so an op zeroes its parity blocks but seldom faults them in:
+// minflt/op stays low here, where every round of the lifecycle benchmark
+// after the first faults its parity in afresh from memory the runtime has
+// returned to the OS.
+func encodeOnWall(b *testing.B, layout func(i int) (*Cluster, Config)) {
 	var cpu, admit time.Duration
 	var minflt int64
 	var last time.Time
@@ -155,7 +170,7 @@ func BenchmarkEncodeLifecycleRound(b *testing.B) {
 	})
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c, cfg := lifecycleWrites(b, int64(i%6+1))
+		c, cfg := layout(i)
 		if _, err := c.NameNode().FlushOpenStripes(); err != nil {
 			b.Fatal(err)
 		}
@@ -173,11 +188,7 @@ func BenchmarkEncodeLifecycleRound(b *testing.B) {
 		admit += last.Sub(start)
 		// newCluster keeps every cluster until the benchmark ends: drop this
 		// one's blocks now so the iterations' layouts do not pile up.
-		for n := 0; n < c.Topology().Nodes(); n++ {
-			if dn, err := c.DataNodeOf(topology.NodeID(n)); err == nil {
-				dn.Store.Clear()
-			}
-		}
+		clearStores(c)
 	}
 	b.ReportMetric(cpu.Seconds()*1e3/float64(b.N), "cpu-ms/op")
 	b.ReportMetric(float64(minflt)/float64(b.N), "minflt/op")

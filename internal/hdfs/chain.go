@@ -6,7 +6,8 @@ package hdfs
 // are covered once (placement.PlanPipeline, toward the fold's anchor), and
 // the cover is ordered once per row toward that row's sink
 // (placement.OrderPipeline: rack-contiguous, the sink's rack last, the sink
-// itself last). Each row's chain walks the block slice by slice: each hop
+// itself last, and a rack's tied middle nodes in opposite orders in even and
+// odd rows). Each row's chain walks the block slice by slice: each hop
 // receives the row's upstream partial sum over a fabric stream, folds its
 // locally stored members into it with gf256.MulAddSlice, and forwards the
 // result downstream, so the row ends on its sink wherever the sink is a hop
@@ -22,13 +23,16 @@ package hdfs
 // remote member. With the m parity rows the sums are the stripe's parity
 // (RapidRAID), each ending on the node that stores it; with one decode row
 // they are the lost member (rack-aware regenerating repair), delivered to the
-// repair target or the reading client. The engine copies no byte: a hop folds
-// its members straight from the stores' sealed blocks into the row's one
-// block, made at the row's first step, which every stage of the row sums into
-// in place, and the read-ahead verifies each member's checksum slice by slice
-// before the fold can end. It stores nothing either: the fold's owner commits
-// the blocks its run hands it only after the whole fold succeeded, so a
-// canceled or failed fold leaves no trace in any store. The stage
+// repair target or the reading client. The engine copies no byte: a node's
+// read-ahead verifies each member's checksum slice by slice as it reads it
+// and, while the slice is in the host's cache, folds it straight from the
+// store's sealed block into the one block of each row with a stage on the
+// node, in place (sums over GF(2^8) add in any order); the row's last stage
+// runs the block's checksum over each slice as it takes it, so the block is
+// sealed as it was folded, never read again for that. It stores nothing
+// either: the fold's owner commits the blocks its run hands it only after the
+// whole fold succeeded, so a canceled or failed fold leaves no trace in any
+// store. The stage
 // loop (stageLoop) is one event loop on the caller's goroutine, with one
 // read-ahead per node for every fold it runs. An encode job folds the stripes
 // of all its map tasks (parityFold), and a recovery or BlockMover round its
@@ -41,6 +45,7 @@ package hdfs
 // inside another.
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -66,14 +71,19 @@ type chainStage struct {
 	// row holds the coefficients of the stage's row, indexed by stripe
 	// position (nil for a write).
 	row []byte
+	// crc is, at a fold's last stage of a row, the running checksum of the
+	// row's block over the slices the stage has taken: each is final by then,
+	// since every stage before it has taken the slice and each node's
+	// read-ahead folds a slice before its stages can take it.
+	crc uint32
 	// up is the stage whose slices this one receives (nil at a head); next
 	// are the stages that receive from this one.
 	up   *chainStage
 	next []*chainStage
 	// acc points to the row's one buffer, shared by every stage of the row:
-	// in a fold a zero block the loop makes at the row's first step, which
-	// each stage sums its members into in place once up has finished the
-	// slice; the caller's bytes in a write.
+	// in a fold a zero block made at its first use (sum), which the read-ahead
+	// of each stage's node sums the stage's members into in place as it reads
+	// them; the caller's bytes in a write.
 	acc *[]byte
 	// in is the inbound stream from up's node (nil at a head), which up books
 	// on, and arrived the instant each slice up has booked on it arrives, in
@@ -82,13 +92,24 @@ type chainStage struct {
 	arrived []time.Time
 	// disk is the node's members the stage folds with row, read once for
 	// every stage of the run on the node (nil at a stage without members: a
-	// delivery stage or a write), done counts the slices the stage has folded
-	// and forwarded, and wait is the instant a full forward stream has room
-	// again (Stream.Room; the zero time while none is full).
+	// delivery stage or a write), done counts the slices the stage has taken,
+	// and wait is the instant a full forward stream has room again
+	// (Stream.Room; the zero time while none is full). tFirst and tLast are
+	// when the stage took its first and its last step, kept while the cluster
+	// has telemetry attached.
 	disk          *diskShare
 	done          int
 	wait          time.Time
 	tFirst, tLast time.Time
+}
+
+// sum returns the stage's row buffer, made as a zero block of size bytes at
+// its first use, so its zeroing and page faults delay no earlier booking.
+func (st *chainStage) sum(size int) []byte {
+	if *st.acc == nil {
+		*st.acc = make([]byte, size)
+	}
+	return *st.acc
 }
 
 // inputs is the instant the stage's next slice has arrived from upstream and
@@ -103,25 +124,28 @@ func (st *chainStage) inputs() time.Time {
 
 // diskReader is one node's read-ahead in a stage loop: the disk stream the
 // members of every run on the node are booked on, slice by slice. shares are
-// the runs' reads in admission order, low the one it books next (pick), and
-// wait the instant the disk stream has room again.
+// the runs' reads in admission order, low the one it books next (pick), wait
+// the instant the disk stream has room again, and step the reader's next
+// step in the loop's queue.
 type diskReader struct {
 	node   topology.NodeID
 	disk   *fabric.Stream
 	shares []*diskShare
 	low    *diskShare
 	wait   time.Time
+	step   step
 }
 
 // diskShare is one run's read on a node's disk, once for every stage of the
-// run on the node: the members of the stripe they fold, by stripe position
-// (positions) and store key (keys), and the stored blocks, read-only and
-// unverified until the read-ahead has read them. booked counts the bytes of
-// the next slice booked so far, arrived the instant each booked slice
-// arrives, and sums each block's running checksum over the slices booked so
-// far (read).
+// run on the node (stages, one a row): the members of the stripe they fold,
+// by stripe position (positions) and store key (keys), and the stored
+// blocks, read-only and unverified until the read-ahead has read them.
+// booked counts the bytes of the next slice booked so far, arrived the
+// instant each booked slice arrives, and sums each block's running checksum
+// over the slices booked so far (read).
 type diskShare struct {
 	run       *stageRun
+	stages    []*chainStage
 	stripe    topology.StripeID
 	positions []int
 	keys      []blockstore.Key
@@ -136,18 +160,94 @@ type diskShare struct {
 // earliest admitted on a tie, so the disk serves the runs' slices in the
 // order their stages need them; nil once every slice is booked. Runs may walk
 // different slices, so the order is by offset, not by slice index. Only an
-// admission and a booked slice change it.
-func (r *diskReader) pick() {
+// admission, a run leaving and a booked slice change it.
+func (l *stageLoop) pick(r *diskReader) {
 	r.low = nil
 	for _, d := range r.shares {
 		if len(d.arrived) < d.run.nSlices && (r.low == nil || d.offset() < r.low.offset()) {
 			r.low = d
 		}
 	}
+	l.requeue(r)
+}
+
+// requeue queues the reader's step at the later of its next share's run start
+// and wait, or takes it out of the queue once every slice is booked.
+func (l *stageLoop) requeue(r *diskReader) {
+	if r.low == nil {
+		l.unqueue(&r.step)
+		return
+	}
+	l.queue(&r.step, later(r.low.run.start, r.wait))
 }
 
 // offset is where the share's next slice starts in the block.
 func (d *diskShare) offset() int { return len(d.arrived) * d.run.slice }
+
+// step is a read-ahead's or a run's next step in its stage loop's queue: at
+// is its instant, seq orders the steps of one instant, read-ahead steps
+// before stage steps (run is nil for a read-ahead), read-aheads in the order
+// they were made and runs in admission order, and pos is its index in the
+// queue, -1 while it has no step to take.
+type step struct {
+	at     time.Time
+	seq    int
+	pos    int
+	reader *diskReader
+	run    *stageRun
+}
+
+// before reports whether step a is taken before step b.
+func (a *step) before(b *step) bool {
+	if c := a.at.Compare(b.at); c != 0 {
+		return c < 0
+	}
+	if (a.run == nil) != (b.run == nil) {
+		return a.run == nil
+	}
+	return a.seq < b.seq
+}
+
+// stepQueue is a stage loop's pending steps, a heap ordered by step.before,
+// so a step costs the loop log n in its runs and read-aheads, not n.
+type stepQueue []*step
+
+func (q stepQueue) Len() int           { return len(q) }
+func (q stepQueue) Less(i, j int) bool { return q[i].before(q[j]) }
+func (q stepQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].pos, q[j].pos = i, j
+}
+func (q *stepQueue) Push(x any) {
+	s := x.(*step)
+	s.pos = len(*q)
+	*q = append(*q, s)
+}
+func (q *stepQueue) Pop() any {
+	old := *q
+	s := old[len(old)-1]
+	*q, s.pos = old[:len(old)-1], -1
+	return s
+}
+
+// queue puts s in the loop's queue at instant at.
+func (l *stageLoop) queue(s *step, at time.Time) {
+	switch {
+	case s.pos < 0:
+		s.at = at
+		heap.Push(&l.steps, s)
+	case !s.at.Equal(at):
+		s.at = at
+		heap.Fix(&l.steps, s.pos)
+	}
+}
+
+// unqueue takes s out of the loop's queue: it has no step to take.
+func (l *stageLoop) unqueue(s *step) {
+	if s.pos >= 0 {
+		heap.Remove(&l.steps, s.pos)
+	}
+}
 
 // stageRun is one block walked through a list of stages in a stage loop: one
 // fold, or one replicated write. Every stage with no upstream is a head, and
@@ -162,57 +262,70 @@ func (d *diskShare) offset() int { return len(d.arrived) * d.run.slice }
 // error to fail, which takes over what the run holds: it releases it, or hands
 // it to a run it re-plans into the loop, and returns the error that ends the
 // loop, if any (by default it releases and returns the error). next is the
-// stage with the run's earliest step, at its instant (schedule).
+// stage with the run's earliest step, queued as step (schedule).
 type stageRun struct {
 	stages         []*chainStage
 	slice, nSlices int
 	start, end     time.Time
 	spans          []*telemetry.Span
 	left           int
-	finish         func(blocks [][]byte) error
+	finish         func(blocks []blockstore.Sealed) error
 	release        func()
 	fail           func(error) error
 	next           int
-	at             time.Time
+	step           step
 }
 
-// blocks returns the buffer of every stage that forwards to none, in list
-// order: a fold's rows, each in the block it ended in.
-func (run *stageRun) blocks() (out [][]byte) {
+// blocks returns, sealed under its running checksum, the buffer of every
+// fold stage that forwards to none, in list order: a fold's rows, each in the
+// block it ended in (none for a write).
+func (run *stageRun) blocks() (out []blockstore.Sealed) {
 	for _, st := range run.stages {
-		if len(st.next) == 0 {
-			out = append(out, *st.acc)
+		if len(st.next) == 0 && st.row != nil {
+			out = append(out, blockstore.OwnSummed(*st.acc, st.crc))
 		}
 	}
 	return out
 }
 
 // schedule finds the run's earliest stage step, the first in list order on a
-// tie; next is -1 while no stage has both inputs of its next slice booked.
-// Only the run's own steps and its disk reads change when its stages can
-// step, and the loop calls schedule after each, so the loop's scan for the
-// earliest step looks at one instant a run.
-func (run *stageRun) schedule() {
+// tie, and queues it; next is -1 while no stage has both inputs of its next
+// slice booked. Only the run's own steps and its disk reads change when its
+// stages can step, and the loop calls schedule after each, so the loop's
+// queue holds one instant a run.
+func (l *stageLoop) schedule(run *stageRun) {
 	run.next = -1
+	var at time.Time
 	for i, st := range run.stages {
 		if st.done == len(st.arrived) || st.disk != nil && st.done == len(st.disk.arrived) {
 			continue
 		}
-		if t := later(st.inputs(), st.wait); run.next < 0 || t.Before(run.at) {
-			run.next, run.at = i, t
+		if t := later(st.inputs(), st.wait); run.next < 0 || t.Before(at) {
+			run.next, at = i, t
 		}
 	}
+	if run.next < 0 {
+		l.unqueue(&run.step)
+		return
+	}
+	l.queue(&run.step, at)
 }
 
 // stageLoop is the package's one event loop. It walks the runs admitted to
 // it, in admission order, on its caller's goroutine; runs that share a node
 // share its read-ahead, one disk stream a node for the loop's life, and the
 // folds it plans are ordered against load, what its admitted runs put on each
-// link. observe, when set, sees every slice a read-ahead books (readAheadKey).
+// link. steps queues the next step of each run and read-ahead that has one,
+// seq counts the runs and read-aheads made, and the loop sleeps between steps
+// on sleeper's one timer. observe, when set, sees every slice a read-ahead
+// books (readAheadKey).
 type stageLoop struct {
 	c       *Cluster
 	runs    []*stageRun
 	readers []*diskReader
+	steps   stepQueue
+	seq     int
+	sleeper fabric.Sleeper
 	observe func(node topology.NodeID, run *stageRun, offset int)
 	load    placement.LinkLoad
 }
@@ -273,7 +386,7 @@ func (e *holderError) Unwrap() error { return e.err }
 const minSliceBytes = 4 << 10
 
 // fillShare bounds a stage run's fill to 1/fillShare of a block time.
-const fillShare = 16
+const fillShare = 32
 
 // sliceCPUTime is the link time below which a slice costs more in per-slice
 // CPU (a booking, a wake-up, a fold call) than it saves in fill.
@@ -291,10 +404,12 @@ const sliceCPUTime = 100 * time.Microsecond
 // more than a slice in sliceCPUTime at the anchor's current NIC rate (rates
 // change under Fabric.SetAllRates), as on an unshaped fabric, per-slice CPU is
 // the only cost and the slice grows past that too. Of 256 KiB blocks on 16
-// MiB/s links, a 13-stage degraded read walks 4 KiB slices and an encode
-// whose row chains are three streams deep 8 KiB; a run one stream deep (a
-// copy; a write whose other replica is the writer's own) has no fill and
-// walks fabric.ChunkBytes, the grain a Send is shaped at anyway.
+// MiB/s links, a 13-stage degraded read and an encode whose row chains are
+// three streams deep walk 4 KiB slices (an encode's fill a 32nd of a block
+// time, where 8 KiB slices, a 16th, left its downlinks idle longer at the
+// job's start and end); a run one stream deep (a copy; a write whose other
+// replica is the writer's own) has no fill and walks fabric.ChunkBytes, the
+// grain a Send is shaped at anyway.
 func (c *Cluster) foldSliceBytes(anchor topology.NodeID, streams int) int {
 	rate, err := c.fab.NodeRate(anchor)
 	if err != nil {
@@ -340,7 +455,8 @@ func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topo
 		streams = max(streams, depth)
 	}
 	run := &stageRun{stages: stages, slice: l.c.foldSliceBytes(anchor, streams), left: len(stages),
-		finish: func([][]byte) error { return nil }, release: func() {}}
+		finish: func([]blockstore.Sealed) error { return nil }, release: func() {}}
+	run.step = step{pos: -1, run: run}
 	run.fail = func(err error) error {
 		run.release()
 		return err
@@ -366,52 +482,57 @@ func (l *stageLoop) admit(ctx context.Context, stages []*chainStage, anchor topo
 				run.closeStreams()
 				return nil, err
 			}
-			l.readers = append(l.readers, &diskReader{node: st.node, disk: disk})
+			r := &diskReader{node: st.node, disk: disk}
+			r.step = step{seq: l.seq, pos: -1, reader: r}
+			l.seq++
+			l.readers = append(l.readers, r)
 		}
 		shares[st.node] = st.disk
 	}
+	run.start = time.Now()
 	for _, r := range l.readers {
 		if d := shares[r.node]; d != nil {
-			d.run = run
+			d.run, d.arrived = run, make([]time.Time, 0, run.nSlices)
 			r.shares = append(r.shares, d)
-			r.pick()
+			l.pick(r)
 		}
 	}
-	run.start = time.Now()
 	sliceArg := strconv.Itoa(run.slice)
 	run.spans = make([]*telemetry.Span, len(stages))
 	for s, st := range stages {
 		run.spans[s] = span(s, st).Arg("slice", sliceArg)
+		st.arrived = make([]time.Time, 0, run.nSlices)
 		for st.up == nil && len(st.arrived) < run.nSlices {
 			st.arrived = append(st.arrived, run.start)
 		}
 	}
-	run.schedule()
+	run.step.seq = l.seq
+	l.seq++
+	l.schedule(run)
 	l.runs = append(l.runs, run)
 	return run, nil
 }
 
 // run walks every admitted run to its end. A read-ahead step books one chunk
-// of a node's members for the next slice diskReader.pick names, ready at its
-// run's start: they arrive beside the inbound slices instead of between
-// receive and fold. Once a slice is booked whole the read-ahead extends each
-// member's running checksum over it, and checks the sum with the member's last
-// slice, before any stage can fold that slice: a run never finishes on a
-// member that fails, and the one that does costs at most its own run's
-// traffic. A stage step takes its next slice once the upstream sum and the
-// node's members have arrived, folds its row over the members into the row's
-// buffer in place (made at a fold row's first step, so its zeroing and page
-// faults delay no earlier booking) and books the slice on the inbound stream
-// of every stage after it, ready at the instant its inputs arrived rather than
-// at the later instant the loop got to it (a head's slices are ready at its
-// run's start). Bookings run ahead of the arrivals as far as a stream's
-// window allows; a step whose stream is full waits for the instant
-// Stream.Room names as a step of its own, so no Book blocks and one full
-// stream never stalls the rest of the loop. The loop takes the earliest step
-// and sleeps until its instant: on time (fabric.SleepUntilExact) before the
-// step that ends a run, up to the host's timer tick late before any other. At
-// one instant read-ahead steps run before stage steps and stages in admission
-// order, then in list order, so rows that share a link book it in row order.
+// of a node's members for the next slice pick names, ready at its run's
+// start: they arrive beside the inbound slices instead of between receive and
+// fold. Once a slice is booked whole the read-ahead extends each member's
+// running checksum over it, checks the sum with the member's last slice, and
+// folds the slice into the row blocks of the run's stages on the node (read):
+// a run never finishes on a member that fails, and the one that does costs at
+// most its own run's traffic. A stage step takes its next slice once the
+// upstream sum and the node's members have arrived and books it on the
+// inbound stream of every stage after it, ready at the instant its inputs
+// arrived rather than at the later instant the loop got to it (a head's
+// slices are ready at its run's start). Bookings run ahead of the arrivals as
+// far as a stream's window allows; a step whose stream is full waits for the
+// instant Stream.Room names as a step of its own, so no Book blocks and one
+// full stream never stalls the rest of the loop. The loop takes the earliest
+// step off its queue (stepQueue) and sleeps until its instant on its one
+// timer: on time (Sleeper.UntilExact) before the step that ends a run, up to
+// the host's timer tick late before any other. At one instant read-ahead steps
+// run before stage steps and stages in admission order, then in list order,
+// so rows that share a link book it in row order.
 // Before each step the loop calls admit(i) for its items i = 0..n-1 (n < 0:
 // no end) in turn, for as many as it can: an admission only plans and opens
 // streams, so every run that can join does before the next booking, and no
@@ -435,31 +556,17 @@ func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) (bool, err
 			}
 			admitted++
 		}
-		var at time.Time
-		var r *diskReader
-		var run *stageRun
-		for _, rd := range l.readers {
-			if rd.low != nil {
-				if t := later(rd.low.run.start, rd.wait); r == nil || t.Before(at) {
-					at, r = t, rd
-				}
-			}
-		}
-		for _, sr := range l.runs {
-			if sr.next >= 0 && ((r == nil && run == nil) || sr.at.Before(at)) {
-				at, r, run = sr.at, nil, sr
-			}
-		}
-		if r == nil && run == nil {
+		if len(l.steps) == 0 {
 			return nil
 		}
+		at, r, run := l.steps[0].at, l.steps[0].reader, l.steps[0].run
 		// A step that ends its run is the end of a write, a degraded read or a
 		// fold's commit, which a caller times: it wakes on time. Every other
 		// step's forward is back-dated to its inputs, which absorbs an
 		// oversleep.
-		sleep := fabric.SleepUntil
+		sleep := l.sleeper.Until
 		if run != nil && run.left == 1 && run.stages[run.next].done == run.nSlices-1 {
-			sleep = fabric.SleepUntilExact
+			sleep = l.sleeper.UntilExact
 		}
 		if err := sleep(ctx, at); err != nil {
 			return err
@@ -479,27 +586,24 @@ func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) (bool, err
 			st.wait = later(st.wait, n.in.Room(hi-lo))
 		}
 		if !st.wait.IsZero() {
-			run.schedule()
+			l.schedule(run)
 			continue
 		}
-		// Fold the node's members into the row's sum for this slice, then
-		// send it on, ready when its inputs arrived, attributed by the fabric
-		// to every link of the hop.
-		if *st.acc == nil {
-			*st.acc = make([]byte, blockSize)
+		// The read-ahead has folded the node's members into the row's sum
+		// for this slice: send it on, ready when its inputs arrived,
+		// attributed by the fabric to every link of the hop. At the row's
+		// last stage the slice is final and joins the block's checksum.
+		sum := st.sum(blockSize)
+		if len(st.next) == 0 && st.row != nil {
+			st.crc = blockstore.Extend(st.crc, sum[lo:hi])
 		}
-		if d := st.disk; d != nil {
-			for i, pos := range d.positions {
-				if coef := st.row[pos]; coef != 0 {
-					gf256.MulAddSlice(coef, d.blocks[i].Bytes()[lo:hi], (*st.acc)[lo:hi])
-				}
+		if l.c.metrics() != nil { // only the pipe telemetry reads the wall times
+			now := time.Now()
+			if st.tFirst.IsZero() {
+				st.tFirst = now
 			}
+			st.tLast = now
 		}
-		now := time.Now()
-		if st.tFirst.IsZero() {
-			st.tFirst = now
-		}
-		st.tLast = now
 		ready := st.inputs()
 		for _, n := range st.next {
 			arrival, err := n.in.Book(ctx, hi-lo, ready)
@@ -509,7 +613,7 @@ func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) (bool, err
 			n.arrived = append(n.arrived, arrival)
 		}
 		st.done++
-		run.schedule()
+		l.schedule(run)
 		if st.done < run.nSlices {
 			continue
 		}
@@ -526,7 +630,11 @@ func (l *stageLoop) run(ctx context.Context, n int, admit func(i int) (bool, err
 // share on the node's disk, or records the instant the disk has room again.
 // Once the share's slice is booked whole, the slice of every member is run
 // into the member's checksum, and a member whose last slice it was is checked:
-// one that fails aborts its run with a holderError.
+// one that fails aborts its run with a holderError. Then, while the slice is
+// in the host's cache, it is folded into the sum of every row of the run on
+// the node, in place: sums over GF(2^8) add in any order, so the row's block
+// is the same whichever of its stages' nodes reads a slice first, and the
+// stage steps only book the forwards.
 func (l *stageLoop) read(ctx context.Context, r *diskReader) error {
 	blockSize := l.c.cfg.BlockSizeBytes
 	d := r.low
@@ -534,7 +642,8 @@ func (l *stageLoop) read(ctx context.Context, r *diskReader) error {
 	hi := min(lo+d.run.slice, blockSize)
 	bytes := len(d.blocks) * (hi - lo)
 	n := min(fabric.ChunkBytes, bytes-d.booked)
-	if r.wait = r.disk.Room(n); !r.wait.IsZero() {
+	r.wait = r.disk.Room(n)
+	if l.requeue(r); !r.wait.IsZero() {
 		return nil
 	}
 	arrival, err := r.disk.Book(ctx, n, d.run.start)
@@ -549,17 +658,27 @@ func (l *stageLoop) read(ctx context.Context, r *diskReader) error {
 	}
 	for i, b := range d.blocks {
 		d.sums[i] = b.Update(d.sums[i], lo, hi)
-		if hi < blockSize {
-			continue
+		if hi == blockSize {
+			if err := b.Check(d.sums[i]); err != nil {
+				l.c.replicaCorrupt(ctx, d.stripe, d.keys[i], r.node)
+				return l.abort(d.run, &holderError{holder{r.node, d.positions[i]}, d.stripe, err})
+			}
 		}
-		if err := b.Check(d.sums[i]); err != nil {
-			l.c.replicaCorrupt(ctx, d.stripe, d.keys[i], r.node)
-			return l.abort(d.run, &holderError{holder{r.node, d.positions[i]}, d.stripe, err})
+		for _, st := range d.stages {
+			if coef := st.row[d.positions[i]]; coef != 0 {
+				gf256.MulAddSlice(coef, b.Bytes()[lo:hi], st.sum(blockSize)[lo:hi])
+			}
 		}
 	}
 	d.arrived, d.booked = append(d.arrived, arrival), 0
-	r.pick()
-	d.run.schedule()
+	l.pick(r)
+	// The slice moves the run's earliest step only where a stage waits for it.
+	for _, st := range d.stages {
+		if st.done == len(d.arrived)-1 {
+			l.schedule(d.run)
+			break
+		}
+	}
 	return nil
 }
 
@@ -587,9 +706,10 @@ func (l *stageLoop) abort(run *stageRun, err error) error {
 func (l *stageLoop) leave(run *stageRun) {
 	run.closeStreams()
 	l.runs = slices.DeleteFunc(l.runs, func(r *stageRun) bool { return r == run })
+	l.unqueue(&run.step)
 	for _, r := range l.readers {
 		r.shares = slices.DeleteFunc(r.shares, func(d *diskShare) bool { return d.run == run })
-		r.pick()
+		l.pick(r)
 	}
 }
 
@@ -633,10 +753,10 @@ func later(a, b time.Time) time.Time {
 // covered once, planned toward the anchor (placement.PlanPipeline), which
 // takes no part in the fold unless it holds a member, and each row walks that
 // cover in a chain of its own ordered toward sinks[j] and against load
-// (placement.OrderPipeline): one stage per covered hop, all summing in place
-// into the block the loop makes at the row's first step, and a delivery stage
-// when the sink is no hop. With nothing but zeros to fold, the anchor
-// originates them. The stages of a hop share one diskShare of its members,
+// (placement.OrderPipeline): one stage per covered hop, whose members the
+// read-ahead sums in place into the row's block, made at its first use, and a
+// delivery stage when the sink is no hop. With nothing but zeros to fold, the
+// anchor originates them. The stages of a hop share one diskShare of its members,
 // the stored blocks taken unverified: the read-ahead verifies them slice by
 // slice before the run can end (stageLoop.read), so a bad member costs at most
 // its run's traffic and is re-planned around by the run's owner. A member
@@ -675,13 +795,18 @@ func (c *Cluster) foldStages(stripe topology.StripeID, rows [][]byte, holders []
 		sinkRack, _ := c.top.RackOf(sink) // an unknown sink fails when its stream opens
 		var up *chainStage
 		acc := new([]byte)
-		for _, h := range placement.OrderPipeline(cover, sink, sinkRack, load, sinks...) {
+		for _, h := range placement.OrderPipeline(cover, sink, sinkRack, load, j, sinks...) {
 			stages = newStage(stages, h.Node, up, acc)
 			up = stages[len(stages)-1]
-			up.row, up.disk = rows[j], shares[h.Node]
+			up.row = rows[j]
+			if d := shares[h.Node]; d != nil {
+				up.disk = d
+				d.stages = append(d.stages, up)
+			}
 		}
 		if up.node != sink {
 			stages = newStage(stages, sink, up, acc)
+			stages[len(stages)-1].row = rows[j]
 		}
 	}
 	return stages, nil
@@ -728,6 +853,9 @@ func (c *Cluster) foldLedger(stages []*chainStage, start, end time.Time) chainLe
 	if tel := c.metrics(); tel != nil {
 		busy := time.Duration(0)
 		for _, st := range stages {
+			if st.tFirst.IsZero() {
+				continue // the loop stepped it before the telemetry was attached
+			}
 			busy += st.tLast.Sub(st.tFirst)
 			tel.pipeHopFill.Observe(st.tFirst.Sub(start).Seconds())
 			tel.pipeHopDrain.Observe(end.Sub(st.tLast).Seconds())
@@ -787,7 +915,7 @@ func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placeme
 	}
 	rewrite := func(kept holder) error {
 		pending++
-		return c.foldMember(ctx, loop, sm, kept.pos, kept.node, bad, func() {}, func(block []byte, ledger chainLedger, err error) error {
+		return c.foldMember(ctx, loop, sm, kept.pos, kept.node, bad, func() {}, func(block blockstore.Sealed, ledger chainLedger, err error) error {
 			if err != nil {
 				return err
 			}
@@ -796,7 +924,7 @@ func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placeme
 				return err
 			}
 			_ = dn.Store.Delete(key(kept.pos)) // a copy already missing was the failure
-			if err := dn.Store.Adopt(key(kept.pos), blockstore.Own(block)); err != nil {
+			if err := dn.Store.Adopt(key(kept.pos), block); err != nil {
 				return err
 			}
 			sp.CrossRackDownloads += ledger.crossHops + ledger.crossDeliveries
@@ -839,7 +967,7 @@ func (c *Cluster) parityFold(ctx context.Context, loop *stageLoop, info *placeme
 			return fail(err)
 		}
 		run.fail = fail
-		run.finish = func(blocks [][]byte) error {
+		run.finish = func(blocks []blockstore.Sealed) error {
 			sp.Blocks = blocks
 			ledger := c.foldLedger(stages, run.start, run.end)
 			sp.CrossRackDownloads += ledger.crossHops

@@ -82,7 +82,7 @@ func (c *Cluster) chainFold(ctx context.Context, stripe topology.StripeID, rows 
 		return chainLedger{}, err
 	}
 	for j, b := range run.blocks() {
-		copy(out[j], b)
+		copy(out[j], b.Bytes())
 	}
 	return c.foldLedger(stages, run.start, run.end), nil
 }
@@ -231,12 +231,12 @@ func loseOneBlock(t *testing.T, c *Cluster, ids []topology.BlockID) (topology.Bl
 	return 0, nil, 0
 }
 
-// TestDegradedReadCrossRackBytes pins ROADMAP item 2's "one partial per
-// survivor rack": a degraded read of a dead member moves exactly one block
-// across the core per rack boundary of the chain planned over the survivors
-// the decode rule picks for the reading client (survivors) — measured at the
-// fabric, not at the engine's ledger — and never more than over the k lowest
-// surviving positions.
+// TestDegradedReadCrossRackBytes pins one partial sum per survivor rack, as
+// DESIGN.md ("One fold of one member") has it: a degraded read of a dead
+// member moves exactly one block across the core per rack boundary of the
+// chain planned over the survivors the decode rule picks for the reading
+// client (survivors) — measured at the fabric, not at the engine's ledger —
+// and never more than over the k lowest surviving positions.
 func TestDegradedReadCrossRackBytes(t *testing.T) {
 	cfg := Config{Racks: 4, NodesPerRack: 4, Policy: "ear", Replicas: 2,
 		K: 6, N: 9, C: 3, BlockSizeBytes: 8 << 10,
@@ -739,7 +739,7 @@ func TestConcurrentRepairSameStripe(t *testing.T) {
 
 // TestFoldSliceDerivation pins how a stage run sizes its slices: with streams
 // in series, the largest power of two within [4 KiB, fabric.ChunkBytes] that
-// fills the chain within 1/16 of the block time, or more where the anchor's
+// fills the chain within 1/32 of the block time, or more where the anchor's
 // NIC moves more than a slice in 100 µs at the fabric's current rate (an
 // unshaped fabric walks fabric.ChunkBytes); with a single stream deep,
 // fabric.ChunkBytes whatever the rate.
@@ -772,19 +772,20 @@ func TestFoldSliceDerivation(t *testing.T) {
 		}
 	}
 
-	// A megabyte block on 8 MiB/s links: the fill budget of 64 KiB a block
-	// sets the slice, down to the floor for a run 13 streams deep.
+	// A megabyte block on 8 MiB/s links: the fill budget of 32 KiB a block
+	// sets the slice, down to the floor for a run 9 streams deep.
 	cfg.BlockSizeBytes, cfg.BandwidthBytesPerSec = 1<<20, 8<<20
 	big := newCluster(t, cfg)
-	for streams, want := range map[int]int{1: 64 << 10, 2: 64 << 10, 3: 32 << 10, 5: 16 << 10, 9: 8 << 10, 13: 4 << 10} {
+	for streams, want := range map[int]int{1: 64 << 10, 2: 32 << 10, 3: 16 << 10, 5: 8 << 10, 9: 4 << 10, 13: 4 << 10} {
 		if got := big.foldSliceBytes(0, streams); got != want {
 			t.Errorf("slice of a 1 MiB block at 8 MiB/s, %d streams deep = %d, want %d", streams, got, want)
 		}
 	}
 	// The benchmark geometry: the 13-stream degraded read of 256 KiB blocks
-	// on 16 MiB/s links walks 4 KiB, an encode's 3-stream row chains 8 KiB.
+	// on 16 MiB/s links walks 4 KiB, and so does an encode's 3-stream row
+	// chain; a two-stream replicated write walks 8 KiB.
 	bench := newCluster(t, benchGeometry())
-	for streams, want := range map[int]int{1: 64 << 10, 2: 16 << 10, 3: 8 << 10, 4: 4 << 10, 5: 4 << 10, 13: 4 << 10} {
+	for streams, want := range map[int]int{1: 64 << 10, 2: 8 << 10, 3: 4 << 10, 4: 4 << 10, 5: 4 << 10, 13: 4 << 10} {
 		if got := bench.foldSliceBytes(0, streams); got != want {
 			t.Errorf("slice on the benchmark geometry, %d streams deep = %d, want %d", streams, got, want)
 		}

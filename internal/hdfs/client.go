@@ -150,7 +150,7 @@ func (c *Cluster) replicate(ctx context.Context, client topology.NodeID, meta *B
 	if err != nil {
 		return err
 	}
-	if m := c.metrics(); m != nil {
+	if m := c.metrics(); m != nil && !replicas[len(replicas)-1].tFirst.IsZero() {
 		m.pipeFill.Observe(replicas[len(replicas)-1].tFirst.Sub(run.start).Seconds())
 	}
 	for _, st := range replicas {
@@ -298,8 +298,8 @@ func (c *Cluster) DegradedReadCtx(ctx context.Context, client topology.NodeID, i
 	defer loop.close()
 	var out []byte
 	if err := loop.run(ctx, 1, func(int) (bool, error) {
-		return true, c.foldMember(ctx, loop, sm, pos, client, make(map[holder]bool), func() {}, func(block []byte, _ chainLedger, err error) error {
-			out = block
+		return true, c.foldMember(ctx, loop, sm, pos, client, make(map[holder]bool), func() {}, func(block blockstore.Sealed, _ chainLedger, err error) error {
+			out = block.Bytes()
 			return err
 		})
 	}); err != nil {

@@ -176,7 +176,8 @@ func TestEncodeStoresParityAsFolded(t *testing.T) {
 }
 
 // TestFoldAdmissionMakesNoBlocks pins that an admission only plans and opens
-// streams: the stage loop makes each fold's block at its row's first step. An
+// streams: the stage loop makes each fold row's block at its first use, after
+// the read-ahead's first booking for the run. An
 // encode job admits every stripe, and a recovery round every repair, before
 // the read-ahead books its first slice (readAheadKey), so the heap a job has
 // allocated by then is its admissions': less than a block a run, where blocks

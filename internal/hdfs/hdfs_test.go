@@ -61,6 +61,17 @@ func encodeAll(t *testing.T, c *Cluster) {
 	}
 }
 
+// clearStores drops every block c's data nodes hold, for a test or benchmark
+// done with a large layout before it ends: newCluster keeps every cluster
+// until then.
+func clearStores(c *Cluster) {
+	for n := 0; n < c.Topology().Nodes(); n++ {
+		if dn, err := c.DataNodeOf(topology.NodeID(n)); err == nil {
+			dn.Store.Clear()
+		}
+	}
+}
+
 // settled fails the test unless the goroutine count comes back down to
 // before: what the operation under test started must be gone when it has
 // returned. A run joins its goroutines, but one that has returned stays in

@@ -122,7 +122,9 @@ func TestOneClientBlockLatency(t *testing.T) {
 // pipeline (RapidRAID's: a pipelined chain costs one block time plus its
 // fill, not a block per hop). In a 3-replica write of a 1 MiB block on 8
 // MiB/s links replica 1 is the writer's own (unshaped here), so the block
-// crosses two network streams in series and takes B/R + s/R = 132.8125 ms;
+// crosses two network streams in series and takes B/R + s/R = 128.90625 ms
+// in 32 KiB slices (132.8125 ms in 64 KiB, while the fill's budget was a
+// sixteenth of the block time);
 // the limit is 0.6 x the 375 ms that r sequential block transfers cost a
 // store-and-forward chain.
 func TestPipelinedWriteLatency(t *testing.T) {

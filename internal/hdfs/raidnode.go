@@ -165,12 +165,12 @@ func (r *RaidNode) EncodeAllCtx(ctx context.Context) (EncodeStats, error) {
 }
 
 // StripeParity is one stripe's parity as a ParityFunc returns it: the m
-// blocks, which the encode stores as they are, their bytes already shaped all
+// blocks, sealed, which the encode stores as they are, their bytes already shaped all
 // the way to plan.Parity; the mask of aborted members, which have no bytes
 // anywhere and went in as zeros like short-stripe padding; and the stripe's
 // share of the three EncodeStats traffic figures.
 type StripeParity struct {
-	Blocks             [][]byte
+	Blocks             []blockstore.Sealed
 	Aborted            []bool
 	CrossRackDownloads int
 	PartialSumBytes    int64
@@ -430,7 +430,7 @@ func (c *Cluster) commitStripe(info *placement.StripeInfo, plan *placement.PostE
 		if err != nil {
 			return false, err
 		}
-		if err := dn.Store.Adopt(ParityKey(info.ID, j), blockstore.Own(sp.Blocks[j])); err != nil {
+		if err := dn.Store.Adopt(ParityKey(info.ID, j), sp.Blocks[j]); err != nil {
 			return false, fmt.Errorf("store parity %d on node %d: %w", j, node, err)
 		}
 	}
@@ -619,7 +619,7 @@ func (c *Cluster) crowdedMember(sm *StripeMeta, rackCount map[topology.RackID]in
 // the delete of the copy it moved away from, after which moved runs. An error
 // before the metadata commit leaves the source copy the recorded one.
 func (c *Cluster) relocateMember(ctx context.Context, loop *stageLoop, sm *StripeMeta, pos int, from, target topology.NodeID, moved func()) error {
-	return c.foldMember(ctx, loop, sm, pos, target, make(map[holder]bool), func() {}, func(block []byte, _ chainLedger, err error) error {
+	return c.foldMember(ctx, loop, sm, pos, target, make(map[holder]bool), func() {}, func(block blockstore.Sealed, _ chainLedger, err error) error {
 		if err == nil {
 			err = c.commitMember(sm, pos, target, block)
 		}

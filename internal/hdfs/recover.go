@@ -300,18 +300,19 @@ func (c *Cluster) repairAll(ctx context.Context, tasks []recoverTask, stats *Rec
 // decode otherwise. A run whose member fails its checksum as the loop reads
 // it is planned again without that holder (replan, which adds it to bad, the
 // caller's), and the new run joins the same loop. done gets the block the
-// loop made at the first step of the run that ended and the run's ledger, or
+// loop folded for the run that ended, sealed as it was folded, and the run's
+// ledger, or
 // the error of the plan, the admission or a run no re-plan is left for, and
 // returns the error that ends the loop, if any; the block is done's to keep.
 // release runs with the last run's.
-func (c *Cluster) foldMember(ctx context.Context, loop *stageLoop, sm *StripeMeta, pos int, sink topology.NodeID, bad map[holder]bool, release func(), done func([]byte, chainLedger, error) error) error {
+func (c *Cluster) foldMember(ctx context.Context, loop *stageLoop, sm *StripeMeta, pos int, sink topology.NodeID, bad map[holder]bool, release func(), done func(blockstore.Sealed, chainLedger, error) error) error {
 	var admit func() error
 	fail := func(err error) error {
 		if _, ok := replan(err, bad); ok {
 			return admit()
 		}
 		release()
-		return done(nil, chainLedger{}, err)
+		return done(blockstore.Sealed{}, chainLedger{}, err)
 	}
 	admit = func() error {
 		stages, err := c.rebuildStages(sm, pos, sink, bad, loop.load)
@@ -323,7 +324,7 @@ func (c *Cluster) foldMember(ctx context.Context, loop *stageLoop, sm *StripeMet
 			return fail(err)
 		}
 		run.release, run.fail = release, fail
-		run.finish = func(blocks [][]byte) error {
+		run.finish = func(blocks []blockstore.Sealed) error {
 			return done(blocks[0], c.foldLedger(stages, run.start, run.end), nil)
 		}
 		return nil
@@ -334,7 +335,7 @@ func (c *Cluster) foldMember(ctx context.Context, loop *stageLoop, sm *StripeMet
 // commitMember stores rebuilt member pos of stripe sm on target as it was
 // folded, then has the NameNode name the target if it is still alive:
 // metadata never leads bytes.
-func (c *Cluster) commitMember(sm *StripeMeta, pos int, target topology.NodeID, buf []byte) error {
+func (c *Cluster) commitMember(sm *StripeMeta, pos int, target topology.NodeID, block blockstore.Sealed) error {
 	dn, err := c.DataNodeOf(target)
 	if err != nil {
 		return err
@@ -344,7 +345,7 @@ func (c *Cluster) commitMember(sm *StripeMeta, pos int, target topology.NodeID, 
 	// supersedes it.
 	key := c.memberKey(sm, pos)
 	_ = dn.Store.Delete(key)
-	if err := dn.Store.Adopt(key, blockstore.Own(buf)); err != nil {
+	if err := dn.Store.Adopt(key, block); err != nil {
 		return err
 	}
 	// The target may have died since it was picked, under the fold or before
@@ -409,7 +410,7 @@ func (c *Cluster) repairMember(ctx context.Context, loop *stageLoop, t recoverTa
 		c.Journal().Publish(ev)
 	}
 	publish(events.RepairStarted, t.target, events.NoneNode, 0)
-	return c.foldMember(ctx, loop, sm, pos, t.target, make(map[holder]bool), end, func(block []byte, ledger chainLedger, err error) error {
+	return c.foldMember(ctx, loop, sm, pos, t.target, make(map[holder]bool), end, func(block blockstore.Sealed, ledger chainLedger, err error) error {
 		if err == nil {
 			err = c.commitMember(sm, pos, t.target, block)
 		}

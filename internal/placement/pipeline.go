@@ -112,7 +112,7 @@ func PlanPipeline(top *topology.Topology, replicas [][]topology.NodeID, sink top
 		hops = append(hops, hop)
 		delete(holds, best)
 	}
-	return OrderPipeline(hops, sink, sinkRack, nil), nil
+	return OrderPipeline(hops, sink, sinkRack, nil, 0), nil
 }
 
 // LinkLoad is a tally, in blocks, of what the folds a plan has admitted so
@@ -149,12 +149,15 @@ func (l LinkLoad) Rack(r topology.RackID, up bool) int { return l[loadKey{true, 
 // the sink itself terminal when it is a hop, so the chain ends there without
 // a delivery, and each of others that is a hop leading its rack's segment.
 // The chain's first rack and node receive nothing, so racks and then nodes
-// order by their downlinks' load, most first, then by ID. A fold with several
-// rows orders one cover once per row, toward that row's sink with the other
-// rows' sinks as others: a sink then heads its rack's segment in every chain
-// but its own, where it is the last hop, so it takes partial sums from a
-// rack-mate in its own chain only.
-func OrderPipeline(hops []PipelineHop, sink topology.NodeID, sinkRack topology.RackID, load LinkLoad, others ...topology.NodeID) []PipelineHop {
+// order by their downlinks' load, most first, then by ID: racks ascending,
+// nodes ascending in an even row and descending in an odd one. A fold with
+// several rows orders one cover once per row, toward that row's sink with the
+// other rows' sinks as others: a sink then heads its rack's segment in every
+// chain but its own, where it is the last hop, so it takes partial sums from a
+// rack-mate in its own chain only. Its rows walk the tied middle of a rack in
+// opposite orders, so a node that receives late in one row receives early in
+// the next and every downlink is busy from the first slice on.
+func OrderPipeline(hops []PipelineHop, sink topology.NodeID, sinkRack topology.RackID, load LinkLoad, row int, others ...topology.NodeID) []PipelineHop {
 	hops = slices.Clone(hops)
 	sort.SliceStable(hops, func(a, b int) bool {
 		ha, hb := hops[a], hops[b]
@@ -176,7 +179,7 @@ func OrderPipeline(hops []PipelineHop, sink topology.NodeID, sinkRack topology.R
 		if da, db := load.Node(ha.Node, false), load.Node(hb.Node, false); da != db {
 			return da > db
 		}
-		return ha.Node < hb.Node
+		return (ha.Node < hb.Node) == (row%2 == 0)
 	})
 	return hops
 }

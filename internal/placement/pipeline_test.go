@@ -188,7 +188,7 @@ func TestPlanPipelineRandomized(t *testing.T) {
 		// What a one-sink fold orders: the cover toward the sink, with the
 		// sink again as its only other sink.
 		sinkRack, _ := top.RackOf(sink)
-		if same := OrderPipeline(hops, sink, sinkRack, nil, sink); !reflect.DeepEqual(hops, same) {
+		if same := OrderPipeline(hops, sink, sinkRack, nil, 0, sink); !reflect.DeepEqual(hops, same) {
 			t.Fatalf("trial %d: naming the sink twice changed the plan:\n%v\n%v", trial, hops, same)
 		}
 		fmt.Fprint(plans, hops)
@@ -216,7 +216,7 @@ func TestPlanPipelineOtherSinksLead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hops := OrderPipeline(cover, tc.a, 1, nil, tc.a, tc.b, 9, 0)
+		hops := OrderPipeline(cover, tc.a, 1, nil, 0, tc.a, tc.b, 9, 0)
 		checkPipeline(t, top, replicas, tc.a, hops)
 		if len(hops) != 6 || hops[0].Node != 9 || hops[1].Node != 8 {
 			t.Fatalf("sinks %v: chain %v, want the remote segment led by node 9, then node 8", tc, hops)
@@ -250,7 +250,7 @@ func TestOrderPipelineOneCoverPerRow(t *testing.T) {
 	planned := slices.Clone(cover)
 	for _, sink := range sinks {
 		sinkRack, _ := top.RackOf(sink)
-		chain := OrderPipeline(cover, sink, sinkRack, nil, sinks...)
+		chain := OrderPipeline(cover, sink, sinkRack, nil, 0, sinks...)
 		checkPipeline(t, top, replicas, sink, chain)
 		if chain[len(chain)-1].Node != sink {
 			t.Errorf("chain toward %d ends at %d: %v", sink, chain[len(chain)-1].Node, chain)
@@ -266,6 +266,68 @@ func TestOrderPipelineOneCoverPerRow(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cover, planned) {
 		t.Errorf("ordering changed the cover: %v, was %v", cover, planned)
+	}
+}
+
+// TestOrderPipelineRowsWalkTiesOppositely orders one cover toward the two
+// sinks of a two-row fold, as an encode does, with nodes 6 and 7 of the
+// sinks' rack and nodes 8, 9 and 10 of a remote rack tied on their downlinks:
+// row 0 walks each rack's tied middle by ID ascending and row 1 descending,
+// so a node that receives third in one row receives second in the other,
+// while racks stay contiguous with the sinks' rack last, each row ends on its
+// sink and the other sink leads the rack. A tally that breaks the tie orders
+// both rows alike, most-loaded downlink first.
+func TestOrderPipelineRowsWalkTiesOppositely(t *testing.T) {
+	top, err := topology.New(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicas := [][]topology.NodeID{{4}, {5}, {6}, {7}, {8}, {9}, {10}}
+	sinks := []topology.NodeID{4, 5}
+	cover, err := PlanPipeline(top, replicas, sinks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// middles lists the nodes of the chain toward sinks[row] in rack r that
+	// are no sink, in chain order.
+	middles := func(load LinkLoad, row int, r topology.RackID) []topology.NodeID {
+		chain := OrderPipeline(cover, sinks[row], 1, load, row, sinks...)
+		checkPipeline(t, top, replicas, sinks[row], chain)
+		if last := chain[len(chain)-1].Node; last != sinks[row] {
+			t.Errorf("row %d: chain %v ends at %d, want its sink", row, chain, last)
+		}
+		if lead := chain[3].Node; lead != sinks[1-row] {
+			t.Errorf("row %d: chain %v: the sinks' rack is led by %d, want the other sink %d", row, chain, lead, sinks[1-row])
+		}
+		var out []topology.NodeID
+		for _, h := range chain {
+			if h.Rack == r && !slices.Contains(sinks, h.Node) {
+				out = append(out, h.Node)
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		rack      topology.RackID
+		even, odd []topology.NodeID
+		what      string
+	}{
+		{1, []topology.NodeID{6, 7}, []topology.NodeID{7, 6}, "the sinks' rack"},
+		{2, []topology.NodeID{8, 9, 10}, []topology.NodeID{10, 9, 8}, "the remote rack"},
+	} {
+		if got := middles(nil, 0, tc.rack); !slices.Equal(got, tc.even) {
+			t.Errorf("%s, row 0: tied middle %v, want %v", tc.what, got, tc.even)
+		}
+		if got := middles(nil, 1, tc.rack); !slices.Equal(got, tc.odd) {
+			t.Errorf("%s, row 1: tied middle %v, want %v", tc.what, got, tc.odd)
+		}
+	}
+	load := LinkLoad{}
+	load.Add(top, 0, 7)
+	for row := range sinks {
+		if got := middles(load, row, 1); !slices.Equal(got, []topology.NodeID{7, 6}) {
+			t.Errorf("row %d with node 7's downlink loaded: middle %v, want [7 6] in both rows", row, got)
+		}
 	}
 }
 
