@@ -35,7 +35,7 @@ package hdfs
 // store. The stage
 // loop (stageLoop) is one event loop on the caller's goroutine, with one
 // read-ahead per node for every fold it runs. An encode job folds the stripes
-// of all its map tasks (parityFold), and a recovery or BlockMover round its
+// of all its map tasks (parityFold), and a repair sweep's round (sweep) its
 // members, in one loop, each admitted once planned and committed once it
 // ends. Every fold of one member — a repair, a move, a degraded read, an
 // encode's rewrite of a kept copy — has one owner (foldMember), which

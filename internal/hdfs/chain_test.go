@@ -660,10 +660,17 @@ func TestRepairCancelCommitsNothing(t *testing.T) {
 // TestConcurrentRepairSameStripe loses two data blocks of one stripe and
 // repairs them concurrently — the -race run proves the shared decode cache,
 // the members' shared store views and pooled buffers tolerate concurrent
-// RepairBlock on the same stripe.
+// RepairBlock on the same stripe. The two repairs take the repair turn one
+// after the other, so the second plans against the first's commit: the
+// targets differ, and the PlacementMonitor and an attached auditor find the
+// stripe within rack fault tolerance.
 func TestConcurrentRepairSameStripe(t *testing.T) {
 	cfg := testConfig("ear") // (6,4): two erasures stay decodable
 	c := newCluster(t, cfg)
+	jrn := events.NewJournal(1 << 12)
+	c.SetJournal(jrn)
+	aud := audit.New(c.Topology(), audit.Config{Replicas: cfg.Replicas, C: cfg.C, CheckCoreRack: true})
+	aud.Attach(jrn)
 	rng := rand.New(rand.NewSource(31))
 	_, contents := writeBlocks(t, c, 4*cfg.K, rng)
 	encodeAll(t, c)
@@ -734,6 +741,13 @@ func TestConcurrentRepairSameStripe(t *testing.T) {
 		if !bytes.Equal(got, contents[victims[i]]) {
 			t.Fatalf("block %d repaired with wrong content", victims[i])
 		}
+	}
+	if targets[0] == targets[1] {
+		t.Errorf("both repairs of the stripe chose node %d", targets[0])
+	}
+	monitorClean(t, c)
+	if rep := aud.Report(); rep.Total() != 0 {
+		t.Errorf("auditor dirty after the concurrent repairs: %+v", rep)
 	}
 }
 

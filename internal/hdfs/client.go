@@ -318,30 +318,33 @@ func (c *Cluster) RepairBlock(id topology.BlockID) (topology.NodeID, error) {
 }
 
 // RepairBlockCtx rebuilds a lost block of an encoded stripe onto a fresh live
-// node and updates the NameNode, a recovery round of one repair. It returns
-// the chosen node. A block whose stripe is not yet encoded is still
-// replicated: its repair fails with ErrUnknownStripe, since the commit would
-// cut its replica set to the one copy.
+// node and updates the NameNode: a sweep that plans the block's member while
+// no live copy serves it. It returns the node chosen, or a live holder of a
+// block that was not lost, which folds nothing. A block whose stripe is not
+// yet encoded is still replicated: its repair fails with ErrUnknownStripe,
+// since the commit would cut its replica set to the one copy.
 func (c *Cluster) RepairBlockCtx(ctx context.Context, id topology.BlockID) (topology.NodeID, error) {
-	sm, pos, err := c.blockMember(id)
-	if err != nil {
-		return 0, err
-	}
-	if sm.Plan == nil {
-		return 0, fmt.Errorf("%w: stripe %d not encoded", ErrUnknownStripe, sm.Info.ID)
-	}
-	used, rackCount, err := c.stripeOccupancy(sm)
-	if err != nil {
-		return 0, err
-	}
-	target, err := c.pickTarget(sm.Info.ID, used, rackCount, nil)
-	if err != nil {
-		return 0, err
-	}
-	if err := c.repairAll(ctx, []recoverTask{{sm, pos, target}}, new(RecoveryStats)); err != nil {
-		return 0, err
-	}
-	return target, nil
+	var holder topology.NodeID
+	_, err := c.sweep(ctx, func() ([]recoverTask, error) {
+		sm, pos, err := c.blockMember(id)
+		if err != nil {
+			return nil, err
+		}
+		if sm.Plan == nil {
+			return nil, fmt.Errorf("%w: stripe %d not encoded", ErrUnknownStripe, sm.Info.ID)
+		}
+		if live, _, err := c.posHolders(sm, pos, nil); err != nil {
+			return nil, err
+		} else if len(live) > 0 {
+			holder = live[0]
+			return nil, nil
+		}
+		return []recoverTask{{sm: sm, pos: pos}}, nil
+	}, func(loop *stageLoop, t recoverTask, done func(error) error) error {
+		holder = t.target
+		return c.repairMember(ctx, loop, t, new(RecoveryStats), done)
+	})
+	return holder, err
 }
 
 // blockMember resolves a block to its stripe-member address: the stripe it

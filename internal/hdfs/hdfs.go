@@ -141,6 +141,9 @@ type Cluster struct {
 	// The indirection exists because the log opens (and may already fsync
 	// during recovery) before SetTelemetry runs.
 	fsyncObs *fsyncObserver
+
+	// turn is the one-slot repair turn each sweep holds (see sweep).
+	turn chan struct{}
 }
 
 // fsyncObserver adapts metalog's FsyncObserver callback to a telemetry
@@ -388,6 +391,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		bufPool:  erasure.NewBufferPool(),
 		fsyncObs: fsyncObs,
 		acct:     tenant.NewTable(),
+		turn:     make(chan struct{}, 1),
 	}
 	fab.SetAccounting(c.acct)
 	nn.setAccounting(c.acct)

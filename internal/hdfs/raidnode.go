@@ -535,114 +535,101 @@ func (r *RaidNode) BlockMover() (moved int, movedBytes int64, err error) {
 
 // BlockMoverCtx relocates members of violating stripes until each rack holds
 // at most c members of the stripe, returning the number of members moved and
-// the bytes of relocation traffic generated (the overhead EAR avoids). It
-// works in rounds. A round admits to one stage loop, stripe by stripe, one
-// move per violating stripe planned against the stripe's current layout — the
-// member crowdedMember names, to the node pickTarget names — each committed as
-// its fold ends (relocateMember); the next round plans again from the layout
-// they left, until no stripe has a move. The first error ends the pass.
+// the bytes of relocation traffic generated (the overhead EAR avoids). It is
+// a sweep whose planner names, for each stripe the PlacementMonitor flags,
+// the member crowdedMember names against the stripe's current layout, one a
+// stripe a round, moved as its fold ends (relocateMember), until no stripe
+// has a move. A failed move ends the pass; a member no node may take is
+// reported once the others have moved.
 func (r *RaidNode) BlockMoverCtx(ctx context.Context) (moved int, movedBytes int64, err error) {
 	c := r.c
 	bad, err := r.PlacementMonitor()
 	if err != nil {
 		return 0, 0, err
 	}
-	for {
-		loop := newStageLoop(c)
-		moving := false
-		err := loop.run(ctx, len(bad), func(i int) (bool, error) {
-			sm, err := c.nn.Stripe(bad[i])
+	moved, err = c.sweep(ctx, func() (planned []recoverTask, err error) {
+		for _, id := range bad {
+			sm, err := c.nn.Stripe(id)
 			if err != nil {
-				return false, err
+				return nil, err
 			}
-			used, rackCount, err := c.stripeOccupancy(sm)
+			move, err := c.crowdedMember(sm)
 			if err != nil {
-				return false, err
+				return nil, err
 			}
-			pos, from, err := c.crowdedMember(sm, rackCount)
-			if err != nil || pos < 0 {
-				return true, err
-			}
-			target, err := c.pickTarget(bad[i], used, rackCount, nil)
-			if err != nil {
-				return false, err
-			}
-			moving = true
-			return true, c.relocateMember(ctx, loop, sm, pos, from, target, func() {
-				moved++
-				movedBytes += int64(c.cfg.BlockSizeBytes)
-			})
-		})
-		loop.close()
-		if err != nil || !moving {
-			return moved, movedBytes, err
+			planned = append(planned, move...)
 		}
-	}
+		return planned, nil
+	}, func(loop *stageLoop, t recoverTask, done func(error) error) error {
+		return c.relocateMember(ctx, loop, t, done)
+	})
+	return moved, int64(moved * c.cfg.BlockSizeBytes), err
 }
 
-// crowdedMember returns the lowest position of the stripe (data before
-// parity) whose only live copy sits in a rack holding more than c of the
-// stripe's members, and the node holding it. The position is -1 when no rack
-// is over-full; an over-full rack that holds no such copy is an error. The
-// same state always names the same member.
-func (c *Cluster) crowdedMember(sm *StripeMeta, rackCount map[topology.RackID]int) (int, topology.NodeID, error) {
+// crowdedMember returns the BlockMover's move of the stripe, if any: its lowest
+// position (data before parity) whose only live copy sits in a rack holding
+// more than c of its members, from that copy's node. An over-full rack holding
+// no such copy is an error. The same state always names the same member.
+func (c *Cluster) crowdedMember(sm *StripeMeta) ([]recoverTask, error) {
+	_, rackCount, err := c.stripeOccupancy(sm)
+	if err != nil {
+		return nil, err
+	}
 	for pos := 0; pos < c.cfg.N; pos++ {
 		live, _, err := c.posHolders(sm, pos, nil)
 		if err != nil {
-			return -1, 0, err
+			return nil, err
 		}
 		if len(live) != 1 {
 			continue
 		}
 		rk, err := c.top.RackOf(live[0])
 		if err != nil {
-			return -1, 0, err
+			return nil, err
 		}
 		if rackCount[rk] > c.maxPerRack() {
-			return pos, live[0], nil
+			return []recoverTask{{sm: sm, pos: pos, from: live[0]}}, nil
 		}
 	}
 	for _, cnt := range rackCount {
 		if cnt > c.maxPerRack() {
-			return -1, 0, fmt.Errorf("hdfs: stripe %d: an over-full rack holds no sole copy to move", sm.Info.ID)
+			return nil, fmt.Errorf("hdfs: stripe %d: an over-full rack holds no sole copy to move", sm.Info.ID)
 		}
 	}
-	return -1, 0, nil
+	return nil, nil
 }
 
-// relocateMember admits to the loop the BlockMover's move of member pos of
-// the stripe from its only holder to target: a rebuild at the target
-// (foldMember, committed by commitMember — while the source copy reads clean
-// the fold is a copy of it through the source's disk and the network, and a
-// corrupt one is rebuilt from the rest of the stripe instead of failing the
-// pass), then the ReplicaRelocated event and, only now that the NameNode names the new holder,
-// the delete of the copy it moved away from, after which moved runs. An error
-// before the metadata commit leaves the source copy the recorded one.
-func (c *Cluster) relocateMember(ctx context.Context, loop *stageLoop, sm *StripeMeta, pos int, from, target topology.NodeID, moved func()) error {
-	return c.foldMember(ctx, loop, sm, pos, target, make(map[holder]bool), func() {}, func(block blockstore.Sealed, _ chainLedger, err error) error {
+// relocateMember admits to the loop the BlockMover's move of member t.pos of
+// stripe t.sm from its only holder t.from to t.target: a rebuild at the target
+// (foldMember, committed by commitMember: a copy of the source while it reads
+// clean, a decode from the rest of the stripe when it is corrupt), then the
+// ReplicaRelocated event and, only now that the NameNode names the new holder,
+// the delete of the source copy, reported to done. A failure ends the loop;
+// one before the metadata commit leaves the source copy the recorded one.
+func (c *Cluster) relocateMember(ctx context.Context, loop *stageLoop, t recoverTask, done func(error) error) error {
+	return c.foldMember(ctx, loop, t.sm, t.pos, t.target, make(map[holder]bool), func() {}, func(block blockstore.Sealed, _ chainLedger, err error) error {
 		if err == nil {
-			err = c.commitMember(sm, pos, target, block)
+			err = c.commitMember(t.sm, t.pos, t.target, block)
 		}
 		if err != nil {
 			return err
 		}
 		ev := events.New(events.ReplicaRelocated, "blockmover")
-		ev.Stripe, ev.Node, ev.Peer = sm.Info.ID, from, target
+		ev.Stripe, ev.Node, ev.Peer = t.sm.Info.ID, t.from, t.target
 		ev.Bytes = int64(c.cfg.BlockSizeBytes)
-		if pos < c.cfg.K {
-			ev.Block = sm.Info.Blocks[pos]
+		if t.pos < c.cfg.K {
+			ev.Block = t.sm.Info.Blocks[t.pos]
 		} else {
 			ev.Detail = "parity"
 		}
 		c.Journal().Publish(ev)
-		dn, err := c.DataNodeOf(from)
+		dn, err := c.DataNodeOf(t.from)
+		if err == nil {
+			err = dn.Store.Delete(c.memberKey(t.sm, t.pos))
+		}
 		if err != nil {
 			return err
 		}
-		if err := dn.Store.Delete(c.memberKey(sm, pos)); err != nil {
-			return err
-		}
-		moved()
-		return nil
+		return done(nil)
 	})
 }

@@ -1,19 +1,17 @@
 package hdfs
 
 // Full-node recovery. When a DataNode dies, every encoded stripe that kept a
-// member there needs one reconstruction — hundreds of independent repairs
-// whose aggregate wall time is what the durability exposure window actually
-// measures. Following the deterministic-recovery observation (D3:
-// deterministic data distribution turns recovery into a balanced parallel
-// job), RecoverNode enumerates the lost members, assigns every repair a
-// target with a deterministic least-loaded-first rule balanced across
-// surviving racks and nodes (pickTarget), folds a round's repairs in one
-// stage loop on the sweep's goroutine, in plan order and sharing each node's
-// read-ahead, and plans again from what they left until nothing it can fix is
-// lost. Each repair folds its decode row along the chain (foldMember),
-// commits as its fold ends and publishes the usual RepairStarted/Finished
-// lifecycle, so the progress tracker folds the sweep into the
-// durability-exposure ledger; NodeRecoveryStarted/Finished bracket the sweep.
+// member there needs one reconstruction, and the repairs' aggregate wall time
+// is the durability exposure window. Following D3 (deterministic data
+// distribution turns recovery into a balanced parallel job), RecoverNode's
+// sweep assigns every repair a target by a deterministic least-loaded-first
+// rule balanced across surviving racks and nodes (pickTarget), folds a round's
+// repairs in one stage loop, in plan order and sharing each node's read-ahead,
+// and plans again from what they left until nothing it can fix is lost. Each
+// repair folds its decode row along the chain (foldMember), commits as its
+// fold ends and publishes RepairStarted/Finished, so the progress tracker
+// folds the sweep into the exposure ledger; NodeRecoveryStarted/Finished
+// bracket it.
 
 import (
 	"context"
@@ -68,12 +66,13 @@ func recoveryThroughputMBps(bytes int64, d time.Duration) float64 {
 	return float64(bytes) / (1 << 20) / d.Seconds()
 }
 
-// recoverTask is one planned reconstruction: lost position pos of stripe sm,
-// rebuilt onto target.
+// recoverTask is one planned fold of a sweep: member pos of stripe sm rebuilt
+// onto target. A BlockMover move then deletes the copy on from.
 type recoverTask struct {
 	sm     *StripeMeta
 	pos    int
 	target topology.NodeID
+	from   topology.NodeID
 }
 
 // maxPerRack is the most members of one stripe a rack may hold (c, at least
@@ -82,17 +81,13 @@ func (c *Cluster) maxPerRack() int {
 	return max(c.cfg.C, 1)
 }
 
-// stripeOccupancy maps which live nodes already hold a member of the
+// stripeOccupancy maps which live nodes already hold a member of the encoded
 // stripe and how many members each rack keeps — the fault-tolerance
 // constraints a repair target must respect.
 func (c *Cluster) stripeOccupancy(sm *StripeMeta) (map[topology.NodeID]bool, map[topology.RackID]int, error) {
 	used := make(map[topology.NodeID]bool)
 	rackCount := make(map[topology.RackID]int)
-	n := c.cfg.N
-	if sm.Plan == nil {
-		n = len(sm.Info.Blocks) // not encoded yet: no parity position is held
-	}
-	for pos := 0; pos < n; pos++ {
+	for pos := 0; pos < c.cfg.N; pos++ {
 		live, _, err := c.posHolders(sm, pos, nil)
 		if err != nil {
 			return nil, nil, err
@@ -109,26 +104,17 @@ func (c *Cluster) stripeOccupancy(sm *StripeMeta) (map[topology.NodeID]bool, map
 	return used, rackCount, nil
 }
 
-// pickTarget chooses the node that takes a member of the stripe, given the
-// stripe's occupancy (stripeOccupancy): the one answer to "which node takes
-// this member" under repair (RepairBlockCtx), node recovery (planNodeRecovery)
-// and the BlockMover (BlockMoverCtx). A node is eligible when it is live, not in
-// used, and in a rack holding fewer than c members of the stripe; among the
-// eligible the least (load on the node, load on its rack, rack holds no member
-// of the stripe, ring distance from node stripe mod nodes) wins. load counts
-// the members a sweep has already assigned, so a sweep spreads its repairs
-// least-loaded-first; a one-off repair (nil load reads as zero) lands beside
-// survivors, which minimizes cross-rack recovery traffic (Section III-D); and
-// the same arguments and liveness always give the same node.
-func (c *Cluster) pickTarget(stripe topology.StripeID, used map[topology.NodeID]bool, rackCount map[topology.RackID]int, load map[topology.NodeID]int) (topology.NodeID, error) {
-	rackLoad := make(map[topology.RackID]int)
-	for n, l := range load {
-		r, err := c.top.RackOf(n)
-		if err != nil {
-			return 0, err
-		}
-		rackLoad[r] += l
-	}
+// pickTarget chooses the node that takes a member of the stripe for its one
+// caller, assignTargets, given the stripe's occupancy (stripeOccupancy) and
+// the members the round has assigned to each node (load) and rack (rackLoad).
+// A node is eligible when it is live, not in used, and in a rack holding fewer
+// than c members of the stripe; among the eligible the least (load on the
+// node, load on its rack, rack holds no member of the stripe, ring distance
+// from node stripe mod nodes) wins, so a round spreads its repairs
+// least-loaded-first and, at equal load, beside survivors, which minimizes
+// cross-rack recovery traffic (Section III-D). The same arguments and
+// liveness always give the same node.
+func (c *Cluster) pickTarget(stripe topology.StripeID, used map[topology.NodeID]bool, rackCount map[topology.RackID]int, load map[topology.NodeID]int, rackLoad map[topology.RackID]int) (topology.NodeID, error) {
 	nodes := c.top.Nodes()
 	start := int(uint64(stripe) % uint64(nodes))
 	best, bestKey := topology.NodeID(-1), [3]int{}
@@ -157,78 +143,122 @@ func (c *Cluster) pickTarget(stripe topology.StripeID, used map[topology.NodeID]
 	return best, nil
 }
 
-// planNodeRecovery enumerates every stripe member lost with the dead node
-// and assigns each reconstruction a target (pickTarget, loaded with the
-// plan's own assignments so far). A data block counts as lost only when no
-// live replica remains anywhere; aborted members encode as zeros and need no
-// repair. A lost member no node is eligible for gets no task: it is reported
-// in stuck, one error a member, and the rest of the plan stands.
-func (c *Cluster) planNodeRecovery(dead topology.NodeID) (tasks []recoverTask, stuck []error, err error) {
-	load := make(map[topology.NodeID]int)
-	for _, sid := range c.nn.EncodedStripes() {
-		sm, err := c.nn.Stripe(sid)
-		if err != nil {
-			return nil, nil, err
-		}
-		var lost []int
-		for pos := 0; pos < c.cfg.N; pos++ {
-			recorded, err := c.recordedHolders(sm, pos)
-			if err != nil {
+// assignTargets gives each planned member, a stripe's next to each other, a
+// target: one stripeOccupancy a stripe, then pickTarget loaded with the
+// round's picks so far, each taken into the occupancy. A member no node may
+// take gets no task but an error in stuck; the rest of the plan stands.
+func (c *Cluster) assignTargets(planned []recoverTask) (tasks []recoverTask, stuck []error, err error) {
+	load, rackLoad := make(map[topology.NodeID]int), make(map[topology.RackID]int)
+	var used map[topology.NodeID]bool
+	var rackCount map[topology.RackID]int
+	for i, t := range planned {
+		if i == 0 || t.sm.Info.ID != planned[i-1].sm.Info.ID {
+			if used, rackCount, err = c.stripeOccupancy(t.sm); err != nil {
 				return nil, nil, err
 			}
-			if !slices.Contains(recorded, dead) {
-				continue
-			}
-			// A member another live replica still serves is re-replication
-			// territory (BlockMover), not reconstruction.
-			if _, known, err := c.posHolders(sm, pos, nil); err != nil {
-				return nil, nil, err
-			} else if !known {
-				lost = append(lost, pos)
-			}
 		}
-		if len(lost) == 0 {
+		target, err := c.pickTarget(t.sm.Info.ID, used, rackCount, load, rackLoad)
+		if errors.Is(err, ErrNoReplica) {
+			stuck = append(stuck, fmt.Errorf("position %d: %w", t.pos, err))
 			continue
 		}
-		used, rackCount, err := c.stripeOccupancy(sm)
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, pos := range lost {
-			target, err := c.pickTarget(sid, used, rackCount, load)
-			if errors.Is(err, ErrNoReplica) {
-				stuck = append(stuck, fmt.Errorf("position %d: %w", pos, err))
-				continue
-			}
-			if err != nil {
-				return nil, nil, err
-			}
-			r, err := c.top.RackOf(target)
-			if err != nil {
-				return nil, nil, err
-			}
-			used[target] = true
-			rackCount[r]++
-			load[target]++
-			tasks = append(tasks, recoverTask{sm, pos, target})
-		}
+		r, _ := c.top.RackOf(target) // pickTarget has resolved it
+		used[target] = true
+		rackCount[r]++
+		load[target]++
+		rackLoad[r]++
+		t.target = target
+		tasks = append(tasks, t)
 	}
 	return tasks, stuck, nil
 }
 
+// sweep is the one repair drain of RecoverNode, RepairBlockCtx and the
+// BlockMover. It holds the repair turn, a channel a canceled waiter leaves,
+// from its first plan to its last commit, so that every plan sees every earlier
+// sweep's commits. plan returns, against the committed layout, the members that
+// need a new holder, a stripe's next to each other; fold admits one to the loop
+// and reports its commit (nil) or failure to done, or ends the loop. Each round
+// assigns targets, folds in one stage loop, and leaves the next round to plan
+// again (a target that died under its fold commits nothing), until nothing is
+// planned, a round commits nothing or fails, or ctx ends. It returns its
+// commits and the last round's failures joined.
+func (c *Cluster) sweep(ctx context.Context, plan func() ([]recoverTask, error), fold func(loop *stageLoop, t recoverTask, done func(error) error) error) (committed int, err error) {
+	select {
+	case c.turn <- struct{}{}:
+		defer func() { <-c.turn }()
+	case <-ctx.Done():
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	for {
+		planned, err := plan()
+		if err != nil {
+			return committed, err
+		}
+		tasks, failed, err := c.assignTargets(planned)
+		if err != nil || len(tasks) == 0 {
+			return committed, errors.Join(append(failed, err)...)
+		}
+		before := committed
+		loop := newStageLoop(c)
+		err = loop.run(ctx, len(tasks), func(i int) (bool, error) {
+			return true, fold(loop, tasks[i], func(err error) error {
+				if err == nil {
+					committed++
+				} else if ctx.Err() == nil {
+					failed, err = append(failed, err), nil
+				}
+				return err
+			})
+		})
+		loop.close()
+		if err != nil || committed == before || ctx.Err() != nil {
+			return committed, errors.Join(append(failed, err)...)
+		}
+	}
+}
+
+// lostWith is RecoverNode's planner: each member of an encoded stripe recorded
+// on the dead node that no live copy serves. A block another live replica
+// still serves is re-replication territory; an aborted one encodes as zeros.
+func (c *Cluster) lostWith(dead topology.NodeID) (lost []recoverTask, err error) {
+	for _, sid := range c.nn.EncodedStripes() {
+		sm, err := c.nn.Stripe(sid)
+		if err != nil {
+			return nil, err
+		}
+		for pos := 0; pos < c.cfg.N; pos++ {
+			recorded, err := c.recordedHolders(sm, pos)
+			if err != nil {
+				return nil, err
+			}
+			if !slices.Contains(recorded, dead) {
+				continue
+			}
+			if _, known, err := c.posHolders(sm, pos, nil); err != nil {
+				return nil, err
+			} else if !known {
+				lost = append(lost, recoverTask{sm: sm, pos: pos})
+			}
+		}
+	}
+	return lost, nil
+}
+
 // RecoverNode reconstructs every stripe member lost with the dead node, which
-// must already be marked dead (MarkDead). It plans what is still lost
-// (planNodeRecovery), folds them in one round (repairAll), and plans again
-// from the state they left, until a round finds nothing left or repairs
-// nothing, or ctx ends: a repair whose target died under it commits nothing
-// (commitMember) and the next round gives its member another target. Each
+// must already be marked dead (MarkDead): a sweep planned by lostWith. Each
 // repair commits with staged stores and publishes its own lifecycle events,
-// so a failed or canceled sweep leaves every completed repair durable and
-// every unfinished one uncommitted — rerunning RecoverNode picks up exactly the
-// remainder. A repair that fails (a stripe with more erasures than parity)
-// stops no sibling: the sweep counts in RecoveryStats.Unrecovered what its first
-// plan found lost and no round repaired, and returns the last round's failures
-// joined.
+// so a failed or canceled sweep leaves every completed repair durable and the
+// rest uncommitted, and rerunning RecoverNode picks up exactly the remainder;
+// one canceled while it waits for the repair turn commits nothing. A failed
+// repair (more erasures than parity) stops no sibling: RecoveryStats.Unrecovered
+// counts what the first plan found lost and no round repaired, and the last
+// round's failures are returned joined.
 func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (RecoveryStats, error) {
 	stats := RecoveryStats{Node: dead}
 	if !c.nn.IsDead(dead) {
@@ -239,57 +269,31 @@ func (c *Cluster) RecoverNode(ctx context.Context, dead topology.NodeID) (Recove
 	span.Arg("node", strconv.Itoa(int(dead)))
 	defer span.End()
 
-	tasks, errs, err := c.planNodeRecovery(dead)
-	if err != nil {
-		return stats, err
-	}
-	lost := len(tasks) + len(errs)
-	span.Arg("lost", strconv.Itoa(lost))
 	publish := func(t events.Type, bytes int64, detail string) {
 		ev := events.New(t, "raidnode")
 		ev.Node, ev.Bytes, ev.Detail = dead, bytes, detail
 		ev.Trace = telemetry.TraceFromContext(ctx)
 		c.Journal().Publish(ev)
 	}
-	publish(events.NodeRecoveryStarted, 0, strconv.Itoa(lost))
-	repaired := 0
-	for len(tasks) > 0 {
-		before := repaired
-		errs = append(errs, c.repairAll(ctx, tasks, &stats))
-		repaired = stats.BlocksRepaired + stats.ParityRepaired
-		if repaired == before || ctx.Err() != nil {
-			break
+	lost := -1
+	repaired, err := c.sweep(ctx, func() ([]recoverTask, error) {
+		planned, err := c.lostWith(dead)
+		if err == nil && lost < 0 {
+			lost = len(planned)
+			span.Arg("lost", strconv.Itoa(lost))
+			publish(events.NodeRecoveryStarted, 0, strconv.Itoa(lost))
 		}
-		// What the round left lost, planned against the state it left.
-		if tasks, errs, err = c.planNodeRecovery(dead); err != nil {
-			errs = []error{err}
-		}
+		return planned, err
+	}, func(loop *stageLoop, t recoverTask, done func(error) error) error {
+		return c.repairMember(ctx, loop, t, &stats, done)
+	})
+	if lost < 0 {
+		return stats, err
 	}
 	stats.Unrecovered = lost - repaired
 	stats.Duration = time.Since(t0)
 	publish(events.NodeRecoveryFinished, stats.BytesRepaired, fmt.Sprintf("%d repaired, %d unrecovered", repaired, stats.Unrecovered))
-	return stats, errors.Join(errs...)
-}
-
-// repairAll runs one round of a sweep: the planned repairs admitted in plan
-// order to one stage loop, each folded into stats as it commits, the failures
-// returned joined. A failed repair stops no sibling; a canceled ctx ends the
-// round and is reported once.
-func (c *Cluster) repairAll(ctx context.Context, tasks []recoverTask, stats *RecoveryStats) error {
-	loop := newStageLoop(c)
-	defer loop.close()
-	var failed []error
-	fail := func(err error) error {
-		if ctx.Err() != nil {
-			return err
-		}
-		failed = append(failed, err)
-		return nil
-	}
-	if err := loop.run(ctx, len(tasks), func(i int) (bool, error) { return true, c.repairMember(ctx, loop, tasks[i], stats, fail) }); err != nil {
-		failed = append(failed, err)
-	}
-	return errors.Join(failed...)
+	return stats, err
 }
 
 // foldMember admits to the loop the fold of member pos of stripe sm into a
@@ -366,8 +370,8 @@ func (c *Cluster) commitMember(sm *StripeMeta, pos int, target topology.NodeID, 
 // with the run, the RepairStarted/RepairFinished lifecycle, the events that
 // retire the member's earlier holders, repair telemetry, the tenant charge and
 // the repair's share of stats. Events of a parity row carry Detail "parity"
-// and no Block. A failure goes to fail, whose error ends the loop.
-func (c *Cluster) repairMember(ctx context.Context, loop *stageLoop, t recoverTask, stats *RecoveryStats, fail func(error) error) error {
+// and no Block. The commit or failure goes to done, whose error ends the loop.
+func (c *Cluster) repairMember(ctx context.Context, loop *stageLoop, t recoverTask, stats *RecoveryStats, done func(error) error) error {
 	t0 := time.Now()
 	sm, pos := t.sm, t.pos
 	// Repair is background work with no requester context: run it under the
@@ -399,7 +403,7 @@ func (c *Cluster) repairMember(ctx context.Context, loop *stageLoop, t recoverTa
 	old, err := c.recordedHolders(sm, pos)
 	if err != nil {
 		end()
-		return fail(err)
+		return done(err)
 	}
 	size := int64(c.cfg.BlockSizeBytes)
 	publish := func(typ events.Type, node, peer topology.NodeID, bytes int64) {
@@ -415,7 +419,7 @@ func (c *Cluster) repairMember(ctx context.Context, loop *stageLoop, t recoverTa
 			err = c.commitMember(sm, pos, t.target, block)
 		}
 		if err != nil {
-			return fail(err)
+			return done(err)
 		}
 		publish(events.RepairFinished, t.target, events.NoneNode, size)
 		// The repair supersedes the member's prior locations (typically a dead
@@ -449,6 +453,6 @@ func (c *Cluster) repairMember(ctx context.Context, loop *stageLoop, t recoverTa
 		stats.BytesRepaired += size
 		stats.CrossRackBytes += cross
 		stats.TotalBytes += int64((ledger.hops + ledger.deliveries) * c.cfg.BlockSizeBytes)
-		return nil
+		return done(nil)
 	})
 }

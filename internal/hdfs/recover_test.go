@@ -5,13 +5,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"ear/internal/events"
+	"ear/internal/events/audit"
 	"ear/internal/progress"
 	"ear/internal/telemetry"
 	"ear/internal/topology"
@@ -23,6 +26,17 @@ func recoverGeometry() Config {
 	return Config{Racks: 4, NodesPerRack: 4, Policy: "ear", Replicas: 2,
 		K: 6, N: 9, C: 3, BlockSizeBytes: 8 << 10,
 		BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 7}
+}
+
+// planNodeRecovery is the first round a RecoverNode sweep of the dead node
+// would run from the current state: its planner's members with their targets,
+// and one error for each member no node may take.
+func (c *Cluster) planNodeRecovery(dead topology.NodeID) ([]recoverTask, []error, error) {
+	lost, err := c.lostWith(dead)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c.assignTargets(lost)
 }
 
 // TestRecoverNode drives a full-node failure through the parallel recovery
@@ -555,6 +569,134 @@ func TestRecoverNodeStuckMember(t *testing.T) {
 	}
 }
 
+// TestConcurrentRecoverNodes kills nodes 0 and 4, in racks 0 and 1, and
+// recovers both at once on ten seeds. With c = 1 a stripe that lost a member
+// on each may take either replacement in either rack, so two sweeps planning
+// at once can stack both in one; sweeps take the repair turn one after the
+// other, so the second plans against the first's commits. Every seed ends
+// with nothing recorded on a dead node, the PlacementMonitor and an attached
+// auditor clean, and every block reading back its payload.
+func TestConcurrentRecoverNodes(t *testing.T) {
+	cfg := testConfig("ear")
+	dead := []topology.NodeID{0, 4}
+	for seed := int64(1); seed <= 10; seed++ {
+		t.Run(fmt.Sprintf("seed %d", seed), func(t *testing.T) {
+			c := newCluster(t, cfg)
+			jrn := events.NewJournal(1 << 12)
+			c.SetJournal(jrn)
+			aud := audit.New(c.Topology(), audit.Config{Replicas: cfg.Replicas, C: cfg.C, CheckCoreRack: true})
+			aud.Attach(jrn)
+			ids, contents := writeBlocks(t, c, 8*cfg.K, rand.New(rand.NewSource(seed)))
+			encodeAll(t, c)
+			for _, n := range dead {
+				c.NameNode().MarkDead(n)
+			}
+			stats := make([]RecoveryStats, len(dead))
+			errs := make([]error, len(dead))
+			var wg sync.WaitGroup
+			for i, n := range dead {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					stats[i], errs[i] = c.RecoverNode(context.Background(), n)
+				}()
+			}
+			wg.Wait()
+			for i, n := range dead {
+				if errs[i] != nil || stats[i].Unrecovered != 0 {
+					t.Fatalf("RecoverNode(%d) = %+v, %v", n, stats[i], errs[i])
+				}
+				if left := recordedOn(t, c, n); len(left) != 0 {
+					t.Errorf("members %v still recorded on dead node %d", left, n)
+				}
+			}
+			monitorClean(t, c)
+			if rep := aud.Report(); rep.Total() != 0 {
+				t.Errorf("auditor dirty after the concurrent recoveries: %+v", rep)
+			}
+			for _, id := range ids {
+				if got, err := c.ReadBlock(1, id); err != nil || !bytes.Equal(got, contents[id]) {
+					t.Errorf("block %d does not read back its payload (%v)", id, err)
+				}
+			}
+		})
+	}
+}
+
+// TestRecoverNodeWaitsForTurn holds the repair turn, as a sweep in progress
+// does, and calls RecoverNode under a deadline: the call waits, returns the
+// context's error once the deadline passes, and has journaled and committed
+// nothing. With the turn free the same call recovers the node.
+func TestRecoverNodeWaitsForTurn(t *testing.T) {
+	cfg := recoverGeometry()
+	c := newCluster(t, cfg)
+	jrn := events.NewJournal(1 << 12)
+	c.SetJournal(jrn)
+	ids, contents := writeBlocks(t, c, 2*cfg.K, rand.New(rand.NewSource(41)))
+	encodeAll(t, c)
+	dead := busiestDataNode(t, c)
+	c.NameNode().MarkDead(dead)
+	held := recordedOn(t, c, dead)
+	if len(held) == 0 {
+		t.Fatalf("node %d holds no member", dead)
+	}
+
+	c.turn <- struct{}{}
+	seq := jrn.Seq()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	stats, err := c.RecoverNode(ctx, dead)
+	if !errors.Is(err, context.DeadlineExceeded) || stats.BlocksRepaired+stats.ParityRepaired != 0 {
+		t.Fatalf("RecoverNode waiting for the turn = %+v, %v; want nothing repaired and the deadline", stats, err)
+	}
+	if got := jrn.Seq(); got != seq {
+		t.Errorf("a call that never had the turn published %d events", got-seq)
+	}
+	if left := recordedOn(t, c, dead); !slices.Equal(left, held) {
+		t.Errorf("members recorded on node %d went from %v to %v", dead, held, left)
+	}
+	<-c.turn
+
+	stats, err = c.RecoverNode(context.Background(), dead)
+	if err != nil || stats.Unrecovered != 0 || stats.BlocksRepaired+stats.ParityRepaired != len(held) {
+		t.Fatalf("RecoverNode with the turn free = %+v, %v; want the %d members repaired", stats, err, len(held))
+	}
+	for _, id := range ids {
+		if got, err := c.ReadBlock(1, id); err != nil || !bytes.Equal(got, contents[id]) {
+			t.Errorf("block %d does not read back its payload (%v)", id, err)
+		}
+	}
+}
+
+// TestRepairLiveBlockFoldsNothing repairs a block of an encoded stripe whose
+// holder is alive: nothing is lost, so the sweep plans nothing. The call
+// returns the live holder and leaves the NameNode's record, the journal and
+// the fabric's byte counts as they were — no rebuilt copy beside the old one,
+// which the commit would leave in its store unreferenced.
+func TestRepairLiveBlockFoldsNothing(t *testing.T) {
+	c := newTestCluster(t, "ear")
+	jrn := events.NewJournal(1 << 12)
+	c.SetJournal(jrn)
+	ids, _ := writeBlocks(t, c, 8, rand.New(rand.NewSource(8)))
+	encodeAll(t, c)
+	b := ids[1]
+	holder := soleHolder(t, c, b)
+	seq, before := jrn.Seq(), c.Fabric().Snapshot()
+	got, err := c.RepairBlock(b)
+	if err != nil || got != holder {
+		t.Fatalf("RepairBlock of a live block = (%d, %v), want its holder %d", got, err, holder)
+	}
+	if after := soleHolder(t, c, b); after != holder {
+		t.Errorf("block %d moved from node %d to node %d", b, holder, after)
+	}
+	if evs, _, _ := jrn.Since(seq, 0, events.Filter{}); len(evs) != 0 {
+		t.Errorf("RepairBlock of a live block published %d events, the first %s", len(evs), evs[0].Type)
+	}
+	if after := c.Fabric().Snapshot(); !maps.Equal(after.ClassBytes, before.ClassBytes) {
+		t.Errorf("RepairBlock of a live block moved bytes: %v -> %v", before.ClassBytes, after.ClassBytes)
+	}
+}
+
 // TestPickTarget walks pickTarget through the edge cases a rack allocator
 // gets wrong (an index advanced before use, a continue that does not advance,
 // a walk that never ends when everything is excluded): with nothing eligible
@@ -615,8 +757,12 @@ func TestPickTarget(t *testing.T) {
 			for _, n := range tc.used {
 				used[n] = true
 			}
+			rackLoad := make(map[topology.RackID]int)
+			for n, l := range tc.load {
+				rackLoad[topology.RackID(int(n)/tc.cfg.NodesPerRack)] += l
+			}
 			for run := 0; run < 100; run++ {
-				got, err := c.pickTarget(tc.stripe, used, tc.rackCount, tc.load)
+				got, err := c.pickTarget(tc.stripe, used, tc.rackCount, tc.load, rackLoad)
 				if tc.want == none {
 					if !errors.Is(err, ErrNoReplica) {
 						t.Fatalf("pickTarget = (%d, %v), want ErrNoReplica", got, err)
@@ -628,8 +774,8 @@ func TestPickTarget(t *testing.T) {
 		})
 	}
 
-	// Over seeded random occupancies, loads and deaths: the pick is eligible,
-	// nothing eligible sorts before it, and nil load picks as zero load does.
+	// Over seeded random occupancies, loads and deaths: the pick is eligible and
+	// nothing eligible sorts before it.
 	cfg := grid(5, 4, 2)
 	c := newCluster(t, cfg)
 	nodes := c.Topology().Nodes()
@@ -677,7 +823,7 @@ func TestPickTarget(t *testing.T) {
 				want = n
 			}
 		}
-		got, err := c.pickTarget(stripe, used, rackCount, load)
+		got, err := c.pickTarget(stripe, used, rackCount, load, rackLoad)
 		if want < 0 {
 			if !errors.Is(err, ErrNoReplica) {
 				t.Fatalf("trial %d: pickTarget = (%d, %v) with nothing eligible, want ErrNoReplica", trial, got, err)
@@ -687,11 +833,6 @@ func TestPickTarget(t *testing.T) {
 		if err != nil || !eligible(int(got)) || int(got) != want {
 			t.Fatalf("trial %d: pickTarget = (%d, %v), want node %d (eligible %v, key %v against %v)",
 				trial, got, err, want, err == nil && eligible(int(got)), key(int(got)), key(want))
-		}
-		if len(load) == 0 {
-			if again, err := c.pickTarget(stripe, used, rackCount, nil); err != nil || again != got {
-				t.Fatalf("trial %d: nil load picks (%d, %v), an empty load node %d", trial, again, err, got)
-			}
 		}
 	}
 }
