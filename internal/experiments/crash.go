@@ -46,12 +46,13 @@ func (o CrashOptions) crashClusterConfig() hdfs.Config {
 	return cfg
 }
 
-// RunCrashRun is the scenario's first phase: populate, start an encoding
-// run, and — as soon as the journal shows the first stripe encoded, with the
-// rest still in flight — invoke kill. The caller decides what "kill" means:
-// the earexp command SIGKILLs its own process (so kill never returns),
-// while tests snapshot the log directory mid-flight. The encoding keeps
-// running while kill executes; nothing is flushed or closed.
+// RunCrashRun is the scenario's first phase: populate, checkpoint the
+// metadata plane, start an encoding run, and — as soon as the journal shows
+// the first stripe encoded, with the rest still in flight — invoke kill. The
+// caller decides what "kill" means: the earexp command SIGKILLs its own
+// process (so kill never returns), while tests snapshot the log directory
+// mid-flight. The encoding keeps running while kill executes; nothing is
+// flushed or closed.
 func RunCrashRun(opts CrashOptions, kill func() error) error {
 	opts = opts.withDefaults()
 	if opts.MetaDir == "" {
@@ -78,6 +79,11 @@ func RunCrashRun(opts CrashOptions, kill func() error) error {
 
 	rng := rand.New(rand.NewSource(opts.Seed + 901))
 	if _, err := populate(c, opts.Stripes, rng); err != nil {
+		return err
+	}
+	// Checkpoint the written state, so that recovery restores a snapshot and
+	// replays only the encode's tail of the log.
+	if err := c.NameNode().SnapshotNow(); err != nil {
 		return err
 	}
 	go func() {

@@ -1,18 +1,21 @@
 package hdfs
 
 // durability.go is the NameNode's crash-recovery layer: op replay, the
-// snapshot codec, checkpointing, and the recovered-state event backfill.
-// It is the consumer side of the op records defined in op.go — replay
-// dispatches each decoded record to the same apply helpers the live
-// mutation paths use, so the two can never diverge. Nothing here publishes
-// journal events or touches telemetry while recovering; recovery is
-// invisible to the observability plane except for the explicit
-// MetaRecoveryStarted / MetaRecovered / MetaCheckpointed markers.
+// canonical op sequence that snapshots, the state digest and the
+// recovered-state event backfill are all made of, and checkpointing. It is
+// the consumer side of the op records defined in op.go — replay dispatches
+// each decoded record to the same apply helpers the live mutation paths use,
+// so the two can never diverge. Nothing here publishes journal events or
+// touches telemetry while recovering; recovery is invisible to the
+// observability plane except for the explicit MetaRecoveryStarted /
+// MetaRecovered / MetaCheckpointed markers.
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"ear/internal/events"
@@ -29,12 +32,14 @@ var ErrNoMetaLog = errors.New("hdfs: no metadata log attached")
 // op tail, then attaches the log so every subsequent mutation is appended to
 // it. It must be called exactly once, before the NameNode serves traffic
 // (it is the only writer of nn.wal, which is read without synchronization
-// afterwards). On a fresh log it degenerates to just attaching it.
+// afterwards). On a fresh log it degenerates to just attaching it. When it
+// fails it installs nothing: the NameNode is left as empty as it was built.
 //
-// Replay applies ops through the same helpers the live paths use, under mu
-// as they are, but publishes no events and records no metrics; call
-// PublishRecoveredState afterwards to backfill the canonical event stream
-// for subscribers that need the full history (the placement auditor).
+// The snapshot and the tail are both op records, applied by replayOp through
+// the same helpers the live paths use, under mu as they are, but publishing
+// no events and recording no metrics; call PublishRecoveredState afterwards
+// to backfill the canonical event stream for subscribers that need the full
+// history (the placement auditor).
 func (nn *NameNode) RecoverMeta(l *metalog.Log) error {
 	start := time.Now()
 	var replayed int64
@@ -43,12 +48,13 @@ func (nn *NameNode) RecoverMeta(l *metalog.Log) error {
 	defer nn.mu.Unlock()
 	err := l.Recover(func(state []byte) error {
 		restored = true
-		return nn.restoreSnapshot(state)
-	}, func(lsn uint64, payload []byte) error {
+		return nn.replaySnapshot(state)
+	}, func(_ uint64, payload []byte) error {
 		replayed++
-		return nn.replayOp(lsn, payload)
+		return nn.replayOp(payload)
 	})
 	if err != nil {
+		nn.resetLocked()
 		return fmt.Errorf("hdfs: recovering metadata: %w", err)
 	}
 	nn.wal = l
@@ -68,7 +74,7 @@ func (nn *NameNode) MetaStats() (metalog.Stats, bool) {
 }
 
 // RecoveredOps reports how many log records the last RecoverMeta replayed
-// (0 when none ran or the log was empty).
+// after its snapshot (0 when none ran or the log was empty).
 func (nn *NameNode) RecoveredOps() int64 { return nn.recoveredOps.Load() }
 
 // Recovered reports whether RecoverMeta loaded any state: a snapshot or at
@@ -85,14 +91,30 @@ func (nn *NameNode) CloseMeta() error {
 
 // --- replay -----------------------------------------------------------------
 
-// replayOp decodes one log record and applies it. It runs before the
-// NameNode serves traffic, in LSN order — which, because every op is
-// appended and applied in one hold of mu, is the live apply order. Caller
-// holds mu.
-func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
+// replayOp decodes one op record and applies it. It runs before the
+// NameNode serves traffic, over a snapshot's op sequence and then the log
+// tail in LSN order — which, because every op is appended and applied in one
+// hold of mu, is the live apply order. Caller holds mu.
+func (nn *NameNode) replayOp(payload []byte) error {
 	op, err := decodeOp(payload)
 	if err != nil {
-		return fmt.Errorf("lsn %d: %w", lsn, err)
+		return err
+	}
+	var meta *BlockMeta // the block a commit, abort or move names
+	switch op.kind {
+	case opAllocate:
+		// Blocks are allocated in ID order, live and in a snapshot.
+		if op.block < nn.nextBlock {
+			return fmt.Errorf("hdfs: block %d allocated after block %d", op.block, nn.nextBlock-1)
+		}
+	case opCommit, opAbort, opBlockMoved:
+		if meta = nn.blocks[op.block]; meta == nil {
+			return fmt.Errorf("hdfs: %v of unknown block %d", op.kind, op.block)
+		}
+	case opSealStripe, opFlushStripe:
+		if nn.ear == nil {
+			return fmt.Errorf("hdfs: %v under a policy that keeps no open stripes", op.kind)
+		}
 	}
 	switch op.kind {
 	case opAllocate:
@@ -101,43 +123,29 @@ func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 		// in the record, so no randomness is consumed.
 		if nn.ear != nil {
 			if op.core < 0 {
-				return fmt.Errorf("hdfs: replay lsn %d: allocate of block %d has no core rack", lsn, op.block)
+				return fmt.Errorf("hdfs: allocate of block %d has no core rack", op.block)
 			}
 			if err := nn.ear.RestorePlacement(op.block, op.core, op.nodes, op.targets, op.attempts); err != nil {
-				return fmt.Errorf("hdfs: replay lsn %d: %w", lsn, err)
+				return err
 			}
 		}
 		nn.applyAllocateLocked(op, false)
 	case opCommit:
-		meta, err := nn.replayBlock(lsn, op)
-		if err != nil {
-			return err
-		}
 		nn.applyCommitLocked(meta)
 	case opAbort:
-		meta, err := nn.replayBlock(lsn, op)
-		if err != nil {
-			return err
-		}
 		nn.applyAbortLocked(meta)
 	case opSealStripe:
 		// The preceding allocate's RestorePlacement sealed exactly one
 		// stripe; anything else means log and policy state disagree.
-		if nn.ear == nil {
-			return fmt.Errorf("hdfs: replay lsn %d: seal under a policy that seals no stripes", lsn)
-		}
 		sealed := nn.ear.TakeSealed()
 		if len(sealed) != 1 {
-			return fmt.Errorf("hdfs: replay lsn %d: policy has %d sealed stripes, want 1", lsn, len(sealed))
+			return fmt.Errorf("hdfs: policy has %d sealed stripes, want 1", len(sealed))
 		}
 		nn.registerStripeLocked(sealed[0])
 	case opFlushStripe:
-		if nn.ear == nil {
-			return fmt.Errorf("hdfs: replay lsn %d: flush under a policy that keeps no open stripes", lsn)
-		}
 		info := nn.ear.DropOpen(op.core)
 		if info == nil {
-			return fmt.Errorf("hdfs: replay lsn %d: no open stripe on core rack %d", lsn, op.core)
+			return fmt.Errorf("hdfs: no open stripe on core rack %d", op.core)
 		}
 		nn.registerStripeLocked(info)
 	case opGroupStripe:
@@ -148,7 +156,7 @@ func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 		for _, b := range op.blocks {
 			meta, ok := nn.blocks[b]
 			if !ok {
-				return fmt.Errorf("hdfs: replay lsn %d: group references unknown block %d", lsn, b)
+				return fmt.Errorf("hdfs: group references unknown block %d", b)
 			}
 			pl := topology.Placement{Block: b, Nodes: append([]topology.NodeID(nil), meta.Nodes...)}
 			info.Blocks = append(info.Blocks, b)
@@ -161,21 +169,17 @@ func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 	case opEncodeCommit:
 		sm, ok := nn.stripes[op.stripe]
 		if !ok {
-			return fmt.Errorf("hdfs: replay lsn %d: encode-commit of unknown stripe %d", lsn, op.stripe)
+			return fmt.Errorf("hdfs: encode-commit of unknown stripe %d", op.stripe)
 		}
 		if err := nn.applyEncodeLocked(sm, op.plan); err != nil {
-			return fmt.Errorf("hdfs: replay lsn %d: %w", lsn, err)
-		}
-	case opBlockMoved:
-		meta, err := nn.replayBlock(lsn, op)
-		if err != nil {
 			return err
 		}
+	case opBlockMoved:
 		nn.applyBlockMovedLocked(meta, op.nodes)
 	case opParityMoved:
 		sm, ok := nn.stripes[op.stripe]
 		if !ok || sm.Plan == nil || op.idx < 0 || op.idx >= len(sm.Plan.Parity) {
-			return fmt.Errorf("hdfs: replay lsn %d: stripe %d has no parity index %d", lsn, op.stripe, op.idx)
+			return fmt.Errorf("hdfs: stripe %d has no parity index %d", op.stripe, op.idx)
 		}
 		sm.Plan.Parity[op.idx] = op.node
 	case opNodeDead:
@@ -185,22 +189,28 @@ func (nn *NameNode) replayOp(lsn uint64, payload []byte) error {
 	case opRequeueStripe:
 		sm, ok := nn.stripes[op.stripe]
 		if !ok {
-			return fmt.Errorf("hdfs: replay lsn %d: requeue of unknown stripe %d", lsn, op.stripe)
+			return fmt.Errorf("hdfs: requeue of unknown stripe %d", op.stripe)
 		}
 		nn.applyRequeueLocked(sm)
 	default:
-		return fmt.Errorf("hdfs: replay lsn %d: unhandled op kind %v", lsn, op.kind)
+		return fmt.Errorf("hdfs: unhandled op kind %v", op.kind)
 	}
 	return nil
 }
 
-// replayBlock resolves the block a replayed op refers to. Caller holds mu.
-func (nn *NameNode) replayBlock(lsn uint64, op *nnOp) (*BlockMeta, error) {
-	meta, ok := nn.blocks[op.block]
-	if !ok {
-		return nil, fmt.Errorf("hdfs: replay lsn %d: %v of unknown block %d", lsn, op.kind, op.block)
+// resetLocked empties the metadata plane, undoing a replay that failed part
+// way. The policy's stripe-ID counter is not state (stripes take the
+// NameNode's IDs when they register) and is left as it is. Caller holds mu.
+func (nn *NameNode) resetLocked() {
+	nn.nextBlock, nn.nextStripe = 0, 0
+	clear(nn.blocks)
+	clear(nn.stripes)
+	clear(nn.dead)
+	nn.preEncoding, nn.rrPending = nil, nil
+	if nn.ear != nil {
+		nn.ear.FlushOpen()
+		nn.ear.TakeSealed()
 	}
-	return meta, nil
 }
 
 // --- requeue ----------------------------------------------------------------
@@ -217,12 +227,11 @@ func (nn *NameNode) RequeueUnencodedStripes() (int, error) {
 		queued[info.ID] = true
 	}
 	var ids []topology.StripeID
-	for id, sm := range nn.stripes {
-		if !sm.Encoded && !queued[id] {
+	for id := topology.StripeID(0); id < nn.nextStripe; id++ {
+		if !nn.stripes[id].Encoded && !queued[id] {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var lsn uint64
 	for _, id := range ids {
 		var err error
@@ -245,258 +254,201 @@ func (nn *NameNode) applyRequeueLocked(sm *StripeMeta) {
 	nn.preEncoding = append(nn.preEncoding, sm.Info)
 }
 
-// --- snapshot codec ---------------------------------------------------------
+// --- the state as an op sequence --------------------------------------------
 
 // snapshotVersion is the first byte of every state snapshot. Version 1 held
-// one open-stripe state per rack's policy instance.
-const snapshotVersion = 2
+// one open-stripe state per rack's policy instance; version 2 was a table of
+// blocks, stripes and open stripes in a codec of its own.
+const snapshotVersion = 3
 
-// Block flag bits in the snapshot encoding.
-const (
-	snapBlockEncoded   = 1 << 0
-	snapBlockCommitted = 1 << 1
-	snapBlockAborted   = 1 << 2
-)
-
-// appendPlacement / readPlacement extend op.go's codec to placements.
-func appendPlacement(b []byte, pl topology.Placement) []byte {
-	b = appendI64(b, int64(pl.Block))
-	return appendNodes(b, pl.Nodes)
-}
-
-func (r *opReader) placement() topology.Placement {
-	return topology.Placement{Block: topology.BlockID(r.i64()), Nodes: r.nodes()}
-}
-
-// appendStripeInfo serializes one placement.StripeInfo.
-func appendStripeInfo(b []byte, info *placement.StripeInfo) []byte {
-	b = appendI64(b, int64(info.ID))
-	b = appendU32(b, uint32(int32(info.CoreRack)))
-	b = appendRacks(b, info.Targets)
-	b = appendBlocks(b, info.Blocks)
-	b = appendU32(b, uint32(len(info.Placements)))
-	for _, pl := range info.Placements {
-		b = appendPlacement(b, pl)
+// stateOps calls yield with each op of the canonical sequence that rebuilds
+// the NameNode's state from an empty one through replayOp:
+//
+//  1. every block's allocate, in ID order, with the placement, core rack,
+//     targets and attempts its stripe recorded (a block in no stripe, under
+//     RR, with its current replicas), each followed by the seal, flush or
+//     group of every stripe all of whose members are then allocated, in ID
+//     order — so stripes register in ID order, and a sealed one right after
+//     the allocate that filled it, as they did live;
+//  2. every block's commit or abort, in ID order, those in RR's grouping
+//     queue last, in queue order;
+//  3. one drain-pending, then a requeue for each stripe in the pre-encoding
+//     store, in its order;
+//  4. every encoded stripe's encode-commit, with its stored plan, whose
+//     parity holders are the current ones;
+//  5. block-moved for every block whose replicas differ from those the ops
+//     above leave it with;
+//  6. node-dead for every dead node, in ID order.
+//
+// The sequence is a function of the state alone, so it is the state's
+// canonical form: StateDigest is its bytes, a snapshot stores them, and
+// PublishRecoveredState publishes its events. Besides the fields they encode,
+// the ops carry those their events read: a registration's stripe, core rack
+// and members, a commit's current replicas. Every op is yielded in one
+// reused value, which yield must not keep. The rng is not state: placement
+// decisions are recorded in ops at propose time, so recovery never re-draws
+// them, and every draw restarts it from the seed and what the draw is for
+// (NameNode.draw). Caller holds mu, for reading at least.
+func (nn *NameNode) stateOps(yield func(*nnOp)) {
+	var op nnOp
+	emit := func(o nnOp) {
+		op = o
+		yield(&op)
 	}
-	b = appendU32(b, uint32(len(info.Iterations)))
-	for _, it := range info.Iterations {
-		b = appendU32(b, uint32(int32(it)))
+	metas := make([]*BlockMeta, 0, len(nn.blocks))
+	for _, m := range nn.blocks {
+		metas = append(metas, m)
 	}
-	return b
-}
-
-func (r *opReader) stripeInfo() *placement.StripeInfo {
-	info := &placement.StripeInfo{
-		ID:       topology.StripeID(r.i64()),
-		CoreRack: topology.RackID(int32(r.u32())),
-		Targets:  r.racks(),
-		Blocks:   r.blocks(),
-	}
-	if n := r.count(); r.err == nil && n > 0 {
-		info.Placements = make([]topology.Placement, n)
-		for i := range info.Placements {
-			info.Placements[i] = r.placement()
+	slices.SortFunc(metas, func(a, b *BlockMeta) int { return cmp.Compare(a.ID, b.ID) })
+	open := map[topology.BlockID]*placement.StripeInfo{}
+	if nn.ear != nil {
+		_, infos := nn.ear.OpenState()
+		for _, info := range infos {
+			for _, b := range info.Blocks {
+				open[b] = info
+			}
 		}
 	}
-	if n := r.count(); r.err == nil && n > 0 {
-		info.Iterations = make([]int, n)
-		for i := range info.Iterations {
-			info.Iterations[i] = int(int32(r.u32()))
+
+	// Stripes are numbered 0, 1, ... as they register (registerStripeLocked).
+	var next topology.StripeID // the next stripe to register
+	register := func(allocated topology.BlockID) {
+		for ; next < nn.nextStripe; next++ {
+			info := nn.stripes[next].Info
+			if len(info.Blocks) > 0 && slices.Max(info.Blocks) > allocated {
+				return
+			}
+			o := nnOp{kind: opGroupStripe, stripe: info.ID, core: info.CoreRack, blocks: info.Blocks}
+			if nn.ear != nil {
+				o.kind = opFlushStripe
+				if len(info.Blocks) == nn.cfg.K {
+					o.kind = opSealStripe
+				}
+			}
+			emit(o)
 		}
 	}
-	return info
-}
-
-// encodeStateLocked serializes the complete metadata plane. The caller holds
-// mu, for reading at least, so no mutation is half applied and the log's
-// LastLSN is exactly the applied prefix. The encoding is canonical — maps are walked in
-// sorted order — so byte equality of two encodings is state equality; the
-// crash-recovery property tests compare exactly these bytes. The rng is not
-// state: placement decisions are recorded in ops at propose time, so
-// recovery never re-draws them, and every draw restarts it from the seed
-// and what the draw is for (NameNode.draw).
-func (nn *NameNode) encodeStateLocked(buf []byte) []byte {
-	buf = append(buf, snapshotVersion)
-	buf = appendI64(buf, int64(nn.nextBlock))
-	buf = appendI64(buf, int64(nn.nextStripe))
-
-	blockIDs := make([]topology.BlockID, 0, len(nn.blocks))
-	for id := range nn.blocks {
-		blockIDs = append(blockIDs, id)
-	}
-	sort.Slice(blockIDs, func(i, j int) bool { return blockIDs[i] < blockIDs[j] })
-	buf = appendU32(buf, uint32(len(blockIDs)))
-	for _, id := range blockIDs {
-		m := nn.blocks[id]
-		buf = appendI64(buf, int64(m.ID))
-		buf = appendI64(buf, int64(m.Size))
-		buf = appendI64(buf, int64(m.Stripe))
-		var flags byte
-		if m.Encoded {
-			flags |= snapBlockEncoded
+	var moved []*BlockMeta // blocks the ops leave elsewhere than they are
+	for _, m := range metas {
+		a := nnOp{kind: opAllocate, block: m.ID, size: int64(m.Size), core: -1, attempts: 1, nodes: m.Nodes}
+		left := m.Nodes // a block in no stripe is allocated where it is
+		sm := nn.stripes[m.Stripe]
+		info := open[m.ID]
+		if sm != nil {
+			info = sm.Info
 		}
-		if m.Committed {
-			flags |= snapBlockCommitted
+		if info != nil {
+			if i := slices.Index(info.Blocks, m.ID); i >= 0 && i < len(info.Placements) {
+				a.nodes, a.core, a.targets = info.Placements[i].Nodes, info.CoreRack, info.Targets
+				if i < len(info.Iterations) {
+					a.attempts = info.Iterations[i]
+				}
+				left = a.nodes
+				if sm != nil && sm.Encoded {
+					left = sm.Plan.Keep[i : i+1]
+				}
+			}
 		}
 		if m.Aborted {
-			flags |= snapBlockAborted
+			left = nil
 		}
-		buf = append(buf, flags)
-		buf = appendNodes(buf, m.Nodes)
+		if !slices.Equal(m.Nodes, left) {
+			moved = append(moved, m)
+		}
+		emit(a)
+		register(m.ID)
 	}
+	register(nn.nextBlock)
 
-	stripeIDs := make([]topology.StripeID, 0, len(nn.stripes))
-	for id := range nn.stripes {
-		stripeIDs = append(stripeIDs, id)
+	queued := make(map[topology.BlockID]bool, len(nn.rrPending))
+	for _, b := range nn.rrPending {
+		queued[b] = true
 	}
-	sort.Slice(stripeIDs, func(i, j int) bool { return stripeIDs[i] < stripeIDs[j] })
-	buf = appendU32(buf, uint32(len(stripeIDs)))
-	for _, id := range stripeIDs {
-		sm := nn.stripes[id]
-		buf = appendStripeInfo(buf, sm.Info)
-		if sm.Plan != nil {
-			buf = append(buf, 1)
-			buf = appendNodes(buf, sm.Plan.Keep)
-			buf = appendNodes(buf, sm.Plan.Parity)
-			if sm.Plan.Violation {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
-			buf = appendU32(buf, uint32(len(sm.Plan.Relocated)))
-			for _, ri := range sm.Plan.Relocated {
-				buf = appendU32(buf, uint32(int32(ri)))
-			}
-		} else {
-			buf = append(buf, 0)
+	settle := func(m *BlockMeta) {
+		switch {
+		case m.Aborted:
+			emit(nnOp{kind: opAbort, block: m.ID})
+		case m.Committed:
+			emit(nnOp{kind: opCommit, block: m.ID, nodes: m.Nodes})
 		}
-		if sm.Encoded {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
+	}
+	for _, m := range metas {
+		if !queued[m.ID] {
+			settle(m)
+		}
+	}
+	for _, b := range nn.rrPending {
+		if m, ok := nn.blocks[b]; ok {
+			settle(m)
 		}
 	}
 
-	pre := make([]topology.BlockID, 0, len(nn.preEncoding)) // stripe IDs, i64-coded
+	emit(nnOp{kind: opDrainPending})
 	for _, info := range nn.preEncoding {
-		pre = append(pre, topology.BlockID(info.ID))
+		emit(nnOp{kind: opRequeueStripe, stripe: info.ID})
 	}
-	buf = appendBlocks(buf, pre)
-	buf = appendBlocks(buf, nn.rrPending)
-
-	deadIDs := make([]topology.NodeID, 0, len(nn.dead))
-	for n := range nn.dead {
-		deadIDs = append(deadIDs, n)
-	}
-	sort.Slice(deadIDs, func(i, j int) bool { return deadIDs[i] < deadIDs[j] })
-	buf = appendNodes(buf, deadIDs)
-
-	if nn.ear != nil {
-		next, open := nn.ear.OpenState()
-		buf = appendI64(buf, int64(next))
-		buf = appendU32(buf, uint32(len(open)))
-		for _, info := range open {
-			buf = appendStripeInfo(buf, info)
+	for sid := topology.StripeID(0); sid < nn.nextStripe; sid++ {
+		if sm := nn.stripes[sid]; sm.Encoded {
+			emit(nnOp{kind: opEncodeCommit, stripe: sid, plan: sm.Plan})
 		}
 	}
+	for _, m := range moved {
+		emit(nnOp{kind: opBlockMoved, block: m.ID, nodes: m.Nodes})
+	}
+
+	dead := make([]topology.NodeID, 0, len(nn.dead))
+	for n := range nn.dead {
+		dead = append(dead, n)
+	}
+	slices.Sort(dead)
+	for _, n := range dead {
+		emit(nnOp{kind: opNodeDead, node: n})
+	}
+}
+
+// stateBytesLocked encodes the canonical op sequence: snapshotVersion, then
+// each op's record behind its u32 length. Byte equality of two encodings is
+// state equality; the crash-recovery property tests compare exactly these
+// bytes. Caller holds mu, for reading at least.
+func (nn *NameNode) stateBytesLocked() []byte {
+	// An EAR block's allocate and commit take about 64 bytes.
+	buf := append(make([]byte, 0, 64*len(nn.blocks)+64), snapshotVersion)
+	nn.stateOps(func(op *nnOp) {
+		at := len(buf)
+		buf = op.encode(append(buf, 0, 0, 0, 0))
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	})
 	return buf
 }
 
-// restoreSnapshot rebuilds the metadata plane from a snapshot produced by
-// encodeStateLocked. It runs once, on a freshly constructed NameNode, before
-// log-tail replay. Caller holds mu.
-func (nn *NameNode) restoreSnapshot(state []byte) error {
+// replaySnapshot applies the op sequence a snapshot holds
+// (stateBytesLocked) through replayOp. Caller holds mu.
+func (nn *NameNode) replaySnapshot(state []byte) error {
 	r := &opReader{b: state}
-	if v := r.u8(); r.err == nil && v != snapshotVersion {
+	if v := r.u8(); v != snapshotVersion {
 		return fmt.Errorf("hdfs: snapshot version %d, want %d", v, snapshotVersion)
 	}
-	nn.nextBlock = topology.BlockID(r.i64())
-	nn.nextStripe = topology.StripeID(r.i64())
-
-	nblocks := r.count()
-	for i := 0; i < nblocks && r.err == nil; i++ {
-		m := &BlockMeta{
-			ID:     topology.BlockID(r.i64()),
-			Size:   int(r.i64()),
-			Stripe: topology.StripeID(r.i64()),
+	for i := 0; len(r.b) > 0; i++ {
+		n := r.count()
+		if r.err != nil {
+			return fmt.Errorf("hdfs: snapshot op %d: %w", i, r.err)
 		}
-		flags := r.u8()
-		m.Encoded = flags&snapBlockEncoded != 0
-		m.Committed = flags&snapBlockCommitted != 0
-		m.Aborted = flags&snapBlockAborted != 0
-		m.Nodes = r.nodes()
-		if r.err == nil {
-			nn.blocks[m.ID] = m
+		rec := r.b[:n]
+		r.b = r.b[n:]
+		if err := nn.replayOp(rec); err != nil {
+			return fmt.Errorf("snapshot op %d: %w", i, err)
 		}
-	}
-
-	nstripes := r.count()
-	for i := 0; i < nstripes && r.err == nil; i++ {
-		sm := &StripeMeta{Info: r.stripeInfo()}
-		if r.u8() != 0 {
-			plan := &placement.PostEncodingPlan{Keep: r.nodes(), Parity: r.nodes()}
-			plan.Violation = r.u8() != 0
-			if n := r.count(); r.err == nil && n > 0 {
-				plan.Relocated = make([]int, n)
-				for j := range plan.Relocated {
-					plan.Relocated[j] = int(int32(r.u32()))
-				}
-			}
-			sm.Plan = plan
-		}
-		sm.Encoded = r.u8() != 0
-		if r.err == nil {
-			nn.stripes[sm.Info.ID] = sm
-		}
-	}
-
-	// preEncoding aliases the registered stripes' Info records, exactly as
-	// registerStripeLocked arranges on the live path.
-	for _, raw := range r.blocks() {
-		id := topology.StripeID(raw)
-		sm, ok := nn.stripes[id]
-		if !ok {
-			if r.err == nil {
-				return fmt.Errorf("hdfs: snapshot queues unknown stripe %d", id)
-			}
-			break
-		}
-		nn.preEncoding = append(nn.preEncoding, sm.Info)
-	}
-	nn.rrPending = r.blocks()
-	for _, n := range r.nodes() {
-		nn.dead[n] = true
-	}
-
-	if nn.ear != nil && r.err == nil {
-		next := topology.StripeID(r.i64())
-		nopen := r.count()
-		open := make([]*placement.StripeInfo, 0, nopen)
-		for j := 0; j < nopen && r.err == nil; j++ {
-			open = append(open, r.stripeInfo())
-		}
-		if r.err == nil {
-			if err := nn.ear.RestoreOpenState(next, open); err != nil {
-				return fmt.Errorf("hdfs: restoring open stripes: %w", err)
-			}
-		}
-	}
-	if r.err != nil {
-		return fmt.Errorf("hdfs: decoding snapshot: %w", r.err)
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("hdfs: snapshot has %d trailing bytes", len(r.b))
 	}
 	return nil
 }
 
 // StateDigest returns the canonical encoding of the full metadata plane
-// (the same bytes a snapshot stores). Two NameNodes with equal digests hold
+// (the bytes a snapshot stores). Two NameNodes with equal digests hold
 // identical metadata; the crash-recovery property tests are built on this.
 func (nn *NameNode) StateDigest() []byte {
 	nn.mu.RLock()
 	defer nn.mu.RUnlock()
-	return nn.encodeStateLocked(nil)
+	return nn.stateBytesLocked()
 }
 
 // --- checkpoints ------------------------------------------------------------
@@ -509,9 +461,10 @@ func (nn *NameNode) StateDigest() []byte {
 func (nn *NameNode) SetAutoSnapshot(every int64) { nn.snapEvery.Store(every) }
 
 // maybeSnapshot checkpoints when the auto-snapshot threshold has passed.
-// Called from waitDurable with mu released. Errors are dropped:
-// a failed checkpoint leaves the log longer, not the state worse, and the
-// next explicit SnapshotNow surfaces them.
+// Called from waitDurable with mu released. A failed checkpoint leaves the
+// log longer, not the state worse, so the mutation still succeeds; the
+// failure counts in namenode_checkpoint_failures, and the next attempt waits
+// for another `every` appends.
 func (nn *NameNode) maybeSnapshot() {
 	every := nn.snapEvery.Load()
 	if nn.wal == nil || every <= 0 {
@@ -524,7 +477,12 @@ func (nn *NameNode) maybeSnapshot() {
 		return
 	}
 	defer nn.snapInFlight.Store(false)
-	_ = nn.SnapshotNow()
+	if err := nn.SnapshotNow(); err != nil {
+		nn.lastSnapAppends.Store(int64(nn.wal.Stats().Appends))
+		if m := nn.metrics(); m != nil {
+			m.checkpointFailures.Inc()
+		}
+	}
 }
 
 // SnapshotNow freezes the metadata plane, writes a snapshot of it at the
@@ -538,7 +496,7 @@ func (nn *NameNode) SnapshotNow() error {
 	start := time.Now()
 	nn.mu.RLock()
 	lsn := nn.wal.LastLSN()
-	state := nn.encodeStateLocked(nil)
+	state := nn.stateBytesLocked()
 	nn.mu.RUnlock()
 	if err := nn.wal.Snapshot(lsn, state); err != nil {
 		return err
@@ -555,21 +513,14 @@ func (nn *NameNode) SnapshotNow() error {
 
 // --- recovered-state event backfill -----------------------------------------
 
-// PublishRecoveredState republishes the canonical event stream implied by
-// the recovered metadata, bracketed by MetaRecoveryStarted / MetaRecovered.
-// Restart discards the old process's journal, but subscribers like the
-// placement auditor model cluster state purely from events — this backfill
-// hands them the recovered layout in an order that satisfies every audited
-// invariant the state itself satisfies:
-//
-//  1. every block's BlockAllocated (original placement, so a stripe's
-//     grouping event trails its members' allocations),
-//  2. every stripe's StripeGrouped, plus StripeEncodeStarted for encoded
-//     stripes (suspending replica-count checks before step 3 shrinks
-//     encoded members to their kept replica),
-//  3. every block's BlockCommitted (current replicas) or BlockAborted,
-//  4. every encoded stripe's StripeEncoded (current parity locations),
-//  5. NodeDead for the failed-node set.
+// PublishRecoveredState republishes the recovered metadata as the events of
+// its canonical op sequence (stateOps), bracketed by MetaRecoveryStarted /
+// MetaRecovered. Restart discards the old process's journal, but subscribers
+// like the placement auditor model cluster state purely from events. Every
+// event is the one opEvent builds for an op of the sequence, but one: an
+// encoded stripe's registration is followed by its StripeEncodeStarted, which
+// has no op, so the replica-count check is suspended before the commits
+// shrink its members to their kept replica and its StripeEncoded follows.
 //
 // Call it after RecoverMeta, before serving traffic, with the journal the
 // new process will use; planes.Attach does when it adds a journal fold.
@@ -579,82 +530,28 @@ func (nn *NameNode) PublishRecoveredState(j *events.Journal) {
 	}
 	j.Publish(events.New(events.MetaRecoveryStarted, "namenode"))
 
-	// Clone the plane under mu, publish after releasing it.
+	// Build the events under mu, publish after releasing it.
+	var evs []events.Event
 	nn.mu.RLock()
-	blocks := make([]*BlockMeta, 0, len(nn.blocks))
-	for _, m := range nn.blocks {
-		blocks = append(blocks, cloneBlockMeta(m))
-	}
-	stripes := make([]*StripeMeta, 0, len(nn.stripes))
-	for _, sm := range nn.stripes {
-		stripes = append(stripes, cloneStripeMeta(sm))
-	}
-	dead := make([]topology.NodeID, 0, len(nn.dead))
-	for n := range nn.dead {
-		dead = append(dead, n)
-	}
-	nn.mu.RUnlock()
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].ID < blocks[j].ID })
-	sort.Slice(stripes, func(i, j int) bool { return stripes[i].Info.ID < stripes[j].Info.ID })
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-
-	// originalNodes: the placement the block was allocated with — recorded in
-	// its stripe's Info (the block table holds only the current, possibly
-	// encode-collapsed, replica set). The stripes are indexed once so the
-	// backfill, which every restart runs, stays linear in the block count.
-	byID := make(map[topology.StripeID]*StripeMeta, len(stripes))
-	for _, sm := range stripes {
-		byID[sm.Info.ID] = sm
-	}
-	originalNodes := func(m *BlockMeta) []topology.NodeID {
-		if sm, ok := byID[m.Stripe]; ok {
-			for i, b := range sm.Info.Blocks {
-				if b == m.ID && i < len(sm.Info.Placements) {
-					return sm.Info.Placements[i].Nodes
-				}
-			}
+	nn.stateOps(func(op *nnOp) {
+		ev, ok := opEvent(op)
+		if !ok {
+			return
 		}
-		return m.Nodes
-	}
-
-	// Every event but StripeEncodeStarted, which has no op, is the one
-	// opEvent builds for the op that would have made this state.
-	publish := func(op *nnOp) {
-		if ev, ok := opEvent(op); ok {
-			j.Publish(ev)
+		evs = append(evs, ev)
+		if ev.Type == events.StripeGrouped && nn.stripes[op.stripe].Encoded {
+			ev = events.New(events.StripeEncodeStarted, "namenode")
+			ev.Stripe = op.stripe
+			evs = append(evs, ev)
 		}
-	}
-	for _, m := range blocks {
-		publish(&nnOp{kind: opAllocate, block: m.ID, size: int64(m.Size), nodes: originalNodes(m)})
-	}
-	for _, sm := range stripes {
-		publish(&nnOp{kind: opGroupStripe, stripe: sm.Info.ID, core: sm.Info.CoreRack, blocks: sm.Info.Blocks})
-		if sm.Encoded {
-			sev := events.New(events.StripeEncodeStarted, "namenode")
-			sev.Stripe = sm.Info.ID
-			j.Publish(sev)
-		}
-	}
-	for _, m := range blocks {
-		switch {
-		case m.Aborted:
-			publish(&nnOp{kind: opAbort, block: m.ID})
-		case m.Committed:
-			publish(&nnOp{kind: opCommit, block: m.ID, nodes: m.Nodes})
-		}
-	}
-	for _, sm := range stripes {
-		if sm.Encoded && sm.Plan != nil {
-			publish(&nnOp{kind: opEncodeCommit, stripe: sm.Info.ID, plan: sm.Plan})
-		}
-	}
-	for _, n := range dead {
-		publish(&nnOp{kind: opNodeDead, node: n})
-	}
-
+	})
 	done := events.New(events.MetaRecovered, "namenode")
+	done.Detail = fmt.Sprintf("blocks=%d stripes=%d dead=%d", len(nn.blocks), len(nn.stripes), len(nn.dead))
+	nn.mu.RUnlock()
+	for _, ev := range evs {
+		j.Publish(ev)
+	}
 	done.Dur = time.Duration(nn.recoveredIn.Load())
 	done.Bytes = nn.recoveredOps.Load()
-	done.Detail = fmt.Sprintf("blocks=%d stripes=%d dead=%d", len(blocks), len(stripes), len(dead))
 	j.Publish(done)
 }

@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,12 +18,13 @@ import (
 	"ear/internal/events/audit"
 	"ear/internal/metalog"
 	"ear/internal/placement"
+	"ear/internal/telemetry"
 	"ear/internal/topology"
 )
 
 // testPlacementCfg is a small cluster both policies accept: 4 racks of 3
 // nodes, r=2, (6,4) code, c=2.
-func testPlacementCfg(t *testing.T) placement.Config {
+func testPlacementCfg(t testing.TB) placement.Config {
 	t.Helper()
 	top, err := topology.New(4, 3)
 	if err != nil {
@@ -76,7 +79,11 @@ type opDriver struct {
 	uncommitted []topology.BlockID
 	committed   []topology.BlockID
 	drained     []*placement.StripeInfo
+	encoded     []topology.StripeID
 	dead        []topology.NodeID
+	// parityMoves counts the parity relocations made, so a test
+	// can tell that its stream covered them.
+	parityMoves int
 }
 
 func (d *opDriver) allocate() error {
@@ -136,7 +143,8 @@ func (d *opDriver) step() error {
 		if err := d.nn.CommitEncoding(info.ID, plan); err != nil {
 			return fmt.Errorf("commit encoding %d: %w", info.ID, err)
 		}
-	case p < 94: // move a block
+		d.encoded = append(d.encoded, info.ID)
+	case p < 93: // move a block
 		if len(d.committed) == 0 {
 			return nil
 		}
@@ -148,7 +156,30 @@ func (d *opDriver) step() error {
 		if err := d.nn.UpdateBlockLocation(id, nodes); err != nil {
 			return fmt.Errorf("move %d: %w", id, err)
 		}
-	case p < 96: // kill a node
+	case p < 96: // move a parity block to another node of its rack
+		if len(d.encoded) == 0 {
+			return nil
+		}
+		id := d.encoded[d.rng.Intn(len(d.encoded))]
+		sm, err := d.nn.Stripe(id)
+		if err != nil {
+			return err
+		}
+		idx := d.rng.Intn(len(sm.Plan.Parity))
+		top := d.nn.cfg.Topology
+		rack, err := top.RackOf(sm.Plan.Parity[idx])
+		if err != nil {
+			return err
+		}
+		rackNodes, err := top.NodesInRack(rack)
+		if err != nil {
+			return err
+		}
+		if err := d.nn.UpdateParityLocation(id, idx, rackNodes[d.rng.Intn(len(rackNodes))]); err != nil {
+			return fmt.Errorf("move parity %d of stripe %d: %w", idx, id, err)
+		}
+		d.parityMoves++
+	case p < 97: // kill a node
 		n := topology.NodeID(d.rng.Intn(d.nodes))
 		d.nn.MarkDead(n)
 		d.dead = append(d.dead, n)
@@ -230,6 +261,9 @@ func TestCrashAtEveryPrefix(t *testing.T) {
 			}
 			if nn.BlockCount() == 0 {
 				t.Fatal("driver allocated no blocks; the property was vacuous")
+			}
+			if d.parityMoves == 0 {
+				t.Fatal("the op stream moved no parity block, so it does not cover parity moves")
 			}
 		})
 	}
@@ -375,22 +409,24 @@ func TestRecoveredNameNodePlacesLikeLive(t *testing.T) {
 // record that names its instance. That record reads as a valid allocate under
 // the current layout, shifted by the field it lost (its instance, core rack
 // and attempts as core rack, attempts and one replica, its replicas as target
-// racks), so only its retired kind keeps it from replaying.
+// racks), so only its retired kind keeps it from replaying. A version-2
+// snapshot, the table of blocks, stripes and open stripes that preceded the
+// op sequence, is refused by its version and installs nothing either.
 func TestRecoverRejectsEarlierFormat(t *testing.T) {
 	cfg := testPlacementCfg(t)
 	old := []byte{1} // allocate, with the instance field
 	old = appendI64(old, 0)
 	old = appendI64(old, 1024)
-	old = appendU32(old, 0)                         // instance
-	old = appendU32(old, 0)                         // core rack
-	old = appendU32(old, 1)                         // attempts
-	old = appendNodes(old, []topology.NodeID{2, 4}) // replicas
-	old = appendRacks(old, nil)                     // targets
+	old = appendU32(old, 0)                        // instance
+	old = appendU32(old, 0)                        // core rack
+	old = appendU32(old, 1)                        // attempts
+	old = appendI32s(old, []topology.NodeID{2, 4}) // replicas
+	old = appendI32s[topology.RackID](old, nil)    // targets
 	shifted := append([]byte{byte(opAllocate)}, old[1:]...)
 	if _, err := decodeOp(shifted); err != nil {
 		t.Fatalf("the shifted record no longer decodes (%v); this test's premise is stale", err)
 	}
-	recoverErr := func(t *testing.T, dir, policy string) {
+	recoverErr := func(t *testing.T, dir, policy string) error {
 		t.Helper()
 		nn, err := NewShardedNameNode(cfg, policy, 7, false)
 		if err != nil {
@@ -400,7 +436,8 @@ func TestRecoverRejectsEarlierFormat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := nn.RecoverMeta(l); err == nil {
+		err = nn.RecoverMeta(l)
+		if err == nil {
 			t.Fatal("recovered from a directory in the earlier format")
 		} else {
 			t.Log(err)
@@ -408,6 +445,7 @@ func TestRecoverRejectsEarlierFormat(t *testing.T) {
 		if n := nn.BlockCount(); n != 0 {
 			t.Fatalf("a failed recovery installed %d blocks", n)
 		}
+		return err
 	}
 	for _, policy := range []string{"ear", "rr"} {
 		t.Run(policy+"/record", func(t *testing.T) {
@@ -443,7 +481,56 @@ func TestRecoverRejectsEarlierFormat(t *testing.T) {
 			}
 			recoverErr(t, dir, policy)
 		})
+		t.Run(policy+"/snapshot-v2", func(t *testing.T) {
+			dir := t.TempDir()
+			nn := openDurableNN(t, dir, policy, cfg, metalog.SyncAlways)
+			if _, err := nn.AllocateBlock(1024); err != nil {
+				t.Fatal(err)
+			}
+			if err := nn.wal.Snapshot(nn.wal.LastLSN(), v2Snapshot(policy)); err != nil {
+				t.Fatal(err)
+			}
+			if err := nn.CloseMeta(); err != nil {
+				t.Fatal(err)
+			}
+			if err := recoverErr(t, dir, policy); !strings.Contains(err.Error(), "snapshot version 2, want 3") {
+				t.Fatalf("a version-2 snapshot failed with %v, want the version error", err)
+			}
+		})
 	}
+}
+
+// v2Snapshot is a version-2 snapshot, the table format, of one allocated
+// block on nodes 0 and 3 with core rack 0, under the given policy.
+func v2Snapshot(policy string) []byte {
+	nodes := []topology.NodeID{0, 3}
+	b := []byte{2}
+	b = appendI64(b, 1) // next block
+	b = appendI64(b, 0) // next stripe
+	b = appendU32(b, 1) // blocks: ID, size, stripe, flags, replicas
+	b = appendI64(b, 0)
+	b = appendI64(b, 1024)
+	b = appendI64(b, -1)
+	b = append(b, 0)
+	b = appendI32s(b, nodes)
+	b = appendU32(b, 0)                     // stripes
+	b = appendBlocks(b, nil)                // pre-encoding store
+	b = appendBlocks(b, nil)                // RR grouping queue
+	b = appendI32s[topology.NodeID](b, nil) // dead nodes
+	if policy == "ear" {
+		b = appendI64(b, 1) // the policy's next stripe
+		b = appendU32(b, 1) // open stripes: ID, core rack, targets, blocks, placements, iterations
+		b = appendI64(b, 0)
+		b = appendU32(b, 0)
+		b = appendI32s[topology.RackID](b, nil)
+		b = appendBlocks(b, []topology.BlockID{0})
+		b = appendU32(b, 1)
+		b = appendI64(b, 0)
+		b = appendI32s(b, nodes)
+		b = appendU32(b, 1)
+		b = appendU32(b, 1)
+	}
+	return b
 }
 
 // TestRecoveredStateBackfillAuditsClean drives traffic through encoding,
@@ -506,6 +593,85 @@ func TestRecoveredStateBackfillAuditsClean(t *testing.T) {
 	}
 	if rep.Encoded == 0 {
 		t.Fatal("no encoded stripes reached the auditor; the audit was vacuous")
+	}
+}
+
+// TestAbortAfterEncodeRecovers: a member aborted after its stripe encoded
+// is restored from a snapshot as it is live, although the snapshot's op
+// sequence aborts it before the encode: an encode marks aborted members
+// encoded too, so the order of the two leaves the same block.
+func TestAbortAfterEncodeRecovers(t *testing.T) {
+	cfg := testPlacementCfg(t)
+	dir := t.TempDir()
+	nn := openDurableNN(t, dir, "ear", cfg, metalog.SyncAlways)
+	defer nn.CloseMeta()
+	for i := 0; i < cfg.K; i++ {
+		if _, err := nn.AllocateBlockFrom(context.Background(), 1024, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	infos, err := nn.TakePendingStripes()
+	if err != nil || len(infos) != 1 {
+		t.Fatalf("%d stripes sealed (%v), want 1", len(infos), err)
+	}
+	plan, err := nn.PlanStripe(infos[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.CommitEncoding(infos[0].ID, plan); err != nil {
+		t.Fatal(err)
+	}
+	aborted := infos[0].Blocks[1]
+	if err := nn.AbortBlock(aborted); err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	crash := t.TempDir()
+	copyDir(t, dir, crash)
+	rec := openDurableNN(t, crash, "ear", cfg, metalog.SyncAlways)
+	defer rec.CloseMeta()
+	if rec.RecoveredOps() != 0 {
+		t.Fatalf("recovery replayed %d log records past the snapshot, want none", rec.RecoveredOps())
+	}
+	for _, id := range infos[0].Blocks {
+		want, err := nn.Block(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rec.Block(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("block %d: recovered %+v, live %+v", id, got, want)
+		}
+	}
+}
+
+// TestAutoCheckpointFailureCounts: an automatic checkpoint that fails fails
+// no mutation, but counts in namenode_checkpoint_failures. The log's
+// directory is removed under it, so no snapshot can be written.
+func TestAutoCheckpointFailureCounts(t *testing.T) {
+	cfg := testPlacementCfg(t)
+	dir := t.TempDir()
+	nn := openDurableNN(t, dir, "ear", cfg, metalog.SyncAlways)
+	defer nn.CloseMeta()
+	reg := telemetry.NewRegistry()
+	nn.SetTelemetry(reg)
+	if _, err := nn.AllocateBlock(1024); err != nil { // opens the log's segment
+		t.Fatal(err)
+	}
+	nn.SetAutoSnapshot(1)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nn.AllocateBlock(1024); err != nil {
+		t.Fatalf("the allocation whose checkpoint failed: %v", err)
+	}
+	if got := reg.Counter("namenode_checkpoint_failures", "").With().Value(); got != 1 {
+		t.Fatalf("namenode_checkpoint_failures = %v after one failed checkpoint, want 1", got)
 	}
 }
 

@@ -170,6 +170,9 @@ type nnMetrics struct {
 	attemptNs *telemetry.Metric // placement_attempt_ns
 	allocLat  *telemetry.Metric // namenode_alloc_seconds
 	recovery  *telemetry.Metric // namenode_recovery_seconds
+	// checkpointFailures counts automatic checkpoints that failed
+	// (namenode_checkpoint_failures).
+	checkpointFailures *telemetry.Metric
 }
 
 // NewShardedNameNode builds a NameNode with one placement policy, "ear" or
@@ -246,6 +249,8 @@ func (nn *NameNode) SetTelemetry(reg *telemetry.Registry) {
 		recovery: reg.Histogram("namenode_recovery_seconds",
 			"Crash-recovery duration: snapshot load plus op-log tail replay.",
 			telemetry.ExponentialBuckets(1e-3, 2, 16)).With(),
+		checkpointFailures: reg.Counter("namenode_checkpoint_failures",
+			"Automatic metadata checkpoints that failed; the op log grows until one succeeds.").With(),
 	}
 	nn.tel.Store(m)
 	// Recovery ran before telemetry attached (the restart path recovers
@@ -460,12 +465,13 @@ func (nn *NameNode) CommitBlockCtx(ctx context.Context, id topology.BlockID) err
 }
 
 // applyCommitLocked marks the block committed, queues it for RaidNode
-// grouping under RR, and returns a copy of its replica set; the shared apply
-// step of commit. Caller holds mu.
+// grouping under RR unless a stripe already holds it (as one does only in a
+// snapshot's op sequence, stateOps), and returns a copy of its replica set;
+// the shared apply step of commit. Caller holds mu.
 func (nn *NameNode) applyCommitLocked(meta *BlockMeta) []topology.NodeID {
 	nn.settleLocked(meta)
 	meta.Committed = true
-	if nn.ear == nil {
+	if nn.ear == nil && meta.Stripe < 0 {
 		nn.rrPending = append(nn.rrPending, meta.ID)
 	}
 	return append([]topology.NodeID(nil), meta.Nodes...)
@@ -741,22 +747,25 @@ func (nn *NameNode) CommitEncoding(id topology.StripeID, plan *placement.PostEnc
 	return nil
 }
 
-// applyEncodeLocked collapses every member of an encoded stripe to its
-// single kept replica and stores the plan; the shared apply step of
-// encode-commit. Caller holds mu.
+// applyEncodeLocked marks every member of an encoded stripe encoded,
+// collapses each to its single kept replica and stores the plan; the shared
+// apply step of encode-commit. Caller holds mu.
 func (nn *NameNode) applyEncodeLocked(sm *StripeMeta, plan *placement.PostEncodingPlan) error {
+	if len(plan.Keep) < len(sm.Info.Blocks) {
+		return fmt.Errorf("hdfs: plan keeps %d replicas for the %d blocks of stripe %d", len(plan.Keep), len(sm.Info.Blocks), sm.Info.ID)
+	}
 	for i, b := range sm.Info.Blocks {
 		meta, ok := nn.blocks[b]
 		if !ok {
 			return fmt.Errorf("%w: %d in stripe %d", ErrUnknownBlock, b, sm.Info.ID)
 		}
+		meta.Encoded = true
 		if meta.Aborted {
 			// Aborted members encoded as zeros; they keep no replica.
 			continue
 		}
 		nn.settleLocked(meta)
 		meta.Nodes = []topology.NodeID{plan.Keep[i]}
-		meta.Encoded = true
 	}
 	sm.Plan = plan.Clone()
 	sm.Encoded = true

@@ -57,35 +57,19 @@ const (
 	opRequeueStripe opKind = 13
 )
 
+// opNames names the kinds for errors and debugging.
+var opNames = map[opKind]string{
+	opAllocate: "allocate", opCommit: "commit", opAbort: "abort",
+	opSealStripe: "seal-stripe", opFlushStripe: "flush-stripe", opGroupStripe: "group-stripe",
+	opDrainPending: "drain-pending", opEncodeCommit: "encode-commit",
+	opBlockMoved: "block-moved", opParityMoved: "parity-moved",
+	opNodeDead: "node-dead", opNodeAlive: "node-alive", opRequeueStripe: "requeue-stripe",
+}
+
 // String names the kind for errors and debugging.
 func (k opKind) String() string {
-	switch k {
-	case opAllocate:
-		return "allocate"
-	case opCommit:
-		return "commit"
-	case opAbort:
-		return "abort"
-	case opSealStripe:
-		return "seal-stripe"
-	case opFlushStripe:
-		return "flush-stripe"
-	case opGroupStripe:
-		return "group-stripe"
-	case opDrainPending:
-		return "drain-pending"
-	case opEncodeCommit:
-		return "encode-commit"
-	case opBlockMoved:
-		return "block-moved"
-	case opParityMoved:
-		return "parity-moved"
-	case opNodeDead:
-		return "node-dead"
-	case opNodeAlive:
-		return "node-alive"
-	case opRequeueStripe:
-		return "requeue-stripe"
+	if name, ok := opNames[k]; ok {
+		return name
 	}
 	return fmt.Sprintf("opKind(%d)", uint8(k))
 }
@@ -113,7 +97,8 @@ type nnOp struct {
 // --- binary codec -----------------------------------------------------------
 //
 // Fixed-width little-endian fields behind a one-byte kind tag. Slice fields
-// carry a u32 count. Integrity is the metalog's job (per-record CRC); the
+// carry a u32 count; node, rack and index lists hold 4-byte elements, block
+// lists 8-byte ones. Integrity is the metalog's job (per-record CRC); the
 // decoder still bounds-checks everything so a bug can never panic.
 
 func appendU32(b []byte, v uint32) []byte {
@@ -124,22 +109,16 @@ func appendI64(b []byte, v int64) []byte {
 	return binary.LittleEndian.AppendUint64(b, uint64(v))
 }
 
-func appendNodes(b []byte, nodes []topology.NodeID) []byte {
-	b = appendU32(b, uint32(len(nodes)))
-	for _, n := range nodes {
-		b = appendU32(b, uint32(int32(n)))
+// appendI32s appends a list of node IDs, rack IDs or indices.
+func appendI32s[T ~int](b []byte, xs []T) []byte {
+	b = appendU32(b, uint32(len(xs)))
+	for _, x := range xs {
+		b = appendU32(b, uint32(int32(x)))
 	}
 	return b
 }
 
-func appendRacks(b []byte, racks []topology.RackID) []byte {
-	b = appendU32(b, uint32(len(racks)))
-	for _, r := range racks {
-		b = appendU32(b, uint32(int32(r)))
-	}
-	return b
-}
-
+// appendBlocks appends a list of block IDs.
 func appendBlocks(b []byte, blocks []topology.BlockID) []byte {
 	b = appendU32(b, uint32(len(blocks)))
 	for _, id := range blocks {
@@ -157,8 +136,8 @@ func (op *nnOp) encode(buf []byte) []byte {
 		buf = appendI64(buf, op.size)
 		buf = appendU32(buf, uint32(int32(op.core)))
 		buf = appendU32(buf, uint32(op.attempts))
-		buf = appendNodes(buf, op.nodes)
-		buf = appendRacks(buf, op.targets)
+		buf = appendI32s(buf, op.nodes)
+		buf = appendI32s(buf, op.targets)
 	case opCommit, opAbort:
 		buf = appendI64(buf, int64(op.block))
 	case opSealStripe, opDrainPending:
@@ -169,20 +148,16 @@ func (op *nnOp) encode(buf []byte) []byte {
 		buf = appendBlocks(buf, op.blocks)
 	case opEncodeCommit:
 		buf = appendI64(buf, int64(op.stripe))
-		buf = appendNodes(buf, op.plan.Keep)
-		buf = appendNodes(buf, op.plan.Parity)
+		buf = appendI32s(buf, op.plan.Keep)
+		buf = appendI32s(buf, op.plan.Parity)
+		var violation byte
 		if op.plan.Violation {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
+			violation = 1
 		}
-		buf = appendU32(buf, uint32(len(op.plan.Relocated)))
-		for _, i := range op.plan.Relocated {
-			buf = appendU32(buf, uint32(int32(i)))
-		}
+		buf = appendI32s(append(buf, violation), op.plan.Relocated)
 	case opBlockMoved:
 		buf = appendI64(buf, int64(op.block))
-		buf = appendNodes(buf, op.nodes)
+		buf = appendI32s(buf, op.nodes)
 	case opParityMoved:
 		buf = appendI64(buf, int64(op.stripe))
 		buf = appendU32(buf, uint32(op.idx))
@@ -248,26 +223,15 @@ func (r *opReader) count() int {
 	return int(n)
 }
 
-func (r *opReader) nodes() []topology.NodeID {
+// readI32s reads a list appendI32s wrote; nil when it is empty.
+func readI32s[T ~int](r *opReader) []T {
 	n := r.count()
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]topology.NodeID, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = topology.NodeID(int32(r.u32()))
-	}
-	return out
-}
-
-func (r *opReader) racks() []topology.RackID {
-	n := r.count()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]topology.RackID, n)
-	for i := range out {
-		out[i] = topology.RackID(int32(r.u32()))
+		out[i] = T(int32(r.u32()))
 	}
 	return out
 }
@@ -294,8 +258,8 @@ func decodeOp(payload []byte) (*nnOp, error) {
 		op.size = r.i64()
 		op.core = topology.RackID(int32(r.u32()))
 		op.attempts = int(int32(r.u32()))
-		op.nodes = r.nodes()
-		op.targets = r.racks()
+		op.nodes = readI32s[topology.NodeID](r)
+		op.targets = readI32s[topology.RackID](r)
 	case opCommit, opAbort:
 		op.block = topology.BlockID(r.i64())
 	case opSealStripe, opDrainPending:
@@ -305,22 +269,15 @@ func decodeOp(payload []byte) (*nnOp, error) {
 		op.blocks = r.blocks()
 	case opEncodeCommit:
 		op.stripe = topology.StripeID(r.i64())
-		plan := &placement.PostEncodingPlan{
-			Keep:   r.nodes(),
-			Parity: r.nodes(),
+		op.plan = &placement.PostEncodingPlan{
+			Keep:      readI32s[topology.NodeID](r),
+			Parity:    readI32s[topology.NodeID](r),
+			Violation: r.u8() != 0,
+			Relocated: readI32s[int](r),
 		}
-		plan.Violation = r.u8() != 0
-		n := r.count()
-		if r.err == nil && n > 0 {
-			plan.Relocated = make([]int, n)
-			for i := range plan.Relocated {
-				plan.Relocated[i] = int(int32(r.u32()))
-			}
-		}
-		op.plan = plan
 	case opBlockMoved:
 		op.block = topology.BlockID(r.i64())
-		op.nodes = r.nodes()
+		op.nodes = readI32s[topology.NodeID](r)
 	case opParityMoved:
 		op.stripe = topology.StripeID(r.i64())
 		op.idx = int(int32(r.u32()))

@@ -2,8 +2,10 @@ package hdfs
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
+	"ear/internal/metalog"
 	"ear/internal/placement"
 	"ear/internal/topology"
 )
@@ -49,4 +51,82 @@ func FuzzDecodeOp(f *testing.F) {
 			t.Fatalf("%v op encoding is not a fixed point", op.kind)
 		}
 	})
+}
+
+// FuzzRestoreSnapshot: recovery from a snapshot of arbitrary bytes never
+// panics. Under each policy it either fails and leaves the NameNode empty,
+// or installs a whole state: one whose own snapshot recovers to it again.
+// The seeds are real snapshots of a driven NameNode under each policy.
+func FuzzRestoreSnapshot(f *testing.F) {
+	cfg := testPlacementCfg(f)
+	policies := []string{"ear", "rr"}
+	empty := map[string][]byte{}
+	for _, policy := range policies {
+		nn, err := NewShardedNameNode(cfg, policy, 7, false)
+		if err != nil {
+			f.Fatal(err)
+		}
+		empty[policy] = nn.StateDigest()
+		d := &opDriver{rng: rand.New(rand.NewSource(3)), nn: nn, nodes: cfg.Topology.Nodes()}
+		for i := 0; i < 100; i++ {
+			if err := d.step(); err != nil {
+				f.Fatal(err)
+			}
+		}
+		f.Add(nn.StateDigest())
+	}
+	f.Add([]byte{})
+	f.Add([]byte{snapshotVersion})
+
+	f.Fuzz(func(t *testing.T, state []byte) {
+		for _, policy := range policies {
+			nn, err := recoverSnapshot(t, cfg, policy, state)
+			if err != nil {
+				if !bytes.Equal(nn.StateDigest(), empty[policy]) {
+					t.Fatalf("%s: a failed restore (%v) installed part of a state", policy, err)
+				}
+				continue
+			}
+			digest := nn.StateDigest()
+			again, err := recoverSnapshot(t, cfg, policy, digest)
+			if err != nil {
+				t.Fatalf("%s: the restored state's own snapshot does not restore: %v", policy, err)
+			}
+			if !bytes.Equal(again.StateDigest(), digest) {
+				t.Fatalf("%s: the restored state's own snapshot restores to another state", policy)
+			}
+		}
+	})
+}
+
+// recoverSnapshot runs RecoverMeta on a fresh NameNode over a log directory
+// that holds only the given snapshot.
+func recoverSnapshot(t *testing.T, cfg placement.Config, policy string, state []byte) (*NameNode, error) {
+	t.Helper()
+	dir := t.TempDir()
+	l, err := metalog.Open(metalog.Options{Dir: dir, Sync: metalog.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Recover(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Snapshot(0, state); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = metalog.Open(metalog.Options{Dir: dir, Sync: metalog.SyncNone}); err != nil {
+		t.Fatal(err)
+	}
+	nn, err := NewShardedNameNode(cfg, policy, 7, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = nn.RecoverMeta(l)
+	if cerr := l.Close(); err == nil && cerr != nil {
+		t.Fatal(cerr)
+	}
+	return nn, err
 }

@@ -254,8 +254,14 @@ func (l *Log) listSeqs(prefix, suffix string) ([]uint64, error) {
 // deleted, so the next Append continues from the recovered LSN, always in a
 // fresh segment (a recovered segment is never reopened for writing). Recover
 // must be called exactly once, before the first Append; a log that recovered
-// nothing starts empty at LSN 1.
-func (l *Log) Recover(restore func(snapshot []byte) error, replay func(lsn uint64, payload []byte) error) error {
+// nothing starts empty at LSN 1. A log whose Recover failed can only be
+// closed.
+func (l *Log) Recover(restore func(snapshot []byte) error, replay func(lsn uint64, payload []byte) error) (err error) {
+	defer func() {
+		if err != nil {
+			close(l.done) // no sync loop will run for Close to wait on
+		}
+	}()
 	snapLSN, snap, err := l.loadNewestSnapshot()
 	if err != nil {
 		return err

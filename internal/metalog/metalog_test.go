@@ -3,6 +3,7 @@ package metalog
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -313,6 +314,35 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 	if len(lsns) != 3 || lsns[0] != 4 {
 		t.Fatalf("tail replay = %v, want [4 5 6]", lsns)
+	}
+}
+
+// TestCloseAfterFailedRecover: a log whose Recover failed (the caller
+// refused its snapshot) closes instead of waiting for a sync loop that never
+// started.
+func TestCloseAfterFailedRecover(t *testing.T) {
+	dir := t.TempDir()
+	l := openForTest(t, dir, Options{Sync: SyncInterval})
+	if err := l.Snapshot(0, []byte("state")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(Options{Dir: dir, Sync: SyncInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := errors.New("refused")
+	if err := l.Recover(func([]byte) error { return refused }, nil); !errors.Is(err, refused) {
+		t.Fatalf("Recover: %v, want the refusal", err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close after a failed Recover did not return")
 	}
 }
 

@@ -155,7 +155,7 @@ func (p *EAR) placeAt(block topology.BlockID, core topology.RackID, writer topol
 
 // commitPlacement records an admitted placement on its open stripe and seals
 // the stripe once it reaches k blocks. Shared by the live path (placeAt) and
-// the replay paths (RestorePlacement, RestoreOpenState).
+// the replay path (RestorePlacement).
 func (p *EAR) commitPlacement(info *StripeInfo, pl topology.Placement, iters int) {
 	info.Blocks = append(info.Blocks, pl.Block)
 	info.Placements = append(info.Placements, pl.Clone())
@@ -182,22 +182,15 @@ func (p *EAR) RestorePlacement(block topology.BlockID, core topology.RackID, nod
 	if !ok {
 		info = p.openWith(core, append([]topology.RackID(nil), targets...))
 	}
-	if err := p.readmit(info, block, nodes); err != nil {
+	if ok, err := p.admits(info, p.roomOf(info), nodes); err != nil || !ok {
+		if err == nil {
+			err = fmt.Errorf("placement: recorded layout for block %d rejected by stripe %d flow — log and topology disagree", block, info.ID)
+		}
 		return err
 	}
 	p.lastAttempts = iterations
 	p.commitPlacement(info, topology.Placement{Block: block, Nodes: nodes}, iterations)
 	return nil
-}
-
-// readmit checks a layout recorded in the op log or a snapshot against the
-// open stripe it joins.
-func (p *EAR) readmit(info *StripeInfo, block topology.BlockID, nodes []topology.NodeID) error {
-	ok, err := p.admits(info, p.roomOf(info), nodes)
-	if err == nil && !ok {
-		err = fmt.Errorf("placement: recorded layout for block %d rejected by stripe %d flow — log and topology disagree", block, info.ID)
-	}
-	return err
 }
 
 // DropOpen removes and returns the open stripe of the given core rack
@@ -211,12 +204,12 @@ func (p *EAR) DropOpen(core topology.RackID) *StripeInfo {
 }
 
 // OpenState exports the policy's replayable state: the stripe-ID counter and
-// clones of the open stripes sorted by core rack. It is the deterministic
-// serialization surface for NameNode snapshots; the rng is deliberately
-// excluded (randomness is consumed at propose time and its outcomes are what
-// the ops record). Sealed-but-undrained stripes are not exported — the
-// NameNode drains TakeSealed under the same lock as PlaceAt, so none exist
-// when a snapshot runs.
+// clones of the open stripes sorted by core rack, whose placements a
+// NameNode's snapshot records as the allocations that rebuild them; the rng
+// is deliberately excluded (randomness is consumed at propose time and its
+// outcomes are what the ops record). Sealed-but-undrained stripes are not
+// exported — the NameNode drains TakeSealed under the same lock as PlaceAt,
+// so none exist when a snapshot runs.
 func (p *EAR) OpenState() (next topology.StripeID, open []*StripeInfo) {
 	open = make([]*StripeInfo, 0, len(p.open))
 	for _, info := range p.open {
@@ -224,30 +217,6 @@ func (p *EAR) OpenState() (next topology.StripeID, open []*StripeInfo) {
 	}
 	sortStripesByCore(open)
 	return p.nextStripe, open
-}
-
-// RestoreOpenState resets the policy to a snapshot exported by OpenState,
-// checking each open stripe's recorded placements by the admission rule, in
-// order. A placement the rule rejects means the snapshot does not match the
-// topology and is an error.
-func (p *EAR) RestoreOpenState(next topology.StripeID, open []*StripeInfo) error {
-	clear(p.open)
-	p.sealed = nil
-	p.nextStripe = next
-	for _, rec := range open {
-		if len(rec.Blocks) >= p.cfg.K {
-			return fmt.Errorf("placement: snapshot open stripe %d already holds %d >= k blocks", rec.ID, len(rec.Blocks))
-		}
-		info := &StripeInfo{ID: rec.ID, CoreRack: rec.CoreRack, Targets: append([]topology.RackID(nil), rec.Targets...)}
-		p.open[rec.CoreRack] = info
-		for i, pl := range rec.Placements {
-			if err := p.readmit(info, rec.Blocks[i], pl.Nodes); err != nil {
-				return err
-			}
-			p.commitPlacement(info, topology.Placement{Block: rec.Blocks[i], Nodes: pl.Nodes}, rec.Iterations[i])
-		}
-	}
-	return nil
 }
 
 // TakeSealed drains and returns stripes completed since the previous call.
